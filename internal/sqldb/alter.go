@@ -90,6 +90,7 @@ func (db *DB) execAlter(ws *writeState, s *AlterTableStmt) (*Result, error) {
 			}
 		}
 		nt.replaceRows(rows)
+		ws.schemaChanged(key)
 		return &Result{Affected: nt.nrows}, nil
 	case s.Drop != "":
 		ci := t.schema.Index(s.Drop)
@@ -109,6 +110,7 @@ func (db *DB) execAlter(ws *writeState, s *AlterTableStmt) (*Result, error) {
 			}
 		}
 		nt.replaceRows(rows)
+		ws.schemaChanged(key)
 		return &Result{Affected: nt.nrows}, nil
 	case s.Rename != "":
 		nkey := lower(s.Rename)
@@ -116,9 +118,9 @@ func (db *DB) execAlter(ws *writeState, s *AlterTableStmt) (*Result, error) {
 			return nil, errorf("table %q already exists", s.Rename)
 		}
 		nt, _ := ws.modify(key)
-		nt.name = s.Rename
 		ws.drop(key)
-		ws.put(nkey, nt)
+		nt.name, nt.key = s.Rename, nkey
+		ws.put(nt)
 		return &Result{}, nil
 	}
 	return nil, errorf("empty ALTER TABLE")

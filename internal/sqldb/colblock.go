@@ -869,13 +869,13 @@ func dominantEnc(idx *blockTableIdx, col int) string {
 // types) matches its index entry exactly. Tables or chunks that do not
 // match are skipped — the scan path simply builds those vectors from
 // rows.
-func buildBlockStore(f *os.File, path string, epoch uint64, idx *blockIndex, tables map[string]*table) *blockStore {
+func buildBlockStore(f *os.File, path string, epoch uint64, idx *blockIndex, cat catalog) *blockStore {
 	s := &blockStore{f: f, path: path, epoch: epoch, m: map[*Row]*storeChunk{}, encs: map[string][]string{}}
 	for i := range idx.Tables {
 		ti := &idx.Tables[i]
 		key := lower(ti.Name)
-		t, ok := tables[key]
-		if !ok || len(ti.Types) != len(t.schema) {
+		t := cat.get(key)
+		if t == nil || t.temp || len(ti.Types) != len(t.schema) {
 			continue
 		}
 		match := true
@@ -926,7 +926,7 @@ func buildBlockStore(f *os.File, path string, epoch uint64, idx *blockIndex, tab
 // given tables. Any failure — missing file, stale epoch, torn footer,
 // CRC mismatch, shape mismatch — returns nil: the block file is
 // derived data and recovery proceeds on rows alone.
-func openBlockStore(path string, epoch uint64, tables map[string]*table) *blockStore {
+func openBlockStore(path string, epoch uint64, cat catalog) *blockStore {
 	f, fileEpoch, idx, err := readBlockIndex(path)
 	if err != nil {
 		return nil
@@ -938,7 +938,7 @@ func openBlockStore(path string, epoch uint64, tables map[string]*table) *blockS
 		f.Close()
 		return nil
 	}
-	return buildBlockStore(f, path, epoch, idx, tables)
+	return buildBlockStore(f, path, epoch, idx, cat)
 }
 
 // ------------------------------------------------------- inspection

@@ -384,7 +384,8 @@ func TestBlockFileChunkStructure(t *testing.T) {
 		}
 	}
 	var lens []int
-	for _, ch := range db.state.Load().tables["t"].chunks {
+	t1, _ := db.state.Load().table("t")
+	for _, ch := range t1.chunks {
 		if len(ch) > 0 {
 			lens = append(lens, len(ch))
 		}
@@ -399,7 +400,7 @@ func TestBlockFileChunkStructure(t *testing.T) {
 	}
 	defer db2.Close()
 	var lens2 []int
-	t2 := db2.state.Load().tables["t"]
+	t2, _ := db2.state.Load().table("t")
 	for _, ch := range t2.chunks {
 		if len(ch) > 0 {
 			lens2 = append(lens2, len(ch))

@@ -230,11 +230,12 @@ type colCacheEntry struct {
 // same key may race to build the vector; the first put wins and later
 // builders adopt the shared copy.
 type colCache struct {
-	mu    sync.Mutex
-	ll    *list.List // front = most recently used; holds *colCacheEntry
-	m     map[chunkColKey]*list.Element
-	bytes int
-	limit int
+	mu      sync.Mutex
+	ll      *list.List // front = most recently used; holds *colCacheEntry
+	m       map[chunkColKey]*list.Element
+	byTable tableIndex // see plancache.go
+	bytes   int
+	limit   int
 }
 
 func (c *colCache) get(key chunkColKey) *colVec {
@@ -256,12 +257,15 @@ func (c *colCache) put(key chunkColKey, tableKey string, vec *colVec) *colVec {
 	if c.m == nil {
 		c.m = make(map[chunkColKey]*list.Element)
 		c.ll = list.New()
+		c.byTable = tableIndex{}
 	}
 	if el, ok := c.m[key]; ok {
 		c.ll.MoveToFront(el)
 		return el.Value.(*colCacheEntry).vec
 	}
-	c.m[key] = c.ll.PushFront(&colCacheEntry{key: key, table: tableKey, vec: vec})
+	el := c.ll.PushFront(&colCacheEntry{key: key, table: tableKey, vec: vec})
+	c.m[key] = el
+	c.byTable.add(tableKey, el)
 	c.bytes += vec.bytes
 	for c.bytes > c.limit && c.ll.Len() > 1 {
 		oldest := c.ll.Back()
@@ -271,9 +275,9 @@ func (c *colCache) put(key chunkColKey, tableKey string, vec *colVec) *colVec {
 }
 
 func (c *colCache) evict(el *list.Element) {
-	e := el.Value.(*colCacheEntry)
-	c.ll.Remove(el)
+	e := c.ll.Remove(el).(*colCacheEntry)
 	delete(c.m, e.key)
+	c.byTable.remove(e.table, el)
 	c.bytes -= e.vec.bytes
 }
 
@@ -282,18 +286,10 @@ func (c *colCache) evict(el *list.Element) {
 // tables' versions, so cache lifetime follows the same snapshot/table
 // versioning as compiled plans.
 func (c *colCache) purge(tables map[string]bool) {
-	if len(tables) == 0 {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.ll == nil {
-		return
-	}
-	var next *list.Element
-	for el := c.ll.Front(); el != nil; el = next {
-		next = el.Next()
-		if tables[el.Value.(*colCacheEntry).table] {
+	for t := range tables {
+		for el := range c.byTable[t] {
 			c.evict(el)
 		}
 	}

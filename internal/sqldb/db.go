@@ -2,6 +2,8 @@ package sqldb
 
 import (
 	"errors"
+	"iter"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -26,6 +28,10 @@ type Querier interface {
 type DB struct {
 	// state is the current committed snapshot; see snapshot.go.
 	state atomic.Pointer[snapshot]
+	// schemaVer is the last schema version handed out. Every CREATE and
+	// ALTER, committed or not, draws the next one, so no two table
+	// versions with different schemas ever share a number (catalog.go).
+	schemaVer atomic.Int64
 	// wmu serializes writers (and transaction state below).
 	wmu sync.Mutex
 	// intents maps table keys pinned by prepared transactions (phase
@@ -92,7 +98,7 @@ var ErrTxnBusy = errors.New("sqldb: transaction already open")
 func NewMemory() *DB {
 	db := &DB{env: newExecEnv()}
 	db.def = &Session{db: db}
-	db.state.Store(&snapshot{tables: map[string]*table{}, vers: map[string]int64{}, env: db.env})
+	db.state.Store(&snapshot{env: db.env})
 	return db
 }
 
@@ -210,7 +216,7 @@ func (db *DB) autocommit(st Statement, raw string) (*Result, error) {
 		db.wmu.Unlock()
 		return nil, err
 	}
-	if key, held := db.intentConflictLocked(ws.touched); held {
+	if key, held := db.intentConflictLocked(slices.Values(ws.touched)); held {
 		db.retireCommit()
 		db.wmu.Unlock()
 		return nil, intentConflictErr(key)
@@ -229,7 +235,7 @@ func (db *DB) autocommit(st Statement, raw string) (*Result, error) {
 // transaction's intent. Any intent blocks — even the caller's own:
 // publishing a write into a prepared transaction's footprint would
 // invalidate its PREPARE-time validation. The caller holds db.wmu.
-func (db *DB) intentConflictLocked(keys map[string]bool) (string, bool) {
+func (db *DB) intentConflictLocked(keys iter.Seq[string]) (string, bool) {
 	if len(db.intents) == 0 {
 		return "", false
 	}
@@ -265,11 +271,7 @@ func (db *DB) retireCommit()   { db.commitArrivals.Add(-1) }
 func (db *DB) execMutation(ws *writeState, st Statement) (*Result, error) {
 	switch s := st.(type) {
 	case *CreateTableStmt:
-		res, err := db.execCreateTable(ws, s)
-		if err == nil {
-			ws.schemaChanged(lower(s.Name))
-		}
-		return res, err
+		return db.execCreateTable(ws, s)
 	case *DropTableStmt:
 		key := lower(s.Name)
 		t, ok := ws.tab(key)
@@ -281,7 +283,6 @@ func (db *DB) execMutation(ws *writeState, st Statement) (*Result, error) {
 		}
 		ws.dropTemp = t.temp
 		ws.drop(key)
-		ws.schemaChanged(key)
 		return &Result{}, nil
 	case *CreateIndexStmt:
 		key := lower(s.Table)
@@ -302,15 +303,7 @@ func (db *DB) execMutation(ws *writeState, st Statement) (*Result, error) {
 		ws.schemaChanged(key)
 		return &Result{}, nil
 	case *AlterTableStmt:
-		res, err := db.execAlter(ws, s)
-		if err == nil {
-			if s.Rename != "" {
-				ws.schemaChanged(lower(s.Table), lower(s.Rename))
-			} else {
-				ws.schemaChanged(lower(s.Table))
-			}
-		}
-		return res, err
+		return db.execAlter(ws, s)
 	case *InsertStmt:
 		return db.execInsert(ws, s)
 	case *UpdateStmt:
@@ -325,6 +318,9 @@ func (db *DB) execCreateTable(ws *writeState, s *CreateTableStmt) (*Result, erro
 	key := lower(s.Name)
 	if _, exists := ws.tab(key); exists {
 		if s.IfNotExists {
+			// Still counts as DDL on the table, as it always has: its
+			// cached plans and column vectors are dropped.
+			ws.schemaChanged(key)
 			return &Result{}, nil
 		}
 		return nil, errorf("table %q already exists", s.Name)
@@ -338,7 +334,7 @@ func (db *DB) execCreateTable(ws *writeState, s *CreateTableStmt) (*Result, erro
 		for _, row := range res.Rows {
 			t.insert(row)
 		}
-		ws.put(key, t)
+		ws.put(t)
 		return &Result{Affected: len(res.Rows)}, nil
 	}
 	if len(s.Cols) == 0 {
@@ -351,7 +347,7 @@ func (db *DB) execCreateTable(ws *writeState, s *CreateTableStmt) (*Result, erro
 		}
 		seen[lower(c.Name)] = true
 	}
-	ws.put(key, newTable(s.Name, s.Cols, s.Temp))
+	ws.put(newTable(s.Name, s.Cols, s.Temp))
 	return &Result{}, nil
 }
 
@@ -577,7 +573,7 @@ func (db *DB) insertRowsAutocommit(tableName string, cols []string, rows []Row) 
 		db.wmu.Unlock()
 		return 0, err
 	}
-	if key, held := db.intentConflictLocked(ws.touched); held {
+	if key, held := db.intentConflictLocked(slices.Values(ws.touched)); held {
 		db.retireCommit()
 		db.wmu.Unlock()
 		return 0, intentConflictErr(key)
@@ -645,9 +641,9 @@ func insertRowsWS(ws *writeState, tableName string, cols []string, rows []Row) (
 
 // Tables returns the names of all tables, sorted.
 func (db *DB) Tables() []string {
-	sn := db.state.Load()
-	names := make([]string, 0, len(sn.tables))
-	for _, t := range sn.tables {
+	cat := db.state.Load().cat
+	names := make([]string, 0, cat.len())
+	for t := range cat.all() {
 		names = append(names, t.name)
 	}
 	sort.Strings(names)
@@ -678,13 +674,8 @@ func (db *DB) DropTemp() {
 	db.wmu.Lock()
 	defer db.wmu.Unlock()
 	ws := db.beginWrite()
-	var dropped []string
-	for k, t := range ws.base.tables {
-		if t.temp {
-			ws.drop(k)
-			dropped = append(dropped, k)
-		}
+	for t := range ws.base.cat.temps() {
+		ws.drop(t.key)
 	}
-	ws.schemaChanged(dropped...)
 	ws.publish()
 }

@@ -170,11 +170,11 @@ func (db *DB) execExplain(sn *snapshot, st *ExplainStmt) (*Result, error) {
 	refs := referencedTables(q)
 	sort.Strings(refs)
 	var vb strings.Builder
-	for i, t := range refs {
+	for i, v := range sn.schemaVers(refs) {
 		if i > 0 {
 			vb.WriteString(", ")
 		}
-		fmt.Fprintf(&vb, "%s@v%d", t, sn.vers[t])
+		fmt.Fprintf(&vb, "%s@v%d", refs[i], v)
 	}
 	policy := "none (memory database)"
 	if db.wal != nil {

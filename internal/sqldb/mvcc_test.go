@@ -206,9 +206,9 @@ func TestConcurrentWritersReaders(t *testing.T) {
 // TestRollbackTableCreatedAndDroppedInTxn is the regression test for
 // the transaction/plan-cache edge case: a table created AND dropped
 // inside a rolled-back transaction must not leave a stale compiled
-// plan behind. The rollback bumps the version of every touched table
-// (monotonically — never back to the pre-transaction value), so a
-// plan compiled mid-transaction can never match again.
+// plan behind. Schema versions come from one database-wide counter
+// and are never reused, so a plan compiled mid-transaction can never
+// match a table created after the rollback.
 func TestRollbackTableCreatedAndDroppedInTxn(t *testing.T) {
 	db := NewMemory()
 	q := "SELECT a FROM x"

@@ -351,7 +351,7 @@ func TestCommittedTxnPlansPromoted(t *testing.T) {
 		t.Fatal("committed transaction's plan was not promoted to the shared cache")
 	}
 	cp.mu.Lock()
-	compiled := cp.sel != nil && db.state.Load().versionsMatch(cp.vers)
+	compiled := cp.sel != nil && db.state.Load().versionsMatch(cp.tables, cp.vers)
 	cp.mu.Unlock()
 	if !compiled {
 		t.Fatal("promoted plan is not compiled against the committed versions")

@@ -560,7 +560,7 @@ func OpenWithPolicy(dir string, policy SyncPolicy) (*DB, error) {
 			return nil, fmt.Errorf("sqldb: corrupt snapshot %s: %w", snapPath, derr)
 		}
 		snapEpoch = snap.Epoch
-		tables := make(map[string]*table, len(snap.Tables))
+		var cat catalog
 		for _, ts := range snap.Tables {
 			schema := make(Schema, len(ts.Cols))
 			for i, c := range ts.Cols {
@@ -589,14 +589,15 @@ func OpenWithPolicy(dir string, policy SyncPolicy) (*DB, error) {
 				}
 			}
 			t.mutable = false
-			tables[lower(ts.Name)] = t
+			t.ver = db.schemaVer.Add(1)
+			cat = cat.set(t)
 		}
-		db.state.Store(&snapshot{tables: tables, vers: map[string]int64{}, env: db.env})
+		db.state.Store(&snapshot{cat: cat, env: db.env})
 		// Attach the columnar block mirror if one survives from the same
 		// checkpoint generation. openBlockStore validates magic, epoch,
 		// CRC and chunk shapes and returns nil on ANY problem — the block
 		// file is derived data and must never fail recovery.
-		if bs := openBlockStore(filepath.Join(dir, blockFile), snapEpoch, tables); bs != nil {
+		if bs := openBlockStore(filepath.Join(dir, blockFile), snapEpoch, cat); bs != nil {
 			db.env.blocks.Store(bs)
 		}
 	} else if !errors.Is(err, os.ErrNotExist) {
@@ -810,16 +811,7 @@ func (db *DB) Checkpoint() error {
 	}
 	sn := db.state.Load()
 	snap := snapshotData{Epoch: db.walEpoch + 1}
-	names := make([]string, 0, len(sn.tables))
-	for k := range sn.tables {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		t := sn.tables[k]
-		if t.temp {
-			continue
-		}
+	for _, t := range sn.durableTables() {
 		ts := tableSnap{Name: t.name, Temp: t.temp, Rows: t.flat()}
 		for _, ch := range t.chunks {
 			if len(ch) > 0 {
@@ -907,16 +899,9 @@ func (db *DB) Checkpoint() error {
 // (it would be stale at the new epoch anyway) and the store cleared.
 func (db *DB) writeColumnBlocks(sn *snapshot, epoch uint64) {
 	path := filepath.Join(db.dir, blockFile)
-	names := make([]string, 0, len(sn.tables))
-	for k := range sn.tables {
-		if !sn.tables[k].temp {
-			names = append(names, k)
-		}
-	}
-	sort.Strings(names)
-	wts := make([]blockWriteTable, 0, len(names))
-	for _, k := range names {
-		t := sn.tables[k]
+	tables := sn.durableTables()
+	wts := make([]blockWriteTable, 0, len(tables))
+	for _, t := range tables {
 		wt := blockWriteTable{name: t.name, chunks: t.chunks}
 		for _, c := range t.schema {
 			wt.names = append(wt.names, c.Name)
@@ -935,13 +920,7 @@ func (db *DB) writeColumnBlocks(sn *snapshot, epoch uint64) {
 		db.swapBlockStore(nil)
 		return
 	}
-	tables := make(map[string]*table, len(sn.tables))
-	for k, t := range sn.tables {
-		if !t.temp {
-			tables[k] = t
-		}
-	}
-	db.swapBlockStore(buildBlockStore(f, path, epoch, idx, tables))
+	db.swapBlockStore(buildBlockStore(f, path, epoch, idx, sn.cat))
 }
 
 // Close checkpoints (when durable) and releases the database.

@@ -12,13 +12,13 @@ import (
 //
 // Correctness model: a parsed AST depends only on the SQL text and
 // never goes stale. A compiled plan additionally depends on the
-// schemas of the referenced tables, so each snapshot carries a version
-// counter per table that every DDL (CREATE/ALTER/DROP, including
-// rollback and temp-table cleanup) bumps when publishing the next
-// snapshot; a cached plan records the versions it was compiled against
-// and is recompiled when the executing snapshot's versions no longer
-// match. DDL also evicts entries referencing the table so the cache
-// does not accumulate plans for dropped tables.
+// schemas of the referenced tables, so each snapshot's catalog carries a
+// schema version per table, drawn from one database-wide counter by
+// every CREATE and ALTER and never reused; a cached plan records the
+// versions it was compiled against and is recompiled when the executing
+// snapshot's versions no longer match (a dropped table matches nothing).
+// DDL also evicts entries referencing the table so the cache does not
+// accumulate plans for dropped tables.
 
 const (
 	// planCacheSize bounds the number of cached statements. Textual
@@ -36,8 +36,8 @@ type cachedPlan struct {
 	tables []string // lower-cased tables the statement references
 
 	mu   sync.Mutex
-	sel  *compiledSelect  // compiled plan; nil until first execution
-	vers map[string]int64 // table versions sel was compiled against
+	sel  *compiledSelect // compiled plan; nil until first execution
+	vers []int64         // schema versions of tables sel was compiled against
 }
 
 type cacheItem struct {
@@ -45,12 +45,36 @@ type cacheItem struct {
 	plan *cachedPlan
 }
 
+// tableIndex maps a lower-cased table name to the LRU elements that
+// depend on it, so a DDL evicts its own table's entries without walking
+// the whole cache under the cache lock. Shared by the plan cache and the
+// column cache.
+type tableIndex map[string]map[*list.Element]struct{}
+
+func (ix tableIndex) add(table string, el *list.Element) {
+	set := ix[table]
+	if set == nil {
+		set = make(map[*list.Element]struct{})
+		ix[table] = set
+	}
+	set[el] = struct{}{}
+}
+
+func (ix tableIndex) remove(table string, el *list.Element) {
+	set := ix[table]
+	delete(set, el)
+	if len(set) == 0 {
+		delete(ix, table)
+	}
+}
+
 // planCache is an LRU keyed on raw SQL text. The zero value is ready
 // to use.
 type planCache struct {
-	mu sync.Mutex
-	ll *list.List // front = most recently used; holds *cacheItem
-	m  map[string]*list.Element
+	mu      sync.Mutex
+	ll      *list.List // front = most recently used; holds *cacheItem
+	m       map[string]*list.Element
+	byTable tableIndex
 }
 
 func (c *planCache) get(sql string) *cachedPlan {
@@ -73,41 +97,40 @@ func (c *planCache) put(sql string, cp *cachedPlan) {
 	if c.m == nil {
 		c.m = make(map[string]*list.Element)
 		c.ll = list.New()
+		c.byTable = tableIndex{}
 	}
 	if el, ok := c.m[sql]; ok {
+		// Same text, same referenced tables: the index stands.
 		el.Value.(*cacheItem).plan = cp
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.m[sql] = c.ll.PushFront(&cacheItem{sql: sql, plan: cp})
+	el := c.ll.PushFront(&cacheItem{sql: sql, plan: cp})
+	c.m[sql] = el
+	for _, t := range cp.tables {
+		c.byTable.add(t, el)
+	}
 	for c.ll.Len() > planCacheSize {
-		oldest := c.ll.Back()
-		c.ll.Remove(oldest)
-		delete(c.m, oldest.Value.(*cacheItem).sql)
+		c.evict(c.ll.Back())
+	}
+}
+
+func (c *planCache) evict(el *list.Element) {
+	it := c.ll.Remove(el).(*cacheItem)
+	delete(c.m, it.sql)
+	for _, t := range it.plan.tables {
+		c.byTable.remove(t, el)
 	}
 }
 
 // invalidate evicts every entry that references one of the given
 // lower-cased table names.
 func (c *planCache) invalidate(tables map[string]bool) {
-	if len(tables) == 0 {
-		return
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.ll == nil {
-		return
-	}
-	var next *list.Element
-	for el := c.ll.Front(); el != nil; el = next {
-		next = el.Next()
-		it := el.Value.(*cacheItem)
-		for _, t := range it.plan.tables {
-			if tables[t] {
-				c.ll.Remove(el)
-				delete(c.m, it.sql)
-				break
-			}
+	for t := range tables {
+		for el := range c.byTable[t] {
+			c.evict(el)
 		}
 	}
 }
@@ -181,7 +204,7 @@ func collectTables(st Statement, seen map[string]bool) {
 func (db *DB) selectPlanFor(sn *snapshot, cp *cachedPlan, sel *SelectStmt) (*compiledSelect, error) {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
-	if cp.sel != nil && sn.versionsMatch(cp.vers) {
+	if cp.sel != nil && sn.versionsMatch(cp.tables, cp.vers) {
 		return cp.sel, nil
 	}
 	p, err := sn.planSelect(sel)
@@ -190,7 +213,7 @@ func (db *DB) selectPlanFor(sn *snapshot, cp *cachedPlan, sel *SelectStmt) (*com
 		return nil, err
 	}
 	cp.sel = p
-	cp.vers = sn.snapshotVers(cp.tables)
+	cp.vers = sn.schemaVers(cp.tables)
 	return p, nil
 }
 

@@ -56,8 +56,15 @@ func TestPlanCacheInvalidationOnAlterDrop(t *testing.T) {
 		}
 	}
 
-	// DROP TABLE: the cached plan must not outlive the table.
+	// DROP TABLE: the cached plan must not outlive the table. Hold on to
+	// the entry itself, as a concurrent reader that fetched it before
+	// the DROP would.
+	stale := db.plans.get(q)
+	staleSel := stale.sel
 	mustExec(t, db, "DROP TABLE results")
+	if db.plans.get(q) != nil {
+		t.Error("DROP TABLE left the table's plan in the cache")
+	}
 	if _, err := db.Exec(q); err == nil {
 		t.Fatal("cached SELECT survived DROP TABLE")
 	}
@@ -72,6 +79,54 @@ func TestPlanCacheInvalidationOnAlterDrop(t *testing.T) {
 	}
 	if res.Rows[0][1].Str() != "fresh" {
 		t.Errorf("row = %v", res.Rows[0])
+	}
+
+	// Eviction is hygiene; the schema version is what makes reuse safe.
+	// The dropped table's version went with it (no tombstone), and the
+	// recreated name must still not match the held entry: versions come
+	// from one database-wide counter and are never handed out twice.
+	sn := db.state.Load()
+	if sn.versionsMatch(stale.tables, stale.vers) {
+		t.Fatalf("plan compiled before DROP matches the recreated table (versions %v)", stale.vers)
+	}
+	p, err := db.selectPlanFor(sn, stale, stale.st.(*SelectStmt))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p == staleSel {
+		t.Error("plan compiled against the dropped table was reused for its namesake")
+	}
+}
+
+// TestSchemaVersionsDoNotLeak: a query session's CREATE TEMP TABLE /
+// DROP TABLE churn (every perfbase query names its vectors pbq<n>_…)
+// must leave nothing behind — no catalog entry, no trie node, no
+// version bookkeeping, no per-table cache index entry.
+func TestSchemaVersionsDoNotLeak(t *testing.T) {
+	db := seedDB(t)
+	mustExec(t, db, "SELECT COUNT(*) FROM results")
+	type size struct{ tables, nodes, plans, planIdx, vecIdx int }
+	measure := func() size {
+		cat := db.state.Load().cat
+		nodes, _ := catShape(cat.root)
+		return size{cat.len(), nodes, db.plans.len(), len(db.plans.byTable), len(db.env.cache.byTable)}
+	}
+	base := measure()
+	for i := 0; i < 2000; i++ {
+		name := fmt.Sprintf("pbq%d_x", i)
+		mustExec(t, db, "CREATE TEMP TABLE "+name+" AS SELECT run_id, bw FROM results")
+		mustExec(t, db, "INSERT INTO "+name+" VALUES (99, 1.5)")
+		if n := mustExec(t, db, "SELECT COUNT(*), SUM(bw) FROM "+name).Rows[0][0].Int(); n != 11 {
+			t.Fatalf("cycle %d: %d rows", i, n)
+		}
+		if i%2 == 0 {
+			mustExec(t, db, "DROP TABLE "+name)
+		} else {
+			db.DropTemp()
+		}
+	}
+	if got := measure(); got != base {
+		t.Errorf("after 2000 create/drop cycles: %+v, want the baseline %+v", got, base)
 	}
 }
 
@@ -101,7 +156,17 @@ func TestPlanCacheRollbackInvalidation(t *testing.T) {
 	if len(mid.Columns) != len(before.Columns)+1 {
 		t.Fatalf("in-txn schema: %d columns", len(mid.Columns))
 	}
+	// The sessionless SELECT compiled into the shared entry, against a
+	// table version that is about to vanish.
+	shared := db.plans.get(q)
+	committed := db.state.Load()
 	mustExec(t, db, "ROLLBACK")
+	if db.state.Load() != committed {
+		t.Error("ROLLBACK published a snapshot; it should be a pointer drop")
+	}
+	if committed.versionsMatch(shared.tables, shared.vers) {
+		t.Error("plan compiled inside the aborted transaction matches the committed schema version")
+	}
 	after := mustExec(t, db, q)
 	if len(after.Columns) != len(before.Columns) {
 		t.Errorf("after rollback got %d columns, want %d", len(after.Columns), len(before.Columns))

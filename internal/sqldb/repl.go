@@ -347,15 +347,7 @@ func (db *DB) ExportState() *StateExport {
 	db.wmu.Unlock()
 
 	exp := &StateExport{Pos: pos}
-	names := make([]string, 0, len(sn.tables))
-	for k, t := range sn.tables {
-		if !t.temp {
-			names = append(names, k)
-		}
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		t := sn.tables[k]
+	for _, t := range sn.durableTables() {
 		te := TableExport{Name: t.name, Cols: t.schema.clone()}
 		te.Blocks = exportTableBlocks(t.flat(), t.schema)
 		for col := range t.indexes {
@@ -430,16 +422,17 @@ func importTableBlocks(name string, tb *TableBlocksExport, schema Schema) ([]Row
 }
 
 // ImportState replaces the database's entire committed state with the
-// export and adopts its position — replica bootstrap. Every table
-// version (old and new) gets a schema-version bump so no cached plan
-// survives the swap. Only sensible on a replica's own store; the
+// export and adopts its position — replica bootstrap. Every imported
+// table gets a fresh schema version so no cached plan survives the
+// swap. Only sensible on a replica's own store; the
 // database must not be durable (the replica's durability is the
 // primary's WAL).
 func (db *DB) ImportState(exp *StateExport) error {
 	if db.wal != nil || db.dir != "" {
 		return errorf("ImportState: refusing to overwrite a durable database")
 	}
-	tables := make(map[string]*table, len(exp.Tables))
+	var cat catalog
+	touched := make(map[string]bool, len(exp.Tables))
 	for _, te := range exp.Tables {
 		t := newTable(te.Name, te.Cols, false)
 		var rows []Row
@@ -464,31 +457,19 @@ func (db *DB) ImportState(exp *StateExport) error {
 			t.indexes[lower(col)] = idx
 		}
 		t.seal()
-		tables[lower(te.Name)] = t
+		t.ver = db.schemaVer.Add(1)
+		cat = cat.set(t)
+		touched[t.key] = true
 	}
 
 	db.wmu.Lock()
 	old := db.state.Load()
-	// Bump the version of every table name involved on either side so
-	// plans compiled against the pre-import state can never be reused.
-	touched := make(map[string]bool, len(old.tables)+len(tables))
-	vers := make(map[string]int64, len(old.vers)+len(tables))
-	for k, v := range old.vers {
-		vers[k] = v
+	for t := range old.cat.all() {
+		touched[t.key] = true
 	}
-	for k := range old.tables {
-		touched[k] = true
-	}
-	for k := range tables {
-		touched[k] = true
-	}
-	for k := range touched {
-		vers[k]++
-	}
-	db.state.Store(&snapshot{id: old.id + 1, tables: tables, vers: vers, env: db.env})
+	db.state.Store(&snapshot{id: old.id + 1, cat: cat, env: db.env})
 	db.setPos(exp.Pos)
-	db.plans.invalidate(touched)
-	db.env.cache.purge(touched)
+	db.invalidateSchema(touched)
 	db.wmu.Unlock()
 	return nil
 }
@@ -499,17 +480,8 @@ func (db *DB) ImportState(exp *StateExport) error {
 // produce byte-identical dumps; the replication torture harness
 // compares primary and replica with it.
 func (db *DB) DumpString() string {
-	sn := db.state.Load()
-	names := make([]string, 0, len(sn.tables))
-	for k, t := range sn.tables {
-		if !t.temp {
-			names = append(names, k)
-		}
-	}
-	sort.Strings(names)
 	var b strings.Builder
-	for _, k := range names {
-		t := sn.tables[k]
+	for _, t := range db.state.Load().durableTables() {
 		fmt.Fprintf(&b, "== %s (", t.name)
 		for i, c := range t.schema {
 			if i > 0 {

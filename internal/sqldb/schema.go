@@ -93,8 +93,15 @@ type Result struct {
 // derive()/newTable() and seal(), while its single writer builds it.
 type table struct {
 	name   string
+	key    string // lower(name): the table's key in the snapshot catalog
 	schema Schema
 	temp   bool
+	// ver is the schema version: the value the database-wide counter
+	// (DB.schemaVer) had when the table was created or last altered;
+	// derived versions inherit it. Cached plans record it and recompile
+	// on mismatch. Versions are never reused, so a plan compiled against
+	// a dropped table cannot match a later table of the same name.
+	ver int64
 
 	// chunks holds the rows in order; offs[i] is the global ordinal of
 	// the first row of chunks[i]. chunks[:sealed] are shared with
@@ -113,6 +120,7 @@ type table struct {
 func newTable(name string, schema Schema, temp bool) *table {
 	return &table{
 		name:    name,
+		key:     lower(name),
 		schema:  schema.clone(),
 		temp:    temp,
 		mutable: true,
@@ -126,8 +134,10 @@ func newTable(name string, schema Schema, temp bool) *table {
 func (t *table) derive() *table {
 	nt := &table{
 		name:    t.name,
+		key:     t.key,
 		schema:  t.schema,
 		temp:    t.temp,
+		ver:     t.ver,
 		chunks:  append([][]Row(nil), t.chunks...),
 		offs:    append([]int(nil), t.offs...),
 		nrows:   t.nrows,

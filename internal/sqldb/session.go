@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -168,9 +169,7 @@ func (s *Session) ExecArgs(sql string, args ...value.Value) (*Result, error) {
 func (s *Session) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if tx := s.tx.Load(); tx != nil {
-		s.rollbackLocked(tx) //nolint:errcheck // rollback of a discarded session
-	}
+	s.rollbackLocked() //nolint:errcheck // rollback of a discarded session
 	if s.prep != nil {
 		// A dropped connection must not pin its intents forever; the
 		// coordinator's decision log redoes any committed transaction
@@ -241,7 +240,7 @@ func (s *Session) execTxn(tx *sessionTxn, cp *cachedPlan, raw string) (*Result, 
 	case *CommitStmt:
 		return s.commitLocked(tx)
 	case *RollbackStmt:
-		return s.rollbackLocked(tx)
+		return s.rollbackLocked()
 	case *PrepareStmt:
 		return s.prepareLocked(tx, st.Gid)
 	case *CommitPreparedStmt, *RollbackPreparedStmt:
@@ -266,7 +265,7 @@ func (s *Session) execTxn(tx *sessionTxn, cp *cachedPlan, raw string) (*Result, 
 		// last good state.
 		return nil, err
 	}
-	s.installOverlay(tx, over, ws)
+	s.installOverlay(tx, ws)
 	s.logTxn(tx, cp.st, raw, ws)
 	return res, nil
 }
@@ -274,19 +273,12 @@ func (s *Session) execTxn(tx *sessionTxn, cp *cachedPlan, raw string) (*Result, 
 // installOverlay publishes a statement's working state as the
 // transaction's next private overlay and folds its touched tables into
 // the transaction write set.
-func (s *Session) installOverlay(tx *sessionTxn, over *snapshot, ws *writeState) {
-	if !ws.changed {
+func (s *Session) installOverlay(tx *sessionTxn, ws *writeState) {
+	if !ws.changed() {
 		return
 	}
-	for _, t := range ws.derived {
-		t.seal()
-	}
-	vers := ws.vers
-	if vers == nil {
-		vers = over.vers
-	}
-	tx.over.Store(&snapshot{id: over.id + 1, tables: ws.tables, vers: vers, env: s.db.env})
-	for k := range ws.touched {
+	tx.over.Store(ws.seal())
+	for _, k := range ws.touched {
 		tx.writes[k] = true
 	}
 	for k := range ws.schema {
@@ -338,7 +330,7 @@ func (s *Session) commitLocked(tx *sessionTxn) (*Result, error) {
 		s.tx.Store(nil)
 		return nil, fmt.Errorf("%w: table %q changed since BEGIN", ErrTxnConflict, key)
 	}
-	if key, held := db.intentConflictLocked(tx.writes); held {
+	if key, held := db.intentConflictLocked(maps.Keys(tx.writes)); held {
 		db.retireCommit()
 		db.wmu.Unlock()
 		s.tx.Store(nil)
@@ -348,10 +340,7 @@ func (s *Session) commitLocked(tx *sessionTxn) (*Result, error) {
 		_ = fpPublish.Inject()    // crash site shared with autocommit publish
 		_ = fpTxnPublish.Inject() // crash between validation and publish
 		db.state.Store(mergeCommit(db, cur, tx, over))
-		if len(tx.schema) > 0 {
-			db.plans.invalidate(tx.schema)
-			db.env.cache.purge(tx.schema)
-		}
+		db.invalidateSchema(tx.schema)
 	}
 	var seq uint64
 	if len(tx.log) > 0 {
@@ -377,45 +366,15 @@ func (s *Session) commitLocked(tx *sessionTxn) (*Result, error) {
 }
 
 // rollbackLocked discards the transaction. Nothing was ever published,
-// so rollback is a pointer drop — except for the default session,
-// whose overlay is visible to the shared plan cache (DB.Exec SELECTs
-// during the open transaction compile into shared entries). For it, a
-// schema-changing abort bumps the committed versions of the touched
-// tables past anything the overlay used, so a plan compiled against a
-// table that existed only inside the aborted transaction can never be
-// mistaken for current. The caller holds s.mu.
-func (s *Session) rollbackLocked(tx *sessionTxn) (*Result, error) {
-	s.abortSchemaBump(tx)
+// so rollback is a pointer drop — also for the default session, whose
+// overlay is visible to the shared plan cache (DB.Exec SELECTs during
+// the open transaction compile into shared entries): schema versions
+// are never reused, so a plan compiled against a table version that
+// existed only inside the aborted transaction can never match again.
+// The caller holds s.mu.
+func (s *Session) rollbackLocked() (*Result, error) {
 	s.tx.Store(nil)
 	return &Result{}, nil
-}
-
-// abortSchemaBump neutralizes shared-plan-cache pollution when the
-// default session aborts a schema-changing transaction; see
-// rollbackLocked.
-func (s *Session) abortSchemaBump(tx *sessionTxn) {
-	db := s.db
-	if s != db.def || len(tx.schema) == 0 {
-		return
-	}
-	over := tx.over.Load()
-	db.wmu.Lock()
-	cur := db.state.Load()
-	vers := make(map[string]int64, len(cur.vers)+len(tx.schema))
-	for k, v := range cur.vers {
-		vers[k] = v
-	}
-	for k := range tx.schema {
-		v := cur.vers[k]
-		if ov := over.vers[k]; ov > v {
-			v = ov
-		}
-		vers[k] = v + 1
-	}
-	db.state.Store(&snapshot{id: cur.id + 1, tables: cur.tables, vers: vers, env: db.env})
-	db.plans.invalidate(tx.schema)
-	db.env.cache.purge(tx.schema)
-	db.wmu.Unlock()
 }
 
 // ------------------------------------------------- two-phase commit
@@ -499,10 +458,7 @@ func (s *Session) commitPreparedLocked() (*Result, error) {
 		_ = fpPublish.Inject()
 		_ = fpTxnPublish.Inject()
 		db.state.Store(mergeCommit(db, cur, tx, over))
-		if len(tx.schema) > 0 {
-			db.plans.invalidate(tx.schema)
-			db.env.cache.purge(tx.schema)
-		}
+		db.invalidateSchema(tx.schema)
 	}
 	var seq uint64
 	if len(tx.log) > 0 {
@@ -533,7 +489,6 @@ func (s *Session) rollbackPreparedLocked() (*Result, error) {
 	db.wmu.Lock()
 	db.releaseIntentsLocked(s, p.keys)
 	db.wmu.Unlock()
-	s.abortSchemaBump(p.tx)
 	s.prep = nil
 	return &Result{}, nil
 }
@@ -572,18 +527,16 @@ func intentConflictErr(key string) error {
 // validateTxn decides whether the transaction may commit against cur,
 // the committed snapshot under the latch. It returns the first
 // conflicting table key. The rule: every table in the write set and
-// the (full-scan) read set must be untouched since base — same version
-// pointer, same schema version. A table only point-read through an
-// index gets a second chance: the probes re-run against cur, and if
-// every probe still returns fingerprint-identical rows, the commit is
-// serializable even though the table changed.
+// the (full-scan) read set must be untouched since base — the same
+// table version, or absent on both sides. A table only point-read
+// through an index gets a second chance: the probes re-run against cur,
+// and if every probe still returns fingerprint-identical rows, the
+// commit is serializable even though the table changed.
 func validateTxn(cur *snapshot, tx *sessionTxn, over *snapshot) (string, bool) {
 	if cur == tx.base {
 		return "", true // nothing committed since BEGIN
 	}
-	unchanged := func(k string) bool {
-		return cur.tables[k] == tx.base.tables[k] && cur.vers[k] == tx.base.vers[k]
-	}
+	unchanged := func(k string) bool { return cur.cat.get(k) == tx.base.cat.get(k) }
 	for k := range tx.writes {
 		if !unchanged(k) {
 			return k, false
@@ -604,8 +557,8 @@ func validateTxn(cur *snapshot, tx *sessionTxn, over *snapshot) (string, bool) {
 		if tx.writes[k] || tx.reads.full[k] || unchanged(k) {
 			continue
 		}
-		ct, ok := cur.tables[k]
-		if !ok {
+		ct := cur.cat.get(k)
+		if ct == nil {
 			return k, false
 		}
 		for _, p := range probes {
@@ -618,38 +571,23 @@ func validateTxn(cur *snapshot, tx *sessionTxn, over *snapshot) (string, bool) {
 }
 
 // mergeCommit builds the published snapshot for a validated commit:
-// cur's tables, with every write-set key replaced by (or deleted per)
-// the transaction's overlay version. When nothing committed in
-// between, the overlay's maps are published wholesale with zero
-// copying — the single-writer fast path.
+// cur's catalog, with every write-set key replaced by (or deleted per)
+// the transaction's overlay version — schema versions travel with the
+// tables. When nothing committed in between, the overlay's catalog is
+// published as it stands — the single-writer fast path.
 func mergeCommit(db *DB, cur *snapshot, tx *sessionTxn, over *snapshot) *snapshot {
-	if cur == tx.base {
-		return &snapshot{id: cur.id + 1, tables: over.tables, vers: over.vers, env: db.env}
-	}
-	tables := make(map[string]*table, len(cur.tables)+len(tx.writes))
-	for k, t := range cur.tables {
-		tables[k] = t
-	}
-	for k := range tx.writes {
-		if t, ok := over.tables[k]; ok {
-			tables[k] = t
-		} else {
-			delete(tables, k)
+	cat := over.cat
+	if cur != tx.base {
+		cat = cur.cat
+		for k := range tx.writes {
+			if t := over.cat.get(k); t != nil {
+				cat = cat.set(t)
+			} else {
+				cat = cat.delete(k)
+			}
 		}
 	}
-	vers := cur.vers
-	if len(tx.schema) > 0 {
-		vers = make(map[string]int64, len(cur.vers)+len(tx.schema))
-		for k, v := range cur.vers {
-			vers[k] = v
-		}
-		// Validation pinned the write-set tables at base versions, so
-		// the overlay's bumps are strictly ahead of cur's.
-		for k := range tx.schema {
-			vers[k] = over.vers[k]
-		}
-	}
-	return &snapshot{id: cur.id + 1, tables: tables, vers: vers, env: db.env}
+	return &snapshot{id: cur.id + 1, cat: cat, env: db.env}
 }
 
 // localPlan returns the transaction-private plan entry for a
@@ -689,7 +627,7 @@ func (s *Session) InsertRows(tableName string, cols []string, rows []Row) (int, 
 	if err != nil {
 		return 0, err
 	}
-	s.installOverlay(tx, over, ws)
+	s.installOverlay(tx, ws)
 	if s.db.replicates() && !nt.temp {
 		tx.log = append(tx.log, synthInsertSQL(nt.name, cols, rows))
 	}

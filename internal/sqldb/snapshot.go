@@ -1,6 +1,8 @@
 package sqldb
 
 import (
+	"sort"
+
 	"perfbase/internal/failpoint"
 )
 
@@ -15,16 +17,17 @@ var fpPublish = failpoint.Site("sqldb/snapshot/publish")
 // The database's entire committed state lives in one immutable
 // *snapshot that the DB publishes through an atomic pointer. Readers
 // acquire a snapshot with a single atomic load and then execute with
-// no locks at all: the snapshot, its tables map, its table versions
-// and every table's row chunks are never mutated after publication.
+// no locks at all: the snapshot, its table catalog and every table's
+// row chunks are never mutated after publication.
 //
 // Writers serialize on DB.wmu. A mutation statement builds a
-// writeState: a fresh copy of the tables map (cheap — it holds only
-// pointers) in which modified tables are replaced by derived versions
-// (copy-on-write, sharing the untouched row prefix with the published
-// version). On success the writeState is published as the next
-// snapshot; on error it is simply discarded, which makes every
-// statement atomic.
+// writeState: the base snapshot's catalog (a persistent trie, see
+// catalog.go — taking it copies nothing) in which modified tables are
+// replaced by derived versions (copy-on-write, sharing the untouched
+// row prefix with the published version); each replacement copies only
+// the trie path to that table. On success the writeState is published
+// as the next snapshot; on error it is simply discarded, which makes
+// every statement atomic.
 //
 // Transactions are private overlays built from the same writeState
 // machinery (see session.go): each statement inside a transaction
@@ -36,12 +39,10 @@ var fpPublish = failpoint.Site("sqldb/snapshot/publish")
 type snapshot struct {
 	// id increases by one with every published state change; EXPLAIN
 	// reports it so concurrent behaviour is observable.
-	id     int64
-	tables map[string]*table
-	// vers counts schema-affecting changes per (lower-cased) table
-	// name; cached plans record the versions they were compiled
-	// against and recompile on mismatch.
-	vers map[string]int64
+	id int64
+	// cat holds the snapshot's version of every table, by lower-cased
+	// name.
+	cat catalog
 	// env points to the owning database's execution environment (column
 	// cache, parallelism knobs). Carried on every snapshot so the
 	// lock-free read path reaches it without a DB back-pointer; nil only
@@ -56,156 +57,171 @@ type snapshot struct {
 }
 
 func (sn *snapshot) table(name string) (*table, bool) {
-	t, ok := sn.tables[lower(name)]
-	return t, ok
+	t := sn.cat.get(lower(name))
+	return t, t != nil
 }
 
-// versionsMatch reports whether every version recorded in a compiled
-// plan still matches this snapshot.
-func (sn *snapshot) versionsMatch(planVers map[string]int64) bool {
-	for t, v := range planVers {
-		if sn.vers[t] != v {
+// durableTables returns the non-temporary tables sorted by key, the
+// deterministic order every serialization of the state uses.
+func (sn *snapshot) durableTables() []*table {
+	out := make([]*table, 0, sn.cat.len())
+	for t := range sn.cat.all() {
+		if !t.temp {
+			out = append(out, t)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].key < out[j].key })
+	return out
+}
+
+// schemaVers captures this snapshot's schema versions of the given
+// (lower-cased) tables, 0 for a table that does not exist.
+func (sn *snapshot) schemaVers(tables []string) []int64 {
+	out := make([]int64, len(tables))
+	for i, k := range tables {
+		if t := sn.cat.get(k); t != nil {
+			out[i] = t.ver
+		}
+	}
+	return out
+}
+
+// versionsMatch reports whether the schema versions a plan over tables
+// was compiled against are still this snapshot's. A missing table never
+// matches.
+func (sn *snapshot) versionsMatch(tables []string, vers []int64) bool {
+	for i, k := range tables {
+		if t := sn.cat.get(k); t == nil || t.ver != vers[i] {
 			return false
 		}
 	}
 	return true
 }
 
-// snapshotVers captures this snapshot's versions of the given tables.
-func (sn *snapshot) snapshotVers(tables []string) map[string]int64 {
-	out := make(map[string]int64, len(tables))
-	for _, t := range tables {
-		out[t] = sn.vers[t]
-	}
-	return out
-}
-
 // writeState is the working state of one mutation statement. It is
-// only ever touched by the single writer holding DB.wmu.
+// only ever touched by the single writer holding DB.wmu (or, inside a
+// transaction, the session lock).
 type writeState struct {
 	db   *DB
 	base *snapshot
 
-	tables  map[string]*table
-	vers    map[string]int64  // nil until the first schema bump
-	derived map[string]*table // mutable versions created this statement
-	touched map[string]bool   // table keys mutated this statement
-	schema  map[string]bool   // keys needing plan invalidation
-	changed bool
+	// cat is base.cat plus this statement's changes. The table versions
+	// this statement created in it are still mutable; everything else is
+	// published and immutable.
+	cat catalog
+	// touched lists the table keys mutated this statement (a key may
+	// repeat); schema is the subset needing plan invalidation.
+	touched []string
+	schema  map[string]bool
 	// dropTemp records whether the DROP TABLE this statement executed
 	// removed a temporary table — its CREATE was never logged, so the
 	// DROP must not be either.
 	dropTemp bool
+
+	touchedBuf [2]string // backs touched: most statements touch one table
 }
 
-// newWriteState builds a working copy over an arbitrary base snapshot
+// newWriteState builds a working state over an arbitrary base snapshot
 // (the committed state for autocommit writers, a transaction's private
 // overlay for statements inside one).
 func newWriteState(db *DB, base *snapshot) *writeState {
-	ws := &writeState{
-		db:      db,
-		base:    base,
-		tables:  make(map[string]*table, len(base.tables)+1),
-		derived: make(map[string]*table),
-		touched: make(map[string]bool),
-	}
-	for k, t := range base.tables {
-		ws.tables[k] = t
-	}
+	ws := &writeState{db: db, base: base, cat: base.cat}
+	ws.touched = ws.touchedBuf[:0]
 	return ws
 }
 
-// beginWrite snapshots the current committed state into a working
-// copy. The caller holds db.wmu.
+// beginWrite starts a working state over the current committed state.
+// The caller holds db.wmu.
 func (db *DB) beginWrite() *writeState {
 	return newWriteState(db, db.state.Load())
 }
 
+// changed reports whether the statement mutated anything.
+func (ws *writeState) changed() bool { return len(ws.touched) > 0 }
+
+// seal seals every table version built this statement and returns the
+// working state as the successor of base.
+func (ws *writeState) seal() *snapshot {
+	for _, k := range ws.touched {
+		if t := ws.cat.get(k); t != nil && t.mutable {
+			t.seal()
+		}
+	}
+	return &snapshot{id: ws.base.id + 1, cat: ws.cat, env: ws.db.env}
+}
+
 // tab looks a table up in the working state.
 func (ws *writeState) tab(key string) (*table, bool) {
-	t, ok := ws.tables[key]
-	return t, ok
+	t := ws.cat.get(key)
+	return t, t != nil
 }
 
 // modify returns a mutable derived version of the table, creating it
 // on first touch within the statement.
 func (ws *writeState) modify(key string) (*table, bool) {
-	if t, ok := ws.derived[key]; ok {
-		return t, true
-	}
-	t, ok := ws.tables[key]
-	if !ok {
-		return nil, false
+	t := ws.cat.get(key)
+	if t == nil || t.mutable {
+		return t, t != nil
 	}
 	nt := t.derive()
-	ws.tables[key] = nt
-	ws.derived[key] = nt
-	ws.touched[key] = true
-	ws.changed = true
+	ws.cat = ws.cat.set(nt)
+	ws.touched = append(ws.touched, key)
 	return nt, true
 }
 
-// put installs a freshly created (mutable) table under key.
-func (ws *writeState) put(key string, t *table) {
-	ws.tables[key] = t
-	ws.derived[key] = t
-	ws.touched[key] = true
-	ws.changed = true
+// put installs a freshly created (mutable) table, at a fresh schema
+// version.
+func (ws *writeState) put(t *table) {
+	t.ver = ws.db.schemaVer.Add(1)
+	ws.cat = ws.cat.set(t)
+	ws.markSchema(t.key)
 }
 
-// drop removes a table from the working state.
+// drop removes a table from the working state. Its schema version goes
+// with it: versions are never reused, so no tombstone is needed to keep
+// a later table of the same name apart.
 func (ws *writeState) drop(key string) {
-	delete(ws.tables, key)
-	delete(ws.derived, key)
-	ws.touched[key] = true
-	ws.changed = true
+	ws.cat = ws.cat.delete(key)
+	ws.markSchema(key)
 }
 
-// schemaChanged bumps the version of each (lower-cased) table and
-// schedules cached-plan eviction for publish time.
-func (ws *writeState) schemaChanged(keys ...string) {
-	if len(keys) == 0 {
-		return
-	}
-	if ws.vers == nil {
-		ws.vers = make(map[string]int64, len(ws.base.vers)+len(keys))
-		for k, v := range ws.base.vers {
-			ws.vers[k] = v
-		}
-	}
+// schemaChanged moves a table altered in place to a fresh schema
+// version.
+func (ws *writeState) schemaChanged(key string) {
+	nt, _ := ws.modify(key)
+	nt.ver = ws.db.schemaVer.Add(1)
+	ws.markSchema(key)
+}
+
+// markSchema schedules cached-plan eviction for publish time.
+func (ws *writeState) markSchema(key string) {
 	if ws.schema == nil {
-		ws.schema = make(map[string]bool, len(keys))
+		ws.schema = make(map[string]bool, 1)
 	}
-	for _, k := range keys {
-		ws.vers[k]++
-		ws.schema[k] = true
-		ws.touched[k] = true
-	}
-	ws.changed = true
+	ws.schema[key] = true
+	ws.touched = append(ws.touched, key)
 }
 
-// publish seals every table version built this statement and installs
-// the working state as the next snapshot. No-op when nothing changed.
-// The caller holds db.wmu. Transactional statements never publish;
-// they install into the session overlay instead (session.go).
+// publish installs the working state as the next snapshot. No-op when
+// nothing changed. The caller holds db.wmu. Transactional statements
+// never publish; they install into the session overlay instead
+// (session.go).
 func (ws *writeState) publish() {
-	if !ws.changed {
+	if !ws.changed() {
 		return
 	}
 	_ = fpPublish.Inject() // crash/panic/sleep site; errors have no channel here
-	for _, t := range ws.derived {
-		t.seal()
-	}
-	vers := ws.vers
-	if vers == nil {
-		vers = ws.base.vers
-	}
-	ws.db.state.Store(&snapshot{id: ws.base.id + 1, tables: ws.tables, vers: vers, env: ws.db.env})
-	if len(ws.schema) > 0 {
-		ws.db.plans.invalidate(ws.schema)
-		// Column vectors share the plans' lifetime rule: a DDL that
-		// bumps a table's version also drops its cached vectors.
-		ws.db.env.cache.purge(ws.schema)
+	ws.db.state.Store(ws.seal())
+	ws.db.invalidateSchema(ws.schema)
+}
+
+// invalidateSchema evicts the cached plans of tables whose schema
+// version changed. Column vectors share the plans' lifetime rule: a DDL
+// that bumps a table's version also drops its cached vectors.
+func (db *DB) invalidateSchema(keys map[string]bool) {
+	if len(keys) > 0 {
+		db.plans.invalidate(keys)
+		db.env.cache.purge(keys)
 	}
 }
 
@@ -243,14 +259,9 @@ func (s *Snapshot) HasTable(name string) bool {
 // Exec executes a read-only statement (SELECT or EXPLAIN) against the
 // pinned state. It shares the database's plan cache.
 func (s *Snapshot) Exec(sql string) (*Result, error) {
-	cp := s.db.plans.get(sql)
-	if cp == nil {
-		st, err := Parse(sql)
-		if err != nil {
-			return nil, err
-		}
-		cp = &cachedPlan{st: st, tables: referencedTables(st)}
-		s.db.plans.put(sql, cp)
+	cp, err := s.db.sharedPlan(sql)
+	if err != nil {
+		return nil, err
 	}
 	switch st := cp.st.(type) {
 	case *SelectStmt:

@@ -12,9 +12,9 @@ import (
 )
 
 // mustExec executes a statement and fails the test on error.
-func mustExec(t *testing.T, db *DB, sql string) *Result {
+func mustExec(t *testing.T, q Querier, sql string) *Result {
 	t.Helper()
-	res, err := db.Exec(sql)
+	res, err := q.Exec(sql)
 	if err != nil {
 		t.Fatalf("Exec(%q): %v", sql, err)
 	}
