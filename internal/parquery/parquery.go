@@ -171,6 +171,7 @@ func (ex *Executor) RunPlan(plan *query.Plan) (*query.Results, error) {
 			src = pdb.Snapshot()
 		}
 	}
+	run := ex.engine.NewRun()
 	vectors := map[string]*query.Vector{}
 	defer func() {
 		// Temp tables of intermediate vectors are session state on
@@ -244,7 +245,7 @@ func (ex *Executor) RunPlan(plan *query.Plan) (*query.Results, error) {
 					mu.Unlock()
 					return
 				}
-				out, err := ex.engine.ExecElementSrc(el, ins, placement, src)
+				out, err := run.ExecElement(el, ins, placement, src)
 				mu.Lock()
 				if err != nil && firstErr == nil {
 					firstErr = err

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -84,11 +85,75 @@ type Placer interface {
 	Place(el *Element) sqldb.Querier
 }
 
+// PlanRun is one execution of a plan. Its source elements share what
+// they read of the experiment's bookkeeping — the run list and the
+// once rows — so a query reads each once, however many sources it has.
+// Safe for concurrent element execution.
+type PlanRun struct {
+	en *Engine
+
+	mu   sync.Mutex
+	runs []core.RunInfo // nil until the first source asks
+	once map[onceKey]map[int64]sqldb.Row
+}
+
+// onceKey names one read of the once table: through which handle (a
+// pinned snapshot must see its own state) and of which columns.
+type onceKey struct {
+	src  sqldb.Querier
+	cols string
+}
+
+// NewRun starts an execution of a plan on this engine.
+func (en *Engine) NewRun() *PlanRun {
+	return &PlanRun{en: en, once: map[onceKey]map[int64]sqldb.Row{}}
+}
+
+// allRuns returns the experiment's active runs, read once per plan
+// run. Callers must not modify the slice.
+func (r *PlanRun) allRuns() ([]core.RunInfo, error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.runs == nil {
+		runs, err := r.en.exp.Runs()
+		if err != nil {
+			return nil, err
+		}
+		r.runs = runs
+	}
+	return r.runs, nil
+}
+
+// onceRows reads the given columns of the experiment's once table
+// through src and returns the rows by run id: row[0] is the run id,
+// row[i+1] the value of cols[i]. Sources of one plan run that ask for
+// the same columns through the same handle share one read.
+func (r *PlanRun) onceRows(src sqldb.Querier, cols []string) (map[int64]sqldb.Row, error) {
+	list := strings.Join(append([]string{"run_id"}, cols...), ", ")
+	key := onceKey{src, list}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if rows, ok := r.once[key]; ok {
+		return rows, nil
+	}
+	res, err := src.Exec("SELECT " + list + " FROM " + r.en.exp.Name() + "_once")
+	if err != nil {
+		return nil, fmt.Errorf("query: once table: %w", err)
+	}
+	rows := make(map[int64]sqldb.Row, len(res.Rows))
+	for _, row := range res.Rows {
+		rows[row[0].Int()] = row
+	}
+	r.once[key] = rows
+	return rows, nil
+}
+
 // RunPlan executes a prebuilt plan level by level. Elements within a
 // level run sequentially here; internal/parquery runs them
 // concurrently across servers.
 func (en *Engine) RunPlan(plan *Plan, placer Placer) (*Results, error) {
 	start := time.Now()
+	run := en.NewRun()
 	vectors := map[string]*Vector{}
 	res := &Results{Profile: map[string]time.Duration{}}
 	defer func() {
@@ -112,7 +177,7 @@ func (en *Engine) RunPlan(plan *Plan, placer Placer) (*Results, error) {
 			if placer != nil {
 				placement = placer.Place(el)
 			}
-			out, err := en.ExecElement(el, ins, placement)
+			out, err := run.ExecElement(el, ins, placement, en.primary)
 			if err != nil {
 				return nil, err
 			}
@@ -142,26 +207,29 @@ func (en *Engine) RunPlan(plan *Plan, placer Placer) (*Results, error) {
 	return res, nil
 }
 
-// ExecElement executes one element with already-materialized inputs on
-// the given database and records its execution time. Output elements
-// return nil (their inputs are the result). Source reads go to the
-// live primary database.
+// ExecElement executes one element on its own, outside any plan run:
+// inputs are already materialized, source reads go to the live primary
+// database.
 func (en *Engine) ExecElement(el *Element, inputs []*Vector, placement sqldb.Querier) (*Vector, error) {
-	return en.ExecElementSrc(el, inputs, placement, en.primary)
+	return en.NewRun().ExecElement(el, inputs, placement, en.primary)
 }
 
-// ExecElementSrc is ExecElement with an explicit handle for reading
-// the experiment's own tables (the once table and the per-run data
-// tables). internal/parquery passes a pinned *sqldb.Snapshot here so
-// that every fan-out worker of one query run observes the same
-// committed state, even while imports commit concurrently.
-func (en *Engine) ExecElementSrc(el *Element, inputs []*Vector, placement, src sqldb.Querier) (*Vector, error) {
+// ExecElement executes one element of the plan run with
+// already-materialized inputs on the given database and records its
+// execution time. Output elements return nil (their inputs are the
+// result). src is the handle for reading the experiment's own tables
+// (the once table and the per-run data tables): the engine's primary,
+// or — internal/parquery — a pinned *sqldb.Snapshot, so that every
+// fan-out worker of one query run observes the same committed state,
+// even while imports commit concurrently.
+func (r *PlanRun) ExecElement(el *Element, inputs []*Vector, placement, src sqldb.Querier) (*Vector, error) {
+	en := r.en
 	t0 := time.Now()
 	var out *Vector
 	var err error
 	switch el.Kind {
 	case KindSource:
-		out, err = en.execSource(el.Source, placement, src)
+		out, err = r.execSource(el.Source, placement, src)
 	case KindOperator:
 		out, err = en.execOperator(el.Operator, inputs, placement)
 	case KindCombiner:

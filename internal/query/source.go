@@ -18,6 +18,7 @@ type paramConstraint struct {
 	op    string
 	val   value.Value
 	has   bool // filter has a constraining value
+	pos   int  // once parameters: column of the value in the once rows
 }
 
 // valSel is one selected result value with an optional unit
@@ -26,6 +27,7 @@ type valSel struct {
 	v      *core.Var
 	factor float64
 	unit   units.Unit
+	pos    int // once values: column of the value in the once rows
 }
 
 // col builds the output column metadata of the selection.
@@ -49,15 +51,20 @@ func (vs valSel) sqlSel() string {
 
 // execSource runs a source element: it selects the runs matching the
 // run filter and the once-parameter constraints, then pours the
-// matching data sets of each run into the output temp table, tagging
-// every tuple with the included parameters (paper §3.3.1: "each data
-// tuple consists of the input parameters by which the database access
-// was filtered and the result values that were specified").
-func (en *Engine) execSource(spec *pbxml.SourceElem, placement, src sqldb.Querier) (*Vector, error) {
+// matching data sets of all of them into the output temp table with
+// one statement — a SELECT per run, joined by UNION ALL — tagging every
+// tuple with the included parameters (paper §3.3.1: "each data tuple
+// consists of the input parameters by which the database access was
+// filtered and the result values that were specified").
+func (r *PlanRun) execSource(spec *pbxml.SourceElem, placement, src sqldb.Querier) (*Vector, error) {
+	en := r.en
 	exp := en.exp
 
-	// Resolve parameter filters.
+	// Resolve parameter filters. onceCols lists the once-table columns
+	// the source filters on or outputs; the once rows are read with
+	// exactly these columns, after run_id.
 	var once, multi []paramConstraint
+	var onceCols []string
 	for _, pf := range spec.Parameters {
 		pc := paramConstraint{op: pf.Op}
 		if pc.op == "" {
@@ -96,6 +103,8 @@ func (en *Engine) execSource(spec *pbxml.SourceElem, placement, src sqldb.Querie
 			pc.val, pc.has = pv, true
 		}
 		if v.Once {
+			onceCols = append(onceCols, v.Name)
+			pc.pos = len(onceCols)
 			once = append(once, pc)
 		} else {
 			multi = append(multi, pc)
@@ -132,6 +141,8 @@ func (en *Engine) execSource(spec *pbxml.SourceElem, placement, src sqldb.Querie
 			vs.unit = target
 		}
 		if v.Once {
+			onceCols = append(onceCols, v.Name)
+			vs.pos = len(onceCols)
 			onceVals = append(onceVals, vs)
 		} else {
 			multiVals = append(multiVals, vs)
@@ -158,26 +169,42 @@ func (en *Engine) execSource(spec *pbxml.SourceElem, placement, src sqldb.Querie
 		return nil, err
 	}
 
-	// Select candidate runs.
-	runs, err := en.selectRuns(spec.Run)
+	// Select candidate runs and read their once rows; both are shared
+	// with the other sources of this plan run.
+	runs, err := r.selectRuns(spec.Run)
+	if err != nil {
+		return nil, err
+	}
+	onceByRun, err := r.onceRows(src, onceCols)
 	if err != nil {
 		return nil, err
 	}
 
-	// Fetch all once rows in one scan instead of one query per run.
-	onceByRun, err := en.fetchOnceRows(src)
-	if err != nil {
-		return nil, err
+	// The per-run SELECT on the data table, but for its constants and
+	// its table.
+	var selCols, conds []string
+	for _, pc := range multi {
+		selCols = append(selCols, pc.v.Name)
+		if pc.has {
+			conds = append(conds, pc.v.Name+" "+pc.op+" "+pc.val.SQL())
+		}
+	}
+	for _, vs := range multiVals {
+		selCols = append(selCols, vs.sqlSel())
+	}
+	from := strings.Join(selCols, ", ") + " FROM "
+	where := ""
+	if len(conds) > 0 {
+		where = " WHERE " + strings.Join(conds, " AND ")
 	}
 
-	// The INSERT ... SELECT push-down (below) only works when the
-	// vector lives on the database that also holds the run tables AND
-	// reads are not pinned to a snapshot: INSERT is a mutation and
-	// would execute against the live state, not the pinned one.
+	// Per run: check the once constraints, then add the run as one
+	// branch with its once values as constant projections. pinned means
+	// reads go to a snapshot (or a replica), not the live primary.
 	pinned := src != en.primary
-	pushDown := placement == en.primary && !pinned
-
-	// Per run: check once constraints, then transfer matching tuples.
+	hasTable, _ := src.(interface{ HasTable(string) bool })
+	var stmt strings.Builder
+	var onceOnly []sqldb.Row
 	for _, run := range runs {
 		runOnce, ok := onceByRun[run.ID]
 		if !ok {
@@ -189,13 +216,13 @@ func (en *Engine) execSource(spec *pbxml.SourceElem, placement, src sqldb.Querie
 			return nil, fmt.Errorf("query: source %s: run %d has no once row", spec.ID, run.ID)
 		}
 		match := true
-		var onceOut []value.Value
+		onceOut := make(sqldb.Row, 0, len(once)+len(onceVals))
 		for _, pc := range once {
 			var have value.Value
 			if pc.runID {
 				have = value.NewInt(run.ID)
 			} else {
-				have = runOnce[pc.v.Name]
+				have = runOnce[pc.pos]
 				if have.IsNull() && !pc.v.Default.IsNull() {
 					have = pc.v.Default
 				}
@@ -210,104 +237,56 @@ func (en *Engine) execSource(spec *pbxml.SourceElem, placement, src sqldb.Querie
 			continue
 		}
 		for _, vs := range onceVals {
-			have, ok := runOnce[vs.v.Name]
-			if !ok {
-				have = value.Null(vs.v.Type)
-			}
+			have := runOnce[vs.pos]
 			if vs.factor != 1 && !have.IsNull() {
 				have = value.NewFloat(have.Float() * vs.factor)
 			}
 			onceOut = append(onceOut, have)
 		}
-
-		// Build the per-run SELECT on the data table.
-		var conds []string
-		for _, pc := range multi {
-			if pc.has {
-				conds = append(conds, pc.v.Name+" "+pc.op+" "+pc.val.SQL())
-			}
-		}
-		var selCols []string
-		for _, pc := range multi {
-			selCols = append(selCols, pc.v.Name)
-		}
-		for _, vs := range multiVals {
-			selCols = append(selCols, vs.sqlSel())
-		}
 		if len(selCols) == 0 {
 			// Only once values requested: one tuple per run.
-			if err := bulkInsert(placement, out.Table, colNames(cols), []sqldb.Row{onceOut}); err != nil {
-				return nil, err
-			}
+			onceOnly = append(onceOnly, onceOut)
 			continue
 		}
-		if hc, ok := src.(interface{ HasTable(string) bool }); ok && !hc.HasTable(exp.DataTable(run.ID)) {
+		table := exp.DataTable(run.ID)
+		if hasTable != nil && !hasTable.HasTable(table) {
 			// Run committed between the once row and the snapshot only
 			// in part: its data table is not in the pinned state yet.
 			continue
 		}
-		where := ""
-		if len(conds) > 0 {
-			where = " WHERE " + strings.Join(conds, " AND ")
+		if stmt.Len() > 0 {
+			stmt.WriteString(" UNION ALL ")
 		}
-		if pushDown {
-			// Same server: move the tuples entirely inside SQL, with
-			// the once values as constant projections.
-			consts := make([]string, len(onceOut))
-			for i, v := range onceOut {
-				consts[i] = v.SQL()
-			}
-			stmt := "INSERT INTO " + out.Table + " (" + strings.Join(colNames(cols), ", ") +
-				") SELECT " + strings.Join(append(consts, selCols...), ", ") +
-				" FROM " + exp.DataTable(run.ID) + where
-			if _, err := en.primary.Exec(stmt); err != nil {
-				return nil, fmt.Errorf("query: source %s run %d: %w", spec.ID, run.ID, err)
-			}
-			continue
+		stmt.WriteString("SELECT ")
+		for _, v := range onceOut {
+			stmt.WriteString(v.SQL())
+			stmt.WriteString(", ")
 		}
-		stmt := "SELECT " + strings.Join(selCols, ", ") + " FROM " + exp.DataTable(run.ID) + where
-		res, err := src.Exec(stmt)
-		if err != nil {
-			return nil, fmt.Errorf("query: source %s run %d: %w", spec.ID, run.ID, err)
-		}
-		if len(res.Rows) == 0 {
-			continue
-		}
-		rows := make([]sqldb.Row, 0, len(res.Rows))
-		for _, r := range res.Rows {
-			full := make([]value.Value, 0, len(onceOut)+len(r))
-			full = append(full, onceOut...)
-			full = append(full, r...)
-			rows = append(rows, full)
-		}
-		if err := bulkInsert(placement, out.Table, colNames(cols), rows); err != nil {
-			return nil, err
-		}
+		stmt.WriteString(from)
+		stmt.WriteString(table)
+		stmt.WriteString(where)
 	}
-	return out, nil
-}
 
-// fetchOnceRows reads the whole once table of the experiment in one
-// query and returns the per-run variable maps.
-func (en *Engine) fetchOnceRows(src sqldb.Querier) (map[int64]core.DataSet, error) {
-	res, err := src.Exec("SELECT * FROM " + en.exp.Name() + "_once")
-	if err != nil {
-		return nil, fmt.Errorf("query: once table: %w", err)
-	}
-	idIdx := res.Columns.Index("run_id")
-	if idIdx < 0 {
-		return nil, fmt.Errorf("query: once table lacks run_id")
-	}
-	out := make(map[int64]core.DataSet, len(res.Rows))
-	for _, row := range res.Rows {
-		ds := make(core.DataSet, len(res.Columns)-1)
-		for i, c := range res.Columns {
-			if i == idIdx {
-				continue
-			}
-			ds[c.Name] = row[i]
+	// One statement moves every matching run. When the vector lives on
+	// the database that holds the run tables and reads are not pinned,
+	// the tuples never leave SQL; otherwise — INSERT is a mutation and
+	// would read the live state, not the pinned one — they are read
+	// through src and bulk-inserted.
+	names := colNames(cols)
+	switch {
+	case len(onceOnly) > 0:
+		err = bulkInsert(placement, out.Table, names, onceOnly)
+	case stmt.Len() == 0: // no run matched
+	case placement == en.primary && !pinned:
+		_, err = en.primary.Exec("INSERT INTO " + out.Table + " (" + strings.Join(names, ", ") + ") " + stmt.String())
+	default:
+		var res *sqldb.Result
+		if res, err = src.Exec(stmt.String()); err == nil && len(res.Rows) > 0 {
+			err = bulkInsert(placement, out.Table, names, res.Rows)
 		}
-		out[row[idIdx].Int()] = ds
+	}
+	if err != nil {
+		return nil, fmt.Errorf("query: source %s: %w", spec.ID, err)
 	}
 	return out, nil
 }
@@ -350,8 +329,8 @@ func cmpOK(op string, a, b value.Value) bool {
 
 // selectRuns applies the run filter of a source (paper §3.3.1: sources
 // are limited "by the time stamp or index of a run").
-func (en *Engine) selectRuns(rf *pbxml.RunFilter) ([]core.RunInfo, error) {
-	runs, err := en.exp.Runs()
+func (r *PlanRun) selectRuns(rf *pbxml.RunFilter) ([]core.RunInfo, error) {
+	runs, err := r.allRuns()
 	if err != nil {
 		return nil, err
 	}

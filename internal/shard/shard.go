@@ -548,11 +548,7 @@ func (c *Cluster) route(st sqldb.Statement, raw string) (map[int][]string, error
 // behaves like on a single node (query-layer operators build their
 // result vectors this way).
 func (c *Cluster) routeCreateTableAs(s *sqldb.CreateTableStmt, raw string) (map[int][]string, error) {
-	i := strings.Index(strings.ToUpper(raw), "SELECT")
-	if i < 0 {
-		return nil, fmt.Errorf("shard: cannot locate SELECT in CREATE TABLE AS")
-	}
-	res, err := c.Query(s.As, raw[i:])
+	res, err := c.Query(s.As, raw[s.As.Pos:])
 	if err != nil {
 		return nil, err
 	}
@@ -596,11 +592,7 @@ func (c *Cluster) routeCreateTableAs(s *sqldb.CreateTableStmt, raw string) (map[
 func (c *Cluster) routeInsert(s *sqldb.InsertStmt, raw string) (map[int][]string, error) {
 	var rows []sqldb.Row
 	if s.From != nil {
-		i := strings.Index(strings.ToUpper(raw), "SELECT")
-		if i < 0 {
-			return nil, fmt.Errorf("shard: cannot locate SELECT in INSERT ... SELECT")
-		}
-		res, err := c.Query(s.From, raw[i:])
+		res, err := c.Query(s.From, raw[s.From.Pos:])
 		if err != nil {
 			return nil, err
 		}
@@ -715,7 +707,7 @@ func (c *Cluster) Query(st *sqldb.SelectStmt, raw string) (*sqldb.Result, error)
 // singleShardSelect reports whether the SELECT reads one table with a
 // partition-key equality conjunct, and which shard owns it.
 func (c *Cluster) singleShardSelect(st *sqldb.SelectStmt) (int, bool) {
-	if len(st.From) != 1 || len(st.Joins) != 0 {
+	if len(st.Union) > 0 || len(st.From) != 1 || len(st.Joins) != 0 {
 		return 0, false
 	}
 	table := st.From[0].Table
@@ -747,15 +739,20 @@ func (c *Cluster) execOn(idx int, sql string, sess map[int]Session) (*sqldb.Resu
 
 // scatter runs a distributed SELECT: per-shard partials merged in
 // shard-index order. With a pushdown plan the partials carry partial
-// aggregates / pruned top-k; otherwise the referenced tables are
-// gathered whole and the original query runs on the gathered copy
-// (correct for every query shape; order-sensitive queries need an
-// ORDER BY to be deterministic, exactly as on a single node).
+// aggregates / pruned top-k; otherwise — always for a compound select,
+// whose branches each read a table of their own — the referenced
+// tables are gathered whole and the original query runs on the
+// gathered copy (correct for every query shape; order-sensitive
+// queries need an ORDER BY to be deterministic, exactly as on a single
+// node).
 //
 // sess, when non-nil, maps shard index → open transaction session;
 // partials then execute inside those transactions (and sequentially,
 // as sessions are single-threaded).
 func (c *Cluster) scatter(st *sqldb.SelectStmt, raw string, sess map[int]Session) (*sqldb.Result, error) {
+	if len(st.Union) > 0 {
+		return c.gatherQuery(st, raw, sess)
+	}
 	if len(st.From) == 0 {
 		return c.execOn(0, raw, sess) // table-less SELECT: constants only
 	}

@@ -3,6 +3,7 @@ package shard
 import (
 	"errors"
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -432,4 +433,107 @@ func mustExecS(t *testing.T, s *ClusterSession, sql string) *sqldb.Result {
 		t.Fatalf("%s: %v", sql, err)
 	}
 	return res
+}
+
+// TestShardedCompoundSelect checks a three-branch UNION ALL — each
+// branch over a table of its own, the last an aggregate — against a
+// single-node database: standalone, as the source of INSERT ... SELECT,
+// and inside BEGIN ... COMMIT where it must see the transaction's own
+// write. A coordinator that planned from the first branch alone would
+// return r1's rows three times, or r1's schema for the aggregate.
+func TestShardedCompoundSelect(t *testing.T) {
+	c := NewLocal(2)
+	defer c.Close()
+	single := sqldb.NewMemory()
+	both := func(sql string) {
+		t.Helper()
+		mustExec(t, c, sql)
+		mustExec(t, single, sql)
+	}
+	both("CREATE TABLE r1 (k integer, v float)")
+	both("CREATE TABLE r2 (k integer, v integer)")
+	both("CREATE TABLE r3 (k integer, v float)")
+	for i := 0; i < 12; i++ {
+		both(fmt.Sprintf("INSERT INTO r1 VALUES (%d, %d.25)", i, i))
+		both(fmt.Sprintf("INSERT INTO r2 VALUES (%d, %d)", i, 100+i))
+		both(fmt.Sprintf("INSERT INTO r3 VALUES (%d, %d.5)", i, 7*i))
+	}
+	const q = "SELECT 1 AS branch, k, v FROM r1 WHERE v > 3 UNION ALL SELECT 2, k, v FROM r2 UNION ALL SELECT 3, COUNT(*), SUM(v) FROM r3 WHERE k = 4"
+
+	// Branches arrive in order on both sides; within a branch the
+	// cluster gathers in shard order, so rows are compared sorted.
+	same := func(what string, got, want *sqldb.Result) {
+		t.Helper()
+		lines := func(res *sqldb.Result) []string {
+			all := strings.Split(strings.TrimSuffix(dumpResult(res), "\n"), "\n")
+			rows := all[1:]
+			last := int64(0)
+			for _, r := range res.Rows {
+				if r[0].Int() < last {
+					t.Errorf("%s: branch %d after branch %d", what, r[0].Int(), last)
+				}
+				last = r[0].Int()
+			}
+			sort.Strings(rows)
+			return append(all[:1], rows...)
+		}
+		g, w := lines(got), lines(want)
+		if strings.Join(g, "\n") != strings.Join(w, "\n") {
+			t.Errorf("%s:\ncluster:\n%s\nsingle node:\n%s", what, strings.Join(g, "\n"), strings.Join(w, "\n"))
+		}
+	}
+	want := mustExec(t, single, q)
+	if len(want.Rows) != 9+12+1 {
+		t.Fatalf("single node returns %d rows", len(want.Rows))
+	}
+	same("standalone", mustExec(t, c, q), want)
+
+	both("CREATE TABLE vec (branch integer, k integer, v float)")
+	both("INSERT INTO vec (branch, k, v) " + q)
+	const back = "SELECT branch, k, v FROM vec ORDER BY branch, k"
+	same("INSERT ... SELECT", mustExec(t, c, back), mustExec(t, single, back))
+
+	cs, ss := c.NewSession(), single.NewSession()
+	defer cs.Close()
+	defer ss.Close()
+	for _, sql := range []string{"BEGIN", "INSERT INTO r2 VALUES (50, 150)", "UPDATE r3 SET v = 1.5 WHERE k = 4"} {
+		mustExecS(t, cs, sql)
+		mustExec(t, ss, sql)
+	}
+	want = mustExec(t, ss, q)
+	if len(want.Rows) != 9+13+1 || want.Rows[22][2].Float() != 1.5 {
+		t.Fatalf("single-node transaction does not see its own writes: %v", want.Rows)
+	}
+	same("inside BEGIN ... COMMIT", mustExecS(t, cs, q), want)
+	mustExecS(t, cs, "COMMIT")
+	mustExec(t, ss, "COMMIT")
+	same("after COMMIT", mustExec(t, c, q), mustExec(t, single, q))
+}
+
+// TestSelectOffsetComesFromTheParser: the coordinator re-routes the
+// SELECT of INSERT ... SELECT and CREATE TABLE ... AS by its text, which
+// it used to find by searching for "SELECT" — and so found it inside a
+// table or column name. Only the routes that execute that text show
+// it: a key-equality select (sent to its shard as is) and one the
+// planner declines (run on the gathered copy).
+func TestSelectOffsetComesFromTheParser(t *testing.T) {
+	c := NewLocal(2)
+	defer c.Close()
+	mustExec(t, c, "CREATE TABLE m (k integer, v integer)")
+	mustExec(t, c, "INSERT INTO m VALUES (1, 10), (2, 20), (3, 20)")
+	mustExec(t, c, "CREATE TABLE preselected (selectk integer, v integer)")
+	mustExec(t, c, "INSERT INTO preselected (selectk, v) SELECT k, v FROM m WHERE k = 2")
+	mustExec(t, c, "INSERT INTO preselected (selectk, v) SELECT DISTINCT 9, v FROM m WHERE v = 20")
+	res := mustExec(t, c, "SELECT selectk, v FROM preselected ORDER BY selectk")
+	if got := dumpResult(res); !strings.HasSuffix(got, "\n2\t20\t\n9\t20\t\n") {
+		t.Errorf("preselected:\n%s", got)
+	}
+	mustExec(t, c, "CREATE TABLE selected_as AS SELECT k, v FROM m WHERE k = 3")
+	mustExec(t, c, "CREATE TEMP TABLE unselect AS SELECT DISTINCT v FROM m")
+	if n := mustExec(t, c, "SELECT COUNT(*) FROM selected_as").Rows[0][0].Int(); n != 1 {
+		t.Errorf("selected_as has %d rows, want 1", n)
+	}
+	if n := mustExec(t, c, "SELECT COUNT(*) FROM unselect").Rows[0][0].Int(); n != 2 {
+		t.Errorf("unselect has %d rows, want 2", n)
+	}
 }

@@ -97,6 +97,15 @@ type SelectStmt struct {
 	OrderBy  []orderItem
 	Limit    int // -1 = none
 	Offset   int
+
+	// Union, when non-empty, makes the statement a compound select: the
+	// UNION ALL of these branches, in order. The clause fields above
+	// are then unused — a compound has no FROM of its own, so a consumer
+	// that reasons about one table must look here first. No branch is
+	// itself compound or carries ORDER BY, LIMIT or OFFSET.
+	Union []*SelectStmt
+	// Pos is the byte offset of the SELECT keyword in the parsed text.
+	Pos int
 }
 
 // BeginStmt, CommitStmt and RollbackStmt control transactions.

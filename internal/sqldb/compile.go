@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"fmt"
 	"regexp"
 	"strings"
 
@@ -578,11 +579,85 @@ type compiledSelect struct {
 	// planVecJoin in vecjoin.go); nil means the row engine joins.
 	// Mutually exclusive with vec, which declines joined sources.
 	vecJoin *vecJoinPlan
+
+	// union, for a compound select, holds the plan of every branch in
+	// order; outSchema is then the reconciled schema and no other field
+	// is set.
+	union []*compiledSelect
 }
 
 // planSelect compiles st against the snapshot's catalog. Snapshots
-// are immutable, so no locking is involved.
+// are immutable, so no locking is involved. A compound select compiles
+// to one plan per branch under a plan that carries only the reconciled
+// output schema: column names come from the first branch, integer and
+// float reconcile to float, a bare NULL literal takes the type of the
+// other branches, and any other disagreement is an ErrCompound.
 func (sn *snapshot) planSelect(st *SelectStmt) (*compiledSelect, error) {
+	if len(st.Union) == 0 {
+		return sn.planBranch(st)
+	}
+	u := &compiledSelect{union: make([]*compiledSelect, len(st.Union))}
+	var untyped []bool // output columns every branch so far gave as NULL
+	for bi, b := range st.Union {
+		bp, err := sn.planBranch(b)
+		if err != nil {
+			return nil, err
+		}
+		u.union[bi] = bp
+		if bi == 0 {
+			u.outSchema = bp.outSchema.clone()
+			untyped = make([]bool, len(u.outSchema))
+			for ci := range untyped {
+				untyped[ci] = nullLiteralCol(b, bp, ci)
+			}
+			continue
+		}
+		if len(bp.outSchema) != len(u.outSchema) {
+			return nil, fmt.Errorf("%w: branch %d has %d columns, branch 1 has %d",
+				ErrCompound, bi+1, len(bp.outSchema), len(u.outSchema))
+		}
+		for ci := range u.outSchema {
+			have, got := u.outSchema[ci].Type, bp.outSchema[ci].Type
+			switch {
+			case have == got && !untyped[ci]:
+			case nullLiteralCol(b, bp, ci):
+			case untyped[ci]:
+				u.outSchema[ci].Type, untyped[ci] = got, false
+			case have.Numeric() && got.Numeric():
+				u.outSchema[ci].Type = value.Float
+			default:
+				return nil, fmt.Errorf("%w: column %d is %s in branch 1 and %s in branch %d",
+					ErrCompound, ci+1, have, got, bi+1)
+			}
+		}
+	}
+	return u, nil
+}
+
+// nullLiteralCol reports whether output column ci of a branch is a
+// bare NULL literal, which has no type of its own.
+func nullLiteralCol(st *SelectStmt, p *compiledSelect, ci int) bool {
+	for i, it := range st.Items {
+		if n := len(p.starCols[i]); it.Star {
+			if ci < n {
+				return false
+			}
+			ci -= n
+			continue
+		}
+		if ci == 0 {
+			lit, ok := it.E.(*litExpr)
+			return ok && lit.v.IsNull()
+		}
+		ci--
+	}
+	return false
+}
+
+// planBranch compiles one plain SELECT. One evaluation context over
+// the source schema serves every expression, the projection's types
+// and the vectorized planners.
+func (sn *snapshot) planBranch(st *SelectStmt) (*compiledSelect, error) {
 	src, err := sn.selectSourceSchema(st)
 	if err != nil {
 		return nil, err
@@ -630,7 +705,7 @@ func (sn *snapshot) planSelect(st *SelectStmt) (*compiledSelect, error) {
 	if st.Having != nil {
 		p.having = compileExpr(st.Having, ec)
 	}
-	p.outSchema, p.starCols, err = projectionSchema(st, src)
+	p.outSchema, p.starCols, err = projectionSchema(st, ec)
 	if err != nil {
 		return nil, err
 	}
@@ -647,8 +722,8 @@ func (sn *snapshot) planSelect(st *SelectStmt) (*compiledSelect, error) {
 			p.orderSrc = append(p.orderSrc, compileExpr(ob.E, ec))
 		}
 	}
-	p.vec = sn.planVec(st, p)
-	p.vecJoin = sn.planVecJoin(st, p)
+	p.vec = sn.planVec(st, p, ec)
+	p.vecJoin = sn.planVecJoin(st, p, ec)
 	return p, nil
 }
 

@@ -357,68 +357,103 @@ func (db *DB) execInsert(ws *writeState, s *InsertStmt) (*Result, error) {
 	if !ok {
 		return nil, errorf("no such table %q", s.Table)
 	}
-	// Map statement columns to table positions.
-	var colPos []int
-	if len(s.Cols) == 0 {
+	colPos, err := t.columnPositions(s.Cols)
+	if err != nil {
+		return nil, err
+	}
+	if len(s.Cols) == 0 { // no column list: every column, in order
 		colPos = make([]int, len(t.schema))
-		for i := range t.schema {
+		for i := range colPos {
 			colPos[i] = i
 		}
-	} else {
-		colPos = make([]int, len(s.Cols))
-		for i, c := range s.Cols {
-			ci := t.schema.Index(c)
-			if ci < 0 {
-				return nil, errorf("no column %q in table %q", c, s.Table)
-			}
-			colPos[i] = ci
-		}
 	}
-
-	var inRows []Row
-	if s.From != nil {
-		res, err := ws.base.execSelect(s.From)
-		if err != nil {
-			return nil, err
-		}
-		inRows = res.Rows
-	} else {
+	if s.From == nil {
 		ec := newEvalCtx(nil)
-		for _, exprs := range s.Rows {
+		inRows := make([]Row, len(s.Rows))
+		for ri, exprs := range s.Rows {
 			row := make(Row, len(exprs))
 			for i, e := range exprs {
-				v, err := e.eval(ec)
-				if err != nil {
+				if row[i], err = e.eval(ec); err != nil {
 					return nil, err
 				}
-				row[i] = v
 			}
-			inRows = append(inRows, row)
+			inRows[ri] = row
 		}
+		nt, _ := ws.modify(key)
+		if err := nt.appendRows(colPos, inRows); err != nil {
+			return nil, err
+		}
+		return &Result{Affected: len(inRows)}, nil
 	}
-
+	// Every branch reads the snapshot the statement started from, and
+	// its rows are converted straight into their place in one chunk —
+	// the chunk a bulk insert of the same rows would leave, so where a
+	// vector is built does not show in its layout, nor in the order
+	// floating-point aggregates over it add up.
+	p, err := ws.base.planSelect(s.From)
+	if err != nil {
+		return nil, err
+	}
+	parts, n, err := ws.base.branchRows(s.From, p)
+	if err != nil {
+		return nil, err
+	}
 	nt, _ := ws.modify(key)
-	inserted := 0
-	for _, in := range inRows {
-		if len(in) != len(colPos) {
-			return nil, errorf("INSERT into %s: %d values for %d columns", s.Table, len(in), len(colPos))
-		}
-		row := make(Row, len(nt.schema))
-		for i, c := range nt.schema {
-			row[i] = value.Null(c.Type)
-		}
-		for i, v := range in {
-			ci := colPos[i]
-			cv, err := v.Convert(nt.schema[ci].Type)
-			if err != nil {
-				return nil, errorf("column %q: %v", nt.schema[ci].Name, err)
-			}
-			row[ci] = cv
-		}
-		nt.insert(row)
-		inserted++
+	if err := nt.appendRows(colPos, parts...); err != nil {
+		return nil, err
 	}
-	return &Result{Affected: inserted}, nil
+	return &Result{Affected: n}, nil
+}
+
+// columnPositions maps the named columns to their table positions.
+func (t *table) columnPositions(cols []string) ([]int, error) {
+	colPos := make([]int, len(cols))
+	for i, c := range cols {
+		ci := t.schema.Index(c)
+		if ci < 0 {
+			return nil, errorf("no column %q in table %q", c, t.name)
+		}
+		colPos[i] = ci
+	}
+	return colPos, nil
+}
+
+// appendRows coerces the rows of parts (positionally matching colPos,
+// other columns NULL) to the schema types and appends them as one
+// exactly-sized chunk. One backing array holds the whole batch: R
+// rows cost O(1) slice allocations instead of R, and end up contiguous
+// in memory for the scans that follow. Only legal on a mutable version.
+func (t *table) appendRows(colPos []int, parts ...[]Row) error {
+	n := 0
+	for _, rows := range parts {
+		n += len(rows)
+	}
+	ncols := len(t.schema)
+	backing := make([]value.Value, n*ncols)
+	chunk := make([]Row, 0, n)
+	for _, rows := range parts {
+		for _, in := range rows {
+			if len(in) != len(colPos) {
+				return errorf("INSERT into %s: %d values for %d columns", t.name, len(in), len(colPos))
+			}
+			row := Row(backing[:ncols:ncols])
+			backing = backing[ncols:]
+			for i, c := range t.schema {
+				row[i] = value.Null(c.Type)
+			}
+			for i, v := range in {
+				ci := colPos[i]
+				cv, err := v.Convert(t.schema[ci].Type)
+				if err != nil {
+					return errorf("column %q: %v", t.schema[ci].Name, err)
+				}
+				row[ci] = cv
+			}
+			chunk = append(chunk, row)
+		}
+	}
+	t.appendChunk(chunk)
+	return nil
 }
 
 // tableECSchema builds the evaluation schema of a single table: its
@@ -602,40 +637,14 @@ func insertRowsWS(ws *writeState, tableName string, cols []string, rows []Row) (
 	if !ok {
 		return nil, 0, errorf("no such table %q", tableName)
 	}
-	colPos := make([]int, len(cols))
-	for i, c := range cols {
-		ci := t.schema.Index(c)
-		if ci < 0 {
-			return nil, 0, errorf("no column %q in table %q", c, tableName)
-		}
-		colPos[i] = ci
+	colPos, err := t.columnPositions(cols)
+	if err != nil {
+		return nil, 0, err
 	}
 	nt, _ := ws.modify(key)
-	// One backing array for the whole batch: a bulk import of R rows
-	// costs O(1) slice allocations instead of R, and the rows end up
-	// contiguous in memory for the scans that follow.
-	ncols := len(nt.schema)
-	backing := make([]value.Value, len(rows)*ncols)
-	chunk := make([]Row, len(rows))
-	for ri, in := range rows {
-		if len(in) != len(cols) {
-			return nil, 0, errorf("InsertRows into %s: %d values for %d columns", tableName, len(in), len(cols))
-		}
-		row := Row(backing[ri*ncols : (ri+1)*ncols : (ri+1)*ncols])
-		for i, c := range nt.schema {
-			row[i] = value.Null(c.Type)
-		}
-		for i, v := range in {
-			ci := colPos[i]
-			cv, err := v.Convert(nt.schema[ci].Type)
-			if err != nil {
-				return nil, 0, errorf("column %q: %v", nt.schema[ci].Name, err)
-			}
-			row[ci] = cv
-		}
-		chunk[ri] = row
+	if err := nt.appendRows(colPos, rows); err != nil {
+		return nil, 0, err
 	}
-	nt.appendChunk(chunk)
 	return nt, len(rows), nil
 }
 

@@ -27,6 +27,7 @@
 package sqldb_test
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -71,7 +72,7 @@ type diffState struct {
 	inTxn   bool
 	nextK   int64
 	nextOrd int64
-	muts  int // mutations since open, drives bdb checkpoints
+	muts    int // mutations since open, drives bdb checkpoints
 	// pending statements not yet applied to the wire mirror; flushed
 	// alternately via ExecPipeline and via per-statement Exec so both
 	// transports are exercised.
@@ -471,6 +472,74 @@ func (s *diffState) checkJoinTopK(n int64) {
 	}
 }
 
+// checkUnion: a compound select is the concatenation of its branches'
+// results in branch order. The branches split m at a threshold (in
+// insertion order, the physical order every engine scans in — DELETE
+// and UPDATE keep it), optionally followed by an aggregate branch and,
+// with mixed set, a constant branch whose float forces the v column of
+// every branch to reconcile to float and whose NULL key adopts integer.
+func (s *diffState) checkUnion(c int64, agg, mixed bool) {
+	sql := fmt.Sprintf("SELECT k, v FROM m WHERE v >= %d UNION ALL SELECT k, v FROM m WHERE v < %d", c, c)
+	type row struct {
+		null bool
+		k    int64
+		v    float64
+	}
+	var want []row
+	for _, keep := range []func(int64) bool{func(v int64) bool { return v >= c }, func(v int64) bool { return v < c }} {
+		for _, r := range s.model {
+			if keep(r.v) {
+				want = append(want, row{k: r.k, v: float64(r.v)})
+			}
+		}
+	}
+	if agg {
+		sql += " UNION ALL SELECT COUNT(*), COUNT(*) - 1 FROM m"
+		want = append(want, row{k: int64(len(s.model)), v: float64(len(s.model) - 1)})
+	}
+	vType := "integer"
+	if mixed {
+		sql += " UNION ALL SELECT NULL, 0.5"
+		want = append(want, row{null: true, v: 0.5})
+		vType = "float"
+	}
+	res := s.query(sql)
+	if got := res.Columns[0].Type.String() + "," + res.Columns[1].Type.String(); got != "integer,"+vType {
+		s.fail(sql, res, "column types %s, want integer,%s", got, vType)
+	}
+	if len(res.Rows) != len(want) {
+		s.fail(sql, res, "row count %d, want %d", len(res.Rows), len(want))
+	}
+	for i, w := range want {
+		r := res.Rows[i]
+		if r[0].IsNull() != w.null || (!w.null && r[0].Int() != w.k) || r[1].Type().String() != vType || r[1].Float() != w.v {
+			s.fail(sql, res, "row %d = %v, want %+v", i, r, w)
+		}
+	}
+}
+
+// checkUnionRejected: a compound the engine does not support — UNION
+// without ALL, branches of different arity or of irreconcilable type —
+// is refused by every engine and over the wire, as a SELECT and as the
+// source of an INSERT.
+func (s *diffState) checkUnionRejected(which byte) {
+	sql := [...]string{
+		"SELECT k FROM m UNION SELECT k FROM m",
+		"SELECT k FROM m UNION ALL SELECT k, v FROM m",
+		"SELECT k, v FROM m UNION ALL SELECT k, grp FROM m",
+		"INSERT INTO m SELECT k, grp, v FROM m UNION ALL SELECT k, v, grp FROM m",
+	}[which%4]
+	s.flush()
+	for name, q := range map[string]sqldb.Querier{"engine": s.db, "row-path engine": s.rdb, "block-backed engine": s.bdb} {
+		if _, err := q.Exec(sql); !errors.Is(err, sqldb.ErrCompound) {
+			s.t.Fatalf("%s answered %q with %v, want ErrCompound", name, sql, err)
+		}
+	}
+	if _, err := s.wc.Exec(sql); err == nil {
+		s.t.Fatalf("wire accepted %q", sql)
+	}
+}
+
 // FuzzSQLDifferential interprets the fuzz input as a program over the
 // fixed schema and cross-checks every query against all four oracles.
 func FuzzSQLDifferential(f *testing.F) {
@@ -478,6 +547,7 @@ func FuzzSQLDifferential(f *testing.F) {
 	f.Add([]byte("insert update delete begin commit rollback select"))
 	f.Add([]byte{4, 200, 4, 100, 4, 50, 7, 0, 5, 1, 9, 4, 12, 6, 2, 9, 3, 255, 7, 1})
 	f.Add([]byte{4, 1, 4, 2, 5, 0, 4, 3, 6, 0, 7, 0, 5, 0, 4, 4, 5, 0, 7, 1, 7, 2, 7, 3})
+	f.Add([]byte{2, 130, 9, 2, 1, 200, 7, 5, 3, 0, 5, 2, 200, 3, 7, 5, 0, 250, 7, 6, 1, 6, 7, 5, 2, 9, 7, 6, 3})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		db := sqldb.NewMemory()
 		srv := wire.NewServer(sqldb.NewMemory())
@@ -524,12 +594,21 @@ func FuzzSQLDifferential(f *testing.F) {
 				s.exec(fmt.Sprintf("INSERT INTO m VALUES (%d, '%s', %d)", k, grp, v))
 				s.model = append(s.model, mrow{k, grp, v})
 			case 2: // multi-row INSERT (one atomic statement)
-				grp := fmt.Sprintf("g%d", next()%4)
+				sel := next()
+				grp := fmt.Sprintf("g%d", sel%4)
 				v := int64(int8(next()))
 				k1, k2 := s.nextK, s.nextK+1
 				s.nextK += 2
-				s.exec(fmt.Sprintf("INSERT INTO m VALUES (%d, '%s', %d), (%d, '%s', %d)",
-					k1, grp, v, k2, grp, -v))
+				if sel >= 128 { // the same two rows from a compound select
+					s.exec(fmt.Sprintf("INSERT INTO m (v, grp, k) SELECT %d, '%s', %d UNION ALL SELECT -v, grp, k + 1 FROM m WHERE k = %d",
+						v, grp, k1, k1))
+					// Branch two reads the state before the statement,
+					// where k1 does not exist yet: one row so far.
+					s.exec(fmt.Sprintf("INSERT INTO m SELECT k + 1, grp, -v FROM m WHERE k = %d UNION ALL SELECT k, grp, v FROM m WHERE k < 0", k1))
+				} else {
+					s.exec(fmt.Sprintf("INSERT INTO m VALUES (%d, '%s', %d), (%d, '%s', %d)",
+						k1, grp, v, k2, grp, -v))
+				}
 				s.model = append(s.model, mrow{k1, grp, v}, mrow{k2, grp, -v})
 			case 3: // UPDATE one group
 				grp := fmt.Sprintf("g%d", next()%4)
@@ -565,7 +644,7 @@ func FuzzSQLDifferential(f *testing.F) {
 					s.model, s.saved, s.inTxn = s.saved, nil, false
 				}
 			case 7: // cross-checked SELECT
-				switch next() % 5 {
+				switch next() % 7 {
 				case 0:
 					s.checkFullScan()
 				case 1:
@@ -576,6 +655,11 @@ func FuzzSQLDifferential(f *testing.F) {
 					s.checkCountAvg()
 				case 4:
 					s.checkTopK(int64(int8(next())))
+				case 5:
+					b := next()
+					s.checkUnion(int64(int8(next())), b&1 != 0, b&2 != 0)
+				case 6:
+					s.checkUnionRejected(next())
 				}
 			case 8: // INSERT into the join table (NULL keys included).
 				// Outside transactions only, so ROLLBACK never has to
@@ -618,6 +702,7 @@ func FuzzSQLDifferential(f *testing.F) {
 		s.checkGroupBy()
 		s.checkCountAvg()
 		s.checkTopK(5)
+		s.checkUnion(0, true, true)
 		s.checkJoinCount(false, false, nil)
 		s.checkJoinRows(true)
 		s.checkJoinGroupBy()

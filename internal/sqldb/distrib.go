@@ -274,16 +274,16 @@ var mergeAgg = map[string]string{
 
 // PlanDistributedSelect builds a scatter-gather plan for st over a
 // table with the given schema. It reports false when the query shape
-// is not distributable this way (joins, DISTINCT, holistic aggregates,
-// HAVING, subqueries, non-column aggregate arguments …); the caller
-// then falls back to whole-table gather. The plan preserves the exact
+// is not distributable this way (compound selects, joins, DISTINCT,
+// holistic aggregates, HAVING, subqueries, non-column aggregate
+// arguments …); the caller then falls back to whole-table gather. The plan preserves the exact
 // aggregate semantics of a single node: COUNT partials merge by SUM,
 // SUM/MIN/MAX merge by themselves (NULL partials from empty shards are
 // skipped, matching empty-input semantics), and AVG travels as a
 // SUM/COUNT pair finalized in Go as sum/float64(count) — the same
 // float division aggregate.go performs.
 func PlanDistributedSelect(st *SelectStmt, schema Schema) (*DistPlan, bool) {
-	if len(st.From) != 1 || len(st.Joins) > 0 || st.Distinct || st.Having != nil {
+	if len(st.Union) > 0 || len(st.From) != 1 || len(st.Joins) > 0 || st.Distinct || st.Having != nil {
 		return nil, false
 	}
 	table := lower(st.From[0].Table)
@@ -340,6 +340,7 @@ func planSimpleSelect(st *SelectStmt, table string, schema Schema) (*DistPlan, b
 			gather = append(gather, Column{Name: c.Name, Type: c.Type})
 		}
 	} else {
+		ec := newEvalCtx(schema)
 		for i, it := range st.Items {
 			if it.Star {
 				return nil, false
@@ -350,7 +351,7 @@ func planSimpleSelect(st *SelectStmt, table string, schema Schema) (*DistPlan, b
 			}
 			name := outName(it, i)
 			items = append(items, txt+" AS "+name)
-			gather = append(gather, Column{Name: name, Type: exprType(it.E, schema)})
+			gather = append(gather, Column{Name: name, Type: exprType(it.E, ec)})
 		}
 	}
 	seen := map[string]bool{}

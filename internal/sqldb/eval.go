@@ -396,20 +396,19 @@ func collectAggs(e sqlExpr, out *[]*aggExpr) {
 	}
 }
 
-// exprType predicts the result type of an expression against a schema,
-// used to type columns of CREATE TABLE AS SELECT and projections.
-// It evaluates cheaply: literals and column refs are exact, arithmetic
-// follows the numeric promotion rules, aggregates follow their result
-// rules; anything else defaults to Float for numeric-looking operators
-// and String otherwise.
-func exprType(e sqlExpr, schema Schema) value.Type {
-	ec := newEvalCtx(schema)
+// exprType predicts the result type of an expression against the
+// schema of ec, used to type columns of CREATE TABLE AS SELECT and
+// projections. It evaluates cheaply: literals and column refs are
+// exact, arithmetic follows the numeric promotion rules, aggregates
+// follow their result rules; anything else defaults to Float for
+// numeric-looking operators and String otherwise.
+func exprType(e sqlExpr, ec *evalCtx) value.Type {
 	switch t := e.(type) {
 	case *litExpr:
 		return t.v.Type()
 	case *colExpr:
 		if i, err := ec.lookup(t.Table, t.Name); err == nil {
-			return schema[i].Type
+			return ec.schema[i].Type
 		}
 		return value.String
 	case *castExpr:
@@ -418,12 +417,12 @@ func exprType(e sqlExpr, schema Schema) value.Type {
 		if t.Op == "not" {
 			return value.Boolean
 		}
-		return exprType(t.E, schema)
+		return exprType(t.E, ec)
 	case *binExpr:
 		switch t.Op {
 		case "+", "-", "*", "/", "%":
-			lt := exprType(t.L, schema)
-			rt := exprType(t.R, schema)
+			lt := exprType(t.L, ec)
+			rt := exprType(t.R, ec)
 			if lt == value.Integer && rt == value.Integer {
 				return value.Integer
 			}
@@ -443,9 +442,9 @@ func exprType(e sqlExpr, schema Schema) value.Type {
 			if t.Star {
 				return value.Integer
 			}
-			return exprType(t.Arg, schema)
+			return exprType(t.Arg, ec)
 		case "sum", "prod":
-			return exprType(t.Arg, schema)
+			return exprType(t.Arg, ec)
 		default: // avg, stddev, variance
 			return value.Float
 		}
@@ -457,7 +456,7 @@ func exprType(e sqlExpr, schema Schema) value.Type {
 			return value.String
 		case "coalesce", "greatest", "least", "abs":
 			if len(t.Args) > 0 {
-				return exprType(t.Args[0], schema)
+				return exprType(t.Args[0], ec)
 			}
 		}
 		return value.Float

@@ -285,6 +285,43 @@ func (sn *snapshot) execSelect(st *SelectStmt) (*Result, error) {
 	return sn.runSelect(st, p)
 }
 
+// branchRows runs a select branch by branch — a plain SELECT is its
+// own single branch — against this one snapshot and returns each
+// branch's rows, coerced to the reconciled schema, in branch order,
+// with their total count.
+func (sn *snapshot) branchRows(st *SelectStmt, p *compiledSelect) ([][]Row, int, error) {
+	if p.union == nil {
+		res, err := sn.runSelect(st, p)
+		if err != nil {
+			return nil, 0, err
+		}
+		return [][]Row{res.Rows}, len(res.Rows), nil
+	}
+	parts := make([][]Row, len(p.union))
+	n := 0
+	for bi, bp := range p.union {
+		res, err := sn.runSelect(st.Union[bi], bp)
+		if err != nil {
+			return nil, 0, err
+		}
+		// projectRow builds result rows afresh on every execution, so
+		// coercing in place cannot reach table storage.
+		for ci, c := range p.outSchema {
+			if bp.outSchema[ci].Type == c.Type {
+				continue
+			}
+			for _, row := range res.Rows {
+				if row[ci], err = row[ci].Convert(c.Type); err != nil {
+					return nil, 0, errorf("UNION ALL column %q: %v", c.Name, err)
+				}
+			}
+		}
+		parts[bi] = res.Rows
+		n += len(res.Rows)
+	}
+	return parts, n, nil
+}
+
 // sourceRelation builds the input rows of a SELECT: the FROM clause
 // (or a single synthetic row for table-less SELECT), cross joins, and
 // explicit JOINs, with an index probe for the single-table case.
@@ -351,6 +388,17 @@ func numGroupKey(v value.Value) uint64 {
 // there instead; runVecSelect declines at runtime only when the
 // execution environment is missing or vectorization is disabled.
 func (sn *snapshot) runSelect(st *SelectStmt, p *compiledSelect) (*Result, error) {
+	if p.union != nil {
+		parts, n, err := sn.branchRows(st, p)
+		if err != nil {
+			return nil, err
+		}
+		rows := make([]Row, 0, n)
+		for _, part := range parts {
+			rows = append(rows, part...)
+		}
+		return &Result{Columns: p.outSchema, Rows: rows}, nil
+	}
 	if p.vec != nil {
 		if sn.reads != nil {
 			// The vectorized engine reads column projections without
@@ -690,13 +738,13 @@ func (p *compiledSelect) finish(st *SelectStmt, outRows []Row, reps []Row, aggVs
 
 // projectionSchema derives the output schema of a SELECT and, for star
 // items, the source column indexes they expand to.
-func projectionSchema(st *SelectStmt, src Schema) (Schema, map[int][]int, error) {
+func projectionSchema(st *SelectStmt, ec *evalCtx) (Schema, map[int][]int, error) {
 	var out Schema
 	starCols := map[int][]int{}
 	for i, it := range st.Items {
 		if it.Star {
 			var cols []int
-			for ci, c := range src {
+			for ci, c := range ec.schema {
 				if it.Table != "" {
 					prefix := lower(it.Table) + "."
 					if !strings.HasPrefix(lower(c.Name), prefix) {
@@ -722,7 +770,7 @@ func projectionSchema(st *SelectStmt, src Schema) (Schema, map[int][]int, error)
 				name = "col" + itoa(len(out)+1)
 			}
 		}
-		out = append(out, Column{Name: name, Type: exprType(it.E, src)})
+		out = append(out, Column{Name: name, Type: exprType(it.E, ec)})
 	}
 	// De-duplicate bare names that collide after qualification strip.
 	seen := map[string]int{}

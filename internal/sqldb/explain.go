@@ -18,16 +18,70 @@ type ExplainStmt struct {
 
 func (*ExplainStmt) stmt() {}
 
-// execExplain renders one plan line per step, followed by a
-// concurrency trailer: the snapshot id the query would execute
-// against, the versions of the referenced tables in that snapshot, and
-// the WAL sync policy — so MVCC behaviour is observable from SQL.
-func (db *DB) execExplain(sn *snapshot, st *ExplainStmt) (*Result, error) {
-	q := st.Query
+// explainUnion renders a compound select: a header with the branch
+// count, then the steps of each distinct branch shape once — branches
+// whose steps differ only in table names and row counts share a shape
+// — headed by how many branches have it and the path (vector or row)
+// they run on.
+func (db *DB) explainUnion(sn *snapshot, q *SelectStmt) ([]string, error) {
+	type shape struct {
+		path     string
+		steps    []string
+		first    int
+		branches int
+	}
+	var shapes []*shape
+	byKey := map[string]*shape{}
+	for bi, b := range q.Union {
+		steps, vec, err := db.explainBranch(sn, b, true)
+		if err != nil {
+			return nil, err
+		}
+		path := "row path"
+		if vec {
+			path = "vector path"
+		}
+		key := path + "\n" + strings.Join(steps, "\n")
+		sh := byKey[key]
+		if sh == nil {
+			sh = &shape{path: path, steps: steps, first: bi + 1}
+			byKey[key] = sh
+			shapes = append(shapes, sh)
+		}
+		sh.branches++
+	}
+	lines := []string{fmt.Sprintf("UNION ALL (%d branches)", len(q.Union))}
+	for _, sh := range shapes {
+		lines = append(lines, fmt.Sprintf("%d branch(es) like branch %d [%s]:", sh.branches, sh.first, sh.path))
+		for _, l := range sh.steps {
+			lines = append(lines, "  "+l)
+		}
+	}
+	return lines, nil
+}
+
+// explainBranch renders the steps of one plain SELECT and reports
+// whether it runs on the vectorized path. With generic set, table
+// names and row counts are left out, so that branches of one shape
+// render alike.
+func (db *DB) explainBranch(sn *snapshot, q *SelectStmt, generic bool) ([]string, bool, error) {
 	var lines []string
 	add := func(format string, args ...any) {
 		lines = append(lines, fmt.Sprintf(format, args...))
 	}
+	name := func(fi fromItem) string {
+		if generic {
+			return "<table>"
+		}
+		return fi.Table
+	}
+	full := func(fi fromItem, t *table) string {
+		if generic {
+			return "<table> (full)"
+		}
+		return fmt.Sprintf("%s (full, %d rows)", fi.Table, t.nrows)
+	}
+	vec := false
 
 	switch {
 	case len(q.From) == 0:
@@ -36,17 +90,16 @@ func (db *DB) execExplain(sn *snapshot, st *ExplainStmt) (*Result, error) {
 		fi := q.From[0]
 		t, ok := sn.table(fi.Table)
 		if !ok {
-			return nil, errorf("no such table %q", fi.Table)
+			return nil, false, errorf("no such table %q", fi.Table)
 		}
 		if col, ok := sn.explainIndexProbe(fi, q.Where); ok {
-			add("scan %s via hash index on %s", fi.Table, col)
+			add("scan %s via hash index on %s", name(fi), col)
 		} else {
-			add("scan %s (full, %d rows)", fi.Table, t.nrows)
+			add("scan %s", full(fi, t))
 		}
 		// Report which execution path the compiled plan will take; the
 		// same qualification (planVec) runs at plan time, so this is the
 		// decision, not a guess.
-		vec := false
 		if p, err := sn.planSelect(q); err == nil && p.vec != nil && db.env != nil && !db.env.vecDisabled.Load() {
 			vec = true
 			add("fused single pass: batch scan, filter, aggregate [vectorized] [morsels=%d]", vecMorselCount(t))
@@ -66,12 +119,12 @@ func (db *DB) execExplain(sn *snapshot, st *ExplainStmt) (*Result, error) {
 		for _, fi := range q.From {
 			t, ok := sn.table(fi.Table)
 			if !ok {
-				return nil, errorf("no such table %q", fi.Table)
+				return nil, false, errorf("no such table %q", fi.Table)
 			}
-			add("scan %s (full, %d rows)", fi.Table, t.nrows)
+			add("scan %s", full(fi, t))
 			s, err := sn.scanSchema(fi)
 			if err != nil {
-				return nil, err
+				return nil, false, err
 			}
 			acc = append(acc, s...)
 		}
@@ -82,19 +135,19 @@ func (db *DB) execExplain(sn *snapshot, st *ExplainStmt) (*Result, error) {
 		// vec-join decision, so EXPLAIN reports it rather than guessing.
 		var jp *vecJoinPlan
 		if p, err := sn.planSelect(q); err == nil && p.vecJoin != nil && db.env != nil && !db.env.vecDisabled.Load() {
-			jp = p.vecJoin
+			jp, vec = p.vecJoin, true
 		}
 		for _, jc := range q.Joins {
 			rs, err := sn.scanSchema(jc.Right)
 			if err != nil {
-				return nil, err
+				return nil, false, err
 			}
 			kind := "inner"
 			if jc.Left {
 				kind = "left outer"
 			}
 			if _, _, ok := hashJoinCols(jc.On, acc, rs); !ok {
-				add("%s nested-loop join with %s", kind, jc.Right.Table)
+				add("%s nested-loop join with %s", kind, name(jc.Right))
 			} else if jp != nil {
 				lt, lok := sn.table(jp.leftKey)
 				rt, rok := sn.table(jp.rightKey)
@@ -103,9 +156,9 @@ func (db *DB) execExplain(sn *snapshot, st *ExplainStmt) (*Result, error) {
 					skip, _ = db.vecJoinBlockSkips(sn, jp, lt, rt)
 				}
 				add("%s hash join with %s [vec-join build=%d probe=%d bloom-skip=%d]",
-					kind, jc.Right.Table, rt.nrows, lt.nrows, skip)
+					kind, name(jc.Right), rt.nrows, lt.nrows, skip)
 			} else {
-				add("%s hash join with %s", kind, jc.Right.Table)
+				add("%s hash join with %s", kind, name(jc.Right))
 			}
 			acc = append(acc, rs...)
 		}
@@ -116,7 +169,7 @@ func (db *DB) execExplain(sn *snapshot, st *ExplainStmt) (*Result, error) {
 	// columns fall back to per-row errors).
 	src, err := sn.selectSourceSchema(q)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	ec := newEvalCtx(src)
 	mode := func(exprs ...sqlExpr) string {
@@ -164,6 +217,28 @@ func (db *DB) execExplain(sn *snapshot, st *ExplainStmt) (*Result, error) {
 	}
 	if q.Limit >= 0 || q.Offset > 0 {
 		add("limit/offset")
+	}
+	return lines, vec, nil
+}
+
+// execExplain renders one plan line per step, followed by a
+// concurrency trailer: the snapshot id the query would execute
+// against, the versions of the referenced tables in that snapshot, and
+// the WAL sync policy — so MVCC behaviour is observable from SQL.
+func (db *DB) execExplain(sn *snapshot, st *ExplainStmt) (*Result, error) {
+	q := st.Query
+	var lines []string
+	var err error
+	if len(q.Union) > 0 {
+		lines, err = db.explainUnion(sn, q)
+	} else {
+		lines, _, err = db.explainBranch(sn, q, false)
+	}
+	if err != nil {
+		return nil, err
+	}
+	add := func(format string, args ...any) {
+		lines = append(lines, fmt.Sprintf(format, args...))
 	}
 
 	// Concurrency trailer.

@@ -165,12 +165,8 @@ func (r *ViewRegistry) Register(name, sql string) error {
 	}
 	v := &matView{name: name, sql: sql, st: sel, pending: true}
 	v.refs = map[string]bool{}
-	for _, fi := range sel.From {
-		v.refs[lower(fi.Table)] = true
-	}
-	for _, jc := range sel.Joins {
-		v.refs[lower(jc.Right.Table)] = true
-	}
+	collectTables(sel, v.refs)
+	// A compound select has no FROM of its own: it is rebuilt in full.
 	v.incremental = len(sel.From) == 1 && len(sel.Joins) == 0
 	if v.incremental {
 		v.baseKey = lower(sel.From[0].Table)

@@ -1,6 +1,8 @@
 package sqldb
 
 import (
+	"errors"
+	"fmt"
 	"strconv"
 	"strings"
 
@@ -348,11 +350,45 @@ func (p *sqlParser) parseDelete() (Statement, error) {
 	return st, nil
 }
 
+// ErrCompound marks every refusal of a compound select: UNION without
+// ALL, ORDER BY / LIMIT / OFFSET inside a branch, and branches that
+// disagree in arity or column type.
+var ErrCompound = errors.New("sqldb: unsupported compound select")
+
+// parseSelect parses a SELECT or a compound SELECT ... UNION ALL
+// SELECT ... . Branches are collected in a loop, not by recursion, so
+// the statement's depth does not grow with their number.
 func (p *sqlParser) parseSelect() (*SelectStmt, error) {
+	first, err := p.parseBranch()
+	if err != nil || !p.cur().keyword("union") {
+		return first, err
+	}
+	st := &SelectStmt{Limit: -1, Pos: first.Pos, Union: []*SelectStmt{first}}
+	for p.acceptKw("union") {
+		if !p.acceptKw("all") {
+			return nil, fmt.Errorf("%w: UNION without ALL near %q", ErrCompound, p.cur().text)
+		}
+		b, err := p.parseBranch()
+		if err != nil {
+			return nil, err
+		}
+		st.Union = append(st.Union, b)
+	}
+	for i, b := range st.Union {
+		if len(b.OrderBy) > 0 || b.Limit >= 0 || b.Offset > 0 {
+			return nil, fmt.Errorf("%w: ORDER BY / LIMIT / OFFSET in branch %d", ErrCompound, i+1)
+		}
+	}
+	return st, nil
+}
+
+// parseBranch parses one plain SELECT.
+func (p *sqlParser) parseBranch() (*SelectStmt, error) {
+	pos := p.cur().pos
 	if err := p.expectKw("select"); err != nil {
 		return nil, err
 	}
-	st := &SelectStmt{Limit: -1}
+	st := &SelectStmt{Limit: -1, Pos: pos}
 	st.Distinct = p.acceptKw("distinct")
 	p.acceptKw("all")
 

@@ -7,8 +7,11 @@ import (
 
 // The plan cache maps raw SQL text to its parsed statement and, for
 // SELECTs, the compiled plan, so repeated statements (per-run queries
-// from internal/input and internal/query, parquery element queries)
-// skip the lexer, parser and compile pass.
+// from internal/input, element queries from internal/query and
+// parquery) skip the lexer, parser and compile pass. A source
+// element's one compound INSERT ... SELECT over its matching runs names
+// a fresh temp table, so it could never be reused; at more than a
+// handful of runs it is also longer than planCacheMaxSQL and stays out.
 //
 // Correctness model: a parsed AST depends only on the SQL text and
 // never goes stale. A compiled plan additionally depends on the
@@ -160,6 +163,9 @@ func referencedTables(st Statement) []string {
 func collectTables(st Statement, seen map[string]bool) {
 	switch s := st.(type) {
 	case *SelectStmt:
+		for _, b := range s.Union {
+			collectTables(b, seen)
+		}
 		for _, fi := range s.From {
 			seen[lower(fi.Table)] = true
 		}

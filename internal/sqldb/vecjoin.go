@@ -99,7 +99,7 @@ func (jp *vecJoinPlan) padAllOK() bool {
 // compiles the plan if so. Returns nil — meaning "row-engine join" —
 // for any shape outside the supported set; qualification errs on the
 // side of declining, never on the side of changing results.
-func (sn *snapshot) planVecJoin(st *SelectStmt, p *compiledSelect) *vecJoinPlan {
+func (sn *snapshot) planVecJoin(st *SelectStmt, p *compiledSelect, ec *evalCtx) *vecJoinPlan {
 	if len(st.From) != 1 || len(st.Joins) != 1 {
 		return nil
 	}
@@ -140,7 +140,6 @@ func (sn *snapshot) planVecJoin(st *SelectStmt, p *compiledSelect) *vecJoinPlan 
 	// The pushdown predicate compiles against the JOINED schema so name
 	// resolution (including ambiguity errors) matches the row engine;
 	// it is pushed only when every column it reads is probe-side.
-	ec := newEvalCtx(p.srcSchema)
 	need := map[int]bool{li: true}
 	if st.Where != nil {
 		jp.hasWhere = true

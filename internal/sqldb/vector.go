@@ -103,7 +103,7 @@ type vecPlan struct {
 // if so. Returns nil — meaning "use the row engine" — for any shape
 // outside the supported set; qualification must err on the side of
 // declining, never on the side of changing results.
-func (sn *snapshot) planVec(st *SelectStmt, p *compiledSelect) *vecPlan {
+func (sn *snapshot) planVec(st *SelectStmt, p *compiledSelect, ec *evalCtx) *vecPlan {
 	if len(st.From) != 1 || len(st.Joins) != 0 {
 		return nil
 	}
@@ -117,7 +117,6 @@ func (sn *snapshot) planVec(st *SelectStmt, p *compiledSelect) *vecPlan {
 		return nil
 	}
 	vp := &vecPlan{tableKey: lower(st.From[0].Table), grouped: p.grouped}
-	ec := newEvalCtx(p.srcSchema)
 	need := map[int]bool{}
 	if st.Where != nil {
 		vp.pred = compileVecPred(st.Where, ec, p.srcSchema, need)
