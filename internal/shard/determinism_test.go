@@ -146,7 +146,9 @@ func TestShardDeterminismUnderLatency(t *testing.T) {
 // TestShardConcurrentCommitters stresses the two-phase commit path
 // under the race detector: several goroutines commit cross-shard
 // transactions against the same table, retrying on the typed
-// conflict. Every committed transaction must land both its rows.
+// conflict (which blind inserts no longer meet —
+// TestConcurrentCrossShardCommits is the test that forbids it). Every
+// committed transaction must land both its rows.
 func TestShardConcurrentCommitters(t *testing.T) {
 	c := NewLocal(4)
 	defer c.Close()
@@ -167,8 +169,8 @@ func TestShardConcurrentCommitters(t *testing.T) {
 			for seq := 0; seq < txns; seq++ {
 				// Two inserts whose keys land on different shards
 				// (consecutive ints rarely hash together on all 4),
-				// so most commits take the 2PC path and contend on
-				// the marker table.
+				// so most commits take the 2PC path and append to
+				// the marker table side by side.
 				k1 := g*100000 + seq*2
 				k2 := k1 + 1
 				for {
@@ -213,5 +215,95 @@ func TestShardConcurrentCommitters(t *testing.T) {
 		if row[2].SQL() != "2" {
 			t.Fatalf("torn transaction: group %s,%s has %s rows", row[0].SQL(), row[1].SQL(), row[2].SQL())
 		}
+	}
+}
+
+// TestConcurrentCrossShardCommits: multi-shard transactions commute
+// unless they read or rewrite something in common, so a fleet of them
+// must go through with no conflict at all — no retry loop here, unlike
+// TestShardConcurrentCommitters. Each goroutine alternates two-phase
+// commits that insert into one shared table with the atomic DDL
+// broadcasts parquery's parallel elements issue (CREATE TABLE ... AS
+// over the shared source table, then DROP), every one of which writes
+// the _shard_txns marker on every shard. The outcome must equal the
+// same work done by one goroutine after the other.
+func TestConcurrentCrossShardCommits(t *testing.T) {
+	const goroutines, txns = 6, 12
+	work := func(t *testing.T, c *Cluster, g int) {
+		s := c.NewSession()
+		defer s.Close()
+		for seq := range txns {
+			for _, sql := range []string{
+				"BEGIN",
+				fmt.Sprintf("INSERT INTO race VALUES (%d, %d, %d), (%d, %d, %d)", g*1000+seq*3, g, seq, g*1000+seq*3+1, g, seq),
+				fmt.Sprintf("INSERT INTO race VALUES (%d, %d, %d)", g*1000+seq*3+2, g, seq),
+				"COMMIT",
+			} {
+				if _, err := s.Exec(sql); err != nil {
+					t.Errorf("g%d seq %d: %s: %v", g, seq, sql, err)
+					return
+				}
+			}
+			vec := fmt.Sprintf("vec_%d_%d", g, seq)
+			for _, sql := range []string{
+				fmt.Sprintf("CREATE TABLE %s AS SELECT k, v FROM src WHERE v >= %d", vec, seq),
+				fmt.Sprintf("INSERT INTO sums SELECT %d, COUNT(*), SUM(v) FROM %s", g*1000+seq, vec),
+				"DROP TABLE " + vec,
+			} {
+				if _, err := c.Exec(sql); err != nil {
+					t.Errorf("g%d seq %d: %s: %v", g, seq, sql, err)
+					return
+				}
+			}
+		}
+	}
+	run := func(t *testing.T, concurrent bool) string {
+		c := NewLocal(4)
+		defer c.Close()
+		mustExec(t, c, "CREATE TABLE race (k integer, g integer, seq integer)")
+		mustExec(t, c, "CREATE TABLE sums (id integer, n integer, total integer)")
+		mustExec(t, c, "CREATE TABLE src (k integer, v integer)")
+		for k := range 40 {
+			mustExec(t, c, fmt.Sprintf("INSERT INTO src VALUES (%d, %d)", k, k%txns))
+		}
+		var wg sync.WaitGroup
+		for g := range goroutines {
+			if !concurrent {
+				work(t, c, g)
+				continue
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				work(t, c, g)
+			}()
+		}
+		wg.Wait()
+		var sb strings.Builder
+		for _, q := range []string{
+			"SELECT k, g, seq FROM race ORDER BY k",
+			"SELECT id, n, total FROM sums ORDER BY id",
+			"SELECT COUNT(*) FROM src",
+		} {
+			sb.WriteString(dumpResult(mustExec(t, c, q)))
+		}
+		for i := range c.NumShards() {
+			for _, name := range c.Shard(i).(schemaReader).Tables() {
+				if strings.HasPrefix(name, "vec_") {
+					t.Errorf("shard %d still holds %s", i, name)
+				}
+			}
+		}
+		return sb.String()
+	}
+	want := run(t, false)
+	if t.Failed() {
+		t.Fatal("sequential run failed")
+	}
+	if n := strings.Count(want, "\n"); n < goroutines*txns*4 {
+		t.Fatalf("sequential run produced %d lines, want at least %d", n, goroutines*txns*4)
+	}
+	if got := run(t, true); !t.Failed() && got != want {
+		t.Fatalf("concurrent run diverges from sequential: %s", firstDiff(want, got))
 	}
 }

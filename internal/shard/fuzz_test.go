@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"perfbase/internal/sqldb"
@@ -28,6 +29,17 @@ import (
 //   - inserted values come from one monotonic counter, so rows are
 //     distinct and ORDER BY v is a total order.
 //
+// Halfway through the schedule — with whatever transactions the two
+// sessions have open still open — a burst of concurrent committers
+// runs: two to four goroutines on sessions of their own, each
+// committing multi-row transactions into a third table tc whose keys
+// (taken from the input) straddle the shards. They only insert, so
+// they are blind appends and commute: every one must commit at its
+// first attempt on every topology, however the 2PC rounds of the
+// 4-shard cluster interleave on _shard_txns and tc, and the sessions'
+// own transactions must afterwards commit as if the burst had not
+// happened.
+//
 // Byte layout: bit 7 selects the session, bits 4-6 the key (0-7), and
 // the low nibble mod 8 the operation.
 func FuzzShardedDifferential(f *testing.F) {
@@ -45,6 +57,9 @@ func FuzzShardedDifferential(f *testing.F) {
 	// Torn-nibble noise: invalid-looking ops must still agree.
 	f.Add([]byte("\x01\x02\x81\x82\xff\x7f"))
 	f.Add([]byte(""))
+	// Two sessions, disjoint tables, both straddling every shard: s2's
+	// shard sessions began before s1's 2PC round wrote _shard_txns.
+	f.Add([]byte("\x00\x80\x03\x13\x23\x33\x01\x83\x93\xa3\xb3\x81"))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 48 {
@@ -68,6 +83,8 @@ func FuzzShardedDifferential(f *testing.F) {
 // some arrangement of the same logical database.
 type fuzzTopo interface {
 	exec(si int, sql string) (*sqldb.Result, error)
+	// session opens one more session, for a concurrent committer.
+	session() Session
 	close()
 }
 
@@ -87,6 +104,7 @@ func newRefTopo() *refTopo {
 }
 
 func (r *refTopo) exec(si int, sql string) (*sqldb.Result, error) { return r.sess[si].Exec(sql) }
+func (r *refTopo) session() Session                               { return r.db.NewSession() }
 func (r *refTopo) close() {
 	r.sess[0].Close()
 	r.sess[1].Close()
@@ -109,6 +127,7 @@ func newClusterTopo(n int) *clusterTopo {
 }
 
 func (ct *clusterTopo) exec(si int, sql string) (*sqldb.Result, error) { return ct.sess[si].Exec(sql) }
+func (ct *clusterTopo) session() Session                               { return ct.c.NewSession() }
 func (ct *clusterTopo) close() {
 	ct.sess[0].Close()
 	ct.sess[1].Close()
@@ -118,6 +137,7 @@ func (ct *clusterTopo) close() {
 var fuzzDDL = []string{
 	"CREATE TABLE ta (k integer, v integer)",
 	"CREATE TABLE tb (k integer, v integer)",
+	"CREATE TABLE tc (k integer, v integer)",
 }
 
 // runFuzzSchedule decodes data into a two-session schedule, executes
@@ -128,6 +148,9 @@ func runFuzzSchedule(data []byte, topo fuzzTopo) string {
 	var sb strings.Builder
 	next := 100 // monotonic value counter, advanced per op regardless of outcome
 	for i, b := range data {
+		if i == len(data)/2 {
+			sb.WriteString(runFuzzBurst(data, topo))
+		}
 		si := int(b >> 7)
 		k := int(b>>4) & 7
 		op := int(b&0xF) % 8
@@ -167,6 +190,7 @@ func runFuzzSchedule(data []byte, topo fuzzTopo) string {
 	for _, q := range []string{
 		"SELECT k, v FROM ta ORDER BY k, v",
 		"SELECT k, v FROM tb ORDER BY k, v",
+		"SELECT k, v FROM tc ORDER BY k, v",
 	} {
 		res, err := topo.exec(0, q)
 		if err != nil {
@@ -176,6 +200,37 @@ func runFuzzSchedule(data []byte, topo fuzzTopo) string {
 		fmt.Fprintf(&sb, "final %s ->\n%s", q, dumpResult(res))
 	}
 	return sb.String()
+}
+
+// runFuzzBurst runs the concurrent committers and returns their
+// verdicts in worker order.
+func runFuzzBurst(data []byte, topo fuzzTopo) string {
+	workers := 2 + len(data)%3
+	verdicts := make([]string, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s := topo.session()
+			defer s.Close()
+			var sb strings.Builder
+			for txn := range 3 {
+				stmts := []string{"BEGIN"}
+				for j := range 3 {
+					k := int(data[(w+3*txn+j)%len(data)])
+					stmts = append(stmts, fmt.Sprintf("INSERT INTO tc VALUES (%d, %d)", k, w*100+txn*10+j))
+				}
+				for _, sql := range append(stmts, "COMMIT") {
+					_, err := s.Exec(sql)
+					fmt.Fprintf(&sb, "burst w%d %s -> %s\n", w, sql, fuzzVerdict(nil, err, true))
+				}
+			}
+			verdicts[w] = sb.String()
+		}()
+	}
+	wg.Wait()
+	return strings.Join(verdicts, "")
 }
 
 func fuzzVerdict(res *sqldb.Result, err error, bare bool) string {

@@ -78,7 +78,7 @@ func (db *DB) execAlter(ws *writeState, s *AlterTableStmt) (*Result, error) {
 		if t.schema.Index(s.Add.Name) >= 0 {
 			return nil, errorf("column %q already exists in %q", s.Add.Name, s.Table)
 		}
-		nt, _ := ws.modify(key)
+		nt := ws.modify(key)
 		nt.schema = append(nt.schema.clone(), *s.Add)
 		null := value.Null(s.Add.Type)
 		rows := make([]Row, 0, nt.nrows)
@@ -97,7 +97,7 @@ func (db *DB) execAlter(ws *writeState, s *AlterTableStmt) (*Result, error) {
 		if ci < 0 {
 			return nil, errorf("no column %q in table %q", s.Drop, s.Table)
 		}
-		nt, _ := ws.modify(key)
+		nt := ws.modify(key)
 		delete(nt.indexes, lower(s.Drop))
 		sc := nt.schema.clone()
 		nt.schema = append(sc[:ci:ci], sc[ci+1:]...)
@@ -117,7 +117,7 @@ func (db *DB) execAlter(ws *writeState, s *AlterTableStmt) (*Result, error) {
 		if _, exists := ws.tab(nkey); exists {
 			return nil, errorf("table %q already exists", s.Rename)
 		}
-		nt, _ := ws.modify(key)
+		nt := ws.modify(key)
 		ws.drop(key)
 		nt.name, nt.key = s.Rename, nkey
 		ws.put(nt)

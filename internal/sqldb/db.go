@@ -3,7 +3,6 @@ package sqldb
 import (
 	"errors"
 	"iter"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -35,9 +34,9 @@ type DB struct {
 	// wmu serializes writers (and transaction state below).
 	wmu sync.Mutex
 	// intents maps table keys pinned by prepared transactions (phase
-	// one of a two-phase commit) to the owning session. Guarded by wmu;
-	// see session.go's two-phase-commit section.
-	intents map[string]*Session
+	// one of a two-phase commit) to the intent held on them. Guarded by
+	// wmu; see session.go's two-phase-commit section.
+	intents map[string]*tableIntent
 
 	// plans caches parsed statements and compiled SELECT plans by raw
 	// SQL text. It has its own lock; see plancache.go.
@@ -216,7 +215,7 @@ func (db *DB) autocommit(st Statement, raw string) (*Result, error) {
 		db.wmu.Unlock()
 		return nil, err
 	}
-	if key, held := db.intentConflictLocked(slices.Values(ws.touched)); held {
+	if key, held := db.intentConflictLocked(ws.writes()); held {
 		db.retireCommit()
 		db.wmu.Unlock()
 		return nil, intentConflictErr(key)
@@ -231,28 +230,32 @@ func (db *DB) autocommit(st Statement, raw string) (*Result, error) {
 	return res, nil
 }
 
-// intentConflictLocked reports a table in keys pinned by a prepared
-// transaction's intent. Any intent blocks — even the caller's own:
-// publishing a write into a prepared transaction's footprint would
-// invalidate its PREPARE-time validation. The caller holds db.wmu.
-func (db *DB) intentConflictLocked(keys iter.Seq[string]) (string, bool) {
+// intentConflictLocked reports a table among a commit's writes (key →
+// rewritten rather than only appended to) that a prepared transaction's
+// intent pins against it. An exclusive intent blocks every write — even
+// the caller's own: publishing into a prepared transaction's footprint
+// would invalidate its PREPARE-time validation. An append intent blocks
+// only rewrites. The caller holds db.wmu.
+func (db *DB) intentConflictLocked(writes iter.Seq2[string, bool]) (string, bool) {
 	if len(db.intents) == 0 {
 		return "", false
 	}
-	for k := range keys {
-		if _, held := db.intents[k]; held {
+	for k, rewrite := range writes {
+		if it := db.intents[k]; it != nil && (it.exclusive || rewrite) {
 			return k, true
 		}
 	}
 	return "", false
 }
 
-// releaseIntentsLocked drops the intents a session holds on keys. The
-// caller holds db.wmu.
-func (db *DB) releaseIntentsLocked(s *Session, keys []string) {
+// releaseIntentsLocked drops one prepared transaction's hold on keys.
+// The caller holds db.wmu.
+func (db *DB) releaseIntentsLocked(keys []string) {
 	for _, k := range keys {
-		if db.intents[k] == s {
-			delete(db.intents, k)
+		if it := db.intents[k]; it != nil {
+			if it.holders--; it.holders == 0 {
+				delete(db.intents, k)
+			}
 		}
 	}
 }
@@ -294,7 +297,7 @@ func (db *DB) execMutation(ws *writeState, st Statement) (*Result, error) {
 		if ci < 0 {
 			return nil, errorf("no column %q in table %q", s.Column, s.Table)
 		}
-		nt, _ := ws.modify(key)
+		nt := ws.modify(key)
 		idx := &hashIndex{}
 		idx.rebuildFrom(nt, ci)
 		nt.indexes[lower(s.Column)] = idx
@@ -379,7 +382,7 @@ func (db *DB) execInsert(ws *writeState, s *InsertStmt) (*Result, error) {
 			}
 			inRows[ri] = row
 		}
-		nt, _ := ws.modify(key)
+		nt := ws.appendTo(key)
 		if err := nt.appendRows(colPos, inRows); err != nil {
 			return nil, err
 		}
@@ -398,7 +401,7 @@ func (db *DB) execInsert(ws *writeState, s *InsertStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	nt, _ := ws.modify(key)
+	nt := ws.appendTo(key)
 	if err := nt.appendRows(colPos, parts...); err != nil {
 		return nil, err
 	}
@@ -527,7 +530,7 @@ func (db *DB) execUpdate(ws *writeState, s *UpdateStmt) (*Result, error) {
 		}
 	}
 	if affected > 0 {
-		nt, _ := ws.modify(key)
+		nt := ws.modify(key)
 		nt.replaceRows(newRows)
 	}
 	return &Result{Affected: affected}, nil
@@ -563,7 +566,7 @@ func (db *DB) execDelete(ws *writeState, s *DeleteStmt) (*Result, error) {
 		}
 	}
 	if deleted > 0 {
-		nt, _ := ws.modify(key)
+		nt := ws.modify(key)
 		nt.replaceRows(kept)
 	}
 	return &Result{Affected: deleted}, nil
@@ -608,7 +611,7 @@ func (db *DB) insertRowsAutocommit(tableName string, cols []string, rows []Row) 
 		db.wmu.Unlock()
 		return 0, err
 	}
-	if key, held := db.intentConflictLocked(slices.Values(ws.touched)); held {
+	if key, held := db.intentConflictLocked(ws.writes()); held {
 		db.retireCommit()
 		db.wmu.Unlock()
 		return 0, intentConflictErr(key)
@@ -641,7 +644,7 @@ func insertRowsWS(ws *writeState, tableName string, cols []string, rows []Row) (
 	if err != nil {
 		return nil, 0, err
 	}
-	nt, _ := ws.modify(key)
+	nt := ws.appendTo(key)
 	if err := nt.appendRows(colPos, rows); err != nil {
 		return nil, 0, err
 	}

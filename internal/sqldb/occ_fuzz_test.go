@@ -17,14 +17,18 @@ import (
 //   - every in-transaction read (each session sees its begin snapshot
 //     plus its own buffered writes, never a concurrent committer's),
 //   - every commit verdict — a commit MUST conflict iff another
-//     transaction or autocommit statement changed a table in its
-//     read-or-write footprint since BEGIN, and MUST succeed otherwise,
+//     transaction or autocommit statement changed a table it read or
+//     rewrote (UPDATE/DELETE) since BEGIN, and MUST succeed otherwise:
+//     a table it only inserted into, without ever reading it, is a
+//     blind append and commutes with whatever else happened to it,
 //   - the final committed state: buffered ops of successful commits
 //     applied in commit order (the serializable history), conflicted
-//     transactions contributing nothing.
+//     transactions contributing nothing — row order included, since a
+//     blind append lands behind the rows committed before it.
 //
 // A lost update, dirty read, write skew on full scans, phantom commit
-// after conflict, or spurious conflict all surface as a divergence.
+// after conflict, spurious conflict, or an append merged in the wrong
+// place all surface as a divergence.
 func FuzzConcurrentTxnSchedules(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 3, 0, 5, 3, 1, 7, 1, 0, 0, 1, 1, 0})
 	f.Add([]byte("interleave commit conflict retry schedules"))
@@ -32,9 +36,23 @@ func FuzzConcurrentTxnSchedules(f *testing.F) {
 		0, 0, 0, // s0 BEGIN
 		0, 1, 0, // s1 BEGIN
 		3, 0, 10, // s0 INSERT m0
-		3, 1, 20, // s1 INSERT m0  (overlapping write)
-		1, 0, 0, // s0 COMMIT (wins)
+		3, 1, 20, // s1 INSERT m0  (overlapping blind appends)
+		1, 0, 0, // s0 COMMIT
+		1, 1, 0, // s1 COMMIT (must succeed, behind s0's row)
+	})
+	f.Add([]byte{
+		0, 0, 0, // s0 BEGIN
+		0, 1, 0, // s1 BEGIN
+		0, 2, 0, // s2 BEGIN
+		3, 0, 10, // s0 INSERT m0 (blind)
+		6, 1, 0, // s1 SELECT m0
+		3, 1, 20, // s1 INSERT m0 (read first: not blind)
+		3, 2, 30, // s2 INSERT m0
+		4, 2, 31, // s2 UPDATE m0 (rewrite: not blind)
+		3, 3, 40, // autocommit INSERT m0
+		1, 0, 0, // s0 COMMIT (succeeds over the autocommit row)
 		1, 1, 0, // s1 COMMIT (must conflict)
+		1, 2, 0, // s2 COMMIT (must conflict)
 	})
 	f.Add([]byte{
 		0, 0, 0, // s0 BEGIN
@@ -59,7 +77,8 @@ func FuzzConcurrentTxnSchedules(f *testing.F) {
 			at     map[string]int64   // commits counter at BEGIN
 			ops    []func(map[string][]int64)
 			reads  map[string]bool
-			writes map[string]bool
+			writes map[string]bool // every mutated table
+			rewr   map[string]bool // the subset hit by UPDATE or DELETE
 		}
 		const nsess = 3
 		sess := make([]*Session, nsess)
@@ -80,15 +99,7 @@ func FuzzConcurrentTxnSchedules(f *testing.F) {
 			return v
 		}
 		readTable := func(q Querier, tb string) []int64 {
-			res, err := q.Exec("SELECT v FROM " + tb + " ORDER BY v")
-			if err != nil {
-				t.Fatalf("SELECT %s: %v", tb, err)
-			}
-			out := make([]int64, 0, len(res.Rows))
-			for _, r := range res.Rows {
-				out = append(out, r[0].Int())
-			}
-			return out
+			return readRows(t, q, "SELECT v FROM "+tb+" ORDER BY v")
 		}
 		sorted := func(rows []int64) []int64 {
 			out := append([]int64(nil), rows...)
@@ -138,6 +149,7 @@ func FuzzConcurrentTxnSchedules(f *testing.F) {
 					at:     map[string]int64{},
 					reads:  map[string]bool{},
 					writes: map[string]bool{},
+					rewr:   map[string]bool{},
 				}
 				for k, rows := range committed {
 					tx.snap[k] = append([]int64(nil), rows...)
@@ -163,15 +175,15 @@ func FuzzConcurrentTxnSchedules(f *testing.F) {
 						conflict = true
 					}
 				}
-				for k := range tx.writes {
+				for k := range tx.rewr {
 					if commits[k] != tx.at[k] {
 						conflict = true
 					}
 				}
 				if conflict {
 					if !errors.Is(err, ErrTxnConflict) {
-						t.Fatalf("step %d: commit = %v, model demands ErrTxnConflict (reads %v writes %v)",
-							i, err, tx.reads, tx.writes)
+						t.Fatalf("step %d: commit = %v, model demands ErrTxnConflict (reads %v rewrites %v)",
+							i, err, tx.reads, tx.rewr)
 					}
 					continue
 				}
@@ -253,7 +265,7 @@ func FuzzConcurrentTxnSchedules(f *testing.F) {
 					// A zero-row UPDATE touches nothing in the engine:
 					// no derived table, no write-set entry. Mirror that.
 					if affects(view(tx)[tb]) {
-						tx.writes[tb] = true
+						tx.writes[tb], tx.rewr[tb] = true, true
 						k := tb
 						tx.ops = append(tx.ops, func(m map[string][]int64) { m[k] = apply(m[k]) })
 					}
@@ -293,7 +305,7 @@ func FuzzConcurrentTxnSchedules(f *testing.F) {
 				}
 				if tx := open[si]; tx != nil {
 					if affects(view(tx)[tb]) {
-						tx.writes[tb] = true
+						tx.writes[tb], tx.rewr[tb] = true, true
 						k := tb
 						tx.ops = append(tx.ops, func(m map[string][]int64) { m[k] = apply(m[k]) })
 					}
@@ -333,10 +345,24 @@ func FuzzConcurrentTxnSchedules(f *testing.F) {
 			}
 		}
 		for _, tb := range tables {
-			got := readTable(db, tb)
-			if !equal(got, sorted(committed[tb])) {
-				t.Fatalf("final state %s = %v, serializable reference %v", tb, got, sorted(committed[tb]))
+			got := readRows(t, db, "SELECT v FROM "+tb)
+			if !equal(got, committed[tb]) {
+				t.Fatalf("final state %s = %v, serializable reference %v", tb, got, committed[tb])
 			}
 		}
 	})
+}
+
+// readRows returns the first column of a query's rows.
+func readRows(t *testing.T, q Querier, sql string) []int64 {
+	t.Helper()
+	res, err := q.Exec(sql)
+	if err != nil {
+		t.Fatalf("%s: %v", sql, err)
+	}
+	out := make([]int64, 0, len(res.Rows))
+	for _, r := range res.Rows {
+		out = append(out, r[0].Int())
+	}
+	return out
 }

@@ -2,6 +2,8 @@ package sqldb
 
 import (
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
 	"perfbase/internal/value"
@@ -68,6 +70,9 @@ func TestPreparedIntentsBlockWriters(t *testing.T) {
 	mustExec(t, db, "CREATE TABLE tb (k integer, v integer)")
 	s := db.NewSession()
 	mustSess(t, s, "BEGIN")
+	// Read and written: the intent on ta is exclusive (a blind append
+	// would share it with other appenders, see TestAppendIntentsAreShared).
+	mustSess(t, s, "SELECT COUNT(*) FROM ta")
 	mustSess(t, s, "INSERT INTO ta (k, v) VALUES (1, 10)")
 	mustSess(t, s, "PREPARE TRANSACTION")
 
@@ -153,21 +158,95 @@ func TestTwoPreparedDisjoint(t *testing.T) {
 }
 
 // TestOverlappingPreparesConflict: a second PREPARE whose footprint
-// overlaps an existing prepared transaction fails with the typed
-// conflict (the coordinator retries the whole transaction).
+// overlaps an existing prepared transaction's fails with the typed
+// conflict (the coordinator retries the whole transaction) — unless
+// both only blind-append to the shared table. Either order of appender
+// and rewriter conflicts.
 func TestOverlappingPreparesConflict(t *testing.T) {
+	for _, first := range []string{"append", "rewrite"} {
+		t.Run(first+" first", func(t *testing.T) {
+			db := NewMemory()
+			mustExec(t, db, "CREATE TABLE t (k integer)")
+			mustExec(t, db, "INSERT INTO t (k) VALUES (0)")
+			stmts := map[string]string{
+				"append":  "INSERT INTO t (k) VALUES (1)",
+				"rewrite": "UPDATE t SET k = k + 10",
+			}
+			second := "rewrite"
+			if first == "rewrite" {
+				second = "append"
+			}
+			s1, s2 := db.NewSession(), db.NewSession()
+			mustSess(t, s1, "BEGIN")
+			mustSess(t, s1, stmts[first])
+			mustSess(t, s1, "PREPARE TRANSACTION")
+			mustSess(t, s2, "BEGIN")
+			mustSess(t, s2, stmts[second])
+			if _, err := s2.Exec("PREPARE TRANSACTION"); !errors.Is(err, ErrTxnConflict) {
+				t.Fatalf("%s PREPARE over a prepared %s: err=%v, want ErrTxnConflict", second, first, err)
+			}
+			mustSess(t, s1, "COMMIT PREPARED")
+		})
+	}
+}
+
+// TestAppendIntentsAreShared: transactions that only blind-append to a
+// table prepare side by side, ordinary appending commits pass between
+// them, and everything that is not an append — a rewrite, a DDL, a
+// transaction that also read the table — is kept out until they have
+// published. The rows end up in commit order.
+func TestAppendIntentsAreShared(t *testing.T) {
 	db := NewMemory()
 	mustExec(t, db, "CREATE TABLE t (k integer)")
+	mustExec(t, db, "INSERT INTO t (k) VALUES (0)")
 	s1, s2 := db.NewSession(), db.NewSession()
-	mustSess(t, s1, "BEGIN")
-	mustSess(t, s1, "INSERT INTO t (k) VALUES (1)")
-	mustSess(t, s1, "PREPARE TRANSACTION")
-	mustSess(t, s2, "BEGIN")
-	mustSess(t, s2, "INSERT INTO t (k) VALUES (2)")
-	if _, err := s2.Exec("PREPARE TRANSACTION"); !errors.Is(err, ErrTxnConflict) {
-		t.Fatalf("overlapping PREPARE: err=%v, want ErrTxnConflict", err)
+	for i, s := range []*Session{s1, s2} {
+		mustSess(t, s, "BEGIN")
+		mustSess(t, s, fmt.Sprintf("INSERT INTO t (k) VALUES (%d)", i+1))
 	}
+	mustSess(t, s1, "PREPARE TRANSACTION")
+	mustSess(t, s2, "PREPARE TRANSACTION")
+
+	// Appends commit through the append intents, on every write path.
+	mustExec(t, db, "INSERT INTO t (k) VALUES (3)")
+	if _, err := db.InsertRows("t", []string{"k"}, []Row{{value.NewInt(4)}}); err != nil {
+		t.Fatalf("bulk append past append intents: %v", err)
+	}
+	s3 := db.NewSession()
+	mustSess(t, s3, "BEGIN")
+	mustSess(t, s3, "INSERT INTO t (k) VALUES (5)")
+	mustSess(t, s3, "COMMIT")
+
+	// Anything else is refused.
+	for _, sql := range []string{
+		"UPDATE t SET k = k + 100",
+		"DELETE FROM t WHERE k = 0",
+		"CREATE INDEX ON t (k)",
+		"ALTER TABLE t ADD COLUMN v integer",
+		"DROP TABLE t",
+	} {
+		if _, err := db.Exec(sql); !errors.Is(err, ErrTxnConflict) {
+			t.Fatalf("%s under append intents: err=%v, want ErrTxnConflict", sql, err)
+		}
+	}
+	mustSess(t, s3, "BEGIN")
+	mustSess(t, s3, "SELECT COUNT(*) FROM t")
+	mustSess(t, s3, "INSERT INTO t (k) VALUES (6)")
+	if _, err := s3.Exec("PREPARE TRANSACTION"); !errors.Is(err, ErrTxnConflict) {
+		t.Fatalf("reading PREPARE under append intents: err=%v, want ErrTxnConflict", err)
+	}
+
+	mustSess(t, s2, "COMMIT PREPARED")
 	mustSess(t, s1, "COMMIT PREPARED")
+	mustExec(t, db, "UPDATE t SET k = k + 100") // intents released
+	res := mustExec(t, db, "SELECT k FROM t")
+	var got []int64
+	for _, r := range res.Rows {
+		got = append(got, r[0].Int())
+	}
+	if want := []int64{100, 103, 104, 105, 102, 101}; !slices.Equal(got, want) {
+		t.Fatalf("rows = %v, want commit order %v", got, want)
+	}
 }
 
 // TestSessionCloseReleasesPrepared: closing a session (a dropped

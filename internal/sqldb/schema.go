@@ -268,6 +268,17 @@ func (t *table) rowAt(pos int) Row {
 	return t.chunks[lo][pos-t.offs[lo]]
 }
 
+// rowsFrom returns the rows at global ordinals pos and up as one slice.
+func (t *table) rowsFrom(pos int) []Row {
+	out := make([]Row, 0, t.nrows-pos)
+	for i, ch := range t.chunks {
+		if skip := pos - t.offs[i]; skip < len(ch) {
+			out = append(out, ch[max(skip, 0):]...)
+		}
+	}
+	return out
+}
+
 // flat returns all rows as one slice. When the table has a single
 // chunk (the common case after compaction), no copy is made.
 func (t *table) flat() []Row {

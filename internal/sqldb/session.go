@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"maps"
+	"iter"
 	"sort"
 	"strings"
 	"sync"
@@ -43,6 +43,19 @@ import (
 // builds its overlay outside the latch, validation touches only its
 // own keys, and the WAL flusher batches their frames into shared
 // fsyncs.
+//
+// Blind appends. The write set distinguishes a table the transaction
+// rewrote (UPDATE, DELETE, DDL) from one it only appended rows to. A
+// table whose whole footprint is appended rows — never rewritten, never
+// read, not even by the transaction's own INSERT ... SELECT — is a
+// blind append: appending rows commutes with every other writer's
+// appends, so validation passes it while the table still exists at the
+// same schema version, and the commit re-derives the table from the
+// then-current version and appends the transaction's own rows instead
+// of installing the overlay's version. Many sessions inserting into one
+// shared table therefore never conflict with each other; WAL and
+// replica order is the commit order under the latch, so replay
+// reproduces the row order.
 
 // ErrTxnConflict is returned by COMMIT when another transaction
 // committed a conflicting change after this transaction began. The
@@ -93,6 +106,15 @@ type preparedTxn struct {
 	keys []string // lower-cased footprint tables with intents installed
 }
 
+// tableIntent is the intent prepared transactions hold on one table.
+// A transaction that only blind-appends to the table takes it shared
+// with other appenders; any other footprint (read, rewrite, DDL) takes
+// it exclusive.
+type tableIntent struct {
+	exclusive bool
+	holders   int
+}
+
 // NewSession creates an independent transactional session with full
 // read-set tracking.
 func (db *DB) NewSession() *Session {
@@ -111,9 +133,11 @@ type sessionTxn struct {
 	// record reads.
 	reads *readTracker
 	// writes is the set of (lower-cased) table keys the transaction
-	// mutated; schema is the subset needing plan invalidation.
-	writes map[string]bool
-	schema map[string]bool
+	// mutated; rewrites is the subset it did more to than append rows,
+	// schema the subset needing plan invalidation.
+	writes   map[string]bool
+	rewrites map[string]bool
+	schema   map[string]bool
 	// log buffers the raw SQL of replicated statements; COMMIT emits
 	// them as one WAL frame.
 	log []string
@@ -215,10 +239,11 @@ func (s *Session) execStmt(cp *cachedPlan, raw string) (*Result, error) {
 func (s *Session) beginLocked() (*Result, error) {
 	base := s.db.state.Load()
 	tx := &sessionTxn{
-		base:   base,
-		writes: make(map[string]bool),
-		schema: make(map[string]bool),
-		plans:  make(map[string]*cachedPlan),
+		base:     base,
+		writes:   make(map[string]bool),
+		rewrites: make(map[string]bool),
+		schema:   make(map[string]bool),
+		plans:    make(map[string]*cachedPlan),
 	}
 	if s.record {
 		tx.reads = &readTracker{}
@@ -281,6 +306,9 @@ func (s *Session) installOverlay(tx *sessionTxn, ws *writeState) {
 	for _, k := range ws.touched {
 		tx.writes[k] = true
 	}
+	for _, k := range ws.rewrote {
+		tx.rewrites[k] = true
+	}
 	for k := range ws.schema {
 		tx.schema[k] = true
 	}
@@ -324,13 +352,13 @@ func (s *Session) commitLocked(tx *sessionTxn) (*Result, error) {
 		return nil, err
 	}
 	cur := db.state.Load()
-	if key, ok := validateTxn(cur, tx, over); !ok {
+	if key, ok := validateTxn(cur, tx); !ok {
 		db.retireCommit()
 		db.wmu.Unlock()
 		s.tx.Store(nil)
 		return nil, fmt.Errorf("%w: table %q changed since BEGIN", ErrTxnConflict, key)
 	}
-	if key, held := db.intentConflictLocked(maps.Keys(tx.writes)); held {
+	if key, held := db.intentConflictLocked(tx.writeKinds()); held {
 		db.retireCommit()
 		db.wmu.Unlock()
 		s.tx.Store(nil)
@@ -384,13 +412,19 @@ func (s *Session) rollbackLocked() (*Result, error) {
 // COMMIT would, then — instead of publishing — installs an intent on
 // every table in the transaction's footprint (its write set plus its
 // full- and point-read tables) and parks the transaction on the
-// session. While an intent is held, no other commit may publish a
-// write to that table: commitLocked, autocommit and the bulk path all
-// surface ErrTxnConflict instead. Readers are unaffected — a reader
-// that commits before the prepared transaction publishes simply
-// serializes before it.
+// session. Intents come in two modes. A table the transaction read or
+// rewrote is held exclusive: no other commit may publish a write to it,
+// and no other transaction may prepare over it — commitLocked,
+// autocommit and the bulk path all surface ErrTxnConflict instead. A
+// table it only blind-appends to is held in append mode, which is
+// compatible with other append intents and with commits that only
+// append rows, and excludes exactly what would break the append: a
+// rewrite, a DDL, or another transaction's exclusive intent. Readers
+// are unaffected — a reader that commits before the prepared
+// transaction publishes simply serializes before it.
 //
-// Because the footprint is frozen, COMMIT PREPARED publishes without
+// Because the footprint is frozen (an appended-to table may have grown,
+// which the publish re-derives from), COMMIT PREPARED publishes without
 // re-validating and therefore cannot fail: once every shard of a
 // distributed transaction has prepared, the coordinator's commit
 // decision is guaranteed to apply everywhere. Intents are in-memory
@@ -406,7 +440,6 @@ func (s *Session) prepareLocked(tx *sessionTxn, gid string) (*Result, error) {
 		return nil, errorf("session already holds a prepared transaction")
 	}
 	db := s.db
-	over := tx.over.Load()
 	db.wmu.Lock()
 	if err := fpTxnValidate.Inject(); err != nil {
 		db.wmu.Unlock()
@@ -414,24 +447,29 @@ func (s *Session) prepareLocked(tx *sessionTxn, gid string) (*Result, error) {
 		return nil, err
 	}
 	cur := db.state.Load()
-	if key, ok := validateTxn(cur, tx, over); !ok {
+	if key, ok := validateTxn(cur, tx); !ok {
 		db.wmu.Unlock()
 		s.tx.Store(nil)
 		return nil, fmt.Errorf("%w: table %q changed since BEGIN", ErrTxnConflict, key)
 	}
 	keys := txFootprint(tx)
 	for _, k := range keys {
-		if _, held := db.intents[k]; held {
+		if it := db.intents[k]; it != nil && (it.exclusive || !tx.blindAppend(k)) {
 			db.wmu.Unlock()
 			s.tx.Store(nil)
 			return nil, intentConflictErr(k)
 		}
 	}
 	if db.intents == nil {
-		db.intents = make(map[string]*Session)
+		db.intents = make(map[string]*tableIntent)
 	}
 	for _, k := range keys {
-		db.intents[k] = s
+		it := db.intents[k]
+		if it == nil {
+			it = &tableIntent{exclusive: !tx.blindAppend(k)}
+			db.intents[k] = it
+		}
+		it.holders++
 	}
 	db.wmu.Unlock()
 	s.prep = &preparedTxn{tx: tx, gid: gid, keys: keys}
@@ -465,7 +503,7 @@ func (s *Session) commitPreparedLocked() (*Result, error) {
 		_ = fpTxnWAL.Inject()
 		seq = db.commitBatch(tx.log)
 	}
-	db.releaseIntentsLocked(s, p.keys)
+	db.releaseIntentsLocked(p.keys)
 	db.retireCommit()
 	db.wmu.Unlock()
 	for sql, cp := range tx.plans {
@@ -487,7 +525,7 @@ func (s *Session) rollbackPreparedLocked() (*Result, error) {
 	}
 	db := s.db
 	db.wmu.Lock()
-	db.releaseIntentsLocked(s, p.keys)
+	db.releaseIntentsLocked(p.keys)
 	db.wmu.Unlock()
 	s.prep = nil
 	return &Result{}, nil
@@ -528,17 +566,24 @@ func intentConflictErr(key string) error {
 // the committed snapshot under the latch. It returns the first
 // conflicting table key. The rule: every table in the write set and
 // the (full-scan) read set must be untouched since base — the same
-// table version, or absent on both sides. A table only point-read
-// through an index gets a second chance: the probes re-run against cur,
-// and if every probe still returns fingerprint-identical rows, the
-// commit is serializable even though the table changed.
-func validateTxn(cur *snapshot, tx *sessionTxn, over *snapshot) (string, bool) {
+// table version, or absent on both sides. Two footprints get a second
+// chance on a table that did change. A blind append only needs the
+// table to still exist at the schema version it was appended under:
+// whatever rows others added or rewrote, appending after them is the
+// serial order. A table only point-read through an index re-runs its
+// probes against cur, and if every probe still returns
+// fingerprint-identical rows, the commit is serializable even though
+// the table changed.
+func validateTxn(cur *snapshot, tx *sessionTxn) (string, bool) {
 	if cur == tx.base {
 		return "", true // nothing committed since BEGIN
 	}
 	unchanged := func(k string) bool { return cur.cat.get(k) == tx.base.cat.get(k) }
 	for k := range tx.writes {
-		if !unchanged(k) {
+		if unchanged(k) {
+			continue
+		}
+		if ct := cur.cat.get(k); ct == nil || !tx.blindAppend(k) || ct.ver != tx.base.cat.get(k).ver {
 			return k, false
 		}
 	}
@@ -573,21 +618,54 @@ func validateTxn(cur *snapshot, tx *sessionTxn, over *snapshot) (string, bool) {
 // mergeCommit builds the published snapshot for a validated commit:
 // cur's catalog, with every write-set key replaced by (or deleted per)
 // the transaction's overlay version — schema versions travel with the
-// tables. When nothing committed in between, the overlay's catalog is
-// published as it stands — the single-writer fast path.
+// tables. A blind-appended table that others changed meanwhile is
+// re-derived from cur's version instead, with the transaction's own
+// rows (the overlay's ordinals from the base version's row count up)
+// appended to it. When nothing committed in between, the overlay's
+// catalog is published as it stands — the single-writer fast path.
 func mergeCommit(db *DB, cur *snapshot, tx *sessionTxn, over *snapshot) *snapshot {
 	cat := over.cat
 	if cur != tx.base {
 		cat = cur.cat
 		for k := range tx.writes {
-			if t := over.cat.get(k); t != nil {
-				cat = cat.set(t)
-			} else {
+			t, bt, ct := over.cat.get(k), tx.base.cat.get(k), cur.cat.get(k)
+			switch {
+			case t == nil:
 				cat = cat.delete(k)
+				continue
+			case ct != bt: // validated, so a blind append
+				own := t.rowsFrom(bt.nrows)
+				t = ct.derive()
+				t.appendChunk(own)
+				t.seal()
 			}
+			cat = cat.set(t)
 		}
 	}
 	return &snapshot{id: cur.id + 1, cat: cat, env: db.env}
+}
+
+// blindAppend reports whether written table k's whole footprint in the
+// transaction is rows appended to it: never rewritten, never read. A
+// session that does not record reads cannot know the latter.
+func (tx *sessionTxn) blindAppend(k string) bool {
+	if tx.reads == nil || tx.rewrites[k] {
+		return false
+	}
+	_, probed := tx.reads.points[k]
+	return !probed && !tx.reads.full[k]
+}
+
+// writeKinds iterates the write set, each key with whether it was
+// rewritten rather than only appended to.
+func (tx *sessionTxn) writeKinds() iter.Seq2[string, bool] {
+	return func(yield func(string, bool) bool) {
+		for k := range tx.writes {
+			if !yield(k, tx.rewrites[k]) {
+				return
+			}
+		}
+	}
 }
 
 // localPlan returns the transaction-private plan entry for a

@@ -1,6 +1,8 @@
 package sqldb
 
 import (
+	"iter"
+	"slices"
 	"sort"
 
 	"perfbase/internal/failpoint"
@@ -110,15 +112,20 @@ type writeState struct {
 	// published and immutable.
 	cat catalog
 	// touched lists the table keys mutated this statement (a key may
-	// repeat); schema is the subset needing plan invalidation.
+	// repeat); schema is the subset needing plan invalidation. rewrote
+	// is the subset that got more than rows appended — UPDATE, DELETE,
+	// every DDL. A touched key outside it was only appended to, which is
+	// the one mutation that commutes with other writers' appends (see
+	// "blind appends" in session.go).
 	touched []string
+	rewrote []string
 	schema  map[string]bool
 	// dropTemp records whether the DROP TABLE this statement executed
 	// removed a temporary table — its CREATE was never logged, so the
 	// DROP must not be either.
 	dropTemp bool
 
-	touchedBuf [2]string // backs touched: most statements touch one table
+	touchedBuf, rewroteBuf [2]string // most statements touch one table
 }
 
 // newWriteState builds a working state over an arbitrary base snapshot
@@ -126,7 +133,7 @@ type writeState struct {
 // overlay for statements inside one).
 func newWriteState(db *DB, base *snapshot) *writeState {
 	ws := &writeState{db: db, base: base, cat: base.cat}
-	ws.touched = ws.touchedBuf[:0]
+	ws.touched, ws.rewrote = ws.touchedBuf[:0], ws.rewroteBuf[:0]
 	return ws
 }
 
@@ -156,17 +163,40 @@ func (ws *writeState) tab(key string) (*table, bool) {
 	return t, t != nil
 }
 
-// modify returns a mutable derived version of the table, creating it
-// on first touch within the statement.
-func (ws *writeState) modify(key string) (*table, bool) {
+// appendTo returns a mutable derived version of the table for a caller
+// that will only append rows to it, creating the version on first touch
+// within the statement.
+func (ws *writeState) appendTo(key string) *table {
 	t := ws.cat.get(key)
 	if t == nil || t.mutable {
-		return t, t != nil
+		return t
 	}
 	nt := t.derive()
 	ws.cat = ws.cat.set(nt)
 	ws.touched = append(ws.touched, key)
-	return nt, true
+	return nt
+}
+
+// modify returns a mutable derived version of the table that the caller
+// may change in any way.
+func (ws *writeState) modify(key string) *table {
+	nt := ws.appendTo(key)
+	if nt != nil {
+		ws.rewrote = append(ws.rewrote, key)
+	}
+	return nt
+}
+
+// writes iterates the statement's mutated keys, each with whether it was
+// rewritten rather than only appended to.
+func (ws *writeState) writes() iter.Seq2[string, bool] {
+	return func(yield func(string, bool) bool) {
+		for _, k := range ws.touched {
+			if !yield(k, slices.Contains(ws.rewrote, k)) {
+				return
+			}
+		}
+	}
 }
 
 // put installs a freshly created (mutable) table, at a fresh schema
@@ -188,7 +218,7 @@ func (ws *writeState) drop(key string) {
 // schemaChanged moves a table altered in place to a fresh schema
 // version.
 func (ws *writeState) schemaChanged(key string) {
-	nt, _ := ws.modify(key)
+	nt := ws.modify(key)
 	nt.ver = ws.db.schemaVer.Add(1)
 	ws.markSchema(key)
 }
@@ -200,6 +230,7 @@ func (ws *writeState) markSchema(key string) {
 	}
 	ws.schema[key] = true
 	ws.touched = append(ws.touched, key)
+	ws.rewrote = append(ws.rewrote, key)
 }
 
 // publish installs the working state as the next snapshot. No-op when

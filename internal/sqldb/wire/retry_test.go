@@ -39,7 +39,8 @@ func TestBusyErrorTypedAcrossWire(t *testing.T) {
 }
 
 // TestRetryPolicyConcurrentCommit runs two clients that both insist on
-// full BEGIN/INSERT/COMMIT transactions against one shared table.
+// full BEGIN/SELECT/INSERT/COMMIT transactions against one shared
+// table (the read is what makes them collide: blind inserts commute).
 // Their transactions run concurrently and collide at commit
 // validation; RunTxn must retry the conflicted transaction until every
 // round lands.
@@ -73,6 +74,9 @@ func TestRetryPolicyConcurrentCommit(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < rounds; round++ {
 				err := c.RunTxn(func(c *Client) error {
+					if _, err := c.Exec("SELECT COUNT(*) FROM hits"); err != nil {
+						return err
+					}
 					_, err := c.Exec(fmt.Sprintf("INSERT INTO hits VALUES (%d, %d)", who, round))
 					return err
 				})
@@ -136,6 +140,10 @@ func TestRetryDisabledByDefault(t *testing.T) {
 		t.Fatalf("concurrent BEGIN on second connection = %v, want success", err)
 	}
 	for _, c := range []*Client{a, b} {
+		// Read, then write: a blind insert would commute with the other's.
+		if _, err := c.Exec("SELECT COUNT(*) FROM t"); err != nil {
+			t.Fatal(err)
+		}
 		if _, err := c.Exec("INSERT INTO t VALUES (1)"); err != nil {
 			t.Fatal(err)
 		}
