@@ -193,6 +193,14 @@ func seedBeffio(tb testing.TB, fss []string, procs []int, reps int) *perfbase.Se
 	tb.Helper()
 	s := perfbase.OpenMemory()
 	tb.Cleanup(func() { s.Close() })
+	importBeffio(tb, s, fss, procs, reps)
+	return s
+}
+
+// importBeffio sets the b_eff_io experiment up in s and imports a
+// simulated campaign.
+func importBeffio(tb testing.TB, s *perfbase.Session, fss []string, procs []int, reps int) {
+	tb.Helper()
 	exp, err := s.Setup(strings.NewReader(beffio.ExperimentXML))
 	if err != nil {
 		tb.Fatal(err)
@@ -215,7 +223,6 @@ func seedBeffio(tb testing.TB, fss []string, procs []int, reps int) *perfbase.Se
 			tb.Fatal(err)
 		}
 	}
-	return s
 }
 
 // fig8Query is the §5 relative-difference query (Fig. 7 → Fig. 8).

@@ -260,3 +260,60 @@ func TestStatusReportsRoleAndLag(t *testing.T) {
 		t.Fatalf("replica lag = %d, want 0", rst.LagFrames)
 	}
 }
+
+// TestNoOpStatementsOverTheWire: what a connecting perfbase session
+// sends before its first real statement — CREATE TABLE IF NOT EXISTS
+// for tables that are there — and every other statement that changes
+// nothing (the importer's undo DROP TABLE IF EXISTS, an UPDATE or DELETE
+// matching no row) costs a durable primary no WAL frame, no replication
+// position and no broadcast, and the replica stays converged on the
+// same position.
+func TestNoOpStatementsOverTheWire(t *testing.T) {
+	db, err := sqldb.OpenWithPolicy(t.TempDir(), sqldb.SyncAlways)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	p := servePrimary(t, db)
+	defer p.close()
+	mustExec(t, p.db, "CREATE TABLE pb_runs (exp string, run_id integer)")
+	mustExec(t, p.db, "INSERT INTO pb_runs VALUES ('e', 1)")
+	r := startReplica(t, p.addr())
+	defer r.close()
+	waitConverged(t, p, r)
+
+	frames := 0
+	defer p.db.AddCommitHook(func(sqldb.ReplPos, []string) { frames++ })()
+	pos, syncs := p.db.Pos(), p.db.WALSyncs()
+
+	c, err := wire.Dial(p.addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, sql := range []string{
+		"CREATE TABLE IF NOT EXISTS pb_runs (exp string, run_id integer)",
+		"DROP TABLE IF EXISTS e_run_2",
+		"UPDATE pb_runs SET run_id = 0 WHERE exp = 'nobody'",
+		"DELETE FROM pb_runs WHERE run_id > 100",
+		"BEGIN",
+		"CREATE TABLE IF NOT EXISTS pb_runs (exp string, run_id integer)",
+		"DELETE FROM pb_runs WHERE run_id > 100",
+		"COMMIT",
+	} {
+		mustExec(t, c, sql)
+	}
+	if got := p.db.Pos(); got != pos || frames != 0 || p.db.WALSyncs() != syncs {
+		t.Fatalf("no-op statements moved the primary: pos %v -> %v, %d frames broadcast, %d fsyncs",
+			pos, got, frames, p.db.WALSyncs()-syncs)
+	}
+	mustExec(t, c, "INSERT INTO pb_runs VALUES ('e', 2)")
+	if got := p.db.Pos(); got.LSN != pos.LSN+1 || frames != 1 {
+		t.Fatalf("the one real statement: pos %v -> %v, %d frames, want one of each", pos, got, frames)
+	}
+	waitConverged(t, p, r)
+	assertIdentical(t, p, r)
+	if rp := r.db.Pos(); rp != p.db.Pos() {
+		t.Fatalf("replica at %v, primary at %v", rp, p.db.Pos())
+	}
+}

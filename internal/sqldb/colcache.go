@@ -12,14 +12,22 @@ package sqldb
 // is published (see schema.go), and a derived version shares its
 // parent's chunk prefix, so a vector keyed by *chunk identity* can
 // never go stale — an INSERT appends new chunks (new cache keys), a
-// compaction or UPDATE allocates fresh chunks, and the old versions'
-// vectors simply stop being requested. Lifetime, like the plan
-// cache's, is tied to the snapshot/table versions: every DDL that
-// bumps a table version and evicts its plans also purges its vectors
-// (writeState.publish → purge), and everything else ages out of a
-// bytes-capped LRU so a bulk-import-then-drop workload cannot pin
-// dead vectors (the entry's key would otherwise keep the chunk's rows
-// reachable forever).
+// compaction or UPDATE allocates fresh chunks.
+//
+// Lifetime: a vector lives as long as its chunk is in the table's
+// published version. Whoever publishes a new version of a table —
+// writeState.publish for a statement, Session.publishTxn for a
+// transaction — evicts the vectors of the chunks that version no
+// longer shares with the one it replaces (dropSuperseded): the chunks
+// a compaction merged away, every chunk after an UPDATE, DELETE or
+// ALTER rewrote the rows, every chunk of a dropped table. That is work
+// proportional to the chunks dropped, none for a plain append, and it
+// is what keeps a table rewritten over and over (pb_runs, once per
+// import) from filling the cache with vectors nobody can ask for again.
+// A pinned Snapshot that still scans a superseded chunk rebuilds the
+// vector on miss; such stragglers, and everything else, age out of a
+// bytes-capped LRU (the entry's key would otherwise keep the chunk's
+// rows reachable forever).
 
 import (
 	"container/list"
@@ -220,9 +228,8 @@ type chunkColKey struct {
 }
 
 type colCacheEntry struct {
-	key   chunkColKey
-	table string // lower-cased owning table, for DDL purge
-	vec   *colVec
+	key chunkColKey
+	vec *colVec
 }
 
 // colCache is a bytes-capped LRU over (chunk, column) vectors, shaped
@@ -230,12 +237,11 @@ type colCacheEntry struct {
 // same key may race to build the vector; the first put wins and later
 // builders adopt the shared copy.
 type colCache struct {
-	mu      sync.Mutex
-	ll      *list.List // front = most recently used; holds *colCacheEntry
-	m       map[chunkColKey]*list.Element
-	byTable tableIndex // see plancache.go
-	bytes   int
-	limit   int
+	mu    sync.Mutex
+	ll    *list.List // front = most recently used; holds *colCacheEntry
+	m     map[chunkColKey]*list.Element
+	bytes int
+	limit int
 }
 
 func (c *colCache) get(key chunkColKey) *colVec {
@@ -251,21 +257,19 @@ func (c *colCache) get(key chunkColKey) *colVec {
 
 // put inserts vec and returns the cached vector — vec itself, or the
 // copy a concurrent builder installed first.
-func (c *colCache) put(key chunkColKey, tableKey string, vec *colVec) *colVec {
+func (c *colCache) put(key chunkColKey, vec *colVec) *colVec {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.m == nil {
 		c.m = make(map[chunkColKey]*list.Element)
 		c.ll = list.New()
-		c.byTable = tableIndex{}
 	}
 	if el, ok := c.m[key]; ok {
 		c.ll.MoveToFront(el)
 		return el.Value.(*colCacheEntry).vec
 	}
-	el := c.ll.PushFront(&colCacheEntry{key: key, table: tableKey, vec: vec})
+	el := c.ll.PushFront(&colCacheEntry{key: key, vec: vec})
 	c.m[key] = el
-	c.byTable.add(tableKey, el)
 	c.bytes += vec.bytes
 	for c.bytes > c.limit && c.ll.Len() > 1 {
 		oldest := c.ll.Back()
@@ -277,22 +281,54 @@ func (c *colCache) put(key chunkColKey, tableKey string, vec *colVec) *colVec {
 func (c *colCache) evict(el *list.Element) {
 	e := c.ll.Remove(el).(*colCacheEntry)
 	delete(c.m, e.key)
-	c.byTable.remove(e.table, el)
 	c.bytes -= e.vec.bytes
 }
 
-// purge drops every vector belonging to one of the given lower-cased
-// tables. Called alongside planCache.invalidate when a DDL bumps the
-// tables' versions, so cache lifetime follows the same snapshot/table
-// versioning as compiled plans.
-func (c *colCache) purge(tables map[string]bool) {
+// dropSuperseded evicts the vectors of old's chunks that next, the
+// version of the table being published in its place (nil: the table is
+// gone), no longer holds. Versions share a chunk prefix and differ in
+// the tail, so the walk runs from old's last chunk down to the first
+// one next still has at the same place: O(chunks dropped).
+func (c *colCache) dropSuperseded(old, next *table) {
+	if old == nil || old == next {
+		return
+	}
+	keep := len(old.chunks)
+	for keep > 0 && !(next != nil && keep <= len(next.chunks) && sameChunk(old.chunks[keep-1], next.chunks[keep-1])) {
+		keep--
+	}
+	if keep == len(old.chunks) {
+		return // a plain append: every chunk lives on
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for t := range tables {
-		for el := range c.byTable[t] {
-			c.evict(el)
+	if len(c.m) == 0 {
+		return
+	}
+	for _, ch := range old.chunks[keep:] {
+		for ci := range old.schema {
+			// A chunk's vectors are keyed whole, or per morsel-sized
+			// block when it is block-resident (see vecSelect).
+			for lo := 0; lo < len(ch); lo += vecMorselRows {
+				c.evictKey(chunkColKey{chunk: &ch[lo], n: min(vecMorselRows, len(ch)-lo), col: ci})
+			}
+			if len(ch) > vecMorselRows {
+				c.evictKey(chunkColKey{chunk: &ch[0], n: len(ch), col: ci})
+			}
 		}
 	}
+}
+
+func (c *colCache) evictKey(key chunkColKey) {
+	if el, ok := c.m[key]; ok {
+		c.evict(el)
+	}
+}
+
+// sameChunk reports whether two chunks are the same rows in the same
+// place (an empty chunk has no place, and no vectors either).
+func sameChunk(a, b []Row) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // setLimit adjusts the byte cap, evicting immediately if over.
@@ -320,7 +356,7 @@ func (c *colCache) stats() (entries, bytes int) {
 
 // colFor returns the vector for column ci of chunk, building and
 // caching it on miss.
-func (c *colCache) colFor(tableKey string, chunk []Row, ci int, typ value.Type) *colVec {
+func (c *colCache) colFor(chunk []Row, ci int, typ value.Type) *colVec {
 	key := chunkColKey{chunk: &chunk[0], n: len(chunk), col: ci}
 	if v := c.get(key); v != nil {
 		return v
@@ -329,7 +365,7 @@ func (c *colCache) colFor(tableKey string, chunk []Row, ci int, typ value.Type) 
 	if v == nil {
 		return nil
 	}
-	return c.put(key, tableKey, v)
+	return c.put(key, v)
 }
 
 // blockVec returns the vector for one block's rows (a sub-slice of a
@@ -337,7 +373,7 @@ func (c *colCache) colFor(tableKey string, chunk []Row, ci int, typ value.Type) 
 // when possible and falling back to a row-chunk walk when the block
 // cannot be read (CRC mismatch, injected read failure, closed file
 // after a store swap). Results are cached under the block's own key.
-func (e *execEnv) blockVec(tableKey string, rows []Row, ci int, typ value.Type, st *blockStore, sc *storeChunk, bi int) *colVec {
+func (e *execEnv) blockVec(rows []Row, ci int, typ value.Type, st *blockStore, sc *storeChunk, bi int) *colVec {
 	key := chunkColKey{chunk: &rows[0], n: len(rows), col: ci}
 	if v := e.cache.get(key); v != nil {
 		return v
@@ -349,7 +385,7 @@ func (e *execEnv) blockVec(tableKey string, rows []Row, ci int, typ value.Type, 
 	if v == nil {
 		return nil
 	}
-	return e.cache.put(key, tableKey, v)
+	return e.cache.put(key, v)
 }
 
 // SetScanWorkers fixes the number of morsel workers a vectorized scan

@@ -215,13 +215,19 @@ func (db *DB) autocommit(st Statement, raw string) (*Result, error) {
 		db.wmu.Unlock()
 		return nil, err
 	}
-	if key, held := db.intentConflictLocked(ws.writes()); held {
+	if key, held := db.intentConflictLocked(ws.writeKinds()); held {
 		db.retireCommit()
 		db.wmu.Unlock()
 		return nil, intentConflictErr(key)
 	}
-	ws.publish()
-	seq := db.logMutation(st, raw, ws.dropTemp)
+	var seq uint64
+	if ws.changed() {
+		// A statement that changed nothing — IF [NOT] EXISTS that did
+		// not apply, an UPDATE or DELETE matching no row — is not a
+		// commit: no snapshot, no WAL frame, no replication position.
+		ws.publish()
+		seq = db.logMutation(st, raw, ws.dropTemp)
+	}
 	db.retireCommit()
 	db.wmu.Unlock()
 	if err := db.waitDurable(seq); err != nil {
@@ -321,9 +327,6 @@ func (db *DB) execCreateTable(ws *writeState, s *CreateTableStmt) (*Result, erro
 	key := lower(s.Name)
 	if _, exists := ws.tab(key); exists {
 		if s.IfNotExists {
-			// Still counts as DDL on the table, as it always has: its
-			// cached plans and column vectors are dropped.
-			ws.schemaChanged(key)
 			return &Result{}, nil
 		}
 		return nil, errorf("table %q already exists", s.Name)
@@ -400,6 +403,9 @@ func (db *DB) execInsert(ws *writeState, s *InsertStmt) (*Result, error) {
 	parts, n, err := ws.base.branchRows(s.From, p)
 	if err != nil {
 		return nil, err
+	}
+	if n == 0 {
+		return &Result{}, nil // nothing to append: the table stays as it is
 	}
 	nt := ws.appendTo(key)
 	if err := nt.appendRows(colPos, parts...); err != nil {
@@ -611,7 +617,7 @@ func (db *DB) insertRowsAutocommit(tableName string, cols []string, rows []Row) 
 		db.wmu.Unlock()
 		return 0, err
 	}
-	if key, held := db.intentConflictLocked(ws.writes()); held {
+	if key, held := db.intentConflictLocked(ws.writeKinds()); held {
 		db.retireCommit()
 		db.wmu.Unlock()
 		return 0, intentConflictErr(key)

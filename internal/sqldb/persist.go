@@ -26,9 +26,11 @@ import (
 //	wal.log      — CRC-framed SQL statement batches executed since
 //
 // Open loads the snapshot and replays the WAL. Checkpoint folds the
-// WAL into a fresh snapshot. Mutating statements append to the WAL on
-// commit; a multi-statement transaction is framed as ONE record, so a
-// crash can never surface half of a committed transaction.
+// WAL into a fresh snapshot, and Close checkpoints when there is
+// something to fold: a session that committed nothing durable leaves
+// the directory exactly as it found it. Mutating statements append to
+// the WAL on commit; a multi-statement transaction is framed as ONE
+// record, so a crash can never surface half of a committed transaction.
 //
 // WAL file format (v2):
 //
@@ -923,9 +925,15 @@ func (db *DB) writeColumnBlocks(sn *snapshot, epoch uint64) {
 	db.swapBlockStore(buildBlockStore(f, path, epoch, idx, sn.cat))
 }
 
-// Close checkpoints (when durable) and releases the database.
+// Close releases the database, first folding the WAL into a fresh
+// snapshot if there is anything to fold: frames at the current epoch —
+// replayed at Open or committed since — or a directory without a
+// column-block mirror of this epoch (a new directory, a deleted or
+// unreadable block file). Otherwise snapshot, blocks and WAL header
+// already say everything, and no file is written.
 func (db *DB) Close() error {
-	if db.dir != "" {
+	pos, bs := db.Pos(), db.env.blocks.Load()
+	if db.dir != "" && (pos.LSN > 0 || bs == nil || bs.epoch != pos.Epoch) {
 		if err := db.Checkpoint(); err != nil {
 			return err
 		}

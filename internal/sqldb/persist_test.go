@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -238,4 +239,243 @@ func TestQuickWALDurability(t *testing.T) {
 
 func osWriteBytes(path string, data []byte) error {
 	return os.WriteFile(path, data, 0o644)
+}
+
+type fileState struct {
+	data []byte
+	info os.FileInfo
+}
+
+// dirState captures every file of a database directory: contents plus
+// the identity (inode) and modification time a rewrite would change.
+func dirState(t *testing.T, dir string) map[string]fileState {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]fileState{}
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		info, err := e.Info()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[e.Name()] = fileState{data, info}
+	}
+	return out
+}
+
+// assertUntouched fails unless the directory holds exactly the files it
+// held before, each the same inode with the same bytes and mtime.
+func assertUntouched(t *testing.T, before, after map[string]fileState) {
+	t.Helper()
+	for name, a := range after {
+		b, ok := before[name]
+		switch {
+		case !ok:
+			t.Errorf("%s appeared", name)
+		case !os.SameFile(b.info, a.info):
+			t.Errorf("%s was re-created", name)
+		case !b.info.ModTime().Equal(a.info.ModTime()):
+			t.Errorf("%s was written (mtime %v -> %v)", name, b.info.ModTime(), a.info.ModTime())
+		case !bytes.Equal(b.data, a.data):
+			t.Errorf("%s changed contents", name)
+		}
+	}
+	for name := range before {
+		if _, ok := after[name]; !ok {
+			t.Errorf("%s vanished", name)
+		}
+	}
+}
+
+// TestCloseStillFoldsTheWAL: Close skips the checkpoint only when there
+// is nothing to fold. A session that merely reads after a crash left
+// frames in the WAL — an intact log, or one with a torn tail — must
+// still fold them, and a directory whose block file went missing gets
+// it rebuilt, once.
+func TestCloseStillFoldsTheWAL(t *testing.T) {
+	for _, torn := range []bool{false, true} {
+		t.Run(fmt.Sprintf("torn=%v", torn), func(t *testing.T) {
+			dir := t.TempDir()
+			db, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustExec(t, db, "CREATE TABLE t (a integer)")
+			if err := db.Checkpoint(); err != nil {
+				t.Fatal(err)
+			}
+			mustExec(t, db, "INSERT INTO t VALUES (1), (2)")
+			mustExec(t, db, "INSERT INTO t VALUES (3)")
+			db.crashWAL()
+			if torn {
+				f, err := os.OpenFile(filepath.Join(dir, walFile), os.O_WRONLY|os.O_APPEND, 0o644)
+				if err != nil {
+					t.Fatal(err)
+				}
+				f.Write([]byte{200, 1, 'S', 'E'}) //nolint:errcheck
+				f.Close()
+			}
+
+			// Reader: replays two frames, changes nothing, closes.
+			db, err = Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec := db.Recovery(); rec.Frames != 2 || rec.TornTail != torn {
+				t.Fatalf("recovery = %+v, want 2 frames, torn=%v", rec, torn)
+			}
+			if n := mustExec(t, db, "SELECT COUNT(*) FROM t").Rows[0][0].Int(); n != 3 {
+				t.Fatalf("rows after replay = %d, want 3", n)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			// The frames are in the snapshot now; from here on a reader
+			// leaves the directory alone.
+			folded := dirState(t, dir)
+			if n := len(folded[walFile].data); n != walHeaderSize {
+				t.Fatalf("WAL after the folding close = %d bytes, want the %d-byte header", n, walHeaderSize)
+			}
+			db, err = Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec := db.Recovery(); rec != (RecoveryInfo{}) {
+				t.Fatalf("reopen after fold: recovery = %+v, want clean", rec)
+			}
+			if n := mustExec(t, db, "SELECT COUNT(*) FROM t").Rows[0][0].Int(); n != 3 {
+				t.Fatalf("rows after fold = %d, want 3", n)
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			assertUntouched(t, folded, dirState(t, dir))
+
+			// A lost block file is derived data: the next close rebuilds
+			// it (one checkpoint, so a new epoch), the one after does not.
+			if err := os.Remove(filepath.Join(dir, blockFile)); err != nil {
+				t.Fatal(err)
+			}
+			for pass, wantRebuild := range []bool{true, false} {
+				before := dirState(t, dir)
+				db, err = Open(dir)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := db.Close(); err != nil {
+					t.Fatal(err)
+				}
+				after := dirState(t, dir)
+				if _, ok := after[blockFile]; !ok {
+					t.Fatalf("pass %d: no block file after close", pass)
+				}
+				if rebuilt := !os.SameFile(before[snapshotFile].info, after[snapshotFile].info); rebuilt != wantRebuild {
+					t.Fatalf("pass %d: checkpointed = %v, want %v", pass, rebuilt, wantRebuild)
+				}
+				if !wantRebuild {
+					assertUntouched(t, before, after)
+				}
+			}
+		})
+	}
+}
+
+// TestNoOpStatementsLogNothing: a statement that changed nothing is not
+// a commit. It appends no WAL frame, moves no replication position,
+// fires no commit hook, publishes no snapshot, leaves cached plans and
+// column vectors of the table alone — in autocommit and inside a
+// transaction, where it also leaves no footprint to conflict on.
+func TestNoOpStatementsLogNothing(t *testing.T) {
+	dir := t.TempDir()
+	db, err := OpenWithPolicy(dir, SyncAlways)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	mustExec(t, db, "CREATE TABLE t (a integer, b float)")
+	mustExec(t, db, "INSERT INTO t VALUES (1, 1.5), (2, 2.5)")
+	mustExec(t, db, "CREATE TABLE empty (a integer, b float)")
+	const q = "SELECT COUNT(*), SUM(b) FROM t WHERE a > 0"
+	mustExec(t, db, q)
+	hooks := 0
+	defer db.AddCommitHook(func(ReplPos, []string) { hooks++ })()
+
+	noops := []string{
+		"CREATE TABLE IF NOT EXISTS t (a integer, b float)",
+		"CREATE TABLE IF NOT EXISTS t (something string)",
+		"DROP TABLE IF EXISTS missing",
+		"UPDATE t SET a = a + 1 WHERE a > 100",
+		"DELETE FROM t WHERE a > 100",
+		"DELETE FROM empty",
+		"INSERT INTO t SELECT a, b FROM empty",
+	}
+	type mark struct {
+		pos     ReplPos
+		snap    int64
+		wal     int64
+		syncs   uint64
+		plan    *compiledSelect
+		vectors int
+	}
+	measure := func() mark {
+		st, err := os.Stat(filepath.Join(dir, walFile))
+		if err != nil {
+			t.Fatal(err)
+		}
+		vecs, _ := db.env.cache.stats()
+		return mark{db.Pos(), db.state.Load().id, st.Size(), db.WALSyncs(), db.plans.get(q).sel, vecs}
+	}
+	base := measure()
+	if base.plan == nil || base.vectors == 0 {
+		t.Fatalf("setup: plan %v, %d vectors — the query did not compile onto the vector path", base.plan, base.vectors)
+	}
+
+	for _, sql := range noops {
+		mustExec(t, db, sql)
+		if got := measure(); got != base {
+			t.Errorf("autocommit %q: %+v, want %+v", sql, got, base)
+		}
+	}
+
+	// Inside a transaction, with a rival committing into t meanwhile:
+	// the no-ops took no footprint, so the commit goes through, and it
+	// is itself a no-op — no frame.
+	s := db.NewSession()
+	defer s.Close()
+	mustSess(t, s, "BEGIN")
+	for _, sql := range noops[:5] {
+		mustSess(t, s, sql)
+	}
+	mustExec(t, db, "INSERT INTO t VALUES (3, 3.5)")
+	base = measure()
+	mustSess(t, s, "COMMIT")
+	if got := measure(); got != base {
+		t.Errorf("transaction of no-ops: %+v, want %+v", got, base)
+	}
+	if hooks != 1 {
+		t.Errorf("commit hook fired %d times, want 1 (the rival's INSERT)", hooks)
+	}
+
+	// And nothing was lost on the way: reopen replays exactly the frames
+	// that changed something.
+	want := db.DumpString()
+	db.crashWAL()
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if rec := re.Recovery(); rec.Frames != 4 {
+		t.Errorf("replayed %d frames, want 4 (two CREATEs, two INSERTs)", rec.Frames)
+	}
+	if got := re.DumpString(); got != want {
+		t.Errorf("state after replay differs:\n%s\nwant:\n%s", got, want)
+	}
 }

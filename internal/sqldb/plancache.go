@@ -50,8 +50,7 @@ type cacheItem struct {
 
 // tableIndex maps a lower-cased table name to the LRU elements that
 // depend on it, so a DDL evicts its own table's entries without walking
-// the whole cache under the cache lock. Shared by the plan cache and the
-// column cache.
+// the whole cache under the cache lock.
 type tableIndex map[string]map[*list.Element]struct{}
 
 func (ix tableIndex) add(table string, el *list.Element) {

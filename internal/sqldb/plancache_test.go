@@ -101,15 +101,16 @@ func TestPlanCacheInvalidationOnAlterDrop(t *testing.T) {
 // TestSchemaVersionsDoNotLeak: a query session's CREATE TEMP TABLE /
 // DROP TABLE churn (every perfbase query names its vectors pbq<n>_…)
 // must leave nothing behind — no catalog entry, no trie node, no
-// version bookkeeping, no per-table cache index entry.
+// version bookkeeping, no per-table plan index entry, no column vector.
 func TestSchemaVersionsDoNotLeak(t *testing.T) {
 	db := seedDB(t)
 	mustExec(t, db, "SELECT COUNT(*) FROM results")
-	type size struct{ tables, nodes, plans, planIdx, vecIdx int }
+	type size struct{ tables, nodes, plans, planIdx, vecs int }
 	measure := func() size {
 		cat := db.state.Load().cat
 		nodes, _ := catShape(cat.root)
-		return size{cat.len(), nodes, db.plans.len(), len(db.plans.byTable), len(db.env.cache.byTable)}
+		vecs, _ := db.env.cache.stats()
+		return size{cat.len(), nodes, db.plans.len(), len(db.plans.byTable), vecs}
 	}
 	base := measure()
 	for i := 0; i < 2000; i++ {

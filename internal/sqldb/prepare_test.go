@@ -239,11 +239,7 @@ func TestAppendIntentsAreShared(t *testing.T) {
 	mustSess(t, s2, "COMMIT PREPARED")
 	mustSess(t, s1, "COMMIT PREPARED")
 	mustExec(t, db, "UPDATE t SET k = k + 100") // intents released
-	res := mustExec(t, db, "SELECT k FROM t")
-	var got []int64
-	for _, r := range res.Rows {
-		got = append(got, r[0].Int())
-	}
+	got := readRows(t, db, "SELECT k FROM t")
 	if want := []int64{100, 103, 104, 105, 102, 101}; !slices.Equal(got, want) {
 		t.Fatalf("rows = %v, want commit order %v", got, want)
 	}

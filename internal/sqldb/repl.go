@@ -466,6 +466,7 @@ func (db *DB) ImportState(exp *StateExport) error {
 	old := db.state.Load()
 	for t := range old.cat.all() {
 		touched[t.key] = true
+		db.env.cache.dropSuperseded(t, nil)
 	}
 	db.state.Store(&snapshot{id: old.id + 1, cat: cat, env: db.env})
 	db.setPos(exp.Pos)

@@ -315,11 +315,12 @@ func (s *Session) installOverlay(tx *sessionTxn, ws *writeState) {
 }
 
 // logTxn buffers the raw SQL of a replicated statement for the commit
-// frame, applying the same temp-table filtering as the autocommit WAL
-// path — but resolving temp-ness against the transaction's overlay,
+// frame, applying the same filtering as the autocommit WAL path — a
+// statement that changed nothing is not logged, nor one on a temporary
+// table — but resolving temp-ness against the transaction's overlay,
 // where a table created earlier in the transaction is visible.
 func (s *Session) logTxn(tx *sessionTxn, st Statement, raw string, ws *writeState) {
-	if !s.db.replicates() || raw == "" {
+	if !ws.changed() || !s.db.replicates() || raw == "" {
 		return
 	}
 	over := tx.over.Load()
@@ -337,7 +338,6 @@ func (s *Session) logTxn(tx *sessionTxn, st Statement, raw string, ws *writeStat
 // holds s.mu.
 func (s *Session) commitLocked(tx *sessionTxn) (*Result, error) {
 	db := s.db
-	over := tx.over.Load()
 	// Announce before queueing on the commit latch: committers waiting
 	// here are exactly the cohort the WAL flusher should gather into
 	// one group fsync.
@@ -364,17 +364,7 @@ func (s *Session) commitLocked(tx *sessionTxn) (*Result, error) {
 		s.tx.Store(nil)
 		return nil, intentConflictErr(key)
 	}
-	if len(tx.writes) > 0 {
-		_ = fpPublish.Inject()    // crash site shared with autocommit publish
-		_ = fpTxnPublish.Inject() // crash between validation and publish
-		db.state.Store(mergeCommit(db, cur, tx, over))
-		db.invalidateSchema(tx.schema)
-	}
-	var seq uint64
-	if len(tx.log) > 0 {
-		_ = fpTxnWAL.Inject() // crash between publish and the WAL enqueue
-		seq = db.commitBatch(tx.log)
-	}
+	seq := db.publishTxn(cur, tx)
 	db.retireCommit()
 	db.wmu.Unlock()
 	// Plans compiled inside the transaction become shared only now
@@ -486,23 +476,12 @@ func (s *Session) commitPreparedLocked() (*Result, error) {
 	}
 	db := s.db
 	tx := p.tx
-	over := tx.over.Load()
 	db.announceCommit()
 	db.wmu.Lock()
 	cur := db.state.Load()
 	// No re-validation: the intents installed by PREPARE blocked every
 	// commit that could have changed this transaction's footprint.
-	if len(tx.writes) > 0 {
-		_ = fpPublish.Inject()
-		_ = fpTxnPublish.Inject()
-		db.state.Store(mergeCommit(db, cur, tx, over))
-		db.invalidateSchema(tx.schema)
-	}
-	var seq uint64
-	if len(tx.log) > 0 {
-		_ = fpTxnWAL.Inject()
-		seq = db.commitBatch(tx.log)
-	}
+	seq := db.publishTxn(cur, tx)
 	db.releaseIntentsLocked(p.keys)
 	db.retireCommit()
 	db.wmu.Unlock()
@@ -615,6 +594,27 @@ func validateTxn(cur *snapshot, tx *sessionTxn) (string, bool) {
 	return "", true
 }
 
+// publishTxn installs a validated transaction as the next committed
+// snapshot and enqueues its frame, returning the WAL sequence number to
+// wait on. The caller holds db.wmu.
+func (db *DB) publishTxn(cur *snapshot, tx *sessionTxn) (seq uint64) {
+	if len(tx.writes) > 0 {
+		_ = fpPublish.Inject()    // crash site shared with autocommit publish
+		_ = fpTxnPublish.Inject() // crash between validation and publish
+		next := mergeCommit(db, cur, tx)
+		db.state.Store(next)
+		db.invalidateSchema(tx.schema)
+		for k := range tx.writes {
+			db.env.cache.dropSuperseded(cur.cat.get(k), next.cat.get(k))
+		}
+	}
+	if len(tx.log) > 0 {
+		_ = fpTxnWAL.Inject() // crash between publish and the WAL enqueue
+		seq = db.commitBatch(tx.log)
+	}
+	return seq
+}
+
 // mergeCommit builds the published snapshot for a validated commit:
 // cur's catalog, with every write-set key replaced by (or deleted per)
 // the transaction's overlay version — schema versions travel with the
@@ -623,7 +623,8 @@ func validateTxn(cur *snapshot, tx *sessionTxn) (string, bool) {
 // rows (the overlay's ordinals from the base version's row count up)
 // appended to it. When nothing committed in between, the overlay's
 // catalog is published as it stands — the single-writer fast path.
-func mergeCommit(db *DB, cur *snapshot, tx *sessionTxn, over *snapshot) *snapshot {
+func mergeCommit(db *DB, cur *snapshot, tx *sessionTxn) *snapshot {
+	over := tx.over.Load()
 	cat := over.cat
 	if cur != tx.base {
 		cat = cur.cat

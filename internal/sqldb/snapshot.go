@@ -187,9 +187,9 @@ func (ws *writeState) modify(key string) *table {
 	return nt
 }
 
-// writes iterates the statement's mutated keys, each with whether it was
+// writeKinds iterates the statement's mutated keys, each with whether it was
 // rewritten rather than only appended to.
-func (ws *writeState) writes() iter.Seq2[string, bool] {
+func (ws *writeState) writeKinds() iter.Seq2[string, bool] {
 	return func(yield func(string, bool) bool) {
 		for _, k := range ws.touched {
 			if !yield(k, slices.Contains(ws.rewrote, k)) {
@@ -242,17 +242,19 @@ func (ws *writeState) publish() {
 		return
 	}
 	_ = fpPublish.Inject() // crash/panic/sleep site; errors have no channel here
-	ws.db.state.Store(ws.seal())
+	next := ws.seal()
+	ws.db.state.Store(next)
 	ws.db.invalidateSchema(ws.schema)
+	for _, k := range ws.touched {
+		ws.db.env.cache.dropSuperseded(ws.base.cat.get(k), next.cat.get(k))
+	}
 }
 
 // invalidateSchema evicts the cached plans of tables whose schema
-// version changed. Column vectors share the plans' lifetime rule: a DDL
-// that bumps a table's version also drops its cached vectors.
+// version changed.
 func (db *DB) invalidateSchema(keys map[string]bool) {
 	if len(keys) > 0 {
 		db.plans.invalidate(keys)
-		db.env.cache.purge(keys)
 	}
 }
 

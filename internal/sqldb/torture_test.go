@@ -272,6 +272,43 @@ func verifyTortureRecovery(t *testing.T, dir string, policy SyncPolicy) int {
 	return k
 }
 
+// tortureReadOnlyPass is the session most likely to meet a crashed
+// directory first: open, ask one question, close. Whatever it recovered
+// it must hand on intact — its Close folds replayed frames and skips the
+// checkpoint only when there is nothing to fold — and a second one right
+// after it must find nothing left to do and write nothing. It returns
+// the number of commits it saw.
+func tortureReadOnlyPass(t *testing.T, dir string, policy SyncPolicy) int {
+	t.Helper()
+	seen := -1
+	for pass := 0; pass < 2; pass++ {
+		before := dirState(t, dir)
+		db, err := OpenWithPolicy(dir, policy)
+		if err != nil {
+			t.Fatalf("read-only pass %d: open: %v", pass, err)
+		}
+		rec := db.Recovery()
+		n := 0
+		if res, err := db.Exec("SELECT COUNT(DISTINCT seq) FROM torture"); err == nil {
+			n = int(res.Rows[0][0].Int())
+		} else if !strings.Contains(err.Error(), "no such table") {
+			t.Fatalf("read-only pass %d: %v", pass, err)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatalf("read-only pass %d: close: %v", pass, err)
+		}
+		if pass == 0 {
+			seen = n
+			continue
+		}
+		if n != seen || rec != (RecoveryInfo{}) {
+			t.Fatalf("second read-only pass: %d commits (first saw %d), recovery %+v, want clean", n, seen, rec)
+		}
+		assertUntouched(t, before, dirState(t, dir))
+	}
+	return seen
+}
+
 // TestTortureCrashRecoveryMatrix is the full matrix: every registered
 // storage failpoint x every sync policy, plus torn-write variants of
 // the WAL write path. -short trims it to one policy per site.
@@ -310,7 +347,11 @@ func TestTortureCrashRecoveryMatrix(t *testing.T) {
 				t.Parallel()
 				dir := t.TempDir()
 				code := spawnTortureChild(t, dir, policy.String(), sc.site+"="+sc.spec)
+				seen := tortureReadOnlyPass(t, dir, policy)
 				k := verifyTortureRecovery(t, dir, policy)
+				if k != seen {
+					t.Fatalf("a read-only session saw %d commits, the session after it %d", seen, k)
+				}
 				// The child exits without Close even when the armed site is
 				// never reached, so only SyncAlways promises the full
 				// workload back; weaker policies may drop a buffered tail.

@@ -388,7 +388,7 @@ func buildJoinHash(env *execEnv, jp *vecJoinPlan, rt *table) *joinHash {
 			kvs = append(kvs, nil)
 			continue
 		}
-		v := env.cache.colFor(jp.rightKey, ch, jp.ri, jp.keyType)
+		v := env.cache.colFor(ch, jp.ri, jp.keyType)
 		if v == nil {
 			return nil
 		}
@@ -712,7 +712,7 @@ func (sn *snapshot) runVecJoin(st *SelectStmt, p *compiledSelect) (*Result, *rel
 		}
 		cvs := make([]*colVec, len(p.srcSchema))
 		for _, ci := range jp.needL {
-			v := env.cache.colFor(jp.leftKey, ch, ci, p.srcSchema[ci].Type)
+			v := env.cache.colFor(ch, ci, p.srcSchema[ci].Type)
 			if v == nil {
 				return nil, nil, false, nil
 			}
@@ -766,7 +766,7 @@ func (sn *snapshot) runVecJoin(st *SelectStmt, p *compiledSelect) (*Result, *rel
 		env.blkScanned.Add(1)
 		cvs := make([]*colVec, len(p.srcSchema))
 		for _, ci := range jp.needL {
-			cvs[ci] = env.blockVec(jp.leftKey, m.rows, ci, p.srcSchema[ci].Type, store, m.sc, m.bi)
+			cvs[ci] = env.blockVec(m.rows, ci, p.srcSchema[ci].Type, store, m.sc, m.bi)
 		}
 		return chunkVecs{rows: m.rows, cv: cvs}, 0, len(m.rows), false, false
 	}

@@ -1244,7 +1244,7 @@ func (sn *snapshot) runVecSelect(st *SelectStmt, p *compiledSelect) (*Result, bo
 		}
 		cvs := make([]*colVec, len(t.schema))
 		for _, ci := range vp.cols {
-			v := env.cache.colFor(vp.tableKey, ch, ci, t.schema[ci].Type)
+			v := env.cache.colFor(ch, ci, t.schema[ci].Type)
 			if v == nil {
 				return nil, false, nil
 			}
@@ -1287,7 +1287,7 @@ func (sn *snapshot) runVecSelect(st *SelectStmt, p *compiledSelect) (*Result, bo
 		env.blkScanned.Add(1)
 		cvs := make([]*colVec, len(t.schema))
 		for _, ci := range vp.cols {
-			cvs[ci] = env.blockVec(vp.tableKey, m.rows, ci, t.schema[ci].Type, store, m.sc, m.bi)
+			cvs[ci] = env.blockVec(m.rows, ci, t.schema[ci].Type, store, m.sc, m.bi)
 		}
 		return chunkVecs{rows: m.rows, cv: cvs}, 0, len(m.rows), false
 	}

@@ -276,7 +276,7 @@ func TestColumnCacheEviction(t *testing.T) {
 	if _, err := db.Exec("SELECT b, COUNT(*), SUM(a) FROM t GROUP BY b"); err != nil {
 		t.Fatal(err)
 	}
-	// DROP TABLE must purge the table's vectors outright.
+	// DROP TABLE must evict the table's vectors outright.
 	if _, err := db.Exec("DROP TABLE t"); err != nil {
 		t.Fatal(err)
 	}
@@ -296,7 +296,7 @@ func TestColumnCachePutRace(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			got[w] = c.colFor("t", chunk, 0, value.Integer)
+			got[w] = c.colFor(chunk, 0, value.Integer)
 		}(w)
 	}
 	wg.Wait()
@@ -439,5 +439,70 @@ func TestVectorExplain(t *testing.T) {
 	off := plan("EXPLAIN SELECT g, COUNT(*) FROM e GROUP BY g")
 	if strings.Contains(off, "[vectorized]") {
 		t.Errorf("disabled path still labelled vectorized:\n%s", off)
+	}
+}
+
+// TestSupersededVectorsAreDropped: a vector lives as long as its chunk
+// is in the table's published version. A table rewritten a thousand
+// times between vectorized scans holds the vectors of its current
+// chunks and nothing else — the cache does not grow — while a Snapshot
+// pinned before the rewrites still answers from its own rows, rebuilding
+// on a miss. Chunks merged away by compaction go the same way.
+func TestSupersededVectorsAreDropped(t *testing.T) {
+	db := NewMemory()
+	mustExec(t, db, "CREATE TABLE t (a integer, b float)")
+	rows := make([]Row, 1000)
+	for i := range rows {
+		rows[i] = Row{value.NewInt(int64(i)), value.NewFloat(float64(i))}
+	}
+	if _, err := db.InsertRows("t", []string{"a", "b"}, rows); err != nil {
+		t.Fatal(err)
+	}
+	const q = "SELECT COUNT(*), SUM(a), SUM(b) FROM t WHERE a >= 0"
+	scan := func(qr Querier) (int64, int64) {
+		t.Helper()
+		res, err := qr.Exec(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Rows[0][0].Int(), res.Rows[0][1].Int()
+	}
+	scan(db)
+	pinned := db.Snapshot()
+	entries0, bytes0 := db.env.cache.stats()
+	if entries0 == 0 {
+		t.Fatal("the query did not take the vector path")
+	}
+	for i := 1; i <= 1000; i++ {
+		mustExec(t, db, "UPDATE t SET a = a + 1 WHERE a >= 0")
+		if n, sum := scan(db); n != 1000 || sum != int64(499500+1000*i) {
+			t.Fatalf("after %d updates: count=%d sum=%d", i, n, sum)
+		}
+		if entries, nbytes := db.env.cache.stats(); entries != entries0 || nbytes != bytes0 {
+			t.Fatalf("after %d updates the cache holds %d vectors / %d bytes, want a flat %d / %d",
+				i, entries, nbytes, entries0, bytes0)
+		}
+	}
+	if n, sum := scan(pinned); n != 1000 || sum != 499500 {
+		t.Fatalf("pinned snapshot reads count=%d sum=%d, want its own 1000 rows summing to 499500", n, sum)
+	}
+
+	// Single-row inserts: compaction keeps merging the tail chunks, and
+	// the merged-away chunks' vectors must go with them.
+	mustExec(t, db, "DELETE FROM t")
+	if entries, _ := db.env.cache.stats(); entries != 2 { // the pinned snapshot's rebuilt pair
+		t.Fatalf("after DELETE the cache holds %d vectors, want only the pinned snapshot's 2", entries)
+	}
+	for i := 0; i < 2000; i++ {
+		mustExec(t, db, fmt.Sprintf("INSERT INTO t VALUES (%d, %d.5)", i, i))
+		scan(db)
+	}
+	chunks := len(db.state.Load().cat.get("t").chunks)
+	if entries, _ := db.env.cache.stats(); entries > 2*chunks+2 {
+		t.Fatalf("after 2000 inserts the cache holds %d vectors for %d live chunks", entries, chunks)
+	}
+	mustExec(t, db, "DROP TABLE t")
+	if entries, _ := db.env.cache.stats(); entries != 2 {
+		t.Fatalf("after DROP TABLE the cache holds %d vectors, want only the pinned snapshot's 2", entries)
 	}
 }

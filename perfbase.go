@@ -116,7 +116,10 @@ func Connect(addr string) (*Session, error) {
 	return s, nil
 }
 
-// Close releases the session (checkpointing a durable database).
+// Close releases the session. A durable database is checkpointed if the
+// session (or a crash before it) left anything in the write-ahead log to
+// fold into the snapshot; a session that only queried leaves the
+// directory untouched.
 func (s *Session) Close() error {
 	if s.ownDB != nil {
 		return s.ownDB.Close()
