@@ -634,7 +634,7 @@ func mergeCommit(db *DB, cur *snapshot, tx *sessionTxn) *snapshot {
 			case t == nil:
 				cat = cat.delete(k)
 				continue
-			case ct != bt: // validated, so a blind append
+			case ct != bt && ct != nil && tx.blindAppend(k):
 				own := t.rowsFrom(bt.nrows)
 				t = ct.derive()
 				t.appendChunk(own)
