@@ -57,6 +57,7 @@ import (
 	"hash/crc32"
 	"math"
 	"os"
+	"sync/atomic"
 	"time"
 
 	"perfbase/internal/failpoint"
@@ -795,13 +796,17 @@ type storeChunk struct {
 }
 
 // blockStore maps live chunks to their on-disk blocks. Immutable after
-// construction (Checkpoint swaps in a whole new store); the file is
-// read with ReadAt, safe for concurrent morsel workers.
+// construction but for the damaged flag (Checkpoint swaps in a whole
+// new store); the file is read with ReadAt, safe for concurrent morsel
+// workers.
 type blockStore struct {
 	f     *os.File
 	path  string
 	epoch uint64
 	m     map[*Row]*storeChunk
+	// damaged is set once a block failed its read, CRC or decode: the
+	// file no longer mirrors the snapshot, and Close rewrites it.
+	damaged atomic.Bool
 	// encs caches the dominant per-column encoding label per table
 	// (lower-cased), for EXPLAIN and tests.
 	encs map[string][]string

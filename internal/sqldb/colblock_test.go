@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"os"
@@ -472,6 +473,60 @@ func TestBlockStoreStaleEpoch(t *testing.T) {
 	res := mustExec(t, db2, "SELECT COUNT(*) FROM bench")
 	if want := int64(vecMorselRows + 1); res.Rows[0][0].Int() != want {
 		t.Errorf("rows = %v, want %d", res.Rows[0][0], want)
+	}
+}
+
+// TestDamagedBlockFileIsRewrittenByClose: a session that never runs into
+// the damaged block leaves the file alone like any read-only session;
+// the one whose scan fails a block's CRC answers from the rows and
+// rewrites the mirror when it closes, once.
+func TestDamagedBlockFileIsRewrittenByClose(t *testing.T) {
+	dir := t.TempDir()
+	db := blockTestDB(t, dir, 2*vecMorselRows)
+	const q = "SELECT COUNT(*), SUM(k), SUM(v) FROM bench"
+	want := fmt.Sprint(mustExec(t, db, q).Rows)
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, blockFile)
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf[21] ^= 0xff // inside the first block's payload
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	session := func(scan bool) (rebuilt bool) {
+		t.Helper()
+		before := dirState(t, dir)
+		db, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if scan {
+			if got := fmt.Sprint(mustExec(t, db, q).Rows); got != want {
+				t.Fatalf("scan = %s, want %s", got, want)
+			}
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		after := dirState(t, dir)
+		if rebuilt = !bytes.Equal(before[blockFile].data, after[blockFile].data); !rebuilt {
+			assertUntouched(t, before, after)
+		}
+		return rebuilt
+	}
+	if session(false) {
+		t.Error("a session that read no block rewrote the block file")
+	}
+	if !session(true) {
+		t.Error("the session that hit the damaged block left it in place")
+	}
+	if session(true) {
+		t.Error("the rebuilt block file was rewritten again")
 	}
 }
 

@@ -16,7 +16,7 @@ package sqldb
 //
 // Lifetime: a vector lives as long as its chunk is in the table's
 // published version. Whoever publishes a new version of a table —
-// writeState.publish for a statement, Session.publishTxn for a
+// writeState.publish for a statement, DB.publishTxn for a
 // transaction — evicts the vectors of the chunks that version no
 // longer shares with the one it replaces (dropSuperseded): the chunks
 // a compaction merged away, every chunk after an UPDATE, DELETE or
@@ -31,6 +31,7 @@ package sqldb
 
 import (
 	"container/list"
+	"iter"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -227,6 +228,27 @@ type chunkColKey struct {
 	col   int
 }
 
+// vecKey is the key of the vector of column ci over rows: a whole chunk
+// (colFor) or one of its blocks (blockVec).
+func vecKey(rows []Row, ci int) chunkColKey {
+	return chunkColKey{chunk: &rows[0], n: len(rows), col: ci}
+}
+
+// chunkBlocks yields a chunk's morsel-sized blocks, each with its block
+// index. It is the one definition of the sub-slices a chunk's vectors
+// are cached under besides the whole chunk: the scans cut block-resident
+// chunks into morsels with it, and dropSuperseded finds their vectors
+// again with it.
+func chunkBlocks(ch []Row) iter.Seq2[int, []Row] {
+	return func(yield func(int, []Row) bool) {
+		for lo := 0; lo < len(ch); lo += vecMorselRows {
+			if !yield(lo/vecMorselRows, ch[lo:min(lo+vecMorselRows, len(ch))]) {
+				return
+			}
+		}
+	}
+}
+
 type colCacheEntry struct {
 	key chunkColKey
 	vec *colVec
@@ -306,14 +328,13 @@ func (c *colCache) dropSuperseded(old, next *table) {
 		return
 	}
 	for _, ch := range old.chunks[keep:] {
+		if len(ch) == 0 {
+			continue
+		}
 		for ci := range old.schema {
-			// A chunk's vectors are keyed whole, or per morsel-sized
-			// block when it is block-resident (see vecSelect).
-			for lo := 0; lo < len(ch); lo += vecMorselRows {
-				c.evictKey(chunkColKey{chunk: &ch[lo], n: min(vecMorselRows, len(ch)-lo), col: ci})
-			}
-			if len(ch) > vecMorselRows {
-				c.evictKey(chunkColKey{chunk: &ch[0], n: len(ch), col: ci})
+			c.evictKey(vecKey(ch, ci))
+			for _, rows := range chunkBlocks(ch) {
+				c.evictKey(vecKey(rows, ci))
 			}
 		}
 	}
@@ -357,7 +378,7 @@ func (c *colCache) stats() (entries, bytes int) {
 // colFor returns the vector for column ci of chunk, building and
 // caching it on miss.
 func (c *colCache) colFor(chunk []Row, ci int, typ value.Type) *colVec {
-	key := chunkColKey{chunk: &chunk[0], n: len(chunk), col: ci}
+	key := vecKey(chunk, ci)
 	if v := c.get(key); v != nil {
 		return v
 	}
@@ -372,13 +393,17 @@ func (c *colCache) colFor(chunk []Row, ci int, typ value.Type) *colVec {
 // chunk), hydrating from the block store's compressed column block
 // when possible and falling back to a row-chunk walk when the block
 // cannot be read (CRC mismatch, injected read failure, closed file
-// after a store swap). Results are cached under the block's own key.
+// after a store swap) — which also marks the store damaged, so that
+// Close rewrites the file. Results are cached under the block's own key.
 func (e *execEnv) blockVec(rows []Row, ci int, typ value.Type, st *blockStore, sc *storeChunk, bi int) *colVec {
-	key := chunkColKey{chunk: &rows[0], n: len(rows), col: ci}
+	key := vecKey(rows, ci)
 	if v := e.cache.get(key); v != nil {
 		return v
 	}
 	v, err := st.readBlock(sc, ci, bi)
+	if err != nil {
+		st.damaged.Store(true)
+	}
 	if err != nil || v == nil {
 		v = buildColVec(rows, ci, typ)
 	}

@@ -3,6 +3,7 @@ package sqldb
 import (
 	"errors"
 	"iter"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -215,7 +216,7 @@ func (db *DB) autocommit(st Statement, raw string) (*Result, error) {
 		db.wmu.Unlock()
 		return nil, err
 	}
-	if key, held := db.intentConflictLocked(ws.writeKinds()); held {
+	if key, held := db.intentConflictLocked(slices.Values(ws.touched), ws.rewrote); held {
 		db.retireCommit()
 		db.wmu.Unlock()
 		return nil, intentConflictErr(key)
@@ -236,18 +237,19 @@ func (db *DB) autocommit(st Statement, raw string) (*Result, error) {
 	return res, nil
 }
 
-// intentConflictLocked reports a table among a commit's writes (key →
-// rewritten rather than only appended to) that a prepared transaction's
-// intent pins against it. An exclusive intent blocks every write — even
-// the caller's own: publishing into a prepared transaction's footprint
-// would invalidate its PREPARE-time validation. An append intent blocks
-// only rewrites. The caller holds db.wmu.
-func (db *DB) intentConflictLocked(writes iter.Seq2[string, bool]) (string, bool) {
+// intentConflictLocked reports a table among a commit's writes that a
+// prepared transaction's intent pins against it; rewrote is the subset
+// of them the commit did more to than append rows. An exclusive intent
+// blocks every write — even the caller's own: publishing into a
+// prepared transaction's footprint would invalidate its PREPARE-time
+// validation. An append intent blocks only rewrites. The caller holds
+// db.wmu.
+func (db *DB) intentConflictLocked(writes iter.Seq[string], rewrote map[string]bool) (string, bool) {
 	if len(db.intents) == 0 {
 		return "", false
 	}
-	for k, rewrite := range writes {
-		if it := db.intents[k]; it != nil && (it.exclusive || rewrite) {
+	for k := range writes {
+		if it := db.intents[k]; it != nil && (it.exclusive || rewrote[k]) {
 			return k, true
 		}
 	}
@@ -535,6 +537,10 @@ func (db *DB) execUpdate(ws *writeState, s *UpdateStmt) (*Result, error) {
 			affected++
 		}
 	}
+	// Matching no row changes nothing — no new version, no write-set
+	// entry — but the scan that found none still disqualifies the table
+	// from being a blind append of this transaction.
+	ws.markRewrite(key)
 	if affected > 0 {
 		nt := ws.modify(key)
 		nt.replaceRows(newRows)
@@ -571,6 +577,7 @@ func (db *DB) execDelete(ws *writeState, s *DeleteStmt) (*Result, error) {
 			deleted++
 		}
 	}
+	ws.markRewrite(key) // as in execUpdate: a scan is not blind
 	if deleted > 0 {
 		nt := ws.modify(key)
 		nt.replaceRows(kept)
@@ -617,7 +624,7 @@ func (db *DB) insertRowsAutocommit(tableName string, cols []string, rows []Row) 
 		db.wmu.Unlock()
 		return 0, err
 	}
-	if key, held := db.intentConflictLocked(ws.writeKinds()); held {
+	if key, held := db.intentConflictLocked(slices.Values(ws.touched), ws.rewrote); held {
 		db.retireCommit()
 		db.wmu.Unlock()
 		return 0, intentConflictErr(key)

@@ -215,12 +215,16 @@ func (r *ViewRegistry) Get(name string) (*Result, ReplPos, error) {
 	return vr.Res, vr.Pos, nil
 }
 
-// Names lists the registered views in sorted order.
+// Names lists the readable views in sorted order: a view whose Register
+// is still waiting for the initial evaluation is not listed yet, so a
+// concurrent reader never Gets a name that has nothing to return.
 func (r *ViewRegistry) Names() []string {
 	r.mu.Lock()
 	names := make([]string, 0, len(r.views))
-	for n := range r.views {
-		names = append(names, n)
+	for n, v := range r.views {
+		if v.out.Load() != nil {
+			names = append(names, n)
+		}
 	}
 	r.mu.Unlock()
 	sort.Strings(names)

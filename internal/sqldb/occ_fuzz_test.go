@@ -20,7 +20,9 @@ import (
 //     transaction or autocommit statement changed a table it read or
 //     rewrote (UPDATE/DELETE) since BEGIN, and MUST succeed otherwise:
 //     a table it only inserted into, without ever reading it, is a
-//     blind append and commutes with whatever else happened to it,
+//     blind append and commutes with whatever else happened to it. An
+//     UPDATE/DELETE that matched no row writes nothing, but its scan
+//     ends the blindness of the transaction's inserts into that table,
 //   - the final committed state: buffered ops of successful commits
 //     applied in commit order (the serializable history), conflicted
 //     transactions contributing nothing — row order included, since a
@@ -55,6 +57,23 @@ func FuzzConcurrentTxnSchedules(f *testing.F) {
 		1, 2, 0, // s2 COMMIT (must conflict)
 	})
 	f.Add([]byte{
+		3, 3, 3, // autocommit INSERT m1 3
+		0, 0, 0, // s0 BEGIN
+		5, 0, 5, // s0 DELETE m1 WHERE v = 5 (no row: writes nothing, but scanned)
+		3, 0, 3, // s0 INSERT m1 3 (not blind any more)
+		4, 3, 9, // autocommit UPDATE m1: 3 -> 4
+		4, 3, 9, // autocommit UPDATE m1: 4 -> 5
+		1, 0, 0, // s0 COMMIT (must conflict: [5 3] is no serial order of the three)
+	})
+	f.Add([]byte{
+		3, 3, 4, // autocommit INSERT m0 4
+		0, 0, 0, // s0 BEGIN
+		4, 0, 2, // s0 UPDATE m0 WHERE v < 2 (no row) — and nothing else on m0
+		3, 0, 1, // s0 INSERT m1
+		4, 3, 8, // autocommit UPDATE m0
+		1, 0, 0, // s0 COMMIT (succeeds: m0 is not in its write set)
+	})
+	f.Add([]byte{
 		0, 0, 0, // s0 BEGIN
 		6, 0, 0, // s0 SELECT m0 (read set)
 		3, 3, 42, // autocommit INSERT m0
@@ -79,6 +98,7 @@ func FuzzConcurrentTxnSchedules(f *testing.F) {
 			reads  map[string]bool
 			writes map[string]bool // every mutated table
 			rewr   map[string]bool // the subset hit by UPDATE or DELETE
+			scans  map[string]bool // tables an UPDATE or DELETE found no row in
 		}
 		const nsess = 3
 		sess := make([]*Session, nsess)
@@ -150,6 +170,7 @@ func FuzzConcurrentTxnSchedules(f *testing.F) {
 					reads:  map[string]bool{},
 					writes: map[string]bool{},
 					rewr:   map[string]bool{},
+					scans:  map[string]bool{},
 				}
 				for k, rows := range committed {
 					tx.snap[k] = append([]int64(nil), rows...)
@@ -180,10 +201,17 @@ func FuzzConcurrentTxnSchedules(f *testing.F) {
 						conflict = true
 					}
 				}
+				for k := range tx.scans {
+					// Only as the end of an insert's blindness: a scan of a
+					// table the transaction never wrote is no footprint.
+					if tx.writes[k] && commits[k] != tx.at[k] {
+						conflict = true
+					}
+				}
 				if conflict {
 					if !errors.Is(err, ErrTxnConflict) {
-						t.Fatalf("step %d: commit = %v, model demands ErrTxnConflict (reads %v rewrites %v)",
-							i, err, tx.reads, tx.rewr)
+						t.Fatalf("step %d: commit = %v, model demands ErrTxnConflict (reads %v rewrites %v empty scans %v)",
+							i, err, tx.reads, tx.rewr, tx.scans)
 					}
 					continue
 				}
@@ -268,6 +296,8 @@ func FuzzConcurrentTxnSchedules(f *testing.F) {
 						tx.writes[tb], tx.rewr[tb] = true, true
 						k := tb
 						tx.ops = append(tx.ops, func(m map[string][]int64) { m[k] = apply(m[k]) })
+					} else {
+						tx.scans[tb] = true
 					}
 				} else if affects(committed[tb]) {
 					committed[tb] = apply(committed[tb])
@@ -308,6 +338,8 @@ func FuzzConcurrentTxnSchedules(f *testing.F) {
 						tx.writes[tb], tx.rewr[tb] = true, true
 						k := tb
 						tx.ops = append(tx.ops, func(m map[string][]int64) { m[k] = apply(m[k]) })
+					} else {
+						tx.scans[tb] = true
 					}
 				} else if affects(committed[tb]) {
 					committed[tb] = apply(committed[tb])

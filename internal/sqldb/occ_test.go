@@ -3,6 +3,7 @@ package sqldb
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -172,12 +173,8 @@ func TestBlindAppendsCommute(t *testing.T) {
 					errs <- err
 					return
 				}
-				// A read of another table and a no-op UPDATE of this one
-				// leave the append blind.
+				// A read of another table leaves the append blind.
 				_, err := s.Exec("SELECT COUNT(*) FROM side")
-				if err == nil {
-					_, err = s.Exec("UPDATE shared SET w = -1 WHERE k = -1")
-				}
 				if err == nil {
 					_, err = s.Exec(fmt.Sprintf("INSERT INTO shared VALUES (%d, %d), (%d, %d)", w, k, w, k+1))
 				}
@@ -238,6 +235,58 @@ func TestBlindAppendsCommute(t *testing.T) {
 	if got := re.DumpString(); got != live {
 		t.Fatalf("WAL replay does not reproduce the committed row order: %s", firstLineDiff(live, got))
 	}
+}
+
+// TestZeroRowRewriteIsNotBlind: an UPDATE or DELETE that matched no row
+// wrote nothing, but it decided that by scanning the table, so an append
+// to the same table in the same transaction is no longer blind. A rival
+// rewriting the table in between must conflict — at COMMIT and at
+// PREPARE, whichever side of the INSERT the scan ran on: neither serial
+// order of the two yields what committing both would.
+func TestZeroRowRewriteIsNotBlind(t *testing.T) {
+	scans := []string{"DELETE FROM k WHERE v = 5", "UPDATE k SET v = 0 WHERE v = 5"}
+	for _, scan := range scans {
+		for _, order := range [][]string{{scan, "INSERT INTO k VALUES (4)"}, {"INSERT INTO k VALUES (4)", scan}} {
+			for _, end := range []string{"COMMIT", "PREPARE TRANSACTION"} {
+				db := NewMemory()
+				mustExec(t, db, "CREATE TABLE k (v integer)")
+				mustExec(t, db, "INSERT INTO k VALUES (4)")
+				a := db.NewSession()
+				mustSess(t, a, "BEGIN")
+				mustSess(t, a, order[0])
+				mustSess(t, a, order[1])
+				mustExec(t, db, "UPDATE k SET v = v + 1") // serial before a: a's scan finds the 5
+				if _, err := a.Exec(end); !errors.Is(err, ErrTxnConflict) {
+					t.Errorf("%v then %s over a rival rewrite: err=%v, want ErrTxnConflict", order, end, err)
+				}
+				if got := readRows(t, db, "SELECT v FROM k"); !slices.Equal(got, []int64{5}) {
+					t.Errorf("%v then %s: k = %v, want [5]", order, end, got)
+				}
+				a.Close()
+			}
+		}
+	}
+
+	// The scan also ends the sharing of a prepared append intent: an
+	// appender that scanned takes the table exclusive.
+	db := NewMemory()
+	mustExec(t, db, "CREATE TABLE k (v integer)")
+	a, b := db.NewSession(), db.NewSession()
+	defer a.Close()
+	defer b.Close()
+	mustSess(t, a, "BEGIN")
+	mustSess(t, a, scans[0])
+	mustSess(t, a, "INSERT INTO k VALUES (1)")
+	mustSess(t, a, "PREPARE TRANSACTION")
+	if _, err := db.Exec("INSERT INTO k VALUES (2)"); !errors.Is(err, ErrTxnConflict) {
+		t.Errorf("append under a scanning appender's intent: err=%v, want ErrTxnConflict", err)
+	}
+	mustSess(t, b, "BEGIN")
+	mustSess(t, b, "INSERT INTO k VALUES (3)")
+	if _, err := b.Exec("PREPARE TRANSACTION"); !errors.Is(err, ErrTxnConflict) {
+		t.Errorf("blind PREPARE under a scanning appender's intent: err=%v, want ErrTxnConflict", err)
+	}
+	mustSess(t, a, "COMMIT PREPARED")
 }
 
 // TestTxnIsolationAcrossSessions: a transaction's writes are invisible

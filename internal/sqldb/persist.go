@@ -927,13 +927,14 @@ func (db *DB) writeColumnBlocks(sn *snapshot, epoch uint64) {
 
 // Close releases the database, first folding the WAL into a fresh
 // snapshot if there is anything to fold: frames at the current epoch —
-// replayed at Open or committed since — or a directory without a
-// column-block mirror of this epoch (a new directory, a deleted or
-// unreadable block file). Otherwise snapshot, blocks and WAL header
-// already say everything, and no file is written.
+// replayed at Open or committed since — or a directory without an
+// intact column-block mirror of this epoch (a new directory, a deleted
+// or unreadable block file, one a scan found a damaged block in).
+// Otherwise snapshot, blocks and WAL header already say everything, and
+// no file is written.
 func (db *DB) Close() error {
 	pos, bs := db.Pos(), db.env.blocks.Load()
-	if db.dir != "" && (pos.LSN > 0 || bs == nil || bs.epoch != pos.Epoch) {
+	if db.dir != "" && (pos.LSN > 0 || bs == nil || bs.epoch != pos.Epoch || bs.damaged.Load()) {
 		if err := db.Checkpoint(); err != nil {
 			return err
 		}

@@ -4,7 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"iter"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -47,8 +47,8 @@ import (
 // Blind appends. The write set distinguishes a table the transaction
 // rewrote (UPDATE, DELETE, DDL) from one it only appended rows to. A
 // table whose whole footprint is appended rows — never rewritten, never
-// read, not even by the transaction's own INSERT ... SELECT — is a
-// blind append: appending rows commutes with every other writer's
+// read, not by the transaction's own INSERT ... SELECT and not by an
+// UPDATE or DELETE whose scan matched no row — is a blind append: appending rows commutes with every other writer's
 // appends, so validation passes it while the table still exists at the
 // same schema version, and the commit re-derives the table from the
 // then-current version and appends the transaction's own rows instead
@@ -133,8 +133,10 @@ type sessionTxn struct {
 	// record reads.
 	reads *readTracker
 	// writes is the set of (lower-cased) table keys the transaction
-	// mutated; rewrites is the subset it did more to than append rows,
-	// schema the subset needing plan invalidation.
+	// mutated, schema the subset needing plan invalidation. rewrites holds
+	// the tables a rewriting statement (UPDATE, DELETE, DDL) ran over: the
+	// written ones among them got more than rows appended, and one outside
+	// writes was scanned by an UPDATE or DELETE that matched no row.
 	writes   map[string]bool
 	rewrites map[string]bool
 	schema   map[string]bool
@@ -299,15 +301,17 @@ func (s *Session) execTxn(tx *sessionTxn, cp *cachedPlan, raw string) (*Result, 
 // transaction's next private overlay and folds its touched tables into
 // the transaction write set.
 func (s *Session) installOverlay(tx *sessionTxn, ws *writeState) {
+	// Even a statement that changed nothing may have scanned: an UPDATE or
+	// DELETE matching no row still ends the table's blindness.
+	for k := range ws.rewrote {
+		tx.rewrites[k] = true
+	}
 	if !ws.changed() {
 		return
 	}
 	tx.over.Store(ws.seal())
 	for _, k := range ws.touched {
 		tx.writes[k] = true
-	}
-	for _, k := range ws.rewrote {
-		tx.rewrites[k] = true
 	}
 	for k := range ws.schema {
 		tx.schema[k] = true
@@ -358,7 +362,7 @@ func (s *Session) commitLocked(tx *sessionTxn) (*Result, error) {
 		s.tx.Store(nil)
 		return nil, fmt.Errorf("%w: table %q changed since BEGIN", ErrTxnConflict, key)
 	}
-	if key, held := db.intentConflictLocked(tx.writeKinds()); held {
+	if key, held := db.intentConflictLocked(maps.Keys(tx.writes), tx.rewrites); held {
 		db.retireCommit()
 		db.wmu.Unlock()
 		s.tx.Store(nil)
@@ -647,26 +651,16 @@ func mergeCommit(db *DB, cur *snapshot, tx *sessionTxn) *snapshot {
 }
 
 // blindAppend reports whether written table k's whole footprint in the
-// transaction is rows appended to it: never rewritten, never read. A
-// session that does not record reads cannot know the latter.
+// transaction is rows appended to it: never read, and no UPDATE, DELETE
+// or DDL ever ran over it (tx.rewrites, which counts the ones that
+// matched no row). A session that does not record reads cannot know the
+// former.
 func (tx *sessionTxn) blindAppend(k string) bool {
 	if tx.reads == nil || tx.rewrites[k] {
 		return false
 	}
 	_, probed := tx.reads.points[k]
 	return !probed && !tx.reads.full[k]
-}
-
-// writeKinds iterates the write set, each key with whether it was
-// rewritten rather than only appended to.
-func (tx *sessionTxn) writeKinds() iter.Seq2[string, bool] {
-	return func(yield func(string, bool) bool) {
-		for k := range tx.writes {
-			if !yield(k, tx.rewrites[k]) {
-				return
-			}
-		}
-	}
 }
 
 // localPlan returns the transaction-private plan entry for a

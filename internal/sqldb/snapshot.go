@@ -1,8 +1,6 @@
 package sqldb
 
 import (
-	"iter"
-	"slices"
 	"sort"
 
 	"perfbase/internal/failpoint"
@@ -113,19 +111,21 @@ type writeState struct {
 	cat catalog
 	// touched lists the table keys mutated this statement (a key may
 	// repeat); schema is the subset needing plan invalidation. rewrote
-	// is the subset that got more than rows appended — UPDATE, DELETE,
-	// every DDL. A touched key outside it was only appended to, which is
-	// the one mutation that commutes with other writers' appends (see
-	// "blind appends" in session.go).
+	// holds the tables a rewriting statement ran over — UPDATE, DELETE,
+	// every DDL — including an UPDATE or DELETE that matched no row and so
+	// touched nothing: it still decided by scanning the table. A touched
+	// key outside it was only appended to, which is the one mutation that
+	// commutes with other writers' appends (see "blind appends" in
+	// session.go).
 	touched []string
-	rewrote []string
+	rewrote map[string]bool
 	schema  map[string]bool
 	// dropTemp records whether the DROP TABLE this statement executed
 	// removed a temporary table — its CREATE was never logged, so the
 	// DROP must not be either.
 	dropTemp bool
 
-	touchedBuf, rewroteBuf [2]string // most statements touch one table
+	touchedBuf [2]string // most statements touch one table
 }
 
 // newWriteState builds a working state over an arbitrary base snapshot
@@ -133,7 +133,7 @@ type writeState struct {
 // overlay for statements inside one).
 func newWriteState(db *DB, base *snapshot) *writeState {
 	ws := &writeState{db: db, base: base, cat: base.cat}
-	ws.touched, ws.rewrote = ws.touchedBuf[:0], ws.rewroteBuf[:0]
+	ws.touched = ws.touchedBuf[:0]
 	return ws
 }
 
@@ -182,21 +182,18 @@ func (ws *writeState) appendTo(key string) *table {
 func (ws *writeState) modify(key string) *table {
 	nt := ws.appendTo(key)
 	if nt != nil {
-		ws.rewrote = append(ws.rewrote, key)
+		ws.markRewrite(key)
 	}
 	return nt
 }
 
-// writeKinds iterates the statement's mutated keys, each with whether it was
-// rewritten rather than only appended to.
-func (ws *writeState) writeKinds() iter.Seq2[string, bool] {
-	return func(yield func(string, bool) bool) {
-		for _, k := range ws.touched {
-			if !yield(k, slices.Contains(ws.rewrote, k)) {
-				return
-			}
-		}
+// markRewrite records that a rewriting statement ran over the table,
+// whether or not it went on to change it.
+func (ws *writeState) markRewrite(key string) {
+	if ws.rewrote == nil {
+		ws.rewrote = make(map[string]bool, 1)
 	}
+	ws.rewrote[key] = true
 }
 
 // put installs a freshly created (mutable) table, at a fresh schema
@@ -230,7 +227,7 @@ func (ws *writeState) markSchema(key string) {
 	}
 	ws.schema[key] = true
 	ws.touched = append(ws.touched, key)
-	ws.rewrote = append(ws.rewrote, key)
+	ws.markRewrite(key)
 }
 
 // publish installs the working state as the next snapshot. No-op when

@@ -700,11 +700,11 @@ func (sn *snapshot) runVecJoin(st *SelectStmt, p *compiledSelect) (*Result, *rel
 			continue
 		}
 		if sc := store.chunkFor(ch); sc != nil {
-			for lo := 0; lo < len(ch); lo += vecMorselRows {
-				hi := min(lo+vecMorselRows, len(ch))
+			for bi, rows := range chunkBlocks(ch) {
+				lo := bi * vecMorselRows
 				morsels = append(morsels, vecMorsel{
-					chunk: -1, lo: lo, hi: hi,
-					rows: ch[lo:hi], sc: sc, bi: lo / vecMorselRows,
+					chunk: -1, lo: lo, hi: lo + len(rows),
+					rows: rows, sc: sc, bi: bi,
 				})
 			}
 			total += len(ch)

@@ -1232,11 +1232,11 @@ func (sn *snapshot) runVecSelect(st *SelectStmt, p *compiledSelect) (*Result, bo
 			// Block-resident chunk: defer hydration to the morsel worker,
 			// after its zone-map check — a pruned block is never decoded
 			// (and never built from rows).
-			for lo := 0; lo < len(ch); lo += vecMorselRows {
-				hi := min(lo+vecMorselRows, len(ch))
+			for bi, rows := range chunkBlocks(ch) {
+				lo := bi * vecMorselRows
 				morsels = append(morsels, vecMorsel{
-					chunk: -1, lo: lo, hi: hi,
-					rows: ch[lo:hi], sc: sc, bi: lo / vecMorselRows,
+					chunk: -1, lo: lo, hi: lo + len(rows),
+					rows: rows, sc: sc, bi: bi,
 				})
 			}
 			total += len(ch)

@@ -506,3 +506,32 @@ func TestSupersededVectorsAreDropped(t *testing.T) {
 		t.Fatalf("after DROP TABLE the cache holds %d vectors, want only the pinned snapshot's 2", entries)
 	}
 }
+
+// TestSupersededBlockVectorsAreDropped: a block-resident chunk's vectors
+// are cached one per morsel-sized block, not one per chunk, and a rewrite
+// of the table has to find those too — every block of every column the
+// scan touched, including the short last one.
+func TestSupersededBlockVectorsAreDropped(t *testing.T) {
+	const nrows = 2*vecMorselRows + 100
+	db := blockTestDB(t, t.TempDir(), nrows)
+	defer db.Close()
+	const q = "SELECT COUNT(*), SUM(k), SUM(f) FROM bench WHERE k >= 0"
+	mustExec(t, db, q)
+	if scanned, _ := db.BlockStats(); scanned != 3 {
+		t.Fatalf("the scan decoded %d blocks, want 3: the chunk is not block-resident", scanned)
+	}
+	if entries, _ := db.env.cache.stats(); entries != 3*2 {
+		t.Fatalf("the scan cached %d vectors, want 2 columns x 3 blocks", entries)
+	}
+	pinned := db.Snapshot()
+	mustExec(t, db, "UPDATE bench SET k = k + 1 WHERE k = 0")
+	if entries, nbytes := db.env.cache.stats(); entries != 0 || nbytes != 0 {
+		t.Fatalf("after the rewrite the cache still holds %d vectors / %d bytes of the old chunk", entries, nbytes)
+	}
+	if got := mustExec(t, db, q).Rows[0][1].Int(); got != int64(nrows*(nrows-1)/2+1) {
+		t.Fatalf("SUM(k) after the update = %d", got)
+	}
+	if got := mustExec(t, pinned, q).Rows[0][1].Int(); got != int64(nrows*(nrows-1)/2) {
+		t.Fatalf("pinned SUM(k) = %d, want the old rows'", got)
+	}
+}
