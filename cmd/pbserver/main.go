@@ -61,7 +61,7 @@ func main() {
 	shards := flag.Int("shards", 0, "run as a sharding coordinator over N local shard primaries under -db")
 	shardAddrs := flag.String("shard-addrs", "", `run as a sharding coordinator over remote shards ("primary[,replica...];primary[,replica...]")`)
 	waldump := flag.String("waldump", "", "print the WAL v2 frames of a database directory and exit")
-	blockdump := flag.String("blockdump", "", "print the columnar block index of a database directory and exit")
+	blockdump := flag.String("blockdump", "", "print and verify the checkpoint file of a database directory and exit (non-zero if damaged)")
 	liveOn := flag.Bool("live", false, "serve the continuous-benchmarking verbs (INGEST, WATCH, VIEW)")
 	liveWorkers := flag.Int("live-workers", 4, "ingest worker pool size (with -live)")
 	liveAtomic := flag.Bool("live-atomic", false, "load each ingested file as one optimistic transaction (with -live)")
@@ -262,10 +262,14 @@ func dumpWAL(dir string) int {
 	return 0
 }
 
-// dumpBlocks prints a database directory's columnar block file — per
-// block: table, chunk, column, encoding, rows/nulls, zone map, and a
-// payload CRC verification — the offline inspection view of the
-// compressed column store.
+// dumpBlocks prints a database directory's checkpoint file and checks it:
+// the directory — per table: rows, chunk lengths, index columns, schema
+// id, extent — then per block: table, chunk, column, encoding,
+// rows/nulls, zone map, and a payload CRC verification. It is the
+// database's fsck: the exit status is non-zero when the footer does not
+// read, or when any table's block-meta segment or any block fails its
+// CRC, which is when a database opened on the file refuses, or answers
+// ErrCorruptCheckpoint for that table.
 func dumpBlocks(dir string) int {
 	path := filepath.Join(dir, "columns.blk")
 	info, err := sqldb.ScanBlockFile(path)
@@ -273,7 +277,14 @@ func dumpBlocks(dir string) int {
 		fmt.Fprintln(os.Stderr, "pbserver: blockdump:", err)
 		return 1
 	}
-	fmt.Printf("%s: epoch %d, %d table(s), %d block(s)\n", path, info.Epoch, info.Tables, len(info.Blocks))
+	fmt.Printf("%s: epoch %d, %d table(s), %d block(s)\n", path, info.Epoch, len(info.Dir), len(info.Blocks))
+	for _, t := range info.Dir {
+		fmt.Printf("  %s: rows=%d chunks=%v indexes=%v schema=%d off=%d size=%d\n",
+			t.Table, t.Rows, t.ChunkLens, t.Indexes, t.Schema, t.Offset, t.Size)
+		if t.Err != "" {
+			fmt.Printf("    segment BAD: %s\n", t.Err)
+		}
+	}
 	for _, b := range info.Blocks {
 		crc := "ok"
 		if !b.CRCOK {
@@ -281,6 +292,10 @@ func dumpBlocks(dir string) int {
 		}
 		fmt.Printf("  %s/chunk%d/%s: enc=%-5s rows=%-5d nulls=%-5d off=%-8d size=%-6d crc=%s zone=%s\n",
 			b.Table, b.Chunk, b.Column, b.Encoding, b.Rows, b.Nulls, b.Offset, b.Size, crc, b.Zone)
+	}
+	if n := info.Damaged(); n > 0 {
+		fmt.Fprintf(os.Stderr, "pbserver: blockdump: %s: %d damaged segment(s) or block(s)\n", path, n)
+		return 1
 	}
 	return 0
 }

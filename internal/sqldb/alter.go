@@ -78,11 +78,14 @@ func (db *DB) execAlter(ws *writeState, s *AlterTableStmt) (*Result, error) {
 		if t.schema.Index(s.Add.Name) >= 0 {
 			return nil, errorf("column %q already exists in %q", s.Add.Name, s.Table)
 		}
-		nt := ws.modify(key)
+		nt, err := ws.modify(key)
+		if err != nil {
+			return nil, err
+		}
 		nt.schema = append(nt.schema.clone(), *s.Add)
 		null := value.Null(s.Add.Type)
 		rows := make([]Row, 0, nt.nrows)
-		for _, ch := range t.chunks {
+		for _, ch := range t.residentChunks() { // modify hydrated t
 			for _, row := range ch {
 				nr := make(Row, 0, len(row)+1)
 				nr = append(nr, row...)
@@ -90,19 +93,22 @@ func (db *DB) execAlter(ws *writeState, s *AlterTableStmt) (*Result, error) {
 			}
 		}
 		nt.replaceRows(rows)
-		ws.schemaChanged(key)
+		ws.schemaChanged(nt)
 		return &Result{Affected: nt.nrows}, nil
 	case s.Drop != "":
 		ci := t.schema.Index(s.Drop)
 		if ci < 0 {
 			return nil, errorf("no column %q in table %q", s.Drop, s.Table)
 		}
-		nt := ws.modify(key)
-		delete(nt.indexes, lower(s.Drop))
+		nt, err := ws.modify(key)
+		if err != nil {
+			return nil, err
+		}
+		nt.dropIndex(lower(s.Drop))
 		sc := nt.schema.clone()
 		nt.schema = append(sc[:ci:ci], sc[ci+1:]...)
 		rows := make([]Row, 0, nt.nrows)
-		for _, ch := range t.chunks {
+		for _, ch := range t.residentChunks() { // modify hydrated t
 			for _, row := range ch {
 				nr := make(Row, 0, len(row)-1)
 				nr = append(nr, row[:ci]...)
@@ -110,14 +116,17 @@ func (db *DB) execAlter(ws *writeState, s *AlterTableStmt) (*Result, error) {
 			}
 		}
 		nt.replaceRows(rows)
-		ws.schemaChanged(key)
+		ws.schemaChanged(nt)
 		return &Result{Affected: nt.nrows}, nil
 	case s.Rename != "":
 		nkey := lower(s.Rename)
 		if _, exists := ws.tab(nkey); exists {
 			return nil, errorf("table %q already exists", s.Rename)
 		}
-		nt := ws.modify(key)
+		nt, err := ws.modify(key)
+		if err != nil {
+			return nil, err
+		}
 		ws.drop(key)
 		nt.name, nt.key = s.Rename, nkey
 		ws.put(nt)

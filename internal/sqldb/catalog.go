@@ -97,6 +97,75 @@ func (c catalog) set(t *table) catalog {
 	return catalog{root: root, n: c.n + added}
 }
 
+// catalogOf builds the catalog of tables, whose keys are distinct, in one
+// pass: it owns every node while it builds, so it allocates each node
+// once where len(tables) sets would copy a root-to-slot path each. The
+// trie is the canonical one the same sets would have produced.
+func catalogOf(tables []*table) catalog {
+	ents := make([]catEnt, len(tables))
+	for i, t := range tables {
+		ents[i] = catEnt{catHash(t.key), t}
+	}
+	return catalog{root: buildCatNode(ents, make([]catEnt, len(ents)), 0), n: len(tables)}
+}
+
+type catEnt struct {
+	h uint32
+	t *table
+}
+
+// buildCatNode builds the node holding ents at shift; tmp is scratch of
+// the same length.
+func buildCatNode(ents, tmp []catEnt, shift uint) *catNode {
+	if len(ents) == 0 {
+		return nil
+	}
+	n := &catNode{}
+	if shift >= catHashBits {
+		n.slots = make([]catSlot, len(ents))
+		for i, e := range ents {
+			n.slots[i] = catSlot{t: e.t}
+			n.temps += n.slots[i].temps()
+		}
+		return n
+	}
+	// Counting sort by this level's digit: each digit's tables end up
+	// contiguous in tmp, which the level below then uses as its input
+	// (and ents as its scratch).
+	var start [1<<catBits + 1]int
+	for _, e := range ents {
+		start[e.h>>shift&catMask+1]++
+	}
+	used := 0
+	for d := 1; d < len(start); d++ {
+		if start[d] > 0 {
+			used++
+		}
+		start[d] += start[d-1]
+	}
+	next := start
+	for _, e := range ents {
+		d := e.h >> shift & catMask
+		tmp[next[d]] = e
+		next[d]++
+	}
+	n.slots = make([]catSlot, 0, used)
+	for d := 0; d < 1<<catBits; d++ {
+		lo, hi := start[d], start[d+1]
+		if lo == hi {
+			continue
+		}
+		s := catSlot{t: tmp[lo].t}
+		if hi-lo > 1 {
+			s = catSlot{kid: buildCatNode(tmp[lo:hi], ents[lo:hi], shift+catBits)}
+		}
+		n.bitmap |= 1 << d
+		n.temps += s.temps()
+		n.slots = append(n.slots, s)
+	}
+	return n
+}
+
 // delete returns a catalog without key.
 func (c catalog) delete(key string) catalog {
 	root, removed := c.root.delete(key, catHash(key), 0)

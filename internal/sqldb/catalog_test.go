@@ -192,6 +192,57 @@ func TestCatalogCollisions(t *testing.T) {
 	}
 }
 
+// TestCatalogOfMatchesSets: the bulk builder Open uses produces the trie
+// the same sets would have — same tables under the same keys, temps
+// counted, colliding keys in one bucket, the same number of nodes — and
+// one that later sets and deletes work on like any other, for a
+// fraction of the allocations.
+func TestCatalogOfMatchesSets(t *testing.T) {
+	var tables []*table
+	model := map[string]*table{}
+	add := func(key string, temp bool) {
+		tb := &table{key: key, temp: temp}
+		tables, model[key] = append(tables, tb), tb
+	}
+	for i := 0; i < 3000; i++ {
+		add(fmt.Sprintf("run_%d", i), i%97 == 0)
+	}
+	for _, g := range collidingKeys(t, 3) {
+		add(g[0], false)
+		add(g[1], true)
+	}
+	for _, n := range []int{0, 1, 2, 33, len(tables)} {
+		sub := map[string]*table{}
+		var bySet catalog
+		for _, tb := range tables[:n] {
+			sub[tb.key], bySet = tb, bySet.set(tb)
+		}
+		bulk := catalogOf(tables[:n])
+		checkCatalog(t, fmt.Sprintf("catalogOf(%d tables)", n), bulk, sub)
+		wantNodes, _ := catShape(bySet.root)
+		if nodes, _ := catShape(bulk.root); nodes != wantNodes {
+			t.Errorf("catalogOf(%d tables) built %d nodes, the sets %d", n, nodes, wantNodes)
+		}
+	}
+	c := catalogOf(tables)
+	extra := &table{key: "later"}
+	model["later"] = extra
+	delete(model, tables[7].key)
+	checkCatalog(t, "catalogOf, then set and delete", c.set(extra).delete(tables[7].key), model)
+
+	bulkAllocs := testing.AllocsPerRun(3, func() { catalogOf(tables) })
+	setAllocs := testing.AllocsPerRun(3, func() {
+		var c catalog
+		for _, tb := range tables {
+			c = c.set(tb)
+		}
+	})
+	t.Logf("%d tables: catalogOf %.0f allocations, sets %.0f", len(tables), bulkAllocs, setAllocs)
+	if bulkAllocs*5 > setAllocs {
+		t.Errorf("catalogOf allocated %.0f times, %d sets %.0f: not the bulk build it is meant to be", bulkAllocs, len(tables), setAllocs)
+	}
+}
+
 // TestCatalogSetIsLogarithmic pins the structural sharing directly: one
 // set on a 5 000-table catalog copies a handful of nodes.
 func TestCatalogSetIsLogarithmic(t *testing.T) {

@@ -1,32 +1,51 @@
 package sqldb
 
-// Disk-backed compressed columnar block storage.
+// The checkpoint file: compressed columnar blocks, a directory, nothing
+// else.
 //
-// Checkpoint persists, next to snapshot.gob, a columnar mirror of the
-// committed row chunks: every (chunk, column) is cut into blocks of
-// vecMorselRows rows and each block is stored compressed with a
-// CRC-32C and a zone map (min/max, null count, NaN flag) in a block
-// index footer. The vectorized scan path consults the zone maps BEFORE
-// touching data — a col<lit / BETWEEN / IN / IS NULL predicate prunes
-// whole blocks without decompression — and the column cache hydrates
-// evicted vectors by decoding a block instead of re-walking boxed rows.
+// columns.blk is the one durable encoding of the tables (persist.go
+// says when it is written and how it pairs with the WAL). Every
+// (chunk, column) of every non-temporary table is cut into blocks of
+// vecMorselRows rows, and each block is stored compressed with a
+// CRC-32C and a zone map (min/max, null count, NaN flag). Three readers
+// share the one encoding: Open, which reads only the directory and
+// creates every table cold; the first access to a table's rows, which
+// decodes that table's blocks and no other's (schema.go); and the
+// vectorized scan, which consults the zone maps BEFORE touching data —
+// a col<lit / BETWEEN / IN / IS NULL predicate prunes whole blocks
+// without decompression — and rebuilds an evicted column vector by
+// decoding its block instead of re-walking boxed rows.
 //
-// The file is purely DERIVED state: rows always live in memory (the
-// snapshot + WAL remain the durability contract), so a missing, stale,
-// torn or corrupt block file never fails recovery — it is simply
-// ignored and vectors are rebuilt from row chunks. Like the WAL, the
-// file is epoch-stamped: a crash between the snapshot rename and the
-// block rename leaves a block file whose epoch disagrees with the
-// snapshot, and Open discards it.
+// File layout (v2):
 //
-// File layout:
-//
-//	header:  8-byte magic "PBCOL1\r\n" + uint64 LE epoch
-//	body:    concatenated block payloads (offsets in the index)
-//	index:   gob(blockIndex) — per table, per chunk, per column block
-//	         metadata: encoding, offset/length, CRC-32C, zone map
-//	trailer: uint64 LE index offset + uint32 LE CRC-32C(index) +
+//	header   8-byte magic "PBCOL2\r\n" + uint64 LE epoch
+//	extents  one per table, in directory order, each
+//	           block payloads   chunk by chunk, column by column
+//	           block-meta segment, parsed when the table is first touched:
+//	             per chunk × column × block
+//	               uvarint offset (from the extent's start), uvarint length,
+//	               uint32 LE CRC-32C(payload), encoding byte, uvarint rows,
+//	               uvarint nulls, flag byte (1 has min/max, 2 has NaN), then
+//	               min and max by type class: zig-zag varints, float64 LE
+//	               bit patterns, or uvarint-length strings
+//	             uint32 LE CRC-32C of the segment so far
+//	footer   uvarint epoch
+//	         schema pool: uvarint count, each uvarint columns ×
+//	           (uvarint-length name, type byte)
+//	         directory: uvarint count, each table — sorted by key, empty
+//	           ones included —
+//	           uvarint-length name, uvarint schema id,
+//	           uvarint indexes × uvarint column ordinal,
+//	           uvarint rows, uvarint chunks × uvarint length,
+//	           uvarint extent offset, uvarint payload bytes,
+//	           uvarint segment bytes
+//	trailer  uint64 LE footer offset + uint32 LE CRC-32C(footer) +
 //	         8-byte magic "PBCOLIDX"
+//
+// Offsets inside an extent are relative to it, so a checkpoint carries a
+// table it has no reason to re-encode — one still cold, or unchanged
+// since the checkpoint before — by copying the extent's bytes; only the
+// directory entry changes.
 //
 // Block payload layout:
 //
@@ -42,22 +61,30 @@ package sqldb
 //	         varint deltas
 //	dict   — strings: uvarint(#entries) + entries, then one uvarint
 //	         code per row
-//	time   — timestamps: uvarint(len)+MarshalBinary per row (used by
-//	         replica bootstrap; never decoded to vectors)
+//	time   — timestamps: uvarint(len)+MarshalBinary per row (never
+//	         decoded to vectors)
 //
 // A block decodes to exactly the colVec buildColVec would produce from
 // the same rows (NULL positions hold the zero value), so block-hydrated
 // and row-built vectors are interchangeable byte for byte.
+//
+// Corruption contract: there is no second copy to fall back on, so
+// damage is reported, never papered over. A footer that fails its
+// magic, bounds or CRC fails Open; a segment or block that fails its
+// CRC or does not decode fails the statement that first touches that
+// table — both with ErrCorruptCheckpoint, naming the table, column and
+// block — and every other table keeps answering.
 
 import (
-	"bytes"
+	"bufio"
 	"encoding/binary"
-	"encoding/gob"
+	"errors"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"math"
 	"os"
-	"sync/atomic"
+	"sync"
 	"time"
 
 	"perfbase/internal/failpoint"
@@ -67,14 +94,32 @@ import (
 const blockFile = "columns.blk"
 
 var (
-	colMagic    = [8]byte{'P', 'B', 'C', 'O', 'L', '1', '\r', '\n'}
+	colMagic    = [8]byte{'P', 'B', 'C', 'O', 'L', '2', '\r', '\n'}
+	colMagicV1  = [8]byte{'P', 'B', 'C', 'O', 'L', '1', '\r', '\n'}
 	colIdxMagic = [8]byte{'P', 'B', 'C', 'O', 'L', 'I', 'D', 'X'}
 )
 
 const (
 	colHeaderSize  = 16
-	colTrailerSize = 20 // uint64 index offset + uint32 CRC + magic
+	colTrailerSize = 20 // uint64 footer offset + uint32 CRC + magic
 )
+
+// ErrCorruptCheckpoint is returned (wrapped, test with errors.Is) when
+// the checkpoint file fails a magic, bounds, CRC or decode check: by
+// Open for the footer, by the first statement to touch the table for
+// one of its blocks. Nothing is recovered from a damaged checkpoint
+// automatically; `pbserver -blockdump` says what is damaged.
+var ErrCorruptCheckpoint = errors.New("sqldb: corrupt checkpoint")
+
+// ErrOldFormat is returned by Open for a directory written before the
+// column-block file became the checkpoint: it holds a snapshot.gob or a
+// v1 columns.blk and nothing this version reads. There is no migration
+// reader; export with the version that wrote the directory.
+var ErrOldFormat = errors.New("sqldb: database directory is in a format this version no longer reads")
+
+func corruptf(format string, args ...any) error {
+	return fmt.Errorf("%w: "+format, append([]any{ErrCorruptCheckpoint}, args...)...)
+}
 
 // Block encodings.
 const (
@@ -101,18 +146,19 @@ func encName(e uint8) string {
 	return fmt.Sprintf("enc%d", e)
 }
 
-// Failpoint sites of the block storage layer. Armed by the torture
-// matrix to tear a block payload write, kill the process before the
-// footer, or fail the read/CRC path — all of which must degrade to
-// row-chunk fallback with zero acknowledged-write loss.
+// Failpoint sites of the checkpoint file. Armed by the torture matrix to
+// tear a block payload write or kill the process before the footer —
+// both inside the durability path now, and both must leave the previous
+// checkpoint and a replayable WAL — and to fail the read path.
 var (
 	fpColWrite  = failpoint.Site("sqldb/colblk/write")
 	fpColFooter = failpoint.Site("sqldb/colblk/footer")
 	fpColRead   = failpoint.Site("sqldb/colblk/read")
 )
 
-// blockMeta is one block's entry in the index: where it lives, how it
-// is encoded, and its zone map. The min/max fields are per type class
+// blockMeta is one block's entry in its table's meta segment: where it
+// lives (Off counts from the start of the table's extent), how it is
+// encoded, and its zone map. The min/max fields are per type class
 // (ints serve Integer and Boolean, floats serve Float, strings serve
 // String and Version); HasMM is false when every row is NULL (or, for
 // floats, NaN), in which case min/max are meaningless. HasNaN records
@@ -134,33 +180,6 @@ type blockMeta struct {
 	HasNaN     bool
 }
 
-// blockColIdx is the block list of one column of one chunk.
-type blockColIdx struct {
-	Blocks []blockMeta
-}
-
-// blockChunkIdx is one (non-empty) chunk: its row count and one block
-// list per column.
-type blockChunkIdx struct {
-	Rows int
-	Cols []blockColIdx
-}
-
-// blockTableIdx is one table in the index. Chunks appear in storage
-// order, skipping empty chunks, and must match the snapshot's chunk
-// structure exactly (Open records chunk lengths in the snapshot for
-// this purpose).
-type blockTableIdx struct {
-	Name   string
-	Names  []string
-	Types  []int
-	Chunks []blockChunkIdx
-}
-
-type blockIndex struct {
-	Tables []blockTableIdx
-}
-
 // ------------------------------------------------------- encoding
 
 func zigzag(v int64) uint64   { return uint64(v<<1) ^ uint64(v>>63) }
@@ -174,8 +193,10 @@ func appendUvarint(dst []byte, v uint64) []byte {
 
 // encodeColBlock encodes rows' column ci as one block payload, picking
 // the cheapest encoding, and computes the zone map. rows must be at
-// most vecMorselRows long.
-func encodeColBlock(rows []Row, ci int, typ value.Type) (blockMeta, []byte) {
+// most vecMorselRows long. It fails only on a timestamp that does not
+// marshal; the block is the one durable copy of the value, so there is
+// nothing to store in its place.
+func encodeColBlock(rows []Row, ci int, typ value.Type) (blockMeta, []byte, error) {
 	n := len(rows)
 	meta := blockMeta{Rows: n}
 	if typ == value.Timestamp {
@@ -208,7 +229,7 @@ func encodeColBlock(rows []Row, ci int, typ value.Type) (blockMeta, []byte) {
 	}
 	meta.Len = len(payload)
 	meta.CRC = crc32.Checksum(payload, walCRC)
-	return meta, payload
+	return meta, payload, nil
 }
 
 func encodeInts(v *colVec, payload []byte, meta *blockMeta) (uint8, []byte) {
@@ -356,9 +377,9 @@ func encodeStrs(v *colVec, payload []byte, meta *blockMeta) (uint8, []byte) {
 }
 
 // encodeTimeBlock stores timestamps as per-row MarshalBinary payloads.
-// These blocks exist for replica bootstrap; the vectorized path never
-// touches Timestamp columns, so they are never decoded to vectors.
-func encodeTimeBlock(rows []Row, ci int, meta blockMeta) (blockMeta, []byte) {
+// The vectorized path never touches Timestamp columns, so these blocks
+// are only ever decoded to rows.
+func encodeTimeBlock(rows []Row, ci int, meta blockMeta) (blockMeta, []byte, error) {
 	nullWords := make([]uint64, (len(rows)+63)/64)
 	hasNulls := false
 	var data []byte
@@ -373,13 +394,7 @@ func encodeTimeBlock(rows []Row, ci int, meta blockMeta) (blockMeta, []byte) {
 		}
 		b, err := c.Time().MarshalBinary()
 		if err != nil {
-			// Unmarshalable time (cannot happen for values built by the
-			// engine): store NULL; the row fallback keeps results right.
-			nullWords[i>>6] |= 1 << (uint(i) & 63)
-			hasNulls = true
-			meta.Nulls++
-			data = appendUvarint(data, 0)
-			continue
+			return meta, nil, errorf("timestamp %v in row %d does not encode: %v", c.Time(), i, err)
 		}
 		data = appendUvarint(data, uint64(len(b)))
 		data = append(data, b...)
@@ -399,12 +414,14 @@ func encodeTimeBlock(rows []Row, ci int, meta blockMeta) (blockMeta, []byte) {
 	meta.Enc = blkEncTime
 	meta.Len = len(payload)
 	meta.CRC = crc32.Checksum(payload, walCRC)
-	return meta, payload
+	return meta, payload, nil
 }
 
 // ------------------------------------------------------- decoding
 
-var errBlockCorrupt = errorf("corrupt column block")
+// errBlockCorrupt is a payload that does not decode under its recorded
+// encoding — with a matching CRC, so written wrong or crafted.
+var errBlockCorrupt = corruptf("column block does not decode")
 
 // splitNulls strips the null-bitmap prefix off a block payload.
 func splitNulls(payload []byte, rows int) (nulls []uint64, rest []byte, err error) {
@@ -539,7 +556,7 @@ func decodeStrData(enc uint8, data []byte, out []string) error {
 		}
 	case blkEncDict:
 		u, n := binary.Uvarint(data)
-		if n <= 0 {
+		if n <= 0 || u > uint64(len(data)) { // an entry takes a byte at least
 			return errBlockCorrupt
 		}
 		data = data[n:]
@@ -574,13 +591,19 @@ func decodeStrData(enc uint8, data []byte, out []string) error {
 }
 
 // decodeColValues decodes one block into boxed values of the column
-// type — the replica-bootstrap reconstruction path.
+// type.
 func decodeColValues(enc uint8, payload []byte, typ value.Type, rows int) ([]value.Value, error) {
 	out := make([]value.Value, rows)
+	return out, decodeColInto(out, 1, enc, payload, typ, rows)
+}
+
+// decodeColInto decodes one block into dst[0], dst[stride], ... — with
+// stride the row width, one column of a chunk's backing array.
+func decodeColInto(dst []value.Value, stride int, enc uint8, payload []byte, typ value.Type, rows int) error {
 	if typ == value.Timestamp {
 		nulls, data, err := splitNulls(payload, rows)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		isNull := func(i int) bool {
 			return nulls != nil && nulls[i>>6]&(1<<(uint(i)&63)) != 0
@@ -588,269 +611,815 @@ func decodeColValues(enc uint8, payload []byte, typ value.Type, rows int) ([]val
 		for i := 0; i < rows; i++ {
 			u, n := binary.Uvarint(data)
 			if n <= 0 || u > uint64(len(data)-n) {
-				return nil, errBlockCorrupt
+				return errBlockCorrupt
 			}
 			b := data[n : n+int(u)]
 			data = data[n+int(u):]
 			if isNull(i) || len(b) == 0 {
-				out[i] = value.Null(typ)
+				dst[i*stride] = value.Null(typ)
 				continue
 			}
 			var t time.Time
 			if err := t.UnmarshalBinary(b); err != nil {
-				return nil, errBlockCorrupt
+				return errBlockCorrupt
 			}
-			out[i] = value.NewTimestamp(t)
+			dst[i*stride] = value.NewTimestamp(t)
 		}
-		return out, nil
+		return nil
 	}
 	v, err := decodeColBlock(enc, payload, typ, rows)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	for i := 0; i < rows; i++ {
+		out := &dst[i*stride]
 		if v.null(i) {
-			out[i] = value.Null(typ)
+			*out = value.Null(typ)
 			continue
 		}
 		switch typ {
 		case value.Integer:
-			out[i] = value.NewInt(v.ints[i])
+			*out = value.NewInt(v.ints[i])
 		case value.Boolean:
-			out[i] = value.NewBool(v.ints[i] != 0)
+			*out = value.NewBool(v.ints[i] != 0)
 		case value.Float:
-			out[i] = value.NewFloat(v.floats[i])
+			*out = value.NewFloat(v.floats[i])
 		case value.String:
-			out[i] = value.NewString(v.strs[i])
+			*out = value.NewString(v.strs[i])
 		default: // Version
-			out[i] = value.NewVersion(v.strs[i])
+			*out = value.NewVersion(v.strs[i])
 		}
+	}
+	return nil
+}
+
+// ------------------------------------------------------- meta segment
+
+const (
+	zoneHasMM  = 1
+	zoneHasNaN = 2
+)
+
+func appendString(dst []byte, s string) []byte {
+	return append(appendUvarint(dst, uint64(len(s))), s...)
+}
+
+// appendBlockMeta appends one block's segment entry.
+func appendBlockMeta(dst []byte, b *blockMeta, typ value.Type) []byte {
+	dst = appendUvarint(dst, uint64(b.Off))
+	dst = appendUvarint(dst, uint64(b.Len))
+	dst = binary.LittleEndian.AppendUint32(dst, b.CRC)
+	dst = append(dst, b.Enc)
+	dst = appendUvarint(dst, uint64(b.Rows))
+	dst = appendUvarint(dst, uint64(b.Nulls))
+	var flags byte
+	if b.HasMM {
+		flags |= zoneHasMM
+	}
+	if b.HasNaN {
+		flags |= zoneHasNaN
+	}
+	dst = append(dst, flags)
+	if !b.HasMM {
+		return dst
+	}
+	switch typ {
+	case value.Integer, value.Boolean:
+		dst = appendUvarint(appendUvarint(dst, zigzag(b.MinI)), zigzag(b.MaxI))
+	case value.Float:
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(b.MinF))
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(b.MaxF))
+	case value.String, value.Version:
+		dst = appendString(appendString(dst, b.MinS), b.MaxS)
+	}
+	return dst
+}
+
+// byteReader is a cursor over a footer or segment. A read past the end
+// sets bad and returns zero; callers check bad once, at the end.
+type byteReader struct {
+	b   []byte
+	s   string // the same bytes: str returns substrings of it, not copies
+	p   int
+	bad bool
+}
+
+func newByteReader(b []byte) *byteReader { return &byteReader{b: b, s: string(b)} }
+
+func (r *byteReader) uvarint() uint64 {
+	v, n := binary.Uvarint(r.b[r.p:])
+	if n <= 0 {
+		r.bad = true
+		return 0
+	}
+	r.p += n
+	return v
+}
+
+// int reads a uvarint that must fit an int with room to add a few up.
+func (r *byteReader) int() int {
+	v := r.uvarint()
+	if v > 1<<48 {
+		r.bad = true
+		return 0
+	}
+	return int(v)
+}
+
+// count reads a uvarint that counts things at least min bytes long each
+// still to come, so a damaged count cannot ask for a huge allocation.
+func (r *byteReader) count(min int) int {
+	v := r.uvarint()
+	if v > uint64(len(r.b)-r.p)/uint64(min) {
+		r.bad = true
+		return 0
+	}
+	return int(v)
+}
+
+func (r *byteReader) fixed(n int) []byte {
+	if r.bad || len(r.b)-r.p < n {
+		r.bad = true
+		return make([]byte, n)
+	}
+	r.p += n
+	return r.b[r.p-n : r.p]
+}
+
+func (r *byteReader) byte() byte { return r.fixed(1)[0] }
+
+func (r *byteReader) str() string {
+	n := r.count(1)
+	if r.bad {
+		return ""
+	}
+	r.p += n
+	return r.s[r.p-n : r.p]
+}
+
+// parseSegment decodes the block-meta segment of the table at loc into
+// one storeChunk per chunk; lens are the chunk lengths the directory
+// recorded.
+func parseSegment(seg []byte, name string, schema Schema, lens []int, loc *diskLoc) ([]*storeChunk, error) {
+	if len(seg) < 4 || crc32.Checksum(seg[:len(seg)-4], walCRC) != binary.LittleEndian.Uint32(seg[len(seg)-4:]) {
+		return nil, corruptf("table %q: block-meta segment CRC mismatch", name)
+	}
+	r := newByteReader(seg[:len(seg)-4])
+	out := make([]*storeChunk, len(lens))
+	for k, n := range lens {
+		sc := &storeChunk{f: loc.f, base: loc.off, table: lower(name), schema: schema, rows: n, cols: make([][]blockMeta, len(schema))}
+		for ci, c := range schema {
+			blocks := make([]blockMeta, (n+vecMorselRows-1)/vecMorselRows)
+			covered := 0
+			for bi := range blocks {
+				b := &blocks[bi]
+				b.Off = int64(r.int())
+				b.Len = r.int()
+				b.CRC = binary.LittleEndian.Uint32(r.fixed(4))
+				b.Enc = r.byte()
+				b.Rows = r.int()
+				b.Nulls = r.int()
+				flags := r.byte()
+				b.HasMM, b.HasNaN = flags&zoneHasMM != 0, flags&zoneHasNaN != 0
+				if b.HasMM {
+					switch c.Type {
+					case value.Integer, value.Boolean:
+						b.MinI, b.MaxI = unzigzag(r.uvarint()), unzigzag(r.uvarint())
+					case value.Float:
+						b.MinF = math.Float64frombits(binary.LittleEndian.Uint64(r.fixed(8)))
+						b.MaxF = math.Float64frombits(binary.LittleEndian.Uint64(r.fixed(8)))
+					case value.String, value.Version:
+						b.MinS, b.MaxS = r.str(), r.str()
+					}
+				}
+				if r.bad || b.Off+int64(b.Len) > loc.payload || b.Rows != min(vecMorselRows, n-covered) {
+					return nil, corruptf("table %q column %q chunk %d block %d: bad block metadata", name, c.Name, k, bi)
+				}
+				covered += b.Rows
+			}
+			sc.cols[ci] = blocks
+		}
+		out[k] = sc
+	}
+	if r.p != len(r.b) {
+		return nil, corruptf("table %q: %d stray bytes in the block-meta segment", name, len(r.b)-r.p)
 	}
 	return out, nil
 }
 
-// ------------------------------------------------------- file writer
+// ------------------------------------------------------- directory
 
-// blockWriteTable is one table handed to writeBlockFile: its chunks in
-// storage order (empty chunks skipped by the writer).
-type blockWriteTable struct {
-	name   string
-	names  []string
-	types  []value.Type
-	chunks [][]Row
+// dirTable is one table's entry in the checkpoint directory.
+type dirTable struct {
+	name    string
+	schema  int   // index into the schema pool
+	indexes []int // ordinals of the indexed columns
+	nrows   int
+	lens    []int // chunk lengths
+	loc     diskLoc
 }
 
-// writeBlockFile writes the columnar mirror of tables to path
-// atomically (tmp + fsync + rename), stamped with epoch. Returns the
-// index it wrote, for in-process registration.
-func writeBlockFile(path string, epoch uint64, tables []blockWriteTable) (*blockIndex, error) {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
+// diskLoc is a table's extent in a checkpoint file: payload bytes of
+// blocks from off on, then seg bytes of block-meta segment. The file
+// stays open for as long as a diskLoc or a storeChunk points at it (a
+// rename over it only unlinks the name), and the runtime closes it when
+// none does — which is what lets a pinned Snapshot hydrate a table from
+// a checkpoint two generations old.
+type diskLoc struct {
+	f       *os.File
+	off     int64
+	payload int64
+	seg     int64
+}
+
+// read returns n bytes of the extent from byte from on: all of it, or
+// just the segment.
+func (loc *diskLoc) read(from, n int64) ([]byte, error) {
+	if err := fpColRead.Inject(); err != nil {
 		return nil, err
 	}
-	fail := func(err error) (*blockIndex, error) {
+	buf := make([]byte, n)
+	if _, err := loc.f.ReadAt(buf, loc.off+from); err != nil {
+		return nil, fmt.Errorf("sqldb: reading %s: %w", loc.f.Name(), err)
+	}
+	return buf, nil
+}
+
+func appendDirectory(dst []byte, epoch uint64, schemas []Schema, tables []dirTable) []byte {
+	dst = appendUvarint(dst, epoch)
+	dst = appendUvarint(dst, uint64(len(schemas)))
+	for _, s := range schemas {
+		dst = appendUvarint(dst, uint64(len(s)))
+		for _, c := range s {
+			dst = append(appendString(dst, c.Name), byte(c.Type))
+		}
+	}
+	dst = appendUvarint(dst, uint64(len(tables)))
+	for i := range tables {
+		t := &tables[i]
+		dst = appendUvarint(appendString(dst, t.name), uint64(t.schema))
+		dst = appendUvarint(dst, uint64(len(t.indexes)))
+		for _, ci := range t.indexes {
+			dst = appendUvarint(dst, uint64(ci))
+		}
+		dst = appendUvarint(appendUvarint(dst, uint64(t.nrows)), uint64(len(t.lens)))
+		for _, n := range t.lens {
+			dst = appendUvarint(dst, uint64(n))
+		}
+		dst = appendUvarint(dst, uint64(t.loc.off))
+		dst = appendUvarint(dst, uint64(t.loc.payload))
+		dst = appendUvarint(dst, uint64(t.loc.seg))
+	}
+	return dst
+}
+
+// parseDirectory is the inverse of appendDirectory. The footer passed
+// its CRC, so anything it rejects was written wrong, not torn — it is
+// reported as corruption all the same. end is where the extents stop
+// (the footer's own offset).
+func parseDirectory(footer []byte, f *os.File, epoch uint64, end int64) ([]Schema, []dirTable, error) {
+	r := newByteReader(footer)
+	if e := r.uvarint(); e != epoch && !r.bad {
+		return nil, nil, corruptf("header says epoch %d, footer epoch %d", epoch, e)
+	}
+	schemas := make([]Schema, r.count(1))
+	for i := range schemas {
+		schemas[i] = make(Schema, r.count(2))
+		for j := range schemas[i] {
+			schemas[i][j] = Column{Name: r.str(), Type: value.Type(r.byte())}
+		}
+	}
+	tables := make([]dirTable, r.count(8))
+	// Every table's chunk lengths go into one slice, cut up once it has
+	// stopped growing.
+	var lens []int
+	nchunks := make([]int, len(tables))
+	next := int64(colHeaderSize)
+	for i := range tables {
+		t := &tables[i]
+		t.name, t.schema = r.str(), r.int()
+		if r.bad || t.schema >= len(schemas) {
+			return nil, nil, corruptf("directory entry %d: bad name or schema", i)
+		}
+		if i > 0 && lower(tables[i-1].name) >= lower(t.name) {
+			return nil, nil, corruptf("directory entry %d: table %q out of order", i, t.name)
+		}
+		if n := r.count(1); n > 0 {
+			t.indexes = make([]int, n)
+			for j := range t.indexes {
+				if t.indexes[j] = r.int(); t.indexes[j] >= len(schemas[t.schema]) {
+					r.bad = true
+				}
+			}
+		}
+		t.nrows = r.int()
+		nchunks[i] = r.count(1)
+		sum := 0
+		for j := 0; j < nchunks[i]; j++ {
+			n := r.int()
+			if n == 0 {
+				r.bad = true
+			}
+			lens = append(lens, n)
+			sum += n
+		}
+		t.loc = diskLoc{f: f, off: int64(r.int()), payload: int64(r.int()), seg: int64(r.int())}
+		if r.bad || sum != t.nrows || t.loc.off != next || t.loc.seg < 4 || t.loc.off+t.loc.payload+t.loc.seg > end {
+			return nil, nil, corruptf("directory entry %d (table %q): bad row counts or extent", i, t.name)
+		}
+		next = t.loc.off + t.loc.payload + t.loc.seg
+	}
+	if r.bad || r.p != len(r.b) || next != end {
+		return nil, nil, corruptf("directory does not match the file it describes")
+	}
+	for i, n := range nchunks {
+		tables[i].lens, lens = lens[:n:n], lens[n:]
+	}
+	return schemas, tables, nil
+}
+
+// ------------------------------------------------------- writer
+
+// writtenTable is what writeCheckpoint reports per table: where it went
+// and, for a table it encoded (rather than copied), the blocks of each
+// of its non-empty chunks.
+type writtenTable struct {
+	loc    *diskLoc
+	blocks []*storeChunk
+}
+
+// writeCheckpoint writes tables — sorted by key — as the checkpoint of
+// epoch: to path.tmp, fsynced, then renamed over path. A table that an
+// earlier checkpoint already holds (table.disk) is carried over by
+// copying its extent, whatever state its rows are in; the others are
+// encoded. On any failure the tmp file is removed, path is untouched
+// and the error returned. The returned file is open for ReadAt.
+func writeCheckpoint(path string, epoch uint64, tables []*table) (*os.File, []writtenTable, error) {
+	if err := fpPersistSave.Inject(); err != nil {
+		return nil, nil, err
+	}
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return nil, nil, err
+	}
+	out, err := writeCheckpointTo(f, epoch, tables)
+	if err == nil {
+		err = f.Sync()
+	}
+	if err == nil {
+		err = fpPersistRen.Inject()
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		f.Close()
 		os.Remove(tmp)
-		return nil, err
+		return nil, nil, fmt.Errorf("sqldb: checkpoint %s: %w", path, err)
 	}
+	return f, out, nil
+}
+
+func writeCheckpointTo(f *os.File, epoch uint64, tables []*table) ([]writtenTable, error) {
+	w := bufio.NewWriterSize(f, 1<<16)
 	var hdr [colHeaderSize]byte
 	copy(hdr[:8], colMagic[:])
 	binary.LittleEndian.PutUint64(hdr[8:], epoch)
-	if _, err := f.Write(hdr[:]); err != nil {
-		return fail(err)
+	if _, err := w.Write(hdr[:]); err != nil {
+		return nil, err
 	}
 	off := int64(colHeaderSize)
-	idx := &blockIndex{}
-	for _, bt := range tables {
-		ti := blockTableIdx{Name: bt.name, Names: bt.names}
-		for _, typ := range bt.types {
-			ti.Types = append(ti.Types, int(typ))
+
+	out := make([]writtenTable, len(tables))
+	dir := make([]dirTable, len(tables))
+	var schemas []Schema
+	schemaID := map[string]int{}
+	var sig, seg []byte
+	var carry extentRun // carried extents not yet copied
+	for i, t := range tables {
+		d := &dir[i]
+		d.name, d.nrows, d.lens = t.name, t.nrows, t.chunkLens()
+		sig = sig[:0]
+		for _, c := range t.schema {
+			sig = append(appendString(sig, c.Name), byte(c.Type))
 		}
-		for _, ch := range bt.chunks {
+		id, ok := schemaID[string(sig)]
+		if !ok {
+			id = len(schemas)
+			schemaID[string(sig)] = id
+			schemas = append(schemas, t.schema)
+		}
+		d.schema = id
+		for ci, c := range t.schema {
+			if t.hasIndex(lower(c.Name)) {
+				d.indexes = append(d.indexes, ci)
+			}
+		}
+		d.loc = diskLoc{f: f, off: off}
+		out[i].loc = &d.loc
+
+		if old := t.disk.Load(); old != nil {
+			// Carried over: the extent's bytes as they are. Tables lie in
+			// key order in every file, so the extents of a run of carried
+			// tables are usually adjacent and copied in one go.
+			n := old.payload + old.seg
+			if carry.f != old.f || carry.off+carry.n != old.off {
+				if err := carry.copyTo(w); err != nil {
+					return nil, err
+				}
+				carry = extentRun{f: old.f, off: old.off}
+			}
+			carry.n += n
+			d.loc.payload, d.loc.seg = old.payload, old.seg
+			off += n
+			continue
+		}
+		if err := carry.copyTo(w); err != nil {
+			return nil, err
+		}
+		carry = extentRun{}
+
+		seg = seg[:0]
+		for _, ch := range t.residentChunks() {
 			if len(ch) == 0 {
 				continue
 			}
-			ci := blockChunkIdx{Rows: len(ch)}
-			for col := range bt.types {
-				var bc blockColIdx
-				for lo := 0; lo < len(ch); lo += vecMorselRows {
-					hi := min(lo+vecMorselRows, len(ch))
-					meta, payload := encodeColBlock(ch[lo:hi], col, bt.types[col])
-					meta.Off = off
-					// Torn-write site: crash(N) lets the first N bytes of
-					// this block reach the tmp file, then kills the process.
-					// The rename never happens, so reopen sees either no
-					// block file or the previous epoch's — both discarded.
-					if err := fpColWrite.InjectWrite(f, payload); err != nil {
-						return fail(err)
+			sc := &storeChunk{f: f, base: d.loc.off, table: t.key, schema: t.schema, rows: len(ch), cols: make([][]blockMeta, len(t.schema))}
+			for ci, c := range t.schema {
+				for _, rows := range chunkBlocks(ch) {
+					meta, payload, err := encodeColBlock(rows, ci, c.Type)
+					if err != nil {
+						return nil, fmt.Errorf("table %q column %q: %w", t.name, c.Name, err)
 					}
-					if _, err := f.Write(payload); err != nil {
-						return fail(err)
+					meta.Off = off - d.loc.off
+					// Torn-write site: crash(N) lets the first N bytes of this
+					// block reach the tmp file, then kills the process. The
+					// rename never happens, so reopen sees the previous
+					// checkpoint and the WAL that extends it.
+					if err := fpColWrite.InjectWrite(f, payload); err != nil {
+						return nil, err
+					}
+					if _, err := w.Write(payload); err != nil {
+						return nil, err
 					}
 					off += int64(len(payload))
-					bc.Blocks = append(bc.Blocks, meta)
+					seg = appendBlockMeta(seg, &meta, c.Type)
+					sc.cols[ci] = append(sc.cols[ci], meta)
 				}
-				ci.Cols = append(ci.Cols, bc)
 			}
-			ti.Chunks = append(ti.Chunks, ci)
+			out[i].blocks = append(out[i].blocks, sc)
 		}
-		idx.Tables = append(idx.Tables, ti)
+		seg = binary.LittleEndian.AppendUint32(seg, crc32.Checksum(seg, walCRC))
+		if _, err := w.Write(seg); err != nil {
+			return nil, err
+		}
+		d.loc.payload, d.loc.seg = off-d.loc.off, int64(len(seg))
+		off += int64(len(seg))
 	}
-	// Footer: gob index + fixed trailer. A crash here leaves a body
-	// with no (or a partial) trailer; the opener validates the trailer
-	// magic and index CRC and discards the file.
+
+	if err := carry.copyTo(w); err != nil {
+		return nil, err
+	}
+	// A crash from here on leaves a tmp file with no (or a partial)
+	// footer, which nothing ever opens.
 	if err := fpColFooter.Inject(); err != nil {
-		return fail(err)
+		return nil, err
 	}
-	var idxBuf bytes.Buffer
-	if err := gob.NewEncoder(&idxBuf).Encode(idx); err != nil {
-		return fail(err)
-	}
-	if _, err := f.Write(idxBuf.Bytes()); err != nil {
-		return fail(err)
-	}
+	footer := appendDirectory(nil, epoch, schemas, dir)
 	var trailer [colTrailerSize]byte
 	binary.LittleEndian.PutUint64(trailer[:8], uint64(off))
-	binary.LittleEndian.PutUint32(trailer[8:12], crc32.Checksum(idxBuf.Bytes(), walCRC))
+	binary.LittleEndian.PutUint32(trailer[8:12], crc32.Checksum(footer, walCRC))
 	copy(trailer[12:], colIdxMagic[:])
-	if _, err := f.Write(trailer[:]); err != nil {
-		return fail(err)
-	}
-	if err := f.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
+	if _, err := w.Write(append(footer, trailer[:]...)); err != nil {
 		return nil, err
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return nil, err
-	}
-	return idx, nil
+	return out, w.Flush()
 }
 
-// readBlockIndex opens a block file, validates header magic, trailer
-// magic and index CRC, and returns the decoded index and epoch. The
-// returned file is open for concurrent ReadAt; the caller owns it.
-func readBlockIndex(path string) (*os.File, uint64, *blockIndex, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, 0, nil, err
+// extentRun is a run of bytes in an earlier checkpoint file that the one
+// being written takes over as they are.
+type extentRun struct {
+	f      *os.File
+	off, n int64
+}
+
+func (r extentRun) copyTo(w *bufio.Writer) error {
+	if r.n == 0 {
+		return nil
 	}
-	fail := func(err error) (*os.File, uint64, *blockIndex, error) {
+	if err := fpColRead.Inject(); err != nil {
+		return err
+	}
+	// bufio reads straight into its own buffer; io.Copy would bring one
+	// of its own per call.
+	if _, err := w.ReadFrom(io.NewSectionReader(r.f, r.off, r.n)); err != nil {
+		return fmt.Errorf("carrying tables over from %s: %w", r.f.Name(), err)
+	}
+	return nil
+}
+
+// ------------------------------------------------------- reader
+
+// checkpoint is an opened checkpoint file's directory.
+type checkpoint struct {
+	f       *os.File
+	epoch   uint64
+	schemas []Schema
+	tables  []dirTable
+	read    int64 // bytes read to get this far
+}
+
+// openCheckpoint opens a checkpoint file and reads its directory: the
+// header, the trailer and one read of the footer, whatever the tables
+// hold. A missing file is (nil, nil); a file of the previous format is
+// ErrOldFormat; anything else wrong is ErrCorruptCheckpoint. The caller
+// owns the returned file.
+func openCheckpoint(path string) (*checkpoint, error) {
+	f, err := os.Open(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	ck, err := readCheckpoint(f)
+	if err != nil {
 		f.Close()
-		return nil, 0, nil, err
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return ck, nil
+}
+
+func readCheckpoint(f *os.File) (*checkpoint, error) {
+	if err := fpPersistLoad.Inject(); err != nil {
+		return nil, err
 	}
 	st, err := f.Stat()
 	if err != nil {
-		return fail(err)
-	}
-	if st.Size() < colHeaderSize+colTrailerSize {
-		return fail(errorf("block file too short"))
+		return nil, err
 	}
 	var hdr [colHeaderSize]byte
-	if _, err := f.ReadAt(hdr[:], 0); err != nil {
-		return fail(err)
+	if n, _ := f.ReadAt(hdr[:], 0); n >= len(colMagicV1) && string(hdr[:8]) == string(colMagicV1[:]) {
+		return nil, ErrOldFormat
+	}
+	if st.Size() < colHeaderSize+colTrailerSize {
+		return nil, corruptf("%d bytes is too short for a checkpoint", st.Size())
 	}
 	if string(hdr[:8]) != string(colMagic[:]) {
-		return fail(errorf("bad block file magic"))
+		return nil, corruptf("bad file magic")
 	}
-	epoch := binary.LittleEndian.Uint64(hdr[8:])
+	ck := &checkpoint{f: f, epoch: binary.LittleEndian.Uint64(hdr[8:])}
 	var trailer [colTrailerSize]byte
 	if _, err := f.ReadAt(trailer[:], st.Size()-colTrailerSize); err != nil {
-		return fail(err)
+		return nil, err
 	}
 	if string(trailer[12:]) != string(colIdxMagic[:]) {
-		return fail(errorf("bad block index magic"))
+		return nil, corruptf("bad trailer magic (truncated file?)")
 	}
-	idxOff := int64(binary.LittleEndian.Uint64(trailer[:8]))
-	if idxOff < colHeaderSize || idxOff > st.Size()-colTrailerSize {
-		return fail(errorf("bad block index offset"))
+	footerOff := int64(binary.LittleEndian.Uint64(trailer[:8]))
+	if footerOff < colHeaderSize || footerOff > st.Size()-colTrailerSize {
+		return nil, corruptf("footer offset %d outside the file", footerOff)
 	}
-	idxBuf := make([]byte, st.Size()-colTrailerSize-idxOff)
-	if _, err := f.ReadAt(idxBuf, idxOff); err != nil {
-		return fail(err)
+	footer := make([]byte, st.Size()-colTrailerSize-footerOff)
+	if _, err := f.ReadAt(footer, footerOff); err != nil {
+		return nil, err
 	}
-	if crc32.Checksum(idxBuf, walCRC) != binary.LittleEndian.Uint32(trailer[8:12]) {
-		return fail(errorf("block index CRC mismatch"))
+	if crc32.Checksum(footer, walCRC) != binary.LittleEndian.Uint32(trailer[8:12]) {
+		return nil, corruptf("footer CRC mismatch")
 	}
-	idx := &blockIndex{}
-	if err := gob.NewDecoder(bytes.NewReader(idxBuf)).Decode(idx); err != nil {
-		return fail(err)
+	ck.read = int64(len(hdr) + len(trailer) + len(footer))
+	ck.schemas, ck.tables, err = parseDirectory(footer, f, ck.epoch, footerOff)
+	return ck, err
+}
+
+// coldTables creates one cold table version per directory entry, owned
+// by db: everything the catalog knows about a table, and none of its
+// rows. The versions, their hydration state and their extents come out
+// of three allocations, not three per table.
+func (ck *checkpoint) coldTables(db *DB) []*table {
+	tabs := make([]table, len(ck.tables))
+	colds := make([]coldState, len(ck.tables))
+	out := make([]*table, len(ck.tables))
+	for i := range ck.tables {
+		d := &ck.tables[i]
+		t, c := &tabs[i], &colds[i]
+		t.name, t.key = d.name, lower(d.name)
+		t.schema = ck.schemas[d.schema] // shared: a published schema is never written
+		t.ver = db.schemaVer.Add(1)
+		t.nrows = d.nrows
+		t.coldIndexes(d.indexes)
+		c.env, c.lens = db.env, d.lens
+		t.cold = c
+		t.disk.Store(&d.loc)
+		out[i] = t
 	}
-	return f, epoch, idx, nil
+	return out
+}
+
+// blockMeta returns the parsed block-meta segment of a cold version, one
+// entry per chunk, reading it on first use. seg, when the caller has the
+// segment's bytes in hand already (hydration reads the whole extent),
+// saves that read. The caller holds c.mu.
+func (c *coldState) blockMeta(t *table, loc *diskLoc, seg []byte) ([]*storeChunk, error) {
+	if c.blocks != nil {
+		return c.blocks, nil
+	}
+	if seg == nil {
+		var err error
+		if seg, err = loc.read(loc.payload, loc.seg); err != nil {
+			return nil, err
+		}
+		c.env.ckptRead.Add(loc.seg)
+	}
+	blocks, err := parseSegment(seg, t.name, t.schema, c.lens, loc)
+	if err != nil {
+		return nil, err
+	}
+	c.blocks = blocks
+	return blocks, nil
+}
+
+// loadColdTable reads a cold version's extent — one ReadAt — checks
+// every block against its CRC and decodes the rows, each chunk into one
+// backing array, with the chunk boundaries the checkpoint recorded. The
+// chunks' blocks are registered with the block store, so the scans that
+// follow prune by zone map as if the rows had never left memory. The
+// caller (table.hydrate) holds the version's hydration lock.
+func loadColdTable(t *table) ([][]Row, error) {
+	c, loc := t.cold, t.disk.Load()
+	buf, err := loc.read(0, loc.payload+loc.seg)
+	if err != nil {
+		return nil, err
+	}
+	blocks, err := c.blockMeta(t, loc, buf[loc.payload:])
+	if err != nil {
+		return nil, err
+	}
+	width := len(t.schema)
+	chunks := make([][]Row, len(blocks))
+	for k, sc := range blocks {
+		backing := make([]value.Value, sc.rows*width)
+		rows := make([]Row, sc.rows)
+		for i := range rows {
+			rows[i] = backing[i*width : (i+1)*width : (i+1)*width]
+		}
+		for ci, col := range t.schema {
+			at := 0
+			for bi := range sc.cols[ci] {
+				b := &sc.cols[ci][bi]
+				payload := buf[b.Off : b.Off+int64(b.Len)]
+				if crc32.Checksum(payload, walCRC) != b.CRC {
+					return nil, corruptf("table %q column %q chunk %d block %d: CRC mismatch", t.name, col.Name, k, bi)
+				}
+				if err := decodeColInto(backing[at*width+ci:], width, b.Enc, payload, col.Type, b.Rows); err != nil {
+					return nil, fmt.Errorf("table %q column %q chunk %d block %d: %w", t.name, col.Name, k, bi, err)
+				}
+				at += b.Rows
+			}
+		}
+		chunks[k] = rows
+	}
+	if reg := c.env.blocks.Load(); reg != nil {
+		reg.add(chunks, blocks)
+	}
+	c.env.hydrated.Add(1)
+	c.env.ckptRead.Add(int64(len(buf)))
+	return chunks, nil
 }
 
 // ------------------------------------------------------- registry
 
-// storeChunk is the block metadata of one registered chunk, looked up
-// by chunk identity (the address of the chunk's first row — the same
-// keying the column cache uses; the pointer keeps the chunk's backing
-// array alive, so an address can never be reused while registered).
+// storeChunk is the block metadata of one chunk, looked up by chunk
+// identity (the address of the chunk's first row — the same keying the
+// column cache uses; the pointer keeps the chunk's backing array alive,
+// so an address can never be reused while registered). f and base say
+// where the chunk's table lies in which checkpoint file; block offsets
+// count from base.
 type storeChunk struct {
-	table string
-	types []value.Type
-	cols  []blockColIdx
+	f      *os.File
+	base   int64
+	table  string
+	schema Schema
+	rows   int
+	cols   [][]blockMeta // [column][block]
 }
 
-// blockStore maps live chunks to their on-disk blocks. Immutable after
-// construction but for the damaged flag (Checkpoint swaps in a whole
-// new store); the file is read with ReadAt, safe for concurrent morsel
-// workers.
-type blockStore struct {
-	f     *os.File
-	path  string
-	epoch uint64
-	m     map[*Row]*storeChunk
-	// damaged is set once a block failed its read, CRC or decode: the
-	// file no longer mirrors the snapshot, and Close rewrites it.
-	damaged atomic.Bool
-	// encs caches the dominant per-column encoding label per table
-	// (lower-cased), for EXPLAIN and tests.
-	encs map[string][]string
+// block returns the metadata of block bi of column ci if it covers
+// exactly nrows rows, else nil: the zone checks treat a nil as "cannot
+// prune".
+func (sc *storeChunk) block(ci, bi, nrows int) *blockMeta {
+	if ci >= len(sc.cols) || bi >= len(sc.cols[ci]) {
+		return nil
+	}
+	if b := &sc.cols[ci][bi]; b.Rows == nrows {
+		return b
+	}
+	return nil
 }
+
+// readBlock fetches, CRC-checks and decodes block bi of column ci.
+func (sc *storeChunk) readBlock(ci, bi int) (*colVec, error) {
+	if ci >= len(sc.cols) || bi >= len(sc.cols[ci]) {
+		return nil, corruptf("table %q: no block %d in column %d", sc.table, bi, ci)
+	}
+	meta := &sc.cols[ci][bi]
+	if err := fpColRead.Inject(); err != nil {
+		return nil, err
+	}
+	buf := make([]byte, meta.Len)
+	if _, err := sc.f.ReadAt(buf, sc.base+meta.Off); err != nil {
+		return nil, fmt.Errorf("sqldb: reading table %q column %q block %d: %w", sc.table, sc.schema[ci].Name, bi, err)
+	}
+	if crc32.Checksum(buf, walCRC) != meta.CRC {
+		return nil, corruptf("table %q column %q block %d: CRC mismatch", sc.table, sc.schema[ci].Name, bi)
+	}
+	return decodeColBlock(meta.Enc, buf, sc.schema[ci].Type, meta.Rows)
+}
+
+// blockStore maps the resident chunks that a checkpoint file also holds
+// to their blocks there. A checkpoint installs a new one, holding every
+// chunk it wrote or carried over; hydrations add to the current one.
+type blockStore struct {
+	mu sync.RWMutex
+	m  map[*Row]*storeChunk
+}
+
+func newBlockStore() *blockStore { return &blockStore{m: map[*Row]*storeChunk{}} }
 
 func (s *blockStore) chunkFor(ch []Row) *storeChunk {
 	if s == nil || len(ch) == 0 {
 		return nil
 	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	return s.m[&ch[0]]
 }
 
-// readBlock fetches, CRC-checks and decodes block bi of column ci.
-func (s *blockStore) readBlock(sc *storeChunk, ci, bi int) (*colVec, error) {
-	if ci >= len(sc.cols) || bi >= len(sc.cols[ci].Blocks) {
-		return nil, errBlockCorrupt
+// add registers chunks (none empty) under their blocks.
+func (s *blockStore) add(chunks [][]Row, blocks []*storeChunk) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for k, ch := range chunks {
+		s.m[&ch[0]] = blocks[k]
 	}
-	meta := &sc.cols[ci].Blocks[bi]
-	if err := fpColRead.Inject(); err != nil {
-		return nil, err
-	}
-	buf := make([]byte, meta.Len)
-	if _, err := s.f.ReadAt(buf, meta.Off); err != nil {
-		return nil, err
-	}
-	if crc32.Checksum(buf, walCRC) != meta.CRC {
-		return nil, errorf("column block CRC mismatch (table %s col %d block %d)", sc.table, ci, bi)
-	}
-	return decodeColBlock(meta.Enc, buf, sc.types[ci], meta.Rows)
 }
 
-func (s *blockStore) close() {
-	if s != nil && s.f != nil {
-		s.f.Close()
+// adoptCheckpoint makes f, just renamed into place holding tables as
+// written says, the file everything reads from: every table points at
+// its new extent, so the file before can go as soon as nothing pinned
+// reads from it any more, and a new registry maps every resident chunk
+// to its new blocks — the ones just encoded, or the ones it had, moved.
+func (e *execEnv) adoptCheckpoint(f *os.File, tables []*table, written []writtenTable) {
+	old, next := e.blocks.Load(), newBlockStore()
+	for i, t := range tables {
+		w := &written[i]
+		k := 0
+		for _, ch := range t.residentChunks() {
+			if len(ch) == 0 {
+				continue
+			}
+			if w.blocks != nil {
+				next.m[&ch[0]] = w.blocks[k]
+			} else if sc := old.chunkFor(ch); sc != nil {
+				moved := *sc
+				moved.f, moved.base = f, w.loc.off
+				next.m[&ch[0]] = &moved
+			}
+			k++
+		}
+		t.disk.Store(w.loc)
 	}
+	e.blocks.Store(next)
+}
+
+// tableBlocks returns the blocks of each of the version's chunks that a
+// checkpoint file holds, in chunk order, without hydrating it: from the
+// meta segment while the version is cold, from the registry after.
+func (e *execEnv) tableBlocks(t *table) ([]*storeChunk, error) {
+	if t.isCold() {
+		c := t.cold
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.blockMeta(t, t.disk.Load(), nil)
+	}
+	store := e.blocks.Load()
+	var out []*storeChunk
+	for _, ch := range t.residentChunks() {
+		if sc := store.chunkFor(ch); sc != nil {
+			out = append(out, sc)
+		}
+	}
+	return out, nil
 }
 
 // dominantEnc picks the most frequent encoding across a column's
 // blocks (ties broken by encoding tag order, deterministically).
-func dominantEnc(idx *blockTableIdx, col int) string {
+func dominantEnc(chunks []*storeChunk, col int) string {
 	var counts [5]int
-	for _, ch := range idx.Chunks {
-		if col < len(ch.Cols) {
-			for _, b := range ch.Cols[col].Blocks {
+	for _, sc := range chunks {
+		if col < len(sc.cols) {
+			for _, b := range sc.cols[col] {
 				if int(b.Enc) < len(counts) {
 					counts[b.Enc]++
 				}
@@ -867,83 +1436,6 @@ func dominantEnc(idx *blockTableIdx, col int) string {
 		return "none"
 	}
 	return encName(uint8(best))
-}
-
-// buildBlockStore pairs a decoded index with live table chunks,
-// registering every chunk whose shape (row counts in order, column
-// types) matches its index entry exactly. Tables or chunks that do not
-// match are skipped — the scan path simply builds those vectors from
-// rows.
-func buildBlockStore(f *os.File, path string, epoch uint64, idx *blockIndex, cat catalog) *blockStore {
-	s := &blockStore{f: f, path: path, epoch: epoch, m: map[*Row]*storeChunk{}, encs: map[string][]string{}}
-	for i := range idx.Tables {
-		ti := &idx.Tables[i]
-		key := lower(ti.Name)
-		t := cat.get(key)
-		if t == nil || t.temp || len(ti.Types) != len(t.schema) {
-			continue
-		}
-		match := true
-		for ci, typ := range ti.Types {
-			if value.Type(typ) != t.schema[ci].Type {
-				match = false
-				break
-			}
-		}
-		if !match {
-			continue
-		}
-		var live [][]Row
-		for _, ch := range t.chunks {
-			if len(ch) > 0 {
-				live = append(live, ch)
-			}
-		}
-		if len(live) != len(ti.Chunks) {
-			continue
-		}
-		for k, ch := range live {
-			if ti.Chunks[k].Rows != len(ch) {
-				match = false
-				break
-			}
-		}
-		if !match {
-			continue
-		}
-		types := make([]value.Type, len(ti.Types))
-		for ci, typ := range ti.Types {
-			types[ci] = value.Type(typ)
-		}
-		for k, ch := range live {
-			s.m[&ch[0]] = &storeChunk{table: key, types: types, cols: ti.Chunks[k].Cols}
-		}
-		labels := make([]string, len(ti.Types))
-		for ci := range ti.Types {
-			labels[ci] = dominantEnc(ti, ci)
-		}
-		s.encs[key] = labels
-	}
-	return s
-}
-
-// openBlockStore loads dir's block file and registers it against the
-// given tables. Any failure — missing file, stale epoch, torn footer,
-// CRC mismatch, shape mismatch — returns nil: the block file is
-// derived data and recovery proceeds on rows alone.
-func openBlockStore(path string, epoch uint64, cat catalog) *blockStore {
-	f, fileEpoch, idx, err := readBlockIndex(path)
-	if err != nil {
-		return nil
-	}
-	if fileEpoch != epoch {
-		// Stale (or future) generation: a crash hit the checkpoint
-		// between the snapshot and block renames. Discard, like a stale
-		// WAL.
-		f.Close()
-		return nil
-	}
-	return buildBlockStore(f, path, epoch, idx, cat)
 }
 
 // ------------------------------------------------------- inspection
@@ -964,53 +1456,92 @@ type BlockInfo struct {
 	Zone string
 }
 
-// BlockFileInfo is the result of scanning a block file without a
+// BlockTableInfo is one table's entry in the checkpoint directory.
+type BlockTableInfo struct {
+	Table     string
+	Rows      int
+	ChunkLens []int
+	Indexes   []string
+	Schema    int   // id in the file's schema pool
+	Offset    int64 // extent: block payloads, then the block-meta segment
+	Size      int64
+	// Err is why the table's block-meta segment could not be read, empty
+	// when it could; the table then has no entries in Blocks.
+	Err string
+}
+
+// BlockFileInfo is the result of scanning a checkpoint file without a
 // database open — the `pbserver -blockdump` view.
 type BlockFileInfo struct {
 	Epoch  uint64
-	Tables int
+	Dir    []BlockTableInfo // one entry per table, empty ones included
 	Blocks []BlockInfo
 }
 
-// ScanBlockFile reads a columnar block file and reports its index,
-// zone maps, encodings and per-block CRC status. Unlike the engine's
-// open path it verifies every block's payload checksum.
+// Damaged counts the tables whose segment is unreadable plus the blocks
+// that fail their CRC: what a database opened on this file would answer
+// ErrCorruptCheckpoint for.
+func (i *BlockFileInfo) Damaged() int {
+	n := 0
+	for _, t := range i.Dir {
+		if t.Err != "" {
+			n++
+		}
+	}
+	for _, b := range i.Blocks {
+		if !b.CRCOK {
+			n++
+		}
+	}
+	return n
+}
+
+// ScanBlockFile reads a checkpoint file and reports its directory, zone
+// maps, encodings and per-block CRC status. It is the file's fsck:
+// unlike Open it reads every segment and verifies every block's payload
+// checksum. A damaged footer is an error; damage below it is reported in
+// the result (see Damaged).
 func ScanBlockFile(path string) (*BlockFileInfo, error) {
-	f, epoch, idx, err := readBlockIndex(path)
+	ck, err := openCheckpoint(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	info := &BlockFileInfo{Epoch: epoch, Tables: len(idx.Tables)}
-	for ti := range idx.Tables {
-		tbl := &idx.Tables[ti]
-		for ci, chunk := range tbl.Chunks {
-			for col := range chunk.Cols {
-				typ := value.Type(0)
-				if col < len(tbl.Types) {
-					typ = value.Type(tbl.Types[col])
-				}
-				name := fmt.Sprintf("#%d", col)
-				if col < len(tbl.Names) {
-					name = tbl.Names[col]
-				}
-				for _, b := range chunk.Cols[col].Blocks {
-					buf := make([]byte, b.Len)
-					crcOK := false
-					if _, err := f.ReadAt(buf, b.Off); err == nil {
-						crcOK = crc32.Checksum(buf, walCRC) == b.CRC
-					}
+	if ck == nil {
+		return nil, fmt.Errorf("%s: %w", path, os.ErrNotExist)
+	}
+	defer ck.f.Close()
+	info := &BlockFileInfo{Epoch: ck.epoch}
+	for i := range ck.tables {
+		d := &ck.tables[i]
+		schema := ck.schemas[d.schema]
+		ti := BlockTableInfo{Table: d.name, Rows: d.nrows, ChunkLens: d.lens, Schema: d.schema,
+			Offset: d.loc.off, Size: d.loc.payload + d.loc.seg}
+		for _, ci := range d.indexes {
+			ti.Indexes = append(ti.Indexes, schema[ci].Name)
+		}
+		buf, err := d.loc.read(0, ti.Size)
+		var chunks []*storeChunk
+		if err == nil {
+			chunks, err = parseSegment(buf[d.loc.payload:], d.name, schema, d.lens, &d.loc)
+		}
+		if err != nil {
+			ti.Err = err.Error()
+		}
+		info.Dir = append(info.Dir, ti)
+		for k, sc := range chunks {
+			for ci, col := range schema {
+				for _, b := range sc.cols[ci] {
 					info.Blocks = append(info.Blocks, BlockInfo{
-						Table:    tbl.Name,
-						Chunk:    ci,
-						Column:   name,
+						Table:    d.name,
+						Chunk:    k,
+						Column:   col.Name,
 						Encoding: encName(b.Enc),
 						Rows:     b.Rows,
 						Nulls:    b.Nulls,
-						Offset:   b.Off,
+						Offset:   d.loc.off + b.Off,
 						Size:     b.Len,
-						CRCOK:    crcOK,
-						Zone:     zoneString(&b, typ),
+						CRCOK:    crc32.Checksum(buf[b.Off:b.Off+int64(b.Len)], walCRC) == b.CRC,
+						Zone:     zoneString(&b, col.Type),
 					})
 				}
 			}

@@ -41,8 +41,8 @@ func benchBlockDB(b *testing.B, nrows int) *DB {
 	if err := db.Checkpoint(); err != nil {
 		b.Fatal(err)
 	}
-	if db.env.blocks.Load() == nil {
-		b.Fatal("checkpoint did not install a block store")
+	if tab, _ := db.state.Load().table("bench"); db.env.blocks.Load().chunkFor(tab.residentChunks()[0]) == nil {
+		b.Fatal("checkpoint did not register the table's blocks")
 	}
 	db.ColumnCacheLimit(1 << 16)
 	b.Cleanup(db.crashWAL) // skip the closing checkpoint; TempDir removes the files
@@ -112,7 +112,7 @@ func BenchmarkColdVectorHydration(b *testing.B) {
 		b.Run(mode, func(b *testing.B) {
 			db := benchBlockDB(b, benchBlockRows/4) // 32 blocks: keep setup fast
 			if mode == "rows" {
-				db.swapBlockStore(nil) // force buildColVec from row chunks
+				db.env.blocks.Store(nil) // force buildColVec from row chunks
 			}
 			if _, err := db.Exec(sql); err != nil {
 				b.Fatal(err)

@@ -2,6 +2,8 @@ package sqldb
 
 import (
 	"bytes"
+	"encoding/gob"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -151,7 +153,10 @@ func TestColBlockRoundtrip(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			rows := oneColRows(tc.vals)
-			meta, payload := encodeColBlock(rows, 0, tc.typ)
+			meta, payload, err := encodeColBlock(rows, 0, tc.typ)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if meta.Enc != tc.wantEnc {
 				t.Errorf("encoding = %s, want %s", encName(meta.Enc), encName(tc.wantEnc))
 			}
@@ -217,7 +222,7 @@ func TestColBlockZoneMeta(t *testing.T) {
 		vals := []value.Value{
 			value.NewInt(5), value.Null(value.Integer), value.NewInt(-3), value.NewInt(12),
 		}
-		meta, _ := encodeColBlock(oneColRows(vals), 0, value.Integer)
+		meta, _, _ := encodeColBlock(oneColRows(vals), 0, value.Integer)
 		if !meta.HasMM || meta.MinI != -3 || meta.MaxI != 12 || meta.Nulls != 1 {
 			t.Errorf("meta = %+v, want min -3 max 12 nulls 1", meta)
 		}
@@ -226,32 +231,43 @@ func TestColBlockZoneMeta(t *testing.T) {
 		vals := []value.Value{
 			value.NewFloat(1.5), value.NewFloat(math.NaN()), value.NewFloat(-2.25), value.Null(value.Float),
 		}
-		meta, _ := encodeColBlock(oneColRows(vals), 0, value.Float)
+		meta, _, _ := encodeColBlock(oneColRows(vals), 0, value.Float)
 		if !meta.HasMM || meta.MinF != -2.25 || meta.MaxF != 1.5 || !meta.HasNaN || meta.Nulls != 1 {
 			t.Errorf("meta = %+v, want min -2.25 max 1.5 NaN-flag nulls 1", meta)
 		}
 	})
 	t.Run("all_nan", func(t *testing.T) {
 		vals := []value.Value{value.NewFloat(math.NaN()), value.NewFloat(math.NaN())}
-		meta, _ := encodeColBlock(oneColRows(vals), 0, value.Float)
+		meta, _, _ := encodeColBlock(oneColRows(vals), 0, value.Float)
 		if meta.HasMM || !meta.HasNaN {
 			t.Errorf("meta = %+v, want no bounds + NaN flag", meta)
 		}
 	})
 	t.Run("string", func(t *testing.T) {
 		vals := []value.Value{value.NewString("mango"), value.NewString("apple"), value.NewString("pear")}
-		meta, _ := encodeColBlock(oneColRows(vals), 0, value.String)
+		meta, _, _ := encodeColBlock(oneColRows(vals), 0, value.String)
 		if !meta.HasMM || meta.MinS != "apple" || meta.MaxS != "pear" {
 			t.Errorf("meta = %+v, want min apple max pear", meta)
 		}
 	})
 	t.Run("all_null", func(t *testing.T) {
 		vals := []value.Value{value.Null(value.Integer), value.Null(value.Integer)}
-		meta, _ := encodeColBlock(oneColRows(vals), 0, value.Integer)
+		meta, _, _ := encodeColBlock(oneColRows(vals), 0, value.Integer)
 		if meta.HasMM || meta.Nulls != 2 {
 			t.Errorf("meta = %+v, want no bounds, 2 nulls", meta)
 		}
 	})
+}
+
+// mustChunks returns a table version's row chunks, hydrating it if it
+// is cold.
+func mustChunks(t testing.TB, tab *table) [][]Row {
+	t.Helper()
+	chunks, err := tab.chunks()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return chunks
 }
 
 // blockTestDB builds a durable database holding nrows of the bench
@@ -315,9 +331,6 @@ func TestBlockStoreReopenColdScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if db2.env.blocks.Load() == nil {
-		t.Fatal("block store did not load on reopen")
-	}
 	db2.ColumnCacheLimit(0)
 	for pass := 0; pass < 2; pass++ { // zone maps on, then off
 		db2.SetZoneMaps(pass == 0)
@@ -361,9 +374,10 @@ func TestBlockZoneSkipCounts(t *testing.T) {
 	}
 }
 
-// TestBlockFileChunkStructure asserts the snapshot round-trips the
-// chunk layout: after reopen the table has the same chunk boundaries,
-// so every chunk is still matched to its blocks in the index.
+// TestBlockFileChunkStructure asserts the checkpoint round-trips the
+// chunk layout: after reopen the table has the same chunk boundaries —
+// known before a row is read — and hydration registers every chunk
+// with its blocks.
 func TestBlockFileChunkStructure(t *testing.T) {
 	dir := t.TempDir()
 	db, err := OpenWithPolicy(dir, SyncOff)
@@ -384,13 +398,8 @@ func TestBlockFileChunkStructure(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var lens []int
 	t1, _ := db.state.Load().table("t")
-	for _, ch := range t1.chunks {
-		if len(ch) > 0 {
-			lens = append(lens, len(ch))
-		}
-	}
+	lens := t1.chunkLens()
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -400,26 +409,20 @@ func TestBlockFileChunkStructure(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	var lens2 []int
 	t2, _ := db2.state.Load().table("t")
-	for _, ch := range t2.chunks {
-		if len(ch) > 0 {
-			lens2 = append(lens2, len(ch))
-		}
-	}
-	if fmt.Sprint(lens2) != fmt.Sprint(lens) {
-		t.Fatalf("chunk layout changed across reopen: %v -> %v", lens, lens2)
+	if lens2 := t2.chunkLens(); fmt.Sprint(lens2) != fmt.Sprint(lens) || !t2.isCold() {
+		t.Fatalf("chunk layout across reopen: %v -> %v (cold: %v)", lens, lens2, t2.isCold())
 	}
 	st := db2.env.blocks.Load()
-	if st == nil {
-		t.Fatal("block store did not load")
-	}
-	for i, ch := range t2.chunks {
-		if len(ch) > 0 && st.chunkFor(ch) == nil {
+	for i, ch := range mustChunks(t, t2) {
+		if len(ch) != lens[i] {
+			t.Errorf("chunk %d hydrated with %d rows, want %d", i, len(ch), lens[i])
+		}
+		if st.chunkFor(ch) == nil {
 			t.Errorf("chunk %d (%d rows) not matched to its blocks", i, len(ch))
 		}
 	}
-	// And writes still work after the no-compact reconstruction.
+	// And writes still work on top of the hydrated chunks.
 	mustExec(t, db2, "INSERT INTO t VALUES (999999)")
 	res := mustExec(t, db2, "SELECT COUNT(*) FROM t")
 	if want := int64(700 + 701 + 702 + 1); res.Rows[0][0].Int() != want {
@@ -427,39 +430,44 @@ func TestBlockFileChunkStructure(t *testing.T) {
 	}
 }
 
-// TestBlockStoreStaleEpoch: a block file whose epoch does not match
-// the snapshot is a leftover from an interrupted checkpoint and must
-// be ignored.
+// TestBlockStoreStaleEpoch: a checkpoint older than the WAL beside it —
+// restored from a backup, say — is not what the WAL's frames were
+// committed on top of. Open must refuse the pair, not replay onto the
+// wrong base; the same goes for a header whose epoch was tampered with.
 func TestBlockStoreStaleEpoch(t *testing.T) {
 	dir := t.TempDir()
 	db := blockTestDB(t, dir, vecMorselRows)
-	// Advance the snapshot epoch past the block file's.
+	path := filepath.Join(dir, blockFile)
+	older, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	mustExec(t, db, "INSERT INTO bench VALUES (1000000, 'gx', 1, 1.0)")
 	if err := db.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	// Rewind columns.blk to a stale copy: write the previous epoch into
-	// the header. (Checkpoint just rewrote it with the current epoch.)
-	path := filepath.Join(dir, blockFile)
-	buf, err := os.ReadFile(path)
+	mustExec(t, db, "INSERT INTO bench VALUES (1000001, 'gy', 2, 2.0)")
+	db.crashWAL() // leaves a frame in a WAL at the second checkpoint's epoch
+	current, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	buf[8]-- // epoch is little-endian at offset 8; any change goes stale
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
+
+	if err := os.WriteFile(path, older, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Close(); err != nil {
+	if _, err := Open(dir); !errors.Is(err, ErrCorruptCheckpoint) {
+		t.Errorf("checkpoint one epoch behind its WAL: Open = %v, want ErrCorruptCheckpoint", err)
+	}
+	current[8]-- // the epoch, little-endian at offset 8: header and footer now disagree
+	if err := os.WriteFile(path, current, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// Close checkpoints again, bumping the epoch once more and
-	// rewriting the file — so corrupt it after close, then open.
-	buf, err = os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
+	if _, err := Open(dir); !errors.Is(err, ErrCorruptCheckpoint) {
+		t.Errorf("tampered header epoch: Open = %v, want ErrCorruptCheckpoint", err)
 	}
-	buf[8]--
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
+	current[8]++
+	if err := os.WriteFile(path, current, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	db2, err := Open(dir)
@@ -467,66 +475,9 @@ func TestBlockStoreStaleEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer db2.Close()
-	if db2.env.blocks.Load() != nil {
-		t.Error("stale-epoch block file was loaded")
-	}
 	res := mustExec(t, db2, "SELECT COUNT(*) FROM bench")
-	if want := int64(vecMorselRows + 1); res.Rows[0][0].Int() != want {
+	if want := int64(vecMorselRows + 2); res.Rows[0][0].Int() != want {
 		t.Errorf("rows = %v, want %d", res.Rows[0][0], want)
-	}
-}
-
-// TestDamagedBlockFileIsRewrittenByClose: a session that never runs into
-// the damaged block leaves the file alone like any read-only session;
-// the one whose scan fails a block's CRC answers from the rows and
-// rewrites the mirror when it closes, once.
-func TestDamagedBlockFileIsRewrittenByClose(t *testing.T) {
-	dir := t.TempDir()
-	db := blockTestDB(t, dir, 2*vecMorselRows)
-	const q = "SELECT COUNT(*), SUM(k), SUM(v) FROM bench"
-	want := fmt.Sprint(mustExec(t, db, q).Rows)
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, blockFile)
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf[21] ^= 0xff // inside the first block's payload
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	session := func(scan bool) (rebuilt bool) {
-		t.Helper()
-		before := dirState(t, dir)
-		db, err := Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if scan {
-			if got := fmt.Sprint(mustExec(t, db, q).Rows); got != want {
-				t.Fatalf("scan = %s, want %s", got, want)
-			}
-		}
-		if err := db.Close(); err != nil {
-			t.Fatal(err)
-		}
-		after := dirState(t, dir)
-		if rebuilt = !bytes.Equal(before[blockFile].data, after[blockFile].data); !rebuilt {
-			assertUntouched(t, before, after)
-		}
-		return rebuilt
-	}
-	if session(false) {
-		t.Error("a session that read no block rewrote the block file")
-	}
-	if !session(true) {
-		t.Error("the session that hit the damaged block left it in place")
-	}
-	if session(true) {
-		t.Error("the rebuilt block file was rewritten again")
 	}
 }
 
@@ -553,23 +504,64 @@ func TestBlockExportImportRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	exp := src.ExportState()
-	for _, te := range exp.Tables {
-		if te.Name == "x" {
-			if te.Blocks == nil {
-				t.Fatal("export did not use column blocks")
-			}
-			if te.Rows != nil {
-				t.Fatal("export shipped both rows and blocks")
+	bootstrap := func(src *DB) *DB {
+		t.Helper()
+		exp, err := src.ExportState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, te := range exp.Tables {
+			if te.Name == "x" {
+				if te.Blocks == nil {
+					t.Fatal("export did not use column blocks")
+				}
+				if te.Rows != nil {
+					t.Fatal("export shipped both rows and blocks")
+				}
 			}
 		}
+		dst := NewMemory()
+		if err := dst.ImportState(exp); err != nil {
+			t.Fatal(err)
+		}
+		return dst
 	}
-	dst := NewMemory()
-	if err := dst.ImportState(exp); err != nil {
+	want := src.DumpString()
+	if got := bootstrap(src).DumpString(); got != want {
+		t.Fatalf("import is not byte-identical:\nsrc:\n%s\ndst:\n%s", want, got)
+	}
+
+	// A primary that has just opened and answered nothing ships what its
+	// checkpoint holds, as it is: the bootstrap thaws no table.
+	dir := t.TempDir()
+	durable, err := Open(dir)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if a, b := src.DumpString(), dst.DumpString(); a != b {
-		t.Fatalf("import is not byte-identical:\nsrc:\n%s\ndst:\n%s", a, b)
+	mustExec(t, durable, "CREATE TABLE x (i integer, s string, f float, b boolean, ts timestamp)")
+	mustExec(t, durable, "CREATE TABLE empty (i integer)")
+	mustExec(t, durable, "CREATE INDEX ON x (s)")
+	for lo := 0; lo < len(rows); lo += 1000 { // three chunks
+		if _, err := durable.InsertRows("x", []string{"i", "s", "f", "b", "ts"}, rows[lo:lo+1000]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := durable.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if durable, err = Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer durable.Close()
+	replica := bootstrap(durable)
+	if n := durable.env.hydrated.Load(); n != 0 {
+		t.Errorf("bootstrapping a replica hydrated %d table(s) of the primary", n)
+	}
+	if got := replica.DumpString(); got != durable.DumpString() {
+		t.Fatalf("replica of a cold primary differs:\n%s\nwant:\n%s", got, durable.DumpString())
+	}
+	if res := mustExec(t, replica, "SELECT COUNT(*) FROM x WHERE s = 's3'"); res.Rows[0][0].Int() != 300 {
+		t.Errorf("index probe on the replica = %v, want 300", res.Rows[0][0])
 	}
 }
 
@@ -580,7 +572,10 @@ func TestBlockExportImportRejectsCorruption(t *testing.T) {
 	src := NewMemory()
 	mustExec(t, src, "CREATE TABLE x (i integer)")
 	mustExec(t, src, "INSERT INTO x VALUES (1), (2), (3)")
-	exp := src.ExportState()
+	exp, err := src.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range exp.Tables {
 		if exp.Tables[i].Name == "x" && exp.Tables[i].Blocks != nil {
 			exp.Tables[i].Blocks.Cols[0].Data[0][0] ^= 0xff
@@ -592,9 +587,9 @@ func TestBlockExportImportRejectsCorruption(t *testing.T) {
 }
 
 // TestBlockCompressionSizes is the compression acceptance gate: the
-// columnar block file must be at least 2x smaller than the gob row
-// snapshot holding the same table. It prints both sizes in benchmark
-// format so bench.sh records them in BENCH_PR6.json.
+// checkpoint file must be at least 2x smaller than the same table's rows
+// gob-encoded — the row snapshot this file replaced. It prints both
+// sizes in benchmark format so bench.sh records them in BENCH_PR6.json.
 func TestBlockCompressionSizes(t *testing.T) {
 	dir := t.TempDir()
 	db := blockTestDB(t, dir, 128_000)
@@ -603,18 +598,22 @@ func TestBlockCompressionSizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := os.Stat(filepath.Join(dir, snapshotFile))
+	tab, _ := db.state.Load().table("bench")
+	rows, err := tab.flat()
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("columns.blk: %d bytes, snapshot.gob: %d bytes (%.1fx)",
-		blk.Size(), snap.Size(), float64(snap.Size())/float64(blk.Size()))
+	var rowGob bytes.Buffer
+	if err := gob.NewEncoder(&rowGob).Encode(rows); err != nil {
+		t.Fatal(err)
+	}
+	snap := int64(rowGob.Len())
+	t.Logf("columns.blk: %d bytes, gob rows: %d bytes (%.1fx)", blk.Size(), snap, float64(snap)/float64(blk.Size()))
 	// Benchmark-format lines for bench.sh's awk parser: iterations=1,
 	// "ns/op" abused as a plain byte count.
 	fmt.Printf("BenchmarkBlockFileBytes \t       1\t%12d ns/op\n", blk.Size())
-	fmt.Printf("BenchmarkGobRowSnapshotBytes \t       1\t%12d ns/op\n", snap.Size())
-	if blk.Size()*2 > snap.Size() {
-		t.Errorf("columns.blk (%d bytes) is not 2x smaller than snapshot.gob (%d bytes)",
-			blk.Size(), snap.Size())
+	fmt.Printf("BenchmarkGobRowSnapshotBytes \t       1\t%12d ns/op\n", snap)
+	if blk.Size()*2 > snap {
+		t.Errorf("columns.blk (%d bytes) is not 2x smaller than the gob-encoded rows (%d bytes)", blk.Size(), snap)
 	}
 }

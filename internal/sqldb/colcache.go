@@ -58,8 +58,9 @@ type execEnv struct {
 	// the differential fuzzer and the ablation benchmarks to compare
 	// the two paths. See DB.SetVectorized.
 	vecDisabled atomic.Bool
-	// blocks is the current columnar block store (colblock.go), swapped
-	// whole by Checkpoint and Open; nil when no block file is loaded.
+	// blocks maps resident chunks to their blocks in a checkpoint file
+	// (colblock.go): installed by Open, replaced whole by Checkpoint,
+	// added to by hydrations; nil for a memory-only database.
 	blocks atomic.Pointer[blockStore]
 	// zoneOff disables zone-map block skipping (the ablation switch
 	// behind DB.SetZoneMaps); blocks still hydrate vectors.
@@ -69,6 +70,11 @@ type execEnv struct {
 	// and the skipping tests. See DB.BlockStats.
 	blkScanned atomic.Int64
 	blkSkipped atomic.Int64
+	// hydrated counts the cold tables made resident and ckptRead the
+	// bytes Open and they read from checkpoint files: what the laziness
+	// tests hold Open and a query to.
+	hydrated atomic.Int64
+	ckptRead atomic.Int64
 }
 
 func newExecEnv() *execEnv {
@@ -315,11 +321,17 @@ func (c *colCache) dropSuperseded(old, next *table) {
 	if old == nil || old == next {
 		return
 	}
-	keep := len(old.chunks)
-	for keep > 0 && !(next != nil && keep <= len(next.chunks) && sameChunk(old.chunks[keep-1], next.chunks[keep-1])) {
+	// A version still cold has no vectors; next, derived or new, is
+	// resident.
+	was, now := old.residentChunks(), [][]Row(nil)
+	if next != nil {
+		now = next.residentChunks()
+	}
+	keep := len(was)
+	for keep > 0 && !(keep <= len(now) && sameChunk(was[keep-1], now[keep-1])) {
 		keep--
 	}
-	if keep == len(old.chunks) {
+	if keep == len(was) {
 		return // a plain append: every chunk lives on
 	}
 	c.mu.Lock()
@@ -327,7 +339,7 @@ func (c *colCache) dropSuperseded(old, next *table) {
 	if len(c.m) == 0 {
 		return
 	}
-	for _, ch := range old.chunks[keep:] {
+	for _, ch := range was[keep:] {
 		if len(ch) == 0 {
 			continue
 		}
@@ -390,27 +402,21 @@ func (c *colCache) colFor(chunk []Row, ci int, typ value.Type) *colVec {
 }
 
 // blockVec returns the vector for one block's rows (a sub-slice of a
-// chunk), hydrating from the block store's compressed column block
-// when possible and falling back to a row-chunk walk when the block
-// cannot be read (CRC mismatch, injected read failure, closed file
-// after a store swap) — which also marks the store damaged, so that
-// Close rewrites the file. Results are cached under the block's own key.
-func (e *execEnv) blockVec(rows []Row, ci int, typ value.Type, st *blockStore, sc *storeChunk, bi int) *colVec {
+// chunk), decoded from the chunk's compressed column block and cached
+// under the block's own key. A block that cannot be read or fails its
+// CRC fails the scan (DESIGN.md §6): the file is the checkpoint, and one
+// that has changed under a running database is not one to go on
+// answering around.
+func (e *execEnv) blockVec(rows []Row, ci int, sc *storeChunk, bi int) (*colVec, error) {
 	key := vecKey(rows, ci)
 	if v := e.cache.get(key); v != nil {
-		return v
+		return v, nil
 	}
-	v, err := st.readBlock(sc, ci, bi)
+	v, err := sc.readBlock(ci, bi)
 	if err != nil {
-		st.damaged.Store(true)
+		return nil, err
 	}
-	if err != nil || v == nil {
-		v = buildColVec(rows, ci, typ)
-	}
-	if v == nil {
-		return nil
-	}
-	return e.cache.put(key, v)
+	return e.cache.put(key, v), nil
 }
 
 // SetScanWorkers fixes the number of morsel workers a vectorized scan
@@ -440,14 +446,4 @@ func (db *DB) SetZoneMaps(on bool) { db.env.zoneOff.Store(!on) }
 // since the database was opened.
 func (db *DB) BlockStats() (scanned, skipped int64) {
 	return db.env.blkScanned.Load(), db.env.blkSkipped.Load()
-}
-
-// swapBlockStore atomically installs a new block store (nil to drop)
-// and closes the previous one's file handle. In-flight readers holding
-// the old store see read errors and fall back to row-chunk builds.
-func (db *DB) swapBlockStore(s *blockStore) {
-	old := db.env.blocks.Swap(s)
-	if old != nil {
-		old.close()
-	}
 }

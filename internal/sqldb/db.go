@@ -3,6 +3,7 @@ package sqldb
 import (
 	"errors"
 	"iter"
+	"os"
 	"slices"
 	"sort"
 	"strings"
@@ -52,6 +53,10 @@ type DB struct {
 
 	wal *groupWAL // nil for a memory-only database
 	dir string
+	// ckpt is the checkpoint file of the current epoch, open for the
+	// tables that still read from it; nil until the directory has one.
+	// Guarded by wmu.
+	ckpt *os.File
 	// commitArrivals counts committers that have entered the commit
 	// path but not yet enqueued (or abandoned) their WAL frame. The
 	// flusher reads it to gather a whole cohort of concurrent
@@ -305,13 +310,14 @@ func (db *DB) execMutation(ws *writeState, st Statement) (*Result, error) {
 		if ci < 0 {
 			return nil, errorf("no column %q in table %q", s.Column, s.Table)
 		}
-		nt := ws.modify(key)
-		idx := &hashIndex{}
-		idx.rebuildFrom(nt, ci)
-		nt.indexes[lower(s.Column)] = idx
+		nt, err := ws.modify(key)
+		if err != nil {
+			return nil, err
+		}
+		nt.addIndex(ci)
 		// Index choice is made per execution, but bump anyway so
 		// EXPLAIN-sensitive consumers never see a stale plan.
-		ws.schemaChanged(key)
+		ws.schemaChanged(nt)
 		return &Result{}, nil
 	case *AlterTableStmt:
 		return db.execAlter(ws, s)
@@ -387,7 +393,10 @@ func (db *DB) execInsert(ws *writeState, s *InsertStmt) (*Result, error) {
 			}
 			inRows[ri] = row
 		}
-		nt := ws.appendTo(key)
+		nt, err := ws.appendTo(key)
+		if err != nil {
+			return nil, err
+		}
 		if err := nt.appendRows(colPos, inRows); err != nil {
 			return nil, err
 		}
@@ -409,7 +418,10 @@ func (db *DB) execInsert(ws *writeState, s *InsertStmt) (*Result, error) {
 	if n == 0 {
 		return &Result{}, nil // nothing to append: the table stays as it is
 	}
-	nt := ws.appendTo(key)
+	nt, err := ws.appendTo(key)
+	if err != nil {
+		return nil, err
+	}
 	if err := nt.appendRows(colPos, parts...); err != nil {
 		return nil, err
 	}
@@ -504,10 +516,14 @@ func (db *DB) execUpdate(ws *writeState, s *UpdateStmt) (*Result, error) {
 	}
 	// Build the replacement row set copy-on-write: untouched rows keep
 	// their (immutable, shared) Row slices; updated rows are fresh.
+	chunks, err := t.chunks()
+	if err != nil {
+		return nil, err
+	}
 	ctx := &execCtx{}
 	newRows := make([]Row, 0, t.nrows)
 	affected := 0
-	for _, chunk := range t.chunks {
+	for _, chunk := range chunks {
 		for _, row := range chunk {
 			ctx.row = row
 			if where != nil {
@@ -542,7 +558,10 @@ func (db *DB) execUpdate(ws *writeState, s *UpdateStmt) (*Result, error) {
 	// from being a blind append of this transaction.
 	ws.markRewrite(key)
 	if affected > 0 {
-		nt := ws.modify(key)
+		nt, err := ws.modify(key)
+		if err != nil {
+			return nil, err
+		}
 		nt.replaceRows(newRows)
 	}
 	return &Result{Affected: affected}, nil
@@ -558,10 +577,14 @@ func (db *DB) execDelete(ws *writeState, s *DeleteStmt) (*Result, error) {
 	if s.Where != nil {
 		where = compileExpr(s.Where, newEvalCtx(tableECSchema(t)))
 	}
+	chunks, err := t.chunks()
+	if err != nil {
+		return nil, err
+	}
 	ctx := &execCtx{}
 	var kept []Row
 	deleted := 0
-	for _, chunk := range t.chunks {
+	for _, chunk := range chunks {
 		for _, row := range chunk {
 			if where != nil {
 				ctx.row = row
@@ -579,7 +602,10 @@ func (db *DB) execDelete(ws *writeState, s *DeleteStmt) (*Result, error) {
 	}
 	ws.markRewrite(key) // as in execUpdate: a scan is not blind
 	if deleted > 0 {
-		nt := ws.modify(key)
+		nt, err := ws.modify(key)
+		if err != nil {
+			return nil, err
+		}
 		nt.replaceRows(kept)
 	}
 	return &Result{Affected: deleted}, nil
@@ -657,7 +683,10 @@ func insertRowsWS(ws *writeState, tableName string, cols []string, rows []Row) (
 	if err != nil {
 		return nil, 0, err
 	}
-	nt := ws.appendTo(key)
+	nt, err := ws.appendTo(key)
+	if err != nil {
+		return nil, 0, err
+	}
 	if err := nt.appendRows(colPos, rows); err != nil {
 		return nil, 0, err
 	}

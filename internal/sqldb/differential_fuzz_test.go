@@ -16,7 +16,9 @@
 //  5. a block-backed twin: a durable engine whose column cache is
 //     capped at ~0 bytes and which checkpoints periodically, so its
 //     vectorized scans hydrate from compressed column blocks on disk
-//     (decode + zone-map pruning) instead of RAM-resident vectors.
+//     (decode + zone-map pruning) instead of RAM-resident vectors —
+//     and which every third checkpoint is closed and reopened, so its
+//     tables come back cold and hydrate from those blocks too.
 //
 // At every generated SELECT the five answers must agree exactly
 // (floats within 1e-9 for AVG against the model; engine-vs-engine
@@ -63,6 +65,7 @@ type diffState struct {
 	db    *sqldb.DB    // oracle 1: in-process engine (vectorized)
 	rdb   *sqldb.DB    // oracle 4: same engine, row path forced
 	bdb   *sqldb.DB    // oracle 5: durable engine, cold block-backed scans
+	bdir  string       // its directory, for the reopens
 	wc    *wire.Client // oracle 3: same statements over TCP
 	model []mrow       // oracle 2: naive reference
 	saved []mrow       // model backup for ROLLBACK
@@ -95,13 +98,25 @@ func (s *diffState) exec(sql string) {
 		s.t.Fatalf("block-backed engine rejected generated statement %q: %v", sql, err)
 	}
 	// Periodic checkpoints re-encode the table into compressed column
-	// blocks and install the new block store, so later SELECTs on the
-	// cold-cache twin decode from disk. Never inside a transaction: the
-	// checkpoint would fold an uncommitted overlay into the snapshot.
+	// blocks and register them, so later SELECTs on the cold-cache twin
+	// decode from disk; every third one is a Close and reopen instead,
+	// after which the tables themselves are decoded from the blocks on
+	// first touch. Never inside a transaction: it lives in the session.
 	s.muts++
 	if !s.inTxn && sql != "BEGIN" && s.muts%7 == 0 {
-		if err := s.bdb.Checkpoint(); err != nil {
-			s.t.Fatalf("block-backed engine checkpoint: %v", err)
+		if s.muts%21 != 0 {
+			if err := s.bdb.Checkpoint(); err != nil {
+				s.t.Fatalf("block-backed engine checkpoint: %v", err)
+			}
+		} else {
+			if err := s.bdb.Close(); err != nil {
+				s.t.Fatalf("block-backed engine close: %v", err)
+			}
+			var err error
+			if s.bdb, err = sqldb.OpenWithPolicy(s.bdir, sqldb.SyncOff); err != nil {
+				s.t.Fatalf("block-backed engine reopen: %v", err)
+			}
+			s.bdb.ColumnCacheLimit(0)
 		}
 	}
 	s.pending = append(s.pending, sqldb.PipelineRequest{SQL: sql})
@@ -563,13 +578,14 @@ func FuzzSQLDifferential(f *testing.F) {
 
 		rdb := sqldb.NewMemory()
 		rdb.SetVectorized(false)
-		bdb, err := sqldb.OpenWithPolicy(t.TempDir(), sqldb.SyncOff)
+		bdir := t.TempDir()
+		bdb, err := sqldb.OpenWithPolicy(bdir, sqldb.SyncOff)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer bdb.Close()
 		bdb.ColumnCacheLimit(0) // every vector hydration decodes from disk
-		s := &diffState{t: t, db: db, rdb: rdb, bdb: bdb, wc: wc}
+		s := &diffState{t: t, db: db, rdb: rdb, bdb: bdb, bdir: bdir, wc: wc}
+		defer func() { s.bdb.Close() }()
 		s.exec("CREATE TABLE m (k integer, grp string, v integer)")
 		s.exec("CREATE TABLE j (jk integer, tag string, ord integer)")
 

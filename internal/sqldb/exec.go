@@ -67,7 +67,11 @@ func (sn *snapshot) scan(fi fromItem) (*relation, error) {
 		sn.reads.addFull(lower(fi.Table))
 	}
 	t, _ := sn.table(fi.Table)
-	return &relation{schema: schema, chunks: t.chunks, nrows: t.nrows}, nil
+	chunks, err := t.chunks()
+	if err != nil {
+		return nil, err
+	}
+	return &relation{schema: schema, chunks: chunks, nrows: t.nrows}, nil
 }
 
 // crossJoin combines two relations with no condition.
@@ -228,26 +232,27 @@ func equalityCandidates(e sqlExpr, out map[string]value.Value) {
 
 // indexedScan serves a single-table FROM through a hash index when the
 // WHERE clause pins an indexed column to a literal. The full WHERE
-// still runs afterwards, so this is purely a row pre-filter.
-func (sn *snapshot) indexedScan(fi fromItem, where sqlExpr) (*relation, bool) {
+// still runs afterwards, so this is purely a row pre-filter. A nil
+// relation means no index serves the query.
+func (sn *snapshot) indexedScan(fi fromItem, where sqlExpr) (*relation, error) {
 	t, ok := sn.table(fi.Table)
-	if !ok || where == nil || len(t.indexes) == 0 {
-		return nil, false
+	if !ok || where == nil || !t.indexed() {
+		return nil, nil
 	}
 	cands := map[string]value.Value{}
 	equalityCandidates(where, cands)
 	for col, v := range cands {
-		idx, ok := t.indexes[col]
-		if !ok {
-			continue
-		}
 		ci := t.schema.Index(col)
-		if ci < 0 {
+		if ci < 0 || !t.hasIndex(col) {
 			continue
 		}
 		cv, err := v.Convert(t.schema[ci].Type)
 		if err != nil {
 			continue
+		}
+		idx, err := t.index(col)
+		if err != nil {
+			return nil, err
 		}
 		alias := fi.Alias
 		if alias == "" {
@@ -269,9 +274,9 @@ func (sn *snapshot) indexedScan(fi fromItem, where sqlExpr) (*relation, bool) {
 			// different keys of the same table don't conflict.
 			sn.reads.addPoint(lower(fi.Table), pointRead{col: col, key: cv, fp: fingerprintRows(rows)})
 		}
-		return singleChunk(schema, rows), true
+		return singleChunk(schema, rows), nil
 	}
-	return nil, false
+	return nil, nil
 }
 
 // execSelect runs a SELECT against this snapshot, compiling a fresh
@@ -330,8 +335,8 @@ func (sn *snapshot) sourceRelation(st *SelectStmt) (*relation, error) {
 		return singleChunk(nil, []Row{{}}), nil
 	}
 	if len(st.From) == 1 && len(st.Joins) == 0 {
-		if r, ok := sn.indexedScan(st.From[0], st.Where); ok {
-			return r, nil
+		if r, err := sn.indexedScan(st.From[0], st.Where); r != nil || err != nil {
+			return r, err
 		}
 		return sn.scan(st.From[0])
 	}

@@ -103,7 +103,11 @@ func (db *DB) explainBranch(sn *snapshot, q *SelectStmt, generic bool) ([]string
 		if p, err := sn.planSelect(q); err == nil && p.vec != nil && db.env != nil && !db.env.vecDisabled.Load() {
 			vec = true
 			add("fused single pass: batch scan, filter, aggregate [vectorized] [morsels=%d]", vecMorselCount(t))
-			if line := db.explainBlocks(t, p.vec); line != "" {
+			line, err := db.explainBlocks(t, p.vec)
+			if err != nil {
+				return nil, false, err
+			}
+			if line != "" {
 				add("%s", line)
 			}
 		}
@@ -153,7 +157,9 @@ func (db *DB) explainBranch(sn *snapshot, q *SelectStmt, generic bool) ([]string
 				rt, rok := sn.table(jp.rightKey)
 				skip := 0
 				if lok && rok {
-					skip, _ = db.vecJoinBlockSkips(sn, jp, lt, rt)
+					if skip, _, err = db.vecJoinBlockSkips(sn, jp, lt, rt); err != nil {
+						return nil, false, err
+					}
 				}
 				add("%s hash join with %s [vec-join build=%d probe=%d bloom-skip=%d]",
 					kind, name(jc.Right), rt.nrows, lt.nrows, skip)
@@ -267,80 +273,51 @@ func (db *DB) execExplain(sn *snapshot, st *ExplainStmt) (*Result, error) {
 	return res, nil
 }
 
-// explainBlocks reports how the columnar block store would serve the
-// vectorized scan: how many blocks would be decoded vs pruned by the
-// plan's zone predicate (evaluated statically against the block
-// index's zone maps, no data touched), plus the dominant encoding of
+// explainBlocks reports how the checkpoint's column blocks would serve
+// the vectorized scan: how many blocks would be decoded vs pruned by the
+// plan's zone predicate (evaluated statically against the zone maps, no
+// data touched — a cold table stays cold), plus the dominant encoding of
 // each column the plan reads. Empty when no chunk of the table is
 // block-resident.
-func (db *DB) explainBlocks(t *table, vp *vecPlan) string {
-	store := db.env.blocks.Load()
-	if store == nil {
-		return ""
+func (db *DB) explainBlocks(t *table, vp *vecPlan) (string, error) {
+	chunks, err := db.env.tableBlocks(t)
+	if err != nil || len(chunks) == 0 {
+		return "", err
 	}
 	zoneOn := vp.zone != nil && !db.env.zoneOff.Load()
 	scanned, skipped := 0, 0
-	resident := false
-	for _, ch := range t.chunks {
-		sc := store.chunkFor(ch)
-		if sc == nil {
-			continue
-		}
-		resident = true
-		for lo := 0; lo < len(ch); lo += vecMorselRows {
-			bi := lo / vecMorselRows
-			nrows := min(lo+vecMorselRows, len(ch)) - lo
-			if zoneOn {
-				meta := func(ci int) *blockMeta {
-					if ci >= len(sc.cols) || bi >= len(sc.cols[ci].Blocks) {
-						return nil
-					}
-					b := &sc.cols[ci].Blocks[bi]
-					if b.Rows != nrows {
-						return nil
-					}
-					return b
-				}
-				if vp.zone(meta) {
-					skipped++
-					continue
-				}
+	for _, sc := range chunks {
+		for lo := 0; lo < sc.rows; lo += vecMorselRows {
+			bi, nrows := lo/vecMorselRows, min(vecMorselRows, sc.rows-lo)
+			if zoneOn && vp.zone(func(ci int) *blockMeta { return sc.block(ci, bi, nrows) }) {
+				skipped++
+				continue
 			}
 			scanned++
 		}
 	}
-	if !resident {
-		return ""
-	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "column blocks [blocks=%d/%d]", scanned, skipped)
-	if labels := store.encs[vp.tableKey]; labels != nil {
-		cols := append([]int(nil), vp.cols...)
-		sort.Ints(cols)
-		b.WriteString(" enc")
-		for _, ci := range cols {
-			if ci < len(labels) && ci < len(t.schema) {
-				fmt.Fprintf(&b, " %s=%s", t.schema[ci].Name, labels[ci])
-			}
-		}
+	fmt.Fprintf(&b, "column blocks [blocks=%d/%d] enc", scanned, skipped)
+	cols := append([]int(nil), vp.cols...)
+	sort.Ints(cols)
+	for _, ci := range cols {
+		fmt.Fprintf(&b, " %s=%s", t.schema[ci].Name, dominantEnc(chunks, ci))
 	}
-	return b.String()
+	return b.String(), nil
 }
 
 // explainIndexProbe mirrors indexedScan's decision without touching
 // rows, returning the probed column.
 func (sn *snapshot) explainIndexProbe(fi fromItem, where sqlExpr) (string, bool) {
 	t, ok := sn.table(fi.Table)
-	if !ok || where == nil || len(t.indexes) == 0 {
+	if !ok || where == nil || !t.indexed() {
 		return "", false
 	}
 	cands := map[string]value.Value{}
 	equalityCandidates(where, cands)
 	for col := range cands {
-		if _, ok := t.indexes[col]; ok {
-			if t.schema.Index(col) >= 0 {
-				return col, true
-			}
+		if t.hasIndex(col) && t.schema.Index(col) >= 0 {
+			return col, true
 		}
 	}
 	return "", false

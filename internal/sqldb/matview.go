@@ -423,7 +423,12 @@ func (r *ViewRegistry) rebuild(v *matView) {
 		return
 	}
 	v.baseSchema = t.schema
-	for _, chunk := range t.chunks {
+	chunks, err := t.chunks()
+	if err != nil {
+		v.fail(err)
+		return
+	}
+	for _, chunk := range chunks {
 		for _, row := range chunk {
 			if err := v.accumulate(row); err != nil {
 				v.fail(err)

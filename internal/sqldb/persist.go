@@ -3,7 +3,6 @@ package sqldb
 import (
 	"bufio"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -11,26 +10,33 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"perfbase/internal/failpoint"
-	"perfbase/internal/value"
 )
 
 // Durability layout: a database directory holds
 //
-//	snapshot.gob — gob-encoded full table state at the last checkpoint
-//	wal.log      — CRC-framed SQL statement batches executed since
+//	columns.blk — the checkpoint: every table as compressed column
+//	              blocks plus a directory of them (colblock.go)
+//	wal.log     — CRC-framed SQL statement batches executed since
 //
-// Open loads the snapshot and replays the WAL. Checkpoint folds the
-// WAL into a fresh snapshot, and Close checkpoints when there is
-// something to fold: a session that committed nothing durable leaves
-// the directory exactly as it found it. Mutating statements append to
-// the WAL on commit; a multi-statement transaction is framed as ONE
-// record, so a crash can never surface half of a committed transaction.
+// Open reads the checkpoint's directory — not its data: tables are
+// created cold and decode their blocks when first touched (schema.go) —
+// and replays the WAL. Checkpoint folds the WAL into a fresh checkpoint
+// file, carrying over byte for byte every table it has no reason to
+// encode again, and Close checkpoints when there is something to fold:
+// a session that committed nothing durable leaves the directory exactly
+// as it found it. Mutating statements append to the WAL on commit; a
+// multi-statement transaction is framed as ONE record, so a crash can
+// never surface half of a committed transaction.
+//
+// The checkpoint is the only copy of what it holds. A write error fails
+// the checkpoint — the WAL is not rotated and the previous file stays in
+// place — and damage found on the read side is an error
+// (ErrCorruptCheckpoint), never an empty table.
 //
 // WAL file format (v2):
 //
@@ -38,12 +44,14 @@ import (
 //	frame:   uvarint(len payload) + uint32 LE CRC-32C(payload) + payload
 //	payload: repeated { uvarint(len stmt) + stmt }
 //
-// The epoch ties the WAL to the snapshot generation it extends: a
-// checkpoint writes a snapshot stamped epoch E+1 and then resets the
-// WAL to epoch E+1. If the process dies between the two steps, reopen
-// sees snapshot epoch E+1 with a WAL still at epoch E and discards the
-// stale WAL instead of replaying statements the snapshot already
-// contains (the classic double-apply window). Replay stops cleanly at
+// The epoch ties the WAL to the checkpoint generation it extends: a
+// checkpoint renames a file stamped epoch E+1 into place and then resets
+// the WAL to epoch E+1. If the process dies between the two steps,
+// reopen sees checkpoint epoch E+1 with a WAL still at epoch E and
+// discards the stale WAL instead of replaying statements the checkpoint
+// already contains (the classic double-apply window). The reverse — a
+// WAL ahead of the checkpoint — no crash produces: the checkpoint it
+// extended is gone, and Open refuses. Replay stops cleanly at
 // the first torn or corrupt frame, reports the recovered position (see
 // RecoveryInfo), and truncates the file there so later appends never
 // hide behind garbage.
@@ -54,8 +62,11 @@ import (
 // SyncPolicy picks the durability/latency trade-off.
 
 const (
-	snapshotFile = "snapshot.gob"
-	walFile      = "wal.log"
+	walFile = "wal.log"
+	// oldSnapshotFile is what a directory written before columns.blk
+	// became the checkpoint keeps its rows in; Open refuses such a
+	// directory (ErrOldFormat) instead of opening it empty.
+	oldSnapshotFile = "snapshot.gob"
 )
 
 // walMagic identifies a v2 WAL file; the header is the magic plus a
@@ -527,8 +538,8 @@ type RecoveryInfo struct {
 	// TornTail is true when trailing bytes after the last intact frame
 	// were discarded (a crash tore the final write).
 	TornTail bool
-	// StaleWAL is true when the WAL predated the snapshot (a crash hit
-	// the checkpoint between snapshot publish and WAL rotation) and was
+	// StaleWAL is true when the WAL predated the checkpoint (a crash hit
+	// between the checkpoint's rename and the WAL rotation) and was
 	// discarded wholesale instead of double-applied.
 	StaleWAL bool
 }
@@ -540,70 +551,33 @@ func Open(dir string) (*DB, error) {
 }
 
 // OpenWithPolicy opens a durable database with an explicit WAL sync
-// policy.
-func OpenWithPolicy(dir string, policy SyncPolicy) (*DB, error) {
+// policy. Its cost follows the number of tables and the length of the
+// WAL, not the rows the checkpoint holds: those are read when a
+// statement first touches their table.
+func OpenWithPolicy(dir string, policy SyncPolicy) (_ *DB, err error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("sqldb: open %s: %w", dir, err)
 	}
 	db := NewMemory()
 	db.dir = dir
+	db.env.blocks.Store(newBlockStore())
 
-	// Load snapshot.
 	var snapEpoch uint64
-	snapPath := filepath.Join(dir, snapshotFile)
-	if f, err := os.Open(snapPath); err == nil {
-		var snap snapshotData
-		derr := fpPersistLoad.Inject()
-		if derr == nil {
-			derr = gob.NewDecoder(f).Decode(&snap)
-		}
-		f.Close()
-		if derr != nil {
-			return nil, fmt.Errorf("sqldb: corrupt snapshot %s: %w", snapPath, derr)
-		}
-		snapEpoch = snap.Epoch
-		var cat catalog
-		for _, ts := range snap.Tables {
-			schema := make(Schema, len(ts.Cols))
-			for i, c := range ts.Cols {
-				schema[i] = Column{Name: c.Name, Type: value.Type(c.Type)}
+	ck, err := openCheckpoint(filepath.Join(dir, blockFile))
+	if err != nil {
+		return nil, fmt.Errorf("sqldb: open %w", err)
+	}
+	if ck != nil {
+		defer func() {
+			if err != nil {
+				ck.f.Close()
 			}
-			t := newTable(ts.Name, schema, ts.Temp)
-			if chunkLensValid(ts.ChunkLens, len(ts.Rows)) {
-				// Rebuild the checkpoint's exact chunk structure so the
-				// columnar block file (indexed per chunk) stays
-				// addressable. No compacting seal — merging chunks here
-				// would detach them from their block index entries.
-				off := 0
-				for _, n := range ts.ChunkLens {
-					t.appendChunk(ts.Rows[off : off+n : off+n])
-					off += n
-				}
-			} else {
-				t.replaceRows(ts.Rows)
-			}
-			for _, col := range ts.Indexes {
-				ci := schema.Index(col)
-				if ci >= 0 {
-					idx := &hashIndex{}
-					idx.rebuildFrom(t, ci)
-					t.indexes[lower(col)] = idx
-				}
-			}
-			t.mutable = false
-			t.ver = db.schemaVer.Add(1)
-			cat = cat.set(t)
-		}
-		db.state.Store(&snapshot{cat: cat, env: db.env})
-		// Attach the columnar block mirror if one survives from the same
-		// checkpoint generation. openBlockStore validates magic, epoch,
-		// CRC and chunk shapes and returns nil on ANY problem — the block
-		// file is derived data and must never fail recovery.
-		if bs := openBlockStore(filepath.Join(dir, blockFile), snapEpoch, cat); bs != nil {
-			db.env.blocks.Store(bs)
-		}
-	} else if !errors.Is(err, os.ErrNotExist) {
-		return nil, err
+		}()
+		snapEpoch, db.ckpt = ck.epoch, ck.f
+		db.env.ckptRead.Add(ck.read)
+		db.state.Store(&snapshot{cat: catalogOf(ck.coldTables(db)), env: db.env})
+	} else if _, err := os.Stat(filepath.Join(dir, oldSnapshotFile)); err == nil {
+		return nil, fmt.Errorf("sqldb: open %s: %w", filepath.Join(dir, oldSnapshotFile), ErrOldFormat)
 	}
 
 	// Replay WAL.
@@ -611,6 +585,16 @@ func OpenWithPolicy(dir string, policy SyncPolicy) (*DB, error) {
 	wc, err := readWAL(walPath)
 	if err != nil {
 		return nil, err
+	}
+	if wc.epoch > snapEpoch {
+		// No crash leaves a WAL ahead of its checkpoint; the checkpoint it
+		// extended was lost or replaced by an older one. Replaying onto
+		// anything else would answer with wrong rows.
+		found := "is missing"
+		if ck != nil {
+			found = fmt.Sprintf("is at epoch %d", snapEpoch)
+		}
+		return nil, corruptf("%s extends checkpoint epoch %d, but %s %s", walPath, wc.epoch, filepath.Join(dir, blockFile), found)
 	}
 	stale := wc.epoch < snapEpoch
 	if !stale {
@@ -633,8 +617,8 @@ func OpenWithPolicy(dir string, policy SyncPolicy) (*DB, error) {
 
 	if stale {
 		// The WAL belongs to the pre-checkpoint generation; its effects
-		// are already inside the snapshot. Discard it and start a fresh
-		// log at the snapshot's epoch.
+		// are already inside the checkpoint. Discard it and start a fresh
+		// log at the checkpoint's epoch.
 		db.walEpoch = snapEpoch
 		db.setPos(ReplPos{Epoch: snapEpoch})
 		w, err := openWAL(walPath, policy, snapEpoch, true)
@@ -652,38 +636,16 @@ func OpenWithPolicy(dir string, policy SyncPolicy) (*DB, error) {
 			return nil, err
 		}
 	}
-	epoch := wc.epoch
-	if epoch < snapEpoch {
-		epoch = snapEpoch
-	}
-	db.walEpoch = epoch
+	db.walEpoch = snapEpoch // == wc.epoch: neither older nor newer
 	// The recovered LSN is the number of intact frames replayed.
-	db.setPos(ReplPos{Epoch: epoch, LSN: uint64(db.recovery.Frames)})
-	w, err := openWAL(walPath, policy, epoch, false)
+	db.setPos(ReplPos{Epoch: snapEpoch, LSN: uint64(db.recovery.Frames)})
+	w, err := openWAL(walPath, policy, snapEpoch, false)
 	if err != nil {
 		return nil, err
 	}
 	w.arrivals = db.commitArrivals.Load
 	db.wal = w
 	return db, nil
-}
-
-// chunkLensValid reports whether lens is a usable partition of nrows:
-// non-empty, all-positive, summing exactly to nrows. Anything else
-// (older snapshots without the field, or a damaged one) falls back to
-// single-chunk loading.
-func chunkLensValid(lens []int, nrows int) bool {
-	if len(lens) == 0 {
-		return false
-	}
-	sum := 0
-	for _, n := range lens {
-		if n <= 0 {
-			return false
-		}
-		sum += n
-	}
-	return sum == nrows
 }
 
 // Recovery returns what the last Open found in the WAL. Zero value for
@@ -776,35 +738,10 @@ func (db *DB) isTemp(name string) bool {
 	return ok && t.temp
 }
 
-type tableSnap struct {
-	Name    string
-	Temp    bool
-	Cols    []colSnap
-	Rows    [][]value.Value
-	Indexes []string
-	// ChunkLens records the table's non-empty chunk lengths in storage
-	// order (they partition Rows). Open rebuilds the exact chunk
-	// structure from it so the columnar block file — whose block index
-	// is laid out per chunk — stays addressable after recovery. Absent
-	// (older snapshots), Rows load as one chunk.
-	ChunkLens []int
-}
-
-type colSnap struct {
-	Name string
-	Type int
-}
-
-type snapshotData struct {
-	// Epoch is the checkpoint generation; the WAL header carries the
-	// epoch it extends, and recovery discards a WAL older than the
-	// snapshot (see the file comment).
-	Epoch  uint64
-	Tables []tableSnap
-}
-
-// Checkpoint writes a fresh snapshot and resets the WAL. It is a no-op
-// for memory-only databases.
+// Checkpoint folds the WAL into a fresh checkpoint file and resets the
+// WAL. It is a no-op for memory-only databases. On an error nothing is
+// folded: the previous checkpoint and the WAL that extends it are what
+// the next Open finds.
 func (db *DB) Checkpoint() error {
 	db.wmu.Lock()
 	defer db.wmu.Unlock()
@@ -812,60 +749,16 @@ func (db *DB) Checkpoint() error {
 		return nil
 	}
 	sn := db.state.Load()
-	snap := snapshotData{Epoch: db.walEpoch + 1}
-	for _, t := range sn.durableTables() {
-		ts := tableSnap{Name: t.name, Temp: t.temp, Rows: t.flat()}
-		for _, ch := range t.chunks {
-			if len(ch) > 0 {
-				ts.ChunkLens = append(ts.ChunkLens, len(ch))
-			}
-		}
-		for _, c := range t.schema {
-			ts.Cols = append(ts.Cols, colSnap{Name: c.Name, Type: int(c.Type)})
-		}
-		for col := range t.indexes {
-			ts.Indexes = append(ts.Indexes, col)
-		}
-		sort.Strings(ts.Indexes)
-		snap.Tables = append(snap.Tables, ts)
-	}
-
-	if err := fpPersistSave.Inject(); err != nil {
-		return err
-	}
-	tmp := filepath.Join(db.dir, snapshotFile+".tmp")
-	f, err := os.Create(tmp)
+	epoch := db.walEpoch + 1
+	tables := sn.durableTables()
+	f, written, err := writeCheckpoint(filepath.Join(db.dir, blockFile), epoch, tables)
 	if err != nil {
 		return err
 	}
-	if err := gob.NewEncoder(f).Encode(&snap); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := fpPersistRen.Inject(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(db.dir, snapshotFile)); err != nil {
-		return err
-	}
-	// Columnar mirror of the snapshot (colblock.go). Derived data: a
-	// write failure is swallowed — the row snapshot above is the
-	// durability contract — and only costs block-backed hydration until
-	// the next checkpoint. A crash in this window leaves a block file
-	// whose epoch disagrees with the new snapshot; reopen discards it.
-	db.writeColumnBlocks(sn, snap.Epoch)
+	db.env.adoptCheckpoint(f, tables, written)
+	db.ckpt = f // the one before closes when the last reader lets go of it
 	// Rotate the WAL: stop the old writer, recreate at the new epoch.
-	// A crash anywhere in this window leaves snapshot epoch E+1 with a
+	// A crash anywhere in this window leaves checkpoint epoch E+1 with a
 	// WAL at epoch E, which recovery discards as stale — never
 	// double-applied.
 	var policy SyncPolicy
@@ -879,8 +772,8 @@ func (db *DB) Checkpoint() error {
 	if err := fpWALRotate.Inject(); err != nil {
 		return err
 	}
-	db.walEpoch = snap.Epoch
-	w, err := openWAL(filepath.Join(db.dir, walFile), policy, snap.Epoch, true)
+	db.walEpoch = epoch
+	w, err := openWAL(filepath.Join(db.dir, walFile), policy, epoch, true)
 	if err != nil {
 		return err
 	}
@@ -888,60 +781,32 @@ func (db *DB) Checkpoint() error {
 	db.wal = w
 	// Advance the replication position to the fresh epoch and tell the
 	// stream hub: subscribers behind the rotation need a snapshot.
-	pos := ReplPos{Epoch: snap.Epoch}
+	pos := ReplPos{Epoch: epoch}
 	db.setPos(pos)
 	db.fireHooks(pos, nil)
 	return nil
 }
 
-// writeColumnBlocks persists the columnar mirror of the snapshot's
-// non-temp tables and swaps the in-process block store to the new
-// generation, so cold scans hydrate from compressed blocks without a
-// reopen. Best-effort: on any write failure the block file is removed
-// (it would be stale at the new epoch anyway) and the store cleared.
-func (db *DB) writeColumnBlocks(sn *snapshot, epoch uint64) {
-	path := filepath.Join(db.dir, blockFile)
-	tables := sn.durableTables()
-	wts := make([]blockWriteTable, 0, len(tables))
-	for _, t := range tables {
-		wt := blockWriteTable{name: t.name, chunks: t.chunks}
-		for _, c := range t.schema {
-			wt.names = append(wt.names, c.Name)
-			wt.types = append(wt.types, c.Type)
-		}
-		wts = append(wts, wt)
-	}
-	idx, err := writeBlockFile(path, epoch, wts)
-	if err != nil {
-		os.Remove(path)
-		db.swapBlockStore(nil)
-		return
-	}
-	f, err := os.Open(path)
-	if err != nil {
-		db.swapBlockStore(nil)
-		return
-	}
-	db.swapBlockStore(buildBlockStore(f, path, epoch, idx, sn.cat))
-}
-
 // Close releases the database, first folding the WAL into a fresh
-// snapshot if there is anything to fold: frames at the current epoch —
-// replayed at Open or committed since — or a directory without an
-// intact column-block mirror of this epoch (a new directory, a deleted
-// or unreadable block file, one a scan found a damaged block in).
-// Otherwise snapshot, blocks and WAL header already say everything, and
-// no file is written.
+// checkpoint if there is anything to fold: frames at the current epoch —
+// replayed at Open or committed since — or a directory that has no
+// checkpoint yet. Otherwise checkpoint and WAL header already say
+// everything, and no file is written.
 func (db *DB) Close() error {
-	pos, bs := db.Pos(), db.env.blocks.Load()
-	if db.dir != "" && (pos.LSN > 0 || bs == nil || bs.epoch != pos.Epoch || bs.damaged.Load()) {
+	db.wmu.Lock()
+	fold := db.dir != "" && (db.Pos().LSN > 0 || db.ckpt == nil)
+	db.wmu.Unlock()
+	if fold {
 		if err := db.Checkpoint(); err != nil {
 			return err
 		}
 	}
 	db.wmu.Lock()
 	defer db.wmu.Unlock()
-	db.swapBlockStore(nil)
+	if db.ckpt != nil {
+		db.ckpt.Close() //nolint:errcheck // only ever read through this handle
+		db.ckpt = nil
+	}
 	if db.wal != nil {
 		err := db.wal.close()
 		db.wal = nil

@@ -296,8 +296,8 @@ func assertUntouched(t *testing.T, before, after map[string]fileState) {
 // TestCloseStillFoldsTheWAL: Close skips the checkpoint only when there
 // is nothing to fold. A session that merely reads after a crash left
 // frames in the WAL — an intact log, or one with a torn tail — must
-// still fold them, and a directory whose block file went missing gets
-// it rebuilt, once.
+// still fold them, and a directory that has no checkpoint yet gets its
+// first one, once.
 func TestCloseStillFoldsTheWAL(t *testing.T) {
 	for _, torn := range []bool{false, true} {
 		t.Run(fmt.Sprintf("torn=%v", torn), func(t *testing.T) {
@@ -337,7 +337,7 @@ func TestCloseStillFoldsTheWAL(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// The frames are in the snapshot now; from here on a reader
+			// The frames are in the checkpoint now; from here on a reader
 			// leaves the directory alone.
 			folded := dirState(t, dir)
 			if n := len(folded[walFile].data); n != walHeaderSize {
@@ -358,28 +358,27 @@ func TestCloseStillFoldsTheWAL(t *testing.T) {
 			}
 			assertUntouched(t, folded, dirState(t, dir))
 
-			// A lost block file is derived data: the next close rebuilds
-			// it (one checkpoint, so a new epoch), the one after does not.
-			if err := os.Remove(filepath.Join(dir, blockFile)); err != nil {
-				t.Fatal(err)
-			}
-			for pass, wantRebuild := range []bool{true, false} {
-				before := dirState(t, dir)
-				db, err = Open(dir)
+			// A directory with no checkpoint — new, or crashed before its
+			// first one — gets one from the first close, whatever the
+			// session did, and the close after that writes nothing.
+			fresh := t.TempDir()
+			for pass, wantCheckpoint := range []bool{true, false} {
+				before := dirState(t, fresh)
+				db, err = Open(fresh)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if err := db.Close(); err != nil {
 					t.Fatal(err)
 				}
-				after := dirState(t, dir)
+				after := dirState(t, fresh)
 				if _, ok := after[blockFile]; !ok {
-					t.Fatalf("pass %d: no block file after close", pass)
+					t.Fatalf("pass %d: no checkpoint after close", pass)
 				}
-				if rebuilt := !os.SameFile(before[snapshotFile].info, after[snapshotFile].info); rebuilt != wantRebuild {
-					t.Fatalf("pass %d: checkpointed = %v, want %v", pass, rebuilt, wantRebuild)
+				if _, had := before[blockFile]; had == wantCheckpoint {
+					t.Fatalf("pass %d: checkpoint present before = %v, want %v", pass, had, !wantCheckpoint)
 				}
-				if !wantRebuild {
+				if !wantCheckpoint {
 					assertUntouched(t, before, after)
 				}
 			}

@@ -7,7 +7,7 @@
 // dialect (CREATE/DROP TABLE, CREATE TEMP TABLE AS SELECT, INSERT,
 // UPDATE, DELETE, and SELECT with joins, WHERE, GROUP BY with
 // statistics aggregates, HAVING, ORDER BY, DISTINCT and LIMIT),
-// optional write-ahead-log + snapshot persistence, and hash indexes.
+// optional write-ahead-log + checkpoint persistence, and hash indexes.
 // Storage is multi-versioned: readers execute against immutable
 // snapshots while writers publish new table versions (see snapshot.go
 // and DESIGN.md "Storage & concurrency model"). The sibling package
@@ -17,8 +17,11 @@ package sqldb
 
 import (
 	"fmt"
+	"sort"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"perfbase/internal/failpoint"
@@ -91,6 +94,16 @@ type Result struct {
 // chunk prefix with its parent and appends its own chunks, so INSERT
 // does not copy existing rows. A version is mutable only between
 // derive()/newTable() and seal(), while its single writer builds it.
+//
+// A version that Open created from the checkpoint's directory starts
+// cold: name, schema, version, row count and chunk lengths are known,
+// the rows are still in the file. Its first row or index access — one
+// of the accessors below — hydrates it, once; everything that needs
+// only the catalog (Tables, RowCount, planning, EXPLAIN, DROP TABLE)
+// never does. No code outside this file reads resident or the indexes
+// map directly: chunks, flat and index hydrate first; residentChunks,
+// chunkLens, hasIndex and indexCols answer without, for the code that
+// must leave a cold version cold.
 type table struct {
 	name   string
 	key    string // lower(name): the table's key in the snapshot catalog
@@ -103,18 +116,179 @@ type table struct {
 	// a dropped table cannot match a later table of the same name.
 	ver int64
 
-	// chunks holds the rows in order; offs[i] is the global ordinal of
-	// the first row of chunks[i]. chunks[:sealed] are shared with
-	// ancestor versions and must never be written through.
-	chunks [][]Row
-	offs   []int
-	nrows  int
-	sealed int
+	// resident holds the rows in order; offs[i] is the global ordinal of
+	// the first row of resident[i]. resident[:sealed] are shared with
+	// ancestor versions and must never be written through. Both are nil
+	// while the version is cold.
+	resident [][]Row
+	offs     []int
+	nrows    int
+	sealed   int
 	// mutable is true only while an unpublished writer owns the
 	// version; insert/replaceRows panic on a published version.
 	mutable bool
 
-	indexes map[string]*hashIndex // keyed by lower-case column name
+	// indexes is keyed by lower-case column name. The key set is fixed
+	// once the version is published; a cold version's indexes are empty
+	// until hydration fills them, which is why nothing outside this file
+	// touches the map: hasIndex and indexCols answer from the keys, index
+	// hydrates before it hands one out.
+	indexes map[string]*hashIndex
+
+	// disk is where the last checkpoint put this version's bytes, nil
+	// for a version no checkpoint has written. The next checkpoint
+	// copies that extent instead of encoding the rows again, and a cold
+	// version hydrates from it.
+	disk atomic.Pointer[diskLoc]
+	// cold is set on the versions Open creates, nil on every other.
+	cold *coldState
+}
+
+// coldState is the hydration state of a table version created from the
+// checkpoint directory.
+type coldState struct {
+	// env is the owning database's: hydration registers the chunks'
+	// blocks with it and counts itself there.
+	env *execEnv
+	// lens are the lengths of the version's chunks, in order (none is
+	// empty): hydration rebuilds exactly these, because block metadata,
+	// cached vectors and the order floating-point aggregates add up in
+	// all follow chunk boundaries.
+	lens []int
+	// done is set once resident, offs and the indexes are filled; mu
+	// serializes the goroutines racing to fill them. A failed attempt
+	// leaves the version cold, and the next access tries again.
+	done atomic.Bool
+	mu   sync.Mutex
+	// blocks is the parsed block-meta segment, one entry per chunk, nil
+	// until someone needs it: hydration does, and so does EXPLAIN, which
+	// must not hydrate. Guarded by mu.
+	blocks []*storeChunk
+}
+
+// hydrate makes a cold version resident. It is a no-op — one atomic
+// load — on a version that is resident already, and on every version
+// that was never cold.
+func (t *table) hydrate() error {
+	c := t.cold
+	if c == nil || c.done.Load() {
+		return nil
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.done.Load() {
+		return nil
+	}
+	chunks, err := loadColdTable(t)
+	if err != nil {
+		return err
+	}
+	t.resident = chunks
+	t.offs = make([]int, len(chunks))
+	off := 0
+	for i, ch := range chunks {
+		t.offs[i] = off
+		off += len(ch)
+	}
+	t.rebuildIndexes()
+	c.done.Store(true)
+	return nil
+}
+
+// chunks returns the version's row chunks, hydrating a cold version
+// first. The error is the hydration's: a failed read, or
+// ErrCorruptCheckpoint.
+func (t *table) chunks() ([][]Row, error) {
+	if err := t.hydrate(); err != nil {
+		return nil, err
+	}
+	return t.resident, nil
+}
+
+// residentChunks returns the row chunks if they are in memory and nil
+// if the version is still cold. It never reads the file: the column
+// cache uses it to evict vectors, and a version with no rows in memory
+// has none.
+func (t *table) residentChunks() [][]Row {
+	if t.isCold() {
+		return nil
+	}
+	return t.resident
+}
+
+// isCold reports whether the version's rows are still only in the
+// checkpoint file.
+func (t *table) isCold() bool {
+	c := t.cold
+	return c != nil && !c.done.Load()
+}
+
+// chunkLens returns the lengths of the version's non-empty chunks, in
+// order, without hydrating it.
+func (t *table) chunkLens() []int {
+	if c := t.cold; c != nil {
+		return c.lens
+	}
+	lens := make([]int, 0, len(t.resident))
+	for _, ch := range t.resident {
+		if len(ch) > 0 {
+			lens = append(lens, len(ch))
+		}
+	}
+	return lens
+}
+
+// index returns the hash index on the (lower-case) column, nil if the
+// table has none, hydrating a cold version first.
+func (t *table) index(col string) (*hashIndex, error) {
+	idx, ok := t.indexes[col]
+	if !ok {
+		return nil, nil
+	}
+	return idx, t.hydrate()
+}
+
+// indexed reports whether any column is indexed, and hasIndex whether
+// the (lower-case) column is; planning and EXPLAIN ask, and a cold
+// version stays cold.
+func (t *table) indexed() bool { return len(t.indexes) > 0 }
+
+func (t *table) hasIndex(col string) bool {
+	_, ok := t.indexes[col]
+	return ok
+}
+
+// indexCols returns the indexed columns' lower-case names, sorted.
+func (t *table) indexCols() []string {
+	cols := make([]string, 0, len(t.indexes))
+	for col := range t.indexes {
+		cols = append(cols, col)
+	}
+	sort.Strings(cols)
+	return cols
+}
+
+// addIndex indexes column ci of a mutable version.
+func (t *table) addIndex(ci int) {
+	idx := &hashIndex{}
+	idx.rebuildFrom(t, ci)
+	t.indexes[lower(t.schema[ci].Name)] = idx
+}
+
+// dropIndex removes the index on the (lower-case) column of a mutable
+// version, if there is one.
+func (t *table) dropIndex(col string) { delete(t.indexes, col) }
+
+// coldIndexes gives a version being created cold its index key set:
+// empty indexes on the given columns, for hydration to fill.
+func (t *table) coldIndexes(cols []int) {
+	if len(cols) == 0 {
+		return
+	}
+	t.indexes = make(map[string]*hashIndex, len(cols))
+	for _, ci := range cols {
+		t.indexes[lower(t.schema[ci].Name)] = &hashIndex{}
+	}
 }
 
 func newTable(name string, schema Schema, temp bool) *table {
@@ -130,25 +304,29 @@ func newTable(name string, schema Schema, temp bool) *table {
 
 // derive returns a new mutable version that shares this version's rows
 // (chunk prefix) and indexes (overlay children). O(#chunks + #indexes),
-// independent of the row count.
-func (t *table) derive() *table {
+// independent of the row count — after the hydration a cold version
+// needs first, whose error is the only one derive returns.
+func (t *table) derive() (*table, error) {
+	if err := t.hydrate(); err != nil {
+		return nil, err
+	}
 	nt := &table{
-		name:    t.name,
-		key:     t.key,
-		schema:  t.schema,
-		temp:    t.temp,
-		ver:     t.ver,
-		chunks:  append([][]Row(nil), t.chunks...),
-		offs:    append([]int(nil), t.offs...),
-		nrows:   t.nrows,
-		sealed:  len(t.chunks),
-		mutable: true,
-		indexes: make(map[string]*hashIndex, len(t.indexes)),
+		name:     t.name,
+		key:      t.key,
+		schema:   t.schema,
+		temp:     t.temp,
+		ver:      t.ver,
+		resident: append([][]Row(nil), t.resident...),
+		offs:     append([]int(nil), t.offs...),
+		nrows:    t.nrows,
+		sealed:   len(t.resident),
+		mutable:  true,
+		indexes:  make(map[string]*hashIndex, len(t.indexes)),
 	}
 	for col, ix := range t.indexes {
 		nt.indexes[col] = ix.child()
 	}
-	return nt
+	return nt, nil
 }
 
 // seal publishes the version: trailing chunks are merged into
@@ -177,9 +355,9 @@ const maxCompactChunk = 512
 // valid.
 func (t *table) compact() {
 	_ = fpCompact.Inject() // crash/panic/sleep site; compact cannot fail
-	for len(t.chunks) >= 2 {
-		k := len(t.chunks)
-		last, prev := t.chunks[k-1], t.chunks[k-2]
+	for len(t.resident) >= 2 {
+		k := len(t.resident)
+		last, prev := t.resident[k-1], t.resident[k-2]
 		if len(prev) > len(last) {
 			break
 		}
@@ -189,8 +367,8 @@ func (t *table) compact() {
 		merged := make([]Row, 0, len(prev)+len(last))
 		merged = append(merged, prev...)
 		merged = append(merged, last...)
-		t.chunks[k-2] = merged
-		t.chunks = t.chunks[:k-1]
+		t.resident[k-2] = merged
+		t.resident = t.resident[:k-1]
 		t.offs = t.offs[:k-1]
 		if t.sealed > k-2 {
 			t.sealed = k - 2
@@ -205,12 +383,12 @@ func (t *table) insert(row Row) {
 	if !t.mutable {
 		panic("sqldb: insert into published table version")
 	}
-	if len(t.chunks) == t.sealed {
-		t.chunks = append(t.chunks, nil)
+	if len(t.resident) == t.sealed {
+		t.resident = append(t.resident, nil)
 		t.offs = append(t.offs, t.nrows)
 	}
-	last := len(t.chunks) - 1
-	t.chunks[last] = append(t.chunks[last], row)
+	last := len(t.resident) - 1
+	t.resident[last] = append(t.resident[last], row)
 	for col, idx := range t.indexes {
 		ci := t.schema.Index(col)
 		idx.add(row[ci], t.nrows)
@@ -229,7 +407,7 @@ func (t *table) appendChunk(rows []Row) {
 	if len(rows) == 0 {
 		return
 	}
-	t.chunks = append(t.chunks, rows)
+	t.resident = append(t.resident, rows)
 	t.offs = append(t.offs, t.nrows)
 	for col, idx := range t.indexes {
 		ci := t.schema.Index(col)
@@ -247,14 +425,15 @@ func (t *table) replaceRows(rows []Row) {
 	if !t.mutable {
 		panic("sqldb: replaceRows on published table version")
 	}
-	t.chunks = [][]Row{rows}
+	t.resident = [][]Row{rows}
 	t.offs = []int{0}
 	t.nrows = len(rows)
 	t.sealed = 0
 	t.rebuildIndexes()
 }
 
-// rowAt returns the row at global ordinal pos (0 ≤ pos < nrows).
+// rowAt returns the row at global ordinal pos (0 ≤ pos < nrows) of a
+// resident version; ordinals come out of an index, and index hydrates.
 func (t *table) rowAt(pos int) Row {
 	lo, hi := 0, len(t.offs)-1
 	for lo < hi {
@@ -265,13 +444,14 @@ func (t *table) rowAt(pos int) Row {
 			hi = mid - 1
 		}
 	}
-	return t.chunks[lo][pos-t.offs[lo]]
+	return t.resident[lo][pos-t.offs[lo]]
 }
 
 // rowsFrom returns the rows at global ordinals pos and up as one slice.
+// Only called on a derived version, which is resident by construction.
 func (t *table) rowsFrom(pos int) []Row {
 	out := make([]Row, 0, t.nrows-pos)
-	for i, ch := range t.chunks {
+	for i, ch := range t.resident {
 		if skip := pos - t.offs[i]; skip < len(ch) {
 			out = append(out, ch[max(skip, 0):]...)
 		}
@@ -279,17 +459,22 @@ func (t *table) rowsFrom(pos int) []Row {
 	return out
 }
 
-// flat returns all rows as one slice. When the table has a single
-// chunk (the common case after compaction), no copy is made.
-func (t *table) flat() []Row {
-	if len(t.chunks) == 1 {
-		return t.chunks[0]
+// flat returns all rows as one slice, hydrating a cold version first.
+// When the table has a single chunk (the common case after compaction),
+// no copy is made.
+func (t *table) flat() ([]Row, error) {
+	chunks, err := t.chunks()
+	if err != nil {
+		return nil, err
+	}
+	if len(chunks) == 1 {
+		return chunks[0], nil
 	}
 	out := make([]Row, 0, t.nrows)
-	for _, ch := range t.chunks {
+	for _, ch := range chunks {
 		out = append(out, ch...)
 	}
-	return out
+	return out, nil
 }
 
 // rebuildIndexes recreates all indexes from scratch (row positions
@@ -406,7 +591,7 @@ func (ix *hashIndex) rebuildFrom(t *table, ci int) {
 	ix.depth = 0
 	ix.buckets = make(map[string][]int)
 	pos := 0
-	for _, ch := range t.chunks {
+	for _, ch := range t.resident {
 		for _, r := range ch {
 			ix.add(r[ci], pos)
 			pos++

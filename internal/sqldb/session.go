@@ -640,7 +640,12 @@ func mergeCommit(db *DB, cur *snapshot, tx *sessionTxn) *snapshot {
 				continue
 			case ct != bt && ct != nil && tx.blindAppend(k):
 				own := t.rowsFrom(bt.nrows)
-				t = ct.derive()
+				var err error
+				if t, err = ct.derive(); err != nil {
+					// ct was published after this transaction began, so it
+					// has been resident all its life: nothing to hydrate.
+					panic("sqldb: a table version published after Open is not resident: " + err.Error())
+				}
 				t.appendChunk(own)
 				t.seal()
 			}
@@ -762,8 +767,8 @@ func (tr *readTracker) addPoint(key string, p pointRead) {
 // verify re-runs the probe against a current table version and reports
 // whether it still matches the recorded fingerprint.
 func (p pointRead) verify(t *table) bool {
-	idx, ok := t.indexes[p.col]
-	if !ok {
+	idx, err := t.index(p.col)
+	if idx == nil || err != nil {
 		return false
 	}
 	ci := t.schema.Index(p.col)

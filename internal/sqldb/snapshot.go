@@ -165,26 +165,30 @@ func (ws *writeState) tab(key string) (*table, bool) {
 
 // appendTo returns a mutable derived version of the table for a caller
 // that will only append rows to it, creating the version on first touch
-// within the statement.
-func (ws *writeState) appendTo(key string) *table {
+// within the statement. It fails only when the table is cold and does
+// not hydrate.
+func (ws *writeState) appendTo(key string) (*table, error) {
 	t := ws.cat.get(key)
 	if t == nil || t.mutable {
-		return t
+		return t, nil
 	}
-	nt := t.derive()
+	nt, err := t.derive()
+	if err != nil {
+		return nil, err
+	}
 	ws.cat = ws.cat.set(nt)
 	ws.touched = append(ws.touched, key)
-	return nt
+	return nt, nil
 }
 
 // modify returns a mutable derived version of the table that the caller
 // may change in any way.
-func (ws *writeState) modify(key string) *table {
-	nt := ws.appendTo(key)
+func (ws *writeState) modify(key string) (*table, error) {
+	nt, err := ws.appendTo(key)
 	if nt != nil {
 		ws.markRewrite(key)
 	}
-	return nt
+	return nt, err
 }
 
 // markRewrite records that a rewriting statement ran over the table,
@@ -212,12 +216,11 @@ func (ws *writeState) drop(key string) {
 	ws.markSchema(key)
 }
 
-// schemaChanged moves a table altered in place to a fresh schema
-// version.
-func (ws *writeState) schemaChanged(key string) {
-	nt := ws.modify(key)
+// schemaChanged moves nt, the mutable version the statement altered in
+// place, to a fresh schema version.
+func (ws *writeState) schemaChanged(nt *table) {
 	nt.ver = ws.db.schemaVer.Add(1)
-	ws.markSchema(key)
+	ws.markSchema(nt.key)
 }
 
 // markSchema schedules cached-plan eviction for publish time.

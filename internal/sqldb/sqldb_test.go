@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -1018,11 +1019,12 @@ func TestOpenRejectsCorruptSnapshot(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt the snapshot.
-	if err := osWriteBytes(dir+"/"+snapshotFile, []byte("not a gob stream")); err != nil {
+	// Corrupt the checkpoint: whatever this is, it is not one, and the
+	// database must not open as if it held nothing.
+	if err := osWriteBytes(dir+"/"+blockFile, []byte("not a checkpoint, and long enough to hold a header and a trailer")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir); err == nil {
-		t.Error("corrupt snapshot accepted")
+	if _, err := Open(dir); !errors.Is(err, ErrCorruptCheckpoint) {
+		t.Errorf("corrupt checkpoint: Open = %v, want ErrCorruptCheckpoint", err)
 	}
 }

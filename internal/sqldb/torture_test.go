@@ -30,7 +30,9 @@ import (
 //   - under SyncAlways, every commit the child acknowledged as durable
 //     (recorded in a side file AFTER Exec returned) is present;
 //   - recovery is idempotent: checkpoint + reopen reproduces the same
-//     state with a clean RecoveryInfo;
+//     state with a clean RecoveryInfo — a crash inside the checkpoint
+//     (the colblk and persist sites) having left the previous checkpoint
+//     and a replayable WAL;
 //   - snapshot ids keep increasing after recovery.
 //
 // Each commit inserts TWO rows (seq, 'a') and (seq, 'b') — odd
@@ -622,8 +624,9 @@ func TestCheckpointCrashWindowNoDoubleApply(t *testing.T) {
 }
 
 // tortureBlockDB builds a durable database whose table spans several
-// column blocks, checkpoints so columns.blk exists, closes it cleanly,
-// and returns the directory plus the expected query answer.
+// column blocks, closes it cleanly — leaving the checkpoint and a WAL
+// that is only a header — and returns the directory plus the expected
+// query answer.
 func tortureBlockDB(t *testing.T) (dir, want string) {
 	t.Helper()
 	dir = t.TempDir()
@@ -644,142 +647,139 @@ func tortureBlockDB(t *testing.T) (dir, want string) {
 	if _, err := db.InsertRows("bt", []string{"k", "g", "v"}, rows); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
 	res := mustExec(t, db, tortureBlockQuery)
 	want = fmt.Sprint(res.Rows)
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(filepath.Join(dir, blockFile)); err != nil {
-		t.Fatalf("checkpoint did not write %s: %v", blockFile, err)
+		t.Fatalf("close did not write %s: %v", blockFile, err)
 	}
 	return dir, want
 }
 
 const tortureBlockQuery = "SELECT g, COUNT(*), SUM(v), MIN(k), MAX(k) FROM bt GROUP BY g ORDER BY g"
 
-// reopenAndCheck reopens the directory and asserts the query answer is
-// byte-identical to the pre-corruption baseline, whatever state
-// columns.blk is in.
-func reopenAndCheck(t *testing.T, dir, want string, wantStore bool) {
+// damage rewrites the checkpoint file of dir through edit.
+func damage(t *testing.T, dir string, edit func(buf []byte) []byte) {
 	t.Helper()
-	db, err := Open(dir)
+	path := filepath.Join(dir, blockFile)
+	buf, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatalf("reopen after block corruption failed: %v", err)
+		t.Fatal(err)
 	}
-	defer db.Close()
-	if got := db.env.blocks.Load() != nil; got != wantStore {
-		t.Errorf("block store loaded = %v, want %v", got, wantStore)
-	}
-	res := mustExec(t, db, tortureBlockQuery)
-	if got := fmt.Sprint(res.Rows); got != want {
-		t.Errorf("query answer changed after block corruption:\n got %s\nwant %s", got, want)
+	if err := os.WriteFile(path, edit(buf), 0o644); err != nil {
+		t.Fatal(err)
 	}
 }
 
-// TestTortureBlockCorruption damages columns.blk in every way a crash
-// or bit-rot can — flipped payload byte, flipped index byte, truncated
-// footer, stale epoch, missing file — and asserts the derived-data
-// contract: the database always opens, and every query answer is
-// byte-identical to the row-chunk baseline. A damaged payload is
-// caught by its CRC at read time (the store still loads); damaged
-// metadata rejects the whole file at open time.
+// TestTortureBlockCorruption damages columns.blk in every way a crash,
+// an operator or bit-rot can — flipped payload byte, flipped directory
+// byte, truncated trailer, tampered epoch, missing file, failing reads —
+// and asserts the checkpoint's contract: the file is the only copy of
+// what it holds, so damage is an error that says where, never an answer
+// computed without the damaged part. Damaged metadata fails Open; a
+// damaged payload is caught by its block's CRC when the table is first
+// touched, and fails that statement. Nothing any of the failing sessions
+// does writes to the directory.
 func TestTortureBlockCorruption(t *testing.T) {
+	// openFails asserts the typed refusal, and that it left no trace.
+	openFails := func(t *testing.T, dir string) {
+		t.Helper()
+		before := dirState(t, dir)
+		db, err := Open(dir)
+		if err == nil {
+			db.Close()
+			t.Fatal("Open accepted the damaged checkpoint")
+		}
+		if !errors.Is(err, ErrCorruptCheckpoint) || !strings.Contains(err.Error(), blockFile) {
+			t.Fatalf("Open = %v, want ErrCorruptCheckpoint naming %s", err, blockFile)
+		}
+		assertUntouched(t, before, dirState(t, dir))
+		if _, err := ScanBlockFile(filepath.Join(dir, blockFile)); err == nil {
+			t.Error("the file's fsck read a directory Open refused")
+		}
+	}
 	t.Run("payload_bitflip", func(t *testing.T) {
-		dir, want := tortureBlockDB(t)
-		path := filepath.Join(dir, blockFile)
-		buf, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
+		dir, _ := tortureBlockDB(t)
 		// First payload byte lives right after the 16-byte header.
-		buf[colHeaderSize+1] ^= 0xff
-		if err := os.WriteFile(path, buf, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		info, err := ScanBlockFile(path)
+		damage(t, dir, func(buf []byte) []byte { buf[colHeaderSize+1] ^= 0xff; return buf })
+		info, err := ScanBlockFile(filepath.Join(dir, blockFile))
 		if err != nil {
-			t.Fatalf("index is intact, scan must succeed: %v", err)
+			t.Fatalf("directory is intact, scan must succeed: %v", err)
 		}
-		bad := 0
-		for _, b := range info.Blocks {
-			if !b.CRCOK {
-				bad++
+		if info.Damaged() != 1 {
+			t.Fatalf("fsck counts %d damaged blocks, want the 1 flipped", info.Damaged())
+		}
+		// The directory is intact, so the database opens — and closes, a
+		// read-only session, without touching the file; the statement that
+		// reads the table is the one that fails.
+		before := dirState(t, dir)
+		db, err := Open(dir)
+		if err != nil {
+			t.Fatalf("Open read more than the directory: %v", err)
+		}
+		if n, _ := db.RowCount("bt"); n != 3*vecMorselRows {
+			t.Errorf("RowCount = %d, want %d", n, 3*vecMorselRows)
+		}
+		for pass := 0; pass < 2; pass++ { // the failure does not wear off
+			_, err = db.Exec(tortureBlockQuery)
+			if !errors.Is(err, ErrCorruptCheckpoint) || !strings.Contains(err.Error(), `table "bt" column "k"`) {
+				t.Fatalf("pass %d: scan of the damaged table = %v, want ErrCorruptCheckpoint naming table and column", pass, err)
 			}
 		}
-		if bad == 0 {
-			t.Fatal("bit flip not detected by any block CRC")
+		if _, err := db.Exec("INSERT INTO bt VALUES (1, 'x', 1)"); !errors.Is(err, ErrCorruptCheckpoint) {
+			t.Errorf("insert into the damaged table = %v, want ErrCorruptCheckpoint", err)
 		}
-		// The index is intact so the store loads; the damaged block fails
-		// its CRC at read time and that column rebuilds from rows.
-		reopenAndCheck(t, dir, want, true)
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+		assertUntouched(t, before, dirState(t, dir))
 	})
 	t.Run("index_bitflip", func(t *testing.T) {
-		dir, want := tortureBlockDB(t)
-		path := filepath.Join(dir, blockFile)
-		buf, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf[len(buf)-colTrailerSize-4] ^= 0x41 // inside the gob index
-		if err := os.WriteFile(path, buf, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		reopenAndCheck(t, dir, want, false)
+		dir, _ := tortureBlockDB(t)
+		damage(t, dir, func(buf []byte) []byte { buf[len(buf)-colTrailerSize-4] ^= 0x41; return buf }) // inside the directory
+		openFails(t, dir)
 	})
 	t.Run("truncated_footer", func(t *testing.T) {
-		dir, want := tortureBlockDB(t)
-		path := filepath.Join(dir, blockFile)
-		fi, err := os.Stat(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.Truncate(path, fi.Size()-colTrailerSize+3); err != nil {
-			t.Fatal(err)
-		}
-		reopenAndCheck(t, dir, want, false)
+		dir, _ := tortureBlockDB(t)
+		damage(t, dir, func(buf []byte) []byte { return buf[:len(buf)-colTrailerSize+3] })
+		openFails(t, dir)
 	})
 	t.Run("stale_epoch", func(t *testing.T) {
-		dir, want := tortureBlockDB(t)
-		path := filepath.Join(dir, blockFile)
-		buf, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf[8] ^= 0xff // epoch field, bytes 8..16 of the header
-		if err := os.WriteFile(path, buf, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		reopenAndCheck(t, dir, want, false)
+		dir, _ := tortureBlockDB(t)
+		damage(t, dir, func(buf []byte) []byte { buf[8] ^= 0xff; return buf }) // epoch field, bytes 8..16 of the header
+		openFails(t, dir)
 	})
 	t.Run("missing_file", func(t *testing.T) {
-		dir, want := tortureBlockDB(t)
+		// The WAL's header says which checkpoint it extends; with that
+		// file gone the database is not empty, it is lost.
+		dir, _ := tortureBlockDB(t)
 		if err := os.Remove(filepath.Join(dir, blockFile)); err != nil {
 			t.Fatal(err)
 		}
-		reopenAndCheck(t, dir, want, false)
+		openFails(t, dir)
 	})
 	t.Run("read_failpoint", func(t *testing.T) {
-		// I/O errors at block-read time (not just corruption) must also
-		// fall back to row rebuilding mid-query.
+		// An I/O error at read time fails the statement it hits and no
+		// other: once reads work again the table hydrates and answers.
 		dir, want := tortureBlockDB(t)
 		db, err := Open(dir)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer db.Close()
-		if db.env.blocks.Load() == nil {
-			t.Fatal("block store did not load from a clean file")
-		}
 		if err := failpoint.Enable("sqldb/colblk/read", "error(io fault)"); err != nil {
 			t.Fatal(err)
 		}
 		defer failpoint.DisableAll()
+		if _, err := db.Exec(tortureBlockQuery); err == nil || !strings.Contains(err.Error(), "io fault") {
+			t.Fatalf("scan under read faults = %v, want the fault", err)
+		}
+		failpoint.DisableAll()
 		res := mustExec(t, db, tortureBlockQuery)
 		if got := fmt.Sprint(res.Rows); got != want {
-			t.Errorf("query answer changed under read faults:\n got %s\nwant %s", got, want)
+			t.Errorf("answer after the fault cleared:\n got %s\nwant %s", got, want)
 		}
 	})
 }

@@ -202,9 +202,9 @@ func TestCompoundInsert(t *testing.T) {
 	mustExec(t, db, "CREATE TEMP TABLE vec (n float)")
 	mustExec(t, db, "INSERT INTO vec SELECT n FROM big UNION ALL SELECT n FROM big UNION ALL SELECT n FROM big")
 	vec, _ := db.state.Load().table("vec")
-	if len(vec.chunks) != 1 || len(vec.chunks[0]) != 1800 || cap(vec.chunks[0]) != 1800 {
+	if ch := vec.residentChunks(); len(ch) != 1 || len(ch[0]) != 1800 || cap(ch[0]) != 1800 {
 		t.Errorf("vec chunks = %d (first %d rows, cap %d), want one exact chunk of 1800",
-			len(vec.chunks), len(vec.chunks[0]), cap(vec.chunks[0]))
+			len(ch), len(ch[0]), cap(ch[0]))
 	}
 
 	mustExec(t, db, "CREATE TABLE d AS SELECT n, v FROM a WHERE n = 3 UNION ALL SELECT n, v FROM c")

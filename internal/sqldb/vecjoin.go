@@ -380,17 +380,22 @@ func intKeyAt(v *colVec, i int, kt value.Type) int64 {
 // column-cache vectors, chunk by chunk — into the hash table and
 // semi-join filter. NULL keys are skipped outright (they can never
 // match). Returns nil when a key vector cannot be built, which sends
-// the query to the row engine.
-func buildJoinHash(env *execEnv, jp *vecJoinPlan, rt *table) *joinHash {
-	kvs := make([]*colVec, 0, len(rt.chunks))
-	for _, ch := range rt.chunks {
+// the query to the row engine; the error is the build table's, cold
+// and failing to hydrate.
+func buildJoinHash(env *execEnv, jp *vecJoinPlan, rt *table) (*joinHash, error) {
+	rtChunks, err := rt.chunks()
+	if err != nil {
+		return nil, err
+	}
+	kvs := make([]*colVec, 0, len(rtChunks))
+	for _, ch := range rtChunks {
 		if len(ch) == 0 {
 			kvs = append(kvs, nil)
 			continue
 		}
 		v := env.cache.colFor(ch, jp.ri, jp.keyType)
 		if v == nil {
-			return nil
+			return nil, nil
 		}
 		kvs = append(kvs, v)
 	}
@@ -411,7 +416,7 @@ func buildJoinHash(env *execEnv, jp *vecJoinPlan, rt *table) *joinHash {
 	// Pass 1: claim slots, count duplicates, set Bloom bits, track the
 	// key min/max. String chunks with a dictionary hash each distinct
 	// value once instead of once per row.
-	for ci, ch := range rt.chunks {
+	for ci, ch := range rtChunks {
 		kv := kvs[ci]
 		if kv == nil {
 			continue
@@ -483,7 +488,7 @@ func buildJoinHash(env *execEnv, jp *vecJoinPlan, rt *table) *joinHash {
 	h.rows = make([]int32, run)
 	next := append([]int32(nil), h.starts...)
 	g := int32(0)
-	for ci, ch := range rt.chunks {
+	for ci, ch := range rtChunks {
 		kv := kvs[ci]
 		if kv == nil {
 			continue
@@ -504,7 +509,7 @@ func buildJoinHash(env *execEnv, jp *vecJoinPlan, rt *table) *joinHash {
 			g++
 		}
 	}
-	return h
+	return h, nil
 }
 
 func (h *joinHash) noteInt(k int64) {
@@ -666,11 +671,21 @@ func (sn *snapshot) runVecJoin(st *SelectStmt, p *compiledSelect) (*Result, *rel
 	if !ok {
 		return nil, nil, false, nil
 	}
-	h := buildJoinHash(env, jp, rt)
+	h, err := buildJoinHash(env, jp, rt)
+	if err != nil {
+		return nil, nil, true, err
+	}
 	if h == nil {
 		return nil, nil, false, nil
 	}
-	rtRows := rt.flat()
+	rtRows, err := rt.flat()
+	if err != nil {
+		return nil, nil, true, err
+	}
+	ltChunks, err := lt.chunks()
+	if err != nil {
+		return nil, nil, true, err
+	}
 
 	// Build-side payload vectors for fused aggregation: one table-flat
 	// vector per needed column, indexed by build ordinal.
@@ -695,7 +710,7 @@ func (sn *snapshot) runVecJoin(st *SelectStmt, p *compiledSelect) (*Result, *rel
 	var chunks []chunkVecs
 	var morsels []vecMorsel
 	total := 0
-	for _, ch := range lt.chunks {
+	for _, ch := range ltChunks {
 		if len(ch) == 0 {
 			continue
 		}
@@ -733,42 +748,35 @@ func (sn *snapshot) runVecJoin(st *SelectStmt, p *compiledSelect) (*Result, *rel
 	// skip: the block contributes nothing and stays compressed.
 	// padAll: LEFT join, keys provably unmatched, no pushed filter —
 	// every row emits a pad, also without decoding.
-	hydrate := func(m *vecMorsel) (ch chunkVecs, lo, hi int, skip, padAll bool) {
+	hydrate := func(m *vecMorsel) (ch chunkVecs, lo, hi int, skip, padAll bool, err error) {
 		if m.sc == nil {
-			return chunks[m.chunk], m.lo, m.hi, false, false
+			return chunks[m.chunk], m.lo, m.hi, false, false, nil
 		}
 		if zoneOn {
-			meta := func(ci int) *blockMeta {
-				if ci >= jp.nLeft || ci >= len(m.sc.cols) || m.bi >= len(m.sc.cols[ci].Blocks) {
-					return nil
-				}
-				b := &m.sc.cols[ci].Blocks[m.bi]
-				if b.Rows != len(m.rows) {
-					return nil
-				}
-				return b
-			}
+			meta := jp.leftBlock(m.sc, m.bi, len(m.rows))
 			if jp.zone != nil && jp.zone(meta) {
 				env.blkSkipped.Add(1)
-				return chunkVecs{}, 0, 0, true, false
+				return chunkVecs{}, 0, 0, true, false, nil
 			}
 			if h.keyZoneMiss(meta(jp.li), jp.keyType) {
 				if !jp.leftOuter {
 					env.blkSkipped.Add(1)
-					return chunkVecs{}, 0, 0, true, false
+					return chunkVecs{}, 0, 0, true, false, nil
 				}
 				if jp.padAllOK() {
 					env.blkSkipped.Add(1)
-					return chunkVecs{rows: m.rows}, 0, len(m.rows), false, true
+					return chunkVecs{rows: m.rows}, 0, len(m.rows), false, true, nil
 				}
 			}
 		}
 		env.blkScanned.Add(1)
 		cvs := make([]*colVec, len(p.srcSchema))
 		for _, ci := range jp.needL {
-			cvs[ci] = env.blockVec(m.rows, ci, p.srcSchema[ci].Type, store, m.sc, m.bi)
+			if cvs[ci], err = env.blockVec(m.rows, ci, m.sc, m.bi); err != nil {
+				return chunkVecs{}, 0, 0, false, false, err
+			}
 		}
-		return chunkVecs{rows: m.rows, cv: cvs}, 0, len(m.rows), false, false
+		return chunkVecs{rows: m.rows, cv: cvs}, 0, len(m.rows), false, false, nil
 	}
 
 	// probeMorsel produces the morsel's pair lists. lo is the window
@@ -878,11 +886,11 @@ func (sn *snapshot) runVecJoin(st *SelectStmt, p *compiledSelect) (*Result, *rel
 	// relation in morsel index order — late materialization touches the
 	// payload rows only for surviving pairs.
 	parts := make([]*joinPairs, len(morsels))
-	err := runMorsels(env, len(morsels), total, func(mi int) error {
+	err = runMorsels(env, len(morsels), total, func(mi int) error {
 		_ = fpMorsel.Inject() // latency-model site
-		ch, lo, hi, skip, padAll := hydrate(&morsels[mi])
-		if skip {
-			return nil
+		ch, lo, hi, skip, padAll, err := hydrate(&morsels[mi])
+		if skip || err != nil {
+			return err
 		}
 		pl, pr := probeMorsel(&ch, lo, hi, padAll)
 		if len(pl) > 0 {
@@ -931,7 +939,7 @@ func (sn *snapshot) runVecJoin(st *SelectStmt, p *compiledSelect) (*Result, *rel
 func (sn *snapshot) runVecJoinFused(
 	st *SelectStmt, p *compiledSelect, jp *vecJoinPlan,
 	rtRows []Row, rflat []*colVec, morsels []vecMorsel, total int, env *execEnv,
-	hydrate func(*vecMorsel) (chunkVecs, int, int, bool, bool),
+	hydrate func(*vecMorsel) (chunkVecs, int, int, bool, bool, error),
 	probeMorsel func(*chunkVecs, int, int, bool) ([]int32, []int32),
 ) (*Result, *relation, bool, error) {
 	gvp := jp.gvp
@@ -954,9 +962,9 @@ func (sn *snapshot) runVecJoinFused(
 	parts := make([]*vecPartial, len(morsels))
 	err := runMorsels(env, len(morsels), total, func(mi int) error {
 		_ = fpMorsel.Inject()
-		ch, lo, hi, skip, padAll := hydrate(&morsels[mi])
-		if skip {
-			return nil
+		ch, lo, hi, skip, padAll, err := hydrate(&morsels[mi])
+		if skip || err != nil {
+			return err
 		}
 		pl, pr := probeMorsel(&ch, lo, hi, padAll)
 		if len(pl) == 0 {
@@ -1135,34 +1143,24 @@ func (jp *vecJoinPlan) processJoinMorsel(
 // compressed blocks the semi-join filter and zone maps would skip —
 // the same decision hydrate makes at runtime, evaluated against the
 // block index only. EXPLAIN reports it as bloom-skip.
-func (db *DB) vecJoinBlockSkips(sn *snapshot, jp *vecJoinPlan, lt, rt *table) (skipped, totalBlocks int) {
-	store := db.env.blocks.Load()
-	if store == nil || db.env.zoneOff.Load() {
-		return 0, 0
+func (db *DB) vecJoinBlockSkips(sn *snapshot, jp *vecJoinPlan, lt, rt *table) (skipped, totalBlocks int, err error) {
+	if db.env.blocks.Load() == nil || db.env.zoneOff.Load() {
+		return 0, 0, nil
 	}
-	h := buildJoinHash(db.env, jp, rt)
+	// Counting the semi-join's skips takes the build side's keys: this
+	// is the one EXPLAIN that hydrates, and only rt.
+	h, err := buildJoinHash(db.env, jp, rt)
 	if h == nil {
-		return 0, 0
+		return 0, 0, err
 	}
-	for _, ch := range lt.chunks {
-		sc := store.chunkFor(ch)
-		if sc == nil {
-			continue
-		}
-		for lo := 0; lo < len(ch); lo += vecMorselRows {
-			bi := lo / vecMorselRows
-			nrows := min(lo+vecMorselRows, len(ch)) - lo
+	probe, err := db.env.tableBlocks(lt)
+	if err != nil {
+		return 0, 0, err
+	}
+	for _, sc := range probe {
+		for lo := 0; lo < sc.rows; lo += vecMorselRows {
 			totalBlocks++
-			meta := func(ci int) *blockMeta {
-				if ci >= jp.nLeft || ci >= len(sc.cols) || bi >= len(sc.cols[ci].Blocks) {
-					return nil
-				}
-				b := &sc.cols[ci].Blocks[bi]
-				if b.Rows != nrows {
-					return nil
-				}
-				return b
-			}
+			meta := jp.leftBlock(sc, lo/vecMorselRows, min(vecMorselRows, sc.rows-lo))
 			if jp.zone != nil && jp.zone(meta) {
 				skipped++
 				continue
@@ -1172,5 +1170,17 @@ func (db *DB) vecJoinBlockSkips(sn *snapshot, jp *vecJoinPlan, lt, rt *table) (s
 			}
 		}
 	}
-	return skipped, totalBlocks
+	return skipped, totalBlocks, nil
+}
+
+// leftBlock returns the zone checks' view of one block of the probe
+// table: the metadata of a probe-side column's block, nil for a
+// build-side column (the joined schema has both).
+func (jp *vecJoinPlan) leftBlock(sc *storeChunk, bi, nrows int) func(ci int) *blockMeta {
+	return func(ci int) *blockMeta {
+		if ci >= jp.nLeft {
+			return nil
+		}
+		return sc.block(ci, bi, nrows)
+	}
 }

@@ -1219,12 +1219,16 @@ func (sn *snapshot) runVecSelect(st *SelectStmt, p *compiledSelect) (*Result, bo
 	if !ok {
 		return nil, false, nil
 	}
+	rowChunks, err := t.chunks()
+	if err != nil {
+		return nil, true, err
+	}
 	store := env.blocks.Load()
 	zoneOn := vp.zone != nil && !env.zoneOff.Load()
 	var chunks []chunkVecs
 	var morsels []vecMorsel
 	total := 0
-	for _, ch := range t.chunks {
+	for _, ch := range rowChunks {
 		if len(ch) == 0 {
 			continue
 		}
@@ -1264,32 +1268,22 @@ func (sn *snapshot) runVecSelect(st *SelectStmt, p *compiledSelect) (*Result, bo
 	// window; block-resident morsels first consult the zone maps, then
 	// decode (or cache-hit) per-block vectors over a zero-based window.
 	// skip=true means the zone maps proved no row can match.
-	hydrate := func(m *vecMorsel) (ch chunkVecs, lo, hi int, skip bool) {
+	hydrate := func(m *vecMorsel) (ch chunkVecs, lo, hi int, skip bool, err error) {
 		if m.sc == nil {
-			return chunks[m.chunk], m.lo, m.hi, false
+			return chunks[m.chunk], m.lo, m.hi, false, nil
 		}
-		if zoneOn {
-			meta := func(ci int) *blockMeta {
-				if ci >= len(m.sc.cols) || m.bi >= len(m.sc.cols[ci].Blocks) {
-					return nil
-				}
-				b := &m.sc.cols[ci].Blocks[m.bi]
-				if b.Rows != len(m.rows) {
-					return nil
-				}
-				return b
-			}
-			if vp.zone(meta) {
-				env.blkSkipped.Add(1)
-				return chunkVecs{}, 0, 0, true
-			}
+		if zoneOn && vp.zone(func(ci int) *blockMeta { return m.sc.block(ci, m.bi, len(m.rows)) }) {
+			env.blkSkipped.Add(1)
+			return chunkVecs{}, 0, 0, true, nil
 		}
 		env.blkScanned.Add(1)
 		cvs := make([]*colVec, len(t.schema))
 		for _, ci := range vp.cols {
-			cvs[ci] = env.blockVec(m.rows, ci, t.schema[ci].Type, store, m.sc, m.bi)
+			if cvs[ci], err = env.blockVec(m.rows, ci, m.sc, m.bi); err != nil {
+				return chunkVecs{}, 0, 0, false, err
+			}
 		}
-		return chunkVecs{rows: m.rows, cv: cvs}, 0, len(m.rows), false
+		return chunkVecs{rows: m.rows, cv: cvs}, 0, len(m.rows), false, nil
 	}
 
 	needReps := len(st.OrderBy) > 0 && !st.Distinct
@@ -1300,9 +1294,9 @@ func (sn *snapshot) runVecSelect(st *SelectStmt, p *compiledSelect) (*Result, bo
 		parts := make([]*vecPartial, len(morsels))
 		err := runMorsels(env, len(morsels), total, func(mi int) error {
 			_ = fpMorsel.Inject() // latency-model site
-			ch, lo, hi, skip := hydrate(&morsels[mi])
-			if skip {
-				return nil // pruned block: nil partial, mergePartials skips it
+			ch, lo, hi, skip, err := hydrate(&morsels[mi])
+			if skip || err != nil {
+				return err // pruned block: nil partial, mergePartials skips it
 			}
 			parts[mi] = vp.processGroupMorsel(&ch, lo, hi)
 			return nil
@@ -1359,9 +1353,9 @@ func (sn *snapshot) runVecSelect(st *SelectStmt, p *compiledSelect) (*Result, bo
 		outs := make([]morselOut, len(morsels))
 		err := runMorsels(env, len(morsels), total, func(mi int) error {
 			_ = fpMorsel.Inject()
-			ch, lo, hi, skip := hydrate(&morsels[mi])
-			if skip {
-				return nil // pruned block: empty morsel output
+			ch, lo, hi, skip, err := hydrate(&morsels[mi])
+			if skip || err != nil {
+				return err // pruned block: empty morsel output
 			}
 			mask := make([]bool, hi-lo)
 			vp.pred(ch.cv, lo, mask)
@@ -1451,14 +1445,11 @@ func runMorsels(env *execEnv, n, totalRows int, fn func(int) error) error {
 }
 
 // vecMorselCount reports how many morsels a table's current chunks cut
-// into; EXPLAIN shows it.
+// into; EXPLAIN shows it, from the chunk lengths alone.
 func vecMorselCount(t *table) int {
 	n := 0
-	for _, ch := range t.chunks {
-		if len(ch) == 0 {
-			continue
-		}
-		n += (len(ch) + vecMorselRows - 1) / vecMorselRows
+	for _, rows := range t.chunkLens() {
+		n += (rows + vecMorselRows - 1) / vecMorselRows
 	}
 	return n
 }

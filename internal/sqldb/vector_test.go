@@ -497,7 +497,7 @@ func TestSupersededVectorsAreDropped(t *testing.T) {
 		mustExec(t, db, fmt.Sprintf("INSERT INTO t VALUES (%d, %d.5)", i, i))
 		scan(db)
 	}
-	chunks := len(db.state.Load().cat.get("t").chunks)
+	chunks := len(db.state.Load().cat.get("t").residentChunks())
 	if entries, _ := db.env.cache.stats(); entries > 2*chunks+2 {
 		t.Fatalf("after 2000 inserts the cache holds %d vectors for %d live chunks", entries, chunks)
 	}

@@ -331,7 +331,12 @@ func (s *Server) execOne(sess BackendSession, req *request) (resp response) {
 			fail(&resp, err)
 			return resp
 		}
-		resp.State = s.db.ExportState()
+		state, err := s.db.ExportState()
+		if err != nil {
+			fail(&resp, err)
+			return resp
+		}
+		resp.State = state
 		return resp
 	case verbIngest, verbView, verbViews:
 		return s.execLive(req)
