@@ -51,7 +51,8 @@ const subBuffer = 256
 // in-memory history for resuming subscribers, and fans frames out to
 // live subscriptions. It implements wire.ReplSource.
 type Hub struct {
-	db *sqldb.DB
+	db     *sqldb.DB
+	unhook func() // removes the hub's commit hook
 
 	mu      sync.Mutex
 	epoch   uint64
@@ -101,11 +102,11 @@ func NewHub(db *sqldb.DB) *Hub {
 		cap:   defaultHistory,
 		subs:  make(map[*subscription]struct{}),
 	}
-	db.SetCommitHook(h.onCommit)
+	h.unhook = db.AddCommitHook(h.onCommit)
 	return h
 }
 
-// onCommit is the engine commit hook: it runs under the writer lock,
+// onCommit is the engine commit hook: it runs under the commit latch,
 // strictly in commit order. nil stmts is a WAL rotation.
 func (h *Hub) onCommit(pos sqldb.ReplPos, stmts []string) {
 	var fr wire.Frame
@@ -188,7 +189,7 @@ func (h *Hub) Subscribers() int {
 // Close detaches the hub from the database and terminates every
 // subscription.
 func (h *Hub) Close() {
-	h.db.SetCommitHook(nil)
+	h.unhook()
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.closed = true

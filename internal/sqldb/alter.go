@@ -121,7 +121,7 @@ func (db *DB) execAlter(ws *writeState, s *AlterTableStmt) (*Result, error) {
 	case s.Rename != "":
 		nkey := lower(s.Rename)
 		if _, exists := ws.tab(nkey); exists {
-			return nil, errorf("table %q already exists", s.Rename)
+			return nil, tableExists(s.Rename)
 		}
 		nt, err := ws.modify(key)
 		if err != nil {

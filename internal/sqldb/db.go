@@ -2,9 +2,8 @@ package sqldb
 
 import (
 	"errors"
-	"iter"
+	"fmt"
 	"os"
-	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -23,9 +22,13 @@ type Querier interface {
 
 // DB is an embedded SQL database. All methods are safe for concurrent
 // use. Reads (SELECT/EXPLAIN) execute lock-free against an immutable
-// snapshot acquired with one atomic load; mutations serialize on a
-// writer lock and publish a new snapshot when they succeed, so a bulk
-// import never stalls concurrent readers.
+// snapshot acquired with one atomic load. Every mutation is an
+// optimistic transaction — a statement outside BEGIN is a transaction
+// of one statement: it executes against the snapshot it started from in
+// a private overlay, with no lock held, and takes the commit latch only
+// to validate that what it read still stands, publish the next snapshot
+// and enqueue its WAL frame (session.go). A long INSERT ... SELECT
+// therefore stalls neither readers nor other writers.
 type DB struct {
 	// state is the current committed snapshot; see snapshot.go.
 	state atomic.Pointer[snapshot]
@@ -33,7 +36,10 @@ type DB struct {
 	// ALTER, committed or not, draws the next one, so no two table
 	// versions with different schemas ever share a number (catalog.go).
 	schemaVer atomic.Int64
-	// wmu serializes writers (and transaction state below).
+	// wmu is the commit latch: it orders validate → publish → WAL
+	// enqueue → hooks of one commit against every other, and pairs
+	// (state, position) for Checkpoint, Close, ImportState, ExportState
+	// and a view rebuild. No statement executes under it.
 	wmu sync.Mutex
 	// intents maps table keys pinned by prepared transactions (phase
 	// one of a two-phase commit) to the intent held on them. Guarded by
@@ -71,19 +77,17 @@ type DB struct {
 
 	// Replication state (see repl.go). pos is the current replication
 	// position (epoch + frames committed within it), written under wmu
-	// and read lock-free; commitHook observes committed frames for the
-	// streaming hub; role is a display label ("primary"/"replica").
-	// extraHooks holds additional AddCommitHook registrations (the
-	// materialized-view and alert pipelines), fired after commitHook;
-	// hooksMu serializes registration, hookGoid marks the goroutine
-	// currently inside a hook so call-backs into the database fail
-	// typed instead of deadlocking on wmu (see ErrHookReentrant).
-	pos        atomic.Pointer[ReplPos]
-	commitHook atomic.Pointer[CommitHook]
-	extraHooks atomic.Pointer[[]*hookEntry]
-	hooksMu    sync.Mutex
-	hookGoid   atomic.Int64
-	role       atomic.Pointer[string]
+	// and read lock-free; role is a display label ("primary"/"replica").
+	// hooks holds the AddCommitHook registrations (the streaming hub,
+	// the materialized-view and alert pipelines), fired in registration
+	// order; hooksMu serializes registration, hookGoid marks the
+	// goroutine currently inside a hook so call-backs into the database
+	// fail typed instead of deadlocking on wmu (see ErrHookReentrant).
+	pos      atomic.Pointer[ReplPos]
+	hooks    atomic.Pointer[[]*hookEntry]
+	hooksMu  sync.Mutex
+	hookGoid atomic.Int64
+	role     atomic.Pointer[string]
 
 	// env is the execution environment shared by every snapshot this
 	// database publishes: the columnar projection cache and the
@@ -98,6 +102,12 @@ type DB struct {
 // commit-time validation failure and requires re-running the whole
 // transaction.
 var ErrTxnBusy = errors.New("sqldb: transaction already open")
+
+// ErrTableExists is returned (wrapped; test with errors.Is) by CREATE
+// TABLE and ALTER TABLE ... RENAME TO when the name is taken.
+var ErrTableExists = errors.New("sqldb: table already exists")
+
+func tableExists(name string) error { return fmt.Errorf("%w: %q", ErrTableExists, name) }
 
 // NewMemory creates an empty in-memory database.
 func NewMemory() *DB {
@@ -206,42 +216,6 @@ func (db *DB) ExecParsed(st Statement, raw string) (*Result, error) {
 	return db.def.execStmt(&cachedPlan{st: st, tables: referencedTables(st)}, raw)
 }
 
-// autocommit executes one mutation statement as its own transaction:
-// build, publish, log, then wait for durability outside the writer
-// lock so concurrent committers share one group fsync instead of
-// serializing on the disk. Under SyncAlways a WAL failure fails the
-// commit: the caller must never treat a lost record as durable.
-func (db *DB) autocommit(st Statement, raw string) (*Result, error) {
-	db.announceCommit()
-	db.wmu.Lock()
-	ws := db.beginWrite()
-	res, err := db.execMutation(ws, st)
-	if err != nil {
-		db.retireCommit()
-		db.wmu.Unlock()
-		return nil, err
-	}
-	if key, held := db.intentConflictLocked(slices.Values(ws.touched), ws.rewrote); held {
-		db.retireCommit()
-		db.wmu.Unlock()
-		return nil, intentConflictErr(key)
-	}
-	var seq uint64
-	if ws.changed() {
-		// A statement that changed nothing — IF [NOT] EXISTS that did
-		// not apply, an UPDATE or DELETE matching no row — is not a
-		// commit: no snapshot, no WAL frame, no replication position.
-		ws.publish()
-		seq = db.logMutation(st, raw, ws.dropTemp)
-	}
-	db.retireCommit()
-	db.wmu.Unlock()
-	if err := db.waitDurable(seq); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
 // intentConflictLocked reports a table among a commit's writes that a
 // prepared transaction's intent pins against it; rewrote is the subset
 // of them the commit did more to than append rows. An exclusive intent
@@ -249,7 +223,7 @@ func (db *DB) autocommit(st Statement, raw string) (*Result, error) {
 // prepared transaction's footprint would invalidate its PREPARE-time
 // validation. An append intent blocks only rewrites. The caller holds
 // db.wmu.
-func (db *DB) intentConflictLocked(writes iter.Seq[string], rewrote map[string]bool) (string, bool) {
+func (db *DB) intentConflictLocked(writes, rewrote map[string]bool) (string, bool) {
 	if len(db.intents) == 0 {
 		return "", false
 	}
@@ -337,10 +311,10 @@ func (db *DB) execCreateTable(ws *writeState, s *CreateTableStmt) (*Result, erro
 		if s.IfNotExists {
 			return &Result{}, nil
 		}
-		return nil, errorf("table %q already exists", s.Name)
+		return nil, tableExists(s.Name)
 	}
 	if s.As != nil {
-		res, err := ws.base.execSelect(s.As)
+		res, err := ws.readView().execSelect(s.As)
 		if err != nil {
 			return nil, err
 		}
@@ -407,11 +381,12 @@ func (db *DB) execInsert(ws *writeState, s *InsertStmt) (*Result, error) {
 	// the chunk a bulk insert of the same rows would leave, so where a
 	// vector is built does not show in its layout, nor in the order
 	// floating-point aggregates over it add up.
-	p, err := ws.base.planSelect(s.From)
+	sn := ws.readView()
+	p, err := sn.planSelect(s.From)
 	if err != nil {
 		return nil, err
 	}
-	parts, n, err := ws.base.branchRows(s.From, p)
+	parts, n, err := sn.branchRows(s.From, p)
 	if err != nil {
 		return nil, err
 	}
@@ -622,57 +597,16 @@ type BulkInserter interface {
 	InsertRows(table string, cols []string, rows []Row) (int, error)
 }
 
-// InsertRows implements BulkInserter. For durable non-temporary tables
-// an equivalent INSERT statement is written to the WAL; temp-table
-// inserts (the overwhelmingly common case: query element vectors) skip
-// SQL entirely. While the default session has a transaction open, the
-// rows join it, as any DB.Exec mutation would.
+// InsertRows implements BulkInserter on the default session: while it
+// has a transaction open the rows join it, as any DB.Exec mutation
+// would.
 func (db *DB) InsertRows(tableName string, cols []string, rows []Row) (int, error) {
-	if err := db.hookReentry(); err != nil {
-		return 0, err
-	}
-	if len(rows) == 0 {
-		return 0, nil
-	}
-	if db.def.InTxn() {
-		return db.def.InsertRows(tableName, cols, rows)
-	}
-	return db.insertRowsAutocommit(tableName, cols, rows)
-}
-
-func (db *DB) insertRowsAutocommit(tableName string, cols []string, rows []Row) (int, error) {
-	db.announceCommit()
-	db.wmu.Lock()
-	ws := db.beginWrite()
-	nt, n, err := insertRowsWS(ws, tableName, cols, rows)
-	if err != nil {
-		db.retireCommit()
-		db.wmu.Unlock()
-		return 0, err
-	}
-	if key, held := db.intentConflictLocked(slices.Values(ws.touched), ws.rewrote); held {
-		db.retireCommit()
-		db.wmu.Unlock()
-		return 0, intentConflictErr(key)
-	}
-	ws.publish()
-	var seq uint64
-	if db.replicates() && !nt.temp {
-		// Keep durability (and the replication stream) by logging an
-		// equivalent statement.
-		seq = db.commitBatch([]string{synthInsertSQL(nt.name, cols, rows)})
-	}
-	db.retireCommit()
-	db.wmu.Unlock()
-	if err := db.waitDurable(seq); err != nil {
-		return 0, err
-	}
-	return n, nil
+	return db.def.InsertRows(tableName, cols, rows)
 }
 
 // insertRowsWS appends a typed row batch to a table inside a working
-// state (shared by the autocommit and transactional bulk paths). It
-// returns the derived table for temp-ness and name inspection.
+// state. It returns the derived table for temp-ness and name
+// inspection.
 func insertRowsWS(ws *writeState, tableName string, cols []string, rows []Row) (*table, int, error) {
 	key := lower(tableName)
 	t, ok := ws.tab(key)
@@ -720,16 +654,4 @@ func (db *DB) RowCount(name string) (int, bool) {
 		return 0, false
 	}
 	return t.nrows, true
-}
-
-// DropTemp removes all temporary tables, as happens when a perfbase
-// query session ends.
-func (db *DB) DropTemp() {
-	db.wmu.Lock()
-	defer db.wmu.Unlock()
-	ws := db.beginWrite()
-	for t := range ws.base.cat.temps() {
-		ws.drop(t.key)
-	}
-	ws.publish()
 }

@@ -22,7 +22,7 @@ func TestHookReentryFailsFast(t *testing.T) {
 		insertErr error
 	}
 	got := make(chan outcome, 1)
-	db.SetCommitHook(func(pos ReplPos, stmts []string) {
+	defer db.AddCommitHook(func(pos ReplPos, stmts []string) {
 		var o outcome
 		_, o.execErr = db.Exec("SELECT a FROM t")
 		_, o.insertErr = db.InsertRows("t", []string{"a"}, []Row{{value.NewInt(1)}})
@@ -30,7 +30,7 @@ func TestHookReentryFailsFast(t *testing.T) {
 		case got <- o:
 		default:
 		}
-	})
+	})()
 
 	done := make(chan error, 1)
 	go func() {
@@ -64,14 +64,14 @@ func TestHookReentrySessionPaths(t *testing.T) {
 	sess := db.NewSession()
 
 	var execErr, insErr atomic.Pointer[error]
-	db.SetCommitHook(func(pos ReplPos, stmts []string) {
+	defer db.AddCommitHook(func(pos ReplPos, stmts []string) {
 		if _, err := sess.Exec("SELECT a FROM t"); err != nil {
 			execErr.Store(&err)
 		}
 		if _, err := sess.InsertRows("t", []string{"a"}, []Row{{value.NewInt(1)}}); err != nil {
 			insErr.Store(&err)
 		}
-	})
+	})()
 	mustExec(t, db, "INSERT INTO t VALUES (2)")
 
 	if p := execErr.Load(); p == nil || !errors.Is(*p, ErrHookReentrant) {
@@ -93,12 +93,12 @@ func TestHookNotReentrantFromOtherGoroutine(t *testing.T) {
 	inHook := make(chan struct{})
 	release := make(chan struct{})
 	var once atomic.Bool
-	db.SetCommitHook(func(pos ReplPos, stmts []string) {
+	defer db.AddCommitHook(func(pos ReplPos, stmts []string) {
 		if once.CompareAndSwap(false, true) {
 			close(inHook)
 			<-release
 		}
-	})
+	})()
 
 	readErr := make(chan error, 1)
 	go func() {
@@ -115,20 +115,21 @@ func TestHookNotReentrantFromOtherGoroutine(t *testing.T) {
 	}
 }
 
-// TestAddCommitHook exercises the multi-hook registry: all hooks see
-// every frame in commit order, and removal detaches exactly one.
+// TestAddCommitHook exercises the hook registry: all hooks see every
+// frame in commit order, in registration order, and removal detaches
+// exactly one.
 func TestAddCommitHook(t *testing.T) {
 	db := NewMemory()
 	defer db.Close()
 	mustExec(t, db, "CREATE TABLE t (a INTEGER)")
 
-	var aN, bN, legacyN atomic.Int64
+	var aN, bN, firstN atomic.Int64
 	var lastPos atomic.Value
-	db.SetCommitHook(func(pos ReplPos, stmts []string) { legacyN.Add(1) })
+	db.AddCommitHook(func(pos ReplPos, stmts []string) { firstN.Add(1) })
 	removeA := db.AddCommitHook(func(pos ReplPos, stmts []string) {
-		// Legacy hook fires first.
-		if legacyN.Load() != aN.Load()+1 {
-			t.Errorf("hook order: legacy=%d a=%d", legacyN.Load(), aN.Load())
+		// The hook registered first fires first.
+		if firstN.Load() != aN.Load()+1 {
+			t.Errorf("hook order: first=%d a=%d", firstN.Load(), aN.Load())
 		}
 		aN.Add(1)
 		lastPos.Store(pos)
@@ -137,8 +138,8 @@ func TestAddCommitHook(t *testing.T) {
 
 	mustExec(t, db, "INSERT INTO t VALUES (1)")
 	mustExec(t, db, "INSERT INTO t VALUES (2)")
-	if aN.Load() != 2 || bN.Load() != 2 || legacyN.Load() != 2 {
-		t.Fatalf("after 2 commits: legacy=%d a=%d b=%d", legacyN.Load(), aN.Load(), bN.Load())
+	if aN.Load() != 2 || bN.Load() != 2 || firstN.Load() != 2 {
+		t.Fatalf("after 2 commits: first=%d a=%d b=%d", firstN.Load(), aN.Load(), bN.Load())
 	}
 	if pos := lastPos.Load().(ReplPos); pos.LSN != 2 {
 		t.Fatalf("last pos = %+v, want LSN 2", pos)
@@ -155,13 +156,13 @@ func TestAddCommitHook(t *testing.T) {
 	if bN.Load() != 3 {
 		t.Fatalf("after removeB: b=%d", bN.Load())
 	}
-	if legacyN.Load() != 4 {
-		t.Fatalf("legacy hook should keep firing: %d", legacyN.Load())
+	if firstN.Load() != 4 {
+		t.Fatalf("the hook never removed should keep firing: %d", firstN.Load())
 	}
 }
 
 // TestAddCommitHookEnablesFrames: with only an AddCommitHook attached
-// (no WAL, no SetCommitHook), mutations must still produce frames.
+// (no WAL), mutations must still produce frames.
 func TestAddCommitHookEnablesFrames(t *testing.T) {
 	db := NewMemory()
 	defer db.Close()

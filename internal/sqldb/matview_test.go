@@ -318,20 +318,31 @@ func TestMatViewOnReplica(t *testing.T) {
 	replica := NewMemory()
 	defer replica.Close()
 
-	// Feed every primary frame through the replica's normal write path,
-	// as internal/repl's Replica does.
-	primary.SetCommitHook(func(pos ReplPos, stmts []string) {
-		if stmts == nil {
-			return
-		}
-		go func() {
+	// Feed every primary frame through the replica's normal write path
+	// in commit order, as internal/repl's Replica does: the hook only
+	// queues, one goroutine replays.
+	frames := make(chan []string, 16)
+	replayed := make(chan struct{})
+	go func() {
+		defer close(replayed)
+		for stmts := range frames {
 			for _, s := range stmts {
 				if _, err := replica.Exec(s); err != nil {
 					t.Errorf("replay: %v", err)
 				}
 			}
-		}()
+		}
+	}()
+	remove := primary.AddCommitHook(func(pos ReplPos, stmts []string) {
+		if stmts != nil {
+			frames <- stmts
+		}
 	})
+	defer func() {
+		remove()
+		close(frames)
+		<-replayed
+	}()
 
 	r := NewViewRegistry(replica)
 	defer r.Close()

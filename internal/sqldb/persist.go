@@ -57,7 +57,7 @@ import (
 // hide behind garbage.
 //
 // The WAL uses group commit: statements are framed into an in-memory
-// buffer under the writer lock and a background flusher writes and
+// buffer under the commit latch and a background flusher writes and
 // fsyncs batches, so N concurrent committers pay for one fsync, not N.
 // SyncPolicy picks the durability/latency trade-off.
 
@@ -662,32 +662,12 @@ func (db *DB) WALSyncs() uint64 {
 	return db.wal.syncs.Load()
 }
 
-// logMutation records a committed autocommit mutation as a
-// replication frame: it assigns the next position, feeds the commit
-// hook, and (for durable databases) appends to the WAL, returning the
-// sequence number to wait on for durability (0 when nothing needs
-// waiting). Statements that only touch temporary tables are
-// session-local and skipped. Transactions take a different path: their
-// statements buffer in the session and travel as ONE frame on COMMIT
-// (session.go), so recovery and replicas apply the whole transaction
-// or none of it. The caller holds db.wmu.
-func (db *DB) logMutation(st Statement, raw string, dropTemp bool) uint64 {
-	if !db.replicates() || raw == "" {
-		return 0
-	}
-	if stmtSkipsLog(st, db.isTemp, dropTemp) {
-		return 0
-	}
-	return db.commitBatch([]string{raw})
-}
-
 // stmtSkipsLog reports whether a statement is invisible to the WAL and
 // the replication stream: reads, transaction control, and anything
 // touching only temporary tables. isTemp resolves a table's temp-ness
-// in the state the statement executed against (the committed snapshot
-// for autocommit statements, the session overlay inside transactions);
-// dropTemp carries the verdict for an executed DROP TABLE, whose
-// target is already gone.
+// in the transaction overlay the statement left behind; dropTemp
+// carries the verdict for an executed DROP TABLE, whose target is
+// already gone.
 func stmtSkipsLog(st Statement, isTemp func(string) bool, dropTemp bool) bool {
 	switch s := st.(type) {
 	case *SelectStmt, *ExplainStmt, *BeginStmt, *CommitStmt, *RollbackStmt,
@@ -729,13 +709,6 @@ func (db *DB) waitDurable(seq uint64) error {
 		return fmt.Errorf("sqldb: commit not durable: %w", err)
 	}
 	return nil
-}
-
-// isTemp reports whether name is a temporary table in the committed
-// snapshot (the state autocommit statements execute against).
-func (db *DB) isTemp(name string) bool {
-	t, ok := db.state.Load().table(name)
-	return ok && t.temp
 }
 
 // Checkpoint folds the WAL into a fresh checkpoint file and resets the

@@ -120,11 +120,7 @@ func TestSchemaVersionsDoNotLeak(t *testing.T) {
 		if n := mustExec(t, db, "SELECT COUNT(*), SUM(bw) FROM "+name).Rows[0][0].Int(); n != 11 {
 			t.Fatalf("cycle %d: %d rows", i, n)
 		}
-		if i%2 == 0 {
-			mustExec(t, db, "DROP TABLE "+name)
-		} else {
-			db.DropTemp()
-		}
+		mustExec(t, db, "DROP TABLE "+name)
 	}
 	if got := measure(); got != base {
 		t.Errorf("after 2000 create/drop cycles: %+v, want the baseline %+v", got, base)

@@ -23,9 +23,9 @@ import (
 //   - a replication position (ReplPos: the WAL epoch plus the LSN, the
 //     count of committed frames within that epoch), maintained for
 //     every database (durable or memory) and readable lock-free;
-//   - a commit hook that observes every committed frame, in commit
+//   - commit hooks that observe every committed frame, in commit
 //     order, with its position — internal/repl feeds its stream hub
-//     from it;
+//     from one;
 //   - whole-state export/import stamped with the position, for replica
 //     bootstrap at an epoch boundary.
 //
@@ -51,7 +51,7 @@ func (p ReplPos) String() string {
 }
 
 // CommitHook observes committed frames. It is called with the
-// database's writer lock held, immediately after the frame's snapshot
+// database's commit latch held, immediately after the frame's snapshot
 // is published and its position assigned, so invocations are strictly
 // in commit order with strictly increasing positions. stmts holds the
 // frame's statements; a nil stmts signals a WAL rotation (checkpoint):
@@ -59,62 +59,52 @@ func (p ReplPos) String() string {
 // folded into the snapshot.
 //
 // THE HOOK CONTRACT: a hook runs on the committer's goroutine with the
-// writer latch (wmu) held. It must not block — every committer in the
-// system is serialized behind it — and it MUST NOT call back into the
-// database: a mutation would self-deadlock on the (non-reentrant)
-// writer latch, and even a read inside the hook would observe a
-// position the rest of the pipeline has not seen yet. The engine
-// enforces the no-call-back half of the contract: Exec/InsertRows
-// invoked from the hook's goroutine while a hook is running fail fast
-// with a typed ErrHookReentrant instead of hanging. Consumers that
-// need to query (view recomputation, anomaly analysis) must hand the
-// frame to an asynchronous worker — see ViewRegistry (matview.go) and
-// internal/live for the canonical shape.
+// commit latch (wmu) held. Statements execute outside the latch, but
+// every commit in the system — one-statement or BEGIN ... COMMIT —
+// publishes under it, so a hook must not block, and it MUST NOT call
+// back into the database: a mutation would self-deadlock on the
+// (non-reentrant) latch at its own commit, and even a read inside the
+// hook would observe a position the rest of the pipeline has not seen
+// yet. The engine enforces the no-call-back half of the contract:
+// Exec/InsertRows invoked from the hook's goroutine while a hook is
+// running fail fast with a typed ErrHookReentrant instead of hanging.
+// Consumers that need to query (view recomputation, anomaly analysis)
+// must hand the frame to an asynchronous worker — see ViewRegistry
+// (matview.go) and internal/live for the canonical shape.
 type CommitHook func(pos ReplPos, stmts []string)
 
 // ErrHookReentrant is returned when a commit hook calls back into the
-// database. Hooks run under the writer latch in commit order; a
+// database. Hooks run under the commit latch in commit order; a
 // call-back would deadlock (mutations) or read an inconsistent
 // pipeline position (queries), so it is refused fast and typed rather
 // than left to hang. Move the work to an async worker fed from the
 // hook instead.
-var ErrHookReentrant = errors.New("sqldb: commit hook called back into the database (hooks run under the writer latch; queue the work to an async worker instead)")
-
-// SetCommitHook installs (or, with nil, removes) the primary commit
-// hook — the replication hub's slot, kept as a single-slot API for
-// compatibility. Additional consumers use AddCommitHook.
-func (db *DB) SetCommitHook(h CommitHook) {
-	if h == nil {
-		db.commitHook.Store(nil)
-		return
-	}
-	db.commitHook.Store(&h)
-}
+var ErrHookReentrant = errors.New("sqldb: commit hook called back into the database (hooks run under the commit latch; queue the work to an async worker instead)")
 
 // hookEntry wraps one AddCommitHook registration; removal filters by
 // entry identity, so removing one hook never disturbs the others.
 type hookEntry struct{ fn CommitHook }
 
-// AddCommitHook registers an additional commit hook and returns its
-// removal function. Hooks are invoked in registration order after the
-// SetCommitHook hook, under the same contract (see CommitHook). The
-// materialized-view registry and the live alert pipeline each hold one
-// registration, so replication, view maintenance and alerting can
-// observe the same commit stream independently.
+// AddCommitHook registers a commit hook and returns its removal
+// function. Hooks are invoked in registration order under the contract
+// above (see CommitHook). The replication hub, the materialized-view
+// registry and the live alert pipeline each hold one registration, so
+// replication, view maintenance and alerting observe the same commit
+// stream independently.
 func (db *DB) AddCommitHook(h CommitHook) (remove func()) {
 	e := &hookEntry{fn: h}
 	db.hooksMu.Lock()
 	var list []*hookEntry
-	if old := db.extraHooks.Load(); old != nil {
+	if old := db.hooks.Load(); old != nil {
 		list = append(list, *old...)
 	}
 	list = append(list, e)
-	db.extraHooks.Store(&list)
+	db.hooks.Store(&list)
 	db.hooksMu.Unlock()
 	return func() {
 		db.hooksMu.Lock()
 		defer db.hooksMu.Unlock()
-		old := db.extraHooks.Load()
+		old := db.hooks.Load()
 		if old == nil {
 			return
 		}
@@ -124,36 +114,23 @@ func (db *DB) AddCommitHook(h CommitHook) (remove func()) {
 				kept = append(kept, oe)
 			}
 		}
-		db.extraHooks.Store(&kept)
+		db.hooks.Store(&kept)
 	}
 }
 
-func (db *DB) hook() CommitHook {
-	if p := db.commitHook.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-// fireHooks invokes the primary hook and every AddCommitHook
-// registration for one committed frame. The caller holds db.wmu.
-// While hooks run, the goroutine is marked so any call back into the
-// database fails with ErrHookReentrant instead of deadlocking.
+// fireHooks invokes every AddCommitHook registration for one committed
+// frame. The caller holds db.wmu. While hooks run, the goroutine is
+// marked so any call back into the database fails with
+// ErrHookReentrant instead of deadlocking.
 func (db *DB) fireHooks(pos ReplPos, stmts []string) {
-	h := db.hook()
-	extras := db.extraHooks.Load()
-	if h == nil && (extras == nil || len(*extras) == 0) {
+	hooks := db.hooks.Load()
+	if hooks == nil || len(*hooks) == 0 {
 		return
 	}
 	db.hookGoid.Store(goid())
 	defer db.hookGoid.Store(0)
-	if h != nil {
-		h(pos, stmts)
-	}
-	if extras != nil {
-		for _, e := range *extras {
-			e.fn(pos, stmts)
-		}
+	for _, e := range *hooks {
+		e.fn(pos, stmts)
 	}
 }
 
@@ -241,7 +218,7 @@ func (db *DB) WALPolicyName() string {
 func (db *DB) Crash() { db.crashWAL() }
 
 // commitBatch assigns the next position to a committed frame, feeds
-// the commit hook, and (for durable databases) enqueues the frame in
+// the commit hooks, and (for durable databases) enqueues the frame in
 // the WAL, returning the WAL sequence number for waitDurable. The
 // caller holds db.wmu. Empty batches are not frames.
 func (db *DB) commitBatch(stmts []string) uint64 {
@@ -262,11 +239,11 @@ func (db *DB) commitBatch(stmts []string) uint64 {
 // hook is attached. Pure worker databases (temp-table scratch space)
 // skip the whole path.
 func (db *DB) replicates() bool {
-	if db.wal != nil || db.commitHook.Load() != nil {
+	if db.wal != nil {
 		return true
 	}
-	extras := db.extraHooks.Load()
-	return extras != nil && len(*extras) > 0
+	hooks := db.hooks.Load()
+	return hooks != nil && len(*hooks) > 0
 }
 
 // EncodeFramePayload encodes a statement batch in the WAL v2 frame

@@ -14,33 +14,42 @@ import (
 	"perfbase/internal/value"
 )
 
-// This file implements optimistic concurrency control on top of the
-// MVCC overlay machinery in snapshot.go.
+// This file implements the one commit protocol of the engine:
+// optimistic concurrency control on top of the MVCC overlay machinery
+// in snapshot.go.
 //
-// Every Session owns at most one open transaction. BEGIN pins the
-// current committed snapshot as the transaction's base; each statement
-// inside the transaction builds a private overlay snapshot derived
-// from the previous one, so the session reads its own writes while the
-// committed state (and every other session) is completely unaffected.
-// As statements execute, the transaction records its write set (table
-// keys it mutated) and — for sessions created with NewSession — its
-// read set: tables it scanned, refined to index point-probes where the
-// scan was served by a hash index.
+// Every mutation runs inside a transaction. BEGIN opens one on the
+// Session (at most one per session); a mutation outside BEGIN — a SQL
+// statement or an InsertRows batch, from a DB, a Session, the wire
+// server or WAL replay — is a transaction of one statement (runOne).
+// Either way the transaction pins the current committed snapshot as its
+// base; each statement builds a private overlay snapshot derived from
+// the previous one, with no lock held, so the transaction reads its own
+// writes while the committed state (and every other session) is
+// completely unaffected. As statements execute, the transaction records
+// its write set (table keys it mutated) and its read set: tables it
+// scanned, refined to index point-probes where the scan was served by a
+// hash index. (The default session's BEGIN ... COMMIT is the one
+// transaction that records no reads; see Session.record.)
 //
-// COMMIT validates under the commit latch (DB.wmu, held briefly): the
-// transaction may publish iff no transaction committed since its base
-// changed any table in its read or write set. Point reads revalidate
-// by re-probing the index and comparing result fingerprints, so two
-// transactions touching different keys of a hot table don't conflict
-// just because they share it. On success the overlay merges into the
-// current committed snapshot and the transaction's statements enter
-// the group-commit WAL as one frame; the commit hook fires under the
-// latch, so replication frames are emitted in publish order. On
-// conflict every buffered change is discarded and the typed
-// ErrTxnConflict tells the caller to re-run the whole transaction.
+// The commit (commitTxn) validates under the commit latch (DB.wmu, held
+// briefly): the transaction may publish iff no transaction committed
+// since its base changed any table in its read or write set. Point
+// reads revalidate by re-probing the index and comparing result
+// fingerprints, so two transactions touching different keys of a hot
+// table don't conflict just because they share it. On success the
+// overlay merges into the current committed snapshot and the
+// transaction's statements enter the group-commit WAL as one frame; the
+// commit hooks fire under the latch, so replication frames are emitted
+// in publish order. On conflict every buffered change is discarded. A
+// BEGIN ... COMMIT transaction then fails with the typed ErrTxnConflict,
+// telling the caller to re-run it; a one-statement transaction, of which
+// nothing was ever visible, is re-run here against the new state, so a
+// statement outside BEGIN never reports a validation conflict.
 //
-// Disjoint-table writers therefore commit truly in parallel: each
-// builds its overlay outside the latch, validation touches only its
+// Writers therefore execute truly in parallel — a microsecond DDL never
+// waits for another session's long INSERT ... SELECT — and disjoint-
+// table writers commit in parallel too: validation touches only their
 // own keys, and the WAL flusher batches their frames into shared
 // fsyncs.
 //
@@ -48,20 +57,38 @@ import (
 // rewrote (UPDATE, DELETE, DDL) from one it only appended rows to. A
 // table whose whole footprint is appended rows — never rewritten, never
 // read, not by the transaction's own INSERT ... SELECT and not by an
-// UPDATE or DELETE whose scan matched no row — is a blind append: appending rows commutes with every other writer's
-// appends, so validation passes it while the table still exists at the
-// same schema version, and the commit re-derives the table from the
-// then-current version and appends the transaction's own rows instead
-// of installing the overlay's version. Many sessions inserting into one
-// shared table therefore never conflict with each other; WAL and
-// replica order is the commit order under the latch, so replay
-// reproduces the row order.
+// UPDATE or DELETE whose scan matched no row — is a blind append:
+// appending rows commutes with every other writer's appends, so
+// validation passes it while the table still exists at the same schema
+// version, and the commit re-derives the table from the then-current
+// version and appends the transaction's own rows instead of installing
+// the overlay's version. Many writers inserting into one shared table
+// therefore never conflict with each other; WAL and replica order is
+// the commit order under the latch, so replay reproduces the row order.
 
 // ErrTxnConflict is returned by COMMIT when another transaction
 // committed a conflicting change after this transaction began. The
 // transaction has been rolled back; the caller should re-run it from
-// BEGIN (wire clients can use Client.RunTxn for automatic retry).
+// BEGIN (wire clients can use Client.RunTxn for automatic retry). A
+// statement outside BEGIN returns it only for a write into the footprint
+// of a prepared transaction, which re-running cannot get past.
 var ErrTxnConflict = errors.New("sqldb: transaction conflict")
+
+// conflictError is ErrTxnConflict on one table: held when a prepared
+// transaction's intent pins the table, else a failed validation.
+type conflictError struct {
+	key  string
+	held bool
+}
+
+func (e *conflictError) Error() string {
+	if e.held {
+		return fmt.Sprintf("%v: table %q is locked by a prepared transaction", ErrTxnConflict, e.key)
+	}
+	return fmt.Sprintf("%v: table %q changed since BEGIN", ErrTxnConflict, e.key)
+}
+
+func (e *conflictError) Unwrap() error { return ErrTxnConflict }
 
 // Failpoints covering the commit protocol: a crash between validation
 // and publish, or between publish and the WAL enqueue, must never leak
@@ -75,15 +102,17 @@ var (
 // Session is one transactional execution context. Sessions are cheap;
 // the wire server creates one per connection. Methods on a Session
 // serialize on its mutex, but any number of sessions run (and commit)
-// concurrently. A Session with no open transaction executes
-// statements exactly like DB.Exec in autocommit mode.
+// concurrently. A Session with no open transaction executes each
+// mutation as a transaction of its own, exactly like DB.Exec.
 type Session struct {
 	db *DB
-	// record enables read-set tracking. The DB's internal default
-	// session (the sessionless DB.Exec API) runs with record=false and
-	// validates only its write set: its reads can come from arbitrary
-	// goroutines sharing the DB handle, which would inflate the read
-	// set with bystander scans.
+	// record enables read-set tracking for BEGIN ... COMMIT. The DB's
+	// internal default session (the sessionless DB.Exec API) runs with
+	// record=false and validates only its write set: inside its open
+	// transaction, reads can come from arbitrary goroutines sharing the
+	// DB handle, which would inflate the read set with bystander scans.
+	// A one-statement transaction always records: its reads are the
+	// statement's own.
 	record bool
 
 	mu sync.Mutex
@@ -123,20 +152,22 @@ func (db *DB) NewSession() *Session {
 
 // sessionTxn is the state of one open transaction.
 type sessionTxn struct {
-	// base is the committed snapshot at BEGIN time.
+	// base is the committed snapshot the transaction began from.
 	base *snapshot
 	// over is the current private overlay: base plus every statement
 	// executed so far. Atomic so the default session's overlay is
 	// readable by concurrent DB.Exec SELECTs without the session lock.
 	over atomic.Pointer[snapshot]
-	// reads is the accumulated read set; nil when the session does not
-	// record reads.
-	reads *readTracker
+	// reads is the accumulated read set, &tracker; nil when the
+	// transaction does not record reads.
+	reads   *readTracker
+	tracker readTracker
 	// writes is the set of (lower-cased) table keys the transaction
 	// mutated, schema the subset needing plan invalidation. rewrites holds
 	// the tables a rewriting statement (UPDATE, DELETE, DDL) ran over: the
 	// written ones among them got more than rows appended, and one outside
-	// writes was scanned by an UPDATE or DELETE that matched no row.
+	// writes was scanned by an UPDATE or DELETE that matched no row. Each
+	// is nil until a statement has an entry for it (see install).
 	writes   map[string]bool
 	rewrites map[string]bool
 	schema   map[string]bool
@@ -147,6 +178,16 @@ type sessionTxn struct {
 	// are promoted to the shared LRU only on commit: an aborted DDL's
 	// plan shape must not linger in the shared cache.
 	plans map[string]*cachedPlan
+}
+
+// beginTxn starts a transaction on the current committed state.
+func (db *DB) beginTxn(record bool) *sessionTxn {
+	tx := &sessionTxn{base: db.state.Load()}
+	if record {
+		tx.reads = &tx.tracker
+	}
+	tx.over.Store(tx.base)
+	return tx
 }
 
 // InTxn reports whether the session has an open transaction.
@@ -231,27 +272,52 @@ func (s *Session) execStmt(cp *cachedPlan, raw string) (*Result, error) {
 		s.mu.Unlock()
 		return s.db.execCached(cp, "")
 	}
-	// Autocommit mutations run outside the session lock so concurrent
-	// sessions' durability waits share group fsyncs.
+	// A mutation outside BEGIN runs outside the session lock so
+	// concurrent sessions' durability waits share group fsyncs.
 	s.mu.Unlock()
-	return s.db.autocommit(cp.st, raw)
+	var res *Result
+	err := s.db.runOne(func(tx *sessionTxn) (err error) {
+		res, err = s.db.execTxnStmt(tx, cp.st, raw)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// runOne runs a mutation outside BEGIN as what it is, a transaction of
+// one statement: begin on the current state, apply with no lock held,
+// commit — and wait for durability outside the latch, so concurrent
+// committers share one group fsync. A validation conflict means a rival
+// committed into the statement's footprint while it executed; nothing
+// of the statement was visible, so it simply runs again on the new
+// state. A statement that changed nothing — IF [NOT] EXISTS that did not
+// apply, an UPDATE or DELETE matching no row — is not a commit: no
+// snapshot, no WAL frame, no replication position.
+func (db *DB) runOne(apply func(tx *sessionTxn) error) error {
+	for {
+		tx := db.beginTxn(true)
+		if err := apply(tx); err != nil {
+			return err
+		}
+		if len(tx.writes) == 0 {
+			return nil
+		}
+		seq, err := db.commitTxn(tx)
+		if ce, ok := err.(*conflictError); ok && !ce.held {
+			continue
+		}
+		if err != nil {
+			return err
+		}
+		return db.waitDurable(seq)
+	}
 }
 
 // beginLocked opens a transaction. The caller holds s.mu.
 func (s *Session) beginLocked() (*Result, error) {
-	base := s.db.state.Load()
-	tx := &sessionTxn{
-		base:     base,
-		writes:   make(map[string]bool),
-		rewrites: make(map[string]bool),
-		schema:   make(map[string]bool),
-		plans:    make(map[string]*cachedPlan),
-	}
-	if s.record {
-		tx.reads = &readTracker{}
-	}
-	tx.over.Store(base)
-	s.tx.Store(tx)
+	s.tx.Store(s.db.beginTxn(s.record))
 	return &Result{}, nil
 }
 
@@ -283,108 +349,122 @@ func (s *Session) execTxn(tx *sessionTxn, cp *cachedPlan, raw string) (*Result, 
 	case *ExplainStmt:
 		return s.db.execExplain(tx.over.Load().withReads(tx.reads), st)
 	}
-	over := tx.over.Load()
-	ws := newWriteState(s.db, over.withReads(tx.reads))
-	res, err := s.db.execMutation(ws, cp.st)
+	return s.db.execTxnStmt(tx, cp.st, raw)
+}
+
+// execTxnStmt executes one mutation statement inside tx and buffers its
+// raw SQL for the commit frame unless the WAL and the replication
+// stream have no use for it: a statement that changed nothing, one on a
+// temporary table — resolved against the transaction's overlay, where a
+// table created earlier in the transaction is visible — or a replayed
+// one (raw == "").
+func (db *DB) execTxnStmt(tx *sessionTxn, st Statement, raw string) (*Result, error) {
+	ws := newWriteState(db, tx)
+	res, err := db.execMutation(ws, st)
 	if err != nil {
 		// Statement atomicity inside the transaction: the failed
 		// statement's working state is discarded, the overlay keeps the
 		// last good state.
 		return nil, err
 	}
-	s.installOverlay(tx, ws)
-	s.logTxn(tx, cp.st, raw, ws)
+	tx.install(ws)
+	if ws.changed() && raw != "" && db.replicates() {
+		over := tx.over.Load()
+		isTemp := func(name string) bool {
+			t, ok := over.table(name)
+			return ok && t.temp
+		}
+		if !stmtSkipsLog(st, isTemp, ws.dropTemp) {
+			tx.log = append(tx.log, raw)
+		}
+	}
 	return res, nil
 }
 
-// installOverlay publishes a statement's working state as the
-// transaction's next private overlay and folds its touched tables into
-// the transaction write set.
-func (s *Session) installOverlay(tx *sessionTxn, ws *writeState) {
+// insertTxnRows appends a typed row batch inside tx. For a durable
+// table an equivalent INSERT statement joins the commit frame;
+// temp-table inserts (the overwhelmingly common case: query element
+// vectors) skip SQL entirely.
+func (db *DB) insertTxnRows(tx *sessionTxn, tableName string, cols []string, rows []Row) (int, error) {
+	ws := newWriteState(db, tx)
+	nt, n, err := insertRowsWS(ws, tableName, cols, rows)
+	if err != nil {
+		return 0, err
+	}
+	tx.install(ws)
+	if db.replicates() && !nt.temp {
+		tx.log = append(tx.log, synthInsertSQL(nt.name, cols, rows))
+	}
+	return n, nil
+}
+
+// install makes a statement's working state the transaction's next
+// private overlay and folds its key sets into the transaction's. The
+// first statement's sets are taken over as they are, so a one-statement
+// transaction allocates none of its own.
+func (tx *sessionTxn) install(ws *writeState) {
 	// Even a statement that changed nothing may have scanned: an UPDATE or
 	// DELETE matching no row still ends the table's blindness.
-	for k := range ws.rewrote {
-		tx.rewrites[k] = true
-	}
+	tx.rewrites = mergeKeys(tx.rewrites, ws.rewrote)
 	if !ws.changed() {
 		return
 	}
 	tx.over.Store(ws.seal())
-	for _, k := range ws.touched {
-		tx.writes[k] = true
-	}
-	for k := range ws.schema {
-		tx.schema[k] = true
-	}
+	tx.writes = mergeKeys(tx.writes, ws.touched)
+	tx.schema = mergeKeys(tx.schema, ws.schema)
 }
 
-// logTxn buffers the raw SQL of a replicated statement for the commit
-// frame, applying the same filtering as the autocommit WAL path — a
-// statement that changed nothing is not logged, nor one on a temporary
-// table — but resolving temp-ness against the transaction's overlay,
-// where a table created earlier in the transaction is visible.
-func (s *Session) logTxn(tx *sessionTxn, st Statement, raw string, ws *writeState) {
-	if !ws.changed() || !s.db.replicates() || raw == "" {
-		return
+// mergeKeys returns the union of two key sets, reusing one of them.
+func mergeKeys(into, from map[string]bool) map[string]bool {
+	if into == nil {
+		return from
 	}
-	over := tx.over.Load()
-	lookup := func(name string) bool {
-		t, ok := over.table(name)
-		return ok && t.temp
-	}
-	if stmtSkipsLog(st, lookup, ws.dropTemp) {
-		return
-	}
-	tx.log = append(tx.log, raw)
+	maps.Copy(into, from)
+	return into
 }
 
-// commitLocked validates and publishes the transaction. The caller
-// holds s.mu.
+// commitLocked validates and publishes the transaction; whatever the
+// verdict, the transaction is over. The caller holds s.mu.
 func (s *Session) commitLocked(tx *sessionTxn) (*Result, error) {
-	db := s.db
+	defer s.tx.Store(nil)
+	seq, err := s.db.commitTxn(tx)
+	if err != nil {
+		return nil, err
+	}
+	s.db.sharePlans(tx)
+	// The durability wait happens outside the latch so concurrent
+	// committers batch into one group fsync.
+	if err := s.db.waitDurable(seq); err != nil {
+		return nil, err
+	}
+	return &Result{}, nil
+}
+
+// commitTxn is the commit protocol: under the latch, validate the
+// transaction against the committed state, refuse a write into a
+// prepared transaction's footprint, then publish (publishTxn: snapshot,
+// replication position, hooks, WAL enqueue). It returns the WAL
+// sequence number to wait on for durability. A transaction that fails
+// either check has published nothing.
+func (db *DB) commitTxn(tx *sessionTxn) (seq uint64, err error) {
 	// Announce before queueing on the commit latch: committers waiting
 	// here are exactly the cohort the WAL flusher should gather into
 	// one group fsync.
 	db.announceCommit()
 	db.wmu.Lock()
-	if err := fpTxnValidate.Inject(); err != nil {
+	if err = fpTxnValidate.Inject(); err != nil {
 		// An injected validation fault aborts the commit cleanly: the
 		// transaction is discarded, nothing was published.
-		db.retireCommit()
-		db.wmu.Unlock()
-		s.tx.Store(nil)
-		return nil, err
+	} else if key, ok := validateTxn(db.state.Load(), tx); !ok {
+		err = &conflictError{key: key}
+	} else if key, held := db.intentConflictLocked(tx.writes, tx.rewrites); held {
+		err = &conflictError{key: key, held: true}
+	} else {
+		seq = db.publishTxn(tx)
 	}
-	cur := db.state.Load()
-	if key, ok := validateTxn(cur, tx); !ok {
-		db.retireCommit()
-		db.wmu.Unlock()
-		s.tx.Store(nil)
-		return nil, fmt.Errorf("%w: table %q changed since BEGIN", ErrTxnConflict, key)
-	}
-	if key, held := db.intentConflictLocked(maps.Keys(tx.writes), tx.rewrites); held {
-		db.retireCommit()
-		db.wmu.Unlock()
-		s.tx.Store(nil)
-		return nil, intentConflictErr(key)
-	}
-	seq := db.publishTxn(cur, tx)
 	db.retireCommit()
 	db.wmu.Unlock()
-	// Plans compiled inside the transaction become shared only now
-	// that the versions they were compiled against are the committed
-	// ones (validation pinned the read tables, publication installed
-	// the written ones).
-	for sql, cp := range tx.plans {
-		db.plans.put(sql, cp)
-	}
-	s.tx.Store(nil)
-	// The durability wait happens outside both locks so concurrent
-	// committers batch into one group fsync.
-	if err := db.waitDurable(seq); err != nil {
-		return nil, err
-	}
-	return &Result{}, nil
+	return seq, err
 }
 
 // rollbackLocked discards the transaction. Nothing was ever published,
@@ -440,18 +520,17 @@ func (s *Session) prepareLocked(tx *sessionTxn, gid string) (*Result, error) {
 		s.tx.Store(nil)
 		return nil, err
 	}
-	cur := db.state.Load()
-	if key, ok := validateTxn(cur, tx); !ok {
+	if key, ok := validateTxn(db.state.Load(), tx); !ok {
 		db.wmu.Unlock()
 		s.tx.Store(nil)
-		return nil, fmt.Errorf("%w: table %q changed since BEGIN", ErrTxnConflict, key)
+		return nil, &conflictError{key: key}
 	}
 	keys := txFootprint(tx)
 	for _, k := range keys {
 		if it := db.intents[k]; it != nil && (it.exclusive || !tx.blindAppend(k)) {
 			db.wmu.Unlock()
 			s.tx.Store(nil)
-			return nil, intentConflictErr(k)
+			return nil, &conflictError{key: k, held: true}
 		}
 	}
 	if db.intents == nil {
@@ -482,16 +561,13 @@ func (s *Session) commitPreparedLocked() (*Result, error) {
 	tx := p.tx
 	db.announceCommit()
 	db.wmu.Lock()
-	cur := db.state.Load()
 	// No re-validation: the intents installed by PREPARE blocked every
 	// commit that could have changed this transaction's footprint.
-	seq := db.publishTxn(cur, tx)
+	seq := db.publishTxn(tx)
 	db.releaseIntentsLocked(p.keys)
 	db.retireCommit()
 	db.wmu.Unlock()
-	for sql, cp := range tx.plans {
-		db.plans.put(sql, cp)
-	}
+	db.sharePlans(tx)
 	s.prep = nil
 	if err := db.waitDurable(seq); err != nil {
 		return nil, err
@@ -537,12 +613,6 @@ func txFootprint(tx *sessionTxn) []string {
 	}
 	sort.Strings(keys)
 	return keys
-}
-
-// intentConflictErr is the typed conflict a commit hits when its write
-// set overlaps a prepared transaction's footprint.
-func intentConflictErr(key string) error {
-	return fmt.Errorf("%w: table %q is locked by a prepared transaction", ErrTxnConflict, key)
 }
 
 // validateTxn decides whether the transaction may commit against cur,
@@ -599,12 +669,14 @@ func validateTxn(cur *snapshot, tx *sessionTxn) (string, bool) {
 }
 
 // publishTxn installs a validated transaction as the next committed
-// snapshot and enqueues its frame, returning the WAL sequence number to
-// wait on. The caller holds db.wmu.
-func (db *DB) publishTxn(cur *snapshot, tx *sessionTxn) (seq uint64) {
+// snapshot — the one place a commit stores db.state — and enqueues its
+// frame, returning the WAL sequence number to wait on. The caller holds
+// db.wmu.
+func (db *DB) publishTxn(tx *sessionTxn) (seq uint64) {
 	if len(tx.writes) > 0 {
-		_ = fpPublish.Inject()    // crash site shared with autocommit publish
+		_ = fpPublish.Inject()    // crash/panic/sleep site; errors have no channel here
 		_ = fpTxnPublish.Inject() // crash between validation and publish
+		cur := db.state.Load()
 		next := mergeCommit(db, cur, tx)
 		db.state.Store(next)
 		db.invalidateSchema(tx.schema)
@@ -619,38 +691,39 @@ func (db *DB) publishTxn(cur *snapshot, tx *sessionTxn) (seq uint64) {
 	return seq
 }
 
-// mergeCommit builds the published snapshot for a validated commit:
-// cur's catalog, with every write-set key replaced by (or deleted per)
-// the transaction's overlay version — schema versions travel with the
-// tables. A blind-appended table that others changed meanwhile is
-// re-derived from cur's version instead, with the transaction's own
-// rows (the overlay's ordinals from the base version's row count up)
-// appended to it. When nothing committed in between, the overlay's
-// catalog is published as it stands — the single-writer fast path.
+// mergeCommit builds the published snapshot for a validated commit.
+// When nothing committed since the transaction began, that is its
+// overlay as it stands — the uncontended case allocates nothing here.
+// Otherwise it is cur's catalog with every write-set key replaced by
+// (or deleted per) the transaction's overlay version — schema versions
+// travel with the tables. A blind-appended table that others changed
+// meanwhile is re-derived from cur's version instead, with the
+// transaction's own rows (the overlay's ordinals from the base version's
+// row count up) appended to it.
 func mergeCommit(db *DB, cur *snapshot, tx *sessionTxn) *snapshot {
 	over := tx.over.Load()
-	cat := over.cat
-	if cur != tx.base {
-		cat = cur.cat
-		for k := range tx.writes {
-			t, bt, ct := over.cat.get(k), tx.base.cat.get(k), cur.cat.get(k)
-			switch {
-			case t == nil:
-				cat = cat.delete(k)
-				continue
-			case ct != bt && ct != nil && tx.blindAppend(k):
-				own := t.rowsFrom(bt.nrows)
-				var err error
-				if t, err = ct.derive(); err != nil {
-					// ct was published after this transaction began, so it
-					// has been resident all its life: nothing to hydrate.
-					panic("sqldb: a table version published after Open is not resident: " + err.Error())
-				}
-				t.appendChunk(own)
-				t.seal()
+	if cur == tx.base {
+		return over
+	}
+	cat := cur.cat
+	for k := range tx.writes {
+		t, bt, ct := over.cat.get(k), tx.base.cat.get(k), cur.cat.get(k)
+		switch {
+		case t == nil:
+			cat = cat.delete(k)
+			continue
+		case ct != bt && ct != nil && tx.blindAppend(k):
+			own := t.rowsFrom(bt.nrows)
+			var err error
+			if t, err = ct.derive(); err != nil {
+				// ct was published after this transaction began, so it
+				// has been resident all its life: nothing to hydrate.
+				panic("sqldb: a table version published after Open is not resident: " + err.Error())
 			}
-			cat = cat.set(t)
+			t.appendChunk(own)
+			t.seal()
 		}
+		cat = cat.set(t)
 	}
 	return &snapshot{id: cur.id + 1, cat: cat, env: db.env}
 }
@@ -676,16 +749,29 @@ func (tx *sessionTxn) localPlan(cp *cachedPlan, raw string) *cachedPlan {
 		return l
 	}
 	l := &cachedPlan{st: cp.st, tables: cp.tables}
+	if tx.plans == nil {
+		tx.plans = make(map[string]*cachedPlan)
+	}
 	if len(tx.plans) < planCacheSize {
 		tx.plans[raw] = l
 	}
 	return l
 }
 
+// sharePlans moves the plans compiled inside a transaction to the
+// shared cache, now that the versions they were compiled against are the
+// committed ones (validation pinned the read tables, publication
+// installed the written ones).
+func (db *DB) sharePlans(tx *sessionTxn) {
+	for sql, cp := range tx.plans {
+		db.plans.put(sql, cp)
+	}
+}
+
 // InsertRows implements BulkInserter within the session: inside a
 // transaction the rows join the overlay (and the commit frame), else
-// this is the plain autocommit bulk path.
-func (s *Session) InsertRows(tableName string, cols []string, rows []Row) (int, error) {
+// the batch is a transaction of its own.
+func (s *Session) InsertRows(tableName string, cols []string, rows []Row) (n int, err error) {
 	if err := s.db.hookReentry(); err != nil {
 		return 0, err
 	}
@@ -693,21 +779,17 @@ func (s *Session) InsertRows(tableName string, cols []string, rows []Row) (int, 
 		return 0, nil
 	}
 	s.mu.Lock()
-	tx := s.tx.Load()
-	if tx == nil {
-		s.mu.Unlock()
-		return s.db.insertRowsAutocommit(tableName, cols, rows)
+	if tx := s.tx.Load(); tx != nil {
+		defer s.mu.Unlock()
+		return s.db.insertTxnRows(tx, tableName, cols, rows)
 	}
-	defer s.mu.Unlock()
-	over := tx.over.Load()
-	ws := newWriteState(s.db, over.withReads(tx.reads))
-	nt, n, err := insertRowsWS(ws, tableName, cols, rows)
+	s.mu.Unlock()
+	err = s.db.runOne(func(tx *sessionTxn) (err error) {
+		n, err = s.db.insertTxnRows(tx, tableName, cols, rows)
+		return err
+	})
 	if err != nil {
 		return 0, err
-	}
-	s.installOverlay(tx, ws)
-	if s.db.replicates() && !nt.temp {
-		tx.log = append(tx.log, synthInsertSQL(nt.name, cols, rows))
 	}
 	return n, nil
 }

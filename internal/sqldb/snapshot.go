@@ -6,10 +6,9 @@ import (
 	"perfbase/internal/failpoint"
 )
 
-// fpPublish fires just before a writer installs its working state as
-// the next snapshot — a crash here loses the statement entirely (it
-// was never acknowledged), which is exactly what the torture harness
-// asserts.
+// fpPublish fires just before a commit installs the next snapshot — a
+// crash here loses the commit entirely (it was never acknowledged),
+// which is exactly what the torture harness asserts.
 var fpPublish = failpoint.Site("sqldb/snapshot/publish")
 
 // This file implements the MVCC core of the engine.
@@ -20,25 +19,25 @@ var fpPublish = failpoint.Site("sqldb/snapshot/publish")
 // no locks at all: the snapshot, its table catalog and every table's
 // row chunks are never mutated after publication.
 //
-// Writers serialize on DB.wmu. A mutation statement builds a
-// writeState: the base snapshot's catalog (a persistent trie, see
-// catalog.go — taking it copies nothing) in which modified tables are
-// replaced by derived versions (copy-on-write, sharing the untouched
-// row prefix with the published version); each replacement copies only
-// the trie path to that table. On success the writeState is published
-// as the next snapshot; on error it is simply discarded, which makes
-// every statement atomic.
-//
-// Transactions are private overlays built from the same writeState
-// machinery (see session.go): each statement inside a transaction
-// publishes into the session's overlay snapshot instead of the shared
-// state, and COMMIT merges the overlay after optimistic validation.
-// ROLLBACK simply drops the overlay — nothing was ever published.
+// Writers never touch a published snapshot either. Every mutation runs
+// inside a transaction (session.go) — its own one-statement transaction
+// when no BEGIN is open — and executes with no lock held: the statement
+// builds a writeState, the catalog of the transaction's private overlay
+// (a persistent trie, see catalog.go — taking it copies nothing) in
+// which modified tables are replaced by derived versions (copy-on-write,
+// sharing the untouched row prefix with the published version); each
+// replacement copies only the trie path to that table. On success the
+// writeState becomes the transaction's next overlay; on error it is
+// simply discarded, which makes every statement atomic. Only a commit
+// stores DB.state, under the commit latch and after optimistic
+// validation (publishTxn). ROLLBACK, or a commit that fails validation,
+// drops the overlay — nothing was ever published.
 
 // snapshot is one immutable, published state of the database.
 type snapshot struct {
-	// id increases by one with every published state change; EXPLAIN
-	// reports it so concurrent behaviour is observable.
+	// id increases with every published state change (by one for a
+	// one-statement commit); EXPLAIN reports it so concurrent behaviour
+	// is observable.
 	id int64
 	// cat holds the snapshot's version of every table, by lower-cased
 	// name.
@@ -98,50 +97,47 @@ func (sn *snapshot) versionsMatch(tables []string, vers []int64) bool {
 	return true
 }
 
-// writeState is the working state of one mutation statement. It is
-// only ever touched by the single writer holding DB.wmu (or, inside a
-// transaction, the session lock).
+// writeState is the working state of one mutation statement, private
+// to the goroutine executing it.
 type writeState struct {
-	db   *DB
-	base *snapshot
+	db *DB
+	// base is the overlay the statement started from; reads is the
+	// tracker its SELECT half records into (nil: reads are not recorded).
+	base  *snapshot
+	reads *readTracker
 
 	// cat is base.cat plus this statement's changes. The table versions
 	// this statement created in it are still mutable; everything else is
 	// published and immutable.
 	cat catalog
-	// touched lists the table keys mutated this statement (a key may
-	// repeat); schema is the subset needing plan invalidation. rewrote
+	// touched holds the table keys mutated this statement; schema is the
+	// subset needing plan invalidation. rewrote
 	// holds the tables a rewriting statement ran over — UPDATE, DELETE,
 	// every DDL — including an UPDATE or DELETE that matched no row and so
 	// touched nothing: it still decided by scanning the table. A touched
 	// key outside it was only appended to, which is the one mutation that
 	// commutes with other writers' appends (see "blind appends" in
 	// session.go).
-	touched []string
+	touched map[string]bool
 	rewrote map[string]bool
 	schema  map[string]bool
 	// dropTemp records whether the DROP TABLE this statement executed
 	// removed a temporary table — its CREATE was never logged, so the
 	// DROP must not be either.
 	dropTemp bool
-
-	touchedBuf [2]string // most statements touch one table
 }
 
-// newWriteState builds a working state over an arbitrary base snapshot
-// (the committed state for autocommit writers, a transaction's private
-// overlay for statements inside one).
-func newWriteState(db *DB, base *snapshot) *writeState {
-	ws := &writeState{db: db, base: base, cat: base.cat}
-	ws.touched = ws.touchedBuf[:0]
-	return ws
+// newWriteState builds a statement's working state over a
+// transaction's current overlay.
+func newWriteState(db *DB, tx *sessionTxn) *writeState {
+	base := tx.over.Load()
+	return &writeState{db: db, base: base, reads: tx.reads, cat: base.cat}
 }
 
-// beginWrite starts a working state over the current committed state.
-// The caller holds db.wmu.
-func (db *DB) beginWrite() *writeState {
-	return newWriteState(db, db.state.Load())
-}
+// readView is the snapshot the statement's SELECT half (INSERT ...
+// SELECT, CREATE TABLE ... AS) executes against: the state the
+// statement started from, recording what it scans.
+func (ws *writeState) readView() *snapshot { return ws.base.withReads(ws.reads) }
 
 // changed reports whether the statement mutated anything.
 func (ws *writeState) changed() bool { return len(ws.touched) > 0 }
@@ -149,7 +145,7 @@ func (ws *writeState) changed() bool { return len(ws.touched) > 0 }
 // seal seals every table version built this statement and returns the
 // working state as the successor of base.
 func (ws *writeState) seal() *snapshot {
-	for _, k := range ws.touched {
+	for k := range ws.touched {
 		if t := ws.cat.get(k); t != nil && t.mutable {
 			t.seal()
 		}
@@ -177,7 +173,7 @@ func (ws *writeState) appendTo(key string) (*table, error) {
 		return nil, err
 	}
 	ws.cat = ws.cat.set(nt)
-	ws.touched = append(ws.touched, key)
+	mark(&ws.touched, key)
 	return nt, nil
 }
 
@@ -193,11 +189,15 @@ func (ws *writeState) modify(key string) (*table, error) {
 
 // markRewrite records that a rewriting statement ran over the table,
 // whether or not it went on to change it.
-func (ws *writeState) markRewrite(key string) {
-	if ws.rewrote == nil {
-		ws.rewrote = make(map[string]bool, 1)
+func (ws *writeState) markRewrite(key string) { mark(&ws.rewrote, key) }
+
+// mark adds key to a set that is allocated by its first member: most
+// statements touch one table, and most of those only append to it.
+func mark(set *map[string]bool, key string) {
+	if *set == nil {
+		*set = make(map[string]bool, 1)
 	}
-	ws.rewrote[key] = true
+	(*set)[key] = true
 }
 
 // put installs a freshly created (mutable) table, at a fresh schema
@@ -223,31 +223,11 @@ func (ws *writeState) schemaChanged(nt *table) {
 	ws.markSchema(nt.key)
 }
 
-// markSchema schedules cached-plan eviction for publish time.
+// markSchema schedules cached-plan eviction for commit time.
 func (ws *writeState) markSchema(key string) {
-	if ws.schema == nil {
-		ws.schema = make(map[string]bool, 1)
-	}
-	ws.schema[key] = true
-	ws.touched = append(ws.touched, key)
+	mark(&ws.schema, key)
+	mark(&ws.touched, key)
 	ws.markRewrite(key)
-}
-
-// publish installs the working state as the next snapshot. No-op when
-// nothing changed. The caller holds db.wmu. Transactional statements
-// never publish; they install into the session overlay instead
-// (session.go).
-func (ws *writeState) publish() {
-	if !ws.changed() {
-		return
-	}
-	_ = fpPublish.Inject() // crash/panic/sleep site; errors have no channel here
-	next := ws.seal()
-	ws.db.state.Store(next)
-	ws.db.invalidateSchema(ws.schema)
-	for _, k := range ws.touched {
-		ws.db.env.cache.dropSuperseded(ws.base.cat.get(k), next.cat.get(k))
-	}
 }
 
 // invalidateSchema evicts the cached plans of tables whose schema

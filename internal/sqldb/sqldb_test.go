@@ -392,10 +392,9 @@ func TestCreateTableAsSelect(t *testing.T) {
 	if !ok || len(schema) != 2 || schema[0].Name != "chunk" || schema[1].Type != value.Float {
 		t.Errorf("CTAS schema = %v", schema)
 	}
-	// Temp tables vanish on DropTemp.
-	db.DropTemp()
+	mustExec(t, db, "DROP TABLE ufs_reads")
 	if _, err := db.Exec("SELECT * FROM ufs_reads"); err == nil {
-		t.Error("temp table survived DropTemp")
+		t.Error("temp table survived its DROP")
 	}
 	// Source table still present.
 	mustExec(t, db, "SELECT COUNT(*) FROM results")
@@ -1005,7 +1004,7 @@ func TestTransactionWithTempTables(t *testing.T) {
 	if res.Rows[0][0].Int() != 2 {
 		t.Errorf("committed temp rows = %v", res.Rows[0][0])
 	}
-	db.DropTemp()
+	mustExec(t, db, "DROP TABLE scratch2")
 	mustExec(t, db, "SELECT COUNT(*) FROM base")
 }
 
