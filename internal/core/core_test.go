@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
 	"perfbase/internal/pbxml"
+	"perfbase/internal/shard"
 	"perfbase/internal/sqldb"
 	"perfbase/internal/sqldb/wire"
 	"perfbase/internal/value"
@@ -522,6 +524,64 @@ func TestStoreOverWire(t *testing.T) {
 	runs, err := e2.Runs()
 	if err != nil || len(runs) != 1 || runs[0].Source != "remote.txt" {
 		t.Errorf("local view of remote import = %v, %v", runs, err)
+	}
+}
+
+// TestClaimCollisionIsTyped: a run id is claimed by creating its data
+// table, and a claim that finds the table taken — a concurrent importer,
+// or a table a crashed one left behind — moves on to the next id. The
+// collision is recognised by its type, sqldb.ErrTableExists, wherever
+// the database lives.
+func TestClaimCollisionIsTyped(t *testing.T) {
+	backends := map[string]func(t *testing.T) sqldb.Querier{
+		"local": func(t *testing.T) sqldb.Querier { return sqldb.NewMemory() },
+		"wire": func(t *testing.T) sqldb.Querier {
+			srv := wire.NewServer(sqldb.NewMemory())
+			if err := srv.Listen("127.0.0.1:0"); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { srv.Close() })
+			client, err := wire.Dial(srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { client.Close() })
+			return client
+		},
+		"cluster": func(t *testing.T) sqldb.Querier {
+			c := shard.NewLocal(2)
+			t.Cleanup(func() { c.Close() })
+			return c
+		},
+	}
+	for name, open := range backends {
+		t.Run(name, func(t *testing.T) {
+			q := open(t)
+			s := NewStore(q)
+			if err := s.Init(); err != nil {
+				t.Fatal(err)
+			}
+			e, err := s.CreateExperiment(testDef(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Someone else holds ids 1 and 2.
+			for id := int64(1); id <= 2; id++ {
+				if _, err := q.Exec("CREATE TABLE " + e.DataTable(id) + " (chunk integer, bw float)"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := q.Exec("CREATE TABLE " + e.DataTable(1) + " (chunk integer, bw float)"); !errors.Is(err, sqldb.ErrTableExists) {
+				t.Fatalf("CREATE TABLE over an existing table: err=%v, want sqldb.ErrTableExists", err)
+			}
+			id, err := e.CreateRun(DataSet{"fs": value.NewString("nfs")}, "a.txt", "c1")
+			if err != nil {
+				t.Fatalf("CreateRun over taken ids: %v", err)
+			}
+			if id != 3 {
+				t.Errorf("claimed run id %d, want 3 (1 and 2 are taken)", id)
+			}
+		})
 	}
 }
 

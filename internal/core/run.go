@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -130,7 +131,7 @@ func (e *Experiment) claimRunID() (int64, error) {
 		if err == nil {
 			return id, nil
 		}
-		if !strings.Contains(err.Error(), "already exists") {
+		if !errors.Is(err, sqldb.ErrTableExists) {
 			return 0, fmt.Errorf("core: create run data table: %w", err)
 		}
 		id++ // concurrent importer (or stale table) holds this id

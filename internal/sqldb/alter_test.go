@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"errors"
 	"testing"
 
 	"perfbase/internal/value"
@@ -65,8 +66,8 @@ func TestAlterRename(t *testing.T) {
 		t.Error("old name still resolves")
 	}
 	mustExec(t, db, "CREATE TABLE blocker (x integer)")
-	if _, err := db.Exec("ALTER TABLE fresh RENAME TO blocker"); err == nil {
-		t.Error("rename onto existing table accepted")
+	if _, err := db.Exec("ALTER TABLE fresh RENAME TO blocker"); !errors.Is(err, ErrTableExists) {
+		t.Errorf("rename onto existing table: err=%v, want ErrTableExists", err)
 	}
 }
 

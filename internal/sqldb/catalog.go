@@ -33,20 +33,8 @@ type catSlot struct {
 	kid *catNode
 }
 
-// temps counts the temporary tables at or below the slot.
-func (s catSlot) temps() int32 {
-	switch {
-	case s.kid != nil:
-		return s.kid.temps
-	case s.t.temp:
-		return 1
-	}
-	return 0
-}
-
 type catNode struct {
 	bitmap uint32    // occupied digits; unused (0) in a bucket node
-	temps  int32     // temporary tables in this subtree, see catalog.temps
 	slots  []catSlot // one per set bit, in digit order
 }
 
@@ -125,7 +113,6 @@ func buildCatNode(ents, tmp []catEnt, shift uint) *catNode {
 		n.slots = make([]catSlot, len(ents))
 		for i, e := range ents {
 			n.slots[i] = catSlot{t: e.t}
-			n.temps += n.slots[i].temps()
 		}
 		return n
 	}
@@ -160,7 +147,6 @@ func buildCatNode(ents, tmp []catEnt, shift uint) *catNode {
 			s = catSlot{kid: buildCatNode(tmp[lo:hi], ents[lo:hi], shift+catBits)}
 		}
 		n.bitmap |= 1 << d
-		n.temps += s.temps()
 		n.slots = append(n.slots, s)
 	}
 	return n
@@ -177,25 +163,19 @@ func (c catalog) delete(key string) catalog {
 
 // all iterates every table, in no particular order.
 func (c catalog) all() iter.Seq[*table] {
-	return func(yield func(*table) bool) { c.root.walk(yield, false) }
+	return func(yield func(*table) bool) { c.root.walk(yield) }
 }
 
-// temps iterates the temporary tables, visiting only subtrees that
-// hold one.
-func (c catalog) temps() iter.Seq[*table] {
-	return func(yield func(*table) bool) { c.root.walk(yield, true) }
-}
-
-func (n *catNode) walk(yield func(*table) bool, tempOnly bool) bool {
-	if n == nil || tempOnly && n.temps == 0 {
+func (n *catNode) walk(yield func(*table) bool) bool {
+	if n == nil {
 		return true
 	}
 	for _, s := range n.slots {
 		if s.kid != nil {
-			if !s.kid.walk(yield, tempOnly) {
+			if !s.kid.walk(yield) {
 				return false
 			}
-		} else if (!tempOnly || s.t.temp) && !yield(s.t) {
+		} else if !yield(s.t) {
 			return false
 		}
 	}
@@ -222,14 +202,8 @@ func (n *catNode) find(key string, h uint32, shift uint) (i int, bit uint32, ok 
 // splice returns a copy of n in which ins replaces del slots at i. flip
 // is the digit bit entering or leaving the bitmap, 0 for a replacement.
 func (n *catNode) splice(i, del int, flip uint32, ins ...catSlot) *catNode {
-	m := &catNode{bitmap: n.bitmap ^ flip, temps: n.temps, slots: make([]catSlot, 0, len(n.slots)-del+len(ins))}
+	m := &catNode{bitmap: n.bitmap ^ flip, slots: make([]catSlot, 0, len(n.slots)-del+len(ins))}
 	m.slots = append(append(append(m.slots, n.slots[:i]...), ins...), n.slots[i+del:]...)
-	for _, s := range n.slots[i : i+del] {
-		m.temps -= s.temps()
-	}
-	for _, s := range ins {
-		m.temps += s.temps()
-	}
 	return m
 }
 

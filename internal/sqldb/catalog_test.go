@@ -49,20 +49,16 @@ func catShape(n *catNode) (nodes, tables int) {
 }
 
 // checkCatalog verifies c against the model: same length, every model
-// key found with the model's table, iteration yields exactly the model,
-// and temps() yields exactly the model's temporary tables.
+// key found with the model's table, and iteration yields exactly the
+// model.
 func checkCatalog(t *testing.T, what string, c catalog, model map[string]*table) {
 	t.Helper()
 	if c.len() != len(model) {
 		t.Fatalf("%s: len = %d, model has %d", what, c.len(), len(model))
 	}
-	wantTemps := 0
 	for k, want := range model {
 		if got := c.get(k); got != want {
 			t.Fatalf("%s: get(%q) = %p, want %p", what, k, got, want)
-		}
-		if want.temp {
-			wantTemps++
 		}
 	}
 	n := 0
@@ -74,16 +70,6 @@ func checkCatalog(t *testing.T, what string, c catalog, model map[string]*table)
 	}
 	if n != len(model) {
 		t.Fatalf("%s: all() yielded %d tables, want %d", what, n, len(model))
-	}
-	temps := 0
-	for tb := range c.temps() {
-		if !tb.temp || model[tb.key] != tb {
-			t.Fatalf("%s: temps() yielded %q (temp=%v)", what, tb.key, tb.temp)
-		}
-		temps++
-	}
-	if temps != wantTemps {
-		t.Fatalf("%s: temps() yielded %d tables, want %d", what, temps, wantTemps)
 	}
 	if _, tables := catShape(c.root); tables != len(model) {
 		t.Fatalf("%s: trie holds %d tables, want %d", what, tables, len(model))
@@ -118,7 +104,7 @@ func TestCatalogModel(t *testing.T) {
 			c = c.delete(k)
 			delete(model, k)
 		} else {
-			tb := &table{name: k, key: k, temp: rng.Intn(8) == 0, ver: int64(step)}
+			tb := &table{name: k, key: k, ver: int64(step)}
 			c = c.set(tb)
 			model[k] = tb
 		}
@@ -160,7 +146,7 @@ func TestCatalogModel(t *testing.T) {
 // the parent when one key is left.
 func TestCatalogCollisions(t *testing.T) {
 	g := collidingKeys(t, 1)[0]
-	a, b := &table{key: g[0]}, &table{key: g[1], temp: true}
+	a, b := &table{key: g[0]}, &table{key: g[1]}
 	one := catalog{}.set(a)
 	both := one.set(b)
 	if both.get(g[0]) != a || both.get(g[1]) != b || both.len() != 2 {
@@ -183,33 +169,26 @@ func TestCatalogCollisions(t *testing.T) {
 	if n, _ := catShape(rest.root); n != 1 {
 		t.Errorf("bucket did not fold back: %d nodes for one key", n)
 	}
-	n := 0
-	for range rest.temps() {
-		n++
-	}
-	if n != 1 {
-		t.Errorf("temps() after the fold yielded %d tables, want 1", n)
-	}
 }
 
 // TestCatalogOfMatchesSets: the bulk builder Open uses produces the trie
-// the same sets would have — same tables under the same keys, temps
-// counted, colliding keys in one bucket, the same number of nodes — and
+// the same sets would have — same tables under the same keys, colliding
+// keys in one bucket, the same number of nodes — and
 // one that later sets and deletes work on like any other, for a
 // fraction of the allocations.
 func TestCatalogOfMatchesSets(t *testing.T) {
 	var tables []*table
 	model := map[string]*table{}
-	add := func(key string, temp bool) {
-		tb := &table{key: key, temp: temp}
+	add := func(key string) {
+		tb := &table{key: key}
 		tables, model[key] = append(tables, tb), tb
 	}
 	for i := 0; i < 3000; i++ {
-		add(fmt.Sprintf("run_%d", i), i%97 == 0)
+		add(fmt.Sprintf("run_%d", i))
 	}
 	for _, g := range collidingKeys(t, 3) {
-		add(g[0], false)
-		add(g[1], true)
+		add(g[0])
+		add(g[1])
 	}
 	for _, n := range []int{0, 1, 2, 33, len(tables)} {
 		sub := map[string]*table{}

@@ -80,6 +80,27 @@ func FuzzConcurrentTxnSchedules(f *testing.F) {
 		3, 0, 1, // s0 INSERT m1 (disjoint write)
 		1, 0, 0, // s0 COMMIT (read-set conflict)
 	})
+	// Statements outside BEGIN against each other, through the DB and
+	// through sessions with no transaction open: one path, one order.
+	f.Add([]byte{
+		3, 3, 4, // DB INSERT m0 4
+		3, 0, 6, // s0, no BEGIN: INSERT m0 6
+		4, 3, 6, // DB UPDATE m0 WHERE v < 6: 4 -> 5
+		5, 1, 6, // s1, no BEGIN: DELETE m0 WHERE v = 6
+		4, 0, 2, // s0, no BEGIN: UPDATE m0 WHERE v < 2 (no row: not a commit)
+		6, 3, 0, // DB SELECT m0
+		6, 2, 0, // s2 SELECT m0
+	})
+	f.Add([]byte{
+		0, 0, 0, // s0 BEGIN
+		3, 0, 3, // s0 INSERT m1 3 (blind)
+		3, 3, 1, // DB INSERT m1 1
+		3, 1, 5, // s1, no BEGIN: INSERT m1 5
+		5, 2, 1, // s2, no BEGIN: DELETE m1 WHERE v = 1
+		4, 3, 9, // DB UPDATE m1 WHERE v < 9: 5 -> 6
+		1, 0, 0, // s0 COMMIT (succeeds: its row lands behind the 6)
+		6, 3, 1, // DB SELECT m1
+	})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		db := NewMemory()
 		tables := []string{"m0", "m1"}

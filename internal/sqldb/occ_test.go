@@ -3,12 +3,15 @@ package sqldb
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
+	"perfbase/internal/failpoint"
 	"perfbase/internal/value"
 )
 
@@ -89,58 +92,262 @@ func TestConcurrentDisjointTxnCommit(t *testing.T) {
 }
 
 // TestSharedTableTxnConflictRetry: N sessions hammer one shared table
-// with read-modify-write transactions. Conflicts must surface as
-// ErrTxnConflict, retry must drive every transaction to completion,
-// and the final state must equal the serial oracle: if each committed
-// transaction read MAX(k) and inserted MAX+1, the table holds exactly
-// the dense sequence 1..commits — any lost update would leave a
-// duplicate and a hole.
+// with read-modify-write transactions, and beside them a lane of
+// statements outside BEGIN does the same in one statement each.
+// Transaction conflicts must surface as ErrTxnConflict and retry must
+// drive every transaction to completion; a lone statement must never
+// report one — it is re-run where it stands. The final state must equal
+// the serial oracle: if each commit read the highest key (or, which is
+// the same number while the keys are dense, the row count) and inserted
+// the next, the table holds exactly the dense sequence 1..commits — any
+// lost update, or a statement publishing rows computed from a
+// superseded read, would leave a duplicate and a hole. Run at 1, 2 and 4
+// processors: the interleavings differ.
 func TestSharedTableTxnConflictRetry(t *testing.T) {
-	db := NewMemory()
-	mustExec(t, db, "CREATE TABLE shared (k integer)")
-	const writers = 4
-	const commitsEach = 15
-	var attempts atomic.Int64
-	var wg sync.WaitGroup
-	fail := make(chan error, writers)
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			s := db.NewSession()
-			defer s.Close()
-			for c := 0; c < commitsEach; c++ {
-				n := txnRetry(t, s, func() error {
-					res, err := s.Exec("SELECT MAX(k) FROM shared")
-					if err != nil {
-						return err
+	for _, procs := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			db := NewMemory()
+			mustExec(t, db, "CREATE TABLE shared (k integer)")
+			const writers, lone = 4, 2
+			const commitsEach = 15
+			var attempts atomic.Int64
+			var wg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					s := db.NewSession()
+					defer s.Close()
+					for c := 0; c < commitsEach; c++ {
+						n := txnRetry(t, s, func() error {
+							res, err := s.Exec("SELECT MAX(k) FROM shared")
+							if err != nil {
+								return err
+							}
+							next := int64(1)
+							if len(res.Rows) == 1 && !res.Rows[0][0].IsNull() {
+								next = res.Rows[0][0].Int() + 1
+							}
+							_, err = s.Exec(fmt.Sprintf("INSERT INTO shared VALUES (%d)", next))
+							return err
+						})
+						attempts.Add(int64(n))
 					}
-					next := int64(1)
-					if len(res.Rows) == 1 && !res.Rows[0][0].IsNull() {
-						next = res.Rows[0][0].Int() + 1
-					}
-					_, err = s.Exec(fmt.Sprintf("INSERT INTO shared VALUES (%d)", next))
-					return err
-				})
-				attempts.Add(int64(n))
+				}()
 			}
-		}()
+			// The lone statements go through the sessionless API and through
+			// a session with no transaction open: one path.
+			for _, q := range []Querier{db, db.NewSession()} {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for c := 0; c < commitsEach; c++ {
+						if _, err := q.Exec("INSERT INTO shared SELECT COUNT(*) + 1 FROM shared"); err != nil {
+							t.Errorf("statement outside BEGIN: %v", err)
+							return
+						}
+					}
+				}()
+			}
+			wg.Wait()
+
+			const txns = writers * commitsEach
+			const total = txns + lone*commitsEach
+			res := mustExec(t, db, "SELECT COUNT(*), COUNT(DISTINCT k), MIN(k), MAX(k) FROM shared")
+			row := res.Rows[0]
+			if row[0].Int() != total || row[1].Int() != total || row[2].Int() != 1 || row[3].Int() != int64(total) {
+				t.Fatalf("final state (count=%v distinct=%v min=%v max=%v) != serial oracle (%d dense keys)",
+					row[0], row[1], row[2], row[3], total)
+			}
+			t.Logf("%d transactions took %d attempts (%.1f%% conflict rate)",
+				txns, attempts.Load(), 100*float64(attempts.Load()-txns)/float64(attempts.Load()))
+		})
 	}
-	wg.Wait()
-	close(fail)
-	for err := range fail {
+}
+
+// parkStatement starts run — one statement outside BEGIN — on its own
+// goroutine with the failpoint site armed to sleep, and returns once the
+// statement has reached the site: parked there, with the site disarmed
+// again so that nothing else stops at it. The channel delivers the
+// statement's error when it ends. stillRunning reports, without
+// blocking, that it has not.
+func parkStatement(t *testing.T, site string, run func() error) (done chan error) {
+	t.Helper()
+	fp := failpoint.Site(site)
+	before := fp.Hits()
+	if err := failpoint.Enable(site, "sleep(500ms)"); err != nil {
 		t.Fatal(err)
 	}
-
-	const total = writers * commitsEach
-	res := mustExec(t, db, "SELECT COUNT(*), COUNT(DISTINCT k), MIN(k), MAX(k) FROM shared")
-	row := res.Rows[0]
-	if row[0].Int() != total || row[1].Int() != total || row[2].Int() != 1 || row[3].Int() != int64(total) {
-		t.Fatalf("final state (count=%v distinct=%v min=%v max=%v) != serial oracle (%d dense keys)",
-			row[0], row[1], row[2], row[3], total)
+	defer failpoint.Disable(site)
+	done = make(chan error, 1)
+	go func() { done <- run() }()
+	for deadline := time.Now().Add(5 * time.Second); fp.Hits() == before; {
+		if time.Now().After(deadline) {
+			t.Fatalf("the statement never reached %s", site)
+		}
+		time.Sleep(time.Millisecond)
 	}
-	t.Logf("%d commits took %d attempts (%.1f%% conflict rate)",
-		total, attempts.Load(), 100*float64(attempts.Load()-total)/float64(attempts.Load()))
+	return done
+}
+
+func stillRunning(done chan error) bool {
+	select {
+	case err := <-done:
+		done <- err
+		return false
+	default:
+		return true
+	}
+}
+
+// TestAutocommitDoesNotQueueBehindForeignStatement: a statement executes
+// with the commit latch free. While session A's INSERT ... SELECT into
+// its own temp table is in the middle of its scan, session B creates,
+// fills and drops a table — and is done before A is.
+func TestAutocommitDoesNotQueueBehindForeignStatement(t *testing.T) {
+	db := NewMemory()
+	mustExec(t, db, "CREATE TABLE src (g integer, x float)")
+	rows := make([]Row, 3000)
+	for i := range rows {
+		rows[i] = Row{value.NewInt(int64(i % 7)), value.NewFloat(float64(i))}
+	}
+	if _, err := db.InsertRows("src", []string{"g", "x"}, rows); err != nil {
+		t.Fatal(err)
+	}
+	a, b := db.NewSession(), db.NewSession()
+	defer a.Close()
+	defer b.Close()
+	mustSess(t, a, "CREATE TEMP TABLE a_sums (g integer, s float)")
+
+	done := parkStatement(t, "sqldb/vector/morsel", func() error {
+		_, err := a.Exec("INSERT INTO a_sums SELECT g, SUM(x) FROM src GROUP BY g")
+		return err
+	})
+	mustSess(t, b, "CREATE TABLE b_claim (id integer)")
+	mustSess(t, b, "INSERT INTO b_claim VALUES (1)")
+	mustSess(t, b, "DROP TABLE b_claim")
+	if !stillRunning(done) {
+		t.Fatal("A's INSERT ... SELECT ended before B's DDL returned: B queued behind it")
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("A's INSERT ... SELECT: %v", err)
+	}
+	if n, _ := db.RowCount("a_sums"); n != 7 {
+		t.Errorf("a_sums has %d rows, want 7", n)
+	}
+}
+
+// TestAutocommitRetriesOnValidationConflict: a rival commits into the
+// table of A's UPDATE after A executed and before A takes the latch. A's
+// validation fails; nothing of A was visible, so A runs again on the new
+// state and its caller sees a plain success: the UPDATE applied exactly
+// once, on top of the rival's — one WAL frame and one hook call each.
+func TestAutocommitRetriesOnValidationConflict(t *testing.T) {
+	dir := t.TempDir()
+	db, err := OpenWithPolicy(dir, SyncOff)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, "CREATE TABLE c (v integer)")
+	mustExec(t, db, "INSERT INTO c VALUES (0)")
+	var mu sync.Mutex
+	var frames []string
+	defer db.AddCommitHook(func(_ ReplPos, stmts []string) {
+		mu.Lock()
+		frames = append(frames, stmts...)
+		mu.Unlock()
+	})()
+
+	// Every seal passes the compaction site: A parks there with its
+	// overlay built and the latch not yet asked for.
+	const mine, rival = "UPDATE c SET v = v + 1", "UPDATE c SET v = v + 10"
+	done := parkStatement(t, "sqldb/table/compact", func() error {
+		_, err := db.Exec(mine)
+		return err
+	})
+	mustExec(t, db.NewSession(), rival)
+	if !stillRunning(done) {
+		t.Fatal("A ended before the rival returned: the rival did not land inside A's statement")
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("A's UPDATE over a rival commit: %v (a statement outside BEGIN never reports a validation conflict)", err)
+	}
+	if got := readRows(t, db, "SELECT v FROM c"); !slices.Equal(got, []int64{11}) {
+		t.Errorf("c = %v, want [11]: each UPDATE exactly once", got)
+	}
+	mu.Lock()
+	if !slices.Equal(frames, []string{rival, mine}) {
+		t.Errorf("hooks saw %q, want the rival's frame, then A's, once each", frames)
+	}
+	mu.Unlock()
+	live := db.DumpString()
+	db.Crash()
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if rec := re.Recovery(); rec.Frames != 4 {
+		t.Errorf("replayed %d frames, want 4 (CREATE, INSERT, two UPDATEs)", rec.Frames)
+	}
+	if got := re.DumpString(); got != live {
+		t.Errorf("replay: %s", firstLineDiff(live, got))
+	}
+}
+
+// TestAutocommitReadsAreValidated: the SELECT half of a statement is
+// part of its footprint, on the sessionless API too. INSERT INTO d
+// SELECT ... FROM s that computed its rows from an s a rival has since
+// replaced does not publish them — it runs again — so d only ever holds
+// what the log, replayed statement by statement, computes.
+func TestAutocommitReadsAreValidated(t *testing.T) {
+	dir := t.TempDir()
+	db, err := OpenWithPolicy(dir, SyncOff)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, "CREATE TABLE s (x integer)")
+	mustExec(t, db, "INSERT INTO s VALUES (1), (2), (3)")
+	mustExec(t, db, "CREATE TABLE d (total integer)")
+
+	done := parkStatement(t, "sqldb/table/compact", func() error {
+		_, err := db.Exec("INSERT INTO d SELECT SUM(x) FROM s")
+		return err
+	})
+	mustExec(t, db.NewSession(), "UPDATE s SET x = x * 100")
+	if !stillRunning(done) {
+		t.Fatal("the INSERT ... SELECT ended before the rival returned: the rival did not land inside it")
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("INSERT ... SELECT over a rival commit: %v", err)
+	}
+	if got := readRows(t, db, "SELECT total FROM d"); !slices.Equal(got, []int64{600}) {
+		t.Errorf("d = %v, want [600]: the sum of the s that was current at the commit", got)
+	}
+	// A rival that only appends to d is no conflict: the statement never
+	// read d, so its own append stays blind and lands behind the rival's.
+	done = parkStatement(t, "sqldb/table/compact", func() error {
+		_, err := db.Exec("INSERT INTO d SELECT SUM(x) + 1 FROM s")
+		return err
+	})
+	mustExec(t, db.NewSession(), "INSERT INTO d VALUES (7)")
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if got := readRows(t, db, "SELECT total FROM d"); !slices.Equal(got, []int64{600, 7, 601}) {
+		t.Errorf("d = %v, want [600 7 601]", got)
+	}
+	live := db.DumpString()
+	db.Crash()
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := re.DumpString(); got != live {
+		t.Errorf("replay computes something else: %s", firstLineDiff(live, got))
+	}
 }
 
 // TestBlindAppendsCommute: sessions that only INSERT into one shared,

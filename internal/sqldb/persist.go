@@ -157,6 +157,10 @@ type groupWAL struct {
 	// next, so frames land in the file in enqueue (= LSN) order even
 	// with the flusher and a commit leader active at once.
 	wrmu sync.Mutex
+	// unsynced reports bytes written to the file since its last fsync;
+	// a flush with nothing of the kind has nothing to sync. Guarded by
+	// wrmu.
+	unsynced bool
 	// leader reports that a SyncAlways committer is currently draining
 	// the buffer and fsyncing on behalf of everyone parked in
 	// waitDurable — the leader/follower group-commit protocol.
@@ -208,7 +212,8 @@ func openWAL(path string, policy SyncPolicy, epoch uint64, truncate bool) (*grou
 		f.Close()
 		return nil, err
 	}
-	if st.Size() == 0 {
+	fresh := st.Size() == 0
+	if fresh {
 		var hdr [walHeaderSize]byte
 		copy(hdr[:8], walMagic[:])
 		binary.LittleEndian.PutUint64(hdr[8:], epoch)
@@ -220,6 +225,7 @@ func openWAL(path string, policy SyncPolicy, epoch uint64, truncate bool) (*grou
 	w := &groupWAL{
 		policy:   policy,
 		f:        f,
+		unsynced: fresh,
 		flushReq: make(chan struct{}, 1),
 		quit:     make(chan struct{}),
 		done:     make(chan struct{}),
@@ -321,7 +327,9 @@ func (w *groupWAL) waitDurable(seq uint64) error {
 }
 
 // run is the background flusher: it writes pending frames whenever
-// signalled, and under SyncInterval also on a timer.
+// signalled, and under SyncInterval also on a timer — which, on an idle
+// database, finds nothing written since the last fsync and does
+// nothing.
 func (w *groupWAL) run() {
 	defer close(w.done)
 	var tickC <-chan time.Time
@@ -347,7 +355,7 @@ func (w *groupWAL) run() {
 // Called by the flusher goroutine and by SyncAlways commit leaders
 // (waitDurable); wrmu keeps their file writes from interleaving.
 func (w *groupWAL) flush(sync bool) {
-	if sync && w.arrivals != nil {
+	if sync && w.arrivals != nil && (w.bufFrames.Load() > 0 || w.arrivals() > 0) {
 		// Gather the cohort: yield until the buffer stops growing and
 		// no committer is announced-but-not-yet-enqueued. On one core
 		// this runs the rest of a commit cohort to their enqueue before
@@ -355,7 +363,8 @@ func (w *groupWAL) flush(sync bool) {
 		// one fsync instead of a 1-frame sync followed by an
 		// (N-1)-frame sync — the difference between flat and scaling
 		// commit throughput. A lone committer exits after
-		// gatherStableSpins cheap yields.
+		// gatherStableSpins cheap yields; an idle tick — nothing
+		// buffered, nobody announced — has no cohort to wait for.
 		frames, stable := w.bufFrames.Load(), 0
 		for spins := 0; spins < maxGatherSpins && stable < gatherStableSpins; spins++ {
 			runtime.Gosched()
@@ -386,11 +395,14 @@ func (w *groupWAL) flush(sync bool) {
 		if err = fpWALWrite.InjectWrite(w.f, buf); err == nil {
 			_, err = w.f.Write(buf)
 		}
+		w.unsynced = true
 	}
-	if err == nil && sync {
+	if err == nil && sync && w.unsynced {
 		if err = fpWALSync.Inject(); err == nil {
 			w.syncs.Add(1)
-			err = w.f.Sync()
+			if err = w.f.Sync(); err == nil {
+				w.unsynced = false
+			}
 		}
 	}
 

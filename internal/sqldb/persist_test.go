@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestPersistenceRoundTrip(t *testing.T) {
@@ -476,5 +477,37 @@ func TestNoOpStatementsLogNothing(t *testing.T) {
 	}
 	if got := re.DumpString(); got != want {
 		t.Errorf("state after replay differs:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestIdleFlusherSyncsNothing: under SyncInterval the flusher's timer
+// fsyncs what was written since the last fsync — so one commit costs one
+// sync, and an idle database, however long it stays open, costs none.
+func TestIdleFlusherSyncsNothing(t *testing.T) {
+	db, err := OpenWithPolicy(t.TempDir(), SyncInterval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	mustExec(t, db, "CREATE TABLE t (a integer)")
+	// The commit is synced within an interval or two ...
+	deadline := time.Now().Add(5 * time.Second)
+	for db.WALSyncs() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the interval flusher never synced the commit")
+		}
+		time.Sleep(syncInterval / 5)
+	}
+	time.Sleep(2 * syncInterval) // let a tick that was already under way finish
+	settled := db.WALSyncs()
+	// ... and then the file does not change, so neither does the count.
+	time.Sleep(6 * syncInterval)
+	if got := db.WALSyncs(); got != settled {
+		t.Errorf("idle for six intervals: %d fsyncs, want the %d the commit needed", got, settled)
+	}
+	mustExec(t, db, "SELECT COUNT(*) FROM t")
+	time.Sleep(2 * syncInterval)
+	if got := db.WALSyncs(); got != settled {
+		t.Errorf("a read later: %d fsyncs, want %d", got, settled)
 	}
 }

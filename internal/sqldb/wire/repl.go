@@ -53,6 +53,8 @@ const (
 	codeWaitTimeout    = "wait-timeout"
 	codeBadVerb        = "bad-verb"
 	codeNotPrimary     = "not-primary"
+	codeTableExists    = "table-exists"
+	codeCorrupt        = "corrupt-checkpoint"
 )
 
 // Typed errors of the replication protocol.

@@ -3,6 +3,8 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -35,6 +37,65 @@ func TestBusyErrorTypedAcrossWire(t *testing.T) {
 	}
 	if _, err := c.Exec("ROLLBACK"); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestStorageErrorsTypedAcrossWire: a CREATE TABLE over a taken name and
+// a statement over a damaged checkpoint reach the client as the
+// sentinels a local caller would get, not as text to match.
+func TestStorageErrorsTypedAcrossWire(t *testing.T) {
+	dir := t.TempDir()
+	db, err := sqldb.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sql := range []string{"CREATE TABLE t (a integer)", "INSERT INTO t VALUES (1), (2), (3)"} {
+		if _, err := db.Exec(sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	// Damage the one block of the one table where it lies in the file.
+	blk := filepath.Join(dir, "columns.blk")
+	info, err := sqldb.ScanBlockFile(blk)
+	if err != nil || len(info.Blocks) != 1 {
+		t.Fatalf("scan: %v, %+v", err, info)
+	}
+	raw, err := os.ReadFile(blk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[info.Blocks[0].Offset] ^= 0xff
+	if err := os.WriteFile(blk, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if db, err = sqldb.Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+
+	srv := NewServer(db)
+	if err := srv.Listen("127.0.0.1:0"); err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	c, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	if _, err := c.Exec("CREATE TABLE t (b string)"); !errors.Is(err, sqldb.ErrTableExists) {
+		t.Errorf("CREATE TABLE over a taken name = %v, want ErrTableExists", err)
+	}
+	if _, err := c.Exec("SELECT a FROM t"); !errors.Is(err, sqldb.ErrCorruptCheckpoint) {
+		t.Errorf("SELECT over a damaged block = %v, want ErrCorruptCheckpoint", err)
+	}
+	// Neither is the end of the connection.
+	if _, err := c.Exec("CREATE TABLE u (a integer)"); err != nil {
+		t.Errorf("after the typed errors: %v", err)
 	}
 }
 

@@ -410,6 +410,10 @@ func fail(resp *response, err error) {
 		resp.Code = codeSnapshotNeeded
 	case errors.Is(err, ErrWaitTimeout):
 		resp.Code = codeWaitTimeout
+	case errors.Is(err, sqldb.ErrTableExists):
+		resp.Code = codeTableExists
+	case errors.Is(err, sqldb.ErrCorruptCheckpoint):
+		resp.Code = codeCorrupt
 	}
 }
 
@@ -681,6 +685,10 @@ func respError(resp *response) error {
 		return fmt.Errorf("wire: %w", ErrSnapshotNeeded)
 	case resp.Code == codeWaitTimeout:
 		return fmt.Errorf("wire: %w: %s", ErrWaitTimeout, resp.Err)
+	case resp.Code == codeTableExists:
+		return fmt.Errorf("wire: %w: %s", sqldb.ErrTableExists, resp.Err)
+	case resp.Code == codeCorrupt:
+		return fmt.Errorf("wire: %w: %s", sqldb.ErrCorruptCheckpoint, resp.Err)
 	}
 	return errors.New(resp.Err)
 }
