@@ -452,19 +452,20 @@ func (db *DB) commitTxn(tx *sessionTxn) (seq uint64, err error) {
 	// one group fsync.
 	db.announceCommit()
 	db.wmu.Lock()
-	if err = fpTxnValidate.Inject(); err != nil {
+	defer db.wmu.Unlock()
+	defer db.retireCommit()
+	if err := fpTxnValidate.Inject(); err != nil {
 		// An injected validation fault aborts the commit cleanly: the
 		// transaction is discarded, nothing was published.
-	} else if key, ok := validateTxn(db.state.Load(), tx); !ok {
-		err = &conflictError{key: key}
-	} else if key, held := db.intentConflictLocked(tx.writes, tx.rewrites); held {
-		err = &conflictError{key: key, held: true}
-	} else {
-		seq = db.publishTxn(tx)
+		return 0, err
 	}
-	db.retireCommit()
-	db.wmu.Unlock()
-	return seq, err
+	if key, ok := validateTxn(db.state.Load(), tx); !ok {
+		return 0, &conflictError{key: key}
+	}
+	if key, held := db.intentConflictLocked(tx.writes, tx.rewrites); held {
+		return 0, &conflictError{key: key, held: true}
+	}
+	return db.publishTxn(tx), nil
 }
 
 // rollbackLocked discards the transaction. Nothing was ever published,
