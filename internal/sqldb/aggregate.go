@@ -1,17 +1,45 @@
 package sqldb
 
+// Grouped aggregation: the one implementation behind every engine.
+//
+// A groupTable holds the groups of one grouped SELECT in first-seen
+// order — representative row, row count, key — with every group's
+// accumulators in one flat array, and has exactly four operations:
+//
+//	addRow    one source row: filter → group → feed. This is the
+//	          definition of every aggregate's semantics. Driven by
+//	          runSelect's grouped branch (the row engine, and the
+//	          reference the differential fuzzer compares against) and by
+//	          matView (registration rebuilds and literal-INSERT deltas
+//	          alike, so a view's digits are the row engine's).
+//	addBatch  one morsel of typed column vectors: the same grouping and
+//	          feeding as addRow, unboxed. Driven by runVecSelect and the
+//	          join-fused runVecJoin, each into one partial table per
+//	          morsel.
+//	merge     fold a later morsel's partial table into this one. The
+//	          drivers merge in morsel-index order (renderParts), so the
+//	          result is independent of worker count and scheduling.
+//	render    HAVING, projection and the statement tail over the groups.
+//	          It does not consume the table: a view renders its retained
+//	          table again after every commit.
+//
+// Batch kernels exist for the aggregates whose state is one unboxed
+// field that merges associatively — COUNT, SUM, AVG, MIN, MAX over the
+// column types kernelFor admits. Everything else — PROD, MEDIAN, GEOMEAN,
+// VARIANCE, STDDEV, DISTINCT, expression arguments, MIN/MAX over a type
+// ordered by value.Compare only — is fed by addRow alone: the vector
+// planners decline a statement with such an aggregate, so no kernel or
+// merge for them would ever be called.
+
 import (
 	"math"
 	"sort"
+	"strconv"
 
 	"perfbase/internal/value"
 )
 
-// aggOp identifies an aggregate function. Resolving the name to an op
-// once per group (instead of string-switching per row) keeps the
-// accumulator loop cheap, and lets add() maintain only the running
-// sums the specific aggregate needs — AVG over a million rows should
-// not pay for GEOMEAN's logarithm.
+// aggOp identifies an aggregate function.
 type aggOp uint8
 
 const (
@@ -27,6 +55,8 @@ const (
 	opStddev
 )
 
+// aggOps is the one list of aggregate names; the parser recognizes an
+// aggregate call by membership.
 var aggOps = map[string]aggOp{
 	"count":    opCount,
 	"sum":      opSum,
@@ -40,169 +70,952 @@ var aggOps = map[string]aggOp{
 	"stddev":   opStddev,
 }
 
-// aggState accumulates one aggregate over the rows of one group.
-type aggState struct {
-	spec *aggExpr
-	op   aggOp
+// keyKind is how a grouped plan identifies a group, chosen at plan time.
+type keyKind uint8
 
-	n      int64 // non-NULL inputs seen (rows for COUNT(*))
-	sum    float64
-	sumsq  float64
-	logSum float64 // for GEOMEAN
-	allPos bool    // GEOMEAN defined only for positive inputs
-	prod   float64
-	min    value.Value
-	max    value.Value
-	first  bool // any input seen (for min/max/prod init)
-	intSum int64
-	allInt bool
-	vals   []float64       // retained inputs, MEDIAN only
-	seen   map[string]bool // DISTINCT filter
+const (
+	keyNone      keyKind = iota // no GROUP BY: one implicit group
+	keyNum                      // one numeric or boolean column: the value's bits
+	keyStr                      // one string or version column: the string datum
+	keyComposite                // anything else: every key's appendKeyPart encoding
+)
+
+// typeAny is aggSpec.typ for an argument that is not a plain column:
+// its values' types are known only row by row.
+const typeAny = value.Type(0xff)
+
+// aggSpec is one aggregate of a grouped plan, resolved at plan time.
+type aggSpec struct {
+	e   *aggExpr
+	op  aggOp
+	arg compiledExpr // the argument; nil for COUNT(*)
+	col int          // source column when the argument is a plain column, else -1
+	typ value.Type   // that column's type; typeAny otherwise
+	// kern feeds this aggregate from a column vector; nil when it can
+	// only be fed row by row, which keeps the statement off the vector
+	// paths.
+	kern aggKernel
 }
 
-func newAggState(spec *aggExpr) *aggState {
-	st := &aggState{spec: spec, op: aggOps[spec.Name], prod: 1, allInt: true, allPos: true}
-	if spec.Distinct {
-		st.seen = make(map[string]bool)
+func newAggSpec(e *aggExpr, ec *evalCtx) aggSpec {
+	sp := aggSpec{e: e, op: aggOps[e.Name], col: -1, typ: typeAny}
+	if e.Star {
+		return sp
 	}
-	return st
+	sp.arg = compileExpr(e.Arg, ec)
+	if ce, isCol := e.Arg.(*colExpr); isCol {
+		if ci, err := ec.lookup(ce.Table, ce.Name); err == nil {
+			sp.col, sp.typ = ci, ec.schema[ci].Type
+			if !e.Distinct {
+				sp.kern = kernelFor(sp.op, sp.typ)
+			}
+		}
+	}
+	return sp
 }
 
-// add feeds one row's argument value into the accumulator. v is a
-// pointer into the source row (or a stack temporary) purely to avoid
-// copying the Value struct per row; add never mutates through it.
-// COUNT(*) states are not fed through add — the scan loop counts rows
-// per group once and backfills them (see runSelect).
-func (st *aggState) add(v *value.Value) error {
+// batchable reports whether addBatch can run the plan's aggregation —
+// every key a plain column, every aggregate COUNT(*) (served by the
+// group row counts) or one with a kernel — and records the source
+// columns it would read in need. The vector planners decline a grouped
+// statement otherwise.
+func (p *compiledSelect) batchable(need map[int]bool) bool {
+	if p.keyKind != keyNone && p.keyCols == nil {
+		return false
+	}
+	for i := range p.aggs {
+		switch sp := &p.aggs[i]; {
+		case sp.e.Star:
+		case sp.kern == nil:
+			return false
+		default:
+			need[sp.col] = true
+		}
+	}
+	for _, ci := range p.keyCols {
+		need[ci] = true
+	}
+	return true
+}
+
+// acc accumulates one aggregate over one group. n counts the non-NULL
+// inputs; i, f and s hold the running value of the aggregates with a
+// kernel, in whichever field the argument type uses (f also serves
+// PROD, GEOMEAN's log sum and VARIANCE's running mean). What only a
+// row-fed aggregate needs hangs off x, allocated on first use.
+type acc struct {
+	n int64
+	i int64
+	f float64
+	s string
+	x *accExt
+}
+
+type accExt struct {
+	m2   float64         // VARIANCE, STDDEV: sum of squared deviations from the running mean
+	vals []float64       // MEDIAN: every input
+	seen map[string]bool // DISTINCT: inputs already folded in
+	v    value.Value     // MIN, MAX over values without an unboxed order
+	// flag: SUM saw an input that is not an Integer (the result is then
+	// the float sum); GEOMEAN saw a non-positive one (the result is NULL).
+	flag bool
+}
+
+func (a *acc) ext() *accExt {
+	if a.x == nil {
+		a.x = &accExt{}
+	}
+	return a.x
+}
+
+// The typed steps below are shared by add and the batch kernels, so a
+// kernel cannot drift from the scalar definition. A NaN never compares
+// less or greater: the earlier value stays, as under value.Compare.
+
+func (a *acc) minInt(x int64) {
+	if a.n == 0 || x < a.i {
+		a.i = x
+	}
+	a.n++
+}
+
+func (a *acc) maxInt(x int64) {
+	if a.n == 0 || x > a.i {
+		a.i = x
+	}
+	a.n++
+}
+
+func (a *acc) minFloat(x float64) {
+	if a.n == 0 || x < a.f {
+		a.f = x
+	}
+	a.n++
+}
+
+func (a *acc) maxFloat(x float64) {
+	if a.n == 0 || x > a.f {
+		a.f = x
+	}
+	a.n++
+}
+
+func (a *acc) minStr(x string) {
+	if a.n == 0 || x < a.s {
+		a.s = x
+	}
+	a.n++
+}
+
+func (a *acc) maxStr(x string) {
+	if a.n == 0 || x > a.s {
+		a.s = x
+	}
+	a.n++
+}
+
+// add folds one argument value in. v points into the source row (or at
+// a temporary) only to avoid copying the Value; add never writes
+// through it. COUNT(*) is not fed: render backfills the group's row
+// count.
+func (a *acc) add(sp *aggSpec, v *value.Value) error {
 	if v.IsNull() {
 		return nil
 	}
-	if st.seen != nil {
+	if sp.e.Distinct {
+		x := a.ext()
+		if x.seen == nil {
+			x.seen = map[string]bool{}
+		}
 		k := indexKey(*v)
-		if st.seen[k] {
+		if x.seen[k] {
 			return nil
 		}
-		st.seen[k] = true
+		x.seen[k] = true
 	}
-	st.n++
-	switch st.op {
-	case opCount:
-		return nil
-	case opMin:
-		if !st.first || value.Compare(*v, st.min) < 0 {
-			st.min = *v
+	if sp.op == opMin || sp.op == opMax {
+		isMin := sp.op == opMin
+		switch {
+		case sp.typ == value.Integer && isMin:
+			a.minInt(v.Int())
+		case sp.typ == value.Integer:
+			a.maxInt(v.Int())
+		case sp.typ == value.Float && isMin:
+			a.minFloat(v.Float())
+		case sp.typ == value.Float:
+			a.maxFloat(v.Float())
+		case sp.typ == value.String && isMin:
+			a.minStr(v.Str())
+		case sp.typ == value.String:
+			a.maxStr(v.Str())
+		default:
+			x := a.ext()
+			if c := value.Compare(*v, x.v); a.n == 0 || (isMin && c < 0) || (!isMin && c > 0) {
+				x.v = *v
+			}
+			a.n++
 		}
-		st.first = true
 		return nil
-	case opMax:
-		if !st.first || value.Compare(*v, st.max) > 0 {
-			st.max = *v
-		}
-		st.first = true
+	}
+	a.n++
+	if sp.op == opCount {
 		return nil
 	}
 	if !v.Type().Numeric() {
-		return errorf("%s requires numeric input, got %s", st.spec.Name, v.Type())
+		return errorf("%s requires numeric input, got %s", sp.e.Name, v.Type())
 	}
 	f := v.Float()
-	switch st.op {
+	switch sp.op {
 	case opSum:
+		// Integer inputs keep a wrapping integer sum beside the float
+		// one; which of the two is the result is the column's type, or
+		// for an expression whether every input was an Integer.
 		if v.Type() == value.Integer {
-			st.intSum += v.Int()
-		} else {
-			st.allInt = false
+			a.i += v.Int()
+		} else if sp.typ == typeAny {
+			a.ext().flag = true
 		}
-		st.sum += f
+		a.f += f
 	case opAvg:
-		st.sum += f
+		a.f += f
 	case opProd:
-		st.prod *= f
+		if a.n == 1 {
+			a.f = f
+		} else {
+			a.f *= f
+		}
 	case opMedian:
-		st.vals = append(st.vals, f)
+		x := a.ext()
+		x.vals = append(x.vals, f)
 	case opGeomean:
 		if f > 0 {
-			st.logSum += math.Log(f)
+			a.f += math.Log(f)
 		} else {
-			st.allPos = false
+			a.ext().flag = true
 		}
 	case opVariance, opStddev:
-		st.sum += f
-		st.sumsq += f * f
+		// Welford's update: mean in f, squared deviations in m2. The
+		// textbook sumsq − n·mean² cancels to 0 for a small spread around
+		// a large mean, which is what bandwidths in bytes per second are.
+		d := f - a.f
+		a.f += d / float64(a.n)
+		a.ext().m2 += d * (f - a.f)
 	}
-	st.first = true
 	return nil
 }
 
-// result finalizes the aggregate. Empty groups yield NULL except for
-// COUNT, which yields 0.
-func (st *aggState) result() value.Value {
-	switch st.op {
-	case opCount:
-		return value.NewInt(st.n)
+// result boxes the aggregate's value. No input yields NULL (typed
+// Float, whatever the argument), except for COUNT, which yields 0.
+func (sp *aggSpec) result(a *acc) value.Value {
+	if sp.op == opCount {
+		return value.NewInt(a.n)
+	}
+	if a.n == 0 {
+		return value.Null(value.Float)
+	}
+	switch sp.op {
 	case opSum:
-		if st.n == 0 {
-			return value.Null(value.Float)
+		if sp.typ == value.Float || (a.x != nil && a.x.flag) {
+			return value.NewFloat(a.f)
 		}
-		if st.allInt {
-			return value.NewInt(st.intSum)
-		}
-		return value.NewFloat(st.sum)
+		return value.NewInt(a.i)
 	case opAvg:
-		if st.n == 0 {
-			return value.Null(value.Float)
+		return value.NewFloat(a.f / float64(a.n))
+	case opMin, opMax:
+		switch sp.typ {
+		case value.Integer:
+			return value.NewInt(a.i)
+		case value.Float:
+			return value.NewFloat(a.f)
+		case value.String:
+			return value.NewString(a.s)
 		}
-		return value.NewFloat(st.sum / float64(st.n))
-	case opMin:
-		if !st.first {
-			return value.Null(value.Float)
-		}
-		return st.min
-	case opMax:
-		if !st.first {
-			return value.Null(value.Float)
-		}
-		return st.max
+		return a.x.v
 	case opProd:
-		if st.n == 0 {
-			return value.Null(value.Float)
-		}
-		return value.NewFloat(st.prod)
+		return value.NewFloat(a.f)
 	case opMedian:
-		if len(st.vals) == 0 {
-			return value.Null(value.Float)
+		// Sorted in place: the order of the retained inputs carries no
+		// meaning, so a later add and render see the same multiset.
+		vals := a.x.vals
+		sort.Float64s(vals)
+		mid := len(vals) / 2
+		if len(vals)%2 == 1 {
+			return value.NewFloat(vals[mid])
 		}
-		sort.Float64s(st.vals)
-		mid := len(st.vals) / 2
-		if len(st.vals)%2 == 1 {
-			return value.NewFloat(st.vals[mid])
-		}
-		return value.NewFloat((st.vals[mid-1] + st.vals[mid]) / 2)
+		return value.NewFloat((vals[mid-1] + vals[mid]) / 2)
 	case opGeomean:
-		if st.n == 0 {
+		if a.x != nil && a.x.flag {
 			return value.Null(value.Float)
 		}
-		if !st.allPos {
-			return value.Null(value.Float)
-		}
-		return value.NewFloat(math.Exp(st.logSum / float64(st.n)))
-	case opVariance, opStddev:
-		// Sample variance, like PostgreSQL's VARIANCE/STDDEV.
-		if st.n == 0 {
-			return value.Null(value.Float)
-		}
-		if st.n == 1 {
-			return value.NewFloat(0)
-		}
-		n := float64(st.n)
-		mean := st.sum / n
-		variance := (st.sumsq - n*mean*mean) / (n - 1)
-		if variance < 0 {
-			variance = 0 // guard against rounding
-		}
-		if st.op == opVariance {
-			return value.NewFloat(variance)
-		}
+		return value.NewFloat(math.Exp(a.f / float64(a.n)))
+	}
+	// Sample variance, like PostgreSQL's VARIANCE/STDDEV.
+	variance := 0.0
+	if a.n > 1 {
+		variance = a.x.m2 / float64(a.n-1)
+	}
+	if sp.op == opStddev {
 		return value.NewFloat(math.Sqrt(variance))
 	}
-	return value.Null(value.Float)
+	return value.NewFloat(variance)
+}
+
+// merge folds b, the same aggregate over a later morsel's share of the
+// group, into a. Only aggregates with a kernel are ever merged. MIN and
+// MAX compare all three fields: the two the argument type leaves unused
+// are zero on both sides.
+func (a *acc) merge(op aggOp, b *acc) {
+	if b.n == 0 {
+		return
+	}
+	if a.n == 0 {
+		*a = *b
+		return
+	}
+	a.n += b.n
+	switch op {
+	case opSum, opAvg:
+		a.i += b.i
+		a.f += b.f
+	case opMin:
+		if b.i < a.i {
+			a.i = b.i
+		}
+		if b.f < a.f {
+			a.f = b.f
+		}
+		if b.s < a.s {
+			a.s = b.s
+		}
+	case opMax:
+		if b.i > a.i {
+			a.i = b.i
+		}
+		if b.f > a.f {
+			a.f = b.f
+		}
+		if b.s > a.s {
+			a.s = b.s
+		}
+	}
+}
+
+// ------------------------------------------------------ batch kernels
+
+// aggKernel feeds one aggregate from a column vector: input j is
+// v[pos[j]] and goes to accumulator k of group gids[j], slot
+// accs[gids[j]*stride+k] of the table's flat array. One tight loop per
+// (op, type class), no Value boxing anywhere.
+type aggKernel func(v *colVec, pos, gids []int32, accs []acc, stride, k int)
+
+// kernelFor returns the batch kernel of an aggregate over a column of
+// type typ, nil when there is none. It is the one list of what the
+// vector paths can aggregate. Version orders component-wise and
+// Boolean and Timestamp have no unboxed order at all, so their MIN and
+// MAX stay with value.Compare in add.
+func kernelFor(op aggOp, typ value.Type) aggKernel {
+	if op == opCount {
+		if typ == value.Timestamp {
+			return nil
+		}
+		return countKernel
+	}
+	switch typ {
+	case value.Integer:
+		switch op {
+		case opSum:
+			return sumIntKernel
+		case opAvg:
+			return avgIntKernel
+		case opMin:
+			return minIntKernel
+		case opMax:
+			return maxIntKernel
+		}
+	case value.Float:
+		switch op {
+		case opSum, opAvg:
+			return sumFloatKernel
+		case opMin:
+			return minFloatKernel
+		case opMax:
+			return maxFloatKernel
+		}
+	case value.String:
+		switch op {
+		case opMin:
+			return minStrKernel
+		case opMax:
+			return maxStrKernel
+		}
+	}
+	return nil
+}
+
+func countKernel(v *colVec, pos, gids []int32, accs []acc, stride, k int) {
+	if v.nulls == nil {
+		for _, g := range gids {
+			accs[int(g)*stride+k].n++
+		}
+		return
+	}
+	for j, i := range pos {
+		if !v.null(int(i)) {
+			accs[int(gids[j])*stride+k].n++
+		}
+	}
+}
+
+// sumIntKernel keeps SUM's wrapping integer sum.
+func sumIntKernel(v *colVec, pos, gids []int32, accs []acc, stride, k int) {
+	for j, i := range pos {
+		if !v.null(int(i)) {
+			a := &accs[int(gids[j])*stride+k]
+			a.n++
+			a.i += v.ints[i]
+		}
+	}
+}
+
+// avgIntKernel accumulates floats, as add does: an integer sum would
+// wrap, and round differently past 2^53.
+func avgIntKernel(v *colVec, pos, gids []int32, accs []acc, stride, k int) {
+	for j, i := range pos {
+		if !v.null(int(i)) {
+			a := &accs[int(gids[j])*stride+k]
+			a.n++
+			a.f += float64(v.ints[i])
+		}
+	}
+}
+
+func sumFloatKernel(v *colVec, pos, gids []int32, accs []acc, stride, k int) {
+	for j, i := range pos {
+		if !v.null(int(i)) {
+			a := &accs[int(gids[j])*stride+k]
+			a.n++
+			a.f += v.floats[i]
+		}
+	}
+}
+
+func minIntKernel(v *colVec, pos, gids []int32, accs []acc, stride, k int) {
+	for j, i := range pos {
+		if !v.null(int(i)) {
+			accs[int(gids[j])*stride+k].minInt(v.ints[i])
+		}
+	}
+}
+
+func maxIntKernel(v *colVec, pos, gids []int32, accs []acc, stride, k int) {
+	for j, i := range pos {
+		if !v.null(int(i)) {
+			accs[int(gids[j])*stride+k].maxInt(v.ints[i])
+		}
+	}
+}
+
+func minFloatKernel(v *colVec, pos, gids []int32, accs []acc, stride, k int) {
+	for j, i := range pos {
+		if !v.null(int(i)) {
+			accs[int(gids[j])*stride+k].minFloat(v.floats[i])
+		}
+	}
+}
+
+func maxFloatKernel(v *colVec, pos, gids []int32, accs []acc, stride, k int) {
+	for j, i := range pos {
+		if !v.null(int(i)) {
+			accs[int(gids[j])*stride+k].maxFloat(v.floats[i])
+		}
+	}
+}
+
+func minStrKernel(v *colVec, pos, gids []int32, accs []acc, stride, k int) {
+	for j, i := range pos {
+		if !v.null(int(i)) {
+			accs[int(gids[j])*stride+k].minStr(v.strs[i])
+		}
+	}
+}
+
+func maxStrKernel(v *colVec, pos, gids []int32, accs []acc, stride, k int) {
+	for j, i := range pos {
+		if !v.null(int(i)) {
+			accs[int(gids[j])*stride+k].maxStr(v.strs[i])
+		}
+	}
+}
+
+// ------------------------------------------------------ group table
+
+// group is one group of a groupTable: the first source row that fell
+// into it (what the grouping columns and bare columns project from) and
+// its row count (what COUNT(*) returns).
+type group struct {
+	rep Row
+	n   int64
+}
+
+// groupTable is the state of one grouped SELECT; see the file header.
+// It is confined to one goroutine: a morsel worker's partial, or the
+// table its driver merges into and renders.
+type groupTable struct {
+	st *SelectStmt
+	p  *compiledSelect
+
+	groups []group // first-seen order
+	accs   []acc   // len(p.aggs) per group, group g's at g*len(p.aggs)
+
+	num  map[uint64]int32 // keyNum
+	str  map[string]int32 // keyStr, keyComposite
+	null int32            // the NULL group's index, -1 while there is none
+
+	ctx  execCtx // addRow's evaluation context
+	kbuf []byte  // composite key scratch
+}
+
+func newGroupTable(st *SelectStmt, p *compiledSelect) *groupTable {
+	t := &groupTable{st: st, p: p, null: -1}
+	switch p.keyKind {
+	case keyNone:
+	case keyNum:
+		t.num = map[uint64]int32{}
+	default:
+		t.str = map[string]int32{}
+	}
+	return t
+}
+
+// open appends a group; the caller indexes it and sets its rep.
+func (t *groupTable) open() int32 {
+	if n := len(t.groups); n == cap(t.groups) {
+		// Doubled by hand: append's own growth tapers to a quarter, under
+		// which a table opened group by group allocates five times its
+		// final size on the way.
+		c := max(2*n, 4)
+		t.groups = append(make([]group, 0, c), t.groups...)
+		t.accs = append(make([]acc, 0, c*len(t.p.aggs)), t.accs...)
+	}
+	t.groups = append(t.groups, group{})
+	t.accs = append(t.accs, make([]acc, len(t.p.aggs))...)
+	return int32(len(t.groups) - 1)
+}
+
+// The by* lookups return the group of a key, opening it on first sight
+// (fresh: the caller owes it a representative row).
+
+func (t *groupTable) byNone() (gi int32, fresh bool) {
+	if len(t.groups) > 0 {
+		return 0, false
+	}
+	return t.open(), true
+}
+
+func (t *groupTable) byNull() (gi int32, fresh bool) {
+	if t.null >= 0 {
+		return t.null, false
+	}
+	t.null = t.open()
+	return t.null, true
+}
+
+func (t *groupTable) byNum(k uint64) (gi int32, fresh bool) {
+	gi, ok := t.num[k]
+	if !ok {
+		gi = t.open()
+		t.num[k] = gi
+	}
+	return gi, !ok
+}
+
+func (t *groupTable) byStr(k string) (gi int32, fresh bool) {
+	gi, ok := t.str[k]
+	if !ok {
+		gi = t.open()
+		t.str[k] = gi
+	}
+	return gi, !ok
+}
+
+// byBytes is byStr for a key built in a scratch buffer: the probe on
+// string(k) does not allocate (the compiler recognizes the
+// conversion-for-lookup pattern), so a string is only materialized per
+// distinct group.
+func (t *groupTable) byBytes(k []byte) (gi int32, fresh bool) {
+	if gi, ok := t.str[string(k)]; ok {
+		return gi, false
+	}
+	return t.byStr(string(k))
+}
+
+// numGroupKey maps a non-NULL numeric (or boolean) grouping value to
+// its exact uint64 key: the float bit pattern or the integer datum.
+func numGroupKey(v *value.Value) uint64 {
+	if v.Type() == value.Float {
+		return math.Float64bits(v.Float())
+	}
+	return uint64(v.Int())
+}
+
+// A composite group key is the concatenation of its parts, each a
+// grouping value's indexKey form, byte for byte, and a separator. The
+// appendKey* functions are the one definition of that encoding: a row's
+// values and a vector's elements both go through them, so group
+// identity cannot differ between engines. Keys are built in a reused
+// buffer; nothing is allocated per row.
+
+func appendKeyNull(dst []byte) []byte { return append(dst, "\x00NULL\x1f"...) }
+
+func appendKeyInt(dst []byte, x int64) []byte {
+	return append(strconv.AppendInt(dst, x, 10), '\x1f')
+}
+
+func appendKeyFloat(dst []byte, x float64) []byte {
+	return append(strconv.AppendFloat(dst, x, 'g', -1, 64), '\x1f')
+}
+
+func appendKeyBool(dst []byte, x bool) []byte {
+	return append(strconv.AppendBool(dst, x), '\x1f')
+}
+
+func appendKeyStr(dst []byte, x string) []byte { return append(append(dst, x...), '\x1f') }
+
+// appendKeyPart appends the key part of a boxed value.
+func appendKeyPart(dst []byte, v value.Value) []byte {
+	switch {
+	case v.IsNull():
+		return appendKeyNull(dst)
+	case v.Type() == value.Integer:
+		return appendKeyInt(dst, v.Int())
+	case v.Type() == value.Float:
+		return appendKeyFloat(dst, v.Float())
+	case v.Type() == value.Boolean:
+		return appendKeyBool(dst, v.Bool())
+	case v.Type() == value.String, v.Type() == value.Version:
+		return appendKeyStr(dst, v.Str())
+	}
+	return appendKeyStr(dst, v.String())
+}
+
+// appendKeyPart appends the key part of row i of the vector; a negative
+// i reads as NULL.
+func (v *colVec) appendKeyPart(dst []byte, i int) []byte {
+	switch {
+	case i < 0 || v.null(i):
+		return appendKeyNull(dst)
+	case v.typ == value.Integer:
+		return appendKeyInt(dst, v.ints[i])
+	case v.typ == value.Float:
+		return appendKeyFloat(dst, v.floats[i])
+	case v.typ == value.Boolean:
+		return appendKeyBool(dst, v.ints[i] != 0)
+	}
+	return appendKeyStr(dst, v.strs[i])
+}
+
+// addRow filters one source row, finds or opens its group and feeds
+// every aggregate.
+func (t *groupTable) addRow(row Row) error {
+	p := t.p
+	ctx := &t.ctx
+	ctx.row = row
+	if keep, err := p.keep(ctx); !keep || err != nil {
+		return err
+	}
+	var gi int32
+	var fresh bool
+	switch p.keyKind {
+	case keyNone:
+		gi, fresh = t.byNone()
+	case keyNum, keyStr:
+		switch kv := &row[p.keyCols[0]]; {
+		case kv.IsNull():
+			gi, fresh = t.byNull()
+		case p.keyKind == keyNum:
+			gi, fresh = t.byNum(numGroupKey(kv))
+		default:
+			gi, fresh = t.byStr(kv.Str())
+		}
+	default:
+		t.kbuf = t.kbuf[:0]
+		for _, g := range p.groupBy {
+			kv, err := g(ctx)
+			if err != nil {
+				return err
+			}
+			t.kbuf = appendKeyPart(t.kbuf, kv)
+		}
+		gi, fresh = t.byBytes(t.kbuf)
+	}
+	g := &t.groups[gi]
+	if fresh {
+		g.rep = row
+	}
+	g.n++
+	accs := t.accs[int(gi)*len(p.aggs):]
+	for i := range p.aggs {
+		sp := &p.aggs[i]
+		switch {
+		case sp.col >= 0:
+			if err := accs[i].add(sp, &row[sp.col]); err != nil {
+				return err
+			}
+		case sp.arg != nil:
+			v, err := sp.arg(ctx)
+			if err != nil {
+				return err
+			}
+			if err := accs[i].add(sp, &v); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// aggBatch is one morsel's input to addBatch: size tuples, each a
+// position into one or (joined) two sets of column vectors.
+type aggBatch interface {
+	size() int
+	// col returns source column ci's vector and the tuples' positions in
+	// it. pads says a position may be -1, which reads as NULL: the
+	// build side of a LEFT join's unmatched probe rows.
+	col(ci int) (v *colVec, pos []int32, pads bool)
+	// rep materializes tuple j's source row, for a group it opens.
+	rep(j int) Row
+}
+
+// addBatch is addRow over a morsel: it assigns every tuple its group —
+// through the same lookups and key encodings as addRow — and runs each
+// aggregate's kernel over the tuples at once. The filter has already
+// run: the batch holds the surviving tuples. gids is scratch, one
+// entry per tuple. Only plans whose keys are plain columns and whose
+// aggregates are all batchable come here.
+func (t *groupTable) addBatch(b aggBatch, gids []int32) {
+	p := t.p
+	n := b.size()
+	if n == 0 {
+		return
+	}
+	assign := func(j int, gi int32, fresh bool) {
+		g := &t.groups[gi]
+		if fresh {
+			g.rep = b.rep(j)
+		}
+		g.n++
+		gids[j] = gi
+	}
+	switch p.keyKind {
+	case keyNone:
+		gi, fresh := t.byNone()
+		if fresh {
+			t.groups[gi].rep = b.rep(0)
+		}
+		t.groups[gi].n += int64(n)
+		clear(gids[:n])
+	case keyNum:
+		kv, pos, _ := b.col(p.keyCols[0])
+		for j, i := range pos {
+			var gi int32
+			var fresh bool
+			switch {
+			case i < 0 || kv.null(int(i)):
+				gi, fresh = t.byNull()
+			case kv.typ == value.Float:
+				gi, fresh = t.byNum(math.Float64bits(kv.floats[i]))
+			default:
+				gi, fresh = t.byNum(uint64(kv.ints[i]))
+			}
+			assign(j, gi, fresh)
+		}
+	case keyStr:
+		kv, pos, _ := b.col(p.keyCols[0])
+		// With a dictionary: one array read per tuple, one hash lookup per
+		// distinct value per morsel. lut maps a code to its group's index
+		// plus one.
+		codes, vals := kv.dict()
+		lut := make([]int32, len(vals))
+		for j, i := range pos {
+			var gi int32
+			var fresh bool
+			switch {
+			case i < 0 || kv.null(int(i)):
+				gi, fresh = t.byNull()
+			case codes == nil:
+				gi, fresh = t.byStr(kv.strs[i])
+			case lut[codes[i]] > 0:
+				gi = lut[codes[i]] - 1
+			default:
+				gi, fresh = t.byStr(vals[codes[i]])
+				lut[codes[i]] = gi + 1
+			}
+			assign(j, gi, fresh)
+		}
+	default:
+		type keyVec struct {
+			v   *colVec
+			pos []int32
+		}
+		keys := make([]keyVec, len(p.keyCols))
+		for ki, ci := range p.keyCols {
+			keys[ki].v, keys[ki].pos, _ = b.col(ci)
+		}
+		for j := 0; j < n; j++ {
+			t.kbuf = t.kbuf[:0]
+			for _, k := range keys {
+				t.kbuf = k.v.appendKeyPart(t.kbuf, int(k.pos[j]))
+			}
+			gi, fresh := t.byBytes(t.kbuf)
+			assign(j, gi, fresh)
+		}
+	}
+	// A kernel cannot index a pad: drop those tuples once, for every
+	// aggregate that reads the padded side.
+	var padPos, padGids []int32
+	for k := range p.aggs {
+		sp := &p.aggs[k]
+		if sp.e.Star {
+			continue
+		}
+		v, pos, pads := b.col(sp.col)
+		g := gids
+		if pads {
+			if padPos == nil {
+				padPos, padGids = make([]int32, 0, n), make([]int32, 0, n)
+				for j, i := range pos {
+					if i >= 0 {
+						padPos, padGids = append(padPos, i), append(padGids, gids[j])
+					}
+				}
+			}
+			pos, g = padPos, padGids
+		}
+		sp.kern(v, pos, g, t.accs, len(p.aggs), k)
+	}
+}
+
+// merge folds part, the partial table of a later morsel, into t:
+// groups t has not seen are appended in part's order, so first-seen
+// order across morsels merged in index order is scan order.
+func (t *groupTable) merge(part *groupTable) {
+	// A group does not carry its key, which only this needs: part's keys
+	// are read back out of its index, by group.
+	var nums []uint64
+	var strs []string
+	if part.num != nil {
+		nums = make([]uint64, len(part.groups))
+		for k, pi := range part.num {
+			nums[pi] = k
+		}
+	} else if part.str != nil {
+		strs = make([]string, len(part.groups))
+		for k, pi := range part.str {
+			strs[pi] = k
+		}
+	}
+	stride := len(t.p.aggs)
+	for pi := range part.groups {
+		var gi int32
+		var fresh bool
+		switch {
+		case int32(pi) == part.null:
+			gi, fresh = t.byNull()
+		case nums != nil:
+			gi, fresh = t.byNum(nums[pi])
+		case strs != nil:
+			gi, fresh = t.byStr(strs[pi])
+		default:
+			gi, fresh = t.byNone()
+		}
+		from, to := part.accs[pi*stride:(pi+1)*stride], t.accs[int(gi)*stride:]
+		if fresh {
+			t.groups[gi] = part.groups[pi]
+			copy(to, from)
+			continue
+		}
+		t.groups[gi].n += part.groups[pi].n
+		for k := range from {
+			to[k].merge(t.p.aggs[k].op, &from[k])
+		}
+	}
+}
+
+// renderParts merges the partial tables of a morsel scan in morsel
+// index order — nil entries are morsels that were pruned or selected
+// nothing — and renders the result.
+func renderParts(st *SelectStmt, p *compiledSelect, parts []*groupTable) (*Result, error) {
+	var t *groupTable
+	for _, part := range parts {
+		switch {
+		case part == nil:
+		case t == nil:
+			t = part
+		default:
+			t.merge(part)
+		}
+	}
+	if t == nil {
+		t = newGroupTable(st, p)
+	}
+	return t.render()
+}
+
+// render produces the statement's result from the groups accumulated
+// so far: per group the aggregate results, HAVING and the projection,
+// then the statement tail. It is re-entrant — a view renders the same
+// retained table after every commit and goes on adding rows to it: the
+// COUNT(*) backfill is an idempotent store, MEDIAN's in-place sort
+// leaves the multiset alone, and the group an aggregate query without
+// GROUP BY yields over an empty input is synthesized here per call and
+// never retained, so the first real row still opens a real group.
+func (t *groupTable) render() (*Result, error) {
+	p, st := t.p, t.st
+	stride := len(p.aggs)
+	groups, accs := t.groups, t.accs
+	if len(groups) == 0 && p.keyKind == keyNone {
+		rep := make(Row, len(p.srcSchema))
+		for i := range rep {
+			rep[i] = value.Null(p.srcSchema[i].Type)
+		}
+		groups, accs = []group{{rep: rep}}, make([]acc, stride)
+	}
+	// For ORDER BY fallback resolution, the representative row and
+	// aggregate results behind each output row. DISTINCT breaks the
+	// alignment, so ordering then uses output columns only.
+	needReps := len(st.OrderBy) > 0 && !st.Distinct
+	var outRows, reps []Row
+	var aggVs []map[*aggExpr]value.Value
+	ctx := &execCtx{}
+	for gi := range groups {
+		g := &groups[gi]
+		aggV := make(map[*aggExpr]value.Value, stride)
+		for k := range p.aggs {
+			sp, a := &p.aggs[k], &accs[gi*stride+k]
+			if sp.e.Star {
+				a.n = g.n
+			}
+			aggV[sp.e] = sp.result(a)
+		}
+		ctx.row, ctx.aggs = g.rep, aggV
+		if p.having != nil {
+			v, err := p.having(ctx)
+			if err != nil {
+				return nil, err
+			}
+			if !boolTrue(v) {
+				continue
+			}
+		}
+		row, err := p.projectRow(ctx, g.rep)
+		if err != nil {
+			return nil, err
+		}
+		outRows = append(outRows, row)
+		if needReps {
+			reps = append(reps, g.rep)
+			aggVs = append(aggVs, aggV)
+		}
+	}
+	return p.finish(st, outRows, reps, aggVs)
 }

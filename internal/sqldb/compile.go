@@ -548,20 +548,21 @@ type compiledSelect struct {
 	// where remains valid either way.
 	wherePred func(Row) (bool, error)
 
+	// Grouped plans (GROUP BY or any aggregate) run through a groupTable
+	// — see aggregate.go, which reads the fields below.
 	grouped bool
-	aggs    []*aggExpr
-	aggArgs []compiledExpr // aligned with aggs; nil for COUNT(*)
-	aggCols []int          // aligned with aggs; source column index when the argument is a plain column, else -1
+	aggs    []aggSpec
 	groupBy []compiledExpr
 	having  compiledExpr // nil when no HAVING clause
-	// fastKeyCol is the source-column index of the grouping key when
-	// the GROUP BY is a single plain column of any type but Timestamp
-	// (whose datum is a pointer, so value identity is not group
-	// identity); -1 otherwise. Grouping then buckets on the column
-	// value directly — on its numeric bits (fastKeyNum) or its string
-	// datum — instead of formatting a composite string key per row.
-	fastKeyCol int
-	fastKeyNum bool
+	// keyKind says how groups are identified. keyCols holds the grouping
+	// columns when every GROUP BY item is a plain column of any type but
+	// Timestamp (whose datum is a pointer, so value identity is not
+	// group identity), nil otherwise: a single such column is keyed on
+	// directly (keyNum, keyStr), several are what addBatch encodes a
+	// composite key from, and without them only addRow, which evaluates
+	// groupBy, can group.
+	keyKind keyKind
+	keyCols []int
 
 	outSchema Schema
 	starCols  map[int][]int  // select-item index -> source columns
@@ -668,39 +669,38 @@ func (sn *snapshot) planBranch(st *SelectStmt) (*compiledSelect, error) {
 		p.where = compileExpr(st.Where, ec)
 		p.wherePred = compileWherePred(st.Where, ec)
 	}
+	var aggs []*aggExpr
 	for _, it := range st.Items {
 		if it.E != nil {
-			collectAggs(it.E, &p.aggs)
+			collectAggs(it.E, &aggs)
 		}
 	}
 	if st.Having != nil {
-		collectAggs(st.Having, &p.aggs)
+		collectAggs(st.Having, &aggs)
+	}
+	for _, a := range aggs {
+		p.aggs = append(p.aggs, newAggSpec(a, ec))
 	}
 	p.grouped = len(st.GroupBy) > 0 || len(p.aggs) > 0
 	for _, g := range st.GroupBy {
 		p.groupBy = append(p.groupBy, compileExpr(g, ec))
-	}
-	p.fastKeyCol = -1
-	if len(st.GroupBy) == 1 {
-		if ce, isCol := st.GroupBy[0].(*colExpr); isCol {
+		if ce, isCol := g.(*colExpr); isCol {
 			if i, err := ec.lookup(ce.Table, ce.Name); err == nil && src[i].Type != value.Timestamp {
-				p.fastKeyCol = i
-				p.fastKeyNum = src[i].Type != value.String && src[i].Type != value.Version
+				p.keyCols = append(p.keyCols, i)
 			}
 		}
 	}
-	p.aggArgs = make([]compiledExpr, len(p.aggs))
-	p.aggCols = make([]int, len(p.aggs))
-	for i, a := range p.aggs {
-		p.aggCols[i] = -1
-		if !a.Star {
-			p.aggArgs[i] = compileExpr(a.Arg, ec)
-			if ce, isCol := a.Arg.(*colExpr); isCol {
-				if ci, err := ec.lookup(ce.Table, ce.Name); err == nil {
-					p.aggCols[i] = ci
-				}
-			}
-		}
+	switch {
+	case len(st.GroupBy) == 0:
+		p.keyKind = keyNone
+	case len(p.keyCols) != len(st.GroupBy):
+		p.keyKind, p.keyCols = keyComposite, nil
+	case len(p.keyCols) > 1:
+		p.keyKind = keyComposite
+	case src[p.keyCols[0]].Type == value.String || src[p.keyCols[0]].Type == value.Version:
+		p.keyKind = keyStr
+	default:
+		p.keyKind = keyNum
 	}
 	if st.Having != nil {
 		p.having = compileExpr(st.Having, ec)
@@ -750,6 +750,18 @@ func (sn *snapshot) selectSourceSchema(st *SelectStmt) (Schema, error) {
 		src = append(src, s...)
 	}
 	return src, nil
+}
+
+// keep applies the WHERE clause to the row in ctx.
+func (p *compiledSelect) keep(ctx *execCtx) (bool, error) {
+	if p.wherePred != nil {
+		return p.wherePred(ctx.row)
+	}
+	if p.where == nil {
+		return true, nil
+	}
+	v, err := p.where(ctx)
+	return err == nil && boolTrue(v), err
 }
 
 // projectRow materializes one output row for the group or row whose

@@ -23,7 +23,11 @@
 // At every generated SELECT the five answers must agree exactly
 // (floats within 1e-9 for AVG against the model; engine-vs-engine
 // comparisons are byte-identical — the fuzz schema keeps aggregate
-// columns integer, where the vectorized kernels are exact). The
+// columns integer, and every value of v in the table at one time is
+// the same power of two times an int8, so that the float sum AVG keeps
+// is exact in whatever order the morsels add it up. That power is 1,
+// 2^53 or 2^55: the last two put v where a float no longer holds every
+// integer and where an int64 sum wraps after three rows). The
 // package is sqldb_test rather than sqldb because the wire package
 // imports sqldb: an in-package test would close an import cycle.
 package sqldb_test
@@ -73,6 +77,7 @@ type diffState struct {
 	// never needs to restore it.
 	jmodel  []jrow
 	inTxn   bool
+	scale   int64 // what an operand byte is multiplied by to give a v
 	nextK   int64
 	nextOrd int64
 	muts    int // mutations since open, drives bdb checkpoints
@@ -82,6 +87,9 @@ type diffState struct {
 	pending []sqldb.PipelineRequest
 	flushes int
 }
+
+// val turns an operand byte into a value of (or a bound on) m.v.
+func (s *diffState) val(b byte) int64 { return int64(int8(b)) * s.scale }
 
 // exec applies one mutation statement to the engine and queues it for
 // the wire mirror. Generated statements are well-typed by
@@ -302,11 +310,11 @@ func (s *diffState) checkCountAvg() {
 		}
 		return
 	}
-	var sum int64
+	var sum float64 // exact: see the file comment
 	for _, m := range s.model {
-		sum += m.v
+		sum += float64(m.v)
 	}
-	want := float64(sum) / float64(len(s.model))
+	want := sum / float64(len(s.model))
 	if got := r[1].Float(); math.Abs(got-want) > 1e-9*math.Max(1, math.Abs(want)) {
 		s.fail(sql, res, "AVG = %g, want %g", got, want)
 	}
@@ -319,7 +327,7 @@ func (s *diffState) checkTopK(n int64) {
 		n = -n
 	}
 	n %= 9 // 0..8 rows, exercising k = 0 and k >= len
-	sql := fmt.Sprintf("SELECT k, v FROM m WHERE v >= -128 ORDER BY v, k LIMIT %d", n)
+	sql := fmt.Sprintf("SELECT k, v FROM m WHERE v >= %d ORDER BY v, k LIMIT %d", -128*s.scale, n)
 	res := s.query(sql)
 	want := append([]mrow(nil), s.model...)
 	sort.Slice(want, func(i, j int) bool {
@@ -563,6 +571,11 @@ func FuzzSQLDifferential(f *testing.F) {
 	f.Add([]byte{4, 200, 4, 100, 4, 50, 7, 0, 5, 1, 9, 4, 12, 6, 2, 9, 3, 255, 7, 1})
 	f.Add([]byte{4, 1, 4, 2, 5, 0, 4, 3, 6, 0, 7, 0, 5, 0, 4, 4, 5, 0, 7, 1, 7, 2, 7, 3})
 	f.Add([]byte{2, 130, 9, 2, 1, 200, 7, 5, 3, 0, 5, 2, 200, 3, 7, 5, 0, 250, 7, 6, 1, 6, 7, 5, 2, 9, 7, 6, 3})
+	// The scaled values: three rows of 126 * 2^55, whose integer sum
+	// wraps where their AVG must not, checked alone, grouped and joined;
+	// then, m emptied and rescaled, ten of 127 * 2^53.
+	f.Add([]byte{6, 6, 0, 0, 126, 0, 1, 126, 0, 0, 126, 7, 3, 7, 1, 8, 126, 0, 9, 4, 4, 127, 6, 6,
+		0, 0, 127, 0, 0, 127, 0, 1, 127, 2, 2, 127, 0, 0, 127, 0, 3, 127, 0, 0, 127, 0, 0, 127, 0, 1, 127, 0, 0, 127, 7, 3, 7, 1})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		db := sqldb.NewMemory()
 		srv := wire.NewServer(sqldb.NewMemory())
@@ -584,7 +597,7 @@ func FuzzSQLDifferential(f *testing.F) {
 			t.Fatal(err)
 		}
 		bdb.ColumnCacheLimit(0) // every vector hydration decodes from disk
-		s := &diffState{t: t, db: db, rdb: rdb, bdb: bdb, bdir: bdir, wc: wc}
+		s := &diffState{t: t, db: db, rdb: rdb, bdb: bdb, bdir: bdir, wc: wc, scale: 1}
 		defer func() { s.bdb.Close() }()
 		s.exec("CREATE TABLE m (k integer, grp string, v integer)")
 		s.exec("CREATE TABLE j (jk integer, tag string, ord integer)")
@@ -604,7 +617,7 @@ func FuzzSQLDifferential(f *testing.F) {
 			switch next() % 10 {
 			case 0, 1: // single-row INSERT
 				grp := fmt.Sprintf("g%d", next()%4)
-				v := int64(int8(next()))
+				v := s.val(next())
 				k := s.nextK
 				s.nextK++
 				s.exec(fmt.Sprintf("INSERT INTO m VALUES (%d, '%s', %d)", k, grp, v))
@@ -612,7 +625,7 @@ func FuzzSQLDifferential(f *testing.F) {
 			case 2: // multi-row INSERT (one atomic statement)
 				sel := next()
 				grp := fmt.Sprintf("g%d", sel%4)
-				v := int64(int8(next()))
+				v := s.val(next())
 				k1, k2 := s.nextK, s.nextK+1
 				s.nextK += 2
 				if sel >= 128 { // the same two rows from a compound select
@@ -628,7 +641,7 @@ func FuzzSQLDifferential(f *testing.F) {
 				s.model = append(s.model, mrow{k1, grp, v}, mrow{k2, grp, -v})
 			case 3: // UPDATE one group
 				grp := fmt.Sprintf("g%d", next()%4)
-				v := int64(int8(next()))
+				v := s.val(next())
 				s.exec(fmt.Sprintf("UPDATE m SET v = %d WHERE grp = '%s'", v, grp))
 				for i := range s.model {
 					if s.model[i].grp == grp {
@@ -636,7 +649,7 @@ func FuzzSQLDifferential(f *testing.F) {
 					}
 				}
 			case 4: // DELETE below a threshold
-				c := int64(int8(next()))
+				c := s.val(next())
 				s.exec(fmt.Sprintf("DELETE FROM m WHERE v < %d", c))
 				kept := s.model[:0]
 				for _, r := range s.model {
@@ -654,10 +667,14 @@ func FuzzSQLDifferential(f *testing.F) {
 					s.inTxn = true
 					s.saved = append([]mrow(nil), s.model...)
 				}
-			case 6: // ROLLBACK (no-op outside a transaction)
+			case 6: // ROLLBACK; outside a transaction, the next scale
 				if s.inTxn {
 					s.exec("ROLLBACK")
 					s.model, s.saved, s.inTxn = s.saved, nil, false
+				} else if len(s.model) == 0 {
+					// Only while m is empty: its rows must share one scale
+					// (see the file comment).
+					s.scale = map[int64]int64{1: 1 << 53, 1 << 53: 1 << 55, 1 << 55: 1}[s.scale]
 				}
 			case 7: // cross-checked SELECT
 				switch next() % 7 {
@@ -666,14 +683,14 @@ func FuzzSQLDifferential(f *testing.F) {
 				case 1:
 					s.checkGroupBy()
 				case 2:
-					s.checkFilter(int64(int8(next())))
+					s.checkFilter(s.val(next()))
 				case 3:
 					s.checkCountAvg()
 				case 4:
 					s.checkTopK(int64(int8(next())))
 				case 5:
 					b := next()
-					s.checkUnion(int64(int8(next())), b&1 != 0, b&2 != 0)
+					s.checkUnion(s.val(next()), b&1 != 0, b&2 != 0)
 				case 6:
 					s.checkUnionRejected(next())
 				}
@@ -691,7 +708,7 @@ func FuzzSQLDifferential(f *testing.F) {
 					s.exec(fmt.Sprintf("INSERT INTO j VALUES (NULL, '%s', %d)", tag, ord))
 					s.jmodel = append(s.jmodel, jrow{null: true, tag: tag, ord: ord})
 				} else {
-					jk := int64(int8(b))
+					jk := s.val(b)
 					s.exec(fmt.Sprintf("INSERT INTO j VALUES (%d, '%s', %d)", jk, tag, ord))
 					s.jmodel = append(s.jmodel, jrow{jk: jk, tag: tag, ord: ord})
 				}
@@ -702,7 +719,7 @@ func FuzzSQLDifferential(f *testing.F) {
 				case 1:
 					s.checkJoinCount(true, false, nil)
 				case 2:
-					c := int64(int8(next()))
+					c := s.val(next())
 					s.checkJoinCount(next()%2 == 0, true, &c)
 				case 3:
 					s.checkJoinRows(next()%2 == 0)

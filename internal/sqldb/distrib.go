@@ -281,7 +281,9 @@ var mergeAgg = map[string]string{
 // SUM/MIN/MAX merge by themselves (NULL partials from empty shards are
 // skipped, matching empty-input semantics), and AVG travels as a
 // SUM/COUNT pair finalized in Go as sum/float64(count) — the same
-// float division aggregate.go performs.
+// float division aggregate.go performs, though over an integer column
+// the pair's SUM is the wrapping integer where a single node sums
+// floats, so the two can part past 2^53 (DESIGN.md §11).
 func PlanDistributedSelect(st *SelectStmt, schema Schema) (*DistPlan, bool) {
 	if len(st.Union) > 0 || len(st.From) != 1 || len(st.Joins) > 0 || st.Distinct || st.Having != nil {
 		return nil, false
@@ -691,7 +693,7 @@ func (p *DistPlan) Merge(partials []*Result) (*Result, error) {
 
 // finalizeAvg turns each AVG's merged (sum, count) column pair into
 // the final average column: NewFloat(sum/count), NULL for an empty
-// input — exactly aggregate.go's opAvg result.
+// input — aggregate.go's opAvg division.
 func (p *DistPlan) finalizeAvg(res *Result) (*Result, error) {
 	var keep []int
 	for i := 0; i < len(res.Columns); i++ {

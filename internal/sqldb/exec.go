@@ -1,7 +1,6 @@
 package sqldb
 
 import (
-	"math"
 	"sort"
 	"strings"
 
@@ -364,28 +363,6 @@ func (sn *snapshot) sourceRelation(st *SelectStmt) (*relation, error) {
 	return rel, nil
 }
 
-// bucket holds one group's accumulator state during a grouped SELECT:
-// a representative source row (for projecting the grouping columns),
-// the group's row count (backfilled into COUNT(*) states after the
-// scan, so the hot loop never calls add for them), and one aggregate
-// state per aggregate expression.
-type bucket struct {
-	rep    Row
-	n      int64
-	states []*aggState
-}
-
-// numGroupKey maps a non-NULL numeric (or boolean) grouping value to
-// its exact uint64 bucket key: the float bit pattern or the integer
-// datum. Used when the plan's fastKeyCol names a numeric column —
-// bucket lookup then hashes 8 bytes instead of a formatted string.
-func numGroupKey(v value.Value) uint64 {
-	if v.Type() == value.Float {
-		return math.Float64bits(v.Float())
-	}
-	return uint64(v.Int())
-}
-
 // runSelect executes a SELECT with an already-compiled plan. Scan,
 // filter and project/aggregate are fused into a single pass over the
 // source rows — no intermediate filtered relation is materialized.
@@ -451,210 +428,55 @@ func (sn *snapshot) runSelect(st *SelectStmt, p *compiledSelect) (*Result, error
 		}
 	}
 
-	ctx := &execCtx{}
-	var outRows []Row
-	// For ORDER BY fallback resolution, the source row (and aggregate
-	// results) behind each output row. DISTINCT breaks the alignment,
-	// so ordering then uses output columns only (as before).
-	needReps := len(st.OrderBy) > 0 && !st.Distinct
-	var reps []Row
-	var aggVs []map[*aggExpr]value.Value
-
-	emit := func(row Row, rep Row, aggV map[*aggExpr]value.Value) {
-		outRows = append(outRows, row)
-		if needReps {
-			reps = append(reps, rep)
-			aggVs = append(aggVs, aggV)
-		}
-	}
-
 	if p.grouped {
-		newBucket := func(rep Row) *bucket {
-			b := &bucket{rep: rep, states: make([]*aggState, len(p.aggs))}
-			for i, a := range p.aggs {
-				b.states[i] = newAggState(a)
-			}
-			return b
-		}
-		var buckets []*bucket // first-seen group order
-		// One of three bucket indexes is used, picked at plan time: the
-		// numeric fast path keys on the column value's bits, the string
-		// fast path on its string datum (both with a side slot for the
-		// NULL group), and the general path appends a composite key into
-		// a reused byte buffer, where the probe on string(kbuf) does not
-		// allocate (the compiler recognizes the conversion-for-lookup
-		// pattern) — a string is only materialized per distinct group.
-		var numIndex map[uint64]*bucket
-		var strIndex map[string]*bucket
-		var index map[string]*bucket
-		var nullBucket *bucket
-		switch {
-		case p.fastKeyCol >= 0 && p.fastKeyNum:
-			numIndex = map[uint64]*bucket{}
-		case p.fastKeyCol >= 0:
-			strIndex = map[string]*bucket{}
-		default:
-			index = map[string]*bucket{}
-		}
-		var kbuf []byte
+		t := newGroupTable(st, p)
 		for _, chunk := range rel.chunks {
 			for _, row := range chunk {
-				ctx.row = row
-				if p.wherePred != nil {
-					keep, err := p.wherePred(row)
-					if err != nil {
-						return nil, err
-					}
-					if !keep {
-						continue
-					}
-				} else if p.where != nil {
-					v, err := p.where(ctx)
-					if err != nil {
-						return nil, err
-					}
-					if !boolTrue(v) {
-						continue
-					}
-				}
-				var b *bucket
-				if p.fastKeyCol >= 0 {
-					kv := row[p.fastKeyCol]
-					switch {
-					case kv.IsNull():
-						if nullBucket == nil {
-							nullBucket = newBucket(row)
-							buckets = append(buckets, nullBucket)
-						}
-						b = nullBucket
-					case p.fastKeyNum:
-						k := numGroupKey(kv)
-						var ok bool
-						b, ok = numIndex[k]
-						if !ok {
-							b = newBucket(row)
-							numIndex[k] = b
-							buckets = append(buckets, b)
-						}
-					default:
-						var ok bool
-						b, ok = strIndex[kv.Str()]
-						if !ok {
-							b = newBucket(row)
-							strIndex[kv.Str()] = b
-							buckets = append(buckets, b)
-						}
-					}
-				} else {
-					kbuf = kbuf[:0]
-					for _, g := range p.groupBy {
-						kv, err := g(ctx)
-						if err != nil {
-							return nil, err
-						}
-						kbuf = appendValueKey(kbuf, kv)
-						kbuf = append(kbuf, '\x1f')
-					}
-					var ok bool
-					b, ok = index[string(kbuf)]
-					if !ok {
-						b = newBucket(row)
-						index[string(kbuf)] = b
-						buckets = append(buckets, b)
-					}
-				}
-				b.n++
-				for i, arg := range p.aggArgs {
-					var av *value.Value
-					if ci := p.aggCols[i]; ci >= 0 {
-						av = &row[ci]
-					} else if arg != nil {
-						v, err := arg(ctx)
-						if err != nil {
-							return nil, err
-						}
-						av = &v
-					} else {
-						continue // COUNT(*): counted via b.n
-					}
-					if err := b.states[i].add(av); err != nil {
-						return nil, err
-					}
-				}
-			}
-		}
-		// An aggregate query with no GROUP BY always yields one group,
-		// even over an empty input.
-		if len(buckets) == 0 && len(st.GroupBy) == 0 {
-			b := newBucket(make(Row, len(rel.schema)))
-			for i := range b.rep {
-				b.rep[i] = value.Null(rel.schema[i].Type)
-			}
-			buckets = append(buckets, b)
-		}
-		// HAVING-filter and project each group in one pass.
-		for _, b := range buckets {
-			aggV := make(map[*aggExpr]value.Value, len(p.aggs))
-			for i, a := range p.aggs {
-				if a.Star {
-					b.states[i].n = b.n
-				}
-				aggV[a] = b.states[i].result()
-			}
-			ctx.row, ctx.aggs = b.rep, aggV
-			if p.having != nil {
-				v, err := p.having(ctx)
-				if err != nil {
+				if err := t.addRow(row); err != nil {
 					return nil, err
 				}
-				if !boolTrue(v) {
-					continue
-				}
 			}
-			row, err := p.projectRow(ctx, b.rep)
+		}
+		return t.render()
+	}
+
+	ctx := &execCtx{}
+	var outRows []Row
+	// For ORDER BY fallback resolution, the source row behind each
+	// output row. DISTINCT breaks the alignment, so ordering then uses
+	// output columns only.
+	needReps := len(st.OrderBy) > 0 && !st.Distinct
+	var reps []Row
+	for _, chunk := range rel.chunks {
+		for _, row := range chunk {
+			ctx.row = row
+			keep, err := p.keep(ctx)
 			if err != nil {
 				return nil, err
 			}
-			emit(row, b.rep, aggV)
-		}
-	} else {
-		for _, chunk := range rel.chunks {
-			for _, row := range chunk {
-				ctx.row = row
-				if p.wherePred != nil {
-					keep, err := p.wherePred(row)
-					if err != nil {
-						return nil, err
-					}
-					if !keep {
-						continue
-					}
-				} else if p.where != nil {
-					v, err := p.where(ctx)
-					if err != nil {
-						return nil, err
-					}
-					if !boolTrue(v) {
-						continue
-					}
-				}
-				out, err := p.projectRow(ctx, row)
-				if err != nil {
-					return nil, err
-				}
-				emit(out, row, nil)
+			if !keep {
+				continue
+			}
+			out, err := p.projectRow(ctx, row)
+			if err != nil {
+				return nil, err
+			}
+			outRows = append(outRows, out)
+			if needReps {
+				reps = append(reps, row)
 			}
 		}
 	}
-
-	return p.finish(st, outRows, reps, aggVs)
+	return p.finish(st, outRows, reps, nil)
 }
 
 // finish applies the statement tail — DISTINCT, ORDER BY, OFFSET and
 // LIMIT — to the rows a scan produced (row engine or vectorized path;
 // both funnel through here, so the tail semantics cannot diverge).
-// reps/aggVs, when non-nil, carry the source row and aggregate results
-// behind each output row for ORDER BY fallback resolution.
+// reps, when non-nil, carries the source row behind each output row
+// for ORDER BY fallback resolution, and aggVs the aggregate results
+// behind each output row of a grouped statement (nil for an ungrouped
+// one).
 func (p *compiledSelect) finish(st *SelectStmt, outRows []Row, reps []Row, aggVs []map[*aggExpr]value.Value) (*Result, error) {
 	// DISTINCT.
 	if st.Distinct {
@@ -683,7 +505,9 @@ func (p *compiledSelect) finish(st *SelectStmt, outRows []Row, reps []Row, aggVs
 				v, err := p.orderOut[oi](octx)
 				if err != nil && reps != nil {
 					sctx.row = reps[ri]
-					sctx.aggs = aggVs[ri]
+					if aggVs != nil {
+						sctx.aggs = aggVs[ri]
+					}
 					v, err = p.orderSrc[oi](sctx)
 				}
 				if err != nil {

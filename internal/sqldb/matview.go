@@ -8,9 +8,9 @@ package sqldb
 // writer latch and must not do work — see CommitHook), and a single
 // worker goroutine applies frames in commit order. Views over a single
 // table are maintained incrementally: a literal INSERT's rows are fed
-// straight into the view's retained group/aggregate state, replicating
-// the row engine's accumulation loop, so maintenance cost is O(delta)
-// instead of O(table). Any delta the incremental path cannot express
+// straight into the view's retained group table (aggregate.go) through
+// the row engine's own addRow, so maintenance cost is O(delta) instead
+// of O(table). Any delta the incremental path cannot express
 // exactly — UPDATE, DELETE, DDL on the base table, INSERT ... SELECT —
 // falls back to a full rebuild from a consistent snapshot. Views with
 // joins or multiple FROM tables always rebuild.
@@ -64,18 +64,11 @@ type matView struct {
 	plan       *compiledSelect
 	baseSchema Schema // base table schema captured at last rebuild
 
-	// Grouped accumulation state (mirrors runSelect's locals).
-	buckets    []*bucket
-	numIndex   map[uint64]*bucket
-	strIndex   map[string]*bucket
-	index      map[string]*bucket
-	nullBucket *bucket
-	kbuf       []byte
-
-	// Non-grouped accumulation state.
+	// Retained accumulation state: the group table of a grouped view
+	// (aggregate.go), the projected rows of an ungrouped one.
+	groups  *groupTable
 	outRows []Row
 	reps    []Row
-	aggVs   []map[*aggExpr]value.Value
 
 	pos     ReplPos // state reflects commits up to and including pos
 	pending bool    // registered, awaiting first rebuild
@@ -290,8 +283,13 @@ func (r *ViewRegistry) run() {
 			// never return); the next rebuild resynchronizes.
 			continue
 		}
+		// Parsed once per frame, not once per view.
+		targets := make([]frameStmt, len(ev.stmts))
+		for i, s := range ev.stmts {
+			targets[i].table, targets[i].st = stmtTarget(s)
+		}
 		for _, v := range views {
-			r.applyEvent(v, ev)
+			r.applyEvent(v, ev, targets)
 		}
 		r.mu.Lock()
 		if r.applied.Before(ev.pos) {
@@ -302,8 +300,16 @@ func (r *ViewRegistry) run() {
 	}
 }
 
-// applyEvent advances one view past one committed frame.
-func (r *ViewRegistry) applyEvent(v *matView, ev viewEvent) {
+// frameStmt is one statement of a committed frame as stmtTarget reads
+// it.
+type frameStmt struct {
+	table string
+	st    Statement
+}
+
+// applyEvent advances one view past one committed frame, whose
+// statements are stmts.
+func (r *ViewRegistry) applyEvent(v *matView, ev viewEvent, stmts []frameStmt) {
 	if v.pending || !v.pos.Before(ev.pos) {
 		return // not built yet, or a rebuild already covered this frame
 	}
@@ -315,8 +321,8 @@ func (r *ViewRegistry) applyEvent(v *matView, ev viewEvent) {
 		return
 	}
 	if !v.incremental {
-		for _, s := range ev.stmts {
-			if t, _ := stmtTarget(s); t == "*" || (t != "" && v.refs[t]) {
+		for _, s := range stmts {
+			if s.table == "*" || (s.table != "" && v.refs[s.table]) {
 				r.rebuild(v)
 				return
 			}
@@ -327,17 +333,16 @@ func (r *ViewRegistry) applyEvent(v *matView, ev viewEvent) {
 	}
 	// Incremental: apply literal INSERTs on the base table; anything
 	// else that touches it forces a rebuild.
-	for _, s := range ev.stmts {
-		target, st := stmtTarget(s)
-		if target == "*" {
+	for _, s := range stmts {
+		if s.table == "*" {
 			// Wildcard: the statement could mutate any table.
 			r.rebuild(v)
 			return
 		}
-		if target != v.baseKey {
+		if s.table != v.baseKey {
 			continue
 		}
-		ins, ok := st.(*InsertStmt)
+		ins, ok := s.st.(*InsertStmt)
 		if !ok || ins.From != nil {
 			r.rebuild(v)
 			return
@@ -423,6 +428,9 @@ func (r *ViewRegistry) rebuild(v *matView) {
 		return
 	}
 	v.baseSchema = t.schema
+	if plan.grouped {
+		v.groups = newGroupTable(v.st, plan)
+	}
 	chunks, err := t.chunks()
 	if err != nil {
 		v.fail(err)
@@ -441,10 +449,7 @@ func (r *ViewRegistry) rebuild(v *matView) {
 
 // resetState clears all accumulation state ahead of a rebuild.
 func (v *matView) resetState() {
-	v.buckets, v.nullBucket = nil, nil
-	v.numIndex, v.strIndex, v.index = nil, nil, nil
-	v.outRows, v.reps, v.aggVs = nil, nil, nil
-	v.kbuf = nil
+	v.groups, v.outRows, v.reps = nil, nil, nil
 	v.plan, v.baseSchema = nil, nil
 }
 
@@ -506,131 +511,35 @@ func (v *matView) applyInsert(ins *InsertStmt) error {
 	return nil
 }
 
-// accumulate feeds one base-table row through the view's WHERE filter
-// and into its retained state. This is the same per-row work as
-// runSelect's scan loop, so replaying a table's rows in order leaves
-// the view in the state a fresh scan would have produced — including
-// first-seen group order, which for an append-only table matches scan
-// order.
+// accumulate feeds one base-table row into the view's retained state:
+// the group table's addRow for a grouped view — the row engine's own
+// per-row work, so replaying a table's rows in order leaves the view in
+// the state a fresh scan would have produced, including first-seen
+// group order, which for an append-only table matches scan order — or
+// filter and projection for an ungrouped one.
 func (v *matView) accumulate(row Row) error {
 	p := v.plan
+	if p.grouped {
+		return v.groups.addRow(row)
+	}
 	ctx := &execCtx{row: row}
-	if p.wherePred != nil {
-		keep, err := p.wherePred(row)
-		if err != nil {
-			return err
-		}
-		if !keep {
-			return nil
-		}
-	} else if p.where != nil {
-		val, err := p.where(ctx)
-		if err != nil {
-			return err
-		}
-		if !boolTrue(val) {
-			return nil
-		}
+	if keep, err := p.keep(ctx); !keep || err != nil {
+		return err
 	}
-	if !p.grouped {
-		out, err := p.projectRow(ctx, row)
-		if err != nil {
-			return err
-		}
-		v.outRows = append(v.outRows, out)
-		if len(v.st.OrderBy) > 0 && !v.st.Distinct {
-			v.reps = append(v.reps, row)
-			v.aggVs = append(v.aggVs, nil)
-		}
-		return nil
+	out, err := p.projectRow(ctx, row)
+	if err != nil {
+		return err
 	}
-
-	newBucket := func(rep Row) *bucket {
-		b := &bucket{rep: rep, states: make([]*aggState, len(p.aggs))}
-		for i, a := range p.aggs {
-			b.states[i] = newAggState(a)
-		}
-		return b
-	}
-	var b *bucket
-	if p.fastKeyCol >= 0 {
-		kv := row[p.fastKeyCol]
-		switch {
-		case kv.IsNull():
-			if v.nullBucket == nil {
-				v.nullBucket = newBucket(row)
-				v.buckets = append(v.buckets, v.nullBucket)
-			}
-			b = v.nullBucket
-		case p.fastKeyNum:
-			if v.numIndex == nil {
-				v.numIndex = map[uint64]*bucket{}
-			}
-			k := numGroupKey(kv)
-			var ok bool
-			b, ok = v.numIndex[k]
-			if !ok {
-				b = newBucket(row)
-				v.numIndex[k] = b
-				v.buckets = append(v.buckets, b)
-			}
-		default:
-			if v.strIndex == nil {
-				v.strIndex = map[string]*bucket{}
-			}
-			var ok bool
-			b, ok = v.strIndex[kv.Str()]
-			if !ok {
-				b = newBucket(row)
-				v.strIndex[kv.Str()] = b
-				v.buckets = append(v.buckets, b)
-			}
-		}
-	} else {
-		if v.index == nil {
-			v.index = map[string]*bucket{}
-		}
-		v.kbuf = v.kbuf[:0]
-		for _, g := range p.groupBy {
-			kv, err := g(ctx)
-			if err != nil {
-				return err
-			}
-			v.kbuf = appendValueKey(v.kbuf, kv)
-			v.kbuf = append(v.kbuf, '\x1f')
-		}
-		var ok bool
-		b, ok = v.index[string(v.kbuf)]
-		if !ok {
-			b = newBucket(row)
-			v.index[string(v.kbuf)] = b
-			v.buckets = append(v.buckets, b)
-		}
-	}
-	b.n++
-	for i, arg := range p.aggArgs {
-		var av *value.Value
-		if ci := p.aggCols[i]; ci >= 0 {
-			av = &row[ci]
-		} else if arg != nil {
-			val, err := arg(ctx)
-			if err != nil {
-				return err
-			}
-			av = &val
-		} else {
-			continue // COUNT(*): counted via b.n
-		}
-		if err := b.states[i].add(av); err != nil {
-			return err
-		}
+	v.outRows = append(v.outRows, out)
+	if len(v.st.OrderBy) > 0 && !v.st.Distinct {
+		v.reps = append(v.reps, row)
 	}
 	return nil
 }
 
-// publish renders the retained state into a Result — the HAVING /
-// projection / DISTINCT / ORDER BY / LIMIT tail of runSelect — and
-// swaps it in behind the atomic pointer.
+// publish renders the retained state into a Result and swaps it in
+// behind the atomic pointer. Rendering leaves the state as it was
+// (groupTable.render is re-entrant, finish copies what it reorders).
 func (v *matView) publish() {
 	if v.plan == nil {
 		// The last rebuild failed before planning (e.g. the base table
@@ -639,64 +548,22 @@ func (v *matView) publish() {
 		v.fail(v.lastErr)
 		return
 	}
-	res, err := v.render()
+	var res *Result
+	var err error
+	switch {
+	case !v.incremental:
+		// Rebuilt in full and nothing retained: what the last rebuild
+		// published stands, at the new position.
+		last := v.out.Load()
+		res, err = last.Res, last.Err
+	case v.plan.grouped:
+		res, err = v.groups.render()
+	default:
+		res, err = v.plan.finish(v.st, v.outRows, v.reps, nil)
+	}
 	if err != nil {
 		v.fail(err)
 		return
 	}
 	v.out.Store(&ViewResult{Res: res, Pos: v.pos})
-}
-
-func (v *matView) render() (*Result, error) {
-	p, st := v.plan, v.st
-	if !p.grouped {
-		return p.finish(st, v.outRows, v.reps, v.aggVs)
-	}
-	buckets := v.buckets
-	if len(buckets) == 0 && len(st.GroupBy) == 0 {
-		// An aggregate query with no GROUP BY yields one group even
-		// over an empty input. Synthesized per render, never retained:
-		// the first real row must open a real bucket.
-		b := &bucket{rep: make(Row, len(p.srcSchema)), states: make([]*aggState, len(p.aggs))}
-		for i := range b.rep {
-			b.rep[i] = value.Null(p.srcSchema[i].Type)
-		}
-		for i, a := range p.aggs {
-			b.states[i] = newAggState(a)
-		}
-		buckets = []*bucket{b}
-	}
-	ctx := &execCtx{}
-	needReps := len(st.OrderBy) > 0 && !st.Distinct
-	var outRows, reps []Row
-	var aggVs []map[*aggExpr]value.Value
-	for _, b := range buckets {
-		aggV := make(map[*aggExpr]value.Value, len(p.aggs))
-		for i, a := range p.aggs {
-			if a.Star {
-				b.states[i].n = b.n
-			}
-			aggV[a] = b.states[i].result()
-		}
-		ctx.row, ctx.aggs = b.rep, aggV
-		if p.having != nil {
-			val, err := p.having(ctx)
-			if err != nil {
-				return nil, err
-			}
-			if !boolTrue(val) {
-				continue
-			}
-		}
-		row, err := p.projectRow(ctx, b.rep)
-		if err != nil {
-			return nil, err
-		}
-		outRows = append(outRows, row)
-		if needReps {
-			reps = append(reps, b.rep)
-			aggVs = append(aggVs, aggV)
-		}
-	}
-	return p.finish(st, outRows, reps, aggVs)
 }

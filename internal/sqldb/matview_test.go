@@ -208,6 +208,37 @@ func TestMatViewJoinRebuilds(t *testing.T) {
 	checkView(t, db, r, "joined", sql)
 }
 
+// TestMatViewJoinSurvivesUnrelatedCommit: a rebuild-only view retains
+// no state to render, so a commit that does not touch its tables — or a
+// WAL rotation — must republish the last rebuild's result, not render
+// an empty one.
+func TestMatViewJoinSurvivesUnrelatedCommit(t *testing.T) {
+	db := NewMemory()
+	defer db.Close()
+	mustExec(t, db, "CREATE TABLE a (k INTEGER, x INTEGER)")
+	mustExec(t, db, "CREATE TABLE b (k INTEGER, y INTEGER)")
+	mustExec(t, db, "CREATE TABLE decoy (z INTEGER)")
+	mustExec(t, db, "INSERT INTO a VALUES (1, 10), (2, 20)")
+	mustExec(t, db, "INSERT INTO b VALUES (1, 5), (2, 6)")
+	r := NewViewRegistry(db)
+	defer r.Close()
+	views := map[string]string{
+		"agg":  "SELECT COUNT(*), SUM(x + y) FROM a JOIN b ON a.k = b.k",
+		"rows": "SELECT a.k, y FROM a JOIN b ON a.k = b.k ORDER BY a.k",
+	}
+	for name, sql := range views {
+		if err := r.Register(name, sql); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		mustExec(t, db, "INSERT INTO decoy VALUES (1)")
+		for name, sql := range views {
+			checkView(t, db, r, name, sql)
+		}
+	}
+}
+
 func TestMatViewErrorState(t *testing.T) {
 	db := NewMemory()
 	defer db.Close()

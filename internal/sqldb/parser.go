@@ -791,13 +791,6 @@ func (p *sqlParser) parseUnary() (sqlExpr, error) {
 	return p.parseAtom()
 }
 
-// aggNames is the set of aggregate function names.
-var aggNames = map[string]bool{
-	"count": true, "sum": true, "avg": true, "min": true, "max": true,
-	"stddev": true, "variance": true, "prod": true,
-	"median": true, "geomean": true,
-}
-
 func (p *sqlParser) parseAtom() (sqlExpr, error) {
 	t := p.cur()
 	switch t.kind {
@@ -873,7 +866,7 @@ func (p *sqlParser) parseAtom() (sqlExpr, error) {
 		if p.toks[p.pos+1].kind == tkOp && p.toks[p.pos+1].text == "(" {
 			p.advance()
 			p.advance()
-			if aggNames[lo] {
+			if _, isAgg := aggOps[lo]; isAgg {
 				agg := &aggExpr{Name: lo}
 				if p.acceptOp("*") {
 					agg.Star = true

@@ -18,11 +18,9 @@ package sqldb
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"perfbase/internal/failpoint"
 	"perfbase/internal/value"
@@ -507,29 +505,6 @@ func indexKey(v value.Value) string {
 		return "\x00NULL"
 	}
 	return v.String()
-}
-
-// appendValueKey appends v's indexKey form to dst. The grouping hot
-// loop builds composite keys in a reused buffer with this instead of
-// concatenating indexKey strings, so no per-row allocation happens.
-// The encoding must stay byte-identical to indexKey.
-func appendValueKey(dst []byte, v value.Value) []byte {
-	if v.IsNull() {
-		return append(dst, "\x00NULL"...)
-	}
-	switch v.Type() {
-	case value.Integer:
-		return strconv.AppendInt(dst, v.Int(), 10)
-	case value.Float:
-		return strconv.AppendFloat(dst, v.Float(), 'g', -1, 64)
-	case value.String, value.Version:
-		return append(dst, v.Str()...)
-	case value.Boolean:
-		return strconv.AppendBool(dst, v.Bool())
-	case value.Timestamp:
-		return v.Time().AppendFormat(dst, time.RFC3339)
-	}
-	return append(dst, v.String()...)
 }
 
 // child derives an overlay for the next table version. The parent is

@@ -74,12 +74,11 @@ type vecJoinPlan struct {
 	needL []int // probe-side columns hydrated during the scan
 
 	// Fused aggregation: when the query is grouped with at most one
-	// plain-column group key and kernelizable aggregates, the probe
-	// pairs feed aggregate kernels directly and no joined row is ever
-	// materialized. gvp carries the group/agg shapes (columns in joined
-	// schema coordinates) for the vecPartial machinery; nil means the
-	// join materializes a relation and the row loops finish the query.
-	gvp   *vecPlan
+	// plain-column group key and batchable aggregates, the probe pairs
+	// feed partial group tables directly (aggregate.go's addBatch) and no
+	// joined row is ever materialized; otherwise the join materializes a
+	// relation and the row loops finish the query.
+	fused bool
 	needR []int // build-side columns needed as table-flat vectors
 	// fusedLeft is true when fused aggregation reads probe-side column
 	// vectors (a probe-side group key or aggregate argument); the
@@ -159,7 +158,7 @@ func (sn *snapshot) planVecJoin(st *SelectStmt, p *compiledSelect, ec *evalCtx) 
 			}
 		}
 	}
-	jp.planFused(st, p, ec, need)
+	jp.planFused(st, p, need)
 	for ci := range need {
 		if ci < jp.nLeft {
 			jp.needL = append(jp.needL, ci)
@@ -171,90 +170,26 @@ func (sn *snapshot) planVecJoin(st *SelectStmt, p *compiledSelect, ec *evalCtx) 
 }
 
 // planFused qualifies the fused-aggregation mode: grouped query, WHERE
-// absent or pushed, at most one plain-column group key (any type but
-// Timestamp), and the same kernelizable aggregates planVec accepts.
-// Declining only costs fusion — the join still runs vectorized and
-// materializes a relation for the row loops.
-func (jp *vecJoinPlan) planFused(st *SelectStmt, p *compiledSelect, ec *evalCtx, need map[int]bool) {
+// absent or pushed, at most one group key, and keys and aggregates that
+// addBatch can run. Declining only costs fusion — the join still runs
+// vectorized and materializes a relation for the row loops.
+func (jp *vecJoinPlan) planFused(st *SelectStmt, p *compiledSelect, need map[int]bool) {
 	if !p.grouped || (jp.hasWhere && jp.pred == nil) || len(st.GroupBy) > 1 {
 		return
 	}
-	gvp := &vecPlan{grouped: true}
-	var addL, addR []int
-	record := func(ci int) {
+	cols := map[int]bool{}
+	if !p.batchable(cols) {
+		return
+	}
+	for ci := range cols {
 		if ci < jp.nLeft {
-			addL = append(addL, ci)
+			need[ci] = true
+			jp.fusedLeft = true
 		} else {
-			addR = append(addR, ci)
+			jp.needR = append(jp.needR, ci)
 		}
 	}
-	if len(st.GroupBy) == 1 {
-		ce, isCol := st.GroupBy[0].(*colExpr)
-		if !isCol {
-			return
-		}
-		ci, err := ec.lookup(ce.Table, ce.Name)
-		if err != nil {
-			return
-		}
-		typ := p.srcSchema[ci].Type
-		if typ == value.Timestamp {
-			return
-		}
-		gvp.groupCols = []int{ci}
-		gvp.groupTypes = []value.Type{typ}
-		if typ == value.String || typ == value.Version {
-			gvp.singleStr = true
-		} else {
-			gvp.singleNum = true
-		}
-		record(ci)
-	}
-	for i, a := range p.aggs {
-		if a.Distinct {
-			return
-		}
-		op, known := aggOps[a.Name]
-		if !known {
-			return
-		}
-		if a.Star {
-			if op != opCount {
-				return
-			}
-			gvp.aggs = append(gvp.aggs, vecAgg{op: opCount, col: -1})
-			continue
-		}
-		ci := p.aggCols[i]
-		if ci < 0 {
-			return // argument is an expression, not a column
-		}
-		typ := p.srcSchema[ci].Type
-		switch op {
-		case opCount:
-			if typ == value.Timestamp {
-				return
-			}
-		case opSum, opAvg:
-			if typ != value.Integer && typ != value.Float {
-				return
-			}
-		case opMin, opMax:
-			if typ != value.Integer && typ != value.Float && typ != value.String {
-				return
-			}
-		default:
-			return
-		}
-		record(ci)
-		gvp.aggs = append(gvp.aggs, vecAgg{op: op, col: ci, typ: typ})
-	}
-	for _, ci := range addL {
-		need[ci] = true
-	}
-	jp.needR = addR
-	jp.fusedLeft = len(addL) > 0
-	jp.gvp = gvp
+	jp.fused = true
 }
 
 // ------------------------------------------------------ build side
@@ -641,14 +576,50 @@ func (h *joinHash) keyZoneMiss(km *blockMeta, kt value.Type) bool {
 
 // ------------------------------------------------------ probe side
 
-// joinPairs is one probe morsel's output in materialize mode: pl[j] is
-// a row index into rows, pr[j] a build-table ordinal (-1 for a LEFT
-// pad). Pairs are emitted in probe order with ascending build ordinals
-// per probe row, so concatenating partials in morsel index order
-// reproduces the row engine's output order exactly.
+// joinBuild is the build side as the probe pairs read it, shared by
+// every morsel: the build table's rows by ordinal, the table-flat
+// vectors of the columns fused aggregation reads (indexed by joined
+// schema column), and the NULL row a LEFT join pads with.
+type joinBuild struct {
+	nLeft     int
+	leftOuter bool
+	build     []Row
+	flat      []*colVec
+	pad       Row
+}
+
+// joinPairs is one probe morsel's output: tuple j joins probe row
+// rows[pl[j]] to build ordinal pr[j] (-1 for a LEFT pad). Pairs are
+// emitted in probe order with ascending build ordinals per probe row,
+// so taking partials in morsel index order reproduces the row engine's
+// output order exactly. It is the aggBatch of the fused mode.
 type joinPairs struct {
+	*joinBuild
 	rows   []Row
+	cv     []*colVec // probe-side vectors over rows
 	pl, pr []int32
+}
+
+func (b *joinPairs) size() int { return len(b.pl) }
+
+// col reads a probe-side column through the morsel's vectors at pl, a
+// build-side one through the table-flat vectors at pr, where a pad
+// reads as NULL.
+func (b *joinPairs) col(ci int) (*colVec, []int32, bool) {
+	if ci < b.nLeft {
+		return b.cv[ci], b.pl, false
+	}
+	return b.flat[ci], b.pr, b.leftOuter
+}
+
+// rep materializes tuple j's joined row.
+func (b *joinPairs) rep(j int) Row {
+	row := make(Row, 0, b.nLeft+len(b.pad))
+	row = append(row, b.rows[b.pl[j]]...)
+	if r := b.pr[j]; r >= 0 {
+		return append(row, b.build[r]...)
+	}
+	return append(row, b.pad...)
 }
 
 // runVecJoin executes a planned equi-join through the vectorized path.
@@ -687,17 +658,23 @@ func (sn *snapshot) runVecJoin(st *SelectStmt, p *compiledSelect) (*Result, *rel
 		return nil, nil, true, err
 	}
 
-	// Build-side payload vectors for fused aggregation: one table-flat
-	// vector per needed column, indexed by build ordinal.
-	var rflat []*colVec
-	if jp.gvp != nil && len(jp.needR) > 0 {
-		rflat = make([]*colVec, len(p.srcSchema))
+	// The build side as the pairs read it. Fused aggregation takes its
+	// payload columns as table-flat vectors, indexed by build ordinal.
+	build := &joinBuild{
+		nLeft: jp.nLeft, leftOuter: jp.leftOuter, build: rtRows,
+		pad: make(Row, len(p.srcSchema)-jp.nLeft),
+	}
+	for i := range build.pad {
+		build.pad[i] = value.Null(p.srcSchema[jp.nLeft+i].Type)
+	}
+	if len(jp.needR) > 0 {
+		build.flat = make([]*colVec, len(p.srcSchema))
 		for _, ci := range jp.needR {
 			v := buildColVec(rtRows, ci-jp.nLeft, p.srcSchema[ci].Type)
 			if v == nil {
 				return nil, nil, false, nil
 			}
-			rflat[ci] = v
+			build.flat[ci] = v
 		}
 	}
 
@@ -878,90 +855,17 @@ func (sn *snapshot) runVecJoin(st *SelectStmt, p *compiledSelect) (*Result, *rel
 		return pl, pr
 	}
 
-	if jp.gvp != nil {
-		return sn.runVecJoinFused(st, p, jp, rtRows, rflat, morsels, total, env, hydrate, probeMorsel)
-	}
-
-	// Materialize mode: collect pairs per morsel, then build the joined
-	// relation in morsel index order — late materialization touches the
-	// payload rows only for surviving pairs.
+	// Collect pairs per morsel. Fused mode aggregates them on the spot —
+	// grouped and fed to the kernels without materializing a joined row
+	// beyond one representative per distinct group — and merges the
+	// partial tables in morsel index order.
 	parts := make([]*joinPairs, len(morsels))
+	var tables []*groupTable
+	if jp.fused {
+		tables = make([]*groupTable, len(morsels))
+	}
 	err = runMorsels(env, len(morsels), total, func(mi int) error {
 		_ = fpMorsel.Inject() // latency-model site
-		ch, lo, hi, skip, padAll, err := hydrate(&morsels[mi])
-		if skip || err != nil {
-			return err
-		}
-		pl, pr := probeMorsel(&ch, lo, hi, padAll)
-		if len(pl) > 0 {
-			parts[mi] = &joinPairs{rows: ch.rows, pl: pl, pr: pr}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, true, err
-	}
-	npairs := 0
-	for _, part := range parts {
-		if part != nil {
-			npairs += len(part.pl)
-		}
-	}
-	width := len(p.srcSchema)
-	padRight := make(Row, width-jp.nLeft)
-	for i := range padRight {
-		padRight[i] = value.Null(p.srcSchema[jp.nLeft+i].Type)
-	}
-	out := make([]Row, 0, npairs)
-	for _, part := range parts {
-		if part == nil {
-			continue
-		}
-		for j, liIdx := range part.pl {
-			row := make(Row, 0, width)
-			row = append(row, part.rows[liIdx]...)
-			if r := part.pr[j]; r >= 0 {
-				row = append(row, rtRows[r]...)
-			} else {
-				row = append(row, padRight...)
-			}
-			out = append(out, row)
-		}
-	}
-	return nil, &relation{schema: p.srcSchema, chunks: [][]Row{out}, nrows: len(out)}, true, nil
-}
-
-// runVecJoinFused aggregates straight from the probe pairs: each
-// morsel's pairs are grouped and fed to the aggregate kernels without
-// materializing a single joined row, partials merge in morsel index
-// order, and the representative row each group needs for projection is
-// built once per distinct group.
-func (sn *snapshot) runVecJoinFused(
-	st *SelectStmt, p *compiledSelect, jp *vecJoinPlan,
-	rtRows []Row, rflat []*colVec, morsels []vecMorsel, total int, env *execEnv,
-	hydrate func(*vecMorsel) (chunkVecs, int, int, bool, bool, error),
-	probeMorsel func(*chunkVecs, int, int, bool) ([]int32, []int32),
-) (*Result, *relation, bool, error) {
-	gvp := jp.gvp
-	width := len(p.srcSchema)
-	padRight := make(Row, width-jp.nLeft)
-	for i := range padRight {
-		padRight[i] = value.Null(p.srcSchema[jp.nLeft+i].Type)
-	}
-	joinedRow := func(rows []Row, liIdx, r int32) Row {
-		row := make(Row, 0, width)
-		row = append(row, rows[liIdx]...)
-		if r >= 0 {
-			row = append(row, rtRows[r]...)
-		} else {
-			row = append(row, padRight...)
-		}
-		return row
-	}
-
-	parts := make([]*vecPartial, len(morsels))
-	err := runMorsels(env, len(morsels), total, func(mi int) error {
-		_ = fpMorsel.Inject()
 		ch, lo, hi, skip, padAll, err := hydrate(&morsels[mi])
 		if skip || err != nil {
 			return err
@@ -970,173 +874,42 @@ func (sn *snapshot) runVecJoinFused(
 		if len(pl) == 0 {
 			return nil
 		}
-		parts[mi] = jp.processJoinMorsel(&ch, pl, pr, rflat, joinedRow)
+		pairs := &joinPairs{joinBuild: build, rows: ch.rows, cv: ch.cv, pl: pl, pr: pr}
+		if jp.fused {
+			tables[mi] = newGroupTable(st, p)
+			tables[mi].addBatch(pairs, make([]int32, len(pl)))
+		} else {
+			parts[mi] = pairs
+		}
 		return nil
 	})
 	if err != nil {
 		return nil, nil, true, err
 	}
-	merged := gvp.mergePartials(parts)
-	buckets := merged.groups
-	if len(buckets) == 0 && len(st.GroupBy) == 0 {
-		rep := make(Row, len(p.srcSchema))
-		for i := range rep {
-			rep[i] = value.Null(p.srcSchema[i].Type)
-		}
-		buckets = []*vecGroup{{rep: rep, st: make([]vecAcc, len(gvp.aggs))}}
+	if jp.fused {
+		res, err := renderParts(st, p, tables)
+		return res, nil, true, err
 	}
-	needReps := len(st.OrderBy) > 0 && !st.Distinct
-	var outRows, reps []Row
-	var aggVs []map[*aggExpr]value.Value
-	ctx := &execCtx{}
-	for _, g := range buckets {
-		aggV := make(map[*aggExpr]value.Value, len(p.aggs))
-		for i, a := range p.aggs {
-			if a.Star {
-				aggV[a] = value.NewInt(g.n)
-			} else {
-				aggV[a] = gvp.aggs[i].result(&g.st[i])
-			}
-		}
-		ctx.row, ctx.aggs = g.rep, aggV
-		if p.having != nil {
-			v, err := p.having(ctx)
-			if err != nil {
-				return nil, nil, true, err
-			}
-			if !boolTrue(v) {
-				continue
-			}
-		}
-		row, err := p.projectRow(ctx, g.rep)
-		if err != nil {
-			return nil, nil, true, err
-		}
-		outRows = append(outRows, row)
-		if needReps {
-			reps = append(reps, g.rep)
-			aggVs = append(aggVs, aggV)
-		}
-	}
-	res, err := p.finish(st, outRows, reps, aggVs)
-	return res, nil, true, err
-}
 
-// processJoinMorsel groups one morsel's pairs and runs the aggregate
-// kernels. Probe-side columns are read through the morsel's vectors at
-// pl positions; build-side columns through the table-flat vectors at
-// pr ordinals, with LEFT pads (pr < 0) contributing NULL — i.e. they
-// are skipped for build-side aggregates and land in the NULL group
-// when the group key is build-side.
-func (jp *vecJoinPlan) processJoinMorsel(
-	ch *chunkVecs, pl, pr []int32, rflat []*colVec,
-	joinedRow func([]Row, int32, int32) Row,
-) *vecPartial {
-	gvp := jp.gvp
-	part := gvp.newPartial()
-	stride := len(gvp.aggs)
-	newGroup := func(j int) *vecGroup {
-		g := &vecGroup{rep: joinedRow(ch.rows, pl[j], pr[j]), idx: int32(len(part.groups))}
-		part.groups = append(part.groups, g)
-		for i := 0; i < stride; i++ {
-			part.accs = append(part.accs, vecAcc{})
-		}
-		return g
-	}
-	gids := make([]int32, len(pl))
-	switch {
-	case len(gvp.groupCols) == 0:
-		g := newGroup(0)
-		g.n = int64(len(pl))
-		// gids are zero-initialized; nothing to assign.
-	default:
-		gc := gvp.groupCols[0]
-		onLeft := gc < jp.nLeft
-		var kv *colVec
-		if onLeft {
-			kv = ch.cv[gc]
-		} else {
-			kv = rflat[gc]
-		}
-		isFloat := gvp.groupTypes[0] == value.Float
-		for j := range pl {
-			// Resolve the key position: probe row index, or build
-			// ordinal (-1 ⇒ the pad's NULL group).
-			ki := int(pl[j])
-			if !onLeft {
-				ki = int(pr[j])
-			}
-			var g *vecGroup
-			if ki < 0 || kv.null(ki) {
-				if part.nullG == nil {
-					part.nullG = newGroup(j)
-					part.nullG.isNull = true
-				}
-				g = part.nullG
-			} else if gvp.singleNum {
-				var k uint64
-				if isFloat {
-					k = math.Float64bits(kv.floats[ki])
-				} else {
-					k = uint64(kv.ints[ki])
-				}
-				var ok bool
-				g, ok = part.num[k]
-				if !ok {
-					g = newGroup(j)
-					g.knum = k
-					part.num[k] = g
-				}
-			} else {
-				k := kv.strs[ki]
-				var ok bool
-				g, ok = part.str[k]
-				if !ok {
-					g = newGroup(j)
-					g.kstr = k
-					part.str[k] = g
-				}
-			}
-			g.n++
-			gids[j] = g.idx
+	// Materialize mode: build the joined relation in morsel index order —
+	// late materialization touches the payload rows only for surviving
+	// pairs.
+	npairs := 0
+	for _, part := range parts {
+		if part != nil {
+			npairs += len(part.pl)
 		}
 	}
-	// Build-side kernels cannot index a pad (-1); filter those pairs
-	// once if any aggregate needs the build side.
-	var prSel, prGids []int32
-	rightSel := func() ([]int32, []int32) {
-		if prSel != nil || !jp.leftOuter {
-			if prSel == nil {
-				prSel, prGids = pr, gids
-			}
-			return prSel, prGids
+	out := make([]Row, 0, npairs)
+	for _, part := range parts {
+		if part == nil {
+			continue
 		}
-		prSel = make([]int32, 0, len(pr))
-		prGids = make([]int32, 0, len(pr))
-		for j, r := range pr {
-			if r >= 0 {
-				prSel = append(prSel, r)
-				prGids = append(prGids, gids[j])
-			}
-		}
-		return prSel, prGids
-	}
-	for k := range gvp.aggs {
-		a := &gvp.aggs[k]
-		if a.col < 0 {
-			continue // COUNT(*): served by group row counts
-		}
-		if a.col < jp.nLeft {
-			runAggKernel(a, ch.cv[a.col], pl, gids, part.accs, stride, k)
-		} else {
-			sel, sgids := rightSel()
-			runAggKernel(a, rflat[a.col], sel, sgids, part.accs, stride, k)
+		for j := range part.pl {
+			out = append(out, part.rep(j))
 		}
 	}
-	for i, g := range part.groups {
-		g.st = part.accs[i*stride : (i+1)*stride : (i+1)*stride]
-	}
-	return part
+	return nil, &relation{schema: p.srcSchema, chunks: [][]Row{out}, nrows: len(out)}, true, nil
 }
 
 // vecJoinBlockSkips statically counts how many of the probe table's

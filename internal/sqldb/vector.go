@@ -8,27 +8,28 @@ package sqldb
 // attaches a vecPlan to the compiled plan and runSelect executes it
 // over the columnar projections of colcache.go instead of boxed rows:
 // predicates evaluate into boolean masks over typed vectors, masks
-// compact into selection vectors, group assignment produces one group
-// id per selected row, and each aggregate runs as an unboxed kernel
-// loop over (vector, selection, group ids). Anything the plan cannot
-// express falls back to the row engine, which remains the semantic
-// reference; the differential fuzzer holds the two byte-for-byte equal.
+// compact into selection vectors, and a grouped statement hands each
+// morsel's selection to a partial group table's addBatch — grouping,
+// kernels, merge and render are aggregate.go's, which also says which
+// aggregates have kernels. Anything the plan cannot express falls back
+// to the row engine, which remains the semantic reference; the
+// differential fuzzer holds the two byte-for-byte equal.
 //
 // Parallelism is morsel-driven: every chunk is cut into fixed-size
 // morsels, a bounded worker pool pulls morsel indexes from an atomic
-// counter, and each morsel produces a partial (groups + accumulator
-// states, or filtered output rows). Partials are merged in MORSEL
-// index order — not worker order — so results are identical no matter
-// how many workers ran or how the scheduler interleaved them. For
-// integer columns the aggregates are exact (int64 accumulators); for
-// float columns SUM/AVG may differ from the row engine in the last ulp
-// on multi-morsel tables because float addition is reordered (this is
-// the one documented divergence, and the fuzzer's schema keeps its
-// aggregate columns integer so byte-for-byte comparison stays valid).
+// counter, and each morsel produces a partial (a group table, or
+// filtered output rows). Partials are merged in MORSEL index order —
+// not worker order — so results are identical no matter how many
+// workers ran or how the scheduler interleaved them. Integer SUM, MIN,
+// MAX and COUNT are exact; a float sum (SUM or AVG over a float column,
+// AVG over an integer column once its sum passes 2^53) may differ from
+// the row engine in the last ulp on multi-morsel tables because float
+// addition is reordered (this is the one documented divergence, and
+// the fuzzer keeps every sum it compares exactly representable so
+// byte-for-byte comparison stays valid).
 
 import (
 	"math"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -53,16 +54,6 @@ const (
 // which lets worker overlap be measured even on a single-CPU host.
 var fpMorsel = failpoint.Site("sqldb/vector/morsel")
 
-// vecAgg is one aggregate in kernel form: the op, the source column
-// (-1 for COUNT(*), which is served by the per-group row count), and
-// the column's type, which picks the accumulator field and the result
-// boxing. Aligned index-for-index with compiledSelect.aggs.
-type vecAgg struct {
-	op  aggOp
-	col int
-	typ value.Type
-}
-
 // vecPredFn evaluates a predicate over rows [lo, lo+len(mask)) of one
 // chunk's vectors, writing the collapsed boolean (NULL → false, which
 // is exact at the top level of a WHERE) into mask.
@@ -86,17 +77,6 @@ type vecPlan struct {
 	// predicate shape cannot be reasoned about from zone maps (which
 	// only costs skipping, never correctness).
 	zone zoneFn
-
-	grouped    bool
-	groupCols  []int
-	groupTypes []value.Type
-	// Single-column group keys bucket on the value directly, exactly
-	// like the row engine's fast keys: numeric/boolean keys on the
-	// value bits, string/version keys on the string datum.
-	singleNum bool
-	singleStr bool
-
-	aggs []vecAgg
 }
 
 // planVec decides whether st can run vectorized and compiles the plan
@@ -116,7 +96,7 @@ func (sn *snapshot) planVec(st *SelectStmt, p *compiledSelect, ec *evalCtx) *vec
 	if _, ok := sn.explainIndexProbe(st.From[0], st.Where); ok {
 		return nil
 	}
-	vp := &vecPlan{tableKey: lower(st.From[0].Table), grouped: p.grouped}
+	vp := &vecPlan{tableKey: lower(st.From[0].Table)}
 	need := map[int]bool{}
 	if st.Where != nil {
 		vp.pred = compileVecPred(st.Where, ec, p.srcSchema, need)
@@ -126,70 +106,8 @@ func (sn *snapshot) planVec(st *SelectStmt, p *compiledSelect, ec *evalCtx) *vec
 		vp.zone = compileZonePred(st.Where, ec, p.srcSchema)
 	}
 	if p.grouped {
-		for _, g := range st.GroupBy {
-			ce, isCol := g.(*colExpr)
-			if !isCol {
-				return nil
-			}
-			ci, err := ec.lookup(ce.Table, ce.Name)
-			if err != nil {
-				return nil
-			}
-			typ := p.srcSchema[ci].Type
-			if typ == value.Timestamp {
-				return nil
-			}
-			vp.groupCols = append(vp.groupCols, ci)
-			vp.groupTypes = append(vp.groupTypes, typ)
-			need[ci] = true
-		}
-		if len(vp.groupCols) == 1 {
-			if t := vp.groupTypes[0]; t == value.String || t == value.Version {
-				vp.singleStr = true
-			} else {
-				vp.singleNum = true
-			}
-		}
-		for i, a := range p.aggs {
-			if a.Distinct {
-				return nil
-			}
-			op, known := aggOps[a.Name]
-			if !known {
-				return nil
-			}
-			if a.Star {
-				if op != opCount {
-					return nil
-				}
-				vp.aggs = append(vp.aggs, vecAgg{op: opCount, col: -1})
-				continue
-			}
-			ci := p.aggCols[i]
-			if ci < 0 {
-				return nil // argument is an expression, not a column
-			}
-			typ := p.srcSchema[ci].Type
-			switch op {
-			case opCount:
-				if typ == value.Timestamp {
-					return nil
-				}
-			case opSum, opAvg:
-				if typ != value.Integer && typ != value.Float {
-					return nil
-				}
-			case opMin, opMax:
-				// Version compares component-wise, not bytewise; leave
-				// it (and Boolean/Timestamp) to the row engine.
-				if typ != value.Integer && typ != value.Float && typ != value.String {
-					return nil
-				}
-			default:
-				return nil
-			}
-			need[ci] = true
-			vp.aggs = append(vp.aggs, vecAgg{op: op, col: ci, typ: typ})
+		if !p.batchable(need) {
+			return nil
 		}
 	} else if vp.pred == nil {
 		// An unfiltered, ungrouped scan is pure row materialization;
@@ -1121,43 +1039,6 @@ func compileZoneIn(t *inExpr, ec *evalCtx, src Schema) zoneFn {
 
 // ------------------------------------------------------ execution
 
-// vecAcc is one aggregate accumulator: non-NULL input count plus the
-// one field the (op, type) pair uses.
-type vecAcc struct {
-	n int64
-	i int64
-	f float64
-	s string
-}
-
-// vecGroup is one group's state in a partial: the representative row
-// (the group's first row in scan order), the row count (serves
-// COUNT(*)), the group key in whichever form the plan buckets on, and
-// one accumulator per aggregate. idx is the group's position in its
-// partial's first-seen order, so group-id assignment is O(1) per row.
-type vecGroup struct {
-	rep    Row
-	n      int64
-	idx    int32
-	knum   uint64
-	kstr   string
-	isNull bool
-	st     []vecAcc
-}
-
-// vecPartial accumulates one morsel's groups in first-seen order.
-// Accumulators live in one contiguous accs array (stride = number of
-// aggregates, group g's block at g.idx*stride) so the kernels index a
-// flat array instead of chasing a per-group slice; each group's st
-// view is carved out of accs once the morsel is done.
-type vecPartial struct {
-	groups []*vecGroup
-	accs   []vecAcc
-	num    map[uint64]*vecGroup
-	str    map[string]*vecGroup
-	nullG  *vecGroup
-}
-
 // morselBufs holds the per-morsel scratch (selection vector and group
 // ids, both capped at vecMorselRows) recycled across morsels to keep
 // the scan loop allocation-free.
@@ -1172,19 +1053,6 @@ var morselBufPool = sync.Pool{
 			gids: make([]int32, vecMorselRows),
 		}
 	},
-}
-
-func (vp *vecPlan) newPartial() *vecPartial {
-	p := &vecPartial{}
-	switch {
-	case len(vp.groupCols) == 0:
-		// implicit single group; no index needed
-	case vp.singleNum:
-		p.num = map[uint64]*vecGroup{}
-	default:
-		p.str = map[string]*vecGroup{}
-	}
-	return p
 }
 
 type chunkVecs struct {
@@ -1288,63 +1156,23 @@ func (sn *snapshot) runVecSelect(st *SelectStmt, p *compiledSelect) (*Result, bo
 
 	needReps := len(st.OrderBy) > 0 && !st.Distinct
 	var outRows, reps []Row
-	var aggVs []map[*aggExpr]value.Value
 
-	if vp.grouped {
-		parts := make([]*vecPartial, len(morsels))
+	if p.grouped {
+		parts := make([]*groupTable, len(morsels))
 		err := runMorsels(env, len(morsels), total, func(mi int) error {
 			_ = fpMorsel.Inject() // latency-model site
 			ch, lo, hi, skip, err := hydrate(&morsels[mi])
 			if skip || err != nil {
-				return err // pruned block: nil partial, mergePartials skips it
+				return err // pruned block: nil partial, renderParts skips it
 			}
-			parts[mi] = vp.processGroupMorsel(&ch, lo, hi)
+			parts[mi] = vp.groupMorsel(st, p, &ch, lo, hi)
 			return nil
 		})
 		if err != nil {
 			return nil, true, err
 		}
-		merged := vp.mergePartials(parts)
-		buckets := merged.groups
-		if len(buckets) == 0 && len(st.GroupBy) == 0 {
-			// An aggregate query with no GROUP BY yields one group even
-			// over an empty input.
-			rep := make(Row, len(p.srcSchema))
-			for i := range rep {
-				rep[i] = value.Null(p.srcSchema[i].Type)
-			}
-			buckets = []*vecGroup{{rep: rep, st: make([]vecAcc, len(vp.aggs))}}
-		}
-		ctx := &execCtx{}
-		for _, g := range buckets {
-			aggV := make(map[*aggExpr]value.Value, len(p.aggs))
-			for i, a := range p.aggs {
-				if a.Star {
-					aggV[a] = value.NewInt(g.n)
-				} else {
-					aggV[a] = vp.aggs[i].result(&g.st[i])
-				}
-			}
-			ctx.row, ctx.aggs = g.rep, aggV
-			if p.having != nil {
-				v, err := p.having(ctx)
-				if err != nil {
-					return nil, true, err
-				}
-				if !boolTrue(v) {
-					continue
-				}
-			}
-			row, err := p.projectRow(ctx, g.rep)
-			if err != nil {
-				return nil, true, err
-			}
-			outRows = append(outRows, row)
-			if needReps {
-				reps = append(reps, g.rep)
-				aggVs = append(aggVs, aggV)
-			}
-		}
+		res, err := renderParts(st, p, parts)
+		return res, true, err
 	} else {
 		type morselOut struct {
 			rows []Row
@@ -1384,15 +1212,10 @@ func (sn *snapshot) runVecSelect(st *SelectStmt, p *compiledSelect) (*Result, bo
 		}
 		for _, mo := range outs {
 			outRows = append(outRows, mo.rows...)
-			if needReps {
-				reps = append(reps, mo.reps...)
-				for range mo.reps {
-					aggVs = append(aggVs, nil)
-				}
-			}
+			reps = append(reps, mo.reps...)
 		}
 	}
-	res, err := p.finish(st, outRows, reps, aggVs)
+	res, err := p.finish(st, outRows, reps, nil)
 	return res, true, err
 }
 
@@ -1454,11 +1277,21 @@ func vecMorselCount(t *table) int {
 	return n
 }
 
-// processGroupMorsel runs filter → group-assign → aggregate kernels
-// over rows [lo, hi) of one chunk.
-func (vp *vecPlan) processGroupMorsel(ch *chunkVecs, lo, hi int) *vecPartial {
-	part := vp.newPartial()
-	n := hi - lo
+// scanBatch is a single-table morsel as addBatch reads it: the selected
+// rows of one chunk, every column's vector indexed by the same
+// chunk-absolute positions.
+type scanBatch struct {
+	ch  *chunkVecs
+	sel []int32
+}
+
+func (b scanBatch) size() int                           { return len(b.sel) }
+func (b scanBatch) col(ci int) (*colVec, []int32, bool) { return b.ch.cv[ci], b.sel, false }
+func (b scanBatch) rep(j int) Row                       { return b.ch.rows[b.sel[j]] }
+
+// groupMorsel filters rows [lo, hi) of one chunk into a selection
+// vector and aggregates them into a partial group table.
+func (vp *vecPlan) groupMorsel(st *SelectStmt, p *compiledSelect, ch *chunkVecs, lo, hi int) *groupTable {
 	bufs := morselBufPool.Get().(*morselBufs)
 	defer morselBufPool.Put(bufs)
 	// Selection vector: absolute row indexes within the chunk.
@@ -1468,7 +1301,7 @@ func (vp *vecPlan) processGroupMorsel(ch *chunkVecs, lo, hi int) *vecPartial {
 			sel = append(sel, int32(i))
 		}
 	} else {
-		mask := make([]bool, n)
+		mask := make([]bool, hi-lo)
 		vp.pred(ch.cv, lo, mask)
 		for i, keep := range mask {
 			if keep {
@@ -1476,412 +1309,7 @@ func (vp *vecPlan) processGroupMorsel(ch *chunkVecs, lo, hi int) *vecPartial {
 			}
 		}
 	}
-	if len(sel) == 0 {
-		return part
-	}
-	stride := len(vp.aggs)
-	newGroup := func(rep Row) *vecGroup {
-		g := &vecGroup{rep: rep, idx: int32(len(part.groups))}
-		part.groups = append(part.groups, g)
-		for i := 0; i < stride; i++ {
-			part.accs = append(part.accs, vecAcc{})
-		}
-		return g
-	}
-	gids := bufs.gids[:len(sel)]
-	switch {
-	case len(vp.groupCols) == 0:
-		g := newGroup(ch.rows[sel[0]])
-		g.n = int64(len(sel))
-		for j := range gids {
-			gids[j] = 0
-		}
-	case vp.singleNum:
-		kc := vp.groupCols[0]
-		kv := ch.cv[kc]
-		isFloat := vp.groupTypes[0] == value.Float
-		for j, ri := range sel {
-			i := int(ri)
-			var g *vecGroup
-			if kv.null(i) {
-				if part.nullG == nil {
-					part.nullG = newGroup(ch.rows[i])
-					part.nullG.isNull = true
-				}
-				g = part.nullG
-			} else {
-				var k uint64
-				if isFloat {
-					k = math.Float64bits(kv.floats[i])
-				} else {
-					k = uint64(kv.ints[i])
-				}
-				var ok bool
-				g, ok = part.num[k]
-				if !ok {
-					g = newGroup(ch.rows[i])
-					g.knum = k
-					part.num[k] = g
-				}
-			}
-			g.n++
-			gids[j] = g.idx
-		}
-	case vp.singleStr:
-		kc := vp.groupCols[0]
-		kv := ch.cv[kc]
-		if codes, vals := kv.dict(); codes != nil {
-			// Dictionary path: one array read per row, one hash insert
-			// per distinct value per morsel. part.str is still filled so
-			// mergePartials buckets identically either way.
-			lut := make([]*vecGroup, len(vals))
-			for j, ri := range sel {
-				i := int(ri)
-				var g *vecGroup
-				if c := codes[i]; c < 0 {
-					if part.nullG == nil {
-						part.nullG = newGroup(ch.rows[i])
-						part.nullG.isNull = true
-					}
-					g = part.nullG
-				} else if g = lut[c]; g == nil {
-					g = newGroup(ch.rows[i])
-					g.kstr = vals[c]
-					part.str[g.kstr] = g
-					lut[c] = g
-				}
-				g.n++
-				gids[j] = g.idx
-			}
-			break
-		}
-		for j, ri := range sel {
-			i := int(ri)
-			var g *vecGroup
-			if kv.null(i) {
-				if part.nullG == nil {
-					part.nullG = newGroup(ch.rows[i])
-					part.nullG.isNull = true
-				}
-				g = part.nullG
-			} else {
-				k := kv.strs[i]
-				var ok bool
-				g, ok = part.str[k]
-				if !ok {
-					g = newGroup(ch.rows[i])
-					g.kstr = k
-					part.str[k] = g
-				}
-			}
-			g.n++
-			gids[j] = g.idx
-		}
-	default:
-		// Composite key, encoded exactly like appendValueKey so group
-		// identity matches the row engine byte-for-byte.
-		var kbuf []byte
-		for j, ri := range sel {
-			i := int(ri)
-			kbuf = kbuf[:0]
-			for gi, gc := range vp.groupCols {
-				v := ch.cv[gc]
-				if v.null(i) {
-					kbuf = append(kbuf, "\x00NULL"...)
-				} else {
-					switch vp.groupTypes[gi] {
-					case value.Integer:
-						kbuf = strconv.AppendInt(kbuf, v.ints[i], 10)
-					case value.Float:
-						kbuf = strconv.AppendFloat(kbuf, v.floats[i], 'g', -1, 64)
-					case value.Boolean:
-						kbuf = strconv.AppendBool(kbuf, v.ints[i] != 0)
-					default: // String, Version
-						kbuf = append(kbuf, v.strs[i]...)
-					}
-				}
-				kbuf = append(kbuf, '\x1f')
-			}
-			g, ok := part.str[string(kbuf)]
-			if !ok {
-				g = newGroup(ch.rows[i])
-				g.kstr = string(kbuf)
-				part.str[g.kstr] = g
-			}
-			g.n++
-			gids[j] = g.idx
-		}
-	}
-	for k := range vp.aggs {
-		a := &vp.aggs[k]
-		if a.col < 0 {
-			continue // COUNT(*): served by group row counts
-		}
-		runAggKernel(a, ch.cv[a.col], sel, gids, part.accs, stride, k)
-	}
-	// Carve each group's accumulator view out of the flat array only
-	// now: appends during group discovery may have moved it.
-	for i, g := range part.groups {
-		g.st = part.accs[i*stride : (i+1)*stride : (i+1)*stride]
-	}
+	part := newGroupTable(st, p)
+	part.addBatch(scanBatch{ch, sel}, bufs.gids[:len(sel)])
 	return part
-}
-
-// runAggKernel feeds the selected rows of one column into accumulator
-// k of each row's group: slot accs[gid*stride+k] of the partial's flat
-// accumulator array. One tight loop per (op, type class), no Value
-// boxing anywhere.
-func runAggKernel(a *vecAgg, v *colVec, sel, gids []int32, accs []vecAcc, stride, k int) {
-	switch {
-	case a.op == opCount:
-		if v.nulls == nil {
-			for j := range sel {
-				accs[int(gids[j])*stride+k].n++
-			}
-			return
-		}
-		for j, ri := range sel {
-			if v.null(int(ri)) {
-				continue
-			}
-			accs[int(gids[j])*stride+k].n++
-		}
-	case (a.op == opSum || a.op == opAvg) && a.typ == value.Integer:
-		for j, ri := range sel {
-			i := int(ri)
-			if v.nulls != nil && v.null(i) {
-				continue
-			}
-			acc := &accs[int(gids[j])*stride+k]
-			acc.n++
-			acc.i += v.ints[i]
-		}
-	case a.op == opSum || a.op == opAvg: // Float
-		for j, ri := range sel {
-			i := int(ri)
-			if v.nulls != nil && v.null(i) {
-				continue
-			}
-			acc := &accs[int(gids[j])*stride+k]
-			acc.n++
-			acc.f += v.floats[i]
-		}
-	case a.op == opMin && a.typ == value.Integer:
-		for j, ri := range sel {
-			i := int(ri)
-			if v.nulls != nil && v.null(i) {
-				continue
-			}
-			acc := &accs[int(gids[j])*stride+k]
-			if x := v.ints[i]; acc.n == 0 || x < acc.i {
-				acc.i = x
-			}
-			acc.n++
-		}
-	case a.op == opMax && a.typ == value.Integer:
-		for j, ri := range sel {
-			i := int(ri)
-			if v.nulls != nil && v.null(i) {
-				continue
-			}
-			acc := &accs[int(gids[j])*stride+k]
-			if x := v.ints[i]; acc.n == 0 || x > acc.i {
-				acc.i = x
-			}
-			acc.n++
-		}
-	case a.op == opMin && a.typ == value.Float:
-		// NaN never compares less, so the earlier value wins — the same
-		// keep-first behaviour value.Compare gives the row engine.
-		for j, ri := range sel {
-			i := int(ri)
-			if v.nulls != nil && v.null(i) {
-				continue
-			}
-			acc := &accs[int(gids[j])*stride+k]
-			if x := v.floats[i]; acc.n == 0 {
-				acc.f = x
-			} else if x < acc.f {
-				acc.f = x
-			}
-			acc.n++
-		}
-	case a.op == opMax && a.typ == value.Float:
-		for j, ri := range sel {
-			i := int(ri)
-			if v.nulls != nil && v.null(i) {
-				continue
-			}
-			acc := &accs[int(gids[j])*stride+k]
-			if x := v.floats[i]; acc.n == 0 {
-				acc.f = x
-			} else if x > acc.f {
-				acc.f = x
-			}
-			acc.n++
-		}
-	case a.op == opMin: // String
-		for j, ri := range sel {
-			i := int(ri)
-			if v.nulls != nil && v.null(i) {
-				continue
-			}
-			acc := &accs[int(gids[j])*stride+k]
-			if x := v.strs[i]; acc.n == 0 || x < acc.s {
-				acc.s = x
-			}
-			acc.n++
-		}
-	default: // opMax, String
-		for j, ri := range sel {
-			i := int(ri)
-			if v.nulls != nil && v.null(i) {
-				continue
-			}
-			acc := &accs[int(gids[j])*stride+k]
-			if x := v.strs[i]; acc.n == 0 || x > acc.s {
-				acc.s = x
-			}
-			acc.n++
-		}
-	}
-}
-
-// mergePartials folds the per-morsel partials together in morsel index
-// order. First-seen group order across ordered morsels equals the row
-// engine's scan order, and ordered merging makes float results
-// independent of worker count.
-func (vp *vecPlan) mergePartials(parts []*vecPartial) *vecPartial {
-	out := vp.newPartial()
-	for _, part := range parts {
-		if part == nil {
-			continue
-		}
-		for _, g := range part.groups {
-			var tgt *vecGroup
-			switch {
-			case len(vp.groupCols) == 0:
-				if len(out.groups) > 0 {
-					tgt = out.groups[0]
-				}
-			case g.isNull:
-				tgt = out.nullG
-			case vp.singleNum:
-				tgt = out.num[g.knum]
-			default:
-				tgt = out.str[g.kstr]
-			}
-			if tgt == nil {
-				out.groups = append(out.groups, g)
-				switch {
-				case len(vp.groupCols) == 0:
-				case g.isNull:
-					out.nullG = g
-				case vp.singleNum:
-					out.num[g.knum] = g
-				default:
-					out.str[g.kstr] = g
-				}
-				continue
-			}
-			tgt.n += g.n
-			for k := range vp.aggs {
-				mergeAcc(&vp.aggs[k], &tgt.st[k], &g.st[k])
-			}
-		}
-	}
-	return out
-}
-
-// mergeAcc folds accumulator b (from a later morsel) into a.
-func mergeAcc(ag *vecAgg, a, b *vecAcc) {
-	if b.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = *b
-		return
-	}
-	switch ag.op {
-	case opCount:
-		a.n += b.n
-	case opSum, opAvg:
-		if ag.typ == value.Integer {
-			a.i += b.i
-		} else {
-			a.f += b.f
-		}
-		a.n += b.n
-	case opMin:
-		switch ag.typ {
-		case value.Integer:
-			if b.i < a.i {
-				a.i = b.i
-			}
-		case value.Float:
-			if b.f < a.f {
-				a.f = b.f
-			}
-		default:
-			if b.s < a.s {
-				a.s = b.s
-			}
-		}
-		a.n += b.n
-	case opMax:
-		switch ag.typ {
-		case value.Integer:
-			if b.i > a.i {
-				a.i = b.i
-			}
-		case value.Float:
-			if b.f > a.f {
-				a.f = b.f
-			}
-		default:
-			if b.s > a.s {
-				a.s = b.s
-			}
-		}
-		a.n += b.n
-	}
-}
-
-// result boxes a finalized accumulator, reproducing aggState.result
-// exactly: empty inputs yield NULL (typed Float, as the row engine
-// does), SUM over an integer column stays an integer, AVG divides the
-// exact integer sum.
-func (ag *vecAgg) result(acc *vecAcc) value.Value {
-	switch ag.op {
-	case opCount:
-		return value.NewInt(acc.n)
-	case opSum:
-		if acc.n == 0 {
-			return value.Null(value.Float)
-		}
-		if ag.typ == value.Integer {
-			return value.NewInt(acc.i)
-		}
-		return value.NewFloat(acc.f)
-	case opAvg:
-		if acc.n == 0 {
-			return value.Null(value.Float)
-		}
-		if ag.typ == value.Integer {
-			return value.NewFloat(float64(acc.i) / float64(acc.n))
-		}
-		return value.NewFloat(acc.f / float64(acc.n))
-	case opMin, opMax:
-		if acc.n == 0 {
-			return value.Null(value.Float)
-		}
-		switch ag.typ {
-		case value.Integer:
-			return value.NewInt(acc.i)
-		case value.Float:
-			return value.NewFloat(acc.f)
-		}
-		return value.NewString(acc.s)
-	}
-	return value.Null(value.Float)
 }
