@@ -11,13 +11,6 @@ import (
 	"perfbase/internal/value"
 )
 
-// statOps maps perfbase operator types to SQL aggregate functions.
-var statOps = map[string]string{
-	"avg": "AVG", "stddev": "STDDEV", "variance": "VARIANCE",
-	"count": "COUNT", "min": "MIN", "max": "MAX", "prod": "PROD", "sum": "SUM",
-	"median": "MEDIAN", "geomean": "GEOMEAN",
-}
-
 // execOperator runs an operator element. Per paper §3.3.2, the mode is
 // differentiated automatically by the number and origin of the inputs
 // and the operator type:
@@ -46,7 +39,8 @@ func (en *Engine) execOperator(spec *pbxml.OperatorElem, inputs []*Vector, place
 		local[i] = lv
 	}
 
-	if _, isStat := statOps[typ]; isStat {
+	// The statistical operators are the engine's aggregates, by name.
+	if _, isStat := sqldb.AggResultType(typ, value.Float); isStat {
 		switch {
 		case len(local) == 1 && local[0].FromSource:
 			return en.aggregateDataSets(spec, typ, local[0], placement)
@@ -87,29 +81,23 @@ func targetValues(spec *pbxml.OperatorElem, v *Vector) ([]ColumnMeta, error) {
 	return []ColumnMeta{c}, nil
 }
 
-// aggType is the column type after aggregation.
-func aggType(op string, in value.Type) value.Type {
-	switch op {
-	case "count":
-		return value.Integer
-	case "min", "max":
-		return in
-	case "sum", "prod":
-		if in == value.Integer && op == "sum" {
-			return value.Integer
-		}
-		return value.Float
-	default:
-		return value.Float
-	}
-}
-
 // aggUnit is the column unit after aggregation (count drops the unit).
 func aggUnit(op string, in units.Unit) units.Unit {
 	if op == "count" {
 		return units.Dimensionless
 	}
 	return in
+}
+
+// aggColumn is value column vc after aggregation by statistical operator
+// typ, of the type the engine gives that aggregate's result, and the
+// SELECT item that computes it.
+func aggColumn(typ string, vc ColumnMeta) (ColumnMeta, string) {
+	rt, _ := sqldb.AggResultType(typ, vc.Type)
+	return ColumnMeta{
+		Name: vc.Name, Type: rt, Unit: aggUnit(typ, vc.Unit),
+		Synopsis: typ + " of " + synopsisOr(vc),
+	}, strings.ToUpper(typ) + "(" + vc.Name + ") AS " + vc.Name
 }
 
 // aggregateDataSets implements data set aggregation: one SQL GROUP BY
@@ -129,11 +117,8 @@ func (en *Engine) aggregateDataSets(spec *pbxml.OperatorElem, typ string, in *Ve
 		sel = append(sel, p.Name)
 	}
 	for _, vc := range vals {
-		cols = append(cols, ColumnMeta{
-			Name: vc.Name, Type: aggType(typ, vc.Type), Unit: aggUnit(typ, vc.Unit),
-			Synopsis: typ + " of " + synopsisOr(vc),
-		})
-		sel = append(sel, fmt.Sprintf("%s(%s) AS %s", statOps[typ], vc.Name, vc.Name))
+		col, item := aggColumn(typ, vc)
+		cols, sel = append(cols, col), append(sel, item)
 	}
 	out := &Vector{DB: placement, Table: tempName(spec.ID), Cols: cols}
 	stmt := "CREATE TEMP TABLE " + out.Table + " AS SELECT " + strings.Join(sel, ", ") +
@@ -167,11 +152,8 @@ func (en *Engine) reduceVector(spec *pbxml.OperatorElem, typ string, in *Vector,
 	var cols []ColumnMeta
 	var sel []string
 	for _, vc := range vals {
-		cols = append(cols, ColumnMeta{
-			Name: vc.Name, Type: aggType(typ, vc.Type), Unit: aggUnit(typ, vc.Unit),
-			Synopsis: typ + " of " + synopsisOr(vc),
-		})
-		sel = append(sel, fmt.Sprintf("%s(%s) AS %s", statOps[typ], vc.Name, vc.Name))
+		col, item := aggColumn(typ, vc)
+		cols, sel = append(cols, col), append(sel, item)
 	}
 	out := &Vector{DB: placement, Table: tempName(spec.ID), Cols: cols}
 	stmt := "CREATE TEMP TABLE " + out.Table + " AS SELECT " + strings.Join(sel, ", ") +
@@ -318,14 +300,14 @@ func (en *Engine) eval(spec *pbxml.OperatorElem, ins []*Vector, placement sqldb.
 	if err != nil {
 		return nil, fmt.Errorf("query: operator %s: %w", spec.ID, err)
 	}
-	outName := spec.Variable
-	if outName == "" {
-		outName = spec.ID
+	colName := spec.Variable
+	if colName == "" {
+		colName = spec.ID
 	}
 	params := in.Params()
 	cols := append([]ColumnMeta{}, params...)
 	cols = append(cols, ColumnMeta{
-		Name: outName, Type: value.Float, Synopsis: spec.Expression,
+		Name: colName, Type: value.Float, Synopsis: spec.Expression,
 	})
 	out := &Vector{DB: placement, Table: tempName(spec.ID), Cols: cols, FromSource: in.FromSource}
 	if err := createVectorTable(placement, out.Table, cols); err != nil {

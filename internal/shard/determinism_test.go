@@ -21,35 +21,65 @@ import (
 // its keys (or by an aggregate alias with a key tiebreaker). Floats
 // are dyadic (multiples of 0.25) so partial sums merge exactly and
 // SUM/AVG do not depend on the order rows are folded in.
-var determinismQueries = []string{
-	"SELECT COUNT(*) FROM t",
-	"SELECT COUNT(*), SUM(i), MIN(i), MAX(i) FROM t",
-	"SELECT SUM(f), MIN(f), MAX(f), AVG(f) FROM t",
-	"SELECT COUNT(*) FROM t WHERE i > 0 AND b",
-	"SELECT COUNT(*), SUM(i) FROM t WHERE i BETWEEN -5 AND 5",
-	"SELECT COUNT(*) FROM t WHERE s LIKE 's0%'",
-	"SELECT COUNT(*) FROM t WHERE NOT b OR f IS NULL",
-	"SELECT s, COUNT(*) FROM t GROUP BY s ORDER BY s",
-	"SELECT s, COUNT(*) AS n, SUM(i) AS si FROM t GROUP BY s ORDER BY n DESC, s",
-	"SELECT s, b, COUNT(*), MIN(f), MAX(f) FROM t GROUP BY s, b ORDER BY s, b",
-	"SELECT s, AVG(f) AS af FROM t GROUP BY s HAVING COUNT(*) > 5 ORDER BY s",
-	"SELECT s, COUNT(*) AS n FROM t GROUP BY s ORDER BY n DESC, s LIMIT 5",
-	"SELECT s, COUNT(*) AS n FROM t GROUP BY s ORDER BY s LIMIT 4 OFFSET 3",
-	"SELECT COUNT(*), SUM(i), MIN(i), MAX(i) FROM t WHERE i > 1000",
-	"SELECT k, i, f, s FROM t WHERE i > 12 ORDER BY k",
-	"SELECT k, i FROM t WHERE i IN (3, 7, 11) ORDER BY k",
-	"SELECT DISTINCT s FROM t ORDER BY s",
-	"SELECT i, COUNT(*) FROM t WHERE s LIKE 's0%' GROUP BY i ORDER BY i",
-	"SELECT COUNT(DISTINCT s) FROM t",
-	"SELECT MEDIAN(i) FROM t",
-	"SELECT s, SUM(i + 1) FROM t GROUP BY s ORDER BY s",
+var determinismQueries = []struct {
+	sql string
+	// pushdown: the coordinator answers from the shards' PARTIAL states;
+	// otherwise it gathers the table whole. TestScatterPushdownSet pins it.
+	pushdown bool
+}{
+	{"SELECT COUNT(*) FROM t", true},
+	{"SELECT COUNT(*), SUM(i), MIN(i), MAX(i) FROM t", true},
+	{"SELECT SUM(f), MIN(f), MAX(f), AVG(f) FROM t", true},
+	{"SELECT COUNT(*) FROM t WHERE i > 0 AND b", true},
+	{"SELECT COUNT(*), SUM(i) FROM t WHERE i BETWEEN -5 AND 5", true},
+	{"SELECT COUNT(*) FROM t WHERE s LIKE 's0%'", true},
+	{"SELECT COUNT(*) FROM t WHERE NOT b OR f IS NULL", true},
+	{"SELECT s, COUNT(*) FROM t GROUP BY s ORDER BY s", true},
+	{"SELECT s, COUNT(*) AS n, SUM(i) AS si FROM t GROUP BY s ORDER BY n DESC, s", true},
+	{"SELECT s, b, COUNT(*), MIN(f), MAX(f) FROM t GROUP BY s, b ORDER BY s, b", true},
+	{"SELECT s, AVG(f) AS af FROM t GROUP BY s HAVING COUNT(*) > 5 ORDER BY s", true},
+	{"SELECT s, COUNT(*) AS n FROM t GROUP BY s ORDER BY n DESC, s LIMIT 5", true},
+	{"SELECT s, COUNT(*) AS n FROM t GROUP BY s ORDER BY s LIMIT 4 OFFSET 3", true},
+	{"SELECT COUNT(*), SUM(i), MIN(i), MAX(i) FROM t WHERE i > 1000", true},
+	{"SELECT k, i, f, s FROM t WHERE i > 12 ORDER BY k", true},
+	{"SELECT k, i FROM t WHERE i IN (3, 7, 11) ORDER BY k", true},
+	{"SELECT DISTINCT s FROM t ORDER BY s", false},
+	{"SELECT i, COUNT(*) FROM t WHERE s LIKE 's0%' GROUP BY i ORDER BY i", true},
+	{"SELECT COUNT(DISTINCT s) FROM t", false},
+	{"SELECT MEDIAN(i) FROM t", false},
+	{"SELECT s, SUM(i + 1) FROM t GROUP BY s ORDER BY s", false},
+	// What the engine's render does over merged state, and the SQL merge
+	// did not: HAVING and ORDER BY over AVG, an expression key.
+	{"SELECT s, COUNT(*) FROM t GROUP BY s HAVING AVG(f) > 7.5 ORDER BY s", true},
+	{"SELECT s, AVG(f) FROM t GROUP BY s ORDER BY AVG(f) DESC, s", true},
+	{"SELECT s, COUNT(*) FROM t GROUP BY s ORDER BY AVG(f) DESC, s LIMIT 3 OFFSET 2", true},
+	{"SELECT i % 3 AS m, COUNT(*), AVG(f), MIN(s) FROM t GROUP BY i % 3 ORDER BY m", true},
+	// AVG over integers sums floats, on a shard as on one node: past 2^53
+	// an integer sum rounds differently, and three of 2^62 wrap it.
+	{"SELECT g, COUNT(*), AVG(x) FROM big GROUP BY g ORDER BY g", true},
+	{"SELECT AVG(x) FROM big WHERE g = 1", true},
+	// No shard has a row: no group, and the one group of an ungrouped
+	// aggregate over nothing.
+	{"SELECT s, COUNT(*), AVG(f) FROM t WHERE i > 1000 GROUP BY s ORDER BY s", true},
+	{"SELECT COUNT(*), COUNT(f), AVG(i), MIN(s), MAX(f) FROM t WHERE i > 1000", true},
+	// A window that straddles shards, in both directions.
+	{"SELECT k, i FROM t ORDER BY k LIMIT 4 OFFSET 3", true},
+	{"SELECT k, i FROM t ORDER BY i DESC, k DESC LIMIT 4 OFFSET 3", true},
+	{"SELECT COUNT(*) FROM t a JOIN big ON a.k = big.k", false},
+	{"SELECT COUNT(*), MIN(k) FROM t UNION ALL SELECT COUNT(*), MAX(k) FROM big", false},
 }
 
 // loadDeterminismData fills table t with the vector-test data shape:
 // small ints, dyadic floats (NULL every 7th row instead of NaN, so
 // MIN/MAX stay order-independent), a dozen strings, and a boolean.
-func loadDeterminismData(t *testing.T, c *Cluster) {
+func loadDeterminismData(t *testing.T, c interface {
+	sqldb.Querier
+	sqldb.BulkInserter
+}) {
 	t.Helper()
+	mustExec(t, c, "CREATE TABLE big (k integer, g integer, x integer)")
+	mustExec(t, c, "INSERT INTO big VALUES (0, 1, 9007199254740993), (1, 1, 9007199254740993), (2, 1, 9007199254740993), "+
+		"(3, 2, 4611686018427387904), (4, 2, 4611686018427387904), (5, 2, 4611686018427387904)")
 	mustExec(t, c, "CREATE TABLE t (k integer, i integer, f float, s string, b boolean)")
 	rng := rand.New(rand.NewSource(7))
 	const n = 400
@@ -73,16 +103,16 @@ func loadDeterminismData(t *testing.T, c *Cluster) {
 	}
 }
 
-func runBattery(t *testing.T, c *Cluster) string {
+func runBattery(t *testing.T, c sqldb.Querier) string {
 	t.Helper()
 	var sb strings.Builder
 	for _, q := range determinismQueries {
-		res, err := c.Exec(q)
+		res, err := c.Exec(q.sql)
 		if err != nil {
-			t.Fatalf("%s: %v", q, err)
+			t.Fatalf("%s: %v", q.sql, err)
 		}
 		sb.WriteString("-- ")
-		sb.WriteString(q)
+		sb.WriteString(q.sql)
 		sb.WriteByte('\n')
 		sb.WriteString(dumpResult(res))
 	}
@@ -119,6 +149,124 @@ func TestShardDeterminismBattery(t *testing.T) {
 				c.Close()
 				t.Fatalf("%d-shard run %d diverges from single node: %s", n, run, firstDiff(want, got))
 			}
+		}
+		c.Close()
+	}
+}
+
+// TestScatterPushdownSet pins which battery shapes the coordinator
+// answers from PARTIAL states, so the set cannot shrink unnoticed, and
+// that a cluster's answers are those of one plain database holding all
+// the rows — not merely those of a one-shard cluster, which merges too.
+func TestScatterPushdownSet(t *testing.T) {
+	db := sqldb.NewMemory()
+	defer db.Close()
+	loadDeterminismData(t, db)
+	c := NewLocal(4)
+	defer c.Close()
+	loadDeterminismData(t, c)
+	if want, got := runBattery(t, db), runBattery(t, c); got != want {
+		t.Errorf("4 shards diverge from a plain database: %s", firstDiff(want, got))
+	}
+	for _, q := range determinismQueries {
+		st, err := sqldb.Parse(q.sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sel := st.(*sqldb.SelectStmt)
+		ok := false
+		if tables := sqldb.ReferencedTables(sel); len(tables) == 1 {
+			sch, _ := c.schema(tables[0])
+			_, ok = sqldb.PlanDistributedSelect(sel, sch)
+		}
+		if ok != q.pushdown {
+			t.Errorf("%s: pushdown = %v, want %v", q.sql, ok, q.pushdown)
+		}
+	}
+}
+
+// fakeShard answers PARTIAL statements itself: a shard of another build.
+type fakeShard struct {
+	Backend
+	partial func(real *sqldb.Result) (*sqldb.Result, error)
+}
+
+func (f fakeShard) Exec(sql string) (*sqldb.Result, error) {
+	res, err := f.Backend.Exec(sql)
+	if err == nil && strings.HasPrefix(sql, "PARTIAL ") {
+		return f.partial(res)
+	}
+	return res, err
+}
+
+// TestScatterRejectsMalformedState: a shard's state comes from outside
+// the process. One that does not fit the plan fails the query with a
+// typed error naming the shard — no panic, no wrong fold — and a shard
+// that predates PARTIAL answers with its syntax error, which comes back
+// as it is.
+func TestScatterRejectsMalformedState(t *testing.T) {
+	const grouped, plain = "SELECT g, COUNT(*), SUM(v) FROM m GROUP BY g ORDER BY g", "SELECT k, v FROM m ORDER BY v LIMIT 3"
+	// edit returns a deep enough copy of res for cell to be rewritten.
+	edit := func(res *sqldb.Result, cell func(cols sqldb.Schema, row sqldb.Row) sqldb.Row) *sqldb.Result {
+		out := &sqldb.Result{Columns: append(sqldb.Schema(nil), res.Columns...)}
+		for _, row := range res.Rows {
+			out.Rows = append(out.Rows, cell(out.Columns, append(sqldb.Row(nil), row...)))
+		}
+		return out
+	}
+	errOld := errors.New(`sqldb: unsupported statement starting with "PARTIAL"`)
+	for _, tc := range []struct {
+		name, sql string
+		partial   func(*sqldb.Result) (*sqldb.Result, error)
+		want      error
+	}{
+		{"short row", grouped, func(res *sqldb.Result) (*sqldb.Result, error) {
+			return edit(res, func(_ sqldb.Schema, row sqldb.Row) sqldb.Row { return row[:len(row)-1] }), nil
+		}, sqldb.ErrPartialState},
+		{"short row, ungrouped", plain, func(res *sqldb.Result) (*sqldb.Result, error) {
+			return edit(res, func(_ sqldb.Schema, row sqldb.Row) sqldb.Row { return row[:1] }), nil
+		}, sqldb.ErrPartialState},
+		{"missing column", grouped, func(res *sqldb.Result) (*sqldb.Result, error) {
+			out := edit(res, func(_ sqldb.Schema, row sqldb.Row) sqldb.Row { return row[:len(row)-4] })
+			out.Columns = out.Columns[:len(out.Columns)-4]
+			return out, nil
+		}, sqldb.ErrPartialState},
+		{"wrong column type", grouped, func(res *sqldb.Result) (*sqldb.Result, error) {
+			return edit(res, func(cols sqldb.Schema, row sqldb.Row) sqldb.Row {
+				cols[len(cols)-2].Type = value.Integer // the float sum
+				return row
+			}), nil
+		}, sqldb.ErrPartialState},
+		{"wrong cell type", grouped, func(res *sqldb.Result) (*sqldb.Result, error) {
+			return edit(res, func(_ sqldb.Schema, row sqldb.Row) sqldb.Row {
+				row[len(row)-3] = value.NewString("7") // the integer sum
+				return row
+			}), nil
+		}, sqldb.ErrPartialState},
+		{"NULL counter", grouped, func(res *sqldb.Result) (*sqldb.Result, error) {
+			return edit(res, func(_ sqldb.Schema, row sqldb.Row) sqldb.Row {
+				row[3] = value.Null(value.Integer) // the group's row count, after m's three columns
+				return row
+			}), nil
+		}, sqldb.ErrPartialState},
+		{"n < 0", grouped, func(res *sqldb.Result) (*sqldb.Result, error) {
+			return edit(res, func(_ sqldb.Schema, row sqldb.Row) sqldb.Row {
+				row[len(row)-4] = value.NewInt(-1) // SUM's input count
+				return row
+			}), nil
+		}, sqldb.ErrPartialState},
+		{"no answer", grouped, func(*sqldb.Result) (*sqldb.Result, error) { return nil, nil }, sqldb.ErrPartialState},
+		{"a shard that predates PARTIAL", grouped, func(*sqldb.Result) (*sqldb.Result, error) { return nil, errOld }, errOld},
+	} {
+		c, err := New([]Backend{Local(sqldb.NewMemory()), fakeShard{Local(sqldb.NewMemory()), tc.partial}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		mustExec(t, c, "CREATE TABLE m (k integer, g integer, v integer)")
+		mustExec(t, c, "INSERT INTO m VALUES (1, 1, 10), (2, 2, 20), (3, 1, 30), (4, 2, 40), (5, 1, 50), (6, 3, 60)")
+		res, err := c.Exec(tc.sql)
+		if !errors.Is(err, tc.want) || !strings.Contains(fmt.Sprint(err), "shard 1: ") {
+			t.Errorf("%s: got %v, %v; want shard 1's %v", tc.name, res, err, tc.want)
 		}
 		c.Close()
 	}

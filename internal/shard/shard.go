@@ -738,8 +738,10 @@ func (c *Cluster) execOn(idx int, sql string, sess map[int]Session) (*sqldb.Resu
 }
 
 // scatter runs a distributed SELECT: per-shard partials merged in
-// shard-index order. With a pushdown plan the partials carry partial
-// aggregates / pruned top-k; otherwise — always for a compound select,
+// shard-index order. With a pushdown plan every shard answers the
+// statement itself under PARTIAL — its group table, or its rows pruned
+// to the top OFFSET + LIMIT — and the plan folds and renders the
+// answers (sqldb/distrib.go); otherwise — always for a compound select,
 // whose branches each read a table of their own — the referenced
 // tables are gathered whole and the original query runs on the
 // gathered copy (correct for every query shape; order-sensitive
@@ -750,24 +752,19 @@ func (c *Cluster) execOn(idx int, sql string, sess map[int]Session) (*sqldb.Resu
 // partials then execute inside those transactions (and sequentially,
 // as sessions are single-threaded).
 func (c *Cluster) scatter(st *sqldb.SelectStmt, raw string, sess map[int]Session) (*sqldb.Result, error) {
-	if len(st.Union) > 0 {
-		return c.gatherQuery(st, raw, sess)
-	}
-	if len(st.From) == 0 {
+	if len(st.From) == 0 && len(st.Union) == 0 {
 		return c.execOn(0, raw, sess) // table-less SELECT: constants only
 	}
-	var plan *sqldb.DistPlan
-	if len(st.From) == 1 && len(st.Joins) == 0 {
+	if len(st.From) > 0 {
 		if sch, ok := c.schema(st.From[0].Table); ok {
-			plan, _ = sqldb.PlanDistributedSelect(st, sch)
+			if plan, ok := sqldb.PlanDistributedSelect(st, sch); ok {
+				partials, err := c.runPartials("PARTIAL "+raw, sess)
+				if err != nil {
+					return nil, err
+				}
+				return plan.Merge(partials)
+			}
 		}
-	}
-	if plan != nil {
-		partials, err := c.runPartials(plan.PartialSQL, sess)
-		if err != nil {
-			return nil, err
-		}
-		return plan.Merge(partials)
 	}
 	return c.gatherQuery(st, raw, sess)
 }

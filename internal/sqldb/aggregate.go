@@ -4,7 +4,7 @@ package sqldb
 //
 // A groupTable holds the groups of one grouped SELECT in first-seen
 // order — representative row, row count, key — with every group's
-// accumulators in one flat array, and has exactly four operations:
+// accumulators in one flat array, and has exactly five operations:
 //
 //	addRow    one source row: filter → group → feed. This is the
 //	          definition of every aggregate's semantics. Driven by
@@ -19,19 +19,27 @@ package sqldb
 //	merge     fold a later morsel's partial table into this one. The
 //	          drivers merge in morsel-index order (renderParts), so the
 //	          result is independent of worker count and scheduling.
+//	absorb    fold the table a shard built over its share of the rows,
+//	          received as the rows a PARTIAL SELECT answers with: a group
+//	          is found by this plan's key evaluation over its
+//	          representative row, accumulators fold as in merge. Driven
+//	          by the shard coordinator (distrib.go) in shard-index order.
 //	render    HAVING, projection and the statement tail over the groups.
 //	          It does not consume the table: a view renders its retained
-//	          table again after every commit.
+//	          table again after every commit. Under PARTIAL it returns
+//	          the table itself instead, for a coordinator to absorb.
 //
 // Batch kernels exist for the aggregates whose state is one unboxed
 // field that merges associatively — COUNT, SUM, AVG, MIN, MAX over the
 // column types kernelFor admits. Everything else — PROD, MEDIAN, GEOMEAN,
 // VARIANCE, STDDEV, DISTINCT, expression arguments, MIN/MAX over a type
 // ordered by value.Compare only — is fed by addRow alone: the vector
-// planners decline a statement with such an aggregate, so no kernel or
-// merge for them would ever be called.
+// planners decline a statement with such an aggregate. What merge and
+// absorb can fold is aggSpec.mergeable, which every aggregate with a
+// kernel satisfies.
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"strconv"
@@ -304,8 +312,26 @@ func (a *acc) add(sp *aggSpec, v *value.Value) error {
 	return nil
 }
 
-// result boxes the aggregate's value. No input yields NULL (typed
-// Float, whatever the argument), except for COUNT, which yields 0.
+// AggResultType is the declared type of the result of the aggregate
+// called name (lower case) over an argument of type arg — what result
+// boxes, said once: exprType types projections with it and the query
+// layer its operators' columns. ok is false for no aggregate's name.
+func AggResultType(name string, arg value.Type) (typ value.Type, ok bool) {
+	op, ok := aggOps[name]
+	switch {
+	case op == opCount:
+		return value.Integer, ok
+	case op == opMin || op == opMax:
+		return arg, ok
+	case op == opSum && arg == value.Integer:
+		return value.Integer, ok
+	}
+	return value.Float, ok
+}
+
+// result boxes the aggregate's value, of type AggResultType. No input
+// yields NULL (typed Float, whatever the argument), except for COUNT,
+// which yields 0.
 func (sp *aggSpec) result(a *acc) value.Value {
 	if sp.op == opCount {
 		return value.NewInt(a.n)
@@ -360,10 +386,31 @@ func (sp *aggSpec) result(a *acc) value.Value {
 	return value.NewFloat(variance)
 }
 
-// merge folds b, the same aggregate over a later morsel's share of the
-// group, into a. Only aggregates with a kernel are ever merged. MIN and
-// MAX compare all three fields: the two the argument type leaves unused
-// are zero on both sides.
+// mergeable reports whether merge folds this aggregate and n, i, f and s
+// are all of its state: COUNT and AVG of anything, SUM over a column
+// (over an expression, which sum is the result hangs off x), MIN and MAX
+// over the types with an unboxed order. Only these are ever merged or
+// travel as a PARTIAL SELECT's state; to add one is a change to merge,
+// to the state row if it needs more fields, and to this list.
+func (sp *aggSpec) mergeable() bool {
+	if sp.e.Distinct {
+		return false
+	}
+	switch sp.op {
+	case opCount, opAvg:
+		return true
+	case opSum:
+		return sp.typ != typeAny
+	case opMin, opMax:
+		return sp.typ == value.Integer || sp.typ == value.Float || sp.typ == value.String
+	}
+	return false
+}
+
+// merge folds b, the same mergeable aggregate over a later share of the
+// group's rows (a morsel's, a shard's), into a. MIN and MAX compare all
+// three fields: the two the argument type leaves unused are zero on both
+// sides.
 func (a *acc) merge(op aggOp, b *acc) {
 	if b.n == 0 {
 		return
@@ -714,14 +761,21 @@ func (v *colVec) appendKeyPart(dst []byte, i int) []byte {
 	return appendKeyStr(dst, v.strs[i])
 }
 
-// addRow filters one source row, finds or opens its group and feeds
-// every aggregate.
-func (t *groupTable) addRow(row Row) error {
+// add folds one row into its group, which the plan's key over the row
+// finds. A source row (state nil) is filtered, counted and fed to every
+// aggregate: addRow. The representative row of a group another table
+// built — it has the group's key — comes with that group's state, its
+// row count and accumulators as a PARTIAL SELECT sends them, which are
+// merged in: absorb. One function, so the lookup is said once and a
+// source row still costs one call.
+func (t *groupTable) add(row, state Row) error {
 	p := t.p
 	ctx := &t.ctx
 	ctx.row = row
-	if keep, err := p.keep(ctx); !keep || err != nil {
-		return err
+	if state == nil {
+		if keep, err := p.keep(ctx); !keep || err != nil {
+			return err
+		}
 	}
 	var gi int32
 	var fresh bool
@@ -752,8 +806,16 @@ func (t *groupTable) addRow(row Row) error {
 	if fresh {
 		g.rep = row
 	}
-	g.n++
 	accs := t.accs[int(gi)*len(p.aggs):]
+	if state != nil {
+		g.n += state[0].Int()
+		for k, c := 0, state[1:]; k < len(p.aggs); k, c = k+1, c[4:] {
+			b := acc{n: c[0].Int(), i: c[1].Int(), f: c[2].Float(), s: c[3].Str()}
+			accs[k].merge(p.aggs[k].op, &b)
+		}
+		return nil
+	}
+	g.n++
 	for i := range p.aggs {
 		sp := &p.aggs[i]
 		switch {
@@ -773,6 +835,10 @@ func (t *groupTable) addRow(row Row) error {
 	}
 	return nil
 }
+
+// addRow filters one source row, finds or opens its group and feeds
+// every aggregate.
+func (t *groupTable) addRow(row Row) error { return t.add(row, nil) }
 
 // aggBatch is one morsel's input to addBatch: size tuples, each a
 // position into one or (joined) two sets of column vectors.
@@ -971,6 +1037,9 @@ func renderParts(st *SelectStmt, p *compiledSelect, parts []*groupTable) (*Resul
 // never retained, so the first real row still opens a real group.
 func (t *groupTable) render() (*Result, error) {
 	p, st := t.p, t.st
+	if st.Partial {
+		return t.state()
+	}
 	stride := len(p.aggs)
 	groups, accs := t.groups, t.accs
 	if len(groups) == 0 && p.keyKind == keyNone {
@@ -1018,4 +1087,65 @@ func (t *groupTable) render() (*Result, error) {
 		}
 	}
 	return p.finish(st, outRows, reps, aggVs)
+}
+
+// stateSchema is the layout of a grouped PARTIAL SELECT's answer: per
+// group the representative row, the row count, and n, i, f, s of each
+// accumulator in plan order.
+func (p *compiledSelect) stateSchema() Schema {
+	sch := append(p.srcSchema.clone(), Column{Name: "_n", Type: value.Integer})
+	for k := range p.aggs {
+		a := "_a" + itoa(k)
+		sch = append(sch, Column{Name: a + "n", Type: value.Integer}, Column{Name: a + "i", Type: value.Integer},
+			Column{Name: a + "f", Type: value.Float}, Column{Name: a + "s", Type: value.String})
+	}
+	return sch
+}
+
+// state returns the table itself as a result, in first-seen order.
+func (t *groupTable) state() (*Result, error) {
+	p := t.p
+	for k := range p.aggs {
+		if !p.aggs[k].mergeable() {
+			return nil, fmt.Errorf("%w: %s has none to send", ErrPartialState, p.aggs[k].e.Name)
+		}
+	}
+	stride := len(p.aggs)
+	res := &Result{Columns: p.stateSchema(), Rows: make([]Row, len(t.groups))}
+	for gi := range t.groups {
+		g := &t.groups[gi]
+		row := append(make(Row, 0, len(res.Columns)), g.rep...)
+		row = append(row, value.NewInt(g.n))
+		for _, a := range t.accs[gi*stride : (gi+1)*stride] {
+			row = append(row, value.NewInt(a.n), value.NewInt(a.i), value.NewFloat(a.f), value.NewString(a.s))
+		}
+		res.Rows[gi] = row
+	}
+	return res, nil
+}
+
+// absorb folds state, the answer of a PARTIAL SELECT of this plan's
+// statement, into t. A row is checked before it touches an accumulator:
+// every cell of its column's type, no counter NULL, no count negative.
+func (t *groupTable) absorb(state *Result) error {
+	p := t.p
+	nsrc, want := len(p.srcSchema), p.stateSchema()
+	if err := checkState(state, want); err != nil {
+		return err
+	}
+	for ri, row := range state.Rows {
+		for ci := range row {
+			v, d := &row[ci], ci-nsrc // d: 0 the row count, then n, i, f, s per aggregate
+			if v.IsNull() && d < 0 {
+				continue
+			}
+			if v.IsNull() || v.Type() != want[ci].Type || ((d == 0 || d%4 == 1) && v.Int() < 0) {
+				return fmt.Errorf("%w: row %d column %d holds %s", ErrPartialState, ri+1, ci+1, v.SQL())
+			}
+		}
+		if err := t.add(row[:nsrc:nsrc], row[nsrc:]); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -285,6 +286,15 @@ func TestAggDriversAgree(t *testing.T) {
 				t.Errorf("%q:\n%s disagrees with the row engine:\n%s", st.sql, a.driver, aggDiff(a.res, answers[0].res))
 			}
 		}
+		// The declared type is the boxed one: aggResultType says what
+		// result returns.
+		for _, row := range answers[0].res.Rows {
+			for ci, v := range row {
+				if c := answers[0].res.Columns[ci]; !v.IsNull() && v.Type() != c.Type {
+					t.Errorf("%q: column %s is declared %s and holds the %s %s", st.sql, c.Name, c.Type, v.Type(), v.SQL())
+				}
+			}
+		}
 	}
 }
 
@@ -431,4 +441,93 @@ func TestAggRenderReentrant(t *testing.T) {
 	checkView(t, db, r, "e", esql)
 	mustExec(t, db, "INSERT INTO e VALUES (6), (NULL)")
 	checkView(t, db, r, "e", esql)
+}
+
+// TestProdIsDeclaredFloat: PROD boxes a float whatever its argument, and
+// its column used to be declared with the argument's type — so a table
+// created from PROD over integers stored a float's bits under an integer
+// schema, and read them back as an integer after a reopen.
+func TestProdIsDeclaredFloat(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, "CREATE TABLE t (i integer)")
+	mustExec(t, db, "INSERT INTO t VALUES (2), (3)")
+	if res := mustExec(t, db, "SELECT PROD(i) FROM t"); res.Columns[0].Type != value.Float || res.Rows[0][0].Type() != value.Float {
+		t.Errorf("PROD(i) is declared %s and holds a %s, want float and float", res.Columns[0].Type, res.Rows[0][0].Type())
+	}
+	mustExec(t, db, "CREATE TABLE u AS SELECT PROD(i) AS p FROM t")
+	before := fmtResult(mustExec(t, db, "SELECT p FROM u"))
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if db, err = Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if after := fmtResult(mustExec(t, db, "SELECT p FROM u")); before != "6\n" || after != before {
+		t.Errorf("u.p reads %q before the reopen and %q after it, want 6 both times", before, after)
+	}
+}
+
+// TestPartialSelect pins the modifier a shard coordinator sends: where
+// the parser takes it, what a shard answers, and that the answers of
+// the parts of a table fold into the answer over the whole.
+func TestPartialSelect(t *testing.T) {
+	for _, sql := range []string{
+		"PARTIAL SELECT n FROM a UNION ALL SELECT n FROM b",
+		"EXPLAIN PARTIAL SELECT n FROM a",
+		"CREATE TABLE c AS PARTIAL SELECT n FROM a",
+		"INSERT INTO a PARTIAL SELECT n FROM b",
+		"PARTIAL DELETE FROM a",
+	} {
+		if _, err := Parse(sql); err == nil {
+			t.Errorf("%q parsed", sql)
+		}
+	}
+	db := NewMemory()
+	defer db.Close()
+	mustExec(t, db, "CREATE TABLE a (k integer, g string, x integer)")
+	mustExec(t, db, "CREATE TABLE b (k integer, g string, x integer)")
+	mustExec(t, db, "CREATE TABLE ab (k integer, g string, x integer)")
+	mustExec(t, db, "INSERT INTO a VALUES (1, 'p', 5), (2, 'q', NULL), (3, 'p', 7)")
+	mustExec(t, db, "INSERT INTO b VALUES (4, 'q', 1), (5, 'r', 2), (6, 'p', 9)")
+	mustExec(t, db, "INSERT INTO ab SELECT k, g, x FROM a UNION ALL SELECT k, g, x FROM b")
+	if err := NewViewRegistry(db).Register("v", "PARTIAL SELECT COUNT(*) FROM a"); err == nil {
+		t.Error("a view over a PARTIAL SELECT registered")
+	}
+	if _, err := db.Exec("PARTIAL SELECT g, MEDIAN(x) FROM a GROUP BY g"); !errors.Is(err, ErrPartialState) {
+		t.Errorf("PARTIAL SELECT MEDIAN: %v, want ErrPartialState", err)
+	}
+	// An ungrouped shard skips nothing and keeps OFFSET + LIMIT rows.
+	if got := fmtResult(mustExec(t, db, "PARTIAL SELECT k FROM ab ORDER BY k DESC LIMIT 2 OFFSET 1")); got != "6\n5\n4\n" {
+		t.Errorf("PARTIAL top-k = %q, want the first three", got)
+	}
+	sch, _ := db.TableSchema("ab")
+	for _, sql := range []string{
+		"SELECT g, COUNT(*), COUNT(x), SUM(x), AVG(x), MIN(x), MAX(g) FROM ab GROUP BY g HAVING AVG(x) > 1 ORDER BY AVG(x) DESC",
+		"SELECT k % 2 AS m, SUM(x) FROM ab GROUP BY k % 2 ORDER BY m",
+		"SELECT COUNT(*), AVG(x) FROM ab WHERE k > 100",
+		"SELECT k, x FROM ab WHERE x > 1 ORDER BY x DESC LIMIT 2 OFFSET 1",
+	} {
+		plan, ok := PlanDistributedSelect(mustParseSelect(t, sql), sch)
+		if !ok {
+			t.Errorf("%q: not planned", sql)
+			continue
+		}
+		var parts []*Result
+		for _, table := range []string{"a", "b"} {
+			parts = append(parts, mustExec(t, db, "PARTIAL "+strings.Replace(sql, " ab", " "+table, 1)))
+		}
+		got, err := plan.Merge(parts)
+		if err != nil {
+			t.Errorf("%q: %v", sql, err)
+			continue
+		}
+		if want := mustExec(t, db, sql); fmtViewResult(got) != fmtViewResult(want) {
+			t.Errorf("%q merged from two parts:\n%swant:\n%s", sql, fmtViewResult(got), fmtViewResult(want))
+		}
+	}
 }

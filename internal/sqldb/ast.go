@@ -88,15 +88,21 @@ type orderItem struct {
 // SelectStmt is a SELECT query.
 type SelectStmt struct {
 	Distinct bool
-	Items    []selectItem
-	From     []fromItem
-	Joins    []joinClause
-	Where    sqlExpr
-	GroupBy  []sqlExpr
-	Having   sqlExpr
-	OrderBy  []orderItem
-	Limit    int // -1 = none
-	Offset   int
+	// Partial marks PARTIAL SELECT …, a shard's share of a distributed
+	// statement: it answers with its state — a grouped statement's group
+	// table, an ungrouped one's first OFFSET + LIMIT rows — for the
+	// coordinator to fold and render (distrib.go). Never set on a
+	// compound select.
+	Partial bool
+	Items   []selectItem
+	From    []fromItem
+	Joins   []joinClause
+	Where   sqlExpr
+	GroupBy []sqlExpr
+	Having  sqlExpr
+	OrderBy []orderItem
+	Limit   int // -1 = none
+	Offset  int
 
 	// Union, when non-empty, makes the statement a compound select: the
 	// UNION ALL of these branches, in order. The clause fields above

@@ -655,14 +655,29 @@ func nullLiteralCol(st *SelectStmt, p *compiledSelect, ci int) bool {
 	return false
 }
 
-// planBranch compiles one plain SELECT. One evaluation context over
-// the source schema serves every expression, the projection's types
-// and the vectorized planners.
+// planBranch compiles one plain SELECT: compileBranch over the source
+// schema the snapshot's catalog gives, then the vectorized planners,
+// which need the snapshot's tables.
 func (sn *snapshot) planBranch(st *SelectStmt) (*compiledSelect, error) {
 	src, err := sn.selectSourceSchema(st)
 	if err != nil {
 		return nil, err
 	}
+	p, ec, err := compileBranch(st, src)
+	if err != nil {
+		return nil, err
+	}
+	p.vec = sn.planVec(st, p, ec)
+	p.vecJoin = sn.planVecJoin(st, p, ec)
+	return p, nil
+}
+
+// compileBranch is the part of planning that needs no snapshot: source
+// schema in, plan out. A shard coordinator, which holds schemas and no
+// tables, plans a distributed SELECT with it (distrib.go). One
+// evaluation context over the source schema serves every expression and
+// the projection's types, and is returned for the vectorized planners.
+func compileBranch(st *SelectStmt, src Schema) (*compiledSelect, *evalCtx, error) {
 	p := &compiledSelect{srcSchema: src}
 	ec := newEvalCtx(src)
 	if st.Where != nil {
@@ -677,6 +692,13 @@ func (sn *snapshot) planBranch(st *SelectStmt) (*compiledSelect, error) {
 	}
 	if st.Having != nil {
 		collectAggs(st.Having, &aggs)
+	}
+	if len(aggs) > 0 || len(st.GroupBy) > 0 {
+		// A grouped statement may order by an aggregate it does not
+		// project; an ungrouped one is not made grouped by its ORDER BY.
+		for _, ob := range st.OrderBy {
+			collectAggs(ob.E, &aggs)
+		}
 	}
 	for _, a := range aggs {
 		p.aggs = append(p.aggs, newAggSpec(a, ec))
@@ -705,9 +727,10 @@ func (sn *snapshot) planBranch(st *SelectStmt) (*compiledSelect, error) {
 	if st.Having != nil {
 		p.having = compileExpr(st.Having, ec)
 	}
+	var err error
 	p.outSchema, p.starCols, err = projectionSchema(st, ec)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	p.items = make([]compiledExpr, len(st.Items))
 	for i, it := range st.Items {
@@ -722,9 +745,7 @@ func (sn *snapshot) planBranch(st *SelectStmt) (*compiledSelect, error) {
 			p.orderSrc = append(p.orderSrc, compileExpr(ob.E, ec))
 		}
 	}
-	p.vec = sn.planVec(st, p, ec)
-	p.vecJoin = sn.planVecJoin(st, p, ec)
-	return p, nil
+	return p, ec, nil
 }
 
 // selectSourceSchema derives the schema a SELECT's expressions resolve

@@ -435,19 +435,12 @@ func exprType(e sqlExpr, ec *evalCtx) value.Type {
 	case *isNullExpr, *inExpr, *betweenExpr:
 		return value.Boolean
 	case *aggExpr:
-		switch t.Name {
-		case "count":
-			return value.Integer
-		case "min", "max":
-			if t.Star {
-				return value.Integer
-			}
-			return exprType(t.Arg, ec)
-		case "sum", "prod":
-			return exprType(t.Arg, ec)
-		default: // avg, stddev, variance
-			return value.Float
+		arg := value.Integer
+		if !t.Star {
+			arg = exprType(t.Arg, ec)
 		}
+		typ, _ := AggResultType(t.Name, arg)
+		return typ
 	case *funcExpr:
 		switch t.Name {
 		case "length":

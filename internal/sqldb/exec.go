@@ -43,15 +43,21 @@ func (sn *snapshot) scanSchema(fi fromItem) (Schema, error) {
 	if !ok {
 		return nil, errorf("no such table %q", fi.Table)
 	}
+	return fi.qualify(t.schema), nil
+}
+
+// qualify names a table's columns "alias.col" (the table's name without
+// an alias), the form a SELECT's source schema holds them in.
+func (fi fromItem) qualify(cols Schema) Schema {
 	alias := fi.Alias
 	if alias == "" {
 		alias = fi.Table
 	}
-	schema := make(Schema, len(t.schema))
-	for i, c := range t.schema {
+	schema := make(Schema, len(cols))
+	for i, c := range cols {
 		schema[i] = Column{Name: alias + "." + c.Name, Type: c.Type}
 	}
-	return schema, nil
+	return schema
 }
 
 // scan produces a relation from a stored table. The relation shares
@@ -253,14 +259,6 @@ func (sn *snapshot) indexedScan(fi fromItem, where sqlExpr) (*relation, error) {
 		if err != nil {
 			return nil, err
 		}
-		alias := fi.Alias
-		if alias == "" {
-			alias = fi.Table
-		}
-		schema := make(Schema, len(t.schema))
-		for i, c := range t.schema {
-			schema[i] = Column{Name: alias + "." + c.Name, Type: c.Type}
-		}
 		positions := idx.lookup(cv)
 		rows := make([]Row, len(positions))
 		for i, pos := range positions {
@@ -273,7 +271,7 @@ func (sn *snapshot) indexedScan(fi fromItem, where sqlExpr) (*relation, error) {
 			// different keys of the same table don't conflict.
 			sn.reads.addPoint(lower(fi.Table), pointRead{col: col, key: cv, fp: fingerprintRows(rows)})
 		}
-		return singleChunk(schema, rows), nil
+		return singleChunk(fi.qualify(t.schema), rows), nil
 	}
 	return nil, nil
 }
@@ -550,16 +548,25 @@ func (p *compiledSelect) finish(st *SelectStmt, outRows []Row, reps []Row, aggVs
 		outRows = sorted
 	}
 
-	// OFFSET / LIMIT.
-	if st.Offset > 0 {
-		if st.Offset >= len(outRows) {
-			outRows = nil
-		} else {
-			outRows = outRows[st.Offset:]
+	// OFFSET / LIMIT. A PARTIAL statement's rows are one shard's share of
+	// the window: it skips nothing and keeps OFFSET + LIMIT rows, among
+	// which the coordinator's finish finds the window itself.
+	offset, limit := st.Offset, st.Limit
+	if st.Partial {
+		offset = 0
+		if limit >= 0 {
+			limit += st.Offset
 		}
 	}
-	if st.Limit >= 0 && st.Limit < len(outRows) {
-		outRows = outRows[:st.Limit]
+	if offset > 0 {
+		if offset >= len(outRows) {
+			outRows = nil
+		} else {
+			outRows = outRows[offset:]
+		}
+	}
+	if limit >= 0 && limit < len(outRows) {
+		outRows = outRows[:limit]
 	}
 
 	return &Result{Columns: p.outSchema, Rows: outRows}, nil

@@ -199,6 +199,9 @@ func (db *DB) explainBranch(sn *snapshot, q *SelectStmt, generic bool) ([]string
 		collectAggs(q.Having, &aggs)
 	}
 	if len(q.GroupBy) > 0 || len(aggs) > 0 {
+		for _, ob := range q.OrderBy {
+			collectAggs(ob.E, &aggs)
+		}
 		add("aggregate %d function(s) over %d group key(s)", len(aggs), len(q.GroupBy))
 	}
 	if q.Having != nil {

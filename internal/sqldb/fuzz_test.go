@@ -36,6 +36,9 @@ func FuzzParse(f *testing.F) {
 		"SELECT 1e309, -0.5, .5, 0x", "SELECT \"quoted col\" FROM t",
 		"SELECT /* comment", "-- line comment\nSELECT 1",
 		"", "  ;;  ", "SELECT (((((1)))))",
+		// A shard's share of a distributed statement (appended: seeds are
+		// named by position).
+		"PARTIAL SELECT a, AVG(b) FROM t GROUP BY a HAVING COUNT(*) > 1 ORDER BY AVG(b) DESC, a LIMIT 3 OFFSET 1",
 	}
 	for _, s := range seeds {
 		f.Add(s)

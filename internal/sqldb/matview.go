@@ -153,7 +153,7 @@ func (r *ViewRegistry) Register(name, sql string) error {
 		return err
 	}
 	sel, ok := st.(*SelectStmt)
-	if !ok {
+	if !ok || sel.Partial {
 		return errorf("materialized view %q: not a SELECT", name)
 	}
 	v := &matView{name: name, sql: sql, st: sel, pending: true}

@@ -99,6 +99,16 @@ func (p *sqlParser) parseStatement() (Statement, error) {
 	switch {
 	case p.cur().keyword("select"):
 		return p.parseSelect()
+	case p.acceptKw("partial"):
+		sel, err := p.parseSelect()
+		if err != nil {
+			return nil, err
+		}
+		if sel.Union != nil {
+			return nil, fmt.Errorf("%w: PARTIAL over UNION ALL", ErrCompound)
+		}
+		sel.Partial = true
+		return sel, nil
 	case p.acceptKw("explain"):
 		sel, err := p.parseSelect()
 		if err != nil {

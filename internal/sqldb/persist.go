@@ -196,7 +196,7 @@ const (
 // keeps its header (the caller has already validated the epoch during
 // replay). With truncate set, any existing contents are discarded and
 // a new header is written — the checkpoint rotation path.
-func openWAL(path string, policy SyncPolicy, epoch uint64, truncate bool) (*groupWAL, error) {
+func openWAL(path string, policy SyncPolicy, epoch uint64, truncate bool, arrivals func() int32) (*groupWAL, error) {
 	flags := os.O_CREATE | os.O_WRONLY
 	if truncate {
 		flags |= os.O_TRUNC
@@ -229,6 +229,7 @@ func openWAL(path string, policy SyncPolicy, epoch uint64, truncate bool) (*grou
 		flushReq: make(chan struct{}, 1),
 		quit:     make(chan struct{}),
 		done:     make(chan struct{}),
+		arrivals: arrivals, // before the flusher starts: its tick reads it
 	}
 	w.cond = sync.NewCond(&w.mu)
 	go w.run()
@@ -633,11 +634,10 @@ func OpenWithPolicy(dir string, policy SyncPolicy) (_ *DB, err error) {
 		// log at the checkpoint's epoch.
 		db.walEpoch = snapEpoch
 		db.setPos(ReplPos{Epoch: snapEpoch})
-		w, err := openWAL(walPath, policy, snapEpoch, true)
+		w, err := openWAL(walPath, policy, snapEpoch, true, db.commitArrivals.Load)
 		if err != nil {
 			return nil, err
 		}
-		w.arrivals = db.commitArrivals.Load
 		db.wal = w
 		return db, nil
 	}
@@ -651,11 +651,10 @@ func OpenWithPolicy(dir string, policy SyncPolicy) (_ *DB, err error) {
 	db.walEpoch = snapEpoch // == wc.epoch: neither older nor newer
 	// The recovered LSN is the number of intact frames replayed.
 	db.setPos(ReplPos{Epoch: snapEpoch, LSN: uint64(db.recovery.Frames)})
-	w, err := openWAL(walPath, policy, snapEpoch, false)
+	w, err := openWAL(walPath, policy, snapEpoch, false, db.commitArrivals.Load)
 	if err != nil {
 		return nil, err
 	}
-	w.arrivals = db.commitArrivals.Load
 	db.wal = w
 	return db, nil
 }
@@ -758,11 +757,10 @@ func (db *DB) Checkpoint() error {
 		return err
 	}
 	db.walEpoch = epoch
-	w, err := openWAL(filepath.Join(db.dir, walFile), policy, epoch, true)
+	w, err := openWAL(filepath.Join(db.dir, walFile), policy, epoch, true, db.commitArrivals.Load)
 	if err != nil {
 		return err
 	}
-	w.arrivals = db.commitArrivals.Load
 	db.wal = w
 	// Advance the replication position to the fresh epoch and tell the
 	// stream hub: subscribers behind the rotation need a snapshot.
