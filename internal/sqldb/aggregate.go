@@ -1076,7 +1076,7 @@ func (t *groupTable) render() (*Result, error) {
 				continue
 			}
 		}
-		row, err := p.projectRow(ctx, g.rep)
+		row, err := p.projectRow(st, ctx, g.rep)
 		if err != nil {
 			return nil, err
 		}

@@ -3,6 +3,7 @@ package sqldb
 import (
 	"fmt"
 	"regexp"
+	"slices"
 	"strings"
 
 	"perfbase/internal/value"
@@ -565,8 +566,14 @@ type compiledSelect struct {
 	keyCols []int
 
 	outSchema Schema
-	starCols  map[int][]int  // select-item index -> source columns
-	items     []compiledExpr // aligned with st.Items; nil for stars
+	// items and srcCols are aligned with st.Items. An item that copies
+	// source columns — a star, or a bare reference to one column — has
+	// them in srcCols and a computed one its evaluator in items; an item
+	// that is a bare literal has neither — projection reads its value from
+	// the statement being run, so that branches of a compound that differ
+	// in such constants can share this plan (planSelect).
+	items   []compiledExpr
+	srcCols [][]int
 
 	orderOut []compiledExpr // ORDER BY keys against the output schema
 	orderSrc []compiledExpr // ORDER BY keys against the source schema
@@ -582,8 +589,9 @@ type compiledSelect struct {
 	vecJoin *vecJoinPlan
 
 	// union, for a compound select, holds the plan of every branch in
-	// order; outSchema is then the reconciled schema and no other field
-	// is set.
+	// order — consecutive branches of one shape share theirs, see
+	// planSelect; outSchema is then the reconciled schema and no other
+	// field is set.
 	union []*compiledSelect
 }
 
@@ -593,16 +601,32 @@ type compiledSelect struct {
 // output schema: column names come from the first branch, integer and
 // float reconcile to float, a bare NULL literal takes the type of the
 // other branches, and any other disagreement is an ErrCompound.
+//
+// A branch that is the same statement as the one the previous plan was
+// compiled from, read off another table with the same columns, runs on
+// that plan (sameShape, scanCols; DESIGN.md "Compound select"). A plan
+// therefore holds nothing of its table but the columns: the table and
+// the literals a branch projects are read from its statement when it
+// runs. Nothing outlives the statement.
 func (sn *snapshot) planSelect(st *SelectStmt) (*compiledSelect, error) {
 	if len(st.Union) == 0 {
 		return sn.planBranch(st)
 	}
 	u := &compiledSelect{union: make([]*compiledSelect, len(st.Union))}
-	var untyped []bool // output columns every branch so far gave as NULL
+	var untyped []bool   // output columns every branch so far gave as NULL
+	var lead *SelectStmt // the branch u.union[bi-1] was compiled from
+	var leadCols Schema  // and the columns of the table it scans
 	for bi, b := range st.Union {
-		bp, err := sn.planBranch(b)
-		if err != nil {
-			return nil, err
+		var bp *compiledSelect
+		cols := sn.scanCols(b)
+		if cols != nil && slices.Equal(cols, leadCols) && sameShape(lead, b) {
+			bp = u.union[bi-1]
+		} else {
+			var err error
+			if bp, err = sn.planBranch(b); err != nil {
+				return nil, err
+			}
+			lead, leadCols = b, cols
 		}
 		u.union[bi] = bp
 		if bi == 0 {
@@ -635,11 +659,91 @@ func (sn *snapshot) planSelect(st *SelectStmt) (*compiledSelect, error) {
 	return u, nil
 }
 
+// scanCols returns the columns of the table b reads if a scan of that
+// table is all its FROM clause can mean — one table, no index to probe —
+// and nil otherwise.
+func (sn *snapshot) scanCols(b *SelectStmt) Schema {
+	if len(b.From) == 1 && len(b.Joins) == 0 {
+		if t, ok := sn.table(b.From[0].Table); ok && !t.indexed() {
+			return t.schema
+		}
+	}
+	return nil
+}
+
+// sameShape reports whether two plain SELECTs are the same statement but
+// for the table they read — one, under its own name — and the values of
+// the literals they project, whose types agree. The comparison is over
+// the syntax trees: spelling the parser does not normalise tells two
+// statements apart, which only costs the second its own plan.
+func sameShape(a, b *SelectStmt) bool {
+	// ORDER BY is there for completeness: a compound's branch has none.
+	return len(a.From) == 1 && len(b.From) == 1 && a.From[0].Alias == "" && b.From[0].Alias == "" &&
+		len(a.Joins) == 0 && len(b.Joins) == 0 && len(a.OrderBy) == 0 && len(b.OrderBy) == 0 &&
+		a.Distinct == b.Distinct && a.Partial == b.Partial && a.Limit == b.Limit && a.Offset == b.Offset &&
+		slices.EqualFunc(a.Items, b.Items, sameItem) && slices.EqualFunc(a.GroupBy, b.GroupBy, sameExpr) &&
+		sameExpr(a.Where, b.Where) && sameExpr(a.Having, b.Having)
+}
+
+func sameItem(a, b selectItem) bool {
+	if a.Star != b.Star || a.Table != "" || b.Table != "" || a.Alias != b.Alias {
+		return false
+	}
+	la, aLit := a.E.(*litExpr)
+	lb, bLit := b.E.(*litExpr)
+	if aLit && bLit {
+		return la.v.Type() == lb.v.Type() && la.v.IsNull() == lb.v.IsNull()
+	}
+	return sameExpr(a.E, b.E)
+}
+
+// sameExpr reports whether two expressions are the same tree: same
+// operators, same unqualified column names, same literal values. A
+// table-qualified column equals nothing, not even itself — under another
+// branch's table it would name a different column or none.
+func sameExpr(a, b sqlExpr) bool {
+	switch x := a.(type) {
+	case nil:
+		return b == nil
+	case *litExpr:
+		y, ok := b.(*litExpr)
+		return ok && x.v == y.v
+	case *colExpr:
+		y, ok := b.(*colExpr)
+		return ok && x.Table == "" && y.Table == "" && x.Name == y.Name
+	case *binExpr:
+		y, ok := b.(*binExpr)
+		return ok && x.Op == y.Op && sameExpr(x.L, y.L) && sameExpr(x.R, y.R)
+	case *unaryExpr:
+		y, ok := b.(*unaryExpr)
+		return ok && x.Op == y.Op && sameExpr(x.E, y.E)
+	case *isNullExpr:
+		y, ok := b.(*isNullExpr)
+		return ok && x.Negate == y.Negate && sameExpr(x.E, y.E)
+	case *inExpr:
+		y, ok := b.(*inExpr)
+		return ok && x.Negate == y.Negate && sameExpr(x.E, y.E) && slices.EqualFunc(x.List, y.List, sameExpr)
+	case *betweenExpr:
+		y, ok := b.(*betweenExpr)
+		return ok && x.Negate == y.Negate && sameExpr(x.E, y.E) && sameExpr(x.Lo, y.Lo) && sameExpr(x.Hi, y.Hi)
+	case *funcExpr:
+		y, ok := b.(*funcExpr)
+		return ok && x.Name == y.Name && slices.EqualFunc(x.Args, y.Args, sameExpr)
+	case *aggExpr:
+		y, ok := b.(*aggExpr)
+		return ok && x.Name == y.Name && x.Star == y.Star && x.Distinct == y.Distinct && sameExpr(x.Arg, y.Arg)
+	case *castExpr:
+		y, ok := b.(*castExpr)
+		return ok && x.To == y.To && sameExpr(x.E, y.E)
+	}
+	return false
+}
+
 // nullLiteralCol reports whether output column ci of a branch is a
 // bare NULL literal, which has no type of its own.
 func nullLiteralCol(st *SelectStmt, p *compiledSelect, ci int) bool {
 	for i, it := range st.Items {
-		if n := len(p.starCols[i]); it.Star {
+		if n := len(p.srcCols[i]); it.Star {
 			if ci < n {
 				return false
 			}
@@ -728,14 +832,22 @@ func compileBranch(st *SelectStmt, src Schema) (*compiledSelect, *evalCtx, error
 		p.having = compileExpr(st.Having, ec)
 	}
 	var err error
-	p.outSchema, p.starCols, err = projectionSchema(st, ec)
+	p.outSchema, p.srcCols, err = projectionSchema(st, ec)
 	if err != nil {
 		return nil, nil, err
 	}
 	p.items = make([]compiledExpr, len(st.Items))
 	for i, it := range st.Items {
-		if !it.Star {
-			p.items[i] = compileExpr(it.E, ec)
+		switch e := it.E.(type) {
+		case nil, *litExpr: // a star, whose columns projectionSchema listed, or a constant
+		case *colExpr:
+			if ci, err := ec.lookup(e.Table, e.Name); err == nil {
+				p.srcCols[i] = []int{ci}
+				break
+			}
+			p.items[i] = compileExpr(e, ec) // reports the reference per row
+		default:
+			p.items[i] = compileExpr(e, ec)
 		}
 	}
 	if len(st.OrderBy) > 0 {
@@ -785,23 +897,26 @@ func (p *compiledSelect) keep(ctx *execCtx) (bool, error) {
 	return err == nil && boolTrue(v), err
 }
 
-// projectRow materializes one output row for the group or row whose
-// state is in ctx (rep is the representative source row stars copy
-// from).
-func (p *compiledSelect) projectRow(ctx *execCtx, rep Row) (Row, error) {
+// projectRow materializes one output row of st, the statement p is
+// running for, for the group or row whose state is in ctx (rep is the
+// representative source row stars copy from).
+func (p *compiledSelect) projectRow(st *SelectStmt, ctx *execCtx, rep Row) (Row, error) {
 	row := make(Row, 0, len(p.outSchema))
 	for i, item := range p.items {
-		if cols, ok := p.starCols[i]; ok {
-			for _, ci := range cols {
+		switch {
+		case item != nil:
+			v, err := item(ctx)
+			if err != nil {
+				return nil, err
+			}
+			row = append(row, v)
+		case p.srcCols[i] != nil:
+			for _, ci := range p.srcCols[i] {
 				row = append(row, rep[ci])
 			}
-			continue
+		default:
+			row = append(row, st.Items[i].E.(*litExpr).v)
 		}
-		v, err := item(ctx)
-		if err != nil {
-			return nil, err
-		}
-		row = append(row, v)
 	}
 	return row, nil
 }

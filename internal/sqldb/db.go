@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -108,6 +109,16 @@ var ErrTxnBusy = errors.New("sqldb: transaction already open")
 var ErrTableExists = errors.New("sqldb: table already exists")
 
 func tableExists(name string) error { return fmt.Errorf("%w: %q", ErrTableExists, name) }
+
+// ErrInsertArity is returned (wrapped; test with errors.Is) by an INSERT
+// or InsertRows whose rows do not have one value per target column. For
+// INSERT ... SELECT it is a property of the statement, reported whether
+// or not the select yields a row.
+var ErrInsertArity = errors.New("sqldb: wrong number of values")
+
+func insertArity(t *table, got, want int) error {
+	return fmt.Errorf("%w: INSERT into %s: %d values for %d columns", ErrInsertArity, t.name, got, want)
+}
 
 // NewMemory creates an empty in-memory database.
 func NewMemory() *DB {
@@ -314,16 +325,22 @@ func (db *DB) execCreateTable(ws *writeState, s *CreateTableStmt) (*Result, erro
 		return nil, tableExists(s.Name)
 	}
 	if s.As != nil {
-		res, err := ws.readView().execSelect(s.As)
+		// The select's rows take the INSERT ... SELECT route into the new
+		// table, whose columns are the select's.
+		sn := ws.readView()
+		p, err := sn.planSelect(s.As)
 		if err != nil {
 			return nil, err
 		}
-		t := newTable(s.Name, res.Columns, s.Temp)
-		for _, row := range res.Rows {
-			t.insert(row)
+		t := newTable(s.Name, p.outSchema, s.Temp)
+		colPos, _ := t.columnPositions(nil)
+		k := newTableSink(t, colPos)
+		if err := sn.pourSelect(s.As, p, k); err != nil {
+			return nil, err
 		}
+		t.appendChunk(k.chunk())
 		ws.put(t)
-		return &Result{Affected: len(res.Rows)}, nil
+		return &Result{Affected: k.n}, nil
 	}
 	if len(s.Cols) == 0 {
 		return nil, errorf("CREATE TABLE %s: no columns", s.Name)
@@ -348,12 +365,6 @@ func (db *DB) execInsert(ws *writeState, s *InsertStmt) (*Result, error) {
 	colPos, err := t.columnPositions(s.Cols)
 	if err != nil {
 		return nil, err
-	}
-	if len(s.Cols) == 0 { // no column list: every column, in order
-		colPos = make([]int, len(t.schema))
-		for i := range colPos {
-			colPos[i] = i
-		}
 	}
 	if s.From == nil {
 		ec := newEvalCtx(nil)
@@ -380,78 +391,185 @@ func (db *DB) execInsert(ws *writeState, s *InsertStmt) (*Result, error) {
 	// its rows are converted straight into their place in one chunk —
 	// the chunk a bulk insert of the same rows would leave, so where a
 	// vector is built does not show in its layout, nor in the order
-	// floating-point aggregates over it add up.
+	// floating-point aggregates over it add up. The table is touched
+	// only once the last branch has succeeded.
 	sn := ws.readView()
 	p, err := sn.planSelect(s.From)
 	if err != nil {
 		return nil, err
 	}
-	parts, n, err := sn.branchRows(s.From, p)
-	if err != nil {
+	if len(p.outSchema) != len(colPos) {
+		return nil, insertArity(t, len(p.outSchema), len(colPos))
+	}
+	k := newTableSink(t, colPos)
+	if err := sn.pourSelect(s.From, p, k); err != nil {
 		return nil, err
 	}
-	if n == 0 {
+	if k.n == 0 {
 		return &Result{}, nil // nothing to append: the table stays as it is
 	}
 	nt, err := ws.appendTo(key)
 	if err != nil {
 		return nil, err
 	}
-	if err := nt.appendRows(colPos, parts...); err != nil {
-		return nil, err
-	}
-	return &Result{Affected: n}, nil
+	nt.appendChunk(k.chunk())
+	return &Result{Affected: k.n}, nil
 }
 
-// columnPositions maps the named columns to their table positions.
+// columnPositions maps the named columns to their table positions; no
+// names means every column, in order. Naming a column twice is an error.
 func (t *table) columnPositions(cols []string) ([]int, error) {
+	if len(cols) == 0 {
+		colPos := make([]int, len(t.schema))
+		for i := range colPos {
+			colPos[i] = i
+		}
+		return colPos, nil
+	}
 	colPos := make([]int, len(cols))
 	for i, c := range cols {
 		ci := t.schema.Index(c)
 		if ci < 0 {
 			return nil, errorf("no column %q in table %q", c, t.name)
 		}
+		if slices.Contains(colPos[:i], ci) {
+			return nil, errorf("column %q named twice in INSERT into %s", c, t.name)
+		}
 		colPos[i] = ci
 	}
 	return colPos, nil
 }
 
-// appendRows coerces the rows of parts (positionally matching colPos,
-// other columns NULL) to the schema types and appends them as one
-// exactly-sized chunk. One backing array holds the whole batch: R
-// rows cost O(1) slice allocations instead of R, and end up contiguous
-// in memory for the scans that follow. Only legal on a mutable version.
-func (t *table) appendRows(colPos []int, parts ...[]Row) error {
-	n := 0
-	for _, rows := range parts {
-		n += len(rows)
+// appendRows coerces rows (positionally matching colPos, other columns
+// NULL) to the schema types and appends them as one exactly-sized chunk.
+// Only legal on a mutable version.
+func (t *table) appendRows(colPos []int, rows []Row) error {
+	k := newTableSink(t, colPos)
+	k.reserve(len(rows))
+	if err := k.addRows(rows); err != nil {
+		return err
 	}
-	ncols := len(t.schema)
-	backing := make([]value.Value, n*ncols)
-	chunk := make([]Row, 0, n)
-	for _, rows := range parts {
-		for _, in := range rows {
-			if len(in) != len(colPos) {
-				return errorf("INSERT into %s: %d values for %d columns", t.name, len(in), len(colPos))
+	t.appendChunk(k.chunk())
+	return nil
+}
+
+// tableSink collects the rows a statement adds to a table, in the
+// table's layout: every value converted to its column's type at its
+// column's position, the columns the statement does not name NULL, all
+// rows in one flat backing array — R rows cost O(1) slice allocations
+// and end up contiguous in memory for the scans that follow. The table
+// is not touched until the statement has produced its last row; chunk
+// then cuts the one chunk to append. A SELECT feeds it branch by branch
+// (pourSelect in exec.go), VALUES and InsertRows the rows they have.
+type tableSink struct {
+	t      *table
+	colPos []int // incoming column -> table column
+	rest   []int // table columns no incoming column fills
+	vals   []value.Value
+	n      int // rows so far
+
+	// Of the select branch being poured: the types its columns have in
+	// the branch and in the statement, which differ where the compound
+	// reconciled them. Values pass through the statement's type on their
+	// way to the table's, as they would on their way into a result. Both
+	// nil for rows that come from no select.
+	branch, out Schema
+
+	ctx execCtx // the pouring scan's, kept here to be allocated once
+}
+
+func newTableSink(t *table, colPos []int) *tableSink {
+	k := &tableSink{t: t, colPos: colPos}
+	if len(colPos) < len(t.schema) {
+		for ci := range t.schema {
+			if !slices.Contains(colPos, ci) {
+				k.rest = append(k.rest, ci)
 			}
-			row := Row(backing[:ncols:ncols])
-			backing = backing[ncols:]
-			for i, c := range t.schema {
-				row[i] = value.Null(c.Type)
-			}
-			for i, v := range in {
-				ci := colPos[i]
-				cv, err := v.Convert(t.schema[ci].Type)
-				if err != nil {
-					return errorf("column %q: %v", t.schema[ci].Name, err)
-				}
-				row[ci] = cv
-			}
-			chunk = append(chunk, row)
 		}
 	}
-	t.appendChunk(chunk)
+	return k
+}
+
+// reserve makes room for n more rows: exactly that, the first time, so
+// that a statement that knows its rows up front builds the chunk's
+// backing array in place.
+func (k *tableSink) reserve(n int) {
+	if n *= len(k.t.schema); cap(k.vals) == 0 {
+		k.vals = make([]value.Value, 0, n)
+	} else {
+		k.vals = slices.Grow(k.vals, n)
+	}
+}
+
+// next adds a row and returns it for put to fill.
+func (k *tableSink) next() Row {
+	w := len(k.t.schema)
+	at := len(k.vals)
+	k.vals = slices.Grow(k.vals, w)[:at+w]
+	row := k.vals[at:]
+	for _, ci := range k.rest {
+		row[ci] = value.Null(k.t.schema[ci].Type)
+	}
+	k.n++
+	return row
+}
+
+// put stores the row's j-th incoming value.
+func (k *tableSink) put(row Row, j int, v *value.Value) error {
+	c := &k.t.schema[k.colPos[j]]
+	if v.IsNull() {
+		row[k.colPos[j]] = value.Null(c.Type)
+		return nil
+	}
+	if k.out != nil && k.branch[j].Type != k.out[j].Type {
+		rv, err := reconcile(*v, k.out[j])
+		if err != nil {
+			return err
+		}
+		v = &rv
+	}
+	if v.Type() == c.Type {
+		row[k.colPos[j]] = *v
+		return nil
+	}
+	cv, err := v.Convert(c.Type)
+	if err != nil {
+		return errorf("column %q: %v", c.Name, err)
+	}
+	row[k.colPos[j]] = cv
 	return nil
+}
+
+// addRows adds finished rows.
+func (k *tableSink) addRows(rows []Row) error {
+	k.reserve(len(rows))
+	for _, in := range rows {
+		if len(in) != len(k.colPos) {
+			return insertArity(k.t, len(in), len(k.colPos))
+		}
+		row := k.next()
+		for j := range in {
+			if err := k.put(row, j, &in[j]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// chunk cuts the rows into the chunk to append: exactly sized, backing
+// array included — a published chunk lives as long as its table.
+func (k *tableSink) chunk() []Row {
+	vals := k.vals
+	if cap(vals) > len(vals) {
+		vals = append(make([]value.Value, 0, len(vals)), vals...)
+	}
+	w := len(k.t.schema)
+	rows := make([]Row, k.n)
+	for i := range rows {
+		rows[i] = vals[i*w : (i+1)*w : (i+1)*w]
+	}
+	return rows
 }
 
 // tableECSchema builds the evaluation schema of a single table: its

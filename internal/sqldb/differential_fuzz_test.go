@@ -46,7 +46,9 @@ import (
 
 // mrow is the reference model's row: the fuzz schema is fixed as
 // m (k integer, grp string, v integer) with k unique and increasing so
-// ORDER BY k is total and comparisons are deterministic.
+// ORDER BY k is total and comparisons are deterministic. m2 and m3 have
+// the same columns and are empty between statements: rows pass through
+// them on their way into m (opcode 2).
 type mrow struct {
 	k   int64
 	grp string
@@ -571,6 +573,9 @@ func FuzzSQLDifferential(f *testing.F) {
 	f.Add([]byte{4, 200, 4, 100, 4, 50, 7, 0, 5, 1, 9, 4, 12, 6, 2, 9, 3, 255, 7, 1})
 	f.Add([]byte{4, 1, 4, 2, 5, 0, 4, 3, 6, 0, 7, 0, 5, 0, 4, 4, 5, 0, 7, 1, 7, 2, 7, 3})
 	f.Add([]byte{2, 130, 9, 2, 1, 200, 7, 5, 3, 0, 5, 2, 200, 3, 7, 5, 0, 250, 7, 6, 1, 6, 7, 5, 2, 9, 7, 6, 3})
+	// The three-table compound, filtered both ways, in and out of a
+	// transaction that rolls back.
+	f.Add([]byte{2, 194, 5, 2, 197, 9, 7, 0, 5, 2, 193, 3, 2, 196, 4, 7, 1, 6, 7, 0, 2, 255, 100, 7, 5, 1, 50})
 	// The scaled values: three rows of 126 * 2^55, whose integer sum
 	// wraps where their AVG must not, checked alone, grouped and joined;
 	// then, m emptied and rescaled, ten of 127 * 2^53.
@@ -601,6 +606,8 @@ func FuzzSQLDifferential(f *testing.F) {
 		defer func() { s.bdb.Close() }()
 		s.exec("CREATE TABLE m (k integer, grp string, v integer)")
 		s.exec("CREATE TABLE j (jk integer, tag string, ord integer)")
+		s.exec("CREATE TABLE m2 (k integer, grp string, v integer)")
+		s.exec("CREATE TABLE m3 (k integer, grp string, v integer)")
 
 		// Each opcode consumes one selector byte plus up to two operand
 		// bytes. 64 ops keeps a single input fast while still producing
@@ -628,7 +635,27 @@ func FuzzSQLDifferential(f *testing.F) {
 				v := s.val(next())
 				k1, k2 := s.nextK, s.nextK+1
 				s.nextK += 2
-				if sel >= 128 { // the same two rows from a compound select
+				if sel >= 192 {
+					// The same two rows through the staging tables, which
+					// have m's schema: three branches of one shape — one
+					// plan — that differ in their table and the group they
+					// project. The threshold keeps m's own rows out; an even
+					// selector filters by a column, which the vectorized
+					// path serves, an odd one by an expression, which leaves
+					// the row engine to pour what it keeps. The statements
+					// leave the staging tables empty, as a ROLLBACK does.
+					filter := "k"
+					if sel%2 == 1 {
+						filter = "k + 0"
+					}
+					s.exec(fmt.Sprintf("INSERT INTO m2 VALUES (%d, 'x', %d)", k1, v))
+					s.exec(fmt.Sprintf("INSERT INTO m3 VALUES (%d, 'y', %d)", k2, -v))
+					s.exec(fmt.Sprintf("INSERT INTO m (v, grp, k) SELECT v, 'g9', k FROM m WHERE %[1]s >= %[2]d"+
+						" UNION ALL SELECT v, '%[3]s', k FROM m2 WHERE %[1]s >= %[2]d UNION ALL SELECT v, '%[3]s', k FROM m3 WHERE %[1]s >= %[2]d",
+						filter, k1, grp))
+					s.exec("DELETE FROM m2")
+					s.exec("DELETE FROM m3")
+				} else if sel >= 128 { // the same two rows from a compound select
 					s.exec(fmt.Sprintf("INSERT INTO m (v, grp, k) SELECT %d, '%s', %d UNION ALL SELECT -v, grp, k + 1 FROM m WHERE k = %d",
 						v, grp, k1, k1))
 					// Branch two reads the state before the statement,

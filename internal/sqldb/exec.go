@@ -62,21 +62,32 @@ func (fi fromItem) qualify(cols Schema) Schema {
 
 // scan produces a relation from a stored table. The relation shares
 // the table version's (immutable) chunks — no row copying. Inside a
-// read-tracked transaction the whole table joins the read set.
+// read-tracked transaction the whole table joins the read set. The
+// relation carries no schema: the plan resolved every column already,
+// and only the row-engine joins, which concatenate schemas to find
+// their ON columns, ask for one (scanQualified).
 func (sn *snapshot) scan(fi fromItem) (*relation, error) {
-	schema, err := sn.scanSchema(fi)
-	if err != nil {
-		return nil, err
+	t, ok := sn.table(fi.Table)
+	if !ok {
+		return nil, errorf("no such table %q", fi.Table)
 	}
 	if sn.reads != nil {
-		sn.reads.addFull(lower(fi.Table))
+		sn.reads.addFull(t.key)
 	}
-	t, _ := sn.table(fi.Table)
 	chunks, err := t.chunks()
 	if err != nil {
 		return nil, err
 	}
-	return &relation{schema: schema, chunks: chunks, nrows: t.nrows}, nil
+	return &relation{chunks: chunks, nrows: t.nrows}, nil
+}
+
+// scanQualified is scan for one side of a row-engine join.
+func (sn *snapshot) scanQualified(fi fromItem) (*relation, error) {
+	rel, err := sn.scan(fi)
+	if err == nil {
+		rel.schema, err = sn.scanSchema(fi)
+	}
+	return rel, err
 }
 
 // crossJoin combines two relations with no condition.
@@ -271,7 +282,7 @@ func (sn *snapshot) indexedScan(fi fromItem, where sqlExpr) (*relation, error) {
 			// different keys of the same table don't conflict.
 			sn.reads.addPoint(lower(fi.Table), pointRead{col: col, key: cv, fp: fingerprintRows(rows)})
 		}
-		return singleChunk(fi.qualify(t.schema), rows), nil
+		return singleChunk(nil, rows), nil
 	}
 	return nil, nil
 }
@@ -287,43 +298,6 @@ func (sn *snapshot) execSelect(st *SelectStmt) (*Result, error) {
 	return sn.runSelect(st, p)
 }
 
-// branchRows runs a select branch by branch — a plain SELECT is its
-// own single branch — against this one snapshot and returns each
-// branch's rows, coerced to the reconciled schema, in branch order,
-// with their total count.
-func (sn *snapshot) branchRows(st *SelectStmt, p *compiledSelect) ([][]Row, int, error) {
-	if p.union == nil {
-		res, err := sn.runSelect(st, p)
-		if err != nil {
-			return nil, 0, err
-		}
-		return [][]Row{res.Rows}, len(res.Rows), nil
-	}
-	parts := make([][]Row, len(p.union))
-	n := 0
-	for bi, bp := range p.union {
-		res, err := sn.runSelect(st.Union[bi], bp)
-		if err != nil {
-			return nil, 0, err
-		}
-		// projectRow builds result rows afresh on every execution, so
-		// coercing in place cannot reach table storage.
-		for ci, c := range p.outSchema {
-			if bp.outSchema[ci].Type == c.Type {
-				continue
-			}
-			for _, row := range res.Rows {
-				if row[ci], err = row[ci].Convert(c.Type); err != nil {
-					return nil, 0, errorf("UNION ALL column %q: %v", c.Name, err)
-				}
-			}
-		}
-		parts[bi] = res.Rows
-		n += len(res.Rows)
-	}
-	return parts, n, nil
-}
-
 // sourceRelation builds the input rows of a SELECT: the FROM clause
 // (or a single synthetic row for table-less SELECT), cross joins, and
 // explicit JOINs, with an index probe for the single-table case.
@@ -337,19 +311,19 @@ func (sn *snapshot) sourceRelation(st *SelectStmt) (*relation, error) {
 		}
 		return sn.scan(st.From[0])
 	}
-	rel, err := sn.scan(st.From[0])
+	rel, err := sn.scanQualified(st.From[0])
 	if err != nil {
 		return nil, err
 	}
 	for _, fi := range st.From[1:] {
-		r2, err := sn.scan(fi)
+		r2, err := sn.scanQualified(fi)
 		if err != nil {
 			return nil, err
 		}
 		rel = crossJoin(rel, r2)
 	}
 	for _, jc := range st.Joins {
-		r2, err := sn.scan(jc.Right)
+		r2, err := sn.scanQualified(jc.Right)
 		if err != nil {
 			return nil, err
 		}
@@ -363,69 +337,37 @@ func (sn *snapshot) sourceRelation(st *SelectStmt) (*relation, error) {
 
 // runSelect executes a SELECT with an already-compiled plan. Scan,
 // filter and project/aggregate are fused into a single pass over the
-// source rows — no intermediate filtered relation is materialized.
-// Plans that qualified for the vectorized path (see vector.go) run
-// there instead; runVecSelect declines at runtime only when the
-// execution environment is missing or vectorization is disabled.
+// source rows — no intermediate filtered relation is materialized. A
+// compound's branches run in order against this one snapshot, each
+// appending its rows, coerced to the reconciled schema, to the result.
 func (sn *snapshot) runSelect(st *SelectStmt, p *compiledSelect) (*Result, error) {
 	if p.union != nil {
-		parts, n, err := sn.branchRows(st, p)
-		if err != nil {
-			return nil, err
-		}
-		rows := make([]Row, 0, n)
-		for _, part := range parts {
-			rows = append(rows, part...)
-		}
-		return &Result{Columns: p.outSchema, Rows: rows}, nil
-	}
-	if p.vec != nil {
-		if sn.reads != nil {
-			// The vectorized engine reads column projections without
-			// going through scan(), so record its inputs as full table
-			// reads up front (conservative if it declines and the row
-			// path then serves an index probe instead).
-			for _, fi := range st.From {
-				sn.reads.addFull(lower(fi.Table))
+		out := &Result{Columns: p.outSchema}
+		for bi, bp := range p.union {
+			res, err := sn.runSelect(st.Union[bi], bp)
+			if err != nil {
+				return nil, err
 			}
-			for _, jc := range st.Joins {
-				sn.reads.addFull(lower(jc.Right.Table))
+			// projectRow builds result rows afresh on every execution, so
+			// coercing in place cannot reach table storage.
+			for ci, c := range p.outSchema {
+				if bp.outSchema[ci].Type == c.Type {
+					continue
+				}
+				for _, row := range res.Rows {
+					if row[ci], err = reconcile(row[ci], c); err != nil {
+						return nil, err
+					}
+				}
 			}
+			out.Rows = append(out.Rows, res.Rows...)
 		}
-		if res, ok, err := sn.runVecSelect(st, p); ok || err != nil {
-			return res, err
-		}
+		return out, nil
 	}
-	var joinRel *relation
-	if p.vecJoin != nil {
-		if sn.reads != nil {
-			for _, fi := range st.From {
-				sn.reads.addFull(lower(fi.Table))
-			}
-			for _, jc := range st.Joins {
-				sn.reads.addFull(lower(jc.Right.Table))
-			}
-		}
-		res, rel, ok, err := sn.runVecJoin(st, p)
-		if err != nil {
-			return nil, err
-		}
-		if ok && res != nil {
-			return res, nil // fused join+aggregate path completed
-		}
-		if ok {
-			joinRel = rel // join done columnar; row loops finish the query
-		}
+	res, rel, err := sn.source(st, p)
+	if res != nil || err != nil {
+		return res, err
 	}
-	rel := joinRel
-	if rel == nil {
-		var err error
-		rel, err = sn.sourceRelation(st)
-		if err != nil {
-			return nil, err
-		}
-	}
-
 	if p.grouped {
 		t := newGroupTable(st, p)
 		for _, chunk := range rel.chunks {
@@ -455,7 +397,7 @@ func (sn *snapshot) runSelect(st *SelectStmt, p *compiledSelect) (*Result, error
 			if !keep {
 				continue
 			}
-			out, err := p.projectRow(ctx, row)
+			out, err := p.projectRow(st, ctx, row)
 			if err != nil {
 				return nil, err
 			}
@@ -466,6 +408,149 @@ func (sn *snapshot) runSelect(st *SelectStmt, p *compiledSelect) (*Result, error
 		}
 	}
 	return p.finish(st, outRows, reps, nil)
+}
+
+// reconcile converts a branch's value to the type the compound gave its
+// column.
+func reconcile(v value.Value, c Column) (value.Value, error) {
+	cv, err := v.Convert(c.Type)
+	if err != nil {
+		return cv, errorf("UNION ALL column %q: %v", c.Name, err)
+	}
+	return cv, nil
+}
+
+// source runs a plain SELECT up to its row loops: a vectorized path
+// (vector.go, vecjoin.go) that carried the statement to its end hands
+// back the result; otherwise — the vectorized join stopped at the join,
+// the path declined at run time, or the plan never qualified — the
+// caller gets the relation to loop over.
+func (sn *snapshot) source(st *SelectStmt, p *compiledSelect) (*Result, *relation, error) {
+	if sn.reads != nil && (p.vec != nil || p.vecJoin != nil) {
+		// The vectorized engines read column projections without going
+		// through scan(), so record their inputs as full table reads up
+		// front (conservative if one declines and the row path then
+		// serves an index probe instead).
+		for _, fi := range st.From {
+			sn.reads.addFull(lower(fi.Table))
+		}
+		for _, jc := range st.Joins {
+			sn.reads.addFull(lower(jc.Right.Table))
+		}
+	}
+	if p.vec != nil {
+		if res, ok, err := sn.runVecSelect(st, p); ok || err != nil {
+			return res, nil, err
+		}
+	}
+	if p.vecJoin != nil {
+		res, rel, ok, err := sn.runVecJoin(st, p)
+		if err != nil || ok {
+			// res: the fused join+aggregate path completed. rel: the join
+			// was done columnar and the row loops finish the query.
+			return res, rel, err
+		}
+	}
+	rel, err := sn.sourceRelation(st)
+	return nil, rel, err
+}
+
+// pours reports whether st's rows can go to their destination one by
+// one as the scan keeps them: nothing groups, reorders, dedups or cuts
+// them afterwards.
+func (p *compiledSelect) pours(st *SelectStmt) bool {
+	return !p.grouped && !st.Distinct && len(st.OrderBy) == 0 && st.Limit < 0 && st.Offset == 0
+}
+
+// pourSelect runs a SELECT, compound or plain, into a table sink, in
+// branch order then scan order. The rows that are counted before any
+// scan — a branch that pours unfiltered from one table yields that
+// table's — are reserved first, so that the statements whose size is
+// known build their chunk in place.
+func (sn *snapshot) pourSelect(st *SelectStmt, p *compiledSelect, k *tableSink) error {
+	sts, plans := st.Union, p.union
+	if plans == nil {
+		sts, plans = []*SelectStmt{st}, []*compiledSelect{p}
+	}
+	known := 0
+	for bi, b := range sts {
+		if plans[bi].pours(b) && b.Where == nil && len(b.From) == 1 && len(b.Joins) == 0 {
+			if t, ok := sn.table(b.From[0].Table); ok {
+				known += t.nrows
+			}
+		}
+	}
+	k.reserve(known)
+	for bi, b := range sts {
+		if err := sn.pourBranch(b, plans[bi], p.outSchema, k); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// pourBranch runs one plain SELECT into a table sink that takes its
+// columns as out, the types the statement as a whole gives them. A
+// branch that pours projects each row it keeps into its place in the
+// sink; any other shape, and whatever a vectorized path answered, is
+// added as the finished rows it is.
+func (sn *snapshot) pourBranch(st *SelectStmt, p *compiledSelect, out Schema, k *tableSink) error {
+	k.branch, k.out = p.outSchema, out
+	if !p.pours(st) {
+		res, err := sn.runSelect(st, p)
+		if err != nil {
+			return err
+		}
+		return k.addRows(res.Rows)
+	}
+	res, rel, err := sn.source(st, p)
+	if err != nil {
+		return err
+	}
+	if res != nil {
+		return k.addRows(res.Rows)
+	}
+	ctx := &k.ctx
+	for _, chunk := range rel.chunks {
+		for _, row := range chunk {
+			ctx.row = row
+			keep, err := p.keep(ctx)
+			if err != nil {
+				return err
+			}
+			if !keep {
+				continue
+			}
+			dst := k.next()
+			j := 0
+			for i, item := range p.items {
+				switch {
+				case item != nil:
+					v, err := item(ctx)
+					if err == nil {
+						err = k.put(dst, j, &v)
+					}
+					if err != nil {
+						return err
+					}
+					j++
+				case p.srcCols[i] != nil:
+					for _, ci := range p.srcCols[i] {
+						if err := k.put(dst, j, &row[ci]); err != nil {
+							return err
+						}
+						j++
+					}
+				default:
+					if err := k.put(dst, j, &st.Items[i].E.(*litExpr).v); err != nil {
+						return err
+					}
+					j++
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // finish applies the statement tail — DISTINCT, ORDER BY, OFFSET and
@@ -573,10 +658,11 @@ func (p *compiledSelect) finish(st *SelectStmt, outRows []Row, reps []Row, aggVs
 }
 
 // projectionSchema derives the output schema of a SELECT and, for star
-// items, the source column indexes they expand to.
-func projectionSchema(st *SelectStmt, ec *evalCtx) (Schema, map[int][]int, error) {
+// items, the source column indexes they expand to (aligned with the
+// items, nil for any other item).
+func projectionSchema(st *SelectStmt, ec *evalCtx) (Schema, [][]int, error) {
 	var out Schema
-	starCols := map[int][]int{}
+	starCols := make([][]int, len(st.Items))
 	for i, it := range st.Items {
 		if it.Star {
 			var cols []int

@@ -18,53 +18,55 @@ type ExplainStmt struct {
 
 func (*ExplainStmt) stmt() {}
 
-// explainUnion renders a compound select: a header with the branch
-// count, then the steps of each distinct branch shape once — branches
-// whose steps differ only in table names and row counts share a shape
-// — headed by how many branches have it and the path (vector or row)
-// they run on.
+// explainUnion renders a compound select: a header with the number of
+// branches and of the plans they run on, then each run of consecutive
+// branches that share a plan (planSelect) once — the steps of its first
+// branch, without table names and row counts, headed by how many
+// branches follow it and the path they take: the vector path, or the
+// row path, poured where each kept row goes straight to its place in the
+// statement's destination.
 func (db *DB) explainUnion(sn *snapshot, q *SelectStmt) ([]string, error) {
-	type shape struct {
-		path     string
-		steps    []string
-		first    int
-		branches int
+	p, err := sn.planSelect(q)
+	if err != nil {
+		return nil, err
 	}
-	var shapes []*shape
-	byKey := map[string]*shape{}
-	for bi, b := range q.Union {
-		steps, vec, err := db.explainBranch(sn, b, true)
+	lines := []string{""}
+	plans := 0
+	for bi := 0; bi < len(q.Union); plans++ {
+		bp, first := p.union[bi], bi
+		for bi < len(q.Union) && p.union[bi] == bp {
+			bi++
+		}
+		steps, vec, err := db.explainBranch(sn, q.Union[first], bp, true)
 		if err != nil {
 			return nil, err
 		}
 		path := "row path"
-		if vec {
+		switch {
+		case vec:
 			path = "vector path"
+		case bp.pours(q.Union[first]):
+			path = "row path, poured"
 		}
-		key := path + "\n" + strings.Join(steps, "\n")
-		sh := byKey[key]
-		if sh == nil {
-			sh = &shape{path: path, steps: steps, first: bi + 1}
-			byKey[key] = sh
-			shapes = append(shapes, sh)
-		}
-		sh.branches++
-	}
-	lines := []string{fmt.Sprintf("UNION ALL (%d branches)", len(q.Union))}
-	for _, sh := range shapes {
-		lines = append(lines, fmt.Sprintf("%d branch(es) like branch %d [%s]:", sh.branches, sh.first, sh.path))
-		for _, l := range sh.steps {
+		lines = append(lines, fmt.Sprintf("%d branch(es) from branch %d [%s]:", bi-first, first+1, path))
+		for _, l := range steps {
 			lines = append(lines, "  "+l)
 		}
+	}
+	lines[0] = fmt.Sprintf("UNION ALL (%d branches, %d plans)", len(q.Union), plans)
+	if plans == 1 {
+		lines[0] = fmt.Sprintf("UNION ALL (%d branches, 1 plan)", len(q.Union))
 	}
 	return lines, nil
 }
 
 // explainBranch renders the steps of one plain SELECT and reports
-// whether it runs on the vectorized path. With generic set, table
-// names and row counts are left out, so that branches of one shape
-// render alike.
-func (db *DB) explainBranch(sn *snapshot, q *SelectStmt, generic bool) ([]string, bool, error) {
+// whether it runs on the vectorized path. p is the plan q runs on, nil
+// if it has none (its steps are then the row engine's, up to the one
+// that will fail). With generic set, table names and row counts are
+// left out, so that the steps read true of every branch on the plan.
+func (db *DB) explainBranch(sn *snapshot, q *SelectStmt, p *compiledSelect, generic bool) ([]string, bool, error) {
+	vecOn := p != nil && db.env != nil && !db.env.vecDisabled.Load()
 	var lines []string
 	add := func(format string, args ...any) {
 		lines = append(lines, fmt.Sprintf(format, args...))
@@ -100,7 +102,13 @@ func (db *DB) explainBranch(sn *snapshot, q *SelectStmt, generic bool) ([]string
 		// Report which execution path the compiled plan will take; the
 		// same qualification (planVec) runs at plan time, so this is the
 		// decision, not a guess.
-		if p, err := sn.planSelect(q); err == nil && p.vec != nil && db.env != nil && !db.env.vecDisabled.Load() {
+		switch {
+		case !vecOn || p.vec == nil:
+			add("fused single pass: scan, filter, project/aggregate")
+		case generic: // morsels and blocks are the table's, not the plan's
+			vec = true
+			add("fused single pass: batch scan, filter, aggregate [vectorized]")
+		default:
 			vec = true
 			add("fused single pass: batch scan, filter, aggregate [vectorized] [morsels=%d]", vecMorselCount(t))
 			line, err := db.explainBlocks(t, p.vec)
@@ -110,9 +118,6 @@ func (db *DB) explainBranch(sn *snapshot, q *SelectStmt, generic bool) ([]string
 			if line != "" {
 				add("%s", line)
 			}
-		}
-		if !vec {
-			add("fused single pass: scan, filter, project/aggregate")
 		}
 	default:
 		// Track the accumulated left-side schema so the hash-join
@@ -138,7 +143,7 @@ func (db *DB) explainBranch(sn *snapshot, q *SelectStmt, generic bool) ([]string
 		// Same rule as the single-table branch: the plan carries the
 		// vec-join decision, so EXPLAIN reports it rather than guessing.
 		var jp *vecJoinPlan
-		if p, err := sn.planSelect(q); err == nil && p.vecJoin != nil && db.env != nil && !db.env.vecDisabled.Load() {
+		if vecOn && p.vecJoin != nil {
 			jp, vec = p.vecJoin, true
 		}
 		for _, jc := range q.Joins {
@@ -241,7 +246,8 @@ func (db *DB) execExplain(sn *snapshot, st *ExplainStmt) (*Result, error) {
 	if len(q.Union) > 0 {
 		lines, err = db.explainUnion(sn, q)
 	} else {
-		lines, _, err = db.explainBranch(sn, q, false)
+		p, _ := sn.planSelect(q) // the steps say what a statement without a plan fails at
+		lines, _, err = db.explainBranch(sn, q, p, false)
 	}
 	if err != nil {
 		return nil, err

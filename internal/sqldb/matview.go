@@ -526,7 +526,7 @@ func (v *matView) accumulate(row Row) error {
 	if keep, err := p.keep(ctx); !keep || err != nil {
 		return err
 	}
-	out, err := p.projectRow(ctx, row)
+	out, err := p.projectRow(v.st, ctx, row)
 	if err != nil {
 		return err
 	}

@@ -68,8 +68,7 @@ type zoneFn func(meta func(ci int) *blockMeta) bool
 // vecPlan is the vectorized form of a qualifying SELECT, attached to
 // its compiledSelect and cached/invalidated with it.
 type vecPlan struct {
-	tableKey string
-	cols     []int // distinct source columns needing vectors
+	cols []int // distinct source columns needing vectors
 
 	pred vecPredFn // nil when no WHERE clause
 	// zone is the zone-map form of pred: evaluated against a block's
@@ -96,7 +95,7 @@ func (sn *snapshot) planVec(st *SelectStmt, p *compiledSelect, ec *evalCtx) *vec
 	if _, ok := sn.explainIndexProbe(st.From[0], st.Where); ok {
 		return nil
 	}
-	vp := &vecPlan{tableKey: lower(st.From[0].Table)}
+	vp := &vecPlan{}
 	need := map[int]bool{}
 	if st.Where != nil {
 		vp.pred = compileVecPred(st.Where, ec, p.srcSchema, need)
@@ -1083,7 +1082,9 @@ func (sn *snapshot) runVecSelect(st *SelectStmt, p *compiledSelect) (*Result, bo
 	if env == nil || env.vecDisabled.Load() {
 		return nil, false, nil
 	}
-	t, ok := sn.table(vp.tableKey)
+	// The table is the statement's, not the plan's: branches of a
+	// compound share a plan across tables with the same columns.
+	t, ok := sn.table(st.From[0].Table)
 	if !ok {
 		return nil, false, nil
 	}
@@ -1195,7 +1196,7 @@ func (sn *snapshot) runVecSelect(st *SelectStmt, p *compiledSelect) (*Result, bo
 				}
 				row := ch.rows[lo+i]
 				ctx.row = row
-				out, err := p.projectRow(ctx, row)
+				out, err := p.projectRow(st, ctx, row)
 				if err != nil {
 					return err
 				}
