@@ -224,8 +224,8 @@ func TestAggDriversAgree(t *testing.T) {
 	}
 	mustExec(t, v4, "INSERT INTO kt VALUES "+strings.Join(ktRows, ", "))
 	tab, _ := v4.state.Load().table("t")
-	if n := vecMorselCount(tab); n < 4 {
-		t.Fatalf("agreement table cut into %d morsels, want several", n)
+	if ms, err := tab.morsels(); err != nil || len(ms) < 4 {
+		t.Fatalf("agreement table cut into %d morsels (%v), want several", len(ms), err)
 	}
 	if err := views.WaitPos(v4.Pos(), time.Minute); err != nil {
 		t.Fatal(err)

@@ -85,8 +85,8 @@ func (db *DB) execAlter(ws *writeState, s *AlterTableStmt) (*Result, error) {
 		nt.schema = append(nt.schema.clone(), *s.Add)
 		null := value.Null(s.Add.Type)
 		rows := make([]Row, 0, nt.nrows)
-		for _, ch := range t.residentChunks() { // modify hydrated t
-			for _, row := range ch {
+		for _, ch := range t.builtChunks() { // modify hydrated t
+			for _, row := range ch.rows() {
 				nr := make(Row, 0, len(row)+1)
 				nr = append(nr, row...)
 				rows = append(rows, append(nr, null))
@@ -108,8 +108,8 @@ func (db *DB) execAlter(ws *writeState, s *AlterTableStmt) (*Result, error) {
 		sc := nt.schema.clone()
 		nt.schema = append(sc[:ci:ci], sc[ci+1:]...)
 		rows := make([]Row, 0, nt.nrows)
-		for _, ch := range t.residentChunks() { // modify hydrated t
-			for _, row := range ch {
+		for _, ch := range t.builtChunks() { // modify hydrated t
+			for _, row := range ch.rows() {
 				nr := make(Row, 0, len(row)-1)
 				nr = append(nr, row[:ci]...)
 				rows = append(rows, append(nr, row[ci+1:]...))

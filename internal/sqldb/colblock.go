@@ -82,9 +82,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"iter"
 	"math"
 	"os"
-	"sync"
 	"time"
 
 	"perfbase/internal/failpoint"
@@ -759,17 +759,27 @@ func (r *byteReader) str() string {
 
 // parseSegment decodes the block-meta segment of the table at loc into
 // one storeChunk per chunk; lens are the chunk lengths the directory
-// recorded.
-func parseSegment(seg []byte, name string, schema Schema, lens []int, loc *diskLoc) ([]*storeChunk, error) {
+// recorded. The chunks, their columns and their blocks come out of three
+// allocations, however many there are.
+func parseSegment(seg []byte, name string, schema Schema, lens []int, loc *diskLoc) ([]storeChunk, error) {
 	if len(seg) < 4 || crc32.Checksum(seg[:len(seg)-4], walCRC) != binary.LittleEndian.Uint32(seg[len(seg)-4:]) {
 		return nil, corruptf("table %q: block-meta segment CRC mismatch", name)
 	}
 	r := newByteReader(seg[:len(seg)-4])
-	out := make([]*storeChunk, len(lens))
+	nblocks, key, w := 0, lower(name), len(schema)
+	for _, n := range lens {
+		nblocks += (n + vecMorselRows - 1) / vecMorselRows
+	}
+	out := make([]storeChunk, len(lens))
+	cols := make([][]blockMeta, len(lens)*w)
+	metas := make([]blockMeta, nblocks*w)
 	for k, n := range lens {
-		sc := &storeChunk{f: loc.f, base: loc.off, table: lower(name), schema: schema, rows: n, cols: make([][]blockMeta, len(schema))}
+		sc := &out[k]
+		*sc = storeChunk{f: loc.f, base: loc.off, table: key, schema: schema, rows: n, cols: cols[k*w : (k+1)*w : (k+1)*w]}
+		nb := (n + vecMorselRows - 1) / vecMorselRows
 		for ci, c := range schema {
-			blocks := make([]blockMeta, (n+vecMorselRows-1)/vecMorselRows)
+			blocks := metas[:nb:nb]
+			metas = metas[nb:]
 			covered := 0
 			for bi := range blocks {
 				b := &blocks[bi]
@@ -799,7 +809,6 @@ func parseSegment(seg []byte, name string, schema Schema, lens []int, loc *diskL
 			}
 			sc.cols[ci] = blocks
 		}
-		out[k] = sc
 	}
 	if r.p != len(r.b) {
 		return nil, corruptf("table %q: %d stray bytes in the block-meta segment", name, len(r.b)-r.p)
@@ -823,8 +832,11 @@ type dirTable struct {
 // blocks from off on, then seg bytes of block-meta segment. The file
 // stays open for as long as a diskLoc or a storeChunk points at it (a
 // rename over it only unlinks the name), and the runtime closes it when
-// none does — which is what lets a pinned Snapshot hydrate a table from
-// a checkpoint two generations old.
+// none does. Every checkpoint re-points the current tables and every
+// chunk they have built at itself, so what still names an older file is
+// a version only a pinned Snapshot holds — which is what lets that
+// Snapshot hydrate a table from a checkpoint two generations old, and
+// all that keeps the file.
 type diskLoc struct {
 	f       *os.File
 	off     int64
@@ -942,10 +954,22 @@ func parseDirectory(footer []byte, f *os.File, epoch uint64, end int64) ([]Schem
 
 // writtenTable is what writeCheckpoint reports per table: where it went
 // and, for a table it encoded (rather than copied), the blocks of each
-// of its non-empty chunks.
+// of its chunks.
 type writtenTable struct {
 	loc    *diskLoc
 	blocks []*storeChunk
+}
+
+// chunkBlocks yields a chunk's rows cut into blocks of vecMorselRows,
+// the cut every encoder of a chunk makes.
+func chunkBlocks(rows []Row) iter.Seq[[]Row] {
+	return func(yield func([]Row) bool) {
+		for lo := 0; lo < len(rows); lo += vecMorselRows {
+			if !yield(rows[lo:min(lo+vecMorselRows, len(rows))]) {
+				return
+			}
+		}
+	}
 }
 
 // writeCheckpoint writes tables — sorted by key — as the checkpoint of
@@ -1040,15 +1064,14 @@ func writeCheckpointTo(f *os.File, epoch uint64, tables []*table) ([]writtenTabl
 		}
 		carry = extentRun{}
 
+		// Encoded: not carried, so never cold — every chunk has its rows.
 		seg = seg[:0]
-		for _, ch := range t.residentChunks() {
-			if len(ch) == 0 {
-				continue
-			}
-			sc := &storeChunk{f: f, base: d.loc.off, table: t.key, schema: t.schema, rows: len(ch), cols: make([][]blockMeta, len(t.schema))}
+		for _, ch := range t.builtChunks() {
+			rows := ch.rows()
+			sc := &storeChunk{f: f, base: d.loc.off, table: t.key, schema: t.schema, rows: len(rows), cols: make([][]blockMeta, len(t.schema))}
 			for ci, c := range t.schema {
-				for _, rows := range chunkBlocks(ch) {
-					meta, payload, err := encodeColBlock(rows, ci, c.Type)
+				for blk := range chunkBlocks(rows) {
+					meta, payload, err := encodeColBlock(blk, ci, c.Type)
 					if err != nil {
 						return nil, fmt.Errorf("table %q column %q: %w", t.name, c.Name, err)
 					}
@@ -1217,48 +1240,59 @@ func (ck *checkpoint) coldTables(db *DB) []*table {
 	return out
 }
 
-// blockMeta returns the parsed block-meta segment of a cold version, one
-// entry per chunk, reading it on first use. seg, when the caller has the
-// segment's bytes in hand already (hydration reads the whole extent),
-// saves that read. The caller holds c.mu.
-func (c *coldState) blockMeta(t *table, loc *diskLoc, seg []byte) ([]*storeChunk, error) {
-	if c.blocks != nil {
-		return c.blocks, nil
+// parseChunks builds a cold version's chunk objects from its block-meta
+// segment, once: seg is the segment's bytes when the caller has read them
+// already (hydration reads the whole extent), else it is read here. The
+// objects and their blocks come out of a constant number of allocations,
+// as the versions themselves do in coldTables. The caller holds
+// t.cold.mu.
+func (t *table) parseChunks(loc *diskLoc, seg []byte) error {
+	if t.list != nil {
+		return nil
 	}
+	c := t.cold
 	if seg == nil {
 		var err error
 		if seg, err = loc.read(loc.payload, loc.seg); err != nil {
-			return nil, err
+			return err
 		}
 		c.env.ckptRead.Add(loc.seg)
 	}
-	blocks, err := parseSegment(seg, t.name, t.schema, c.lens, loc)
+	scs, err := parseSegment(seg, t.name, t.schema, c.lens, loc)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	c.blocks = blocks
-	return blocks, nil
+	objs, list := make([]chunk, len(scs)), make([]*chunk, len(scs))
+	for k := range scs {
+		objs[k].blocks.Store(&scs[k])
+		list[k] = &objs[k]
+	}
+	t.list = list
+	return nil
 }
 
 // loadColdTable reads a cold version's extent — one ReadAt — checks
-// every block against its CRC and decodes the rows, each chunk into one
-// backing array, with the chunk boundaries the checkpoint recorded. The
-// chunks' blocks are registered with the block store, so the scans that
-// follow prune by zone map as if the rows had never left memory. The
-// caller (table.hydrate) holds the version's hydration lock.
+// every block against its CRC and decodes the rows of each of the
+// version's chunks into one backing array, for table.hydrate, which
+// holds the version's hydration lock, to fill the chunk objects with in
+// place: the blocks a scan or EXPLAIN found on them, and the vectors
+// cached under them, stay theirs.
 func loadColdTable(t *table) ([][]Row, error) {
 	c, loc := t.cold, t.disk.Load()
 	buf, err := loc.read(0, loc.payload+loc.seg)
 	if err != nil {
 		return nil, err
 	}
-	blocks, err := c.blockMeta(t, loc, buf[loc.payload:])
-	if err != nil {
+	if err := t.parseChunks(loc, buf[loc.payload:]); err != nil {
 		return nil, err
 	}
 	width := len(t.schema)
-	chunks := make([][]Row, len(blocks))
-	for k, sc := range blocks {
+	chunks := make([][]Row, len(t.list))
+	for k, ch := range t.list {
+		// Offsets count from the extent's start, in whichever file a
+		// checkpoint has moved the blocks to since: a cold version is only
+		// ever carried over, byte for byte.
+		sc := ch.blocks.Load()
 		backing := make([]value.Value, sc.rows*width)
 		rows := make([]Row, sc.rows)
 		for i := range rows {
@@ -1280,22 +1314,17 @@ func loadColdTable(t *table) ([][]Row, error) {
 		}
 		chunks[k] = rows
 	}
-	if reg := c.env.blocks.Load(); reg != nil {
-		reg.add(chunks, blocks)
-	}
 	c.env.hydrated.Add(1)
 	c.env.ckptRead.Add(int64(len(buf)))
 	return chunks, nil
 }
 
-// ------------------------------------------------------- registry
+// ------------------------------------------------------- chunk blocks
 
-// storeChunk is the block metadata of one chunk, looked up by chunk
-// identity (the address of the chunk's first row — the same keying the
-// column cache uses; the pointer keeps the chunk's backing array alive,
-// so an address can never be reused while registered). f and base say
-// where the chunk's table lies in which checkpoint file; block offsets
-// count from base.
+// storeChunk is where a checkpoint file holds one chunk: its table's
+// extent starts at base in f, and block offsets count from there. It
+// hangs off the chunk object (chunk.blocks), which every checkpoint
+// re-points.
 type storeChunk struct {
 	f      *os.File
 	base   int64
@@ -1337,80 +1366,27 @@ func (sc *storeChunk) readBlock(ci, bi int) (*colVec, error) {
 	return decodeColBlock(meta.Enc, buf, sc.schema[ci].Type, meta.Rows)
 }
 
-// blockStore maps the resident chunks that a checkpoint file also holds
-// to their blocks there. A checkpoint installs a new one, holding every
-// chunk it wrote or carried over; hydrations add to the current one.
-type blockStore struct {
-	mu sync.RWMutex
-	m  map[*Row]*storeChunk
-}
-
-func newBlockStore() *blockStore { return &blockStore{m: map[*Row]*storeChunk{}} }
-
-func (s *blockStore) chunkFor(ch []Row) *storeChunk {
-	if s == nil || len(ch) == 0 {
-		return nil
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.m[&ch[0]]
-}
-
-// add registers chunks (none empty) under their blocks.
-func (s *blockStore) add(chunks [][]Row, blocks []*storeChunk) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for k, ch := range chunks {
-		s.m[&ch[0]] = blocks[k]
-	}
-}
-
 // adoptCheckpoint makes f, just renamed into place holding tables as
 // written says, the file everything reads from: every table points at
-// its new extent, so the file before can go as soon as nothing pinned
-// reads from it any more, and a new registry maps every resident chunk
-// to its new blocks — the ones just encoded, or the ones it had, moved.
-func (e *execEnv) adoptCheckpoint(f *os.File, tables []*table, written []writtenTable) {
-	old, next := e.blocks.Load(), newBlockStore()
+// its new extent and every chunk it has built at its blocks there — the
+// ones just encoded, or the ones it had, moved — so the file before can
+// go as soon as nothing pinned reads from it any more. The extent moves
+// first: a cold version's parse racing this builds its chunks on the new
+// file, or on the old one before builtChunks returns them to be moved.
+func adoptCheckpoint(f *os.File, tables []*table, written []writtenTable) {
 	for i, t := range tables {
 		w := &written[i]
-		k := 0
-		for _, ch := range t.residentChunks() {
-			if len(ch) == 0 {
-				continue
-			}
+		t.disk.Store(w.loc)
+		for k, ch := range t.builtChunks() {
 			if w.blocks != nil {
-				next.m[&ch[0]] = w.blocks[k]
-			} else if sc := old.chunkFor(ch); sc != nil {
+				ch.blocks.Store(w.blocks[k])
+			} else if sc := ch.blocks.Load(); sc != nil {
 				moved := *sc
 				moved.f, moved.base = f, w.loc.off
-				next.m[&ch[0]] = &moved
+				ch.blocks.Store(&moved)
 			}
-			k++
-		}
-		t.disk.Store(w.loc)
-	}
-	e.blocks.Store(next)
-}
-
-// tableBlocks returns the blocks of each of the version's chunks that a
-// checkpoint file holds, in chunk order, without hydrating it: from the
-// meta segment while the version is cold, from the registry after.
-func (e *execEnv) tableBlocks(t *table) ([]*storeChunk, error) {
-	if t.isCold() {
-		c := t.cold
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return c.blockMeta(t, t.disk.Load(), nil)
-	}
-	store := e.blocks.Load()
-	var out []*storeChunk
-	for _, ch := range t.residentChunks() {
-		if sc := store.chunkFor(ch); sc != nil {
-			out = append(out, sc)
 		}
 	}
-	return out, nil
 }
 
 // dominantEnc picks the most frequent encoding across a column's
@@ -1520,7 +1496,7 @@ func ScanBlockFile(path string) (*BlockFileInfo, error) {
 			ti.Indexes = append(ti.Indexes, schema[ci].Name)
 		}
 		buf, err := d.loc.read(0, ti.Size)
-		var chunks []*storeChunk
+		var chunks []storeChunk
 		if err == nil {
 			chunks, err = parseSegment(buf[d.loc.payload:], d.name, schema, d.lens, &d.loc)
 		}
@@ -1528,7 +1504,8 @@ func ScanBlockFile(path string) (*BlockFileInfo, error) {
 			ti.Err = err.Error()
 		}
 		info.Dir = append(info.Dir, ti)
-		for k, sc := range chunks {
+		for k := range chunks {
+			sc := &chunks[k]
 			for ci, col := range schema {
 				for _, b := range sc.cols[ci] {
 					info.Blocks = append(info.Blocks, BlockInfo{

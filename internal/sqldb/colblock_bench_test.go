@@ -13,7 +13,8 @@ import (
 const benchBlockRows = 128 * vecMorselRows
 
 // benchBlockDB builds a durable database with the bench shape,
-// checkpoints it (writing columns.blk and installing the block store),
+// checkpoints it (writing columns.blk and hanging the blocks on the
+// table's chunk),
 // and caps the column cache far below the data size so every scan
 // hydrates vectors from compressed blocks — the cold-cache regime the
 // PR's acceptance benchmarks measure.
@@ -41,8 +42,8 @@ func benchBlockDB(b *testing.B, nrows int) *DB {
 	if err := db.Checkpoint(); err != nil {
 		b.Fatal(err)
 	}
-	if tab, _ := db.state.Load().table("bench"); db.env.blocks.Load().chunkFor(tab.residentChunks()[0]) == nil {
-		b.Fatal("checkpoint did not register the table's blocks")
+	if tab, _ := db.state.Load().table("bench"); tab.builtChunks()[0].blocks.Load() == nil {
+		b.Fatal("checkpoint did not hang the table's blocks on its chunk")
 	}
 	db.ColumnCacheLimit(1 << 16)
 	b.Cleanup(db.crashWAL) // skip the closing checkpoint; TempDir removes the files
@@ -112,7 +113,10 @@ func BenchmarkColdVectorHydration(b *testing.B) {
 		b.Run(mode, func(b *testing.B) {
 			db := benchBlockDB(b, benchBlockRows/4) // 32 blocks: keep setup fast
 			if mode == "rows" {
-				db.env.blocks.Store(nil) // force buildColVec from row chunks
+				tab, _ := db.state.Load().table("bench")
+				for _, ch := range tab.builtChunks() {
+					ch.blocks.Store(nil) // force buildColVec from row chunks
+				}
 			}
 			if _, err := db.Exec(sql); err != nil {
 				b.Fatal(err)

@@ -376,8 +376,8 @@ func TestBlockZoneSkipCounts(t *testing.T) {
 
 // TestBlockFileChunkStructure asserts the checkpoint round-trips the
 // chunk layout: after reopen the table has the same chunk boundaries —
-// known before a row is read — and hydration registers every chunk
-// with its blocks.
+// known before a row is read — and hydration fills chunks that carry
+// their blocks.
 func TestBlockFileChunkStructure(t *testing.T) {
 	dir := t.TempDir()
 	db, err := OpenWithPolicy(dir, SyncOff)
@@ -413,13 +413,13 @@ func TestBlockFileChunkStructure(t *testing.T) {
 	if lens2 := t2.chunkLens(); fmt.Sprint(lens2) != fmt.Sprint(lens) || !t2.isCold() {
 		t.Fatalf("chunk layout across reopen: %v -> %v (cold: %v)", lens, lens2, t2.isCold())
 	}
-	st := db2.env.blocks.Load()
-	for i, ch := range mustChunks(t, t2) {
-		if len(ch) != lens[i] {
-			t.Errorf("chunk %d hydrated with %d rows, want %d", i, len(ch), lens[i])
+	mustChunks(t, t2)
+	for i, ch := range t2.builtChunks() {
+		if len(ch.rows()) != lens[i] {
+			t.Errorf("chunk %d hydrated with %d rows, want %d", i, len(ch.rows()), lens[i])
 		}
-		if st.chunkFor(ch) == nil {
-			t.Errorf("chunk %d (%d rows) not matched to its blocks", i, len(ch))
+		if sc := ch.blocks.Load(); sc == nil || sc.rows != lens[i] {
+			t.Errorf("chunk %d (%d rows) not matched to its blocks", i, len(ch.rows()))
 		}
 	}
 	// And writes still work on top of the hydrated chunks.

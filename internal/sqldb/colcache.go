@@ -3,35 +3,37 @@ package sqldb
 // Columnar projection cache.
 //
 // The vectorized executor (vector.go) runs scan/filter/aggregate over
-// typed column vectors instead of boxed value.Value rows. Building a
-// vector — one []int64/[]float64/[]string plus a null bitmap per
-// (chunk, column) — costs one pass over the chunk, so vectors are
-// cached and shared across queries and snapshots.
+// typed column vectors instead of boxed value.Value rows. A vector is
+// one []int64/[]float64/[]string plus a null bitmap per column of a
+// fresh chunk, built in one pass over its rows, or per column of one
+// block of a checkpointed chunk, decoded from the file; either costs a
+// pass, so vectors are cached and shared across queries and snapshots.
 //
-// Correctness model: row chunks are immutable once their table version
-// is published (see schema.go), and a derived version shares its
-// parent's chunk prefix, so a vector keyed by *chunk identity* can
-// never go stale — an INSERT appends new chunks (new cache keys), a
-// compaction or UPDATE allocates fresh chunks.
+// Key: the chunk object (schema.go), the block index — -1 for a fresh
+// chunk's whole-chunk vector — and the column. A chunk's rows never
+// change once a version holding it is published, and a derived version
+// shares its parent's chunk objects, so a vector can never go stale: an
+// INSERT appends new chunks (new keys), a compaction or UPDATE builds
+// new ones. The key needs no rows, so a cold version's blocks have
+// vectors before — or without — its rows being decoded.
 //
 // Lifetime: a vector lives as long as its chunk is in the table's
-// published version. Whoever publishes a new version of a table —
-// writeState.publish for a statement, DB.publishTxn for a
-// transaction — evicts the vectors of the chunks that version no
-// longer shares with the one it replaces (dropSuperseded): the chunks
-// a compaction merged away, every chunk after an UPDATE, DELETE or
-// ALTER rewrote the rows, every chunk of a dropped table. That is work
-// proportional to the chunks dropped, none for a plain append, and it
-// is what keeps a table rewritten over and over (pb_runs, once per
+// published version. DB.publishTxn, which publishes every new version
+// of a table (and ImportState, which replaces them all), evicts the
+// vectors of the chunks that version no longer shares with the one it
+// replaces (dropSuperseded): the chunks a compaction merged away, every
+// chunk after an UPDATE, DELETE or ALTER rewrote the rows, every chunk
+// of a dropped table — the chunks of a cold version included. That is
+// work proportional to the chunks dropped, none for a plain append, and
+// it is what keeps a table rewritten over and over (pb_runs, once per
 // import) from filling the cache with vectors nobody can ask for again.
 // A pinned Snapshot that still scans a superseded chunk rebuilds the
 // vector on miss; such stragglers, and everything else, age out of a
-// bytes-capped LRU (the entry's key would otherwise keep the chunk's
-// rows reachable forever).
+// bytes-capped LRU (the entry's key would otherwise keep the chunk
+// reachable forever).
 
 import (
 	"container/list"
-	"iter"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -58,10 +60,6 @@ type execEnv struct {
 	// the differential fuzzer and the ablation benchmarks to compare
 	// the two paths. See DB.SetVectorized.
 	vecDisabled atomic.Bool
-	// blocks maps resident chunks to their blocks in a checkpoint file
-	// (colblock.go): installed by Open, replaced whole by Checkpoint,
-	// added to by hydrations; nil for a memory-only database.
-	blocks atomic.Pointer[blockStore]
 	// zoneOff disables zone-map block skipping (the ablation switch
 	// behind DB.SetZoneMaps); blocks still hydrate vectors.
 	zoneOff atomic.Bool
@@ -223,37 +221,16 @@ func buildColVec(chunk []Row, ci int, typ value.Type) *colVec {
 	return v
 }
 
-// chunkColKey identifies one cached vector: the chunk region (by the
-// address of its first row — chunks are never empty in the cache,
-// never move, and never mutate once published — plus its row count, so
-// a whole-chunk vector and a block vector starting at the same row get
-// distinct keys) and the column index.
+// chunkColKey identifies one cached vector: the chunk, the block of it
+// (wholeChunk for a fresh chunk's vector over all its rows) and the
+// column index.
 type chunkColKey struct {
-	chunk *Row
-	n     int
+	chunk *chunk
+	block int
 	col   int
 }
 
-// vecKey is the key of the vector of column ci over rows: a whole chunk
-// (colFor) or one of its blocks (blockVec).
-func vecKey(rows []Row, ci int) chunkColKey {
-	return chunkColKey{chunk: &rows[0], n: len(rows), col: ci}
-}
-
-// chunkBlocks yields a chunk's morsel-sized blocks, each with its block
-// index. It is the one definition of the sub-slices a chunk's vectors
-// are cached under besides the whole chunk: the scans cut block-resident
-// chunks into morsels with it, and dropSuperseded finds their vectors
-// again with it.
-func chunkBlocks(ch []Row) iter.Seq2[int, []Row] {
-	return func(yield func(int, []Row) bool) {
-		for lo := 0; lo < len(ch); lo += vecMorselRows {
-			if !yield(lo/vecMorselRows, ch[lo:min(lo+vecMorselRows, len(ch))]) {
-				return
-			}
-		}
-	}
-}
+const wholeChunk = -1
 
 type colCacheEntry struct {
 	key chunkColKey
@@ -321,14 +298,13 @@ func (c *colCache) dropSuperseded(old, next *table) {
 	if old == nil || old == next {
 		return
 	}
-	// A version still cold has no vectors; next, derived or new, is
-	// resident.
-	was, now := old.residentChunks(), [][]Row(nil)
+	// A cold version's chunks not yet built have no vectors.
+	was, now := old.builtChunks(), []*chunk(nil)
 	if next != nil {
-		now = next.residentChunks()
+		now = next.builtChunks()
 	}
 	keep := len(was)
-	for keep > 0 && !(keep <= len(now) && sameChunk(was[keep-1], now[keep-1])) {
+	for keep > 0 && !(keep <= len(now) && was[keep-1] == now[keep-1]) {
 		keep--
 	}
 	if keep == len(was) {
@@ -340,28 +316,15 @@ func (c *colCache) dropSuperseded(old, next *table) {
 		return
 	}
 	for _, ch := range was[keep:] {
-		if len(ch) == 0 {
-			continue
-		}
+		n := ch.len()
 		for ci := range old.schema {
-			c.evictKey(vecKey(ch, ci))
-			for _, rows := range chunkBlocks(ch) {
-				c.evictKey(vecKey(rows, ci))
+			for bi := wholeChunk; bi*vecMorselRows < n; bi++ {
+				if el, ok := c.m[chunkColKey{ch, bi, ci}]; ok {
+					c.evict(el)
+				}
 			}
 		}
 	}
-}
-
-func (c *colCache) evictKey(key chunkColKey) {
-	if el, ok := c.m[key]; ok {
-		c.evict(el)
-	}
-}
-
-// sameChunk reports whether two chunks are the same rows in the same
-// place (an empty chunk has no place, and no vectors either).
-func sameChunk(a, b []Row) bool {
-	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // setLimit adjusts the byte cap, evicting immediately if over.
@@ -387,32 +350,31 @@ func (c *colCache) stats() (entries, bytes int) {
 	return c.ll.Len(), c.bytes
 }
 
-// colFor returns the vector for column ci of chunk, building and
-// caching it on miss.
-func (c *colCache) colFor(chunk []Row, ci int, typ value.Type) *colVec {
-	key := vecKey(chunk, ci)
+// colFor returns the vector for column ci of a resident chunk, over all
+// its rows, building and caching it on miss.
+func (c *colCache) colFor(ch *chunk, ci int, typ value.Type) *colVec {
+	key := chunkColKey{ch, wholeChunk, ci}
 	if v := c.get(key); v != nil {
 		return v
 	}
-	v := buildColVec(chunk, ci, typ)
+	v := buildColVec(ch.rows(), ci, typ)
 	if v == nil {
 		return nil
 	}
 	return c.put(key, v)
 }
 
-// blockVec returns the vector for one block's rows (a sub-slice of a
-// chunk), decoded from the chunk's compressed column block and cached
-// under the block's own key. A block that cannot be read or fails its
-// CRC fails the scan (DESIGN.md §6): the file is the checkpoint, and one
-// that has changed under a running database is not one to go on
-// answering around.
-func (e *execEnv) blockVec(rows []Row, ci int, sc *storeChunk, bi int) (*colVec, error) {
-	key := vecKey(rows, ci)
+// blockVec returns the vector for column ci of block bi of a chunk a
+// checkpoint holds, decoded from the block and cached under the block's
+// own key. A block that cannot be read or fails its CRC fails the scan
+// (DESIGN.md §6): the file is the checkpoint, and one that has changed
+// under a running database is not one to go on answering around.
+func (e *execEnv) blockVec(ch *chunk, bi, ci int) (*colVec, error) {
+	key := chunkColKey{ch, bi, ci}
 	if v := e.cache.get(key); v != nil {
 		return v, nil
 	}
-	v, err := sc.readBlock(ci, bi)
+	v, err := ch.blocks.Load().readBlock(ci, bi)
 	if err != nil {
 		return nil, err
 	}

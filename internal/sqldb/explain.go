@@ -110,12 +110,12 @@ func (db *DB) explainBranch(sn *snapshot, q *SelectStmt, p *compiledSelect, gene
 			add("fused single pass: batch scan, filter, aggregate [vectorized]")
 		default:
 			vec = true
-			add("fused single pass: batch scan, filter, aggregate [vectorized] [morsels=%d]", vecMorselCount(t))
-			line, err := db.explainBlocks(t, p.vec)
+			ms, err := t.morsels()
 			if err != nil {
 				return nil, false, err
 			}
-			if line != "" {
+			add("fused single pass: batch scan, filter, aggregate [vectorized] [morsels=%d]", len(ms))
+			if line := db.explainBlocks(t, p.vec, ms); line != "" {
 				add("%s", line)
 			}
 		}
@@ -162,7 +162,7 @@ func (db *DB) explainBranch(sn *snapshot, q *SelectStmt, p *compiledSelect, gene
 				rt, rok := sn.table(jp.rightKey)
 				skip := 0
 				if lok && rok {
-					if skip, _, err = db.vecJoinBlockSkips(sn, jp, lt, rt); err != nil {
+					if skip, err = db.vecJoinBlockSkips(jp, lt, rt); err != nil {
 						return nil, false, err
 					}
 				}
@@ -282,28 +282,33 @@ func (db *DB) execExplain(sn *snapshot, st *ExplainStmt) (*Result, error) {
 	return res, nil
 }
 
-// explainBlocks reports how the checkpoint's column blocks would serve
-// the vectorized scan: how many blocks would be decoded vs pruned by the
-// plan's zone predicate (evaluated statically against the zone maps, no
-// data touched — a cold table stays cold), plus the dominant encoding of
-// each column the plan reads. Empty when no chunk of the table is
-// block-resident.
-func (db *DB) explainBlocks(t *table, vp *vecPlan) (string, error) {
-	chunks, err := db.env.tableBlocks(t)
-	if err != nil || len(chunks) == 0 {
-		return "", err
-	}
-	zoneOn := vp.zone != nil && !db.env.zoneOff.Load()
+// explainBlocks reports how the checkpoint's column blocks serve the
+// vectorized scan of t, cut into ms: how many blocks it decodes and how
+// many the plan's zone predicate prunes — the scan's own decision
+// (vecPlan.prunes) over the scan's own morsels, asked of the zone maps
+// alone, so a cold table stays cold — plus the dominant encoding of each
+// column the plan reads. Empty when no chunk of the table is in a
+// checkpoint.
+func (db *DB) explainBlocks(t *table, vp *vecPlan, ms []morsel) string {
+	zoneOn := !db.env.zoneOff.Load()
 	scanned, skipped := 0, 0
-	for _, sc := range chunks {
-		for lo := 0; lo < sc.rows; lo += vecMorselRows {
-			bi, nrows := lo/vecMorselRows, min(vecMorselRows, sc.rows-lo)
-			if zoneOn && vp.zone(func(ci int) *blockMeta { return sc.block(ci, bi, nrows) }) {
-				skipped++
-				continue
-			}
+	var chunks []*storeChunk
+	for i := range ms {
+		m := &ms[i]
+		switch {
+		case m.bi == wholeChunk:
+			continue
+		case vp.prunes(m, zoneOn):
+			skipped++
+		default:
 			scanned++
 		}
+		if m.bi == 0 {
+			chunks = append(chunks, m.ch.blocks.Load())
+		}
+	}
+	if chunks == nil {
+		return ""
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "column blocks [blocks=%d/%d] enc", scanned, skipped)
@@ -312,7 +317,7 @@ func (db *DB) explainBlocks(t *table, vp *vecPlan) (string, error) {
 	for _, ci := range cols {
 		fmt.Fprintf(&b, " %s=%s", t.schema[ci].Name, dominantEnc(chunks, ci))
 	}
-	return b.String(), nil
+	return b.String()
 }
 
 // explainIndexProbe mirrors indexedScan's decision without touching

@@ -573,7 +573,6 @@ func OpenWithPolicy(dir string, policy SyncPolicy) (_ *DB, err error) {
 	}
 	db := NewMemory()
 	db.dir = dir
-	db.env.blocks.Store(newBlockStore())
 
 	var snapEpoch uint64
 	ck, err := openCheckpoint(filepath.Join(dir, blockFile))
@@ -739,7 +738,7 @@ func (db *DB) Checkpoint() error {
 	if err != nil {
 		return err
 	}
-	db.env.adoptCheckpoint(f, tables, written)
+	adoptCheckpoint(f, tables, written)
 	db.ckpt = f // the one before closes when the last reader lets go of it
 	// Rotate the WAL: stop the old writer, recreate at the new epoch.
 	// A crash anywhere in this window leaves checkpoint epoch E+1 with a

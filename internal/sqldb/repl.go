@@ -332,7 +332,7 @@ func (db *DB) ExportState() (*StateExport, error) {
 		if t.isCold() {
 			te.Blocks, err = exportStoredBlocks(t)
 		} else {
-			te.Blocks, err = exportTableBlocks(t.residentChunks(), t.schema)
+			te.Blocks, err = exportTableBlocks(t)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("sqldb: export of table %q: %w", t.name, err)
@@ -347,14 +347,13 @@ func (db *DB) ExportState() (*StateExport, error) {
 // blocks for replica bootstrap, cut where the chunks are cut. Every
 // engine type encodes (timestamps via the time encoding), so the row
 // fallback in TableExport exists only for forward compatibility.
-func exportTableBlocks(chunks [][]Row, schema Schema) (*TableBlocksExport, error) {
-	tb := &TableBlocksExport{Cols: make([]ColumnBlockExport, len(schema))}
-	for _, ch := range chunks {
-		tb.NRows += len(ch)
-		for ci := range schema {
+func exportTableBlocks(t *table) (*TableBlocksExport, error) {
+	tb := &TableBlocksExport{NRows: t.nrows, Cols: make([]ColumnBlockExport, len(t.schema))}
+	for _, ch := range t.builtChunks() { // t is resident
+		for ci, c := range t.schema {
 			cb := &tb.Cols[ci]
-			for _, rows := range chunkBlocks(ch) {
-				meta, payload, err := encodeColBlock(rows, ci, schema[ci].Type)
+			for blk := range chunkBlocks(ch.rows()) {
+				meta, payload, err := encodeColBlock(blk, ci, c.Type)
 				if err != nil {
 					return nil, err
 				}
@@ -373,19 +372,23 @@ func exportTableBlocks(chunks [][]Row, schema Schema) (*TableBlocksExport, error
 // block i of every column already covers the same rows. Nothing is
 // decoded or checked here; the importer verifies every CRC.
 func exportStoredBlocks(t *table) (*TableBlocksExport, error) {
-	c, loc := t.cold, t.disk.Load()
-	buf, err := loc.read(0, loc.payload+loc.seg)
-	if err != nil {
-		return nil, err
-	}
+	// The extent is read and its chunks built under the hydration lock,
+	// so that a checkpoint moving the table cannot slip in between.
+	c := t.cold
 	c.mu.Lock()
-	chunks, err := c.blockMeta(t, loc, buf[loc.payload:])
+	loc := t.disk.Load()
+	buf, err := loc.read(0, loc.payload+loc.seg)
+	if err == nil {
+		err = t.parseChunks(loc, buf[loc.payload:])
+	}
+	list := t.list
 	c.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
 	tb := &TableBlocksExport{NRows: t.nrows, Cols: make([]ColumnBlockExport, len(t.schema))}
-	for _, sc := range chunks {
+	for _, ch := range list {
+		sc := ch.blocks.Load()
 		for ci := range t.schema {
 			cb := &tb.Cols[ci]
 			for _, b := range sc.cols[ci] {

@@ -97,11 +97,13 @@ type Result struct {
 // cold: name, schema, version, row count and chunk lengths are known,
 // the rows are still in the file. Its first row or index access — one
 // of the accessors below — hydrates it, once; everything that needs
-// only the catalog (Tables, RowCount, planning, EXPLAIN, DROP TABLE)
-// never does. No code outside this file reads resident or the indexes
-// map directly: chunks, flat and index hydrate first; residentChunks,
-// chunkLens, hasIndex and indexCols answer without, for the code that
-// must leave a cold version cold.
+// only the catalog (Tables, RowCount, planning, DROP TABLE) never does,
+// nor does what needs only its chunks' blocks (EXPLAIN, a scan whose
+// zone maps prune every block). No code outside this file reads a
+// chunk's rows or the indexes map directly: chunks, flat, index and
+// chunk.rows after a hydration hand them out; chunkRefs, builtChunks,
+// chunkLens, hasIndex and indexCols answer without rows, for the code
+// that must leave a cold version cold.
 type table struct {
 	name   string
 	key    string // lower(name): the table's key in the snapshot catalog
@@ -114,16 +116,16 @@ type table struct {
 	// a dropped table cannot match a later table of the same name.
 	ver int64
 
-	// resident holds the rows in order; offs[i] is the global ordinal of
-	// the first row of resident[i]. resident[:sealed] are shared with
-	// ancestor versions and must never be written through. Both are nil
-	// while the version is cold.
-	resident [][]Row
-	offs     []int
-	nrows    int
-	sealed   int
+	// list holds the version's chunks in order, none empty; offs[i] is
+	// the global ordinal of the first row of list[i]. A derived version
+	// shares its parent's chunk objects and appends its own. A cold
+	// version has no list until its meta segment is parsed and no offs
+	// until it hydrates; cold.mu guards list until then.
+	list  []*chunk
+	offs  []int
+	nrows int
 	// mutable is true only while an unpublished writer owns the
-	// version; insert/replaceRows panic on a published version.
+	// version; appendChunk/replaceRows panic on a published version.
 	mutable bool
 
 	// indexes is keyed by lower-case column name. The key set is fixed
@@ -142,26 +144,57 @@ type table struct {
 	cold *coldState
 }
 
+// chunk is one run of a table's rows, shared by every version that holds
+// it: the object, not the address of its rows, is what the column cache
+// keys the chunk's vectors by and what a checkpoint hangs its blocks on.
+// A chunk is never empty, and its rows never change once a version
+// holding it is published.
+type chunk struct {
+	// resident holds the rows: nil only in the chunks of a cold version,
+	// which its hydration fills in place. A one-element array, so that
+	// chunks hands out a one-chunk version's rows without allocating.
+	// Only this file reads it.
+	resident [1][]Row
+	// blocks is where the newest checkpoint file holding the chunk keeps
+	// it, nil until one does; every checkpoint re-points it.
+	blocks atomic.Pointer[storeChunk]
+}
+
+// rows returns the chunk's rows. The chunks of a cold version have none
+// until it hydrates, so a caller reaches a chunk through a resident
+// version (builtChunks of one, chunks, flat) or hydrates the version
+// first (morselRows); a cold chunk's rows are a bug, and panic.
+func (c *chunk) rows() []Row {
+	if c.resident[0] == nil {
+		panic("sqldb: rows of a chunk whose table version is cold")
+	}
+	return c.resident[0]
+}
+
+// len returns the chunk's row count without reading its rows.
+func (c *chunk) len() int {
+	if sc := c.blocks.Load(); sc != nil {
+		return sc.rows
+	}
+	return len(c.resident[0])
+}
+
 // coldState is the hydration state of a table version created from the
 // checkpoint directory.
 type coldState struct {
-	// env is the owning database's: hydration registers the chunks'
-	// blocks with it and counts itself there.
+	// env is the owning database's: hydration counts itself there.
 	env *execEnv
 	// lens are the lengths of the version's chunks, in order (none is
-	// empty): hydration rebuilds exactly these, because block metadata,
-	// cached vectors and the order floating-point aggregates add up in
-	// all follow chunk boundaries.
+	// empty): the chunk objects are built to exactly these, because block
+	// metadata, cached vectors and the order floating-point aggregates add
+	// up in all follow chunk boundaries.
 	lens []int
-	// done is set once resident, offs and the indexes are filled; mu
-	// serializes the goroutines racing to fill them. A failed attempt
-	// leaves the version cold, and the next access tries again.
+	// done is set once the chunks' rows, offs and the indexes are filled;
+	// mu serializes the goroutines racing to fill them, and guards the
+	// version's list until then. A failed attempt leaves the version
+	// cold, and the next access tries again.
 	done atomic.Bool
 	mu   sync.Mutex
-	// blocks is the parsed block-meta segment, one entry per chunk, nil
-	// until someone needs it: hydration does, and so does EXPLAIN, which
-	// must not hydrate. Guarded by mu.
-	blocks []*storeChunk
 }
 
 // hydrate makes a cold version resident. It is a no-op — one atomic
@@ -181,12 +214,12 @@ func (t *table) hydrate() error {
 	if err != nil {
 		return err
 	}
-	t.resident = chunks
 	t.offs = make([]int, len(chunks))
 	off := 0
-	for i, ch := range chunks {
+	for i, rows := range chunks {
+		t.list[i].resident[0] = rows
 		t.offs[i] = off
-		off += len(ch)
+		off += len(rows)
 	}
 	t.rebuildIndexes()
 	c.done.Store(true)
@@ -195,23 +228,46 @@ func (t *table) hydrate() error {
 
 // chunks returns the version's row chunks, hydrating a cold version
 // first. The error is the hydration's: a failed read, or
-// ErrCorruptCheckpoint.
+// ErrCorruptCheckpoint. Callers only read it: a one-chunk version's is
+// the chunk's own.
 func (t *table) chunks() ([][]Row, error) {
 	if err := t.hydrate(); err != nil {
 		return nil, err
 	}
-	return t.resident, nil
+	if len(t.list) == 1 {
+		return t.list[0].resident[:], nil
+	}
+	out := make([][]Row, len(t.list))
+	for i, ch := range t.list {
+		out[i] = ch.resident[0]
+	}
+	return out, nil
 }
 
-// residentChunks returns the row chunks if they are in memory and nil
-// if the version is still cold. It never reads the file: the column
-// cache uses it to evict vectors, and a version with no rows in memory
-// has none.
-func (t *table) residentChunks() [][]Row {
-	if t.isCold() {
-		return nil
+// chunkRefs returns the version's chunks without reading a row: a cold
+// version's are built from its meta segment, read and parsed on first
+// use. Their rows are morselRows' to ask for.
+func (t *table) chunkRefs() ([]*chunk, error) {
+	c := t.cold
+	if c == nil || c.done.Load() {
+		return t.list, nil
 	}
-	return t.resident
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	err := t.parseChunks(t.disk.Load(), nil)
+	return t.list, err
+}
+
+// builtChunks returns the chunks the version has built, never reading
+// the file: a cold version's once its meta segment has been parsed, none
+// before. Evicting vectors and re-pointing blocks need no more — a chunk
+// not yet built has neither.
+func (t *table) builtChunks() []*chunk {
+	if c := t.cold; c != nil && !c.done.Load() {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+	}
+	return t.list
 }
 
 // isCold reports whether the version's rows are still only in the
@@ -221,17 +277,15 @@ func (t *table) isCold() bool {
 	return c != nil && !c.done.Load()
 }
 
-// chunkLens returns the lengths of the version's non-empty chunks, in
-// order, without hydrating it.
+// chunkLens returns the lengths of the version's chunks, in order,
+// without hydrating it.
 func (t *table) chunkLens() []int {
 	if c := t.cold; c != nil {
 		return c.lens
 	}
-	lens := make([]int, 0, len(t.resident))
-	for _, ch := range t.resident {
-		if len(ch) > 0 {
-			lens = append(lens, len(ch))
-		}
+	lens := make([]int, len(t.list))
+	for i, ch := range t.list {
+		lens[i] = len(ch.resident[0])
 	}
 	return lens
 }
@@ -309,17 +363,16 @@ func (t *table) derive() (*table, error) {
 		return nil, err
 	}
 	nt := &table{
-		name:     t.name,
-		key:      t.key,
-		schema:   t.schema,
-		temp:     t.temp,
-		ver:      t.ver,
-		resident: append([][]Row(nil), t.resident...),
-		offs:     append([]int(nil), t.offs...),
-		nrows:    t.nrows,
-		sealed:   len(t.resident),
-		mutable:  true,
-		indexes:  make(map[string]*hashIndex, len(t.indexes)),
+		name:    t.name,
+		key:     t.key,
+		schema:  t.schema,
+		temp:    t.temp,
+		ver:     t.ver,
+		list:    append([]*chunk(nil), t.list...),
+		offs:    append([]int(nil), t.offs...),
+		nrows:   t.nrows,
+		mutable: true,
+		indexes: make(map[string]*hashIndex, len(t.indexes)),
 	}
 	for col, ix := range t.indexes {
 		nt.indexes[col] = ix.child()
@@ -350,12 +403,13 @@ const maxCompactChunk = 512
 // up geometrically decreasing in size, so a table built by S
 // single-row statements still scans O(n/maxCompactChunk + log n)
 // chunks. Merging preserves global row ordinals, so indexes stay
-// valid.
+// valid. The merged chunk is a new object: the two it replaces may be
+// shared with ancestor versions, and their vectors and blocks with them.
 func (t *table) compact() {
 	_ = fpCompact.Inject() // crash/panic/sleep site; compact cannot fail
-	for len(t.resident) >= 2 {
-		k := len(t.resident)
-		last, prev := t.resident[k-1], t.resident[k-2]
+	for len(t.list) >= 2 {
+		k := len(t.list)
+		last, prev := t.list[k-1].resident[0], t.list[k-2].resident[0]
 		if len(prev) > len(last) {
 			break
 		}
@@ -365,39 +419,15 @@ func (t *table) compact() {
 		merged := make([]Row, 0, len(prev)+len(last))
 		merged = append(merged, prev...)
 		merged = append(merged, last...)
-		t.resident[k-2] = merged
-		t.resident = t.resident[:k-1]
+		t.list[k-2] = &chunk{resident: [1][]Row{merged}}
+		t.list = t.list[:k-1]
 		t.offs = t.offs[:k-1]
-		if t.sealed > k-2 {
-			t.sealed = k - 2
-		}
 	}
-}
-
-// insert appends a row (already coerced to the schema types) to the
-// version's owned tail chunk and maintains indexes. Only legal on a
-// mutable (unpublished) version.
-func (t *table) insert(row Row) {
-	if !t.mutable {
-		panic("sqldb: insert into published table version")
-	}
-	if len(t.resident) == t.sealed {
-		t.resident = append(t.resident, nil)
-		t.offs = append(t.offs, t.nrows)
-	}
-	last := len(t.resident) - 1
-	t.resident[last] = append(t.resident[last], row)
-	for col, idx := range t.indexes {
-		ci := t.schema.Index(col)
-		idx.add(row[ci], t.nrows)
-	}
-	t.nrows++
 }
 
 // appendChunk appends a pre-built, exactly-sized chunk of rows
-// (already coerced to the schema types) and maintains indexes. Bulk
-// inserts use it instead of per-row insert() so the tail chunk never
-// pays append-growth reallocation. Only legal on a mutable version.
+// (already coerced to the schema types) and maintains indexes. Only
+// legal on a mutable version.
 func (t *table) appendChunk(rows []Row) {
 	if !t.mutable {
 		panic("sqldb: appendChunk on published table version")
@@ -405,7 +435,7 @@ func (t *table) appendChunk(rows []Row) {
 	if len(rows) == 0 {
 		return
 	}
-	t.resident = append(t.resident, rows)
+	t.list = append(t.list, &chunk{resident: [1][]Row{rows}})
 	t.offs = append(t.offs, t.nrows)
 	for col, idx := range t.indexes {
 		ci := t.schema.Index(col)
@@ -423,10 +453,10 @@ func (t *table) replaceRows(rows []Row) {
 	if !t.mutable {
 		panic("sqldb: replaceRows on published table version")
 	}
-	t.resident = [][]Row{rows}
-	t.offs = []int{0}
-	t.nrows = len(rows)
-	t.sealed = 0
+	t.list, t.offs, t.nrows = nil, nil, len(rows)
+	if len(rows) > 0 {
+		t.list, t.offs = []*chunk{{resident: [1][]Row{rows}}}, []int{0}
+	}
 	t.rebuildIndexes()
 }
 
@@ -442,16 +472,16 @@ func (t *table) rowAt(pos int) Row {
 			hi = mid - 1
 		}
 	}
-	return t.resident[lo][pos-t.offs[lo]]
+	return t.list[lo].resident[0][pos-t.offs[lo]]
 }
 
 // rowsFrom returns the rows at global ordinals pos and up as one slice.
 // Only called on a derived version, which is resident by construction.
 func (t *table) rowsFrom(pos int) []Row {
 	out := make([]Row, 0, t.nrows-pos)
-	for i, ch := range t.resident {
-		if skip := pos - t.offs[i]; skip < len(ch) {
-			out = append(out, ch[max(skip, 0):]...)
+	for i, ch := range t.list {
+		if skip := pos - t.offs[i]; skip < len(ch.resident[0]) {
+			out = append(out, ch.resident[0][max(skip, 0):]...)
 		}
 	}
 	return out
@@ -461,16 +491,15 @@ func (t *table) rowsFrom(pos int) []Row {
 // When the table has a single chunk (the common case after compaction),
 // no copy is made.
 func (t *table) flat() ([]Row, error) {
-	chunks, err := t.chunks()
-	if err != nil {
+	if err := t.hydrate(); err != nil {
 		return nil, err
 	}
-	if len(chunks) == 1 {
-		return chunks[0], nil
+	if len(t.list) == 1 {
+		return t.list[0].resident[0], nil
 	}
 	out := make([]Row, 0, t.nrows)
-	for _, ch := range chunks {
-		out = append(out, ch...)
+	for _, ch := range t.list {
+		out = append(out, ch.resident[0]...)
 	}
 	return out, nil
 }
@@ -566,8 +595,8 @@ func (ix *hashIndex) rebuildFrom(t *table, ci int) {
 	ix.depth = 0
 	ix.buckets = make(map[string][]int)
 	pos := 0
-	for _, ch := range t.resident {
-		for _, r := range ch {
+	for _, ch := range t.list {
+		for _, r := range ch.resident[0] {
 			ix.add(r[ci], pos)
 			pos++
 		}

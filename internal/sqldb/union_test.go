@@ -205,7 +205,7 @@ func TestCompoundInsert(t *testing.T) {
 	mustExec(t, db, "CREATE TEMP TABLE vec (n float)")
 	mustExec(t, db, "INSERT INTO vec SELECT n FROM big UNION ALL SELECT n FROM big UNION ALL SELECT n FROM big")
 	vec, _ := db.state.Load().table("vec")
-	if ch := vec.residentChunks(); len(ch) != 1 || len(ch[0]) != 1800 || cap(ch[0]) != 1800 {
+	if ch := mustChunks(t, vec); len(ch) != 1 || len(ch[0]) != 1800 || cap(ch[0]) != 1800 {
 		t.Errorf("vec chunks = %d (first %d rows, cap %d), want one exact chunk of 1800",
 			len(ch), len(ch[0]), cap(ch[0]))
 	}
@@ -521,7 +521,7 @@ func TestCompoundInsertPourMatchesRows(t *testing.T) {
 			// array, as a bulk insert's do (sealing merges it with the rows
 			// a self-insert found, so look where the target started empty).
 			tab, _ := poured.state.Load().table(tc.into)
-			if ch := tab.residentChunks(); len(rows) > 0 && tc.dst != "" {
+			if ch := mustChunks(t, tab); len(rows) > 0 && tc.dst != "" {
 				last := ch[len(ch)-1]
 				w := len(last[0])
 				span := uintptr(unsafe.Pointer(&last[len(last)-1][0])) - uintptr(unsafe.Pointer(&last[0][0]))

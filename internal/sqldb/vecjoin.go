@@ -35,6 +35,7 @@ package sqldb
 import (
 	"hash/maphash"
 	"math"
+	"slices"
 	"sort"
 
 	"perfbase/internal/value"
@@ -318,21 +319,15 @@ func intKeyAt(v *colVec, i int, kt value.Type) int64 {
 // the query to the row engine; the error is the build table's, cold
 // and failing to hydrate.
 func buildJoinHash(env *execEnv, jp *vecJoinPlan, rt *table) (*joinHash, error) {
-	rtChunks, err := rt.chunks()
-	if err != nil {
+	if err := rt.hydrate(); err != nil {
 		return nil, err
 	}
-	kvs := make([]*colVec, 0, len(rtChunks))
-	for _, ch := range rtChunks {
-		if len(ch) == 0 {
-			kvs = append(kvs, nil)
-			continue
-		}
-		v := env.cache.colFor(ch, jp.ri, jp.keyType)
-		if v == nil {
+	list := rt.builtChunks()
+	kvs := make([]*colVec, len(list))
+	for i, ch := range list {
+		if kvs[i] = env.cache.colFor(ch, jp.ri, jp.keyType); kvs[i] == nil {
 			return nil, nil
 		}
-		kvs = append(kvs, v)
 	}
 	h := &joinHash{seed: maphash.MakeSeed(), minF: math.NaN(), maxF: math.NaN()}
 	slots := nextPow2(max(4, 2*rt.nrows))
@@ -351,11 +346,8 @@ func buildJoinHash(env *execEnv, jp *vecJoinPlan, rt *table) (*joinHash, error) 
 	// Pass 1: claim slots, count duplicates, set Bloom bits, track the
 	// key min/max. String chunks with a dictionary hash each distinct
 	// value once instead of once per row.
-	for ci, ch := range rtChunks {
-		kv := kvs[ci]
-		if kv == nil {
-			continue
-		}
+	for ci, kv := range kvs {
+		n := list[ci].len()
 		if jp.keyType == value.String {
 			if codes, vals := kv.dict(); codes != nil {
 				slotOf := make([]int32, len(vals))
@@ -367,7 +359,7 @@ func buildJoinHash(env *execEnv, jp *vecJoinPlan, rt *table) (*joinHash, error) 
 					}
 					slotOf[c] = int32(slot)
 				}
-				for i := range ch {
+				for i := range n {
 					c := codes[i]
 					if c < 0 {
 						continue
@@ -377,7 +369,7 @@ func buildJoinHash(env *execEnv, jp *vecJoinPlan, rt *table) (*joinHash, error) 
 				}
 				continue
 			}
-			for i := range ch {
+			for i := range n {
 				if kv.null(i) {
 					continue
 				}
@@ -392,7 +384,7 @@ func buildJoinHash(env *execEnv, jp *vecJoinPlan, rt *table) (*joinHash, error) 
 			}
 			continue
 		}
-		for i := range ch {
+		for i := range n {
 			if kv.null(i) {
 				continue
 			}
@@ -423,12 +415,8 @@ func buildJoinHash(env *execEnv, jp *vecJoinPlan, rt *table) (*joinHash, error) 
 	h.rows = make([]int32, run)
 	next := append([]int32(nil), h.starts...)
 	g := int32(0)
-	for ci, ch := range rtChunks {
-		kv := kvs[ci]
-		if kv == nil {
-			continue
-		}
-		for i := range ch {
+	for ci, kv := range kvs {
+		for i := range list[ci].len() {
 			if kv.null(i) {
 				g++
 				continue
@@ -653,7 +641,7 @@ func (sn *snapshot) runVecJoin(st *SelectStmt, p *compiledSelect) (*Result, *rel
 	if err != nil {
 		return nil, nil, true, err
 	}
-	ltChunks, err := lt.chunks()
+	ms, err := lt.morsels()
 	if err != nil {
 		return nil, nil, true, err
 	}
@@ -678,88 +666,10 @@ func (sn *snapshot) runVecJoin(st *SelectStmt, p *compiledSelect) (*Result, *rel
 		}
 	}
 
-	// Cut the probe table into morsels, mirroring runVecSelect:
-	// block-resident chunks defer hydration (and their semi-join/zone
-	// check) to the worker; row-resident chunks hydrate whole-chunk
-	// vectors up front.
-	store := env.blocks.Load()
-	zoneOn := !env.zoneOff.Load()
-	var chunks []chunkVecs
-	var morsels []vecMorsel
-	total := 0
-	for _, ch := range ltChunks {
-		if len(ch) == 0 {
-			continue
-		}
-		if sc := store.chunkFor(ch); sc != nil {
-			for bi, rows := range chunkBlocks(ch) {
-				lo := bi * vecMorselRows
-				morsels = append(morsels, vecMorsel{
-					chunk: -1, lo: lo, hi: lo + len(rows),
-					rows: rows, sc: sc, bi: bi,
-				})
-			}
-			total += len(ch)
-			continue
-		}
-		cvs := make([]*colVec, len(p.srcSchema))
-		for _, ci := range jp.needL {
-			v := env.cache.colFor(ch, ci, p.srcSchema[ci].Type)
-			if v == nil {
-				return nil, nil, false, nil
-			}
-			cvs[ci] = v
-		}
-		idx := len(chunks)
-		chunks = append(chunks, chunkVecs{rows: ch, cv: cvs})
-		for lo := 0; lo < len(ch); lo += vecMorselRows {
-			hi := min(lo+vecMorselRows, len(ch))
-			morsels = append(morsels, vecMorsel{chunk: idx, lo: lo, hi: hi})
-		}
-		total += len(ch)
-	}
-
-	// hydrate resolves one morsel, applying the block-level skip first:
-	// the WHERE zone predicate (pushed below the join, so valid for
-	// INNER and LEFT alike), then the key-range/Bloom semi-join check.
-	// skip: the block contributes nothing and stays compressed.
-	// padAll: LEFT join, keys provably unmatched, no pushed filter —
-	// every row emits a pad, also without decoding.
-	hydrate := func(m *vecMorsel) (ch chunkVecs, lo, hi int, skip, padAll bool, err error) {
-		if m.sc == nil {
-			return chunks[m.chunk], m.lo, m.hi, false, false, nil
-		}
-		if zoneOn {
-			meta := jp.leftBlock(m.sc, m.bi, len(m.rows))
-			if jp.zone != nil && jp.zone(meta) {
-				env.blkSkipped.Add(1)
-				return chunkVecs{}, 0, 0, true, false, nil
-			}
-			if h.keyZoneMiss(meta(jp.li), jp.keyType) {
-				if !jp.leftOuter {
-					env.blkSkipped.Add(1)
-					return chunkVecs{}, 0, 0, true, false, nil
-				}
-				if jp.padAllOK() {
-					env.blkSkipped.Add(1)
-					return chunkVecs{rows: m.rows}, 0, len(m.rows), false, true, nil
-				}
-			}
-		}
-		env.blkScanned.Add(1)
-		cvs := make([]*colVec, len(p.srcSchema))
-		for _, ci := range jp.needL {
-			if cvs[ci], err = env.blockVec(m.rows, ci, m.sc, m.bi); err != nil {
-				return chunkVecs{}, 0, 0, false, false, err
-			}
-		}
-		return chunkVecs{rows: m.rows, cv: cvs}, 0, len(m.rows), false, false, nil
-	}
-
-	// probeMorsel produces the morsel's pair lists. lo is the window
-	// base within ch (chunk-absolute for row-resident morsels, 0 for
-	// block morsels); pl entries are indexes into ch.rows.
-	probeMorsel := func(ch *chunkVecs, lo, hi int, padAll bool) ([]int32, []int32) {
+	// probeMorsel produces the pair lists of a morsel whose vectors cv
+	// cover positions [lo, hi); pl entries are positions, which index the
+	// morsel's rows too.
+	probeMorsel := func(cv []*colVec, lo, hi int, padAll bool) ([]int32, []int32) {
 		n := hi - lo
 		var pl, pr []int32
 		if padAll {
@@ -774,7 +684,7 @@ func (sn *snapshot) runVecJoin(st *SelectStmt, p *compiledSelect) (*Result, *rel
 		var mask []bool
 		if jp.pred != nil {
 			mask = make([]bool, n)
-			jp.pred(ch.cv, lo, mask)
+			jp.pred(cv, lo, mask)
 		}
 		pl = make([]int32, 0, n)
 		pr = make([]int32, 0, n)
@@ -791,7 +701,7 @@ func (sn *snapshot) runVecJoin(st *SelectStmt, p *compiledSelect) (*Result, *rel
 				pr = append(pr, h.rows[r])
 			}
 		}
-		kv := ch.cv[jp.li]
+		kv := cv[jp.li]
 		switch jp.keyType {
 		case value.String:
 			if codes, vals := kv.dict(); codes != nil {
@@ -859,22 +769,45 @@ func (sn *snapshot) runVecJoin(st *SelectStmt, p *compiledSelect) (*Result, *rel
 	// grouped and fed to the kernels without materializing a joined row
 	// beyond one representative per distinct group — and merges the
 	// partial tables in morsel index order.
-	parts := make([]*joinPairs, len(morsels))
+	parts := make([]*joinPairs, len(ms))
 	var tables []*groupTable
 	if jp.fused {
-		tables = make([]*groupTable, len(morsels))
+		tables = make([]*groupTable, len(ms))
 	}
-	err = runMorsels(env, len(morsels), total, func(mi int) error {
+	zoneOn := !env.zoneOff.Load()
+	// Every morsel's vectors, in one allocation, cleared once the morsel
+	// is done with them (as runVecSelect does).
+	w := len(p.srcSchema)
+	cvs := make([]*colVec, len(ms)*w)
+	err = runMorsels(env, len(ms), lt.nrows, func(mi int) error {
 		_ = fpMorsel.Inject() // latency-model site
-		ch, lo, hi, skip, padAll, err := hydrate(&morsels[mi])
-		if skip || err != nil {
-			return err
+		m := &ms[mi]
+		var skip, padAll bool
+		if zoneOn {
+			skip, padAll = jp.prune(h, m)
 		}
-		pl, pr := probeMorsel(&ch, lo, hi, padAll)
+		env.countBlock(m, skip || padAll)
+		if skip {
+			return nil
+		}
+		cv := cvs[mi*w : (mi+1)*w : (mi+1)*w]
+		defer clear(cv)
+		lo, hi := 0, m.hi-m.lo
+		if !padAll {
+			var err error
+			if lo, hi, err = env.vecs(m, p.srcSchema, jp.needL, cv); err != nil {
+				return err
+			}
+		}
+		pl, pr := probeMorsel(cv, lo, hi, padAll)
 		if len(pl) == 0 {
 			return nil
 		}
-		pairs := &joinPairs{joinBuild: build, rows: ch.rows, cv: ch.cv, pl: pl, pr: pr}
+		rows, err := lt.morselRows(m)
+		if err != nil {
+			return err
+		}
+		pairs := &joinPairs{joinBuild: build, rows: rows, cv: cv, pl: pl, pr: pr}
 		if jp.fused {
 			tables[mi] = newGroupTable(st, p)
 			tables[mi].addBatch(pairs, make([]int32, len(pl)))
@@ -909,51 +842,60 @@ func (sn *snapshot) runVecJoin(st *SelectStmt, p *compiledSelect) (*Result, *rel
 			out = append(out, part.rep(j))
 		}
 	}
-	return nil, &relation{schema: p.srcSchema, chunks: [][]Row{out}, nrows: len(out)}, true, nil
+	return nil, singleChunk(p.srcSchema, out), true, nil
 }
 
-// vecJoinBlockSkips statically counts how many of the probe table's
-// compressed blocks the semi-join filter and zone maps would skip —
-// the same decision hydrate makes at runtime, evaluated against the
-// block index only. EXPLAIN reports it as bloom-skip.
-func (db *DB) vecJoinBlockSkips(sn *snapshot, jp *vecJoinPlan, lt, rt *table) (skipped, totalBlocks int, err error) {
-	if db.env.blocks.Load() == nil || db.env.zoneOff.Load() {
-		return 0, 0, nil
+// prune decides probe morsel m from its zone maps alone, before
+// anything is decoded: skip — no pair can come of it, because the WHERE
+// clause pushed below the join (valid for INNER and LEFT alike) rejects
+// every row, or an inner join's keys all miss the build side's
+// key range and Bloom filter; padAll — a LEFT join's block whose keys all
+// miss, with no pushed filter or fused kernel to decode for, emits a pad
+// per row undecoded. Either is a block skipped, at run time and in
+// EXPLAIN; a fresh chunk's window is neither.
+func (jp *vecJoinPlan) prune(h *joinHash, m *morsel) (skip, padAll bool) {
+	if m.bi == wholeChunk {
+		return false, false
+	}
+	// The joined schema has the build side's columns too; they have no
+	// block here.
+	meta := func(ci int) *blockMeta {
+		if ci >= jp.nLeft {
+			return nil
+		}
+		return m.meta(ci)
+	}
+	switch {
+	case jp.zone != nil && jp.zone(meta):
+		return true, false
+	case !h.keyZoneMiss(meta(jp.li), jp.keyType):
+		return false, false
+	}
+	return !jp.leftOuter, jp.leftOuter && jp.padAllOK()
+}
+
+// vecJoinBlockSkips counts how many of the probe table's blocks the
+// semi-join filter and zone maps skip — prune's decision, over the same
+// morsels runVecJoin cuts. EXPLAIN reports it as bloom-skip.
+func (db *DB) vecJoinBlockSkips(jp *vecJoinPlan, lt, rt *table) (int, error) {
+	if db.env.zoneOff.Load() {
+		return 0, nil
+	}
+	ms, err := lt.morsels()
+	if err != nil || !slices.ContainsFunc(ms, func(m morsel) bool { return m.bi != wholeChunk }) {
+		return 0, err
 	}
 	// Counting the semi-join's skips takes the build side's keys: this
 	// is the one EXPLAIN that hydrates, and only rt.
 	h, err := buildJoinHash(db.env, jp, rt)
 	if h == nil {
-		return 0, 0, err
+		return 0, err
 	}
-	probe, err := db.env.tableBlocks(lt)
-	if err != nil {
-		return 0, 0, err
-	}
-	for _, sc := range probe {
-		for lo := 0; lo < sc.rows; lo += vecMorselRows {
-			totalBlocks++
-			meta := jp.leftBlock(sc, lo/vecMorselRows, min(vecMorselRows, sc.rows-lo))
-			if jp.zone != nil && jp.zone(meta) {
-				skipped++
-				continue
-			}
-			if h.keyZoneMiss(meta(jp.li), jp.keyType) && (!jp.leftOuter || jp.padAllOK()) {
-				skipped++
-			}
+	skipped := 0
+	for i := range ms {
+		if skip, padAll := jp.prune(h, &ms[i]); skip || padAll {
+			skipped++
 		}
 	}
-	return skipped, totalBlocks, nil
-}
-
-// leftBlock returns the zone checks' view of one block of the probe
-// table: the metadata of a probe-side column's block, nil for a
-// build-side column (the joined schema has both).
-func (jp *vecJoinPlan) leftBlock(sc *storeChunk, bi, nrows int) func(ci int) *blockMeta {
-	return func(ci int) *blockMeta {
-		if ci >= jp.nLeft {
-			return nil
-		}
-		return sc.block(ci, bi, nrows)
-	}
+	return skipped, nil
 }

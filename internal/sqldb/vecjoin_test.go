@@ -455,6 +455,69 @@ func TestVecJoinColdProbeBlockSkip(t *testing.T) {
 	}
 }
 
+// TestPrunedColdJoinProbeStaysCold is TestPrunedColdScanStaysCold for the
+// vectorized join's probe side: on a freshly opened database, a probe
+// table whose every block the pushed WHERE clause or the semi-join
+// filter prunes is answered for from its meta segment, and only the
+// build side hydrates.
+func TestPrunedColdJoinProbeStaysCold(t *testing.T) {
+	const nblocks = 8
+	dir := t.TempDir()
+	db, err := OpenWithPolicy(dir, SyncOff)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mustExec(t, db, "CREATE TABLE probe (k integer, v integer)")
+	mustExec(t, db, "CREATE TABLE build (k integer, w integer)")
+	var prows, brows []Row
+	for i := 0; i < nblocks*vecMorselRows; i++ {
+		prows = append(prows, Row{value.NewInt(int64(i)), value.NewInt(int64(i % 100))})
+	}
+	for i := 0; i < 100; i++ { // keys above every probe key
+		brows = append(brows, Row{value.NewInt(int64(10*nblocks*vecMorselRows + i)), value.NewInt(int64(i))})
+	}
+	if _, err := db.InsertRows("probe", []string{"k", "v"}, prows); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.InsertRows("build", []string{"k", "w"}, brows); err != nil {
+		t.Fatal(err)
+	}
+	queries := []string{
+		// The WHERE clause, pushed below the join, prunes every block.
+		"SELECT COUNT(*), SUM(probe.v) FROM probe LEFT JOIN build ON probe.k = build.k WHERE probe.k < 0",
+		// No probe key can find a build key.
+		"SELECT COUNT(*), SUM(build.w) FROM probe JOIN build ON probe.k = build.k",
+		"SELECT probe.v, build.w FROM probe JOIN build ON probe.k = build.k",
+	}
+	want := make([]string, len(queries))
+	for i, q := range queries {
+		want[i] = fmtResult(mustExec(t, db, q))
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	if db, err = Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	for i, q := range queries {
+		s0, k0 := db.BlockStats()
+		if got := fmtResult(mustExec(t, db, q)); got != want[i] {
+			t.Errorf("%s:\n%swant:\n%s", q, got, want[i])
+		}
+		if s1, k1 := db.BlockStats(); s1-s0 != 0 || k1-k0 != nblocks {
+			t.Errorf("%s decoded %d probe blocks and skipped %d, want 0/%d", q, s1-s0, k1-k0, nblocks)
+		}
+	}
+	if probe, _ := db.state.Load().table("probe"); !probe.isCold() {
+		t.Error("a probe side whose every block was pruned hydrated")
+	}
+	if n := db.env.hydrated.Load(); n != 1 {
+		t.Errorf("%d tables hydrated, want only the build side", n)
+	}
+}
+
 // TestVecJoinLeftColdPadAll checks the LEFT-join fast pad: a cold
 // probe block whose key range provably misses the build side emits
 // pads without decoding when no filter is pushed.

@@ -1054,28 +1054,128 @@ var morselBufPool = sync.Pool{
 	},
 }
 
-type chunkVecs struct {
-	rows []Row
+// morsel is one unit of scan work: rows [lo, hi) of chunk ch. A chunk a
+// checkpoint holds is cut at its blocks, bi the block's index: its zone
+// maps are asked before anything is decoded, and its vectors are the
+// block's own, positions 0 to hi-lo. A fresh chunk's morsels have bi
+// wholeChunk and are windows over its whole-chunk vectors, positions lo
+// to hi, which they share through whole. A morsel carries no rows:
+// morselRows asks for them once it has passed its zone check and a row
+// is wanted.
+type morsel struct {
+	ch     *chunk
+	bi     int
+	lo, hi int
+	whole  *wholeVecs
+}
+
+// wholeVecs is a fresh chunk's whole-chunk vectors as one cut's morsels
+// share them: resolved once, by whichever morsel comes first, and held
+// for the scan — asked per morsel, a cache too small for all of them
+// would rebuild every one for every morsel.
+type wholeVecs struct {
+	once sync.Once
 	cv   []*colVec
 }
 
-// vecMorsel is one unit of scan work. Row-resident morsels (sc == nil)
-// index into a pre-hydrated whole-chunk chunkVecs with chunk-absolute
-// [lo, hi); block-resident morsels carry their row window and block
-// coordinates and hydrate lazily — after the zone-map check — with
-// morsel-local vectors (so the kernels run with lo = 0).
-type vecMorsel struct {
-	chunk  int
-	lo, hi int
-	rows   []Row
-	sc     *storeChunk
-	bi     int
+// morsels cuts t into morsels, in scan order: the one cut, whether the
+// vectorized scan, the vectorized join's probe side or EXPLAIN asks. It
+// reads no row; of a cold version it reads the meta segment, once.
+func (t *table) morsels() ([]morsel, error) {
+	list, err := t.chunkRefs()
+	if err != nil {
+		return nil, err
+	}
+	n := 0
+	for _, ch := range list {
+		n += (ch.len() + vecMorselRows - 1) / vecMorselRows
+	}
+	out := make([]morsel, 0, n)
+	for _, ch := range list {
+		rows, blocked := ch.len(), ch.blocks.Load() != nil
+		var whole *wholeVecs
+		if !blocked {
+			whole = &wholeVecs{}
+		}
+		for lo := 0; lo < rows; lo += vecMorselRows {
+			bi := wholeChunk
+			if blocked {
+				bi = lo / vecMorselRows
+			}
+			out = append(out, morsel{ch: ch, bi: bi, lo: lo, hi: min(lo+vecMorselRows, rows), whole: whole})
+		}
+	}
+	return out, nil
+}
+
+// meta is the zone checks' view of m: the metadata of column ci's block,
+// nil — cannot prune — for a window of a fresh chunk.
+func (m *morsel) meta(ci int) *blockMeta {
+	if m.bi == wholeChunk {
+		return nil
+	}
+	return m.ch.blocks.Load().block(ci, m.bi, m.hi-m.lo)
+}
+
+// vecs resolves m to the vectors of the columns cols — cv[ci], the rest
+// of cv untouched — and the window [lo, hi) of positions in them that m
+// covers: a fresh chunk's whole-chunk vectors, built from its rows on a
+// miss, or the block's own, decoded on a miss.
+func (e *execEnv) vecs(m *morsel, schema Schema, cols []int, cv []*colVec) (lo, hi int, err error) {
+	if w := m.whole; w != nil {
+		w.once.Do(func() {
+			w.cv = make([]*colVec, len(schema))
+			for _, ci := range cols {
+				w.cv[ci] = e.cache.colFor(m.ch, ci, schema[ci].Type)
+			}
+		})
+		copy(cv, w.cv)
+		return m.lo, m.hi, nil
+	}
+	for _, ci := range cols {
+		if cv[ci], err = e.blockVec(m.ch, m.bi, ci); err != nil {
+			return 0, 0, err
+		}
+	}
+	return 0, m.hi - m.lo, nil
+}
+
+// morselRows returns the rows of m, indexed by the positions of its
+// vectors (see vecs), hydrating a cold t first: what a morsel that has
+// passed its zone check asks for once it projects a row or opens a group.
+func (t *table) morselRows(m *morsel) ([]Row, error) {
+	if err := t.hydrate(); err != nil {
+		return nil, err
+	}
+	if m.bi == wholeChunk {
+		return m.ch.rows(), nil
+	}
+	return m.ch.rows()[m.lo:m.hi], nil
+}
+
+// countBlock records in BlockStats what became of m: a block decoded, or
+// one its zone maps pruned. A fresh chunk's window is neither.
+func (e *execEnv) countBlock(m *morsel, pruned bool) {
+	switch {
+	case m.bi == wholeChunk:
+	case pruned:
+		e.blkSkipped.Add(1)
+	default:
+		e.blkScanned.Add(1)
+	}
+}
+
+// prunes reports whether the plan's zone predicate proves from m's zone
+// maps that none of its rows passes; zoneOn is the database's switch.
+func (vp *vecPlan) prunes(m *morsel, zoneOn bool) bool {
+	return zoneOn && vp.zone != nil && m.bi != wholeChunk && vp.zone(m.meta)
 }
 
 // runVecSelect executes a SELECT through the vectorized path. The
 // second return is false when the path declines at runtime (execution
 // environment missing or vectorization disabled) and the caller must
-// fall back to the row engine.
+// fall back to the row engine. The table is hydrated only when a morsel
+// that passed its zone check wants a row.
 func (sn *snapshot) runVecSelect(st *SelectStmt, p *compiledSelect) (*Result, bool, error) {
 	vp := p.vec
 	env := sn.env
@@ -1088,85 +1188,65 @@ func (sn *snapshot) runVecSelect(st *SelectStmt, p *compiledSelect) (*Result, bo
 	if !ok {
 		return nil, false, nil
 	}
-	rowChunks, err := t.chunks()
+	ms, err := t.morsels()
 	if err != nil {
 		return nil, true, err
 	}
-	store := env.blocks.Load()
-	zoneOn := vp.zone != nil && !env.zoneOff.Load()
-	var chunks []chunkVecs
-	var morsels []vecMorsel
-	total := 0
-	for _, ch := range rowChunks {
-		if len(ch) == 0 {
-			continue
+	zoneOn := !env.zoneOff.Load()
+	// Every morsel's vectors, in one allocation. A morsel clears its own
+	// once done: the cache may have let go of them, and so should the scan.
+	w := len(t.schema)
+	cvs := make([]*colVec, len(ms)*w)
+	// scan resolves morsel mi to its vectors and the window of positions
+	// in them it covers; cv is nil when the zone maps pruned the morsel.
+	scan := func(mi int) (cv []*colVec, lo, hi int, err error) {
+		_ = fpMorsel.Inject() // latency-model site
+		m := &ms[mi]
+		pruned := vp.prunes(m, zoneOn)
+		env.countBlock(m, pruned)
+		if pruned {
+			return nil, 0, 0, nil
 		}
-		if sc := store.chunkFor(ch); sc != nil {
-			// Block-resident chunk: defer hydration to the morsel worker,
-			// after its zone-map check — a pruned block is never decoded
-			// (and never built from rows).
-			for bi, rows := range chunkBlocks(ch) {
-				lo := bi * vecMorselRows
-				morsels = append(morsels, vecMorsel{
-					chunk: -1, lo: lo, hi: lo + len(rows),
-					rows: rows, sc: sc, bi: bi,
-				})
-			}
-			total += len(ch)
-			continue
-		}
-		cvs := make([]*colVec, len(t.schema))
-		for _, ci := range vp.cols {
-			v := env.cache.colFor(ch, ci, t.schema[ci].Type)
-			if v == nil {
-				return nil, false, nil
-			}
-			cvs[ci] = v
-		}
-		idx := len(chunks)
-		chunks = append(chunks, chunkVecs{rows: ch, cv: cvs})
-		for lo := 0; lo < len(ch); lo += vecMorselRows {
-			hi := min(lo+vecMorselRows, len(ch))
-			morsels = append(morsels, vecMorsel{chunk: idx, lo: lo, hi: hi})
-		}
-		total += len(ch)
+		cv = cvs[mi*w : (mi+1)*w : (mi+1)*w]
+		lo, hi, err = env.vecs(m, t.schema, vp.cols, cv)
+		return cv, lo, hi, err
 	}
-
-	// hydrate resolves one morsel to (vectors, window): row-resident
-	// morsels return the shared whole-chunk vectors and their absolute
-	// window; block-resident morsels first consult the zone maps, then
-	// decode (or cache-hit) per-block vectors over a zero-based window.
-	// skip=true means the zone maps proved no row can match.
-	hydrate := func(m *vecMorsel) (ch chunkVecs, lo, hi int, skip bool, err error) {
-		if m.sc == nil {
-			return chunks[m.chunk], m.lo, m.hi, false, nil
-		}
-		if zoneOn && vp.zone(func(ci int) *blockMeta { return m.sc.block(ci, m.bi, len(m.rows)) }) {
-			env.blkSkipped.Add(1)
-			return chunkVecs{}, 0, 0, true, nil
-		}
-		env.blkScanned.Add(1)
-		cvs := make([]*colVec, len(t.schema))
-		for _, ci := range vp.cols {
-			if cvs[ci], err = env.blockVec(m.rows, ci, m.sc, m.bi); err != nil {
-				return chunkVecs{}, 0, 0, false, err
-			}
-		}
-		return chunkVecs{rows: m.rows, cv: cvs}, 0, len(m.rows), false, nil
-	}
-
-	needReps := len(st.OrderBy) > 0 && !st.Distinct
-	var outRows, reps []Row
 
 	if p.grouped {
-		parts := make([]*groupTable, len(morsels))
-		err := runMorsels(env, len(morsels), total, func(mi int) error {
-			_ = fpMorsel.Inject() // latency-model site
-			ch, lo, hi, skip, err := hydrate(&morsels[mi])
-			if skip || err != nil {
-				return err // pruned block: nil partial, renderParts skips it
+		parts := make([]*groupTable, len(ms))
+		err := runMorsels(env, len(ms), t.nrows, func(mi int) error {
+			cv, lo, hi, err := scan(mi)
+			defer clear(cv)
+			if cv == nil || err != nil {
+				return err
 			}
-			parts[mi] = vp.groupMorsel(st, p, &ch, lo, hi)
+			bufs := morselBufPool.Get().(*morselBufs)
+			defer morselBufPool.Put(bufs)
+			// The selection vector: the positions whose rows pass the WHERE
+			// clause, all of them when there is none.
+			sel := bufs.sel[:0]
+			if vp.pred == nil {
+				for i := lo; i < hi; i++ {
+					sel = append(sel, int32(i))
+				}
+			} else {
+				mask := make([]bool, hi-lo)
+				vp.pred(cv, lo, mask)
+				for i, keep := range mask {
+					if keep {
+						sel = append(sel, int32(lo+i))
+					}
+				}
+			}
+			if len(sel) == 0 {
+				return nil // no row passed: nil partial, renderParts skips it
+			}
+			rows, err := t.morselRows(&ms[mi])
+			if err != nil {
+				return err
+			}
+			parts[mi] = newGroupTable(st, p)
+			parts[mi].addBatch(scanBatch{cv, rows, sel}, bufs.gids[:len(sel)])
 			return nil
 		})
 		if err != nil {
@@ -1174,47 +1254,55 @@ func (sn *snapshot) runVecSelect(st *SelectStmt, p *compiledSelect) (*Result, bo
 		}
 		res, err := renderParts(st, p, parts)
 		return res, true, err
-	} else {
-		type morselOut struct {
-			rows []Row
-			reps []Row
+	}
+
+	needReps := len(st.OrderBy) > 0 && !st.Distinct
+	type morselOut struct {
+		rows []Row
+		reps []Row
+	}
+	outs := make([]morselOut, len(ms))
+	err = runMorsels(env, len(ms), t.nrows, func(mi int) error {
+		cv, lo, hi, err := scan(mi)
+		defer clear(cv)
+		if cv == nil || err != nil {
+			return err
 		}
-		outs := make([]morselOut, len(morsels))
-		err := runMorsels(env, len(morsels), total, func(mi int) error {
-			_ = fpMorsel.Inject()
-			ch, lo, hi, skip, err := hydrate(&morsels[mi])
-			if skip || err != nil {
-				return err // pruned block: empty morsel output
+		mask := make([]bool, hi-lo)
+		vp.pred(cv, lo, mask)
+		ctx := &execCtx{}
+		var mo morselOut
+		var rows []Row
+		for i, keep := range mask {
+			if !keep {
+				continue
 			}
-			mask := make([]bool, hi-lo)
-			vp.pred(ch.cv, lo, mask)
-			ctx := &execCtx{}
-			var mo morselOut
-			for i, keep := range mask {
-				if !keep {
-					continue
-				}
-				row := ch.rows[lo+i]
-				ctx.row = row
-				out, err := p.projectRow(st, ctx, row)
-				if err != nil {
+			if rows == nil {
+				if rows, err = t.morselRows(&ms[mi]); err != nil {
 					return err
 				}
-				mo.rows = append(mo.rows, out)
-				if needReps {
-					mo.reps = append(mo.reps, row)
-				}
 			}
-			outs[mi] = mo
-			return nil
-		})
-		if err != nil {
-			return nil, true, err
+			row := rows[lo+i]
+			ctx.row = row
+			out, err := p.projectRow(st, ctx, row)
+			if err != nil {
+				return err
+			}
+			mo.rows = append(mo.rows, out)
+			if needReps {
+				mo.reps = append(mo.reps, row)
+			}
 		}
-		for _, mo := range outs {
-			outRows = append(outRows, mo.rows...)
-			reps = append(reps, mo.reps...)
-		}
+		outs[mi] = mo
+		return nil
+	})
+	if err != nil {
+		return nil, true, err
+	}
+	var outRows, reps []Row
+	for _, mo := range outs {
+		outRows = append(outRows, mo.rows...)
+		reps = append(reps, mo.reps...)
 	}
 	res, err := p.finish(st, outRows, reps, nil)
 	return res, true, err
@@ -1268,49 +1356,14 @@ func runMorsels(env *execEnv, n, totalRows int, fn func(int) error) error {
 	return firstErr
 }
 
-// vecMorselCount reports how many morsels a table's current chunks cut
-// into; EXPLAIN shows it, from the chunk lengths alone.
-func vecMorselCount(t *table) int {
-	n := 0
-	for _, rows := range t.chunkLens() {
-		n += (rows + vecMorselRows - 1) / vecMorselRows
-	}
-	return n
-}
-
 // scanBatch is a single-table morsel as addBatch reads it: the selected
-// rows of one chunk, every column's vector indexed by the same
-// chunk-absolute positions.
+// positions of the morsel's vectors, and its rows indexed by the same.
 type scanBatch struct {
-	ch  *chunkVecs
-	sel []int32
+	cv   []*colVec
+	rows []Row
+	sel  []int32
 }
 
 func (b scanBatch) size() int                           { return len(b.sel) }
-func (b scanBatch) col(ci int) (*colVec, []int32, bool) { return b.ch.cv[ci], b.sel, false }
-func (b scanBatch) rep(j int) Row                       { return b.ch.rows[b.sel[j]] }
-
-// groupMorsel filters rows [lo, hi) of one chunk into a selection
-// vector and aggregates them into a partial group table.
-func (vp *vecPlan) groupMorsel(st *SelectStmt, p *compiledSelect, ch *chunkVecs, lo, hi int) *groupTable {
-	bufs := morselBufPool.Get().(*morselBufs)
-	defer morselBufPool.Put(bufs)
-	// Selection vector: absolute row indexes within the chunk.
-	sel := bufs.sel[:0]
-	if vp.pred == nil {
-		for i := lo; i < hi; i++ {
-			sel = append(sel, int32(i))
-		}
-	} else {
-		mask := make([]bool, hi-lo)
-		vp.pred(ch.cv, lo, mask)
-		for i, keep := range mask {
-			if keep {
-				sel = append(sel, int32(lo+i))
-			}
-		}
-	}
-	part := newGroupTable(st, p)
-	part.addBatch(scanBatch{ch, sel}, bufs.gids[:len(sel)])
-	return part
-}
+func (b scanBatch) col(ci int) (*colVec, []int32, bool) { return b.cv[ci], b.sel, false }
+func (b scanBatch) rep(j int) Row                       { return b.rows[b.sel[j]] }

@@ -289,14 +289,14 @@ func TestColumnCacheEviction(t *testing.T) {
 // of the same vector must converge on one shared copy.
 func TestColumnCachePutRace(t *testing.T) {
 	c := &colCache{limit: 1 << 20}
-	chunk := []Row{{value.NewInt(1)}, {value.NewInt(2)}}
+	ch := &chunk{resident: [1][]Row{{{value.NewInt(1)}, {value.NewInt(2)}}}}
 	var wg sync.WaitGroup
 	got := make([]*colVec, 8)
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			got[w] = c.colFor(chunk, 0, value.Integer)
+			got[w] = c.colFor(ch, 0, value.Integer)
 		}(w)
 	}
 	wg.Wait()
@@ -497,7 +497,7 @@ func TestSupersededVectorsAreDropped(t *testing.T) {
 		mustExec(t, db, fmt.Sprintf("INSERT INTO t VALUES (%d, %d.5)", i, i))
 		scan(db)
 	}
-	chunks := len(db.state.Load().cat.get("t").residentChunks())
+	chunks := len(db.state.Load().cat.get("t").builtChunks())
 	if entries, _ := db.env.cache.stats(); entries > 2*chunks+2 {
 		t.Fatalf("after 2000 inserts the cache holds %d vectors for %d live chunks", entries, chunks)
 	}
@@ -533,5 +533,33 @@ func TestSupersededBlockVectorsAreDropped(t *testing.T) {
 	}
 	if got := mustExec(t, pinned, q).Rows[0][1].Int(); got != int64(nrows*(nrows-1)/2) {
 		t.Fatalf("pinned SUM(k) = %d, want the old rows'", got)
+	}
+
+	// A freshly opened table whose blocks pass their zone check but hold
+	// no matching row has vectors cached and no rows: it is still cold,
+	// and superseding it has to find those vectors all the same.
+	for _, stmt := range []string{"DROP TABLE bench", "UPDATE bench SET k = k + 1 WHERE k = 0"} {
+		dir := t.TempDir()
+		if err := blockTestDB(t, dir, nrows).Close(); err != nil {
+			t.Fatal(err)
+		}
+		db, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer db.Close()
+		// f is a multiple of 0.5 inside every block's range.
+		if got := mustExec(t, db, "SELECT COUNT(*), SUM(k) FROM bench WHERE f = 120.25").Rows[0][0].Int(); got != 0 {
+			t.Fatalf("f = 120.25 matched %d rows", got)
+		}
+		entries, _ := db.env.cache.stats()
+		if scanned, _ := db.BlockStats(); scanned != 3 || entries != 3*2 || db.env.hydrated.Load() != 0 {
+			t.Fatalf("the scan decoded %d blocks into %d vectors and hydrated %d tables, want 3, 3 x 2 and none",
+				scanned, entries, db.env.hydrated.Load())
+		}
+		mustExec(t, db, stmt)
+		if entries, nbytes := db.env.cache.stats(); entries != 0 || nbytes != 0 {
+			t.Errorf("after %s the cache still holds %d vectors / %d bytes of the cold version", stmt, entries, nbytes)
+		}
 	}
 }
