@@ -64,7 +64,6 @@ func main() {
 	blockdump := flag.String("blockdump", "", "print and verify the checkpoint file of a database directory and exit (non-zero if damaged)")
 	liveOn := flag.Bool("live", false, "serve the continuous-benchmarking verbs (INGEST, WATCH, VIEW)")
 	liveWorkers := flag.Int("live-workers", 4, "ingest worker pool size (with -live)")
-	liveAtomic := flag.Bool("live-atomic", false, "load each ingested file as one optimistic transaction (with -live)")
 	alertK := flag.Float64("alert-k", anomaly.DefaultK, "outlier sigma threshold for alert analyses")
 	alertThreshold := flag.Float64("alert-threshold", anomaly.DefaultThresholdPct, "regression alert threshold in percent")
 	alertMinSamples := flag.Int("alert-min-samples", anomaly.DefaultMinSamples, "minimum group population for alert statistics")
@@ -127,7 +126,6 @@ func main() {
 		// refusing INGEST as read-only.
 		liveSvc = live.New(db, live.Config{
 			Workers: *liveWorkers,
-			Atomic:  *liveAtomic,
 			Alerts: anomaly.Options{
 				K:            *alertK,
 				ThresholdPct: *alertThreshold,

@@ -39,13 +39,6 @@ func seed(t *testing.T) *core.Experiment {
 	}
 	add := func(cfg string, bws map[int64]float64, score float64) int64 {
 		t.Helper()
-		id, err := e.CreateRun(core.DataSet{
-			"cfg":   value.NewString(cfg),
-			"score": value.NewFloat(score),
-		}, "seed", "")
-		if err != nil {
-			t.Fatal(err)
-		}
 		var sets []core.DataSet
 		for size, bw := range bws {
 			sets = append(sets, core.DataSet{
@@ -53,7 +46,11 @@ func seed(t *testing.T) *core.Experiment {
 				"bw":   value.NewFloat(bw),
 			})
 		}
-		if err := e.AppendDataSets(id, sets); err != nil {
+		id, err := e.CreateRun(core.DataSet{
+			"cfg":   value.NewString(cfg),
+			"score": value.NewFloat(score),
+		}, sets, "seed", "")
+		if err != nil {
 			t.Fatal(err)
 		}
 		return id
@@ -230,7 +227,7 @@ func TestLatestNeedsHistory(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.CreateRun(core.DataSet{"cfg": value.NewString("a")}, "", ""); err != nil {
+	if _, err := e.CreateRun(core.DataSet{"cfg": value.NewString("a")}, nil, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := Latest(e, "bw", Options{}); err == nil {

@@ -118,6 +118,9 @@ func TestRunLifecycle(t *testing.T) {
 	id, err := e.CreateRun(DataSet{
 		"fs":    value.NewString("ufs"),
 		"nodes": value.NewInt(4),
+	}, []DataSet{
+		{"chunk": value.NewInt(32), "bw": value.NewFloat(76.68)},
+		{"chunk": value.NewInt(1024), "bw": value.NewFloat(227.18)},
 	}, "out1.txt", "sum1")
 	if err != nil {
 		t.Fatal(err)
@@ -125,15 +128,8 @@ func TestRunLifecycle(t *testing.T) {
 	if id != 1 {
 		t.Errorf("first run id = %d", id)
 	}
-	err = e.AppendDataSets(id, []DataSet{
-		{"chunk": value.NewInt(32), "bw": value.NewFloat(76.68)},
-		{"chunk": value.NewInt(1024), "bw": value.NewFloat(227.18)},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 
-	id2, err := e.CreateRun(DataSet{"fs": value.NewString("nfs")}, "out2.txt", "sum2")
+	id2, err := e.CreateRun(DataSet{"fs": value.NewString("nfs")}, nil, "out2.txt", "sum2")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,17 +177,13 @@ func TestRunLifecycle(t *testing.T) {
 		t.Errorf("Run(1) = %+v, %v", info, err)
 	}
 
-	// Duplicate import detection.
-	dup, err := e.HasImport("sum1")
-	if err != nil || !dup {
-		t.Errorf("HasImport(sum1) = %v, %v", dup, err)
+	// Duplicate import detection: a file with a stored fingerprint is
+	// refused and writes nothing; an empty fingerprint checks nothing.
+	if _, err := e.CreateRuns("sum1", []NewRun{{Checksum: "sum1"}}); !errors.Is(err, ErrDuplicateImport) {
+		t.Errorf("re-import of sum1: err = %v, want ErrDuplicateImport", err)
 	}
-	dup, err = e.HasImport("other")
-	if err != nil || dup {
-		t.Errorf("HasImport(other) = %v, %v", dup, err)
-	}
-	if dup, _ := e.HasImport(""); dup {
-		t.Error("empty checksum should never match")
+	if runs, _ := e.Runs(); len(runs) != 2 {
+		t.Errorf("refused import left %d runs, want 2", len(runs))
 	}
 
 	// Deletion.
@@ -209,9 +201,20 @@ func TestRunLifecycle(t *testing.T) {
 		t.Error("delete of missing run succeeded")
 	}
 	// Run ids are not reused.
-	id3, err := e.CreateRun(DataSet{}, "out3.txt", "")
+	id3, err := e.CreateRun(DataSet{}, nil, "out3.txt", "")
 	if err != nil || id3 != 3 {
 		t.Errorf("next run id = %d, %v", id3, err)
+	}
+	// The runs of one file: consecutive ids, in one transaction.
+	ids, err := e.CreateRuns("sum4", []NewRun{
+		{Sets: []DataSet{{"chunk": value.NewInt(1)}}, Checksum: "sum4#0"},
+		{Sets: []DataSet{{"chunk": value.NewInt(2)}, {"chunk": value.NewInt(3)}}, Checksum: "sum4#1"},
+	})
+	if err != nil || len(ids) != 2 || ids[0] != 4 || ids[1] != 5 {
+		t.Fatalf("CreateRuns = %v, %v, want [4 5]", ids, err)
+	}
+	if info, err := e.Run(5); err != nil || info.DataSets != 2 || info.Checksum != "sum4#1" {
+		t.Errorf("Run(5) = %+v, %v", info, err)
 	}
 }
 
@@ -222,19 +225,19 @@ func TestRunValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// fs not in valid list.
-	if _, err := e.CreateRun(DataSet{"fs": value.NewString("zfs")}, "", ""); err == nil {
+	if _, err := e.CreateRun(DataSet{"fs": value.NewString("zfs")}, nil, "", ""); err == nil {
 		t.Error("invalid fs content accepted")
 	}
 	// Unknown variable.
-	if _, err := e.CreateRun(DataSet{"ghost": value.NewInt(1)}, "", ""); err == nil {
+	if _, err := e.CreateRun(DataSet{"ghost": value.NewInt(1)}, nil, "", ""); err == nil {
 		t.Error("unknown once variable accepted")
 	}
 	// Multi variable passed as once.
-	if _, err := e.CreateRun(DataSet{"bw": value.NewFloat(1)}, "", ""); err == nil {
+	if _, err := e.CreateRun(DataSet{"bw": value.NewFloat(1)}, nil, "", ""); err == nil {
 		t.Error("multi variable accepted as once value")
 	}
 	// Default applied when fs missing.
-	id, err := e.CreateRun(DataSet{}, "", "")
+	id, err := e.CreateRun(DataSet{}, nil, "", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,14 +246,15 @@ func TestRunValidation(t *testing.T) {
 		t.Errorf("fs default = %v", once["fs"])
 	}
 	// Uncoercible content.
-	if _, err := e.CreateRun(DataSet{"nodes": value.NewString("many")}, "", ""); err == nil {
+	if _, err := e.CreateRun(DataSet{"nodes": value.NewString("many")}, nil, "", ""); err == nil {
 		t.Error("uncoercible once content accepted")
 	}
-	if err := e.AppendDataSets(id, []DataSet{{"chunk": value.NewString("big")}}); err == nil {
+	if _, err := e.CreateRun(DataSet{}, []DataSet{{"chunk": value.NewString("big")}}, "", ""); err == nil {
 		t.Error("uncoercible data set content accepted")
 	}
-	if err := e.AppendDataSets(id, nil); err != nil {
-		t.Errorf("empty AppendDataSets: %v", err)
+	// None of the refused runs took an id.
+	if id2, err := e.CreateRun(DataSet{}, nil, "", ""); err != nil || id2 != id+1 {
+		t.Errorf("run after the refusals = %d, %v, want %d", id2, err, id+1)
 	}
 }
 
@@ -341,13 +345,10 @@ func TestSchemaEvolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := e.CreateRun(DataSet{"fs": value.NewString("ufs")}, "", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.AppendDataSets(id, []DataSet{
+	id, err := e.CreateRun(DataSet{"fs": value.NewString("ufs")}, []DataSet{
 		{"chunk": value.NewInt(32), "bw": value.NewFloat(10)},
-	}); err != nil {
+	}, "", "")
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -409,13 +410,9 @@ func TestSchemaEvolution(t *testing.T) {
 	}
 
 	// A new run accepts the new schema.
-	id2, err := e.CreateRun(DataSet{"mpi": value.NewString("nec-mpi")}, "", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.AppendDataSets(id2, []DataSet{
+	if _, err := e.CreateRun(DataSet{"mpi": value.NewString("nec-mpi")}, []DataSet{
 		{"chunk": value.NewFloat(1.5), "bw": value.NewFloat(5), "iops": value.NewFloat(100)},
-	}); err != nil {
+	}, "", ""); err != nil {
 		t.Fatal(err)
 	}
 
@@ -454,11 +451,7 @@ func TestDestroyExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := e.CreateRun(DataSet{}, "", "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.AppendDataSets(id, []DataSet{{"chunk": value.NewInt(1), "bw": value.NewFloat(1)}}); err != nil {
+	if _, err := e.CreateRun(DataSet{}, []DataSet{{"chunk": value.NewInt(1), "bw": value.NewFloat(1)}}, "", ""); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.DestroyExperiment("iotest"); err != nil {
@@ -502,13 +495,10 @@ func TestStoreOverWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, err := e.CreateRun(DataSet{"fs": value.NewString("nfs")}, "remote.txt", "c1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.AppendDataSets(id, []DataSet{
+	id, err := e.CreateRun(DataSet{"fs": value.NewString("nfs")}, []DataSet{
 		{"chunk": value.NewInt(64), "bw": value.NewFloat(33.3)},
-	}); err != nil {
+	}, "remote.txt", "c1")
+	if err != nil {
 		t.Fatal(err)
 	}
 	data, err := e.RunData(id)
@@ -528,14 +518,15 @@ func TestStoreOverWire(t *testing.T) {
 }
 
 // TestClaimCollisionIsTyped: a run id is claimed by creating its data
-// table, and a claim that finds the table taken — a concurrent importer,
-// or a table a crashed one left behind — moves on to the next id. The
-// collision is recognised by its type, sqldb.ErrTableExists, wherever
-// the database lives.
+// table inside the import's write pipeline, and a claim that finds the
+// table taken — a concurrent importer, or a table an older release left
+// behind — moves on to the next id. The collision is recognised by its
+// type, sqldb.ErrTableExists, as it comes back from a pipeline step,
+// wherever the database lives.
 func TestClaimCollisionIsTyped(t *testing.T) {
-	backends := map[string]func(t *testing.T) sqldb.Querier{
-		"local": func(t *testing.T) sqldb.Querier { return sqldb.NewMemory() },
-		"wire": func(t *testing.T) sqldb.Querier {
+	backends := map[string]func(t *testing.T) Handle{
+		"local": func(t *testing.T) Handle { return sqldb.NewMemory() },
+		"wire": func(t *testing.T) Handle {
 			srv := wire.NewServer(sqldb.NewMemory())
 			if err := srv.Listen("127.0.0.1:0"); err != nil {
 				t.Fatal(err)
@@ -548,7 +539,7 @@ func TestClaimCollisionIsTyped(t *testing.T) {
 			t.Cleanup(func() { client.Close() })
 			return client
 		},
-		"cluster": func(t *testing.T) sqldb.Querier {
+		"cluster": func(t *testing.T) Handle {
 			c := shard.NewLocal(2)
 			t.Cleanup(func() { c.Close() })
 			return c
@@ -571,10 +562,11 @@ func TestClaimCollisionIsTyped(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if _, err := q.Exec("CREATE TABLE " + e.DataTable(1) + " (chunk integer, bw float)"); !errors.Is(err, sqldb.ErrTableExists) {
-				t.Fatalf("CREATE TABLE over an existing table: err=%v, want sqldb.ErrTableExists", err)
+			claim := []sqldb.PipelineRequest{{SQL: "BEGIN"}, {SQL: "CREATE TABLE " + e.DataTable(1) + " (chunk integer, bw float)"}, {SQL: "COMMIT"}}
+			if _, err := q.ExecPipeline(claim); !errors.Is(err, sqldb.ErrTableExists) {
+				t.Fatalf("a claim pipeline over a taken id: err=%v, want sqldb.ErrTableExists", err)
 			}
-			id, err := e.CreateRun(DataSet{"fs": value.NewString("nfs")}, "a.txt", "c1")
+			id, err := e.CreateRun(DataSet{"fs": value.NewString("nfs")}, nil, "a.txt", "c1")
 			if err != nil {
 				t.Fatalf("CreateRun over taken ids: %v", err)
 			}

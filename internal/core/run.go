@@ -24,119 +24,228 @@ type RunInfo struct {
 // by variable name.
 type DataSet = map[string]value.Value
 
-// CreateRun stores a new run: its constant-per-run variable content
-// plus bookkeeping. Missing once-variables take their declared default
-// (or NULL); content violating a valid-list is rejected.
-//
-// Run ids are claimed by creating the per-run data table, which is a
-// single atomic statement even against a shared remote server;
-// concurrent importers that collide on an id simply retry with the
-// next one (paper §4.2: multiple input users may import into the same
-// experiment).
-func (e *Experiment) CreateRun(once DataSet, source, checksum string) (int64, error) {
-	// Validate and complete the once values before claiming anything.
-	onceVars := e.OnceVars()
-	cols := []string{"run_id"}
-	vals := []value.Value{value.Null(value.Integer)} // run_id filled after the claim
-	used := map[string]bool{}
-	for i := range onceVars {
-		v := &onceVars[i]
-		content, ok := lookupVar(once, v.Name)
-		if !ok {
-			// Absent variables take their declared default; an
-			// explicitly passed NULL stays NULL (the import layer's
-			// missing-content policy decides which to send).
-			content = v.Default
-		} else if content.IsNull() {
-			content = value.Null(v.Type)
-		} else {
-			c, err := content.Convert(v.Type)
-			if err != nil {
-				return 0, fmt.Errorf("core: run value %s: %w", v.Name, err)
-			}
-			content = c
-		}
-		if !v.Accepts(content) {
-			return 0, fmt.Errorf("core: run value %s: content %s not in valid list", v.Name, content)
-		}
-		cols = append(cols, v.Name)
-		vals = append(vals, content)
-		used[strings.ToLower(v.Name)] = true
-	}
-	for name := range once {
-		if !used[strings.ToLower(name)] {
-			if _, ok := e.Var(name); !ok {
-				return 0, fmt.Errorf("core: run value %s: no such variable", name)
-			}
-			return 0, fmt.Errorf("core: run value %s: not a once variable", name)
-		}
-	}
-
-	id, err := e.claimRunID()
-	if err != nil {
-		return 0, err
-	}
-	vals[0] = value.NewInt(id)
-	fail := func(err error) (int64, error) {
-		// Release the claimed data table on a later failure.
-		e.store.q.Exec("DROP TABLE IF EXISTS " + e.DataTable(id)) //nolint:errcheck
-		return 0, err
-	}
-
-	placeholders := strings.TrimRight(strings.Repeat("?, ", len(vals)), ", ")
-	if _, err := execArgs(e.store.q,
-		"INSERT INTO "+e.onceTable()+" ("+strings.Join(cols, ", ")+") VALUES ("+placeholders+")",
-		vals...); err != nil {
-		return fail(fmt.Errorf("core: store run: %w", err))
-	}
-
-	if _, err := execArgs(e.store.q, `INSERT INTO `+tblRuns+
-		` (exp, run_id, created, source, checksum, active, nsets) VALUES (?, ?, ?, ?, ?, TRUE, 0)`,
-		value.NewString(e.name), value.NewInt(id),
-		value.NewTimestamp(time.Now().UTC()),
-		value.NewString(source), value.NewString(checksum)); err != nil {
-		return fail(fmt.Errorf("core: register run: %w", err))
-	}
-	return id, nil
+// NewRun is one run to store: its constant-per-run variable content,
+// its data sets, and where it came from.
+type NewRun struct {
+	Once     DataSet
+	Sets     []DataSet
+	Source   string // file(s) the run is imported from
+	Checksum string // import fingerprint for duplicate detection
 }
 
-// claimRunID atomically claims the next free run id by creating the
-// per-run data table (paper §4.2: one table per run). CREATE TABLE is
-// a single statement, so the claim is race-free even against a shared
-// remote server; on a collision the next id is probed.
-func (e *Experiment) claimRunID() (int64, error) {
-	res, err := execArgs(e.store.q, "SELECT MAX(run_id) FROM "+tblRuns+" WHERE exp = ?",
-		value.NewString(e.name))
+// ErrDuplicateImport is CreateRuns' refusal of an input file a stored
+// run was already imported from: without explicit confirmation,
+// perfbase imports the same file only once (paper §3.2).
+var ErrDuplicateImport = errors.New("core: already imported")
+
+// maxClaims bounds how often CreateRuns resends its runs after losing
+// their ids to concurrent importers.
+const maxClaims = 100
+
+// runCols are the columns of a pb_runs row, in the order CreateRuns
+// writes them.
+var runCols = []string{"exp", "run_id", "created", "source", "checksum", "active", "nsets"}
+
+// CreateRun stores one run with its data sets (see CreateRuns) and
+// returns its id.
+func (e *Experiment) CreateRun(once DataSet, sets []DataSet, source, checksum string) (int64, error) {
+	ids, err := e.CreateRuns("", []NewRun{{Once: once, Sets: sets, Source: source, Checksum: checksum}})
 	if err != nil {
-		return 0, fmt.Errorf("core: allocate run id: %w", err)
+		return 0, err
 	}
-	var id int64 = 1
-	if len(res.Rows) > 0 && !res.Rows[0][0].IsNull() {
-		id = res.Rows[0][0].Int() + 1
-	}
+	return ids[0], nil
+}
 
-	multi := e.MultiVars()
-	dataCols := make([]string, 0, len(multi))
-	for _, v := range multi {
-		dataCols = append(dataCols, v.Name+" "+v.Type.String())
+// CreateRuns stores the runs of one input file, all of them or none,
+// and returns their ids. Every value is validated and converted before
+// anything is written: variables without content take their declared
+// default (or NULL), content violating a valid list is rejected.
+// fingerprint, when not empty, is the file's import fingerprint; a file
+// a stored run carries it for is refused with ErrDuplicateImport.
+//
+// It costs two database calls, each one pipeline. A read: the highest
+// run id and the duplicate count. A write, one transaction: per run its
+// data table (paper §4.2: one table per run) and its data sets as typed
+// rows, then the once rows, then the pb_runs rows carrying their
+// data-set counts. The CREATE TABLEs claim the run ids: an id a
+// concurrent importer took fails its CREATE with sqldb.ErrTableExists,
+// or the COMMIT with sqldb.ErrTxnConflict, and nothing is written; the
+// ids are then read again and the pipeline resent (paper §4.2: several
+// input users may import into one experiment).
+func (e *Experiment) CreateRuns(fingerprint string, runs []NewRun) ([]int64, error) {
+	onceRows, dataRows, err := e.convert(runs)
+	if err != nil {
+		return nil, err
 	}
-	if len(dataCols) == 0 {
-		dataCols = append(dataCols, "pb_empty integer")
+	next, dup, err := e.nextRunID(fingerprint)
+	if err != nil {
+		return nil, err
 	}
-	def := " (" + strings.Join(dataCols, ", ") + ")"
-
-	const maxProbes = 10000
-	for probe := 0; probe < maxProbes; probe++ {
-		_, err := e.store.q.Exec("CREATE TABLE " + e.DataTable(id) + def)
+	if dup {
+		return nil, ErrDuplicateImport
+	}
+	for attempt := 1; ; attempt++ {
+		_, err := e.store.q.ExecPipeline(e.writeRuns(next, runs, onceRows, dataRows))
 		if err == nil {
-			return id, nil
+			break
 		}
-		if !errors.Is(err, sqldb.ErrTableExists) {
-			return 0, fmt.Errorf("core: create run data table: %w", err)
+		if !errors.Is(err, sqldb.ErrTableExists) && !errors.Is(err, sqldb.ErrTxnConflict) {
+			return nil, fmt.Errorf("core: store runs: %w", err)
 		}
-		id++ // concurrent importer (or stale table) holds this id
+		if attempt == maxClaims {
+			return nil, fmt.Errorf("core: no free run id after %d claims: %w", attempt, err)
+		}
+		last := next
+		if next, _, err = e.nextRunID(""); err != nil {
+			return nil, err
+		}
+		// A data table with no run (left by an older release) keeps the
+		// highest run id below it: step past the ids just tried.
+		next = max(next, last+1)
 	}
-	return 0, fmt.Errorf("core: could not claim a run id after %d probes", maxProbes)
+	ids := make([]int64, len(runs))
+	for i := range ids {
+		ids[i] = next + int64(i)
+	}
+	return ids, nil
+}
+
+// convert validates the runs' content and converts it to the rows
+// CreateRuns writes: per run its once row (run_id first, filled per
+// claim) and its data rows.
+func (e *Experiment) convert(runs []NewRun) ([]sqldb.Row, [][]sqldb.Row, error) {
+	onceVars, multi := e.OnceVars(), e.MultiVars()
+	onceRows := make([]sqldb.Row, len(runs))
+	dataRows := make([][]sqldb.Row, len(runs))
+	for i := range runs {
+		r := &runs[i]
+		fail := func(err error) ([]sqldb.Row, [][]sqldb.Row, error) {
+			return nil, nil, fmt.Errorf("core: run %d: %w", i+1, err)
+		}
+		row := make(sqldb.Row, 1+len(onceVars))
+		for vi := range onceVars {
+			c, err := onceVars[vi].content(r.Once)
+			if err != nil {
+				return fail(fmt.Errorf("value %s: %w", onceVars[vi].Name, err))
+			}
+			row[1+vi] = c
+		}
+		for name := range r.Once {
+			if v, ok := e.Var(name); !ok {
+				return fail(fmt.Errorf("value %s: no such variable", name))
+			} else if !v.Once {
+				return fail(fmt.Errorf("value %s: not a once variable", name))
+			}
+		}
+		onceRows[i] = row
+		if len(r.Sets) == 0 {
+			continue
+		}
+		if len(multi) == 0 {
+			return fail(fmt.Errorf("experiment %s has no multiple-occurrence variables", e.name))
+		}
+		flat := make([]value.Value, len(r.Sets)*len(multi))
+		rows := make([]sqldb.Row, len(r.Sets))
+		for si, ds := range r.Sets {
+			rows[si] = flat[si*len(multi) : (si+1)*len(multi) : (si+1)*len(multi)]
+			for vi := range multi {
+				c, err := multi[vi].content(ds)
+				if err != nil {
+					return fail(fmt.Errorf("data set %d, %s: %w", si, multi[vi].Name, err))
+				}
+				rows[si][vi] = c
+			}
+		}
+		dataRows[i] = rows
+	}
+	return onceRows, dataRows, nil
+}
+
+// content returns v's content in ds as stored: converted to v's type,
+// v's declared default when ds has none, and within v's valid list. An
+// explicitly passed NULL stays NULL (the import layer's missing-content
+// policy decides which to send).
+func (v *Var) content(ds DataSet) (value.Value, error) {
+	c, ok := lookupVar(ds, v.Name)
+	switch {
+	case !ok:
+		c = v.Default
+	case c.IsNull():
+		c = value.Null(v.Type)
+	default:
+		cv, err := c.Convert(v.Type)
+		if err != nil {
+			return c, err
+		}
+		c = cv
+	}
+	if !v.Accepts(c) {
+		return c, fmt.Errorf("content %s not in valid list", c)
+	}
+	return c, nil
+}
+
+// nextRunID reads, in one pipeline, the id after the highest stored run
+// and, when fingerprint is not empty, whether a stored run carries that
+// import fingerprint.
+func (e *Experiment) nextRunID(fingerprint string) (next int64, dup bool, err error) {
+	exp := value.NewString(e.name).SQL()
+	reqs := []sqldb.PipelineRequest{{SQL: "SELECT MAX(run_id) FROM " + tblRuns + " WHERE exp = " + exp}}
+	if fingerprint != "" {
+		reqs = append(reqs, sqldb.PipelineRequest{SQL: "SELECT COUNT(*) FROM " + tblRuns + " WHERE exp = " + exp +
+			" AND checksum = " + value.NewString(fingerprint).SQL() + " AND active"})
+	}
+	res, err := e.store.q.ExecPipeline(reqs)
+	if err != nil {
+		return 0, false, fmt.Errorf("core: read run ids: %w", err)
+	}
+	next = 1
+	if rows := res[0].Rows; len(rows) > 0 && !rows[0][0].IsNull() {
+		next = rows[0][0].Int() + 1
+	}
+	return next, fingerprint != "" && res[1].Rows[0][0].Int() > 0, nil
+}
+
+// writeRuns builds the write pipeline storing runs under the ids from
+// first on, in one transaction: per run its data table and data rows,
+// then every once row, then the pb_runs rows, last, with their final
+// data-set counts.
+func (e *Experiment) writeRuns(first int64, runs []NewRun, onceRows []sqldb.Row, dataRows [][]sqldb.Row) []sqldb.PipelineRequest {
+	multi, onceVars := e.MultiVars(), e.OnceVars()
+	dataCols := make([]string, len(multi))
+	defs := make([]string, len(multi))
+	for i, v := range multi {
+		dataCols[i], defs[i] = v.Name, v.Name+" "+v.Type.String()
+	}
+	if len(defs) == 0 {
+		defs = append(defs, "pb_empty integer")
+	}
+	def := " (" + strings.Join(defs, ", ") + ")"
+	onceCols := make([]string, 1+len(onceVars))
+	onceCols[0] = "run_id"
+	for i, v := range onceVars {
+		onceCols[1+i] = v.Name
+	}
+
+	now := value.NewTimestamp(time.Now().UTC())
+	catalog := make([]sqldb.Row, len(runs))
+	reqs := make([]sqldb.PipelineRequest, 0, 2*len(runs)+4)
+	reqs = append(reqs, sqldb.PipelineRequest{SQL: "BEGIN"})
+	for i := range runs {
+		id := value.NewInt(first + int64(i))
+		table := e.DataTable(first + int64(i))
+		reqs = append(reqs, sqldb.PipelineRequest{SQL: "CREATE TABLE " + table + def})
+		if len(dataRows[i]) > 0 {
+			reqs = append(reqs, sqldb.PipelineRequest{Bulk: true, Table: table, Cols: dataCols, Rows: dataRows[i]})
+		}
+		onceRows[i][0] = id
+		catalog[i] = sqldb.Row{value.NewString(e.name), id, now, value.NewString(runs[i].Source),
+			value.NewString(runs[i].Checksum), value.NewBool(true), value.NewInt(int64(len(runs[i].Sets)))}
+	}
+	return append(reqs,
+		sqldb.PipelineRequest{Bulk: true, Table: e.onceTable(), Cols: onceCols, Rows: onceRows},
+		sqldb.PipelineRequest{Bulk: true, Table: tblRuns, Cols: runCols, Rows: catalog},
+		sqldb.PipelineRequest{SQL: "COMMIT"})
 }
 
 // lookupVar finds name in a DataSet case-insensitively.
@@ -150,66 +259,6 @@ func lookupVar(ds DataSet, name string) (value.Value, bool) {
 		}
 	}
 	return value.Value{}, false
-}
-
-// AppendDataSets adds data tuples to a run. Missing variables take
-// their default (or NULL); valid-lists are enforced.
-func (e *Experiment) AppendDataSets(runID int64, sets []DataSet) error {
-	if len(sets) == 0 {
-		return nil
-	}
-	multi := e.MultiVars()
-	if len(multi) == 0 {
-		return fmt.Errorf("core: experiment %s has no multiple-occurrence variables", e.name)
-	}
-	cols := make([]string, len(multi))
-	for i, v := range multi {
-		cols[i] = v.Name
-	}
-	var sb strings.Builder
-	sb.WriteString("INSERT INTO ")
-	sb.WriteString(e.DataTable(runID))
-	sb.WriteString(" (")
-	sb.WriteString(strings.Join(cols, ", "))
-	sb.WriteString(") VALUES ")
-	for si, ds := range sets {
-		if si > 0 {
-			sb.WriteString(", ")
-		}
-		sb.WriteString("(")
-		for vi := range multi {
-			v := &multi[vi]
-			content, ok := lookupVar(ds, v.Name)
-			if !ok {
-				content = v.Default
-			} else if content.IsNull() {
-				content = value.Null(v.Type)
-			} else {
-				c, err := content.Convert(v.Type)
-				if err != nil {
-					return fmt.Errorf("core: data set %d, %s: %w", si, v.Name, err)
-				}
-				content = c
-			}
-			if !v.Accepts(content) {
-				return fmt.Errorf("core: data set %d, %s: content %s not in valid list", si, v.Name, content)
-			}
-			if vi > 0 {
-				sb.WriteString(", ")
-			}
-			sb.WriteString(content.SQL())
-		}
-		sb.WriteString(")")
-	}
-	if _, err := e.store.q.Exec(sb.String()); err != nil {
-		return fmt.Errorf("core: append data sets: %w", err)
-	}
-	if _, err := execArgs(e.store.q,
-		"UPDATE "+tblRuns+" SET nsets = nsets + ? WHERE exp = ? AND run_id = ?",
-		value.NewInt(int64(len(sets))), value.NewString(e.name), value.NewInt(runID)); err != nil {
-		return fmt.Errorf("core: update run stats: %w", err)
-	}
-	return nil
 }
 
 // Runs lists all active runs of the experiment, oldest first.
@@ -278,36 +327,20 @@ func (e *Experiment) RunData(id int64) (*sqldb.Result, error) {
 	return res, nil
 }
 
-// DeleteRun removes a run with its data table.
+// DeleteRun removes a run with its data table, in one transaction.
 func (e *Experiment) DeleteRun(id int64) error {
 	if _, err := e.Run(id); err != nil {
 		return err
 	}
-	for _, stmt := range []string{
-		"DROP TABLE IF EXISTS " + e.DataTable(id),
-		"DELETE FROM " + e.onceTable() + " WHERE run_id = " + value.NewInt(id).SQL(),
-		"DELETE FROM " + tblRuns + " WHERE exp = " + value.NewString(e.name).SQL() +
-			" AND run_id = " + value.NewInt(id).SQL(),
-	} {
-		if _, err := e.store.q.Exec(stmt); err != nil {
-			return fmt.Errorf("core: delete run %d: %w", id, err)
-		}
+	if _, err := e.store.q.ExecPipeline([]sqldb.PipelineRequest{
+		{SQL: "BEGIN"},
+		{SQL: "DROP TABLE IF EXISTS " + e.DataTable(id)},
+		{SQL: "DELETE FROM " + e.onceTable() + " WHERE run_id = " + value.NewInt(id).SQL()},
+		{SQL: "DELETE FROM " + tblRuns + " WHERE exp = " + value.NewString(e.name).SQL() +
+			" AND run_id = " + value.NewInt(id).SQL()},
+		{SQL: "COMMIT"},
+	}); err != nil {
+		return fmt.Errorf("core: delete run %d: %w", id, err)
 	}
 	return nil
-}
-
-// HasImport reports whether a run with the given import checksum
-// already exists. perfbase refuses to import the same input file twice
-// without explicit confirmation (paper §3.2).
-func (e *Experiment) HasImport(checksum string) (bool, error) {
-	if checksum == "" {
-		return false, nil
-	}
-	res, err := execArgs(e.store.q,
-		"SELECT COUNT(*) FROM "+tblRuns+" WHERE exp = ? AND checksum = ? AND active",
-		value.NewString(e.name), value.NewString(checksum))
-	if err != nil {
-		return false, fmt.Errorf("core: checksum lookup: %w", err)
-	}
-	return res.Rows[0][0].Int() > 0, nil
 }

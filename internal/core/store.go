@@ -39,12 +39,21 @@ const validSep = "\x1f"
 // Store is a handle to a perfbase database (local or remote). It
 // manages the meta tables shared by all experiments in the database.
 type Store struct {
-	q sqldb.Querier
+	q Handle
+}
+
+// Handle is what a Store needs of its database: statements, and
+// pipelines of statements and typed bulk inserts (sqldb.RunPipeline).
+// *sqldb.DB, *sqldb.Session, *wire.Client and *shard.Cluster are each
+// one.
+type Handle interface {
+	sqldb.Querier
+	sqldb.Pipeliner
 }
 
 // NewStore wraps a database handle. Call Init before first use of a
 // fresh database.
-func NewStore(q sqldb.Querier) *Store {
+func NewStore(q Handle) *Store {
 	return &Store{q: q}
 }
 
@@ -168,17 +177,24 @@ func (s *Store) insertVarMeta(exp string, v Var) error {
 	return nil
 }
 
-// OpenExperiment loads an existing experiment.
+// OpenExperiment loads an existing experiment: its meta row, variables
+// and access grants, read in one pipeline.
 func (s *Store) OpenExperiment(name string) (*Experiment, error) {
-	res, err := execArgs(s.q, `SELECT synopsis, description, project, performer, organization
-		FROM `+tblExperiments+` WHERE name = ?`, value.NewString(name))
+	lit := value.NewString(name).SQL()
+	res, err := s.q.ExecPipeline([]sqldb.PipelineRequest{
+		{SQL: "SELECT synopsis, description, project, performer, organization FROM " + tblExperiments +
+			" WHERE name = " + lit},
+		{SQL: "SELECT name, is_result, once, datatype, synopsis, description, unit, dflt, valids FROM " +
+			tblVariables + " WHERE exp = " + lit + " ORDER BY name"},
+		{SQL: "SELECT usr, class FROM " + tblAccess + " WHERE exp = " + lit},
+	})
 	if err != nil {
 		return nil, fmt.Errorf("core: open %s: %w", name, err)
 	}
-	if len(res.Rows) == 0 {
+	if len(res[0].Rows) == 0 {
 		return nil, fmt.Errorf("core: no experiment %q", name)
 	}
-	meta := res.Rows[0]
+	meta := res[0].Rows[0]
 	def := &pbxml.Experiment{Name: name}
 	def.Info.Synopsis = meta[0].Str()
 	def.Info.Description = meta[1].Str()
@@ -186,14 +202,8 @@ func (s *Store) OpenExperiment(name string) (*Experiment, error) {
 	def.Info.PerformedBy.Name = meta[3].Str()
 	def.Info.PerformedBy.Organization = meta[4].Str()
 
-	vres, err := execArgs(s.q, `SELECT name, is_result, once, datatype, synopsis,
-		description, unit, dflt, valids FROM `+tblVariables+` WHERE exp = ? ORDER BY name`,
-		value.NewString(name))
-	if err != nil {
-		return nil, fmt.Errorf("core: open %s variables: %w", name, err)
-	}
 	var vars []Var
-	for _, r := range vres.Rows {
+	for _, r := range res[1].Rows {
 		typ, err := value.TypeFromString(r[3].Str())
 		if err != nil {
 			return nil, fmt.Errorf("core: open %s: %w", name, err)
@@ -228,12 +238,7 @@ func (s *Store) OpenExperiment(name string) (*Experiment, error) {
 		}
 	}
 
-	ares, err := execArgs(s.q, "SELECT usr, class FROM "+tblAccess+" WHERE exp = ?",
-		value.NewString(name))
-	if err != nil {
-		return nil, fmt.Errorf("core: open %s access: %w", name, err)
-	}
-	for _, r := range ares.Rows {
+	for _, r := range res[2].Rows {
 		switch r[1].Str() {
 		case "admin":
 			def.Access.Admin = append(def.Access.Admin, r[0].Str())

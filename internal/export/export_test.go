@@ -47,32 +47,24 @@ func seed(t *testing.T) (*core.Store, *core.Experiment) {
 		t.Fatal(err)
 	}
 	when := time.Date(2005, 9, 27, 10, 30, 0, 0, time.UTC)
-	id1, err := e.CreateRun(core.DataSet{
+	if _, err := e.CreateRun(core.DataSet{
 		"fs":   value.NewString("ufs"),
 		"when": value.NewTimestamp(when),
 		"rev":  value.NewVersion("2.6.10"),
 		"note": value.NewString("a note with spaces, and = signs"),
-	}, "orig1", "c1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.AppendDataSets(id1, []core.DataSet{
+	}, []core.DataSet{
 		{"chunk": value.NewInt(32), "bw": value.NewFloat(35.5), "ok": value.NewBool(true)},
 		{"chunk": value.NewInt(1024), "bw": value.NewFloat(227.18), "ok": value.NewBool(false)},
 		{"chunk": value.NewInt(2048)}, // bw/ok NULL
-	}); err != nil {
+	}, "orig1", "c1"); err != nil {
 		t.Fatal(err)
 	}
 	// Second run with a NULL once value (no "when") and an all-NULL
 	// data row.
-	id2, err := e.CreateRun(core.DataSet{"fs": value.NewString("nfs")}, "orig2", "c2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.AppendDataSets(id2, []core.DataSet{
+	if _, err := e.CreateRun(core.DataSet{"fs": value.NewString("nfs")}, []core.DataSet{
 		{}, // fully NULL row
 		{"chunk": value.NewInt(64), "bw": value.NewFloat(1.25)},
-	}); err != nil {
+	}, "orig2", "c2"); err != nil {
 		t.Fatal(err)
 	}
 	return s, e

@@ -16,6 +16,7 @@ package input
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
 	"os"
 	"regexp"
@@ -262,37 +263,49 @@ func (im *Importer) ImportFile(path string) ([]int64, error) {
 }
 
 // ImportBytes imports in-memory file content under the given name.
+// The runs of one file are stored in one transaction: all of them or,
+// on any error, none.
 func (im *Importer) ImportBytes(name string, data []byte) ([]int64, error) {
 	sum := Fingerprint(data)
-	if !im.opts.Force {
-		dup, err := im.exp.HasImport(sum)
-		if err != nil {
-			return nil, err
-		}
-		if dup {
-			return nil, fmt.Errorf("input: %s was already imported (use force to re-import)", name)
-		}
-	}
-	lines := splitLines(string(data))
-	segments := im.splitRuns(lines)
-	var ids []int64
+	segments := im.splitRuns(splitLines(string(data)))
+	runs := make([]core.NewRun, 0, len(segments))
 	for si, seg := range segments {
-		sum := sum
-		if len(segments) > 1 {
-			sum = fmt.Sprintf("%s#%d", sum, si)
-		}
-		id, skipped, err := im.importSegment(name, seg, sum)
+		ex, skipped, err := im.extractRun(name, seg)
 		if err != nil {
-			return ids, fmt.Errorf("input: %s run %d: %w", name, si+1, err)
+			return nil, fmt.Errorf("input: %s run %d: %w", name, si+1, err)
 		}
-		if !skipped {
-			ids = append(ids, id)
+		if skipped {
+			continue
 		}
+		checksum := sum
+		if len(segments) > 1 {
+			checksum = fmt.Sprintf("%s#%d", sum, si)
+		}
+		runs = append(runs, core.NewRun{Once: ex.once, Sets: ex.sets, Source: name, Checksum: checksum})
 	}
-	if len(ids) == 0 && len(segments) > 0 && im.opts.Missing != Discard {
-		return ids, fmt.Errorf("input: %s produced no runs", name)
+	if len(runs) == 0 {
+		if len(segments) > 0 && im.opts.Missing != Discard {
+			return nil, fmt.Errorf("input: %s produced no runs", name)
+		}
+		return nil, nil
+	}
+	ids, err := im.exp.CreateRuns(dupCheck(sum, im.opts), runs)
+	if errors.Is(err, core.ErrDuplicateImport) {
+		return nil, fmt.Errorf("input: %s was already imported (use force to re-import)", name)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("input: %s: %w", name, err)
 	}
 	return ids, nil
+}
+
+// dupCheck is the fingerprint CreateRuns refuses a duplicate by: none
+// under Force.
+func dupCheck(sum string, opts Options) string {
+	if opts.Force {
+		return ""
+	}
+	return sum
 }
 
 // ImportFiles imports several files independently with this single
@@ -351,32 +364,32 @@ func splitLines(s string) []string {
 	return strings.Split(s, "\n")
 }
 
-// importSegment extracts one run from a line range and stores it.
-// skipped reports a Discard-policy skip.
-func (im *Importer) importSegment(name string, lines []string, sum string) (id int64, skipped bool, err error) {
-	ex, err := im.extract(name, lines)
-	if err != nil {
-		return 0, false, err
+// extractRun extracts one run from a line range, complete with fixed
+// values, overrides and derived parameters, under the missing-content
+// policy. skipped reports a Discard-policy skip.
+func (im *Importer) extractRun(name string, lines []string) (ex *extraction, skipped bool, err error) {
+	if ex, err = im.extract(name, lines); err != nil {
+		return nil, false, err
 	}
 	if err := im.applyOverridesAndFixed(ex); err != nil {
-		return 0, false, err
+		return nil, false, err
 	}
 	if err := im.deriveOnce(ex); err != nil {
-		return 0, false, err
+		return nil, false, err
 	}
 	if err := im.deriveSets(ex); err != nil {
-		return 0, false, err
+		return nil, false, err
 	}
 
 	missing := im.missingVars(ex)
 	switch im.opts.Missing {
 	case Fail:
 		if len(missing) > 0 {
-			return 0, false, fmt.Errorf("no content for variable(s) %s", strings.Join(missing, ", "))
+			return nil, false, fmt.Errorf("no content for variable(s) %s", strings.Join(missing, ", "))
 		}
 	case Discard:
 		if len(missing) > 0 {
-			return 0, true, nil
+			return nil, true, nil
 		}
 	case AllowEmpty:
 		// Explicit NULLs suppress declared defaults.
@@ -387,17 +400,7 @@ func (im *Importer) importSegment(name string, lines []string, sum string) (id i
 			}
 		}
 	}
-
-	id, err = im.exp.CreateRun(ex.once, name, sum)
-	if err != nil {
-		return 0, false, err
-	}
-	if len(ex.sets) > 0 {
-		if err := im.exp.AppendDataSets(id, ex.sets); err != nil {
-			return 0, false, err
-		}
-	}
-	return id, false, nil
+	return ex, false, nil
 }
 
 // extraction is the raw result of applying all locations to one run's
@@ -595,9 +598,24 @@ func parseContent(t value.Type, text string, field int) (value.Value, error) {
 	}
 	if t == value.String && field == 0 {
 		// Whole-remainder strings keep interior spacing.
-		return value.Parse(t, strings.Trim(strings.TrimSpace(text), ":= "))
+		return owned(value.Parse(t, strings.Trim(strings.TrimSpace(text), ":= ")))
 	}
-	return value.SmartParse(t, text)
+	return owned(value.SmartParse(t, text))
+}
+
+// owned copies the text of a String or Version value out of the input it
+// was cut from: a stored value must not keep its whole file alive.
+func owned(v value.Value, err error) (value.Value, error) {
+	if err != nil || v.IsNull() {
+		return v, err
+	}
+	switch v.Type() {
+	case value.String:
+		return value.NewString(strings.Clone(v.Str())), nil
+	case value.Version:
+		return value.NewVersion(strings.Clone(v.Str())), nil
+	}
+	return v, nil
 }
 
 // extractFixed applies a fixed row/column location.
@@ -609,7 +627,7 @@ func extractFixed(fx pbxml.FixedLocation, lines []string, t value.Type) (value.V
 	if fx.Col > len(fields) {
 		return value.Null(t), nil
 	}
-	return value.SmartParse(t, fields[fx.Col-1])
+	return owned(value.SmartParse(t, fields[fx.Col-1]))
 }
 
 // extract applies a filename location.
@@ -705,7 +723,7 @@ func (tl *tabularLoc) parseRow(fields []string) (core.DataSet, bool) {
 		if c.v == nil {
 			continue
 		}
-		v, err := value.Parse(c.v.Type, text)
+		v, err := owned(value.Parse(c.v.Type, text))
 		if err != nil {
 			return nil, false
 		}
@@ -769,15 +787,6 @@ func ImportMerged(exp *core.Experiment, pairs []DescFile, opts Options) (int64, 
 		lastIm = im
 	}
 	sum := hex.EncodeToString(hash.Sum(nil))
-	if !opts.Force {
-		dup, err := exp.HasImport(sum)
-		if err != nil {
-			return 0, err
-		}
-		if dup {
-			return 0, fmt.Errorf("input: this file combination was already imported (use force to re-import)")
-		}
-	}
 	if err := lastIm.deriveOnce(merged); err != nil {
 		return 0, err
 	}
@@ -788,14 +797,13 @@ func ImportMerged(exp *core.Experiment, pairs []DescFile, opts Options) (int64, 
 	if opts.Missing == Fail && len(missing) > 0 {
 		return 0, fmt.Errorf("input: no content for variable(s) %s", strings.Join(missing, ", "))
 	}
-	id, err := exp.CreateRun(merged.once, strings.Join(names, "+"), sum)
+	ids, err := exp.CreateRuns(dupCheck(sum, opts), []core.NewRun{{
+		Once: merged.once, Sets: merged.sets, Source: strings.Join(names, "+"), Checksum: sum}})
+	if errors.Is(err, core.ErrDuplicateImport) {
+		return 0, fmt.Errorf("input: this file combination was already imported (use force to re-import)")
+	}
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("input: %w", err)
 	}
-	if len(merged.sets) > 0 {
-		if err := exp.AppendDataSets(id, merged.sets); err != nil {
-			return 0, err
-		}
-	}
-	return id, nil
+	return ids[0], nil
 }

@@ -6,11 +6,10 @@
 //
 //   - Streaming ingest. IngestFile accepts one experiment output file,
 //     parses it with internal/input against the experiment's input
-//     description, and bulk-loads it from a pool of parallel workers.
-//     Loads ride the engine's group commit (many workers' statements
-//     share one fsync); with Config.Atomic each file is one optimistic
-//     transaction, retried on ErrTxnConflict, so a crashed load never
-//     leaves a half-imported run.
+//     description, and loads it from a pool of parallel workers. Each
+//     file is one transaction (core.CreateRuns), so a crashed load never
+//     leaves a half-imported run; loads ride the engine's group commit
+//     (many workers' commits share one fsync).
 //
 //   - Materialized views. The service owns a sqldb.ViewRegistry and
 //     registers standard per-experiment aggregates on first ingest;
@@ -28,12 +27,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"perfbase/internal/anomaly"
 	"perfbase/internal/core"
@@ -59,12 +56,6 @@ type Config struct {
 	// owns one database session; files submitted concurrently load in
 	// parallel and share group-commit fsyncs.
 	Workers int
-	// Atomic wraps each ingested file in one optimistic transaction:
-	// the run appears all-or-nothing, at the price of commit-time
-	// conflict retries between workers loading the same experiment. The
-	// default (false) pipelines autocommit statements, which is how the
-	// CLI importer behaves and what the ingest benchmark measures.
-	Atomic bool
 	// Alerts is the server-default anomaly tuning. Zero fields take
 	// the anomaly.Default* constants; WATCH subscriptions override
 	// per-field on top of this.
@@ -100,8 +91,8 @@ type Service struct {
 	// alerted remembers the highest run id delivered per
 	// (experiment, variable, group, tuning); only the alert worker
 	// touches it. Dedup lives here — not in the freshness diff —
-	// because one run arrives over several commits (catalog row first,
-	// data rows after) and may need re-evaluation once its data lands.
+	// because a run's data can change after the commit that brought it
+	// (rows added by hand), and the run is then evaluated again.
 	alerted map[string]int64
 
 	wamu     sync.Mutex
@@ -257,62 +248,29 @@ func (w *worker) run(req wire.IngestRequest) jobResult {
 	if err := fpIngest.Inject(); err != nil {
 		return jobResult{err: fmt.Errorf("live: ingest: %w", err)}
 	}
-	var lastErr error
-	freshened := false
-	for attempt := 0; attempt < 16; attempt++ {
-		res, retryable, err := w.load(req)
-		if err == nil {
-			return jobResult{res: res}
-		}
-		lastErr = err
-		if errors.Is(err, sqldb.ErrTxnConflict) {
-			// Another worker's commit invalidated ours; the whole file
-			// re-runs — the paper's multi-user import story (§4.2), now
-			// under OCC. Jittered backoff decorrelates the retries.
-			time.Sleep(time.Duration(rand.Intn(200*(attempt+1))) * time.Microsecond)
-			continue
-		}
-		if retryable && !freshened {
-			// The failure may be a stale cached experiment (the schema
-			// changed under us): drop the caches and retry once. Only
-			// when no statement can have committed — re-running the file
-			// after a partial autocommit load would duplicate its rows.
-			freshened = true
-			w.exps = map[string]*core.Experiment{}
-			w.importers = map[string]*input.Importer{}
-			continue
-		}
-		break
+	res, err := w.load(req)
+	if err != nil {
+		// The failure may be a stale cached experiment (the schema
+		// changed under us): drop the caches and run the file once more.
+		// A failed import wrote nothing, so the retry cannot duplicate
+		// rows.
+		w.exps = map[string]*core.Experiment{}
+		w.importers = map[string]*input.Importer{}
+		res, err = w.load(req)
 	}
-	return jobResult{err: lastErr}
+	return jobResult{res: res, err: err}
 }
 
-// load runs one ingest attempt. retryable reports that the database is
-// known clean of this file's rows — the error predates any write, or
-// Atomic mode rolled the transaction back — so the caller may safely
-// run the whole file again.
-func (w *worker) load(req wire.IngestRequest) (wire.IngestResult, bool, error) {
+// load runs one ingest attempt: one transaction, which the importer
+// retries itself when a concurrent import takes its run ids.
+func (w *worker) load(req wire.IngestRequest) (wire.IngestResult, error) {
 	im, exp, err := w.importer(req)
 	if err != nil {
-		return wire.IngestResult{}, true, err
+		return wire.IngestResult{}, err
 	}
-	var ids []int64
-	if w.svc.cfg.Atomic {
-		if _, err := w.sess.Exec("BEGIN"); err != nil {
-			return wire.IngestResult{}, true, err
-		}
-		ids, err = im.ImportBytes(req.Name, req.Data)
-		if err != nil {
-			w.sess.Exec("ROLLBACK") //nolint:errcheck // already failing
-			return wire.IngestResult{}, true, err
-		}
-		if _, err := w.sess.Exec("COMMIT"); err != nil {
-			return wire.IngestResult{}, true, err
-		}
-	} else if ids, err = im.ImportBytes(req.Name, req.Data); err != nil {
-		// Autocommit may already have committed a prefix of the file;
-		// a retry would duplicate those rows, so the error is final.
-		return wire.IngestResult{}, false, err
+	ids, err := im.ImportBytes(req.Name, req.Data)
+	if err != nil {
+		return wire.IngestResult{}, err
 	}
 	if !w.svc.cfg.NoStandardViews {
 		w.svc.ensureStandardViews(exp)
@@ -328,7 +286,7 @@ func (w *worker) load(req wire.IngestRequest) (wire.IngestResult, bool, error) {
 			res.Rows += info.DataSets
 		}
 	}
-	return res, false, nil
+	return res, nil
 }
 
 // importer returns the cached Importer for (experiment, description),
@@ -426,10 +384,10 @@ func (s *Service) alertLoop() {
 }
 
 // catState is one experiment's run-catalog state as seen by the alert
-// scanner. A run arrives over several commits — catalog row first,
-// data rows and the nsets update after — so freshness tracks both the
-// highest run id (a new run appeared) and the data-set total (an
-// already-cataloged run's data landed); either change re-evaluates.
+// scanner. An import brings a run in one commit, catalog row and data
+// together; freshness still tracks both the highest run id (a new run
+// appeared) and the data-set total (a cataloged run's data changed), and
+// either change re-evaluates.
 type catState struct {
 	maxRun int64
 	nsets  int64

@@ -218,14 +218,14 @@ func TestIngestAndStandardViews(t *testing.T) {
 	}
 }
 
-// TestIngestAtomicParallel loads files concurrently with each file as
-// one optimistic transaction: conflicts between workers retry, and
-// every run lands complete.
+// TestIngestAtomicParallel loads files concurrently, each file one
+// transaction: workers colliding on a run id retry, and every run lands
+// complete, under ids with no gap.
 func TestIngestAtomicParallel(t *testing.T) {
 	db := sqldb.NewMemory()
 	defer db.Close()
 	newBench(t, db)
-	svc := New(db, Config{Workers: 4, Atomic: true})
+	svc := New(db, Config{Workers: 4})
 	defer svc.Close()
 
 	const files = 12
@@ -247,12 +247,12 @@ func TestIngestAtomicParallel(t *testing.T) {
 		}
 	}
 
-	res, err := db.Exec("SELECT COUNT(*) FROM pb_runs WHERE exp = 'bench'")
+	res, err := db.Exec("SELECT COUNT(*), MAX(run_id) FROM pb_runs WHERE exp = 'bench'")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := res.Rows[0][0].Int(); n != files {
-		t.Fatalf("catalog holds %d runs, want %d", n, files)
+	if n, top := res.Rows[0][0].Int(), res.Rows[0][1].Int(); n != files || top != files {
+		t.Fatalf("catalog holds %d runs up to id %d, want %d up to %d", n, top, files, files)
 	}
 	// Atomicity: every catalog entry has exactly its once row.
 	res, err = db.Exec("SELECT COUNT(*) FROM bench_once")
@@ -359,13 +359,11 @@ func TestRegressionAlertPush(t *testing.T) {
 	}
 }
 
-// TestAlertAfterLateData pins the multi-commit arrival race: a run
-// lands as several commits — catalog row first, data rows and the
-// nsets update after. The scanner evaluates on the catalog insert
-// (no data visible yet, nothing to alert) and must re-evaluate when
-// the run's data-set count changes, or the regression is lost — the
-// failure mode a replica hits routinely, since its hook fires frame
-// by frame as the stream applies.
+// TestAlertAfterLateData pins data arriving after its run: an import
+// brings a run in one commit, but a run stored without data sets can get
+// its rows later, by hand. The scanner evaluates on the catalog insert
+// (no data visible yet, nothing to alert) and must re-evaluate when the
+// run's data-set count changes, or the regression is lost.
 func TestAlertAfterLateData(t *testing.T) {
 	db := sqldb.NewMemory()
 	defer db.Close()
@@ -401,7 +399,7 @@ func TestAlertAfterLateData(t *testing.T) {
 	id, err := exp.CreateRun(core.DataSet{
 		"host":  value.NewString("testhost"),
 		"score": value.NewFloat(10),
-	}, "late.txt", "late-sum")
+	}, nil, "late.txt", "late-sum")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,9 +419,11 @@ func TestAlertAfterLateData(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	// The data lands in a later commit, regressed ~50% vs history.
-	if err := exp.AppendDataSets(id, []core.DataSet{
-		{"nproc": value.NewInt(1), "op": value.NewString("read"), "bw": value.NewFloat(50)},
-		{"nproc": value.NewInt(2), "op": value.NewString("read"), "bw": value.NewFloat(100)},
+	if _, err := db.ExecPipeline([]sqldb.PipelineRequest{
+		{SQL: "BEGIN"},
+		{SQL: fmt.Sprintf("INSERT INTO %s (nproc, op, bw) VALUES (1, 'read', 50), (2, 'read', 100)", exp.DataTable(id))},
+		{SQL: fmt.Sprintf("UPDATE pb_runs SET nsets = 2 WHERE exp = 'bench' AND run_id = %d", id)},
+		{SQL: "COMMIT"},
 	}); err != nil {
 		t.Fatal(err)
 	}

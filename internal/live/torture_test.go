@@ -27,9 +27,10 @@ import (
 //   - a fresh view registry rebuilds every view from the recovered
 //     snapshot byte-identical to on-demand execution of its SQL —
 //     a crash mid-view-apply must leave no divergence;
-//   - ingest atomicity (the child loads each file as one optimistic
-//     transaction): the run catalog and the experiment's once table
-//     agree exactly.
+//   - ingest atomicity (every file is one transaction): the run catalog,
+//     the experiment's once table and its data tables agree exactly —
+//     one once row and one data table per cataloged run, holding as many
+//     rows as the run's nsets says, and no data table without a run.
 
 const (
 	liveChildEnv = "PERFBASE_LIVE_TORTURE_CHILD"
@@ -75,7 +76,7 @@ func TestLiveTortureChild(t *testing.T) {
 		}
 	}
 
-	svc := New(db, Config{Workers: 2, Atomic: true})
+	svc := New(db, Config{Workers: 2})
 	for name, sql := range liveTortureViews {
 		if err := svc.RegisterView(name, sql); err != nil {
 			fmt.Fprintln(os.Stderr, "child view:", err)
@@ -181,8 +182,8 @@ func verifyLiveRecovery(t *testing.T, dir string) {
 		}
 	}
 
-	// Atomic ingest: catalog and once table always agree.
-	runs, err := db.Exec("SELECT COUNT(*) FROM pb_runs WHERE exp = 'bench'")
+	// Atomic ingest: catalog, once table and data tables always agree.
+	runs, err := db.Exec("SELECT run_id, nsets FROM pb_runs WHERE exp = 'bench'")
 	if err != nil {
 		return // crash before the meta tables existed
 	}
@@ -190,8 +191,23 @@ func verifyLiveRecovery(t *testing.T, dir string) {
 	if err != nil {
 		t.Fatalf("catalog exists but once table lost: %v", err)
 	}
-	if r, o := runs.Rows[0][0].Int(), once.Rows[0][0].Int(); r != o {
+	if r, o := len(runs.Rows), once.Rows[0][0].Int(); int64(r) != o {
 		t.Fatalf("half-ingested run survived: %d catalog rows vs %d once rows", r, o)
+	}
+	for _, r := range runs.Rows {
+		table := fmt.Sprintf("bench_run_%d", r[0].Int())
+		if n, ok := db.RowCount(table); !ok || int64(n) != r[1].Int() {
+			t.Fatalf("run %d: data table %s has %d rows (exists %v), nsets says %d", r[0].Int(), table, n, ok, r[1].Int())
+		}
+	}
+	data := 0
+	for _, name := range db.Tables() {
+		if strings.HasPrefix(name, "bench_run_") {
+			data++
+		}
+	}
+	if data != len(runs.Rows) {
+		t.Fatalf("%d data tables for %d cataloged runs", data, len(runs.Rows))
 	}
 }
 

@@ -29,9 +29,9 @@ func seed(t *testing.T) *core.Experiment {
 	return seedOn(t, sqldb.NewMemory())
 }
 
-// seedOn seeds the bench experiment on any Querier — a local DB or a
-// sharding coordinator.
-func seedOn(t *testing.T, q sqldb.Querier) *core.Experiment {
+// seedOn seeds the bench experiment on any database handle — a local DB
+// or a sharding coordinator.
+func seedOn(t *testing.T, q core.Handle) *core.Experiment {
 	t.Helper()
 	s := core.NewStore(q)
 	if err := s.Init(); err != nil {
@@ -51,10 +51,6 @@ func seedOn(t *testing.T, q sqldb.Querier) *core.Experiment {
 			base = 80.0
 		}
 		for rep := 0; rep < 4; rep++ {
-			id, err := e.CreateRun(core.DataSet{"technique": value.NewString(tech)}, "seed", "")
-			if err != nil {
-				t.Fatal(err)
-			}
 			var sets []core.DataSet
 			for ci := 1; ci <= 4; ci++ {
 				sets = append(sets, core.DataSet{
@@ -62,7 +58,7 @@ func seedOn(t *testing.T, q sqldb.Querier) *core.Experiment {
 					"bw":    value.NewFloat(base*float64(ci) + float64(rep)),
 				})
 			}
-			if err := e.AppendDataSets(id, sets); err != nil {
+			if _, err := e.CreateRun(core.DataSet{"technique": value.NewString(tech)}, sets, "seed", ""); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -56,13 +56,6 @@ func seedExperiment(t *testing.T) *core.Experiment {
 		}
 		for _, fs := range []string{"ufs", "nfs"} {
 			for rep := 0; rep < 3; rep++ {
-				id, err := e.CreateRun(core.DataSet{
-					"technique": value.NewString(tech),
-					"fs":        value.NewString(fs),
-				}, "seed", "")
-				if err != nil {
-					t.Fatal(err)
-				}
 				var sets []core.DataSet
 				for ci, c := range chunks {
 					bw := base*float64(ci+1) + float64(rep) // rep 0..2 → max at rep 2
@@ -71,7 +64,10 @@ func seedExperiment(t *testing.T) *core.Experiment {
 						"bw":    value.NewFloat(bw),
 					})
 				}
-				if err := e.AppendDataSets(id, sets); err != nil {
+				if _, err := e.CreateRun(core.DataSet{
+					"technique": value.NewString(tech),
+					"fs":        value.NewString(fs),
+				}, sets, "seed", ""); err != nil {
 					t.Fatal(err)
 				}
 			}

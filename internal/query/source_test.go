@@ -56,10 +56,6 @@ func addRun(t *testing.T, e *core.Experiment, i int) refRun {
 	if i%4 == 3 {
 		once["score"] = value.Null(value.Float)
 	}
-	id, err := e.CreateRun(once, fmt.Sprintf("run%d", i), "")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var sets []core.DataSet
 	for ci, c := range []int64{32, 1024, 32768, 1 << 20}[:2+i%3] {
 		sets = append(sets, core.DataSet{
@@ -68,7 +64,8 @@ func addRun(t *testing.T, e *core.Experiment, i int) refRun {
 			"ops":   value.NewInt(int64(100*i + ci)),
 		})
 	}
-	if err := e.AppendDataSets(id, sets); err != nil {
+	id, err := e.CreateRun(once, sets, fmt.Sprintf("run%d", i), "")
+	if err != nil {
 		t.Fatal(err)
 	}
 	return refRun{id: id, once: once, sets: sets}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"perfbase/internal/failpoint"
 	"perfbase/internal/sqldb"
 	"perfbase/internal/sqldb/wire"
 )
@@ -261,10 +262,47 @@ func TestStatusReportsRoleAndLag(t *testing.T) {
 	}
 }
 
+// TestStatusLagNeverNegative parks the applier after a frame applied and
+// before its position is published, and reads the replica's status the
+// whole time: the primary's position moves with the applied one, so the
+// lag is never negative, parked or after release.
+func TestStatusLagNeverNegative(t *testing.T) {
+	p := startPrimary(t)
+	defer p.close()
+	mustExec(t, p.db, "CREATE TABLE t (x integer)")
+	r := startReplica(t, p.addr())
+	defer r.close()
+	waitConverged(t, p, r)
+
+	site := failpoint.Site("repl/receiver/advance")
+	if err := failpoint.Enable(site.Name(), "sleep(200ms)"); err != nil {
+		t.Fatal(err)
+	}
+	defer failpoint.DisableAll()
+	for i := 1; i <= 3; i++ {
+		mustExec(t, p.db, fmt.Sprintf("INSERT INTO t VALUES (%d)", i))
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for r.replica.Applied().Before(p.db.Pos()) {
+		if st := r.replica.Status(); st.LagFrames < 0 {
+			t.Fatalf("lag %d while the applier is parked: %+v", st.LagFrames, st)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("replica never caught up: applied %v, primary %v, %d parks", r.replica.Applied(), p.db.Pos(), site.Hits())
+		}
+	}
+	if site.Hits() < 3 {
+		t.Fatalf("the applier parked %d times, want once per frame", site.Hits())
+	}
+	if st := r.replica.Status(); st.LagFrames != 0 {
+		t.Fatalf("lag %d after release, want 0: %+v", st.LagFrames, st)
+	}
+}
+
 // TestNoOpStatementsOverTheWire: what a connecting perfbase session
 // sends before its first real statement — CREATE TABLE IF NOT EXISTS
 // for tables that are there — and every other statement that changes
-// nothing (the importer's undo DROP TABLE IF EXISTS, an UPDATE or DELETE
+// nothing (a DROP TABLE IF EXISTS of a missing table, an UPDATE or DELETE
 // matching no row) costs a durable primary no WAL frame, no replication
 // position and no broadcast, and the replica stays converged on the
 // same position.

@@ -18,6 +18,9 @@ import (
 var (
 	fpReconnect = failpoint.Site("repl/receiver/reconnect")
 	fpApply     = failpoint.Site("repl/receiver/apply")
+	// fpAdvance fires after a frame applied and before its position is
+	// published: Status must read a lag of at least zero in between.
+	fpAdvance = failpoint.Site("repl/receiver/advance")
 )
 
 // Reconnect backoff bounds. The first retry is fast (tests kill and
@@ -165,7 +168,7 @@ func (r *Replica) bootstrap() (*wire.Client, error) {
 		client.Close()
 		return nil, fmt.Errorf("repl: import bootstrap state: %w", err)
 	}
-	r.setApplied(exp.Pos)
+	r.advance(exp.Pos)
 	if err := client.Subscribe(exp.Pos); err != nil {
 		client.Close()
 		return nil, err
@@ -192,8 +195,7 @@ func (r *Replica) handleFrame(fr *wire.Frame) error {
 			return fmt.Errorf("repl: rotation to epoch %d at applied %v", fr.Epoch, r.Applied())
 		}
 		r.db.AdoptPos(pos)
-		r.setApplied(pos)
-		r.notePrimary(pos)
+		r.advance(pos)
 		return nil
 	}
 
@@ -212,9 +214,11 @@ func (r *Replica) handleFrame(fr *wire.Frame) error {
 	if err := r.apply(stmts); err != nil {
 		return err
 	}
+	if err := fpAdvance.Inject(); err != nil {
+		return fmt.Errorf("repl: advance failpoint: %w", err)
+	}
 	r.db.AdoptPos(pos)
-	r.setApplied(pos)
-	r.notePrimary(pos)
+	r.advance(pos)
 	return nil
 }
 
@@ -257,13 +261,21 @@ func (r *Replica) Applied() sqldb.ReplPos {
 	return r.applied
 }
 
-func (r *Replica) setApplied(p sqldb.ReplPos) {
+// advance publishes p as the applied position. The primary has reached
+// whatever the replica applied, so the primary's position moves up to p
+// in the same critical section: Status never sees one without the
+// other, and the lag within an epoch is never negative.
+func (r *Replica) advance(p sqldb.ReplPos) {
 	r.mu.Lock()
 	r.applied = p
+	if r.primary.Before(p) {
+		r.primary = p
+	}
 	r.cond.Broadcast()
 	r.mu.Unlock()
 }
 
+// notePrimary records the primary's position from a heartbeat.
 func (r *Replica) notePrimary(p sqldb.ReplPos) {
 	r.mu.Lock()
 	if r.primary.Before(p) {

@@ -176,7 +176,7 @@ func TestScatterPushdownSet(t *testing.T) {
 		sel := st.(*sqldb.SelectStmt)
 		ok := false
 		if tables := sqldb.ReferencedTables(sel); len(tables) == 1 {
-			sch, _ := c.schema(tables[0])
+			sch, _ := c.schema(tables[0], nil)
 			_, ok = sqldb.PlanDistributedSelect(sel, sch)
 		}
 		if ok != q.pushdown {

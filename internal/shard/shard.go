@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -194,8 +195,9 @@ func (r *remoteShard) Close() error {
 // ---- cluster ----
 
 // Cluster is the coordinator over N shard backends. It satisfies
-// sqldb.Querier and sqldb.BulkInserter, so it drops in anywhere a
-// database handle is expected (parquery read sources, wire backends).
+// sqldb.Querier, sqldb.BulkInserter and sqldb.Pipeliner, so it drops in
+// anywhere a database handle is expected (perfbase stores, parquery
+// read sources, wire backends).
 type Cluster struct {
 	shards []Backend
 
@@ -355,20 +357,41 @@ func (c *Cluster) Close() error {
 // client connection gets its own cluster session.
 func (c *Cluster) NewWireSession() wire.BackendSession { return c.NewSession() }
 
+// ExecPipeline implements sqldb.Pipeliner on a cluster session of its
+// own — the coordinator's Exec refuses BEGIN — under the rule of
+// sqldb.RunPipeline.
+func (c *Cluster) ExecPipeline(reqs []sqldb.PipelineRequest) ([]*sqldb.Result, error) {
+	s := c.NewSession()
+	defer s.Close()
+	out, err := sqldb.RunPipeline(s, reqs)
+	if err != nil {
+		return out, fmt.Errorf("shard: pipeline request %d: %w", len(out), err)
+	}
+	return out, nil
+}
+
 // schema returns table's schema; the first column is the partition
-// key.
-func (c *Cluster) schema(table string) (sqldb.Schema, bool) {
+// key. Inside a transaction (tx non-nil) the tables it created or
+// dropped are looked up there first: the partition map learns them only
+// when it commits.
+func (c *Cluster) schema(table string, tx *ClusterSession) (sqldb.Schema, bool) {
+	key := strings.ToLower(table)
+	if tx != nil {
+		if sch, ok := tx.ddl[key]; ok {
+			return sch, sch != nil
+		}
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	sch, ok := c.schemas[strings.ToLower(table)]
+	sch, ok := c.schemas[key]
 	return sch, ok
 }
 
 // shardFor hashes a partition-key value to its owning shard. The key
 // is coerced to the declared column type first so equal keys written
 // with different literal spellings land on the same shard.
-func (c *Cluster) shardFor(table string, key value.Value) (int, error) {
-	sch, ok := c.schema(table)
+func (c *Cluster) shardFor(table string, key value.Value, tx *ClusterSession) (int, error) {
+	sch, ok := c.schema(table, tx)
 	if !ok {
 		return 0, fmt.Errorf("shard: unknown table %q", table)
 	}
@@ -377,6 +400,26 @@ func (c *Cluster) shardFor(table string, key value.Value) (int, error) {
 		return 0, fmt.Errorf("shard: partition key for %q: %w", table, err)
 	}
 	return idx, nil
+}
+
+// partition splits rows, whose columns cols names, by the shard that
+// owns each one's partition key in table (schema sch). A row without
+// the key column goes where a NULL key does.
+func (c *Cluster) partition(table string, sch sqldb.Schema, cols []string, rows []sqldb.Row) (map[int][]sqldb.Row, error) {
+	keyIdx := slices.IndexFunc(cols, func(name string) bool { return strings.EqualFold(name, sch[0].Name) })
+	byShard := map[int][]sqldb.Row{}
+	for _, row := range rows {
+		kv := value.Null(sch[0].Type)
+		if keyIdx >= 0 && keyIdx < len(row) {
+			kv = row[keyIdx]
+		}
+		idx, err := c.shardForKey(sch[0].Type, kv)
+		if err != nil {
+			return nil, fmt.Errorf("shard: partition key for %q: %w", table, err)
+		}
+		byShard[idx] = append(byShard[idx], row)
+	}
+	return byShard, nil
 }
 
 // shardForKey hashes a key already known to have (or be coercible to)
@@ -392,8 +435,8 @@ func (c *Cluster) shardForKey(t value.Type, key value.Value) (int, error) {
 }
 
 // keyColumn returns table's partition column name (lower-cased).
-func (c *Cluster) keyColumn(table string) (string, bool) {
-	sch, ok := c.schema(table)
+func (c *Cluster) keyColumn(table string, tx *ClusterSession) (string, bool) {
+	sch, ok := c.schema(table, tx)
 	if !ok {
 		return "", false
 	}
@@ -418,7 +461,7 @@ func (c *Cluster) Exec(sql string) (*sqldb.Result, error) {
 	if err := fpRoute.Inject(); err != nil {
 		return nil, fmt.Errorf("shard: route: %w", err)
 	}
-	routes, err := c.route(st, sql)
+	routes, err := c.route(st, sql, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -485,10 +528,25 @@ func (c *Cluster) noteDDL(st sqldb.Statement) {
 	}
 }
 
+// adoptDDL installs a committed transaction's schema changes (see
+// ClusterSession.ddl) in the partition map.
+func (c *Cluster) adoptDDL(ddl map[string]sqldb.Schema) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for name, sch := range ddl {
+		if sch == nil {
+			delete(c.schemas, name)
+		} else {
+			c.schemas[name] = sch
+		}
+	}
+}
+
 // route maps a write statement to per-shard statement lists. A nil
 // map with no error never happens; a single-entry map is the
-// fast path, a multi-entry map needs two-phase commit.
-func (c *Cluster) route(st sqldb.Statement, raw string) (map[int][]string, error) {
+// fast path, a multi-entry map needs two-phase commit. tx is the
+// transaction the statement runs in, nil outside one.
+func (c *Cluster) route(st sqldb.Statement, raw string, tx *ClusterSession) (map[int][]string, error) {
 	all := func() map[int][]string {
 		m := make(map[int][]string, len(c.shards))
 		for i := range c.shards {
@@ -508,9 +566,9 @@ func (c *Cluster) route(st sqldb.Statement, raw string) (map[int][]string, error
 	case *sqldb.DropTableStmt, *sqldb.CreateIndexStmt:
 		return all(), nil
 	case *sqldb.InsertStmt:
-		return c.routeInsert(s, raw)
+		return c.routeInsert(s, raw, tx)
 	case *sqldb.UpdateStmt:
-		key, ok := c.keyColumn(s.Table)
+		key, ok := c.keyColumn(s.Table, tx)
 		if !ok {
 			return nil, fmt.Errorf("shard: unknown table %q", s.Table)
 		}
@@ -518,7 +576,7 @@ func (c *Cluster) route(st sqldb.Statement, raw string) (map[int][]string, error
 			return nil, fmt.Errorf("shard: UPDATE may not change the partition key %q of %q", key, s.Table)
 		}
 		if kv, ok := sqldb.KeyEqualityLiteral(s.Where, key); ok {
-			idx, err := c.shardFor(s.Table, kv)
+			idx, err := c.shardFor(s.Table, kv, tx)
 			if err != nil {
 				return nil, err
 			}
@@ -526,12 +584,12 @@ func (c *Cluster) route(st sqldb.Statement, raw string) (map[int][]string, error
 		}
 		return all(), nil
 	case *sqldb.DeleteStmt:
-		key, ok := c.keyColumn(s.Table)
+		key, ok := c.keyColumn(s.Table, tx)
 		if !ok {
 			return nil, fmt.Errorf("shard: unknown table %q", s.Table)
 		}
 		if kv, ok := sqldb.KeyEqualityLiteral(s.Where, key); ok {
-			idx, err := c.shardFor(s.Table, kv)
+			idx, err := c.shardFor(s.Table, kv, tx)
 			if err != nil {
 				return nil, err
 			}
@@ -589,7 +647,7 @@ func (c *Cluster) routeCreateTableAs(s *sqldb.CreateTableStmt, raw string) (map[
 // then partitions the resulting rows like literal ones. The read is
 // its own snapshot, which is why the ... SELECT form is rejected
 // inside explicit transactions (see ClusterSession.Exec).
-func (c *Cluster) routeInsert(s *sqldb.InsertStmt, raw string) (map[int][]string, error) {
+func (c *Cluster) routeInsert(s *sqldb.InsertStmt, raw string, tx *ClusterSession) (map[int][]string, error) {
 	var rows []sqldb.Row
 	if s.From != nil {
 		res, err := c.Query(s.From, raw[s.From.Pos:])
@@ -604,7 +662,7 @@ func (c *Cluster) routeInsert(s *sqldb.InsertStmt, raw string) (map[int][]string
 			return nil, fmt.Errorf("shard: INSERT rows must be literals on a cluster")
 		}
 	}
-	sch, ok := c.schema(s.Table)
+	sch, ok := c.schema(s.Table, tx)
 	if !ok {
 		return nil, fmt.Errorf("shard: unknown table %q", s.Table)
 	}
@@ -615,24 +673,9 @@ func (c *Cluster) routeInsert(s *sqldb.InsertStmt, raw string) (map[int][]string
 			cols[i] = col.Name
 		}
 	}
-	keyIdx := -1
-	for i, name := range cols {
-		if strings.EqualFold(name, sch[0].Name) {
-			keyIdx = i
-			break
-		}
-	}
-	byShard := map[int][]sqldb.Row{}
-	for _, row := range rows {
-		kv := value.Null(sch[0].Type)
-		if keyIdx >= 0 && keyIdx < len(row) {
-			kv = row[keyIdx]
-		}
-		idx, err := c.shardFor(s.Table, kv)
-		if err != nil {
-			return nil, err
-		}
-		byShard[idx] = append(byShard[idx], row)
+	byShard, err := c.partition(s.Table, sch, cols, rows)
+	if err != nil {
+		return nil, err
 	}
 	out := make(map[int][]string, len(byShard))
 	for idx, part := range byShard {
@@ -646,31 +689,16 @@ func (c *Cluster) routeInsert(s *sqldb.InsertStmt, raw string) (map[int][]string
 // independently (this is an ingest path, not a transaction — use a
 // session for atomicity).
 func (c *Cluster) InsertRows(table string, cols []string, rows []sqldb.Row) (int, error) {
-	sch, ok := c.schema(table)
+	sch, ok := c.schema(table, nil)
 	if !ok {
 		return 0, fmt.Errorf("shard: unknown table %q", table)
 	}
 	if err := fpRoute.Inject(); err != nil {
 		return 0, fmt.Errorf("shard: route: %w", err)
 	}
-	keyIdx := -1
-	for i, name := range cols {
-		if strings.EqualFold(name, sch[0].Name) {
-			keyIdx = i
-			break
-		}
-	}
-	byShard := map[int][]sqldb.Row{}
-	for _, row := range rows {
-		kv := value.Null(sch[0].Type)
-		if keyIdx >= 0 && keyIdx < len(row) {
-			kv = row[keyIdx]
-		}
-		idx, err := c.shardFor(table, kv)
-		if err != nil {
-			return 0, err
-		}
-		byShard[idx] = append(byShard[idx], row)
+	byShard, err := c.partition(table, sch, cols, rows)
+	if err != nil {
+		return 0, err
 	}
 	var (
 		wg       sync.WaitGroup
@@ -698,7 +726,7 @@ func (c *Cluster) InsertRows(table string, cols []string, rows []sqldb.Row) (int
 // Query executes a SELECT. A key-equality query routes to the owning
 // shard (all matching rows live there); everything else scatters.
 func (c *Cluster) Query(st *sqldb.SelectStmt, raw string) (*sqldb.Result, error) {
-	if idx, ok := c.singleShardSelect(st); ok {
+	if idx, ok := c.singleShardSelect(st, nil); ok {
 		return c.shards[idx].Exec(raw)
 	}
 	return c.scatter(st, raw, nil)
@@ -706,12 +734,12 @@ func (c *Cluster) Query(st *sqldb.SelectStmt, raw string) (*sqldb.Result, error)
 
 // singleShardSelect reports whether the SELECT reads one table with a
 // partition-key equality conjunct, and which shard owns it.
-func (c *Cluster) singleShardSelect(st *sqldb.SelectStmt) (int, bool) {
+func (c *Cluster) singleShardSelect(st *sqldb.SelectStmt, tx *ClusterSession) (int, bool) {
 	if len(st.Union) > 0 || len(st.From) != 1 || len(st.Joins) != 0 {
 		return 0, false
 	}
 	table := st.From[0].Table
-	key, ok := c.keyColumn(table)
+	key, ok := c.keyColumn(table, tx)
 	if !ok {
 		return 0, false
 	}
@@ -719,18 +747,18 @@ func (c *Cluster) singleShardSelect(st *sqldb.SelectStmt) (int, bool) {
 	if !ok {
 		return 0, false
 	}
-	idx, err := c.shardFor(table, kv)
+	idx, err := c.shardFor(table, kv, tx)
 	if err != nil {
 		return 0, false
 	}
 	return idx, true
 }
 
-// execOn runs sql on shard idx, through sess (in-transaction reads)
-// when the caller supplies per-shard sessions.
-func (c *Cluster) execOn(idx int, sql string, sess map[int]Session) (*sqldb.Result, error) {
-	if sess != nil {
-		if s, ok := sess[idx]; ok {
+// execOn runs sql on shard idx, through the transaction's session on it
+// when there is a transaction.
+func (c *Cluster) execOn(idx int, sql string, tx *ClusterSession) (*sqldb.Result, error) {
+	if tx != nil {
+		if s, ok := tx.sess[idx]; ok {
 			return s.Exec(sql)
 		}
 	}
@@ -748,17 +776,17 @@ func (c *Cluster) execOn(idx int, sql string, sess map[int]Session) (*sqldb.Resu
 // queries need an ORDER BY to be deterministic, exactly as on a single
 // node).
 //
-// sess, when non-nil, maps shard index → open transaction session;
-// partials then execute inside those transactions (and sequentially,
-// as sessions are single-threaded).
-func (c *Cluster) scatter(st *sqldb.SelectStmt, raw string, sess map[int]Session) (*sqldb.Result, error) {
+// tx, when non-nil, is the transaction the SELECT runs in: partials then
+// execute inside its per-shard sessions (and sequentially, as sessions
+// are single-threaded).
+func (c *Cluster) scatter(st *sqldb.SelectStmt, raw string, tx *ClusterSession) (*sqldb.Result, error) {
 	if len(st.From) == 0 && len(st.Union) == 0 {
-		return c.execOn(0, raw, sess) // table-less SELECT: constants only
+		return c.execOn(0, raw, tx) // table-less SELECT: constants only
 	}
 	if len(st.From) > 0 {
-		if sch, ok := c.schema(st.From[0].Table); ok {
+		if sch, ok := c.schema(st.From[0].Table, tx); ok {
 			if plan, ok := sqldb.PlanDistributedSelect(st, sch); ok {
-				partials, err := c.runPartials("PARTIAL "+raw, sess)
+				partials, err := c.runPartials("PARTIAL "+raw, tx)
 				if err != nil {
 					return nil, err
 				}
@@ -766,20 +794,20 @@ func (c *Cluster) scatter(st *sqldb.SelectStmt, raw string, sess map[int]Session
 			}
 		}
 	}
-	return c.gatherQuery(st, raw, sess)
+	return c.gatherQuery(st, raw, tx)
 }
 
 // runPartials executes one partial statement on every shard and
-// returns the results in shard-index order. Without sessions the
+// returns the results in shard-index order. Outside a transaction the
 // shards run concurrently.
-func (c *Cluster) runPartials(partialSQL string, sess map[int]Session) ([]*sqldb.Result, error) {
+func (c *Cluster) runPartials(partialSQL string, tx *ClusterSession) ([]*sqldb.Result, error) {
 	partials := make([]*sqldb.Result, len(c.shards))
-	if sess != nil {
+	if tx != nil {
 		for i := range c.shards {
 			if err := fpScatter.Inject(); err != nil {
 				return nil, fmt.Errorf("shard %d: scatter: %w", i, err)
 			}
-			res, err := c.execOn(i, partialSQL, sess)
+			res, err := c.execOn(i, partialSQL, tx)
 			if err != nil {
 				return nil, fmt.Errorf("shard %d: %w", i, err)
 			}
@@ -821,12 +849,12 @@ func (c *Cluster) runPartials(partialSQL string, sess map[int]Session) ([]*sqldb
 // gatherQuery is the scatter fallback: copy every referenced table
 // (all shards, shard-index order) into a scratch database and run the
 // original query there.
-func (c *Cluster) gatherQuery(st *sqldb.SelectStmt, raw string, sess map[int]Session) (*sqldb.Result, error) {
+func (c *Cluster) gatherQuery(st *sqldb.SelectStmt, raw string, tx *ClusterSession) (*sqldb.Result, error) {
 	scratch := sqldb.NewMemory()
 	tables := sqldb.ReferencedTables(st)
 	sort.Strings(tables)
 	for _, t := range tables {
-		sch, ok := c.schema(t)
+		sch, ok := c.schema(t, tx)
 		if !ok {
 			return nil, fmt.Errorf("shard: unknown table %q", t)
 		}
@@ -837,7 +865,7 @@ func (c *Cluster) gatherQuery(st *sqldb.SelectStmt, raw string, sess map[int]Ses
 		for i, col := range sch {
 			cols[i] = col.Name
 		}
-		partials, err := c.runPartials("SELECT * FROM "+t, sess)
+		partials, err := c.runPartials("SELECT * FROM "+t, tx)
 		if err != nil {
 			return nil, err
 		}

@@ -82,11 +82,11 @@ func TestInsertPartitioning(t *testing.T) {
 		t.Fatalf("only %d shards populated; hash partitioning is not spreading", populated)
 	}
 	// The same key always routes to the same shard.
-	a, err := c.shardFor("m", value.NewInt(7))
+	a, err := c.shardFor("m", value.NewInt(7), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := c.shardFor("m", value.NewFloat(7)) // 7.0 coerces to integer 7
+	b, err := c.shardFor("m", value.NewFloat(7), nil) // 7.0 coerces to integer 7
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,9 +199,9 @@ func TestCrossShardTxnAtomicity(t *testing.T) {
 
 	// Find two keys on different shards.
 	k1, k2 := int64(0), int64(-1)
-	s1, _ := c.shardFor("m", value.NewInt(k1))
+	s1, _ := c.shardFor("m", value.NewInt(k1), nil)
 	for k := int64(1); k < 64; k++ {
-		if s, _ := c.shardFor("m", value.NewInt(k)); s != s1 {
+		if s, _ := c.shardFor("m", value.NewInt(k), nil); s != s1 {
 			k2 = k
 			break
 		}

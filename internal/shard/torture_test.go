@@ -186,7 +186,7 @@ func verifyShardRecovery(t *testing.T, dir string) int {
 	}
 
 	k := 0
-	if _, ok := c.schema("torture"); !ok {
+	if _, ok := c.schema("torture", nil); !ok {
 		// The crash landed before the CREATE TABLE broadcast was
 		// acked; zero state is the legal empty prefix — but only if
 		// nothing was acked.

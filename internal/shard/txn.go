@@ -32,16 +32,19 @@ import (
 	"strings"
 
 	"perfbase/internal/sqldb"
-	"perfbase/internal/value"
 )
 
 // ClusterSession is one client's transactional context on the
 // cluster. It is not safe for concurrent use (like *sqldb.Session).
 type ClusterSession struct {
-	c      *Cluster
-	inTxn  bool
-	sess   map[int]Session  // shard index -> open per-shard session (BEGUN)
-	log    map[int][]string // statements sent to each shard (redo on recovery)
+	c     *Cluster
+	inTxn bool
+	sess  map[int]Session  // shard index -> open per-shard session (BEGUN)
+	log   map[int][]string // statements sent to each shard (redo on recovery)
+	// ddl holds the tables the transaction created (their schema) or
+	// dropped (nil), by lower-cased name; the partition map adopts them
+	// when the transaction commits.
+	ddl    map[string]sqldb.Schema
 	closed bool
 }
 
@@ -136,9 +139,7 @@ func (s *ClusterSession) Exec(sql string) (*sqldb.Result, error) {
 	case *sqldb.ExplainStmt:
 		return s.c.shards[0].Exec(sql)
 	case *sqldb.CreateTableStmt, *sqldb.DropTableStmt, *sqldb.CreateIndexStmt:
-		// Keeping the coordinator's partition map transactional would
-		// need schema intents; run DDL outside explicit transactions.
-		return nil, fmt.Errorf("shard: DDL must run outside an explicit transaction")
+		return s.execDDL(q, sql)
 	}
 	if ins, ok := st.(*sqldb.InsertStmt); ok && ins.From != nil {
 		// The materializing read would run on its own snapshot, not
@@ -148,11 +149,48 @@ func (s *ClusterSession) Exec(sql string) (*sqldb.Result, error) {
 	if err := fpRoute.Inject(); err != nil {
 		return nil, fmt.Errorf("shard: route: %w", err)
 	}
-	routes, err := s.c.route(st, sql)
+	routes, err := s.c.route(st, sql, s)
 	if err != nil {
 		return nil, err
 	}
 	return s.routePrepared(st, sql, routes)
+}
+
+// execDDL broadcasts a schema statement into every shard's transaction.
+// Each shard validates it at PREPARE like any write, so two transactions
+// creating one table cannot both commit. Until the commit, only this
+// transaction's own statements see the change, through s.ddl.
+func (s *ClusterSession) execDDL(st sqldb.Statement, sql string) (*sqldb.Result, error) {
+	ct, create := st.(*sqldb.CreateTableStmt)
+	if create && ct.As != nil {
+		// The materializing read would run on its own snapshot, not this
+		// transaction's (see routeCreateTableAs).
+		return nil, fmt.Errorf("shard: CREATE TABLE ... AS must run outside an explicit transaction")
+	}
+	existed := false
+	if create {
+		_, existed = s.c.schema(ct.Name, s)
+	}
+	routes, err := s.c.route(st, sql, s)
+	if err != nil {
+		return nil, err
+	}
+	res, err := s.routePrepared(st, sql, routes)
+	if err != nil {
+		return nil, err
+	}
+	if s.ddl == nil {
+		s.ddl = map[string]sqldb.Schema{}
+	}
+	switch d := st.(type) {
+	case *sqldb.CreateTableStmt:
+		if !existed { // IF NOT EXISTS over an existing table changed nothing
+			s.ddl[strings.ToLower(d.Name)] = d.Cols
+		}
+	case *sqldb.DropTableStmt:
+		s.ddl[strings.ToLower(d.Name)] = nil
+	}
+	return res, nil
 }
 
 // routePrepared executes an already-routed write on the per-shard
@@ -189,7 +227,7 @@ func (s *ClusterSession) routePrepared(st sqldb.Statement, raw string, routes ma
 // sessions (opening one per shard, so the reads are validated at
 // commit).
 func (s *ClusterSession) query(st *sqldb.SelectStmt, raw string) (*sqldb.Result, error) {
-	if idx, ok := s.c.singleShardSelect(st); ok {
+	if idx, ok := s.c.singleShardSelect(st, s); ok {
 		sh, err := s.shardSess(idx)
 		if err != nil {
 			return nil, err
@@ -201,7 +239,7 @@ func (s *ClusterSession) query(st *sqldb.SelectStmt, raw string) (*sqldb.Result,
 			return nil, err
 		}
 	}
-	return s.c.scatter(st, raw, s.sess)
+	return s.c.scatter(st, raw, s)
 }
 
 // abort rolls back everything open and resets the session.
@@ -214,7 +252,7 @@ func (s *ClusterSession) abort() {
 }
 
 func (s *ClusterSession) reset() {
-	s.sess, s.log, s.inTxn = nil, nil, false
+	s.sess, s.log, s.ddl, s.inTxn = nil, nil, nil, false
 }
 
 // commit ends the transaction. Participants that only read commit
@@ -252,6 +290,7 @@ func (s *ClusterSession) commit() (*sqldb.Result, error) {
 				return nil, fmt.Errorf("shard %d: %w", idx, err)
 			}
 		}
+		s.c.adoptDDL(s.ddl)
 		s.closeAll()
 		return &sqldb.Result{}, nil
 	}
@@ -327,6 +366,7 @@ func (s *ClusterSession) commit2PC(idxs, writers []int) (*sqldb.Result, error) {
 	if len(torn) == 0 && c.dlog != nil {
 		c.dlog.done(gid) //nolint:errcheck
 	}
+	c.adoptDDL(s.ddl) // decided, torn or not
 	s.closeAll()
 	if len(torn) > 0 {
 		return nil, fmt.Errorf("%w (gid %s): %s", ErrTornCommit, gid, strings.Join(torn, "; "))
@@ -360,28 +400,13 @@ func (s *ClusterSession) InsertRows(table string, cols []string, rows []sqldb.Ro
 	}
 	st := &sqldb.InsertStmt{Table: table, Cols: cols}
 	routes := map[int][]string{}
-	sch, ok := s.c.schema(table)
+	sch, ok := s.c.schema(table, s)
 	if !ok {
 		return 0, fmt.Errorf("shard: unknown table %q", table)
 	}
-	keyIdx := -1
-	for i, name := range cols {
-		if strings.EqualFold(name, sch[0].Name) {
-			keyIdx = i
-			break
-		}
-	}
-	byShard := map[int][]sqldb.Row{}
-	for _, row := range rows {
-		kv := value.Null(sch[0].Type)
-		if keyIdx >= 0 && keyIdx < len(row) {
-			kv = row[keyIdx]
-		}
-		idx, err := s.c.shardFor(table, kv)
-		if err != nil {
-			return 0, err
-		}
-		byShard[idx] = append(byShard[idx], row)
+	byShard, err := s.c.partition(table, sch, cols, rows)
+	if err != nil {
+		return 0, err
 	}
 	for idx, part := range byShard {
 		routes[idx] = []string{sqldb.RenderInsertRows(table, cols, part)}

@@ -505,8 +505,7 @@ func TestCheckpointReleasesOldFiles(t *testing.T) {
 // TestColdChunksRacingCheckpoints: the chunk objects of cold tables are
 // built, pruned against, filled and exported by readers while
 // checkpoints re-point them. Run under -race: every answer is right, and
-// once it is over every chunk names the current file. (No EXPLAIN: its
-// trailer reads db.wal, which Checkpoint replaces without a lock.)
+// once it is over every chunk names the current file.
 func TestColdChunksRacingCheckpoints(t *testing.T) {
 	const tables, workers, rounds = 6, 4, 30
 	db, err := Open(runTablesDir(t, tables))
@@ -554,6 +553,43 @@ func TestColdChunksRacingCheckpoints(t *testing.T) {
 			if sc := ch.blocks.Load(); sc == nil || sc.f != db.ckpt {
 				t.Errorf("table %s chunk %d: blocks %v, not in the current checkpoint", tab.name, k, sc)
 			}
+		}
+	}
+}
+
+// TestCheckpointRacesExplain: EXPLAIN's trailer names the WAL sync
+// policy while checkpoints replace the WAL it configures. Run under
+// -race: the policy is read from the DB, never from the WAL being
+// swapped.
+func TestCheckpointRacesExplain(t *testing.T) {
+	db, err := OpenWithPolicy(runTablesDir(t, 2), SyncAlways)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 20; i++ {
+			if _, err := db.Exec(fmt.Sprintf("INSERT INTO run_0 (S_chunk, bw) VALUES (%d, 1.5)", i)); err != nil {
+				t.Error(err)
+				return
+			}
+			if err := db.Checkpoint(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for {
+		select {
+		case <-done:
+			return
+		default:
+		}
+		res := mustExec(t, db, "EXPLAIN SELECT COUNT(*) FROM run_1 WHERE S_chunk > 4")
+		if last := res.Rows[len(res.Rows)-1][0].Str(); !strings.HasSuffix(last, "wal sync=always") {
+			t.Fatalf("EXPLAIN trailer = %q, want wal sync=always", last)
 		}
 	}
 }

@@ -60,6 +60,9 @@ type DB struct {
 
 	wal *groupWAL // nil for a memory-only database
 	dir string
+	// policy is the WAL sync policy Open was given. It never changes, so
+	// it is read without wmu, which guards the wal it configures.
+	policy SyncPolicy
 	// ckpt is the checkpoint file of the current epoch, open for the
 	// tables that still read from it; nil until the directory has one.
 	// Guarded by wmu.

@@ -267,8 +267,8 @@ func (db *DB) execExplain(sn *snapshot, st *ExplainStmt) (*Result, error) {
 		fmt.Fprintf(&vb, "%s@v%d", refs[i], v)
 	}
 	policy := "none (memory database)"
-	if db.wal != nil {
-		policy = db.wal.policy.String()
+	if db.dir != "" {
+		policy = db.policy.String()
 	}
 	rec := db.Recovery()
 	add("role=%s pos=%s recovery[frames=%d stmts=%d torn=%v stale=%v]",

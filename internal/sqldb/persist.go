@@ -572,7 +572,7 @@ func OpenWithPolicy(dir string, policy SyncPolicy) (_ *DB, err error) {
 		return nil, fmt.Errorf("sqldb: open %s: %w", dir, err)
 	}
 	db := NewMemory()
-	db.dir = dir
+	db.dir, db.policy = dir, policy
 
 	var snapEpoch uint64
 	ck, err := openCheckpoint(filepath.Join(dir, blockFile))
@@ -744,9 +744,7 @@ func (db *DB) Checkpoint() error {
 	// A crash anywhere in this window leaves checkpoint epoch E+1 with a
 	// WAL at epoch E, which recovery discards as stale — never
 	// double-applied.
-	var policy SyncPolicy
 	if db.wal != nil {
-		policy = db.wal.policy
 		if err := db.wal.close(); err != nil {
 			return err
 		}
@@ -756,7 +754,7 @@ func (db *DB) Checkpoint() error {
 		return err
 	}
 	db.walEpoch = epoch
-	w, err := openWAL(filepath.Join(db.dir, walFile), policy, epoch, true, db.commitArrivals.Load)
+	w, err := openWAL(filepath.Join(db.dir, walFile), db.policy, epoch, true, db.commitArrivals.Load)
 	if err != nil {
 		return err
 	}

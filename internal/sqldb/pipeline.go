@@ -1,12 +1,16 @@
 package sqldb
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // PipelineRequest is one step of a statement pipeline. A step is
 // either a SQL statement or, when Bulk is set, a typed bulk insert
 // (mirroring BulkInserter). Pipelines let callers ship dependent
 // statements — e.g. CREATE TEMP TABLE followed by the insert that
-// fills it — in a single round trip over the wire transport.
+// fills it, or a whole BEGIN ... COMMIT transaction — in a single round
+// trip over the wire transport.
 type PipelineRequest struct {
 	SQL string
 
@@ -16,33 +20,92 @@ type PipelineRequest struct {
 	Rows  []Row
 }
 
-// Pipeliner executes a batch of requests in order with one
-// submission. Execution stops at the first failing request; the
-// results of the preceding requests are returned alongside the error.
+// Pipeliner executes a batch of requests with one submission, under
+// the rule RunPipeline implements. On a failure the results of the
+// preceding requests are returned alongside the error.
 type Pipeliner interface {
 	ExecPipeline(reqs []PipelineRequest) ([]*Result, error)
 }
 
-// ExecPipeline executes the requests in order against the local
-// database. Locally there is no round trip to save, but implementing
-// Pipeliner here keeps callers transport-agnostic.
-func (db *DB) ExecPipeline(reqs []PipelineRequest) ([]*Result, error) {
+// PipelineSession is what a pipeline runs on: one session's statements
+// and typed bulk inserts. *Session is one, and so are a wire server's
+// connection session and a shard cluster session.
+type PipelineSession interface {
+	Querier
+	BulkInserter
+}
+
+// RunPipeline is the pipeline rule, the one implementation behind every
+// Pipeliner. It runs the requests in order on s and stops at the first
+// that fails, returning the results of the requests before it (so the
+// failed one is reqs[len(results)]) and its error as it is. When the
+// pipeline's own BEGIN opened a transaction that is still open at the
+// failure, the transaction is rolled back before RunPipeline returns:
+// a pipeline that stops half-way leaves none of its writes pending on
+// the session. A transaction the session had open before the pipeline
+// began belongs to the caller and is left alone.
+func RunPipeline(s PipelineSession, reqs []PipelineRequest) ([]*Result, error) {
 	out := make([]*Result, 0, len(reqs))
+	open := false // the pipeline's own transaction
 	for i := range reqs {
 		r := &reqs[i]
 		var res *Result
 		var err error
 		if r.Bulk {
 			var n int
-			n, err = db.InsertRows(r.Table, r.Cols, r.Rows)
+			n, err = s.InsertRows(r.Table, r.Cols, r.Rows)
 			res = &Result{Affected: n}
 		} else {
-			res, err = db.Exec(r.SQL)
+			res, err = s.Exec(r.SQL)
 		}
 		if err != nil {
-			return out, fmt.Errorf("sqldb: pipeline request %d: %w", i, err)
+			if open {
+				s.Exec("ROLLBACK") //nolint:errcheck // a failed COMMIT has already ended it
+			}
+			return out, err
+		}
+		if !r.Bulk {
+			switch w := leadingWord(r.SQL); {
+			case strings.EqualFold(w, "begin"):
+				open = true
+			case strings.EqualFold(w, "commit"), strings.EqualFold(w, "rollback"), strings.EqualFold(w, "prepare"):
+				// COMMIT PREPARED and ROLLBACK PREPARED fail inside an open
+				// transaction, so a success here ends it.
+				open = false
+			}
 		}
 		out = append(out, res)
 	}
 	return out, nil
+}
+
+// leadingWord returns the letters sql starts with, past white space:
+// enough to recognise transaction control without parsing.
+func leadingWord(sql string) string {
+	sql = strings.TrimLeft(sql, " \t\r\n")
+	n := 0
+	for n < len(sql) && (sql[n]|0x20 >= 'a' && sql[n]|0x20 <= 'z') {
+		n++
+	}
+	return sql[:n]
+}
+
+// ExecPipeline implements Pipeliner on the session: the requests run
+// on it under RunPipeline's rule.
+func (s *Session) ExecPipeline(reqs []PipelineRequest) ([]*Result, error) {
+	out, err := RunPipeline(s, reqs)
+	if err != nil {
+		return out, fmt.Errorf("sqldb: pipeline request %d: %w", len(out), err)
+	}
+	return out, nil
+}
+
+// ExecPipeline implements Pipeliner on a private session, so a
+// pipeline's BEGIN neither contends for the default session's one
+// transaction slot nor shows its writes to DB.Exec readers before its
+// COMMIT.
+func (db *DB) ExecPipeline(reqs []PipelineRequest) ([]*Result, error) {
+	s := db.NewSession()
+	defer s.Close()
+	return s.ExecPipeline(reqs)
 }

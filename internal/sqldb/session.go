@@ -920,6 +920,7 @@ func synthInsertSQL(table string, cols []string, rows []Row) string {
 }
 
 var (
-	_ Querier      = (*Session)(nil)
-	_ BulkInserter = (*Session)(nil)
+	_ Querier   = (*Session)(nil)
+	_ Pipeliner = (*Session)(nil)
+	_ Pipeliner = (*DB)(nil)
 )

@@ -44,6 +44,28 @@ func TestBusyErrorTypedAcrossWire(t *testing.T) {
 // a statement over a damaged checkpoint reach the client as the
 // sentinels a local caller would get, not as text to match.
 func TestStorageErrorsTypedAcrossWire(t *testing.T) {
+	c, err := Dial(damagedServer(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	if _, err := c.Exec("CREATE TABLE t (b string)"); !errors.Is(err, sqldb.ErrTableExists) {
+		t.Errorf("CREATE TABLE over a taken name = %v, want ErrTableExists", err)
+	}
+	if _, err := c.Exec("SELECT a FROM t"); !errors.Is(err, sqldb.ErrCorruptCheckpoint) {
+		t.Errorf("SELECT over a damaged block = %v, want ErrCorruptCheckpoint", err)
+	}
+	// Neither is the end of the connection.
+	if _, err := c.Exec("CREATE TABLE u (a integer)"); err != nil {
+		t.Errorf("after the typed errors: %v", err)
+	}
+}
+
+// damagedServer serves a durable database whose one table t (a integer)
+// has its one checkpoint block damaged, and returns its address.
+func damagedServer(t *testing.T) string {
+	t.Helper()
 	dir := t.TempDir()
 	db, err := sqldb.Open(dir)
 	if err != nil {
@@ -74,29 +96,15 @@ func TestStorageErrorsTypedAcrossWire(t *testing.T) {
 	if db, err = sqldb.Open(dir); err != nil {
 		t.Fatal(err)
 	}
-	defer db.Close()
-
 	srv := NewServer(db)
 	if err := srv.Listen("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
-	c, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	if _, err := c.Exec("CREATE TABLE t (b string)"); !errors.Is(err, sqldb.ErrTableExists) {
-		t.Errorf("CREATE TABLE over a taken name = %v, want ErrTableExists", err)
-	}
-	if _, err := c.Exec("SELECT a FROM t"); !errors.Is(err, sqldb.ErrCorruptCheckpoint) {
-		t.Errorf("SELECT over a damaged block = %v, want ErrCorruptCheckpoint", err)
-	}
-	// Neither is the end of the connection.
-	if _, err := c.Exec("CREATE TABLE u (a integer)"); err != nil {
-		t.Errorf("after the typed errors: %v", err)
-	}
+	t.Cleanup(func() {
+		srv.Close()
+		db.Close()
+	})
+	return srv.Addr()
 }
 
 // TestRetryPolicyConcurrentCommit runs two clients that both insist on

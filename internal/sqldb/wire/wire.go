@@ -46,10 +46,11 @@ var (
 
 // request is one statement sent from client to server. When Bulk is
 // set, the request is a typed bulk insert instead of a SQL statement.
-// When Batch is non-empty, the request is a pipeline: the server runs
-// the sub-requests in order and answers with one response whose Batch
-// holds their individual results — a single encode/flush on each side
-// instead of one round trip per statement.
+// When Batch is non-empty, the request is a pipeline of statements and
+// bulk inserts (their SQL and Bulk fields count, nothing else): the
+// server runs them under sqldb.RunPipeline's rule and answers with one
+// response whose Batch holds their individual results — a single
+// encode/flush on each side instead of one round trip per statement.
 //
 // Protocol v2 fields: Hello opens the connection (mandatory first
 // message); Verb selects a replication command ("subscribe",
@@ -283,15 +284,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		var resp response
 		if len(req.Batch) > 0 {
-			resp.Batch = make([]response, 0, len(req.Batch))
-			for i := range req.Batch {
-				sr := s.execOne(sess, &req.Batch[i])
-				resp.Batch = append(resp.Batch, sr)
-				if sr.Err != "" {
-					break // pipeline aborts at the first failure
-				}
-			}
-			s.stampPos(&resp)
+			resp = s.execBatch(sess, req.Batch)
 		} else {
 			resp = s.execOne(sess, &req)
 		}
@@ -351,12 +344,9 @@ func (s *Server) execOne(sess BackendSession, req *request) (resp response) {
 			return resp
 		}
 	}
+	ss := serverSession{s, sess}
 	if req.Bulk {
-		if s.readOnly {
-			fail(&resp, sqldb.ErrReadOnly)
-			return resp
-		}
-		n, err := sess.InsertRows(req.Table, req.Cols, req.Rows)
+		n, err := ss.InsertRows(req.Table, req.Cols, req.Rows)
 		if err != nil {
 			fail(&resp, err)
 		} else {
@@ -364,13 +354,7 @@ func (s *Server) execOne(sess BackendSession, req *request) (resp response) {
 		}
 		return resp
 	}
-	if s.readOnly {
-		if err := checkReadOnly(req.SQL); err != nil {
-			fail(&resp, err)
-			return resp
-		}
-	}
-	res, err := sess.Exec(req.SQL)
+	res, err := ss.Exec(req.SQL)
 	if err != nil {
 		fail(&resp, err)
 	} else {
@@ -379,6 +363,53 @@ func (s *Server) execOne(sess BackendSession, req *request) (resp response) {
 		resp.Affected = res.Affected
 	}
 	return resp
+}
+
+// execBatch runs a pipeline on the connection's session under
+// sqldb.RunPipeline's rule: in order, stopping at the first failure, and
+// a transaction the batch began rolled back if it stops inside it. The
+// response holds one sub-response per request that ran, the failed one
+// last, with its error code.
+func (s *Server) execBatch(sess BackendSession, batch []request) (resp response) {
+	defer s.stampPos(&resp)
+	reqs := make([]sqldb.PipelineRequest, len(batch))
+	for i, r := range batch {
+		reqs[i] = sqldb.PipelineRequest{SQL: r.SQL, Bulk: r.Bulk, Table: r.Table, Cols: r.Cols, Rows: r.Rows}
+	}
+	results, err := sqldb.RunPipeline(serverSession{s, sess}, reqs)
+	resp.Batch = make([]response, len(results), len(results)+1)
+	for i, res := range results {
+		resp.Batch[i] = response{Columns: res.Columns, Rows: res.Rows, Affected: res.Affected}
+	}
+	if err != nil {
+		var sr response
+		fail(&sr, err)
+		resp.Batch = append(resp.Batch, sr)
+	}
+	return resp
+}
+
+// serverSession is a connection's session as the server runs requests
+// on it: a read-only server refuses mutations before they reach it.
+type serverSession struct {
+	srv *Server
+	BackendSession
+}
+
+func (ss serverSession) Exec(sql string) (*sqldb.Result, error) {
+	if ss.srv.readOnly {
+		if err := checkReadOnly(sql); err != nil {
+			return nil, err
+		}
+	}
+	return ss.BackendSession.Exec(sql)
+}
+
+func (ss serverSession) InsertRows(table string, cols []string, rows []sqldb.Row) (int, error) {
+	if ss.srv.readOnly {
+		return 0, sqldb.ErrReadOnly
+	}
+	return ss.BackendSession.InsertRows(table, cols, rows)
 }
 
 // checkReadOnly parses sql and rejects anything but SELECT/EXPLAIN.
@@ -719,8 +750,11 @@ func (c *Client) InsertRows(table string, cols []string, rows []sqldb.Row) (int,
 // ExecPipeline implements sqldb.Pipeliner over the wire: the whole
 // batch travels in one gob message and the server answers with one
 // message carrying every result, so a dependent statement sequence
-// (temp table creation plus the insert filling it) costs a single
-// round trip instead of one per statement.
+// (temp table creation plus the insert filling it, or a whole
+// transaction) costs a single round trip instead of one per statement.
+// A failed request's error keeps its type (errors.Is works for
+// sqldb.ErrTableExists, sqldb.ErrTxnConflict and the rest), as for a
+// single statement.
 func (c *Client) ExecPipeline(reqs []sqldb.PipelineRequest) ([]*sqldb.Result, error) {
 	if len(reqs) == 0 {
 		return nil, nil
@@ -743,13 +777,13 @@ func (c *Client) ExecPipeline(reqs []sqldb.PipelineRequest) ([]*sqldb.Result, er
 	}
 	c.noteResp(&resp)
 	if resp.Err != "" {
-		return nil, errors.New(resp.Err)
+		return nil, respError(&resp)
 	}
 	out := make([]*sqldb.Result, 0, len(resp.Batch))
 	for i := range resp.Batch {
 		sr := &resp.Batch[i]
 		if sr.Err != "" {
-			return out, fmt.Errorf("wire: pipeline request %d: %s", i, sr.Err)
+			return out, fmt.Errorf("wire: pipeline request %d: %w", i, respError(sr))
 		}
 		out = append(out, &sqldb.Result{Columns: sr.Columns, Rows: sr.Rows, Affected: sr.Affected})
 	}
