@@ -110,13 +110,12 @@ func newAggSpec(e *aggExpr, ec *evalCtx) aggSpec {
 	if e.Star {
 		return sp
 	}
-	sp.arg = compileExpr(e.Arg, ec)
-	if ce, isCol := e.Arg.(*colExpr); isCol {
-		if ci, err := ec.lookup(ce.Table, ce.Name); err == nil {
-			sp.col, sp.typ = ci, ec.schema[ci].Type
-			if !e.Distinct {
-				sp.kern = kernelFor(sp.op, sp.typ)
-			}
+	arg := ec.typed(e.Arg)
+	sp.arg = rowExpr(arg)
+	if arg.kind == tCol {
+		sp.col, sp.typ = arg.col, arg.typ
+		if !e.Distinct {
+			sp.kern = kernelFor(sp.op, sp.typ)
 		}
 	}
 	return sp
@@ -314,8 +313,9 @@ func (a *acc) add(sp *aggSpec, v *value.Value) error {
 
 // AggResultType is the declared type of the result of the aggregate
 // called name (lower case) over an argument of type arg — what result
-// boxes, said once: exprType types projections with it and the query
-// layer its operators' columns. ok is false for no aggregate's name.
+// boxes, said once: the expression compiler types projections with it
+// and the query layer its operators' columns. ok is false for no
+// aggregate's name.
 func AggResultType(name string, arg value.Type) (typ value.Type, ok bool) {
 	op, ok := aggOps[name]
 	switch {

@@ -154,50 +154,9 @@ func (*RollbackPreparedStmt) stmt() {}
 
 // ------------------------------------------------------- expressions
 
-// sqlExpr is a SQL scalar expression evaluated against one row.
-type sqlExpr interface {
-	eval(ec *evalCtx) (value.Value, error)
-}
-
-// evalCtx supplies column bindings (and, after grouping, aggregate
-// results) to expression evaluation.
-type evalCtx struct {
-	schema Schema
-	byName map[string]int // lower-cased plain and qualified names
-	row    Row
-	aggs   map[*aggExpr]value.Value
-}
-
-func newEvalCtx(schema Schema) *evalCtx {
-	ec := &evalCtx{schema: schema, byName: make(map[string]int, 2*len(schema))}
-	ambiguous := map[string]bool{}
-	for i, c := range schema {
-		key := lower(c.Name)
-		if _, dup := ec.byName[key]; dup {
-			ambiguous[key] = true
-		} else {
-			ec.byName[key] = i
-		}
-		// Qualified result columns keep their full "t.c" name; also
-		// register the bare column part for unqualified references.
-		if dot := lastDot(c.Name); dot >= 0 {
-			bare := lower(c.Name[dot+1:])
-			if _, dup := ec.byName[bare]; dup {
-				ambiguous[bare] = true
-			} else {
-				ec.byName[bare] = i
-			}
-		}
-	}
-	for k := range ambiguous {
-		delete(ec.byName, k)
-	}
-	// Re-add fully qualified names unconditionally: they are exact.
-	for i, c := range schema {
-		ec.byName[lower(c.Name)] = i
-	}
-	return ec
-}
+// sqlExpr is a SQL scalar expression, as parsed. The expression
+// compiler (expr.go) types it before anything evaluates it.
+type sqlExpr interface{ expr() }
 
 func lower(s string) string {
 	// Fast path: already lower.
@@ -228,35 +187,13 @@ func lastDot(s string) int {
 	return -1
 }
 
-// lookup resolves a possibly qualified column reference.
-func (ec *evalCtx) lookup(table, name string) (int, error) {
-	key := lower(name)
-	if table != "" {
-		key = lower(table) + "." + key
-	}
-	if i, ok := ec.byName[key]; ok {
-		return i, nil
-	}
-	return 0, errorf("unknown column %q", key)
-}
-
 // litExpr is a constant.
 type litExpr struct{ v value.Value }
-
-func (e *litExpr) eval(*evalCtx) (value.Value, error) { return e.v, nil }
 
 // colExpr references a column, optionally table-qualified.
 type colExpr struct {
 	Table string
 	Name  string
-}
-
-func (e *colExpr) eval(ec *evalCtx) (value.Value, error) {
-	i, err := ec.lookup(e.Table, e.Name)
-	if err != nil {
-		return value.Value{}, err
-	}
-	return ec.row[i], nil
 }
 
 // display returns the reference in "t.c" or "c" form.
@@ -313,27 +250,19 @@ type aggExpr struct {
 	Distinct bool
 }
 
-func (e *aggExpr) eval(ec *evalCtx) (value.Value, error) {
-	if ec.aggs == nil {
-		return value.Value{}, errorf("aggregate %s used outside grouped query", e.Name)
-	}
-	v, ok := ec.aggs[e]
-	if !ok {
-		return value.Value{}, errorf("internal: aggregate %s not computed", e.Name)
-	}
-	return v, nil
-}
-
 // castExpr is CAST(e AS type).
 type castExpr struct {
 	E  sqlExpr
 	To value.Type
 }
 
-func (e *castExpr) eval(ec *evalCtx) (value.Value, error) {
-	v, err := e.E.eval(ec)
-	if err != nil {
-		return value.Value{}, err
-	}
-	return v.Convert(e.To)
-}
+func (*litExpr) expr()     {}
+func (*colExpr) expr()     {}
+func (*binExpr) expr()     {}
+func (*unaryExpr) expr()   {}
+func (*isNullExpr) expr()  {}
+func (*inExpr) expr()      {}
+func (*betweenExpr) expr() {}
+func (*funcExpr) expr()    {}
+func (*aggExpr) expr()     {}
+func (*castExpr) expr()    {}

@@ -221,6 +221,23 @@ func buildColVec(chunk []Row, ci int, typ value.Type) *colVec {
 	return v
 }
 
+// box returns row i of the vector as a Value.
+func (v *colVec) box(i int) value.Value {
+	switch {
+	case v.null(i):
+		return value.Null(v.typ)
+	case v.typ == value.Integer:
+		return value.NewInt(v.ints[i])
+	case v.typ == value.Float:
+		return value.NewFloat(v.floats[i])
+	case v.typ == value.Boolean:
+		return value.NewBool(v.ints[i] != 0)
+	case v.typ == value.Version:
+		return value.NewVersion(v.strs[i])
+	}
+	return value.NewString(v.strs[i])
+}
+
 // chunkColKey identifies one cached vector: the chunk, the block of it
 // (wholeChunk for a fresh chunk's vector over all its rows) and the
 // column index.

@@ -2,22 +2,19 @@ package sqldb
 
 import (
 	"fmt"
-	"regexp"
 	"slices"
-	"strings"
 
 	"perfbase/internal/value"
 )
 
-// This file implements the compiled expression executor. Instead of
-// re-resolving column names against a map and re-dispatching on
-// operator strings for every row (the interpreter in eval.go, still
-// used for one-shot INSERT ... VALUES lists), a SELECT/UPDATE/DELETE
-// compiles each expression once: column references become integer row
-// offsets, operators become type-specialized closures, and constant
-// LIKE patterns become precompiled regexps. The resulting closures are
-// immutable and safe for concurrent executions; all per-execution
-// state lives in execCtx.
+// This file holds the row back end of the expression compiler
+// (expr.go) and the planner of a SELECT. The row back end lowers a
+// typed expression to closures over one row: column references are row
+// offsets already, operators dispatch once at compile time, a constant
+// LIKE pattern is a compiled regexp, and the hottest shape — a column
+// against a literal — compares the row slot in place. The closures are
+// immutable and safe for concurrent executions; all per-execution state
+// lives in execCtx.
 
 // execCtx is the per-execution mutable state a compiled expression
 // reads: the current row and, after grouping, the aggregate results.
@@ -30,79 +27,43 @@ type execCtx struct {
 // name resolution already done.
 type compiledExpr func(ctx *execCtx) (value.Value, error)
 
-// errExpr defers a compile-time failure (unknown column, unknown
-// function) to evaluation time. This preserves interpreter semantics:
-// a bad reference in a filter over zero rows is never reported.
+// errExpr defers a compile-time failure (an unresolved reference) to
+// evaluation time: a bad reference in a filter over zero rows is never
+// reported.
 func errExpr(err error) compiledExpr {
 	return func(*execCtx) (value.Value, error) { return value.Value{}, err }
 }
 
-// compileExpr lowers e against the schema captured in ec.
-func compileExpr(e sqlExpr, ec *evalCtx) compiledExpr {
-	switch t := e.(type) {
-	case *litExpr:
-		v := t.v
+// compile types e against ec's schema and lowers it to the row back end.
+func (ec *evalCtx) compile(e sqlExpr) compiledExpr { return rowExpr(ec.typed(e)) }
+
+// rowExpr lowers n to the row back end.
+func rowExpr(n *texpr) compiledExpr {
+	switch n.kind {
+	case tLit:
+		v := n.v
 		return func(*execCtx) (value.Value, error) { return v, nil }
-	case *colExpr:
-		i, err := ec.lookup(t.Table, t.Name)
-		if err != nil {
-			return errExpr(err)
-		}
+	case tCol:
+		i := n.col
 		return func(ctx *execCtx) (value.Value, error) { return ctx.row[i], nil }
-	case *binExpr:
-		return compileBin(t, ec)
-	case *unaryExpr:
-		sub := compileExpr(t.E, ec)
-		if t.Op == "-" {
-			return func(ctx *execCtx) (value.Value, error) {
-				v, err := sub(ctx)
-				if err != nil {
-					return value.Value{}, err
-				}
-				return value.Neg(v)
-			}
+	case tErr:
+		return errExpr(n.err)
+	case tBin:
+		return rowBin(n)
+	case tIn:
+		sub := rowExpr(n.l)
+		list := make([]compiledExpr, len(n.list))
+		for i, item := range n.list {
+			list[i] = rowExpr(item)
 		}
-		if t.Op == "not" {
-			return func(ctx *execCtx) (value.Value, error) {
-				v, err := sub(ctx)
-				if err != nil {
-					return value.Value{}, err
-				}
-				if v.IsNull() {
-					return v, nil
-				}
-				if v.Type() != value.Boolean {
-					return value.Value{}, errorf("NOT applied to %s", v.Type())
-				}
-				return value.NewBool(!v.Bool()), nil
-			}
-		}
-		op := t.Op
-		return errExpr(errorf("unknown unary operator %q", op))
-	case *isNullExpr:
-		sub := compileExpr(t.E, ec)
-		negate := t.Negate
-		return func(ctx *execCtx) (value.Value, error) {
-			v, err := sub(ctx)
-			if err != nil {
-				return value.Value{}, err
-			}
-			return value.NewBool(v.IsNull() != negate), nil
-		}
-	case *inExpr:
-		sub := compileExpr(t.E, ec)
-		list := make([]compiledExpr, len(t.List))
-		for i, item := range t.List {
-			list[i] = compileExpr(item, ec)
-		}
-		negate := t.Negate
+		negate := n.negate
 		return func(ctx *execCtx) (value.Value, error) {
 			v, err := sub(ctx)
 			if err != nil {
 				return value.Value{}, err
 			}
 			if v.IsNull() {
-				return value.Null(value.Boolean), nil
+				return nullBoolV, nil
 			}
 			found := false
 			for _, item := range list {
@@ -117,11 +78,9 @@ func compileExpr(e sqlExpr, ec *evalCtx) compiledExpr {
 			}
 			return value.NewBool(found != negate), nil
 		}
-	case *betweenExpr:
-		sub := compileExpr(t.E, ec)
-		lo := compileExpr(t.Lo, ec)
-		hi := compileExpr(t.Hi, ec)
-		negate := t.Negate
+	case tBetween:
+		sub, lo, hi := rowExpr(n.l), rowExpr(n.r), rowExpr(n.x)
+		negate := n.negate
 		return func(ctx *execCtx) (value.Value, error) {
 			v, err := sub(ctx)
 			if err != nil {
@@ -136,44 +95,70 @@ func compileExpr(e sqlExpr, ec *evalCtx) compiledExpr {
 				return value.Value{}, err
 			}
 			if v.IsNull() || lv.IsNull() || hv.IsNull() {
-				return value.Null(value.Boolean), nil
+				return nullBoolV, nil
 			}
 			in := value.Compare(v, lv) >= 0 && value.Compare(v, hv) <= 0
 			return value.NewBool(in != negate), nil
 		}
-	case *funcExpr:
-		return compileFunc(t, ec)
-	case *aggExpr:
+	case tFunc:
+		args := make([]compiledExpr, len(n.list))
+		for i, a := range n.list {
+			args[i] = rowExpr(a)
+		}
+		name := n.op
+		return func(ctx *execCtx) (value.Value, error) {
+			buf := make([]value.Value, len(args))
+			for i, a := range args {
+				v, err := a(ctx)
+				if err != nil {
+					return value.Value{}, err
+				}
+				buf[i] = v
+			}
+			return applyFunc(name, buf)
+		}
+	case tAgg:
+		a := n.agg
 		return func(ctx *execCtx) (value.Value, error) {
 			if ctx.aggs == nil {
-				return value.Value{}, errorf("aggregate %s used outside grouped query", t.Name)
+				return value.Value{}, errorf("aggregate %s used outside grouped query", a.Name)
 			}
-			v, ok := ctx.aggs[t]
+			v, ok := ctx.aggs[a]
 			if !ok {
-				return value.Value{}, errorf("internal: aggregate %s not computed", t.Name)
+				return value.Value{}, errorf("internal: aggregate %s not computed", a.Name)
 			}
 			return v, nil
 		}
-	case *castExpr:
-		sub := compileExpr(t.E, ec)
-		to := t.To
-		return func(ctx *execCtx) (value.Value, error) {
-			v, err := sub(ctx)
-			if err != nil {
-				return value.Value{}, err
-			}
-			return v.Convert(to)
-		}
 	}
-	return errExpr(errorf("unknown expression %T", e))
+	// One operand: -, NOT, IS [NOT] NULL, CAST.
+	sub, kind, negate, to := rowExpr(n.l), n.kind, n.negate, n.typ
+	return func(ctx *execCtx) (value.Value, error) {
+		v, err := sub(ctx)
+		switch {
+		case err != nil:
+			return value.Value{}, err
+		case kind == tNeg:
+			return value.Neg(v)
+		case kind == tIsNull:
+			return value.NewBool(v.IsNull() != negate), nil
+		case kind == tCast:
+			return v.Convert(to)
+		case v.IsNull():
+			return v, nil
+		case v.Type() != value.Boolean:
+			return value.Value{}, errorf("NOT applied to %s", v.Type())
+		}
+		return value.NewBool(!v.Bool()), nil
+	}
 }
 
-// compileBin lowers a binary operator, dispatching on the operator
-// string once at compile time instead of once per row.
-func compileBin(e *binExpr, ec *evalCtx) compiledExpr {
-	l := compileExpr(e.L, ec)
-	r := compileExpr(e.R, ec)
-	switch e.Op {
+// rowBin lowers a binary operator.
+func rowBin(n *texpr) compiledExpr {
+	if col, lit, ok, is := n.cmpColLit(); is {
+		return colLitFn(col, lit, ok, nullBoolV, boolTrueV, boolFalseV)
+	}
+	l, r := rowExpr(n.l), rowExpr(n.r)
+	switch n.op {
 	case "and":
 		return func(ctx *execCtx) (value.Value, error) {
 			lv, err := l(ctx)
@@ -181,7 +166,7 @@ func compileBin(e *binExpr, ec *evalCtx) compiledExpr {
 				return value.Value{}, err
 			}
 			if boolFalse(lv) {
-				return value.NewBool(false), nil
+				return boolFalseV, nil
 			}
 			rv, err := r(ctx)
 			if err != nil {
@@ -196,7 +181,7 @@ func compileBin(e *binExpr, ec *evalCtx) compiledExpr {
 				return value.Value{}, err
 			}
 			if boolTrue(lv) {
-				return value.NewBool(true), nil
+				return boolTrueV, nil
 			}
 			rv, err := r(ctx)
 			if err != nil {
@@ -205,25 +190,17 @@ func compileBin(e *binExpr, ec *evalCtx) compiledExpr {
 			return value.NewBool(boolTrue(lv) || boolTrue(rv)), nil
 		}
 	case "+":
-		return compileArith(l, r, value.Add)
+		return rowArith(l, r, value.Add)
 	case "-":
-		return compileArith(l, r, value.Sub)
+		return rowArith(l, r, value.Sub)
 	case "*":
-		return compileArith(l, r, value.Mul)
+		return rowArith(l, r, value.Mul)
 	case "/":
-		return compileArith(l, r, value.Div)
+		return rowArith(l, r, value.Div)
 	case "%":
-		return compileArith(l, r, value.Mod)
+		return rowArith(l, r, value.Mod)
 	case "||":
-		return func(ctx *execCtx) (value.Value, error) {
-			lv, err := l(ctx)
-			if err != nil {
-				return value.Value{}, err
-			}
-			rv, err := r(ctx)
-			if err != nil {
-				return value.Value{}, err
-			}
+		return rowArith(l, r, func(lv, rv value.Value) (value.Value, error) {
 			ls, err := lv.Convert(value.String)
 			if err != nil {
 				return value.Value{}, err
@@ -233,25 +210,13 @@ func compileBin(e *binExpr, ec *evalCtx) compiledExpr {
 				return value.Value{}, err
 			}
 			return value.Add(ls, rs)
-		}
-	case "=":
-		return compileCmp(e, ec, l, r, func(c int) bool { return c == 0 })
-	case "<>":
-		return compileCmp(e, ec, l, r, func(c int) bool { return c != 0 })
-	case "<":
-		return compileCmp(e, ec, l, r, func(c int) bool { return c < 0 })
-	case "<=":
-		return compileCmp(e, ec, l, r, func(c int) bool { return c <= 0 })
-	case ">":
-		return compileCmp(e, ec, l, r, func(c int) bool { return c > 0 })
-	case ">=":
-		return compileCmp(e, ec, l, r, func(c int) bool { return c >= 0 })
+		})
 	case "like":
 		// A constant pattern (the overwhelmingly common case) compiles
 		// its regexp once here instead of consulting the pattern cache
 		// per row.
-		if lit, ok := e.R.(*litExpr); ok && !lit.v.IsNull() {
-			re, err := likePattern(lit.v.Str())
+		if n.r.kind == tLit && !n.r.v.IsNull() {
+			re, err := likePattern(n.r.v.Str())
 			if err != nil {
 				return errExpr(err)
 			}
@@ -261,7 +226,7 @@ func compileBin(e *binExpr, ec *evalCtx) compiledExpr {
 					return value.Value{}, err
 				}
 				if lv.IsNull() {
-					return value.Null(value.Boolean), nil
+					return nullBoolV, nil
 				}
 				s, err := lv.Convert(value.String)
 				if err != nil {
@@ -270,23 +235,18 @@ func compileBin(e *binExpr, ec *evalCtx) compiledExpr {
 				return value.NewBool(re.MatchString(s.Str())), nil
 			}
 		}
-		return func(ctx *execCtx) (value.Value, error) {
-			lv, err := l(ctx)
-			if err != nil {
-				return value.Value{}, err
-			}
-			rv, err := r(ctx)
-			if err != nil {
-				return value.Value{}, err
-			}
-			return evalLike(lv, rv)
-		}
+		return rowArith(l, r, evalLike)
 	}
-	op := e.Op
-	return errExpr(errorf("unknown operator %q", op))
+	ok := cmpOps[n.op]
+	return rowArith(l, r, func(lv, rv value.Value) (value.Value, error) {
+		if lv.IsNull() || rv.IsNull() {
+			return nullBoolV, nil
+		}
+		return value.NewBool(ok[value.ComparePtr(&lv, &rv)+1]), nil
+	})
 }
 
-func compileArith(l, r compiledExpr, op func(a, b value.Value) (value.Value, error)) compiledExpr {
+func rowArith(l, r compiledExpr, op func(a, b value.Value) (value.Value, error)) compiledExpr {
 	return func(ctx *execCtx) (value.Value, error) {
 		lv, err := l(ctx)
 		if err != nil {
@@ -300,40 +260,6 @@ func compileArith(l, r compiledExpr, op func(a, b value.Value) (value.Value, err
 	}
 }
 
-func compileCmp(e *binExpr, ec *evalCtx, l, r compiledExpr, ok func(int) bool) compiledExpr {
-	// column <op> literal (either operand order): compare the row slot
-	// against the captured literal in place, with no Value copies.
-	// This is the shape of nearly every benchmark filter.
-	if ce, isCol := e.L.(*colExpr); isCol {
-		if le, isLit := e.R.(*litExpr); isLit {
-			if i, err := ec.lookup(ce.Table, ce.Name); err == nil {
-				return cmpColLit(i, le.v, ok, false)
-			}
-		}
-	}
-	if ce, isCol := e.R.(*colExpr); isCol {
-		if le, isLit := e.L.(*litExpr); isLit {
-			if i, err := ec.lookup(ce.Table, ce.Name); err == nil {
-				return cmpColLit(i, le.v, ok, true)
-			}
-		}
-	}
-	return func(ctx *execCtx) (value.Value, error) {
-		lv, err := l(ctx)
-		if err != nil {
-			return value.Value{}, err
-		}
-		rv, err := r(ctx)
-		if err != nil {
-			return value.Value{}, err
-		}
-		if lv.IsNull() || rv.IsNull() {
-			return value.Null(value.Boolean), nil
-		}
-		return value.NewBool(ok(value.ComparePtr(&lv, &rv))), nil
-	}
-}
-
 // Shared result values for the comparison hot path: returning a
 // prebuilt Value skips per-row construction work.
 var (
@@ -342,192 +268,48 @@ var (
 	nullBoolV  = value.Null(value.Boolean)
 )
 
-// cmpColLit compares row column i against a literal. swapped means the
-// literal was the left operand (`5 < col`), so the comparison result
-// is negated relative to Compare(col, lit). The comparison outcome
-// table (ok at -1/0/1) is precomputed and numeric literals are
-// unpacked once, so the per-row closure runs without further calls in
-// the numeric case.
-func cmpColLit(i int, lit value.Value, ok func(int) bool, swapped bool) compiledExpr {
+// colLitFn compares a row's column with a literal in place, the shape of
+// nearly every filter, and answers null, yes or no: boxed Values for the
+// row back end, plain booleans for rowFilter. The literal is unpacked
+// once; the numeric classes compare without a call.
+func colLitFn[R any](col int, lit value.Value, ok [3]bool, null, yes, no R) func(*execCtx) (R, error) {
 	if lit.IsNull() {
-		return func(*execCtx) (value.Value, error) { return nullBoolV, nil }
+		return func(*execCtx) (R, error) { return null, nil }
 	}
-	var okLUT [3]bool // indexed by cv+1
-	for cv := -1; cv <= 1; cv++ {
-		r := cv
-		if swapped {
-			r = -r
-		}
-		okLUT[cv+1] = ok(r)
-	}
-	litNumeric := lit.Type().Numeric()
-	litIsInt := lit.Type() == value.Integer
+	isInt, num := lit.Type() == value.Integer, lit.Type().Numeric()
 	litI, litF := lit.Int(), lit.Float()
-	return func(ctx *execCtx) (value.Value, error) {
-		c := &ctx.row[i]
+	return func(ctx *execCtx) (R, error) {
+		c := &ctx.row[col]
 		if c.IsNull() {
-			return nullBoolV, nil
+			return null, nil
 		}
 		var cv int
-		t := c.Type()
-		if litIsInt && t == value.Integer {
-			if ci := c.Int(); ci < litI {
-				cv = -1
-			} else if ci > litI {
-				cv = 1
-			}
-		} else if litNumeric && t.Numeric() {
-			if cf := c.Float(); cf < litF {
-				cv = -1
-			} else if cf > litF {
-				cv = 1
-			}
-		} else {
-			cv = value.ComparePtr(c, &lit)
-		}
-		if okLUT[cv+1] {
-			return boolTrueV, nil
-		}
-		return boolFalseV, nil
-	}
-}
-
-// compileWherePred builds the unboxed filter for compiledSelect's
-// wherePred — see that field's comment. Returns nil when the clause
-// is not a plain `column <op> literal` comparison.
-func compileWherePred(e sqlExpr, ec *evalCtx) func(Row) (bool, error) {
-	be, isBin := e.(*binExpr)
-	if !isBin {
-		return nil
-	}
-	var ok func(int) bool
-	switch be.Op {
-	case "=":
-		ok = func(c int) bool { return c == 0 }
-	case "<>":
-		ok = func(c int) bool { return c != 0 }
-	case "<":
-		ok = func(c int) bool { return c < 0 }
-	case "<=":
-		ok = func(c int) bool { return c <= 0 }
-	case ">":
-		ok = func(c int) bool { return c > 0 }
-	case ">=":
-		ok = func(c int) bool { return c >= 0 }
-	default:
-		return nil
-	}
-	if ce, isCol := be.L.(*colExpr); isCol {
-		if le, isLit := be.R.(*litExpr); isLit {
-			if i, err := ec.lookup(ce.Table, ce.Name); err == nil {
-				return cmpColLitPred(i, le.v, ok, false)
-			}
-		}
-	}
-	if ce, isCol := be.R.(*colExpr); isCol {
-		if le, isLit := be.L.(*litExpr); isLit {
-			if i, err := ec.lookup(ce.Table, ce.Name); err == nil {
-				return cmpColLitPred(i, le.v, ok, true)
-			}
-		}
-	}
-	return nil
-}
-
-// cmpColLitPred is cmpColLit without the Value boxing: NULL on either
-// side yields false (not-true), which is exactly the top-level WHERE
-// semantics.
-func cmpColLitPred(i int, lit value.Value, ok func(int) bool, swapped bool) func(Row) (bool, error) {
-	if lit.IsNull() {
-		return func(Row) (bool, error) { return false, nil }
-	}
-	var okLUT [3]bool // indexed by cv+1
-	for cv := -1; cv <= 1; cv++ {
-		r := cv
-		if swapped {
-			r = -r
-		}
-		okLUT[cv+1] = ok(r)
-	}
-	litNumeric := lit.Type().Numeric()
-	litIsInt := lit.Type() == value.Integer
-	litI, litF := lit.Int(), lit.Float()
-	return func(row Row) (bool, error) {
-		c := &row[i]
-		if c.IsNull() {
-			return false, nil
-		}
-		var cv int
-		t := c.Type()
-		if litIsInt && t == value.Integer {
-			if ci := c.Int(); ci < litI {
-				cv = -1
-			} else if ci > litI {
-				cv = 1
-			}
-		} else if litNumeric && t.Numeric() {
-			if cf := c.Float(); cf < litF {
-				cv = -1
-			} else if cf > litF {
-				cv = 1
-			}
-		} else {
-			cv = value.ComparePtr(c, &lit)
-		}
-		return okLUT[cv+1], nil
-	}
-}
-
-// likePattern translates a SQL LIKE pattern to a compiled regexp,
-// sharing the interpreter's cache.
-func likePattern(p string) (*regexp.Regexp, error) {
-	if re := likeCache.get(p); re != nil {
-		return re, nil
-	}
-	var sb strings.Builder
-	sb.WriteString("(?is)^")
-	for _, r := range p {
-		switch r {
-		case '%':
-			sb.WriteString(".*")
-		case '_':
-			sb.WriteString(".")
+		switch t := c.Type(); {
+		case isInt && t == value.Integer:
+			cv = cmp3(c.Int(), litI)
+		case num && t.Numeric():
+			cv = cmp3(c.Float(), litF)
 		default:
-			sb.WriteString(regexp.QuoteMeta(string(r)))
+			cv = value.ComparePtr(c, &lit)
 		}
+		if ok[cv+1] {
+			return yes, nil
+		}
+		return no, nil
 	}
-	sb.WriteString("$")
-	re, err := regexp.Compile(sb.String())
-	if err != nil {
-		return nil, errorf("bad LIKE pattern %q: %v", p, err)
-	}
-	likeCache.put(p, re)
-	return re, nil
 }
 
-// compileFunc lowers a scalar function call, resolving the function
-// and checking arity once. Unknown names defer the error to runtime
-// (matching the interpreter, which only reports them when a row is
-// actually evaluated).
-func compileFunc(e *funcExpr, ec *evalCtx) compiledExpr {
-	args := make([]compiledExpr, len(e.Args))
-	for i, a := range e.Args {
-		args[i] = compileExpr(a, ec)
+// rowFilter lowers a WHERE clause: a row passes when the clause is true,
+// false and NULL alike reject it. A column-vs-literal comparison answers
+// unboxed.
+func rowFilter(n *texpr) func(*execCtx) (bool, error) {
+	if col, lit, ok, is := n.cmpColLit(); is {
+		return colLitFn(col, lit, ok, false, true, false)
 	}
-	// The application funnels through the interpreter's function
-	// switch, but with arguments produced by compiled sub-expressions;
-	// resolving the function name per call is cheap next to the work
-	// the functions themselves do.
-	return func(ctx *execCtx) (value.Value, error) {
-		buf := make([]value.Value, len(args))
-		for i, a := range args {
-			v, err := a(ctx)
-			if err != nil {
-				return value.Value{}, err
-			}
-			buf[i] = v
-		}
-		return applyFunc(e, buf)
+	e := rowExpr(n)
+	return func(ctx *execCtx) (bool, error) {
+		v, err := e(ctx)
+		return err == nil && boolTrue(v), err
 	}
 }
 
@@ -540,14 +322,7 @@ func compileFunc(e *funcExpr, ec *evalCtx) compiledExpr {
 // no per-execution state and is safe for concurrent runs.
 type compiledSelect struct {
 	srcSchema Schema
-	where     compiledExpr // nil when no WHERE clause
-	// wherePred is an unboxed form of the WHERE filter, compiled when
-	// the clause has the ubiquitous `column <op> literal` shape. At the
-	// top level of a WHERE, SQL's three-valued logic degenerates to
-	// "NULL is not true", so the scan loop can use a plain boolean
-	// closure and skip Value boxing per row. nil when unavailable;
-	// where remains valid either way.
-	wherePred func(Row) (bool, error)
+	where     func(*execCtx) (bool, error) // rowFilter of the WHERE clause; nil when there is none
 
 	// Grouped plans (GROUP BY or any aggregate) run through a groupTable
 	// — see aggregate.go, which reads the fields below.
@@ -767,26 +542,30 @@ func (sn *snapshot) planBranch(st *SelectStmt) (*compiledSelect, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, ec, err := compileBranch(st, src)
+	ec := newEvalCtx(src)
+	defer ec.free()
+	p, where, err := compileBranch(st, ec)
 	if err != nil {
 		return nil, err
 	}
-	p.vec = sn.planVec(st, p, ec)
-	p.vecJoin = sn.planVecJoin(st, p, ec)
+	p.vec = sn.planVec(st, p, where)
+	p.vecJoin = sn.planVecJoin(st, p, where)
 	return p, nil
 }
 
-// compileBranch is the part of planning that needs no snapshot: source
-// schema in, plan out. A shard coordinator, which holds schemas and no
-// tables, plans a distributed SELECT with it (distrib.go). One
-// evaluation context over the source schema serves every expression and
-// the projection's types, and is returned for the vectorized planners.
-func compileBranch(st *SelectStmt, src Schema) (*compiledSelect, *evalCtx, error) {
+// compileBranch is the part of planning that needs no snapshot: an
+// evaluation context over the source schema in, plan out. A shard
+// coordinator, which holds schemas and no tables, plans a distributed
+// SELECT with it (distrib.go). The one context types every expression
+// and the projection; the typed WHERE clause is returned for the
+// vectorized planners, and lives as long as the context.
+func compileBranch(st *SelectStmt, ec *evalCtx) (*compiledSelect, *texpr, error) {
+	src := ec.schema
 	p := &compiledSelect{srcSchema: src}
-	ec := newEvalCtx(src)
+	var where *texpr
 	if st.Where != nil {
-		p.where = compileExpr(st.Where, ec)
-		p.wherePred = compileWherePred(st.Where, ec)
+		where = ec.typed(st.Where)
+		p.where = rowFilter(where)
 	}
 	var aggs []*aggExpr
 	for _, it := range st.Items {
@@ -809,11 +588,10 @@ func compileBranch(st *SelectStmt, src Schema) (*compiledSelect, *evalCtx, error
 	}
 	p.grouped = len(st.GroupBy) > 0 || len(p.aggs) > 0
 	for _, g := range st.GroupBy {
-		p.groupBy = append(p.groupBy, compileExpr(g, ec))
-		if ce, isCol := g.(*colExpr); isCol {
-			if i, err := ec.lookup(ce.Table, ce.Name); err == nil && src[i].Type != value.Timestamp {
-				p.keyCols = append(p.keyCols, i)
-			}
+		n := ec.typed(g)
+		p.groupBy = append(p.groupBy, rowExpr(n))
+		if n.kind == tCol && n.typ != value.Timestamp {
+			p.keyCols = append(p.keyCols, n.col)
 		}
 	}
 	switch {
@@ -829,35 +607,22 @@ func compileBranch(st *SelectStmt, src Schema) (*compiledSelect, *evalCtx, error
 		p.keyKind = keyNum
 	}
 	if st.Having != nil {
-		p.having = compileExpr(st.Having, ec)
+		p.having = ec.compile(st.Having)
 	}
 	var err error
-	p.outSchema, p.srcCols, err = projectionSchema(st, ec)
+	p.outSchema, p.srcCols, p.items, err = projectionSchema(st, ec)
 	if err != nil {
 		return nil, nil, err
 	}
-	p.items = make([]compiledExpr, len(st.Items))
-	for i, it := range st.Items {
-		switch e := it.E.(type) {
-		case nil, *litExpr: // a star, whose columns projectionSchema listed, or a constant
-		case *colExpr:
-			if ci, err := ec.lookup(e.Table, e.Name); err == nil {
-				p.srcCols[i] = []int{ci}
-				break
-			}
-			p.items[i] = compileExpr(e, ec) // reports the reference per row
-		default:
-			p.items[i] = compileExpr(e, ec)
-		}
-	}
 	if len(st.OrderBy) > 0 {
 		oec := newEvalCtx(p.outSchema)
+		defer oec.free()
 		for _, ob := range st.OrderBy {
-			p.orderOut = append(p.orderOut, compileExpr(ob.E, oec))
-			p.orderSrc = append(p.orderSrc, compileExpr(ob.E, ec))
+			p.orderOut = append(p.orderOut, oec.compile(ob.E))
+			p.orderSrc = append(p.orderSrc, ec.compile(ob.E))
 		}
 	}
-	return p, ec, nil
+	return p, where, nil
 }
 
 // selectSourceSchema derives the schema a SELECT's expressions resolve
@@ -887,14 +652,10 @@ func (sn *snapshot) selectSourceSchema(st *SelectStmt) (Schema, error) {
 
 // keep applies the WHERE clause to the row in ctx.
 func (p *compiledSelect) keep(ctx *execCtx) (bool, error) {
-	if p.wherePred != nil {
-		return p.wherePred(ctx.row)
-	}
 	if p.where == nil {
 		return true, nil
 	}
-	v, err := p.where(ctx)
-	return err == nil && boolTrue(v), err
+	return p.where(ctx)
 }
 
 // projectRow materializes one output row of st, the statement p is
@@ -919,50 +680,4 @@ func (p *compiledSelect) projectRow(st *SelectStmt, ctx *execCtx, rep Row) (Row,
 		}
 	}
 	return row, nil
-}
-
-// resolvable reports whether every column reference and function in e
-// resolves against ec's schema, i.e. whether compileExpr produced a
-// fully compiled evaluator rather than one with deferred errors.
-// EXPLAIN uses this to label plan steps "compiled" vs "interpreted".
-func resolvable(e sqlExpr, ec *evalCtx) bool {
-	switch t := e.(type) {
-	case nil:
-		return true
-	case *litExpr:
-		return true
-	case *colExpr:
-		_, err := ec.lookup(t.Table, t.Name)
-		return err == nil
-	case *binExpr:
-		return resolvable(t.L, ec) && resolvable(t.R, ec)
-	case *unaryExpr:
-		return resolvable(t.E, ec)
-	case *isNullExpr:
-		return resolvable(t.E, ec)
-	case *inExpr:
-		if !resolvable(t.E, ec) {
-			return false
-		}
-		for _, item := range t.List {
-			if !resolvable(item, ec) {
-				return false
-			}
-		}
-		return true
-	case *betweenExpr:
-		return resolvable(t.E, ec) && resolvable(t.Lo, ec) && resolvable(t.Hi, ec)
-	case *funcExpr:
-		for _, a := range t.Args {
-			if !resolvable(a, ec) {
-				return false
-			}
-		}
-		return true
-	case *aggExpr:
-		return t.Star || resolvable(t.Arg, ec)
-	case *castExpr:
-		return resolvable(t.E, ec)
-	}
-	return false
 }

@@ -370,16 +370,9 @@ func (db *DB) execInsert(ws *writeState, s *InsertStmt) (*Result, error) {
 		return nil, err
 	}
 	if s.From == nil {
-		ec := newEvalCtx(nil)
-		inRows := make([]Row, len(s.Rows))
-		for ri, exprs := range s.Rows {
-			row := make(Row, len(exprs))
-			for i, e := range exprs {
-				if row[i], err = e.eval(ec); err != nil {
-					return nil, err
-				}
-			}
-			inRows[ri] = row
+		inRows, err := valuesRows(s)
+		if err != nil {
+			return nil, err
 		}
 		nt, err := ws.appendTo(key)
 		if err != nil {
@@ -604,11 +597,11 @@ func (db *DB) execUpdate(ws *writeState, s *UpdateStmt) (*Result, error) {
 		if ci < 0 {
 			return nil, errorf("no column %q in table %q", a.Col, s.Table)
 		}
-		sets[i] = setOp{ci, compileExpr(a.E, ec)}
+		sets[i] = setOp{ci, ec.compile(a.E)}
 	}
-	var where compiledExpr
+	var where func(*execCtx) (bool, error)
 	if s.Where != nil {
-		where = compileExpr(s.Where, ec)
+		where = rowFilter(ec.typed(s.Where))
 	}
 	// Build the replacement row set copy-on-write: untouched rows keep
 	// their (immutable, shared) Row slices; updated rows are fresh.
@@ -623,11 +616,11 @@ func (db *DB) execUpdate(ws *writeState, s *UpdateStmt) (*Result, error) {
 		for _, row := range chunk {
 			ctx.row = row
 			if where != nil {
-				v, err := where(ctx)
+				keep, err := where(ctx)
 				if err != nil {
 					return nil, err
 				}
-				if !boolTrue(v) {
+				if !keep {
 					newRows = append(newRows, row)
 					continue
 				}
@@ -669,9 +662,9 @@ func (db *DB) execDelete(ws *writeState, s *DeleteStmt) (*Result, error) {
 	if !ok {
 		return nil, errorf("no such table %q", s.Table)
 	}
-	var where compiledExpr
+	var where func(*execCtx) (bool, error)
 	if s.Where != nil {
-		where = compileExpr(s.Where, newEvalCtx(tableECSchema(t)))
+		where = rowFilter(newEvalCtx(tableECSchema(t)).typed(s.Where))
 	}
 	chunks, err := t.chunks()
 	if err != nil {
@@ -684,11 +677,11 @@ func (db *DB) execDelete(ws *writeState, s *DeleteStmt) (*Result, error) {
 		for _, row := range chunk {
 			if where != nil {
 				ctx.row = row
-				v, err := where(ctx)
+				keep, err := where(ctx)
 				if err != nil {
 					return nil, err
 				}
-				if !boolTrue(v) {
+				if !keep {
 					kept = append(kept, row)
 					continue
 				}

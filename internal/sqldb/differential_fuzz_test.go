@@ -20,6 +20,13 @@
 //     and which every third checkpoint is closed and reopened, so its
 //     tables come back cold and hydrate from those blocks too.
 //
+// Besides fixed statement shapes, the generator writes WHERE clauses
+// from a grammar that covers every node the expression compiler lowers
+// (predGen): comparisons of columns, arithmetic and literals of either
+// class, NOT, nested AND and OR, [NOT] BETWEEN, [NOT] IN, IS [NOT]
+// NULL, [NOT] LIKE, and division, which fails on a zero divisor — when
+// the model says a row fails, every oracle must fail with one error.
+//
 // At every generated SELECT the five answers must agree exactly
 // (floats within 1e-9 for AVG against the model; engine-vs-engine
 // comparisons are byte-identical — the fuzz schema keeps aggregate
@@ -33,10 +40,12 @@
 package sqldb_test
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -292,6 +301,318 @@ func (s *diffState) checkFilter(c int64) {
 		if res.Rows[i][0].Int() != w.k || res.Rows[i][1].Int() != w.v {
 			s.fail(sql, res, "row %d = %v, want %+v", i, res.Rows[i], w)
 		}
+	}
+}
+
+// tri is a predicate's value in the engine's logic: false, true or NULL.
+// AND and OR yield no NULL: they keep what is true.
+type tri uint8
+
+const (
+	fls tri = iota
+	tru
+	unk
+)
+
+func triOf(b bool) tri {
+	if b {
+		return tru
+	}
+	return fls
+}
+
+// mval is a value of the predicate model: an integer, a string or NULL.
+type mval struct {
+	null, str bool
+	i         int64
+	s         string
+}
+
+// mcmp is value.Compare over model values: integers by magnitude,
+// strings bytewise, an integer against a string by its decimal form.
+func mcmp(a, b mval) int {
+	as, bs := a.s, b.s
+	switch {
+	case !a.str && !b.str:
+		return cmp.Compare(a.i, b.i)
+	case !a.str:
+		as = strconv.FormatInt(a.i, 10)
+	case !b.str:
+		bs = strconv.FormatInt(b.i, 10)
+	}
+	return strings.Compare(as, bs)
+}
+
+// likeMatch is LIKE over ASCII: % any run, _ any one character, letters
+// in either case.
+func likeMatch(s, pat string) bool {
+	switch {
+	case pat == "":
+		return s == ""
+	case pat[0] == '%':
+		for i := 0; i <= len(s); i++ {
+			if likeMatch(s[i:], pat[1:]) {
+				return true
+			}
+		}
+		return false
+	case s == "":
+		return false
+	case pat[0] == '_' || strings.EqualFold(s[:1], pat[:1]):
+		return likeMatch(s[1:], pat[1:])
+	}
+	return false
+}
+
+// A model expression or predicate evaluates over one row; the bool
+// reports that the evaluation failed, on a division by zero — the one
+// failure the grammar can reach.
+type (
+	mexpr func(mrow) (mval, bool)
+	mpred func(mrow) (tri, bool)
+)
+
+// predGen generates a WHERE clause over m from the input, together with
+// its model, which follows the engine's evaluation order: operands left
+// to right, AND and OR stopping at a left side that decides, IN at a NULL
+// probe or the first matching item — so it knows which rows fail, not
+// only which pass.
+type predGen struct{ next func() byte }
+
+func (g predGen) lit(v mval) mexpr { return func(mrow) (mval, bool) { return v, false } }
+
+// num is an integer expression: k, v, a small constant, or arithmetic
+// over two of them, division included.
+func (g predGen) num(depth int) (string, mexpr) {
+	op := g.next() % 7
+	if depth <= 0 {
+		op %= 3
+	}
+	switch op {
+	case 0:
+		return "k", func(r mrow) (mval, bool) { return mval{i: r.k}, false }
+	case 1:
+		return "v", func(r mrow) (mval, bool) { return mval{i: r.v}, false }
+	case 2:
+		c := int64(g.next()%5) - 2
+		return strconv.FormatInt(c, 10), g.lit(mval{i: c})
+	}
+	ls, l := g.num(depth - 1)
+	rs, r := g.num(depth - 1)
+	sym := [...]string{"+", "-", "*", "/"}[op-3]
+	return "(" + ls + " " + sym + " " + rs + ")", func(row mrow) (mval, bool) {
+		a, fail := l(row)
+		if fail {
+			return a, true
+		}
+		b, fail := r(row)
+		switch {
+		case fail:
+			return b, true
+		case sym == "+":
+			a.i += b.i
+		case sym == "-":
+			a.i -= b.i
+		case sym == "*":
+			a.i *= b.i
+		case b.i == 0:
+			return a, true
+		default:
+			a.i /= b.i
+		}
+		return a, false
+	}
+}
+
+// val is an operand of a comparison: an integer expression, grp, a
+// string literal — against an integer, a cross-class one — or NULL.
+func (g predGen) val(depth int) (string, mexpr) {
+	switch g.next() % 6 {
+	case 3:
+		return "grp", func(r mrow) (mval, bool) { return mval{str: true, s: r.grp}, false }
+	case 4:
+		s := [...]string{"g1", "g9", "10", "-1", "abc", "G2"}[g.next()%6]
+		return "'" + s + "'", g.lit(mval{str: true, s: s})
+	case 5:
+		return "NULL", g.lit(mval{null: true})
+	}
+	return g.num(depth)
+}
+
+// vals evaluates operands in order, stopping at the first that fails.
+func vals(row mrow, es ...mexpr) ([]mval, bool) {
+	out := make([]mval, len(es))
+	for i, e := range es {
+		v, fail := e(row)
+		if fail {
+			return nil, true
+		}
+		out[i] = v
+	}
+	return out, false
+}
+
+// pred is a predicate: a comparison, [NOT] BETWEEN, [NOT] IN, IS [NOT]
+// NULL or [NOT] LIKE, and above depth 0 also NOT, AND and OR over
+// predicates.
+func (g predGen) pred(depth int) (string, mpred) {
+	op := g.next() % 8
+	if depth <= 0 {
+		op = 3 + op%5
+	}
+	not := g.next()%2 == 0
+	notKw := ""
+	if not {
+		notKw = "NOT "
+	}
+	switch op {
+	case 0, 1:
+		ls, l := g.pred(depth - 1)
+		rs, r := g.pred(depth - 1)
+		and := op == 0
+		kw := map[bool]string{true: " AND ", false: " OR "}[and]
+		return "(" + ls + ")" + kw + "(" + rs + ")", func(row mrow) (tri, bool) {
+			a, fail := l(row)
+			if fail || and && a == fls || !and && a == tru {
+				return a, fail
+			}
+			b, fail := r(row)
+			if and {
+				return triOf(a == tru && b == tru), fail
+			}
+			return triOf(a == tru || b == tru), fail
+		}
+	case 2:
+		ps, p := g.pred(depth - 1)
+		return "NOT (" + ps + ")", func(row mrow) (tri, bool) {
+			a, fail := p(row)
+			if a == unk {
+				return a, fail
+			}
+			return 1 - a, fail
+		}
+	case 3:
+		xs, x := g.val(1)
+		los, lo := g.val(1)
+		his, hi := g.val(1)
+		return xs + " " + notKw + "BETWEEN " + los + " AND " + his, func(row mrow) (tri, bool) {
+			v, fail := vals(row, x, lo, hi)
+			switch {
+			case fail:
+				return fls, true
+			case v[0].null || v[1].null || v[2].null:
+				return unk, false
+			}
+			return triOf((mcmp(v[0], v[1]) >= 0 && mcmp(v[0], v[2]) <= 0) != not), false
+		}
+	case 4:
+		xs, x := g.val(1)
+		items, list := make([]string, 1+g.next()%3), []mexpr{}
+		for i := range items {
+			var e mexpr
+			items[i], e = g.val(1)
+			list = append(list, e)
+		}
+		return xs + " " + notKw + "IN (" + strings.Join(items, ", ") + ")", func(row mrow) (tri, bool) {
+			v, fail := x(row)
+			if fail || v.null {
+				return unk, fail
+			}
+			found := false
+			for _, e := range list {
+				iv, fail := e(row)
+				if fail {
+					return fls, true
+				}
+				if !iv.null && mcmp(v, iv) == 0 {
+					found = true
+					break
+				}
+			}
+			return triOf(found != not), false
+		}
+	case 5:
+		xs, x := g.val(1)
+		return xs + " IS " + notKw + "NULL", func(row mrow) (tri, bool) {
+			v, fail := x(row)
+			return triOf(v.null != not), fail
+		}
+	case 6:
+		pat := [...]string{"g%", "_1", "%9", "x", "G_", "%"}[g.next()%6]
+		return "grp " + notKw + "LIKE '" + pat + "'", func(row mrow) (tri, bool) {
+			return triOf(likeMatch(row.grp, pat) != not), false
+		}
+	}
+	ls, l := g.val(2)
+	rs, r := g.val(2)
+	c := modelCmps[g.next()%6]
+	return ls + " " + c.op + " " + rs, func(row mrow) (tri, bool) {
+		v, fail := vals(row, l, r)
+		switch {
+		case fail:
+			return fls, true
+		case v[0].null || v[1].null:
+			return unk, false
+		}
+		return triOf(c.ok[mcmp(v[0], v[1])+1]), false
+	}
+}
+
+// modelCmps are the comparison operators and the outcomes of mcmp each
+// accepts, at index outcome+1.
+var modelCmps = [...]struct {
+	op string
+	ok [3]bool
+}{
+	{"=", [3]bool{false, true, false}}, {"<>", [3]bool{true, false, true}},
+	{"<", [3]bool{true, false, false}}, {"<=", [3]bool{true, true, false}},
+	{">", [3]bool{false, false, true}}, {">=", [3]bool{false, true, true}},
+}
+
+// checkWhere: SELECT k, v FROM m WHERE <a generated clause> ORDER BY k.
+// Every oracle answers the rows the model keeps — or, when the model
+// says some row fails, every oracle fails, with the engine's message.
+func (s *diffState) checkWhere(g predGen) {
+	where, keep := g.pred(2)
+	sql := "SELECT k, v FROM m WHERE " + where + " ORDER BY k"
+	var want []mrow
+	for _, r := range s.modelRows() {
+		t, fail := keep(r)
+		if fail {
+			s.queryFails(sql)
+			return
+		}
+		if t == tru {
+			want = append(want, r)
+		}
+	}
+	res := s.query(sql)
+	if len(res.Rows) != len(want) {
+		s.fail(sql, res, "row count %d, want %d", len(res.Rows), len(want))
+	}
+	for i, w := range want {
+		if res.Rows[i][0].Int() != w.k || res.Rows[i][1].Int() != w.v {
+			s.fail(sql, res, "row %d = %v, want %+v", i, res.Rows[i], w)
+		}
+	}
+}
+
+// queryFails requires every oracle to fail sql with one error: the
+// engine's, which the wire carries.
+func (s *diffState) queryFails(sql string) {
+	s.t.Helper()
+	_, want := s.db.Exec(sql)
+	if want == nil {
+		s.t.Fatalf("engine answered %q, where the model has a row fail\nmodel: %+v", sql, s.modelRows())
+	}
+	for name, q := range map[string]sqldb.Querier{"row-path engine": s.rdb, "block-backed engine": s.bdb} {
+		if _, err := q.Exec(sql); err == nil || err.Error() != want.Error() {
+			s.t.Fatalf("%s answered %q with %v, the engine with %v", name, sql, err, want)
+		}
+	}
+	s.flush()
+	if _, err := s.wc.Exec(sql); err == nil || !strings.Contains(err.Error(), want.Error()) {
+		s.t.Fatalf("wire answered %q with %v, the engine with %v", sql, err, want)
 	}
 }
 
@@ -581,6 +902,15 @@ func FuzzSQLDifferential(f *testing.F) {
 	// then, m emptied and rescaled, ten of 127 * 2^53.
 	f.Add([]byte{6, 6, 0, 0, 126, 0, 1, 126, 0, 0, 126, 7, 3, 7, 1, 8, 126, 0, 9, 4, 4, 127, 6, 6,
 		0, 0, 127, 0, 0, 127, 0, 1, 127, 2, 2, 127, 0, 0, 127, 0, 3, 127, 0, 0, 127, 0, 0, 127, 0, 1, 127, 0, 0, 127, 7, 3, 7, 1})
+	// Generated WHERE clauses over seven rows, one with v = 0: v NOT IN
+	// (2, -1, NULL); k BETWEEN -1 AND v; v > '10'; grp LIKE 'x' AND
+	// k / v > 0, whose division its left side never lets run; NOT (v IS
+	// NULL OR k = v); grp NOT LIKE 'G_'; grp NOT BETWEEN 'g1' AND 'g9';
+	// NULL IS NOT NULL; and grp LIKE 'g%' AND k / v > 0, which fails.
+	f.Add([]byte{0, 1, 5, 0, 2, 0, 0, 3, 250, 0, 0, 9, 0, 1, 1, 0, 2, 2, 0, 3, 3,
+		7, 7, 4, 0, 1, 1, 2, 2, 2, 4, 2, 2, 1, 5, 7, 7, 3, 1, 0, 0, 2, 2, 1, 1, 1, 7, 7, 7, 1, 1, 1, 4, 2, 4,
+		7, 7, 0, 1, 6, 1, 3, 7, 1, 0, 6, 0, 1, 2, 2, 2, 4, 7, 7, 2, 1, 1, 1, 2, 1, 1, 1, 4, 1, 0, 0, 1, 1, 0,
+		7, 7, 6, 0, 4, 7, 7, 3, 0, 3, 4, 0, 4, 1, 7, 7, 5, 0, 5, 7, 7, 0, 1, 6, 1, 0, 7, 1, 0, 6, 0, 1, 2, 2, 2, 4})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		db := sqldb.NewMemory()
 		srv := wire.NewServer(sqldb.NewMemory())
@@ -704,7 +1034,7 @@ func FuzzSQLDifferential(f *testing.F) {
 					s.scale = map[int64]int64{1: 1 << 53, 1 << 53: 1 << 55, 1 << 55: 1}[s.scale]
 				}
 			case 7: // cross-checked SELECT
-				switch next() % 7 {
+				switch next() % 8 {
 				case 0:
 					s.checkFullScan()
 				case 1:
@@ -720,6 +1050,8 @@ func FuzzSQLDifferential(f *testing.F) {
 					s.checkUnion(s.val(next()), b&1 != 0, b&2 != 0)
 				case 6:
 					s.checkUnionRejected(next())
+				case 7:
+					s.checkWhere(predGen{next})
 				}
 			case 8: // INSERT into the join table (NULL keys included).
 				// Outside transactions only, so ROLLBACK never has to

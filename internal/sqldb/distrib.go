@@ -79,20 +79,8 @@ func LiteralRows(st *InsertStmt) ([]Row, bool) {
 	if st.From != nil || len(st.Rows) == 0 {
 		return nil, false
 	}
-	ec := newEvalCtx(nil)
-	out := make([]Row, len(st.Rows))
-	for ri, exprs := range st.Rows {
-		row := make(Row, len(exprs))
-		for i, e := range exprs {
-			v, err := e.eval(ec)
-			if err != nil {
-				return nil, false
-			}
-			row[i] = v
-		}
-		out[ri] = row
-	}
-	return out, true
+	rows, err := valuesRows(st)
+	return rows, err == nil
 }
 
 // KeyEqualityLiteral walks a WHERE expression's top-level AND conjuncts
@@ -164,7 +152,9 @@ func PlanDistributedSelect(st *SelectStmt, schema Schema) (*DistPlan, bool) {
 	if st.Partial || len(st.Union) > 0 || len(st.From) != 1 || len(st.Joins) > 0 {
 		return nil, false
 	}
-	p, _, err := compileBranch(st, st.From[0].qualify(schema))
+	ec := newEvalCtx(st.From[0].qualify(schema))
+	defer ec.free()
+	p, _, err := compileBranch(st, ec)
 	if err != nil {
 		return nil, false
 	}
@@ -180,8 +170,9 @@ func PlanDistributedSelect(st *SelectStmt, schema Schema) (*DistPlan, bool) {
 		return nil, false
 	}
 	oec := newEvalCtx(p.outSchema)
+	defer oec.free()
 	for _, ob := range st.OrderBy {
-		if !resolvable(ob.E, oec) {
+		if !oec.typed(ob.E).resolved() {
 			return nil, false
 		}
 	}

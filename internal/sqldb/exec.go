@@ -186,7 +186,7 @@ func join(a, b *relation, on sqlExpr, left bool) (*relation, error) {
 		return singleChunk(schema, rows), nil
 	}
 
-	cond := compileExpr(on, newEvalCtx(schema))
+	cond := newEvalCtx(schema).compile(on)
 	ctx := &execCtx{}
 	brows := b.flat()
 	for _, ca := range a.chunks {
@@ -657,12 +657,17 @@ func (p *compiledSelect) finish(st *SelectStmt, outRows []Row, reps []Row, aggVs
 	return &Result{Columns: p.outSchema, Rows: outRows}, nil
 }
 
-// projectionSchema derives the output schema of a SELECT and, for star
-// items, the source column indexes they expand to (aligned with the
-// items, nil for any other item).
-func projectionSchema(st *SelectStmt, ec *evalCtx) (Schema, [][]int, error) {
+// projectionSchema derives the output schema of a SELECT, each item
+// typed against ec's schema, and how each item is projected (aligned
+// with the items): the source columns a star or a bare column reference
+// copies, or the evaluator of a computed item. A bare literal has
+// neither — projection reads it from the statement being run, so that
+// branches of a compound that differ in such constants can share a plan
+// (planSelect).
+func projectionSchema(st *SelectStmt, ec *evalCtx) (Schema, [][]int, []compiledExpr, error) {
 	var out Schema
-	starCols := make([][]int, len(st.Items))
+	srcCols := make([][]int, len(st.Items))
+	items := make([]compiledExpr, len(st.Items))
 	for i, it := range st.Items {
 		if it.Star {
 			var cols []int
@@ -677,9 +682,9 @@ func projectionSchema(st *SelectStmt, ec *evalCtx) (Schema, [][]int, error) {
 				out = append(out, Column{Name: bareName(c.Name), Type: c.Type})
 			}
 			if len(cols) == 0 {
-				return nil, nil, errorf("star expansion of %q matched no columns", it.Table)
+				return nil, nil, nil, errorf("star expansion of %q matched no columns", it.Table)
 			}
-			starCols[i] = cols
+			srcCols[i] = cols
 			continue
 		}
 		name := it.Alias
@@ -692,7 +697,15 @@ func projectionSchema(st *SelectStmt, ec *evalCtx) (Schema, [][]int, error) {
 				name = "col" + itoa(len(out)+1)
 			}
 		}
-		out = append(out, Column{Name: name, Type: exprType(it.E, ec)})
+		n := ec.typed(it.E)
+		out = append(out, Column{Name: name, Type: n.typ})
+		switch _, lit := it.E.(*litExpr); {
+		case lit:
+		case n.kind == tCol:
+			srcCols[i] = []int{n.col}
+		default:
+			items[i] = rowExpr(n)
+		}
 	}
 	// De-duplicate bare names that collide after qualification strip.
 	seen := map[string]int{}
@@ -703,7 +716,7 @@ func projectionSchema(st *SelectStmt, ec *evalCtx) (Schema, [][]int, error) {
 			out[i].Name = out[i].Name + "_" + itoa(seen[k])
 		}
 	}
-	return out, starCols, nil
+	return out, srcCols, items, nil
 }
 
 func bareName(qualified string) string {

@@ -185,7 +185,7 @@ func (db *DB) explainBranch(sn *snapshot, q *SelectStmt, p *compiledSelect, gene
 	ec := newEvalCtx(src)
 	mode := func(exprs ...sqlExpr) string {
 		for _, e := range exprs {
-			if e != nil && !resolvable(e, ec) {
+			if e != nil && !ec.typed(e).resolved() {
 				return "interpreted"
 			}
 		}

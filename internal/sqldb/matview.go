@@ -484,20 +484,19 @@ func (v *matView) applyInsert(ins *InsertStmt) error {
 			colPos[i] = ci
 		}
 	}
-	ec := newEvalCtx(nil)
-	for _, exprs := range ins.Rows {
-		if len(exprs) != len(colPos) {
-			return errorf("%d values for %d columns", len(exprs), len(colPos))
+	vals, err := valuesRows(ins)
+	if err != nil {
+		return err
+	}
+	for _, in := range vals {
+		if len(in) != len(colPos) {
+			return errorf("%d values for %d columns", len(in), len(colPos))
 		}
 		row := make(Row, len(schema))
 		for i, c := range schema {
 			row[i] = value.Null(c.Type)
 		}
-		for i, e := range exprs {
-			val, err := e.eval(ec)
-			if err != nil {
-				return err
-			}
+		for i, val := range in {
 			cv, err := val.Convert(schema[colPos[i]].Type)
 			if err != nil {
 				return err

@@ -99,7 +99,7 @@ func (jp *vecJoinPlan) padAllOK() bool {
 // compiles the plan if so. Returns nil — meaning "row-engine join" —
 // for any shape outside the supported set; qualification errs on the
 // side of declining, never on the side of changing results.
-func (sn *snapshot) planVecJoin(st *SelectStmt, p *compiledSelect, ec *evalCtx) *vecJoinPlan {
+func (sn *snapshot) planVecJoin(st *SelectStmt, p *compiledSelect, where *texpr) *vecJoinPlan {
 	if len(st.From) != 1 || len(st.Joins) != 1 {
 		return nil
 	}
@@ -137,26 +137,14 @@ func (sn *snapshot) planVecJoin(st *SelectStmt, p *compiledSelect, ec *evalCtx) 
 		keyType:   kt,
 		leftOuter: jc.Left,
 	}
-	// The pushdown predicate compiles against the JOINED schema so name
-	// resolution (including ambiguity errors) matches the row engine;
-	// it is pushed only when every column it reads is probe-side.
+	// The WHERE clause was typed against the JOINED schema, so name
+	// resolution (including ambiguity errors) matches the row engine; it
+	// is pushed only when every column it reads is probe-side.
 	need := map[int]bool{li: true}
-	if st.Where != nil {
+	if where != nil {
 		jp.hasWhere = true
-		pneed := map[int]bool{}
-		pred := compileVecPred(st.Where, ec, p.srcSchema, pneed)
-		leftOnly := pred != nil
-		for ci := range pneed {
-			if ci >= jp.nLeft {
-				leftOnly = false
-			}
-		}
-		if leftOnly {
-			jp.pred = pred
-			jp.zone = compileZonePred(st.Where, ec, p.srcSchema)
-			for ci := range pneed {
-				need[ci] = true
-			}
+		if where.vectorizable(p.srcSchema) && !slices.ContainsFunc(where.columns(), func(ci int) bool { return ci >= jp.nLeft }) {
+			jp.pred, jp.zone = where.vec(len(p.srcSchema), need)
 		}
 	}
 	jp.planFused(st, p, need)

@@ -3,17 +3,19 @@ package sqldb
 // Vectorized execution path.
 //
 // When a SELECT has the right shape — one table, no joins, no usable
-// index probe, a WHERE clause built from column-vs-literal comparisons,
-// plain-column group keys and kernelizable aggregates — the planner
-// attaches a vecPlan to the compiled plan and runSelect executes it
-// over the columnar projections of colcache.go instead of boxed rows:
-// predicates evaluate into boolean masks over typed vectors, masks
-// compact into selection vectors, and a grouped statement hands each
-// morsel's selection to a partial group table's addBatch — grouping,
-// kernels, merge and render are aggregate.go's, which also says which
-// aggregates have kernels. Anything the plan cannot express falls back
-// to the row engine, which remains the semantic reference; the
-// differential fuzzer holds the two byte-for-byte equal.
+// index probe, a WHERE clause the batch back end takes (total, no
+// Timestamp column: texpr.vectorizable), plain-column group keys and
+// kernelizable aggregates — the planner attaches a vecPlan to the
+// compiled plan and runSelect executes it over the columnar projections
+// of colcache.go instead of boxed rows: the WHERE clause evaluates into
+// boolean masks over typed vectors, masks compact into selection
+// vectors, and a grouped statement hands each morsel's selection to a
+// partial group table's addBatch — grouping, kernels, merge and render
+// are aggregate.go's, which also says which aggregates have kernels.
+// This file holds the batch and zone back ends of the expression
+// compiler (expr.go). Anything the plan cannot express falls back to the
+// row engine, which remains the semantic reference; the differential
+// fuzzer holds the two byte-for-byte equal.
 //
 // Parallelism is morsel-driven: every chunk is cut into fixed-size
 // morsels, a bounded worker pool pulls morsel indexes from an atomic
@@ -29,7 +31,8 @@ package sqldb
 // byte-for-byte comparison stays valid).
 
 import (
-	"math"
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -73,8 +76,8 @@ type vecPlan struct {
 	pred vecPredFn // nil when no WHERE clause
 	// zone is the zone-map form of pred: evaluated against a block's
 	// min/max/null-count before the block is decoded. nil when the
-	// predicate shape cannot be reasoned about from zone maps (which
-	// only costs skipping, never correctness).
+	// predicate cannot be bounded from zone maps (which only costs
+	// skipping, never correctness).
 	zone zoneFn
 }
 
@@ -82,7 +85,7 @@ type vecPlan struct {
 // if so. Returns nil — meaning "use the row engine" — for any shape
 // outside the supported set; qualification must err on the side of
 // declining, never on the side of changing results.
-func (sn *snapshot) planVec(st *SelectStmt, p *compiledSelect, ec *evalCtx) *vecPlan {
+func (sn *snapshot) planVec(st *SelectStmt, p *compiledSelect, where *texpr) *vecPlan {
 	if len(st.From) != 1 || len(st.Joins) != 0 {
 		return nil
 	}
@@ -97,12 +100,11 @@ func (sn *snapshot) planVec(st *SelectStmt, p *compiledSelect, ec *evalCtx) *vec
 	}
 	vp := &vecPlan{}
 	need := map[int]bool{}
-	if st.Where != nil {
-		vp.pred = compileVecPred(st.Where, ec, p.srcSchema, need)
-		if vp.pred == nil {
+	if where != nil {
+		if !where.vectorizable(p.srcSchema) {
 			return nil
 		}
-		vp.zone = compileZonePred(st.Where, ec, p.srcSchema)
+		vp.pred, vp.zone = where.vec(len(p.srcSchema), need)
 	}
 	if p.grouped {
 		if !p.batchable(need) {
@@ -119,921 +121,290 @@ func (sn *snapshot) planVec(st *SelectStmt, p *compiledSelect, ec *evalCtx) *vec
 	return vp
 }
 
-// ------------------------------------------------------ predicates
+// ------------------------------------------------ batch and zone back ends
 
-// compileVecPred lowers a WHERE clause into a mask kernel, recording
-// the columns it reads in need. Returns nil for any unsupported shape:
-// NOT and LIKE (whose three-valued semantics do not collapse to a
-// boolean mask), expressions over non-columns, comparisons across
-// value classes, and Version/Timestamp operands.
-func compileVecPred(e sqlExpr, ec *evalCtx, src Schema, need map[int]bool) vecPredFn {
-	switch t := e.(type) {
-	case *litExpr:
-		keep := boolTrue(t.v)
-		return func(_ []*colVec, _ int, mask []bool) {
+// vec lowers n, a vectorizable WHERE clause over rows width columns
+// wide, to both vectorized back ends at once, since every reader wants
+// both: the batch back end's mask kernel, and the zone back end's block
+// check — nil when it cannot bound n, which composes as "never prunes".
+// The columns the kernel reads are recorded in need. A zone check must
+// be exact in one direction: true means no row of the block passes
+// (NULL rows never do at the top level; a float NaN compares equal to
+// everything).
+func (n *texpr) vec(width int, need map[int]bool) (vecPredFn, zoneFn) {
+	switch n.kind {
+	case tLit:
+		keep := boolTrue(n.v)
+		kern := func(_ []*colVec, _ int, mask []bool) {
 			for i := range mask {
 				mask[i] = keep
 			}
 		}
-	case *colExpr:
-		ci, err := ec.lookup(t.Table, t.Name)
-		if err != nil || src[ci].Type != value.Boolean {
-			return nil
+		if keep {
+			return kern, nil
 		}
+		return kern, zoneAlways
+	case tCol:
+		if n.typ != value.Boolean {
+			break
+		}
+		ci := n.col
 		need[ci] = true
 		return func(cv []*colVec, lo int, mask []bool) {
-			v := cv[ci]
-			for i := range mask {
-				mask[i] = v.ints[lo+i] != 0 && !v.null(lo+i)
-			}
-		}
-	case *binExpr:
-		switch t.Op {
-		case "and":
-			l := compileVecPred(t.L, ec, src, need)
-			r := compileVecPred(t.R, ec, src, need)
-			if l == nil || r == nil {
-				return nil
-			}
-			return func(cv []*colVec, lo int, mask []bool) {
-				l(cv, lo, mask)
-				tmp := make([]bool, len(mask))
-				r(cv, lo, tmp)
-				for i := range mask {
-					mask[i] = mask[i] && tmp[i]
-				}
-			}
-		case "or":
-			l := compileVecPred(t.L, ec, src, need)
-			r := compileVecPred(t.R, ec, src, need)
-			if l == nil || r == nil {
-				return nil
-			}
-			return func(cv []*colVec, lo int, mask []bool) {
-				l(cv, lo, mask)
-				tmp := make([]bool, len(mask))
-				r(cv, lo, tmp)
-				for i := range mask {
-					mask[i] = mask[i] || tmp[i]
-				}
-			}
-		case "=", "<>", "<", "<=", ">", ">=":
-			ok := cmpOutcome(t.Op)
-			if ce, isCol := t.L.(*colExpr); isCol {
-				if le, isLit := t.R.(*litExpr); isLit {
-					return compileVecCmp(ce, le.v, ok, false, ec, src, need)
-				}
-			}
-			if ce, isCol := t.R.(*colExpr); isCol {
-				if le, isLit := t.L.(*litExpr); isLit {
-					return compileVecCmp(ce, le.v, ok, true, ec, src, need)
-				}
-			}
-		}
-		return nil
-	case *isNullExpr:
-		ce, isCol := t.E.(*colExpr)
-		if !isCol {
-			return nil
-		}
-		ci, err := ec.lookup(ce.Table, ce.Name)
-		if err != nil || src[ci].Type == value.Timestamp {
-			return nil
-		}
-		need[ci] = true
-		negate := t.Negate
-		return func(cv []*colVec, lo int, mask []bool) {
-			v := cv[ci]
-			for i := range mask {
-				mask[i] = v.null(lo+i) != negate
-			}
-		}
-	case *betweenExpr:
-		return compileVecBetween(t, ec, src, need)
-	case *inExpr:
-		return compileVecIn(t, ec, src, need)
-	}
-	return nil
-}
-
-func cmpOutcome(op string) func(int) bool {
-	switch op {
-	case "=":
-		return func(c int) bool { return c == 0 }
-	case "<>":
-		return func(c int) bool { return c != 0 }
-	case "<":
-		return func(c int) bool { return c < 0 }
-	case "<=":
-		return func(c int) bool { return c <= 0 }
-	case ">":
-		return func(c int) bool { return c > 0 }
-	}
-	return func(c int) bool { return c >= 0 }
-}
-
-func vecFalse(_ []*colVec, _ int, mask []bool) {
-	for i := range mask {
-		mask[i] = false
-	}
-}
-
-// compileVecCmp builds the column-vs-literal comparison kernel. The
-// comparison classes mirror value.ComparePtr exactly: int/int compares
-// integers, any other numeric pair compares as float64 (so NaN
-// compares "equal" to everything, matching the row engine's quirk),
-// booleans order false < true, strings compare bytewise. Cross-class
-// shapes (which ComparePtr resolves via display forms) decline.
-func compileVecCmp(ce *colExpr, lit value.Value, ok func(int) bool, swapped bool, ec *evalCtx, src Schema, need map[int]bool) vecPredFn {
-	ci, err := ec.lookup(ce.Table, ce.Name)
-	if err != nil {
-		return nil
-	}
-	typ := src[ci].Type
-	var okLUT [3]bool
-	for c := -1; c <= 1; c++ {
-		r := c
-		if swapped {
-			r = -r
-		}
-		okLUT[c+1] = ok(r)
-	}
-	supported := func() bool {
-		switch typ {
-		case value.Integer, value.Float:
-			return lit.Type().Numeric() || lit.IsNull()
-		case value.Boolean:
-			return lit.Type() == value.Boolean || lit.IsNull()
-		case value.String:
-			return lit.Type() == value.String || lit.IsNull()
-		}
-		return false
-	}
-	if !supported() {
-		return nil
-	}
-	need[ci] = true
-	if lit.IsNull() {
-		return vecFalse
-	}
-	switch {
-	case typ == value.Integer && lit.Type() == value.Integer,
-		typ == value.Boolean:
-		litI := lit.Int()
-		return func(cv []*colVec, lo int, mask []bool) {
-			v := cv[ci]
-			ints := v.ints[lo : lo+len(mask)]
-			if v.nulls == nil {
-				for i, x := range ints {
-					c := 1
-					if x < litI {
-						c = -1
-					} else if x == litI {
-						c = 0
-					}
-					mask[i] = okLUT[c+1]
-				}
-				return
-			}
-			for i, x := range ints {
-				if v.null(lo + i) {
-					mask[i] = false
-					continue
-				}
-				c := 1
-				if x < litI {
-					c = -1
-				} else if x == litI {
-					c = 0
-				}
-				mask[i] = okLUT[c+1]
-			}
-		}
-	case typ == value.Integer: // float literal
-		litF := lit.Float()
-		return func(cv []*colVec, lo int, mask []bool) {
-			v := cv[ci]
-			ints := v.ints[lo : lo+len(mask)]
-			for i, x := range ints {
-				if v.nulls != nil && v.null(lo+i) {
-					mask[i] = false
-					continue
-				}
-				cf := float64(x)
-				c := 0
-				if cf < litF {
-					c = -1
-				} else if cf > litF {
-					c = 1
-				}
-				mask[i] = okLUT[c+1]
-			}
-		}
-	case typ == value.Float:
-		litF := lit.Float()
-		return func(cv []*colVec, lo int, mask []bool) {
-			v := cv[ci]
-			floats := v.floats[lo : lo+len(mask)]
-			if v.nulls == nil {
-				for i, x := range floats {
-					c := 0
-					if x < litF {
-						c = -1
-					} else if x > litF {
-						c = 1
-					}
-					mask[i] = okLUT[c+1]
-				}
-				return
-			}
-			for i, x := range floats {
-				if v.null(lo + i) {
-					mask[i] = false
-					continue
-				}
-				c := 0
-				if x < litF {
-					c = -1
-				} else if x > litF {
-					c = 1
-				}
-				mask[i] = okLUT[c+1]
-			}
-		}
-	default: // String vs String
-		litS := lit.Str()
-		return func(cv []*colVec, lo int, mask []bool) {
-			v := cv[ci]
-			strs := v.strs[lo : lo+len(mask)]
-			for i, x := range strs {
-				if v.nulls != nil && v.null(lo+i) {
-					mask[i] = false
-					continue
-				}
-				c := 0
-				if x < litS {
-					c = -1
-				} else if x > litS {
-					c = 1
-				}
-				mask[i] = okLUT[c+1]
-			}
-		}
-	}
-}
-
-// compileVecBetween handles col BETWEEN lit AND lit. The row engine
-// computes Compare(v,lo) >= 0 && Compare(v,hi) <= 0, each bound
-// comparing int/int as integers and any other numeric pair as floats;
-// the kernel reproduces that bound-by-bound.
-func compileVecBetween(t *betweenExpr, ec *evalCtx, src Schema, need map[int]bool) vecPredFn {
-	ce, isCol := t.E.(*colExpr)
-	if !isCol {
-		return nil
-	}
-	loL, loOK := t.Lo.(*litExpr)
-	hiL, hiOK := t.Hi.(*litExpr)
-	if !loOK || !hiOK {
-		return nil
-	}
-	ci, err := ec.lookup(ce.Table, ce.Name)
-	if err != nil {
-		return nil
-	}
-	typ := src[ci].Type
-	negate := t.Negate
-	lo, hi := loL.v, hiL.v
-	switch typ {
-	case value.Integer, value.Float:
-		if !lo.Type().Numeric() && !lo.IsNull() || !hi.Type().Numeric() && !hi.IsNull() {
-			return nil
-		}
-	case value.String:
-		if lo.Type() != value.String && !lo.IsNull() || hi.Type() != value.String && !hi.IsNull() {
-			return nil
-		}
-	default:
-		return nil
-	}
-	need[ci] = true
-	if lo.IsNull() || hi.IsNull() {
-		return vecFalse // NULL bound → NULL result → row excluded
-	}
-	if typ == value.String {
-		loS, hiS := lo.Str(), hi.Str()
-		return func(cv []*colVec, lo_ int, mask []bool) {
-			v := cv[ci]
-			for i := range mask {
-				if v.null(lo_ + i) {
-					mask[i] = false
-					continue
-				}
-				x := v.strs[lo_+i]
-				mask[i] = (x >= loS && x <= hiS) != negate
-			}
-		}
-	}
-	// Numeric: per-bound comparison class. ge means Compare(v, lo) >= 0,
-	// which for floats is !(v < lo) — this keeps the row engine's NaN
-	// behaviour (NaN is "between" anything).
-	intCol := typ == value.Integer
-	loInt := intCol && lo.Type() == value.Integer
-	hiInt := intCol && hi.Type() == value.Integer
-	loI, loF := lo.Int(), lo.Float()
-	hiI, hiF := hi.Int(), hi.Float()
-	return func(cv []*colVec, lo_ int, mask []bool) {
-		v := cv[ci]
-		for i := range mask {
-			if v.null(lo_ + i) {
-				mask[i] = false
-				continue
-			}
-			var ge, le bool
-			if intCol {
-				x := v.ints[lo_+i]
-				if loInt {
-					ge = x >= loI
-				} else {
-					ge = !(float64(x) < loF)
-				}
-				if hiInt {
-					le = x <= hiI
-				} else {
-					le = !(float64(x) > hiF)
-				}
-			} else {
-				x := v.floats[lo_+i]
-				ge = !(x < loF)
-				le = !(x > hiF)
-			}
-			mask[i] = (ge && le) != negate
-		}
-	}
-}
-
-// compileVecIn handles col IN (literals). NULL list items never match
-// (as in the row engine); a NULL probe value yields false.
-func compileVecIn(t *inExpr, ec *evalCtx, src Schema, need map[int]bool) vecPredFn {
-	ce, isCol := t.E.(*colExpr)
-	if !isCol {
-		return nil
-	}
-	ci, err := ec.lookup(ce.Table, ce.Name)
-	if err != nil {
-		return nil
-	}
-	typ := src[ci].Type
-	negate := t.Negate
-	var lits []value.Value
-	for _, item := range t.List {
-		le, isLit := item.(*litExpr)
-		if !isLit {
-			return nil
-		}
-		if le.v.IsNull() {
-			continue
-		}
-		lits = append(lits, le.v)
-	}
-	switch typ {
-	case value.Integer, value.Float, value.Boolean:
-		allInt := typ != value.Float
-		for _, l := range lits {
-			if typ == value.Boolean {
-				if l.Type() != value.Boolean {
-					return nil
-				}
-				continue
-			}
-			if !l.Type().Numeric() {
-				return nil
-			}
-			if l.Type() != value.Integer {
-				allInt = false
-			}
-		}
-		need[ci] = true
-		if typ != value.Float && allInt {
-			ints := make([]int64, len(lits))
-			for i, l := range lits {
-				ints[i] = l.Int()
-			}
-			return func(cv []*colVec, lo int, mask []bool) {
 				v := cv[ci]
 				for i := range mask {
-					if v.null(lo + i) {
-						mask[i] = false
-						continue
-					}
-					x := v.ints[lo+i]
-					found := false
-					for _, l := range ints {
-						if x == l {
-							found = true
-							break
-						}
-					}
-					mask[i] = found != negate
+					mask[i] = v.ints[lo+i] != 0 && !v.null(lo+i)
 				}
+			}, func(meta func(int) *blockMeta) bool {
+				m := meta(ci) // prunable when no value is true
+				return m != nil && (!m.HasMM || m.MaxI == 0)
 			}
+	case tIsNull:
+		if n.l.kind != tCol {
+			break
 		}
-		floats := make([]float64, len(lits))
-		for i, l := range lits {
-			floats[i] = l.Float()
-		}
-		intCol := typ == value.Integer
-		return func(cv []*colVec, lo int, mask []bool) {
-			v := cv[ci]
-			for i := range mask {
-				if v.null(lo + i) {
-					mask[i] = false
-					continue
-				}
-				var x float64
-				if intCol {
-					x = float64(v.ints[lo+i])
-				} else {
-					x = v.floats[lo+i]
-				}
-				found := false
-				for _, l := range floats {
-					// Compare-style equality (neither less nor greater),
-					// not ==: a NaN probe matches every list item, as it
-					// does in the row engine.
-					if !(x < l) && !(x > l) {
-						found = true
-						break
-					}
-				}
-				mask[i] = found != negate
-			}
-		}
-	case value.String:
-		for _, l := range lits {
-			if l.Type() != value.String {
-				return nil
-			}
-		}
+		ci, negate := n.l.col, n.negate
 		need[ci] = true
-		strs := make([]string, len(lits))
-		for i, l := range lits {
-			strs[i] = l.Str()
-		}
 		return func(cv []*colVec, lo int, mask []bool) {
-			v := cv[ci]
+				v := cv[ci]
+				for i := range mask {
+					mask[i] = v.null(lo+i) != negate
+				}
+			}, func(meta func(int) *blockMeta) bool {
+				m := meta(ci)
+				switch {
+				case m == nil:
+					return false
+				case negate:
+					return m.Nulls == m.Rows
+				}
+				return m.Nulls == 0
+			}
+	case tBin:
+		if n.op == "and" || n.op == "or" {
+			return n.vecLogic(width, need)
+		}
+	}
+	if t, ok := n.colTest(); ok {
+		if kern, zone := t.kernels(); kern != nil {
+			need[t.col] = true
+			return kern, zone
+		}
+	}
+	return rowKernel(n, width, need), nil
+}
+
+// vecLogic lowers AND and OR. The row back end's AND and OR never yield
+// NULL, so a mask, which holds boolTrue of each side, combines exactly.
+// A conjunction prunes a block when either side does, a disjunction only
+// when both do.
+func (n *texpr) vecLogic(width int, need map[int]bool) (vecPredFn, zoneFn) {
+	lm, lz := n.l.vec(width, need)
+	rm, rz := n.r.vec(width, need)
+	and := n.op == "and"
+	kern := func(cv []*colVec, lo int, mask []bool) {
+		lm(cv, lo, mask)
+		tmp := make([]bool, len(mask))
+		rm(cv, lo, tmp)
+		if and {
 			for i := range mask {
-				if v.null(lo + i) {
-					mask[i] = false
-					continue
-				}
-				x := v.strs[lo+i]
-				found := false
-				for _, l := range strs {
-					if x == l {
-						found = true
-						break
-					}
-				}
-				mask[i] = found != negate
+				mask[i] = mask[i] && tmp[i]
 			}
+			return
 		}
-	}
-	return nil
-}
-
-// ------------------------------------------------------ zone maps
-
-// compileZonePred lowers a WHERE clause into a block-skipping check
-// over zone maps, mirroring the mask kernels of compileVecPred leaf by
-// leaf. It is only ever compiled for predicates compileVecPred
-// accepted, and must be EXACT in one direction: returning true means
-// every row of the block evaluates to false under the mask semantics
-// (NULL rows always mask false at the top level; float NaN compares
-// "equal" to everything). Any leaf it cannot reason about compiles to
-// nil, which composes as "never prunes".
-func compileZonePred(e sqlExpr, ec *evalCtx, src Schema) zoneFn {
-	switch t := e.(type) {
-	case *litExpr:
-		if boolTrue(t.v) {
-			return zoneNever
+		for i := range mask {
+			mask[i] = mask[i] || tmp[i]
 		}
-		return zoneAlways
-	case *colExpr:
-		ci, err := ec.lookup(t.Table, t.Name)
-		if err != nil || src[ci].Type != value.Boolean {
-			return nil
-		}
-		// mask = x != 0 && !null: prunable when the block has no non-null
-		// true value.
-		return func(meta func(int) *blockMeta) bool {
-			m := meta(ci)
-			if m == nil {
-				return false
-			}
-			return !m.HasMM || m.MaxI == 0
-		}
-	case *binExpr:
-		switch t.Op {
-		case "and":
-			l := compileZonePred(t.L, ec, src)
-			r := compileZonePred(t.R, ec, src)
-			// A conjunction is all-false when either side is: one pruning
-			// side suffices, and an unknown side drops out.
-			if l == nil {
-				return r
-			}
-			if r == nil {
-				return l
-			}
-			return func(meta func(int) *blockMeta) bool {
-				return l(meta) || r(meta)
-			}
-		case "or":
-			l := compileZonePred(t.L, ec, src)
-			r := compileZonePred(t.R, ec, src)
-			// A disjunction needs BOTH sides all-false; an unknown side
-			// makes the whole OR unknowable.
-			if l == nil || r == nil {
-				return nil
-			}
-			return func(meta func(int) *blockMeta) bool {
-				return l(meta) && r(meta)
-			}
-		case "=", "<>", "<", "<=", ">", ">=":
-			ok := cmpOutcome(t.Op)
-			if ce, isCol := t.L.(*colExpr); isCol {
-				if le, isLit := t.R.(*litExpr); isLit {
-					return compileZoneCmp(ce, le.v, ok, false, ec, src)
-				}
-			}
-			if ce, isCol := t.R.(*colExpr); isCol {
-				if le, isLit := t.L.(*litExpr); isLit {
-					return compileZoneCmp(ce, le.v, ok, true, ec, src)
-				}
-			}
-		}
-		return nil
-	case *isNullExpr:
-		ce, isCol := t.E.(*colExpr)
-		if !isCol {
-			return nil
-		}
-		ci, err := ec.lookup(ce.Table, ce.Name)
-		if err != nil || src[ci].Type == value.Timestamp {
-			return nil
-		}
-		negate := t.Negate
-		return func(meta func(int) *blockMeta) bool {
-			m := meta(ci)
-			if m == nil {
-				return false
-			}
-			if negate {
-				return m.Nulls == m.Rows // IS NOT NULL over an all-null block
-			}
-			return m.Nulls == 0 // IS NULL over a null-free block
-		}
-	case *betweenExpr:
-		return compileZoneBetween(t, ec, src)
-	case *inExpr:
-		return compileZoneIn(t, ec, src)
-	}
-	return nil
-}
-
-func zoneNever(func(int) *blockMeta) bool  { return false }
-func zoneAlways(func(int) *blockMeta) bool { return true }
-
-// compileZoneCmp is the zone form of compileVecCmp. canMatch asks: can
-// ANY non-null value in [min, max] produce an accepted comparison
-// outcome? The three outcomes map to range tests — "less than lit" is
-// achievable iff min < lit, "greater" iff max > lit, "equal" iff lit
-// lies inside [min, max] (an over-approximation for int columns vs
-// float literals, which only under-prunes).
-func compileZoneCmp(ce *colExpr, lit value.Value, ok func(int) bool, swapped bool, ec *evalCtx, src Schema) zoneFn {
-	ci, err := ec.lookup(ce.Table, ce.Name)
-	if err != nil {
-		return nil
-	}
-	typ := src[ci].Type
-	var okLUT [3]bool
-	for c := -1; c <= 1; c++ {
-		r := c
-		if swapped {
-			r = -r
-		}
-		okLUT[c+1] = ok(r)
-	}
-	if lit.IsNull() {
-		return zoneAlways // the kernel is vecFalse
 	}
 	switch {
-	case typ == value.Integer && lit.Type() == value.Integer,
-		typ == value.Boolean && lit.Type() == value.Boolean:
-		litI := lit.Int()
-		return func(meta func(int) *blockMeta) bool {
-			m := meta(ci)
-			if m == nil {
-				return false
-			}
-			if !m.HasMM {
-				return true // every row NULL → mask all false
-			}
-			can := okLUT[0] && m.MinI < litI ||
-				okLUT[2] && m.MaxI > litI ||
-				okLUT[1] && m.MinI <= litI && litI <= m.MaxI
-			return !can
-		}
-	case typ == value.Integer && lit.Type().Numeric(): // float literal
-		litF := lit.Float()
-		if math.IsNaN(litF) {
-			return nil
-		}
-		return func(meta func(int) *blockMeta) bool {
-			m := meta(ci)
-			if m == nil {
-				return false
-			}
-			if !m.HasMM {
-				return true
-			}
-			minF, maxF := float64(m.MinI), float64(m.MaxI)
-			can := okLUT[0] && minF < litF ||
-				okLUT[2] && maxF > litF ||
-				okLUT[1] && minF <= litF && litF <= maxF
-			return !can
-		}
-	case typ == value.Float && lit.Type().Numeric():
-		litF := lit.Float()
-		if math.IsNaN(litF) {
-			return nil
-		}
-		return func(meta func(int) *blockMeta) bool {
-			m := meta(ci)
-			if m == nil {
-				return false
-			}
-			// A NaN row compares "equal" to everything, so it matches
-			// whenever the equal outcome is accepted — and min/max never
-			// cover NaN.
-			if m.HasNaN && okLUT[1] {
-				return false
-			}
-			if !m.HasMM {
-				return true // all rows NULL or NaN, and NaN cannot match
-			}
-			can := okLUT[0] && m.MinF < litF ||
-				okLUT[2] && m.MaxF > litF ||
-				okLUT[1] && m.MinF <= litF && litF <= m.MaxF
-			return !can
-		}
-	case typ == value.String && lit.Type() == value.String:
-		litS := lit.Str()
-		return func(meta func(int) *blockMeta) bool {
-			m := meta(ci)
-			if m == nil {
-				return false
-			}
-			if !m.HasMM {
-				return true
-			}
-			can := okLUT[0] && m.MinS < litS ||
-				okLUT[2] && m.MaxS > litS ||
-				okLUT[1] && m.MinS <= litS && litS <= m.MaxS
-			return !can
-		}
+	case and && lz == nil:
+		return kern, rz
+	case and && rz == nil:
+		return kern, lz
+	case and:
+		return kern, func(meta func(int) *blockMeta) bool { return lz(meta) || rz(meta) }
+	case lz == nil || rz == nil:
+		return kern, nil
 	}
-	return nil
+	return kern, func(meta func(int) *blockMeta) bool { return lz(meta) && rz(meta) }
 }
 
-// compileZoneBetween is the zone form of compileVecBetween. ge is
-// monotone non-decreasing in the column value and le monotone
-// non-increasing, so a non-negated BETWEEN is satisfiable within the
-// block iff ge(max) && le(min), and a negated one is unsatisfiable iff
-// ge(min) && le(max) (every row inside the bounds).
-func compileZoneBetween(t *betweenExpr, ec *evalCtx, src Schema) zoneFn {
-	ce, isCol := t.E.(*colExpr)
-	if !isCol {
-		return nil
+func vecFalse(_ []*colVec, _ int, mask []bool) { clear(mask) }
+
+func zoneAlways(func(int) *blockMeta) bool { return true }
+
+// rowKernel is the batch back end's kernel for a node it has no mask
+// kernel for: the row back end's closure, run per position over a row
+// that holds, boxed from their vectors, only the columns the node reads.
+// The node is total, so the closure cannot fail.
+func rowKernel(n *texpr, width int, need map[int]bool) vecPredFn {
+	eval, cols := rowExpr(n), n.columns()
+	for _, ci := range cols {
+		need[ci] = true
 	}
-	loL, loOK := t.Lo.(*litExpr)
-	hiL, hiOK := t.Hi.(*litExpr)
-	if !loOK || !hiOK {
-		return nil
-	}
-	ci, err := ec.lookup(ce.Table, ce.Name)
-	if err != nil {
-		return nil
-	}
-	typ := src[ci].Type
-	negate := t.Negate
-	lo, hi := loL.v, hiL.v
-	if lo.IsNull() || hi.IsNull() {
-		return zoneAlways // the kernel is vecFalse
-	}
-	if typ == value.String {
-		if lo.Type() != value.String || hi.Type() != value.String {
-			return nil
-		}
-		loS, hiS := lo.Str(), hi.Str()
-		return func(meta func(int) *blockMeta) bool {
-			m := meta(ci)
-			if m == nil {
-				return false
+	return func(cv []*colVec, lo int, mask []bool) {
+		ctx := &execCtx{row: make(Row, width)}
+		for i := range mask {
+			for _, ci := range cols {
+				ctx.row[ci] = cv[ci].box(lo + i)
 			}
-			if !m.HasMM {
-				return true
-			}
-			if negate {
-				return m.MinS >= loS && m.MaxS <= hiS
-			}
-			return m.MaxS < loS || m.MinS > hiS
+			v, _ := eval(ctx)
+			mask[i] = boolTrue(v)
 		}
-	}
-	if typ != value.Integer && typ != value.Float {
-		return nil
-	}
-	if !lo.Type().Numeric() || !hi.Type().Numeric() {
-		return nil
-	}
-	intCol := typ == value.Integer
-	loInt := intCol && lo.Type() == value.Integer
-	hiInt := intCol && hi.Type() == value.Integer
-	loI, loF := lo.Int(), lo.Float()
-	hiI, hiF := hi.Int(), hi.Float()
-	if intCol {
-		ge := func(x int64) bool {
-			if loInt {
-				return x >= loI
-			}
-			return !(float64(x) < loF)
-		}
-		le := func(x int64) bool {
-			if hiInt {
-				return x <= hiI
-			}
-			return !(float64(x) > hiF)
-		}
-		return func(meta func(int) *blockMeta) bool {
-			m := meta(ci)
-			if m == nil {
-				return false
-			}
-			if !m.HasMM {
-				return true
-			}
-			if negate {
-				return ge(m.MinI) && le(m.MaxI)
-			}
-			return !(ge(m.MaxI) && le(m.MinI))
-		}
-	}
-	return func(meta func(int) *blockMeta) bool {
-		m := meta(ci)
-		if m == nil {
-			return false
-		}
-		if !negate && m.HasNaN {
-			// NaN is "between" anything (ge = !(NaN < lo) = true), so a
-			// NaN row always matches a non-negated BETWEEN.
-			return false
-		}
-		if !m.HasMM {
-			// All rows NULL or NaN. Negated: NaN rows are inside the
-			// bounds, so they mask false too — prunable either way.
-			return true
-		}
-		ge := func(x float64) bool { return !(x < loF) }
-		le := func(x float64) bool { return !(x > hiF) }
-		if negate {
-			return ge(m.MinF) && le(m.MaxF)
-		}
-		return !(ge(m.MaxF) && le(m.MinF))
 	}
 }
 
-// compileZoneIn is the zone form of compileVecIn: a non-negated IN can
-// match only if some list item lies within [min, max]. NOT IN cannot
-// be refuted from a range alone, so it never prunes.
-func compileZoneIn(t *inExpr, ec *evalCtx, src Schema) zoneFn {
-	ce, isCol := t.E.(*colExpr)
-	if !isCol || t.Negate {
-		return nil
-	}
-	ci, err := ec.lookup(ce.Table, ce.Name)
-	if err != nil {
-		return nil
-	}
-	typ := src[ci].Type
-	var lits []value.Value
-	for _, item := range t.List {
-		le, isLit := item.(*litExpr)
-		if !isLit {
-			return nil
+// colTest is a node that tests one column against literals: a
+// comparison (kind tBin; ok holds the outcomes of Compare(column,
+// literal) that pass), BETWEEN or IN (whose NULL items, which never
+// match, are left out).
+type colTest struct {
+	kind   tkind
+	col    int
+	typ    value.Type // the column's
+	ok     [3]bool
+	negate bool
+	lits   []value.Value
+}
+
+func (n *texpr) colTest() (t colTest, is bool) {
+	t.kind, t.negate = n.kind, n.negate
+	switch {
+	case n.kind == tBin:
+		var lit value.Value
+		if t.col, lit, t.ok, is = n.cmpColLit(); !is {
+			return t, false
 		}
-		if le.v.IsNull() {
-			continue
-		}
-		lits = append(lits, le.v)
-	}
-	if len(lits) == 0 {
-		return zoneAlways // nothing can match an all-NULL list
-	}
-	switch typ {
-	case value.Integer, value.Float, value.Boolean:
-		allInt := typ != value.Float
-		for _, l := range lits {
-			if typ == value.Boolean {
-				if l.Type() != value.Boolean {
-					return nil
-				}
-				continue
+		t.lits = []value.Value{lit}
+	case n.kind == tBetween && n.l.kind == tCol && n.r.kind == tLit && n.x.kind == tLit:
+		t.col, t.lits = n.l.col, []value.Value{n.r.v, n.x.v}
+	case n.kind == tIn && n.l.kind == tCol:
+		t.col = n.l.col
+		for _, k := range n.list {
+			if k.kind != tLit {
+				return t, false
 			}
-			if !l.Type().Numeric() {
-				return nil
-			}
-			if l.Type() != value.Integer {
-				allInt = false
+			if !k.v.IsNull() {
+				t.lits = append(t.lits, k.v)
 			}
 		}
-		if typ != value.Float && allInt {
-			ints := make([]int64, len(lits))
-			for i, l := range lits {
-				ints[i] = l.Int()
+	default:
+		return t, false
+	}
+	t.typ = n.l.typ
+	if n.l.kind != tCol { // a comparison with the literal on the left
+		t.typ = n.r.typ
+	}
+	return t, true
+}
+
+// kernels lowers t when the column and its literals are of one class
+// with an unboxed order — Integers, Floats against any numbers, Booleans,
+// Strings — and returns nil otherwise: a Version's order is not its
+// datum's, and the other pairs compare by display form, on the row back
+// end's kernel.
+func (t *colTest) kernels() (vecPredFn, zoneFn) {
+	if t.kind != tIn && slices.ContainsFunc(t.lits, value.Value.IsNull) {
+		return vecFalse, zoneAlways // a NULL operand: NULL on every row
+	}
+	switch {
+	case t.typ == value.Integer && t.of(value.Integer), t.typ == value.Boolean && t.of(value.Boolean):
+		return testKernels(t, func(v *colVec) []int64 { return v.ints },
+			func(m *blockMeta) (int64, int64) { return m.MinI, m.MaxI }, value.Value.Int)
+	case t.typ == value.Float && t.of(value.Integer, value.Float):
+		return testKernels(t, func(v *colVec) []float64 { return v.floats },
+			func(m *blockMeta) (float64, float64) { return m.MinF, m.MaxF }, value.Value.Float)
+	case t.typ == value.String && t.of(value.String):
+		return testKernels(t, func(v *colVec) []string { return v.strs },
+			func(m *blockMeta) (string, string) { return m.MinS, m.MaxS }, value.Value.Str)
+	}
+	return nil, nil
+}
+
+// of reports whether every literal of t is of one of the types.
+func (t *colTest) of(types ...value.Type) bool {
+	for _, l := range t.lits {
+		if !slices.Contains(types, l.Type()) {
+			return false
+		}
+	}
+	return true
+}
+
+// testKernels builds t's mask kernel and zone check over a column whose
+// vectors hold its datums as elems returns them and whose zone maps
+// bound them as bounds does; datum unpacks a literal. Every outcome is
+// cmp3's. The zone check asks whether some value in the block's [min,
+// max] passes — an over-approximation is sound, it only prunes less —
+// or some NaN row does (nanPasses), which min and max leave out.
+func testKernels[T cmp.Ordered](t *colTest, elems func(*colVec) []T, bounds func(*blockMeta) (T, T), datum func(value.Value) T) (vecPredFn, zoneFn) {
+	kind, ci, ok, negate := t.kind, t.col, t.ok, t.negate
+	lits := make([]T, len(t.lits))
+	for i, l := range t.lits {
+		lits[i] = datum(l)
+	}
+	kern := func(cv []*colVec, lo int, mask []bool) {
+		v := cv[ci]
+		xs := elems(v)[lo : lo+len(mask)]
+		switch kind {
+		case tBin:
+			lit := lits[0]
+			for i, x := range xs {
+				mask[i] = ok[cmp3(x, lit)+1]
 			}
-			return func(meta func(int) *blockMeta) bool {
-				m := meta(ci)
-				if m == nil {
-					return false
-				}
-				if !m.HasMM {
-					return true
-				}
-				for _, l := range ints {
-					if m.MinI <= l && l <= m.MaxI {
-						return false
+		case tBetween:
+			lo, hi := lits[0], lits[1]
+			for i, x := range xs {
+				mask[i] = (cmp3(x, lo) >= 0 && cmp3(x, hi) <= 0) != negate
+			}
+		default: // IN
+			for i, x := range xs {
+				found := false
+				for _, l := range lits {
+					if cmp3(x, l) == 0 {
+						found = true
+						break
 					}
 				}
-				return true
+				mask[i] = found != negate
 			}
 		}
-		floats := make([]float64, len(lits))
-		for i, l := range lits {
-			floats[i] = l.Float()
-			if math.IsNaN(floats[i]) {
-				return nil // a NaN list item matches every row
+		if v.nulls != nil {
+			for i := range mask {
+				mask[i] = mask[i] && !v.null(lo+i)
 			}
-		}
-		intCol := typ == value.Integer
-		return func(meta func(int) *blockMeta) bool {
-			m := meta(ci)
-			if m == nil {
-				return false
-			}
-			if m.HasNaN {
-				return false // a NaN row matches every list item
-			}
-			if !m.HasMM {
-				return true
-			}
-			minF, maxF := m.MinF, m.MaxF
-			if intCol {
-				minF, maxF = float64(m.MinI), float64(m.MaxI)
-			}
-			for _, l := range floats {
-				if minF <= l && l <= maxF {
-					return false
-				}
-			}
-			return true
-		}
-	case value.String:
-		for _, l := range lits {
-			if l.Type() != value.String {
-				return nil
-			}
-		}
-		strs := make([]string, len(lits))
-		for i, l := range lits {
-			strs[i] = l.Str()
-		}
-		return func(meta func(int) *blockMeta) bool {
-			m := meta(ci)
-			if m == nil {
-				return false
-			}
-			if !m.HasMM {
-				return true
-			}
-			for _, l := range strs {
-				if m.MinS <= l && l <= m.MaxS {
-					return false
-				}
-			}
-			return true
 		}
 	}
-	return nil
+	if kind == tIn && negate {
+		return kern, nil // NOT IN cannot be refuted from a range
+	}
+	// A NaN row compares equal to everything.
+	nanPasses := kind == tBin && ok[1] || kind == tBetween && !negate || kind == tIn && len(lits) > 0
+	return kern, func(meta func(int) *blockMeta) bool {
+		m := meta(ci)
+		switch {
+		case m == nil || m.HasNaN && nanPasses:
+			return false
+		case !m.HasMM:
+			return true // every row NULL, or a NaN that does not pass
+		}
+		min, max := bounds(m)
+		switch kind {
+		case tBin:
+			lit := lits[0]
+			return !(ok[0] && cmp3(min, lit) < 0 || ok[2] && cmp3(max, lit) > 0 ||
+				ok[1] && cmp3(min, lit) <= 0 && cmp3(max, lit) >= 0)
+		case tBetween:
+			// Both bound tests are monotone in the value: the block holds a
+			// value between the bounds only if its max is above lo and its
+			// min below hi, and only such values if its min and max both are.
+			if negate {
+				return cmp3(min, lits[0]) >= 0 && cmp3(max, lits[1]) <= 0
+			}
+			return cmp3(max, lits[0]) < 0 || cmp3(min, lits[1]) > 0
+		}
+		return !slices.ContainsFunc(lits, func(l T) bool { return cmp3(min, l) <= 0 && cmp3(max, l) >= 0 })
+	}
 }
 
 // ------------------------------------------------------ execution

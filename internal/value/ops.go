@@ -10,7 +10,10 @@ import (
 // Compare orders a and b. It returns a negative number when a < b,
 // zero when equal, positive when a > b. NULL sorts before every
 // non-NULL value; two NULLs compare equal. Numeric types compare by
-// magnitude across Integer and Float; Version compares component-wise.
+// magnitude across Integer and Float; a Float NaN is neither less nor
+// greater than any number. When either operand is a Version, both
+// compare component-wise as versions, the other by its display form.
+// Compare is antisymmetric: Compare(a, b) == -Compare(b, a).
 func Compare(a, b Value) int { return ComparePtr(&a, &b) }
 
 // ComparePtr is Compare without copying its operands; the SQL
@@ -43,11 +46,12 @@ func ComparePtr(a, b *Value) int {
 		}
 		return 0
 	}
+	if a.typ == Version || b.typ == Version {
+		return CompareVersions(asString(a), asString(b))
+	}
 	switch a.typ {
 	case String:
-		return strings.Compare(a.s, bAsString(b))
-	case Version:
-		return CompareVersions(a.s, bAsString(b))
+		return strings.Compare(a.s, asString(b))
 	case Timestamp:
 		if b.typ == Timestamp {
 			switch {
@@ -73,11 +77,11 @@ func ComparePtr(a, b *Value) int {
 	return strings.Compare(a.String(), b.String())
 }
 
-func bAsString(b *Value) string {
-	if b.typ == String || b.typ == Version {
-		return b.s
+func asString(v *Value) string {
+	if v.typ == String || v.typ == Version {
+		return v.s
 	}
-	return b.String()
+	return v.String()
 }
 
 // Equal reports whether a and b compare equal.

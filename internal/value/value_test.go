@@ -1,6 +1,7 @@
 package value
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -435,6 +436,32 @@ func TestQuickVersionCompareConsistent(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCompareAntisymmetricAcrossTypes: Compare(a, b) == -Compare(b, a)
+// for samples of every pair of types, NULLs and NaN among them. The
+// samples include strings and numbers whose lexicographic order is not
+// their version order ("1.10" against a version "1.9", 10 against a
+// version "9"), the shape on which which operand came first used to pick
+// the comparison.
+func TestCompareAntisymmetricAcrossTypes(t *testing.T) {
+	samples := []Value{
+		Null(Integer), Null(Float), Null(String), Null(Timestamp), Null(Boolean), Null(Version),
+		NewInt(-3), NewInt(0), NewInt(9), NewInt(10), NewInt(1 << 60),
+		NewFloat(-0.5), NewFloat(0), NewFloat(9.5), NewFloat(1.10), NewFloat(math.NaN()), NewFloat(math.Inf(1)),
+		NewString(""), NewString("1.10"), NewString("1.9"), NewString("10"), NewString("abc"), NewString("true"),
+		NewTimestamp(time.Date(2004, 1, 1, 0, 0, 0, 0, time.UTC)), NewTimestamp(time.Date(2005, 6, 1, 12, 0, 0, 0, time.UTC)),
+		NewBool(false), NewBool(true),
+		NewVersion("1.9"), NewVersion("1.10"), NewVersion("2.6.10"), NewVersion("9"), NewVersion("abc"), NewVersion(""),
+	}
+	for _, a := range samples {
+		for _, b := range samples {
+			if ab, ba := Compare(a, b), Compare(b, a); ab != -ba {
+				t.Errorf("Compare(%s %v, %s %v) = %d but Compare(%[3]s %[4]v, %[1]s %[2]v) = %d",
+					a.Type(), a, b.Type(), b, ab, ba)
+			}
+		}
 	}
 }
 
