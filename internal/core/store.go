@@ -58,7 +58,7 @@ func NewStore(q Handle) *Store {
 }
 
 // Querier exposes the underlying database handle.
-func (s *Store) Querier() sqldb.Querier { return s.q }
+func (s *Store) Querier() Handle { return s.q }
 
 // Init creates the perfbase meta tables if they do not exist yet.
 // It is idempotent. Against a read-only replica the creation attempt

@@ -15,7 +15,7 @@ import (
 // concurrent element execution (used by internal/parquery).
 type Engine struct {
 	exp     *core.Experiment
-	primary sqldb.Querier
+	primary core.Handle
 
 	mu      sync.Mutex
 	profile map[string]time.Duration
@@ -173,7 +173,7 @@ func (en *Engine) RunPlan(plan *Plan, placer Placer) (*Results, error) {
 				}
 				ins[i] = v
 			}
-			placement := en.primary
+			var placement sqldb.Querier = en.primary
 			if placer != nil {
 				placement = placer.Place(el)
 			}
@@ -258,7 +258,7 @@ func (en *Engine) Profile() map[string]time.Duration {
 }
 
 // Primary exposes the experiment's database handle.
-func (en *Engine) Primary() sqldb.Querier { return en.primary }
+func (en *Engine) Primary() core.Handle { return en.primary }
 
 // Experiment exposes the engine's experiment.
 func (en *Engine) Experiment() *core.Experiment { return en.exp }

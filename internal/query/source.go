@@ -52,10 +52,13 @@ func (vs valSel) sqlSel() string {
 // execSource runs a source element: it selects the runs matching the
 // run filter and the once-parameter constraints, then pours the
 // matching data sets of all of them into the output temp table with
-// one statement — a SELECT per run, joined by UNION ALL — tagging every
-// tuple with the included parameters (paper §3.3.1: "each data tuple
-// consists of the input parameters by which the database access was
-// filtered and the result values that were specified").
+// one request — a pour step (sqldb.PipelineRequest.From): one SELECT
+// read off every matching run's data table, the run's once values in
+// front — tagging every tuple with the included parameters (paper
+// §3.3.1: "each data tuple consists of the input parameters by which
+// the database access was filtered and the result values that were
+// specified"). Nothing of it is statement text but the SELECT, which is
+// the same for every query of the source's shape.
 func (r *PlanRun) execSource(spec *pbxml.SourceElem, placement, src sqldb.Querier) (*Vector, error) {
 	en := r.en
 	exp := en.exp
@@ -165,9 +168,6 @@ func (r *PlanRun) execSource(spec *pbxml.SourceElem, placement, src sqldb.Querie
 		cols = append(cols, vs.col())
 	}
 	out := &Vector{DB: placement, Table: tempName(spec.ID), Cols: cols, FromSource: true}
-	if err := createVectorTable(placement, out.Table, cols); err != nil {
-		return nil, err
-	}
 
 	// Select candidate runs and read their once rows; both are shared
 	// with the other sources of this plan run.
@@ -180,31 +180,34 @@ func (r *PlanRun) execSource(spec *pbxml.SourceElem, placement, src sqldb.Querie
 		return nil, err
 	}
 
-	// The per-run SELECT on the data table, but for its constants and
-	// its table.
-	var selCols, conds []string
+	// The pour: the SELECT every run's data table is read with — the same
+	// text for every query of this shape — and, per matching run, its
+	// table and its once values as constants. With no multi column there
+	// is no data table to read: one tuple per run, the constants alone.
+	pour := sqldb.PipelineRequest{Table: out.Table, Cols: colNames(cols)}
+	var items, conds []string
 	for _, pc := range multi {
-		selCols = append(selCols, pc.v.Name)
+		items = append(items, pc.v.Name)
 		if pc.has {
 			conds = append(conds, pc.v.Name+" "+pc.op+" "+pc.val.SQL())
 		}
 	}
 	for _, vs := range multiVals {
-		selCols = append(selCols, vs.sqlSel())
+		items = append(items, vs.sqlSel())
 	}
-	from := strings.Join(selCols, ", ") + " FROM "
-	where := ""
-	if len(conds) > 0 {
-		where = " WHERE " + strings.Join(conds, " AND ")
+	if len(items) > 0 {
+		pour.SQL = "SELECT " + strings.Join(items, ", ")
+		if len(conds) > 0 {
+			pour.SQL += " WHERE " + strings.Join(conds, " AND ")
+		}
+		pour.From = []string{}
 	}
 
-	// Per run: check the once constraints, then add the run as one
-	// branch with its once values as constant projections. pinned means
-	// reads go to a snapshot (or a replica), not the live primary.
+	// Per run: check the once constraints, then add the run to the pour.
+	// pinned means reads go to a snapshot (or a replica), not the live
+	// primary.
 	pinned := src != en.primary
 	hasTable, _ := src.(interface{ HasTable(string) bool })
-	var stmt strings.Builder
-	var onceOnly []sqldb.Row
 	for _, run := range runs {
 		runOnce, ok := onceByRun[run.ID]
 		if !ok {
@@ -243,46 +246,37 @@ func (r *PlanRun) execSource(spec *pbxml.SourceElem, placement, src sqldb.Querie
 			}
 			onceOut = append(onceOut, have)
 		}
-		if len(selCols) == 0 {
-			// Only once values requested: one tuple per run.
-			onceOnly = append(onceOnly, onceOut)
-			continue
+		if pour.From != nil {
+			table := exp.DataTable(run.ID)
+			if hasTable != nil && !hasTable.HasTable(table) {
+				// Run committed between the once row and the snapshot only
+				// in part: its data table is not in the pinned state yet.
+				continue
+			}
+			pour.From = append(pour.From, table)
 		}
-		table := exp.DataTable(run.ID)
-		if hasTable != nil && !hasTable.HasTable(table) {
-			// Run committed between the once row and the snapshot only
-			// in part: its data table is not in the pinned state yet.
-			continue
-		}
-		if stmt.Len() > 0 {
-			stmt.WriteString(" UNION ALL ")
-		}
-		stmt.WriteString("SELECT ")
-		for _, v := range onceOut {
-			stmt.WriteString(v.SQL())
-			stmt.WriteString(", ")
-		}
-		stmt.WriteString(from)
-		stmt.WriteString(table)
-		stmt.WriteString(where)
+		pour.Rows = append(pour.Rows, onceOut)
 	}
 
-	// One statement moves every matching run. When the vector lives on
-	// the database that holds the run tables and reads are not pinned,
-	// the tuples never leave SQL; otherwise — INSERT is a mutation and
-	// would read the live state, not the pinned one — they are read
-	// through src and bulk-inserted.
-	names := colNames(cols)
+	// One request moves every matching run. When the vector lives on the
+	// database that holds the run tables and reads are not pinned, the
+	// vector's creation and the pour travel together and the tuples never
+	// leave the database; otherwise — a pour is a mutation and would read
+	// the live state, not the pinned one — they are read through src and
+	// bulk-inserted.
 	switch {
-	case len(onceOnly) > 0:
-		err = bulkInsert(placement, out.Table, names, onceOnly)
-	case stmt.Len() == 0: // no run matched
+	case pour.From == nil:
+		err = fillVector(out, pour.Rows)
 	case placement == en.primary && !pinned:
-		_, err = en.primary.Exec("INSERT INTO " + out.Table + " (" + strings.Join(names, ", ") + ") " + stmt.String())
+		_, err = en.primary.ExecPipeline([]sqldb.PipelineRequest{{SQL: vectorTableDDL(out.Table, cols)}, pour})
 	default:
-		var res *sqldb.Result
-		if res, err = src.Exec(stmt.String()); err == nil && len(res.Rows) > 0 {
-			err = bulkInsert(placement, out.Table, names, res.Rows)
+		res := &sqldb.Result{}
+		var sel string
+		if _, sel, err = sqldb.RenderPour(pour); err == nil && sel != "" {
+			res, err = src.Exec(sel)
+		}
+		if err == nil {
+			err = fillVector(out, res.Rows)
 		}
 	}
 	if err != nil {

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -280,8 +281,8 @@ func TestSourceMatchesPerRunReference(t *testing.T) {
 	}
 }
 
-// countingQuerier counts the statements (and bulk inserts) that reach
-// the database below it.
+// countingQuerier counts the submissions — statements, bulk inserts and
+// pipelines — that reach the database below it.
 type countingQuerier struct {
 	*sqldb.DB
 	calls int
@@ -297,14 +298,20 @@ func (c *countingQuerier) InsertRows(table string, cols []string, rows []sqldb.R
 	return c.DB.InsertRows(table, cols, rows)
 }
 
+func (c *countingQuerier) ExecPipeline(reqs []sqldb.PipelineRequest) ([]*sqldb.Result, error) {
+	c.calls++
+	return c.DB.ExecPipeline(reqs)
+}
+
 // TestSourceStatementsIndependentOfRunCount is the guard against a
 // per-run statement coming back into the source element: whether 10
-// runs match or 500, a source issues the same number of statements —
-// in the push-down path (create the vector, list the runs, read the
-// once rows, one INSERT ... SELECT), in the bulk path (one SELECT and
-// one bulk insert instead), and with once values only; and a second
-// source of the same plan run reads neither the run list nor the once
-// rows again.
+// runs match or 500, a source makes the same number of submissions —
+// in the push-down path (list the runs, read the once rows, one
+// pipeline creating the vector and pouring into it), in the bulk path
+// (one compound SELECT; the vector is created and filled elsewhere),
+// and with once values only (one pipeline creating and bulk-filling the
+// vector); and a second source of the same plan run reads neither the
+// run list nor the once rows again.
 func TestSourceStatementsIndependentOfRunCount(t *testing.T) {
 	count := func(nruns int) map[string]int {
 		cq := &countingQuerier{DB: sqldb.NewMemory()}
@@ -364,14 +371,80 @@ func TestSourceStatementsIndependentOfRunCount(t *testing.T) {
 	}
 	few, many := count(10), count(500)
 	want := map[string]int{
-		"first source, push-down":          4, // CREATE, runs, once rows, INSERT ... SELECT
-		"second source, same once columns": 2, // CREATE, INSERT ... SELECT
-		"once values only":                 3, // CREATE, once rows (other columns), bulk insert
+		"first source, push-down":          3, // runs, once rows, [CREATE, pour]
+		"second source, same once columns": 1, // [CREATE, pour]
+		"once values only":                 2, // once rows (other columns), [CREATE, bulk insert]
 		"bulk path":                        1, // one compound SELECT (CREATE and bulk insert go elsewhere)
 	}
 	for step, n := range want {
 		if few[step] != n || many[step] != n {
 			t.Errorf("%s: %d statements over 10 runs, %d over 500, want %d for both", step, few[step], many[step], n)
+		}
+	}
+}
+
+// TestNonFiniteOnceValueInSource: a run whose once value is NaN or ±Inf
+// is a constant of the source's pour like any other — poured natively on
+// the primary, and read through the SELECT sqldb.RenderPour prints on
+// another database or a pinned snapshot — unit conversion included.
+func TestNonFiniteOnceValueInSource(t *testing.T) {
+	db := sqldb.NewMemory()
+	store := core.NewStore(db)
+	if err := store.Init(); err != nil {
+		t.Fatal(err)
+	}
+	def, err := pbxml.ParseExperiment(strings.NewReader(sourceExpDoc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := store.CreateExperiment(def)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs []refRun
+	for i, score := range []float64{math.NaN(), 1.5, math.Inf(1), math.Inf(-1), 2} {
+		once := core.DataSet{"fs": value.NewString("ufs"), "nodes": value.NewInt(int64(i)), "score": value.NewFloat(score)}
+		sets := []core.DataSet{
+			{"chunk": value.NewInt(32), "bw": value.NewFloat(float64(i)), "ops": value.NewInt(1)},
+			{"chunk": value.NewInt(64), "bw": value.NewFloat(math.NaN()), "ops": value.NewInt(2)},
+		}
+		id, err := e.CreateRun(once, sets, fmt.Sprintf("nonfinite%d", i), "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs = append(runs, refRun{id: id, once: once, sets: sets})
+	}
+	other := sqldb.NewMemory()
+	for _, xml := range []string{
+		`<source id="s"><parameter name="nodes"/><parameter name="chunk"/><value name="score"/><value name="bw"/></source>`,
+		`<source id="s"><parameter name="chunk"/><value name="score" unit="ms"/><value name="ops"/></source>`,
+	} {
+		plan, err := BuildPlan(parseQuery(t, `<query experiment="src">`+xml+`<output input="s" format="ascii"/></query>`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		el := plan.Elements["s"]
+		want := refVector(t, e, el.Source, runs, nil, nil)
+		for name, pl := range map[string][2]sqldb.Querier{"pour": {db, db}, "other database": {other, db}, "pinned snapshot": {db, db.Snapshot()}} {
+			vec, err := NewEngine(e).NewRun().ExecElement(el, nil, pl[0], pl[1])
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			got, err := vec.Fetch()
+			DropVector(vec)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if len(got.Rows) != len(want) {
+				t.Fatalf("%s: %d tuples, want %d", name, len(got.Rows), len(want))
+			}
+			for ri, row := range got.Rows {
+				for ci, v := range row {
+					if w := want[ri][ci]; v.SQL() != w.SQL() {
+						t.Errorf("%s: tuple %d, %s = %v, want %v", name, ri, vec.Cols[ci].Name, v, w)
+					}
+				}
+			}
 		}
 	}
 }

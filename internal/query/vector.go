@@ -140,9 +140,7 @@ func createVectorTable(db sqldb.Querier, table string, cols []ColumnMeta) error 
 
 // Materialize copies a vector to another database (the socket transfer
 // of paper Fig. 3 when elements are placed on different servers). If
-// the vector already lives there it is returned unchanged. A target
-// that supports pipelining receives the table creation and the row
-// transfer in one batch — one network round trip instead of two.
+// the vector already lives there it is returned unchanged.
 func Materialize(v *Vector, target sqldb.Querier) (*Vector, error) {
 	if v.DB == target {
 		return v, nil
@@ -152,23 +150,27 @@ func Materialize(v *Vector, target sqldb.Querier) (*Vector, error) {
 		return nil, err
 	}
 	out := &Vector{DB: target, Table: tempName("xfer"), Cols: v.Cols, FromSource: v.FromSource}
-	if pl, ok := target.(sqldb.Pipeliner); ok {
-		_, err := pl.ExecPipeline([]sqldb.PipelineRequest{
-			{SQL: vectorTableDDL(out.Table, out.Cols)},
-			{Bulk: true, Table: out.Table, Cols: colNames(out.Cols), Rows: res.Rows},
-		})
-		if err != nil {
-			return nil, fmt.Errorf("query: materialize %s: %w", out.Table, err)
-		}
-		return out, nil
-	}
-	if err := createVectorTable(target, out.Table, out.Cols); err != nil {
-		return nil, err
-	}
-	if err := bulkInsert(target, out.Table, colNames(out.Cols), res.Rows); err != nil {
-		return nil, err
+	if err := fillVector(out, res.Rows); err != nil {
+		return nil, fmt.Errorf("query: materialize %s: %w", out.Table, err)
 	}
 	return out, nil
+}
+
+// fillVector creates a vector's temp table and inserts rows into it. A
+// database that takes pipelines receives the creation and the rows in
+// one batch — one network round trip instead of two.
+func fillVector(v *Vector, rows []sqldb.Row) error {
+	if pl, ok := v.DB.(sqldb.Pipeliner); ok {
+		_, err := pl.ExecPipeline([]sqldb.PipelineRequest{
+			{SQL: vectorTableDDL(v.Table, v.Cols)},
+			{Bulk: true, Table: v.Table, Cols: colNames(v.Cols), Rows: rows},
+		})
+		return err
+	}
+	if err := createVectorTable(v.DB, v.Table, v.Cols); err != nil {
+		return err
+	}
+	return bulkInsert(v.DB, v.Table, colNames(v.Cols), rows)
 }
 
 func colNames(cols []ColumnMeta) []string {

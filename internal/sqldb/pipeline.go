@@ -5,12 +5,12 @@ import (
 	"strings"
 )
 
-// PipelineRequest is one step of a statement pipeline. A step is
-// either a SQL statement or, when Bulk is set, a typed bulk insert
-// (mirroring BulkInserter). Pipelines let callers ship dependent
-// statements — e.g. CREATE TEMP TABLE followed by the insert that
-// fills it, or a whole BEGIN ... COMMIT transaction — in a single round
-// trip over the wire transport.
+// PipelineRequest is one step of a statement pipeline. A step is a SQL
+// statement; or, when Bulk is set, a typed bulk insert (mirroring
+// BulkInserter); or, when From is set, a pour (pour.go). Pipelines let
+// callers ship dependent statements — e.g. CREATE TEMP TABLE followed
+// by the insert that fills it, or a whole BEGIN ... COMMIT transaction
+// — in a single round trip over the wire transport.
 type PipelineRequest struct {
 	SQL string
 
@@ -18,6 +18,16 @@ type PipelineRequest struct {
 	Table string
 	Cols  []string
 	Rows  []Row
+
+	// From, when non-nil, makes the step the statement
+	//
+	//	INSERT INTO Table (Cols) SELECT Rows[i]..., <items of SQL> FROM From[i] <WHERE of SQL>
+	//
+	// joined by UNION ALL over every i. SQL is then a SELECT of items with
+	// an optional WHERE and no FROM, the same text for every pour of one
+	// shape; Rows holds one row of constants per table, or none. A pour
+	// over no table inserts nothing. RenderPour prints the statement.
+	From []string
 }
 
 // Pipeliner executes a batch of requests with one submission, under
@@ -51,11 +61,14 @@ func RunPipeline(s PipelineSession, reqs []PipelineRequest) ([]*Result, error) {
 		r := &reqs[i]
 		var res *Result
 		var err error
-		if r.Bulk {
+		switch {
+		case r.Bulk:
 			var n int
 			n, err = s.InsertRows(r.Table, r.Cols, r.Rows)
 			res = &Result{Affected: n}
-		} else {
+		case r.From != nil:
+			res, err = runPour(s, r)
+		default:
 			res, err = s.Exec(r.SQL)
 		}
 		if err != nil {
@@ -77,6 +90,22 @@ func RunPipeline(s PipelineSession, reqs []PipelineRequest) ([]*Result, error) {
 		out = append(out, res)
 	}
 	return out, nil
+}
+
+// runPour runs a pour step on s: natively where s is a *Session, else as
+// the statement RenderPour prints, which s routes like any other.
+func runPour(s PipelineSession, r *PipelineRequest) (*Result, error) {
+	if ss, ok := s.(*Session); ok {
+		return ss.pour(r)
+	}
+	insert, _, err := RenderPour(*r)
+	if err != nil {
+		return nil, err
+	}
+	if insert == "" {
+		return &Result{}, nil // no table to pour from
+	}
+	return s.Exec(insert)
 }
 
 // leadingWord returns the letters sql starts with, past white space:

@@ -9,9 +9,10 @@ import (
 // SELECTs, the compiled plan, so repeated statements (per-run queries
 // from internal/input, element queries from internal/query and
 // parquery) skip the lexer, parser and compile pass. A source
-// element's one compound INSERT ... SELECT over its matching runs names
-// a fresh temp table, so it could never be reused; at more than a
-// handful of runs it is also longer than planCacheMaxSQL and stays out.
+// element's pour (pour.go) looks up only its one SELECT, the same text
+// for every query of the source's shape, and builds the compound INSERT
+// ... SELECT over its matching runs from that parse; the statement,
+// which names a fresh temp table and grows with the runs, is never text.
 //
 // Correctness model: a parsed AST depends only on the SQL text and
 // never goes stale. A compiled plan additionally depends on the

@@ -3,8 +3,10 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"perfbase/internal/sqldb"
 	"perfbase/internal/value"
@@ -156,10 +158,14 @@ func TestPipelineErrorsKeepTheirType(t *testing.T) {
 		srv.SetReadOnly(true)
 		check(t, c, sqldb.ErrReadOnly, sql("SELECT COUNT(*) FROM t"), sql("INSERT INTO t VALUES (1)"))
 		check(t, c, sqldb.ErrReadOnly, sqldb.PipelineRequest{Bulk: true, Table: "t", Cols: []string{"n"}, Rows: []sqldb.Row{{value.NewInt(1)}}})
+		check(t, c, sqldb.ErrReadOnly, sql("SELECT COUNT(*) FROM t"),
+			sqldb.PipelineRequest{SQL: "SELECT n", Table: "t", Cols: []string{"n"}, From: []string{"t"}})
 	})
 	t.Run("corrupt", func(t *testing.T) {
 		c := dial(t, damagedServer(t))
 		check(t, c, sqldb.ErrCorruptCheckpoint, sql("CREATE TABLE u (a integer)"), sql("SELECT a FROM t"))
+		check(t, c, sqldb.ErrCorruptCheckpoint, sql("CREATE TEMP TABLE v (a integer)"),
+			sqldb.PipelineRequest{SQL: "SELECT a WHERE a > 0", Table: "v", Cols: []string{"a"}, From: []string{"t"}})
 	})
 }
 
@@ -230,5 +236,97 @@ func TestLocalExecPipeline(t *testing.T) {
 	}
 	if len(results) != 3 || results[2].Rows[0][0].Int() != 5 {
 		t.Errorf("local pipeline results = %v, %v", results, err)
+	}
+}
+
+// pourStep is a source-like pour into dst over the given tables: run
+// constants of three types, NaN and ±Inf among them, in front of a
+// filtered, unit-converted read.
+func pourStep(dst string, from ...string) sqldb.PipelineRequest {
+	r := sqldb.PipelineRequest{SQL: "SELECT k, (v * 0.5) AS v, s WHERE k > 0", Table: dst,
+		Cols: []string{"fs", "score", "at", "k", "v", "s"}, From: append([]string{}, from...)}
+	scores := []float64{math.NaN(), 2, math.Inf(1), 2.5, math.Inf(-1)}
+	for i := range from {
+		score := value.NewFloat(scores[i%len(scores)])
+		if i == 3 {
+			score = value.Null(value.Float)
+		}
+		r.Rows = append(r.Rows, sqldb.Row{value.NewString([]string{"ufs", "it's"}[i%2]), score,
+			value.NewTimestamp(time.Date(2005, 9, 1+i, 12, 0, 0, 500, time.UTC))})
+	}
+	return r
+}
+
+// TestPourOverWireMatchesText: a pour crosses the wire as a step — its
+// SELECT, tables and constants, no statement text — and leaves the table
+// the statement sqldb.RenderPour prints leaves; a pour over no table
+// inserts nothing; a failing pour fails as its statement does.
+func TestPourOverWireMatchesText(t *testing.T) {
+	_, addr := startServer(t)
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var tables []string
+	for i := 0; i < 5; i++ {
+		name, v := fmt.Sprintf("r%d", i), "float"
+		if i == 2 {
+			v = "integer" // a table that needs a plan of its own
+		}
+		tables = append(tables, name)
+		for _, sql := range []string{
+			"CREATE TABLE " + name + " (k integer, v " + v + ", s string)",
+			fmt.Sprintf("INSERT INTO %s VALUES (0, 1, 'a'), (%d, 3, NULL), (2, NULL, 'b''c')", name, i+1),
+		} {
+			if _, err := c.Exec(sql); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	const dst = " (fs string, score float, at timestamp, k integer, v float, s string)"
+	for i, tc := range []struct {
+		name  string
+		step  sqldb.PipelineRequest
+		fails bool
+	}{
+		{"no table", pourStep("dst"), false},
+		{"one table", pourStep("dst", "r0"), false},
+		{"five tables", pourStep("dst", tables...), false},
+		{"missing table", pourStep("dst", "r0", "nosuch"), true},
+		{"arity", func() sqldb.PipelineRequest { r := pourStep("dst", tables...); r.Cols = r.Cols[1:]; return r }(), true},
+	} {
+		poured, text := tc.step, tc.step
+		poured.Table, text.Table = fmt.Sprintf("p%d", i), fmt.Sprintf("t%d", i)
+		_, pourErr := c.ExecPipeline([]sqldb.PipelineRequest{{SQL: "CREATE TEMP TABLE " + poured.Table + dst}, poured})
+		insert, _, err := sqldb.RenderPour(text)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		reqs := []sqldb.PipelineRequest{{SQL: "CREATE TEMP TABLE " + text.Table + dst}}
+		if insert != "" {
+			reqs = append(reqs, sqldb.PipelineRequest{SQL: insert})
+		}
+		_, textErr := c.ExecPipeline(reqs)
+		if (pourErr != nil) != tc.fails || fmt.Sprint(pourErr) != strings.ReplaceAll(fmt.Sprint(textErr), text.Table, poured.Table) {
+			t.Fatalf("%s: poured: %v, as text: %v", tc.name, pourErr, textErr)
+		}
+		dump := func(table string) string {
+			res, err := c.Exec("SELECT * FROM " + table)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var sb strings.Builder
+			for _, row := range res.Rows {
+				for _, v := range row {
+					sb.WriteString(v.Type().String() + ":" + v.SQL() + " ")
+				}
+				sb.WriteString("\n")
+			}
+			return sb.String()
+		}
+		if got, want := dump(poured.Table), dump(text.Table); got != want {
+			t.Errorf("%s: poured:\n%s\nas text:\n%s", tc.name, got, want)
+		}
 	}
 }

@@ -24,10 +24,11 @@ import (
 // a replica verifies exactly the checksum the primary's WAL fsynced.
 
 // ProtocolVersion is the wire protocol generation. v1 had no
-// handshake; v2 adds the Hello exchange and the replication verbs.
-const ProtocolVersion = 2
+// handshake; v2 adds the Hello exchange and the replication verbs; v3
+// the pour pipeline step, which a v2 peer would run as its bare SELECT.
+const ProtocolVersion = 3
 
-// Hello opens every v2 connection.
+// Hello opens every connection.
 type Hello struct {
 	Version int
 }

@@ -22,6 +22,21 @@ type v1Request struct {
 	Batch []v1Request
 }
 
+// v2Request mirrors the protocol-v2 request struct as far as the
+// handshake goes: a Hello, and no pour step.
+type v2Request struct {
+	SQL   string
+	Hello *Hello
+}
+
+// v2Response mirrors the protocol-v2 response struct as far as the
+// handshake goes.
+type v2Response struct {
+	Err   string
+	Code  string
+	Hello *HelloAck
+}
+
 // v1Response mirrors the protocol-v1 response struct.
 type v1Response struct {
 	Columns  sqldb.Schema
@@ -33,9 +48,10 @@ type v1Response struct {
 }
 
 // TestOldClientAgainstNewServer verifies the downgrade path: a v1
-// client's first message has no Hello, so the server must answer one
-// typed version-error response and close the connection — no hang, no
-// garbage frame the old client would misparse.
+// client's first message has no Hello, and a v2 client's Hello names a
+// version without the pour step, so the server must answer either with
+// one typed version-error response and close the connection — no hang,
+// no garbage frame the old client would misparse.
 func TestOldClientAgainstNewServer(t *testing.T) {
 	db := sqldb.NewMemory()
 	srv := NewServer(db)
@@ -44,92 +60,117 @@ func TestOldClientAgainstNewServer(t *testing.T) {
 	}
 	defer srv.Close()
 
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second)) // fail, don't hang
+	for name, first := range map[string]any{
+		"v1": &v1Request{SQL: "SELECT 1"},           // a v1 client opens with a plain statement
+		"v2": &v2Request{Hello: &Hello{Version: 2}}, // a v2 client with its handshake
+	} {
+		t.Run(name, func(t *testing.T) {
+			conn, err := net.Dial("tcp", srv.Addr())
+			if err != nil {
+				t.Fatalf("dial: %v", err)
+			}
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(5 * time.Second)) // fail, don't hang
 
-	// A v1 client opens with a plain statement.
-	if err := gob.NewEncoder(conn).Encode(&v1Request{SQL: "SELECT 1"}); err != nil {
-		t.Fatalf("send v1 request: %v", err)
-	}
-	dec := gob.NewDecoder(conn)
-	var resp v1Response
-	if err := dec.Decode(&resp); err != nil {
-		t.Fatalf("decode response: %v", err)
-	}
-	if resp.Err == "" {
-		t.Fatalf("v1 request accepted by v2 server: %+v", resp)
-	}
-	if want := "protocol version mismatch"; !contains(resp.Err, want) {
-		t.Fatalf("error %q does not mention %q", resp.Err, want)
-	}
-	// The server must close the connection after the refusal.
-	if err := dec.Decode(&resp); err == nil {
-		t.Fatal("connection still open after version refusal")
+			if err := gob.NewEncoder(conn).Encode(first); err != nil {
+				t.Fatalf("send first request: %v", err)
+			}
+			dec := gob.NewDecoder(conn)
+			var resp v1Response
+			if err := dec.Decode(&resp); err != nil {
+				t.Fatalf("decode response: %v", err)
+			}
+			if resp.Err == "" {
+				t.Fatalf("%s request accepted by v%d server: %+v", name, ProtocolVersion, resp)
+			}
+			if want := "protocol version mismatch"; !contains(resp.Err, want) {
+				t.Fatalf("error %q does not mention %q", resp.Err, want)
+			}
+			// The server must close the connection after the refusal.
+			if err := dec.Decode(&resp); err == nil {
+				t.Fatal("connection still open after version refusal")
+			}
+		})
 	}
 }
 
-// TestNewClientAgainstOldServer verifies the upgrade path: Dial
-// against a v1 server (which answers the handshake's empty statement
-// with a plain error and no ack) must fail with the typed
-// ErrVersionMismatch instead of hanging or returning a confusing SQL
-// error.
+// TestNewClientAgainstOldServer verifies the upgrade path: Dial against
+// a v1 server (which answers the handshake's empty statement with a
+// plain error and no ack) or a v2 server (which acks with its own
+// version) must fail with the typed ErrVersionMismatch instead of
+// hanging, returning a confusing SQL error, or sending pour steps the
+// server would run as bare SELECTs.
 func TestNewClientAgainstOldServer(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	defer ln.Close()
 	db := sqldb.NewMemory()
-
-	// A faithful v1 server loop: decode request, execute, answer.
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
+	// Faithful old server loops: decode request, execute, answer.
+	servers := map[string]func(dec *gob.Decoder, enc *gob.Encoder){
+		"v1": func(dec *gob.Decoder, enc *gob.Encoder) {
+			for {
+				var req v1Request
+				if err := dec.Decode(&req); err != nil {
+					return
+				}
+				var resp v1Response
+				res, err := db.Exec(req.SQL)
+				if err != nil {
+					resp.Err = err.Error()
+				} else {
+					resp.Columns = res.Columns
+					resp.Rows = res.Rows
+					resp.Affected = res.Affected
+				}
+				if err := enc.Encode(&resp); err != nil {
+					return
+				}
+			}
+		},
+		"v2": func(dec *gob.Decoder, enc *gob.Encoder) {
+			var hello v2Request
+			if err := dec.Decode(&hello); err != nil || hello.Hello == nil {
 				return
 			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				dec := gob.NewDecoder(conn)
-				enc := gob.NewEncoder(conn)
-				for {
-					var req v1Request
-					if err := dec.Decode(&req); err != nil {
-						return
-					}
-					var resp v1Response
-					res, err := db.Exec(req.SQL)
-					if err != nil {
-						resp.Err = err.Error()
-					} else {
-						resp.Columns = res.Columns
-						resp.Rows = res.Rows
-						resp.Affected = res.Affected
-					}
-					if err := enc.Encode(&resp); err != nil {
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-
-	_, err = Dial(ln.Addr().String())
-	if err == nil {
-		t.Fatal("Dial succeeded against a v1 server")
+			if hello.Hello.Version != 2 {
+				enc.Encode(&v2Response{Code: codeVersion, Err: "wire: protocol version mismatch"}) //nolint:errcheck
+				return
+			}
+			enc.Encode(&v2Response{Hello: &HelloAck{Version: 2, Role: "primary"}}) //nolint:errcheck
+		},
 	}
-	if !errors.Is(err, ErrVersionMismatch) {
-		t.Fatalf("Dial error = %v, want ErrVersionMismatch", err)
+	for name, serve := range servers {
+		t.Run(name, func(t *testing.T) {
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatalf("listen: %v", err)
+			}
+			defer ln.Close()
+			go func() {
+				for {
+					conn, err := ln.Accept()
+					if err != nil {
+						return
+					}
+					go func(conn net.Conn) {
+						defer conn.Close()
+						serve(gob.NewDecoder(conn), gob.NewEncoder(conn))
+					}(conn)
+				}
+			}()
+
+			c, err := Dial(ln.Addr().String())
+			if err == nil {
+				c.Close()
+				t.Fatalf("Dial succeeded against a %s server", name)
+			}
+			if !errors.Is(err, ErrVersionMismatch) {
+				t.Fatalf("Dial error = %v, want ErrVersionMismatch", err)
+			}
+		})
 	}
 }
 
-// TestWrongVersionHello covers a future v3 client dialing this server:
-// the Hello is present but the version differs, and the refusal must
-// be typed on both sides.
+// TestWrongVersionHello covers a v2 client and a future v4 client
+// dialing this server: the Hello is present but the version differs,
+// and the refusal must be typed on both sides.
 func TestWrongVersionHello(t *testing.T) {
 	db := sqldb.NewMemory()
 	srv := NewServer(db)
@@ -138,25 +179,27 @@ func TestWrongVersionHello(t *testing.T) {
 	}
 	defer srv.Close()
 
-	conn, err := net.Dial("tcp", srv.Addr())
-	if err != nil {
-		t.Fatalf("dial: %v", err)
-	}
-	defer conn.Close()
-	conn.SetDeadline(time.Now().Add(5 * time.Second))
+	for _, version := range []int{ProtocolVersion - 1, ProtocolVersion + 1} {
+		conn, err := net.Dial("tcp", srv.Addr())
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		conn.SetDeadline(time.Now().Add(5 * time.Second))
 
-	if err := gob.NewEncoder(conn).Encode(&request{Hello: &Hello{Version: 3}}); err != nil {
-		t.Fatalf("send hello: %v", err)
-	}
-	var resp response
-	if err := gob.NewDecoder(conn).Decode(&resp); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if resp.Code != codeVersion {
-		t.Fatalf("response code = %q, want %q (err %q)", resp.Code, codeVersion, resp.Err)
-	}
-	if err := respError(&resp); !errors.Is(err, ErrVersionMismatch) {
-		t.Fatalf("respError = %v, want ErrVersionMismatch", err)
+		if err := gob.NewEncoder(conn).Encode(&request{Hello: &Hello{Version: version}}); err != nil {
+			t.Fatalf("v%d: send hello: %v", version, err)
+		}
+		var resp response
+		if err := gob.NewDecoder(conn).Decode(&resp); err != nil {
+			t.Fatalf("v%d: decode: %v", version, err)
+		}
+		conn.Close()
+		if resp.Code != codeVersion {
+			t.Fatalf("v%d: response code = %q, want %q (err %q)", version, resp.Code, codeVersion, resp.Err)
+		}
+		if err := respError(&resp); !errors.Is(err, ErrVersionMismatch) {
+			t.Fatalf("v%d: respError = %v, want ErrVersionMismatch", version, err)
+		}
 	}
 }
 

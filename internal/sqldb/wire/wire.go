@@ -46,11 +46,16 @@ var (
 
 // request is one statement sent from client to server. When Bulk is
 // set, the request is a typed bulk insert instead of a SQL statement.
-// When Batch is non-empty, the request is a pipeline of statements and
-// bulk inserts (their SQL and Bulk fields count, nothing else): the
-// server runs them under sqldb.RunPipeline's rule and answers with one
-// response whose Batch holds their individual results — a single
-// encode/flush on each side instead of one round trip per statement.
+// When Batch is non-empty, the request is a pipeline of statements, bulk
+// inserts and pours (their SQL, Bulk, Pour and From fields count,
+// nothing else): the server runs them under sqldb.RunPipeline's rule and
+// answers with one response whose Batch holds their individual results
+// — a single encode/flush on each side instead of one round trip per
+// statement.
+//
+// Protocol v3 adds the pour step (sqldb.PipelineRequest.From): Pour
+// marks it, since gob sends an empty From as none, and its tables,
+// constants and SELECT travel as they are, never as statement text.
 //
 // Protocol v2 fields: Hello opens the connection (mandatory first
 // message); Verb selects a replication command ("subscribe",
@@ -65,6 +70,8 @@ type request struct {
 	Table string
 	Cols  []string
 	Rows  []sqldb.Row
+	Pour  bool
+	From  []string
 
 	Batch []request
 
@@ -374,9 +381,19 @@ func (s *Server) execBatch(sess BackendSession, batch []request) (resp response)
 	defer s.stampPos(&resp)
 	reqs := make([]sqldb.PipelineRequest, len(batch))
 	for i, r := range batch {
-		reqs[i] = sqldb.PipelineRequest{SQL: r.SQL, Bulk: r.Bulk, Table: r.Table, Cols: r.Cols, Rows: r.Rows}
+		reqs[i] = sqldb.PipelineRequest{SQL: r.SQL, Bulk: r.Bulk, Table: r.Table, Cols: r.Cols, Rows: r.Rows, From: r.From}
+		if r.Pour && r.From == nil {
+			reqs[i].From = []string{}
+		}
 	}
-	results, err := sqldb.RunPipeline(serverSession{s, sess}, reqs)
+	// The session runs the batch itself, pours natively where it can; a
+	// read-only server puts its checks in between, and a pour reaches
+	// them as the statement it stands for.
+	var ps sqldb.PipelineSession = sess
+	if s.readOnly {
+		ps = serverSession{s, sess}
+	}
+	results, err := sqldb.RunPipeline(ps, reqs)
 	resp.Batch = make([]response, len(results), len(results)+1)
 	for i, res := range results {
 		resp.Batch[i] = response{Columns: res.Columns, Rows: res.Rows, Affected: res.Affected}
@@ -766,7 +783,7 @@ func (c *Client) ExecPipeline(reqs []sqldb.PipelineRequest) ([]*sqldb.Result, er
 	}
 	batch := make([]request, len(reqs))
 	for i, r := range reqs {
-		batch[i] = request{SQL: r.SQL, Bulk: r.Bulk, Table: r.Table, Cols: r.Cols, Rows: r.Rows}
+		batch[i] = request{SQL: r.SQL, Bulk: r.Bulk, Table: r.Table, Cols: r.Cols, Rows: r.Rows, Pour: r.From != nil, From: r.From}
 	}
 	if err := c.enc.Encode(&request{Batch: batch}); err != nil {
 		return nil, fmt.Errorf("wire: send: %w", err)

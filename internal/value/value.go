@@ -198,15 +198,23 @@ func (v Value) String() string {
 }
 
 // SQL formats the value as an SQL literal suitable for embedding in a
-// statement for the embedded database engine.
+// statement for the embedded database engine: the engine reads it back
+// as an equal value. A datum with no literal of its own — NaN, ±Inf, the
+// one integer whose magnitude overflows — is a CAST of its text.
 func (v Value) SQL() string {
 	if v.null {
 		return "NULL"
 	}
 	switch v.typ {
 	case Integer:
+		if v.Int() == math.MinInt64 {
+			return "CAST('" + strconv.FormatInt(v.Int(), 10) + "' AS INTEGER)"
+		}
 		return strconv.FormatInt(v.Int(), 10)
 	case Float:
+		if f := v.Float(); math.IsNaN(f) || math.IsInf(f, 0) {
+			return "CAST('" + strconv.FormatFloat(f, 'g', -1, 64) + "' AS FLOAT)"
+		}
 		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
 	case String, Version:
 		return QuoteSQL(v.s)
