@@ -20,8 +20,6 @@ package parquery
 
 import (
 	"fmt"
-	"sync"
-	"time"
 
 	"perfbase/internal/core"
 	"perfbase/internal/failpoint"
@@ -39,7 +37,7 @@ var fpWorkerDial = failpoint.Site("parquery/worker/dial")
 // Pool is a set of worker database servers for query element
 // placement.
 type Pool struct {
-	workers []sqldb.Querier
+	workers []core.Handle
 	closers []func() error
 }
 
@@ -88,7 +86,7 @@ func NewTCPPool(n int) (*Pool, error) {
 func (p *Pool) Size() int { return len(p.workers) }
 
 // Workers exposes the worker handles.
-func (p *Pool) Workers() []sqldb.Querier { return p.workers }
+func (p *Pool) Workers() []core.Handle { return p.workers }
 
 // Close shuts down all servers and connections of a TCP pool; it is a
 // no-op for local pools.
@@ -128,25 +126,6 @@ func (ex *Executor) SetReadSource(src sqldb.Querier) { ex.src = src }
 // Engine exposes the underlying engine (for profiling access).
 func (ex *Executor) Engine() *query.Engine { return ex.engine }
 
-// place assigns an element to a worker database. An element with
-// inputs runs where its first input vector already lives (affinity
-// placement — it avoids transferring temp tables between servers,
-// which is the expensive part of Fig. 3's socket communication);
-// elements without inputs, i.e. sources, are spread round-robin.
-func (ex *Executor) place(i int, ins []*query.Vector) sqldb.Querier {
-	if ex.pool == nil || ex.pool.Size() == 0 {
-		return ex.engine.Primary()
-	}
-	for _, in := range ins {
-		for _, w := range ex.pool.workers {
-			if in.DB == w {
-				return w
-			}
-		}
-	}
-	return ex.pool.workers[i%ex.pool.Size()]
-}
-
 // Run executes the query with all elements of one DAG level running
 // concurrently, each on its assigned worker.
 func (ex *Executor) Run(spec *pbxml.Query) (*query.Results, error) {
@@ -157,12 +136,12 @@ func (ex *Executor) Run(spec *pbxml.Query) (*query.Results, error) {
 	return ex.RunPlan(plan)
 }
 
-// RunPlan executes a prebuilt plan. When the primary is a local
-// database, all source reads of this run are pinned to one MVCC
-// snapshot taken here: concurrently committing imports neither block
-// the workers nor become partially visible to them. A SetReadSource
-// override (replica fan-out) is used as-is — its staleness bound is
-// the router's, not a pinned snapshot.
+// RunPlan executes a prebuilt plan through the engine's runner, placed
+// by the pool. When the primary is a local database, all source reads
+// of this run are pinned to one MVCC snapshot taken here: concurrently
+// committing imports neither block the workers nor become partially
+// visible to them. A SetReadSource override (replica fan-out) is used
+// as-is — its staleness bound is the router's, not a pinned snapshot.
 func (ex *Executor) RunPlan(plan *query.Plan) (*query.Results, error) {
 	src := ex.src
 	if src == nil {
@@ -171,99 +150,34 @@ func (ex *Executor) RunPlan(plan *query.Plan) (*query.Results, error) {
 			src = pdb.Snapshot()
 		}
 	}
-	run := ex.engine.NewRun()
-	vectors := map[string]*query.Vector{}
-	defer func() {
-		// Temp tables of intermediate vectors are session state on
-		// their worker databases; release them like the sequential
-		// engine does.
-		for _, v := range vectors {
-			query.DropVector(v)
-		}
-	}()
-	outIdx := map[string]int{}
-	// Pre-assign stable output order.
-	for _, level := range plan.Levels {
-		for _, id := range level {
-			if plan.Elements[id].Kind == query.KindOutput {
-				outIdx[id] = len(outIdx)
+	return ex.engine.RunPlan(plan, placer{ex, src})
+}
+
+// placer is the query.Placer of one plan run of an executor.
+type placer struct {
+	ex  *Executor
+	src sqldb.Querier
+}
+
+func (p placer) ReadSource() sqldb.Querier { return p.src }
+
+// Place assigns an element to a worker database. An element with
+// inputs runs where its first input vector already lives (affinity
+// placement — it avoids transferring temp tables between servers,
+// which is the expensive part of Fig. 3's socket communication);
+// elements without inputs, i.e. sources, are spread round-robin.
+// Without workers everything runs on the primary.
+func (p placer) Place(i int, ins []*query.Vector) core.Handle {
+	pool := p.ex.pool
+	if pool == nil || pool.Size() == 0 {
+		return p.ex.engine.Primary()
+	}
+	for _, in := range ins {
+		for _, w := range pool.workers {
+			if in.DB == w {
+				return w
 			}
 		}
 	}
-	outputs := make([]query.OutputResult, len(outIdx))
-
-	start := time.Now()
-	for _, level := range plan.Levels {
-		// Resolve every element's inputs and placement before spawning
-		// anything: the vectors map may only be written by this level's
-		// goroutines once all reads for the level are done.
-		type work struct {
-			el        *query.Element
-			ins       []*query.Vector
-			placement sqldb.Querier
-		}
-		works := make([]work, 0, len(level))
-		for li, id := range level {
-			el := plan.Elements[id]
-			ins := make([]*query.Vector, len(el.Inputs))
-			for i, inID := range el.Inputs {
-				v, ok := vectors[inID]
-				if !ok {
-					return nil, fmt.Errorf("parquery: input %q of %q not materialized", inID, id)
-				}
-				ins[i] = v
-			}
-			works = append(works, work{el, ins, ex.place(li, ins)})
-		}
-
-		var wg sync.WaitGroup
-		var mu sync.Mutex
-		var firstErr error
-		for _, w := range works {
-			el, ins, placement := w.el, w.ins, w.placement
-			wg.Add(1)
-			go func(el *query.Element, ins []*query.Vector, placement sqldb.Querier) {
-				defer wg.Done()
-				if el.Kind == query.KindOutput {
-					data := make([]*sqldb.Result, len(ins))
-					for i, v := range ins {
-						d, err := v.Fetch()
-						if err != nil {
-							mu.Lock()
-							if firstErr == nil {
-								firstErr = err
-							}
-							mu.Unlock()
-							return
-						}
-						data[i] = d
-					}
-					mu.Lock()
-					outputs[outIdx[el.ID]] = query.OutputResult{
-						Spec: el.Output, Vectors: ins, Data: data,
-					}
-					mu.Unlock()
-					return
-				}
-				out, err := run.ExecElement(el, ins, placement, src)
-				mu.Lock()
-				if err != nil && firstErr == nil {
-					firstErr = err
-				}
-				if err == nil {
-					vectors[el.ID] = out
-				}
-				mu.Unlock()
-			}(el, ins, placement)
-		}
-		wg.Wait()
-		if firstErr != nil {
-			return nil, firstErr
-		}
-	}
-	return &query.Results{
-		Outputs: outputs,
-		Elapsed: time.Since(start),
-		Profile: ex.engine.Profile(),
-	}, nil
+	return pool.workers[i%pool.Size()]
 }

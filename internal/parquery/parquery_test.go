@@ -9,6 +9,7 @@ import (
 
 	"perfbase/internal/core"
 	"perfbase/internal/failpoint"
+	"perfbase/internal/output"
 	"perfbase/internal/pbxml"
 	"perfbase/internal/query"
 	"perfbase/internal/sqldb"
@@ -298,5 +299,116 @@ func TestTCPPoolDialFailureTyped(t *testing.T) {
 	}
 	if !errors.Is(err, wire.ErrDial) {
 		t.Errorf("error = %v, want errors.Is(err, wire.ErrDial)", err)
+	}
+}
+
+// everyModeQuery uses every operator mode of §3.3.2 and a combiner:
+// data set aggregation (a_old, a_new, sd_all), whole-vector reduction
+// (top), element-wise reduction over three inputs (best), percentof
+// (rel), a combiner (comb) and an eval over two inputs (gap).
+const everyModeQuery = `
+<query experiment="bench">
+  <source id="s_old"><parameter name="technique" value="old"/><parameter name="chunk"/><value name="bw"/></source>
+  <source id="s_new"><parameter name="technique" value="new"/><parameter name="chunk"/><value name="bw"/></source>
+  <source id="s_all"><parameter name="technique"/><parameter name="chunk"/><value name="bw"/></source>
+  <operator id="a_old" type="avg" input="s_old"/>
+  <operator id="a_new" type="avg" input="s_new"/>
+  <operator id="sd_all" type="stddev" input="s_all"/>
+  <operator id="top" type="max" input="a_old"/>
+  <operator id="best" type="max" input="a_old a_new sd_all"/>
+  <operator id="rel" type="percentof" input="a_new a_old"/>
+  <combiner id="comb" input="a_old a_new"/>
+  <operator id="gap" type="eval" input="a_old a_new" expression="bw - bw_2" variable="gap"/>
+  <output input="top" format="ascii"/>
+  <output input="best" format="csv"/>
+  <output input="rel" format="gnuplot" style="bars"/>
+  <output input="comb" format="ascii"/>
+  <output input="gap" format="ascii"/>
+</query>`
+
+// render renders every output document of a query run.
+func render(t *testing.T, res *query.Results) []string {
+	t.Helper()
+	var docs []string
+	for _, out := range res.Outputs {
+		if len(out.Data[0].Rows) == 0 {
+			t.Fatalf("output of %v has no rows", out.Spec.Input)
+		}
+		ds, err := output.Render(out.Spec, out.Vectors, out.Data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range ds {
+			docs = append(docs, string(d.Content))
+		}
+	}
+	return docs
+}
+
+// TestRunnerEveryModeSameDocuments: one runner executes every query, so
+// the every-mode query renders byte-identical documents run
+// sequentially and through the executor with no pool, two in-process
+// workers and two TCP workers (where inputs cross servers).
+func TestRunnerEveryModeSameDocuments(t *testing.T) {
+	e := seed(t)
+	seq, err := query.NewEngine(e).Run(parse(t, everyModeQuery))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := render(t, seq)
+	tcp, err := NewTCPPool(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tcp.Close()
+	for name, pool := range map[string]*Pool{"no pool": nil, "local pool": NewLocalPool(2), "TCP pool": tcp} {
+		res, err := NewExecutor(e, pool).Run(parse(t, everyModeQuery))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		got := render(t, res)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d documents, want %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Errorf("%s: document %d differs:\n%s\nwant:\n%s", name, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestParallelTransfersDropped: the copy of an input an element makes
+// on its own worker is dropped with the element. Repeated combiner
+// queries on one pool, the combiner's inputs on different workers,
+// leave every worker with the tables it had.
+func TestParallelTransfersDropped(t *testing.T) {
+	e := seed(t)
+	pool := NewLocalPool(2)
+	defer pool.Close()
+	ex := NewExecutor(e, pool)
+	tables := func() []int {
+		var n []int
+		for _, w := range pool.Workers() {
+			n = append(n, len(w.(*sqldb.DB).Tables()))
+		}
+		return n
+	}
+	before := tables()
+	for i := 0; i < 10; i++ {
+		if _, err := ex.Run(parse(t, `
+<query experiment="bench">
+  <source id="s_old"><parameter name="technique" value="old"/><parameter name="chunk"/><value name="bw"/></source>
+  <source id="s_new"><parameter name="technique" value="new"/><parameter name="chunk"/><value name="bw"/></source>
+  <operator id="a_old" type="avg" input="s_old"/>
+  <operator id="a_new" type="avg" input="s_new"/>
+  <combiner id="comb" input="a_old a_new"/>
+  <output input="comb" format="ascii"/>
+</query>`)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := tables(); fmt.Sprint(after) != fmt.Sprint(before) {
+		t.Errorf("worker table counts %v after 10 queries, %v before", after, before)
 	}
 }

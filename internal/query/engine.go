@@ -12,7 +12,7 @@ import (
 )
 
 // Engine executes queries against one experiment. It is safe for
-// concurrent element execution (used by internal/parquery).
+// concurrent element execution (RunPlan with a Placer).
 type Engine struct {
 	exp     *core.Experiment
 	primary core.Handle
@@ -76,13 +76,15 @@ func (en *Engine) Run(spec *pbxml.Query) (*Results, error) {
 	return en.RunPlan(plan, nil)
 }
 
-// Placer decides which database executes an element. A nil Placer puts
-// everything on the primary.
+// Placer places the elements of a plan run on database servers (paper
+// §4.3, Fig. 3); internal/parquery implements it.
 type Placer interface {
-	// Place returns the database for the element. Source elements
-	// always read the experiment tables from the primary but may write
-	// their output vector elsewhere.
-	Place(el *Element) sqldb.Querier
+	// Place returns the database the i-th element of a level builds its
+	// output vector on, given the element's materialized inputs.
+	Place(i int, ins []*Vector) core.Handle
+	// ReadSource returns the handle the run's source elements read the
+	// experiment's own tables through.
+	ReadSource() sqldb.Querier
 }
 
 // PlanRun is one execution of a plan. Its source elements share what
@@ -148,14 +150,20 @@ func (r *PlanRun) onceRows(src sqldb.Querier, cols []string) (map[int64]sqldb.Ro
 	return rows, nil
 }
 
-// RunPlan executes a prebuilt plan level by level. Elements within a
-// level run sequentially here; internal/parquery runs them
-// concurrently across servers.
+// RunPlan executes a prebuilt plan level by level; it is the one
+// runner of every query. With a nil placer each element runs in turn on
+// the primary and sources read it live. With one, the elements of a
+// level run concurrently, each where the placer puts it, and sources
+// read through its read source.
 func (en *Engine) RunPlan(plan *Plan, placer Placer) (*Results, error) {
 	start := time.Now()
 	run := en.NewRun()
+	var src sqldb.Querier = en.primary
+	if placer != nil {
+		src = placer.ReadSource()
+	}
 	vectors := map[string]*Vector{}
-	res := &Results{Profile: map[string]time.Duration{}}
+	res := &Results{}
 	defer func() {
 		for _, v := range vectors {
 			DropVector(v)
@@ -163,86 +171,144 @@ func (en *Engine) RunPlan(plan *Plan, placer Placer) (*Results, error) {
 	}()
 
 	for _, level := range plan.Levels {
-		for _, id := range level {
-			el := plan.Elements[id]
-			ins := make([]*Vector, len(el.Inputs))
-			for i, inID := range el.Inputs {
+		// Every element's inputs and placement are resolved before any
+		// of the level runs; each then writes only its own step.
+		steps := make([]step, len(level))
+		for i, id := range level {
+			s := &steps[i]
+			s.el, s.placement = plan.Elements[id], en.primary
+			s.ins = make([]*Vector, len(s.el.Inputs))
+			for j, inID := range s.el.Inputs {
 				v, ok := vectors[inID]
 				if !ok {
 					return nil, fmt.Errorf("query: internal: input %q of %q not materialized", inID, id)
 				}
-				ins[i] = v
+				s.ins[j] = v
 			}
-			var placement sqldb.Querier = en.primary
 			if placer != nil {
-				placement = placer.Place(el)
+				s.placement = placer.Place(i, s.ins)
 			}
-			out, err := run.ExecElement(el, ins, placement, en.primary)
-			if err != nil {
-				return nil, err
-			}
-			if el.Kind == KindOutput {
-				data := make([]*sqldb.Result, len(ins))
-				for i, v := range ins {
-					d, err := v.Fetch()
-					if err != nil {
-						return nil, err
-					}
-					data[i] = d
+		}
+		if placer == nil {
+			for i := range steps {
+				if steps[i].run(run, src); steps[i].err != nil {
+					break
 				}
-				res.Outputs = append(res.Outputs, OutputResult{
-					Spec: el.Output, Vectors: ins, Data: data,
-				})
-				continue
 			}
-			vectors[id] = out
+		} else {
+			var wg sync.WaitGroup
+			for i := range steps {
+				wg.Add(1)
+				go func(s *step) {
+					defer wg.Done()
+					s.run(run, src)
+				}(&steps[i])
+			}
+			wg.Wait()
+		}
+		for _, s := range steps {
+			if s.out != nil {
+				vectors[s.el.ID] = s.out
+			}
+		}
+		for _, s := range steps {
+			if s.err != nil {
+				return nil, s.err
+			}
+			if s.el.Kind == KindOutput {
+				res.Outputs = append(res.Outputs, OutputResult{Spec: s.el.Output, Vectors: s.ins, Data: s.data})
+			}
 		}
 	}
-	res.Elapsed = time.Since(start)
-	en.mu.Lock()
-	for id, d := range en.profile {
-		res.Profile[id] = d
-	}
-	en.mu.Unlock()
+	res.Elapsed, res.Profile = time.Since(start), en.Profile()
 	return res, nil
+}
+
+// step is one element's execution within a level of a plan run.
+type step struct {
+	el        *Element
+	ins       []*Vector
+	placement core.Handle
+
+	out  *Vector
+	data []*sqldb.Result // an output element's inputs, fetched
+	err  error
+}
+
+// run executes the step's element; an output element fetches its inputs.
+func (s *step) run(r *PlanRun, src sqldb.Querier) {
+	if s.out, s.err = r.exec(s.el, s.ins, s.placement, src); s.err != nil || s.el.Kind != KindOutput {
+		return
+	}
+	s.data = make([]*sqldb.Result, len(s.ins))
+	for i, v := range s.ins {
+		if s.data[i], s.err = v.Fetch(); s.err != nil {
+			return
+		}
+	}
 }
 
 // ExecElement executes one element on its own, outside any plan run:
 // inputs are already materialized, source reads go to the live primary
 // database.
-func (en *Engine) ExecElement(el *Element, inputs []*Vector, placement sqldb.Querier) (*Vector, error) {
-	return en.NewRun().ExecElement(el, inputs, placement, en.primary)
+func (en *Engine) ExecElement(el *Element, inputs []*Vector, placement core.Handle) (*Vector, error) {
+	return en.NewRun().exec(el, inputs, placement, en.primary)
 }
 
-// ExecElement executes one element of the plan run with
-// already-materialized inputs on the given database and records its
-// execution time. Output elements return nil (their inputs are the
-// result). src is the handle for reading the experiment's own tables
-// (the once table and the per-run data tables): the engine's primary,
-// or — internal/parquery — a pinned *sqldb.Snapshot, so that every
-// fan-out worker of one query run observes the same committed state,
-// even while imports commit concurrently.
+// ExecElement executes one element of the plan run, as RunPlan does:
+// see exec. The placement must be a core.Handle; it is declared a
+// Querier like src for callers that hold both as one type.
 func (r *PlanRun) ExecElement(el *Element, inputs []*Vector, placement, src sqldb.Querier) (*Vector, error) {
+	h, ok := placement.(core.Handle)
+	if !ok {
+		return nil, fmt.Errorf("query: element %s: placement %T is not a core.Handle", el.ID, placement)
+	}
+	return r.exec(el, inputs, h, src)
+}
+
+// exec executes one element of the plan run on placement and records
+// its execution time. Output elements return nil (their inputs are the
+// result). Inputs held on another database are copied to placement
+// first (Materialize) and the copies dropped when the element is done.
+// src is the handle for reading the experiment's own tables (the once
+// table and the per-run data tables): the engine's primary, or —
+// internal/parquery — a pinned *sqldb.Snapshot, so that every fan-out
+// worker of one query run observes the same committed state, even while
+// imports commit concurrently.
+func (r *PlanRun) exec(el *Element, inputs []*Vector, placement core.Handle, src sqldb.Querier) (*Vector, error) {
 	en := r.en
-	t0 := time.Now()
-	var out *Vector
-	var err error
+	defer func(t0 time.Time) {
+		en.mu.Lock()
+		en.profile[el.ID] += time.Since(t0)
+		en.mu.Unlock()
+	}(time.Now())
 	switch el.Kind {
 	case KindSource:
-		out, err = r.execSource(el.Source, placement, src)
-	case KindOperator:
-		out, err = en.execOperator(el.Operator, inputs, placement)
-	case KindCombiner:
-		out, err = en.execCombiner(el.Combiner, inputs, placement)
+		return r.execSource(el.Source, placement, src)
 	case KindOutput:
-		out, err = nil, nil
+		return nil, nil
+	case KindOperator, KindCombiner:
 	default:
-		err = fmt.Errorf("query: unknown element kind %v", el.Kind)
+		return nil, fmt.Errorf("query: unknown element kind %v", el.Kind)
 	}
-	en.mu.Lock()
-	en.profile[el.ID] += time.Since(t0)
-	en.mu.Unlock()
-	return out, err
+	local := make([]*Vector, len(inputs))
+	defer func() {
+		for i, v := range local {
+			if v != nil && v != inputs[i] {
+				DropVector(v)
+			}
+		}
+	}()
+	for i, in := range inputs {
+		var err error
+		if local[i], err = Materialize(in, placement); err != nil {
+			return nil, err
+		}
+	}
+	if el.Kind == KindCombiner {
+		return en.execCombiner(el.Combiner, local, placement)
+	}
+	return en.execOperator(el.Operator, local, placement)
 }
 
 // Profile returns a snapshot of the accumulated per-element execution

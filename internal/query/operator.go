@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"perfbase/internal/core"
 	"perfbase/internal/expr"
 	"perfbase/internal/pbxml"
 	"perfbase/internal/sqldb"
@@ -11,9 +12,9 @@ import (
 	"perfbase/internal/value"
 )
 
-// execOperator runs an operator element. Per paper §3.3.2, the mode is
-// differentiated automatically by the number and origin of the inputs
-// and the operator type:
+// execOperator runs an operator element on inputs that live on its
+// placement. Per paper §3.3.2, the mode is differentiated automatically
+// by the number and origin of the inputs and the operator type:
 //
 //   - a statistical/reduction operator on one vector that stems from a
 //     source element performs data set aggregation: values are reduced
@@ -24,43 +25,26 @@ import (
 //     the vectors;
 //   - diff/div/percentof/above/below relate exactly two vectors;
 //   - eval/scale/offset compute arithmetic per tuple.
-func (en *Engine) execOperator(spec *pbxml.OperatorElem, inputs []*Vector, placement sqldb.Querier) (*Vector, error) {
+func (en *Engine) execOperator(spec *pbxml.OperatorElem, inputs []*Vector, placement core.Handle) (*Vector, error) {
 	typ := strings.ToLower(spec.Type)
 	if len(inputs) == 0 {
 		return nil, fmt.Errorf("query: operator %s has no inputs", spec.ID)
 	}
-	// All inputs must be local to the placement database.
-	local := make([]*Vector, len(inputs))
-	for i, in := range inputs {
-		lv, err := Materialize(in, placement)
-		if err != nil {
-			return nil, err
-		}
-		local[i] = lv
-	}
-
 	// The statistical operators are the engine's aggregates, by name.
 	if _, isStat := sqldb.AggResultType(typ, value.Float); isStat {
-		switch {
-		case len(local) == 1 && local[0].FromSource:
-			return en.aggregateDataSets(spec, typ, local[0], placement)
-		case len(local) == 1:
-			return en.reduceVector(spec, typ, local[0], placement)
-		default:
-			return en.reduceElementwise(spec, typ, local, placement)
-		}
+		return en.reduce(spec, typ, inputs, placement)
 	}
 	switch typ {
 	case "scale", "offset":
-		return en.linear(spec, typ, local, placement)
+		return en.linear(spec, typ, inputs, placement)
 	case "eval":
-		return en.eval(spec, local, placement)
+		return en.eval(spec, inputs, placement)
 	case "diff", "div", "percentof", "above", "below":
-		if len(local) != 2 {
+		if len(inputs) != 2 {
 			return nil, fmt.Errorf("query: operator %s (%s) needs exactly two inputs, got %d",
-				spec.ID, typ, len(local))
+				spec.ID, typ, len(inputs))
 		}
-		return en.relate(spec, typ, local[0], local[1], placement)
+		return en.relate(spec, typ, inputs[0], inputs[1], placement)
 	}
 	return nil, fmt.Errorf("query: unknown operator type %q", spec.Type)
 }
@@ -100,42 +84,6 @@ func aggColumn(typ string, vc ColumnMeta) (ColumnMeta, string) {
 	}, strings.ToUpper(typ) + "(" + vc.Name + ") AS " + vc.Name
 }
 
-// aggregateDataSets implements data set aggregation: one SQL GROUP BY
-// over all parameter columns (paper footnote 4: "in most cases, it
-// makes sense to reduce the data from a source element via data set
-// aggregation before processing it further").
-func (en *Engine) aggregateDataSets(spec *pbxml.OperatorElem, typ string, in *Vector, placement sqldb.Querier) (*Vector, error) {
-	vals, err := targetValues(spec, in)
-	if err != nil {
-		return nil, err
-	}
-	params := in.Params()
-	var cols []ColumnMeta
-	cols = append(cols, params...)
-	var sel []string
-	for _, p := range params {
-		sel = append(sel, p.Name)
-	}
-	for _, vc := range vals {
-		col, item := aggColumn(typ, vc)
-		cols, sel = append(cols, col), append(sel, item)
-	}
-	out := &Vector{DB: placement, Table: tempName(spec.ID), Cols: cols}
-	stmt := "CREATE TEMP TABLE " + out.Table + " AS SELECT " + strings.Join(sel, ", ") +
-		" FROM " + in.Table
-	if len(params) > 0 {
-		var keys []string
-		for _, p := range params {
-			keys = append(keys, p.Name)
-		}
-		stmt += " GROUP BY " + strings.Join(keys, ", ") + " ORDER BY " + strings.Join(keys, ", ")
-	}
-	if _, err := placement.Exec(stmt); err != nil {
-		return nil, fmt.Errorf("query: operator %s: %w", spec.ID, err)
-	}
-	return out, nil
-}
-
 func synopsisOr(c ColumnMeta) string {
 	if c.Synopsis != "" {
 		return c.Synopsis
@@ -143,22 +91,78 @@ func synopsisOr(c ColumnMeta) string {
 	return c.Name
 }
 
-// reduceVector collapses a whole vector into a single element.
-func (en *Engine) reduceVector(spec *pbxml.OperatorElem, typ string, in *Vector, placement sqldb.Querier) (*Vector, error) {
+// createAs is the statement building a temp table from a SELECT.
+func createAs(table string, items []string, from string) string {
+	return "CREATE TEMP TABLE " + table + " AS SELECT " + strings.Join(items, ", ") + " FROM " + from
+}
+
+// joinOn is the FROM clause pairing the tuples of vectors a and b that
+// agree on keys; with no keys every tuple pairs with every other.
+func joinOn(a, b *Vector, keys []ColumnMeta) string {
+	on := "1 = 1"
+	if len(keys) > 0 {
+		conds := make([]string, len(keys))
+		for i, k := range keys {
+			conds[i] = "a." + k.Name + " = b." + k.Name
+		}
+		on = strings.Join(conds, " AND ")
+	}
+	return a.Table + " a JOIN " + b.Table + " b ON " + on
+}
+
+// reduce runs a statistical operator as one GROUP BY whose keys are the
+// mode: every parameter of a vector straight from a source (data set
+// aggregation; paper footnote 4: "in most cases, it makes sense to
+// reduce the data from a source element via data set aggregation before
+// processing it further"), none of any other single vector (the whole
+// vector becomes one element), and the parameters several vectors share
+// unpinned (element-wise reduction, over the union of their tuples).
+func (en *Engine) reduce(spec *pbxml.OperatorElem, typ string, ins []*Vector, placement core.Handle) (*Vector, error) {
+	in := ins[0]
 	vals, err := targetValues(spec, in)
 	if err != nil {
 		return nil, err
 	}
-	var cols []ColumnMeta
-	var sel []string
+	var keys []ColumnMeta
+	var steps []sqldb.PipelineRequest
+	switch {
+	case len(ins) > 1:
+		keys = matchKeys(ins...)
+		union := &Vector{DB: placement, Table: tempName(spec.ID + "_u"), Cols: append(append([]ColumnMeta{}, keys...), vals...)}
+		names := strings.Join(colNames(union.Cols), ", ")
+		steps = append(steps, union.create())
+		for _, v := range ins {
+			for _, vc := range vals {
+				if _, ok := v.Col(vc.Name); !ok {
+					return nil, fmt.Errorf("query: operator %s: input %s lacks value %q", spec.ID, v.Table, vc.Name)
+				}
+			}
+			steps = append(steps, sqldb.PipelineRequest{SQL: "INSERT INTO " + union.Table + " (" + names + ") SELECT " + names + " FROM " + v.Table})
+		}
+		in = union
+	case in.FromSource:
+		keys = in.Params()
+	}
+	cols := append([]ColumnMeta{}, keys...)
+	sel := colNames(keys)
 	for _, vc := range vals {
 		col, item := aggColumn(typ, vc)
 		cols, sel = append(cols, col), append(sel, item)
 	}
 	out := &Vector{DB: placement, Table: tempName(spec.ID), Cols: cols}
-	stmt := "CREATE TEMP TABLE " + out.Table + " AS SELECT " + strings.Join(sel, ", ") +
-		" FROM " + in.Table
-	if _, err := placement.Exec(stmt); err != nil {
+	stmt := createAs(out.Table, sel, in.Table)
+	if len(keys) > 0 {
+		k := strings.Join(colNames(keys), ", ")
+		stmt += " GROUP BY " + k + " ORDER BY " + k
+	}
+	steps = append(steps, sqldb.PipelineRequest{SQL: stmt})
+	if in != ins[0] {
+		steps = append(steps, sqldb.PipelineRequest{SQL: "DROP TABLE " + in.Table})
+	}
+	if err := out.build(steps...); err != nil {
+		if in != ins[0] {
+			DropVector(in)
+		}
 		return nil, fmt.Errorf("query: operator %s: %w", spec.ID, err)
 	}
 	return out, nil
@@ -188,50 +192,8 @@ func matchKeys(vs ...*Vector) []ColumnMeta {
 	return keys
 }
 
-// reduceElementwise reduces N vectors into one, matching tuples on the
-// shared unpinned parameter columns.
-func (en *Engine) reduceElementwise(spec *pbxml.OperatorElem, typ string, ins []*Vector, placement sqldb.Querier) (*Vector, error) {
-	// Union all inputs into one table, then aggregate by parameters.
-	first := ins[0]
-	vals, err := targetValues(spec, first)
-	if err != nil {
-		return nil, err
-	}
-	params := matchKeys(ins...)
-	for _, in := range ins[1:] {
-		for _, vc := range vals {
-			if _, ok := in.Col(vc.Name); !ok {
-				return nil, fmt.Errorf("query: operator %s: input %s lacks value %q",
-					spec.ID, in.Table, vc.Name)
-			}
-		}
-	}
-	var names []string
-	for _, p := range params {
-		names = append(names, p.Name)
-	}
-	for _, vc := range vals {
-		names = append(names, vc.Name)
-	}
-	union := &Vector{DB: placement, Table: tempName(spec.ID + "_u"), Cols: append(append([]ColumnMeta{}, params...), vals...)}
-	if err := createVectorTable(placement, union.Table, union.Cols); err != nil {
-		return nil, err
-	}
-	defer DropVector(union)
-	for _, in := range ins {
-		stmt := "INSERT INTO " + union.Table + " (" + strings.Join(names, ", ") + ") SELECT " +
-			strings.Join(names, ", ") + " FROM " + in.Table
-		if _, err := placement.Exec(stmt); err != nil {
-			return nil, fmt.Errorf("query: operator %s: %w", spec.ID, err)
-		}
-	}
-	u2 := *union
-	u2.FromSource = true // aggregate by parameter groups
-	return en.aggregateDataSets(spec, typ, &u2, placement)
-}
-
 // linear applies scale (multiply) or offset (add) to the value columns.
-func (en *Engine) linear(spec *pbxml.OperatorElem, typ string, ins []*Vector, placement sqldb.Querier) (*Vector, error) {
+func (en *Engine) linear(spec *pbxml.OperatorElem, typ string, ins []*Vector, placement core.Handle) (*Vector, error) {
 	if len(ins) != 1 {
 		return nil, fmt.Errorf("query: operator %s (%s) takes exactly one input", spec.ID, typ)
 	}
@@ -266,9 +228,7 @@ func (en *Engine) linear(spec *pbxml.OperatorElem, typ string, ins []*Vector, pl
 		}
 	}
 	out := &Vector{DB: placement, Table: tempName(spec.ID), Cols: cols, FromSource: in.FromSource}
-	stmt := "CREATE TEMP TABLE " + out.Table + " AS SELECT " + strings.Join(sel, ", ") +
-		" FROM " + in.Table
-	if _, err := placement.Exec(stmt); err != nil {
+	if err := out.build(sqldb.PipelineRequest{SQL: createAs(out.Table, sel, in.Table)}); err != nil {
 		return nil, fmt.Errorf("query: operator %s: %w", spec.ID, err)
 	}
 	return out, nil
@@ -280,7 +240,7 @@ func (en *Engine) linear(spec *pbxml.OperatorElem, typ string, ins []*Vector, pl
 // the scripted path — deliberately row-by-row in the host language,
 // mirroring the paper's observation that SQL-side operators beat
 // script-side processing (§4.2).
-func (en *Engine) eval(spec *pbxml.OperatorElem, ins []*Vector, placement sqldb.Querier) (*Vector, error) {
+func (en *Engine) eval(spec *pbxml.OperatorElem, ins []*Vector, placement core.Handle) (*Vector, error) {
 	// §3.3.2: eval "can be applied to any number of input vectors".
 	// Multiple inputs are merged combiner-style first (matching on the
 	// shared sweep parameters, value collisions renamed _2, _3, …), so
@@ -291,9 +251,7 @@ func (en *Engine) eval(spec *pbxml.OperatorElem, ins []*Vector, placement sqldb.
 		if err != nil {
 			return nil, err
 		}
-		if i > 0 {
-			DropVector(in) // intermediate merge result
-		}
+		defer DropVector(merged)
 		in = merged
 	}
 	e, err := expr.Compile(spec.Expression)
@@ -310,9 +268,6 @@ func (en *Engine) eval(spec *pbxml.OperatorElem, ins []*Vector, placement sqldb.
 		Name: colName, Type: value.Float, Synopsis: spec.Expression,
 	})
 	out := &Vector{DB: placement, Table: tempName(spec.ID), Cols: cols, FromSource: in.FromSource}
-	if err := createVectorTable(placement, out.Table, cols); err != nil {
-		return nil, err
-	}
 	res, err := in.Fetch()
 	if err != nil {
 		return nil, err
@@ -340,8 +295,8 @@ func (en *Engine) eval(spec *pbxml.OperatorElem, ins []*Vector, placement sqldb.
 		outRow = append(outRow, fv)
 		rows = append(rows, outRow)
 	}
-	if err := bulkInsert(placement, out.Table, colNames(cols), rows); err != nil {
-		return nil, err
+	if err := out.fill(rows); err != nil {
+		return nil, fmt.Errorf("query: operator %s: %w", spec.ID, err)
 	}
 	return out, nil
 }
@@ -355,7 +310,7 @@ func (en *Engine) eval(spec *pbxml.OperatorElem, ins []*Vector, placement sqldb.
 //	percentof  a / b * 100
 //	above      (a - b) / b * 100   (how far a lies above b, in %)
 //	below      (b - a) / b * 100   (how far a lies below b, in %)
-func (en *Engine) relate(spec *pbxml.OperatorElem, typ string, a, b *Vector, placement sqldb.Querier) (*Vector, error) {
+func (en *Engine) relate(spec *pbxml.OperatorElem, typ string, a, b *Vector, placement core.Handle) (*Vector, error) {
 	// Shared unpinned parameters become the join key; parameters that a
 	// source filter pinned to a single value differ between the inputs
 	// by construction (that difference is what is being compared) and
@@ -419,27 +374,11 @@ func (en *Engine) relate(spec *pbxml.OperatorElem, typ string, a, b *Vector, pla
 	}
 
 	out := &Vector{DB: placement, Table: tempName(spec.ID), Cols: cols}
-	var stmt strings.Builder
-	stmt.WriteString("CREATE TEMP TABLE " + out.Table + " AS SELECT " + strings.Join(sel, ", "))
-	stmt.WriteString(" FROM " + a.Table + " a JOIN " + b.Table + " b ON ")
-	if len(keys) == 0 {
-		stmt.WriteString("1 = 1")
-	} else {
-		for i, k := range keys {
-			if i > 0 {
-				stmt.WriteString(" AND ")
-			}
-			stmt.WriteString("a." + k.Name + " = b." + k.Name)
-		}
-	}
+	stmt := createAs(out.Table, sel, joinOn(a, b, keys))
 	if len(keys) > 0 {
-		var order []string
-		for _, k := range keys {
-			order = append(order, "a."+k.Name)
-		}
-		stmt.WriteString(" ORDER BY " + strings.Join(order, ", "))
+		stmt += " ORDER BY a." + strings.Join(colNames(keys), ", a.")
 	}
-	if _, err := placement.Exec(stmt.String()); err != nil {
+	if err := out.build(sqldb.PipelineRequest{SQL: stmt}); err != nil {
 		return nil, fmt.Errorf("query: operator %s: %w", spec.ID, err)
 	}
 	return out, nil
@@ -449,24 +388,16 @@ func (en *Engine) relate(spec *pbxml.OperatorElem, typ string, a, b *Vector, pla
 // both inputs pass to the output, joined on the shared parameter
 // columns (duplicate parameters are removed). Value-name collisions
 // get a _2 suffix.
-func (en *Engine) execCombiner(spec *pbxml.CombinerElem, inputs []*Vector, placement sqldb.Querier) (*Vector, error) {
+func (en *Engine) execCombiner(spec *pbxml.CombinerElem, inputs []*Vector, placement core.Handle) (*Vector, error) {
 	if len(inputs) != 2 {
 		return nil, fmt.Errorf("query: combiner %s needs exactly two inputs", spec.ID)
 	}
 	return en.combine(spec.ID, inputs[0], inputs[1], placement)
 }
 
-// combine implements the merge of two vectors, shared by the combiner
-// element and multi-input eval operators.
-func (en *Engine) combine(id string, ia, ib *Vector, placement sqldb.Querier) (*Vector, error) {
-	a, err := Materialize(ia, placement)
-	if err != nil {
-		return nil, err
-	}
-	b, err := Materialize(ib, placement)
-	if err != nil {
-		return nil, err
-	}
+// combine implements the merge of two vectors on placement, shared by
+// the combiner element and multi-input eval operators.
+func (en *Engine) combine(id string, a, b *Vector, placement core.Handle) (*Vector, error) {
 	keys := matchKeys(a, b)
 	keyName := map[string]bool{}
 	for _, k := range keys {
@@ -515,20 +446,7 @@ func (en *Engine) combine(id string, ia, ib *Vector, placement sqldb.Querier) (*
 	}
 
 	out := &Vector{DB: placement, Table: tempName(id), Cols: cols}
-	var stmt strings.Builder
-	stmt.WriteString("CREATE TEMP TABLE " + out.Table + " AS SELECT " + strings.Join(sel, ", "))
-	stmt.WriteString(" FROM " + a.Table + " a JOIN " + b.Table + " b ON ")
-	if len(keys) == 0 {
-		stmt.WriteString("1 = 1")
-	} else {
-		for i, k := range keys {
-			if i > 0 {
-				stmt.WriteString(" AND ")
-			}
-			stmt.WriteString("a." + k.Name + " = b." + k.Name)
-		}
-	}
-	if _, err := placement.Exec(stmt.String()); err != nil {
+	if err := out.build(sqldb.PipelineRequest{SQL: createAs(out.Table, sel, joinOn(a, b, keys))}); err != nil {
 		return nil, fmt.Errorf("query: combine %s: %w", id, err)
 	}
 	return out, nil

@@ -821,42 +821,6 @@ func TestEngineAccessors(t *testing.T) {
 	}
 }
 
-// TestBulkInsertSQLFallback forces the literal-SQL insert path by
-// wrapping a database so it does not expose the bulk interface.
-func TestBulkInsertSQLFallback(t *testing.T) {
-	e := seedExperiment(t)
-	en := NewEngine(e)
-	plan, err := BuildPlan(parseQuery(t, `
-<query experiment="bench">
-  <source id="s"><parameter name="chunk"/><value name="bw"/></source>
-  <output input="s" format="ascii"/>
-</query>`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	vec, err := en.ExecElement(plan.Elements["s"], nil, en.Primary())
-	if err != nil {
-		t.Fatal(err)
-	}
-	target := &queryOnly{sqldb.NewMemory()}
-	moved, err := Materialize(vec, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := vec.Fetch()
-	b, err := moved.Fetch()
-	if err != nil || len(a.Rows) != len(b.Rows) {
-		t.Fatalf("fallback transfer: %v, %d vs %d rows", err, len(b.Rows), len(a.Rows))
-	}
-}
-
-// queryOnly hides the BulkInserter of the wrapped database.
-type queryOnly struct {
-	db *sqldb.DB
-}
-
-func (q *queryOnly) Exec(sql string) (*sqldb.Result, error) { return q.db.Exec(sql) }
-
 func TestSourceUnitConversion(t *testing.T) {
 	e := seedExperiment(t)
 	// bw is declared in MB/s; retrieve it in KB/s (×1000).
@@ -931,6 +895,140 @@ func TestEvalMultipleInputs(t *testing.T) {
 		want := 20 * float64(chunkIndex(row[ci].Int()))
 		if got := row[gi].Float(); math.Abs(got-want) > 1e-9 {
 			t.Errorf("gap(chunk=%d) = %v, want %v", row[ci].Int(), got, want)
+		}
+	}
+}
+
+// everyModeQuery uses every operator mode of §3.3.2 and a combiner:
+// data set aggregation (a_old, a_new, sd_ufs), whole-vector reduction
+// (top), element-wise reduction over three inputs (best), percentof
+// (rel), a combiner (comb) and an eval over two inputs (gap).
+const everyModeQuery = `
+<query experiment="bench">
+  <source id="s_old"><parameter name="technique" value="old"/><parameter name="chunk"/><value name="bw"/></source>
+  <source id="s_new"><parameter name="technique" value="new"/><parameter name="chunk"/><value name="bw"/></source>
+  <source id="s_ufs"><parameter name="fs" value="ufs"/><parameter name="chunk"/><value name="bw"/></source>
+  <operator id="a_old" type="avg" input="s_old"/>
+  <operator id="a_new" type="avg" input="s_new"/>
+  <operator id="sd_ufs" type="stddev" input="s_ufs"/>
+  <operator id="top" type="max" input="a_old"/>
+  <operator id="best" type="max" input="a_old a_new sd_ufs"/>
+  <operator id="rel" type="percentof" input="a_new a_old"/>
+  <combiner id="comb" input="a_old a_new"/>
+  <operator id="gap" type="eval" input="a_old a_new" expression="bw - bw_2" variable="gap"/>
+  <output input="top" format="ascii"/>
+  <output input="best" format="ascii"/>
+  <output input="rel" format="ascii"/>
+  <output input="comb" format="ascii"/>
+  <output input="gap" format="ascii"/>
+</query>`
+
+// TestElementTablesDroppedWithTheQuery: temp tables are catalog entries
+// of the database, so every table an element makes for itself — the
+// merges of a multi-input eval, the union of an element-wise reduction
+// — must be gone when the query is: a long-lived session runs the same
+// query again and again.
+func TestElementTablesDroppedWithTheQuery(t *testing.T) {
+	e := seedExperiment(t)
+	db := e.Store().Querier().(*sqldb.DB)
+	en := NewEngine(e)
+	before := len(db.Tables())
+	for i := 0; i < 50; i++ {
+		if _, err := en.Run(parseQuery(t, everyModeQuery)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if after := len(db.Tables()); after != before {
+		t.Errorf("50 queries left %d tables behind", after-before)
+	}
+}
+
+// writeLog records the writes that reach the database below it, one
+// entry per submission: a statement other than a SELECT, a bulk insert,
+// or a pipeline with the kinds of its steps.
+type writeLog struct {
+	*sqldb.DB
+	writes []string
+}
+
+// stmtKind names a statement by what it does to a vector's table.
+func stmtKind(sql string) string {
+	switch {
+	case strings.HasPrefix(sql, "DROP "):
+		return "drop"
+	case strings.HasPrefix(sql, "INSERT "):
+		return "insert-select"
+	case strings.Contains(sql, " AS SELECT "):
+		return "create-as"
+	}
+	return "create"
+}
+
+func (w *writeLog) Exec(sql string) (*sqldb.Result, error) {
+	if !strings.HasPrefix(sql, "SELECT ") {
+		w.writes = append(w.writes, stmtKind(sql))
+	}
+	return w.DB.Exec(sql)
+}
+
+func (w *writeLog) InsertRows(table string, cols []string, rows []sqldb.Row) (int, error) {
+	w.writes = append(w.writes, "insert-rows")
+	return w.DB.InsertRows(table, cols, rows)
+}
+
+func (w *writeLog) ExecPipeline(reqs []sqldb.PipelineRequest) ([]*sqldb.Result, error) {
+	kinds := make([]string, len(reqs))
+	for i, r := range reqs {
+		kinds[i] = stmtKind(r.SQL)
+		if r.Bulk {
+			kinds[i] = "bulk"
+		}
+	}
+	w.writes = append(w.writes, "pipeline["+strings.Join(kinds, " ")+"]")
+	return w.DB.ExecPipeline(reqs)
+}
+
+// TestOperatorWritesOneSubmissionPerVector places every element of the
+// every-mode query on a logging database: each vector an element builds
+// arrives as one submission — a single CREATE … AS where one statement
+// makes it, else one pipeline, and never a bulk insert of its own. Only
+// a multi-input eval builds two vectors, the merge it reads and its
+// output, and drops the first.
+func TestOperatorWritesOneSubmissionPerVector(t *testing.T) {
+	e := seedExperiment(t)
+	en := NewEngine(e)
+	plan, err := BuildPlan(parseQuery(t, everyModeQuery))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := &writeLog{DB: sqldb.NewMemory()}
+	vecs := map[string]*Vector{}
+	for _, step := range []struct{ id, writes string }{
+		{"s_old", "pipeline[create bulk]"},
+		{"s_new", "pipeline[create bulk]"},
+		{"s_ufs", "pipeline[create bulk]"},
+		{"a_old", "create-as"},
+		{"a_new", "create-as"},
+		{"sd_ufs", "create-as"},
+		{"top", "create-as"},
+		{"best", "pipeline[create insert-select insert-select insert-select create-as drop]"},
+		{"rel", "create-as"},
+		{"comb", "create-as"},
+		{"gap", "create-as, pipeline[create bulk], drop"},
+	} {
+		el := plan.Elements[step.id]
+		ins := make([]*Vector, len(el.Inputs))
+		for i, in := range el.Inputs {
+			ins[i] = vecs[in]
+		}
+		w.writes = nil
+		out, err := en.ExecElement(el, ins, w)
+		if err != nil {
+			t.Fatalf("%s: %v", step.id, err)
+		}
+		vecs[step.id] = out
+		if got := strings.Join(w.writes, ", "); got != step.writes {
+			t.Errorf("%s writes %s, want %s", step.id, got, step.writes)
 		}
 	}
 }

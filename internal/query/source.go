@@ -59,7 +59,7 @@ func (vs valSel) sqlSel() string {
 // the database access was filtered and the result values that were
 // specified"). Nothing of it is statement text but the SELECT, which is
 // the same for every query of the source's shape.
-func (r *PlanRun) execSource(spec *pbxml.SourceElem, placement, src sqldb.Querier) (*Vector, error) {
+func (r *PlanRun) execSource(spec *pbxml.SourceElem, placement core.Handle, src sqldb.Querier) (*Vector, error) {
 	en := r.en
 	exp := en.exp
 
@@ -266,9 +266,9 @@ func (r *PlanRun) execSource(spec *pbxml.SourceElem, placement, src sqldb.Querie
 	// bulk-inserted.
 	switch {
 	case pour.From == nil:
-		err = fillVector(out, pour.Rows)
+		err = out.fill(pour.Rows)
 	case placement == en.primary && !pinned:
-		_, err = en.primary.ExecPipeline([]sqldb.PipelineRequest{{SQL: vectorTableDDL(out.Table, cols)}, pour})
+		err = out.build(out.create(), pour)
 	default:
 		res := &sqldb.Result{}
 		var sel string
@@ -276,7 +276,7 @@ func (r *PlanRun) execSource(spec *pbxml.SourceElem, placement, src sqldb.Querie
 			res, err = src.Exec(sel)
 		}
 		if err == nil {
-			err = fillVector(out, res.Rows)
+			err = out.fill(res.Rows)
 		}
 	}
 	if err != nil {

@@ -17,6 +17,7 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"perfbase/internal/core"
 	"perfbase/internal/sqldb"
 	"perfbase/internal/units"
 	"perfbase/internal/value"
@@ -45,7 +46,7 @@ type ColumnMeta struct {
 // database plus column metadata.
 type Vector struct {
 	// DB is the database holding the vector's temp table.
-	DB sqldb.Querier
+	DB core.Handle
 	// Table is the temp table name.
 	Table string
 	// Cols describes the columns, parameters first.
@@ -121,27 +122,37 @@ func tempName(elemID string) string {
 	return fmt.Sprintf("pbq%d_%s", n, clean)
 }
 
-// vectorTableDDL builds the CREATE TEMP TABLE statement for a vector.
-func vectorTableDDL(table string, cols []ColumnMeta) string {
-	defs := make([]string, len(cols))
-	for i, c := range cols {
+// create is the step creating the vector's empty temp table.
+func (v *Vector) create() sqldb.PipelineRequest {
+	defs := make([]string, len(v.Cols))
+	for i, c := range v.Cols {
 		defs[i] = c.Name + " " + c.Type.String()
 	}
-	return "CREATE TEMP TABLE " + table + " (" + strings.Join(defs, ", ") + ")"
+	return sqldb.PipelineRequest{SQL: "CREATE TEMP TABLE " + v.Table + " (" + strings.Join(defs, ", ") + ")"}
 }
 
-// createVectorTable creates the temp table for a vector being built.
-func createVectorTable(db sqldb.Querier, table string, cols []ColumnMeta) error {
-	if _, err := db.Exec(vectorTableDDL(table, cols)); err != nil {
-		return fmt.Errorf("query: create vector table %s: %w", table, err)
+// build makes the vector's table on its database with one submission:
+// one statement (a CREATE … AS) as itself, several steps as one
+// pipeline.
+func (v *Vector) build(steps ...sqldb.PipelineRequest) error {
+	var err error
+	if len(steps) == 1 {
+		_, err = v.DB.Exec(steps[0].SQL)
+	} else {
+		_, err = v.DB.ExecPipeline(steps)
 	}
-	return nil
+	return err
+}
+
+// fill builds the vector as a table holding rows.
+func (v *Vector) fill(rows []sqldb.Row) error {
+	return v.build(v.create(), sqldb.PipelineRequest{Bulk: true, Table: v.Table, Cols: colNames(v.Cols), Rows: rows})
 }
 
 // Materialize copies a vector to another database (the socket transfer
 // of paper Fig. 3 when elements are placed on different servers). If
 // the vector already lives there it is returned unchanged.
-func Materialize(v *Vector, target sqldb.Querier) (*Vector, error) {
+func Materialize(v *Vector, target core.Handle) (*Vector, error) {
 	if v.DB == target {
 		return v, nil
 	}
@@ -150,27 +161,10 @@ func Materialize(v *Vector, target sqldb.Querier) (*Vector, error) {
 		return nil, err
 	}
 	out := &Vector{DB: target, Table: tempName("xfer"), Cols: v.Cols, FromSource: v.FromSource}
-	if err := fillVector(out, res.Rows); err != nil {
+	if err := out.fill(res.Rows); err != nil {
 		return nil, fmt.Errorf("query: materialize %s: %w", out.Table, err)
 	}
 	return out, nil
-}
-
-// fillVector creates a vector's temp table and inserts rows into it. A
-// database that takes pipelines receives the creation and the rows in
-// one batch — one network round trip instead of two.
-func fillVector(v *Vector, rows []sqldb.Row) error {
-	if pl, ok := v.DB.(sqldb.Pipeliner); ok {
-		_, err := pl.ExecPipeline([]sqldb.PipelineRequest{
-			{SQL: vectorTableDDL(v.Table, v.Cols)},
-			{Bulk: true, Table: v.Table, Cols: colNames(v.Cols), Rows: rows},
-		})
-		return err
-	}
-	if err := createVectorTable(v.DB, v.Table, v.Cols); err != nil {
-		return err
-	}
-	return bulkInsert(v.DB, v.Table, colNames(v.Cols), rows)
 }
 
 func colNames(cols []ColumnMeta) []string {
@@ -181,49 +175,9 @@ func colNames(cols []ColumnMeta) []string {
 	return names
 }
 
-// bulkInsert inserts rows, using the typed fast path when the target
-// database offers one and falling back to literal VALUES lists.
-func bulkInsert(db sqldb.Querier, table string, cols []string, rows []sqldb.Row) error {
-	if bi, ok := db.(sqldb.BulkInserter); ok {
-		if _, err := bi.InsertRows(table, cols, rows); err != nil {
-			return fmt.Errorf("query: bulk insert into %s: %w", table, err)
-		}
-		return nil
-	}
-	const batch = 256
-	for start := 0; start < len(rows); start += batch {
-		end := start + batch
-		if end > len(rows) {
-			end = len(rows)
-		}
-		var sb strings.Builder
-		sb.WriteString("INSERT INTO ")
-		sb.WriteString(table)
-		sb.WriteString(" (")
-		sb.WriteString(strings.Join(cols, ", "))
-		sb.WriteString(") VALUES ")
-		for ri, row := range rows[start:end] {
-			if ri > 0 {
-				sb.WriteString(", ")
-			}
-			sb.WriteString("(")
-			for vi, v := range row {
-				if vi > 0 {
-					sb.WriteString(", ")
-				}
-				sb.WriteString(v.SQL())
-			}
-			sb.WriteString(")")
-		}
-		if _, err := db.Exec(sb.String()); err != nil {
-			return fmt.Errorf("query: bulk insert into %s: %w", table, err)
-		}
-	}
-	return nil
-}
-
-// DropVector removes a vector's temp table; errors are ignored as temp
-// tables vanish with the session anyway.
+// DropVector removes a vector's temp table. Temp tables are catalog
+// entries of their database, so every vector a query makes is dropped
+// once no element needs it; a failed drop is ignored.
 func DropVector(v *Vector) {
 	if v == nil || v.Table == "" {
 		return

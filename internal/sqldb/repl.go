@@ -274,15 +274,12 @@ func FrameCRC(payload []byte) uint32 {
 
 // ------------------------------------------------ state export/import
 
-// TableExport is one table's full contents inside a StateExport.
-// Exactly one of Rows and Blocks is populated: Blocks is the
-// compressed columnar form (per-column blocks of ≤ vecMorselRows rows,
-// CRC-stamped), which is what a replica bootstrap normally transfers;
-// Rows is the uncompressed fallback.
+// TableExport is one table's full contents inside a StateExport, its
+// rows as Blocks: the compressed columnar form (per-column blocks of
+// ≤ vecMorselRows rows, CRC-stamped).
 type TableExport struct {
 	Name    string
 	Cols    Schema
-	Rows    []Row
 	Indexes []string
 	Blocks  *TableBlocksExport
 }
@@ -345,8 +342,7 @@ func (db *DB) ExportState() (*StateExport, error) {
 
 // exportTableBlocks encodes a table's rows into compressed per-column
 // blocks for replica bootstrap, cut where the chunks are cut. Every
-// engine type encodes (timestamps via the time encoding), so the row
-// fallback in TableExport exists only for forward compatibility.
+// engine type encodes (timestamps via the time encoding).
 func exportTableBlocks(t *table) (*TableBlocksExport, error) {
 	tb := &TableBlocksExport{NRows: t.nrows, Cols: make([]ColumnBlockExport, len(t.schema))}
 	for _, ch := range t.builtChunks() { // t is resident
@@ -457,16 +453,12 @@ func (db *DB) ImportState(exp *StateExport) error {
 	touched := make(map[string]bool, len(exp.Tables))
 	for _, te := range exp.Tables {
 		t := newTable(te.Name, te.Cols, false)
-		var rows []Row
-		if te.Blocks != nil {
-			var err error
-			rows, err = importTableBlocks(te.Name, te.Blocks, t.schema)
-			if err != nil {
-				return err
-			}
-		} else {
-			rows = make([]Row, len(te.Rows))
-			copy(rows, te.Rows)
+		if te.Blocks == nil {
+			return errorf("ImportState: table %q arrived without blocks", te.Name)
+		}
+		rows, err := importTableBlocks(te.Name, te.Blocks, t.schema)
+		if err != nil {
+			return err
 		}
 		t.replaceRows(rows)
 		for _, col := range te.Indexes {

@@ -244,24 +244,9 @@ func (s *Server) serveWatch(conn net.Conn, enc *gob.Encoder, req *request) {
 // Ingest submits one experiment output file for parsing and loading;
 // it returns once the run's transaction committed.
 func (c *Client) Ingest(req IngestRequest) (*IngestResult, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn == nil {
-		return nil, errors.New("wire: client is closed")
-	}
-	if c.streaming {
-		return nil, errors.New("wire: client is a subscription stream")
-	}
-	if err := c.enc.Encode(&request{Verb: verbIngest, Ingest: &req}); err != nil {
-		return nil, fmt.Errorf("wire: send: %w", err)
-	}
-	var resp response
-	if err := c.dec.Decode(&resp); err != nil {
-		return nil, fmt.Errorf("wire: receive: %w", err)
-	}
-	c.noteResp(&resp)
-	if resp.Err != "" {
-		return nil, respLiveError(&resp)
+	resp, err := c.roundTrip(&request{Verb: verbIngest, Ingest: &req})
+	if err != nil {
+		return nil, err
 	}
 	if resp.Ingest == nil {
 		return nil, errors.New("wire: ingest response without result")
@@ -272,27 +257,8 @@ func (c *Client) Ingest(req IngestRequest) (*IngestResult, error) {
 // Watch turns the client into a one-way alert stream for spec. On
 // success the client serves NextNotice/NextAlert only.
 func (c *Client) Watch(spec WatchSpec) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn == nil {
-		return errors.New("wire: client is closed")
-	}
-	if c.streaming {
-		return errors.New("wire: already subscribed")
-	}
-	if err := c.enc.Encode(&request{Verb: verbWatch, Watch: &spec}); err != nil {
-		return fmt.Errorf("wire: send: %w", err)
-	}
-	var resp response
-	if err := c.dec.Decode(&resp); err != nil {
-		return fmt.Errorf("wire: receive: %w", err)
-	}
-	c.noteResp(&resp)
-	if resp.Err != "" {
-		return respLiveError(&resp)
-	}
-	c.streaming = true
-	return nil
+	_, err := c.roundTrip(&request{Verb: verbWatch, Watch: &spec})
+	return err
 }
 
 // NextNotice blocks for the next WATCH stream message (heartbeats
@@ -331,24 +297,9 @@ func (c *Client) NextAlert() (*Alert, error) {
 // FetchView reads a named materialized view from the server's live
 // service: the current result and the position it reflects.
 func (c *Client) FetchView(name string) (*sqldb.Result, sqldb.ReplPos, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn == nil {
-		return nil, sqldb.ReplPos{}, errors.New("wire: client is closed")
-	}
-	if c.streaming {
-		return nil, sqldb.ReplPos{}, errors.New("wire: client is a subscription stream")
-	}
-	if err := c.enc.Encode(&request{Verb: verbView, View: name}); err != nil {
-		return nil, sqldb.ReplPos{}, fmt.Errorf("wire: send: %w", err)
-	}
-	var resp response
-	if err := c.dec.Decode(&resp); err != nil {
-		return nil, sqldb.ReplPos{}, fmt.Errorf("wire: receive: %w", err)
-	}
-	c.noteResp(&resp)
-	if resp.Err != "" {
-		return nil, sqldb.ReplPos{}, respLiveError(&resp)
+	resp, err := c.roundTrip(&request{Verb: verbView, View: name})
+	if err != nil {
+		return nil, sqldb.ReplPos{}, err
 	}
 	res := &sqldb.Result{Columns: resp.Columns, Rows: resp.Rows}
 	return res, sqldb.ReplPos{Epoch: resp.ViewEpoch, LSN: resp.ViewLSN}, nil
@@ -356,32 +307,9 @@ func (c *Client) FetchView(name string) (*sqldb.Result, sqldb.ReplPos, error) {
 
 // ViewNames lists the server's registered materialized views.
 func (c *Client) ViewNames() ([]string, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn == nil {
-		return nil, errors.New("wire: client is closed")
-	}
-	if c.streaming {
-		return nil, errors.New("wire: client is a subscription stream")
-	}
-	if err := c.enc.Encode(&request{Verb: verbViews}); err != nil {
-		return nil, fmt.Errorf("wire: send: %w", err)
-	}
-	var resp response
-	if err := c.dec.Decode(&resp); err != nil {
-		return nil, fmt.Errorf("wire: receive: %w", err)
-	}
-	c.noteResp(&resp)
-	if resp.Err != "" {
-		return nil, respLiveError(&resp)
+	resp, err := c.roundTrip(&request{Verb: verbViews})
+	if err != nil {
+		return nil, err
 	}
 	return resp.Views, nil
-}
-
-// respLiveError maps live error codes on top of the standard set.
-func respLiveError(resp *response) error {
-	if resp.Code == codeNoLive {
-		return fmt.Errorf("%w: %s", ErrNoLive, resp.Err)
-	}
-	return respError(resp)
 }

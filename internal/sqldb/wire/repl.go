@@ -321,24 +321,9 @@ func (c *Client) LastPos() sqldb.ReplPos {
 
 // Status asks the server for its replication status.
 func (c *Client) Status() (*Status, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn == nil {
-		return nil, errors.New("wire: client is closed")
-	}
-	if c.streaming {
-		return nil, errors.New("wire: client is a subscription stream")
-	}
-	if err := c.enc.Encode(&request{Verb: verbStatus}); err != nil {
-		return nil, fmt.Errorf("wire: send: %w", err)
-	}
-	var resp response
-	if err := c.dec.Decode(&resp); err != nil {
-		return nil, fmt.Errorf("wire: receive: %w", err)
-	}
-	c.noteResp(&resp)
-	if resp.Err != "" {
-		return nil, respError(&resp)
+	resp, err := c.roundTrip(&request{Verb: verbStatus})
+	if err != nil {
+		return nil, err
 	}
 	if resp.Status == nil {
 		return nil, errors.New("wire: status response without status")
@@ -348,24 +333,9 @@ func (c *Client) Status() (*Status, error) {
 
 // FetchState transfers the server's full state for replica bootstrap.
 func (c *Client) FetchState() (*sqldb.StateExport, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn == nil {
-		return nil, errors.New("wire: client is closed")
-	}
-	if c.streaming {
-		return nil, errors.New("wire: client is a subscription stream")
-	}
-	if err := c.enc.Encode(&request{Verb: verbSnapshot}); err != nil {
-		return nil, fmt.Errorf("wire: send: %w", err)
-	}
-	var resp response
-	if err := c.dec.Decode(&resp); err != nil {
-		return nil, fmt.Errorf("wire: receive: %w", err)
-	}
-	c.noteResp(&resp)
-	if resp.Err != "" {
-		return nil, respError(&resp)
+	resp, err := c.roundTrip(&request{Verb: verbSnapshot})
+	if err != nil {
+		return nil, err
 	}
 	if resp.State == nil {
 		return nil, errors.New("wire: snapshot response without state")
@@ -378,27 +348,8 @@ func (c *Client) FetchState() (*sqldb.StateExport, error) {
 // ErrSnapshotNeeded means pos rotated out of the primary's history and
 // the caller must bootstrap via FetchState on a fresh client first.
 func (c *Client) Subscribe(pos sqldb.ReplPos) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn == nil {
-		return errors.New("wire: client is closed")
-	}
-	if c.streaming {
-		return errors.New("wire: already subscribed")
-	}
-	if err := c.enc.Encode(&request{Verb: verbSubscribe, FromEpoch: pos.Epoch, FromLSN: pos.LSN}); err != nil {
-		return fmt.Errorf("wire: send: %w", err)
-	}
-	var resp response
-	if err := c.dec.Decode(&resp); err != nil {
-		return fmt.Errorf("wire: receive: %w", err)
-	}
-	c.noteResp(&resp)
-	if resp.Err != "" {
-		return respError(&resp)
-	}
-	c.streaming = true
-	return nil
+	_, err := c.roundTrip(&request{Verb: verbSubscribe, FromEpoch: pos.Epoch, FromLSN: pos.LSN})
+	return err
 }
 
 // NextFrame blocks for the next stream frame; only valid after a
@@ -428,11 +379,11 @@ func (c *Client) NextFrame() (*Frame, error) {
 // reaches at least pos — the read-your-writes staleness bound for
 // replica reads. A zero timeout uses the server default (5s).
 func (c *Client) ExecWait(sql string, pos sqldb.ReplPos, timeout time.Duration) (*sqldb.Result, error) {
-	return c.roundTrip(&request{
+	return result(c.roundTrip(&request{
 		SQL:       sql,
 		Wait:      true,
 		WaitEpoch: pos.Epoch,
 		WaitLSN:   pos.LSN,
 		WaitMS:    int(timeout / time.Millisecond),
-	})
+	}))
 }

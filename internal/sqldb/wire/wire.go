@@ -93,8 +93,7 @@ type request struct {
 
 // response carries the result (or error text) of one statement. Code
 // classifies the retryable/typed error classes so the client can
-// reconstruct a typed error from the flattened text (Busy is the v1
-// spelling of Code=="busy", kept for compatibility). Epoch/LSN carry
+// reconstruct a typed error from the flattened text. Epoch/LSN carry
 // the server's replication position after executing the request, so
 // clients can track the last write they were acknowledged for.
 type response struct {
@@ -102,7 +101,6 @@ type response struct {
 	Rows     []sqldb.Row
 	Affected int
 	Err      string
-	Busy     bool
 
 	Batch []response
 
@@ -449,7 +447,6 @@ func fail(resp *response, err error) {
 	switch {
 	case errors.Is(err, sqldb.ErrTxnBusy):
 		resp.Code = codeBusy
-		resp.Busy = true
 	case errors.Is(err, sqldb.ErrTxnConflict):
 		resp.Code = codeConflict
 	case errors.Is(err, sqldb.ErrReadOnly):
@@ -639,9 +636,17 @@ func (c *Client) Exec(sql string) (*sqldb.Result, error) {
 	return res, err
 }
 
-// execOnce performs one request/response round trip.
+// execOnce sends one statement, without retry.
 func (c *Client) execOnce(sql string) (*sqldb.Result, error) {
-	return c.roundTrip(&request{SQL: sql})
+	return result(c.roundTrip(&request{SQL: sql}))
+}
+
+// result is a statement's answer as a Result.
+func result(resp *response, err error) (*sqldb.Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &sqldb.Result{Columns: resp.Columns, Rows: resp.Rows, Affected: resp.Affected}, nil
 }
 
 // RunTxn runs fn inside a BEGIN/COMMIT pair on this connection. When
@@ -682,9 +687,13 @@ func (c *Client) RunTxn(fn func(c *Client) error) error {
 	}
 }
 
-// roundTrip sends one request and decodes its response, tracking the
-// piggybacked replication position.
-func (c *Client) roundTrip(req *request) (*sqldb.Result, error) {
+// roundTrip sends one request and decodes its response, the one
+// conversation every verb of the client has with its server: under the
+// connection lock, on an open client that is not a one-way stream,
+// tracking the piggybacked replication position, an error answer
+// returned as its typed error. A successful SUBSCRIBE or WATCH turns
+// the client into a stream.
+func (c *Client) roundTrip(req *request) (*response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.conn == nil {
@@ -704,7 +713,8 @@ func (c *Client) roundTrip(req *request) (*sqldb.Result, error) {
 	if resp.Err != "" {
 		return nil, respError(&resp)
 	}
-	return &sqldb.Result{Columns: resp.Columns, Rows: resp.Rows, Affected: resp.Affected}, nil
+	c.streaming = req.Verb == verbSubscribe || req.Verb == verbWatch
+	return &resp, nil
 }
 
 // noteResp updates the read-your-writes watermark; the caller holds
@@ -721,7 +731,7 @@ func (c *Client) noteResp(resp *response) {
 // across the wire.
 func respError(resp *response) error {
 	switch {
-	case resp.Busy || resp.Code == codeBusy:
+	case resp.Code == codeBusy:
 		return fmt.Errorf("wire: %w", sqldb.ErrTxnBusy)
 	case resp.Code == codeConflict:
 		return fmt.Errorf("wire: %w: %s", sqldb.ErrTxnConflict, resp.Err)
@@ -737,6 +747,8 @@ func respError(resp *response) error {
 		return fmt.Errorf("wire: %w: %s", sqldb.ErrTableExists, resp.Err)
 	case resp.Code == codeCorrupt:
 		return fmt.Errorf("wire: %w: %s", sqldb.ErrCorruptCheckpoint, resp.Err)
+	case resp.Code == codeNoLive:
+		return fmt.Errorf("%w: %s", ErrNoLive, resp.Err)
 	}
 	return errors.New(resp.Err)
 }
@@ -744,22 +756,9 @@ func respError(resp *response) error {
 // InsertRows implements sqldb.BulkInserter over the wire: the rows
 // travel in their binary encoding instead of as SQL text.
 func (c *Client) InsertRows(table string, cols []string, rows []sqldb.Row) (int, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn == nil {
-		return 0, errors.New("wire: client is closed")
-	}
-	req := request{Bulk: true, Table: table, Cols: cols, Rows: rows}
-	if err := c.enc.Encode(&req); err != nil {
-		return 0, fmt.Errorf("wire: send: %w", err)
-	}
-	var resp response
-	if err := c.dec.Decode(&resp); err != nil {
-		return 0, fmt.Errorf("wire: receive: %w", err)
-	}
-	c.noteResp(&resp)
-	if resp.Err != "" {
-		return 0, respError(&resp)
+	resp, err := c.roundTrip(&request{Bulk: true, Table: table, Cols: cols, Rows: rows})
+	if err != nil {
+		return 0, err
 	}
 	return resp.Affected, nil
 }
@@ -776,25 +775,13 @@ func (c *Client) ExecPipeline(reqs []sqldb.PipelineRequest) ([]*sqldb.Result, er
 	if len(reqs) == 0 {
 		return nil, nil
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.conn == nil {
-		return nil, errors.New("wire: client is closed")
-	}
 	batch := make([]request, len(reqs))
 	for i, r := range reqs {
 		batch[i] = request{SQL: r.SQL, Bulk: r.Bulk, Table: r.Table, Cols: r.Cols, Rows: r.Rows, Pour: r.From != nil, From: r.From}
 	}
-	if err := c.enc.Encode(&request{Batch: batch}); err != nil {
-		return nil, fmt.Errorf("wire: send: %w", err)
-	}
-	var resp response
-	if err := c.dec.Decode(&resp); err != nil {
-		return nil, fmt.Errorf("wire: receive: %w", err)
-	}
-	c.noteResp(&resp)
-	if resp.Err != "" {
-		return nil, respError(&resp)
+	resp, err := c.roundTrip(&request{Batch: batch})
+	if err != nil {
+		return nil, err
 	}
 	out := make([]*sqldb.Result, 0, len(resp.Batch))
 	for i := range resp.Batch {

@@ -1,10 +1,13 @@
 package wire
 
 import (
+	"encoding/gob"
 	"fmt"
+	"net"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"perfbase/internal/sqldb"
 	"perfbase/internal/value"
@@ -203,6 +206,65 @@ func TestClientClosed(t *testing.T) {
 	if err := c.Close(); err != nil {
 		t.Errorf("double close: %v", err)
 	}
+}
+
+// TestStreamClientRefusesRequests: once a client has become a one-way
+// subscription stream, no request may be written onto it — the server
+// no longer reads them, and the answer the client would wait for never
+// comes. The peer acks the handshake and the SUBSCRIBE, then only reads.
+func TestStreamClientRefusesRequests(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		dec, enc := gob.NewDecoder(conn), gob.NewEncoder(conn)
+		for {
+			var req request
+			if dec.Decode(&req) != nil {
+				return
+			}
+			switch {
+			case req.Hello != nil:
+				enc.Encode(&response{Hello: &HelloAck{Version: ProtocolVersion}}) //nolint:errcheck
+			case req.Verb == verbSubscribe:
+				enc.Encode(&response{}) //nolint:errcheck
+			}
+		}
+	}()
+	c, err := Dial(ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Subscribe(sqldb.ReplPos{}); err != nil {
+		t.Fatal(err)
+	}
+	for name, call := range map[string]func() error{
+		"Exec":       func() error { _, err := c.Exec("SELECT 1"); return err },
+		"InsertRows": func() error { _, err := c.InsertRows("t", []string{"a"}, []sqldb.Row{{value.NewInt(1)}}); return err },
+		"ExecPipeline": func() error {
+			_, err := c.ExecPipeline([]sqldb.PipelineRequest{{SQL: "SELECT 1"}})
+			return err
+		},
+	} {
+		done := make(chan error, 1)
+		go func() { done <- call() }()
+		select {
+		case err := <-done:
+			if err == nil || !strings.Contains(err.Error(), "subscription stream") {
+				t.Errorf("%s on a stream: %v, want a refusal", name, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s on a stream wrote its request and waits for an answer", name)
+		}
+	}
+	c.Close()
 }
 
 func TestServerClose(t *testing.T) {
