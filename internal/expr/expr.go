@@ -1,11 +1,10 @@
-// Package expr implements the arithmetic expression language used by
-// perfbase for derived parameters and for the "eval" query operator.
-//
-// Expressions operate on typed values (see internal/value), support the
-// usual arithmetic, comparison and boolean operators, a library of math
-// functions, and free variables that are resolved through a caller
-// supplied Resolver. An expression is compiled once and can then be
-// evaluated many times against different variable bindings.
+// Package expr is the front end of perfbase's expression language, the
+// syntax of derived parameters (paper §3.2) and of the "eval" query
+// operator (§3.3.2). Compile parses an expression and renders it as an
+// expression of the SQL engine (internal/sqldb), which types and
+// evaluates it like any other: sqldb.CompileExpr over one row in
+// memory, a statement over the rows of a table. The language has no
+// evaluator of its own.
 //
 // Grammar (precedence climbing, loosest first):
 //
@@ -18,568 +17,110 @@
 //	term    = unary { ("*" | "/" | "%") unary }
 //	unary   = [ "-" | "+" ] power
 //	power   = atom [ "^" unary ]
-//	atom    = number | string | "true" | "false" | ident
+//	atom    = number | string | "true" | "false" | "null" | ident
 //	        | ident "(" [ expr { "," expr } ] ")" | "(" expr ")"
+//
+// Lowering, with every operator parenthesised so that the engine's
+// precedence never applies:
+//
+//	a ^ b, pow(a, b)     POWER(a, b)
+//	and &&, or ||, not !  AND, OR, NOT
+//	== =, != <>          =, <>
+//	min, max             LEAST, GREATEST
+//	int, float           CAST(a AS INTEGER), CAST(a AS FLOAT)
+//	log                  LN
+//	if(c, a, b)          IF(c, a, b)
+//	literal              value.Value.SQL(); null is CAST(NULL AS FLOAT)
+//	variable             "name"
 package expr
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"perfbase/internal/value"
 )
 
-// Resolver supplies the value of a free variable during evaluation.
-type Resolver interface {
-	// Resolve returns the value bound to name, and whether a binding
-	// exists.
-	Resolve(name string) (value.Value, bool)
-}
-
-// MapResolver resolves variables from a plain map.
-type MapResolver map[string]value.Value
-
-// Resolve implements Resolver.
-func (m MapResolver) Resolve(name string) (value.Value, bool) {
-	v, ok := m[name]
-	return v, ok
-}
-
 // Expr is a compiled expression.
 type Expr struct {
-	root node
-	prog program
-	src  string
+	sql  string
+	vars []string
 }
 
-// Compile parses the expression source and lowers the tree to a flat
-// postfix instruction sequence: operator dispatch and function lookup
-// happen once here, so Eval only runs a tight stack-machine loop. The
-// returned Expr is immutable and safe for concurrent evaluation.
+// Compile parses the expression source and renders it for the SQL
+// engine. An unknown function or a wrong argument count is an error
+// here, as is any syntax error.
 func Compile(src string) (*Expr, error) {
 	toks, err := lex(src)
 	if err != nil {
 		return nil, err
 	}
 	p := &parser{toks: toks, src: src}
-	root, err := p.parseExpr()
+	sql, err := p.parseExpr()
 	if err != nil {
 		return nil, err
 	}
 	if p.pos != len(p.toks) {
 		return nil, fmt.Errorf("expr: trailing input %q in %q", p.toks[p.pos].text, src)
 	}
-	e := &Expr{root: root, src: src}
-	e.prog.compile(root)
-	return e, nil
+	return &Expr{sql: sql, vars: p.vars}, nil
 }
 
-// String returns the original source of the expression.
-func (e *Expr) String() string { return e.src }
+// SQL returns the expression in the SQL engine's expression grammar.
+func (e *Expr) SQL() string { return e.sql }
 
-// Eval evaluates the expression with variables supplied by r (which may
-// be nil for closed expressions).
-func (e *Expr) Eval(r Resolver) (value.Value, error) {
-	return e.prog.run(r)
-}
+// Variables returns the names of the variables the expression reads, in
+// first-use order, each once. Names are case-insensitive, as the
+// engine resolves them.
+func (e *Expr) Variables() []string { return e.vars }
 
-// Variables returns the set of free variable names referenced by the
-// expression, in first-use order.
-func (e *Expr) Variables() []string {
-	seen := map[string]bool{}
-	var names []string
-	var walk func(n node)
-	walk = func(n node) {
-		switch t := n.(type) {
-		case *varNode:
-			if !seen[t.name] {
-				seen[t.name] = true
-				names = append(names, t.name)
-			}
-		case *binNode:
-			walk(t.l)
-			walk(t.r)
-		case *unaryNode:
-			walk(t.operand)
-		case *callNode:
-			for _, a := range t.args {
-				walk(a)
-			}
-		}
-	}
-	walk(e.root)
-	return names
-}
-
-// ---------------------------------------------------------------- nodes
-
-// node is a parsed expression tree node. The tree is kept only for
-// structural walks (Variables); evaluation runs through the closures
-// produced by compileNode.
-type node interface{ exprNode() }
-
-type litNode struct{ v value.Value }
-
-type varNode struct{ name string }
-
-type unaryNode struct {
-	op      string
-	operand node
-}
-
-type binNode struct {
-	op   string
-	l, r node
-}
-
-type callNode struct {
-	name string
-	args []node
-}
-
-func (*litNode) exprNode()   {}
-func (*varNode) exprNode()   {}
-func (*unaryNode) exprNode() {}
-func (*binNode) exprNode()   {}
-func (*callNode) exprNode()  {}
-
-// ------------------------------------------------------------- compiler
-
-// The compiler lowers the parse tree to a postfix instruction list run
-// by a stack machine. This shape was chosen over a closure chain
-// deliberately: value.Value is a large struct, and both tree walking
-// and nested closures copy one up the call chain per operator per
-// evaluation. The stack machine keeps operands in a flat array
-// (stack-allocated for typical expression depths) and computes binary
-// operators in place through pointers, so a full evaluation performs
-// only one bulk copy per pushed operand.
-
-type vmOp uint8
-
-const (
-	vmLit vmOp = iota
-	vmVar
-	vmAdd
-	vmSub
-	vmMul
-	vmDiv
-	vmMod
-	vmPow
-	vmNeg
-	vmNot
-	vmCmp      // comparison; kind selects the predicate
-	vmAndShort // short-circuit probe: jump if left operand decides AND
-	vmOrShort  // short-circuit probe: jump if left operand decides OR
-	vmBool     // strict and/or combine; kind: 1 = and, 0 = or
-	vmCall
-	vmErr // compile-time error deferred to evaluation
-)
-
-// Comparison kinds for vmCmp.
-const (
-	cmpEQ = iota
-	cmpNE
-	cmpLT
-	cmpLE
-	cmpGT
-	cmpGE
-)
-
-type vmInstr struct {
-	op   vmOp
-	kind uint8
-	jump int    // vmAndShort/vmOrShort: pc of the vmBool to skip
-	argc int    // vmCall
-	name string // vmVar, vmCall (diagnostics)
-	lit  value.Value
-	fn   func([]value.Value) (value.Value, error) // vmCall
-	err  error                                    // vmErr
-}
-
-// program is a compiled instruction sequence.
-type program struct {
-	code     []vmInstr
-	maxStack int
-}
-
-// arithSlowOps maps arithmetic opcodes to the general value operations
-// used outside the numeric fast path (string concat, NULL propagation,
-// type errors, division by zero — keeping their exact error text).
-var arithSlowOps = [...]func(a, b value.Value) (value.Value, error){
-	vmAdd: value.Add, vmSub: value.Sub, vmMul: value.Mul,
-	vmDiv: value.Div, vmMod: value.Mod, vmPow: value.Pow,
-}
-
-func (p *program) compile(n node) {
-	depth := 0
-	p.emit(n, &depth)
-}
-
-// emit appends the instructions for n. depth tracks the operand stack
-// height to size the evaluation stack.
-func (p *program) emit(n node, depth *int) {
-	push := func() {
-		*depth++
-		if *depth > p.maxStack {
-			p.maxStack = *depth
-		}
-	}
-	switch t := n.(type) {
-	case *litNode:
-		p.code = append(p.code, vmInstr{op: vmLit, lit: t.v})
-		push()
-	case *varNode:
-		p.code = append(p.code, vmInstr{op: vmVar, name: t.name})
-		push()
-	case *unaryNode:
-		if t.op == "+" {
-			p.emit(t.operand, depth)
-			return
-		}
-		p.emit(t.operand, depth)
-		switch t.op {
-		case "-":
-			p.code = append(p.code, vmInstr{op: vmNeg})
-		case "not":
-			p.code = append(p.code, vmInstr{op: vmNot})
-		default:
-			p.code = append(p.code, vmInstr{op: vmErr, err: fmt.Errorf("expr: unknown unary operator %q", t.op)})
-		}
-	case *binNode:
-		switch t.op {
-		case "and", "or":
-			p.emit(t.l, depth)
-			probe := len(p.code)
-			op := vmAndShort
-			var kind uint8
-			if t.op == "or" {
-				op = vmOrShort
-			} else {
-				kind = 1
-			}
-			p.code = append(p.code, vmInstr{op: op})
-			p.emit(t.r, depth)
-			p.code = append(p.code, vmInstr{op: vmBool, kind: kind})
-			p.code[probe].jump = len(p.code) - 1 // skip the vmBool
-			*depth--
-			return
-		}
-		p.emit(t.l, depth)
-		p.emit(t.r, depth)
-		*depth--
-		switch t.op {
-		case "+":
-			p.code = append(p.code, vmInstr{op: vmAdd})
-		case "-":
-			p.code = append(p.code, vmInstr{op: vmSub})
-		case "*":
-			p.code = append(p.code, vmInstr{op: vmMul})
-		case "/":
-			p.code = append(p.code, vmInstr{op: vmDiv})
-		case "%":
-			p.code = append(p.code, vmInstr{op: vmMod})
-		case "^":
-			p.code = append(p.code, vmInstr{op: vmPow})
-		case "==":
-			p.code = append(p.code, vmInstr{op: vmCmp, kind: cmpEQ})
-		case "!=":
-			p.code = append(p.code, vmInstr{op: vmCmp, kind: cmpNE})
-		case "<":
-			p.code = append(p.code, vmInstr{op: vmCmp, kind: cmpLT})
-		case "<=":
-			p.code = append(p.code, vmInstr{op: vmCmp, kind: cmpLE})
-		case ">":
-			p.code = append(p.code, vmInstr{op: vmCmp, kind: cmpGT})
-		case ">=":
-			p.code = append(p.code, vmInstr{op: vmCmp, kind: cmpGE})
-		default:
-			p.code = append(p.code, vmInstr{op: vmErr, err: fmt.Errorf("expr: unknown operator %q", t.op)})
-		}
-	case *callNode:
-		fn, ok := functions[t.name]
-		if !ok {
-			// Historical behaviour: unknown functions fail at Eval.
-			p.code = append(p.code, vmInstr{op: vmErr, err: fmt.Errorf("expr: unknown function %q", t.name)})
-			push()
-			return
-		}
-		if fn.arity >= 0 && len(t.args) != fn.arity {
-			p.code = append(p.code, vmInstr{op: vmErr, err: fmt.Errorf("expr: %s expects %d argument(s), got %d", t.name, fn.arity, len(t.args))})
-			push()
-			return
-		}
-		for _, a := range t.args {
-			p.emit(a, depth)
-		}
-		p.code = append(p.code, vmInstr{op: vmCall, argc: len(t.args), name: t.name, fn: fn.impl})
-		*depth -= len(t.args) - 1
-		if len(t.args) == 0 {
-			push()
-		}
-	default:
-		p.code = append(p.code, vmInstr{op: vmErr, err: fmt.Errorf("expr: unknown node %T", n)})
-		push()
-	}
-}
-
-// run executes the program. The operand stack lives in a fixed-size
-// local array for typical expressions so evaluation does not allocate.
-func (p *program) run(r Resolver) (value.Value, error) {
-	var local [16]value.Value
-	stack := local[:]
-	if p.maxStack > len(local) {
-		stack = make([]value.Value, p.maxStack)
-	}
-	sp := 0
-	code := p.code
-	for pc := 0; pc < len(code); pc++ {
-		in := &code[pc]
-		switch in.op {
-		case vmLit:
-			stack[sp] = in.lit
-			sp++
-		case vmVar:
-			if r == nil {
-				return value.Value{}, fmt.Errorf("expr: unbound variable %q", in.name)
-			}
-			v, ok := r.Resolve(in.name)
-			if !ok {
-				return value.Value{}, fmt.Errorf("expr: unbound variable %q", in.name)
-			}
-			stack[sp] = v
-			sp++
-		case vmAdd, vmSub, vmMul, vmDiv, vmMod, vmPow:
-			sp--
-			if err := vmArith(in.op, &stack[sp-1], &stack[sp]); err != nil {
-				return value.Value{}, err
-			}
-		case vmNeg:
-			v, err := value.Neg(stack[sp-1])
-			if err != nil {
-				return value.Value{}, err
-			}
-			stack[sp-1] = v
-		case vmNot:
-			v := &stack[sp-1]
-			if v.Type() != value.Boolean {
-				return value.Value{}, fmt.Errorf("expr: 'not' applied to %s", v.Type())
-			}
-			if !v.IsNull() {
-				v.SetBool(!v.Bool())
-			}
-		case vmCmp:
-			sp--
-			c := value.Compare(stack[sp-1], stack[sp])
-			var ok bool
-			switch in.kind {
-			case cmpEQ:
-				ok = c == 0
-			case cmpNE:
-				ok = c != 0
-			case cmpLT:
-				ok = c < 0
-			case cmpLE:
-				ok = c <= 0
-			case cmpGT:
-				ok = c > 0
-			case cmpGE:
-				ok = c >= 0
-			}
-			stack[sp-1].SetBool(ok)
-		case vmAndShort:
-			v := &stack[sp-1]
-			if !v.IsNull() && v.Type() == value.Boolean && !v.Bool() {
-				v.SetBool(false)
-				pc = in.jump
-			}
-		case vmOrShort:
-			v := &stack[sp-1]
-			if !v.IsNull() && v.Type() == value.Boolean && v.Bool() {
-				v.SetBool(true)
-				pc = in.jump
-			}
-		case vmBool:
-			sp--
-			a, b := &stack[sp-1], &stack[sp]
-			if a.Type() != value.Boolean || b.Type() != value.Boolean {
-				op := "or"
-				if in.kind == 1 {
-					op = "and"
-				}
-				return value.Value{}, fmt.Errorf("expr: %q applied to %s and %s", op, a.Type(), b.Type())
-			}
-			if a.IsNull() || b.IsNull() {
-				a.SetNull(value.Boolean)
-			} else if in.kind == 1 {
-				a.SetBool(a.Bool() && b.Bool())
-			} else {
-				a.SetBool(a.Bool() || b.Bool())
-			}
-		case vmCall:
-			args := make([]value.Value, in.argc)
-			copy(args, stack[sp-in.argc:sp])
-			v, err := in.fn(args)
-			if err != nil {
-				return value.Value{}, err
-			}
-			sp -= in.argc
-			stack[sp] = v
-			sp++
-		case vmErr:
-			return value.Value{}, in.err
-		}
-	}
-	return stack[sp-1], nil
-}
-
-// vmArith computes a binary arithmetic operator in place: non-NULL
-// numeric operands run inline, everything else defers to the value
-// package for identical semantics and error text.
-func vmArith(op vmOp, a, b *value.Value) error {
-	if a.Type().Numeric() && b.Type().Numeric() && !a.IsNull() && !b.IsNull() {
-		if a.Type() == value.Integer && b.Type() == value.Integer {
-			x, y := a.Int(), b.Int()
-			switch op {
-			case vmAdd:
-				a.SetInt(x + y)
-				return nil
-			case vmSub:
-				a.SetInt(x - y)
-				return nil
-			case vmMul:
-				a.SetInt(x * y)
-				return nil
-			case vmDiv, vmMod:
-				if y == 0 {
-					break // identical error from the slow path
-				}
-				if op == vmDiv {
-					a.SetInt(x / y)
-				} else {
-					a.SetInt(x % y)
-				}
-				return nil
-			case vmPow:
-				a.SetFloat(math.Pow(float64(x), float64(y)))
-				return nil
-			}
-		} else {
-			x, y := a.Float(), b.Float()
-			switch op {
-			case vmAdd:
-				a.SetFloat(x + y)
-				return nil
-			case vmSub:
-				a.SetFloat(x - y)
-				return nil
-			case vmMul:
-				a.SetFloat(x * y)
-				return nil
-			case vmDiv:
-				if y == 0 {
-					break
-				}
-				a.SetFloat(x / y)
-				return nil
-			case vmMod:
-				a.SetFloat(math.Mod(x, y))
-				return nil
-			case vmPow:
-				a.SetFloat(math.Pow(x, y))
-				return nil
-			}
-		}
-	}
-	v, err := arithSlowOps[op](*a, *b)
-	if err != nil {
-		return err
-	}
-	*a = v
-	return nil
-}
-
-// ------------------------------------------------------------ functions
-
+// function is how one function of the language lowers: the engine's
+// function (or the type CAST converts to) and the argument count, -1
+// for one or more.
 type function struct {
-	arity int // -1 for variadic
-	impl  func([]value.Value) (value.Value, error)
-}
-
-func float1(f func(float64) float64) function {
-	return function{arity: 1, impl: func(args []value.Value) (value.Value, error) {
-		a := args[0]
-		if !a.Type().Numeric() {
-			return value.Value{}, fmt.Errorf("expr: numeric argument required, got %s", a.Type())
-		}
-		if a.IsNull() {
-			return value.Null(value.Float), nil
-		}
-		return value.NewFloat(f(a.Float())), nil
-	}}
+	sql   string
+	arity int
+	cast  bool
 }
 
 var functions = map[string]function{
-	"abs": {arity: 1, impl: func(args []value.Value) (value.Value, error) {
-		a := args[0]
-		if a.IsNull() || !a.Type().Numeric() {
-			return float1(math.Abs).impl(args)
-		}
-		if a.Type() == value.Integer {
-			if a.Int() < 0 {
-				return value.NewInt(-a.Int()), nil
-			}
-			return a, nil
-		}
-		return value.NewFloat(math.Abs(a.Float())), nil
-	}},
-	"sqrt":  float1(math.Sqrt),
-	"exp":   float1(math.Exp),
-	"log":   float1(math.Log),
-	"log2":  float1(math.Log2),
-	"log10": float1(math.Log10),
-	"floor": float1(math.Floor),
-	"ceil":  float1(math.Ceil),
-	"round": float1(math.Round),
-	"sin":   float1(math.Sin),
-	"cos":   float1(math.Cos),
-	"tan":   float1(math.Tan),
-	"min":   {arity: -1, impl: reduceFn("min", func(a, b value.Value) bool { return value.Compare(b, a) < 0 })},
-	"max":   {arity: -1, impl: reduceFn("max", func(a, b value.Value) bool { return value.Compare(b, a) > 0 })},
-	"pow": {arity: 2, impl: func(args []value.Value) (value.Value, error) {
-		return value.Pow(args[0], args[1])
-	}},
-	"int": {arity: 1, impl: func(args []value.Value) (value.Value, error) {
-		return args[0].Convert(value.Integer)
-	}},
-	"float": {arity: 1, impl: func(args []value.Value) (value.Value, error) {
-		return args[0].Convert(value.Float)
-	}},
-	"if": {arity: 3, impl: func(args []value.Value) (value.Value, error) {
-		c := args[0]
-		if c.Type() != value.Boolean {
-			return value.Value{}, fmt.Errorf("expr: if() condition must be boolean, got %s", c.Type())
-		}
-		if !c.IsNull() && c.Bool() {
-			return args[1], nil
-		}
-		return args[2], nil
-	}},
+	"abs": {"ABS", 1, false}, "sqrt": {"SQRT", 1, false}, "exp": {"EXP", 1, false},
+	"log": {"LN", 1, false}, "log2": {"LOG2", 1, false}, "log10": {"LOG10", 1, false},
+	"floor": {"FLOOR", 1, false}, "ceil": {"CEIL", 1, false}, "round": {"ROUND", 1, false},
+	"sin": {"SIN", 1, false}, "cos": {"COS", 1, false}, "tan": {"TAN", 1, false},
+	"min": {"LEAST", -1, false}, "max": {"GREATEST", -1, false},
+	"pow": {"POWER", 2, false}, "if": {"IF", 3, false},
+	"int": {"INTEGER", 1, true}, "float": {"FLOAT", 1, true},
 }
 
-func reduceFn(name string, better func(best, cand value.Value) bool) func([]value.Value) (value.Value, error) {
-	return func(args []value.Value) (value.Value, error) {
-		if len(args) == 0 {
-			return value.Value{}, fmt.Errorf("expr: %s needs at least one argument", name)
-		}
-		best := args[0]
-		for _, a := range args[1:] {
-			if better(best, a) {
-				best = a
-			}
-		}
-		return best, nil
+// call renders a call of the function name.
+func call(name string, args []string) (string, error) {
+	f, ok := functions[name]
+	switch {
+	case !ok:
+		return "", fmt.Errorf("expr: unknown function %q", name)
+	case f.arity < 0 && len(args) == 0:
+		return "", fmt.Errorf("expr: %s needs at least one argument", name)
+	case f.arity >= 0 && len(args) != f.arity:
+		return "", fmt.Errorf("expr: %s expects %d argument(s), got %d", name, f.arity, len(args))
+	case f.cast:
+		return "CAST(" + args[0] + " AS " + f.sql + ")", nil
 	}
+	return f.sql + "(" + strings.Join(args, ", ") + ")", nil
+}
+
+// literal renders a literal so that the engine reads back the same
+// value of the same type: a float whose text looks like an integer
+// gets a fraction, and a NULL its type.
+func literal(v value.Value) string {
+	if v.IsNull() {
+		return "CAST(NULL AS FLOAT)"
+	}
+	s := v.SQL()
+	if v.Type() == value.Float && !strings.ContainsAny(s, ".eE(") {
+		s += ".0"
+	}
+	return s
 }
 
 // ---------------------------------------------------------------- lexer
@@ -630,18 +171,12 @@ func lex(src string) ([]token, error) {
 			toks = append(toks, token{tokNum, src[i:j]})
 			i = j
 		case c == '\'' || c == '"':
-			quote := c
-			j := i + 1
-			var sb strings.Builder
-			for j < len(src) && src[j] != quote {
-				sb.WriteByte(src[j])
-				j++
-			}
-			if j >= len(src) {
+			j := strings.IndexByte(src[i+1:], c)
+			if j < 0 {
 				return nil, fmt.Errorf("expr: unterminated string in %q", src)
 			}
-			toks = append(toks, token{tokStr, sb.String()})
-			i = j + 1
+			toks = append(toks, token{tokStr, src[i+1 : i+1+j]})
+			i += j + 2
 		case isIdentStart(c):
 			j := i
 			for j < len(src) && isIdentPart(src[j]) {
@@ -692,247 +227,164 @@ func isIdentPart(c byte) bool {
 
 // --------------------------------------------------------------- parser
 
+// parser renders as it parses: each rule returns its SQL text.
 type parser struct {
 	toks []token
 	pos  int
 	src  string
+	vars []string
 }
 
-func (p *parser) peek() (token, bool) {
-	if p.pos >= len(p.toks) {
-		return token{}, false
+// The operators of each level of the grammar, by their spellings (an
+// operator or a word), with their renderings.
+var (
+	orOps    = map[string]string{"||": "OR", "or": "OR"}
+	andOps   = map[string]string{"&&": "AND", "and": "AND"}
+	notOps   = map[string]string{"!": "NOT ", "not": "NOT "}
+	cmpOps   = map[string]string{"==": "=", "=": "=", "!=": "<>", "<>": "<>", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
+	sumOps   = map[string]string{"+": "+", "-": "-"}
+	termOps  = map[string]string{"*": "*", "/": "/", "%": "%"}
+	unaryOps = map[string]string{"-": "-", "+": ""}
+	powOps   = map[string]string{"^": "POWER"}
+)
+
+// is consumes the next token if it is of kind.
+func (p *parser) is(kind tokKind) bool {
+	if p.pos < len(p.toks) && p.toks[p.pos].kind == kind {
+		p.pos++
+		return true
 	}
-	return p.toks[p.pos], true
+	return false
 }
 
-func (p *parser) accept(kind tokKind, texts ...string) (token, bool) {
-	t, ok := p.peek()
-	if !ok || t.kind != kind {
-		return token{}, false
-	}
-	if len(texts) > 0 {
-		match := false
-		for _, want := range texts {
-			if strings.EqualFold(t.text, want) {
-				match = true
-				break
+// op consumes the next token if it spells one of ops, and returns its
+// rendering.
+func (p *parser) op(ops map[string]string) (string, bool) {
+	if p.pos < len(p.toks) {
+		if t := p.toks[p.pos]; t.kind == tokOp || t.kind == tokIdent {
+			if sql, ok := ops[strings.ToLower(t.text)]; ok {
+				p.pos++
+				return sql, true
 			}
 		}
-		if !match {
-			return token{}, false
-		}
 	}
-	p.pos++
-	return t, true
+	return "", false
 }
 
-func (p *parser) parseExpr() (node, error) { return p.parseOr() }
-
-func (p *parser) parseOr() (node, error) {
-	l, err := p.parseAnd()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		if _, ok := p.accept(tokOp, "||"); !ok {
-			if _, ok := p.accept(tokIdent, "or"); !ok {
-				return l, nil
-			}
+// binary parses a left-associative level: operands of next joined by
+// operators of ops.
+func (p *parser) binary(next func() (string, error), ops map[string]string) (string, error) {
+	l, err := next()
+	for err == nil {
+		op, ok := p.op(ops)
+		if !ok {
+			break
 		}
-		r, err := p.parseAnd()
-		if err != nil {
-			return nil, err
+		var r string
+		if r, err = next(); err == nil {
+			l = "(" + l + " " + op + " " + r + ")"
 		}
-		l = &binNode{"or", l, r}
 	}
+	return l, err
 }
 
-func (p *parser) parseAnd() (node, error) {
-	l, err := p.parseNot()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		if _, ok := p.accept(tokOp, "&&"); !ok {
-			if _, ok := p.accept(tokIdent, "and"); !ok {
-				return l, nil
-			}
-		}
-		r, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		l = &binNode{"and", l, r}
-	}
-}
+func (p *parser) parseExpr() (string, error) { return p.binary(p.parseAnd, orOps) }
 
-func (p *parser) parseNot() (node, error) {
-	if _, ok := p.accept(tokOp, "!"); ok {
+func (p *parser) parseAnd() (string, error) { return p.binary(p.parseNot, andOps) }
+
+func (p *parser) parseNot() (string, error) {
+	if op, ok := p.op(notOps); ok {
 		operand, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		return &unaryNode{"not", operand}, nil
+		return "(" + op + operand + ")", err
 	}
-	if _, ok := p.accept(tokIdent, "not"); ok {
-		operand, err := p.parseNot()
-		if err != nil {
-			return nil, err
-		}
-		return &unaryNode{"not", operand}, nil
-	}
-	return p.parseCmp()
-}
-
-func (p *parser) parseCmp() (node, error) {
+	// A comparison does not chain.
 	l, err := p.parseSum()
-	if err != nil {
-		return nil, err
+	if op, ok := p.op(cmpOps); ok && err == nil {
+		var r string
+		r, err = p.parseSum()
+		l = "(" + l + " " + op + " " + r + ")"
 	}
-	t, ok := p.accept(tokOp, "==", "=", "!=", "<>", "<", "<=", ">", ">=")
-	if !ok {
-		return l, nil
-	}
-	op := t.text
-	switch op {
-	case "=":
-		op = "=="
-	case "<>":
-		op = "!="
-	}
-	r, err := p.parseSum()
-	if err != nil {
-		return nil, err
-	}
-	return &binNode{op, l, r}, nil
+	return l, err
 }
 
-func (p *parser) parseSum() (node, error) {
-	l, err := p.parseTerm()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		t, ok := p.accept(tokOp, "+", "-")
-		if !ok {
-			return l, nil
-		}
-		r, err := p.parseTerm()
-		if err != nil {
-			return nil, err
-		}
-		l = &binNode{t.text, l, r}
-	}
-}
+func (p *parser) parseSum() (string, error) { return p.binary(p.parseTerm, sumOps) }
 
-func (p *parser) parseTerm() (node, error) {
-	l, err := p.parseUnary()
-	if err != nil {
-		return nil, err
-	}
-	for {
-		t, ok := p.accept(tokOp, "*", "/", "%")
-		if !ok {
-			return l, nil
-		}
-		r, err := p.parseUnary()
-		if err != nil {
-			return nil, err
-		}
-		l = &binNode{t.text, l, r}
-	}
-}
+func (p *parser) parseTerm() (string, error) { return p.binary(p.parseUnary, termOps) }
 
-func (p *parser) parseUnary() (node, error) {
-	if t, ok := p.accept(tokOp, "-", "+"); ok {
+func (p *parser) parseUnary() (string, error) {
+	if op, ok := p.op(unaryOps); ok {
 		operand, err := p.parseUnary()
-		if err != nil {
-			return nil, err
+		if op == "" {
+			return operand, err
 		}
-		return &unaryNode{t.text, operand}, nil
+		return "(" + op + operand + ")", err
 	}
-	return p.parsePower()
-}
-
-func (p *parser) parsePower() (node, error) {
 	base, err := p.parseAtom()
-	if err != nil {
-		return nil, err
+	if _, ok := p.op(powOps); ok && err == nil {
+		var exp string
+		exp, err = p.parseUnary() // right associative
+		base = "POWER(" + base + ", " + exp + ")"
 	}
-	if _, ok := p.accept(tokOp, "^"); ok {
-		exp, err := p.parseUnary() // right associative
-		if err != nil {
-			return nil, err
-		}
-		return &binNode{"^", base, exp}, nil
-	}
-	return base, nil
+	return base, err
 }
 
-func (p *parser) parseAtom() (node, error) {
-	t, ok := p.peek()
-	if !ok {
-		return nil, fmt.Errorf("expr: unexpected end of expression in %q", p.src)
+func (p *parser) parseAtom() (string, error) {
+	if p.pos >= len(p.toks) {
+		return "", fmt.Errorf("expr: unexpected end of expression in %q", p.src)
 	}
+	t := p.toks[p.pos]
+	p.pos++
 	switch t.kind {
 	case tokNum:
-		p.pos++
+		typ := value.Integer
 		if strings.ContainsAny(t.text, ".eE") {
-			v, err := value.Parse(value.Float, t.text)
-			if err != nil {
-				return nil, err
-			}
-			return &litNode{v}, nil
+			typ = value.Float
 		}
-		v, err := value.Parse(value.Integer, t.text)
-		if err != nil {
-			return nil, err
-		}
-		return &litNode{v}, nil
+		v, err := value.Parse(typ, t.text)
+		return literal(v), err
 	case tokStr:
-		p.pos++
-		return &litNode{value.NewString(t.text)}, nil
+		return literal(value.NewString(t.text)), nil
 	case tokIdent:
-		p.pos++
 		switch strings.ToLower(t.text) {
 		case "true":
-			return &litNode{value.NewBool(true)}, nil
+			return literal(value.NewBool(true)), nil
 		case "false":
-			return &litNode{value.NewBool(false)}, nil
+			return literal(value.NewBool(false)), nil
 		case "null":
-			return &litNode{value.Null(value.Float)}, nil
+			return literal(value.Null(value.Float)), nil
 		}
-		if _, ok := p.accept(tokLParen); ok {
-			var args []node
-			if _, ok := p.accept(tokRParen); !ok {
-				for {
-					a, err := p.parseExpr()
-					if err != nil {
-						return nil, err
-					}
-					args = append(args, a)
-					if _, ok := p.accept(tokComma); ok {
-						continue
-					}
-					if _, ok := p.accept(tokRParen); ok {
-						break
-					}
-					return nil, fmt.Errorf("expr: expected ',' or ')' in call to %s", t.text)
-				}
+		if !p.is(tokLParen) {
+			p.variable(t.text)
+			return `"` + t.text + `"`, nil
+		}
+		var args []string
+		for !p.is(tokRParen) {
+			if len(args) > 0 && !p.is(tokComma) {
+				return "", fmt.Errorf("expr: expected ',' or ')' in call to %s", t.text)
 			}
-			return &callNode{strings.ToLower(t.text), args}, nil
+			a, err := p.parseExpr()
+			if err != nil {
+				return "", err
+			}
+			args = append(args, a)
 		}
-		return &varNode{t.text}, nil
+		return call(strings.ToLower(t.text), args)
 	case tokLParen:
-		p.pos++
 		inner, err := p.parseExpr()
-		if err != nil {
-			return nil, err
+		if err == nil && !p.is(tokRParen) {
+			err = fmt.Errorf("expr: missing ')' in %q", p.src)
 		}
-		if _, ok := p.accept(tokRParen); !ok {
-			return nil, fmt.Errorf("expr: missing ')' in %q", p.src)
-		}
-		return inner, nil
+		return inner, err
 	}
-	return nil, fmt.Errorf("expr: unexpected token %q in %q", t.text, p.src)
+	return "", fmt.Errorf("expr: unexpected token %q in %q", t.text, p.src)
+}
+
+// variable records a use of the variable name.
+func (p *parser) variable(name string) {
+	for _, v := range p.vars {
+		if strings.EqualFold(v, name) {
+			return
+		}
+	}
+	p.vars = append(p.vars, name)
 }

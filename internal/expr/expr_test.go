@@ -1,22 +1,57 @@
-package expr
+package expr_test
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 
+	"perfbase/internal/expr"
+	"perfbase/internal/sqldb"
 	"perfbase/internal/value"
 )
 
-func evalStr(t *testing.T, src string, vars map[string]value.Value) value.Value {
+// compileOver compiles src through the front end and CompileExpr over a
+// row of the variables in vars, in name order; row fills that row.
+func compileOver(t testing.TB, src string, vars map[string]value.Value) (eval func(sqldb.Row) (value.Value, error), row func(map[string]value.Value) sqldb.Row) {
 	t.Helper()
-	e, err := Compile(src)
+	e, err := expr.Compile(src)
 	if err != nil {
 		t.Fatalf("Compile(%q): %v", src, err)
 	}
-	v, err := e.Eval(MapResolver(vars))
+	names := make([]string, 0, len(vars))
+	for n := range vars {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	cols := make(sqldb.Schema, len(names))
+	for i, n := range names {
+		cols[i] = sqldb.Column{Name: n, Type: vars[n].Type()}
+	}
+	eval, err = sqldb.CompileExpr(e.SQL(), cols)
 	if err != nil {
-		t.Fatalf("Eval(%q): %v", src, err)
+		t.Fatalf("CompileExpr(%q): %v", e.SQL(), err)
+	}
+	return eval, func(vars map[string]value.Value) sqldb.Row {
+		r := make(sqldb.Row, len(names))
+		for i, n := range names {
+			r[i] = vars[n]
+		}
+		return r
+	}
+}
+
+func evalErr(t *testing.T, src string, vars map[string]value.Value) (value.Value, error) {
+	t.Helper()
+	eval, row := compileOver(t, src, vars)
+	return eval(row(vars))
+}
+
+func evalStr(t *testing.T, src string, vars map[string]value.Value) value.Value {
+	t.Helper()
+	v, err := evalErr(t, src, vars)
+	if err != nil {
+		t.Fatalf("eval %q: %v", src, err)
 	}
 	return v
 }
@@ -93,6 +128,7 @@ func TestVariables(t *testing.T) {
 		"n":       value.NewInt(4),
 		"bw":      value.NewFloat(214.516),
 		"fs.name": value.NewString("ufs"),
+		"order":   value.NewInt(3),
 	}
 	v := evalStr(t, "bw / n", vars)
 	if v.Float() != 214.516/4 {
@@ -102,7 +138,11 @@ func TestVariables(t *testing.T) {
 	if !v.Bool() {
 		t.Error("dotted variable name failed")
 	}
-	e, _ := Compile("a + b*a + c")
+	// A variable named like a keyword of the engine.
+	if v := evalStr(t, "order * 2", vars); v.Int() != 6 {
+		t.Errorf("order * 2 = %v", v)
+	}
+	e, _ := expr.Compile("a + b*a + c + A")
 	got := e.Variables()
 	want := []string{"a", "b", "c"}
 	if len(got) != len(want) {
@@ -113,18 +153,9 @@ func TestVariables(t *testing.T) {
 			t.Errorf("Variables()[%d] = %q, want %q", i, got[i], want[i])
 		}
 	}
-	if _, err := mustCompile(t, "x+1").Eval(nil); err == nil {
+	if _, err := evalErr(t, "x+1", nil); err == nil {
 		t.Error("unbound variable not reported")
 	}
-}
-
-func mustCompile(t *testing.T, src string) *Expr {
-	t.Helper()
-	e, err := Compile(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return e
 }
 
 func TestFunctions(t *testing.T) {
@@ -143,6 +174,9 @@ func TestFunctions(t *testing.T) {
 		"if(1<2, 10, 20)": 10,
 		"if(2<1, 10, 20)": 20,
 		"float(3)":        3,
+		"sin(0)":          0,
+		"cos(0)":          1,
+		"tan(0)":          0,
 	}
 	for src, want := range cases {
 		v := evalStr(t, src, nil)
@@ -158,34 +192,29 @@ func TestFunctions(t *testing.T) {
 	}
 }
 
+// TestCompileErrors: a syntax error, and — class (d) — an unknown
+// function or a wrong argument count, fail at compile time.
 func TestCompileErrors(t *testing.T) {
 	bad := []string{
 		"", "1 +", "(1+2", "1 2", "foo(", "foo(1,", "1 @ 2",
-		"'unterminated", "min()", "sqrt(1,2)", "if(true,1)",
+		"'unterminated", "min()", "sqrt(1,2)", "if(true,1)", "nosuchfn(1)",
+		"false and nosuchfn(1)",
 	}
 	for _, src := range bad {
-		e, err := Compile(src)
-		if err == nil {
-			// Arity errors surface at eval time for known functions.
-			if _, err2 := e.Eval(nil); err2 == nil {
-				t.Errorf("Compile+Eval(%q) succeeded, want error", src)
-			}
+		if _, err := expr.Compile(src); err == nil {
+			t.Errorf("Compile(%q) succeeded, want error", src)
 		}
 	}
 }
 
 func TestEvalErrors(t *testing.T) {
 	bad := []string{
-		"1/0", "1.0/0.0", "nosuchfn(1)", "not 5", "true and 1",
+		"1/0", "1.0/0.0", "not 5", "true and 1",
 		"-'abc'", "'a' + 1",
 	}
 	for _, src := range bad {
-		e, err := Compile(src)
-		if err != nil {
-			continue
-		}
-		if _, err := e.Eval(nil); err == nil {
-			t.Errorf("Eval(%q) succeeded, want error", src)
+		if _, err := evalErr(t, src, nil); err == nil {
+			t.Errorf("eval %q succeeded, want error", src)
 		}
 	}
 }
@@ -198,6 +227,9 @@ func TestStringLiterals(t *testing.T) {
 	v = evalStr(t, `"double" == 'double'`, nil)
 	if !v.Bool() {
 		t.Error("double-quoted literal mismatch")
+	}
+	if v := evalStr(t, `"it's"`, nil); v.Str() != "it's" {
+		t.Errorf("quote in a literal = %q", v.Str())
 	}
 }
 
@@ -213,12 +245,78 @@ func TestNullPropagation(t *testing.T) {
 	}
 }
 
+// TestExprNullComparison is class (a): a comparison with a NULL operand
+// is NULL, where the former evaluator sorted NULL first (NULL < 1 was
+// true).
+func TestExprNullComparison(t *testing.T) {
+	vars := map[string]value.Value{"x": value.Null(value.Integer)}
+	for _, src := range []string{"x < 1", "x == x", "null != 1"} {
+		if v := evalStr(t, src, vars); !v.IsNull() {
+			t.Errorf("%q = %v, want NULL", src, v)
+		}
+	}
+	if v := evalStr(t, "if(x < 1, 1, 2)", vars); v.Int() != 2 {
+		t.Errorf("if(NULL, 1, 2) = %v, want 2", v)
+	}
+}
+
+// TestExprLazyIf is class (b): if() evaluates only the branch it picks.
+func TestExprLazyIf(t *testing.T) {
+	vars := map[string]value.Value{"bw": value.NewFloat(100), "nodes": value.NewInt(0)}
+	if v := evalStr(t, "if(nodes > 0, bw / nodes, 0)", vars); v.Type() != value.Integer || v.Int() != 0 {
+		t.Errorf("guarded division = %v (%s), want integer 0", v, v.Type())
+	}
+	if _, err := evalErr(t, "if(nodes == 0, bw / nodes, 0)", vars); err == nil {
+		t.Error("the picked branch's division by zero was not reported")
+	}
+}
+
+// TestExprCaseInsensitive is class (c): names resolve case-insensitively.
+func TestExprCaseInsensitive(t *testing.T) {
+	vars := map[string]value.Value{"bw": value.NewFloat(8), "Nodes": value.NewInt(2)}
+	if v := evalStr(t, "BW / nodes", vars); v.Float() != 4 {
+		t.Errorf("BW / nodes = %v, want 4", v)
+	}
+}
+
+// TestExprSQL pins the lowering table.
+func TestExprSQL(t *testing.T) {
+	cases := map[string]string{
+		"2^3^2":             "POWER(2, POWER(3, 2))",
+		"-2^2":              "(-POWER(2, 2))",
+		"+x":                `"x"`,
+		"a == b && !c":      `(("a" = "b") AND (NOT "c"))`,
+		"a != b or not c":   `(("a" <> "b") OR (NOT "c"))`,
+		"min(a, 1)":         `LEAST("a", 1)`,
+		"max(a, 2, 3)":      `GREATEST("a", 2, 3)`,
+		"int(x) + float(y)": `(CAST("x" AS INTEGER) + CAST("y" AS FLOAT))`,
+		"log(x) % 2":        `(LN("x") % 2)`,
+		"pow(x, 2)":         `POWER("x", 2)`,
+		"if(c, 1, 2)":       `IF("c", 1, 2)`,
+		"null":              "CAST(NULL AS FLOAT)",
+		"3.0 + 1e300":       "(3.0 + 1e+300)",
+		`"it's"`:            `'it''s'`,
+		"true or false":     "(TRUE OR FALSE)",
+		"fs.name":           `"fs.name"`,
+	}
+	for src, want := range cases {
+		e, err := expr.Compile(src)
+		if err != nil {
+			t.Errorf("Compile(%q): %v", src, err)
+			continue
+		}
+		if e.SQL() != want {
+			t.Errorf("Compile(%q).SQL() = %s, want %s", src, e.SQL(), want)
+		}
+	}
+}
+
 // Property: for random ints, the expression evaluator agrees with Go.
 func TestQuickArithmeticAgreesWithGo(t *testing.T) {
-	e := mustCompile(t, "a*b + a - b")
+	vars := map[string]value.Value{"a": value.NewInt(0), "b": value.NewInt(0)}
+	eval, row := compileOver(t, "a*b + a - b", vars)
 	f := func(a, b int32) bool {
-		vars := MapResolver{"a": value.NewInt(int64(a)), "b": value.NewInt(int64(b))}
-		v, err := e.Eval(vars)
+		v, err := eval(row(map[string]value.Value{"a": value.NewInt(int64(a)), "b": value.NewInt(int64(b))}))
 		if err != nil {
 			return false
 		}
@@ -232,15 +330,16 @@ func TestQuickArithmeticAgreesWithGo(t *testing.T) {
 
 // Property: comparison operators are consistent with value.Compare.
 func TestQuickComparisonConsistent(t *testing.T) {
-	lt := mustCompile(t, "a < b")
-	ge := mustCompile(t, "a >= b")
+	vars := map[string]value.Value{"a": value.NewFloat(0), "b": value.NewFloat(0)}
+	lt, row := compileOver(t, "a < b", vars)
+	ge, _ := compileOver(t, "a >= b", vars)
 	f := func(a, b float64) bool {
 		if math.IsNaN(a) || math.IsNaN(b) {
 			return true
 		}
-		vars := MapResolver{"a": value.NewFloat(a), "b": value.NewFloat(b)}
-		v1, err1 := lt.Eval(vars)
-		v2, err2 := ge.Eval(vars)
+		r := row(map[string]value.Value{"a": value.NewFloat(a), "b": value.NewFloat(b)})
+		v1, err1 := lt(r)
+		v2, err2 := ge(r)
 		if err1 != nil || err2 != nil {
 			return false
 		}
@@ -252,13 +351,14 @@ func TestQuickComparisonConsistent(t *testing.T) {
 }
 
 func BenchmarkEvalSimple(b *testing.B) {
-	e, _ := Compile("a*b + sqrt(c)")
-	vars := MapResolver{
+	vars := map[string]value.Value{
 		"a": value.NewFloat(2), "b": value.NewFloat(3), "c": value.NewFloat(16),
 	}
+	eval, row := compileOver(b, "a*b + sqrt(c)", vars)
+	r := row(vars)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Eval(vars); err != nil {
+		if _, err := eval(r); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -267,7 +367,7 @@ func BenchmarkEvalSimple(b *testing.B) {
 func BenchmarkCompile(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Compile("(bw1 - bw0) / bw0 * 100"); err != nil {
+		if _, err := expr.Compile("(bw1 - bw0) / bw0 * 100"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -283,7 +383,7 @@ func TestCompileNeverPanics(t *testing.T) {
 				ok = false
 			}
 		}()
-		Compile(s) //nolint:errcheck
+		expr.Compile(s) //nolint:errcheck
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {

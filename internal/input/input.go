@@ -20,11 +20,13 @@ import (
 	"fmt"
 	"os"
 	"regexp"
+	"slices"
 	"strings"
 
 	"perfbase/internal/core"
 	"perfbase/internal/expr"
 	"perfbase/internal/pbxml"
+	"perfbase/internal/sqldb"
 	"perfbase/internal/value"
 )
 
@@ -127,10 +129,12 @@ type filenameLoc struct {
 	re   *regexp.Regexp
 }
 
+// derivedLoc is a derived parameter: its expression compiled over a row
+// of the variables it reads.
 type derivedLoc struct {
-	spec pbxml.DerivedParam
 	v    *core.Var
-	e    *expr.Expr
+	vars []*core.Var
+	eval func(sqldb.Row) (value.Value, error)
 }
 
 // NewImporter validates the description against the experiment and
@@ -219,11 +223,11 @@ func NewImporter(exp *core.Experiment, desc *pbxml.Input, opts Options) (*Import
 		if err != nil {
 			return nil, err
 		}
-		e, err := expr.Compile(d.Expression)
+		dl, err := compileDerived(exp, v, d.Expression)
 		if err != nil {
 			return nil, fmt.Errorf("input: derived parameter %s: %w", d.Variable, err)
 		}
-		im.derived = append(im.derived, derivedLoc{spec: d, v: v, e: e})
+		im.derived = append(im.derived, dl)
 	}
 	for _, fv := range desc.Values {
 		if _, err := mustVar(fv.Variable, "fixed value"); err != nil {
@@ -243,6 +247,27 @@ func NewImporter(exp *core.Experiment, desc *pbxml.Input, opts Options) (*Import
 		im.sepRe = re
 	}
 	return im, nil
+}
+
+// compileDerived compiles the expression of the derived parameter v over
+// a row of the variables it reads that are in its scope: the once
+// variables, and the per-data-set ones too when v is one of them. A name
+// out of scope fails each evaluation.
+func compileDerived(exp *core.Experiment, v *core.Var, src string) (derivedLoc, error) {
+	e, err := expr.Compile(src)
+	if err != nil {
+		return derivedLoc{}, err
+	}
+	d := derivedLoc{v: v}
+	var cols sqldb.Schema
+	for _, name := range e.Variables() {
+		if in, ok := exp.Var(name); ok && (in.Once || !v.Once) {
+			d.vars = append(d.vars, in)
+			cols = append(cols, sqldb.Column{Name: in.Name, Type: in.Type})
+		}
+	}
+	d.eval, err = sqldb.CompileExpr(e.SQL(), cols)
+	return d, err
 }
 
 // Fingerprint computes the duplicate-detection checksum of input data.
@@ -374,33 +399,38 @@ func (im *Importer) extractRun(name string, lines []string) (ex *extraction, ski
 	if err := im.applyOverridesAndFixed(ex); err != nil {
 		return nil, false, err
 	}
-	if err := im.deriveOnce(ex); err != nil {
-		return nil, false, err
+	if skipped, err := im.complete(ex); skipped || err != nil {
+		return nil, skipped, err
 	}
-	if err := im.deriveSets(ex); err != nil {
-		return nil, false, err
-	}
+	return ex, false, nil
+}
 
+// complete applies the missing-content policy to the variables the
+// run's content leaves without any, then evaluates the derived
+// parameters, which see the policy's choice: Fail is an error naming the
+// variables, Discard skips the run, AllowEmpty stores NULL for a once
+// variable (suppressing its default), and UseDefault leaves each to its
+// declared default or NULL. A NULL propagates through an expression.
+func (im *Importer) complete(ex *extraction) (skipped bool, err error) {
 	missing := im.missingVars(ex)
-	switch im.opts.Missing {
-	case Fail:
-		if len(missing) > 0 {
-			return nil, false, fmt.Errorf("no content for variable(s) %s", strings.Join(missing, ", "))
+	switch {
+	case len(missing) == 0:
+	case im.opts.Missing == Fail:
+		names := make([]string, len(missing))
+		for i, v := range missing {
+			names[i] = v.Name
 		}
-	case Discard:
-		if len(missing) > 0 {
-			return nil, true, nil
-		}
-	case AllowEmpty:
-		// Explicit NULLs suppress declared defaults.
-		for _, mv := range missing {
-			v, _ := im.exp.Var(mv)
+		return false, fmt.Errorf("no content for variable(s) %s", strings.Join(names, ", "))
+	case im.opts.Missing == Discard:
+		return true, nil
+	case im.opts.Missing == AllowEmpty:
+		for _, v := range missing {
 			if v.Once {
 				ex.once[v.Name] = value.Null(v.Type)
 			}
 		}
 	}
-	return ex, false, nil
+	return false, im.derive(ex)
 }
 
 // extraction is the raw result of applying all locations to one run's
@@ -479,71 +509,87 @@ func (im *Importer) applyOverridesAndFixed(ex *extraction) error {
 	return nil
 }
 
-// deriveOnce evaluates derived parameters targeting once variables.
-func (im *Importer) deriveOnce(ex *extraction) error {
-	resolver := expr.MapResolver(ex.once)
-	for _, d := range im.derived {
-		if !d.v.Once {
-			continue
-		}
-		v, err := d.e.Eval(resolver)
-		if err != nil {
-			return fmt.Errorf("derived parameter %s: %w", d.v.Name, err)
-		}
-		cv, err := v.Convert(d.v.Type)
-		if err != nil {
-			return fmt.Errorf("derived parameter %s: %w", d.v.Name, err)
-		}
-		ex.once[d.v.Name] = cv
-	}
-	return nil
-}
-
-// deriveSets evaluates derived parameters targeting multiple-occurrence
-// variables, once per data set. Once variables are visible in the
-// expressions.
-func (im *Importer) deriveSets(ex *extraction) error {
-	for _, d := range im.derived {
-		if d.v.Once {
-			continue
-		}
-		for si, ds := range ex.sets {
-			scope := make(core.DataSet, len(ex.once)+len(ds))
-			for k, v := range ex.once {
-				scope[k] = v
+// derive evaluates the derived parameters: those of once variables
+// first, into the once content, then the others into each data set,
+// which sees the once content too. A variable with no content reads as
+// the missing-content policy stores it.
+func (im *Importer) derive(ex *extraction) error {
+	var row sqldb.Row
+	for _, once := range [...]bool{true, false} {
+		for _, d := range im.derived {
+			if d.v.Once != once {
+				continue
 			}
-			for k, v := range ds {
-				scope[k] = v
+			row = slices.Grow(row[:0], len(d.vars))[:len(d.vars)]
+			if once {
+				v, err := im.evalDerived(d, row, ex.once, nil)
+				if err != nil {
+					return fmt.Errorf("derived parameter %s: %w", d.v.Name, err)
+				}
+				ex.once[d.v.Name] = v
+				continue
 			}
-			v, err := d.e.Eval(expr.MapResolver(scope))
-			if err != nil {
-				return fmt.Errorf("derived parameter %s (data set %d): %w", d.v.Name, si, err)
+			for si, ds := range ex.sets {
+				v, err := im.evalDerived(d, row, ex.once, ds)
+				if err != nil {
+					return fmt.Errorf("derived parameter %s (data set %d): %w", d.v.Name, si, err)
+				}
+				ds[d.v.Name] = v
 			}
-			cv, err := v.Convert(d.v.Type)
-			if err != nil {
-				return fmt.Errorf("derived parameter %s: %w", d.v.Name, err)
-			}
-			ds[d.v.Name] = cv
 		}
 	}
 	return nil
 }
 
-// missingVars lists declared variables that received no content.
-func (im *Importer) missingVars(ex *extraction) []string {
-	var missing []string
+// evalDerived evaluates d into row over the content of the data set ds
+// and the once content, converted to d's type.
+func (im *Importer) evalDerived(d derivedLoc, row sqldb.Row, once, ds core.DataSet) (value.Value, error) {
+	for i, in := range d.vars {
+		c, ok := ds[in.Name]
+		if !ok {
+			c, ok = once[in.Name]
+		}
+		switch {
+		case ok:
+		case im.opts.Missing == AllowEmpty:
+			c = value.Null(in.Type)
+		default:
+			c = in.Default
+		}
+		row[i] = c
+	}
+	v, err := d.eval(row)
+	if err != nil {
+		return v, err
+	}
+	return v.Convert(d.v.Type)
+}
+
+// missingVars lists the declared variables that received no content,
+// but for once variables a derived parameter gives content.
+func (im *Importer) missingVars(ex *extraction) []core.Var {
+	var missing []core.Var
 	for _, v := range im.exp.OnceVars() {
-		if _, ok := ex.once[v.Name]; !ok {
-			missing = append(missing, v.Name)
+		if _, ok := ex.once[v.Name]; !ok && !im.derives(v.Name) {
+			missing = append(missing, v)
 		}
 	}
 	multi := im.exp.MultiVars()
 	if len(multi) > 0 && len(ex.sets) == 0 {
-		for _, v := range multi {
-			missing = append(missing, v.Name)
-		}
+		missing = append(missing, multi...)
 	}
 	return missing
+}
+
+// derives reports whether a derived parameter gives the variable name
+// its content.
+func (im *Importer) derives(name string) bool {
+	for _, d := range im.derived {
+		if d.v.Name == name {
+			return true
+		}
+	}
+	return false
 }
 
 // ----------------------------------------------------------- locations
@@ -747,7 +793,7 @@ type DescFile struct {
 // ImportMerged processes multiple input files, each with its own input
 // description, and merges all extracted content into a single run:
 // paper Fig. 1 case d. Later files win conflicting once values; data
-// sets concatenate.
+// sets concatenate. A run the Discard policy skips has id 0.
 func ImportMerged(exp *core.Experiment, pairs []DescFile, opts Options) (int64, error) {
 	if len(pairs) == 0 {
 		return 0, fmt.Errorf("input: merged import needs at least one description/file pair")
@@ -787,15 +833,11 @@ func ImportMerged(exp *core.Experiment, pairs []DescFile, opts Options) (int64, 
 		lastIm = im
 	}
 	sum := hex.EncodeToString(hash.Sum(nil))
-	if err := lastIm.deriveOnce(merged); err != nil {
+	if skipped, err := lastIm.complete(merged); skipped || err != nil {
+		if err != nil {
+			err = fmt.Errorf("input: %w", err)
+		}
 		return 0, err
-	}
-	if err := lastIm.deriveSets(merged); err != nil {
-		return 0, err
-	}
-	missing := lastIm.missingVars(merged)
-	if opts.Missing == Fail && len(missing) > 0 {
-		return 0, fmt.Errorf("input: no content for variable(s) %s", strings.Join(missing, ", "))
 	}
 	ids, err := exp.CreateRuns(dupCheck(sum, opts), []core.NewRun{{
 		Once: merged.once, Sets: merged.sets, Source: strings.Join(names, "+"), Checksum: sum}})

@@ -347,6 +347,87 @@ func TestMissingPolicyEmptySuppressesDefault(t *testing.T) {
 	}
 }
 
+// TestMissingPolicyDerived: a derived parameter that reads a variable
+// without content sees what the missing-content policy gives it, and the
+// policy decides before the expression runs.
+func TestMissingPolicyDerived(t *testing.T) {
+	noMem := strings.ReplaceAll(sampleOut, "MEMORY PER PROCESSOR = 256 MBytes [1MBytes = 1024*1024 bytes]\n", "")
+	for _, tc := range []struct {
+		policy  Policy
+		runs    int    // runs stored
+		errWith string // the import fails naming this, when not empty
+	}{
+		{UseDefault, 1, ""},
+		{AllowEmpty, 1, ""},
+		{Discard, 0, ""},
+		{Fail, 0, "mem"},
+	} {
+		t.Run(tc.policy.String(), func(t *testing.T) {
+			e, desc := setup(t)
+			im, err := NewImporter(e, desc, Options{Missing: tc.policy})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids, err := im.ImportBytes("x_ufs.txt", []byte(noMem))
+			if tc.errWith != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.errWith) || strings.Contains(err.Error(), "derived") {
+					t.Fatalf("import error %v, want one naming %s", err, tc.errWith)
+				}
+			} else if err != nil {
+				t.Fatal(err)
+			}
+			if len(ids) != tc.runs {
+				t.Fatalf("stored runs %v, want %d", ids, tc.runs)
+			}
+			if tc.runs == 0 {
+				return
+			}
+			once, err := e.RunOnce(ids[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !once["mem"].IsNull() || !once["mem_total"].IsNull() {
+				t.Errorf("mem = %v, mem_total = %v, want NULL and NULL", once["mem"], once["mem_total"])
+			}
+			if once["nodes"].Int() != 4 {
+				t.Errorf("nodes = %v", once["nodes"])
+			}
+		})
+	}
+}
+
+// TestDerivedGuardedDivision: if() evaluates only the branch it picks,
+// so a division guarded against a zero divisor imports.
+func TestDerivedGuardedDivision(t *testing.T) {
+	e, desc := setup(t)
+	d := *desc
+	d.Derived = []pbxml.DerivedParam{
+		{Variable: "mem_total", Expression: "mem * nodes"},
+		{Variable: "bw_per_node", Expression: "if(nodes > 0, bw / nodes, 0)"},
+	}
+	im, err := NewImporter(e, &d, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids, err := im.ImportBytes("z_ufs.txt", []byte(strings.ReplaceAll(sampleOut, "-N 4", "-N 0")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := e.RunData(ids[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	ci := data.Columns.Index("bw_per_node")
+	for _, row := range data.Rows {
+		if v := row[ci]; v.IsNull() || v.Float() != 0 {
+			t.Errorf("bw_per_node = %v, want 0", v)
+		}
+	}
+	if len(data.Rows) != 4 {
+		t.Errorf("rows = %d, want 4", len(data.Rows))
+	}
+}
+
 func TestParsePolicy(t *testing.T) {
 	for in, want := range map[string]Policy{
 		"": UseDefault, "default": UseDefault, "empty": AllowEmpty,

@@ -308,7 +308,7 @@ func (r *PlanRun) exec(el *Element, inputs []*Vector, placement core.Handle, src
 	if el.Kind == KindCombiner {
 		return en.execCombiner(el.Combiner, local, placement)
 	}
-	return en.execOperator(el.Operator, local, placement)
+	return en.execOperator(el, local, placement)
 }
 
 // Profile returns a snapshot of the accumulated per-element execution

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"perfbase/internal/core"
-	"perfbase/internal/expr"
 	"perfbase/internal/pbxml"
 	"perfbase/internal/sqldb"
 	"perfbase/internal/units"
@@ -25,7 +24,8 @@ import (
 //     the vectors;
 //   - diff/div/percentof/above/below relate exactly two vectors;
 //   - eval/scale/offset compute arithmetic per tuple.
-func (en *Engine) execOperator(spec *pbxml.OperatorElem, inputs []*Vector, placement core.Handle) (*Vector, error) {
+func (en *Engine) execOperator(el *Element, inputs []*Vector, placement core.Handle) (*Vector, error) {
+	spec := el.Operator
 	typ := strings.ToLower(spec.Type)
 	if len(inputs) == 0 {
 		return nil, fmt.Errorf("query: operator %s has no inputs", spec.ID)
@@ -38,7 +38,7 @@ func (en *Engine) execOperator(spec *pbxml.OperatorElem, inputs []*Vector, place
 	case "scale", "offset":
 		return en.linear(spec, typ, inputs, placement)
 	case "eval":
-		return en.eval(spec, inputs, placement)
+		return en.eval(el, inputs, placement)
 	case "diff", "div", "percentof", "above", "below":
 		if len(inputs) != 2 {
 			return nil, fmt.Errorf("query: operator %s (%s) needs exactly two inputs, got %d",
@@ -234,13 +234,14 @@ func (en *Engine) linear(spec *pbxml.OperatorElem, typ string, ins []*Vector, pl
 	return out, nil
 }
 
-// eval computes an arbitrary arithmetic expression per tuple. The
-// expression references the input's column names; its result becomes a
-// new value column named after the element (or spec.Variable). This is
-// the scripted path — deliberately row-by-row in the host language,
-// mirroring the paper's observation that SQL-side operators beat
-// script-side processing (§4.2).
-func (en *Engine) eval(spec *pbxml.OperatorElem, ins []*Vector, placement core.Handle) (*Vector, error) {
+// eval computes an arbitrary arithmetic expression per tuple, as one
+// CREATE … AS on the placement: the expression (BuildPlan renders it in
+// the SQL engine's grammar) references the input's column names, and its
+// result, as a Float, becomes a new value column named after the element
+// (or spec.Variable). Like every other operator it runs SQL-side, which
+// the paper's §4.2 found faster than script-side processing.
+func (en *Engine) eval(el *Element, ins []*Vector, placement core.Handle) (*Vector, error) {
+	spec := el.Operator
 	// §3.3.2: eval "can be applied to any number of input vectors".
 	// Multiple inputs are merged combiner-style first (matching on the
 	// shared sweep parameters, value collisions renamed _2, _3, …), so
@@ -254,10 +255,6 @@ func (en *Engine) eval(spec *pbxml.OperatorElem, ins []*Vector, placement core.H
 		defer DropVector(merged)
 		in = merged
 	}
-	e, err := expr.Compile(spec.Expression)
-	if err != nil {
-		return nil, fmt.Errorf("query: operator %s: %w", spec.ID, err)
-	}
 	colName := spec.Variable
 	if colName == "" {
 		colName = spec.ID
@@ -267,35 +264,10 @@ func (en *Engine) eval(spec *pbxml.OperatorElem, ins []*Vector, placement core.H
 	cols = append(cols, ColumnMeta{
 		Name: colName, Type: value.Float, Synopsis: spec.Expression,
 	})
+	sel := colNames(params)
+	sel = append(sel, "CAST(("+el.Expr+") AS FLOAT) AS "+colName)
 	out := &Vector{DB: placement, Table: tempName(spec.ID), Cols: cols, FromSource: in.FromSource}
-	res, err := in.Fetch()
-	if err != nil {
-		return nil, err
-	}
-	scope := make(map[string]value.Value, len(in.Cols))
-	var rows []sqldb.Row
-	for _, row := range res.Rows {
-		for i, c := range in.Cols {
-			scope[c.Name] = row[i]
-		}
-		v, err := e.Eval(expr.MapResolver(scope))
-		if err != nil {
-			return nil, fmt.Errorf("query: operator %s: %w", spec.ID, err)
-		}
-		outRow := make(sqldb.Row, 0, len(cols))
-		for i, c := range in.Cols {
-			if c.IsParam {
-				outRow = append(outRow, row[i])
-			}
-		}
-		fv, err := v.Convert(value.Float)
-		if err != nil {
-			return nil, fmt.Errorf("query: operator %s: %w", spec.ID, err)
-		}
-		outRow = append(outRow, fv)
-		rows = append(rows, outRow)
-	}
-	if err := out.fill(rows); err != nil {
+	if err := out.build(sqldb.PipelineRequest{SQL: createAs(out.Table, sel, in.Table)}); err != nil {
 		return nil, fmt.Errorf("query: operator %s: %w", spec.ID, err)
 	}
 	return out, nil

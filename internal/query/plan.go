@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"perfbase/internal/expr"
 	"perfbase/internal/pbxml"
 )
 
@@ -41,6 +42,8 @@ type Element struct {
 
 	Source   *pbxml.SourceElem
 	Operator *pbxml.OperatorElem
+	// Expr is an eval operator's expression in the SQL engine's grammar.
+	Expr     string
 	Combiner *pbxml.CombinerElem
 	Output   *pbxml.OutputElem
 }
@@ -72,10 +75,15 @@ func BuildPlan(spec *pbxml.Query) (*Plan, error) {
 	}
 	for i := range spec.Operators {
 		o := &spec.Operators[i]
-		p.Elements[o.ID] = &Element{
-			ID: o.ID, Kind: KindOperator, Operator: o,
-			Inputs: strings.Fields(o.Input),
+		el := &Element{ID: o.ID, Kind: KindOperator, Operator: o, Inputs: strings.Fields(o.Input)}
+		if strings.EqualFold(o.Type, "eval") {
+			e, err := expr.Compile(o.Expression)
+			if err != nil {
+				return nil, fmt.Errorf("query: operator %s: %w", o.ID, err)
+			}
+			el.Expr = e.SQL()
 		}
+		p.Elements[o.ID] = el
 	}
 	for i := range spec.Combiners {
 		c := &spec.Combiners[i]

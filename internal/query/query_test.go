@@ -544,6 +544,27 @@ func TestQueryErrors(t *testing.T) {
 	}
 }
 
+// TestEvalExpressionCheckedAtBuildPlan: BuildPlan compiles each eval
+// expression, so a bad one is refused before any element runs.
+func TestEvalExpressionCheckedAtBuildPlan(t *testing.T) {
+	for _, ex := range []string{"1 +", "nosuchfn(bw)", "min()"} {
+		q := parseQuery(t, `<query experiment="bench"><source id="s"><parameter name="chunk"/><value name="bw"/></source>
+		 <operator id="ev" type="eval" input="s" expression="`+ex+`"/><output input="ev" format="ascii"/></query>`)
+		if _, err := BuildPlan(q); err == nil || !strings.Contains(err.Error(), "operator ev") {
+			t.Errorf("BuildPlan with eval %q: error %v", ex, err)
+		}
+	}
+	q := parseQuery(t, `<query experiment="bench"><source id="s"><parameter name="chunk"/><value name="bw"/></source>
+	 <operator id="ev" type="EVAL" input="s" expression="bw ^ 2"/><output input="ev" format="ascii"/></query>`)
+	plan, err := BuildPlan(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := plan.Elements["ev"].Expr; got != `POWER("bw", 2)` {
+		t.Errorf("eval's SQL = %s", got)
+	}
+}
+
 func TestPlanLevels(t *testing.T) {
 	q := parseQuery(t, `
 <query experiment="bench">
@@ -943,9 +964,9 @@ func TestElementTablesDroppedWithTheQuery(t *testing.T) {
 	}
 }
 
-// writeLog records the writes that reach the database below it, one
-// entry per submission: a statement other than a SELECT, a bulk insert,
-// or a pipeline with the kinds of its steps.
+// writeLog records the statements that reach the database below it, one
+// entry per submission: a statement, a bulk insert, or a pipeline with
+// the kinds of its steps.
 type writeLog struct {
 	*sqldb.DB
 	writes []string
@@ -954,6 +975,8 @@ type writeLog struct {
 // stmtKind names a statement by what it does to a vector's table.
 func stmtKind(sql string) string {
 	switch {
+	case strings.HasPrefix(sql, "SELECT "):
+		return "read"
 	case strings.HasPrefix(sql, "DROP "):
 		return "drop"
 	case strings.HasPrefix(sql, "INSERT "):
@@ -965,9 +988,7 @@ func stmtKind(sql string) string {
 }
 
 func (w *writeLog) Exec(sql string) (*sqldb.Result, error) {
-	if !strings.HasPrefix(sql, "SELECT ") {
-		w.writes = append(w.writes, stmtKind(sql))
-	}
+	w.writes = append(w.writes, stmtKind(sql))
 	return w.DB.Exec(sql)
 }
 
@@ -993,7 +1014,7 @@ func (w *writeLog) ExecPipeline(reqs []sqldb.PipelineRequest) ([]*sqldb.Result, 
 // arrives as one submission — a single CREATE … AS where one statement
 // makes it, else one pipeline, and never a bulk insert of its own. Only
 // a multi-input eval builds two vectors, the merge it reads and its
-// output, and drops the first.
+// output, and drops the first. No element reads a vector back.
 func TestOperatorWritesOneSubmissionPerVector(t *testing.T) {
 	e := seedExperiment(t)
 	en := NewEngine(e)
@@ -1014,7 +1035,7 @@ func TestOperatorWritesOneSubmissionPerVector(t *testing.T) {
 		{"best", "pipeline[create insert-select insert-select insert-select create-as drop]"},
 		{"rel", "create-as"},
 		{"comb", "create-as"},
-		{"gap", "create-as, pipeline[create bulk], drop"},
+		{"gap", "create-as, create-as, drop"},
 	} {
 		el := plan.Elements[step.id]
 		ins := make([]*Vector, len(el.Inputs))

@@ -106,6 +106,9 @@ func rowExpr(n *texpr) compiledExpr {
 			args[i] = rowExpr(a)
 		}
 		name := n.op
+		if name == "if" && len(args) == 3 {
+			return rowIf(args[0], args[1], args[2])
+		}
 		return func(ctx *execCtx) (value.Value, error) {
 			buf := make([]value.Value, len(args))
 			for i, a := range args {
@@ -159,36 +162,8 @@ func rowBin(n *texpr) compiledExpr {
 	}
 	l, r := rowExpr(n.l), rowExpr(n.r)
 	switch n.op {
-	case "and":
-		return func(ctx *execCtx) (value.Value, error) {
-			lv, err := l(ctx)
-			if err != nil {
-				return value.Value{}, err
-			}
-			if boolFalse(lv) {
-				return boolFalseV, nil
-			}
-			rv, err := r(ctx)
-			if err != nil {
-				return value.Value{}, err
-			}
-			return value.NewBool(boolTrue(lv) && boolTrue(rv)), nil
-		}
-	case "or":
-		return func(ctx *execCtx) (value.Value, error) {
-			lv, err := l(ctx)
-			if err != nil {
-				return value.Value{}, err
-			}
-			if boolTrue(lv) {
-				return boolTrueV, nil
-			}
-			rv, err := r(ctx)
-			if err != nil {
-				return value.Value{}, err
-			}
-			return value.NewBool(boolTrue(lv) || boolTrue(rv)), nil
-		}
+	case "and", "or":
+		return rowLogic(l, r, n.op)
 	case "+":
 		return rowArith(l, r, value.Add)
 	case "-":
@@ -244,6 +219,65 @@ func rowBin(n *texpr) compiledExpr {
 		}
 		return value.NewBool(ok[value.ComparePtr(&lv, &rv)+1]), nil
 	})
+}
+
+// rowIf lowers IF(c, a, b) to evaluate only the argument c picks
+// (applyFunc's IF, made lazy).
+func rowIf(c, a, b compiledExpr) compiledExpr {
+	return func(ctx *execCtx) (value.Value, error) {
+		cv, err := c(ctx)
+		if err != nil {
+			return value.Value{}, err
+		}
+		yes, err := ifTrue(cv)
+		switch {
+		case err != nil:
+			return value.Value{}, err
+		case yes:
+			return a(ctx)
+		}
+		return b(ctx)
+	}
+}
+
+// rowLogic lowers AND and OR. An operand that is neither NULL nor a
+// Boolean is an error, as under NOT; a NULL counts as not true, so
+// neither operator yields NULL (vecLogic relies on it). The right operand
+// is not evaluated when the left one decides.
+func rowLogic(l, r compiledExpr, op string) compiledExpr {
+	and, name := op == "and", "OR"
+	if and {
+		name = "AND"
+	}
+	return func(ctx *execCtx) (value.Value, error) {
+		lv, err := logicOperand(name, l, ctx)
+		switch {
+		case err != nil:
+			return value.Value{}, err
+		case and && boolFalse(lv):
+			return boolFalseV, nil
+		case !and && boolTrue(lv):
+			return boolTrueV, nil
+		}
+		rv, err := logicOperand(name, r, ctx)
+		if err != nil {
+			return value.Value{}, err
+		}
+		// The left operand is TRUE or NULL under AND, FALSE or NULL under OR.
+		if boolTrue(rv) && (boolTrue(lv) || !and) {
+			return boolTrueV, nil
+		}
+		return boolFalseV, nil
+	}
+}
+
+// logicOperand evaluates an operand of the logical operator name.
+func logicOperand(name string, e compiledExpr, ctx *execCtx) (value.Value, error) {
+	v, err := e(ctx)
+	if err == nil && !v.IsNull() && v.Type() != value.Boolean {
+		err = errorf("%s applied to %s", name, v.Type())
+	}
+	return v, err
 }
 
 func rowArith(l, r compiledExpr, op func(a, b value.Value) (value.Value, error)) compiledExpr {

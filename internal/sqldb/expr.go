@@ -183,7 +183,10 @@ func (ec *evalCtx) typed(e sqlExpr) *texpr {
 				t.Op != "/" && (t.Op != "%" || n.typ == value.Float)
 		case "||":
 			n.typ = value.String
-		case "and", "or", "like":
+		case "and", "or":
+			// Only a Boolean operand cannot make them fail.
+			n.total = n.total && n.l.typ == value.Boolean && n.r.typ == value.Boolean
+		case "like":
 		default:
 			if !isCmp {
 				n.kind, n.total, n.err = tErr, false, errorf("unknown operator %q", t.Op)
@@ -223,6 +226,10 @@ func (ec *evalCtx) typed(e sqlExpr) *texpr {
 		case "coalesce", "greatest", "least", "abs":
 			if len(n.list) > 0 {
 				n.typ = n.list[0].typ
+			}
+		case "if":
+			if len(n.list) > 1 {
+				n.typ = n.list[1].typ
 			}
 		}
 	case *aggExpr:
@@ -386,6 +393,31 @@ func valuesRows(st *InsertStmt) ([]Row, error) {
 		rows[ri] = row
 	}
 	return rows, nil
+}
+
+// CompileExpr compiles one expression of the statement grammar over a
+// row of cols, for a caller that evaluates it outside any statement: the
+// statement parser's expression rule parses it, and it is typed and
+// lowered to the row back end as a statement's expressions are. As in a
+// statement, a name that is no column of cols fails each evaluation. The
+// function is safe for concurrent use.
+func CompileExpr(sql string, cols Schema) (func(Row) (value.Value, error), error) {
+	toks, err := lexSQL(sql)
+	if err != nil {
+		return nil, err
+	}
+	p := &sqlParser{toks: toks, src: sql}
+	e, err := p.parseExpr()
+	if err != nil {
+		return nil, err
+	}
+	if !p.atEOF() {
+		return nil, errorf("trailing input after expression near %q", p.cur().text)
+	}
+	ec := newEvalCtx(cols)
+	eval := rowExpr(ec.typed(e))
+	ec.free()
+	return func(row Row) (value.Value, error) { return eval(&execCtx{row: row}) }, nil
 }
 
 func boolTrue(v value.Value) bool {
@@ -566,6 +598,24 @@ func applyFunc(name string, args []value.Value) (value.Value, error) {
 		return oneFloat(name, args, math.Ceil)
 	case "round":
 		return oneFloat(name, args, math.Round)
+	case "sin":
+		return oneFloat(name, args, math.Sin)
+	case "cos":
+		return oneFloat(name, args, math.Cos)
+	case "tan":
+		return oneFloat(name, args, math.Tan)
+	case "if":
+		if err := wantArgs(name, args, 3); err != nil {
+			return value.Value{}, err
+		}
+		yes, err := ifTrue(args[0])
+		switch {
+		case err != nil:
+			return value.Value{}, err
+		case yes:
+			return args[1], nil
+		}
+		return args[2], nil
 	case "pow", "power":
 		if err := wantArgs(name, args, 2); err != nil {
 			return value.Value{}, err
@@ -622,6 +672,15 @@ func applyFunc(name string, args []value.Value) (value.Value, error) {
 		return best, nil
 	}
 	return value.Value{}, errorf("unknown function %q", name)
+}
+
+// ifTrue reports whether IF's condition c picks the second argument: a
+// TRUE does, FALSE and NULL pick the third, anything else is an error.
+func ifTrue(c value.Value) (bool, error) {
+	if !c.IsNull() && c.Type() != value.Boolean {
+		return false, errorf("IF condition must be boolean, got %s", c.Type())
+	}
+	return boolTrue(c), nil
 }
 
 func wantArgs(name string, args []value.Value, n int) error {
