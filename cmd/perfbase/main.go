@@ -37,6 +37,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"time"
 
 	"perfbase"
 	"perfbase/internal/failpoint"
@@ -231,7 +232,7 @@ func cmdQuery(s *perfbase.Session, args []string, stdout io.Writer) error {
 	fs.SetOutput(stdout)
 	spec := fs.String("spec", "", "query specification XML file")
 	outDir := fs.String("out", ".", "directory for output files with a target name")
-	parallel := fs.Int("parallel", 0, "number of parallel worker databases (0 = sequential)")
+	parallel := fs.Int("parallel", 0, "number of worker databases to place elements on (0 = all on this database; a level's elements run concurrently either way)")
 	tcp := fs.Bool("tcp", false, "use TCP-connected worker servers (with -parallel)")
 	profile := fs.Bool("profile", false, "print per-element execution times")
 	if err := fs.Parse(args); err != nil {
@@ -276,9 +277,14 @@ func cmdQuery(s *perfbase.Session, args []string, stdout io.Writer) error {
 			ids = append(ids, id)
 		}
 		sort.Strings(ids)
+		var sum time.Duration
 		for _, id := range ids {
 			fmt.Fprintf(stdout, "# element %-12s %v\n", id, prof[id])
+			sum += prof[id]
 		}
+		// The elements of one level run concurrently, so their sum can
+		// exceed the wall time.
+		fmt.Fprintf(stdout, "# elements %v\n", sum)
 		fmt.Fprintf(stdout, "# total %v\n", elapsed)
 	}
 	return nil

@@ -107,7 +107,7 @@ func TestCLIWorkflow(t *testing.T) {
 	if !strings.Contains(out, "t [") && !strings.Contains(out, "t\n") {
 		t.Errorf("query output:\n%s", out)
 	}
-	if !strings.Contains(out, "# total") {
+	if !strings.Contains(out, "# elements ") || !strings.Contains(out, "# total ") {
 		t.Errorf("profile output missing:\n%s", out)
 	}
 	out = cli(t, dir, "check", "-exp", "cli")

@@ -5,10 +5,11 @@
 // on a cluster frontend), connects a session to it over TCP — "a user
 // can ... store his data on any connected server", §4.2 — imports a
 // simulated b_eff_io campaign through that connection, and then runs
-// the same parameter-sweep query three ways: sequentially, with
-// concurrent element execution against in-process worker databases
-// (the paper's "even on a single (SMP) server" case), and with real
-// socket-connected worker servers (Fig. 3). It prints the wall times
+// the same parameter-sweep query three ways: every element on the
+// server holding the data, elements placed on in-process worker
+// databases (the paper's "even on a single (SMP) server" case), and on
+// real socket-connected worker servers (Fig. 3). The elements of a plan
+// level run concurrently in all three. It prints the wall times
 // and the per-element profile that underlies the §4.3 source-fraction
 // discussion.
 //
@@ -94,13 +95,13 @@ func main() {
 		run  func() (*perfbase.Results, error)
 	}
 	modes := []mode{
-		{"sequential (single server)", func() (*perfbase.Results, error) {
+		{"single server", func() (*perfbase.Results, error) {
 			return session.Query(strings.NewReader(sweepQuery))
 		}},
-		{"concurrent, 3 local workers (SMP)", func() (*perfbase.Results, error) {
+		{"3 local workers (SMP)", func() (*perfbase.Results, error) {
 			return session.QueryParallel(strings.NewReader(sweepQuery), 3, false)
 		}},
-		{"concurrent, 3 TCP worker servers (cluster)", func() (*perfbase.Results, error) {
+		{"3 TCP worker servers (cluster)", func() (*perfbase.Results, error) {
 			return session.QueryParallel(strings.NewReader(sweepQuery), 3, true)
 		}},
 	}
@@ -118,7 +119,7 @@ func main() {
 	}
 
 	// 5. The per-element profile behind the §4.3 discussion.
-	fmt.Println("\nper-element profile of the sequential run:")
+	fmt.Println("\nper-element profile of the single-server run:")
 	ids2 := make([]string, 0, len(firstProfile))
 	for id := range firstProfile {
 		ids2 = append(ids2, id)

@@ -108,8 +108,8 @@ type Executor struct {
 }
 
 // NewExecutor builds an executor. With a nil or empty pool all
-// elements run on the primary, which still exercises the concurrent
-// level scheduling.
+// elements run on the primary, as Session.Query runs them, except that
+// sources read the run's pinned snapshot.
 func NewExecutor(exp *core.Experiment, pool *Pool) *Executor {
 	return &Executor{engine: query.NewEngine(exp), pool: pool}
 }
@@ -122,9 +122,6 @@ func NewExecutor(exp *core.Experiment, pool *Pool) *Executor {
 // source reads, now offloaded too. A nil src restores the default
 // (the engine's primary, snapshot-pinned when local).
 func (ex *Executor) SetReadSource(src sqldb.Querier) { ex.src = src }
-
-// Engine exposes the underlying engine (for profiling access).
-func (ex *Executor) Engine() *query.Engine { return ex.engine }
 
 // Run executes the query with all elements of one DAG level running
 // concurrently, each on its assigned worker.

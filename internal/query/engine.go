@@ -11,25 +11,19 @@ import (
 	"perfbase/internal/sqldb"
 )
 
-// Engine executes queries against one experiment. It is safe for
-// concurrent element execution (RunPlan with a Placer).
+// Engine executes queries against one experiment. It holds no mutable
+// state — what one execution accumulates lives on its PlanRun — so one
+// engine may run any number of queries, also concurrently.
 type Engine struct {
 	exp     *core.Experiment
 	primary core.Handle
-
-	mu      sync.Mutex
-	profile map[string]time.Duration
 }
 
 // NewEngine creates an engine for an open experiment. The primary
 // database is the one holding the experiment (source elements always
 // read from it).
 func NewEngine(exp *core.Experiment) *Engine {
-	return &Engine{
-		exp:     exp,
-		primary: exp.Store().Querier(),
-		profile: make(map[string]time.Duration),
-	}
+	return &Engine{exp: exp, primary: exp.Store().Querier()}
 }
 
 // OutputResult pairs an output element with its final, materialized
@@ -45,7 +39,9 @@ type Results struct {
 	Outputs []OutputResult
 	// Elapsed is the wall time of the whole query.
 	Elapsed time.Duration
-	// Profile gives the execution time per element id.
+	// Profile gives the execution time per element id of this query.
+	// The elements of one level overlap, so the times add up to more
+	// than Elapsed when a level has several.
 	Profile map[string]time.Duration
 }
 
@@ -67,7 +63,8 @@ func (r *Results) SourceFraction(plan *Plan) float64 {
 	return float64(src) / float64(total)
 }
 
-// Run executes the query sequentially on the primary database.
+// Run executes the query on the primary database: RunPlan with no
+// placer.
 func (en *Engine) Run(spec *pbxml.Query) (*Results, error) {
 	plan, err := BuildPlan(spec)
 	if err != nil {
@@ -89,14 +86,18 @@ type Placer interface {
 
 // PlanRun is one execution of a plan. Its source elements share what
 // they read of the experiment's bookkeeping — the run list and the
-// once rows — so a query reads each once, however many sources it has.
-// Safe for concurrent element execution.
+// once rows — and its output elements the rows of the vectors they
+// read, so a query reads each once, however many elements ask. It
+// records its elements' execution times. Safe for concurrent element
+// execution.
 type PlanRun struct {
 	en *Engine
 
-	mu   sync.Mutex
-	runs []core.RunInfo // nil until the first source asks
-	once map[onceKey]map[int64]sqldb.Row
+	mu      sync.Mutex
+	runs    []core.RunInfo // nil until the first source asks
+	once    map[onceKey]map[int64]sqldb.Row
+	fetched map[*Vector]func() (*sqldb.Result, error)
+	profile map[string]time.Duration
 }
 
 // onceKey names one read of the once table: through which handle (a
@@ -108,7 +109,12 @@ type onceKey struct {
 
 // NewRun starts an execution of a plan on this engine.
 func (en *Engine) NewRun() *PlanRun {
-	return &PlanRun{en: en, once: map[onceKey]map[int64]sqldb.Row{}}
+	return &PlanRun{
+		en:      en,
+		once:    map[onceKey]map[int64]sqldb.Row{},
+		fetched: map[*Vector]func() (*sqldb.Result, error){},
+		profile: map[string]time.Duration{},
+	}
 }
 
 // allRuns returns the experiment's active runs, read once per plan
@@ -150,11 +156,28 @@ func (r *PlanRun) onceRows(src sqldb.Querier, cols []string) (map[int64]sqldb.Ro
 	return rows, nil
 }
 
+// fetch returns a vector's rows (Vector.Fetch), read once per plan run:
+// outputs of one vector share the read and the result, which they must
+// not modify.
+func (r *PlanRun) fetch(v *Vector) (*sqldb.Result, error) {
+	r.mu.Lock()
+	f, ok := r.fetched[v]
+	if !ok {
+		f = sync.OnceValues(v.Fetch)
+		r.fetched[v] = f
+	}
+	r.mu.Unlock()
+	return f()
+}
+
 // RunPlan executes a prebuilt plan level by level; it is the one
-// runner of every query. With a nil placer each element runs in turn on
-// the primary and sources read it live. With one, the elements of a
-// level run concurrently, each where the placer puts it, and sources
-// read through its read source.
+// runner of every query. The elements of a level do not depend on each
+// other (paper §4.3, Fig. 3), so they run concurrently — a level of one
+// element on the calling goroutine. Without a placer every element
+// runs on the primary and sources read it live; with one, each runs
+// where the placer puts it and sources read through its read source.
+// The vectors the run made are dropped when it ends, with one
+// submission per database.
 func (en *Engine) RunPlan(plan *Plan, placer Placer) (*Results, error) {
 	start := time.Now()
 	run := en.NewRun()
@@ -163,12 +186,9 @@ func (en *Engine) RunPlan(plan *Plan, placer Placer) (*Results, error) {
 		src = placer.ReadSource()
 	}
 	vectors := map[string]*Vector{}
+	var made []*Vector // vectors in the order the run made them
 	res := &Results{}
-	defer func() {
-		for _, v := range vectors {
-			DropVector(v)
-		}
-	}()
+	defer func() { DropVector(made...) }()
 
 	for _, level := range plan.Levels {
 		// Every element's inputs and placement are resolved before any
@@ -189,26 +209,20 @@ func (en *Engine) RunPlan(plan *Plan, placer Placer) (*Results, error) {
 				s.placement = placer.Place(i, s.ins)
 			}
 		}
-		if placer == nil {
-			for i := range steps {
-				if steps[i].run(run, src); steps[i].err != nil {
-					break
-				}
-			}
-		} else {
-			var wg sync.WaitGroup
-			for i := range steps {
-				wg.Add(1)
-				go func(s *step) {
-					defer wg.Done()
-					s.run(run, src)
-				}(&steps[i])
-			}
-			wg.Wait()
+		var wg sync.WaitGroup
+		for i := 1; i < len(steps); i++ {
+			wg.Add(1)
+			go func(s *step) {
+				defer wg.Done()
+				s.run(run, src)
+			}(&steps[i])
 		}
+		steps[0].run(run, src)
+		wg.Wait()
 		for _, s := range steps {
 			if s.out != nil {
 				vectors[s.el.ID] = s.out
+				made = append(made, s.out)
 			}
 		}
 		for _, s := range steps {
@@ -220,7 +234,7 @@ func (en *Engine) RunPlan(plan *Plan, placer Placer) (*Results, error) {
 			}
 		}
 	}
-	res.Elapsed, res.Profile = time.Since(start), en.Profile()
+	res.Elapsed, res.Profile = time.Since(start), run.profile
 	return res, nil
 }
 
@@ -242,7 +256,7 @@ func (s *step) run(r *PlanRun, src sqldb.Querier) {
 	}
 	s.data = make([]*sqldb.Result, len(s.ins))
 	for i, v := range s.ins {
-		if s.data[i], s.err = v.Fetch(); s.err != nil {
+		if s.data[i], s.err = r.fetch(v); s.err != nil {
 			return
 		}
 	}
@@ -278,9 +292,10 @@ func (r *PlanRun) ExecElement(el *Element, inputs []*Vector, placement, src sqld
 func (r *PlanRun) exec(el *Element, inputs []*Vector, placement core.Handle, src sqldb.Querier) (*Vector, error) {
 	en := r.en
 	defer func(t0 time.Time) {
-		en.mu.Lock()
-		en.profile[el.ID] += time.Since(t0)
-		en.mu.Unlock()
+		d := time.Since(t0)
+		r.mu.Lock()
+		r.profile[el.ID] += d
+		r.mu.Unlock()
 	}(time.Now())
 	switch el.Kind {
 	case KindSource:
@@ -292,35 +307,21 @@ func (r *PlanRun) exec(el *Element, inputs []*Vector, placement core.Handle, src
 		return nil, fmt.Errorf("query: unknown element kind %v", el.Kind)
 	}
 	local := make([]*Vector, len(inputs))
-	defer func() {
-		for i, v := range local {
-			if v != nil && v != inputs[i] {
-				DropVector(v)
-			}
-		}
-	}()
+	var copies []*Vector
+	defer func() { DropVector(copies...) }()
 	for i, in := range inputs {
 		var err error
 		if local[i], err = Materialize(in, placement); err != nil {
 			return nil, err
+		}
+		if local[i] != in {
+			copies = append(copies, local[i])
 		}
 	}
 	if el.Kind == KindCombiner {
 		return en.execCombiner(el.Combiner, local, placement)
 	}
 	return en.execOperator(el, local, placement)
-}
-
-// Profile returns a snapshot of the accumulated per-element execution
-// times.
-func (en *Engine) Profile() map[string]time.Duration {
-	en.mu.Lock()
-	defer en.mu.Unlock()
-	out := make(map[string]time.Duration, len(en.profile))
-	for id, d := range en.profile {
-		out[id] = d
-	}
-	return out
 }
 
 // Primary exposes the experiment's database handle.

@@ -57,9 +57,6 @@ type Plan struct {
 	Elements map[string]*Element
 	// Levels holds element ids by topological level, sources first.
 	Levels [][]string
-	// Consumers counts how many elements read each element's vector;
-	// executors use it to drop temp tables as soon as possible.
-	Consumers map[string]int
 }
 
 // BuildPlan validates the query specification and computes the level
@@ -68,7 +65,7 @@ func BuildPlan(spec *pbxml.Query) (*Plan, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	p := &Plan{Elements: map[string]*Element{}, Consumers: map[string]int{}}
+	p := &Plan{Elements: map[string]*Element{}}
 	for i := range spec.Sources {
 		s := &spec.Sources[i]
 		p.Elements[s.ID] = &Element{ID: s.ID, Kind: KindSource, Source: s}
@@ -112,7 +109,6 @@ func BuildPlan(spec *pbxml.Query) (*Plan, error) {
 			if _, ok := p.Elements[in]; !ok {
 				return nil, fmt.Errorf("query: element %q references unknown input %q", el.ID, in)
 			}
-			p.Consumers[in]++
 		}
 	}
 

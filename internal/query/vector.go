@@ -131,15 +131,19 @@ func (v *Vector) create() sqldb.PipelineRequest {
 	return sqldb.PipelineRequest{SQL: "CREATE TEMP TABLE " + v.Table + " (" + strings.Join(defs, ", ") + ")"}
 }
 
-// build makes the vector's table on its database with one submission:
-// one statement (a CREATE … AS) as itself, several steps as one
-// pipeline.
+// build makes the vector's table on its database with one submission.
 func (v *Vector) build(steps ...sqldb.PipelineRequest) error {
+	return submit(v.DB, steps)
+}
+
+// submit sends steps to db as one submission: one statement (a
+// CREATE … AS, a DROP) as itself, several steps as one pipeline.
+func submit(db core.Handle, steps []sqldb.PipelineRequest) error {
 	var err error
 	if len(steps) == 1 {
-		_, err = v.DB.Exec(steps[0].SQL)
+		_, err = db.Exec(steps[0].SQL)
 	} else {
-		_, err = v.DB.ExecPipeline(steps)
+		_, err = db.ExecPipeline(steps)
 	}
 	return err
 }
@@ -175,12 +179,23 @@ func colNames(cols []ColumnMeta) []string {
 	return names
 }
 
-// DropVector removes a vector's temp table. Temp tables are catalog
-// entries of their database, so every vector a query makes is dropped
-// once no element needs it; a failed drop is ignored.
-func DropVector(v *Vector) {
-	if v == nil || v.Table == "" {
-		return
+// DropVector removes vectors' temp tables with one submission per
+// database. Temp tables are catalog entries of their database, so every
+// vector a query makes is dropped once no element needs it; a failed
+// drop is ignored.
+func DropVector(vs ...*Vector) {
+	var dbs []core.Handle
+	drops := map[core.Handle][]sqldb.PipelineRequest{}
+	for _, v := range vs {
+		if v == nil || v.Table == "" {
+			continue
+		}
+		if _, ok := drops[v.DB]; !ok {
+			dbs = append(dbs, v.DB)
+		}
+		drops[v.DB] = append(drops[v.DB], sqldb.PipelineRequest{SQL: "DROP TABLE IF EXISTS " + v.Table})
 	}
-	v.DB.Exec("DROP TABLE IF EXISTS " + v.Table) //nolint:errcheck
+	for _, db := range dbs {
+		submit(db, drops[db]) //nolint:errcheck
+	}
 }

@@ -222,8 +222,9 @@ func (s *Session) ImportMerged(expName string, pairs []MergedInput, opts ImportO
 	return input.ImportMerged(exp, dfs, opts)
 }
 
-// Query executes an XML query specification sequentially (the perfbase
-// "query" command).
+// Query executes an XML query specification on the session's database
+// (the perfbase "query" command); the elements of a plan level run
+// concurrently.
 func (s *Session) Query(specXML io.Reader) (*Results, error) {
 	spec, err := pbxml.ParseQuery(specXML)
 	if err != nil {
