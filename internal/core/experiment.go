@@ -156,9 +156,9 @@ func (e *Experiment) MultiVars() []Var {
 	return out
 }
 
-// onceTable is the table holding one row per run with all
+// OnceTable is the table holding one row per run with all
 // constant-per-run variables.
-func (e *Experiment) onceTable() string { return e.name + "_once" }
+func (e *Experiment) OnceTable() string { return e.name + "_once" }
 
 // DataTable is the per-run table holding the data sets of run id
 // (paper §4.2).
@@ -171,7 +171,7 @@ func (e *Experiment) createOnceTable() error {
 	for _, v := range e.OnceVars() {
 		cols = append(cols, v.Name+" "+v.Type.String())
 	}
-	_, err := e.store.q.Exec("CREATE TABLE " + e.onceTable() + " (" + strings.Join(cols, ", ") + ")")
+	_, err := e.store.q.Exec("CREATE TABLE " + e.OnceTable() + " (" + strings.Join(cols, ", ") + ")")
 	if err != nil {
 		return fmt.Errorf("core: create once table: %w", err)
 	}
@@ -367,7 +367,7 @@ func (e *Experiment) Update(def *pbxml.Experiment) error {
 // or to every run data table (once=false).
 func (e *Experiment) alterAll(once bool, clause string) error {
 	if once {
-		if _, err := e.store.q.Exec("ALTER TABLE " + e.onceTable() + " " + clause); err != nil {
+		if _, err := e.store.q.Exec("ALTER TABLE " + e.OnceTable() + " " + clause); err != nil {
 			return fmt.Errorf("core: update: %w", err)
 		}
 		return nil

@@ -243,7 +243,7 @@ func (e *Experiment) writeRuns(first int64, runs []NewRun, onceRows []sqldb.Row,
 			value.NewString(runs[i].Checksum), value.NewBool(true), value.NewInt(int64(len(runs[i].Sets)))}
 	}
 	return append(reqs,
-		sqldb.PipelineRequest{Bulk: true, Table: e.onceTable(), Cols: onceCols, Rows: onceRows},
+		sqldb.PipelineRequest{Bulk: true, Table: e.OnceTable(), Cols: onceCols, Rows: onceRows},
 		sqldb.PipelineRequest{Bulk: true, Table: tblRuns, Cols: runCols, Rows: catalog},
 		sqldb.PipelineRequest{SQL: "COMMIT"})
 }
@@ -297,7 +297,7 @@ func (e *Experiment) Run(id int64) (RunInfo, error) {
 
 // RunOnce returns the constant-per-run variable content of a run.
 func (e *Experiment) RunOnce(id int64) (DataSet, error) {
-	res, err := execArgs(e.store.q, "SELECT * FROM "+e.onceTable()+" WHERE run_id = ?",
+	res, err := execArgs(e.store.q, "SELECT * FROM "+e.OnceTable()+" WHERE run_id = ?",
 		value.NewInt(id))
 	if err != nil {
 		return nil, fmt.Errorf("core: run %d once values: %w", id, err)
@@ -335,7 +335,7 @@ func (e *Experiment) DeleteRun(id int64) error {
 	if _, err := e.store.q.ExecPipeline([]sqldb.PipelineRequest{
 		{SQL: "BEGIN"},
 		{SQL: "DROP TABLE IF EXISTS " + e.DataTable(id)},
-		{SQL: "DELETE FROM " + e.onceTable() + " WHERE run_id = " + value.NewInt(id).SQL()},
+		{SQL: "DELETE FROM " + e.OnceTable() + " WHERE run_id = " + value.NewInt(id).SQL()},
 		{SQL: "DELETE FROM " + tblRuns + " WHERE exp = " + value.NewString(e.name).SQL() +
 			" AND run_id = " + value.NewInt(id).SQL()},
 		{SQL: "COMMIT"},

@@ -32,6 +32,10 @@ const (
 	tblRuns        = "pb_runs"
 )
 
+// RunsTable is the run catalog: one row per run of every experiment,
+// its columns exp, run_id, created, source, checksum, active and nsets.
+const RunsTable = tblRuns
+
 // validSep separates entries of a variable's valid-content list in its
 // meta row.
 const validSep = "\x1f"
@@ -267,7 +271,7 @@ func (s *Store) DestroyExperiment(name string) error {
 		}
 	}
 	for _, stmt := range []string{
-		"DROP TABLE IF EXISTS " + e.onceTable(),
+		"DROP TABLE IF EXISTS " + e.OnceTable(),
 		"DELETE FROM " + tblRuns + " WHERE exp = " + value.NewString(name).SQL(),
 		"DELETE FROM " + tblAccess + " WHERE exp = " + value.NewString(name).SQL(),
 		"DELETE FROM " + tblVariables + " WHERE exp = " + value.NewString(name).SQL(),

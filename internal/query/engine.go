@@ -2,7 +2,6 @@ package query
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 	"time"
 
@@ -84,76 +83,27 @@ type Placer interface {
 	ReadSource() sqldb.Querier
 }
 
-// PlanRun is one execution of a plan. Its source elements share what
-// they read of the experiment's bookkeeping — the run list and the
-// once rows — and its output elements the rows of the vectors they
-// read, so a query reads each once, however many elements ask. It
+// PlanRun is one execution of a plan. Its output elements share the
+// rows of the vectors they read, so a query reads each once, however
+// many outputs ask; each source element makes its own read of the runs
+// it selects, so the sources of a level do not wait on each other. It
 // records its elements' execution times. Safe for concurrent element
 // execution.
 type PlanRun struct {
 	en *Engine
 
 	mu      sync.Mutex
-	runs    []core.RunInfo // nil until the first source asks
-	once    map[onceKey]map[int64]sqldb.Row
 	fetched map[*Vector]func() (*sqldb.Result, error)
 	profile map[string]time.Duration
-}
-
-// onceKey names one read of the once table: through which handle (a
-// pinned snapshot must see its own state) and of which columns.
-type onceKey struct {
-	src  sqldb.Querier
-	cols string
 }
 
 // NewRun starts an execution of a plan on this engine.
 func (en *Engine) NewRun() *PlanRun {
 	return &PlanRun{
 		en:      en,
-		once:    map[onceKey]map[int64]sqldb.Row{},
 		fetched: map[*Vector]func() (*sqldb.Result, error){},
 		profile: map[string]time.Duration{},
 	}
-}
-
-// allRuns returns the experiment's active runs, read once per plan
-// run. Callers must not modify the slice.
-func (r *PlanRun) allRuns() ([]core.RunInfo, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.runs == nil {
-		runs, err := r.en.exp.Runs()
-		if err != nil {
-			return nil, err
-		}
-		r.runs = runs
-	}
-	return r.runs, nil
-}
-
-// onceRows reads the given columns of the experiment's once table
-// through src and returns the rows by run id: row[0] is the run id,
-// row[i+1] the value of cols[i]. Sources of one plan run that ask for
-// the same columns through the same handle share one read.
-func (r *PlanRun) onceRows(src sqldb.Querier, cols []string) (map[int64]sqldb.Row, error) {
-	list := strings.Join(append([]string{"run_id"}, cols...), ", ")
-	key := onceKey{src, list}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if rows, ok := r.once[key]; ok {
-		return rows, nil
-	}
-	res, err := src.Exec("SELECT " + list + " FROM " + r.en.exp.Name() + "_once")
-	if err != nil {
-		return nil, fmt.Errorf("query: once table: %w", err)
-	}
-	rows := make(map[int64]sqldb.Row, len(res.Rows))
-	for _, row := range res.Rows {
-		rows[row[0].Int()] = row
-	}
-	r.once[key] = rows
-	return rows, nil
 }
 
 // fetch returns a vector's rows (Vector.Fetch), read once per plan run:
@@ -284,11 +234,11 @@ func (r *PlanRun) ExecElement(el *Element, inputs []*Vector, placement, src sqld
 // its execution time. Output elements return nil (their inputs are the
 // result). Inputs held on another database are copied to placement
 // first (Materialize) and the copies dropped when the element is done.
-// src is the handle for reading the experiment's own tables (the once
-// table and the per-run data tables): the engine's primary, or —
-// internal/parquery — a pinned *sqldb.Snapshot, so that every fan-out
-// worker of one query run observes the same committed state, even while
-// imports commit concurrently.
+// src is the handle for reading the experiment's own tables (the run
+// catalog, the once table and the per-run data tables): the engine's
+// primary, or — internal/parquery — a pinned *sqldb.Snapshot, so that
+// every fan-out worker of one query run observes the same committed
+// state, run list included, even while imports commit concurrently.
 func (r *PlanRun) exec(el *Element, inputs []*Vector, placement core.Handle, src sqldb.Querier) (*Vector, error) {
 	en := r.en
 	defer func(t0 time.Time) {

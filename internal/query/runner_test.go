@@ -26,28 +26,16 @@ const fig8Query = `
   <output input="rel" format="csv"/>
 </query>`
 
-// pourBarrier is a database whose pouring pipelines meet at a
-// two-party barrier: a pour waits up to two seconds for a second one.
-type pourBarrier struct {
-	*sqldb.DB
-
+// barrier is a two-party barrier: a caller of await waits up to two
+// seconds for a second one.
+type barrier struct {
 	mu      sync.Mutex
-	waiting chan struct{} // closed when a second pour arrives
-	met     atomic.Int32  // pours that found another waiting
-	missed  atomic.Int32  // pours that waited in vain
+	waiting chan struct{} // closed when a second caller arrives
+	met     atomic.Int32  // callers that found another waiting
+	missed  atomic.Int32  // callers that waited in vain
 }
 
-func (b *pourBarrier) ExecPipeline(reqs []sqldb.PipelineRequest) ([]*sqldb.Result, error) {
-	for _, r := range reqs {
-		if r.From != nil {
-			b.await()
-			break
-		}
-	}
-	return b.DB.ExecPipeline(reqs)
-}
-
-func (b *pourBarrier) await() {
+func (b *barrier) await() {
 	b.mu.Lock()
 	if ch := b.waiting; ch != nil {
 		b.waiting = nil
@@ -71,6 +59,36 @@ func (b *pourBarrier) await() {
 	}
 }
 
+// pourBarrier is a database whose pouring pipelines meet at a barrier.
+type pourBarrier struct {
+	*sqldb.DB
+	barrier
+}
+
+func (b *pourBarrier) ExecPipeline(reqs []sqldb.PipelineRequest) ([]*sqldb.Result, error) {
+	for _, r := range reqs {
+		if r.From != nil {
+			b.await()
+			break
+		}
+	}
+	return b.DB.ExecPipeline(reqs)
+}
+
+// onceReadBarrier is a database whose SELECTs of the bench
+// experiment's once table meet at a barrier.
+type onceReadBarrier struct {
+	*sqldb.DB
+	barrier
+}
+
+func (b *onceReadBarrier) Exec(sql string) (*sqldb.Result, error) {
+	if strings.HasPrefix(sql, "SELECT ") && strings.Contains(sql, " FROM bench_once") {
+		b.await()
+	}
+	return b.DB.Exec(sql)
+}
+
 // TestLevelElementsOverlap: the two sources of a Fig. 8 query are one
 // level, so both pours are in flight at once — on the primary, with no
 // placer, as Engine.Run and the CLI run a query.
@@ -83,6 +101,24 @@ func TestLevelElementsOverlap(t *testing.T) {
 	}
 	if met, missed := b.met.Load(), b.missed.Load(); met != 1 || missed != 0 {
 		t.Errorf("pours met %d times, waited in vain %d times; want both sources in flight at once", met, missed)
+	}
+	if len(res.Outputs) != 2 || len(res.Outputs[0].Data[0].Rows) != 3 {
+		t.Errorf("outputs = %+v", res.Outputs)
+	}
+}
+
+// TestLevelSourceReadsOverlap: each source of a level reads the runs it
+// selects itself, so the two sources of a Fig. 8 query read the once
+// table at the same time — neither waits for the other's read.
+func TestLevelSourceReadsOverlap(t *testing.T) {
+	b := &onceReadBarrier{DB: sqldb.NewMemory()}
+	e := seedExperimentOn(t, b)
+	res, err := NewEngine(e).Run(parseQuery(t, fig8Query))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if met, missed := b.met.Load(), b.missed.Load(); met != 1 || missed != 0 {
+		t.Errorf("once-table reads met %d times, waited in vain %d times; want both sources reading at once", met, missed)
 	}
 	if len(res.Outputs) != 2 || len(res.Outputs[0].Data[0].Rows) != 3 {
 		t.Errorf("outputs = %+v", res.Outputs)

@@ -18,7 +18,18 @@ type paramConstraint struct {
 	op    string
 	val   value.Value
 	has   bool // filter has a constraining value
-	pos   int  // once parameters: column of the value in the once rows
+}
+
+// sqlCol renders the parameter for the once table's SELECT: a NULL
+// takes the variable's declared default.
+func (pc paramConstraint) sqlCol() string {
+	switch {
+	case pc.runID:
+		return "run_id"
+	case pc.v.Default.IsNull():
+		return pc.v.Name
+	}
+	return "COALESCE(" + pc.v.Name + ", " + sqlLit(pc.v.Default) + ")"
 }
 
 // valSel is one selected result value with an optional unit
@@ -27,7 +38,6 @@ type valSel struct {
 	v      *core.Var
 	factor float64
 	unit   units.Unit
-	pos    int // once values: column of the value in the once rows
 }
 
 // col builds the output column metadata of the selection.
@@ -49,25 +59,23 @@ func (vs valSel) sqlSel() string {
 	return fmt.Sprintf("(%s * %v) AS %s", vs.v.Name, vs.factor, vs.v.Name)
 }
 
-// execSource runs a source element: it selects the runs matching the
-// run filter and the once-parameter constraints, then pours the
-// matching data sets of all of them into the output temp table with
-// one request — a pour step (sqldb.PipelineRequest.From): one SELECT
-// read off every matching run's data table, the run's once values in
-// front — tagging every tuple with the included parameters (paper
-// §3.3.1: "each data tuple consists of the input parameters by which
-// the database access was filtered and the result values that were
-// specified"). Nothing of it is statement text but the SELECT, which is
-// the same for every query of the source's shape.
+// execSource runs a source element: it reads the runs matching the run
+// filter and the once-parameter constraints with one SELECT through
+// src, its own (selectRuns), then pours the matching data sets of all
+// of them into the output temp table with one request — a pour step
+// (sqldb.PipelineRequest.From): one SELECT read off every matching
+// run's data table, the run's once values in front — tagging every
+// tuple with the included parameters (paper §3.3.1: "each data tuple
+// consists of the input parameters by which the database access was
+// filtered and the result values that were specified"). Nothing of the
+// pour is statement text but the SELECT, which is the same for every
+// query of the source's shape.
 func (r *PlanRun) execSource(spec *pbxml.SourceElem, placement core.Handle, src sqldb.Querier) (*Vector, error) {
 	en := r.en
 	exp := en.exp
 
-	// Resolve parameter filters. onceCols lists the once-table columns
-	// the source filters on or outputs; the once rows are read with
-	// exactly these columns, after run_id.
+	// Resolve parameter filters.
 	var once, multi []paramConstraint
-	var onceCols []string
 	for _, pf := range spec.Parameters {
 		pc := paramConstraint{op: pf.Op}
 		if pc.op == "" {
@@ -106,8 +114,6 @@ func (r *PlanRun) execSource(spec *pbxml.SourceElem, placement core.Handle, src 
 			pc.val, pc.has = pv, true
 		}
 		if v.Once {
-			onceCols = append(onceCols, v.Name)
-			pc.pos = len(onceCols)
 			once = append(once, pc)
 		} else {
 			multi = append(multi, pc)
@@ -144,8 +150,6 @@ func (r *PlanRun) execSource(spec *pbxml.SourceElem, placement core.Handle, src 
 			vs.unit = target
 		}
 		if v.Once {
-			onceCols = append(onceCols, v.Name)
-			vs.pos = len(onceCols)
 			onceVals = append(onceVals, vs)
 		} else {
 			multiVals = append(multiVals, vs)
@@ -169,15 +173,10 @@ func (r *PlanRun) execSource(spec *pbxml.SourceElem, placement core.Handle, src 
 	}
 	out := &Vector{DB: placement, Table: tempName(spec.ID), Cols: cols, FromSource: true}
 
-	// Select candidate runs and read their once rows; both are shared
-	// with the other sources of this plan run.
-	runs, err := r.selectRuns(spec.Run)
+	// The runs the source selects, each its id, then its once columns.
+	runs, err := selectRuns(exp, src, spec.Run, once, onceVals)
 	if err != nil {
-		return nil, err
-	}
-	onceByRun, err := r.onceRows(src, onceCols)
-	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("query: source %s: %w", spec.ID, err)
 	}
 
 	// The pour: the SELECT every run's data table is read with — the same
@@ -189,7 +188,7 @@ func (r *PlanRun) execSource(spec *pbxml.SourceElem, placement core.Handle, src 
 	for _, pc := range multi {
 		items = append(items, pc.v.Name)
 		if pc.has {
-			conds = append(conds, pc.v.Name+" "+pc.op+" "+pc.val.SQL())
+			conds = append(conds, pc.v.Name+" "+pc.op+" "+sqlLit(pc.val))
 		}
 	}
 	for _, vs := range multiVals {
@@ -203,51 +202,13 @@ func (r *PlanRun) execSource(spec *pbxml.SourceElem, placement core.Handle, src 
 		pour.From = []string{}
 	}
 
-	// Per run: check the once constraints, then add the run to the pour.
 	// pinned means reads go to a snapshot (or a replica), not the live
 	// primary.
 	pinned := src != en.primary
 	hasTable, _ := src.(interface{ HasTable(string) bool })
 	for _, run := range runs {
-		runOnce, ok := onceByRun[run.ID]
-		if !ok {
-			if pinned {
-				// The run was registered after the snapshot was taken;
-				// a consistent view simply excludes it.
-				continue
-			}
-			return nil, fmt.Errorf("query: source %s: run %d has no once row", spec.ID, run.ID)
-		}
-		match := true
-		onceOut := make(sqldb.Row, 0, len(once)+len(onceVals))
-		for _, pc := range once {
-			var have value.Value
-			if pc.runID {
-				have = value.NewInt(run.ID)
-			} else {
-				have = runOnce[pc.pos]
-				if have.IsNull() && !pc.v.Default.IsNull() {
-					have = pc.v.Default
-				}
-			}
-			if pc.has && !cmpOK(pc.op, have, pc.val) {
-				match = false
-				break
-			}
-			onceOut = append(onceOut, have)
-		}
-		if !match {
-			continue
-		}
-		for _, vs := range onceVals {
-			have := runOnce[vs.pos]
-			if vs.factor != 1 && !have.IsNull() {
-				have = value.NewFloat(have.Float() * vs.factor)
-			}
-			onceOut = append(onceOut, have)
-		}
 		if pour.From != nil {
-			table := exp.DataTable(run.ID)
+			table := exp.DataTable(run[0].Int())
 			if hasTable != nil && !hasTable.HasTable(table) {
 				// Run committed between the once row and the snapshot only
 				// in part: its data table is not in the pinned state yet.
@@ -255,7 +216,7 @@ func (r *PlanRun) execSource(spec *pbxml.SourceElem, placement core.Handle, src 
 			}
 			pour.From = append(pour.From, table)
 		}
-		pour.Rows = append(pour.Rows, onceOut)
+		pour.Rows = append(pour.Rows, run[1:])
 	}
 
 	// One request moves every matching run. When the vector lives on the
@@ -299,87 +260,113 @@ func sourceParamCol(pc paramConstraint) ColumnMeta {
 	}
 }
 
-func cmpOK(op string, a, b value.Value) bool {
-	if a.IsNull() || b.IsNull() {
-		return false
+// sqlLit renders a value as a SQL literal of its own type: a timestamp,
+// which SQL text spells as a string, is cast back, so that it compares
+// as a time.
+func sqlLit(v value.Value) string {
+	if v.Type() == value.Timestamp && !v.IsNull() {
+		return "CAST(" + v.SQL() + " AS timestamp)"
 	}
-	c := value.Compare(a, b)
-	switch op {
-	case "=":
-		return c == 0
-	case "<>":
-		return c != 0
-	case "<":
-		return c < 0
-	case "<=":
-		return c <= 0
-	case ">":
-		return c > 0
-	case ">=":
-		return c >= 0
-	}
-	return false
+	return v.SQL()
 }
 
-// selectRuns applies the run filter of a source (paper §3.3.1: sources
-// are limited "by the time stamp or index of a run").
-func (r *PlanRun) selectRuns(rf *pbxml.RunFilter) ([]core.RunInfo, error) {
-	runs, err := r.allRuns()
-	if err != nil {
-		return nil, err
+// selectRuns reads the runs a source selects through src, oldest first:
+// per run its id, then the source's once parameters and once values, in
+// output order. The once table is the experiment's run registry — a
+// run's once row commits and goes with its catalog row and data table —
+// so the once constraints and the run filter (paper §3.3.1: sources are
+// limited "by the time stamp or index of a run") are the WHERE of one
+// SELECT of it. Only a from, to or last filter also reads the run
+// catalog: from and to bound a run's import time, and last counts runs
+// before the once constraints apply.
+func selectRuns(exp *core.Experiment, src sqldb.Querier, rf *pbxml.RunFilter, once []paramConstraint, onceVals []valSel) ([]sqldb.Row, error) {
+	items := []string{"run_id"}
+	var conds []string
+	for _, pc := range once {
+		col := pc.sqlCol()
+		items = append(items, col)
+		if pc.has {
+			conds = append(conds, col+" "+pc.op+" "+sqlLit(pc.val))
+		}
 	}
-	if rf == nil {
-		return runs, nil
+	for _, vs := range onceVals {
+		items = append(items, vs.sqlSel())
 	}
-	if rf.Index != "" {
-		wanted := map[int64]bool{}
+	var inIndex string
+	if rf != nil && rf.Index != "" {
+		var ids []string
 		for _, part := range strings.Split(rf.Index, ",") {
-			part = strings.TrimSpace(part)
-			if part == "" {
+			if part = strings.TrimSpace(part); part == "" {
 				continue
 			}
 			v, err := value.Parse(value.Integer, part)
 			if err != nil {
-				return nil, fmt.Errorf("query: run index %q: %w", part, err)
+				return nil, fmt.Errorf("run index %q: %w", part, err)
 			}
-			wanted[v.Int()] = true
+			ids = append(ids, v.SQL())
 		}
-		kept := runs[:0:0]
-		for _, r := range runs {
-			if wanted[r.ID] {
-				kept = append(kept, r)
-			}
+		if len(ids) == 0 {
+			return nil, nil
 		}
-		runs = kept
+		inIndex = "run_id IN (" + strings.Join(ids, ", ") + ")"
+		conds = append(conds, inIndex)
 	}
-	if rf.From != "" {
-		from, err := value.Parse(value.Timestamp, rf.From)
-		if err != nil {
-			return nil, fmt.Errorf("query: run filter from: %w", err)
+	var keep map[int64]bool
+	if rf != nil && (rf.From != "" || rf.To != "" || rf.Last > 0) {
+		var err error
+		if keep, err = catalogRuns(exp, src, rf, inIndex); err != nil {
+			return nil, err
 		}
-		kept := runs[:0:0]
-		for _, r := range runs {
-			if !r.Created.Before(from.Time()) {
-				kept = append(kept, r)
-			}
-		}
-		runs = kept
 	}
-	if rf.To != "" {
-		to, err := value.Parse(value.Timestamp, rf.To)
-		if err != nil {
-			return nil, fmt.Errorf("query: run filter to: %w", err)
-		}
-		kept := runs[:0:0]
-		for _, r := range runs {
-			if !r.Created.After(to.Time()) {
-				kept = append(kept, r)
-			}
-		}
-		runs = kept
+	sql := "SELECT " + strings.Join(items, ", ") + " FROM " + exp.OnceTable()
+	if len(conds) > 0 {
+		sql += " WHERE " + strings.Join(conds, " AND ")
 	}
-	if rf.Last > 0 && len(runs) > rf.Last {
-		runs = runs[len(runs)-rf.Last:]
+	res, err := src.Exec(sql + " ORDER BY run_id")
+	if err != nil {
+		return nil, fmt.Errorf("once table: %w", err)
+	}
+	if keep == nil {
+		return res.Rows, nil
+	}
+	runs := res.Rows[:0]
+	for _, row := range res.Rows {
+		if keep[row[0].Int()] {
+			runs = append(runs, row)
+		}
 	}
 	return runs, nil
+}
+
+// catalogRuns reads from the run catalog, through src, the ids of the
+// runs a from, to or last filter keeps; inIndex is the filter's index
+// condition, if any, which last counts after.
+func catalogRuns(exp *core.Experiment, src sqldb.Querier, rf *pbxml.RunFilter, inIndex string) (map[int64]bool, error) {
+	conds := []string{"exp = " + value.NewString(exp.Name()).SQL(), "active"}
+	if inIndex != "" {
+		conds = append(conds, inIndex)
+	}
+	for _, b := range []struct{ attr, op, text string }{{"from", ">=", rf.From}, {"to", "<=", rf.To}} {
+		if b.text == "" {
+			continue
+		}
+		t, err := value.Parse(value.Timestamp, b.text)
+		if err != nil {
+			return nil, fmt.Errorf("run filter %s: %w", b.attr, err)
+		}
+		conds = append(conds, "created "+b.op+" "+sqlLit(t))
+	}
+	sql := "SELECT run_id FROM " + core.RunsTable + " WHERE " + strings.Join(conds, " AND ")
+	if rf.Last > 0 {
+		sql += fmt.Sprintf(" ORDER BY run_id DESC LIMIT %d", rf.Last)
+	}
+	res, err := src.Exec(sql)
+	if err != nil {
+		return nil, fmt.Errorf("run catalog: %w", err)
+	}
+	keep := make(map[int64]bool, len(res.Rows))
+	for _, row := range res.Rows {
+		keep[row[0].Int()] = true
+	}
+	return keep, nil
 }

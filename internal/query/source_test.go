@@ -34,9 +34,10 @@ const sourceExpDoc = `
 
 // refRun is what the test knows of one run, kept beside the database.
 type refRun struct {
-	id   int64
-	once core.DataSet
-	sets []core.DataSet
+	id      int64
+	created time.Time
+	once    core.DataSet
+	sets    []core.DataSet
 }
 
 // addRun stores run i of the deterministic corpus and returns its
@@ -69,22 +70,91 @@ func addRun(t *testing.T, e *core.Experiment, i int) refRun {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return refRun{id: id, once: once, sets: sets}
+	info, err := e.Run(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return refRun{id: id, created: info.Created, once: once, sets: sets}
+}
+
+// cmpOK is the reference's comparison: value.Compare, and false when
+// either side is NULL.
+func cmpOK(op string, a, b value.Value) bool {
+	if a.IsNull() || b.IsNull() {
+		return false
+	}
+	c := value.Compare(a, b)
+	switch op {
+	case "=":
+		return c == 0
+	case "<>":
+		return c != 0
+	case "<":
+		return c < 0
+	case "<=":
+		return c <= 0
+	case ">":
+		return c > 0
+	case ">=":
+		return c >= 0
+	}
+	return false
+}
+
+// keepRun reports whether a run passes the index, from and to parts of
+// a run filter.
+func keepRun(t *testing.T, rf *pbxml.RunFilter, run refRun) bool {
+	t.Helper()
+	if rf == nil {
+		return true
+	}
+	if rf.Index != "" {
+		named := false
+		for _, part := range strings.Split(rf.Index, ",") {
+			named = named || strings.TrimSpace(part) == fmt.Sprint(run.id)
+		}
+		if !named {
+			return false
+		}
+	}
+	for _, b := range []struct {
+		text  string
+		after bool
+	}{{rf.From, true}, {rf.To, false}} {
+		if b.text == "" {
+			continue
+		}
+		bound, err := value.Parse(value.Timestamp, b.text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.after && run.created.Before(bound.Time()) || !b.after && run.created.After(bound.Time()) {
+			return false
+		}
+	}
+	return true
 }
 
 // refVector builds, run by run, the tuples a source must deliver: the
-// runs the run filter keeps, in id order; of those the ones meeting the
-// once filters; of each its data sets, in stored order, meeting the
-// multi filters; each tuple the once parameters, once values, multi
-// parameters and multi values the source names, in that order.
+// runs the run filter keeps, in id order, last counting after the other
+// parts; of those the ones meeting the once filters; of each its data
+// sets, in stored order, meeting the multi filters; each tuple the once
+// parameters, once values, multi parameters and multi values the source
+// names, in that order.
 //
-// The run filter works on the live run list even when reads are pinned:
-// unseen holds the runs the pinned state does not have at all, noData
-// those whose data table it lacks.
+// The run filter works on the runs the reading handle sees: unseen holds
+// the runs a pinned state does not have at all, noData those whose data
+// table it lacks.
 func refVector(t *testing.T, e *core.Experiment, spec *pbxml.SourceElem, runs []refRun, unseen, noData map[int64]bool) []sqldb.Row {
 	t.Helper()
-	if spec.Run != nil && spec.Run.Last > 0 && len(runs) > spec.Run.Last {
-		runs = runs[len(runs)-spec.Run.Last:]
+	var seen []refRun
+	for _, run := range runs {
+		if !unseen[run.id] && keepRun(t, spec.Run, run) {
+			seen = append(seen, run)
+		}
+	}
+	if spec.Run != nil && spec.Run.Last > 0 && len(seen) > spec.Run.Last {
+		seen = seen[len(seen)-spec.Run.Last:]
 	}
 	keep := func(pf pbxml.ParamFilter, have value.Value) bool {
 		if pf.Value == "" {
@@ -118,10 +188,7 @@ func refVector(t *testing.T, e *core.Experiment, spec *pbxml.SourceElem, runs []
 		return value.NewFloat(have.Float() * f)
 	}
 	var out []sqldb.Row
-	for _, run := range runs {
-		if unseen[run.id] {
-			continue
-		}
+	for _, run := range seen {
 		var onceP, onceV sqldb.Row
 		match, multi := true, false
 		for _, pf := range spec.Parameters {
@@ -230,6 +297,14 @@ func TestSourceMatchesPerRunReference(t *testing.T) {
 		{"last runs", `<source id="s"><run last="3"/><parameter name="run_id"/><parameter name="chunk" value="1024"/><value name="bw"/></source>`},
 		{"no matching run", `<source id="s"><parameter name="fs" value="pvfs"/><parameter name="chunk"/><value name="bw"/></source>`},
 		{"no matching tuple", `<source id="s"><parameter name="chunk" value="7"/><value name="bw"/></source>`},
+		{"started range", `<source id="s"><parameter name="started" op="&lt;=" value="2005-09-05T12:00:00.0000005Z"/>
+			<parameter name="chunk"/><value name="bw"/></source>`},
+		{"nodes default equal", `<source id="s"><parameter name="nodes" value="1"/><parameter name="chunk"/><value name="ops"/></source>`},
+		{"nodes default unequal", `<source id="s"><parameter name="nodes" op="&lt;&gt;" value="1"/><value name="score"/></source>`},
+		{"run index with a missing id", `<source id="s"><run index="2, 99,5"/><parameter name="run_id"/><parameter name="chunk"/><value name="bw"/></source>`},
+		{"run from and to", fmt.Sprintf(`<source id="s"><run from="%s" to="%s"/><parameter name="run_id"/><parameter name="chunk"/><value name="bw"/></source>`,
+			runs[2].created.Format(time.RFC3339Nano), runs[9].created.Format(time.RFC3339Nano))},
+		{"last runs before a once filter", `<source id="s"><run last="4"/><parameter name="fs" value="ufs"/><parameter name="run_id"/><value name="score"/></source>`},
 	}
 	other := sqldb.NewMemory()
 	placements := []struct {
@@ -305,13 +380,13 @@ func (c *countingQuerier) ExecPipeline(reqs []sqldb.PipelineRequest) ([]*sqldb.R
 
 // TestSourceStatementsIndependentOfRunCount is the guard against a
 // per-run statement coming back into the source element: whether 10
-// runs match or 500, a source makes the same number of submissions —
-// in the push-down path (list the runs, read the once rows, one
-// pipeline creating the vector and pouring into it), in the bulk path
-// (one compound SELECT; the vector is created and filled elsewhere),
-// and with once values only (one pipeline creating and bulk-filling the
-// vector); and a second source of the same plan run reads neither the
-// run list nor the once rows again.
+// runs match or 500, every source makes two submissions — its own read
+// of the runs it selects (one filtered SELECT of the once table), then
+// in the push-down path one pipeline creating the vector and pouring
+// into it, in the bulk path one compound SELECT (the vector is created
+// and filled elsewhere), and with once values only one pipeline
+// creating and bulk-filling the vector. A second source of the same
+// plan run makes its own read, as sources of one level run at once.
 func TestSourceStatementsIndependentOfRunCount(t *testing.T) {
 	count := func(nruns int) map[string]int {
 		cq := &countingQuerier{DB: sqldb.NewMemory()}
@@ -348,7 +423,7 @@ func TestSourceStatementsIndependentOfRunCount(t *testing.T) {
 			rows      int
 		}{
 			{"first source, push-down", "a", cq, 0},
-			{"second source, same once columns", "b", cq, nruns},
+			{"second source", "b", cq, nruns},
 			{"once values only", "c", cq, nruns},
 			{"bulk path", "a", other, 0},
 		} {
@@ -371,10 +446,10 @@ func TestSourceStatementsIndependentOfRunCount(t *testing.T) {
 	}
 	few, many := count(10), count(500)
 	want := map[string]int{
-		"first source, push-down":          3, // runs, once rows, [CREATE, pour]
-		"second source, same once columns": 1, // [CREATE, pour]
-		"once values only":                 2, // once rows (other columns), [CREATE, bulk insert]
-		"bulk path":                        1, // one compound SELECT (CREATE and bulk insert go elsewhere)
+		"first source, push-down": 2, // its runs, [CREATE, pour]
+		"second source":           2, // its runs, [CREATE, pour]
+		"once values only":        2, // its runs, [CREATE, bulk insert]
+		"bulk path":               2, // its runs, one compound SELECT (CREATE and bulk insert go elsewhere)
 	}
 	for step, n := range want {
 		if few[step] != n || many[step] != n {
