@@ -15,7 +15,8 @@ package sqldb
 //	addBatch  one morsel of typed column vectors: the same grouping and
 //	          feeding as addRow, unboxed. Driven by runVecSelect and the
 //	          join-fused runVecJoin, each into one partial table per
-//	          morsel.
+//	          morsel — or, when an aggregate's state does not merge,
+//	          runVecSelect into one table, morsel after morsel.
 //	merge     fold a later morsel's partial table into this one. The
 //	          drivers merge in morsel-index order (renderParts), so the
 //	          result is independent of worker count and scheduling.
@@ -29,14 +30,18 @@ package sqldb
 //	          table again after every commit. Under PARTIAL it returns
 //	          the table itself instead, for a coordinator to absorb.
 //
-// Batch kernels exist for the aggregates whose state is one unboxed
-// field that merges associatively — COUNT, SUM, AVG, MIN, MAX over the
-// column types kernelFor admits. Everything else — PROD, MEDIAN, GEOMEAN,
-// VARIANCE, STDDEV, DISTINCT, expression arguments, MIN/MAX over a type
-// ordered by value.Compare only — is fed by addRow alone: the vector
-// planners decline a statement with such an aggregate. What merge and
-// absorb can fold is aggSpec.mergeable, which every aggregate with a
-// kernel satisfies.
+// Batch kernels exist for the aggregates whose state is unboxed and whose
+// step the kernel can take exactly as add takes it — COUNT, SUM, AVG, MIN,
+// MAX over the column types kernelFor admits, and VARIANCE and STDDEV over
+// Integer and Float columns. Everything else — PROD, MEDIAN, GEOMEAN,
+// DISTINCT, expression arguments, MIN/MAX over a type ordered by
+// value.Compare only, VARIANCE/STDDEV over any other type — is fed by
+// addRow alone: the vector planners decline a statement with such an
+// aggregate. What merge and absorb can fold is aggSpec.mergeable. VARIANCE
+// and STDDEV are not: two Welford states merge only up to rounding, so a
+// batch scan that feeds one folds its morsels into one table in scan
+// order, taking every step in the row engine's order, and the fused join
+// path, which merges per-morsel partials, declines them.
 
 import (
 	"fmt"
@@ -141,6 +146,18 @@ func (p *compiledSelect) batchable(need map[int]bool) bool {
 	}
 	for _, ci := range p.keyCols {
 		need[ci] = true
+	}
+	return true
+}
+
+// mergesParts reports whether every aggregate of the plan is mergeable,
+// so that a batch scan may build a partial table per morsel and merge
+// them in morsel order.
+func (p *compiledSelect) mergesParts() bool {
+	for i := range p.aggs {
+		if !p.aggs[i].mergeable() {
+			return false
+		}
 	}
 	return true
 }
@@ -301,14 +318,19 @@ func (a *acc) add(sp *aggSpec, v *value.Value) error {
 			a.ext().flag = true
 		}
 	case opVariance, opStddev:
-		// Welford's update: mean in f, squared deviations in m2. The
-		// textbook sumsq − n·mean² cancels to 0 for a small spread around
-		// a large mean, which is what bandwidths in bytes per second are.
-		d := f - a.f
-		a.f += d / float64(a.n)
-		a.ext().m2 += d * (f - a.f)
+		a.welford(f)
 	}
 	return nil
+}
+
+// welford is Welford's update by x, which a.n already counts: mean in f,
+// squared deviations in m2. The textbook sumsq − n·mean² cancels to 0 for
+// a small spread around a large mean, which is what bandwidths in bytes
+// per second are.
+func (a *acc) welford(x float64) {
+	d := x - a.f
+	a.f += d / float64(a.n)
+	a.ext().m2 += d * (x - a.f)
 }
 
 // AggResultType is the declared type of the result of the aggregate
@@ -478,6 +500,8 @@ func kernelFor(op aggOp, typ value.Type) aggKernel {
 			return minIntKernel
 		case opMax:
 			return maxIntKernel
+		case opVariance, opStddev:
+			return varIntKernel
 		}
 	case value.Float:
 		switch op {
@@ -487,6 +511,8 @@ func kernelFor(op aggOp, typ value.Type) aggKernel {
 			return minFloatKernel
 		case opMax:
 			return maxFloatKernel
+		case opVariance, opStddev:
+			return varFloatKernel
 		}
 	case value.String:
 		switch op {
@@ -542,6 +568,27 @@ func sumFloatKernel(v *colVec, pos, gids []int32, accs []acc, stride, k int) {
 			a := &accs[int(gids[j])*stride+k]
 			a.n++
 			a.f += v.floats[i]
+		}
+	}
+}
+
+// varIntKernel and varFloatKernel take add's Welford step.
+func varIntKernel(v *colVec, pos, gids []int32, accs []acc, stride, k int) {
+	for j, i := range pos {
+		if !v.null(int(i)) {
+			a := &accs[int(gids[j])*stride+k]
+			a.n++
+			a.welford(float64(v.ints[i]))
+		}
+	}
+}
+
+func varFloatKernel(v *colVec, pos, gids []int32, accs []acc, stride, k int) {
+	for j, i := range pos {
+		if !v.null(int(i)) {
+			a := &accs[int(gids[j])*stride+k]
+			a.n++
+			a.welford(v.floats[i])
 		}
 	}
 }
@@ -602,6 +649,11 @@ func maxStrKernel(v *colVec, pos, gids []int32, accs []acc, stride, k int) {
 type group struct {
 	rep Row
 	n   int64
+	// from and at stand in for rep when a batch over a columnar chunk
+	// opened the group: its representative row is position at of from's
+	// vectors, and boxReps boxes it only if the group is rendered.
+	from *colChunk
+	at   int32
 }
 
 // groupTable is the state of one grouped SELECT; see the file header.
@@ -848,8 +900,8 @@ type aggBatch interface {
 	// it. pads says a position may be -1, which reads as NULL: the
 	// build side of a LEFT join's unmatched probe rows.
 	col(ci int) (v *colVec, pos []int32, pads bool)
-	// rep materializes tuple j's source row, for a group it opens.
-	rep(j int) Row
+	// setRep gives g, a group tuple j opens, tuple j's source row.
+	setRep(g *group, j int)
 }
 
 // addBatch is addRow over a morsel: it assigns every tuple its group —
@@ -867,7 +919,7 @@ func (t *groupTable) addBatch(b aggBatch, gids []int32) {
 	assign := func(j int, gi int32, fresh bool) {
 		g := &t.groups[gi]
 		if fresh {
-			g.rep = b.rep(j)
+			b.setRep(g, j)
 		}
 		g.n++
 		gids[j] = gi
@@ -876,7 +928,7 @@ func (t *groupTable) addBatch(b aggBatch, gids []int32) {
 	case keyNone:
 		gi, fresh := t.byNone()
 		if fresh {
-			t.groups[gi].rep = b.rep(0)
+			b.setRep(&t.groups[gi], 0)
 		}
 		t.groups[gi].n += int64(n)
 		clear(gids[:n])
@@ -923,9 +975,13 @@ func (t *groupTable) addBatch(b aggBatch, gids []int32) {
 			v   *colVec
 			pos []int32
 		}
-		keys := make([]keyVec, len(p.keyCols))
-		for ki, ci := range p.keyCols {
-			keys[ki].v, keys[ki].pos, _ = b.col(ci)
+		// On the stack for the usual few keys: a morsel's table meets one
+		// batch, so scratch kept in the table would not be reused.
+		var few [4]keyVec
+		keys := few[:0]
+		for _, ci := range p.keyCols {
+			v, pos, _ := b.col(ci)
+			keys = append(keys, keyVec{v, pos})
 		}
 		for j := 0; j < n; j++ {
 			t.kbuf = t.kbuf[:0]
@@ -1037,6 +1093,7 @@ func renderParts(st *SelectStmt, p *compiledSelect, parts []*groupTable) (*Resul
 // never retained, so the first real row still opens a real group.
 func (t *groupTable) render() (*Result, error) {
 	p, st := t.p, t.st
+	t.boxReps()
 	if st.Partial {
 		return t.state()
 	}
@@ -1087,6 +1144,33 @@ func (t *groupTable) render() (*Result, error) {
 		}
 	}
 	return p.finish(st, outRows, reps, aggVs)
+}
+
+// boxReps boxes the representative rows the groups hold as positions in
+// a columnar chunk's vectors, all into one backing array.
+func (t *groupTable) boxReps() {
+	size := 0
+	for i := range t.groups {
+		if g := &t.groups[i]; g.from != nil {
+			size += len(g.from.vecs)
+		}
+	}
+	if size == 0 {
+		return
+	}
+	slab := make([]value.Value, size)
+	for i := range t.groups {
+		g := &t.groups[i]
+		if g.from == nil {
+			continue
+		}
+		w := len(g.from.vecs)
+		g.rep, slab = slab[:w:w], slab[w:]
+		for ci := range g.from.vecs {
+			g.rep[ci] = g.from.vecs[ci].box(int(g.at))
+		}
+		g.from = nil
+	}
 }
 
 // stateSchema is the layout of a grouped PARTIAL SELECT's answer: per

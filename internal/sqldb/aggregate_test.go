@@ -56,16 +56,28 @@ func aggTestRow(k int) (g, w, row string) {
 	str := null(allNull || k%17 == 0, fmt.Sprintf("'v%d'", (k*7)%13))
 	ver := null(allNull || k%19 == 0, fmt.Sprintf("'1.%d.%d'", k%12, k%3))
 	flag := null(allNull || k%23 == 0, strings.ToUpper(fmt.Sprint(k%3 == 0)))
-	return g, w, fmt.Sprintf("(%d, %s, %s, %s, %s, %s, %s, %s, %s, %s, %s, %s)", k, g, s, hs, i, w, f, big, pos, str, ver, flag)
+	// Infinities of both signs (their group's variance is NaN), a NaN in
+	// mid-morsel, and one Welford-sensitive spread around a large mean.
+	inf := null(allNull || k%29 == 0, fmt.Sprint(1e9+float64((k*29)%161-80)*0.25))
+	switch {
+	case k%997 == 3:
+		inf = "CAST('Infinity' AS float)"
+	case k%1301 == 5:
+		inf = "CAST('-Infinity' AS float)"
+	case k == 9000:
+		inf = "CAST('NaN' AS float)"
+	}
+	return g, w, fmt.Sprintf("(%d, %s, %s, %s, %s, %s, %s, %s, %s, %s, %s, %s, %s)", k, g, s, hs, i, w, f, big, pos, str, ver, flag, inf)
 }
 
 // aggTestStmt is one statement of the agreement matrix: as the single-
 // table drivers run it, and over the join, where the numeric key and
 // the argument w come from the build side. kernel says whether the
-// vector planners must accept it.
+// vector planners must accept it, inOrder whether an aggregate's state
+// does not merge, so that the fused join path must decline it.
 type aggTestStmt struct {
-	sql, joinSQL string
-	kernel       bool
+	sql, joinSQL    string
+	kernel, inOrder bool
 }
 
 const aggTestJoin = "t JOIN kt ON t.k = kt.k2"
@@ -84,6 +96,7 @@ func aggTestStatements() (stmts []aggTestStmt) {
 		{"i", "i", value.Integer}, {"w", "kw", value.Integer}, {"big", "big", value.Integer},
 		{"f", "f", value.Float}, {"pos", "pos", value.Float},
 		{"str", "str", value.String}, {"ver", "ver", value.Version}, {"flag", "flag", value.Boolean},
+		{"inf", "inf", value.Float},
 	}
 	// The test's own statement of which (aggregate, type) pairs have a
 	// kernel: it pins kernelFor's list through the planner's decision.
@@ -91,7 +104,7 @@ func aggTestStatements() (stmts []aggTestStmt) {
 		switch agg {
 		case "count":
 			return true
-		case "sum", "avg":
+		case "sum", "avg", "variance", "stddev":
 			return typ.Numeric()
 		case "min", "max":
 			return typ.Numeric() || typ == value.String
@@ -125,10 +138,18 @@ func aggTestStatements() (stmts []aggTestStmt) {
 			if (v.distinct != "" || v.suffix != "") && ki%4 != 0 {
 				continue
 			}
-			type itemList struct{ plain, join []string }
-			items := map[bool]*itemList{
-				true:  {[]string{"COUNT(*) AS count_star"}, []string{"COUNT(*) AS count_star"}},
-				false: {},
+			// Up to three statements: the aggregates with a batch kernel and
+			// a state that merges, those with a kernel and a state that does
+			// not (VARIANCE, STDDEV), and the rest.
+			type itemList struct {
+				plain, join     []string
+				kernel, inOrder bool
+			}
+			star := []string{"COUNT(*) AS count_star"}
+			items := []*itemList{
+				{plain: star, join: star, kernel: true},
+				{plain: star, join: star, kernel: true, inOrder: true},
+				{},
 			}
 			for _, name := range names {
 				for _, a := range args {
@@ -141,21 +162,27 @@ func aggTestStatements() (stmts []aggTestStmt) {
 					} else if suffix != "" && !a.typ.Numeric() {
 						continue
 					}
-					l := items[hasKernel(name, a.typ) && v.distinct == "" && v.suffix == ""]
+					l := items[2]
+					if hasKernel(name, a.typ) && v.distinct == "" && v.suffix == "" {
+						l = items[0]
+						if name == "variance" || name == "stddev" {
+							l = items[1]
+						}
+					}
 					item := "%s(" + v.distinct + "%s" + suffix + ") AS %s_" + a.col
 					l.plain = append(l.plain, fmt.Sprintf(item, name, a.col, name))
 					l.join = append(l.join, fmt.Sprintf(item, name, a.joinCol, name))
 				}
 			}
-			for _, kern := range []bool{true, false} {
-				l := items[kern]
+			for _, l := range items {
 				if len(l.plain) < 2 {
 					continue
 				}
 				stmts = append(stmts, aggTestStmt{
 					sql:     "SELECT " + key.sel + strings.Join(l.plain, ", ") + " FROM t" + v.where + key.group,
 					joinSQL: "SELECT " + key.joinSel + strings.Join(l.join, ", ") + " FROM " + aggTestJoin + v.where + key.joinGroup,
-					kernel:  kern,
+					kernel:  l.kernel,
+					inOrder: l.inOrder,
 				})
 			}
 		}
@@ -190,7 +217,7 @@ func TestAggDriversAgree(t *testing.T) {
 	v4.SetScanWorkers(4)
 	dbs := []*DB{rdb, v1, v4}
 	for _, db := range dbs {
-		mustExec(t, db, "CREATE TABLE t (k integer, g integer, s string, hs string, i integer, w integer, f float, big integer, pos float, str string, ver version, flag boolean)")
+		mustExec(t, db, "CREATE TABLE t (k integer, g integer, s string, hs string, i integer, w integer, f float, big integer, pos float, str string, ver version, flag boolean, inf float)")
 	}
 	mustExec(t, v4, "CREATE TABLE kt (k2 integer, kg integer, kw integer)")
 
@@ -245,7 +272,7 @@ func TestAggDriversAgree(t *testing.T) {
 		if p := plan(st.sql); (p.vec != nil) != st.kernel {
 			t.Errorf("%q: vectorized plan = %v, want %v", st.sql, p.vec != nil, st.kernel)
 		}
-		fused := st.kernel && !strings.Contains(st.joinSQL, "kg, s")
+		fused := st.kernel && !st.inOrder && !strings.Contains(st.joinSQL, "kg, s")
 		if p := plan(st.joinSQL); p.vecJoin == nil || p.vecJoin.fused != fused {
 			t.Errorf("%q: join-fused plan = %v, want %v", st.joinSQL, p.vecJoin != nil && p.vecJoin.fused, fused)
 		}

@@ -31,6 +31,11 @@ package sqldb
 // vector on miss; such stragglers, and everything else, age out of a
 // bytes-capped LRU (the entry's key would otherwise keep the chunk
 // reachable forever).
+//
+// A columnar chunk (schema.go: what a pour into a temp table builds) has
+// no entries here: its vectors are its data, not a projection of it.
+// colFor hands them out as they are; they are never counted against the
+// cap, never evicted, and live exactly as long as the chunk.
 
 import (
 	"container/list"
@@ -73,6 +78,9 @@ type execEnv struct {
 	// tests hold Open and a query to.
 	hydrated atomic.Int64
 	ckptRead atomic.Int64
+	// derived counts the rows derived from columnar chunks: what the tests
+	// that hold a query's vectors to staying columns read.
+	derived atomic.Int64
 }
 
 func newExecEnv() *execEnv {
@@ -221,6 +229,96 @@ func buildColVec(chunk []Row, ci int, typ value.Type) *colVec {
 	return v
 }
 
+// The append methods build a columnar chunk's vector (pour.go's pourVec):
+// at is the position the first appended element takes, which a NULL
+// marks in the bitmap; seal cuts the vector, n long, to its size.
+
+func (v *colVec) markNull(i int) {
+	for len(v.nulls) <= i>>6 {
+		v.nulls = append(v.nulls, 0)
+	}
+	v.nulls[i>>6] |= 1 << (uint(i) & 63)
+}
+
+// appendRange appends positions [lo, hi) of src, a vector of v's type.
+func (v *colVec) appendRange(src *colVec, at, lo, hi int) {
+	switch v.typ {
+	case value.Integer, value.Boolean:
+		v.ints = append(v.ints, src.ints[lo:hi]...)
+	case value.Float:
+		v.floats = append(v.floats, src.floats[lo:hi]...)
+	default:
+		v.strs = append(v.strs, src.strs[lo:hi]...)
+	}
+	if src.nulls != nil {
+		for i := lo; i < hi; i++ {
+			if src.null(i) {
+				v.markNull(at + i - lo)
+			}
+		}
+	}
+}
+
+// appendSel appends the positions sel of src, a vector of v's type.
+func (v *colVec) appendSel(src *colVec, at int, sel []int32) {
+	for j, i := range sel {
+		switch v.typ {
+		case value.Integer, value.Boolean:
+			v.ints = append(v.ints, src.ints[i])
+		case value.Float:
+			v.floats = append(v.floats, src.floats[i])
+		default:
+			v.strs = append(v.strs, src.strs[i])
+		}
+		if src.null(int(i)) {
+			v.markNull(at + j)
+		}
+	}
+}
+
+// push appends x, a value of v's type or NULL.
+func (v *colVec) push(x *value.Value, at int) {
+	if x.IsNull() {
+		v.markNull(at)
+	}
+	switch v.typ {
+	case value.Integer, value.Boolean:
+		v.ints = append(v.ints, x.Int())
+	case value.Float:
+		v.floats = append(v.floats, x.Float())
+	default:
+		v.strs = append(v.strs, x.Str())
+	}
+}
+
+// appendRows appends column ci of rows, values of v's type or NULL.
+func (v *colVec) appendRows(rows []Row, ci, at int) {
+	for j := range rows {
+		v.push(&rows[j][ci], at+j)
+	}
+}
+
+// appendConst appends c copies of x, a value of v's type or NULL.
+func (v *colVec) appendConst(x value.Value, at, c int) {
+	for i := 0; i < c; i++ {
+		v.push(&x, at+i)
+	}
+}
+
+func (v *colVec) seal(n int) {
+	if v.nulls != nil {
+		v.nulls = append(v.nulls, make([]uint64, (n+63)/64-len(v.nulls))...)
+	}
+	switch {
+	case cap(v.ints) > n:
+		v.ints = append(make([]int64, 0, n), v.ints...)
+	case cap(v.floats) > n:
+		v.floats = append(make([]float64, 0, n), v.floats...)
+	case cap(v.strs) > n:
+		v.strs = append(make([]string, 0, n), v.strs...)
+	}
+}
+
 // box returns row i of the vector as a Value.
 func (v *colVec) box(i int) value.Value {
 	switch {
@@ -367,9 +465,13 @@ func (c *colCache) stats() (entries, bytes int) {
 	return c.ll.Len(), c.bytes
 }
 
-// colFor returns the vector for column ci of a resident chunk, over all
-// its rows, building and caching it on miss.
+// colFor returns the vector for column ci of a resident or columnar
+// chunk, over all its rows: a columnar chunk's own, a resident chunk's
+// built and cached on miss.
 func (c *colCache) colFor(ch *chunk, ci int, typ value.Type) *colVec {
+	if cc := ch.cols; cc != nil {
+		return &cc.vecs[ci]
+	}
 	key := chunkColKey{ch, wholeChunk, ci}
 	if v := c.get(key); v != nil {
 		return v

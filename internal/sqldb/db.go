@@ -341,7 +341,7 @@ func (db *DB) execCreateTable(ws *writeState, s *CreateTableStmt) (*Result, erro
 		if err := sn.pourSelect(s.As, p, k); err != nil {
 			return nil, err
 		}
-		t.appendChunk(k.chunk())
+		k.appendTo(t)
 		ws.put(t)
 		return &Result{Affected: k.n}, nil
 	}
@@ -408,7 +408,7 @@ func (db *DB) execInsert(ws *writeState, s *InsertStmt) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	nt.appendChunk(k.chunk())
+	k.appendTo(nt)
 	return &Result{Affected: k.n}, nil
 }
 
@@ -463,6 +463,11 @@ type tableSink struct {
 	rest   []int // table columns no incoming column fills
 	vals   []value.Value
 	n      int // rows so far
+
+	// cols is the columnar chunk pourVec built in place of rows, its env
+	// the database's.
+	cols []colVec
+	env  *execEnv
 
 	// Of the select branch being poured: the types its columns have in
 	// the branch and in the statement, which differ where the compound
@@ -551,6 +556,16 @@ func (k *tableSink) addRows(rows []Row) error {
 		}
 	}
 	return nil
+}
+
+// appendTo appends the rows to t, a mutable version: as the columnar
+// chunk pourVec built, or as the one chunk of rows.
+func (k *tableSink) appendTo(t *table) {
+	if k.cols != nil {
+		t.appendCols(k.cols, k.n, k.env)
+		return
+	}
+	t.appendChunk(k.chunk())
 }
 
 // chunk cuts the rows into the chunk to append: exactly sized, backing

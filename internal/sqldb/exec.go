@@ -468,6 +468,9 @@ func (p *compiledSelect) pours(st *SelectStmt) bool {
 // table's — are reserved first, so that the statements whose size is
 // known build their chunk in place.
 func (sn *snapshot) pourSelect(st *SelectStmt, p *compiledSelect, k *tableSink) error {
+	if ok, err := sn.pourVec(st, p, k); ok || err != nil {
+		return err
+	}
 	sts, plans := st.Union, p.union
 	if plans == nil {
 		sts, plans = []*SelectStmt{st}, []*compiledSelect{p}

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -235,4 +236,261 @@ func (db *DB) pourTxn(tx *sessionTxn, r *PipelineRequest, st *InsertStmt) (*Resu
 		}
 	}
 	return db.execTxnStmt(tx, st, raw)
+}
+
+// pourVec pours st into k's table as one columnar chunk (schema.go) when
+// the table is a temp table with no index, of no Timestamp column, and
+// every branch of st a single-table SELECT of plain columns and constants
+// with at most a WHERE clause the batch back end takes (vecPlan.pred),
+// each column of exactly its destination's type: the branches' vectors —
+// a columnar chunk's own, a checkpointed chunk's blocks', a resident
+// chunk's cached ones, or else its rows — are gathered in branch order
+// and scan order into one vector per column of the table. It is
+// runVecSelect beside runSelect: ok is false, and nothing is done, for
+// any other statement, which pourSelect then pours row by row. The rows
+// the chunk derives on first ask, and the one chunk they are in, are the
+// ones the row pour leaves; a constant is converted by the row pour's own
+// put, once per branch that yields a row, so it fails where that fails.
+func (sn *snapshot) pourVec(st *SelectStmt, p *compiledSelect, k *tableSink) (ok bool, err error) {
+	env, dst := sn.env, k.t
+	if env == nil || env.vecDisabled.Load() || !dst.temp || dst.indexed() {
+		return false, nil
+	}
+	for _, c := range dst.schema {
+		if c.Type == value.Timestamp {
+			return false, nil
+		}
+	}
+	sts, plans := st.Union, p.union
+	if plans == nil {
+		sts, plans = []*SelectStmt{st}, []*compiledSelect{p}
+	}
+	total, known := 0, true
+	for bi, b := range sts {
+		t, fits := sn.pourVecBranch(b, plans[bi], p.outSchema, k)
+		if !fits {
+			return false, nil
+		}
+		total += t.nrows
+		known = known && b.Where == nil
+	}
+	if !known {
+		total = 0 // grown as the rows come
+	}
+
+	// The table's vectors, carved from one array, and the scratch every
+	// branch shares: its table's vectors, the row its constants are
+	// converted into, and a window's mask and selection.
+	w := len(dst.schema)
+	vecs := make([]colVec, w)
+	for ci, c := range dst.schema {
+		v := &vecs[ci]
+		v.typ = c.Type
+		switch c.Type {
+		case value.Integer, value.Boolean:
+			v.ints = make([]int64, 0, total)
+		case value.Float:
+			v.floats = make([]float64, 0, total)
+		default:
+			v.strs = make([]string, 0, total)
+		}
+	}
+	var cv []*colVec
+	var mask []bool
+	var sel []int32
+	var m morsel
+	consts := make(Row, w)
+	zoneOn := !env.zoneOff.Load()
+	n := 0
+	for bi, b := range sts {
+		bp := plans[bi]
+		t, _ := sn.table(b.From[0].Table)
+		if sn.reads != nil {
+			sn.reads.addFull(t.key)
+		}
+		k.branch, k.out = bp.outSchema, p.outSchema
+		var vp *vecPlan // the WHERE clause's, nil without one
+		if b.Where != nil {
+			vp = bp.vec
+		}
+		cv = slices.Grow(cv[:0], len(t.schema))[:len(t.schema)]
+		// resolve fills cv with the vectors the branch reads of block bi of
+		// ch, or of the whole chunk (bi wholeChunk), and rows with a
+		// resident chunk's rows when an item's column has no cached vector:
+		// the pour reads that column off them rather than cache a vector
+		// of a table it only copies. The WHERE clause's columns always get
+		// vectors.
+		var rows []Row
+		resolve := func(ch *chunk, bi int) (err error) {
+			clear(cv)
+			rows = nil
+			for _, cols := range bp.srcCols {
+				for _, ci := range cols {
+					if cv[ci], err = env.pourVecOf(ch, bi, ci); err != nil {
+						return err
+					}
+					if cv[ci] == nil && rows == nil {
+						rows = ch.rows()
+					}
+				}
+			}
+			if vp != nil {
+				for _, ci := range vp.cols {
+					if cv[ci] == nil {
+						if cv[ci], err = env.pourVecOf(ch, bi, ci); err != nil {
+							return err
+						}
+					}
+					if cv[ci] == nil {
+						cv[ci] = buildColVec(ch.rows(), ci, t.schema[ci].Type) // not cached
+					}
+				}
+			}
+			return nil
+		}
+		converted := false
+		// gather appends the rows of positions [lo, hi) of cv that pass the
+		// WHERE clause.
+		gather := func(lo, hi int) error {
+			c := hi - lo
+			if vp != nil {
+				if mask == nil {
+					mask, sel = make([]bool, vecMorselRows), make([]int32, 0, vecMorselRows)
+				}
+				vp.pred(cv, lo, mask[:c])
+				sel = sel[:0]
+				for i, keep := range mask[:c] {
+					if keep {
+						sel = append(sel, int32(lo+i))
+					}
+				}
+				c = len(sel)
+			}
+			if c == 0 {
+				return nil
+			}
+			if !converted {
+				converted = true
+				j := 0
+				for i, cols := range bp.srcCols {
+					if cols != nil {
+						j += len(cols)
+						continue
+					}
+					if err := k.put(consts, j, &b.Items[i].E.(*litExpr).v); err != nil {
+						return err
+					}
+					j++
+				}
+			}
+			j := 0
+			for _, cols := range bp.srcCols {
+				if cols == nil {
+					vecs[k.colPos[j]].appendConst(consts[k.colPos[j]], n, c)
+					j++
+					continue
+				}
+				for _, ci := range cols {
+					switch v := &vecs[k.colPos[j]]; {
+					case cv[ci] == nil && vp == nil:
+						v.appendRows(rows[lo:hi], ci, n)
+					case cv[ci] == nil:
+						for s, i := range sel {
+							v.appendRows(rows[i:i+1], ci, n+s)
+						}
+					case vp == nil:
+						v.appendRange(cv[ci], n, lo, hi)
+					default:
+						v.appendSel(cv[ci], n, sel)
+					}
+					j++
+				}
+			}
+			n += c
+			return nil
+		}
+		chunks, err := t.chunkRefs()
+		if err != nil {
+			return true, err
+		}
+		// Morsel by morsel, as the vectorized scan cuts them: a chunk a
+		// checkpoint holds at its blocks, whose zone maps are asked first
+		// and whose vectors are the block's own, any other as windows of
+		// its whole-chunk vectors.
+		for _, ch := range chunks {
+			size, blocked := ch.len(), ch.cols == nil && ch.blocks.Load() != nil
+			for lo := 0; lo < size; lo += vecMorselRows {
+				m = morsel{ch: ch, bi: wholeChunk, lo: lo, hi: min(lo+vecMorselRows, size)}
+				from, to := m.lo, m.hi // the morsel's positions in its vectors
+				if blocked {
+					m.bi, from, to = lo/vecMorselRows, 0, m.hi-m.lo
+				}
+				pruned := vp != nil && vp.prunes(&m, zoneOn)
+				env.countBlock(&m, pruned)
+				if pruned {
+					continue
+				}
+				if err := resolve(ch, m.bi); err != nil {
+					return true, err
+				}
+				if err := gather(from, to); err != nil {
+					return true, err
+				}
+			}
+		}
+	}
+	for _, ci := range k.rest {
+		vecs[ci].appendConst(value.Null(dst.schema[ci].Type), 0, n)
+	}
+	for ci := range vecs {
+		vecs[ci].seal(n)
+	}
+	k.n, k.cols, k.env = n, vecs, env
+	return true, nil
+}
+
+// pourVecOf returns the vector of column ci of block bi of ch, or of the
+// whole chunk (bi wholeChunk), for a pour to gather: a columnar chunk's
+// own, a block's, or the one the cache holds for a resident chunk — nil
+// when it holds none.
+func (e *execEnv) pourVecOf(ch *chunk, bi, ci int) (*colVec, error) {
+	switch {
+	case bi != wholeChunk:
+		return e.blockVec(ch, bi, ci)
+	case ch.cols != nil:
+		return &ch.cols.vecs[ci], nil
+	}
+	return e.cache.get(chunkColKey{ch, wholeChunk, ci}), nil
+}
+
+// pourVecBranch returns the table branch b of a pour into k's table
+// reads, and whether pourVec can gather it: a plain single-table SELECT
+// that pours, its WHERE clause vectorized, its items plain columns of
+// their destination's type or constants. out is the statement's columns.
+func (sn *snapshot) pourVecBranch(b *SelectStmt, bp *compiledSelect, out Schema, k *tableSink) (*table, bool) {
+	if bp.union != nil || len(b.From) != 1 || len(b.Joins) != 0 || !bp.pours(b) ||
+		b.Where != nil && (bp.vec == nil || bp.vec.pred == nil) {
+		return nil, false
+	}
+	t, ok := sn.table(b.From[0].Table)
+	if !ok {
+		return nil, false
+	}
+	j := 0
+	for i, cols := range bp.srcCols {
+		if bp.items[i] != nil {
+			return nil, false
+		}
+		if cols == nil {
+			j++
+			continue
+		}
+		for _, ci := range cols {
+			if typ := t.schema[ci].Type; typ != out[j].Type || typ != k.t.schema[k.colPos[j]].Type {
+				return nil, false
+			}
+			j++
+		}
+	}
+	return t, true
 }

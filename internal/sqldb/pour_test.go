@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -183,12 +184,14 @@ func TestPourMatchesCompoundInsert(t *testing.T) {
 
 // TestPourCostPerTable guards what a pour costs as a source grows: an
 // added table is an added branch of a syntax tree carved from shared
-// arrays, so it costs a lookup and a scan, not a parse.
+// arrays, so it costs a lookup and a scan, not a parse. A pour of plain
+// columns into a temp table gathers its vectors into one columnar chunk
+// with scratch every branch shares, and costs no more.
 func TestPourCostPerTable(t *testing.T) {
-	cost := func(tables, rows int) float64 {
+	cost := func(sql string, columnar bool, tables, rows int) float64 {
 		db := NewMemory()
 		sourceLike(t, db, tables, rows)
-		step := PipelineRequest{SQL: "SELECT op, chunk, (bw * 0.001) AS bw", Table: "vec",
+		step := PipelineRequest{SQL: sql, Table: "vec",
 			Cols: []string{"fs", "run", "op", "chunk", "bw"}}
 		for i := 0; i < tables; i++ {
 			step.From = append(step.From, fmt.Sprintf("run_%d", i))
@@ -203,17 +206,26 @@ func TestPourCostPerTable(t *testing.T) {
 			if res[1].Affected != tables*rows {
 				t.Fatalf("affected %d, want %d", res[1].Affected, tables*rows)
 			}
+			if tab, _ := db.state.Load().table("vec"); (tab.list[0].cols != nil) != columnar {
+				t.Fatalf("%q: columnar chunk = %v", sql, tab.list[0].cols != nil)
+			}
 			mustExec(t, db, "DROP TABLE vec")
 		})
 	}
-	small, wide, tall := cost(40, 8), cost(80, 8), cost(40, 64)
-	perTable := (wide - small) / 40
-	t.Logf("allocations: %.0f at 40 tables × 8 rows, %.0f at 80 × 8 (%.2f a table), %.0f at 40 × 64", small, wide, perTable, tall)
-	if perTable > 4 {
-		t.Errorf("an added table costs %.2f allocations, want at most 4", perTable)
-	}
-	if tall > small+2 {
-		t.Errorf("56 more rows a table cost %.0f allocations more: rows are no longer poured in place", tall-small)
+	for _, pour := range []struct {
+		sql      string
+		columnar bool
+	}{{"SELECT op, chunk, (bw * 0.001) AS bw", false}, {"SELECT op, chunk, bw", true}} {
+		sql := pour.sql
+		small, wide, tall := cost(sql, pour.columnar, 40, 8), cost(sql, pour.columnar, 80, 8), cost(sql, pour.columnar, 40, 64)
+		perTable := (wide - small) / 40
+		t.Logf("%q: allocations: %.0f at 40 tables × 8 rows, %.0f at 80 × 8 (%.2f a table), %.0f at 40 × 64", sql, small, wide, perTable, tall)
+		if perTable > 4 {
+			t.Errorf("%q: an added table costs %.2f allocations, want at most 4", sql, perTable)
+		}
+		if tall > small+2 {
+			t.Errorf("%q: 56 more rows a table cost %.0f allocations more: rows are no longer poured in place", sql, tall-small)
+		}
 	}
 }
 
@@ -293,5 +305,219 @@ func TestNonFiniteFloatSurvivesReplay(t *testing.T) {
 		if got := tableDump(t, re, table); got != w {
 			t.Errorf("%s after replay:\n%s\nwant:\n%s", table, got, w)
 		}
+	}
+}
+
+// pourColsSrc is the shape of the tables the columnar pours read: a
+// column of every type the pour gathers as vectors, and a timestamp.
+const pourColsSrc = "n integer, f float, s string, v version, b boolean, ts timestamp"
+
+// pourColsDst is their destination: constants of every vectorizable type
+// in front, then the columns read off the tables, then a column no pour
+// names.
+const pourColsDst = "cs string, ci integer, cf float, cb boolean, cv version, n integer, f float, s string, v version, b boolean, rest integer"
+
+// pourColsConsts draws one table's constants in pourColsCols order, each
+// NULL now and then; the float is whole in some tables, which the text
+// writes as an integer.
+func pourColsConsts(rng *rand.Rand, i int) Row {
+	row := Row{
+		value.NewFloat([]float64{float64(i), float64(i) + 0.5, math.NaN(), math.Inf(-1), -0.0, 3e15}[rng.Intn(6)]),
+		value.NewString([]string{"ufs", "it's", ""}[rng.Intn(3)]),
+		value.NewInt([]int64{int64(i), -7, math.MinInt64}[rng.Intn(3)]),
+		value.NewVersion(fmt.Sprintf("2.6.%d", rng.Intn(12))),
+		value.NewBool(rng.Intn(2) == 0),
+	}
+	for j := range row {
+		if rng.Intn(5) == 0 {
+			row[j] = value.Null(row[j].Type())
+		}
+	}
+	return row
+}
+
+// pourColsCols names the destination columns in an order of their own:
+// the constants, then the items.
+var pourColsCols = []string{"cf", "cs", "ci", "cv", "cb", "b", "s", "n", "v", "f"}
+
+// pourColsRows inserts rows into table, in statements of the given sizes
+// (each its own chunk when sizes shrink), with NULLs in every column.
+func pourColsRows(t *testing.T, db *DB, rng *rand.Rand, table string, sizes ...int) {
+	t.Helper()
+	for _, size := range sizes {
+		if size == 0 {
+			continue
+		}
+		rows := make([]string, size)
+		for r := range rows {
+			cells := []string{
+				fmt.Sprint(rng.Intn(9) - 4),
+				[]string{"0.25", "-1.5", "'NaN'", "'Infinity'", "1e300"}[rng.Intn(5)],
+				[]string{"'a'", "'b''c'", "''"}[rng.Intn(3)],
+				fmt.Sprintf("'1.%d.%d'", rng.Intn(3), rng.Intn(12)),
+				[]string{"TRUE", "FALSE"}[rng.Intn(2)],
+				"'2005-09-01T10:00:00Z'",
+			}
+			for c := range cells {
+				if rng.Intn(7) == 0 {
+					cells[c] = "NULL"
+				}
+			}
+			if cells[1] == "'NaN'" || cells[1] == "'Infinity'" {
+				cells[1] = "CAST(" + cells[1] + " AS float)"
+			}
+			rows[r] = "(" + strings.Join(cells, ", ") + ")"
+		}
+		mustExec(t, db, "INSERT INTO "+table+" VALUES "+strings.Join(rows, ", "))
+	}
+}
+
+// TestPourColumnsMatchRows: a pour of plain columns and constants into a
+// temp table builds one columnar chunk, and the rows that chunk derives
+// are, value for value and in as many chunks, the rows the row pour of a
+// twin database with the vectorized path off leaves — from resident
+// tables of one chunk or several, from checkpointed tables that stay
+// cold, with and without a WHERE clause, with every constant NULL now
+// and then. A timestamp destination and an expression item take the
+// row pour, and a constant that does not convert fails as it does there.
+func TestPourColumnsMatchRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	// Two durable directories, filled alike and reopened, so that the
+	// tables the pours read are cold: their chunks are checkpoint blocks.
+	dirs := [2]string{t.TempDir(), t.TempDir()}
+	const tables = 6
+	for _, dir := range dirs {
+		db, err := OpenWithPolicy(dir, SyncOff)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := rand.New(rand.NewSource(3))
+		for i := 0; i < tables; i++ {
+			table := fmt.Sprintf("cold_%d", i)
+			mustExec(t, db, "CREATE TABLE "+table+" ("+pourColsSrc+")")
+			pourColsRows(t, db, r, table, []int{5000, 3, 0, 700}[i%4], 40*i)
+		}
+		if err := db.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	open := func(dir string, vectorized bool) *DB {
+		db, err := Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		db.SetVectorized(vectorized)
+		t.Cleanup(func() { db.Close() })
+		for i := 0; i < tables; i++ {
+			table := fmt.Sprintf("hot_%d", i)
+			mustExec(t, db, "CREATE TABLE "+table+" ("+pourColsSrc+")")
+			// 600 then 300 then 200 rows stay three chunks; 5000 rows are
+			// two morsels of one chunk.
+			pourColsRows(t, db, rand.New(rand.NewSource(int64(i))), table, [][]int{{600, 300, 200}, {5000}, {1}, {}}[i%4]...)
+		}
+		return db
+	}
+	col, row := open(dirs[0], true), open(dirs[1], false)
+
+	type pourColsCase struct {
+		name     string
+		dst      string // the destination's columns
+		step     PipelineRequest
+		columnar bool
+	}
+	gen := func(name, prefix, where string, n int) pourColsCase {
+		c := pourColsCase{name: name, dst: pourColsDst, columnar: true,
+			step: PipelineRequest{SQL: "SELECT b, s, n, v, f" + where, Table: "dst", From: []string{}, Cols: pourColsCols}}
+		for i := 0; i < n; i++ {
+			c.step.From = append(c.step.From, fmt.Sprintf("%s_%d", prefix, i%tables))
+			consts := pourColsConsts(rng, i)
+			if i == 0 {
+				for j := range consts {
+					consts[j] = value.Null(consts[j].Type())
+				}
+			}
+			c.step.Rows = append(c.step.Rows, consts)
+		}
+		return c
+	}
+	cases := []pourColsCase{
+		gen("resident tables", "hot", "", 9),
+		gen("resident tables, WHERE", "hot", " WHERE n > 0 AND b", 9),
+		gen("checkpointed tables", "cold", "", 9),
+		gen("checkpointed tables, WHERE", "cold", " WHERE f < 1 OR s IS NULL", 9),
+		gen("one table", "hot", "", 1),
+	}
+	stamped := gen("timestamp column", "hot", "", 3)
+	stamped.dst = strings.Replace(stamped.dst, "rest integer", "rest timestamp", 1)
+	stamped.columnar = false
+	scaled := gen("expression item", "hot", "", 3)
+	scaled.step.SQL = "SELECT b, s, n, v, (f * 0.5) AS f"
+	scaled.columnar = false
+	cases = append(cases, stamped, scaled)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			for _, db := range []*DB{col, row} {
+				mustExec(t, db, "CREATE TEMP TABLE dst ("+c.dst+")")
+				if _, err := db.ExecPipeline([]PipelineRequest{c.step}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			defer func() {
+				mustExec(t, col, "DROP TABLE dst")
+				mustExec(t, row, "DROP TABLE dst")
+			}()
+			ta, _ := col.state.Load().table("dst")
+			tb, _ := row.state.Load().table("dst")
+			if columnar := len(ta.list) > 0 && ta.list[0].cols != nil; columnar != c.columnar {
+				t.Fatalf("columnar chunk = %v, want %v", columnar, c.columnar)
+			}
+			if got, want := mustChunks(t, ta), mustChunks(t, tb); !reflect.DeepEqual(got, want) {
+				t.Errorf("poured columns derive\n%v\nthe row pour leaves\n%v", got, want)
+			}
+		})
+	}
+	// The pours left the checkpointed tables cold; the row pours did not.
+	for i := 0; i < tables; i++ {
+		if tab, _ := col.state.Load().table(fmt.Sprintf("cold_%d", i)); tab.isCold() == false {
+			t.Errorf("cold_%d hydrated", i)
+		}
+	}
+
+	// CREATE TEMP TABLE ... AS of plain columns takes the same path, and
+	// so does a copy of a columnar table, which reads its vectors.
+	for _, c := range []struct{ table, sql string }{
+		{"copy", "CREATE TEMP TABLE copy AS SELECT s, n, b FROM hot_0 WHERE n < 2 UNION ALL SELECT 'k', 7, NULL FROM cold_1"},
+		{"again", "CREATE TEMP TABLE again AS SELECT * FROM copy WHERE b IS NULL OR n > 0"},
+	} {
+		for _, db := range []*DB{col, row} {
+			mustExec(t, db, c.sql)
+		}
+		ta, _ := col.state.Load().table(c.table)
+		tb, _ := row.state.Load().table(c.table)
+		if len(ta.list) != 1 || ta.list[0].cols == nil {
+			t.Errorf("%s: poured %d chunks, columnar %v", c.sql, len(ta.list), len(ta.list) > 0 && ta.list[0].cols != nil)
+		}
+		if got, want := mustChunks(t, ta), mustChunks(t, tb); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: columns derive\n%v\nrows\n%v", c.sql, got, want)
+		}
+	}
+
+	// A constant that does not convert fails the columnar pour as it fails
+	// the row pour, and a branch that yields no row does not convert it.
+	bad := gen("conversion", "hot", "", 2)
+	for _, consts := range bad.step.Rows {
+		consts[2] = value.NewString("seven") // into ci integer
+	}
+	var errs []string
+	for _, db := range []*DB{col, row} {
+		mustExec(t, db, "CREATE TEMP TABLE dst ("+pourColsDst+")")
+		for _, from := range [][]string{{"hot_3", "hot_1"}, {"hot_3", "hot_3"}} { // hot_3 is empty
+			bad.step.From = from
+			_, err := db.ExecPipeline([]PipelineRequest{bad.step})
+			errs = append(errs, fmt.Sprint(err))
+		}
+	}
+	if errs[0] == "<nil>" || errs[0] != errs[2] || errs[1] != "<nil>" || errs[3] != "<nil>" {
+		t.Errorf("columnar pour: %s, then %s; row pour: %s, then %s", errs[0], errs[1], errs[2], errs[3])
 	}
 }

@@ -149,32 +149,77 @@ type table struct {
 // keys the chunk's vectors by and what a checkpoint hangs its blocks on.
 // A chunk is never empty, and its rows never change once a version
 // holding it is published.
+//
+// A chunk is in one of three states. Resident: it holds its rows, as
+// every chunk an INSERT, an UPDATE or a hydration builds does. Cold: only
+// the checkpoint file holds them (blocks), until its version hydrates.
+// Columnar: a pour into a temp table built it as one column vector per
+// column (cols), and its rows are derived from those the first time rows
+// is asked for them. len answers in every state without rows.
 type chunk struct {
-	// resident holds the rows: nil only in the chunks of a cold version,
-	// which its hydration fills in place. A one-element array, so that
-	// chunks hands out a one-chunk version's rows without allocating.
-	// Only this file reads it.
+	// resident holds the rows: nil in the chunks of a cold version, which
+	// its hydration fills in place, and in a columnar chunk until rows
+	// derives them. A one-element array, so that chunks hands out a
+	// one-chunk version's rows without allocating. Only this file reads
+	// it, and only through rows once a chunk may be columnar.
 	resident [1][]Row
 	// blocks is where the newest checkpoint file holding the chunk keeps
 	// it, nil until one does; every checkpoint re-points it.
 	blocks atomic.Pointer[storeChunk]
+	// cols is a columnar chunk's data, nil for every other chunk.
+	cols *colChunk
 }
 
-// rows returns the chunk's rows. The chunks of a cold version have none
-// until it hydrates, so a caller reaches a chunk through a resident
-// version (builtChunks of one, chunks, flat) or hydrates the version
-// first (morselRows); a cold chunk's rows are a bug, and panic.
+// colChunk is a columnar chunk's data: a vector per column of the table,
+// each n positions long, which colCache.colFor hands out as they are.
+type colChunk struct {
+	vecs []colVec
+	n    int
+	// env counts the rows derived; derive guards the one derivation.
+	env    *execEnv
+	derive sync.Once
+}
+
+// rows returns the chunk's rows, deriving a columnar chunk's on first
+// ask. The chunks of a cold version have none until it hydrates, so a
+// caller reaches a chunk through a resident version (builtChunks of one,
+// chunks, flat) or hydrates the version first (morselRows); a cold
+// chunk's rows are a bug, and panic.
 func (c *chunk) rows() []Row {
-	if c.resident[0] == nil {
+	if cc := c.cols; cc != nil {
+		cc.derive.Do(func() { c.resident[0] = cc.boxRows() })
+	} else if c.resident[0] == nil {
 		panic("sqldb: rows of a chunk whose table version is cold")
 	}
 	return c.resident[0]
+}
+
+// boxRows derives the rows of a columnar chunk, all of them in one
+// backing array, as the pour that would have built them row by row lays
+// them out.
+func (cc *colChunk) boxRows() []Row {
+	w := len(cc.vecs)
+	vals := make([]value.Value, cc.n*w)
+	for ci := range cc.vecs {
+		for i := 0; i < cc.n; i++ {
+			vals[i*w+ci] = cc.vecs[ci].box(i)
+		}
+	}
+	rows := make([]Row, cc.n)
+	for i := range rows {
+		rows[i] = vals[i*w : (i+1)*w : (i+1)*w]
+	}
+	cc.env.derived.Add(int64(cc.n))
+	return rows
 }
 
 // len returns the chunk's row count without reading its rows.
 func (c *chunk) len() int {
 	if sc := c.blocks.Load(); sc != nil {
 		return sc.rows
+	}
+	if c.cols != nil {
+		return c.cols.n
 	}
 	return len(c.resident[0])
 }
@@ -235,11 +280,12 @@ func (t *table) chunks() ([][]Row, error) {
 		return nil, err
 	}
 	if len(t.list) == 1 {
+		t.list[0].rows()
 		return t.list[0].resident[:], nil
 	}
 	out := make([][]Row, len(t.list))
 	for i, ch := range t.list {
-		out[i] = ch.resident[0]
+		out[i] = ch.rows()
 	}
 	return out, nil
 }
@@ -285,7 +331,7 @@ func (t *table) chunkLens() []int {
 	}
 	lens := make([]int, len(t.list))
 	for i, ch := range t.list {
-		lens[i] = len(ch.resident[0])
+		lens[i] = ch.len()
 	}
 	return lens
 }
@@ -409,16 +455,16 @@ func (t *table) compact() {
 	_ = fpCompact.Inject() // crash/panic/sleep site; compact cannot fail
 	for len(t.list) >= 2 {
 		k := len(t.list)
-		last, prev := t.list[k-1].resident[0], t.list[k-2].resident[0]
-		if len(prev) > len(last) {
+		last, prev := t.list[k-1], t.list[k-2]
+		if prev.len() > last.len() {
 			break
 		}
-		if len(prev)+len(last) > maxCompactChunk {
+		if prev.len()+last.len() > maxCompactChunk {
 			break
 		}
-		merged := make([]Row, 0, len(prev)+len(last))
-		merged = append(merged, prev...)
-		merged = append(merged, last...)
+		merged := make([]Row, 0, prev.len()+last.len())
+		merged = append(merged, prev.rows()...)
+		merged = append(merged, last.rows()...)
 		t.list[k-2] = &chunk{resident: [1][]Row{merged}}
 		t.list = t.list[:k-1]
 		t.offs = t.offs[:k-1]
@@ -444,6 +490,27 @@ func (t *table) appendChunk(rows []Row) {
 		}
 	}
 	t.nrows += len(rows)
+}
+
+// appendCols appends a columnar chunk of n rows: vecs holds one vector
+// per column, in schema order, of the column's type. Only legal on a
+// mutable version with no index, which would want the rows at once.
+func (t *table) appendCols(vecs []colVec, n int, env *execEnv) {
+	if !t.mutable || t.indexed() {
+		panic("sqldb: appendCols on a published or indexed table version")
+	}
+	if n == 0 {
+		return
+	}
+	// The chunk and its columns, in one allocation.
+	both := &struct {
+		ch chunk
+		cc colChunk
+	}{cc: colChunk{vecs: vecs, n: n, env: env}}
+	both.ch.cols = &both.cc
+	t.list = append(t.list, &both.ch)
+	t.offs = append(t.offs, t.nrows)
+	t.nrows += n
 }
 
 // replaceRows swaps in a wholly new row set (UPDATE/DELETE/ALTER
@@ -472,7 +539,7 @@ func (t *table) rowAt(pos int) Row {
 			hi = mid - 1
 		}
 	}
-	return t.list[lo].resident[0][pos-t.offs[lo]]
+	return t.list[lo].rows()[pos-t.offs[lo]]
 }
 
 // rowsFrom returns the rows at global ordinals pos and up as one slice.
@@ -480,8 +547,8 @@ func (t *table) rowAt(pos int) Row {
 func (t *table) rowsFrom(pos int) []Row {
 	out := make([]Row, 0, t.nrows-pos)
 	for i, ch := range t.list {
-		if skip := pos - t.offs[i]; skip < len(ch.resident[0]) {
-			out = append(out, ch.resident[0][max(skip, 0):]...)
+		if skip := pos - t.offs[i]; skip < ch.len() {
+			out = append(out, ch.rows()[max(skip, 0):]...)
 		}
 	}
 	return out
@@ -495,11 +562,11 @@ func (t *table) flat() ([]Row, error) {
 		return nil, err
 	}
 	if len(t.list) == 1 {
-		return t.list[0].resident[0], nil
+		return t.list[0].rows(), nil
 	}
 	out := make([]Row, 0, t.nrows)
 	for _, ch := range t.list {
-		out = append(out, ch.resident[0]...)
+		out = append(out, ch.rows()...)
 	}
 	return out, nil
 }
@@ -596,7 +663,7 @@ func (ix *hashIndex) rebuildFrom(t *table, ci int) {
 	ix.buckets = make(map[string][]int)
 	pos := 0
 	for _, ch := range t.list {
-		for _, r := range ch.resident[0] {
+		for _, r := range ch.rows() {
 			ix.add(r[ci], pos)
 			pos++
 		}

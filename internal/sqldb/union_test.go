@@ -414,8 +414,13 @@ func TestPlanSelectOneEvalContext(t *testing.T) {
 // the same types in the same order.
 func tableDump(t *testing.T, db *DB, name string) string {
 	t.Helper()
+	return tableDumpOf(mustExec(t, db, "SELECT * FROM "+name))
+}
+
+// tableDumpOf is tableDump of a result already read.
+func tableDumpOf(res *Result) string {
 	var rows []string
-	for _, r := range mustExec(t, db, "SELECT * FROM "+name).Rows {
+	for _, r := range res.Rows {
 		var vals []string
 		for _, v := range r {
 			vals = append(vals, v.Type().String()+":"+v.SQL())

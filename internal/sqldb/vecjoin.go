@@ -166,8 +166,10 @@ func (jp *vecJoinPlan) planFused(st *SelectStmt, p *compiledSelect, need map[int
 	if !p.grouped || (jp.hasWhere && jp.pred == nil) || len(st.GroupBy) > 1 {
 		return
 	}
+	// Fusion merges per-morsel partial tables: an aggregate whose state
+	// does not merge keeps the statement on the row loops.
 	cols := map[int]bool{}
-	if !p.batchable(cols) {
+	if !p.batchable(cols) || !p.mergesParts() {
 		return
 	}
 	for ci := range cols {
@@ -587,6 +589,8 @@ func (b *joinPairs) col(ci int) (*colVec, []int32, bool) {
 	}
 	return b.flat[ci], b.pr, b.leftOuter
 }
+
+func (b *joinPairs) setRep(g *group, j int) { g.rep = b.rep(j) }
 
 // rep materializes tuple j's joined row.
 func (b *joinPairs) rep(j int) Row {

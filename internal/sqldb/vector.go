@@ -28,7 +28,10 @@ package sqldb
 // the row engine in the last ulp on multi-morsel tables because float
 // addition is reordered (this is the one documented divergence, and
 // the fuzzer keeps every sum it compares exactly representable so
-// byte-for-byte comparison stays valid).
+// byte-for-byte comparison stays valid). A statement with an aggregate
+// whose state does not merge (VARIANCE, STDDEV) builds no partials: its
+// morsels fold into one group table in index order, the row engine's
+// order, and answer byte for byte what it answers.
 
 import (
 	"cmp"
@@ -79,6 +82,10 @@ type vecPlan struct {
 	// predicate cannot be bounded from zone maps (which only costs
 	// skipping, never correctness).
 	zone zoneFn
+	// inOrder is set when an aggregate's state does not merge
+	// (aggSpec.mergeable): the scan then folds every morsel into one
+	// group table, in scan order, instead of merging per-morsel partials.
+	inOrder bool
 }
 
 // planVec decides whether st can run vectorized and compiles the plan
@@ -110,6 +117,7 @@ func (sn *snapshot) planVec(st *SelectStmt, p *compiledSelect, where *texpr) *ve
 		if !p.batchable(need) {
 			return nil
 		}
+		vp.inOrder = !p.mergesParts()
 	} else if vp.pred == nil {
 		// An unfiltered, ungrouped scan is pure row materialization;
 		// vectors add nothing.
@@ -410,10 +418,11 @@ func testKernels[T cmp.Ordered](t *colTest, elems func(*colVec) []T, bounds func
 // ------------------------------------------------------ execution
 
 // morselBufs holds the per-morsel scratch (selection vector and group
-// ids, both capped at vecMorselRows) recycled across morsels to keep
-// the scan loop allocation-free.
+// ids, both capped at vecMorselRows, and the batch addBatch reads)
+// recycled across morsels to keep the scan loop allocation-free.
 type morselBufs struct {
 	sel, gids []int32
+	batch     scanBatch
 }
 
 var morselBufPool = sync.Pool{
@@ -584,8 +593,9 @@ func (sn *snapshot) runVecSelect(st *SelectStmt, p *compiledSelect) (*Result, bo
 	}
 
 	if p.grouped {
-		parts := make([]*groupTable, len(ms))
-		err := runMorsels(env, len(ms), t.nrows, func(mi int) error {
+		// feed hands morsel mi's selection to the table *gt, opened once a
+		// row passed; a table that saw none stays nil.
+		feed := func(mi int, gt **groupTable) error {
 			cv, lo, hi, err := scan(mi)
 			defer clear(cv)
 			if cv == nil || err != nil {
@@ -610,17 +620,38 @@ func (sn *snapshot) runVecSelect(st *SelectStmt, p *compiledSelect) (*Result, bo
 				}
 			}
 			if len(sel) == 0 {
-				return nil // no row passed: nil partial, renderParts skips it
+				return nil // no row passed: renderParts skips a nil table
 			}
-			rows, err := t.morselRows(&ms[mi])
-			if err != nil {
-				return err
+			if *gt == nil {
+				*gt = newGroupTable(st, p)
 			}
-			parts[mi] = newGroupTable(st, p)
-			parts[mi].addBatch(scanBatch{cv, rows, sel}, bufs.gids[:len(sel)])
+			b := &bufs.batch
+			defer func() { *b = scanBatch{} }()
+			// A columnar chunk's groups keep their rows as positions in its
+			// vectors; any other chunk's read its rows.
+			*b = scanBatch{cv: cv, sel: sel, from: ms[mi].ch.cols}
+			if b.from == nil {
+				if b.rows, err = t.morselRows(&ms[mi]); err != nil {
+					return err
+				}
+			}
+			(*gt).addBatch(b, bufs.gids[:len(sel)])
 			return nil
-		})
-		if err != nil {
+		}
+		if vp.inOrder {
+			// An aggregate whose state does not merge: every morsel folds
+			// into the one table, in scan order, as the row engine's rows do.
+			var one *groupTable
+			for mi := range ms {
+				if err := feed(mi, &one); err != nil {
+					return nil, true, err
+				}
+			}
+			res, err := renderParts(st, p, []*groupTable{one})
+			return res, true, err
+		}
+		parts := make([]*groupTable, len(ms))
+		if err := runMorsels(env, len(ms), t.nrows, func(mi int) error { return feed(mi, &parts[mi]) }); err != nil {
 			return nil, true, err
 		}
 		res, err := renderParts(st, p, parts)
@@ -728,13 +759,22 @@ func runMorsels(env *execEnv, n, totalRows int, fn func(int) error) error {
 }
 
 // scanBatch is a single-table morsel as addBatch reads it: the selected
-// positions of the morsel's vectors, and its rows indexed by the same.
+// positions of the morsel's vectors, and its rows indexed by the same —
+// or, when the morsel is a window of a columnar chunk, that chunk.
 type scanBatch struct {
 	cv   []*colVec
 	rows []Row
 	sel  []int32
+	from *colChunk
 }
 
-func (b scanBatch) size() int                           { return len(b.sel) }
-func (b scanBatch) col(ci int) (*colVec, []int32, bool) { return b.cv[ci], b.sel, false }
-func (b scanBatch) rep(j int) Row                       { return b.rows[b.sel[j]] }
+func (b *scanBatch) size() int                           { return len(b.sel) }
+func (b *scanBatch) col(ci int) (*colVec, []int32, bool) { return b.cv[ci], b.sel, false }
+
+func (b *scanBatch) setRep(g *group, j int) {
+	if b.from != nil {
+		g.from, g.at = b.from, b.sel[j]
+		return
+	}
+	g.rep = b.rows[b.sel[j]]
+}
