@@ -59,11 +59,6 @@ type Options struct {
 	GroupBy []string
 }
 
-// DefaultOptions returns the documented default tuning.
-func DefaultOptions() Options {
-	return Options{K: DefaultK, ThresholdPct: DefaultThresholdPct, MinSamples: DefaultMinSamples}
-}
-
 // WithDefaults fills zero fields with the Default* constants.
 func (o Options) WithDefaults() Options {
 	if o.K == 0 {

@@ -212,24 +212,6 @@ func (s *step) run(r *PlanRun, src sqldb.Querier) {
 	}
 }
 
-// ExecElement executes one element on its own, outside any plan run:
-// inputs are already materialized, source reads go to the live primary
-// database.
-func (en *Engine) ExecElement(el *Element, inputs []*Vector, placement core.Handle) (*Vector, error) {
-	return en.NewRun().exec(el, inputs, placement, en.primary)
-}
-
-// ExecElement executes one element of the plan run, as RunPlan does:
-// see exec. The placement must be a core.Handle; it is declared a
-// Querier like src for callers that hold both as one type.
-func (r *PlanRun) ExecElement(el *Element, inputs []*Vector, placement, src sqldb.Querier) (*Vector, error) {
-	h, ok := placement.(core.Handle)
-	if !ok {
-		return nil, fmt.Errorf("query: element %s: placement %T is not a core.Handle", el.ID, placement)
-	}
-	return r.exec(el, inputs, h, src)
-}
-
 // exec executes one element of the plan run on placement and records
 // its execution time. Output elements return nil (their inputs are the
 // result). Inputs held on another database are copied to placement

@@ -640,7 +640,7 @@ func TestMaterializeAcrossDatabases(t *testing.T) {
 		t.Fatal(err)
 	}
 	src := plan.Elements["s"]
-	vec, err := en.ExecElement(src, nil, en.Primary())
+	vec, err := en.NewRun().exec(src, nil, en.Primary(), en.Primary())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1046,7 +1046,7 @@ func TestOperatorWritesOneSubmissionPerVector(t *testing.T) {
 			ins[i] = vecs[in]
 		}
 		w.writes = nil
-		out, err := en.ExecElement(el, ins, w)
+		out, err := en.NewRun().exec(el, ins, w, en.Primary())
 		if err != nil {
 			t.Fatalf("%s: %v", step.id, err)
 		}

@@ -309,7 +309,8 @@ func TestSourceMatchesPerRunReference(t *testing.T) {
 	other := sqldb.NewMemory()
 	placements := []struct {
 		name           string
-		placement, src sqldb.Querier
+		placement      core.Handle
+		src            sqldb.Querier
 		unseen, noData map[int64]bool
 	}{
 		{"push-down", db, db, nil, nil},
@@ -325,7 +326,7 @@ func TestSourceMatchesPerRunReference(t *testing.T) {
 		el := plan.Elements["s"]
 		for _, pl := range placements {
 			name := sc.name + ", " + pl.name
-			vec, err := NewEngine(e).NewRun().ExecElement(el, nil, pl.placement, pl.src)
+			vec, err := NewEngine(e).NewRun().exec(el, nil, pl.placement, pl.src)
 			if err != nil {
 				t.Errorf("%s: %v", name, err)
 				continue
@@ -419,7 +420,7 @@ func TestSourceStatementsIndependentOfRunCount(t *testing.T) {
 		run := NewEngine(e).NewRun()
 		for _, step := range []struct {
 			name, id  string
-			placement sqldb.Querier
+			placement core.Handle
 			rows      int
 		}{
 			{"first source, push-down", "a", cq, 0},
@@ -428,7 +429,7 @@ func TestSourceStatementsIndependentOfRunCount(t *testing.T) {
 			{"bulk path", "a", other, 0},
 		} {
 			before := cq.calls
-			vec, err := run.ExecElement(plan.Elements[step.id], nil, step.placement, cq)
+			vec, err := run.exec(plan.Elements[step.id], nil, step.placement, cq)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -500,8 +501,11 @@ func TestNonFiniteOnceValueInSource(t *testing.T) {
 		}
 		el := plan.Elements["s"]
 		want := refVector(t, e, el.Source, runs, nil, nil)
-		for name, pl := range map[string][2]sqldb.Querier{"pour": {db, db}, "other database": {other, db}, "pinned snapshot": {db, db.Snapshot()}} {
-			vec, err := NewEngine(e).NewRun().ExecElement(el, nil, pl[0], pl[1])
+		for name, pl := range map[string]struct {
+			placement core.Handle
+			src       sqldb.Querier
+		}{"pour": {db, db}, "other database": {other, db}, "pinned snapshot": {db, db.Snapshot()}} {
+			vec, err := NewEngine(e).NewRun().exec(el, nil, pl.placement, pl.src)
 			if err != nil {
 				t.Fatalf("%s: %v", name, err)
 			}

@@ -178,14 +178,6 @@ func (h *Hub) SubscribeFrom(epoch, lsn uint64) (wire.ReplSubscription, error) {
 	return s, nil
 }
 
-// Subscribers reports the number of live subscriptions (tests and
-// STATUS-style introspection).
-func (h *Hub) Subscribers() int {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return len(h.subs)
-}
-
 // Close detaches the hub from the database and terminates every
 // subscription.
 func (h *Hub) Close() {

@@ -109,13 +109,6 @@ func (r *Router) noteWrite(p sqldb.ReplPos) {
 	r.mu.Unlock()
 }
 
-// LastWrite returns the router's read-your-writes watermark.
-func (r *Router) LastWrite() sqldb.ReplPos {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.lastWrite
-}
-
 // Close closes every underlying connection, returning the first error.
 func (r *Router) Close() error {
 	err := r.primary.Close()

@@ -1167,7 +1167,7 @@ func (t *groupTable) boxReps() {
 		w := len(g.from.vecs)
 		g.rep, slab = slab[:w:w], slab[w:]
 		for ci := range g.from.vecs {
-			g.rep[ci] = g.from.vecs[ci].box(int(g.at))
+			g.rep[ci] = g.from.box(ci, int(g.at))
 		}
 		g.from = nil
 	}

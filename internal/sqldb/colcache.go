@@ -63,7 +63,7 @@ type execEnv struct {
 	scanWorkers atomic.Int32
 	// vecDisabled forces every SELECT through the row engine; used by
 	// the differential fuzzer and the ablation benchmarks to compare
-	// the two paths. See DB.SetVectorized.
+	// the two paths. Pours do not consult it. See DB.SetVectorized.
 	vecDisabled atomic.Bool
 	// zoneOff disables zone-map block skipping (the ablation switch
 	// behind DB.SetZoneMaps); blocks still hydrate vectors.
@@ -103,10 +103,11 @@ func (e *execEnv) workerCount() int {
 // colVec is the typed columnar projection of one column of one chunk.
 // Exactly one of ints/floats/strs is populated, per the column type:
 // Integer and Boolean (as 0/1) use ints, Float uses floats, String and
-// Version use strs (the raw datum, not the display form). Timestamp
-// columns are never vectorized — queries touching one in a kernel
-// position fall back to the row engine. A colVec is immutable after
-// build and shared freely between concurrent readers.
+// Version use strs (the raw datum, not the display form). A Timestamp
+// column has no vector: no kernel takes one — a query touching one in a
+// kernel position runs on the row engine — and a columnar chunk keeps
+// its values boxed beside its vectors (colChunk.times). A colVec is
+// immutable after build and shared freely between concurrent readers.
 type colVec struct {
 	typ    value.Type
 	ints   []int64
@@ -467,9 +468,12 @@ func (c *colCache) stats() (entries, bytes int) {
 
 // colFor returns the vector for column ci of a resident or columnar
 // chunk, over all its rows: a columnar chunk's own, a resident chunk's
-// built and cached on miss.
+// built and cached on miss — nil for a column that has none.
 func (c *colCache) colFor(ch *chunk, ci int, typ value.Type) *colVec {
 	if cc := ch.cols; cc != nil {
+		if cc.vecs[ci].typ == value.Timestamp {
+			return nil // a Timestamp column has no vector
+		}
 		return &cc.vecs[ci]
 	}
 	key := chunkColKey{ch, wholeChunk, ci}
@@ -509,6 +513,8 @@ func (db *DB) SetScanWorkers(n int) { db.env.scanWorkers.Store(int32(n)) }
 // this database (default: enabled). With it disabled every SELECT runs
 // through the row-at-a-time engine; the differential fuzzer uses a
 // disabled twin database as a same-engine oracle for the batch path.
+// Pours do not consult it: INSERT ... SELECT and CREATE TABLE ... AS
+// gather their columnar chunk (pour.go) either way.
 func (db *DB) SetVectorized(on bool) { db.env.vecDisabled.Store(!on) }
 
 // ColumnCacheLimit adjusts the byte cap of the columnar projection

@@ -441,7 +441,6 @@ func (t *table) columnPositions(cols []string) ([]int, error) {
 // Only legal on a mutable version.
 func (t *table) appendRows(colPos []int, rows []Row) error {
 	k := newTableSink(t, colPos)
-	k.reserve(len(rows))
 	if err := k.addRows(rows); err != nil {
 		return err
 	}
@@ -453,10 +452,11 @@ func (t *table) appendRows(colPos []int, rows []Row) error {
 // table's layout: every value converted to its column's type at its
 // column's position, the columns the statement does not name NULL, all
 // rows in one flat backing array — R rows cost O(1) slice allocations
-// and end up contiguous in memory for the scans that follow. The table
-// is not touched until the statement has produced its last row; chunk
-// then cuts the one chunk to append. A SELECT feeds it branch by branch
-// (pourSelect in exec.go), VALUES and InsertRows the rows they have.
+// and end up contiguous in memory for the scans that follow — or, for a
+// pour (pourVec in pour.go), one vector per column. The table is not
+// touched until the statement has produced its last row; appendTo then
+// appends the one chunk. VALUES, InsertRows and a SELECT that pourVec
+// declines (pourSelect in exec.go) add the rows they have.
 type tableSink struct {
 	t      *table
 	colPos []int // incoming column -> table column
@@ -464,10 +464,12 @@ type tableSink struct {
 	vals   []value.Value
 	n      int // rows so far
 
-	// cols is the columnar chunk pourVec built in place of rows, its env
-	// the database's.
-	cols []colVec
-	env  *execEnv
+	// cols is the columnar chunk pourVec built in place of rows — times
+	// its Timestamp columns' values, boxed, nil without one — and env the
+	// database's.
+	cols  []colVec
+	times [][]value.Value
+	env   *execEnv
 
 	// Of the select branch being poured: the types its columns have in
 	// the branch and in the statement, which differ where the compound
@@ -476,7 +478,7 @@ type tableSink struct {
 	// nil for rows that come from no select.
 	branch, out Schema
 
-	ctx execCtx // the pouring scan's, kept here to be allocated once
+	ctx execCtx // pourRows' row filter's and items', kept here to be allocated once
 }
 
 func newTableSink(t *table, colPos []int) *tableSink {
@@ -489,30 +491,6 @@ func newTableSink(t *table, colPos []int) *tableSink {
 		}
 	}
 	return k
-}
-
-// reserve makes room for n more rows: exactly that, the first time, so
-// that a statement that knows its rows up front builds the chunk's
-// backing array in place.
-func (k *tableSink) reserve(n int) {
-	if n *= len(k.t.schema); cap(k.vals) == 0 {
-		k.vals = make([]value.Value, 0, n)
-	} else {
-		k.vals = slices.Grow(k.vals, n)
-	}
-}
-
-// next adds a row and returns it for put to fill.
-func (k *tableSink) next() Row {
-	w := len(k.t.schema)
-	at := len(k.vals)
-	k.vals = slices.Grow(k.vals, w)[:at+w]
-	row := k.vals[at:]
-	for _, ci := range k.rest {
-		row[ci] = value.Null(k.t.schema[ci].Type)
-	}
-	k.n++
-	return row
 }
 
 // put stores the row's j-th incoming value.
@@ -541,31 +519,61 @@ func (k *tableSink) put(row Row, j int, v *value.Value) error {
 	return nil
 }
 
-// addRows adds finished rows.
+// push appends c copies of x, a value of column ci's type or NULL, to
+// that column of the columnar chunk, the first at position at.
+func (k *tableSink) push(ci int, x value.Value, at, c int) {
+	if k.cols[ci].typ != value.Timestamp {
+		k.cols[ci].appendConst(x, at, c)
+		return
+	}
+	for ; c > 0; c-- {
+		k.times[ci] = append(k.times[ci], x)
+	}
+}
+
+// addRows adds finished rows. Room is made for them at once: exactly
+// that the first time, so that a statement whose rows come in one batch
+// builds the chunk's backing array in place.
 func (k *tableSink) addRows(rows []Row) error {
-	k.reserve(len(rows))
+	w := len(k.t.schema)
+	if n := len(rows) * w; cap(k.vals) == 0 {
+		k.vals = make([]value.Value, 0, n)
+	} else {
+		k.vals = slices.Grow(k.vals, n)
+	}
 	for _, in := range rows {
 		if len(in) != len(k.colPos) {
 			return insertArity(k.t, len(in), len(k.colPos))
 		}
-		row := k.next()
+		at := len(k.vals)
+		k.vals = k.vals[:at+w]
+		row := k.vals[at:]
+		for _, ci := range k.rest {
+			row[ci] = value.Null(k.t.schema[ci].Type)
+		}
 		for j := range in {
 			if err := k.put(row, j, &in[j]); err != nil {
 				return err
 			}
 		}
+		k.n++
 	}
 	return nil
 }
 
-// appendTo appends the rows to t, a mutable version: as the columnar
-// chunk pourVec built, or as the one chunk of rows.
+// appendTo appends the rows to t, a mutable version, as one chunk: the
+// columnar chunk pourVec built, into a temp table with no index; the
+// rows it derives, into any other table, which wants rows at once; or
+// the rows.
 func (k *tableSink) appendTo(t *table) {
-	if k.cols != nil {
-		t.appendCols(k.cols, k.n, k.env)
-		return
+	switch {
+	case k.cols == nil:
+		t.appendChunk(k.chunk())
+	case t.temp && !t.indexed():
+		t.appendCols(k.cols, k.times, k.n, k.env)
+	default:
+		t.appendChunk((&colChunk{vecs: k.cols, times: k.times, n: k.n}).boxRows())
 	}
-	t.appendChunk(k.chunk())
 }
 
 // chunk cuts the rows into the chunk to append: exactly sized, backing

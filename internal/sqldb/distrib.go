@@ -45,11 +45,27 @@ func ReferencedTables(st Statement) []string {
 }
 
 // RenderInsertRows renders a typed row batch as one INSERT statement —
-// the textual form of the BulkInserter fast path, used by the shard
-// coordinator to forward partitioned batches and to journal them for
-// two-phase-commit redo.
+// the textual form of the BulkInserter fast path: what a bulk insert
+// into a durable table logs for the WAL and the replication stream, and
+// what the shard coordinator forwards a partitioned batch as and
+// journals for two-phase-commit redo.
 func RenderInsertRows(table string, cols []string, rows []Row) string {
-	return synthInsertSQL(table, cols, rows)
+	var sb strings.Builder
+	sb.WriteString("INSERT INTO " + table + " (" + strings.Join(cols, ", ") + ") VALUES ")
+	for ri, in := range rows {
+		if ri > 0 {
+			sb.WriteString(", ")
+		}
+		sb.WriteString("(")
+		for vi, v := range in {
+			if vi > 0 {
+				sb.WriteString(", ")
+			}
+			sb.WriteString(v.SQL())
+		}
+		sb.WriteString(")")
+	}
+	return sb.String()
 }
 
 // RenderCreateTable renders a CREATE TABLE statement for a schema: what

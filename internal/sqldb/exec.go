@@ -463,94 +463,22 @@ func (p *compiledSelect) pours(st *SelectStmt) bool {
 }
 
 // pourSelect runs a SELECT, compound or plain, into a table sink, in
-// branch order then scan order. The rows that are counted before any
-// scan — a branch that pours unfiltered from one table yields that
-// table's — are reserved first, so that the statements whose size is
-// known build their chunk in place.
+// branch order then scan order: as one columnar chunk (pourVec), or —
+// when a branch groups, reorders, dedups, cuts or joins its rows — branch
+// by branch, each run as the SELECT it is and its result rows added.
 func (sn *snapshot) pourSelect(st *SelectStmt, p *compiledSelect, k *tableSink) error {
 	if ok, err := sn.pourVec(st, p, k); ok || err != nil {
 		return err
 	}
-	sts, plans := st.Union, p.union
-	if plans == nil {
-		sts, plans = []*SelectStmt{st}, []*compiledSelect{p}
-	}
-	known := 0
+	sts, plans := branches(st, p)
 	for bi, b := range sts {
-		if plans[bi].pours(b) && b.Where == nil && len(b.From) == 1 && len(b.Joins) == 0 {
-			if t, ok := sn.table(b.From[0].Table); ok {
-				known += t.nrows
-			}
-		}
-	}
-	k.reserve(known)
-	for bi, b := range sts {
-		if err := sn.pourBranch(b, plans[bi], p.outSchema, k); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// pourBranch runs one plain SELECT into a table sink that takes its
-// columns as out, the types the statement as a whole gives them. A
-// branch that pours projects each row it keeps into its place in the
-// sink; any other shape, and whatever a vectorized path answered, is
-// added as the finished rows it is.
-func (sn *snapshot) pourBranch(st *SelectStmt, p *compiledSelect, out Schema, k *tableSink) error {
-	k.branch, k.out = p.outSchema, out
-	if !p.pours(st) {
-		res, err := sn.runSelect(st, p)
+		res, err := sn.runSelect(b, plans[bi])
 		if err != nil {
 			return err
 		}
-		return k.addRows(res.Rows)
-	}
-	res, rel, err := sn.source(st, p)
-	if err != nil {
-		return err
-	}
-	if res != nil {
-		return k.addRows(res.Rows)
-	}
-	ctx := &k.ctx
-	for _, chunk := range rel.chunks {
-		for _, row := range chunk {
-			ctx.row = row
-			keep, err := p.keep(ctx)
-			if err != nil {
-				return err
-			}
-			if !keep {
-				continue
-			}
-			dst := k.next()
-			j := 0
-			for i, item := range p.items {
-				switch {
-				case item != nil:
-					v, err := item(ctx)
-					if err == nil {
-						err = k.put(dst, j, &v)
-					}
-					if err != nil {
-						return err
-					}
-					j++
-				case p.srcCols[i] != nil:
-					for _, ci := range p.srcCols[i] {
-						if err := k.put(dst, j, &row[ci]); err != nil {
-							return err
-						}
-						j++
-					}
-				default:
-					if err := k.put(dst, j, &st.Items[i].E.(*litExpr).v); err != nil {
-						return err
-					}
-					j++
-				}
-			}
+		k.branch, k.out = plans[bi].outSchema, p.outSchema
+		if err := k.addRows(res.Rows); err != nil {
+			return err
 		}
 	}
 	return nil

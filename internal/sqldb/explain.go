@@ -23,8 +23,8 @@ func (*ExplainStmt) stmt() {}
 // branches that share a plan (planSelect) once — the steps of its first
 // branch, without table names and row counts, headed by how many
 // branches follow it and the path they take: the vector path, or the
-// row path, poured where each kept row goes straight to its place in the
-// statement's destination.
+// row path, poured where the branch is one a pour gathers straight into
+// the columns of the statement's destination (pourVec).
 func (db *DB) explainUnion(sn *snapshot, q *SelectStmt) ([]string, error) {
 	p, err := sn.planSelect(q)
 	if err != nil {

@@ -17,8 +17,8 @@ import (
 // every branch reuses its items and WHERE, adding only its table and its
 // constants — so nothing of it goes through the lexer. Everything after
 // the syntax tree is the text statement's: the same plan sharing
-// between same-shaped branches, the same pour into one exactly sized
-// chunk, the same errors. A handle that routes text (a shard
+// between same-shaped branches, the same pour into one columnar chunk
+// (pourVec below), the same errors. A handle that routes text (a shard
 // coordinator, a read-only server) runs the statement RenderPour prints.
 
 // checkPourSelect returns the SELECT of a pour step, parsed: a plain SELECT
@@ -238,39 +238,29 @@ func (db *DB) pourTxn(tx *sessionTxn, r *PipelineRequest, st *InsertStmt) (*Resu
 	return db.execTxnStmt(tx, st, raw)
 }
 
-// pourVec pours st into k's table as one columnar chunk (schema.go) when
-// the table is a temp table with no index, of no Timestamp column, and
-// every branch of st a single-table SELECT of plain columns and constants
-// with at most a WHERE clause the batch back end takes (vecPlan.pred),
-// each column of exactly its destination's type: the branches' vectors —
-// a columnar chunk's own, a checkpointed chunk's blocks', a resident
-// chunk's cached ones, or else its rows — are gathered in branch order
-// and scan order into one vector per column of the table. It is
-// runVecSelect beside runSelect: ok is false, and nothing is done, for
-// any other statement, which pourSelect then pours row by row. The rows
-// the chunk derives on first ask, and the one chunk they are in, are the
-// ones the row pour leaves; a constant is converted by the row pour's own
-// put, once per branch that yields a row, so it fails where that fails.
+// pourVec pours st into k's table as one columnar chunk (schema.go): every
+// statement whose branches are all single-table SELECTs that pour
+// (compiledSelect.pours). ok is false, and nothing is done, for any other
+// statement, whose branches pourSelect runs as the SELECTs they are.
+//
+// Branch by branch, in scan order: a branch whose items are constants
+// and columns of exactly their destination's type, Timestamp aside, with
+// no WHERE clause or one the batch back end takes (vecPlan.pred), is
+// gathered from its table's vectors — a columnar chunk's own, a
+// checkpointed chunk's blocks', a resident chunk's cached ones, or else
+// its rows — and leaves a cold table cold. Any other branch reads rows
+// (pourRows). A constant is converted once a branch, on its first kept
+// row. So the values, the errors and their order are those of projecting
+// each row and inserting it.
 func (sn *snapshot) pourVec(st *SelectStmt, p *compiledSelect, k *tableSink) (ok bool, err error) {
-	env, dst := sn.env, k.t
-	if env == nil || env.vecDisabled.Load() || !dst.temp || dst.indexed() {
-		return false, nil
-	}
-	for _, c := range dst.schema {
-		if c.Type == value.Timestamp {
-			return false, nil
-		}
-	}
-	sts, plans := st.Union, p.union
-	if plans == nil {
-		sts, plans = []*SelectStmt{st}, []*compiledSelect{p}
-	}
-	total, known := 0, true
+	sts, plans := branches(st, p)
+	total, known := 0, true // the rows, known when no branch filters them
 	for bi, b := range sts {
-		t, fits := sn.pourVecBranch(b, plans[bi], p.outSchema, k)
-		if !fits {
+		bp := plans[bi]
+		if bp.union != nil || len(b.From) != 1 || len(b.Joins) != 0 || !bp.pours(b) {
 			return false, nil
 		}
+		t, _ := sn.table(b.From[0].Table) // the plan found it
 		total += t.nrows
 		known = known && b.Where == nil
 	}
@@ -278,19 +268,26 @@ func (sn *snapshot) pourVec(st *SelectStmt, p *compiledSelect, k *tableSink) (ok
 		total = 0 // grown as the rows come
 	}
 
-	// The table's vectors, carved from one array, and the scratch every
-	// branch shares: its table's vectors, the row its constants are
-	// converted into, and a window's mask and selection.
+	// The table's vectors — a Timestamp column's values boxed beside
+	// them — and the scratch every branch shares: its table's vectors,
+	// the row put converts values into, and a window's mask and
+	// selection.
+	env, dst := sn.env, k.t
 	w := len(dst.schema)
-	vecs := make([]colVec, w)
+	k.cols = make([]colVec, w)
 	for ci, c := range dst.schema {
-		v := &vecs[ci]
+		v := &k.cols[ci]
 		v.typ = c.Type
 		switch c.Type {
 		case value.Integer, value.Boolean:
 			v.ints = make([]int64, 0, total)
 		case value.Float:
 			v.floats = make([]float64, 0, total)
+		case value.Timestamp:
+			if k.times == nil {
+				k.times = make([][]value.Value, w)
+			}
+			k.times[ci] = make([]value.Value, 0, total)
 		default:
 			v.strs = make([]string, 0, total)
 		}
@@ -299,58 +296,31 @@ func (sn *snapshot) pourVec(st *SelectStmt, p *compiledSelect, k *tableSink) (ok
 	var mask []bool
 	var sel []int32
 	var m morsel
-	consts := make(Row, w)
+	row := make(Row, w)
 	zoneOn := !env.zoneOff.Load()
-	n := 0
 	for bi, b := range sts {
 		bp := plans[bi]
 		t, _ := sn.table(b.From[0].Table)
+		k.branch, k.out = bp.outSchema, p.outSchema
+		if bp.readsRows(b, k, t.schema) {
+			if err := sn.pourRows(b, bp, t, k, row); err != nil {
+				return true, err
+			}
+			continue
+		}
 		if sn.reads != nil {
 			sn.reads.addFull(t.key)
 		}
-		k.branch, k.out = bp.outSchema, p.outSchema
-		var vp *vecPlan // the WHERE clause's, nil without one
+		var vp *vecPlan // the batch WHERE clause's, nil without one
+		var wcols []int // the columns it reads
 		if b.Where != nil {
-			vp = bp.vec
+			vp, wcols = bp.vec, bp.vec.cols
 		}
 		cv = slices.Grow(cv[:0], len(t.schema))[:len(t.schema)]
-		// resolve fills cv with the vectors the branch reads of block bi of
-		// ch, or of the whole chunk (bi wholeChunk), and rows with a
-		// resident chunk's rows when an item's column has no cached vector:
-		// the pour reads that column off them rather than cache a vector
-		// of a table it only copies. The WHERE clause's columns always get
-		// vectors.
 		var rows []Row
-		resolve := func(ch *chunk, bi int) (err error) {
-			clear(cv)
-			rows = nil
-			for _, cols := range bp.srcCols {
-				for _, ci := range cols {
-					if cv[ci], err = env.pourVecOf(ch, bi, ci); err != nil {
-						return err
-					}
-					if cv[ci] == nil && rows == nil {
-						rows = ch.rows()
-					}
-				}
-			}
-			if vp != nil {
-				for _, ci := range vp.cols {
-					if cv[ci] == nil {
-						if cv[ci], err = env.pourVecOf(ch, bi, ci); err != nil {
-							return err
-						}
-					}
-					if cv[ci] == nil {
-						cv[ci] = buildColVec(ch.rows(), ci, t.schema[ci].Type) // not cached
-					}
-				}
-			}
-			return nil
-		}
 		converted := false
-		// gather appends the rows of positions [lo, hi) of cv that pass the
-		// WHERE clause.
+		// gather appends the rows of positions [lo, hi) of cv that the WHERE
+		// clause keeps, and the branch's constants beside them.
 		gather := func(lo, hi int) error {
 			c := hi - lo
 			if vp != nil {
@@ -369,44 +339,35 @@ func (sn *snapshot) pourVec(st *SelectStmt, p *compiledSelect, k *tableSink) (ok
 			if c == 0 {
 				return nil
 			}
-			if !converted {
-				converted = true
-				j := 0
-				for i, cols := range bp.srcCols {
-					if cols != nil {
-						j += len(cols)
-						continue
-					}
-					if err := k.put(consts, j, &b.Items[i].E.(*litExpr).v); err != nil {
-						return err
-					}
-					j++
-				}
-			}
 			j := 0
-			for _, cols := range bp.srcCols {
+			for i, cols := range bp.srcCols {
 				if cols == nil {
-					vecs[k.colPos[j]].appendConst(consts[k.colPos[j]], n, c)
+					if !converted {
+						if err := k.put(row, j, &b.Items[i].E.(*litExpr).v); err != nil {
+							return err
+						}
+					}
+					k.push(k.colPos[j], row[k.colPos[j]], k.n, c)
 					j++
-					continue
 				}
 				for _, ci := range cols {
-					switch v := &vecs[k.colPos[j]]; {
+					switch v := &k.cols[k.colPos[j]]; {
 					case cv[ci] == nil && vp == nil:
-						v.appendRows(rows[lo:hi], ci, n)
+						v.appendRows(rows[lo:hi], ci, k.n)
 					case cv[ci] == nil:
 						for s, i := range sel {
-							v.appendRows(rows[i:i+1], ci, n+s)
+							v.appendRows(rows[i:i+1], ci, k.n+s)
 						}
 					case vp == nil:
-						v.appendRange(cv[ci], n, lo, hi)
+						v.appendRange(cv[ci], k.n, lo, hi)
 					default:
-						v.appendSel(cv[ci], n, sel)
+						v.appendSel(cv[ci], k.n, sel)
 					}
 					j++
 				}
 			}
-			n += c
+			converted = true
+			k.n += c
 			return nil
 		}
 		chunks, err := t.chunkRefs()
@@ -430,8 +391,32 @@ func (sn *snapshot) pourVec(st *SelectStmt, p *compiledSelect, k *tableSink) (ok
 				if pruned {
 					continue
 				}
-				if err := resolve(ch, m.bi); err != nil {
-					return true, err
+				// cv gets the vectors the branch reads of the morsel's block
+				// or whole chunk, and rows a resident chunk's rows when a
+				// column has no cached vector: the pour reads that column off
+				// them rather than cache a vector of a table it only copies.
+				// The WHERE clause's columns always get vectors.
+				clear(cv)
+				rows = nil
+				for _, cols := range bp.srcCols {
+					for _, ci := range cols {
+						if cv[ci], err = env.pourVecOf(ch, m.bi, ci); err != nil {
+							return true, err
+						}
+						if cv[ci] == nil && rows == nil {
+							rows = ch.rows()
+						}
+					}
+				}
+				for _, ci := range wcols {
+					if cv[ci] == nil {
+						if cv[ci], err = env.pourVecOf(ch, m.bi, ci); err != nil {
+							return true, err
+						}
+					}
+					if cv[ci] == nil {
+						cv[ci] = buildColVec(ch.rows(), ci, t.schema[ci].Type) // not cached
+					}
 				}
 				if err := gather(from, to); err != nil {
 					return true, err
@@ -440,13 +425,122 @@ func (sn *snapshot) pourVec(st *SelectStmt, p *compiledSelect, k *tableSink) (ok
 		}
 	}
 	for _, ci := range k.rest {
-		vecs[ci].appendConst(value.Null(dst.schema[ci].Type), 0, n)
+		k.push(ci, value.Null(dst.schema[ci].Type), 0, k.n)
 	}
-	for ci := range vecs {
-		vecs[ci].seal(n)
+	for ci := range k.cols {
+		k.cols[ci].seal(k.n)
 	}
-	k.n, k.cols, k.env = n, vecs, env
+	for ci, ts := range k.times {
+		if cap(ts) > k.n {
+			k.times[ci] = append(make([]value.Value, 0, k.n), ts...)
+		}
+	}
+	k.env = env
 	return true, nil
+}
+
+// readsRows reports whether a pour of branch st, reading a table of
+// schema src into k, reads rows: the batch back end declines its WHERE
+// clause, or an item is an expression or a column that is a Timestamp or
+// of another type in the statement or the destination.
+func (p *compiledSelect) readsRows(st *SelectStmt, k *tableSink, src Schema) bool {
+	if st.Where != nil && (p.vec == nil || p.vec.pred == nil) {
+		return true
+	}
+	j := 0
+	for i, cols := range p.srcCols {
+		if p.items[i] != nil {
+			return true
+		}
+		for _, ci := range cols {
+			if typ := src[ci].Type; typ == value.Timestamp || typ != k.out[j].Type || typ != k.t.schema[k.colPos[j]].Type {
+				return true
+			}
+			j++
+		}
+		if cols == nil {
+			j++
+		}
+	}
+	return false
+}
+
+// pourRows pours branch st of a pour, which reads the rows of table t:
+// the rows an index probe answers for its WHERE clause — a point read —
+// or else all of them, hydrating a cold table. Each row the row filter
+// keeps has its items evaluated and put in item order, into row, and
+// pushed onto k's columns.
+func (sn *snapshot) pourRows(st *SelectStmt, p *compiledSelect, t *table, k *tableSink, row Row) error {
+	rel, err := sn.indexedScan(st.From[0], st.Where)
+	if err != nil {
+		return err
+	}
+	var chunks [][]Row
+	if rel != nil {
+		chunks = rel.chunks
+	} else {
+		if sn.reads != nil {
+			sn.reads.addFull(t.key)
+		}
+		if chunks, err = t.chunks(); err != nil {
+			return err
+		}
+	}
+	ctx, converted := &k.ctx, false
+	for _, rows := range chunks {
+		for _, src := range rows {
+			ctx.row = src
+			keep, err := p.keep(ctx)
+			if err != nil {
+				return err
+			}
+			if !keep {
+				continue
+			}
+			j := 0
+			for i, cols := range p.srcCols {
+				switch {
+				case p.items[i] != nil:
+					v, err := p.items[i](ctx)
+					if err == nil {
+						err = k.put(row, j, &v)
+					}
+					if err != nil {
+						return err
+					}
+					j++
+				case cols == nil:
+					if !converted {
+						if err := k.put(row, j, &st.Items[i].E.(*litExpr).v); err != nil {
+							return err
+						}
+					}
+					j++
+				}
+				for _, ci := range cols {
+					if err := k.put(row, j, &src[ci]); err != nil {
+						return err
+					}
+					j++
+				}
+			}
+			converted = true
+			for _, ci := range k.colPos {
+				k.push(ci, row[ci], k.n, 1)
+			}
+			k.n++
+		}
+	}
+	return nil
+}
+
+// branches returns a SELECT's branches and their plans: a compound's, or
+// the plain SELECT itself.
+func branches(st *SelectStmt, p *compiledSelect) ([]*SelectStmt, []*compiledSelect) {
+	if p.union == nil {
+		return []*SelectStmt{st}, []*compiledSelect{p}
+	}
+	return st.Union, p.union
 }
 
 // pourVecOf returns the vector of column ci of block bi of ch, or of the
@@ -461,36 +555,4 @@ func (e *execEnv) pourVecOf(ch *chunk, bi, ci int) (*colVec, error) {
 		return &ch.cols.vecs[ci], nil
 	}
 	return e.cache.get(chunkColKey{ch, wholeChunk, ci}), nil
-}
-
-// pourVecBranch returns the table branch b of a pour into k's table
-// reads, and whether pourVec can gather it: a plain single-table SELECT
-// that pours, its WHERE clause vectorized, its items plain columns of
-// their destination's type or constants. out is the statement's columns.
-func (sn *snapshot) pourVecBranch(b *SelectStmt, bp *compiledSelect, out Schema, k *tableSink) (*table, bool) {
-	if bp.union != nil || len(b.From) != 1 || len(b.Joins) != 0 || !bp.pours(b) ||
-		b.Where != nil && (bp.vec == nil || bp.vec.pred == nil) {
-		return nil, false
-	}
-	t, ok := sn.table(b.From[0].Table)
-	if !ok {
-		return nil, false
-	}
-	j := 0
-	for i, cols := range bp.srcCols {
-		if bp.items[i] != nil {
-			return nil, false
-		}
-		if cols == nil {
-			j++
-			continue
-		}
-		for _, ci := range cols {
-			if typ := t.schema[ci].Type; typ != out[j].Type || typ != k.t.schema[k.colPos[j]].Type {
-				return nil, false
-			}
-			j++
-		}
-	}
-	return t, true
 }

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -20,6 +21,7 @@ type pourCase struct {
 	setup []string
 	step  PipelineRequest
 	fails bool
+	want  string // what the error says, when set
 }
 
 // pourDst is the destination of the generated pours: a constant column
@@ -125,7 +127,14 @@ func pourCases() []pourCase {
 	compound.setup = append(compound.setup, "DROP TABLE pr_1", "CREATE TABLE pr_1 (n integer, v float, s boolean)")
 	constants := genPour(rng, "constants per table", 3, false)
 	constants.step.Rows[1] = constants.step.Rows[1][1:]
-	for _, c := range []pourCase{missing, arity, conversion, compound, constants} {
+	// The first row fails in an expression before a constant after it
+	// fails to convert: the expression's error is the one returned.
+	order := genPour(rng, "expression fails before a constant", 3, false)
+	order.setup[0] = strings.Replace(order.setup[0], ", s string", ", s integer", 1)
+	order.setup = append(order.setup, "INSERT INTO pr_0 VALUES (1, 1.5, 'a')")
+	order.step.SQL = "SELECT n, (n / 0) AS v, 'seven' AS s"
+	order.want = "integer division by zero"
+	for _, c := range []pourCase{missing, arity, conversion, compound, constants, order} {
 		c.fails = true
 		cases = append(cases, c)
 	}
@@ -167,7 +176,7 @@ func TestPourMatchesCompoundInsert(t *testing.T) {
 				errors.Is(pourErr, ErrCompound) != errors.Is(textErr, ErrCompound) {
 				t.Fatalf("poured: %v\nas text: %v", pourErr, textErr)
 			}
-			if c.fails != (pourErr != nil) {
+			if c.fails != (pourErr != nil) || c.want != "" && !strings.Contains(fmt.Sprint(pourErr), c.want) {
 				t.Fatalf("error %v", pourErr)
 			}
 			if got, want := tableDump(t, a, "dst"), tableDump(t, b, "dst"); got != want {
@@ -184,11 +193,12 @@ func TestPourMatchesCompoundInsert(t *testing.T) {
 
 // TestPourCostPerTable guards what a pour costs as a source grows: an
 // added table is an added branch of a syntax tree carved from shared
-// arrays, so it costs a lookup and a scan, not a parse. A pour of plain
-// columns into a temp table gathers its vectors into one columnar chunk
-// with scratch every branch shares, and costs no more.
+// arrays, so it costs a lookup and a scan, not a parse. A pour into a
+// temp table gathers one columnar chunk with scratch every branch
+// shares — plain columns as vectors, an expression row by row — and
+// costs no more.
 func TestPourCostPerTable(t *testing.T) {
-	cost := func(sql string, columnar bool, tables, rows int) float64 {
+	cost := func(sql string, tables, rows int) float64 {
 		db := NewMemory()
 		sourceLike(t, db, tables, rows)
 		step := PipelineRequest{SQL: sql, Table: "vec",
@@ -206,18 +216,14 @@ func TestPourCostPerTable(t *testing.T) {
 			if res[1].Affected != tables*rows {
 				t.Fatalf("affected %d, want %d", res[1].Affected, tables*rows)
 			}
-			if tab, _ := db.state.Load().table("vec"); (tab.list[0].cols != nil) != columnar {
-				t.Fatalf("%q: columnar chunk = %v", sql, tab.list[0].cols != nil)
+			if tab, _ := db.state.Load().table("vec"); len(tab.list) != 1 || tab.list[0].cols == nil {
+				t.Fatalf("%q: %d chunks, columnar %v", sql, len(tab.list), tab.list[0].cols != nil)
 			}
 			mustExec(t, db, "DROP TABLE vec")
 		})
 	}
-	for _, pour := range []struct {
-		sql      string
-		columnar bool
-	}{{"SELECT op, chunk, (bw * 0.001) AS bw", false}, {"SELECT op, chunk, bw", true}} {
-		sql := pour.sql
-		small, wide, tall := cost(sql, pour.columnar, 40, 8), cost(sql, pour.columnar, 80, 8), cost(sql, pour.columnar, 40, 64)
+	for _, sql := range []string{"SELECT op, chunk, (bw * 0.001) AS bw", "SELECT op, chunk, bw"} {
+		small, wide, tall := cost(sql, 40, 8), cost(sql, 80, 8), cost(sql, 40, 64)
 		perTable := (wide - small) / 40
 		t.Logf("%q: allocations: %.0f at 40 tables × 8 rows, %.0f at 80 × 8 (%.2f a table), %.0f at 40 × 64", sql, small, wide, perTable, tall)
 		if perTable > 4 {
@@ -372,14 +378,18 @@ func pourColsRows(t *testing.T, db *DB, rng *rand.Rand, table string, sizes ...i
 	}
 }
 
-// TestPourColumnsMatchRows: a pour of plain columns and constants into a
-// temp table builds one columnar chunk, and the rows that chunk derives
-// are, value for value and in as many chunks, the rows the row pour of a
-// twin database with the vectorized path off leaves — from resident
-// tables of one chunk or several, from checkpointed tables that stay
-// cold, with and without a WHERE clause, with every constant NULL now
-// and then. A timestamp destination and an expression item take the
-// row pour, and a constant that does not convert fails as it does there.
+// TestPourColumnsMatchRows: every pour into a temp table with no index
+// builds one columnar chunk, and the rows that chunk derives are, value
+// for value and in as many chunks, the rows the row engine's answer to
+// the same SELECT leaves when InsertRows appends it — the definition of
+// INSERT ... SELECT. A durable or indexed destination gets those rows as
+// rows. The tables read are resident, of one chunk or several, or
+// checkpointed and cold, which a pour of vectors leaves cold; the WHERE
+// clause is absent, one the batch back end takes or one it declines; the
+// items are plain columns, a column converted on its way, an expression
+// and a timestamp, behind constants that are NULL now and then. A
+// compound with a joined branch adds its rows, and a constant that does
+// not convert fails.
 func TestPourColumnsMatchRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	// Two durable directories, filled alike and reopened, so that the
@@ -417,16 +427,35 @@ func TestPourColumnsMatchRows(t *testing.T) {
 		}
 		return db
 	}
+	// row answers the SELECTs, with the row engine, and holds what
+	// InsertRows appends of their rows.
 	col, row := open(dirs[0], true), open(dirs[1], false)
+	// reference appends the row engine's answer to sel to row's table.
+	reference := func(t *testing.T, table string, cols []string, sel string) {
+		t.Helper()
+		if _, err := row.InsertRows(table, cols, mustExec(t, row, sel).Rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stillCold := func(t *testing.T) {
+		t.Helper()
+		for i := 0; i < tables; i++ {
+			if tab, _ := col.state.Load().table(fmt.Sprintf("cold_%d", i)); !tab.isCold() {
+				t.Errorf("cold_%d hydrated", i)
+			}
+		}
+	}
 
 	type pourColsCase struct {
 		name     string
-		dst      string // the destination's columns
+		create   []string // the destination's statements
 		step     PipelineRequest
+		sel      string // a SELECT poured by INSERT in place of the step, when set
 		columnar bool
+		hydrates bool // reads the checkpointed tables' rows
 	}
 	gen := func(name, prefix, where string, n int) pourColsCase {
-		c := pourColsCase{name: name, dst: pourColsDst, columnar: true,
+		c := pourColsCase{name: name, create: []string{"CREATE TEMP TABLE dst (" + pourColsDst + ")"}, columnar: true,
 			step: PipelineRequest{SQL: "SELECT b, s, n, v, f" + where, Table: "dst", From: []string{}, Cols: pourColsCols}}
 		for i := 0; i < n; i++ {
 			c.step.From = append(c.step.From, fmt.Sprintf("%s_%d", prefix, i%tables))
@@ -446,53 +475,80 @@ func TestPourColumnsMatchRows(t *testing.T) {
 		gen("checkpointed tables", "cold", "", 9),
 		gen("checkpointed tables, WHERE", "cold", " WHERE f < 1 OR s IS NULL", 9),
 		gen("one table", "hot", "", 1),
+		gen("WHERE the batch back end declines", "hot", " WHERE n % 2 = 0", 9),
 	}
-	stamped := gen("timestamp column", "hot", "", 3)
-	stamped.dst = strings.Replace(stamped.dst, "rest integer", "rest timestamp", 1)
-	stamped.columnar = false
+	stamped := gen("timestamp destination", "hot", "", 3)
+	stamped.create[0] = strings.Replace(stamped.create[0], "rest integer", "rest timestamp", 1)
+	read := gen("timestamp column", "hot", "", 5)
+	read.create = stamped.create
+	read.step.SQL, read.step.Cols = "SELECT b, s, n, v, f, ts", append(slices.Clip(pourColsCols), "rest")
 	scaled := gen("expression item", "hot", "", 3)
 	scaled.step.SQL = "SELECT b, s, n, v, (f * 0.5) AS f"
-	scaled.columnar = false
-	cases = append(cases, stamped, scaled)
+	widened := gen("integer column into a float column", "hot", "", 5)
+	widened.step.SQL = "SELECT b, s, n, v, n WHERE n > 0"
+	durable := gen("durable destination", "cold", "", 5)
+	durable.create[0] = strings.Replace(durable.create[0], "TEMP ", "", 1)
+	durable.columnar = false
+	indexed := gen("indexed temp destination", "hot", "", 5)
+	indexed.create = append(indexed.create, "CREATE INDEX ON dst (n)")
+	indexed.columnar = false
+	joined := gen("compound with a joined branch", "hot", "", 0)
+	joined.sel = "SELECT 1.5, 'x', 2, '1.0', TRUE, b, s, n, v, f FROM hot_0 UNION ALL " +
+		"SELECT 2.5, 'y', 3, '1.1', FALSE, a.b, a.s, a.n, a.v, a.f FROM hot_1 a JOIN hot_2 c ON a.n = c.n"
+	joined.columnar = false
+	// The expression reads the checkpointed tables' rows, so it comes last.
+	coldScaled := gen("expression over checkpointed tables", "cold", "", 9)
+	coldScaled.step.SQL = "SELECT b, s, n, v, (f * 0.5) AS f"
+	coldScaled.hydrates = true
+	cases = append(cases, stamped, read, scaled, widened, durable, indexed, joined, coldScaled)
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			for _, db := range []*DB{col, row} {
-				mustExec(t, db, "CREATE TEMP TABLE dst ("+c.dst+")")
-				if _, err := db.ExecPipeline([]PipelineRequest{c.step}); err != nil {
-					t.Fatal(err)
+				for _, q := range c.create {
+					mustExec(t, db, q)
 				}
 			}
 			defer func() {
 				mustExec(t, col, "DROP TABLE dst")
 				mustExec(t, row, "DROP TABLE dst")
 			}()
+			sel := c.sel
+			if sel != "" {
+				mustExec(t, col, "INSERT INTO dst ("+strings.Join(c.step.Cols, ", ")+") "+sel)
+			} else {
+				if _, err := col.ExecPipeline([]PipelineRequest{c.step}); err != nil {
+					t.Fatal(err)
+				}
+				var err error
+				if _, sel, err = RenderPour(c.step); err != nil {
+					t.Fatal(err)
+				}
+			}
+			reference(t, "dst", c.step.Cols, sel)
 			ta, _ := col.state.Load().table("dst")
 			tb, _ := row.state.Load().table("dst")
-			if columnar := len(ta.list) > 0 && ta.list[0].cols != nil; columnar != c.columnar {
-				t.Fatalf("columnar chunk = %v, want %v", columnar, c.columnar)
+			if len(ta.list) != 1 || (ta.list[0].cols != nil) != c.columnar {
+				t.Fatalf("%d chunks, columnar %v, want one, columnar %v", len(ta.list), len(ta.list) > 0 && ta.list[0].cols != nil, c.columnar)
 			}
 			if got, want := mustChunks(t, ta), mustChunks(t, tb); !reflect.DeepEqual(got, want) {
-				t.Errorf("poured columns derive\n%v\nthe row pour leaves\n%v", got, want)
+				t.Errorf("the pour leaves\n%v\nInsertRows of the SELECT's rows\n%v", got, want)
+			}
+			if !c.hydrates {
+				stillCold(t)
 			}
 		})
 	}
-	// The pours left the checkpointed tables cold; the row pours did not.
-	for i := 0; i < tables; i++ {
-		if tab, _ := col.state.Load().table(fmt.Sprintf("cold_%d", i)); tab.isCold() == false {
-			t.Errorf("cold_%d hydrated", i)
-		}
-	}
 
-	// CREATE TEMP TABLE ... AS of plain columns takes the same path, and
-	// so does a copy of a columnar table, which reads its vectors.
+	// CREATE TEMP TABLE ... AS takes the same path, and so does a copy of
+	// a columnar table, which reads its vectors.
 	for _, c := range []struct{ table, sql string }{
 		{"copy", "CREATE TEMP TABLE copy AS SELECT s, n, b FROM hot_0 WHERE n < 2 UNION ALL SELECT 'k', 7, NULL FROM cold_1"},
 		{"again", "CREATE TEMP TABLE again AS SELECT * FROM copy WHERE b IS NULL OR n > 0"},
 	} {
-		for _, db := range []*DB{col, row} {
-			mustExec(t, db, c.sql)
-		}
+		mustExec(t, col, c.sql)
 		ta, _ := col.state.Load().table(c.table)
+		mustExec(t, row, strings.Replace(RenderCreateTable(c.table, ta.schema), "CREATE ", "CREATE TEMP ", 1))
+		reference(t, c.table, nil, c.sql[strings.Index(c.sql, " AS ")+len(" AS "):])
 		tb, _ := row.state.Load().table(c.table)
 		if len(ta.list) != 1 || ta.list[0].cols == nil {
 			t.Errorf("%s: poured %d chunks, columnar %v", c.sql, len(ta.list), len(ta.list) > 0 && ta.list[0].cols != nil)
@@ -502,22 +558,88 @@ func TestPourColumnsMatchRows(t *testing.T) {
 		}
 	}
 
-	// A constant that does not convert fails the columnar pour as it fails
-	// the row pour, and a branch that yields no row does not convert it.
+	// A constant that does not convert fails the pour, and a branch that
+	// yields no row does not convert it.
 	bad := gen("conversion", "hot", "", 2)
 	for _, consts := range bad.step.Rows {
 		consts[2] = value.NewString("seven") // into ci integer
 	}
-	var errs []string
-	for _, db := range []*DB{col, row} {
-		mustExec(t, db, "CREATE TEMP TABLE dst ("+pourColsDst+")")
-		for _, from := range [][]string{{"hot_3", "hot_1"}, {"hot_3", "hot_3"}} { // hot_3 is empty
-			bad.step.From = from
-			_, err := db.ExecPipeline([]PipelineRequest{bad.step})
-			errs = append(errs, fmt.Sprint(err))
+	mustExec(t, col, "CREATE TEMP TABLE dst ("+pourColsDst+")")
+	var errs []error
+	for _, from := range [][]string{{"hot_3", "hot_1"}, {"hot_3", "hot_3"}} { // hot_3 is empty
+		bad.step.From = from
+		_, err := col.ExecPipeline([]PipelineRequest{bad.step})
+		errs = append(errs, err)
+	}
+	if !strings.Contains(fmt.Sprint(errs[0]), `column "ci"`) || errs[1] != nil {
+		t.Errorf("pour: %v, then %v", errs[0], errs[1])
+	}
+}
+
+// TestPourTimestampColumnGroups: a temp table poured with a timestamp
+// column is one columnar chunk whose timestamp column has no vector,
+// and the grouped scans over it — with and without GROUP BY, with the
+// timestamp a bare column or inside a WHERE clause — answer as they do
+// over the rows they were poured from.
+func TestPourTimestampColumnGroups(t *testing.T) {
+	db := NewMemory()
+	mustExec(t, db, "CREATE TABLE u (ts timestamp, n integer, f float)")
+	mustExec(t, db, "INSERT INTO u VALUES ('2024-01-02T03:04:05Z', 1, 1.5), (NULL, 2, 2.5), "+
+		"('2024-01-03T00:00:00Z', 1, 4.0), ('2024-01-04T00:00:00Z', 3, NULL), ('2024-01-05T00:00:00Z', 2, 0.5)")
+	mustExec(t, db, "CREATE TEMP TABLE x AS SELECT ts, n, f FROM u")
+	tab, _ := db.state.Load().table("x")
+	if len(tab.list) != 1 || tab.list[0].cols == nil {
+		t.Fatalf("%d chunks, columnar %v", len(tab.list), len(tab.list) > 0 && tab.list[0].cols != nil)
+	}
+	if v := db.env.cache.colFor(tab.list[0], 0, value.Timestamp); v != nil {
+		t.Errorf("colFor handed out the timestamp column's vector %+v", v)
+	}
+	for _, q := range []string{
+		"SELECT AVG(f) FROM %s",
+		"SELECT COUNT(*), STDDEV(f), MIN(n) FROM %s",
+		"SELECT n, AVG(f) FROM %s GROUP BY n ORDER BY n",
+		"SELECT ts, n, COUNT(*) FROM %s GROUP BY n ORDER BY n",
+		"SELECT n, SUM(f) FROM %s WHERE ts IS NOT NULL GROUP BY n ORDER BY n",
+		"SELECT ts, f FROM %s WHERE n > 1 ORDER BY f",
+	} {
+		got, want := mustExec(t, db, fmt.Sprintf(q, "x")), mustExec(t, db, fmt.Sprintf(q, "u"))
+		if g, w := tableDumpOf(got), tableDumpOf(want); g != w {
+			t.Errorf("%s\nover the pour:\n%s\nover its source:\n%s", q, g, w)
 		}
 	}
-	if errs[0] == "<nil>" || errs[0] != errs[2] || errs[1] != "<nil>" || errs[3] != "<nil>" {
-		t.Errorf("columnar pour: %s, then %s; row pour: %s, then %s", errs[0], errs[1], errs[2], errs[3])
+}
+
+// TestPourThroughIndexProbeIsPointRead: a pour whose WHERE clause an
+// index answers reads the matching rows only, as a point read, so the
+// transaction it runs in commits past a writer of another key of the
+// source table and conflicts with a writer of the key it read.
+func TestPourThroughIndexProbeIsPointRead(t *testing.T) {
+	db := NewMemory()
+	mustExec(t, db, "CREATE TABLE kv (k integer, v integer)")
+	mustExec(t, db, "CREATE INDEX ON kv (k)")
+	mustExec(t, db, "INSERT INTO kv VALUES (1, 100), (2, 200), (3, 300)")
+	mustExec(t, db, "CREATE TABLE out (v integer, w float)")
+	a, b := db.NewSession(), db.NewSession()
+	defer a.Close()
+	defer b.Close()
+	for _, c := range []struct {
+		write    string
+		conflict bool
+	}{{"UPDATE kv SET v = 333 WHERE k = 3", false}, {"UPDATE kv SET v = 111 WHERE k = 1", true}} {
+		if _, err := a.Exec("BEGIN"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Exec("INSERT INTO out SELECT v, (v * 0.5) FROM kv WHERE k = 1"); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := b.Exec(c.write); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Exec("COMMIT"); errors.Is(err, ErrTxnConflict) != c.conflict || err != nil && !c.conflict {
+			t.Fatalf("%s, then COMMIT: %v, want a conflict %v", c.write, err, c.conflict)
+		}
+	}
+	if got := tableDump(t, db, "out"); got != "integer:100 float:50" {
+		t.Errorf("out holds %q", got)
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"hash/fnv"
 	"maps"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -393,7 +392,7 @@ func (db *DB) insertTxnRows(tx *sessionTxn, tableName string, cols []string, row
 	}
 	tx.install(ws)
 	if db.replicates() && !nt.temp {
-		tx.log = append(tx.log, synthInsertSQL(nt.name, cols, rows))
+		tx.log = append(tx.log, RenderInsertRows(nt.name, cols, rows))
 	}
 	return n, nil
 }
@@ -896,27 +895,6 @@ func (sn *snapshot) withReads(tr *readTracker) *snapshot {
 	c := *sn
 	c.reads = tr
 	return &c
-}
-
-// synthInsertSQL renders a bulk InsertRows batch as one INSERT
-// statement for the WAL and the replication stream.
-func synthInsertSQL(table string, cols []string, rows []Row) string {
-	var sb strings.Builder
-	sb.WriteString("INSERT INTO " + table + " (" + strings.Join(cols, ", ") + ") VALUES ")
-	for ri, in := range rows {
-		if ri > 0 {
-			sb.WriteString(", ")
-		}
-		sb.WriteString("(")
-		for vi, v := range in {
-			if vi > 0 {
-				sb.WriteString(", ")
-			}
-			sb.WriteString(v.SQL())
-		}
-		sb.WriteString(")")
-	}
-	return sb.String()
 }
 
 var (

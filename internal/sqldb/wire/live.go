@@ -68,7 +68,7 @@ type IngestResult struct {
 }
 
 // WatchSpec subscribes to regression alerts. The zero value of each
-// tuning field means "server default" (see anomaly.DefaultOptions);
+// tuning field means "server default" (see anomaly.Options.WithDefaults);
 // non-zero fields override per subscription, so one dashboard can
 // watch with a tight threshold while another stays conservative.
 type WatchSpec struct {

@@ -125,28 +125,6 @@ func NewVersion(s string) Value { return Value{typ: Version, s: s} }
 // Type returns the data type of the value.
 func (v Value) Type() Type { return v.typ }
 
-// SetInt overwrites v in place with an Integer datum. The in-place
-// setters exist for hot evaluation loops (expression VMs, SQL row
-// filters) where assigning a freshly constructed Value would copy the
-// whole struct; fields of other types keep their previous contents,
-// which is harmless since accessors are only meaningful for the
-// current type.
-func (v *Value) SetInt(i int64) { v.typ, v.null, v.num = Integer, false, uint64(i) }
-
-// SetFloat overwrites v in place with a Float datum.
-func (v *Value) SetFloat(f float64) { v.typ, v.null, v.num = Float, false, math.Float64bits(f) }
-
-// SetBool overwrites v in place with a Boolean datum.
-func (v *Value) SetBool(b bool) {
-	v.typ, v.null, v.num = Boolean, false, 0
-	if b {
-		v.num = 1
-	}
-}
-
-// SetNull overwrites v in place with the NULL of type t.
-func (v *Value) SetNull(t Type) { v.typ, v.null = t, true }
-
 // IsNull reports whether the value is NULL.
 func (v Value) IsNull() bool { return v.null }
 
