@@ -28,6 +28,9 @@ package expr_test
 //	c  names resolve case-insensitively.
 //	d  an unknown function or a wrong argument count fails at compile
 //	   time, even where evaluation would not reach it.
+//	f  comparisons, min and max order numbers as value.Compare does: a
+//	   NaN equals only NaN and sorts below every other number, and an
+//	   Integer against a Float compares exactly.
 //
 // (e), the engine's error texts, needs no mark: two failures agree
 // whatever they say. Neither does a NULL's type: both users convert
@@ -405,6 +408,7 @@ var classMarks = map[byte]func(c corpusCase) bool{
 	'a': func(c corpusCase) bool { return nullOperand.MatchString(c.src) },
 	'b': func(c corpusCase) bool { return strings.Contains(c.src, "if(") && c.old == "error" },
 	'c': func(c corpusCase) bool { return upperName.MatchString(c.src) },
+	'f': func(c corpusCase) bool { return ordering.MatchString(c.src) },
 	'd': func(c corpusCase) bool {
 		_, err := expr.Compile(c.src)
 		return err != nil && (strings.Contains(err.Error(), "function") || strings.Contains(err.Error(), "argument"))
@@ -416,6 +420,8 @@ var (
 	// and hold no dot; no other variable starts with n).
 	nullOperand = regexp.MustCompile(`(?i)\b(null|n[ifsbvt])\b`)
 	upperName   = regexp.MustCompile(`\b[A-Z][A-Z0-9.]*\b`)
+	// ordering: a comparison, or a min or max call.
+	ordering = regexp.MustCompile(`[<>=]|\b(min|max)\(`)
 )
 
 // TestExprCorpus replays the recorded cases through both users.

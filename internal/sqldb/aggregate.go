@@ -44,10 +44,10 @@ package sqldb
 // path, which merges per-morsel partials, declines them.
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"sort"
-	"strconv"
 
 	"perfbase/internal/value"
 )
@@ -88,9 +88,9 @@ type keyKind uint8
 
 const (
 	keyNone      keyKind = iota // no GROUP BY: one implicit group
-	keyNum                      // one numeric or boolean column: the value's bits
-	keyStr                      // one string or version column: the string datum
-	keyComposite                // anything else: every key's appendKeyPart encoding
+	keyNum                      // one numeric or boolean column: the datum, a Float's value.FloatBits
+	keyStr                      // one string column: the string datum
+	keyComposite                // anything else: every key's value.AppendKey part
 )
 
 // typeAny is aggSpec.typ for an argument that is not a plain column:
@@ -178,7 +178,7 @@ type acc struct {
 type accExt struct {
 	m2   float64         // VARIANCE, STDDEV: sum of squared deviations from the running mean
 	vals []float64       // MEDIAN: every input
-	seen map[string]bool // DISTINCT: inputs already folded in
+	seen map[string]bool // DISTINCT: the value.AppendKey keys of the inputs already folded in
 	v    value.Value     // MIN, MAX over values without an unboxed order
 	// flag: SUM saw an input that is not an Integer (the result is then
 	// the float sum); GEOMEAN saw a non-positive one (the result is NULL).
@@ -193,8 +193,9 @@ func (a *acc) ext() *accExt {
 }
 
 // The typed steps below are shared by add and the batch kernels, so a
-// kernel cannot drift from the scalar definition. A NaN never compares
-// less or greater: the earlier value stays, as under value.Compare.
+// kernel cannot drift from the scalar definition. They order as
+// value.Compare does: a NaN is the least float, and of two equal values
+// (−0 and 0) the earlier stays.
 
 func (a *acc) minInt(x int64) {
 	if a.n == 0 || x < a.i {
@@ -211,14 +212,14 @@ func (a *acc) maxInt(x int64) {
 }
 
 func (a *acc) minFloat(x float64) {
-	if a.n == 0 || x < a.f {
+	if a.n == 0 || cmp.Less(x, a.f) {
 		a.f = x
 	}
 	a.n++
 }
 
 func (a *acc) maxFloat(x float64) {
-	if a.n == 0 || x > a.f {
+	if a.n == 0 || cmp.Less(a.f, x) {
 		a.f = x
 	}
 	a.n++
@@ -251,11 +252,12 @@ func (a *acc) add(sp *aggSpec, v *value.Value) error {
 		if x.seen == nil {
 			x.seen = map[string]bool{}
 		}
-		k := indexKey(*v)
-		if x.seen[k] {
+		var kb [16]byte
+		k := value.AppendKey(kb[:0], *v)
+		if x.seen[string(k)] {
 			return nil
 		}
-		x.seen[k] = true
+		x.seen[string(k)] = true
 	}
 	if sp.op == opMin || sp.op == opMax {
 		isMin := sp.op == opMin
@@ -450,7 +452,7 @@ func (a *acc) merge(op aggOp, b *acc) {
 		if b.i < a.i {
 			a.i = b.i
 		}
-		if b.f < a.f {
+		if cmp.Less(b.f, a.f) {
 			a.f = b.f
 		}
 		if b.s < a.s {
@@ -460,7 +462,7 @@ func (a *acc) merge(op aggOp, b *acc) {
 		if b.i > a.i {
 			a.i = b.i
 		}
-		if b.f > a.f {
+		if cmp.Less(a.f, b.f) {
 			a.f = b.f
 		}
 		if b.s > a.s {
@@ -748,69 +750,23 @@ func (t *groupTable) byBytes(k []byte) (gi int32, fresh bool) {
 	return t.byStr(string(k))
 }
 
-// numGroupKey maps a non-NULL numeric (or boolean) grouping value to
-// its exact uint64 key: the float bit pattern or the integer datum.
-func numGroupKey(v *value.Value) uint64 {
-	if v.Type() == value.Float {
-		return math.Float64bits(v.Float())
-	}
-	return uint64(v.Int())
-}
-
-// A composite group key is the concatenation of its parts, each a
-// grouping value's indexKey form, byte for byte, and a separator. The
-// appendKey* functions are the one definition of that encoding: a row's
-// values and a vector's elements both go through them, so group
-// identity cannot differ between engines. Keys are built in a reused
-// buffer; nothing is allocated per row.
-
-func appendKeyNull(dst []byte) []byte { return append(dst, "\x00NULL\x1f"...) }
-
-func appendKeyInt(dst []byte, x int64) []byte {
-	return append(strconv.AppendInt(dst, x, 10), '\x1f')
-}
-
-func appendKeyFloat(dst []byte, x float64) []byte {
-	return append(strconv.AppendFloat(dst, x, 'g', -1, 64), '\x1f')
-}
-
-func appendKeyBool(dst []byte, x bool) []byte {
-	return append(strconv.AppendBool(dst, x), '\x1f')
-}
-
-func appendKeyStr(dst []byte, x string) []byte { return append(append(dst, x...), '\x1f') }
-
-// appendKeyPart appends the key part of a boxed value.
-func appendKeyPart(dst []byte, v value.Value) []byte {
-	switch {
-	case v.IsNull():
-		return appendKeyNull(dst)
-	case v.Type() == value.Integer:
-		return appendKeyInt(dst, v.Int())
-	case v.Type() == value.Float:
-		return appendKeyFloat(dst, v.Float())
-	case v.Type() == value.Boolean:
-		return appendKeyBool(dst, v.Bool())
-	case v.Type() == value.String, v.Type() == value.Version:
-		return appendKeyStr(dst, v.Str())
-	}
-	return appendKeyStr(dst, v.String())
-}
-
-// appendKeyPart appends the key part of row i of the vector; a negative
-// i reads as NULL.
-func (v *colVec) appendKeyPart(dst []byte, i int) []byte {
+// appendKey appends the value.AppendKey part of row i of the vector,
+// through the appender of its class, so that an element and its boxed
+// value key alike without boxing; a negative i reads as NULL.
+func (v *colVec) appendKey(dst []byte, i int) []byte {
 	switch {
 	case i < 0 || v.null(i):
-		return appendKeyNull(dst)
+		return value.AppendNullKey(dst)
 	case v.typ == value.Integer:
-		return appendKeyInt(dst, v.ints[i])
+		return value.AppendIntKey(dst, v.ints[i])
 	case v.typ == value.Float:
-		return appendKeyFloat(dst, v.floats[i])
+		return value.AppendFloatKey(dst, v.floats[i])
 	case v.typ == value.Boolean:
-		return appendKeyBool(dst, v.ints[i] != 0)
+		return value.AppendBoolKey(dst, v.ints[i] != 0)
+	case v.typ == value.Version:
+		return value.AppendVersionKey(dst, v.strs[i])
 	}
-	return appendKeyStr(dst, v.strs[i])
+	return value.AppendStringKey(dst, v.strs[i])
 }
 
 // add folds one row into its group, which the plan's key over the row
@@ -838,8 +794,10 @@ func (t *groupTable) add(row, state Row) error {
 		switch kv := &row[p.keyCols[0]]; {
 		case kv.IsNull():
 			gi, fresh = t.byNull()
+		case p.keyKind == keyNum && kv.Type() == value.Float:
+			gi, fresh = t.byNum(value.FloatBits(kv.Float()))
 		case p.keyKind == keyNum:
-			gi, fresh = t.byNum(numGroupKey(kv))
+			gi, fresh = t.byNum(uint64(kv.Int()))
 		default:
 			gi, fresh = t.byStr(kv.Str())
 		}
@@ -850,7 +808,7 @@ func (t *groupTable) add(row, state Row) error {
 			if err != nil {
 				return err
 			}
-			t.kbuf = appendKeyPart(t.kbuf, kv)
+			t.kbuf = value.AppendKey(t.kbuf, kv)
 		}
 		gi, fresh = t.byBytes(t.kbuf)
 	}
@@ -941,7 +899,7 @@ func (t *groupTable) addBatch(b aggBatch, gids []int32) {
 			case i < 0 || kv.null(int(i)):
 				gi, fresh = t.byNull()
 			case kv.typ == value.Float:
-				gi, fresh = t.byNum(math.Float64bits(kv.floats[i]))
+				gi, fresh = t.byNum(value.FloatBits(kv.floats[i]))
 			default:
 				gi, fresh = t.byNum(uint64(kv.ints[i]))
 			}
@@ -986,7 +944,7 @@ func (t *groupTable) addBatch(b aggBatch, gids []int32) {
 		for j := 0; j < n; j++ {
 			t.kbuf = t.kbuf[:0]
 			for _, k := range keys {
-				t.kbuf = k.v.appendKeyPart(t.kbuf, int(k.pos[j]))
+				t.kbuf = k.v.appendKey(t.kbuf, int(k.pos[j]))
 			}
 			gi, fresh := t.byBytes(t.kbuf)
 			assign(j, gi, fresh)

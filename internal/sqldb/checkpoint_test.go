@@ -981,7 +981,7 @@ func FuzzCheckpointRoundTrip(f *testing.F) {
 				key := ft.rows[0][ft.indexed]
 				n := 0
 				for _, r := range ft.rows {
-					if indexKey(r[ft.indexed]) == indexKey(key) {
+					if value.Compare(r[ft.indexed], key) == 0 {
 						n++
 					}
 				}

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -305,13 +306,14 @@ var (
 // colLitFn compares a row's column with a literal in place, the shape of
 // nearly every filter, and answers null, yes or no: boxed Values for the
 // row back end, plain booleans for rowFilter. The literal is unpacked
-// once; the numeric classes compare without a call.
+// once; a Float against a number that is a Float exactly, and an
+// Integer against an Integer, compare without a call.
 func colLitFn[R any](col int, lit value.Value, ok [3]bool, null, yes, no R) func(*execCtx) (R, error) {
 	if lit.IsNull() {
 		return func(*execCtx) (R, error) { return null, nil }
 	}
-	isInt, num := lit.Type() == value.Integer, lit.Type().Numeric()
-	litI, litF := lit.Int(), lit.Float()
+	isInt, litI, litF := lit.Type() == value.Integer, lit.Int(), lit.Float()
+	exactF := lit.Type().Numeric() && !inexactFloat(lit)
 	return func(ctx *execCtx) (R, error) {
 		c := &ctx.row[col]
 		if c.IsNull() {
@@ -320,9 +322,9 @@ func colLitFn[R any](col int, lit value.Value, ok [3]bool, null, yes, no R) func
 		var cv int
 		switch t := c.Type(); {
 		case isInt && t == value.Integer:
-			cv = cmp3(c.Int(), litI)
-		case num && t.Numeric():
-			cv = cmp3(c.Float(), litF)
+			cv = cmp.Compare(c.Int(), litI)
+		case exactF && t == value.Float:
+			cv = cmp.Compare(c.Float(), litF)
 		default:
 			cv = value.ComparePtr(c, &lit)
 		}
@@ -635,7 +637,9 @@ func compileBranch(st *SelectStmt, ec *evalCtx) (*compiledSelect, *texpr, error)
 		p.keyKind, p.keyCols = keyComposite, nil
 	case len(p.keyCols) > 1:
 		p.keyKind = keyComposite
-	case src[p.keyCols[0]].Type == value.String || src[p.keyCols[0]].Type == value.Version:
+	case src[p.keyCols[0]].Type == value.Version:
+		p.keyKind = keyComposite // a version's string is not its key
+	case src[p.keyCols[0]].Type == value.String:
 		p.keyKind = keyStr
 	default:
 		p.keyKind = keyNum

@@ -44,13 +44,16 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"perfbase/internal/sqldb"
 	"perfbase/internal/sqldb/wire"
+	"perfbase/internal/value"
 )
 
 // mrow is the reference model's row: the fuzz schema is fixed as
@@ -87,6 +90,7 @@ type diffState struct {
 	// join-table mirror; mutated only outside transactions so ROLLBACK
 	// never needs to restore it.
 	jmodel  []jrow
+	xmodel  [][]value.Value // the equality table x, filled at the end
 	inTxn   bool
 	scale   int64 // what an operand byte is multiplied by to give a v
 	nextK   int64
@@ -886,6 +890,162 @@ func (s *diffState) checkUnionRejected(which byte) {
 	}
 }
 
+// xPool holds, per column of the equality table x (a string, b string,
+// f float, ts timestamp), the edges of value.Compare's equality: strings
+// holding the bytes a separator-joined display key used, NaN, ±0, 1e6
+// against 1000000, −Inf, two instants 0.5 s apart and one instant in two
+// zones. NULL is the first of each.
+var xPool = [4][]value.Value{
+	{value.Null(value.String), value.NewString("a\x1f"), value.NewString("a"), value.NewString("\x1fb"),
+		value.NewString("b"), value.NewString("\x00NULL"), value.NewString("z"), value.NewString("")},
+	{value.Null(value.String), value.NewString("b"), value.NewString("\x1fb"), value.NewString("z")},
+	{value.Null(value.Float), value.NewFloat(1e6), value.NewInt(1000000), value.NewFloat(math.Copysign(0, -1)),
+		value.NewFloat(0), value.NewFloat(math.NaN()), value.NewFloat(0.5), value.NewFloat(math.Inf(-1))},
+	{value.Null(value.Timestamp), value.NewTimestamp(time.Date(2004, 11, 23, 18, 30, 30, 0, time.UTC)),
+		value.NewTimestamp(time.Date(2004, 11, 23, 18, 30, 30, 5e8, time.UTC)),
+		value.NewTimestamp(time.Date(2004, 11, 23, 19, 30, 30, 0, time.FixedZone("", 3600)))},
+}
+
+// xLit is v as an SQL literal that inserts v itself: a float without a
+// literal of its own (NaN, ±Inf, −0) is a CAST of its text.
+func xLit(v value.Value) string {
+	if f := v.Float(); v.Type() == value.Float && !v.IsNull() && (f != f || math.IsInf(f, 0) || f == 0 && math.Signbit(f)) {
+		return "CAST('" + strconv.FormatFloat(f, 'g', -1, 64) + "' AS FLOAT)"
+	}
+	return v.SQL()
+}
+
+// fillX inserts into x one row per input byte (up to 12), each column
+// drawn from xPool by bits of the byte, and indexes f and a when the
+// first byte is odd, so that WHERE probes go through the hash index.
+// An Integer drawn for f is stored as the Float it converts to.
+func (s *diffState) fillX(data []byte) {
+	s.exec("CREATE TABLE x (a string, b string, f float, ts timestamp)")
+	if len(data) > 0 && data[0]%2 == 1 {
+		s.exec("CREATE INDEX ON x (f)")
+		s.exec("CREATE INDEX ON x (a)")
+	}
+	for i := 0; i < len(data) && i < 12; i++ {
+		b := data[len(data)-1-i]
+		row := []value.Value{xPool[0][b%8], xPool[1][b>>3%4], xPool[2][b>>5%8], xPool[3][(b+byte(i))%4]}
+		lits := make([]string, len(row))
+		for c, v := range row {
+			lits[c] = xLit(v)
+		}
+		s.exec("INSERT INTO x VALUES (" + strings.Join(lits, ", ") + ")")
+		row[2], _ = row[2].Convert(value.Float)
+		s.xmodel = append(s.xmodel, row)
+	}
+}
+
+// xGroups is the model of GROUP BY (and DISTINCT) over x's columns cols:
+// the first row of each group of rows whose columns compare equal under
+// value.Compare, pairwise — never through a key — with its row count,
+// in first-seen order.
+func (s *diffState) xGroups(cols ...int) (reps [][]value.Value, counts []int64) {
+next:
+	for _, r := range s.xmodel {
+		for g, rep := range reps {
+			if !slices.ContainsFunc(cols, func(c int) bool { return value.Compare(r[c], rep[c]) != 0 }) {
+				counts[g]++
+				continue next
+			}
+		}
+		reps, counts = append(reps, r), append(counts, 1)
+	}
+	return reps, counts
+}
+
+// checkXRows requires sql's rows to be want's, cell by cell in SQL form
+// (which tells −0 from 0, NaN from NULL and instants 0.5 s apart).
+func (s *diffState) checkXRows(sql string, want [][]value.Value) {
+	res := s.query(sql)
+	if len(res.Rows) != len(want) {
+		s.t.Fatalf("%q: %d rows, want %d\nengine: %v\nmodel: %v", sql, len(res.Rows), len(want), res.Rows, want)
+	}
+	for i, w := range want {
+		for c := range w {
+			if got := res.Rows[i][c]; got.SQL() != w[c].SQL() {
+				s.t.Fatalf("%q: row %d column %d = %s, want %s\nengine: %v\nmodel: %v", sql, i, c, got.SQL(), w[c].SQL(), res.Rows, want)
+			}
+		}
+	}
+}
+
+// checkX cross-checks x: a composite GROUP BY, SELECT DISTINCT,
+// single-column GROUP BY on f and on ts (ordered: NaN sorts first),
+// COUNT(DISTINCT), WHERE equalities the index may serve, and two-key
+// self-joins, inner and left.
+func (s *diffState) checkX() {
+	// grouped is the rows of groups reps projected to cols, with their
+	// counts unless counts is nil.
+	grouped := func(reps [][]value.Value, counts []int64, cols ...int) [][]value.Value {
+		out := make([][]value.Value, len(reps))
+		for g, r := range reps {
+			for _, c := range cols {
+				out[g] = append(out[g], r[c])
+			}
+			if counts != nil {
+				out[g] = append(out[g], value.NewInt(counts[g]))
+			}
+		}
+		return out
+	}
+	reps, counts := s.xGroups(0, 1)
+	s.checkXRows("SELECT a, b, COUNT(*) FROM x GROUP BY a, b", grouped(reps, counts, 0, 1))
+	s.checkXRows("SELECT DISTINCT a, b FROM x", grouped(reps, nil, 0, 1))
+	for _, c := range []int{2, 3} {
+		name := [...]string{"a", "b", "f", "ts"}[c]
+		reps, counts := s.xGroups(c)
+		rows := grouped(reps, counts, c)
+		slices.SortStableFunc(rows, func(p, q []value.Value) int { return value.Compare(p[0], q[0]) })
+		s.checkXRows(fmt.Sprintf("SELECT %[1]s, COUNT(*) FROM x GROUP BY %[1]s ORDER BY %[1]s", name), rows)
+		distinct := int64(len(reps))
+		if slices.ContainsFunc(reps, func(r []value.Value) bool { return r[c].IsNull() }) {
+			distinct--
+		}
+		s.checkXRows(fmt.Sprintf("SELECT COUNT(DISTINCT %s) FROM x", name), [][]value.Value{{value.NewInt(distinct)}})
+	}
+	for _, w := range []struct {
+		col int
+		lit value.Value
+	}{{2, value.NewInt(0)}, {2, value.NewInt(1000000)}, {2, value.NewFloat(0.5)}, {0, value.NewString("a")}} {
+		n := int64(0)
+		for _, r := range s.xmodel {
+			if !r[w.col].IsNull() && value.Compare(r[w.col], w.lit) == 0 {
+				n++
+			}
+		}
+		name := [...]string{"a", "b", "f", "ts"}[w.col]
+		s.checkXRows(fmt.Sprintf("SELECT COUNT(*) FROM x WHERE %s = %s", name, w.lit.SQL()), [][]value.Value{{value.NewInt(n)}})
+	}
+	for _, keys := range [][2]int{{0, 1}, {0, 2}, {2, 3}, {1, 3}} {
+		for _, left := range []bool{false, true} {
+			n := int64(0)
+			for _, p := range s.xmodel {
+				m := int64(0)
+				for _, q := range s.xmodel {
+					if !slices.ContainsFunc(keys[:], func(c int) bool {
+						return p[c].IsNull() || q[c].IsNull() || value.Compare(p[c], q[c]) != 0
+					}) {
+						m++
+					}
+				}
+				if m == 0 && left {
+					m = 1
+				}
+				n += m
+			}
+			kind, names := "JOIN", [...]string{"a", "b", "f", "ts"}
+			if left {
+				kind = "LEFT JOIN"
+			}
+			sql := fmt.Sprintf("SELECT COUNT(*) FROM x p %s x q ON p.%s = q.%[2]s AND q.%[3]s = p.%[3]s", kind, names[keys[0]], names[keys[1]])
+			s.checkXRows(sql, [][]value.Value{{value.NewInt(n)}})
+		}
+	}
+}
+
 // FuzzSQLDifferential interprets the fuzz input as a program over the
 // fixed schema and cross-checks every query against all four oracles.
 func FuzzSQLDifferential(f *testing.F) {
@@ -1098,5 +1258,11 @@ func FuzzSQLDifferential(f *testing.F) {
 		s.checkJoinCount(false, false, nil)
 		s.checkJoinRows(true)
 		s.checkJoinGroupBy()
+		if s.inTxn {
+			s.exec("COMMIT")
+			s.inTxn = false
+		}
+		s.fillX(data)
+		s.checkX()
 	})
 }

@@ -23,19 +23,6 @@ func singleChunk(schema Schema, rows []Row) *relation {
 	return &relation{schema: schema, chunks: [][]Row{rows}, nrows: len(rows)}
 }
 
-// flat returns all rows as one slice, copying only when the relation
-// has more than one chunk.
-func (r *relation) flat() []Row {
-	if len(r.chunks) == 1 {
-		return r.chunks[0]
-	}
-	out := make([]Row, 0, r.nrows)
-	for _, ch := range r.chunks {
-		out = append(out, ch...)
-	}
-	return out
-}
-
 // scanSchema derives the schema a table contributes to a SELECT,
 // qualifying columns with the alias (or table name).
 func (sn *snapshot) scanSchema(fi fromItem) (Schema, error) {
@@ -90,32 +77,52 @@ func (sn *snapshot) scanQualified(fi fromItem) (*relation, error) {
 	return rel, err
 }
 
-// crossJoin combines two relations with no condition.
-func crossJoin(a, b *relation) *relation {
-	rows := make([]Row, 0, a.nrows*b.nrows)
-	for _, ca := range a.chunks {
-		for _, ra := range ca {
-			for _, cb := range b.chunks {
-				for _, rb := range cb {
-					row := make(Row, 0, len(ra)+len(rb))
-					row = append(row, ra...)
-					row = append(row, rb...)
-					rows = append(rows, row)
-				}
-			}
-		}
-	}
-	return singleChunk(append(a.schema.clone(), b.schema...), rows)
+// joinKeys is an ON condition as a hash join runs it: l and r pair
+// the columns of its col = col conjuncts that name one column of each
+// side, of one key class (sameKeyClass); filtered says other conjuncts
+// remain, which every key-matched pair must also pass.
+type joinKeys struct {
+	l, r     []int
+	filtered bool
 }
 
-// hashJoinCols resolves an ON condition to one column offset on each
-// side of a join. ok is false when the condition is not an equality of
-// two plain column references, or when the two references do not land
-// one on each side — e.g. ON a.x = a.y names the left side twice — in
-// which case the caller must use the nested-loop path.
-func hashJoinCols(on sqlExpr, a, b Schema) (li, ri int, ok bool) {
-	be, isBin := on.(*binExpr)
-	if !isBin || be.Op != "=" {
+// hashJoinCols splits an ON condition, a conjunction, into join keys
+// and the rest. ok is false when no conjunct is a key, or when the
+// condition has more than keys and may fail, which the nested loop,
+// evaluating it on every pair, would raise: the caller must then take
+// that loop. A cross-class pair compares by display form
+// (value.Compare), which no key encodes, so it stays a filter.
+func hashJoinCols(on sqlExpr, a, b Schema) (k joinKeys, ok bool) {
+	aec, bec := newEvalCtx(a), newEvalCtx(b)
+	defer func() { aec.free(); bec.free() }()
+	var split func(e sqlExpr)
+	split = func(e sqlExpr) {
+		be, _ := e.(*binExpr)
+		if l, r, is := keyPair(be, aec, bec); is && sameKeyClass(a[l].Type, b[r].Type) {
+			k.l, k.r = append(k.l, l), append(k.r, r)
+		} else if be != nil && be.Op == "and" {
+			split(be.L)
+			split(be.R)
+		} else {
+			k.filtered = true
+		}
+	}
+	split(on)
+	if len(k.l) == 0 {
+		return k, false
+	}
+	if k.filtered {
+		jec := newEvalCtx(append(a.clone(), b...))
+		defer jec.free()
+		return k, jec.typed(on).total
+	}
+	return k, true
+}
+
+// keyPair resolves be, when it is an equality of two column references,
+// to one column of each side, in either operand order.
+func keyPair(be *binExpr, aec, bec *evalCtx) (l, r int, ok bool) {
+	if be == nil || be.Op != "=" {
 		return 0, 0, false
 	}
 	lc, lok := be.L.(*colExpr)
@@ -123,92 +130,89 @@ func hashJoinCols(on sqlExpr, a, b Schema) (li, ri int, ok bool) {
 	if !lok || !rok {
 		return 0, 0, false
 	}
-	aec := newEvalCtx(a)
-	bec := newEvalCtx(b)
-	if l, err := aec.lookup(lc.Table, lc.Name); err == nil {
-		if r, rerr := bec.lookup(rc.Table, rc.Name); rerr == nil {
-			return l, r, true
-		}
-	}
-	// Swapped operand order: ON right.col = left.col.
-	if l, err := aec.lookup(rc.Table, rc.Name); err == nil {
-		if r, rerr := bec.lookup(lc.Table, lc.Name); rerr == nil {
+	for _, p := range [2][2]*colExpr{{lc, rc}, {rc, lc}} {
+		l, lerr := aec.lookup(p[0].Table, p[0].Name)
+		r, rerr := bec.lookup(p[1].Table, p[1].Name)
+		if lerr == nil && rerr == nil {
 			return l, r, true
 		}
 	}
 	return 0, 0, false
 }
 
-// join applies an INNER or LEFT join with an ON condition. Equi-joins
-// with one column reference per side take a hash-join fast path;
-// anything else — including same-side conditions like ON a.x = a.y —
-// uses a nested loop with a compiled condition.
+// sameKeyClass reports whether values of types a and b compare equal
+// exactly when their value.AppendKey keys are equal: the numbers form
+// one class, every other type its own.
+func sameKeyClass(a, b value.Type) bool { return a == b || a.Numeric() && b.Numeric() }
+
+// appendJoinKey appends the key of row's columns cols; ok is false when
+// one is NULL, which never equi-joins.
+func appendJoinKey(dst []byte, row Row, cols []int) (key []byte, ok bool) {
+	for _, ci := range cols {
+		if row[ci].IsNull() {
+			return dst, false
+		}
+		dst = value.AppendKey(dst, row[ci])
+	}
+	return dst, true
+}
+
+// join applies an INNER or LEFT join with an ON condition, or with a
+// nil one a cross join: a hash join on the value.AppendKey encoding of
+// the condition's keys (hashJoinCols), filtering each key-matched pair by
+// the whole condition when it has more than keys. Without keys — a
+// cross-class or same-side condition like ON a.x = a.y, or one that may
+// fail — every pair shares the one empty key and the condition filters
+// them all: the nested loop. Either way a left row's matches come in
+// right-side order.
 func join(a, b *relation, on sqlExpr, left bool) (*relation, error) {
 	schema := append(a.schema.clone(), b.schema...)
-	var rows []Row
-
-	if li, ri, ok := hashJoinCols(on, a.schema, b.schema); ok {
-		ht := make(map[string][]Row, b.nrows)
-		for _, cb := range b.chunks {
-			for _, rb := range cb {
-				if rb[ri].IsNull() {
-					continue // NULL never equi-joins; don't carry dead buckets
-				}
-				k := indexKey(rb[ri])
-				ht[k] = append(ht[k], rb)
-			}
+	var k joinKeys // a cross join's: every pair, unfiltered
+	if on != nil {
+		var hashed bool
+		if k, hashed = hashJoinCols(on, a.schema, b.schema); !hashed {
+			k = joinKeys{filtered: true}
 		}
-		width := len(schema)
-		rows = make([]Row, 0, a.nrows)
-		for _, ca := range a.chunks {
-			for _, ra := range ca {
-				var matches []Row
-				if !ra[li].IsNull() {
-					matches = ht[indexKey(ra[li])]
-				}
-				if len(matches) == 0 && left {
-					row := make(Row, 0, width)
-					row = append(row, ra...)
-					for _, c := range b.schema {
-						row = append(row, value.Null(c.Type))
-					}
-					rows = append(rows, row)
-					continue
-				}
-				for _, rb := range matches {
-					row := make(Row, 0, width)
-					row = append(row, ra...)
-					row = append(row, rb...)
-					rows = append(rows, row)
-				}
-			}
-		}
-		return singleChunk(schema, rows), nil
 	}
-
-	cond := newEvalCtx(schema).compile(on)
+	var cond compiledExpr
+	if k.filtered {
+		cond = newEvalCtx(schema).compile(on)
+	}
+	ht := make(map[string][]Row)
+	var kb []byte
+	for _, cb := range b.chunks {
+		for _, rb := range cb {
+			var ok bool
+			if kb, ok = appendJoinKey(kb[:0], rb, k.r); ok {
+				ht[string(kb)] = append(ht[string(kb)], rb)
+			}
+		}
+	}
 	ctx := &execCtx{}
-	brows := b.flat()
+	rows := make([]Row, 0, a.nrows)
 	for _, ca := range a.chunks {
 		for _, ra := range ca {
+			var matches []Row
+			var ok bool
+			if kb, ok = appendJoinKey(kb[:0], ra, k.l); ok {
+				matches = ht[string(kb)]
+			}
 			matched := false
-			for _, rb := range brows {
-				row := make(Row, 0, len(schema))
-				row = append(row, ra...)
-				row = append(row, rb...)
-				ctx.row = row
-				v, err := cond(ctx)
-				if err != nil {
-					return nil, err
+			for _, rb := range matches {
+				row := append(append(make(Row, 0, len(schema)), ra...), rb...)
+				if k.filtered {
+					ctx.row = row
+					if v, err := cond(ctx); err != nil {
+						return nil, err
+					} else if !boolTrue(v) {
+						continue
+					}
 				}
-				if boolTrue(v) {
-					rows = append(rows, row)
-					matched = true
-				}
+				rows = append(rows, row)
+				matched = true
 			}
 			if left && !matched {
-				row := make(Row, 0, len(schema))
-				row = append(row, ra...)
+				row := append(make(Row, 0, len(schema)), ra...)
 				for _, c := range b.schema {
 					row = append(row, value.Null(c.Type))
 				}
@@ -246,45 +250,54 @@ func equalityCandidates(e sqlExpr, out map[string]value.Value) {
 	}
 }
 
-// indexedScan serves a single-table FROM through a hash index when the
-// WHERE clause pins an indexed column to a literal. The full WHERE
-// still runs afterwards, so this is purely a row pre-filter. A nil
-// relation means no index serves the query.
-func (sn *snapshot) indexedScan(fi fromItem, where sqlExpr) (*relation, error) {
-	t, ok := sn.table(fi.Table)
-	if !ok || where == nil || !t.indexed() {
-		return nil, nil
+// indexProbe finds a conjunct of where that pins an indexed column of t
+// to a literal of the column's key class, which the column's hash index
+// answers; a literal of another class compares by display form
+// (value.Compare), which no key encodes, and leaves the scan full.
+func indexProbe(t *table, where sqlExpr) (col string, key value.Value, ok bool) {
+	if where == nil || !t.indexed() {
+		return "", key, false
 	}
 	cands := map[string]value.Value{}
 	equalityCandidates(where, cands)
 	for col, v := range cands {
-		ci := t.schema.Index(col)
-		if ci < 0 || !t.hasIndex(col) {
-			continue
+		if ci := t.schema.Index(col); ci >= 0 && t.hasIndex(col) && sameKeyClass(v.Type(), t.schema[ci].Type) {
+			return col, v, true
 		}
-		cv, err := v.Convert(t.schema[ci].Type)
-		if err != nil {
-			continue
-		}
-		idx, err := t.index(col)
-		if err != nil {
-			return nil, err
-		}
-		positions := idx.lookup(cv)
-		rows := make([]Row, len(positions))
-		for i, pos := range positions {
-			rows[i] = t.rowAt(pos)
-		}
-		if sn.reads != nil {
-			// A point read joins the read set as a probe, not a full
-			// scan: commit validation re-probes the key and passes if
-			// the matched rows are unchanged, so transactions touching
-			// different keys of the same table don't conflict.
-			sn.reads.addPoint(lower(fi.Table), pointRead{col: col, key: cv, fp: fingerprintRows(rows)})
-		}
-		return singleChunk(nil, rows), nil
 	}
-	return nil, nil
+	return "", key, false
+}
+
+// indexedScan serves a single-table FROM through a hash index when the
+// WHERE clause pins an indexed column to a literal (indexProbe). The
+// full WHERE still runs afterwards, so this is purely a row pre-filter.
+// A nil relation means no index serves the query.
+func (sn *snapshot) indexedScan(fi fromItem, where sqlExpr) (*relation, error) {
+	t, ok := sn.table(fi.Table)
+	if !ok {
+		return nil, nil
+	}
+	col, cv, ok := indexProbe(t, where)
+	if !ok {
+		return nil, nil
+	}
+	idx, err := t.index(col)
+	if err != nil {
+		return nil, err
+	}
+	positions := idx.lookup(cv)
+	rows := make([]Row, len(positions))
+	for i, pos := range positions {
+		rows[i] = t.rowAt(pos)
+	}
+	if sn.reads != nil {
+		// A point read joins the read set as a probe, not a full
+		// scan: commit validation re-probes the key and passes if
+		// the matched rows are unchanged, so transactions touching
+		// different keys of the same table don't conflict.
+		sn.reads.addPoint(lower(fi.Table), pointRead{col: col, key: cv, fp: fingerprintRows(rows)})
+	}
+	return singleChunk(nil, rows), nil
 }
 
 // execSelect runs a SELECT against this snapshot, compiling a fresh
@@ -320,7 +333,9 @@ func (sn *snapshot) sourceRelation(st *SelectStmt) (*relation, error) {
 		if err != nil {
 			return nil, err
 		}
-		rel = crossJoin(rel, r2)
+		if rel, err = join(rel, r2, nil, false); err != nil {
+			return nil, err
+		}
 	}
 	for _, jc := range st.Joins {
 		r2, err := sn.scanQualified(jc.Right)
@@ -496,10 +511,14 @@ func (p *compiledSelect) finish(st *SelectStmt, outRows []Row, reps []Row, aggVs
 	if st.Distinct {
 		seen := map[string]bool{}
 		kept := outRows[:0:0]
+		var k []byte
 		for _, row := range outRows {
-			k := rowKey(row)
-			if !seen[k] {
-				seen[k] = true
+			k = k[:0]
+			for _, v := range row {
+				k = value.AppendKey(k, v)
+			}
+			if !seen[string(k)] {
+				seen[string(k)] = true
 				kept = append(kept, row)
 			}
 		}
@@ -677,13 +696,4 @@ func itoa(n int) string {
 		b[i] = '-'
 	}
 	return string(b[i:])
-}
-
-func rowKey(row Row) string {
-	var sb strings.Builder
-	for _, v := range row {
-		sb.WriteString(indexKey(v))
-		sb.WriteByte('\x1f')
-	}
-	return sb.String()
 }

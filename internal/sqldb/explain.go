@@ -155,7 +155,7 @@ func (db *DB) explainBranch(sn *snapshot, q *SelectStmt, p *compiledSelect, gene
 			if jc.Left {
 				kind = "left outer"
 			}
-			if _, _, ok := hashJoinCols(jc.On, acc, rs); !ok {
+			if _, ok := hashJoinCols(jc.On, acc, rs); !ok {
 				add("%s nested-loop join with %s", kind, name(jc.Right))
 			} else if jp != nil {
 				lt, lok := sn.table(jp.leftKey)
@@ -324,15 +324,9 @@ func (db *DB) explainBlocks(t *table, vp *vecPlan, ms []morsel) string {
 // rows, returning the probed column.
 func (sn *snapshot) explainIndexProbe(fi fromItem, where sqlExpr) (string, bool) {
 	t, ok := sn.table(fi.Table)
-	if !ok || where == nil || !t.indexed() {
+	if !ok {
 		return "", false
 	}
-	cands := map[string]value.Value{}
-	equalityCandidates(where, cands)
-	for col := range cands {
-		if t.hasIndex(col) && t.schema.Index(col) >= 0 {
-			return col, true
-		}
-	}
-	return "", false
+	col, _, ok := indexProbe(t, where)
+	return col, ok
 }

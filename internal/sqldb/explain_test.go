@@ -58,6 +58,22 @@ func TestExplainJoins(t *testing.T) {
 	if !strings.Contains(p, "cross join of 2 tables") {
 		t.Errorf("cross join plan:\n%s", p)
 	}
+	// Fig. 8's relate: every col = col conjunct of one key class is a key.
+	mustExec(t, db, "CREATE TABLE a (op string, S_chunk integer, s string)")
+	mustExec(t, db, "CREATE TABLE b (op string, S_chunk float, s string)")
+	for on, want := range map[string]string{
+		"a.op = b.op AND a.S_chunk = b.S_chunk":                "inner hash join with b",
+		"a.op = b.op AND b.S_chunk = a.S_chunk AND a.s <> 'x'": "inner hash join with b",
+		"a.op = b.op AND a.S_chunk = b.s":                      "inner hash join with b",
+		"a.S_chunk = b.s":                                      "inner nested-loop join with b",
+		"a.op = b.op AND a.S_chunk / b.S_chunk > 0":            "inner nested-loop join with b",
+		"a.op = b.op AND a.op = a.s":                           "inner hash join with b",
+		"a.op = b.op OR a.S_chunk = b.S_chunk":                 "inner nested-loop join with b",
+	} {
+		if p := plan(t, db, "EXPLAIN SELECT COUNT(*) FROM a JOIN b ON "+on); !strings.Contains(p, want) {
+			t.Errorf("ON %s: want %q, plan:\n%s", on, want, p)
+		}
+	}
 }
 
 func TestExplainPipelineSteps(t *testing.T) {

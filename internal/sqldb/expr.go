@@ -23,7 +23,6 @@ package sqldb
 // back end raises.
 
 import (
-	"cmp"
 	"container/list"
 	"math"
 	"regexp"
@@ -334,19 +333,6 @@ var cmpOps = map[string][3]bool{
 	"=": {false, true, false}, "<>": {true, false, true},
 	"<": {true, false, false}, "<=": {true, true, false},
 	">": {false, false, true}, ">=": {false, true, true},
-}
-
-// cmp3 is value.Compare over two datums of one class with an unboxed
-// order: -1, 0 or 1, and 0 when neither is less — which makes a float
-// NaN equal to everything, as value.Compare does.
-func cmp3[T cmp.Ordered](a, b T) int {
-	switch {
-	case a < b:
-		return -1
-	case a > b:
-		return 1
-	}
-	return 0
 }
 
 // cmpColLit reports whether n compares a column with a literal; ok is

@@ -139,7 +139,18 @@ func TestZoneNeverPrunesAMatch(t *testing.T) {
 		t.Fatalf("the table is not cut into its 3 blocks: %d morsels, %v", len(ms), err)
 	}
 	pruned := 0
-	for _, q := range vecAgreementQueries {
+	// Beside the agreement queries, tests a NaN row passes because a NaN
+	// is the least float: block 0's float range is [20, 36) plus NaNs.
+	nanOrder := []string{
+		"SELECT COUNT(*) FROM t WHERE f < 20",
+		"SELECT COUNT(*) FROM t WHERE f <= 1",
+		"SELECT COUNT(*) FROM t WHERE f <> 25",
+		"SELECT COUNT(*) FROM t WHERE f NOT BETWEEN 20 AND 40",
+		"SELECT COUNT(*) FROM t WHERE f BETWEEN CAST('NaN' AS FLOAT) AND 1",
+		"SELECT COUNT(*) FROM t WHERE f IN (CAST('NaN' AS FLOAT), 50)",
+		"SELECT COUNT(*) FROM t WHERE f = CAST('NaN' AS FLOAT)",
+	}
+	for _, q := range append(nanOrder, vecAgreementQueries...) {
 		w := whereOf(q)
 		if w == "" {
 			continue

@@ -594,12 +594,12 @@ func (t *table) rebuildIndexes() {
 	}
 }
 
-// hashIndex maps a column value (by its display string, which is
-// injective per type) to the row positions holding it. Like table row
-// storage it is versioned: a derived table version gets an overlay
-// child that records only its own additions and chains to the parent
-// for older positions. Chains are flattened when they grow deep so
-// lookups stay O(1)-ish.
+// hashIndex maps a column value (by its value.AppendKey key, equal for
+// values equal under value.Compare within one key class) to the row
+// positions holding it. Like table row storage it is versioned: a
+// derived table version gets an overlay child that records only its own
+// additions and chains to the parent for older positions. Chains are
+// flattened when they grow deep so lookups stay O(1)-ish.
 type hashIndex struct {
 	parent  *hashIndex
 	depth   int
@@ -609,13 +609,6 @@ type hashIndex struct {
 // maxIndexDepth bounds overlay chains; a derive beyond this depth
 // flattens the chain into a fresh root.
 const maxIndexDepth = 16
-
-func indexKey(v value.Value) string {
-	if v.IsNull() {
-		return "\x00NULL"
-	}
-	return v.String()
-}
 
 // child derives an overlay for the next table version. The parent is
 // shared and never written again through the child.
@@ -646,12 +639,14 @@ func (ix *hashIndex) add(v value.Value, pos int) {
 	if ix.buckets == nil {
 		ix.buckets = make(map[string][]int)
 	}
-	k := indexKey(v)
+	k := string(value.AppendKey(nil, v))
 	ix.buckets[k] = append(ix.buckets[k], pos)
 }
 
+// lookup returns the positions of the values equal to v, which must be
+// of the column's key class.
 func (ix *hashIndex) lookup(v value.Value) []int {
-	return ix.lookupKey(indexKey(v))
+	return ix.lookupKey(string(value.AppendKey(nil, v)))
 }
 
 func (ix *hashIndex) lookupKey(k string) []int {

@@ -812,7 +812,7 @@ const pointReadLimit = 64
 
 type pointRead struct {
 	col string      // lower-cased indexed column
-	key value.Value // probe key, already converted to the column type
+	key value.Value // probe key, of the column's key class
 	fp  uint64      // fingerprint of the matched rows
 }
 
@@ -853,15 +853,10 @@ func (p pointRead) verify(t *table) bool {
 	if idx == nil || err != nil {
 		return false
 	}
-	ci := t.schema.Index(p.col)
-	if ci < 0 {
+	if ci := t.schema.Index(p.col); ci < 0 || !sameKeyClass(p.key.Type(), t.schema[ci].Type) {
 		return false
 	}
-	cv, err := p.key.Convert(t.schema[ci].Type)
-	if err != nil {
-		return false
-	}
-	positions := idx.lookup(cv)
+	positions := idx.lookup(p.key)
 	rows := make([]Row, len(positions))
 	for i, pos := range positions {
 		rows[i] = t.rowAt(pos)

@@ -2,18 +2,19 @@ package sqldb
 
 // Vectorized hash-join execution path.
 //
-// When a SELECT is a single equi-join over two base tables — the shape
-// hashJoinCols recognizes — the planner attaches a vecJoinPlan and
-// runSelect executes the join columnar instead of row-at-a-time: the
-// build side (the joined table) is ingested from typed column-cache
-// vectors into a compact open-addressing hash table keyed on int64
-// bits / canonicalized float bits / string datums (no per-row indexKey
-// strings, no []Row buckets), and the probe side runs morsel-parallel
-// over the probe table's vectors, producing (probe row, build ordinal)
-// selection-vector pairs. Payload columns are materialized late: only
-// the key and any pushed-filter columns are decoded during the probe,
-// and the pairs either feed aggregate kernels directly (fused mode,
-// no joined rows ever built) or materialize output rows afterwards.
+// When a SELECT is a single equi-join over two base tables — one key
+// of hashJoinCols's and nothing else, both columns of one type — the
+// planner attaches a vecJoinPlan and runSelect executes the join
+// columnar instead of row-at-a-time: the build side (the joined table)
+// is ingested from typed column-cache vectors into a compact
+// open-addressing hash table keyed on int64 datums / value.FloatBits /
+// string datums (no per-row key strings, no []Row buckets), and the
+// probe side runs morsel-parallel over the probe table's vectors,
+// producing (probe row, build ordinal) selection-vector pairs. Payload
+// columns are materialized late: only the key and any pushed-filter
+// columns are decoded during the probe, and the pairs either feed
+// aggregate kernels directly (fused mode, no joined rows ever built)
+// or materialize output rows afterwards.
 //
 // On top of the table the build phase derives a semi-join filter — a
 // two-probe Bloom filter plus the build keys' min/max — and pushes it
@@ -23,16 +24,16 @@ package sqldb
 // cannot intersect the build side is skipped before decompression.
 //
 // Semantics are the row engine's exactly: NULL keys never join (on
-// either side), float keys match by display equality (all NaNs join
-// each other — canonicalized to one bit pattern here — while -0.0 and
-// 0.0 stay distinct), and output order is probe scan order crossed
-// with ascending build-side ordinals per key (the insertion order the
-// row engine's map buckets preserve). Partials merge in morsel index
-// order, so results are byte-identical at any worker count — PR 5's
-// determinism contract. The row path remains the fallback and the
-// semantic reference; the differential fuzzer holds the two equal.
+// either side), keys match by value.Compare's equality (a NaN joins
+// only the NaNs, −0.0 joins 0.0: value.FloatBits), and output order is
+// probe scan order crossed with ascending build-side ordinals per key
+// (the insertion order the row engine's map buckets preserve). Partials
+// merge in morsel index order, so results are byte-identical at any
+// worker count. The row path remains the fallback and the semantic
+// reference; the differential fuzzer holds the two equal.
 
 import (
+	"cmp"
 	"hash/maphash"
 	"math"
 	"slices"
@@ -112,15 +113,15 @@ func (sn *snapshot) planVecJoin(st *SelectStmt, p *compiledSelect, where *texpr)
 	if err != nil {
 		return nil
 	}
-	li, ri, ok := hashJoinCols(jc.On, ls, rs)
-	if !ok {
+	k, ok := hashJoinCols(jc.On, ls, rs)
+	if !ok || len(k.l) != 1 || k.filtered {
 		return nil
 	}
-	// The row engine joins on display-string equality, so an int 5 and
-	// a float 5.0 match across columns of different types. The kernels
-	// compare typed datums; decline any cross-class key pair, and the
-	// types whose display form is not datum equality (Version compares
-	// component-wise, Timestamp datums are pointers).
+	li, ri := k.l[0], k.r[0]
+	// The kernels key typed datums of one type: decline an Integer
+	// against a Float (one key class, two datum types), and the types
+	// whose datum is not their key (a Version's components, a
+	// Timestamp's pointer).
 	kt := ls[li].Type
 	if kt != rs[ri].Type {
 		return nil
@@ -193,7 +194,7 @@ func (jp *vecJoinPlan) planFused(st *SelectStmt, p *compiledSelect, need map[int
 // insertion order of the row engine's map buckets.
 type joinHash struct {
 	mask   uint64
-	keysI  []int64 // Integer/Boolean datums, or canonicalized Float bits
+	keysI  []int64 // Integer/Boolean datums, or value.FloatBits
 	keysS  []string
 	full   []bool // slot occupancy; counts alone can lag a claim
 	counts []int32
@@ -208,18 +209,8 @@ type joinHash struct {
 	minI, maxI int64
 	minF, maxF float64
 	minS, maxS string
-	hasNaN     bool
 
 	seed maphash.Seed
-}
-
-// canonNaN collapses every NaN bit pattern to one: the row engine keys
-// floats by their display form, under which all NaNs are "NaN".
-func canonNaN(f float64) uint64 {
-	if math.IsNaN(f) {
-		return math.Float64bits(math.NaN())
-	}
-	return math.Float64bits(f)
 }
 
 func mix64(x uint64) uint64 {
@@ -294,10 +285,10 @@ func (h *joinHash) slotS(k string, insert bool) (slot int, fresh bool) {
 }
 
 // intKeyAt converts build key vector row i into its int64-classed
-// datum (Integer/Boolean value, or canonicalized Float bits).
+// datum (Integer/Boolean value, or value.FloatBits).
 func intKeyAt(v *colVec, i int, kt value.Type) int64 {
 	if kt == value.Float {
-		return int64(canonNaN(v.floats[i]))
+		return int64(value.FloatBits(v.floats[i]))
 	}
 	return v.ints[i]
 }
@@ -319,7 +310,7 @@ func buildJoinHash(env *execEnv, jp *vecJoinPlan, rt *table) (*joinHash, error) 
 			return nil, nil
 		}
 	}
-	h := &joinHash{seed: maphash.MakeSeed(), minF: math.NaN(), maxF: math.NaN()}
+	h := &joinHash{seed: maphash.MakeSeed()}
 	slots := nextPow2(max(4, 2*rt.nrows))
 	h.mask = uint64(slots - 1)
 	h.full = make([]bool, slots)
@@ -345,7 +336,7 @@ func buildJoinHash(env *execEnv, jp *vecJoinPlan, rt *table) (*joinHash, error) 
 					slot, fresh := h.slotS(s, true)
 					if fresh {
 						h.bloomSet(h.hashStr(s))
-						h.noteStr(s)
+						widen(h, &h.minS, &h.maxS, s)
 					}
 					slotOf[c] = int32(slot)
 				}
@@ -367,7 +358,7 @@ func buildJoinHash(env *execEnv, jp *vecJoinPlan, rt *table) (*joinHash, error) 
 				slot, fresh := h.slotS(s, true)
 				if fresh {
 					h.bloomSet(h.hashStr(s))
-					h.noteStr(s)
+					widen(h, &h.minS, &h.maxS, s)
 				}
 				h.counts[slot]++
 				h.n++
@@ -383,9 +374,9 @@ func buildJoinHash(env *execEnv, jp *vecJoinPlan, rt *table) (*joinHash, error) 
 			if fresh {
 				h.bloomSet(mix64(uint64(k)))
 				if jp.keyType == value.Float {
-					h.noteFloat(kv.floats[i])
+					widen(h, &h.minF, &h.maxF, kv.floats[i])
 				} else {
-					h.noteInt(k)
+					widen(h, &h.minI, &h.maxI, k)
 				}
 			}
 			h.counts[slot]++
@@ -425,59 +416,23 @@ func buildJoinHash(env *execEnv, jp *vecJoinPlan, rt *table) (*joinHash, error) 
 	return h, nil
 }
 
-func (h *joinHash) noteInt(k int64) {
-	if !h.hasMM {
-		h.hasMM, h.minI, h.maxI = true, k, k
-		return
+// widen stretches the build keys' [lo, hi] to x, in value.Compare's
+// order, in which a NaN is the least float; the first key opens it.
+func widen[T cmp.Ordered](h *joinHash, lo, hi *T, x T) {
+	if !h.hasMM || cmp.Less(x, *lo) {
+		*lo = x
 	}
-	if k < h.minI {
-		h.minI = k
+	if !h.hasMM || cmp.Less(*hi, x) {
+		*hi = x
 	}
-	if k > h.maxI {
-		h.maxI = k
-	}
-}
-
-func (h *joinHash) noteFloat(f float64) {
-	if math.IsNaN(f) {
-		h.hasNaN = true
-		return
-	}
-	if !h.hasMM {
-		h.hasMM, h.minF, h.maxF = true, f, f
-		return
-	}
-	if f < h.minF {
-		h.minF = f
-	}
-	if f > h.maxF {
-		h.maxF = f
-	}
-}
-
-func (h *joinHash) noteStr(s string) {
-	if !h.hasMM {
-		h.hasMM, h.minS, h.maxS = true, s, s
-		return
-	}
-	if s < h.minS {
-		h.minS = s
-	}
-	if s > h.maxS {
-		h.maxS = s
-	}
+	h.hasMM = true
 }
 
 // lookupI returns the bucket range for an int64-classed probe key,
 // with the min/max and Bloom semi-join tests applied first.
 func (h *joinHash) lookupI(k int64, kt value.Type) (int32, int32) {
 	if kt == value.Float {
-		f := math.Float64frombits(uint64(k))
-		if math.IsNaN(f) {
-			if !h.hasNaN {
-				return 0, 0
-			}
-		} else if !h.hasMM || f < h.minF || f > h.maxF {
+		if f := math.Float64frombits(uint64(k)); !h.hasMM || cmp.Less(f, h.minF) || cmp.Less(h.maxF, f) {
 			return 0, 0
 		}
 	} else if !h.hasMM || k < h.minI || k > h.maxI {
@@ -516,18 +471,12 @@ func (h *joinHash) keyZoneMiss(km *blockMeta, kt value.Type) bool {
 	if km == nil {
 		return false
 	}
-	if kt == value.Float && km.HasNaN && h.hasNaN {
-		return false // a NaN probe row joins the build side's NaNs
-	}
-	if !km.HasMM {
-		return true // every key NULL (or NaN, handled above)
-	}
-	if h.n == 0 {
-		return true
+	if !km.HasMM && !km.HasNaN || h.n == 0 {
+		return true // every key NULL, or no build key
 	}
 	switch kt {
 	case value.Integer, value.Boolean:
-		if !h.hasMM || km.MaxI < h.minI || km.MinI > h.maxI {
+		if km.MaxI < h.minI || km.MinI > h.maxI {
 			return true
 		}
 		if kt == value.Integer {
@@ -541,11 +490,11 @@ func (h *joinHash) keyZoneMiss(km *blockMeta, kt value.Type) bool {
 			}
 		}
 	case value.Float:
-		if !h.hasMM || km.MaxF < h.minF || km.MinF > h.maxF {
+		if lo, hi := floatBounds(km); cmp.Less(hi, h.minF) || cmp.Less(h.maxF, lo) {
 			return true
 		}
 	case value.String:
-		if !h.hasMM || km.MaxS < h.minS || km.MinS > h.maxS {
+		if km.MaxS < h.minS || km.MinS > h.maxS {
 			return true
 		}
 	}
@@ -738,7 +687,7 @@ func (sn *snapshot) runVecJoin(st *SelectStmt, p *compiledSelect) (*Result, *rel
 					emit(i, 0, 0)
 					continue
 				}
-				blo, bhi := h.lookupI(int64(canonNaN(kv.floats[i])), value.Float)
+				blo, bhi := h.lookupI(int64(value.FloatBits(kv.floats[i])), value.Float)
 				emit(i, blo, bhi)
 			}
 		default: // Integer, Boolean

@@ -85,7 +85,7 @@ var joinAgreementQueries = []string{
 	// Un-ordered projections: output order itself must be identical.
 	"SELECT r.rid, e.weight FROM runs r JOIN exps e ON r.exp = e.eid",
 	"SELECT r.rid, e.weight FROM runs r LEFT JOIN exps e ON r.exp = e.eid",
-	// Float keys: NaN joins NaN, -0.0 vs 0.0 stay distinct.
+	// Float keys: NaN joins only NaN, -0.0 joins 0.0 (value.Compare).
 	"SELECT r.rid, e.weight FROM runs r JOIN exps e ON r.metric = e.fkey",
 	"SELECT r.rid, e.weight FROM runs r LEFT JOIN exps e ON r.metric = e.fkey",
 	// String keys (dictionary-eligible low cardinality).

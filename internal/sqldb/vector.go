@@ -35,6 +35,7 @@ package sqldb
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -307,9 +308,10 @@ func (n *texpr) colTest() (t colTest, is bool) {
 }
 
 // kernels lowers t when the column and its literals are of one class
-// with an unboxed order — Integers, Floats against any numbers, Booleans,
-// Strings — and returns nil otherwise: a Version's order is not its
-// datum's, and the other pairs compare by display form, on the row back
+// with an unboxed order — Integers, Floats against numbers a float holds
+// exactly, Booleans, Strings — and returns nil otherwise: a Version's
+// order is not its datum's, an Integer past 2^53 compares exactly only
+// as one, and the other pairs compare by display form, on the row back
 // end's kernel.
 func (t *colTest) kernels() (vecPredFn, zoneFn) {
 	if t.kind != tIn && slices.ContainsFunc(t.lits, value.Value.IsNull) {
@@ -319,9 +321,8 @@ func (t *colTest) kernels() (vecPredFn, zoneFn) {
 	case t.typ == value.Integer && t.of(value.Integer), t.typ == value.Boolean && t.of(value.Boolean):
 		return testKernels(t, func(v *colVec) []int64 { return v.ints },
 			func(m *blockMeta) (int64, int64) { return m.MinI, m.MaxI }, value.Value.Int)
-	case t.typ == value.Float && t.of(value.Integer, value.Float):
-		return testKernels(t, func(v *colVec) []float64 { return v.floats },
-			func(m *blockMeta) (float64, float64) { return m.MinF, m.MaxF }, value.Value.Float)
+	case t.typ == value.Float && t.of(value.Integer, value.Float) && !slices.ContainsFunc(t.lits, inexactFloat):
+		return testKernels(t, func(v *colVec) []float64 { return v.floats }, floatBounds, value.Value.Float)
 	case t.typ == value.String && t.of(value.String):
 		return testKernels(t, func(v *colVec) []string { return v.strs },
 			func(m *blockMeta) (string, string) { return m.MinS, m.MaxS }, value.Value.Str)
@@ -342,9 +343,9 @@ func (t *colTest) of(types ...value.Type) bool {
 // testKernels builds t's mask kernel and zone check over a column whose
 // vectors hold its datums as elems returns them and whose zone maps
 // bound them as bounds does; datum unpacks a literal. Every outcome is
-// cmp3's. The zone check asks whether some value in the block's [min,
-// max] passes — an over-approximation is sound, it only prunes less —
-// or some NaN row does (nanPasses), which min and max leave out.
+// cmp.Compare's, value.Compare's order over one class. The zone check
+// asks whether some value in the block's [min, max] passes — an
+// over-approximation is sound, it only prunes less.
 func testKernels[T cmp.Ordered](t *colTest, elems func(*colVec) []T, bounds func(*blockMeta) (T, T), datum func(value.Value) T) (vecPredFn, zoneFn) {
 	kind, ci, ok, negate := t.kind, t.col, t.ok, t.negate
 	lits := make([]T, len(t.lits))
@@ -358,18 +359,18 @@ func testKernels[T cmp.Ordered](t *colTest, elems func(*colVec) []T, bounds func
 		case tBin:
 			lit := lits[0]
 			for i, x := range xs {
-				mask[i] = ok[cmp3(x, lit)+1]
+				mask[i] = ok[cmp.Compare(x, lit)+1]
 			}
 		case tBetween:
 			lo, hi := lits[0], lits[1]
 			for i, x := range xs {
-				mask[i] = (cmp3(x, lo) >= 0 && cmp3(x, hi) <= 0) != negate
+				mask[i] = (cmp.Compare(x, lo) >= 0 && cmp.Compare(x, hi) <= 0) != negate
 			}
 		default: // IN
 			for i, x := range xs {
 				found := false
 				for _, l := range lits {
-					if cmp3(x, l) == 0 {
+					if cmp.Compare(x, l) == 0 {
 						found = true
 						break
 					}
@@ -386,34 +387,48 @@ func testKernels[T cmp.Ordered](t *colTest, elems func(*colVec) []T, bounds func
 	if kind == tIn && negate {
 		return kern, nil // NOT IN cannot be refuted from a range
 	}
-	// A NaN row compares equal to everything.
-	nanPasses := kind == tBin && ok[1] || kind == tBetween && !negate || kind == tIn && len(lits) > 0
 	return kern, func(meta func(int) *blockMeta) bool {
 		m := meta(ci)
 		switch {
-		case m == nil || m.HasNaN && nanPasses:
+		case m == nil:
 			return false
-		case !m.HasMM:
-			return true // every row NULL, or a NaN that does not pass
+		case !m.HasMM && !m.HasNaN:
+			return true // every row NULL
 		}
 		min, max := bounds(m)
 		switch kind {
 		case tBin:
 			lit := lits[0]
-			return !(ok[0] && cmp3(min, lit) < 0 || ok[2] && cmp3(max, lit) > 0 ||
-				ok[1] && cmp3(min, lit) <= 0 && cmp3(max, lit) >= 0)
+			return !(ok[0] && cmp.Compare(min, lit) < 0 || ok[2] && cmp.Compare(max, lit) > 0 ||
+				ok[1] && cmp.Compare(min, lit) <= 0 && cmp.Compare(max, lit) >= 0)
 		case tBetween:
 			// Both bound tests are monotone in the value: the block holds a
 			// value between the bounds only if its max is above lo and its
 			// min below hi, and only such values if its min and max both are.
 			if negate {
-				return cmp3(min, lits[0]) >= 0 && cmp3(max, lits[1]) <= 0
+				return cmp.Compare(min, lits[0]) >= 0 && cmp.Compare(max, lits[1]) <= 0
 			}
-			return cmp3(max, lits[0]) < 0 || cmp3(min, lits[1]) > 0
+			return cmp.Compare(max, lits[0]) < 0 || cmp.Compare(min, lits[1]) > 0
 		}
-		return !slices.ContainsFunc(lits, func(l T) bool { return cmp3(min, l) <= 0 && cmp3(max, l) >= 0 })
+		return !slices.ContainsFunc(lits, func(l T) bool { return cmp.Compare(min, l) <= 0 && cmp.Compare(max, l) >= 0 })
 	}
 }
+
+// floatBounds is a Float column's zone under value.Compare's order, in
+// which a NaN is below every number: [NaN, max] when the block holds one.
+func floatBounds(m *blockMeta) (lo, hi float64) {
+	lo, hi = m.MinF, m.MaxF
+	if m.HasNaN {
+		lo = math.NaN()
+		if !m.HasMM {
+			hi = lo
+		}
+	}
+	return lo, hi
+}
+
+// inexactFloat reports whether the number l is not a float exactly.
+func inexactFloat(l value.Value) bool { return value.Compare(value.NewFloat(l.Float()), l) != 0 }
 
 // ------------------------------------------------------ execution
 

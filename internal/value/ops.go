@@ -1,6 +1,7 @@
 package value
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -9,11 +10,14 @@ import (
 
 // Compare orders a and b. It returns a negative number when a < b,
 // zero when equal, positive when a > b. NULL sorts before every
-// non-NULL value; two NULLs compare equal. Numeric types compare by
-// magnitude across Integer and Float; a Float NaN is neither less nor
-// greater than any number. When either operand is a Version, both
-// compare component-wise as versions, the other by its display form.
-// Compare is antisymmetric: Compare(a, b) == -Compare(b, a).
+// non-NULL value; two NULLs compare equal. Numbers compare by magnitude
+// across Integer and Float, exactly — an Integer is never rounded to a
+// float — in cmp.Compare's order: a NaN equals only NaN and sorts below
+// every other number, and −0 equals 0. When either operand is a
+// Version, both compare component-wise as versions, the other by its
+// display form. Compare is antisymmetric: Compare(a, b) == -Compare(b, a).
+// Within one key class it is a total order, whose equality AppendKey
+// encodes.
 func Compare(a, b Value) int { return ComparePtr(&a, &b) }
 
 // ComparePtr is Compare without copying its operands; the SQL
@@ -28,23 +32,15 @@ func ComparePtr(a, b *Value) int {
 		return 1
 	}
 	if a.typ.Numeric() && b.typ.Numeric() {
-		if a.typ == Integer && b.typ == Integer {
-			switch {
-			case a.Int() < b.Int():
-				return -1
-			case a.Int() > b.Int():
-				return 1
-			}
-			return 0
-		}
-		af, bf := a.Float(), b.Float()
 		switch {
-		case af < bf:
-			return -1
-		case af > bf:
-			return 1
+		case a.typ == Integer && b.typ == Integer:
+			return cmp.Compare(a.Int(), b.Int())
+		case a.typ == Integer:
+			return -compareFloatInt(b.Float(), a.Int())
+		case b.typ == Integer:
+			return compareFloatInt(a.Float(), b.Int())
 		}
-		return 0
+		return cmp.Compare(a.Float(), b.Float())
 	}
 	if a.typ == Version || b.typ == Version {
 		return CompareVersions(asString(a), asString(b))
@@ -54,27 +50,31 @@ func ComparePtr(a, b *Value) int {
 		return strings.Compare(a.s, asString(b))
 	case Timestamp:
 		if b.typ == Timestamp {
-			switch {
-			case a.Time().Before(b.Time()):
-				return -1
-			case a.Time().After(b.Time()):
-				return 1
-			}
-			return 0
+			return a.Time().Compare(b.Time())
 		}
 	case Boolean:
 		if b.typ == Boolean {
-			switch {
-			case !a.Bool() && b.Bool():
-				return -1
-			case a.Bool() && !b.Bool():
-				return 1
-			}
-			return 0
+			return cmp.Compare(a.num, b.num)
 		}
 	}
 	// Fall back to comparing display forms for mixed types.
 	return strings.Compare(a.String(), b.String())
+}
+
+// compareFloatInt is cmp.Compare(f, float64(i)) without rounding i: the
+// integral parts compare as integers and the fraction breaks a tie.
+func compareFloatInt(f float64, i int64) int {
+	switch {
+	case f != f || f < -0x1p63:
+		return -1
+	case f >= 0x1p63:
+		return 1
+	}
+	t := math.Trunc(f)
+	if c := cmp.Compare(int64(t), i); c != 0 {
+		return c
+	}
+	return cmp.Compare(f, t)
 }
 
 func asString(v *Value) string {

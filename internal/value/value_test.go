@@ -229,14 +229,41 @@ func TestFirstNumberToken(t *testing.T) {
 }
 
 func TestCompareNumericCross(t *testing.T) {
-	if Compare(NewInt(2), NewFloat(2.0)) != 0 {
-		t.Error("2 != 2.0")
+	nan, negZero := math.NaN(), math.Copysign(0, -1)
+	cases := []struct {
+		a, b Value
+		want int
+	}{
+		{NewInt(2), NewFloat(2.0), 0},
+		{NewInt(2), NewFloat(2.5), -1},
+		{NewFloat(3), NewInt(2), 1},
+		{NewInt(-3), NewFloat(-2.5), -1},
+		// NaN equals only NaN, whatever its payload, and sorts below
+		// every number.
+		{NewFloat(nan), NewFloat(nan), 0},
+		{NewFloat(nan), NewFloat(math.Float64frombits(0xfff0000000000001)), 0},
+		{NewFloat(nan), NewFloat(math.Inf(-1)), -1},
+		{NewFloat(nan), NewInt(math.MinInt64), -1},
+		{NewInt(0), NewFloat(nan), 1},
+		{NewFloat(negZero), NewFloat(0), 0},
+		{NewFloat(negZero), NewInt(0), 0},
+		// Integer against Float is exact past 2^53.
+		{NewInt(1<<53 + 1), NewFloat(1 << 53), 1},
+		{NewInt(1 << 53), NewFloat(1 << 53), 0},
+		{NewInt(1<<53 - 1), NewFloat(1 << 53), -1},
+		{NewInt(math.MaxInt64), NewFloat(0x1p63), -1},
+		{NewInt(math.MinInt64), NewFloat(-0x1p63), 0},
+		{NewInt(math.MinInt64 + 1), NewFloat(-0x1p63), 1},
+		{NewInt(math.MaxInt64), NewFloat(math.Inf(1)), -1},
+		{NewInt(math.MinInt64), NewFloat(math.Inf(-1)), 1},
 	}
-	if Compare(NewInt(2), NewFloat(2.5)) >= 0 {
-		t.Error("2 >= 2.5")
-	}
-	if Compare(NewFloat(3), NewInt(2)) <= 0 {
-		t.Error("3.0 <= 2")
+	for _, c := range cases {
+		if got := sign(Compare(c.a, c.b)); got != c.want {
+			t.Errorf("Compare(%s %v, %s %v) = %d, want %d", c.a.Type(), c.a, c.b.Type(), c.b, got, c.want)
+		}
+		if got := sign(Compare(c.b, c.a)); got != -c.want {
+			t.Errorf("Compare(%s %v, %s %v) = %d, want %d", c.b.Type(), c.b, c.a.Type(), c.a, got, -c.want)
+		}
 	}
 }
 
@@ -446,7 +473,7 @@ func TestQuickVersionCompareConsistent(t *testing.T) {
 // version "9"), the shape on which which operand came first used to pick
 // the comparison.
 func TestCompareAntisymmetricAcrossTypes(t *testing.T) {
-	samples := []Value{
+	samples := append([]Value{
 		Null(Integer), Null(Float), Null(String), Null(Timestamp), Null(Boolean), Null(Version),
 		NewInt(-3), NewInt(0), NewInt(9), NewInt(10), NewInt(1 << 60),
 		NewFloat(-0.5), NewFloat(0), NewFloat(9.5), NewFloat(1.10), NewFloat(math.NaN()), NewFloat(math.Inf(1)),
@@ -454,7 +481,7 @@ func TestCompareAntisymmetricAcrossTypes(t *testing.T) {
 		NewTimestamp(time.Date(2004, 1, 1, 0, 0, 0, 0, time.UTC)), NewTimestamp(time.Date(2005, 6, 1, 12, 0, 0, 0, time.UTC)),
 		NewBool(false), NewBool(true),
 		NewVersion("1.9"), NewVersion("1.10"), NewVersion("2.6.10"), NewVersion("9"), NewVersion("abc"), NewVersion(""),
-	}
+	}, keyDomain()...)
 	for _, a := range samples {
 		for _, b := range samples {
 			if ab, ba := Compare(a, b), Compare(b, a); ab != -ba {
