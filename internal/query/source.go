@@ -29,7 +29,7 @@ func (pc paramConstraint) sqlCol() string {
 	case pc.v.Default.IsNull():
 		return pc.v.Name
 	}
-	return "COALESCE(" + pc.v.Name + ", " + sqlLit(pc.v.Default) + ")"
+	return "COALESCE(" + pc.v.Name + ", " + pc.v.Default.SQL() + ")"
 }
 
 // valSel is one selected result value with an optional unit
@@ -188,7 +188,7 @@ func (r *PlanRun) execSource(spec *pbxml.SourceElem, placement core.Handle, src 
 	for _, pc := range multi {
 		items = append(items, pc.v.Name)
 		if pc.has {
-			conds = append(conds, pc.v.Name+" "+pc.op+" "+sqlLit(pc.val))
+			conds = append(conds, pc.v.Name+" "+pc.op+" "+pc.val.SQL())
 		}
 	}
 	for _, vs := range multiVals {
@@ -260,16 +260,6 @@ func sourceParamCol(pc paramConstraint) ColumnMeta {
 	}
 }
 
-// sqlLit renders a value as a SQL literal of its own type: a timestamp,
-// which SQL text spells as a string, is cast back, so that it compares
-// as a time.
-func sqlLit(v value.Value) string {
-	if v.Type() == value.Timestamp && !v.IsNull() {
-		return "CAST(" + v.SQL() + " AS timestamp)"
-	}
-	return v.SQL()
-}
-
 // selectRuns reads the runs a source selects through src, oldest first:
 // per run its id, then the source's once parameters and once values, in
 // output order. The once table is the experiment's run registry — a
@@ -286,7 +276,7 @@ func selectRuns(exp *core.Experiment, src sqldb.Querier, rf *pbxml.RunFilter, on
 		col := pc.sqlCol()
 		items = append(items, col)
 		if pc.has {
-			conds = append(conds, col+" "+pc.op+" "+sqlLit(pc.val))
+			conds = append(conds, col+" "+pc.op+" "+pc.val.SQL())
 		}
 	}
 	for _, vs := range onceVals {
@@ -354,7 +344,7 @@ func catalogRuns(exp *core.Experiment, src sqldb.Querier, rf *pbxml.RunFilter, i
 		if err != nil {
 			return nil, fmt.Errorf("run filter %s: %w", b.attr, err)
 		}
-		conds = append(conds, "created "+b.op+" "+sqlLit(t))
+		conds = append(conds, "created "+b.op+" "+t.SQL())
 	}
 	sql := "SELECT run_id FROM " + core.RunsTable + " WHERE " + strings.Join(conds, " AND ")
 	if rf.Last > 0 {

@@ -88,7 +88,7 @@ type keyKind uint8
 
 const (
 	keyNone      keyKind = iota // no GROUP BY: one implicit group
-	keyNum                      // one numeric or boolean column: the datum, a Float's value.FloatBits
+	keyNum                      // one numeric, boolean or timestamp column: the datum, a Float's value.FloatBits
 	keyStr                      // one string column: the string datum
 	keyComposite                // anything else: every key's value.AppendKey part
 )
@@ -262,9 +262,9 @@ func (a *acc) add(sp *aggSpec, v *value.Value) error {
 	if sp.op == opMin || sp.op == opMax {
 		isMin := sp.op == opMin
 		switch {
-		case sp.typ == value.Integer && isMin:
+		case (sp.typ == value.Integer || sp.typ == value.Timestamp) && isMin:
 			a.minInt(v.Int())
-		case sp.typ == value.Integer:
+		case sp.typ == value.Integer || sp.typ == value.Timestamp:
 			a.maxInt(v.Int())
 		case sp.typ == value.Float && isMin:
 			a.minFloat(v.Float())
@@ -375,6 +375,8 @@ func (sp *aggSpec) result(a *acc) value.Value {
 		switch sp.typ {
 		case value.Integer:
 			return value.NewInt(a.i)
+		case value.Timestamp:
+			return value.NewTimestampNano(a.i)
 		case value.Float:
 			return value.NewFloat(a.f)
 		case value.String:
@@ -426,7 +428,7 @@ func (sp *aggSpec) mergeable() bool {
 	case opSum:
 		return sp.typ != typeAny
 	case opMin, opMax:
-		return sp.typ == value.Integer || sp.typ == value.Float || sp.typ == value.String
+		return sp.typ == value.Integer || sp.typ == value.Float || sp.typ == value.String || sp.typ == value.Timestamp
 	}
 	return false
 }
@@ -482,16 +484,20 @@ type aggKernel func(v *colVec, pos, gids []int32, accs []acc, stride, k int)
 // kernelFor returns the batch kernel of an aggregate over a column of
 // type typ, nil when there is none. It is the one list of what the
 // vector paths can aggregate. Version orders component-wise and
-// Boolean and Timestamp have no unboxed order at all, so their MIN and
-// MAX stay with value.Compare in add.
+// Boolean has no unboxed order at all, so their MIN and MAX stay with
+// value.Compare in add; a Timestamp's MIN and MAX are its nanoseconds'.
 func kernelFor(op aggOp, typ value.Type) aggKernel {
 	if op == opCount {
-		if typ == value.Timestamp {
-			return nil
-		}
 		return countKernel
 	}
 	switch typ {
+	case value.Timestamp:
+		switch op {
+		case opMin:
+			return minIntKernel
+		case opMax:
+			return maxIntKernel
+		}
 	case value.Integer:
 		switch op {
 		case opSum:
@@ -763,6 +769,8 @@ func (v *colVec) appendKey(dst []byte, i int) []byte {
 		return value.AppendFloatKey(dst, v.floats[i])
 	case v.typ == value.Boolean:
 		return value.AppendBoolKey(dst, v.ints[i] != 0)
+	case v.typ == value.Timestamp:
+		return value.AppendTimestampKey(dst, v.ints[i])
 	case v.typ == value.Version:
 		return value.AppendVersionKey(dst, v.strs[i])
 	}
@@ -1125,7 +1133,7 @@ func (t *groupTable) boxReps() {
 		w := len(g.from.vecs)
 		g.rep, slab = slab[:w:w], slab[w:]
 		for ci := range g.from.vecs {
-			g.rep[ci] = g.from.box(ci, int(g.at))
+			g.rep[ci] = g.from.vecs[ci].box(int(g.at))
 		}
 		g.from = nil
 	}

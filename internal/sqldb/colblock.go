@@ -16,9 +16,10 @@ package sqldb
 // without decompression — and rebuilds an evicted column vector by
 // decoding its block instead of re-walking boxed rows.
 //
-// File layout (v2):
+// File layout (v3; v2 stored a timestamp as a per-row MarshalBinary
+// payload, and neither it nor v1 is read):
 //
-//	header   8-byte magic "PBCOL2\r\n" + uint64 LE epoch
+//	header   8-byte magic "PBCOL3\r\n" + uint64 LE epoch
 //	extents  one per table, in directory order, each
 //	           block payloads   chunk by chunk, column by column
 //	           block-meta segment, parsed when the table is first touched:
@@ -61,8 +62,9 @@ package sqldb
 //	         varint deltas
 //	dict   — strings: uvarint(#entries) + entries, then one uvarint
 //	         code per row
-//	time   — timestamps: uvarint(len)+MarshalBinary per row (never
-//	         decoded to vectors)
+//
+// Integer, Boolean (0/1) and Timestamp (Unix nanoseconds) columns are
+// int64 columns: they share the int64 encodings and zone maps.
 //
 // A block decodes to exactly the colVec buildColVec would produce from
 // the same rows (NULL positions hold the zero value), so block-hydrated
@@ -85,7 +87,6 @@ import (
 	"iter"
 	"math"
 	"os"
-	"time"
 
 	"perfbase/internal/failpoint"
 	"perfbase/internal/value"
@@ -94,8 +95,9 @@ import (
 const blockFile = "columns.blk"
 
 var (
-	colMagic    = [8]byte{'P', 'B', 'C', 'O', 'L', '2', '\r', '\n'}
+	colMagic    = [8]byte{'P', 'B', 'C', 'O', 'L', '3', '\r', '\n'}
 	colMagicV1  = [8]byte{'P', 'B', 'C', 'O', 'L', '1', '\r', '\n'}
+	colMagicV2  = [8]byte{'P', 'B', 'C', 'O', 'L', '2', '\r', '\n'}
 	colIdxMagic = [8]byte{'P', 'B', 'C', 'O', 'L', 'I', 'D', 'X'}
 )
 
@@ -111,10 +113,10 @@ const (
 // automatically; `pbserver -blockdump` says what is damaged.
 var ErrCorruptCheckpoint = errors.New("sqldb: corrupt checkpoint")
 
-// ErrOldFormat is returned by Open for a directory written before the
-// column-block file became the checkpoint: it holds a snapshot.gob or a
-// v1 columns.blk and nothing this version reads. There is no migration
-// reader; export with the version that wrote the directory.
+// ErrOldFormat is returned by Open for a directory written by an older
+// version: it holds a snapshot.gob, or a v1 or v2 columns.blk, and
+// nothing this version reads. There is no migration reader; export with
+// the version that wrote the directory.
 var ErrOldFormat = errors.New("sqldb: database directory is in a format this version no longer reads")
 
 func corruptf(format string, args ...any) error {
@@ -127,7 +129,6 @@ const (
 	blkEncRLE
 	blkEncDelta
 	blkEncDict
-	blkEncTime
 )
 
 func encName(e uint8) string {
@@ -140,8 +141,6 @@ func encName(e uint8) string {
 		return "delta"
 	case blkEncDict:
 		return "dict"
-	case blkEncTime:
-		return "time"
 	}
 	return fmt.Sprintf("enc%d", e)
 }
@@ -159,9 +158,9 @@ var (
 // blockMeta is one block's entry in its table's meta segment: where it
 // lives (Off counts from the start of the table's extent), how it is
 // encoded, and its zone map. The min/max fields are per type class
-// (ints serve Integer and Boolean, floats serve Float, strings serve
-// String and Version); HasMM is false when every row is NULL (or, for
-// floats, NaN), in which case min/max are meaningless. HasNaN records
+// (ints serve Integer, Boolean and Timestamp, floats serve Float,
+// strings serve String and Version); HasMM is false when every row is
+// NULL (or, for floats, NaN), in which case min/max are meaningless. HasNaN records
 // that a float block contains NaN, which compares "equal" to
 // everything in this engine — such a block is never pruned by a
 // comparison zone check.
@@ -193,15 +192,10 @@ func appendUvarint(dst []byte, v uint64) []byte {
 
 // encodeColBlock encodes rows' column ci as one block payload, picking
 // the cheapest encoding, and computes the zone map. rows must be at
-// most vecMorselRows long. It fails only on a timestamp that does not
-// marshal; the block is the one durable copy of the value, so there is
-// nothing to store in its place.
-func encodeColBlock(rows []Row, ci int, typ value.Type) (blockMeta, []byte, error) {
+// most vecMorselRows long.
+func encodeColBlock(rows []Row, ci int, typ value.Type) (blockMeta, []byte) {
 	n := len(rows)
 	meta := blockMeta{Rows: n}
-	if typ == value.Timestamp {
-		return encodeTimeBlock(rows, ci, meta)
-	}
 	v := buildColVec(rows, ci, typ)
 	for i := 0; i < n; i++ {
 		if v.null(i) {
@@ -220,7 +214,7 @@ func encodeColBlock(rows []Row, ci int, typ value.Type) (blockMeta, []byte, erro
 		payload = append(payload, 0)
 	}
 	switch typ {
-	case value.Integer, value.Boolean:
+	case value.Integer, value.Boolean, value.Timestamp:
 		meta.Enc, payload = encodeInts(v, payload, &meta)
 	case value.Float:
 		meta.Enc, payload = encodeFloats(v, payload, &meta)
@@ -229,7 +223,7 @@ func encodeColBlock(rows []Row, ci int, typ value.Type) (blockMeta, []byte, erro
 	}
 	meta.Len = len(payload)
 	meta.CRC = crc32.Checksum(payload, walCRC)
-	return meta, payload, nil
+	return meta, payload
 }
 
 func encodeInts(v *colVec, payload []byte, meta *blockMeta) (uint8, []byte) {
@@ -376,47 +370,6 @@ func encodeStrs(v *colVec, payload []byte, meta *blockMeta) (uint8, []byte) {
 	return blkEncRaw, payload
 }
 
-// encodeTimeBlock stores timestamps as per-row MarshalBinary payloads.
-// The vectorized path never touches Timestamp columns, so these blocks
-// are only ever decoded to rows.
-func encodeTimeBlock(rows []Row, ci int, meta blockMeta) (blockMeta, []byte, error) {
-	nullWords := make([]uint64, (len(rows)+63)/64)
-	hasNulls := false
-	var data []byte
-	for i, row := range rows {
-		c := &row[ci]
-		if c.IsNull() {
-			nullWords[i>>6] |= 1 << (uint(i) & 63)
-			hasNulls = true
-			meta.Nulls++
-			data = appendUvarint(data, 0)
-			continue
-		}
-		b, err := c.Time().MarshalBinary()
-		if err != nil {
-			return meta, nil, errorf("timestamp %v in row %d does not encode: %v", c.Time(), i, err)
-		}
-		data = appendUvarint(data, uint64(len(b)))
-		data = append(data, b...)
-	}
-	var payload []byte
-	if hasNulls {
-		payload = append(payload, 1)
-		for _, w := range nullWords {
-			var b [8]byte
-			binary.LittleEndian.PutUint64(b[:], w)
-			payload = append(payload, b[:]...)
-		}
-	} else {
-		payload = append(payload, 0)
-	}
-	payload = append(payload, data...)
-	meta.Enc = blkEncTime
-	meta.Len = len(payload)
-	meta.CRC = crc32.Checksum(payload, walCRC)
-	return meta, payload, nil
-}
-
 // ------------------------------------------------------- decoding
 
 // errBlockCorrupt is a payload that does not decode under its recorded
@@ -452,7 +405,7 @@ func decodeColBlock(enc uint8, payload []byte, typ value.Type, rows int) (*colVe
 	}
 	v := &colVec{typ: typ, nulls: nulls}
 	switch typ {
-	case value.Integer, value.Boolean:
+	case value.Integer, value.Boolean, value.Timestamp:
 		v.ints = make([]int64, rows)
 		if err := decodeIntData(enc, data, v.ints); err != nil {
 			return nil, err
@@ -600,55 +553,12 @@ func decodeColValues(enc uint8, payload []byte, typ value.Type, rows int) ([]val
 // decodeColInto decodes one block into dst[0], dst[stride], ... — with
 // stride the row width, one column of a chunk's backing array.
 func decodeColInto(dst []value.Value, stride int, enc uint8, payload []byte, typ value.Type, rows int) error {
-	if typ == value.Timestamp {
-		nulls, data, err := splitNulls(payload, rows)
-		if err != nil {
-			return err
-		}
-		isNull := func(i int) bool {
-			return nulls != nil && nulls[i>>6]&(1<<(uint(i)&63)) != 0
-		}
-		for i := 0; i < rows; i++ {
-			u, n := binary.Uvarint(data)
-			if n <= 0 || u > uint64(len(data)-n) {
-				return errBlockCorrupt
-			}
-			b := data[n : n+int(u)]
-			data = data[n+int(u):]
-			if isNull(i) || len(b) == 0 {
-				dst[i*stride] = value.Null(typ)
-				continue
-			}
-			var t time.Time
-			if err := t.UnmarshalBinary(b); err != nil {
-				return errBlockCorrupt
-			}
-			dst[i*stride] = value.NewTimestamp(t)
-		}
-		return nil
-	}
 	v, err := decodeColBlock(enc, payload, typ, rows)
 	if err != nil {
 		return err
 	}
 	for i := 0; i < rows; i++ {
-		out := &dst[i*stride]
-		if v.null(i) {
-			*out = value.Null(typ)
-			continue
-		}
-		switch typ {
-		case value.Integer:
-			*out = value.NewInt(v.ints[i])
-		case value.Boolean:
-			*out = value.NewBool(v.ints[i] != 0)
-		case value.Float:
-			*out = value.NewFloat(v.floats[i])
-		case value.String:
-			*out = value.NewString(v.strs[i])
-		default: // Version
-			*out = value.NewVersion(v.strs[i])
-		}
+		dst[i*stride] = v.box(i)
 	}
 	return nil
 }
@@ -684,7 +594,7 @@ func appendBlockMeta(dst []byte, b *blockMeta, typ value.Type) []byte {
 		return dst
 	}
 	switch typ {
-	case value.Integer, value.Boolean:
+	case value.Integer, value.Boolean, value.Timestamp:
 		dst = appendUvarint(appendUvarint(dst, zigzag(b.MinI)), zigzag(b.MaxI))
 	case value.Float:
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(b.MinF))
@@ -793,7 +703,7 @@ func parseSegment(seg []byte, name string, schema Schema, lens []int, loc *diskL
 				b.HasMM, b.HasNaN = flags&zoneHasMM != 0, flags&zoneHasNaN != 0
 				if b.HasMM {
 					switch c.Type {
-					case value.Integer, value.Boolean:
+					case value.Integer, value.Boolean, value.Timestamp:
 						b.MinI, b.MaxI = unzigzag(r.uvarint()), unzigzag(r.uvarint())
 					case value.Float:
 						b.MinF = math.Float64frombits(binary.LittleEndian.Uint64(r.fixed(8)))
@@ -1071,10 +981,7 @@ func writeCheckpointTo(f *os.File, epoch uint64, tables []*table) ([]writtenTabl
 			sc := &storeChunk{f: f, base: d.loc.off, table: t.key, schema: t.schema, rows: len(rows), cols: make([][]blockMeta, len(t.schema))}
 			for ci, c := range t.schema {
 				for blk := range chunkBlocks(rows) {
-					meta, payload, err := encodeColBlock(blk, ci, c.Type)
-					if err != nil {
-						return nil, fmt.Errorf("table %q column %q: %w", t.name, c.Name, err)
-					}
+					meta, payload := encodeColBlock(blk, ci, c.Type)
 					meta.Off = off - d.loc.off
 					// Torn-write site: crash(N) lets the first N bytes of this
 					// block reach the tmp file, then kills the process. The
@@ -1183,7 +1090,7 @@ func readCheckpoint(f *os.File) (*checkpoint, error) {
 		return nil, err
 	}
 	var hdr [colHeaderSize]byte
-	if n, _ := f.ReadAt(hdr[:], 0); n >= len(colMagicV1) && string(hdr[:8]) == string(colMagicV1[:]) {
+	if n, _ := f.ReadAt(hdr[:], 0); n >= len(colMagicV1) && (string(hdr[:8]) == string(colMagicV1[:]) || string(hdr[:8]) == string(colMagicV2[:])) {
 		return nil, ErrOldFormat
 	}
 	if st.Size() < colHeaderSize+colTrailerSize {
@@ -1536,12 +1443,10 @@ func zoneString(b *blockMeta, typ value.Type) string {
 	}
 	var s string
 	switch typ {
-	case value.Integer, value.Boolean:
+	case value.Integer, value.Boolean, value.Timestamp:
 		s = fmt.Sprintf("%d..%d", b.MinI, b.MaxI)
 	case value.Float:
 		s = fmt.Sprintf("%g..%g", b.MinF, b.MaxF)
-	case value.Timestamp:
-		return "-"
 	default:
 		s = fmt.Sprintf("%q..%q", b.MinS, b.MaxS)
 	}

@@ -97,6 +97,15 @@ func TestColBlockRoundtrip(t *testing.T) {
 		}, 1000), blkEncRaw},
 		{"int_negative_deltas", value.Integer, ints(func(i int) int64 { return -int64(i) * 1000 }, 1000), blkEncDelta},
 		{"int_with_nulls", value.Integer, mixNulls(ints(func(i int) int64 { return int64(i) }, 1000), value.Integer, 7), blkEncDelta},
+		// A timestamp is its Unix nanoseconds: one import a second deltas
+		// to a few bytes a row.
+		{"timestamp_with_nulls", value.Timestamp, mixNulls(func() []value.Value {
+			out := make([]value.Value, 1000)
+			for i := range out {
+				out[i] = value.NewTimestampNano(1101234630e9 + int64(i)*1e9 + int64(i%3))
+			}
+			return out
+		}(), value.Timestamp, 9), blkEncDelta},
 		{"bool_constant", value.Boolean, func() []value.Value {
 			out := make([]value.Value, 500)
 			for i := range out {
@@ -154,10 +163,7 @@ func TestColBlockRoundtrip(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			rows := oneColRows(tc.vals)
-			meta, payload, err := encodeColBlock(rows, 0, tc.typ)
-			if err != nil {
-				t.Fatal(err)
-			}
+			meta, payload := encodeColBlock(rows, 0, tc.typ)
 			if meta.Enc != tc.wantEnc {
 				t.Errorf("encoding = %s, want %s", encName(meta.Enc), encName(tc.wantEnc))
 			}
@@ -192,8 +198,11 @@ func TestColBlockRoundtrip(t *testing.T) {
 				if want.IsNull() {
 					continue
 				}
+				if g.Type() != tc.typ {
+					t.Fatalf("value %d is a %s, want %s", i, g.Type(), tc.typ)
+				}
 				switch tc.typ {
-				case value.Integer:
+				case value.Integer, value.Timestamp:
 					if g.Int() != want.Int() {
 						t.Fatalf("value %d = %d, want %d", i, g.Int(), want.Int())
 					}
@@ -223,37 +232,46 @@ func TestColBlockZoneMeta(t *testing.T) {
 		vals := []value.Value{
 			value.NewInt(5), value.Null(value.Integer), value.NewInt(-3), value.NewInt(12),
 		}
-		meta, _, _ := encodeColBlock(oneColRows(vals), 0, value.Integer)
+		meta, _ := encodeColBlock(oneColRows(vals), 0, value.Integer)
 		if !meta.HasMM || meta.MinI != -3 || meta.MaxI != 12 || meta.Nulls != 1 {
 			t.Errorf("meta = %+v, want min -3 max 12 nulls 1", meta)
+		}
+	})
+	t.Run("timestamp", func(t *testing.T) {
+		vals := []value.Value{
+			value.NewTimestampNano(7), value.Null(value.Timestamp), value.NewTimestampNano(-5e8), value.NewTimestampNano(2e9),
+		}
+		meta, _ := encodeColBlock(oneColRows(vals), 0, value.Timestamp)
+		if !meta.HasMM || meta.MinI != -5e8 || meta.MaxI != 2e9 || meta.Nulls != 1 {
+			t.Errorf("meta = %+v, want min -5e8 max 2e9 nulls 1", meta)
 		}
 	})
 	t.Run("float_nan", func(t *testing.T) {
 		vals := []value.Value{
 			value.NewFloat(1.5), value.NewFloat(math.NaN()), value.NewFloat(-2.25), value.Null(value.Float),
 		}
-		meta, _, _ := encodeColBlock(oneColRows(vals), 0, value.Float)
+		meta, _ := encodeColBlock(oneColRows(vals), 0, value.Float)
 		if !meta.HasMM || meta.MinF != -2.25 || meta.MaxF != 1.5 || !meta.HasNaN || meta.Nulls != 1 {
 			t.Errorf("meta = %+v, want min -2.25 max 1.5 NaN-flag nulls 1", meta)
 		}
 	})
 	t.Run("all_nan", func(t *testing.T) {
 		vals := []value.Value{value.NewFloat(math.NaN()), value.NewFloat(math.NaN())}
-		meta, _, _ := encodeColBlock(oneColRows(vals), 0, value.Float)
+		meta, _ := encodeColBlock(oneColRows(vals), 0, value.Float)
 		if meta.HasMM || !meta.HasNaN {
 			t.Errorf("meta = %+v, want no bounds + NaN flag", meta)
 		}
 	})
 	t.Run("string", func(t *testing.T) {
 		vals := []value.Value{value.NewString("mango"), value.NewString("apple"), value.NewString("pear")}
-		meta, _, _ := encodeColBlock(oneColRows(vals), 0, value.String)
+		meta, _ := encodeColBlock(oneColRows(vals), 0, value.String)
 		if !meta.HasMM || meta.MinS != "apple" || meta.MaxS != "pear" {
 			t.Errorf("meta = %+v, want min apple max pear", meta)
 		}
 	})
 	t.Run("all_null", func(t *testing.T) {
 		vals := []value.Value{value.Null(value.Integer), value.Null(value.Integer)}
-		meta, _, _ := encodeColBlock(oneColRows(vals), 0, value.Integer)
+		meta, _ := encodeColBlock(oneColRows(vals), 0, value.Integer)
 		if meta.HasMM || meta.Nulls != 2 {
 			t.Errorf("meta = %+v, want no bounds, 2 nulls", meta)
 		}

@@ -102,12 +102,10 @@ func (e *execEnv) workerCount() int {
 
 // colVec is the typed columnar projection of one column of one chunk.
 // Exactly one of ints/floats/strs is populated, per the column type:
-// Integer and Boolean (as 0/1) use ints, Float uses floats, String and
-// Version use strs (the raw datum, not the display form). A Timestamp
-// column has no vector: no kernel takes one — a query touching one in a
-// kernel position runs on the row engine — and a columnar chunk keeps
-// its values boxed beside its vectors (colChunk.times). A colVec is
-// immutable after build and shared freely between concurrent readers.
+// Integer, Boolean (as 0/1) and Timestamp (as Unix nanoseconds) use
+// ints, Float uses floats, String and Version use strs (the raw datum,
+// not the display form). A colVec is immutable after build and shared
+// freely between concurrent readers.
 type colVec struct {
 	typ    value.Type
 	ints   []int64
@@ -183,7 +181,7 @@ func buildColVec(chunk []Row, ci int, typ value.Type) *colVec {
 	n := len(chunk)
 	v := &colVec{typ: typ}
 	switch typ {
-	case value.Integer, value.Boolean:
+	case value.Integer, value.Boolean, value.Timestamp:
 		v.ints = make([]int64, n)
 		for i, row := range chunk {
 			c := &row[ci]
@@ -211,7 +209,7 @@ func buildColVec(chunk []Row, ci int, typ value.Type) *colVec {
 			v.floats[i] = c.Float()
 		}
 		v.bytes = 8 * n
-	case value.String, value.Version:
+	default: // String, Version
 		v.strs = make([]string, n)
 		for i, row := range chunk {
 			c := &row[ci]
@@ -223,8 +221,6 @@ func buildColVec(chunk []Row, ci int, typ value.Type) *colVec {
 		}
 		// String headers only: the bytes are shared with the rows.
 		v.bytes = 16 * n
-	default:
-		return nil
 	}
 	v.bytes += 8 * len(v.nulls)
 	return v
@@ -244,7 +240,7 @@ func (v *colVec) markNull(i int) {
 // appendRange appends positions [lo, hi) of src, a vector of v's type.
 func (v *colVec) appendRange(src *colVec, at, lo, hi int) {
 	switch v.typ {
-	case value.Integer, value.Boolean:
+	case value.Integer, value.Boolean, value.Timestamp:
 		v.ints = append(v.ints, src.ints[lo:hi]...)
 	case value.Float:
 		v.floats = append(v.floats, src.floats[lo:hi]...)
@@ -264,7 +260,7 @@ func (v *colVec) appendRange(src *colVec, at, lo, hi int) {
 func (v *colVec) appendSel(src *colVec, at int, sel []int32) {
 	for j, i := range sel {
 		switch v.typ {
-		case value.Integer, value.Boolean:
+		case value.Integer, value.Boolean, value.Timestamp:
 			v.ints = append(v.ints, src.ints[i])
 		case value.Float:
 			v.floats = append(v.floats, src.floats[i])
@@ -283,7 +279,7 @@ func (v *colVec) push(x *value.Value, at int) {
 		v.markNull(at)
 	}
 	switch v.typ {
-	case value.Integer, value.Boolean:
+	case value.Integer, value.Boolean, value.Timestamp:
 		v.ints = append(v.ints, x.Int())
 	case value.Float:
 		v.floats = append(v.floats, x.Float())
@@ -331,6 +327,8 @@ func (v *colVec) box(i int) value.Value {
 		return value.NewFloat(v.floats[i])
 	case v.typ == value.Boolean:
 		return value.NewBool(v.ints[i] != 0)
+	case v.typ == value.Timestamp:
+		return value.NewTimestampNano(v.ints[i])
 	case v.typ == value.Version:
 		return value.NewVersion(v.strs[i])
 	}
@@ -468,23 +466,16 @@ func (c *colCache) stats() (entries, bytes int) {
 
 // colFor returns the vector for column ci of a resident or columnar
 // chunk, over all its rows: a columnar chunk's own, a resident chunk's
-// built and cached on miss — nil for a column that has none.
+// built and cached on miss.
 func (c *colCache) colFor(ch *chunk, ci int, typ value.Type) *colVec {
 	if cc := ch.cols; cc != nil {
-		if cc.vecs[ci].typ == value.Timestamp {
-			return nil // a Timestamp column has no vector
-		}
 		return &cc.vecs[ci]
 	}
 	key := chunkColKey{ch, wholeChunk, ci}
 	if v := c.get(key); v != nil {
 		return v
 	}
-	v := buildColVec(ch.rows(), ci, typ)
-	if v == nil {
-		return nil
-	}
-	return c.put(key, v)
+	return c.put(key, buildColVec(ch.rows(), ci, typ))
 }
 
 // blockVec returns the vector for column ci of block bi of a chunk a

@@ -367,12 +367,10 @@ type compiledSelect struct {
 	groupBy []compiledExpr
 	having  compiledExpr // nil when no HAVING clause
 	// keyKind says how groups are identified. keyCols holds the grouping
-	// columns when every GROUP BY item is a plain column of any type but
-	// Timestamp (whose datum is a pointer, so value identity is not
-	// group identity), nil otherwise: a single such column is keyed on
-	// directly (keyNum, keyStr), several are what addBatch encodes a
-	// composite key from, and without them only addRow, which evaluates
-	// groupBy, can group.
+	// columns when every GROUP BY item is a plain column, nil otherwise:
+	// a single such column is keyed on directly (keyNum, keyStr), several
+	// are what addBatch encodes a composite key from, and without them
+	// only addRow, which evaluates groupBy, can group.
 	keyKind keyKind
 	keyCols []int
 
@@ -626,7 +624,7 @@ func compileBranch(st *SelectStmt, ec *evalCtx) (*compiledSelect, *texpr, error)
 	for _, g := range st.GroupBy {
 		n := ec.typed(g)
 		p.groupBy = append(p.groupBy, rowExpr(n))
-		if n.kind == tCol && n.typ != value.Timestamp {
+		if n.kind == tCol {
 			p.keyCols = append(p.keyCols, n.col)
 		}
 	}

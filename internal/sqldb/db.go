@@ -464,12 +464,10 @@ type tableSink struct {
 	vals   []value.Value
 	n      int // rows so far
 
-	// cols is the columnar chunk pourVec built in place of rows — times
-	// its Timestamp columns' values, boxed, nil without one — and env the
-	// database's.
-	cols  []colVec
-	times [][]value.Value
-	env   *execEnv
+	// cols is the columnar chunk pourVec built in place of rows, and env
+	// the database's.
+	cols []colVec
+	env  *execEnv
 
 	// Of the select branch being poured: the types its columns have in
 	// the branch and in the statement, which differ where the compound
@@ -519,18 +517,6 @@ func (k *tableSink) put(row Row, j int, v *value.Value) error {
 	return nil
 }
 
-// push appends c copies of x, a value of column ci's type or NULL, to
-// that column of the columnar chunk, the first at position at.
-func (k *tableSink) push(ci int, x value.Value, at, c int) {
-	if k.cols[ci].typ != value.Timestamp {
-		k.cols[ci].appendConst(x, at, c)
-		return
-	}
-	for ; c > 0; c-- {
-		k.times[ci] = append(k.times[ci], x)
-	}
-}
-
 // addRows adds finished rows. Room is made for them at once: exactly
 // that the first time, so that a statement whose rows come in one batch
 // builds the chunk's backing array in place.
@@ -570,9 +556,9 @@ func (k *tableSink) appendTo(t *table) {
 	case k.cols == nil:
 		t.appendChunk(k.chunk())
 	case t.temp && !t.indexed():
-		t.appendCols(k.cols, k.times, k.n, k.env)
+		t.appendCols(k.cols, k.n, k.env)
 	default:
-		t.appendChunk((&colChunk{vecs: k.cols, times: k.times, n: k.n}).boxRows())
+		t.appendChunk((&colChunk{vecs: k.cols, n: k.n}).boxRows())
 	}
 }
 

@@ -1009,7 +1009,8 @@ func (s *diffState) checkX() {
 	for _, w := range []struct {
 		col int
 		lit value.Value
-	}{{2, value.NewInt(0)}, {2, value.NewInt(1000000)}, {2, value.NewFloat(0.5)}, {0, value.NewString("a")}} {
+	}{{2, value.NewInt(0)}, {2, value.NewInt(1000000)}, {2, value.NewFloat(0.5)}, {0, value.NewString("a")},
+		{3, xPool[3][2]}, {3, xPool[3][3]}} {
 		n := int64(0)
 		for _, r := range s.xmodel {
 			if !r[w.col].IsNull() && value.Compare(r[w.col], w.lit) == 0 {

@@ -94,11 +94,11 @@ func TestOneEquality(t *testing.T) {
 func TestColVecKeyMatchesBoxed(t *testing.T) {
 	db := NewMemory()
 	for _, sql := range []string{
-		"CREATE TABLE t (i integer, f float, s string, b boolean, v version)",
-		"INSERT INTO t VALUES (0, 0.0, '', FALSE, '1.2'), (-1, CAST('-0' AS FLOAT), 'a\x1f', TRUE, '1.02')",
-		"INSERT INTO t VALUES (9007199254740993, CAST('NaN' AS FLOAT), '\x00NULL', NULL, '1-2')",
-		"INSERT INTO t VALUES (NULL, 1e6, NULL, TRUE, 'rc1.x'), (1000000, NULL, 'z', FALSE, NULL)",
-		"INSERT INTO t VALUES (-9223372036854775807, CAST('Inf' AS FLOAT), 'b', TRUE, '2.6.10')",
+		"CREATE TABLE t (i integer, f float, s string, b boolean, v version, ts timestamp)",
+		"INSERT INTO t VALUES (0, 0.0, '', FALSE, '1.2', '2004-11-23T18:30:30Z'), (-1, CAST('-0' AS FLOAT), 'a\x1f', TRUE, '1.02', '2004-11-23T19:30:30+01:00')",
+		"INSERT INTO t VALUES (9007199254740993, CAST('NaN' AS FLOAT), '\x00NULL', NULL, '1-2', '2004-11-23T18:30:30.5Z')",
+		"INSERT INTO t VALUES (NULL, 1e6, NULL, TRUE, 'rc1.x', NULL), (1000000, NULL, 'z', FALSE, NULL, '1677-09-21T00:12:43.145224192Z')",
+		"INSERT INTO t VALUES (-9223372036854775807, CAST('Inf' AS FLOAT), 'b', TRUE, '2.6.10', '1969-12-31T23:59:59.999999999Z')",
 	} {
 		mustExec(t, db, sql)
 	}

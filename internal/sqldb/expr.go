@@ -16,11 +16,10 @@ package sqldb
 //	zone   interval bounds over a block's zone maps (vector.go): a node
 //	       it cannot bound cannot prune.
 //
-// The batch and zone back ends take only a WHERE that is total and reads
-// no Timestamp column (texpr.vectorizable): a kernel cannot report an
-// error, and neither a pruned block nor the right side of an AND
-// evaluated on rows its left side rejected may hide one that the row
-// back end raises.
+// The batch and zone back ends take only a WHERE that is total: a kernel
+// cannot report an error, and neither a pruned block nor the right side
+// of an AND evaluated on rows its left side rejected may hide one that
+// the row back end raises.
 
 import (
 	"container/list"
@@ -169,8 +168,12 @@ func (ec *evalCtx) typed(e sqlExpr) *texpr {
 		return n
 	case *binExpr:
 		n.kind, n.op, n.l, n.r = tBin, t.Op, ec.typed(t.L), ec.typed(t.R)
+		_, isCmp := cmpOps[t.Op]
+		if isCmp {
+			ec.timestampLits(n.l, n.r)
+		}
 		n.typ, n.total = value.Boolean, n.l.total && n.r.total
-		switch _, isCmp := cmpOps[t.Op]; t.Op {
+		switch t.Op {
 		case "+", "-", "*", "/", "%":
 			n.typ = value.Float
 			if n.l.typ == value.Integer && n.r.typ == value.Integer {
@@ -208,11 +211,13 @@ func (ec *evalCtx) typed(e sqlExpr) *texpr {
 		n.total = n.l.total
 	case *inExpr:
 		n.kind, n.typ, n.negate, n.l = tIn, value.Boolean, t.Negate, ec.typed(t.E)
-		n.list, n.total = ec.typedList(t.List)
-		n.total = n.total && n.l.total
+		n.list, _ = ec.typedList(t.List)
+		ec.timestampLits(append([]*texpr{n.l}, n.list...)...)
+		n.total = n.kids(func(k *texpr) bool { return k.total })
 	case *betweenExpr:
 		n.kind, n.typ, n.negate = tBetween, value.Boolean, t.Negate
 		n.l, n.r, n.x = ec.typed(t.E), ec.typed(t.Lo), ec.typed(t.Hi)
+		ec.timestampLits(n.l, n.r, n.x)
 		n.total = n.l.total && n.r.total && n.x.total
 	case *funcExpr:
 		n.kind, n.op, n.typ = tFunc, t.Name, value.Float
@@ -222,7 +227,10 @@ func (ec *evalCtx) typed(e sqlExpr) *texpr {
 			n.typ = value.Integer
 		case "lower", "upper":
 			n.typ = value.String
-		case "coalesce", "greatest", "least", "abs":
+		case "coalesce", "greatest", "least":
+			ec.timestampLits(n.list...)
+			fallthrough
+		case "abs":
 			if len(n.list) > 0 {
 				n.typ = n.list[0].typ
 			}
@@ -248,6 +256,25 @@ func (ec *evalCtx) typed(e sqlExpr) *texpr {
 	}
 	n.fold()
 	return n
+}
+
+// timestampLits reads every String literal among ks, the operands one
+// node compares, as CAST(… AS timestamp) when one of them is a
+// Timestamp: PostgreSQL's rule for an untyped literal, so that they
+// compare as instants, not as display text. A literal that does not
+// parse stays that CAST, and fails as it does.
+func (ec *evalCtx) timestampLits(ks ...*texpr) {
+	if !slices.ContainsFunc(ks, func(k *texpr) bool { return k.typ == value.Timestamp }) {
+		return
+	}
+	for _, k := range ks {
+		if k.kind == tLit && k.typ == value.String {
+			lit := ec.node()
+			*lit = *k
+			*k = texpr{kind: tCast, typ: value.Timestamp, l: lit}
+			k.fold()
+		}
+	}
 }
 
 func (ec *evalCtx) typedList(es []sqlExpr) ([]*texpr, bool) {
@@ -310,21 +337,6 @@ func (n *texpr) columns() []int {
 	}
 	walk(n)
 	return cols
-}
-
-// vectorizable reports whether the batch and zone back ends may run n, a
-// WHERE clause over rows of schema src: n is total and reads no
-// Timestamp column, which has no vectors.
-func (n *texpr) vectorizable(src Schema) bool {
-	if !n.total {
-		return false
-	}
-	for _, ci := range n.columns() {
-		if src[ci].Type == value.Timestamp {
-			return false
-		}
-	}
-	return true
 }
 
 // cmpOps is the one definition of what a comparison accepts: per

@@ -4,7 +4,6 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"time"
 
 	"perfbase/internal/value"
 )
@@ -91,10 +90,8 @@ func literal(v value.Value) value.Value {
 	switch {
 	case v.IsNull():
 		return value.Null(value.String)
-	case v.Type() == value.Timestamp:
-		return value.NewString(v.Time().Format(time.RFC3339Nano))
-	case v.Type() == value.Version:
-		return value.NewString(v.Str())
+	case v.Type() == value.Timestamp, v.Type() == value.Version:
+		return value.NewString(v.String())
 	case v.Type() == value.Float:
 		var buf [32]byte
 		text := strconv.AppendFloat(buf[:0], v.Float(), 'g', -1, 64)
@@ -244,14 +241,14 @@ func (db *DB) pourTxn(tx *sessionTxn, r *PipelineRequest, st *InsertStmt) (*Resu
 // statement, whose branches pourSelect runs as the SELECTs they are.
 //
 // Branch by branch, in scan order: a branch whose items are constants
-// and columns of exactly their destination's type, Timestamp aside, with
-// no WHERE clause or one the batch back end takes (vecPlan.pred), is
-// gathered from its table's vectors — a columnar chunk's own, a
-// checkpointed chunk's blocks', a resident chunk's cached ones, or else
-// its rows — and leaves a cold table cold. Any other branch reads rows
-// (pourRows). A constant is converted once a branch, on its first kept
-// row. So the values, the errors and their order are those of projecting
-// each row and inserting it.
+// and columns of exactly their destination's type, with no WHERE clause
+// or one the batch back end takes (vecPlan.pred), is gathered from its
+// table's vectors — a columnar chunk's own, a checkpointed chunk's
+// blocks', a resident chunk's cached ones, or else its rows — and
+// leaves a cold table cold. Any other branch reads rows (pourRows). A
+// constant is converted once a branch, on its first kept row. So the
+// values, the errors and their order are those of projecting each row
+// and inserting it.
 func (sn *snapshot) pourVec(st *SelectStmt, p *compiledSelect, k *tableSink) (ok bool, err error) {
 	sts, plans := branches(st, p)
 	total, known := 0, true // the rows, known when no branch filters them
@@ -268,10 +265,9 @@ func (sn *snapshot) pourVec(st *SelectStmt, p *compiledSelect, k *tableSink) (ok
 		total = 0 // grown as the rows come
 	}
 
-	// The table's vectors — a Timestamp column's values boxed beside
-	// them — and the scratch every branch shares: its table's vectors,
-	// the row put converts values into, and a window's mask and
-	// selection.
+	// The table's vectors, and the scratch every branch shares: its
+	// table's vectors, the row put converts values into, and a window's
+	// mask and selection.
 	env, dst := sn.env, k.t
 	w := len(dst.schema)
 	k.cols = make([]colVec, w)
@@ -279,15 +275,10 @@ func (sn *snapshot) pourVec(st *SelectStmt, p *compiledSelect, k *tableSink) (ok
 		v := &k.cols[ci]
 		v.typ = c.Type
 		switch c.Type {
-		case value.Integer, value.Boolean:
+		case value.Integer, value.Boolean, value.Timestamp:
 			v.ints = make([]int64, 0, total)
 		case value.Float:
 			v.floats = make([]float64, 0, total)
-		case value.Timestamp:
-			if k.times == nil {
-				k.times = make([][]value.Value, w)
-			}
-			k.times[ci] = make([]value.Value, 0, total)
 		default:
 			v.strs = make([]string, 0, total)
 		}
@@ -347,7 +338,7 @@ func (sn *snapshot) pourVec(st *SelectStmt, p *compiledSelect, k *tableSink) (ok
 							return err
 						}
 					}
-					k.push(k.colPos[j], row[k.colPos[j]], k.n, c)
+					k.cols[k.colPos[j]].appendConst(row[k.colPos[j]], k.n, c)
 					j++
 				}
 				for _, ci := range cols {
@@ -425,15 +416,10 @@ func (sn *snapshot) pourVec(st *SelectStmt, p *compiledSelect, k *tableSink) (ok
 		}
 	}
 	for _, ci := range k.rest {
-		k.push(ci, value.Null(dst.schema[ci].Type), 0, k.n)
+		k.cols[ci].appendConst(value.Null(dst.schema[ci].Type), 0, k.n)
 	}
 	for ci := range k.cols {
 		k.cols[ci].seal(k.n)
-	}
-	for ci, ts := range k.times {
-		if cap(ts) > k.n {
-			k.times[ci] = append(make([]value.Value, 0, k.n), ts...)
-		}
 	}
 	k.env = env
 	return true, nil
@@ -441,8 +427,8 @@ func (sn *snapshot) pourVec(st *SelectStmt, p *compiledSelect, k *tableSink) (ok
 
 // readsRows reports whether a pour of branch st, reading a table of
 // schema src into k, reads rows: the batch back end declines its WHERE
-// clause, or an item is an expression or a column that is a Timestamp or
-// of another type in the statement or the destination.
+// clause, or an item is an expression or a column of another type in the
+// statement or the destination.
 func (p *compiledSelect) readsRows(st *SelectStmt, k *tableSink, src Schema) bool {
 	if st.Where != nil && (p.vec == nil || p.vec.pred == nil) {
 		return true
@@ -453,7 +439,7 @@ func (p *compiledSelect) readsRows(st *SelectStmt, k *tableSink, src Schema) boo
 			return true
 		}
 		for _, ci := range cols {
-			if typ := src[ci].Type; typ == value.Timestamp || typ != k.out[j].Type || typ != k.t.schema[k.colPos[j]].Type {
+			if typ := src[ci].Type; typ != k.out[j].Type || typ != k.t.schema[k.colPos[j]].Type {
 				return true
 			}
 			j++
@@ -526,7 +512,7 @@ func (sn *snapshot) pourRows(st *SelectStmt, p *compiledSelect, t *table, k *tab
 			}
 			converted = true
 			for _, ci := range k.colPos {
-				k.push(ci, row[ci], k.n, 1)
+				k.cols[ci].push(&row[ci], k.n)
 			}
 			k.n++
 		}

@@ -577,10 +577,11 @@ func TestPourColumnsMatchRows(t *testing.T) {
 }
 
 // TestPourTimestampColumnGroups: a temp table poured with a timestamp
-// column is one columnar chunk whose timestamp column has no vector,
-// and the grouped scans over it — with and without GROUP BY, with the
-// timestamp a bare column or inside a WHERE clause — answer as they do
-// over the rows they were poured from.
+// column is one columnar chunk whose timestamp vector boxes the values
+// poured, and the grouped scans over it — with and without GROUP BY,
+// with the timestamp a bare column, a key, an aggregate's argument or
+// inside a WHERE clause — answer as they do over the rows they were
+// poured from.
 func TestPourTimestampColumnGroups(t *testing.T) {
 	db := NewMemory()
 	mustExec(t, db, "CREATE TABLE u (ts timestamp, n integer, f float)")
@@ -591,10 +592,17 @@ func TestPourTimestampColumnGroups(t *testing.T) {
 	if len(tab.list) != 1 || tab.list[0].cols == nil {
 		t.Fatalf("%d chunks, columnar %v", len(tab.list), len(tab.list) > 0 && tab.list[0].cols != nil)
 	}
-	if v := db.env.cache.colFor(tab.list[0], 0, value.Timestamp); v != nil {
-		t.Errorf("colFor handed out the timestamp column's vector %+v", v)
+	src, _ := db.state.Load().table("u")
+	v := db.env.cache.colFor(tab.list[0], 0, value.Timestamp)
+	for i, row := range src.list[0].rows() {
+		if got := v.box(i); got != row[0] {
+			t.Errorf("row %d: the timestamp vector boxes %v, the source holds %v", i, got, row[0])
+		}
 	}
 	for _, q := range []string{
+		"SELECT MIN(ts), MAX(ts), COUNT(ts) FROM %s",
+		"SELECT ts, COUNT(*) FROM %s GROUP BY ts ORDER BY ts",
+		"SELECT n FROM %s WHERE ts > CAST('2024-01-02T12:00:00Z' AS timestamp) ORDER BY n",
 		"SELECT AVG(f) FROM %s",
 		"SELECT COUNT(*), STDDEV(f), MIN(n) FROM %s",
 		"SELECT n, AVG(f) FROM %s GROUP BY n ORDER BY n",

@@ -315,7 +315,7 @@ type StateExport struct {
 // serializing the (immutable) snapshot happens outside it. A table that
 // is still cold ships the blocks the checkpoint holds, as they are — a
 // replica bootstrapping does not make the primary decode anything — and
-// the error is that read failing, or a timestamp that does not encode.
+// the error is that read failing.
 func (db *DB) ExportState() (*StateExport, error) {
 	db.wmu.Lock()
 	sn := db.state.Load()
@@ -325,14 +325,13 @@ func (db *DB) ExportState() (*StateExport, error) {
 	exp := &StateExport{Pos: pos}
 	for _, t := range sn.durableTables() {
 		te := TableExport{Name: t.name, Cols: t.schema.clone()}
-		var err error
 		if t.isCold() {
-			te.Blocks, err = exportStoredBlocks(t)
+			var err error
+			if te.Blocks, err = exportStoredBlocks(t); err != nil {
+				return nil, fmt.Errorf("sqldb: export of table %q: %w", t.name, err)
+			}
 		} else {
-			te.Blocks, err = exportTableBlocks(t)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("sqldb: export of table %q: %w", t.name, err)
+			te.Blocks = exportTableBlocks(t)
 		}
 		te.Indexes = t.indexCols()
 		exp.Tables = append(exp.Tables, te)
@@ -341,18 +340,14 @@ func (db *DB) ExportState() (*StateExport, error) {
 }
 
 // exportTableBlocks encodes a table's rows into compressed per-column
-// blocks for replica bootstrap, cut where the chunks are cut. Every
-// engine type encodes (timestamps via the time encoding).
-func exportTableBlocks(t *table) (*TableBlocksExport, error) {
+// blocks for replica bootstrap, cut where the chunks are cut.
+func exportTableBlocks(t *table) *TableBlocksExport {
 	tb := &TableBlocksExport{NRows: t.nrows, Cols: make([]ColumnBlockExport, len(t.schema))}
 	for _, ch := range t.builtChunks() { // t is resident
 		for ci, c := range t.schema {
 			cb := &tb.Cols[ci]
 			for blk := range chunkBlocks(ch.rows()) {
-				meta, payload, err := encodeColBlock(blk, ci, c.Type)
-				if err != nil {
-					return nil, err
-				}
+				meta, payload := encodeColBlock(blk, ci, c.Type)
 				cb.Enc = append(cb.Enc, meta.Enc)
 				cb.Rows = append(cb.Rows, meta.Rows)
 				cb.CRC = append(cb.CRC, meta.CRC)
@@ -360,7 +355,7 @@ func exportTableBlocks(t *table) (*TableBlocksExport, error) {
 			}
 		}
 	}
-	return tb, nil
+	return tb
 }
 
 // exportStoredBlocks fills a cold table's export from the checkpoint

@@ -171,14 +171,10 @@ type chunk struct {
 }
 
 // colChunk is a columnar chunk's data: a vector per column of the table,
-// each n positions long, which colCache.colFor hands out as they are. A
-// Timestamp column has no vector, which no kernel asks for: its vecs
-// entry holds only its type, times its n values, boxed (nil in a table
-// without one), and box reads a cell of either.
+// each n positions long, which colCache.colFor hands out as they are.
 type colChunk struct {
-	vecs  []colVec
-	times [][]value.Value
-	n     int
+	vecs []colVec
+	n    int
 	// env counts the rows chunk.rows derives; derive guards the one derivation.
 	env    *execEnv
 	derive sync.Once
@@ -201,14 +197,6 @@ func (c *chunk) rows() []Row {
 	return c.resident[0]
 }
 
-// box returns the value at position i of column ci.
-func (cc *colChunk) box(ci, i int) value.Value {
-	if cc.vecs[ci].typ == value.Timestamp {
-		return cc.times[ci][i]
-	}
-	return cc.vecs[ci].box(i)
-}
-
 // boxRows lays out the rows of columnar data, all of them in one backing
 // array, as a bulk insert of the same rows would.
 func (cc *colChunk) boxRows() []Row {
@@ -216,7 +204,7 @@ func (cc *colChunk) boxRows() []Row {
 	vals := make([]value.Value, cc.n*w)
 	for i := range cc.n {
 		for ci := range w {
-			vals[i*w+ci] = cc.box(ci, i)
+			vals[i*w+ci] = cc.vecs[ci].box(i)
 		}
 	}
 	rows := make([]Row, cc.n)
@@ -506,10 +494,9 @@ func (t *table) appendChunk(rows []Row) {
 }
 
 // appendCols appends a columnar chunk of n rows: vecs holds one vector
-// per column, in schema order, of the column's type, and times a
-// Timestamp column's values. Only legal on a mutable version with no
-// index, which would want the rows at once.
-func (t *table) appendCols(vecs []colVec, times [][]value.Value, n int, env *execEnv) {
+// per column, in schema order, of the column's type. Only legal on a
+// mutable version with no index, which would want the rows at once.
+func (t *table) appendCols(vecs []colVec, n int, env *execEnv) {
 	if !t.mutable || t.indexed() {
 		panic("sqldb: appendCols on a published or indexed table version")
 	}
@@ -520,7 +507,7 @@ func (t *table) appendCols(vecs []colVec, times [][]value.Value, n int, env *exe
 	both := &struct {
 		ch chunk
 		cc colChunk
-	}{cc: colChunk{vecs: vecs, times: times, n: n, env: env}}
+	}{cc: colChunk{vecs: vecs, n: n, env: env}}
 	both.ch.cols = &both.cc
 	t.list = append(t.list, &both.ch)
 	t.offs = append(t.offs, t.nrows)

@@ -119,16 +119,10 @@ func (sn *snapshot) planVecJoin(st *SelectStmt, p *compiledSelect, where *texpr)
 	}
 	li, ri := k.l[0], k.r[0]
 	// The kernels key typed datums of one type: decline an Integer
-	// against a Float (one key class, two datum types), and the types
-	// whose datum is not their key (a Version's components, a
-	// Timestamp's pointer).
+	// against a Float (one key class, two datum types), and a Version,
+	// whose datum is not its key (its components are).
 	kt := ls[li].Type
-	if kt != rs[ri].Type {
-		return nil
-	}
-	switch kt {
-	case value.Integer, value.Float, value.Boolean, value.String:
-	default:
+	if kt != rs[ri].Type || kt == value.Version {
 		return nil
 	}
 	jp := &vecJoinPlan{
@@ -144,7 +138,7 @@ func (sn *snapshot) planVecJoin(st *SelectStmt, p *compiledSelect, where *texpr)
 	need := map[int]bool{li: true}
 	if where != nil {
 		jp.hasWhere = true
-		if where.vectorizable(p.srcSchema) && !slices.ContainsFunc(where.columns(), func(ci int) bool { return ci >= jp.nLeft }) {
+		if where.total && !slices.ContainsFunc(where.columns(), func(ci int) bool { return ci >= jp.nLeft }) {
 			jp.pred, jp.zone = where.vec(len(p.srcSchema), need)
 		}
 	}
@@ -194,7 +188,7 @@ func (jp *vecJoinPlan) planFused(st *SelectStmt, p *compiledSelect, need map[int
 // insertion order of the row engine's map buckets.
 type joinHash struct {
 	mask   uint64
-	keysI  []int64 // Integer/Boolean datums, or value.FloatBits
+	keysI  []int64 // Integer/Boolean/Timestamp datums, or value.FloatBits
 	keysS  []string
 	full   []bool // slot occupancy; counts alone can lag a claim
 	counts []int32
@@ -285,7 +279,7 @@ func (h *joinHash) slotS(k string, insert bool) (slot int, fresh bool) {
 }
 
 // intKeyAt converts build key vector row i into its int64-classed
-// datum (Integer/Boolean value, or value.FloatBits).
+// datum (Integer/Boolean/Timestamp value, or value.FloatBits).
 func intKeyAt(v *colVec, i int, kt value.Type) int64 {
 	if kt == value.Float {
 		return int64(value.FloatBits(v.floats[i]))
@@ -296,9 +290,7 @@ func intKeyAt(v *colVec, i int, kt value.Type) int64 {
 // buildJoinHash ingests the build table's key column — from its typed
 // column-cache vectors, chunk by chunk — into the hash table and
 // semi-join filter. NULL keys are skipped outright (they can never
-// match). Returns nil when a key vector cannot be built, which sends
-// the query to the row engine; the error is the build table's, cold
-// and failing to hydrate.
+// match). The error is the build table's, cold and failing to hydrate.
 func buildJoinHash(env *execEnv, jp *vecJoinPlan, rt *table) (*joinHash, error) {
 	if err := rt.hydrate(); err != nil {
 		return nil, err
@@ -306,9 +298,7 @@ func buildJoinHash(env *execEnv, jp *vecJoinPlan, rt *table) (*joinHash, error) 
 	list := rt.builtChunks()
 	kvs := make([]*colVec, len(list))
 	for i, ch := range list {
-		if kvs[i] = env.cache.colFor(ch, jp.ri, jp.keyType); kvs[i] == nil {
-			return nil, nil
-		}
+		kvs[i] = env.cache.colFor(ch, jp.ri, jp.keyType)
 	}
 	h := &joinHash{seed: maphash.MakeSeed()}
 	slots := nextPow2(max(4, 2*rt.nrows))
@@ -475,7 +465,7 @@ func (h *joinHash) keyZoneMiss(km *blockMeta, kt value.Type) bool {
 		return true // every key NULL, or no build key
 	}
 	switch kt {
-	case value.Integer, value.Boolean:
+	case value.Integer, value.Boolean, value.Timestamp:
 		if km.MaxI < h.minI || km.MinI > h.maxI {
 			return true
 		}
@@ -575,9 +565,6 @@ func (sn *snapshot) runVecJoin(st *SelectStmt, p *compiledSelect) (*Result, *rel
 	if err != nil {
 		return nil, nil, true, err
 	}
-	if h == nil {
-		return nil, nil, false, nil
-	}
 	rtRows, err := rt.flat()
 	if err != nil {
 		return nil, nil, true, err
@@ -599,11 +586,7 @@ func (sn *snapshot) runVecJoin(st *SelectStmt, p *compiledSelect) (*Result, *rel
 	if len(jp.needR) > 0 {
 		build.flat = make([]*colVec, len(p.srcSchema))
 		for _, ci := range jp.needR {
-			v := buildColVec(rtRows, ci-jp.nLeft, p.srcSchema[ci].Type)
-			if v == nil {
-				return nil, nil, false, nil
-			}
-			build.flat[ci] = v
+			build.flat[ci] = buildColVec(rtRows, ci-jp.nLeft, p.srcSchema[ci].Type)
 		}
 	}
 
@@ -690,7 +673,7 @@ func (sn *snapshot) runVecJoin(st *SelectStmt, p *compiledSelect) (*Result, *rel
 				blo, bhi := h.lookupI(int64(value.FloatBits(kv.floats[i])), value.Float)
 				emit(i, blo, bhi)
 			}
-		default: // Integer, Boolean
+		default: // Integer, Boolean, Timestamp
 			for i := lo; i < hi; i++ {
 				if mask != nil && !mask[i-lo] {
 					continue
@@ -829,7 +812,7 @@ func (db *DB) vecJoinBlockSkips(jp *vecJoinPlan, lt, rt *table) (int, error) {
 	// Counting the semi-join's skips takes the build side's keys: this
 	// is the one EXPLAIN that hydrates, and only rt.
 	h, err := buildJoinHash(db.env, jp, rt)
-	if h == nil {
+	if err != nil {
 		return 0, err
 	}
 	skipped := 0

@@ -3,11 +3,11 @@ package sqldb
 // Vectorized execution path.
 //
 // When a SELECT has the right shape — one table, no joins, no usable
-// index probe, a WHERE clause the batch back end takes (total, no
-// Timestamp column: texpr.vectorizable), plain-column group keys and
-// kernelizable aggregates — the planner attaches a vecPlan to the
-// compiled plan and runSelect executes it over the columnar projections
-// of colcache.go instead of boxed rows: the WHERE clause evaluates into
+// index probe, a WHERE clause the batch back end takes (a total one,
+// texpr.total), plain-column group keys and kernelizable aggregates —
+// the planner attaches a vecPlan to the compiled plan and runSelect
+// executes it over the columnar projections of colcache.go instead of
+// boxed rows: the WHERE clause evaluates into
 // boolean masks over typed vectors, masks compact into selection
 // vectors, and a grouped statement hands each morsel's selection to a
 // partial group table's addBatch — grouping, kernels, merge and render
@@ -109,7 +109,7 @@ func (sn *snapshot) planVec(st *SelectStmt, p *compiledSelect, where *texpr) *ve
 	vp := &vecPlan{}
 	need := map[int]bool{}
 	if where != nil {
-		if !where.vectorizable(p.srcSchema) {
+		if !where.total {
 			return nil
 		}
 		vp.pred, vp.zone = where.vec(len(p.srcSchema), need)
@@ -132,10 +132,10 @@ func (sn *snapshot) planVec(st *SelectStmt, p *compiledSelect, where *texpr) *ve
 
 // ------------------------------------------------ batch and zone back ends
 
-// vec lowers n, a vectorizable WHERE clause over rows width columns
-// wide, to both vectorized back ends at once, since every reader wants
-// both: the batch back end's mask kernel, and the zone back end's block
-// check — nil when it cannot bound n, which composes as "never prunes".
+// vec lowers n, a total WHERE clause over rows width columns wide, to
+// both vectorized back ends at once, since every reader wants both: the
+// batch back end's mask kernel, and the zone back end's block check —
+// nil when it cannot bound n, which composes as "never prunes".
 // The columns the kernel reads are recorded in need. A zone check must
 // be exact in one direction: true means no row of the block passes
 // (NULL rows never do at the top level; a float NaN compares equal to
@@ -309,16 +309,17 @@ func (n *texpr) colTest() (t colTest, is bool) {
 
 // kernels lowers t when the column and its literals are of one class
 // with an unboxed order — Integers, Floats against numbers a float holds
-// exactly, Booleans, Strings — and returns nil otherwise: a Version's
-// order is not its datum's, an Integer past 2^53 compares exactly only
-// as one, and the other pairs compare by display form, on the row back
-// end's kernel.
+// exactly, Booleans, Timestamps, Strings — and returns nil otherwise: a
+// Version's order is not its datum's, an Integer past 2^53 compares
+// exactly only as one, and the other pairs compare by display form, on
+// the row back end's kernel.
 func (t *colTest) kernels() (vecPredFn, zoneFn) {
 	if t.kind != tIn && slices.ContainsFunc(t.lits, value.Value.IsNull) {
 		return vecFalse, zoneAlways // a NULL operand: NULL on every row
 	}
 	switch {
-	case t.typ == value.Integer && t.of(value.Integer), t.typ == value.Boolean && t.of(value.Boolean):
+	case t.typ == value.Integer && t.of(value.Integer), t.typ == value.Boolean && t.of(value.Boolean),
+		t.typ == value.Timestamp && t.of(value.Timestamp):
 		return testKernels(t, func(v *colVec) []int64 { return v.ints },
 			func(m *blockMeta) (int64, int64) { return m.MinI, m.MaxI }, value.Value.Int)
 	case t.typ == value.Float && t.of(value.Integer, value.Float) && !slices.ContainsFunc(t.lits, inexactFloat):

@@ -25,8 +25,10 @@ import (
 
 // ProtocolVersion is the wire protocol generation. v1 had no
 // handshake; v2 adds the Hello exchange and the replication verbs; v3
-// the pour pipeline step, which a v2 peer would run as its bare SELECT.
-const ProtocolVersion = 3
+// the pour pipeline step, which a v2 peer would run as its bare SELECT;
+// v4 carries a Timestamp as its Unix nanoseconds, in a value and in a
+// bootstrap's column blocks, which a v3 peer would not decode.
+const ProtocolVersion = 4
 
 // Hello opens every connection.
 type Hello struct {

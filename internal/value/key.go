@@ -15,10 +15,10 @@ import (
 // its own; a number is canonical under Compare (an integral Float in
 // int64 range is the Integer, −0 is 0, every NaN is one); a string is
 // length-prefixed; a version is its components; a timestamp is its
-// instant, whatever its zone. Values of different classes never share
-// a key, even where Compare's display-form fallback calls them equal
-// (String against Integer or Version). Keys live in memory only: no
-// stored or wire format carries one.
+// Unix nanoseconds. Values of different classes never share a key,
+// even where Compare's display-form fallback calls them equal (String
+// against Integer or Version). Keys live in memory only: no stored or
+// wire format carries one.
 
 const (
 	keyNull byte = iota
@@ -46,9 +46,7 @@ func AppendKey(dst []byte, v Value) []byte {
 	case Version:
 		return AppendVersionKey(dst, v.s)
 	case Timestamp:
-		t := v.Time()
-		dst = binary.BigEndian.AppendUint64(append(dst, keyTime), uint64(t.Unix()))
-		return binary.BigEndian.AppendUint32(dst, uint32(t.Nanosecond()))
+		return AppendTimestampKey(dst, v.Int())
 	}
 	return AppendStringKey(dst, v.s)
 }
@@ -70,6 +68,12 @@ func AppendFloatKey(dst []byte, x float64) []byte {
 		return AppendIntKey(dst, int64(x))
 	}
 	return binary.BigEndian.AppendUint64(append(dst, keyFloat), math.Float64bits(x))
+}
+
+// AppendTimestampKey appends the key part of the Timestamp n
+// nanoseconds after the Unix epoch.
+func AppendTimestampKey(dst []byte, n int64) []byte {
+	return binary.BigEndian.AppendUint64(append(dst, keyTime), uint64(n))
 }
 
 // AppendBoolKey appends the key part of the Boolean x.

@@ -3,8 +3,6 @@ package value
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
-	"time"
 )
 
 // The binary encoding of a Value is one type byte, one null byte, and a
@@ -20,18 +18,10 @@ func (v Value) MarshalBinary() ([]byte, error) {
 		return buf, nil
 	}
 	switch v.typ {
-	case Integer:
-		buf = binary.BigEndian.AppendUint64(buf, uint64(v.Int()))
-	case Float:
-		buf = binary.BigEndian.AppendUint64(buf, math.Float64bits(v.Float()))
+	case Integer, Float, Timestamp:
+		buf = binary.BigEndian.AppendUint64(buf, v.num)
 	case String, Version:
 		buf = append(buf, v.s...)
-	case Timestamp:
-		tb, err := v.Time().MarshalBinary()
-		if err != nil {
-			return nil, err
-		}
-		buf = append(buf, tb...)
 	case Boolean:
 		if v.Bool() {
 			buf = append(buf, 1)
@@ -60,24 +50,13 @@ func (v *Value) UnmarshalBinary(data []byte) error {
 	}
 	payload := data[2:]
 	switch typ {
-	case Integer:
+	case Integer, Float, Timestamp:
 		if len(payload) != 8 {
-			return fmt.Errorf("value: bad integer payload length %d", len(payload))
-		}
-		v.num = binary.BigEndian.Uint64(payload)
-	case Float:
-		if len(payload) != 8 {
-			return fmt.Errorf("value: bad float payload length %d", len(payload))
+			return fmt.Errorf("value: bad %s payload length %d", typ, len(payload))
 		}
 		v.num = binary.BigEndian.Uint64(payload)
 	case String, Version:
 		v.s = string(payload)
-	case Timestamp:
-		var t time.Time
-		if err := t.UnmarshalBinary(payload); err != nil {
-			return err
-		}
-		v.t = &t
 	case Boolean:
 		if len(payload) != 1 {
 			return fmt.Errorf("value: bad boolean payload length %d", len(payload))

@@ -50,7 +50,7 @@ func ComparePtr(a, b *Value) int {
 		return strings.Compare(a.s, asString(b))
 	case Timestamp:
 		if b.typ == Timestamp {
-			return a.Time().Compare(b.Time())
+			return cmp.Compare(a.Int(), b.Int())
 		}
 	case Boolean:
 		if b.typ == Boolean {

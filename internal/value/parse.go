@@ -2,6 +2,7 @@ package value
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -24,6 +25,25 @@ var timestampLayouts = []string{
 	"Jan 2 15:04:05 2006",
 	"02.01.2006 15:04:05",
 	"01/02/2006 15:04:05",
+}
+
+// The range of a Timestamp: int64 nanoseconds since the Unix epoch.
+var (
+	minTime = time.Unix(0, math.MinInt64).UTC()
+	maxTime = time.Unix(0, math.MaxInt64).UTC()
+)
+
+func errTimeRange(what string) error {
+	return fmt.Errorf("value: timestamp %s is outside the range %s to %s", what,
+		minTime.Format(time.RFC3339Nano), maxTime.Format(time.RFC3339Nano))
+}
+
+// unixSeconds returns the Timestamp secs seconds after the Unix epoch.
+func unixSeconds(secs int64) (Value, error) {
+	if secs < math.MinInt64/1_000_000_000 || secs > math.MaxInt64/1_000_000_000 {
+		return Value{}, errTimeRange(strconv.FormatInt(secs, 10) + " (Unix seconds)")
+	}
+	return NewTimestampNano(secs * 1e9), nil
 }
 
 // Parse converts strict textual content to a value of type t.
@@ -68,12 +88,15 @@ func Parse(t Type, s string) (Value, error) {
 	case Timestamp:
 		for _, layout := range timestampLayouts {
 			if ts, err := time.Parse(layout, s); err == nil {
+				if ts.Before(minTime) || ts.After(maxTime) {
+					return Value{}, errTimeRange(strconv.Quote(s))
+				}
 				return NewTimestamp(ts), nil
 			}
 		}
 		// Numeric timestamps are interpreted as Unix seconds.
 		if secs, err := strconv.ParseInt(s, 10, 64); err == nil {
-			return NewTimestamp(time.Unix(secs, 0).UTC()), nil
+			return unixSeconds(secs)
 		}
 		return Value{}, fmt.Errorf("value: %q is not a timestamp", s)
 	}

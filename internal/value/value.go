@@ -25,7 +25,8 @@ const (
 	Float
 	// String is an arbitrary text string.
 	String
-	// Timestamp is a point in time with second resolution or better.
+	// Timestamp is an instant with nanosecond resolution, held in UTC:
+	// like PostgreSQL's timestamptz, it keeps no zone of its own.
 	Timestamp
 	// Boolean is a truth value.
 	Boolean
@@ -80,18 +81,16 @@ func (t Type) Numeric() bool { return t == Integer || t == Float }
 // Value is one datum of a perfbase data type, or NULL. The zero Value
 // is a NULL integer.
 //
-// The layout is deliberately compact (40 bytes on 64-bit platforms):
-// integers, floats and booleans share one 64-bit word, and timestamps
-// live behind a pointer. Values are copied by the million in scan and
-// expression hot loops, so struct size translates directly into
-// runtime.duffcopy cost there.
+// The layout is deliberately compact (32 bytes on 64-bit platforms):
+// integers, floats, booleans and timestamps share one 64-bit word.
+// Values are copied by the million in scan and expression hot loops,
+// so struct size translates directly into runtime.duffcopy cost there.
 type Value struct {
 	typ  Type
 	null bool
 
-	num uint64     // Integer (two's complement), Float (IEEE bits), Boolean (0/1)
-	s   string     // String, Version
-	t   *time.Time // Timestamp (nil only for NULL or zero values)
+	num uint64 // Integer (two's complement), Float (IEEE bits), Boolean (0/1), Timestamp (Unix nanoseconds)
+	s   string // String, Version
 }
 
 // Null returns the NULL value of the given type.
@@ -106,8 +105,14 @@ func NewFloat(f float64) Value { return Value{typ: Float, num: math.Float64bits(
 // NewString returns a String value.
 func NewString(s string) Value { return Value{typ: String, s: s} }
 
-// NewTimestamp returns a Timestamp value.
-func NewTimestamp(t time.Time) Value { return Value{typ: Timestamp, t: &t} }
+// NewTimestamp returns the Timestamp of t's instant; t's zone is not
+// kept. t must lie in the range of int64 nanoseconds since the Unix
+// epoch (years 1678 to 2262), as Parse and Convert ensure.
+func NewTimestamp(t time.Time) Value { return NewTimestampNano(t.UnixNano()) }
+
+// NewTimestampNano returns the Timestamp n nanoseconds after the Unix
+// epoch.
+func NewTimestampNano(n int64) Value { return Value{typ: Timestamp, num: uint64(n)} }
 
 // NewBool returns a Boolean value.
 func NewBool(b bool) Value {
@@ -128,7 +133,8 @@ func (v Value) Type() Type { return v.typ }
 // IsNull reports whether the value is NULL.
 func (v Value) IsNull() bool { return v.null }
 
-// Int returns the integer datum. It is only meaningful for Integer values.
+// Int returns the integer datum: an Integer's value, a Timestamp's Unix
+// nanoseconds. It is only meaningful for these types.
 func (v Value) Int() int64 { return int64(v.num) }
 
 // Float returns the float datum. For Integer values the converted
@@ -143,19 +149,15 @@ func (v Value) Float() float64 {
 // Str returns the string datum of a String or Version value.
 func (v Value) Str() string { return v.s }
 
-// Time returns the timestamp datum.
-func (v Value) Time() time.Time {
-	if v.t == nil {
-		return time.Time{}
-	}
-	return *v.t
-}
+// Time returns the timestamp datum, in UTC.
+func (v Value) Time() time.Time { return time.Unix(0, int64(v.num)).UTC() }
 
 // Bool returns the boolean datum.
 func (v Value) Bool() bool { return v.num != 0 }
 
 // String formats the value for display. NULL renders as "NULL";
-// timestamps render in RFC 3339 form.
+// timestamps render in RFC 3339 form, with as many fractional digits
+// as they need.
 func (v Value) String() string {
 	if v.null {
 		return "NULL"
@@ -168,7 +170,7 @@ func (v Value) String() string {
 	case String, Version:
 		return v.s
 	case Timestamp:
-		return v.Time().Format(time.RFC3339)
+		return v.Time().Format(time.RFC3339Nano)
 	case Boolean:
 		return strconv.FormatBool(v.Bool())
 	}
@@ -197,7 +199,7 @@ func (v Value) SQL() string {
 	case String, Version:
 		return QuoteSQL(v.s)
 	case Timestamp:
-		return QuoteSQL(v.Time().Format(time.RFC3339Nano))
+		return QuoteSQL(v.String())
 	case Boolean:
 		if v.Bool() {
 			return "TRUE"
@@ -245,7 +247,7 @@ func (v Value) Convert(t Type) (Value, error) {
 		case String:
 			return Parse(Float, v.s)
 		case Timestamp:
-			return NewFloat(float64(v.Time().UnixNano()) / 1e9), nil
+			return NewFloat(float64(v.Int()) / 1e9), nil
 		}
 	case String:
 		return NewString(v.String()), nil
@@ -259,7 +261,7 @@ func (v Value) Convert(t Type) (Value, error) {
 			return Parse(Timestamp, v.s)
 		}
 		if v.typ == Integer {
-			return NewTimestamp(time.Unix(v.Int(), 0).UTC()), nil
+			return unixSeconds(v.Int())
 		}
 	case Boolean:
 		switch v.typ {

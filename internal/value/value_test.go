@@ -2,6 +2,8 @@ package value
 
 import (
 	"math"
+	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -75,6 +77,8 @@ func TestValueString(t *testing.T) {
 		{NewBool(false), "false"},
 		{Null(String), "NULL"},
 		{NewVersion("2.6.6"), "2.6.6"},
+		{NewTimestamp(time.Date(2004, 11, 23, 18, 30, 30, 0, time.UTC)), "2004-11-23T18:30:30Z"},
+		{NewTimestamp(time.Date(2004, 11, 23, 18, 30, 30, 5e8, time.UTC)), "2004-11-23T18:30:30.5Z"},
 	}
 	for _, c := range cases {
 		if got := c.v.String(); got != c.want {
@@ -156,6 +160,49 @@ func TestParseTimestampLayouts(t *testing.T) {
 	}
 	if _, err := Parse(Timestamp, "not a date"); err == nil {
 		t.Error("Parse accepted garbage timestamp")
+	}
+	// A zoned input keeps its instant, not its zone.
+	if v, err := Parse(Timestamp, "2004-11-23T19:30:30+01:00"); err != nil || v != NewTimestamp(want) || v.String() != "2004-11-23T18:30:30Z" {
+		t.Errorf("zoned parse: %v %v", v, err)
+	}
+	// The range is int64 nanoseconds since the Unix epoch: Parse and
+	// Convert refuse what lies outside it, naming the range, instead of
+	// wrapping.
+	for _, c := range []struct {
+		in string
+		ok bool
+	}{
+		{"1677-09-21T00:12:43.145224192Z", true},
+		{"1677-09-21T00:12:43.145224191Z", false},
+		{"2262-04-11T23:47:16.854775807Z", true},
+		{"2262-04-11T23:47:16.854775808Z", false},
+		{"1600-01-01", false},
+		{"2300-01-01", false},
+		{"-9223372036", true},
+		{"-9223372037", false},
+		{"9223372036", true},
+		{"9223372037", false},
+		{"99999999999999", false},
+	} {
+		v, err := Parse(Timestamp, c.in)
+		if c.ok {
+			if err != nil {
+				t.Errorf("Parse(%q): %v", c.in, err)
+			} else if back, err := Parse(Timestamp, v.String()); err != nil || back != v {
+				t.Errorf("Parse(%q) = %v does not read back: %v %v", c.in, v, back, err)
+			}
+			continue
+		}
+		if err == nil || !strings.Contains(err.Error(), "1677-09-21T00:12:43.145224192Z to 2262-04-11T23:47:16.854775807Z") {
+			t.Errorf("Parse(%q) = %v, %v; want an error naming the range", c.in, v, err)
+		}
+		if n, perr := strconv.ParseInt(c.in, 10, 64); perr == nil {
+			if v, err := NewInt(n).Convert(Timestamp); err == nil {
+				t.Errorf("Convert(%d) = %v, want an error", n, v)
+			}
+		} else if v, err := NewString(c.in).Convert(Timestamp); err == nil {
+			t.Errorf("Convert(%q) = %v, want an error", c.in, v)
+		}
 	}
 }
 
