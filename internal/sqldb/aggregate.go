@@ -13,10 +13,13 @@ package sqldb
 //	          matView (registration rebuilds and literal-INSERT deltas
 //	          alike, so a view's digits are the row engine's).
 //	addBatch  one morsel of typed column vectors: the same grouping and
-//	          feeding as addRow, unboxed. Driven by runVecSelect and the
-//	          join-fused runVecJoin, each into one partial table per
-//	          morsel — or, when an aggregate's state does not merge,
-//	          runVecSelect into one table, morsel after morsel.
+//	          feeding as addRow, unboxed, with groups found per key run —
+//	          a lookup where a tuple's key datum differs from its
+//	          predecessor's, its predecessor's group where it does not.
+//	          Driven by runVecSelect and the join-fused runVecJoin, each
+//	          into one partial table per morsel — or, when an aggregate's
+//	          state does not merge, runVecSelect into one table, morsel
+//	          after morsel.
 //	merge     fold a later morsel's partial table into this one. The
 //	          drivers merge in morsel-index order (renderParts), so the
 //	          result is independent of worker count and scheduling.
@@ -47,7 +50,9 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"unsafe"
 
 	"perfbase/internal/value"
 )
@@ -678,8 +683,12 @@ type groupTable struct {
 	str  map[string]int32 // keyStr, keyComposite
 	null int32            // the NULL group's index, -1 while there is none
 
-	ctx  execCtx // addRow's evaluation context
-	kbuf []byte  // composite key scratch
+	ctx execCtx // addRow's evaluation context
+	// addBatch's scratch: the composite key, the dictionary's code-to-group
+	// table, and the tuples of a padded side that are not pads.
+	kbuf            []byte
+	lut             []int32
+	padPos, padGids []int32
 }
 
 func newGroupTable(st *SelectStmt, p *compiledSelect) *groupTable {
@@ -870,97 +879,39 @@ type aggBatch interface {
 	setRep(g *group, j int)
 }
 
-// addBatch is addRow over a morsel: it assigns every tuple its group —
-// through the same lookups and key encodings as addRow — and runs each
-// aggregate's kernel over the tuples at once. The filter has already
-// run: the batch holds the surviving tuples. gids is scratch, one
+// addBatch is addRow over a morsel: it assigns every tuple its group and
+// runs each aggregate's kernel over the tuples at once. The filter has
+// already run: the batch holds the surviving tuples. gids is scratch, one
 // entry per tuple. Only plans whose keys are plain columns and whose
 // aggregates are all batchable come here.
+//
+// Groups are found per key run. One pass per key column marks, in gids,
+// every tuple whose key datum differs from its predecessor's; only a
+// marked tuple takes addRow's lookup, through the same key encodings, and
+// every other one takes its predecessor's group. A filtered parameter, a
+// run's once parameters and a swept one repeated per iteration all come
+// in such runs, so a source's reduction looks up a group per run, not per
+// row.
 func (t *groupTable) addBatch(b aggBatch, gids []int32) {
 	p := t.p
 	n := b.size()
 	if n == 0 {
 		return
 	}
-	assign := func(j int, gi int32, fresh bool) {
-		g := &t.groups[gi]
-		if fresh {
-			b.setRep(g, j)
-		}
-		g.n++
-		gids[j] = gi
-	}
-	switch p.keyKind {
-	case keyNone:
+	gids = gids[:n]
+	if p.keyKind == keyNone {
 		gi, fresh := t.byNone()
 		if fresh {
 			b.setRep(&t.groups[gi], 0)
 		}
 		t.groups[gi].n += int64(n)
-		clear(gids[:n])
-	case keyNum:
-		kv, pos, _ := b.col(p.keyCols[0])
-		for j, i := range pos {
-			var gi int32
-			var fresh bool
-			switch {
-			case i < 0 || kv.null(int(i)):
-				gi, fresh = t.byNull()
-			case kv.typ == value.Float:
-				gi, fresh = t.byNum(value.FloatBits(kv.floats[i]))
-			default:
-				gi, fresh = t.byNum(uint64(kv.ints[i]))
-			}
-			assign(j, gi, fresh)
-		}
-	case keyStr:
-		kv, pos, _ := b.col(p.keyCols[0])
-		// With a dictionary: one array read per tuple, one hash lookup per
-		// distinct value per morsel. lut maps a code to its group's index
-		// plus one.
-		codes, vals := kv.dict()
-		lut := make([]int32, len(vals))
-		for j, i := range pos {
-			var gi int32
-			var fresh bool
-			switch {
-			case i < 0 || kv.null(int(i)):
-				gi, fresh = t.byNull()
-			case codes == nil:
-				gi, fresh = t.byStr(kv.strs[i])
-			case lut[codes[i]] > 0:
-				gi = lut[codes[i]] - 1
-			default:
-				gi, fresh = t.byStr(vals[codes[i]])
-				lut[codes[i]] = gi + 1
-			}
-			assign(j, gi, fresh)
-		}
-	default:
-		type keyVec struct {
-			v   *colVec
-			pos []int32
-		}
-		// On the stack for the usual few keys: a morsel's table meets one
-		// batch, so scratch kept in the table would not be reused.
-		var few [4]keyVec
-		keys := few[:0]
-		for _, ci := range p.keyCols {
-			v, pos, _ := b.col(ci)
-			keys = append(keys, keyVec{v, pos})
-		}
-		for j := 0; j < n; j++ {
-			t.kbuf = t.kbuf[:0]
-			for _, k := range keys {
-				t.kbuf = k.v.appendKey(t.kbuf, int(k.pos[j]))
-			}
-			gi, fresh := t.byBytes(t.kbuf)
-			assign(j, gi, fresh)
-		}
+		clear(gids)
+	} else {
+		t.assign(b, gids)
 	}
 	// A kernel cannot index a pad: drop those tuples once, for every
 	// aggregate that reads the padded side.
-	var padPos, padGids []int32
+	padded := false
 	for k := range p.aggs {
 		sp := &p.aggs[k]
 		if sp.e.Star {
@@ -969,17 +920,192 @@ func (t *groupTable) addBatch(b aggBatch, gids []int32) {
 		v, pos, pads := b.col(sp.col)
 		g := gids
 		if pads {
-			if padPos == nil {
-				padPos, padGids = make([]int32, 0, n), make([]int32, 0, n)
+			if !padded {
+				t.padPos, t.padGids = t.padPos[:0], t.padGids[:0]
 				for j, i := range pos {
 					if i >= 0 {
-						padPos, padGids = append(padPos, i), append(padGids, gids[j])
+						t.padPos, t.padGids = append(t.padPos, i), append(t.padGids, gids[j])
 					}
 				}
+				padded = true
 			}
-			pos, g = padPos, padGids
+			pos, g = t.padPos, t.padGids
 		}
 		sp.kern(v, pos, g, t.accs, len(p.aggs), k)
+	}
+}
+
+// keyVec is one key column of a batch: its vector and the tuples'
+// positions in it, where -1 is a pad.
+type keyVec struct {
+	v   *colVec
+	pos []int32
+}
+
+// assign sets gids[j] to the group of tuple j, opening groups in
+// first-seen order and counting their rows; see addBatch.
+func (t *groupTable) assign(b aggBatch, gids []int32) {
+	p := t.p
+	clear(gids)
+	gids[0] = -1 // the first tuple opens a run
+	kv, pos, pads := b.col(p.keyCols[0])
+	// With a dictionary the runs are the codes' (a NULL's is -1), and a
+	// run is looked up by its code: lut maps a code to its group's index
+	// plus one, so a hash lookup is paid once per distinct value per batch.
+	var codes []int32
+	var vals []string
+	if p.keyKind == keyStr {
+		codes, vals = kv.dict()
+	}
+	if codes != nil {
+		markRuns(codes, nil, pos, pads, gids)
+		t.lut = slices.Grow(t.lut[:0], len(vals))[:len(vals)]
+		clear(t.lut)
+		lut := t.lut
+		var gi int32
+		for j, mark := range gids {
+			if mark < 0 {
+				c := int32(-1)
+				if i := pos[j]; i >= 0 {
+					c = codes[i]
+				}
+				switch {
+				case c < 0:
+					gi = t.opened(b, j)(t.byNull())
+				case lut[c] > 0:
+					gi = lut[c] - 1
+				default:
+					gi = t.opened(b, j)(t.byStr(vals[c]))
+					lut[c] = gi + 1
+				}
+			}
+			gids[j] = gi
+			t.groups[gi].n++
+		}
+		return
+	}
+	var few [4]keyVec // on the stack for the usual few keys
+	keys := few[:0]
+	for _, ci := range p.keyCols {
+		v, pos, pads := b.col(ci)
+		keys = append(keys, keyVec{v, pos})
+		v.markRuns(pos, pads, gids)
+	}
+	var gi int32
+	if p.keyKind == keyComposite {
+		for j, mark := range gids {
+			if mark < 0 {
+				gi = t.opened(b, j)(t.byKeys(keys, j))
+			}
+			gids[j] = gi
+			t.groups[gi].n++
+		}
+		return
+	}
+	for j, mark := range gids {
+		if mark < 0 {
+			gi = t.opened(b, j)(t.byDatum(kv, pos[j]))
+		}
+		gids[j] = gi
+		t.groups[gi].n++
+	}
+}
+
+// opened returns what takes a lookup's result for tuple j of b — a by*
+// method's — to the group alone, having given the group the tuple's row
+// if the lookup opened it.
+func (t *groupTable) opened(b aggBatch, j int) func(gi int32, fresh bool) int32 {
+	return func(gi int32, fresh bool) int32 {
+		if fresh {
+			b.setRep(&t.groups[gi], j)
+		}
+		return gi
+	}
+}
+
+// byDatum looks up the group of position i of kv under a one-column key,
+// where -1 is a pad and reads as NULL.
+func (t *groupTable) byDatum(kv *colVec, i int32) (int32, bool) {
+	switch {
+	case i < 0 || kv.null(int(i)):
+		return t.byNull()
+	case kv.typ == value.Float:
+		return t.byNum(value.FloatBits(kv.floats[i]))
+	case kv.typ == value.String:
+		return t.byStr(kv.strs[i])
+	}
+	return t.byNum(uint64(kv.ints[i]))
+}
+
+// byKeys looks up the group of tuple j under a composite key: every
+// key's value.AppendKey part, as addRow builds it.
+func (t *groupTable) byKeys(keys []keyVec, j int) (int32, bool) {
+	t.kbuf = t.kbuf[:0]
+	for _, k := range keys {
+		t.kbuf = k.v.appendKey(t.kbuf, int(k.pos[j]))
+	}
+	return t.byBytes(t.kbuf)
+}
+
+// markRuns sets gids[j] to -1 where tuple j's key datum xs[pos[j]] differs
+// from tuple j-1's, and leaves every other entry alone. NULL — a set bit
+// of nulls, or under pads a position of -1 — is a datum of its own. A
+// mark is conservative: equal datums have one key, but one key may have
+// unequal datums (two NaNs, two spellings of a Version), and such a break
+// only costs the lookup that finds them one group.
+func markRuns[T comparable](xs []T, nulls []uint64, pos []int32, pads bool, gids []int32) {
+	if nulls == nil && !pads {
+		prev := xs[pos[0]]
+		for j, i := range pos[1:] {
+			if x := xs[i]; x != prev {
+				gids[j+1] = -1
+				prev = x
+			}
+		}
+		return
+	}
+	isNull := func(i int32) bool { return i < 0 || nulls != nil && nulls[i>>6]&(1<<(uint(i)&63)) != 0 }
+	var prev T
+	prevNull := isNull(pos[0])
+	if !prevNull {
+		prev = xs[pos[0]]
+	}
+	for j, i := range pos[1:] {
+		if isNull(i) {
+			if !prevNull {
+				gids[j+1] = -1
+			}
+			prevNull = true
+			continue
+		}
+		if x := xs[i]; prevNull || x != prev {
+			gids[j+1] = -1
+			prev = x
+		}
+		prevNull = false
+	}
+}
+
+// strHeader is a string's header: two strings with one header are equal.
+type strHeader struct {
+	p *byte
+	n int
+}
+
+// markRuns marks the breaks of the vector's runs at the positions pos:
+// an integer, boolean or timestamp by its word, a float by ==, under
+// which −0 and 0 are one run, and a string or version by its header, so
+// that a copy of one string (a constant, a once parameter poured into
+// every row of its run) runs without a byte compared.
+func (v *colVec) markRuns(pos []int32, pads bool, gids []int32) {
+	switch v.typ {
+	case value.Integer, value.Boolean, value.Timestamp:
+		markRuns(v.ints, v.nulls, pos, pads, gids)
+	case value.Float:
+		markRuns(v.floats, v.nulls, pos, pads, gids)
+	default:
+		hs := unsafe.Slice((*strHeader)(unsafe.Pointer(unsafe.SliceData(v.strs))), len(v.strs))
+		markRuns(hs, v.nulls, pos, pads, gids)
 	}
 }
 

@@ -67,17 +67,32 @@ func aggTestRow(k int) (g, w, row string) {
 	case k == 9000:
 		inf = "CAST('NaN' AS float)"
 	}
-	return g, w, fmt.Sprintf("(%d, %s, %s, %s, %s, %s, %s, %s, %s, %s, %s, %s, %s)", k, g, s, hs, i, w, f, big, pos, str, ver, flag, inf)
+	// Keys in runs, as a source's parameters come: a constant, an integer
+	// in runs of 500 across the morsel edges, one with runs of NULL, a
+	// float whose runs alternate 0 and −0 and whose one run of NaNs
+	// alternates two bit patterns, and a Version whose runs spell one
+	// version three ways. Each run break that is no key change must fall
+	// through to the lookup that merges it.
+	r500 := fmt.Sprint(k / 500)
+	rn := null((k/300)%4 == 3, fmt.Sprint((k/300)%5))
+	rf := [...]string{"0.0", "-0.0"}[(k/400)%2]
+	if k >= 8000 && k < 8100 {
+		rf = [...]string{"CAST('NaN' AS float)", "-CAST('NaN' AS float)"}[k%2]
+	}
+	rv := [...]string{"'1.2'", "'1-2'", "'01.2'"}[(k/700)%3]
+	return g, w, fmt.Sprintf("(%d, %s, %s, %s, %s, %s, %s, %s, %s, %s, %s, %s, %s, 'gige', %s, %s, %s, %s)",
+		k, g, s, hs, i, w, f, big, pos, str, ver, flag, inf, r500, rn, rf, rv)
 }
 
 // aggTestStmt is one statement of the agreement matrix: as the single-
 // table drivers run it, and over the join, where the numeric key and
 // the argument w come from the build side. kernel says whether the
 // vector planners must accept it, inOrder whether an aggregate's state
-// does not merge, so that the fused join path must decline it.
+// does not merge, and multiKey whether it groups by more than one key:
+// either makes the fused join path decline it.
 type aggTestStmt struct {
-	sql, joinSQL    string
-	kernel, inOrder bool
+	sql, joinSQL              string
+	kernel, inOrder, multiKey bool
 }
 
 const aggTestJoin = "t JOIN kt ON t.k = kt.k2"
@@ -123,6 +138,10 @@ func aggTestStatements() (stmts []aggTestStmt) {
 		{"s, ", " GROUP BY s", "s, ", " GROUP BY s"},
 		{"hs, ", " GROUP BY hs", "hs, ", " GROUP BY hs"},
 		{"g, s, ", " GROUP BY g, s", "kg AS g, s, ", " GROUP BY kg, s"},
+		// The keys in runs: a string, a float, and all of them.
+		{"cs, ", " GROUP BY cs", "cs, ", " GROUP BY cs"},
+		{"rf, ", " GROUP BY rf", "rf, ", " GROUP BY rf"},
+		{"cs, r500, rn, rf, rv, ", " GROUP BY cs, r500, rn, rf, rv", "cs, r500, rn, rf, rv, ", " GROUP BY cs, r500, rn, rf, rv"},
 	}
 	variants := []struct{ distinct, suffix, where string }{
 		{},
@@ -179,10 +198,11 @@ func aggTestStatements() (stmts []aggTestStmt) {
 					continue
 				}
 				stmts = append(stmts, aggTestStmt{
-					sql:     "SELECT " + key.sel + strings.Join(l.plain, ", ") + " FROM t" + v.where + key.group,
-					joinSQL: "SELECT " + key.joinSel + strings.Join(l.join, ", ") + " FROM " + aggTestJoin + v.where + key.joinGroup,
-					kernel:  l.kernel,
-					inOrder: l.inOrder,
+					sql:      "SELECT " + key.sel + strings.Join(l.plain, ", ") + " FROM t" + v.where + key.group,
+					joinSQL:  "SELECT " + key.joinSel + strings.Join(l.join, ", ") + " FROM " + aggTestJoin + v.where + key.joinGroup,
+					kernel:   l.kernel,
+					inOrder:  l.inOrder,
+					multiKey: strings.Contains(key.group, ","),
 				})
 			}
 		}
@@ -217,7 +237,7 @@ func TestAggDriversAgree(t *testing.T) {
 	v4.SetScanWorkers(4)
 	dbs := []*DB{rdb, v1, v4}
 	for _, db := range dbs {
-		mustExec(t, db, "CREATE TABLE t (k integer, g integer, s string, hs string, i integer, w integer, f float, big integer, pos float, str string, ver version, flag boolean, inf float)")
+		mustExec(t, db, "CREATE TABLE t (k integer, g integer, s string, hs string, i integer, w integer, f float, big integer, pos float, str string, ver version, flag boolean, inf float, cs string, r500 integer, rn integer, rf float, rv version)")
 	}
 	mustExec(t, v4, "CREATE TABLE kt (k2 integer, kg integer, kw integer)")
 
@@ -272,7 +292,7 @@ func TestAggDriversAgree(t *testing.T) {
 		if p := plan(st.sql); (p.vec != nil) != st.kernel {
 			t.Errorf("%q: vectorized plan = %v, want %v", st.sql, p.vec != nil, st.kernel)
 		}
-		fused := st.kernel && !st.inOrder && !strings.Contains(st.joinSQL, "kg, s")
+		fused := st.kernel && !st.inOrder && !st.multiKey
 		if p := plan(st.joinSQL); p.vecJoin == nil || p.vecJoin.fused != fused {
 			t.Errorf("%q: join-fused plan = %v, want %v", st.joinSQL, p.vecJoin != nil && p.vecJoin.fused, fused)
 		}
@@ -555,6 +575,70 @@ func TestPartialSelect(t *testing.T) {
 		}
 		if want := mustExec(t, db, sql); fmtViewResult(got) != fmtViewResult(want) {
 			t.Errorf("%q merged from two parts:\n%swant:\n%s", sql, fmtViewResult(got), fmtViewResult(want))
+		}
+	}
+}
+
+// TestAggAddBatchAllocatesNothing: once a table holds a batch's groups,
+// assigning the same batch to them again allocates nothing — under every
+// key kind, over keys that come in runs and over keys that change every
+// row. A morsel scan's grouping costs no garbage per batch.
+func TestAggAddBatchAllocatesNothing(t *testing.T) {
+	db := NewMemory()
+	defer db.Close()
+	mustExec(t, db, "CREATE TABLE t (run integer, k integer, s string, hs string, f float, v integer)")
+	rows := make([]Row, vecMorselRows)
+	for i := range rows {
+		rows[i] = Row{
+			value.NewInt(int64(i / 500)), value.NewInt(int64(i % 50)),
+			value.NewString(fmt.Sprint("s", i/700)), value.NewString(fmt.Sprint("h", i%1500)),
+			value.NewFloat(float64(i%7) * 0.5), value.NewInt(int64(i)),
+		}
+	}
+	if _, err := db.InsertRows("t", []string{"run", "k", "s", "hs", "f", "v"}, rows); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		key  string
+		kind keyKind
+	}{
+		{"run", keyNum}, {"k", keyNum}, {"f", keyNum},
+		{"s", keyStr}, {"hs", keyStr}, // a dictionary, and too many values for one
+		{"run, s", keyComposite}, {"k, hs", keyComposite},
+	} {
+		sql := "SELECT " + tc.key + ", COUNT(*), SUM(v), AVG(f), MIN(hs) FROM t GROUP BY " + tc.key
+		st := mustParseSelect(t, sql)
+		sn := db.state.Load()
+		p, err := sn.planSelect(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.keyKind != tc.kind || p.vec == nil {
+			t.Fatalf("%q: key kind %d, vectorized %v; want %d, vectorized", sql, p.keyKind, p.vec != nil, tc.kind)
+		}
+		tab, _ := sn.table("t")
+		ms, err := tab.morsels()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cv := make([]*colVec, len(tab.schema))
+		lo, hi, err := sn.env.vecs(&ms[0], tab.schema, p.vec.cols, cv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := &scanBatch{cv: cv, from: ms[0].ch.cols}
+		if b.from == nil {
+			if b.rows, err = tab.morselRows(&ms[0]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := lo; i < hi; i++ {
+			b.sel = append(b.sel, int32(i))
+		}
+		gt, gids := newGroupTable(st, p), make([]int32, len(b.sel))
+		gt.addBatch(b, gids) // opens the groups
+		if allocs := testing.AllocsPerRun(10, func() { gt.addBatch(b, gids) }); allocs != 0 {
+			t.Errorf("%q: addBatch of a batch whose groups exist allocates %v times, want 0", sql, allocs)
 		}
 	}
 }

@@ -592,8 +592,8 @@ func (sn *snapshot) runVecJoin(st *SelectStmt, p *compiledSelect) (*Result, *rel
 
 	// probeMorsel produces the pair lists of a morsel whose vectors cv
 	// cover positions [lo, hi); pl entries are positions, which index the
-	// morsel's rows too.
-	probeMorsel := func(cv []*colVec, lo, hi int, padAll bool) ([]int32, []int32) {
+	// morsel's rows too. bufs is the morsel's scratch.
+	probeMorsel := func(cv []*colVec, lo, hi int, padAll bool, bufs *morselBufs) ([]int32, []int32) {
 		n := hi - lo
 		var pl, pr []int32
 		if padAll {
@@ -607,7 +607,7 @@ func (sn *snapshot) runVecJoin(st *SelectStmt, p *compiledSelect) (*Result, *rel
 		}
 		var mask []bool
 		if jp.pred != nil {
-			mask = make([]bool, n)
+			mask = bufs.mask[:n]
 			jp.pred(cv, lo, mask)
 		}
 		pl = make([]int32, 0, n)
@@ -723,7 +723,9 @@ func (sn *snapshot) runVecJoin(st *SelectStmt, p *compiledSelect) (*Result, *rel
 				return err
 			}
 		}
-		pl, pr := probeMorsel(cv, lo, hi, padAll)
+		bufs := morselBufPool.Get().(*morselBufs)
+		defer morselBufPool.Put(bufs)
+		pl, pr := probeMorsel(cv, lo, hi, padAll, bufs)
 		if len(pl) == 0 {
 			return nil
 		}
@@ -733,8 +735,11 @@ func (sn *snapshot) runVecJoin(st *SelectStmt, p *compiledSelect) (*Result, *rel
 		}
 		pairs := &joinPairs{joinBuild: build, rows: rows, cv: cv, pl: pl, pr: pr}
 		if jp.fused {
+			if len(pl) > cap(bufs.gids) {
+				bufs.gids = make([]int32, len(pl))
+			}
 			tables[mi] = newGroupTable(st, p)
-			tables[mi].addBatch(pairs, make([]int32, len(pl)))
+			tables[mi].addBatch(pairs, bufs.gids[:len(pl)])
 		} else {
 			parts[mi] = pairs
 		}

@@ -106,6 +106,9 @@ var joinAgreementQueries = []string{
 	"SELECT COUNT(*), COUNT(e.weight) FROM runs r LEFT JOIN exps e ON r.exp = e.eid",
 	"SELECT e.name, SUM(r.rid) FROM runs r JOIN exps e ON r.exp = e.eid GROUP BY e.name HAVING SUM(r.rid) > 1000 ORDER BY e.name",
 	"SELECT e.name, COUNT(*) FROM runs r JOIN exps e ON r.exp = e.eid WHERE r.rid < 400 GROUP BY e.name ORDER BY e.name",
+	// Grouped by a build-side column over a LEFT join whose probe rows
+	// past weight 177 all miss: their pads form one run of NULL keys.
+	"SELECT e.name, COUNT(*), COUNT(e.weight), SUM(r.rid) FROM runs r LEFT JOIN exps e ON r.rid = e.weight GROUP BY e.name ORDER BY e.name",
 	// Join + ORDER BY/LIMIT/OFFSET tails.
 	"SELECT r.rid, e.weight FROM runs r JOIN exps e ON r.exp = e.eid ORDER BY e.weight DESC, r.rid LIMIT 15",
 	"SELECT r.rid, e.weight FROM runs r LEFT JOIN exps e ON r.exp = e.eid ORDER BY r.rid LIMIT 10 OFFSET 5",

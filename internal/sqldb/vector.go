@@ -433,10 +433,13 @@ func inexactFloat(l value.Value) bool { return value.Compare(value.NewFloat(l.Fl
 
 // ------------------------------------------------------ execution
 
-// morselBufs holds the per-morsel scratch (selection vector and group
-// ids, both capped at vecMorselRows, and the batch addBatch reads)
-// recycled across morsels to keep the scan loop allocation-free.
+// morselBufs holds the per-morsel scratch (the filter's mask, the
+// selection vector and the group ids, all capped at vecMorselRows, and
+// the batch addBatch reads) recycled across morsels to keep the scan
+// loop allocation-free. A join's pairs can outnumber its morsel's rows:
+// it grows gids to their count.
 type morselBufs struct {
+	mask      []bool
 	sel, gids []int32
 	batch     scanBatch
 }
@@ -444,6 +447,7 @@ type morselBufs struct {
 var morselBufPool = sync.Pool{
 	New: func() any {
 		return &morselBufs{
+			mask: make([]bool, vecMorselRows),
 			sel:  make([]int32, 0, vecMorselRows),
 			gids: make([]int32, vecMorselRows),
 		}
@@ -627,7 +631,7 @@ func (sn *snapshot) runVecSelect(st *SelectStmt, p *compiledSelect) (*Result, bo
 					sel = append(sel, int32(i))
 				}
 			} else {
-				mask := make([]bool, hi-lo)
+				mask := bufs.mask[:hi-lo]
 				vp.pred(cv, lo, mask)
 				for i, keep := range mask {
 					if keep {
@@ -686,7 +690,9 @@ func (sn *snapshot) runVecSelect(st *SelectStmt, p *compiledSelect) (*Result, bo
 		if cv == nil || err != nil {
 			return err
 		}
-		mask := make([]bool, hi-lo)
+		bufs := morselBufPool.Get().(*morselBufs)
+		defer morselBufPool.Put(bufs)
+		mask := bufs.mask[:hi-lo]
 		vp.pred(cv, lo, mask)
 		ctx := &execCtx{}
 		var mo morselOut

@@ -59,6 +59,42 @@ func BenchmarkVectorGroupBy(b *testing.B) {
 	}
 }
 
+// BenchmarkVectorGroupByKeyRuns is a perfbase operator's reduction of a
+// source: one GROUP BY over every parameter, whose keys come in runs — a
+// once parameter per run of the experiment (net, nodes: one value per
+// 20 000 rows) and a swept one repeated per iteration (msg: runs of
+// 1 000). BenchmarkVectorGroupBy, whose key changes every row, is the
+// case without runs.
+func BenchmarkVectorGroupByKeyRuns(b *testing.B) {
+	const sql = "SELECT net, nodes, msg, AVG(lat), STDDEV(lat) FROM reduce GROUP BY net, nodes, msg"
+	for _, mode := range []string{"row", "vec"} {
+		b.Run(mode, func(b *testing.B) {
+			db := NewMemory()
+			mustExecB(b, db, "CREATE TABLE reduce (net string, nodes integer, msg integer, lat float)")
+			nets := []string{"gige", "myri", "ib", "shm"}
+			rows := make([]Row, 160_000)
+			for i := range rows {
+				run, rep := i/20_000, i/1_000
+				rows[i] = Row{
+					value.NewString(nets[run%len(nets)]),
+					value.NewInt(int64(1 << (run % 5))),
+					value.NewInt(int64(1 << (rep % 20))),
+					value.NewFloat(float64(i%997) * 0.25),
+				}
+			}
+			if _, err := db.InsertRows("reduce", []string{"net", "nodes", "msg", "lat"}, rows); err != nil {
+				b.Fatal(err)
+			}
+			db.SetVectorized(mode == "vec")
+			mustExecB(b, db, sql) // warm plan + column cache
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				mustExecB(b, db, sql)
+			}
+		})
+	}
+}
+
 // BenchmarkVectorFilterScan compares a selective filtered projection —
 // the scan/filter kernels without aggregation.
 func BenchmarkVectorFilterScan(b *testing.B) {
