@@ -13,7 +13,7 @@ import (
 )
 
 // testDef builds a small experiment definition for tests.
-func testDef(t *testing.T) *pbxml.Experiment {
+func testDef(t testing.TB) *pbxml.Experiment {
 	t.Helper()
 	doc := `
 <experiment>

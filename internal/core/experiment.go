@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -246,6 +247,7 @@ func (e *Experiment) Can(user string, class AccessClass) (bool, error) {
 
 // Grant gives user the access class, replacing any previous grant.
 func (e *Experiment) Grant(user string, class AccessClass) error {
+	defer e.store.forget(e.name)
 	if err := e.Revoke(user); err != nil {
 		return err
 	}
@@ -259,6 +261,7 @@ func (e *Experiment) Grant(user string, class AccessClass) error {
 
 // Revoke removes all access grants of user.
 func (e *Experiment) Revoke(user string) error {
+	defer e.store.forget(e.name)
 	_, err := execArgs(e.store.q, "DELETE FROM "+tblAccess+" WHERE exp = ? AND usr = ?",
 		value.NewString(e.name), value.NewString(user))
 	if err != nil {
@@ -274,7 +277,8 @@ func (e *Experiment) Revoke(user string) error {
 // variables appear as NULL in existing runs (or their default at query
 // time); removed variables lose their content; a changed data type is
 // applied by dropping and re-adding the column, which also clears
-// existing content. Occurrence changes are rejected.
+// existing content. Occurrence changes are rejected. Only e itself
+// takes the new definition: an experiment opened before keeps the old.
 func (e *Experiment) Update(def *pbxml.Experiment) error {
 	if err := def.Validate(); err != nil {
 		return err
@@ -286,6 +290,7 @@ func (e *Experiment) Update(def *pbxml.Experiment) error {
 	if err != nil {
 		return err
 	}
+	defer e.store.forget(e.name)
 	oldByName := map[string]*Var{}
 	for i := range e.vars {
 		oldByName[strings.ToLower(e.vars[i].Name)] = &e.vars[i]
@@ -325,6 +330,9 @@ func (e *Experiment) Update(def *pbxml.Experiment) error {
 		old, existed := oldByName[strings.ToLower(nv.Name)]
 		if existed && old.Type == nv.Type {
 			// Possibly changed meta only: refresh the meta row.
+			if sameMeta(old, &nv) {
+				continue
+			}
 			if _, err := execArgs(e.store.q, "DELETE FROM "+tblVariables+" WHERE exp = ? AND name = ?",
 				value.NewString(e.name), value.NewString(nv.Name)); err != nil {
 				return fmt.Errorf("core: update: %w", err)
@@ -361,6 +369,13 @@ func (e *Experiment) Update(def *pbxml.Experiment) error {
 	e.def = def
 	e.vars = newVars
 	return nil
+}
+
+// sameMeta reports whether a and b, of one type, have the same meta row.
+func sameMeta(a, b *Var) bool {
+	return a.Name == b.Name && a.Synopsis == b.Synopsis && a.Description == b.Description &&
+		a.Unit.String() == b.Unit.String() && a.DefaultText == b.DefaultText &&
+		slices.Equal(a.ValidTexts, b.ValidTexts)
 }
 
 // alterAll applies an ALTER TABLE clause to the once table (once=true)

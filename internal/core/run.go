@@ -64,14 +64,18 @@ func (e *Experiment) CreateRun(once DataSet, sets []DataSet, source, checksum st
 // a stored run carries it for is refused with ErrDuplicateImport.
 //
 // It costs two database calls, each one pipeline. A read: the highest
-// run id and the duplicate count. A write, one transaction: per run its
-// data table (paper §4.2: one table per run) and its data sets as typed
-// rows, then the once rows, then the pb_runs rows carrying their
-// data-set counts. The CREATE TABLEs claim the run ids: an id a
-// concurrent importer took fails its CREATE with sqldb.ErrTableExists,
-// or the COMMIT with sqldb.ErrTxnConflict, and nothing is written; the
-// ids are then read again and the pipeline resent (paper §4.2: several
-// input users may import into one experiment).
+// run id, from the experiment's once table, and the duplicate count,
+// from pb_runs. A write, one transaction: per run its data table (paper
+// §4.2: one table per run) and its data sets as typed rows, then the
+// once rows, then the pb_runs rows carrying their data-set counts. A
+// run's once row and its pb_runs row are written and deleted together,
+// so the once table holds exactly the catalog's run ids of the
+// experiment, and its MAX is theirs without a scan of the whole
+// catalog. The CREATE TABLEs claim the run ids: an id a concurrent
+// importer took fails its CREATE with sqldb.ErrTableExists, or the
+// COMMIT with sqldb.ErrTxnConflict, and nothing is written; the ids are
+// then read again and the pipeline resent (paper §4.2: several input
+// users may import into one experiment).
 func (e *Experiment) CreateRuns(fingerprint string, runs []NewRun) ([]int64, error) {
 	onceRows, dataRows, err := e.convert(runs)
 	if err != nil {
@@ -186,13 +190,14 @@ func (v *Var) content(ds DataSet) (value.Value, error) {
 }
 
 // nextRunID reads, in one pipeline, the id after the highest stored run
-// and, when fingerprint is not empty, whether a stored run carries that
-// import fingerprint.
+// — the once table's highest run_id, one integer column of this
+// experiment alone — and, when fingerprint is not empty, whether an
+// active run in pb_runs carries that import fingerprint.
 func (e *Experiment) nextRunID(fingerprint string) (next int64, dup bool, err error) {
-	exp := value.NewString(e.name).SQL()
-	reqs := []sqldb.PipelineRequest{{SQL: "SELECT MAX(run_id) FROM " + tblRuns + " WHERE exp = " + exp}}
+	reqs := []sqldb.PipelineRequest{{SQL: "SELECT MAX(run_id) FROM " + e.OnceTable()}}
 	if fingerprint != "" {
-		reqs = append(reqs, sqldb.PipelineRequest{SQL: "SELECT COUNT(*) FROM " + tblRuns + " WHERE exp = " + exp +
+		reqs = append(reqs, sqldb.PipelineRequest{SQL: "SELECT COUNT(*) FROM " + tblRuns +
+			" WHERE exp = " + value.NewString(e.name).SQL() +
 			" AND checksum = " + value.NewString(fingerprint).SQL() + " AND active"})
 	}
 	res, err := e.store.q.ExecPipeline(reqs)

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"perfbase/internal/pbxml"
@@ -44,6 +45,63 @@ const validSep = "\x1f"
 // manages the meta tables shared by all experiments in the database.
 type Store struct {
 	q Handle
+
+	mu   sync.Mutex
+	exps map[string]*openedExp // by name: the experiment OpenExperiment last built
+}
+
+// openedExp is an experiment as OpenExperiment built it, with the meta
+// rows it was built from. The experiment is never changed: the store
+// hands out copies of it, so an Update on one changes that copy alone.
+type openedExp struct {
+	exp  *Experiment
+	n    [3]int        // rows per meta read
+	meta []value.Value // the rows' values, in read order
+}
+
+// newOpenedExp keeps e with the meta reads it was built from.
+func newOpenedExp(e *Experiment, res []*sqldb.Result) *openedExp {
+	o := &openedExp{exp: e}
+	size := 0
+	for i, r := range res {
+		o.n[i] = len(r.Rows)
+		size += len(r.Rows) * len(r.Columns)
+	}
+	o.meta = make([]value.Value, 0, size)
+	for _, r := range res {
+		for _, row := range r.Rows {
+			o.meta = append(o.meta, row...)
+		}
+	}
+	return o
+}
+
+// builtFrom reports whether the meta reads res hold exactly the rows o
+// was built from, datum for datum.
+func (o *openedExp) builtFrom(res []*sqldb.Result) bool {
+	k := 0
+	for i, r := range res {
+		if len(r.Rows) != o.n[i] {
+			return false
+		}
+		for _, row := range r.Rows {
+			for _, v := range row {
+				if k == len(o.meta) || v != o.meta[k] {
+					return false
+				}
+				k++
+			}
+		}
+	}
+	return k == len(o.meta)
+}
+
+// forget drops what OpenExperiment kept of experiment name; a writer of
+// its meta rows calls it, and the next open builds the experiment anew.
+func (s *Store) forget(name string) {
+	s.mu.Lock()
+	delete(s.exps, name)
+	s.mu.Unlock()
 }
 
 // Handle is what a Store needs of its database: statements, and
@@ -58,7 +116,7 @@ type Handle interface {
 // NewStore wraps a database handle. Call Init before first use of a
 // fresh database.
 func NewStore(q Handle) *Store {
-	return &Store{q: q}
+	return &Store{q: q, exps: map[string]*openedExp{}}
 }
 
 // Querier exposes the underlying database handle.
@@ -182,7 +240,9 @@ func (s *Store) insertVarMeta(exp string, v Var) error {
 }
 
 // OpenExperiment loads an existing experiment: its meta row, variables
-// and access grants, read in one pipeline.
+// and access grants, read in one pipeline. When those rows are the ones
+// the store last built the experiment from, it hands out a copy of that
+// experiment instead of parsing the rows again.
 func (s *Store) OpenExperiment(name string) (*Experiment, error) {
 	lit := value.NewString(name).SQL()
 	res, err := s.q.ExecPipeline([]sqldb.PipelineRequest{
@@ -196,8 +256,28 @@ func (s *Store) OpenExperiment(name string) (*Experiment, error) {
 		return nil, fmt.Errorf("core: open %s: %w", name, err)
 	}
 	if len(res[0].Rows) == 0 {
+		s.forget(name)
 		return nil, fmt.Errorf("core: no experiment %q", name)
 	}
+	s.mu.Lock()
+	o := s.exps[name]
+	s.mu.Unlock()
+	if o == nil || !o.builtFrom(res) {
+		e, err := s.buildExperiment(name, res)
+		if err != nil {
+			return nil, err
+		}
+		o = newOpenedExp(e, res)
+		s.mu.Lock()
+		s.exps[name] = o
+		s.mu.Unlock()
+	}
+	e := *o.exp
+	return &e, nil
+}
+
+// buildExperiment makes experiment name from OpenExperiment's meta reads.
+func (s *Store) buildExperiment(name string, res []*sqldb.Result) (*Experiment, error) {
 	meta := res[0].Rows[0]
 	def := &pbxml.Experiment{Name: name}
 	def.Info.Synopsis = meta[0].Str()
@@ -257,6 +337,7 @@ func (s *Store) OpenExperiment(name string) (*Experiment, error) {
 
 // DestroyExperiment removes an experiment with all runs and meta data.
 func (s *Store) DestroyExperiment(name string) error {
+	defer s.forget(name)
 	e, err := s.OpenExperiment(name)
 	if err != nil {
 		return err

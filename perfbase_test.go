@@ -1,9 +1,11 @@
 package perfbase
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"perfbase/internal/beffio"
@@ -193,6 +195,66 @@ func TestSessionUpdateAndDestroy(t *testing.T) {
 	}
 	if names, _ := s.Experiments(); len(names) != 0 {
 		t.Errorf("experiments after destroy = %v", names)
+	}
+}
+
+// TestReuseUpdateDuringQuery updates an experiment's definition while
+// queries run on the same session: the session's store hands each open
+// its own copy of the experiment it keeps, so an Update changes no
+// experiment a query, or any other caller, holds (run it with -race).
+func TestReuseUpdateDuringQuery(t *testing.T) {
+	s := OpenMemory()
+	defer s.Close()
+	if _, err := s.Setup(strings.NewReader(tinyExp)); err != nil {
+		t.Fatal(err)
+	}
+	file := writeTemp(t, "out.txt", tinyOut)
+	if _, err := s.Import("tiny", strings.NewReader(tinyInput), ImportOptions{}, file); err != nil {
+		t.Fatal(err)
+	}
+	held, err := s.Experiment("tiny")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 40
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			def := strings.Replace(tinyExp, "<name>tiny</name>",
+				fmt.Sprintf("<name>tiny</name><info><synopsis>v%d</synopsis></info>", i), 1)
+			exp, err := s.Update(strings.NewReader(def))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if got, want := exp.Def().Info.Synopsis, fmt.Sprintf("v%d", i); got != want {
+				t.Errorf("update %d: synopsis %q, want %q", i, got, want)
+			}
+		}
+	}()
+	for i := 0; i < rounds; i++ {
+		res, err := s.Query(strings.NewReader(tinyQuery))
+		if err != nil {
+			t.Error(err)
+			break
+		}
+		if n := len(res.Outputs[0].Data[0].Rows); n != 2 {
+			t.Errorf("query %d: %d rows, want 2", i, n)
+		}
+		if syn := held.Def().Info.Synopsis; syn != "" {
+			t.Errorf("query %d: an experiment opened before the updates says %q", i, syn)
+			break
+		}
+	}
+	wg.Wait()
+	exp, err := s.Experiment("tiny")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := exp.Def().Info.Synopsis, fmt.Sprintf("v%d", rounds-1); got != want {
+		t.Errorf("after the updates: synopsis %q, want %q", got, want)
 	}
 }
 
