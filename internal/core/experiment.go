@@ -167,16 +167,13 @@ func (e *Experiment) DataTable(id int64) string {
 	return fmt.Sprintf("%s_run_%d", e.name, id)
 }
 
-func (e *Experiment) createOnceTable() error {
+// onceTableDDL is the CREATE TABLE of the experiment's once table.
+func (e *Experiment) onceTableDDL() string {
 	cols := []string{"run_id integer"}
 	for _, v := range e.OnceVars() {
 		cols = append(cols, v.Name+" "+v.Type.String())
 	}
-	_, err := e.store.q.Exec("CREATE TABLE " + e.OnceTable() + " (" + strings.Join(cols, ", ") + ")")
-	if err != nil {
-		return fmt.Errorf("core: create once table: %w", err)
-	}
-	return nil
+	return "CREATE TABLE " + e.OnceTable() + " (" + strings.Join(cols, ", ") + ")"
 }
 
 // ------------------------------------------------------ access model
@@ -277,8 +274,11 @@ func (e *Experiment) Revoke(user string) error {
 // variables appear as NULL in existing runs (or their default at query
 // time); removed variables lose their content; a changed data type is
 // applied by dropping and re-adding the column, which also clears
-// existing content. Occurrence changes are rejected. Only e itself
-// takes the new definition: an experiment opened before keeps the old.
+// existing content. Occurrence changes are rejected. Every change —
+// the columns, the variables' meta rows, the experiment's row — commits
+// in one transaction, so no OpenExperiment sees half of it. Only e
+// itself takes the new definition: an experiment opened before keeps
+// the old.
 func (e *Experiment) Update(def *pbxml.Experiment) error {
 	if err := def.Validate(); err != nil {
 		return err
@@ -299,6 +299,25 @@ func (e *Experiment) Update(def *pbxml.Experiment) error {
 	for i := range newVars {
 		newByName[strings.ToLower(newVars[i].Name)] = &newVars[i]
 	}
+	var tx txn
+	name := value.NewString(e.name)
+	var runs []RunInfo // read for the first ALTER of the data tables
+	alterAll := func(once bool, clause string) error {
+		if once {
+			tx.add("ALTER TABLE " + e.OnceTable() + " " + clause)
+			return nil
+		}
+		if runs == nil {
+			var err error
+			if runs, err = e.Runs(); err != nil {
+				return err
+			}
+		}
+		for _, r := range runs {
+			tx.add("ALTER TABLE " + e.DataTable(r.ID) + " " + clause)
+		}
+		return nil
+	}
 
 	// Removed and retyped variables.
 	for _, old := range e.vars {
@@ -315,57 +334,40 @@ func (e *Experiment) Update(def *pbxml.Experiment) error {
 			continue
 		}
 		// Drop the column everywhere it exists.
-		if err := e.alterAll(old.Once, "DROP COLUMN "+old.Name); err != nil {
+		if err := alterAll(old.Once, "DROP COLUMN "+old.Name); err != nil {
 			return err
 		}
 		if !keep {
-			if _, err := execArgs(e.store.q, "DELETE FROM "+tblVariables+" WHERE exp = ? AND name = ?",
-				value.NewString(e.name), value.NewString(old.Name)); err != nil {
-				return fmt.Errorf("core: update: %w", err)
-			}
+			tx.add("DELETE FROM "+tblVariables+" WHERE exp = ? AND name = ?", name, value.NewString(old.Name))
 		}
 	}
-	// Added and retyped variables.
+	// Added and retyped variables, and changed meta rows.
 	for _, nv := range newVars {
 		old, existed := oldByName[strings.ToLower(nv.Name)]
-		if existed && old.Type == nv.Type {
-			// Possibly changed meta only: refresh the meta row.
-			if sameMeta(old, &nv) {
-				continue
-			}
-			if _, err := execArgs(e.store.q, "DELETE FROM "+tblVariables+" WHERE exp = ? AND name = ?",
-				value.NewString(e.name), value.NewString(nv.Name)); err != nil {
-				return fmt.Errorf("core: update: %w", err)
-			}
-			if err := e.store.insertVarMeta(e.name, nv); err != nil {
-				return err
-			}
+		if existed && old.Type == nv.Type && sameMeta(old, &nv) {
 			continue
 		}
-		if err := e.alterAll(nv.Once, "ADD COLUMN "+nv.Name+" "+nv.Type.String()); err != nil {
-			return err
-		}
-		if existed {
-			if _, err := execArgs(e.store.q, "DELETE FROM "+tblVariables+" WHERE exp = ? AND name = ?",
-				value.NewString(e.name), value.NewString(nv.Name)); err != nil {
-				return fmt.Errorf("core: update: %w", err)
+		if !existed || old.Type != nv.Type {
+			if err := alterAll(nv.Once, "ADD COLUMN "+nv.Name+" "+nv.Type.String()); err != nil {
+				return err
 			}
 		}
-		if err := e.store.insertVarMeta(e.name, nv); err != nil {
-			return err
+		if existed {
+			tx.add("DELETE FROM "+tblVariables+" WHERE exp = ? AND name = ?", name, value.NewString(nv.Name))
 		}
+		tx.addVarMeta(e.name, nv)
 	}
 
 	// Refresh experiment meta.
-	if _, err := execArgs(e.store.q, `UPDATE `+tblExperiments+
+	tx.add(`UPDATE `+tblExperiments+
 		` SET synopsis = ?, description = ?, project = ?, performer = ?, organization = ?
 		 WHERE name = ?`,
 		value.NewString(def.Info.Synopsis), value.NewString(def.Info.Description),
 		value.NewString(def.Info.Project), value.NewString(def.Info.PerformedBy.Name),
-		value.NewString(def.Info.PerformedBy.Organization), value.NewString(e.name)); err != nil {
-		return fmt.Errorf("core: update meta: %w", err)
+		value.NewString(def.Info.PerformedBy.Organization), name)
+	if err := tx.run(e.store.q); err != nil {
+		return fmt.Errorf("core: update: %w", err)
 	}
-
 	e.def = def
 	e.vars = newVars
 	return nil
@@ -376,27 +378,6 @@ func sameMeta(a, b *Var) bool {
 	return a.Name == b.Name && a.Synopsis == b.Synopsis && a.Description == b.Description &&
 		a.Unit.String() == b.Unit.String() && a.DefaultText == b.DefaultText &&
 		slices.Equal(a.ValidTexts, b.ValidTexts)
-}
-
-// alterAll applies an ALTER TABLE clause to the once table (once=true)
-// or to every run data table (once=false).
-func (e *Experiment) alterAll(once bool, clause string) error {
-	if once {
-		if _, err := e.store.q.Exec("ALTER TABLE " + e.OnceTable() + " " + clause); err != nil {
-			return fmt.Errorf("core: update: %w", err)
-		}
-		return nil
-	}
-	runs, err := e.Runs()
-	if err != nil {
-		return err
-	}
-	for _, r := range runs {
-		if _, err := e.store.q.Exec("ALTER TABLE " + e.DataTable(r.ID) + " " + clause); err != nil {
-			return fmt.Errorf("core: update run %d: %w", r.ID, err)
-		}
-	}
-	return nil
 }
 
 // VarNamesSorted returns all variable names, sorted, for display.

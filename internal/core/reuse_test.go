@@ -3,6 +3,7 @@ package core
 import (
 	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"perfbase/internal/pbxml"
@@ -200,6 +201,86 @@ func TestReuseForeignWrites(t *testing.T) {
 			t.Error("DestroyExperiment left the store's experiment in place")
 		}
 	})
+}
+
+// TestReuseUpdateIsOneCommit: an Update that changes a variable's
+// synopsis and adds a variable, a CreateExperiment and a
+// DestroyExperiment each commit as one frame, so an open between two of
+// their statements cannot see half of one — embedded, and over a wire
+// server.
+func TestReuseUpdateIsOneCommit(t *testing.T) {
+	for _, backend := range []string{"local", "wire"} {
+		t.Run(backend, func(t *testing.T) {
+			db := sqldb.NewMemory()
+			var q Handle = db
+			if backend == "wire" {
+				srv := wire.NewServer(db)
+				if err := srv.Listen("127.0.0.1:0"); err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { srv.Close() })
+				client, err := wire.Dial(srv.Addr())
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { client.Close() })
+				q = client
+			}
+			s := NewStore(q)
+			if err := s.Init(); err != nil {
+				t.Fatal(err)
+			}
+			var frames atomic.Int64
+			defer db.AddCommitHook(func(_ sqldb.ReplPos, stmts []string) {
+				if stmts != nil {
+					frames.Add(1)
+				}
+			})()
+			commits := func(step string) {
+				t.Helper()
+				if n := frames.Swap(0); n != 1 {
+					t.Errorf("%s committed %d frames, want 1", step, n)
+				}
+			}
+
+			if _, err := s.CreateExperiment(testDef(t)); err != nil {
+				t.Fatal(err)
+			}
+			commits("CreateExperiment")
+			for _, src := range []string{"a.txt", "b.txt"} {
+				if _, err := mustOpen(t, s).CreateRun(DataSet{}, testSets(2), src, src); err != nil {
+					t.Fatal(err)
+				}
+			}
+			frames.Store(0)
+
+			def := testDef(t)
+			def.Parameters[0].Synopsis = "file system"
+			def.Results = append(def.Results, pbxml.Variable{Name: "lat", DataType: "float"})
+			if err := mustOpen(t, s).Update(def); err != nil {
+				t.Fatal(err)
+			}
+			commits("Update")
+			e := mustOpen(t, s)
+			if v, ok := e.Var("fs"); !ok || v.Synopsis != "file system" {
+				t.Errorf("after Update: fs = %+v", v)
+			}
+			if _, ok := e.Var("lat"); !ok {
+				t.Error("after Update: the added variable is missing")
+			}
+			if res, err := q.Exec("SELECT lat FROM " + e.DataTable(2)); err != nil || len(res.Rows) != 2 {
+				t.Errorf("after Update: the run's data table reads %v, %v", res, err)
+			}
+
+			if err := s.DestroyExperiment("iotest"); err != nil {
+				t.Fatal(err)
+			}
+			commits("DestroyExperiment")
+			if tables := db.Tables(); len(tables) != 4 {
+				t.Errorf("after DestroyExperiment the database holds tables %v, want the 4 meta tables", tables)
+			}
+		})
+	}
 }
 
 // countingHandle records every SQL statement sent through it; a

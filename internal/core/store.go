@@ -168,7 +168,8 @@ func (s *Store) ListExperiments() ([]string, error) {
 }
 
 // CreateExperiment registers a new experiment from its definition and
-// creates its storage tables.
+// creates its storage tables: its pb_experiments row, its variables'
+// and access grants' rows and its once table, in one transaction.
 func (s *Store) CreateExperiment(def *pbxml.Experiment) (*Experiment, error) {
 	if err := def.Validate(); err != nil {
 		return nil, err
@@ -182,35 +183,30 @@ func (s *Store) CreateExperiment(def *pbxml.Experiment) (*Experiment, error) {
 	if err != nil {
 		return nil, err
 	}
-	now := value.NewTimestamp(time.Now().UTC())
-	_, err = execArgs(s.q, `INSERT INTO `+tblExperiments+
+	name := value.NewString(def.Name)
+	var tx txn
+	tx.add(`INSERT INTO `+tblExperiments+
 		` (name, synopsis, description, project, performer, organization, created, definition)
 		 VALUES (?, ?, ?, ?, ?, ?, ?, ?)`,
-		value.NewString(def.Name), value.NewString(def.Info.Synopsis),
+		name, value.NewString(def.Info.Synopsis),
 		value.NewString(def.Info.Description), value.NewString(def.Info.Project),
 		value.NewString(def.Info.PerformedBy.Name), value.NewString(def.Info.PerformedBy.Organization),
-		now, value.NewString(""))
-	if err != nil {
-		return nil, fmt.Errorf("core: register experiment: %w", err)
-	}
+		value.NewTimestamp(time.Now().UTC()), value.NewString(""))
 	for _, v := range vars {
-		if err := s.insertVarMeta(def.Name, v); err != nil {
-			return nil, err
-		}
+		tx.addVarMeta(def.Name, v)
 	}
 	for class, users := range map[string][]string{
 		"admin": def.Access.Admin, "input": def.Access.Input, "query": def.Access.Query,
 	} {
 		for _, u := range users {
-			if _, err := execArgs(s.q, `INSERT INTO `+tblAccess+` (exp, usr, class) VALUES (?, ?, ?)`,
-				value.NewString(def.Name), value.NewString(u), value.NewString(class)); err != nil {
-				return nil, fmt.Errorf("core: register access: %w", err)
-			}
+			tx.add(`INSERT INTO `+tblAccess+` (exp, usr, class) VALUES (?, ?, ?)`,
+				name, value.NewString(u), value.NewString(class))
 		}
 	}
 	e := &Experiment{store: s, name: def.Name, def: def, vars: vars}
-	if err := e.createOnceTable(); err != nil {
-		return nil, err
+	tx.add(e.onceTableDDL())
+	if err := tx.run(s.q); err != nil {
+		return nil, fmt.Errorf("core: create %s: %w", def.Name, err)
 	}
 	return e, nil
 }
@@ -222,21 +218,6 @@ func (s *Store) experimentExists(name string) (bool, error) {
 		return false, fmt.Errorf("core: %w", err)
 	}
 	return res.Rows[0][0].Int() > 0, nil
-}
-
-func (s *Store) insertVarMeta(exp string, v Var) error {
-	_, err := execArgs(s.q, `INSERT INTO `+tblVariables+
-		` (exp, name, is_result, once, datatype, synopsis, description, unit, dflt, valids)
-		 VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)`,
-		value.NewString(exp), value.NewString(v.Name), value.NewBool(v.Result),
-		value.NewBool(v.Once), value.NewString(v.Type.String()),
-		value.NewString(v.Synopsis), value.NewString(v.Description),
-		value.NewString(v.Unit.String()), value.NewString(v.DefaultText),
-		value.NewString(strings.Join(v.ValidTexts, validSep)))
-	if err != nil {
-		return fmt.Errorf("core: register variable %s: %w", v.Name, err)
-	}
-	return nil
 }
 
 // OpenExperiment loads an existing experiment: its meta row, variables
@@ -335,7 +316,8 @@ func (s *Store) buildExperiment(name string, res []*sqldb.Result) (*Experiment, 
 	return &Experiment{store: s, name: name, def: def, vars: vars}, nil
 }
 
-// DestroyExperiment removes an experiment with all runs and meta data.
+// DestroyExperiment removes an experiment with all runs and meta data,
+// in one transaction.
 func (s *Store) DestroyExperiment(name string) error {
 	defer s.forget(name)
 	e, err := s.OpenExperiment(name)
@@ -346,23 +328,58 @@ func (s *Store) DestroyExperiment(name string) error {
 	if err != nil {
 		return err
 	}
+	var tx txn
 	for _, r := range runs {
-		if _, err := s.q.Exec("DROP TABLE IF EXISTS " + e.DataTable(r.ID)); err != nil {
-			return fmt.Errorf("core: destroy %s: %w", name, err)
-		}
+		tx.add("DROP TABLE IF EXISTS " + e.DataTable(r.ID))
 	}
-	for _, stmt := range []string{
-		"DROP TABLE IF EXISTS " + e.OnceTable(),
-		"DELETE FROM " + tblRuns + " WHERE exp = " + value.NewString(name).SQL(),
-		"DELETE FROM " + tblAccess + " WHERE exp = " + value.NewString(name).SQL(),
-		"DELETE FROM " + tblVariables + " WHERE exp = " + value.NewString(name).SQL(),
-		"DELETE FROM " + tblExperiments + " WHERE name = " + value.NewString(name).SQL(),
-	} {
-		if _, err := s.q.Exec(stmt); err != nil {
-			return fmt.Errorf("core: destroy %s: %w", name, err)
-		}
+	lit := value.NewString(name).SQL()
+	tx.add("DROP TABLE IF EXISTS " + e.OnceTable())
+	tx.add("DELETE FROM " + tblRuns + " WHERE exp = " + lit)
+	tx.add("DELETE FROM " + tblAccess + " WHERE exp = " + lit)
+	tx.add("DELETE FROM " + tblVariables + " WHERE exp = " + lit)
+	tx.add("DELETE FROM " + tblExperiments + " WHERE name = " + lit)
+	if err := tx.run(s.q); err != nil {
+		return fmt.Errorf("core: destroy %s: %w", name, err)
 	}
 	return nil
+}
+
+// txn collects the statements of one transaction, each bound to its
+// arguments as it is added; run sends them as one BEGIN … COMMIT
+// pipeline, so they commit together or not at all.
+type txn struct {
+	reqs []sqldb.PipelineRequest
+	err  error // the first statement that did not bind
+}
+
+func (tx *txn) add(sql string, args ...value.Value) {
+	if tx.err == nil {
+		sql, tx.err = sqldb.BindArgs(sql, args...)
+	}
+	tx.reqs = append(tx.reqs, sqldb.PipelineRequest{SQL: sql})
+}
+
+// addVarMeta adds the INSERT of variable v's meta row in experiment exp.
+func (tx *txn) addVarMeta(exp string, v Var) {
+	tx.add(`INSERT INTO `+tblVariables+
+		` (exp, name, is_result, once, datatype, synopsis, description, unit, dflt, valids)
+		 VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)`,
+		value.NewString(exp), value.NewString(v.Name), value.NewBool(v.Result),
+		value.NewBool(v.Once), value.NewString(v.Type.String()),
+		value.NewString(v.Synopsis), value.NewString(v.Description),
+		value.NewString(v.Unit.String()), value.NewString(v.DefaultText),
+		value.NewString(strings.Join(v.ValidTexts, validSep)))
+}
+
+func (tx *txn) run(q Handle) error {
+	if tx.err != nil {
+		return tx.err
+	}
+	reqs := make([]sqldb.PipelineRequest, 0, len(tx.reqs)+2)
+	reqs = append(reqs, sqldb.PipelineRequest{SQL: "BEGIN"})
+	reqs = append(reqs, tx.reqs...)
+	_, err := q.ExecPipeline(append(reqs, sqldb.PipelineRequest{SQL: "COMMIT"}))
+	return err
 }
 
 // execArgs runs a parameterised statement against any Querier by

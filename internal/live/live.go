@@ -60,9 +60,6 @@ type Config struct {
 	// the anomaly.Default* constants; WATCH subscriptions override
 	// per-field on top of this.
 	Alerts anomaly.Options
-	// NoStandardViews disables automatic registration of the standard
-	// per-experiment views on first ingest.
-	NoStandardViews bool
 }
 
 // Service implements wire.LiveBackend: streaming ingest, the
@@ -70,8 +67,7 @@ type Config struct {
 type Service struct {
 	db    *sqldb.DB
 	views *sqldb.ViewRegistry
-	cfg   Config
-	opts  anomaly.Options // cfg.Alerts with defaults filled
+	opts  anomaly.Options // Config.Alerts with defaults filled
 
 	jobs chan *job
 	quit chan struct{}
@@ -111,7 +107,6 @@ func New(db *sqldb.DB, cfg Config) *Service {
 	s := &Service{
 		db:       db,
 		views:    sqldb.NewViewRegistry(db),
-		cfg:      cfg,
 		opts:     cfg.Alerts.WithDefaults(),
 		jobs:     make(chan *job),
 		quit:     make(chan struct{}),
@@ -137,12 +132,10 @@ func New(db *sqldb.DB, cfg Config) *Service {
 	// Warm the standard views of every experiment already stored: a
 	// restarted server must serve its dashboards immediately, not after
 	// the next run happens to arrive.
-	if !cfg.NoStandardViews {
-		store := core.NewStore(db)
-		for name := range seen {
-			if exp, err := store.OpenExperiment(name); err == nil {
-				s.ensureStandardViews(exp)
-			}
+	store := core.NewStore(db)
+	for name := range seen {
+		if exp, err := store.OpenExperiment(name); err == nil {
+			s.ensureStandardViews(exp)
 		}
 	}
 	return s
@@ -272,9 +265,7 @@ func (w *worker) load(req wire.IngestRequest) (wire.IngestResult, error) {
 	if err != nil {
 		return wire.IngestResult{}, err
 	}
-	if !w.svc.cfg.NoStandardViews {
-		w.svc.ensureStandardViews(exp)
-	}
+	w.svc.ensureStandardViews(exp)
 	res := wire.IngestResult{}
 	pos := w.svc.db.Pos()
 	res.Epoch, res.LSN = pos.Epoch, pos.LSN
@@ -446,9 +437,7 @@ func (s *Service) scanArrivals(store *core.Store, exps map[string]*core.Experime
 		// Register the standard views here too, not only on ingest: a
 		// replica sees runs arrive through the replicated commit
 		// stream and serves the same warm views as the primary.
-		if !s.cfg.NoStandardViews {
-			s.ensureStandardViews(exp)
-		}
+		s.ensureStandardViews(exp)
 		if len(watchers) > 0 {
 			s.alertExperiment(exp, pos, watchers)
 		}

@@ -65,8 +65,8 @@ func (p *sqlParser) parseAlter() (Statement, error) {
 }
 
 // execAlter rewrites the table into a fresh version: published rows
-// are immutable, so ADD/DROP COLUMN rebuild every row rather than
-// widening shared slices in place.
+// are immutable, so ADD/DROP COLUMN rebuild every row, chunk by chunk,
+// rather than widening shared slices in place.
 func (db *DB) execAlter(ws *writeState, s *AlterTableStmt) (*Result, error) {
 	key := lower(s.Table)
 	t, ok := ws.tab(key)
@@ -74,63 +74,40 @@ func (db *DB) execAlter(ws *writeState, s *AlterTableStmt) (*Result, error) {
 		return nil, errorf("no such table %q", s.Table)
 	}
 	switch {
-	case s.Add != nil:
-		if t.schema.Index(s.Add.Name) >= 0 {
-			return nil, errorf("column %q already exists in %q", s.Add.Name, s.Table)
-		}
-		nt, err := ws.modify(key)
-		if err != nil {
-			return nil, err
-		}
-		nt.schema = append(nt.schema.clone(), *s.Add)
-		null := value.Null(s.Add.Type)
-		rows := make([]Row, 0, nt.nrows)
-		for _, ch := range t.builtChunks() { // modify hydrated t
-			for _, row := range ch.rows() {
-				nr := make(Row, 0, len(row)+1)
-				nr = append(nr, row...)
-				rows = append(rows, append(nr, null))
-			}
-		}
-		nt.replaceRows(rows)
-		ws.schemaChanged(nt)
-		return &Result{Affected: nt.nrows}, nil
-	case s.Drop != "":
-		ci := t.schema.Index(s.Drop)
-		if ci < 0 {
-			return nil, errorf("no column %q in table %q", s.Drop, s.Table)
-		}
-		nt, err := ws.modify(key)
-		if err != nil {
-			return nil, err
-		}
-		nt.dropIndex(lower(s.Drop))
-		sc := nt.schema.clone()
-		nt.schema = append(sc[:ci:ci], sc[ci+1:]...)
-		rows := make([]Row, 0, nt.nrows)
-		for _, ch := range t.builtChunks() { // modify hydrated t
-			for _, row := range ch.rows() {
-				nr := make(Row, 0, len(row)-1)
-				nr = append(nr, row[:ci]...)
-				rows = append(rows, append(nr, row[ci+1:]...))
-			}
-		}
-		nt.replaceRows(rows)
-		ws.schemaChanged(nt)
-		return &Result{Affected: nt.nrows}, nil
+	case s.Add != nil && t.schema.Index(s.Add.Name) >= 0:
+		return nil, errorf("column %q already exists in %q", s.Add.Name, s.Table)
+	case s.Drop != "" && t.schema.Index(s.Drop) < 0:
+		return nil, errorf("no column %q in table %q", s.Drop, s.Table)
 	case s.Rename != "":
-		nkey := lower(s.Rename)
-		if _, exists := ws.tab(nkey); exists {
+		if _, exists := ws.tab(lower(s.Rename)); exists {
 			return nil, tableExists(s.Rename)
 		}
-		nt, err := ws.modify(key)
-		if err != nil {
-			return nil, err
-		}
+	case s.Add == nil && s.Drop == "":
+		return nil, errorf("empty ALTER TABLE")
+	}
+	nt, err := ws.modify(key)
+	if err != nil {
+		return nil, err
+	}
+	if s.Rename != "" {
 		ws.drop(key)
-		nt.name, nt.key = s.Rename, nkey
+		nt.name, nt.key = s.Rename, lower(s.Rename)
 		ws.put(nt)
 		return &Result{}, nil
 	}
-	return nil, errorf("empty ALTER TABLE")
+	var reshape func(Row) Row
+	if s.Add != nil {
+		nt.schema = append(nt.schema.clone(), *s.Add)
+		null := value.Null(s.Add.Type)
+		reshape = func(row Row) Row { return append(append(make(Row, 0, len(row)+1), row...), null) }
+	} else {
+		ci := t.schema.Index(s.Drop)
+		nt.dropIndex(lower(s.Drop))
+		sc := nt.schema.clone()
+		nt.schema = append(sc[:ci:ci], sc[ci+1:]...)
+		reshape = func(row Row) Row { return append(append(make(Row, 0, len(row)-1), row[:ci]...), row[ci+1:]...) }
+	}
+	nt.rewrite(func(row Row) (Row, bool, error) { return reshape(row), true, nil }) //nolint:errcheck // never fails
+	ws.schemaChanged(nt)
+	return &Result{Affected: nt.nrows}, nil
 }

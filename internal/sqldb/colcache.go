@@ -13,24 +13,24 @@ package sqldb
 // chunk's whole-chunk vector — and the column. A chunk's rows never
 // change once a version holding it is published, and a derived version
 // shares its parent's chunk objects, so a vector can never go stale: an
-// INSERT appends new chunks (new keys), a compaction or UPDATE builds
-// new ones. The key needs no rows, so a cold version's blocks have
-// vectors before — or without — its rows being decoded.
+// INSERT appends new chunks (new keys), a compaction, UPDATE, DELETE or
+// ALTER builds new ones for the chunks it changes. The key needs no
+// rows, so a cold version's blocks have vectors before — or without —
+// its rows being decoded.
 //
 // Lifetime: a vector lives as long as its chunk is in the table's
 // published version. DB.publishTxn, which publishes every new version
 // of a table (and ImportState, which replaces them all), evicts the
-// vectors of the chunks that version no longer shares with the one it
-// replaces (dropSuperseded): the chunks a compaction merged away, every
-// chunk after an UPDATE, DELETE or ALTER rewrote the rows, every chunk
-// of a dropped table — the chunks of a cold version included. That is
-// work proportional to the chunks dropped, none for a plain append, and
-// it is what keeps a table rewritten over and over (pb_runs, once per
-// import) from filling the cache with vectors nobody can ask for again.
-// A pinned Snapshot that still scans a superseded chunk rebuilds the
-// vector on miss; such stragglers, and everything else, age out of a
-// bytes-capped LRU (the entry's key would otherwise keep the chunk
-// reachable forever).
+// vectors of the chunks that version no longer holds (dropSuperseded):
+// the chunks a compaction merged away or a rewrite replaced, every
+// chunk of a dropped table — the chunks of a cold version included. A
+// rewrite's untouched chunks keep theirs, and a plain append evicts
+// nothing. That is what keeps a table rewritten over and over from
+// filling the cache with vectors nobody can ask for again, without a
+// one-row DELETE costing the whole table's. A pinned Snapshot that
+// still scans a superseded chunk rebuilds the vector on miss; such
+// stragglers, and everything else, age out of a bytes-capped LRU (the
+// entry's key would otherwise keep the chunk reachable forever).
 //
 // A columnar chunk (schema.go: what a pour into a temp table builds) has
 // no entries here: its vectors are its data, not a projection of it.
@@ -471,9 +471,9 @@ func (c *colCache) evict(el *list.Element) {
 
 // dropSuperseded evicts the vectors of old's chunks that next, the
 // version of the table being published in its place (nil: the table is
-// gone), no longer holds. Versions share a chunk prefix and differ in
-// the tail, so the walk runs from old's last chunk down to the first
-// one next still has at the same place: O(chunks dropped).
+// gone), no longer holds anywhere: a set difference, taken past the
+// chunks the two versions begin with alike. A plain append keeps all of
+// old's and evicts nothing.
 func (c *colCache) dropSuperseded(old, next *table) {
 	if old == nil || old == next {
 		return
@@ -483,19 +483,26 @@ func (c *colCache) dropSuperseded(old, next *table) {
 	if next != nil {
 		now = next.builtChunks()
 	}
-	keep := len(was)
-	for keep > 0 && !(keep <= len(now) && was[keep-1] == now[keep-1]) {
-		keep--
+	same := 0
+	for same < len(was) && same < len(now) && was[same] == now[same] {
+		same++
 	}
-	if keep == len(was) {
-		return // a plain append: every chunk lives on
+	if same == len(was) {
+		return
+	}
+	held := make(map[*chunk]bool, len(now)-same)
+	for _, ch := range now[same:] {
+		held[ch] = true
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if len(c.m) == 0 {
 		return
 	}
-	for _, ch := range was[keep:] {
+	for _, ch := range was[same:] {
+		if held[ch] {
+			continue
+		}
 		n := ch.len()
 		for ci := range old.schema {
 			for bi := wholeChunk; bi*vecMorselRows < n; bi++ {

@@ -589,8 +589,7 @@ func tableECSchema(t *table) Schema {
 }
 
 func (db *DB) execUpdate(ws *writeState, s *UpdateStmt) (*Result, error) {
-	key := lower(s.Table)
-	t, ok := ws.tab(key)
+	t, ok := ws.tab(lower(s.Table))
 	if !ok {
 		return nil, errorf("no such table %q", s.Table)
 	}
@@ -608,105 +607,72 @@ func (db *DB) execUpdate(ws *writeState, s *UpdateStmt) (*Result, error) {
 		}
 		sets[i] = setOp{ci, ec.compile(a.E)}
 	}
-	var where func(*execCtx) (bool, error)
-	if s.Where != nil {
-		where = rowFilter(ec.typed(s.Where))
-	}
-	// Build the replacement row set copy-on-write: untouched rows keep
-	// their (immutable, shared) Row slices; updated rows are fresh.
-	chunks, err := t.chunks()
+	affected, err := ws.rewriteWhere(t, ec, s.Where, func(ctx *execCtx) (Row, error) {
+		updated := make(Row, len(ctx.row))
+		copy(updated, ctx.row)
+		for _, op := range sets {
+			v, err := op.e(ctx)
+			if err != nil {
+				return nil, err
+			}
+			if updated[op.ci], err = v.Convert(t.schema[op.ci].Type); err != nil {
+				return nil, errorf("column %q: %v", t.schema[op.ci].Name, err)
+			}
+		}
+		return updated, nil
+	})
 	if err != nil {
 		return nil, err
-	}
-	ctx := &execCtx{}
-	newRows := make([]Row, 0, t.nrows)
-	affected := 0
-	for _, chunk := range chunks {
-		for _, row := range chunk {
-			ctx.row = row
-			if where != nil {
-				keep, err := where(ctx)
-				if err != nil {
-					return nil, err
-				}
-				if !keep {
-					newRows = append(newRows, row)
-					continue
-				}
-			}
-			updated := make(Row, len(row))
-			copy(updated, row)
-			for _, op := range sets {
-				v, err := op.e(ctx)
-				if err != nil {
-					return nil, err
-				}
-				cv, err := v.Convert(t.schema[op.ci].Type)
-				if err != nil {
-					return nil, errorf("column %q: %v", t.schema[op.ci].Name, err)
-				}
-				updated[op.ci] = cv
-			}
-			newRows = append(newRows, updated)
-			affected++
-		}
-	}
-	// Matching no row changes nothing — no new version, no write-set
-	// entry — but the scan that found none still disqualifies the table
-	// from being a blind append of this transaction.
-	ws.markRewrite(key)
-	if affected > 0 {
-		nt, err := ws.modify(key)
-		if err != nil {
-			return nil, err
-		}
-		nt.replaceRows(newRows)
 	}
 	return &Result{Affected: affected}, nil
 }
 
 func (db *DB) execDelete(ws *writeState, s *DeleteStmt) (*Result, error) {
-	key := lower(s.Table)
-	t, ok := ws.tab(key)
+	t, ok := ws.tab(lower(s.Table))
 	if !ok {
 		return nil, errorf("no such table %q", s.Table)
 	}
-	var where func(*execCtx) (bool, error)
-	if s.Where != nil {
-		where = rowFilter(newEvalCtx(tableECSchema(t)).typed(s.Where))
-	}
-	chunks, err := t.chunks()
+	deleted, err := ws.rewriteWhere(t, newEvalCtx(tableECSchema(t)), s.Where,
+		func(*execCtx) (Row, error) { return nil, nil })
 	if err != nil {
 		return nil, err
 	}
-	ctx := &execCtx{}
-	var kept []Row
-	deleted := 0
-	for _, chunk := range chunks {
-		for _, row := range chunk {
-			if where != nil {
-				ctx.row = row
-				keep, err := where(ctx)
-				if err != nil {
-					return nil, err
-				}
-				if !keep {
-					kept = append(kept, row)
-					continue
-				}
-			}
-			deleted++
-		}
-	}
-	ws.markRewrite(key) // as in execUpdate: a scan is not blind
-	if deleted > 0 {
-		nt, err := ws.modify(key)
-		if err != nil {
-			return nil, err
-		}
-		nt.replaceRows(kept)
-	}
 	return &Result{Affected: deleted}, nil
+}
+
+// rewriteWhere rewrites the rows of t, the table's version at the
+// statement's start, that where (typed in ec) matches — every row, for a
+// nil where — into what set makes of each, nil deleting it, and returns
+// how many matched (table.rewrite). The rewritten version is installed
+// only when a row matched: an UPDATE or DELETE that matches none leaves
+// no version and no write behind. The table is marked rewritten either
+// way, since a scan decided.
+func (ws *writeState) rewriteWhere(t *table, ec *evalCtx, where sqlExpr, set func(*execCtx) (Row, error)) (int, error) {
+	ws.markRewrite(t.key)
+	var match func(*execCtx) (bool, error)
+	if where != nil {
+		match = rowFilter(ec.typed(where))
+	}
+	nt, err := t.derive()
+	if err != nil {
+		return 0, err
+	}
+	ctx := &execCtx{}
+	n, err := nt.rewrite(func(row Row) (Row, bool, error) {
+		ctx.row = row
+		if match != nil {
+			if ok, err := match(ctx); err != nil || !ok {
+				return row, false, err
+			}
+		}
+		nr, err := set(ctx)
+		return nr, err == nil, err
+	})
+	if n > 0 {
+		ws.cat = ws.cat.set(nt)
+		mark(&ws.touched, t.key)
+	}
+	return n, err
 }
 
 // BulkInserter is the fast-path interface for inserting pre-typed rows

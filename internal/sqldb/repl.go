@@ -455,7 +455,7 @@ func (db *DB) ImportState(exp *StateExport) error {
 		if err != nil {
 			return err
 		}
-		t.replaceRows(rows)
+		t.appendChunk(rows)
 		for _, col := range te.Indexes {
 			ci := t.schema.Index(col)
 			if ci < 0 {

@@ -88,9 +88,10 @@ type Result struct {
 // table is one immutable version of a table. Versions are published by
 // swapping a snapshot pointer (see snapshot.go); once published, a
 // version is never mutated, so any number of readers can scan it with
-// no locking. Row storage is chunked: a derived version shares the
-// chunk prefix with its parent and appends its own chunks, so INSERT
-// does not copy existing rows. A version is mutable only between
+// no locking. Row storage is chunked: a derived version shares its
+// parent's chunk objects, so an INSERT appends its own chunks and copies
+// no existing row, and an UPDATE, DELETE or ALTER replaces only the
+// chunks it changes (rewrite). A version is mutable only between
 // derive()/newTable() and seal(), while its single writer builds it.
 //
 // A version that Open created from the checkpoint's directory starts
@@ -118,14 +119,15 @@ type table struct {
 
 	// list holds the version's chunks in order, none empty; offs[i] is
 	// the global ordinal of the first row of list[i]. A derived version
-	// shares its parent's chunk objects and appends its own. A cold
+	// shares its parent's chunk objects: an append adds its own after
+	// them, a rewrite puts its own in place of the ones it changed. A cold
 	// version has no list until its meta segment is parsed and no offs
 	// until it hydrates; cold.mu guards list until then.
 	list  []*chunk
 	offs  []int
 	nrows int
 	// mutable is true only while an unpublished writer owns the
-	// version; appendChunk/replaceRows panic on a published version.
+	// version; appendChunk and rewrite panic on a published version.
 	mutable bool
 
 	// indexes is keyed by lower-case column name. The key set is fixed
@@ -260,14 +262,10 @@ func (t *table) hydrate() error {
 	if err != nil {
 		return err
 	}
-	t.offs = make([]int, len(chunks))
-	off := 0
 	for i, rows := range chunks {
 		t.list[i].resident[0] = rows
-		t.offs[i] = off
-		off += len(rows)
 	}
-	t.rebuildIndexes()
+	t.reindex()
 	c.done.Store(true)
 	return nil
 }
@@ -401,8 +399,8 @@ func newTable(name string, schema Schema, temp bool) *table {
 	}
 }
 
-// derive returns a new mutable version that shares this version's rows
-// (chunk prefix) and indexes (overlay children). O(#chunks + #indexes),
+// derive returns a new mutable version that shares this version's
+// chunks and indexes (overlay children). O(#chunks + #indexes),
 // independent of the row count — after the hydration a cold version
 // needs first, whose error is the only one derive returns.
 func (t *table) derive() (*table, error) {
@@ -514,18 +512,47 @@ func (t *table) appendCols(vecs []colVec, n int, env *execEnv) {
 	t.nrows += n
 }
 
-// replaceRows swaps in a wholly new row set (UPDATE/DELETE/ALTER
-// rebuild paths) and rebuilds all indexes. Only legal on a mutable
-// version.
-func (t *table) replaceRows(rows []Row) {
+// rewrite runs f over every row of a mutable version: f returns the
+// row's replacement, nil to delete it, and whether it changed the row.
+// A chunk in which f changed no row stays the chunk object it was, with
+// its cached vectors and checkpoint blocks; a chunk with a changed row
+// becomes a new chunk of its rewritten rows, or goes when none is left.
+// It returns how many rows f changed, and on f's first error that,
+// with the version as it was.
+func (t *table) rewrite(f func(Row) (Row, bool, error)) (int, error) {
 	if !t.mutable {
-		panic("sqldb: replaceRows on published table version")
+		panic("sqldb: rewrite of a published table version")
 	}
-	t.list, t.offs, t.nrows = nil, nil, len(rows)
-	if len(rows) > 0 {
-		t.list, t.offs = []*chunk{{resident: [1][]Row{rows}}}, []int{0}
+	list, nrows, changed := make([]*chunk, 0, len(t.list)), 0, 0
+	for _, ch := range t.list {
+		rows := ch.rows()
+		var out []Row // nil until f changes a row of the chunk
+		for i, row := range rows {
+			nr, ok, err := f(row)
+			if err != nil {
+				return 0, err
+			}
+			if ok && out == nil {
+				out = append(make([]Row, 0, len(rows)), rows[:i]...)
+			}
+			if ok {
+				changed++
+			}
+			if out != nil && nr != nil {
+				out = append(out, nr)
+			}
+		}
+		if out == nil {
+			list, nrows = append(list, ch), nrows+len(rows)
+		} else if len(out) > 0 {
+			list, nrows = append(list, &chunk{resident: [1][]Row{out}}), nrows+len(out)
+		}
 	}
-	t.rebuildIndexes()
+	if changed > 0 {
+		t.list, t.nrows = list, nrows
+		t.reindex()
+	}
+	return changed, nil
 }
 
 // rowAt returns the row at global ordinal pos (0 ≤ pos < nrows) of a
@@ -572,12 +599,18 @@ func (t *table) flat() ([]Row, error) {
 	return out, nil
 }
 
-// rebuildIndexes recreates all indexes from scratch (row positions
-// changed wholesale).
-func (t *table) rebuildIndexes() {
+// reindex recomputes the chunks' first ordinals and every index from
+// the chunk list: row positions changed wholesale (a rewrite deleted a
+// row), or were never known (a hydration). Offsets and indexes, once.
+func (t *table) reindex() {
+	t.offs = make([]int, len(t.list))
+	off := 0
+	for i, ch := range t.list {
+		t.offs[i] = off
+		off += ch.len()
+	}
 	for col, idx := range t.indexes {
-		ci := t.schema.Index(col)
-		idx.rebuildFrom(t, ci)
+		idx.rebuildFrom(t, t.schema.Index(col))
 	}
 }
 

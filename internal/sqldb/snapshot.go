@@ -25,7 +25,7 @@ var fpPublish = failpoint.Site("sqldb/snapshot/publish")
 // builds a writeState, the catalog of the transaction's private overlay
 // (a persistent trie, see catalog.go — taking it copies nothing) in
 // which modified tables are replaced by derived versions (copy-on-write,
-// sharing the untouched row prefix with the published version); each
+// sharing every untouched chunk with the published version); each
 // replacement copies only the trie path to that table. On success the
 // writeState becomes the transaction's next overlay; on error it is
 // simply discarded, which makes every statement atomic. Only a commit

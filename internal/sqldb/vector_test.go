@@ -523,6 +523,84 @@ func TestSupersededVectorsAreDropped(t *testing.T) {
 	}
 }
 
+// TestSupersededKeepsUntouchedChunks: a DELETE or UPDATE replaces only
+// the chunks holding a row it matched. The version it publishes holds
+// the parent version's other chunk objects, their vectors stay cached —
+// the cache loses the changed chunk's entries and no more — the table
+// reads back as before with only the matched rows changed, in the same
+// order, an index finds rows past a deleted one at their new ordinals,
+// and a Snapshot pinned before reads its own rows.
+func TestSupersededKeepsUntouchedChunks(t *testing.T) {
+	const per = 600 // above maxCompactChunk: each batch stays its own chunk
+	db := NewMemory()
+	mustExec(t, db, "CREATE TABLE t (a integer, b float)")
+	mustExec(t, db, "CREATE INDEX ON t (a)")
+	var want []Row
+	for c := 0; c < 3; c++ {
+		rows := make([]Row, per)
+		for i := range rows {
+			a := int64(c*per + i)
+			rows[i] = Row{value.NewInt(a), value.NewFloat(float64(a) / 2)}
+		}
+		if _, err := db.InsertRows("t", []string{"a", "b"}, rows); err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, rows...)
+	}
+	const q = "SELECT COUNT(*), SUM(a), SUM(b) FROM t WHERE a >= 0"
+	chunks := func() []*chunk { return db.state.Load().cat.get("t").builtChunks() }
+	entries := func() int { n, _ := db.env.cache.stats(); return n }
+	check := func(stmt string, changed int) {
+		t.Helper()
+		mustExec(t, db, q) // caches 2 vectors per chunk
+		was, before := chunks(), entries()
+		if len(was) != 3 || before != 2*len(was) {
+			t.Fatalf("before %s: %d chunks, %d cached vectors, want 3 and 6", stmt, len(was), before)
+		}
+		mustExec(t, db, stmt)
+		now := chunks()
+		for i := range was {
+			if kept := i < len(now) && now[i] == was[i]; kept != (i != changed) {
+				t.Errorf("after %s chunk %d kept=%v, want only chunk %d replaced", stmt, i, kept, changed)
+			}
+		}
+		if got := entries(); got != before-2 {
+			t.Errorf("after %s the cache holds %d vectors, want %d: only the changed chunk's 2 go", stmt, got, before-2)
+		}
+		got := mustExec(t, db, "SELECT a, b FROM t").Rows
+		if len(got) != len(want) {
+			t.Fatalf("after %s: %d rows, want %d", stmt, len(got), len(want))
+		}
+		for i := range want {
+			if got[i][0] != want[i][0] || got[i][1] != want[i][1] {
+				t.Fatalf("after %s row %d = %v, want %v", stmt, i, got[i], want[i])
+			}
+		}
+	}
+
+	pinned := db.Snapshot()
+	want = append(want[:700:700], want[701:]...)
+	check("DELETE FROM t WHERE a = 700", 1)
+	for _, a := range []int64{699, 701, 1500} {
+		res := mustExec(t, db, fmt.Sprintf("SELECT b FROM t WHERE a = %d", a))
+		if len(res.Rows) != 1 || res.Rows[0][0].Float() != float64(a)/2 {
+			t.Errorf("index lookup of a = %d after the DELETE = %v", a, res.Rows)
+		}
+	}
+	want[1499] = Row{value.NewInt(1500), value.NewFloat(-1)}
+	check("UPDATE t SET b = -1 WHERE a = 1500", 2)
+	if got := mustExec(t, pinned, q).Rows[0]; got[0].Int() != 3*per || got[1].Int() != 3*per*(3*per-1)/2 {
+		t.Errorf("pinned snapshot reads count=%v sum=%v, want its own %d rows", got[0], got[1], 3*per)
+	}
+
+	// A chunk the DELETE empties goes; the others stay.
+	was := chunks()
+	mustExec(t, db, "DELETE FROM t WHERE a < 600")
+	if now := chunks(); len(now) != 2 || now[0] != was[1] || now[1] != was[2] {
+		t.Errorf("after emptying the first chunk the version holds %d chunks, want the other 2 as they were", len(now))
+	}
+}
+
 // TestSupersededBlockVectorsAreDropped: a block-resident chunk's vectors
 // are cached one per morsel-sized block, not one per chunk, and a rewrite
 // of the table has to find those too — every block of every column the
