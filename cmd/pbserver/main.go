@@ -174,38 +174,8 @@ func main() {
 }
 
 // runCoordinator serves a sharded cluster over the wire protocol.
-// Local mode opens n durable shard primaries under dir (shard-0/,
-// shard-1/, ...) plus the cross-shard decision log; remote mode
-// connects to already-running pbservers, each optionally with read
-// replicas reached through a read router.
 func runCoordinator(addr, advertise, dir string, mem bool, n int, shardAddrs string) int {
-	var c *shard.Cluster
-	var err error
-	switch {
-	case shardAddrs != "":
-		var backends []shard.Backend
-		for _, grp := range strings.Split(shardAddrs, ";") {
-			grp = strings.TrimSpace(grp)
-			if grp == "" {
-				continue
-			}
-			parts := strings.Split(grp, ",")
-			for i := range parts {
-				parts[i] = strings.TrimSpace(parts[i])
-			}
-			b, berr := shard.Remote(parts[0], parts[1:]...)
-			if berr != nil {
-				fmt.Fprintln(os.Stderr, "pbserver: shard", parts[0], ":", berr)
-				return 1
-			}
-			backends = append(backends, b)
-		}
-		c, err = shard.New(backends)
-	case mem:
-		c = shard.NewLocal(n)
-	default:
-		c, err = shard.OpenLocal(dir, n, sqldb.SyncAlways)
-	}
+	c, err := openCoordinator(dir, mem, n, shardAddrs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pbserver:", err)
 		return 1
@@ -233,6 +203,37 @@ func runCoordinator(addr, advertise, dir string, mem bool, n int, shardAddrs str
 		return 1
 	}
 	return 0
+}
+
+// openCoordinator opens the cluster a coordinator serves. Local mode
+// opens n shard primaries under dir (shard-0/, shard-1/, ...) plus the
+// cross-shard decision log, or n in-memory ones with mem; remote mode
+// connects to already-running pbservers, each optionally with read
+// replicas reached through a read router.
+func openCoordinator(dir string, mem bool, n int, shardAddrs string) (*shard.Cluster, error) {
+	switch {
+	case shardAddrs != "":
+		var backends []shard.Backend
+		for _, grp := range strings.Split(shardAddrs, ";") {
+			grp = strings.TrimSpace(grp)
+			if grp == "" {
+				continue
+			}
+			parts := strings.Split(grp, ",")
+			for i := range parts {
+				parts[i] = strings.TrimSpace(parts[i])
+			}
+			b, err := shard.Remote(parts[0], parts[1:]...)
+			if err != nil {
+				return nil, fmt.Errorf("shard %s: %w", parts[0], err)
+			}
+			backends = append(backends, b)
+		}
+		return shard.New(backends)
+	case mem:
+		return shard.NewLocal(n), nil
+	}
+	return shard.OpenLocal(dir, n, sqldb.SyncAlways)
 }
 
 // dumpWAL prints the frames of a database directory's WAL — epoch,

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"perfbase/internal/pbxml"
-	"perfbase/internal/shard"
 	"perfbase/internal/sqldb"
 	"perfbase/internal/sqldb/wire"
 	"perfbase/internal/value"
@@ -339,8 +338,14 @@ func TestAccessClassParsing(t *testing.T) {
 	}
 }
 
+// TestSchemaEvolution evolves an experiment with a run on every backend:
+// on a cluster the retype of "chunk", the first column of the run's data
+// table, drops and re-adds the table's partition key.
 func TestSchemaEvolution(t *testing.T) {
-	s := newStore(t)
+	forEachBackend(t, testSchemaEvolution)
+}
+
+func testSchemaEvolution(t *testing.T, _ Handle, s *Store) {
 	e, err := s.CreateExperiment(testDef(t))
 	if err != nil {
 		t.Fatal(err)
@@ -524,57 +529,29 @@ func TestStoreOverWire(t *testing.T) {
 // type, sqldb.ErrTableExists, as it comes back from a pipeline step,
 // wherever the database lives.
 func TestClaimCollisionIsTyped(t *testing.T) {
-	backends := map[string]func(t *testing.T) Handle{
-		"local": func(t *testing.T) Handle { return sqldb.NewMemory() },
-		"wire": func(t *testing.T) Handle {
-			srv := wire.NewServer(sqldb.NewMemory())
-			if err := srv.Listen("127.0.0.1:0"); err != nil {
+	forEachBackend(t, func(t *testing.T, q Handle, s *Store) {
+		e, err := s.CreateExperiment(testDef(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Someone else holds ids 1 and 2.
+		for id := int64(1); id <= 2; id++ {
+			if _, err := q.Exec("CREATE TABLE " + e.DataTable(id) + " (chunk integer, bw float)"); err != nil {
 				t.Fatal(err)
 			}
-			t.Cleanup(func() { srv.Close() })
-			client, err := wire.Dial(srv.Addr())
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { client.Close() })
-			return client
-		},
-		"cluster": func(t *testing.T) Handle {
-			c := shard.NewLocal(2)
-			t.Cleanup(func() { c.Close() })
-			return c
-		},
-	}
-	for name, open := range backends {
-		t.Run(name, func(t *testing.T) {
-			q := open(t)
-			s := NewStore(q)
-			if err := s.Init(); err != nil {
-				t.Fatal(err)
-			}
-			e, err := s.CreateExperiment(testDef(t))
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Someone else holds ids 1 and 2.
-			for id := int64(1); id <= 2; id++ {
-				if _, err := q.Exec("CREATE TABLE " + e.DataTable(id) + " (chunk integer, bw float)"); err != nil {
-					t.Fatal(err)
-				}
-			}
-			claim := []sqldb.PipelineRequest{{SQL: "BEGIN"}, {SQL: "CREATE TABLE " + e.DataTable(1) + " (chunk integer, bw float)"}, {SQL: "COMMIT"}}
-			if _, err := q.ExecPipeline(claim); !errors.Is(err, sqldb.ErrTableExists) {
-				t.Fatalf("a claim pipeline over a taken id: err=%v, want sqldb.ErrTableExists", err)
-			}
-			id, err := e.CreateRun(DataSet{"fs": value.NewString("nfs")}, nil, "a.txt", "c1")
-			if err != nil {
-				t.Fatalf("CreateRun over taken ids: %v", err)
-			}
-			if id != 3 {
-				t.Errorf("claimed run id %d, want 3 (1 and 2 are taken)", id)
-			}
-		})
-	}
+		}
+		claim := []sqldb.PipelineRequest{{SQL: "BEGIN"}, {SQL: "CREATE TABLE " + e.DataTable(1) + " (chunk integer, bw float)"}, {SQL: "COMMIT"}}
+		if _, err := q.ExecPipeline(claim); !errors.Is(err, sqldb.ErrTableExists) {
+			t.Fatalf("a claim pipeline over a taken id: err=%v, want sqldb.ErrTableExists", err)
+		}
+		id, err := e.CreateRun(DataSet{"fs": value.NewString("nfs")}, nil, "a.txt", "c1")
+		if err != nil {
+			t.Fatalf("CreateRun over taken ids: %v", err)
+		}
+		if id != 3 {
+			t.Errorf("claimed run id %d, want 3 (1 and 2 are taken)", id)
+		}
+	})
 }
 
 func TestAccessorsAndVarNames(t *testing.T) {

@@ -8,9 +8,7 @@ import (
 	"testing"
 
 	"perfbase/internal/failpoint"
-	"perfbase/internal/shard"
 	"perfbase/internal/sqldb"
-	"perfbase/internal/sqldb/wire"
 	"perfbase/internal/value"
 )
 
@@ -243,46 +241,9 @@ func TestDeleteRunIsOneTransaction(t *testing.T) {
 // its data table's row count.
 func TestConcurrentImportsDense(t *testing.T) {
 	const workers, files = 8, 25
-	type backend struct {
-		handle   func() Handle     // one per input user
-		catalogs func() [][]string // the tables of each database, each shard's
-	}
-	backends := map[string]func(t *testing.T) backend{
-		"local": func(t *testing.T) backend {
-			db := sqldb.NewMemory()
-			return backend{func() Handle { return db }, func() [][]string { return [][]string{db.Tables()} }}
-		},
-		"wire": func(t *testing.T) backend {
-			db := sqldb.NewMemory()
-			srv := wire.NewServer(db)
-			if err := srv.Listen("127.0.0.1:0"); err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { srv.Close() })
-			return backend{func() Handle {
-				c, err := wire.Dial(srv.Addr())
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { c.Close() })
-				return c
-			}, func() [][]string { return [][]string{db.Tables()} }}
-		},
-		"cluster": func(t *testing.T) backend {
-			c := shard.NewLocal(2)
-			t.Cleanup(func() { c.Close() })
-			return backend{func() Handle { return c }, func() [][]string {
-				var all [][]string
-				for i := 0; i < c.NumShards(); i++ {
-					all = append(all, c.Shard(i).(interface{ Tables() []string }).Tables())
-				}
-				return all
-			}}
-		},
-	}
-	for name, open := range backends {
-		t.Run(name, func(t *testing.T) {
-			b := open(t)
+	for _, b := range testBackends {
+		t.Run(b.name, func(t *testing.T) {
+			b := b.open(t)
 			s := NewStore(b.handle())
 			if err := s.Init(); err != nil {
 				t.Fatal(err)

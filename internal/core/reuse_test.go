@@ -7,49 +7,10 @@ import (
 	"testing"
 
 	"perfbase/internal/pbxml"
-	"perfbase/internal/shard"
 	"perfbase/internal/sqldb"
 	"perfbase/internal/sqldb/wire"
 	"perfbase/internal/value"
 )
-
-// handleBackends open one database handle each: embedded, over a wire
-// server, and a 2-shard cluster.
-var handleBackends = map[string]func(t *testing.T) Handle{
-	"local": func(t *testing.T) Handle { return sqldb.NewMemory() },
-	"wire": func(t *testing.T) Handle {
-		srv := wire.NewServer(sqldb.NewMemory())
-		if err := srv.Listen("127.0.0.1:0"); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { srv.Close() })
-		client, err := wire.Dial(srv.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { client.Close() })
-		return client
-	},
-	"cluster": func(t *testing.T) Handle {
-		c := shard.NewLocal(2)
-		t.Cleanup(func() { c.Close() })
-		return c
-	},
-}
-
-// forEachBackend runs fn with an initialised store over each backend.
-func forEachBackend(t *testing.T, fn func(t *testing.T, q Handle, s *Store)) {
-	for name, open := range handleBackends {
-		t.Run(name, func(t *testing.T) {
-			q := open(t)
-			s := NewStore(q)
-			if err := s.Init(); err != nil {
-				t.Fatal(err)
-			}
-			fn(t, q, s)
-		})
-	}
-}
 
 func mustOpen(t *testing.T, s *Store) *Experiment {
 	t.Helper()

@@ -4,19 +4,27 @@
 // Every table is partitioned by its FIRST column: a row lives on the
 // shard selected by an FNV-1a hash of the partition key's canonical
 // SQL rendering after coercion to the declared column type (so 1 and
-// 1.0 hash identically). The coordinator parses each statement once
-// and routes it:
+// 1.0 hash identically). Every statement takes one path,
+// ClusterSession.Exec, which parses it once and routes it; outside
+// BEGIN a statement is a one-statement cluster transaction (Cluster.Exec
+// runs it on a fresh session):
 //
 //   - DDL broadcasts to every shard atomically (two-phase commit).
+//     ALTER TABLE always runs in a transaction; dropping the partition
+//     key deals the table's rows anew by its new first column.
 //   - INSERT ... VALUES splits its literal rows by key; a single-shard
 //     insert goes straight to the owner, a straddling one commits via
-//     two-phase commit.
+//     two-phase commit. INSERT ... SELECT and CREATE TABLE ... AS read
+//     their SELECT like any SELECT and split its rows the same way.
 //   - UPDATE/DELETE with a `key = literal` conjunct route to the
 //     owning shard; anything else broadcasts transactionally. An
-//     UPDATE that SETs the partition key is rejected (rows never
-//     migrate between shards).
+//     UPDATE that SETs the partition key is rejected.
 //   - SELECT with a key-equality conjunct routes to the owner; other
-//     SELECTs scatter-gather (see Query).
+//     SELECTs scatter-gather (see ClusterSession.scatter).
+//
+// Routing a write yields its schema change beside its routes, and the
+// partition map adopts the change once the write commits, however it
+// commits (Cluster.adopt).
 //
 // Each shard is an ordinary sqldb primary — it keeps its own WAL, OCC
 // validation and (in remote mode) replicas — so everything the
@@ -203,10 +211,6 @@ type Cluster struct {
 
 	mu      sync.Mutex
 	schemas map[string]sqldb.Schema
-	// pendingAs holds the materialized result schema of an in-flight
-	// CREATE TABLE AS between routing and noteDDL (the statement text
-	// carries no column list to record).
-	pendingAs map[string]sqldb.Schema
 
 	dlog      *decisionLog
 	gidPrefix string
@@ -223,7 +227,6 @@ func New(shards []Backend) (*Cluster, error) {
 	c := &Cluster{
 		shards:    shards,
 		schemas:   map[string]sqldb.Schema{},
-		pendingAs: map[string]sqldb.Schema{},
 		gidPrefix: fmt.Sprintf("%x-%d", time.Now().UnixNano(), os.Getpid()),
 	}
 	for i, sh := range shards {
@@ -443,97 +446,33 @@ func (c *Cluster) keyColumn(table string, tx *ClusterSession) (string, bool) {
 	return strings.ToLower(sch[0].Name), true
 }
 
-// Exec parses and routes one autocommit statement.
+// Exec runs one statement outside any transaction, on a session of its
+// own (see ClusterSession.Exec). Transaction control needs a session
+// that outlives the statement, so it is refused here.
 func (c *Cluster) Exec(sql string) (*sqldb.Result, error) {
 	st, err := sqldb.Parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	switch s := st.(type) {
-	case *sqldb.SelectStmt:
-		return c.Query(s, sql)
-	case *sqldb.ExplainStmt:
-		return c.shards[0].Exec(sql)
+	switch st.(type) {
 	case *sqldb.BeginStmt, *sqldb.CommitStmt, *sqldb.RollbackStmt,
 		*sqldb.PrepareStmt, *sqldb.CommitPreparedStmt, *sqldb.RollbackPreparedStmt:
 		return nil, fmt.Errorf("shard: transactions require a cluster session")
 	}
-	if err := fpRoute.Inject(); err != nil {
-		return nil, fmt.Errorf("shard: route: %w", err)
-	}
-	routes, err := c.route(st, sql, nil)
-	if err != nil {
-		return nil, err
-	}
-	if len(routes) == 1 {
-		for idx, stmts := range routes {
-			var res *sqldb.Result
-			for _, one := range stmts {
-				if res, err = c.shards[idx].Exec(one); err != nil {
-					return nil, err
-				}
-			}
-			if _, isDDL := ddlStmt(st); isDDL {
-				c.noteDDL(st)
-			}
-			return res, nil
-		}
-	}
-	// Multi-shard: run as an implicit cluster transaction so the
-	// statement is atomic across shards.
-	s := c.NewSession()
-	defer s.Close()
-	if _, err := s.Exec("BEGIN"); err != nil {
-		return nil, err
-	}
-	res, err := s.routePrepared(st, sql, routes)
-	if err != nil {
-		s.Exec("ROLLBACK") //nolint:errcheck
-		return nil, err
-	}
-	if _, err := s.Exec("COMMIT"); err != nil {
-		return nil, err
-	}
-	if _, isDDL := ddlStmt(st); isDDL {
-		c.noteDDL(st)
-	}
-	return res, nil
+	s := ClusterSession{c: c}
+	return s.exec(st, sql)
 }
 
-// ddlStmt classifies schema statements (which broadcast everywhere).
-func ddlStmt(st sqldb.Statement) (sqldb.Statement, bool) {
-	switch st.(type) {
-	case *sqldb.CreateTableStmt, *sqldb.DropTableStmt, *sqldb.CreateIndexStmt:
-		return st, true
+// adopt installs a schema change — each table it names gets the schema,
+// nil for a table that is gone — in the partition map. It runs once a
+// write has committed, however it committed.
+func (c *Cluster) adopt(change map[string]sqldb.Schema) {
+	if len(change) == 0 {
+		return
 	}
-	return nil, false
-}
-
-// noteDDL updates the coordinator's partition map after a schema
-// statement committed on all shards.
-func (c *Cluster) noteDDL(st sqldb.Statement) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	switch s := st.(type) {
-	case *sqldb.CreateTableStmt:
-		name := strings.ToLower(s.Name)
-		if s.As == nil {
-			c.schemas[name] = s.Cols
-		} else if sch, ok := c.pendingAs[name]; ok {
-			c.schemas[name] = sch
-			delete(c.pendingAs, name)
-		}
-	case *sqldb.DropTableStmt:
-		delete(c.schemas, strings.ToLower(s.Name))
-	}
-}
-
-// adoptDDL installs a committed transaction's schema changes (see
-// ClusterSession.ddl) in the partition map.
-func (c *Cluster) adoptDDL(ddl map[string]sqldb.Schema) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for name, sch := range ddl {
+	for name, sch := range change {
 		if sch == nil {
 			delete(c.schemas, name)
 		} else {
@@ -542,146 +481,208 @@ func (c *Cluster) adoptDDL(ddl map[string]sqldb.Schema) {
 	}
 }
 
-// route maps a write statement to per-shard statement lists. A nil
-// map with no error never happens; a single-entry map is the
-// fast path, a multi-entry map needs two-phase commit. tx is the
-// transaction the statement runs in, nil outside one.
-func (c *Cluster) route(st sqldb.Statement, raw string, tx *ClusterSession) (map[int][]string, error) {
-	all := func() map[int][]string {
-		m := make(map[int][]string, len(c.shards))
-		for i := range c.shards {
-			m[i] = []string{raw}
-		}
-		return m
+// broadcast routes the statements to every shard. The shards share
+// one list, capped so that an append for one shard (deal) copies it.
+func (c *Cluster) broadcast(stmts ...string) map[int][]string {
+	m := make(map[int][]string, len(c.shards))
+	for i := range c.shards {
+		m[i] = stmts[:len(stmts):len(stmts)]
 	}
-	switch s := st.(type) {
-	case *sqldb.CreateTableStmt:
-		if s.As != nil {
-			return c.routeCreateTableAs(s, raw)
-		}
-		if len(s.Cols) == 0 {
-			return nil, fmt.Errorf("shard: CREATE TABLE needs at least one column (the partition key)")
-		}
-		return all(), nil
-	case *sqldb.DropTableStmt, *sqldb.CreateIndexStmt:
-		return all(), nil
-	case *sqldb.InsertStmt:
-		return c.routeInsert(s, raw, tx)
-	case *sqldb.UpdateStmt:
-		key, ok := c.keyColumn(s.Table, tx)
-		if !ok {
-			return nil, fmt.Errorf("shard: unknown table %q", s.Table)
-		}
-		if sqldb.UpdateSetsColumn(s, key) {
-			return nil, fmt.Errorf("shard: UPDATE may not change the partition key %q of %q", key, s.Table)
-		}
-		if kv, ok := sqldb.KeyEqualityLiteral(s.Where, key); ok {
-			idx, err := c.shardFor(s.Table, kv, tx)
-			if err != nil {
-				return nil, err
-			}
-			return map[int][]string{idx: {raw}}, nil
-		}
-		return all(), nil
-	case *sqldb.DeleteStmt:
-		key, ok := c.keyColumn(s.Table, tx)
-		if !ok {
-			return nil, fmt.Errorf("shard: unknown table %q", s.Table)
-		}
-		if kv, ok := sqldb.KeyEqualityLiteral(s.Where, key); ok {
-			idx, err := c.shardFor(s.Table, kv, tx)
-			if err != nil {
-				return nil, err
-			}
-			return map[int][]string{idx: {raw}}, nil
-		}
-		return all(), nil
-	}
-	return nil, fmt.Errorf("shard: cannot route %T", st)
+	return m
 }
 
-// routeCreateTableAs materializes the SELECT through the coordinator,
-// broadcasts an explicit-schema CREATE TABLE, and partitions the
-// materialized rows by their first column — so CREATE [TEMP] TABLE AS
-// behaves like on a single node (query-layer operators build their
-// result vectors this way).
-func (c *Cluster) routeCreateTableAs(s *sqldb.CreateTableStmt, raw string) (map[int][]string, error) {
-	res, err := c.Query(s.As, raw[s.As.Pos:])
+// deal appends to routes, for every shard that owns some of rows (whose
+// columns cols names) by table's partition key, one INSERT of them.
+func (c *Cluster) deal(routes map[int][]string, table string, sch sqldb.Schema, cols []string, rows []sqldb.Row) error {
+	byShard, err := c.partition(table, sch, cols, rows)
+	if err != nil {
+		return err
+	}
+	for idx, part := range byShard {
+		routes[idx] = append(routes[idx], sqldb.RenderInsertRows(table, cols, part))
+	}
+	return nil
+}
+
+// columnNames lists a schema's column names.
+func columnNames(sch sqldb.Schema) []string {
+	cols := make([]string, len(sch))
+	for i, col := range sch {
+		cols[i] = col.Name
+	}
+	return cols
+}
+
+// route maps a write statement other than ALTER TABLE (see alter) to
+// per-shard statement lists, in the order each shard runs them, and to
+// its schema change (see Cluster.adopt; nil when it changes no schema).
+// Outside a transaction one statement on one shard runs on that shard
+// alone; anything else runs in a cluster transaction.
+func (s *ClusterSession) route(st sqldb.Statement, raw string) (map[int][]string, map[string]sqldb.Schema, error) {
+	c := s.c
+	switch q := st.(type) {
+	case *sqldb.CreateTableStmt:
+		if _, existed := c.schema(q.Name, s); existed && q.IfNotExists {
+			return c.broadcast(raw), nil, nil // every shard has it: nothing changes
+		}
+		if q.As != nil {
+			return s.routeCreateTableAs(q, raw)
+		}
+		if len(q.Cols) == 0 {
+			return nil, nil, fmt.Errorf("shard: CREATE TABLE needs at least one column (the partition key)")
+		}
+		return c.broadcast(raw), map[string]sqldb.Schema{strings.ToLower(q.Name): q.Cols}, nil
+	case *sqldb.DropTableStmt:
+		return c.broadcast(raw), map[string]sqldb.Schema{strings.ToLower(q.Name): nil}, nil
+	case *sqldb.CreateIndexStmt:
+		return c.broadcast(raw), nil, nil
+	case *sqldb.InsertStmt:
+		routes, err := s.routeInsert(q, raw)
+		return routes, nil, err
+	case *sqldb.UpdateStmt:
+		key, ok := c.keyColumn(q.Table, s)
+		if !ok {
+			return nil, nil, fmt.Errorf("shard: unknown table %q", q.Table)
+		}
+		if sqldb.UpdateSetsColumn(q, key) {
+			return nil, nil, fmt.Errorf("shard: UPDATE may not change the partition key %q of %q", key, q.Table)
+		}
+		kv, keyed := sqldb.KeyEqualityLiteral(q.Where, key)
+		routes, err := s.routeKeyed(q.Table, kv, keyed, raw)
+		return routes, nil, err
+	case *sqldb.DeleteStmt:
+		key, ok := c.keyColumn(q.Table, s)
+		if !ok {
+			return nil, nil, fmt.Errorf("shard: unknown table %q", q.Table)
+		}
+		kv, keyed := sqldb.KeyEqualityLiteral(q.Where, key)
+		routes, err := s.routeKeyed(q.Table, kv, keyed, raw)
+		return routes, nil, err
+	}
+	return nil, nil, fmt.Errorf("shard: cannot route %T", st)
+}
+
+// routeKeyed routes an UPDATE or DELETE to the shard owning kv when its
+// WHERE has a `key = kv` conjunct (keyed), to every shard otherwise.
+func (s *ClusterSession) routeKeyed(table string, kv value.Value, keyed bool, raw string) (map[int][]string, error) {
+	if !keyed {
+		return s.c.broadcast(raw), nil
+	}
+	idx, err := s.c.shardFor(table, kv, s)
 	if err != nil {
 		return nil, err
 	}
-	create := sqldb.RenderCreateTable(s.Name, res.Columns)
-	if s.Temp {
+	return map[int][]string{idx: {raw}}, nil
+}
+
+// routeCreateTableAs reads the SELECT through the session, broadcasts an
+// explicit-schema CREATE TABLE and deals the rows by their first column
+// — so CREATE [TEMP] TABLE AS behaves like on a single node
+// (query-layer operators build their result vectors this way).
+func (s *ClusterSession) routeCreateTableAs(q *sqldb.CreateTableStmt, raw string) (map[int][]string, map[string]sqldb.Schema, error) {
+	res, err := s.query(q.As, raw[q.As.Pos:])
+	if err != nil {
+		return nil, nil, err
+	}
+	create := sqldb.RenderCreateTable(q.Name, res.Columns)
+	if q.Temp {
 		create = strings.Replace(create, "CREATE TABLE", "CREATE TEMP TABLE", 1)
 	}
-	out := make(map[int][]string, len(c.shards))
-	for idx := range c.shards {
-		out[idx] = []string{create}
+	routes := s.c.broadcast(create)
+	if err := s.c.deal(routes, q.Name, res.Columns, columnNames(res.Columns), res.Rows); err != nil {
+		return nil, nil, err
 	}
-	if len(res.Rows) > 0 {
-		cols := make([]string, len(res.Columns))
-		for ci, col := range res.Columns {
-			cols[ci] = col.Name
+	return routes, map[string]sqldb.Schema{strings.ToLower(q.Name): res.Columns}, nil
+}
+
+// alter runs an ALTER TABLE inside the transaction, an implicit one
+// outside BEGIN: it broadcasts, and the partition map takes the schema
+// the statement's Apply derives, under the new name for RENAME.
+// Dropping the partition key then deals the rows anew — the remaining
+// columns are read through the transaction, every shard empties the
+// table, and each inserts the rows it owns by the new first column — so
+// the statement's read and its writes see one snapshot.
+func (s *ClusterSession) alter(q *sqldb.AlterTableStmt, raw string) (*sqldb.Result, error) {
+	if !s.InTxn() {
+		if err := s.begin(); err != nil {
+			return nil, err
 		}
-		byShard := map[int][]sqldb.Row{}
-		for _, row := range res.Rows {
-			idx, err := c.shardForKey(res.Columns[0].Type, row[0])
-			if err != nil {
-				return nil, fmt.Errorf("shard: partition key for %q: %w", s.Name, err)
-			}
-			byShard[idx] = append(byShard[idx], row)
-		}
-		for idx, part := range byShard {
-			out[idx] = append(out[idx], sqldb.RenderInsertRows(s.Name, cols, part))
-		}
+		return s.end(s.alter(q, raw))
 	}
-	c.mu.Lock()
-	c.pendingAs[strings.ToLower(s.Name)] = res.Columns
-	c.mu.Unlock()
-	return out, nil
+	if err := fpRoute.Inject(); err != nil {
+		return nil, fmt.Errorf("shard: route: %w", err)
+	}
+	old, ok := s.c.schema(q.Table, s)
+	if !ok {
+		return nil, fmt.Errorf("shard: unknown table %q", q.Table)
+	}
+	sch, err := q.Apply(old)
+	if err != nil {
+		return nil, err
+	}
+	name := strings.ToLower(q.Table)
+	switch {
+	case q.Rename != "":
+		return s.write(s.c.broadcast(raw), map[string]sqldb.Schema{name: nil, strings.ToLower(q.Rename): sch})
+	case len(sch) == 0:
+		return nil, fmt.Errorf("shard: cannot drop %q, the only column (the partition key) of %q", q.Drop, q.Table)
+	}
+	res, err := s.write(s.c.broadcast(raw), map[string]sqldb.Schema{name: sch})
+	if err != nil || !strings.EqualFold(q.Drop, old[0].Name) {
+		return res, err
+	}
+	cols := columnNames(sch)
+	sql := "SELECT " + strings.Join(cols, ", ") + " FROM " + q.Table
+	sel, err := sqldb.Parse(sql)
+	if err != nil {
+		return nil, err
+	}
+	rows, err := s.query(sel.(*sqldb.SelectStmt), sql)
+	if err != nil {
+		return nil, err
+	}
+	routes := s.c.broadcast("DELETE FROM " + q.Table)
+	if err := s.c.deal(routes, q.Table, sch, cols, rows.Rows); err != nil {
+		return nil, err
+	}
+	if _, err := s.write(routes, nil); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // routeInsert splits an INSERT by partition key. INSERT ... VALUES
-// rows must be literals; INSERT ... SELECT first materializes the
-// SELECT through the coordinator (one scatter-gather snapshot read),
-// then partitions the resulting rows like literal ones. The read is
-// its own snapshot, which is why the ... SELECT form is rejected
-// inside explicit transactions (see ClusterSession.Exec).
-func (c *Cluster) routeInsert(s *sqldb.InsertStmt, raw string, tx *ClusterSession) (map[int][]string, error) {
+// rows must be literals; INSERT ... SELECT first reads the SELECT
+// through the session, like any SELECT, then partitions the resulting
+// rows like literal ones.
+func (s *ClusterSession) routeInsert(q *sqldb.InsertStmt, raw string) (map[int][]string, error) {
 	var rows []sqldb.Row
-	if s.From != nil {
-		res, err := c.Query(s.From, raw[s.From.Pos:])
+	if q.From != nil {
+		res, err := s.query(q.From, raw[q.From.Pos:])
 		if err != nil {
 			return nil, err
 		}
 		rows = res.Rows
 	} else {
 		var ok bool
-		rows, ok = sqldb.LiteralRows(s)
+		rows, ok = sqldb.LiteralRows(q)
 		if !ok {
 			return nil, fmt.Errorf("shard: INSERT rows must be literals on a cluster")
 		}
 	}
-	sch, ok := c.schema(s.Table, tx)
+	sch, ok := s.c.schema(q.Table, s)
 	if !ok {
-		return nil, fmt.Errorf("shard: unknown table %q", s.Table)
+		return nil, fmt.Errorf("shard: unknown table %q", q.Table)
 	}
-	cols := s.Cols
+	cols := q.Cols
 	if len(cols) == 0 {
-		cols = make([]string, len(sch))
-		for i, col := range sch {
-			cols[i] = col.Name
-		}
+		cols = columnNames(sch)
 	}
-	byShard, err := c.partition(s.Table, sch, cols, rows)
-	if err != nil {
+	routes := make(map[int][]string, 1)
+	if err := s.c.deal(routes, q.Table, sch, cols, rows); err != nil {
 		return nil, err
 	}
-	out := make(map[int][]string, len(byShard))
-	for idx, part := range byShard {
-		out[idx] = []string{sqldb.RenderInsertRows(s.Table, cols, part)}
-	}
-	return out, nil
+	return routes, nil
 }
 
 // InsertRows is the bulk ingest fast path: rows are partitioned by
@@ -723,23 +724,24 @@ func (c *Cluster) InsertRows(table string, cols []string, rows []sqldb.Row) (int
 	return total, firstErr
 }
 
-// Query executes a SELECT. A key-equality query routes to the owning
-// shard (all matching rows live there); everything else scatters.
-func (c *Cluster) Query(st *sqldb.SelectStmt, raw string) (*sqldb.Result, error) {
-	if idx, ok := c.singleShardSelect(st, nil); ok {
-		return c.shards[idx].Exec(raw)
+// query runs a SELECT. A key-equality query routes to the owning shard
+// (all matching rows live there); everything else scatters. Inside a
+// transaction every read goes through its per-shard sessions.
+func (s *ClusterSession) query(st *sqldb.SelectStmt, raw string) (*sqldb.Result, error) {
+	if idx, ok := s.singleShardSelect(st); ok {
+		return s.execOn(idx, raw)
 	}
-	return c.scatter(st, raw, nil)
+	return s.scatter(st, raw)
 }
 
 // singleShardSelect reports whether the SELECT reads one table with a
 // partition-key equality conjunct, and which shard owns it.
-func (c *Cluster) singleShardSelect(st *sqldb.SelectStmt, tx *ClusterSession) (int, bool) {
+func (s *ClusterSession) singleShardSelect(st *sqldb.SelectStmt) (int, bool) {
 	if len(st.Union) > 0 || len(st.From) != 1 || len(st.Joins) != 0 {
 		return 0, false
 	}
 	table := st.From[0].Table
-	key, ok := c.keyColumn(table, tx)
+	key, ok := s.c.keyColumn(table, s)
 	if !ok {
 		return 0, false
 	}
@@ -747,7 +749,7 @@ func (c *Cluster) singleShardSelect(st *sqldb.SelectStmt, tx *ClusterSession) (i
 	if !ok {
 		return 0, false
 	}
-	idx, err := c.shardFor(table, kv, tx)
+	idx, err := s.c.shardFor(table, kv, s)
 	if err != nil {
 		return 0, false
 	}
@@ -756,13 +758,11 @@ func (c *Cluster) singleShardSelect(st *sqldb.SelectStmt, tx *ClusterSession) (i
 
 // execOn runs sql on shard idx, through the transaction's session on it
 // when there is a transaction.
-func (c *Cluster) execOn(idx int, sql string, tx *ClusterSession) (*sqldb.Result, error) {
-	if tx != nil {
-		if s, ok := tx.sess[idx]; ok {
-			return s.Exec(sql)
-		}
+func (s *ClusterSession) execOn(idx int, sql string) (*sqldb.Result, error) {
+	if s.sess != nil {
+		return s.sess[idx].Exec(sql)
 	}
-	return c.shards[idx].Exec(sql)
+	return s.c.shards[idx].Exec(sql)
 }
 
 // scatter runs a distributed SELECT: per-shard partials merged in
@@ -775,18 +775,14 @@ func (c *Cluster) execOn(idx int, sql string, tx *ClusterSession) (*sqldb.Result
 // gathered copy (correct for every query shape; order-sensitive
 // queries need an ORDER BY to be deterministic, exactly as on a single
 // node).
-//
-// tx, when non-nil, is the transaction the SELECT runs in: partials then
-// execute inside its per-shard sessions (and sequentially, as sessions
-// are single-threaded).
-func (c *Cluster) scatter(st *sqldb.SelectStmt, raw string, tx *ClusterSession) (*sqldb.Result, error) {
+func (s *ClusterSession) scatter(st *sqldb.SelectStmt, raw string) (*sqldb.Result, error) {
 	if len(st.From) == 0 && len(st.Union) == 0 {
-		return c.execOn(0, raw, tx) // table-less SELECT: constants only
+		return s.execOn(0, raw) // table-less SELECT: constants only
 	}
 	if len(st.From) > 0 {
-		if sch, ok := c.schema(st.From[0].Table, tx); ok {
+		if sch, ok := s.c.schema(st.From[0].Table, s); ok {
 			if plan, ok := sqldb.PlanDistributedSelect(st, sch); ok {
-				partials, err := c.runPartials("PARTIAL "+raw, tx)
+				partials, err := s.runPartials("PARTIAL " + raw)
 				if err != nil {
 					return nil, err
 				}
@@ -794,33 +790,21 @@ func (c *Cluster) scatter(st *sqldb.SelectStmt, raw string, tx *ClusterSession) 
 			}
 		}
 	}
-	return c.gatherQuery(st, raw, tx)
+	return s.gatherQuery(st, raw)
 }
 
-// runPartials executes one partial statement on every shard and
-// returns the results in shard-index order. Outside a transaction the
-// shards run concurrently.
-func (c *Cluster) runPartials(partialSQL string, tx *ClusterSession) ([]*sqldb.Result, error) {
-	partials := make([]*sqldb.Result, len(c.shards))
-	if tx != nil {
-		for i := range c.shards {
-			if err := fpScatter.Inject(); err != nil {
-				return nil, fmt.Errorf("shard %d: scatter: %w", i, err)
-			}
-			res, err := c.execOn(i, partialSQL, tx)
-			if err != nil {
-				return nil, fmt.Errorf("shard %d: %w", i, err)
-			}
-			partials[i] = res
-		}
-		return partials, nil
-	}
+// runPartials executes one partial statement on every shard at once —
+// inside a transaction on its per-shard sessions, each used by one
+// goroutine — and returns the results in shard-index order.
+func (s *ClusterSession) runPartials(partialSQL string) ([]*sqldb.Result, error) {
+	shards, sess := s.c.shards, s.sess // sess is nil outside a transaction
+	partials := make([]*sqldb.Result, len(shards))
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex
 		firstErr error
 	)
-	for i := range c.shards {
+	for i := range shards {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
@@ -828,8 +812,15 @@ func (c *Cluster) runPartials(partialSQL string, tx *ClusterSession) ([]*sqldb.R
 			err := fpScatter.Inject()
 			if err != nil {
 				err = fmt.Errorf("shard %d: scatter: %w", i, err)
-			} else if res, err = c.shards[i].Exec(partialSQL); err != nil {
-				err = fmt.Errorf("shard %d: %w", i, err)
+			} else {
+				if sess != nil {
+					res, err = sess[i].Exec(partialSQL)
+				} else {
+					res, err = shards[i].Exec(partialSQL)
+				}
+				if err != nil {
+					err = fmt.Errorf("shard %d: %w", i, err)
+				}
 			}
 			mu.Lock()
 			partials[i] = res
@@ -849,26 +840,23 @@ func (c *Cluster) runPartials(partialSQL string, tx *ClusterSession) ([]*sqldb.R
 // gatherQuery is the scatter fallback: copy every referenced table
 // (all shards, shard-index order) into a scratch database and run the
 // original query there.
-func (c *Cluster) gatherQuery(st *sqldb.SelectStmt, raw string, tx *ClusterSession) (*sqldb.Result, error) {
+func (s *ClusterSession) gatherQuery(st *sqldb.SelectStmt, raw string) (*sqldb.Result, error) {
 	scratch := sqldb.NewMemory()
 	tables := sqldb.ReferencedTables(st)
 	sort.Strings(tables)
 	for _, t := range tables {
-		sch, ok := c.schema(t, tx)
+		sch, ok := s.c.schema(t, s)
 		if !ok {
 			return nil, fmt.Errorf("shard: unknown table %q", t)
 		}
 		if _, err := scratch.Exec(sqldb.RenderCreateTable(t, sch)); err != nil {
 			return nil, err
 		}
-		cols := make([]string, len(sch))
-		for i, col := range sch {
-			cols[i] = col.Name
-		}
-		partials, err := c.runPartials("SELECT * FROM "+t, tx)
+		partials, err := s.runPartials("SELECT * FROM " + t)
 		if err != nil {
 			return nil, err
 		}
+		cols := columnNames(sch)
 		for _, p := range partials {
 			if p == nil || len(p.Rows) == 0 {
 				continue

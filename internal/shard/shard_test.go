@@ -374,15 +374,20 @@ func TestUnsupportedStatements(t *testing.T) {
 	if _, err := c.Exec("COMMIT"); err == nil {
 		t.Error("COMMIT without a session: expected error on a cluster")
 	}
-	// Materializing forms run on their own snapshot and are therefore
-	// rejected inside an explicit transaction.
-	s := c.NewSession()
-	defer s.Close()
-	mustExecS(t, s, "BEGIN")
-	if _, err := s.Exec("INSERT INTO m SELECT k, v FROM m"); err == nil {
-		t.Error("in-txn INSERT ... SELECT: expected error on a cluster")
+	// A materializing form reads the transaction's snapshot, its own
+	// writes included, as on one node.
+	one := sqldb.NewMemory()
+	mustExec(t, one, "CREATE TABLE m (k integer, v integer)")
+	var dumps []string
+	for _, q := range []sqldb.Querier{c.NewSession(), one.NewSession()} {
+		for _, sql := range []string{"BEGIN", "INSERT INTO m VALUES (1, 10), (2, 20)", "INSERT INTO m SELECT k + 2, v FROM m", "COMMIT"} {
+			mustExec(t, q, sql)
+		}
+		dumps = append(dumps, dumpResult(mustExec(t, q, "SELECT k, v FROM m ORDER BY k")))
 	}
-	mustExecS(t, s, "ROLLBACK")
+	if dumps[0] != dumps[1] {
+		t.Errorf("in-txn INSERT ... SELECT: cluster\n%s\none node\n%s", dumps[0], dumps[1])
+	}
 }
 
 // TestMaterializingStatements covers the coordinator's INSERT ...

@@ -34,15 +34,18 @@ import (
 	"perfbase/internal/sqldb"
 )
 
-// ClusterSession is one client's transactional context on the
-// cluster. It is not safe for concurrent use (like *sqldb.Session).
+// ClusterSession is one client's context on the cluster, and the one
+// path every statement takes: outside BEGIN a statement is a
+// one-statement cluster transaction (see Exec). It is not safe for
+// concurrent use (like *sqldb.Session).
 type ClusterSession struct {
-	c     *Cluster
-	inTxn bool
-	sess  map[int]Session  // shard index -> open per-shard session (BEGUN)
-	log   map[int][]string // statements sent to each shard (redo on recovery)
-	// ddl holds the tables the transaction created (their schema) or
-	// dropped (nil), by lower-cased name; the partition map adopts them
+	c *Cluster
+	// sess holds the open per-shard session of every shard, by shard
+	// index, while a transaction is open; nil outside one.
+	sess []Session
+	log  [][]string // statements sent to each shard (redo on recovery)
+	// ddl holds the schema changes of the transaction's statements (see
+	// Cluster.adopt), by lower-cased name; the partition map adopts them
 	// when the transaction commits.
 	ddl    map[string]sqldb.Schema
 	closed bool
@@ -60,35 +63,43 @@ func (s *ClusterSession) Close() {
 		return
 	}
 	s.closed = true
-	if s.inTxn {
+	if s.InTxn() {
 		s.abort()
 	}
 }
 
 // InTxn reports whether a transaction is open.
-func (s *ClusterSession) InTxn() bool { return s.inTxn }
+func (s *ClusterSession) InTxn() bool { return s.sess != nil }
 
-// shardSess returns (opening and BEGINning if needed) the session on
-// shard idx.
-func (s *ClusterSession) shardSess(idx int) (Session, error) {
-	if sh, ok := s.sess[idx]; ok {
-		return sh, nil
+// begin opens the transaction: a session on every shard, BEGUN now and
+// not at first touch, so the transaction's snapshot point is BEGIN on
+// every shard, exactly as a single-node session snapshots at BEGIN.
+// Lazy opening would let a shard's snapshot observe commits that landed
+// after this BEGIN, which is serializable but not bit-equivalent to the
+// single-node schedule.
+func (s *ClusterSession) begin() error {
+	if s.InTxn() {
+		return fmt.Errorf("shard: transaction already open")
 	}
-	sh := s.c.shards[idx].NewShardSession()
-	if _, err := sh.Exec("BEGIN"); err != nil {
-		sh.Close()
-		return nil, fmt.Errorf("shard %d: %w", idx, err)
+	s.sess = make([]Session, len(s.c.shards))
+	s.log = make([][]string, len(s.c.shards))
+	for i, b := range s.c.shards {
+		sh := b.NewShardSession()
+		if _, err := sh.Exec("BEGIN"); err != nil {
+			sh.Close()
+			s.abort()
+			return fmt.Errorf("shard %d: %w", i, err)
+		}
+		s.sess[i] = sh
 	}
-	if s.sess == nil {
-		s.sess = map[int]Session{}
-		s.log = map[int][]string{}
-	}
-	s.sess[idx] = sh
-	return sh, nil
+	return nil
 }
 
-// Exec routes one statement within (or without) the session's
-// transaction.
+// Exec runs one statement within the session's transaction or, outside
+// BEGIN, as a one-statement cluster transaction: a write that routes to
+// one statement on one shard runs on that shard's backend, any other
+// write runs as an implicit BEGIN … COMMIT on this session, and a read
+// runs on the shards' own snapshots.
 func (s *ClusterSession) Exec(sql string) (*sqldb.Result, error) {
 	if s.closed {
 		return nil, fmt.Errorf("shard: session is closed")
@@ -97,119 +108,83 @@ func (s *ClusterSession) Exec(sql string) (*sqldb.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch st.(type) {
+	return s.exec(st, sql)
+}
+
+func (s *ClusterSession) exec(st sqldb.Statement, sql string) (*sqldb.Result, error) {
+	switch q := st.(type) {
 	case *sqldb.BeginStmt:
-		if s.inTxn {
-			return nil, fmt.Errorf("shard: transaction already open")
-		}
-		s.inTxn = true
-		// Open every shard session now, not at first touch: the
-		// transaction's snapshot point must be BEGIN on every shard,
-		// exactly as a single-node session snapshots at BEGIN. Lazy
-		// opening would let a shard's snapshot observe commits that
-		// landed after this BEGIN, which is serializable but not
-		// bit-equivalent to the single-node schedule.
-		for i := range s.c.shards {
-			if _, err := s.shardSess(i); err != nil {
-				s.abort()
-				return nil, err
-			}
+		if err := s.begin(); err != nil {
+			return nil, err
 		}
 		return &sqldb.Result{}, nil
 	case *sqldb.CommitStmt:
-		if !s.inTxn {
+		if !s.InTxn() {
 			return nil, fmt.Errorf("shard: no open transaction")
 		}
 		return s.commit()
 	case *sqldb.RollbackStmt:
-		if !s.inTxn {
+		if !s.InTxn() {
 			return nil, fmt.Errorf("shard: no open transaction")
 		}
 		s.abort()
 		return &sqldb.Result{}, nil
 	case *sqldb.PrepareStmt, *sqldb.CommitPreparedStmt, *sqldb.RollbackPreparedStmt:
 		return nil, fmt.Errorf("shard: two-phase commit is driven by the coordinator")
-	}
-	if !s.inTxn {
-		return s.c.Exec(sql)
-	}
-	switch q := st.(type) {
 	case *sqldb.SelectStmt:
 		return s.query(q, sql)
 	case *sqldb.ExplainStmt:
 		return s.c.shards[0].Exec(sql)
-	case *sqldb.CreateTableStmt, *sqldb.DropTableStmt, *sqldb.CreateIndexStmt:
-		return s.execDDL(q, sql)
-	}
-	if ins, ok := st.(*sqldb.InsertStmt); ok && ins.From != nil {
-		// The materializing read would run on its own snapshot, not
-		// this transaction's (see routeInsert).
-		return nil, fmt.Errorf("shard: INSERT ... SELECT must run outside an explicit transaction")
+	case *sqldb.AlterTableStmt:
+		return s.alter(q, sql)
 	}
 	if err := fpRoute.Inject(); err != nil {
 		return nil, fmt.Errorf("shard: route: %w", err)
 	}
-	routes, err := s.c.route(st, sql, s)
+	routes, change, err := s.route(st, sql)
 	if err != nil {
 		return nil, err
 	}
-	return s.routePrepared(st, sql, routes)
+	if s.InTxn() {
+		return s.write(routes, change)
+	}
+	for idx, stmts := range routes {
+		if len(routes) == 1 && len(stmts) == 1 {
+			// One statement on one shard: that shard's own one-statement
+			// transaction.
+			res, err := s.c.shards[idx].Exec(stmts[0])
+			if err != nil {
+				return nil, err
+			}
+			s.c.adopt(change)
+			return res, nil
+		}
+	}
+	if err := s.begin(); err != nil {
+		return nil, err
+	}
+	return s.end(s.write(routes, change))
 }
 
-// execDDL broadcasts a schema statement into every shard's transaction.
-// Each shard validates it at PREPARE like any write, so two transactions
-// creating one table cannot both commit. Until the commit, only this
-// transaction's own statements see the change, through s.ddl.
-func (s *ClusterSession) execDDL(st sqldb.Statement, sql string) (*sqldb.Result, error) {
-	ct, create := st.(*sqldb.CreateTableStmt)
-	if create && ct.As != nil {
-		// The materializing read would run on its own snapshot, not this
-		// transaction's (see routeCreateTableAs).
-		return nil, fmt.Errorf("shard: CREATE TABLE ... AS must run outside an explicit transaction")
-	}
-	existed := false
-	if create {
-		_, existed = s.c.schema(ct.Name, s)
-	}
-	routes, err := s.c.route(st, sql, s)
+// end finishes an implicit transaction with the outcome of its one
+// statement: COMMIT after a success, ROLLBACK after a failure.
+func (s *ClusterSession) end(res *sqldb.Result, err error) (*sqldb.Result, error) {
 	if err != nil {
+		s.abort()
 		return nil, err
 	}
-	res, err := s.routePrepared(st, sql, routes)
-	if err != nil {
+	if _, err := s.commit(); err != nil {
 		return nil, err
-	}
-	if s.ddl == nil {
-		s.ddl = map[string]sqldb.Schema{}
-	}
-	switch d := st.(type) {
-	case *sqldb.CreateTableStmt:
-		if !existed { // IF NOT EXISTS over an existing table changed nothing
-			s.ddl[strings.ToLower(d.Name)] = d.Cols
-		}
-	case *sqldb.DropTableStmt:
-		s.ddl[strings.ToLower(d.Name)] = nil
 	}
 	return res, nil
 }
 
-// routePrepared executes an already-routed write on the per-shard
-// transaction sessions, recording every statement for redo.
-func (s *ClusterSession) routePrepared(st sqldb.Statement, raw string, routes map[int][]string) (*sqldb.Result, error) {
-	if !s.inTxn {
-		return nil, fmt.Errorf("shard: no open transaction")
-	}
-	idxs := make([]int, 0, len(routes))
-	for idx := range routes {
-		idxs = append(idxs, idx)
-	}
-	sort.Ints(idxs)
+// write runs a routed statement on the transaction's per-shard
+// sessions, in shard order, journals every statement for redo, and
+// records its schema change for the commit to adopt.
+func (s *ClusterSession) write(routes map[int][]string, change map[string]sqldb.Schema) (*sqldb.Result, error) {
 	total := &sqldb.Result{}
-	for _, idx := range idxs {
-		sh, err := s.shardSess(idx)
-		if err != nil {
-			return nil, err
-		}
+	for idx, sh := range s.sess {
 		for _, one := range routes[idx] {
 			res, err := sh.Exec(one)
 			if err != nil {
@@ -219,40 +194,28 @@ func (s *ClusterSession) routePrepared(st sqldb.Statement, raw string, routes ma
 			total.Affected += res.Affected
 		}
 	}
+	if len(change) > 0 && s.ddl == nil {
+		s.ddl = map[string]sqldb.Schema{}
+	}
+	for name, sch := range change {
+		s.ddl[name] = sch
+	}
 	return total, nil
-}
-
-// query runs a SELECT inside the transaction: key-equality routes to
-// the owner's session, everything else scatters through the open
-// sessions (opening one per shard, so the reads are validated at
-// commit).
-func (s *ClusterSession) query(st *sqldb.SelectStmt, raw string) (*sqldb.Result, error) {
-	if idx, ok := s.c.singleShardSelect(st, s); ok {
-		sh, err := s.shardSess(idx)
-		if err != nil {
-			return nil, err
-		}
-		return sh.Exec(raw)
-	}
-	for i := range s.c.shards {
-		if _, err := s.shardSess(i); err != nil {
-			return nil, err
-		}
-	}
-	return s.c.scatter(st, raw, s)
 }
 
 // abort rolls back everything open and resets the session.
 func (s *ClusterSession) abort() {
 	for _, sh := range s.sess {
-		sh.Exec("ROLLBACK") //nolint:errcheck
-		sh.Close()
+		if sh != nil {
+			sh.Exec("ROLLBACK") //nolint:errcheck
+			sh.Close()
+		}
 	}
 	s.reset()
 }
 
 func (s *ClusterSession) reset() {
-	s.sess, s.log, s.ddl, s.inTxn = nil, nil, nil, false
+	s.sess, s.log, s.ddl = nil, nil, nil
 }
 
 // commit ends the transaction. Participants that only read commit
@@ -261,51 +224,44 @@ func (s *ClusterSession) reset() {
 // ordinary commit, and multi-writer transactions run two-phase
 // commit.
 func (s *ClusterSession) commit() (*sqldb.Result, error) {
-	idxs := make([]int, 0, len(s.sess))
-	writers := make([]int, 0, len(s.sess))
-	for idx := range s.sess {
-		idxs = append(idxs, idx)
-	}
-	sort.Ints(idxs)
-	for _, idx := range idxs {
-		if len(s.log[idx]) > 0 {
+	var writers []int
+	for idx, stmts := range s.log {
+		if len(stmts) > 0 {
 			writers = append(writers, idx)
 		}
 	}
-	if len(writers) <= 1 {
-		// Read-only participants first: a failed read validation must
-		// abort the writer too.
-		for _, idx := range idxs {
-			if len(s.log[idx]) > 0 {
+	if len(writers) > 1 {
+		return s.commit2PC(writers)
+	}
+	// Read-only participants first: a failed read validation must
+	// abort the writer too.
+	for _, writer := range []bool{false, true} {
+		for idx, sh := range s.sess {
+			if (len(s.log[idx]) > 0) != writer {
 				continue
 			}
-			if _, err := s.sess[idx].Exec("COMMIT"); err != nil {
+			if _, err := sh.Exec("COMMIT"); err != nil {
 				s.abort()
 				return nil, fmt.Errorf("shard %d: %w", idx, err)
 			}
 		}
-		for _, idx := range writers {
-			if _, err := s.sess[idx].Exec("COMMIT"); err != nil {
-				s.abort()
-				return nil, fmt.Errorf("shard %d: %w", idx, err)
-			}
-		}
-		s.c.adoptDDL(s.ddl)
-		s.closeAll()
-		return &sqldb.Result{}, nil
 	}
-	return s.commit2PC(idxs, writers)
+	s.c.adopt(s.ddl)
+	s.closeAll()
+	return &sqldb.Result{}, nil
 }
 
 func (s *ClusterSession) closeAll() {
 	for _, sh := range s.sess {
-		sh.Close()
+		if sh != nil {
+			sh.Close()
+		}
 	}
 	s.reset()
 }
 
 // commit2PC drives prepare/decide/commit across the participants.
-func (s *ClusterSession) commit2PC(idxs, writers []int) (*sqldb.Result, error) {
+func (s *ClusterSession) commit2PC(writers []int) (*sqldb.Result, error) {
 	c := s.c
 	gid := fmt.Sprintf("%s-%d", c.gidPrefix, c.gidSeq.Add(1))
 
@@ -321,17 +277,17 @@ func (s *ClusterSession) commit2PC(idxs, writers []int) (*sqldb.Result, error) {
 	// Phase 1: prepare everywhere. Any failure aborts the whole
 	// transaction — prepared participants roll back their parked
 	// state, the rest roll back their open transaction.
-	prepared := map[int]bool{}
-	for _, idx := range idxs {
+	prepared := 0
+	for idx, sh := range s.sess {
 		if err := fp2pcPrepare.Inject(); err != nil {
 			s.abortPrepared(prepared)
 			return nil, fmt.Errorf("shard %d: prepare: %w", idx, err)
 		}
-		if _, err := s.sess[idx].Exec("PREPARE TRANSACTION '" + gid + "'"); err != nil {
+		if _, err := sh.Exec("PREPARE TRANSACTION '" + gid + "'"); err != nil {
 			s.abortPrepared(prepared)
 			return nil, fmt.Errorf("shard %d: prepare: %w", idx, err)
 		}
-		prepared[idx] = true
+		prepared++
 	}
 
 	// Phase 2: the commit point — fsync the decision with enough
@@ -352,21 +308,21 @@ func (s *ClusterSession) commit2PC(idxs, writers []int) (*sqldb.Result, error) {
 	// here (crashed shard, injected fault) leaves that shard to
 	// Recover, and is reported to the caller as ErrTornCommit.
 	var torn []string
-	for _, idx := range idxs {
+	for idx, sh := range s.sess {
 		if err := fp2pcCommit.Inject(); err != nil {
 			torn = append(torn, fmt.Sprintf("shard %d: %v", idx, err))
-			s.sess[idx].Close()
-			delete(s.sess, idx)
+			sh.Close()
+			s.sess[idx] = nil
 			continue
 		}
-		if _, err := s.sess[idx].Exec("COMMIT PREPARED"); err != nil {
+		if _, err := sh.Exec("COMMIT PREPARED"); err != nil {
 			torn = append(torn, fmt.Sprintf("shard %d: %v", idx, err))
 		}
 	}
 	if len(torn) == 0 && c.dlog != nil {
 		c.dlog.done(gid) //nolint:errcheck
 	}
-	c.adoptDDL(s.ddl) // decided, torn or not
+	c.adopt(s.ddl) // decided, torn or not
 	s.closeAll()
 	if len(torn) > 0 {
 		return nil, fmt.Errorf("%w (gid %s): %s", ErrTornCommit, gid, strings.Join(torn, "; "))
@@ -375,10 +331,10 @@ func (s *ClusterSession) commit2PC(idxs, writers []int) (*sqldb.Result, error) {
 }
 
 // abortPrepared rolls back a partially-prepared transaction: parked
-// state on prepared shards, open transactions elsewhere.
-func (s *ClusterSession) abortPrepared(prepared map[int]bool) {
+// state on the first prepared shards, open transactions on the rest.
+func (s *ClusterSession) abortPrepared(prepared int) {
 	for idx, sh := range s.sess {
-		if prepared[idx] {
+		if idx < prepared {
 			sh.Exec("ROLLBACK PREPARED") //nolint:errcheck
 		} else {
 			sh.Exec("ROLLBACK") //nolint:errcheck
@@ -395,23 +351,18 @@ func (s *ClusterSession) InsertRows(table string, cols []string, rows []sqldb.Ro
 	if s.closed {
 		return 0, fmt.Errorf("shard: session is closed")
 	}
-	if !s.inTxn {
+	if !s.InTxn() {
 		return s.c.InsertRows(table, cols, rows)
 	}
-	st := &sqldb.InsertStmt{Table: table, Cols: cols}
-	routes := map[int][]string{}
 	sch, ok := s.c.schema(table, s)
 	if !ok {
 		return 0, fmt.Errorf("shard: unknown table %q", table)
 	}
-	byShard, err := s.c.partition(table, sch, cols, rows)
-	if err != nil {
+	routes := map[int][]string{}
+	if err := s.c.deal(routes, table, sch, cols, rows); err != nil {
 		return 0, err
 	}
-	for idx, part := range byShard {
-		routes[idx] = []string{sqldb.RenderInsertRows(table, cols, part)}
-	}
-	res, err := s.routePrepared(st, "", routes)
+	res, err := s.write(routes, nil)
 	if err != nil {
 		return 0, err
 	}

@@ -64,6 +64,30 @@ func (p *sqlParser) parseAlter() (Statement, error) {
 	return st, nil
 }
 
+// Apply returns the schema sch becomes under the statement, or the
+// error the statement meets on a table of that schema. RENAME keeps the
+// schema. The engine's execAlter and the shard coordinator's partition
+// map both derive the new schema here.
+func (s *AlterTableStmt) Apply(sch Schema) (Schema, error) {
+	switch {
+	case s.Add != nil:
+		if sch.Index(s.Add.Name) >= 0 {
+			return nil, errorf("column %q already exists in %q", s.Add.Name, s.Table)
+		}
+		return append(sch.clone(), *s.Add), nil
+	case s.Drop != "":
+		ci := sch.Index(s.Drop)
+		if ci < 0 {
+			return nil, errorf("no column %q in table %q", s.Drop, s.Table)
+		}
+		sc := sch.clone()
+		return append(sc[:ci:ci], sc[ci+1:]...), nil
+	case s.Rename != "":
+		return sch, nil
+	}
+	return nil, errorf("empty ALTER TABLE")
+}
+
 // execAlter rewrites the table into a fresh version: published rows
 // are immutable, so ADD/DROP COLUMN rebuild every row, chunk by chunk,
 // rather than widening shared slices in place.
@@ -73,17 +97,14 @@ func (db *DB) execAlter(ws *writeState, s *AlterTableStmt) (*Result, error) {
 	if !ok {
 		return nil, errorf("no such table %q", s.Table)
 	}
-	switch {
-	case s.Add != nil && t.schema.Index(s.Add.Name) >= 0:
-		return nil, errorf("column %q already exists in %q", s.Add.Name, s.Table)
-	case s.Drop != "" && t.schema.Index(s.Drop) < 0:
-		return nil, errorf("no column %q in table %q", s.Drop, s.Table)
-	case s.Rename != "":
+	schema, err := s.Apply(t.schema)
+	if err != nil {
+		return nil, err
+	}
+	if s.Rename != "" {
 		if _, exists := ws.tab(lower(s.Rename)); exists {
 			return nil, tableExists(s.Rename)
 		}
-	case s.Add == nil && s.Drop == "":
-		return nil, errorf("empty ALTER TABLE")
 	}
 	nt, err := ws.modify(key)
 	if err != nil {
@@ -95,16 +116,14 @@ func (db *DB) execAlter(ws *writeState, s *AlterTableStmt) (*Result, error) {
 		ws.put(nt)
 		return &Result{}, nil
 	}
+	nt.schema = schema
 	var reshape func(Row) Row
 	if s.Add != nil {
-		nt.schema = append(nt.schema.clone(), *s.Add)
 		null := value.Null(s.Add.Type)
 		reshape = func(row Row) Row { return append(append(make(Row, 0, len(row)+1), row...), null) }
 	} else {
 		ci := t.schema.Index(s.Drop)
 		nt.dropIndex(lower(s.Drop))
-		sc := nt.schema.clone()
-		nt.schema = append(sc[:ci:ci], sc[ci+1:]...)
 		reshape = func(row Row) Row { return append(append(make(Row, 0, len(row)-1), row[:ci]...), row[ci+1:]...) }
 	}
 	nt.rewrite(func(row Row) (Row, bool, error) { return reshape(row), true, nil }) //nolint:errcheck // never fails

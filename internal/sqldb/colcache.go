@@ -473,8 +473,10 @@ func (c *colCache) evict(el *list.Element) {
 // version of the table being published in its place (nil: the table is
 // gone), no longer holds anywhere: a set difference, taken past the
 // chunks the two versions begin with alike. A plain append keeps all of
-// old's and evicts nothing.
-func (c *colCache) dropSuperseded(old, next *table) {
+// old's and evicts nothing. The chunks of also — other tables published
+// in the same commit, such as the new name of a renamed table — are
+// kept as well.
+func (c *colCache) dropSuperseded(old, next *table, also ...*table) {
 	if old == nil || old == next {
 		return
 	}
@@ -493,6 +495,11 @@ func (c *colCache) dropSuperseded(old, next *table) {
 	held := make(map[*chunk]bool, len(now)-same)
 	for _, ch := range now[same:] {
 		held[ch] = true
+	}
+	for _, t := range also {
+		for _, ch := range t.builtChunks() {
+			held[ch] = true
+		}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -680,8 +680,13 @@ func (db *DB) publishTxn(tx *sessionTxn) (seq uint64) {
 		next := mergeCommit(db, cur, tx)
 		db.state.Store(next)
 		db.invalidateSchema(tx.schema)
+		var kept []*table // the commit's surviving tables, once a key is dropped
 		for k := range tx.writes {
-			db.env.cache.dropSuperseded(cur.cat.get(k), next.cat.get(k))
+			now := next.cat.get(k)
+			if now == nil && kept == nil && len(tx.writes) > 1 {
+				kept = survivors(next, tx.writes)
+			}
+			db.env.cache.dropSuperseded(cur.cat.get(k), now, kept...)
 		}
 	}
 	if len(tx.log) > 0 {
@@ -689,6 +694,20 @@ func (db *DB) publishTxn(tx *sessionTxn) (seq uint64) {
 		seq = db.commitBatch(tx.log)
 	}
 	return seq
+}
+
+// survivors returns the tables of the written keys that next still
+// holds: a key the commit dropped may live on in one of them (ALTER
+// TABLE … RENAME TO moves its chunks to the new name), so its chunks'
+// vectors stay. It returns an empty, non-nil slice when none survives.
+func survivors(next *snapshot, writes map[string]bool) []*table {
+	kept := []*table{}
+	for k := range writes {
+		if t := next.cat.get(k); t != nil {
+			kept = append(kept, t)
+		}
+	}
+	return kept
 }
 
 // mergeCommit builds the published snapshot for a validated commit.

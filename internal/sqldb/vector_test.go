@@ -601,6 +601,52 @@ func TestSupersededKeepsUntouchedChunks(t *testing.T) {
 	}
 }
 
+// TestSupersededRenameKeepsVectors: ALTER TABLE … RENAME TO publishes
+// the table's chunk objects under the new name, so their vectors stay
+// cached, autocommit or inside a transaction that also writes another
+// table; a DROP in such a transaction still evicts the dropped table's.
+func TestSupersededRenameKeepsVectors(t *testing.T) {
+	db := NewMemory()
+	mustExec(t, db, "CREATE TABLE t (a integer, b float)")
+	mustExec(t, db, "CREATE TABLE other (x integer)")
+	mustExec(t, db, "INSERT INTO t VALUES (1, 0.5), (2, 1.5), (3, 2.5)")
+	entries := func() int { n, _ := db.env.cache.stats(); return n }
+	mustExec(t, db, "SELECT SUM(a), SUM(b) FROM t WHERE a > 0")
+	before := entries()
+	if before == 0 {
+		t.Fatal("the query did not take the vector path")
+	}
+	mustExec(t, db, "ALTER TABLE t RENAME TO u")
+	if got := entries(); got != before {
+		t.Fatalf("after RENAME the cache holds %d vectors, want %d", got, before)
+	}
+	if got := mustExec(t, db, "SELECT SUM(a), SUM(b) FROM u WHERE a > 0").Rows[0]; got[0].Int() != 6 || got[1].Float() != 4.5 {
+		t.Fatalf("renamed table reads %v", got)
+	}
+	if got := entries(); got != before {
+		t.Fatalf("reading the renamed table rebuilt vectors: %d cached, want %d", got, before)
+	}
+
+	s := db.NewSession()
+	defer s.Close()
+	for _, sql := range []string{"BEGIN", "ALTER TABLE u RENAME TO v", "INSERT INTO other VALUES (1)", "COMMIT"} {
+		if _, err := s.Exec(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	if got := entries(); got != before {
+		t.Fatalf("after RENAME in a transaction the cache holds %d vectors, want %d", got, before)
+	}
+	for _, sql := range []string{"BEGIN", "DROP TABLE v", "INSERT INTO other VALUES (2)", "COMMIT"} {
+		if _, err := s.Exec(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	if got := entries(); got != 0 {
+		t.Fatalf("after DROP in a transaction the cache holds %d vectors, want 0", got)
+	}
+}
+
 // TestSupersededBlockVectorsAreDropped: a block-resident chunk's vectors
 // are cached one per morsel-sized block, not one per chunk, and a rewrite
 // of the table has to find those too — every block of every column the
