@@ -5,6 +5,7 @@
 //	E2 Fig. 2  — BenchmarkFig2_QueryCascade cascaded element graph
 //	E3 Fig. 3  — BenchmarkFig3_*           parallel speedup + source fraction
 //	E4 Fig. 4  — BenchmarkFig4_ParseGolden  b_eff_io file import
+//	             BenchmarkSessionImport    the same through a Session
 //	E5 Fig. 8  — BenchmarkFig8_RelativeDiffQuery
 //	E7 §4.2    — BenchmarkSQLvsScriptAggregation
 //	E8 §4.3    — BenchmarkQueryWallTime     query time vs dataset size
@@ -182,6 +183,30 @@ func BenchmarkFig4_ParseGolden(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		name := fmt.Sprintf("bio_T10_N4_listbased_ufs_grisu_run%d.txt", i)
 		if _, err := im.ImportBytes(name, data); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSessionImport measures what one `perfbase input` of one
+// b_eff_io file costs a session that imports a campaign: each import
+// reads the one input description again, and a file of its own.
+func BenchmarkSessionImport(b *testing.B) {
+	s := perfbase.OpenMemory()
+	defer s.Close()
+	if _, err := s.Setup(strings.NewReader(beffio.ExperimentXML)); err != nil {
+		b.Fatal(err)
+	}
+	cfgs := beffio.SweepConfigs([]string{beffio.TechniqueListBased, beffio.TechniqueListLess},
+		[]string{"ufs"}, []int{4}, (b.N+1)/2, 1)
+	paths, err := beffio.GenerateFiles(b.TempDir(), "grisu", cfgs[:b.N])
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, p := range paths {
+		if _, err := s.Import("b_eff_io", strings.NewReader(beffio.InputXML), perfbase.ImportOptions{}, p); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -33,14 +33,14 @@ func BenchmarkCreateRunsGrowth(b *testing.B) {
 			runs := make([]NewRun, held)
 			for i := range runs {
 				src := fmt.Sprintf("held_%d.txt", i)
-				runs[i] = NewRun{Once: DataSet{"nodes": value.NewInt(int64(i))}, Sets: testSets(1), Source: src, Checksum: src}
+				runs[i] = NewRun{Once: DataSet{"nodes": value.NewInt(int64(i))}, Rows: setRows(b, e, testSets(1)), Source: src, Checksum: src}
 			}
 			for i := range runs {
 				if _, err := e.CreateRuns(runs[i].Checksum, runs[i:i+1]); err != nil {
 					b.Fatal(err)
 				}
 			}
-			sets := testSets(24)
+			rows := setRows(b, e, testSets(24))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -49,7 +49,7 @@ func BenchmarkCreateRunsGrowth(b *testing.B) {
 					b.Fatal(err)
 				}
 				src := fmt.Sprintf("new_%d.txt", i)
-				run := []NewRun{{Once: DataSet{"fs": value.NewString("nfs")}, Sets: sets, Source: src, Checksum: src}}
+				run := []NewRun{{Once: DataSet{"fs": value.NewString("nfs")}, Rows: rows, Source: src, Checksum: src}}
 				if _, err := e.CreateRuns(src, run); err != nil {
 					b.Fatal(err)
 				}

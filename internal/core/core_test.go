@@ -206,8 +206,8 @@ func TestRunLifecycle(t *testing.T) {
 	}
 	// The runs of one file: consecutive ids, in one transaction.
 	ids, err := e.CreateRuns("sum4", []NewRun{
-		{Sets: []DataSet{{"chunk": value.NewInt(1)}}, Checksum: "sum4#0"},
-		{Sets: []DataSet{{"chunk": value.NewInt(2)}, {"chunk": value.NewInt(3)}}, Checksum: "sum4#1"},
+		{Rows: setRows(t, e, []DataSet{{"chunk": value.NewInt(1)}}), Checksum: "sum4#0"},
+		{Rows: setRows(t, e, []DataSet{{"chunk": value.NewInt(2)}, {"chunk": value.NewInt(3)}}), Checksum: "sum4#1"},
 	})
 	if err != nil || len(ids) != 2 || ids[0] != 4 || ids[1] != 5 {
 		t.Fatalf("CreateRuns = %v, %v, want [4 5]", ids, err)

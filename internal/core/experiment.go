@@ -107,10 +107,34 @@ func resolveVars(def *pbxml.Experiment) ([]Var, error) {
 
 // Experiment is an open experiment.
 type Experiment struct {
-	store *Store
-	name  string
-	def   *pbxml.Experiment
-	vars  []Var
+	store       *Store
+	name        string
+	def         *pbxml.Experiment
+	vars        []Var
+	once, multi []Var // vars by occurrence, in declaration order
+}
+
+func newExperiment(s *Store, name string, def *pbxml.Experiment, vars []Var) *Experiment {
+	e := &Experiment{store: s, name: name, def: def}
+	e.setVars(vars)
+	return e
+}
+
+// setVars makes vars the experiment's variables.
+func (e *Experiment) setVars(vars []Var) {
+	byOcc := make([]Var, 0, len(vars))
+	n := 0 // once variables
+	for _, once := range [...]bool{true, false} {
+		for _, v := range vars {
+			if v.Once == once {
+				byOcc = append(byOcc, v)
+			}
+		}
+		if once {
+			n = len(byOcc)
+		}
+	}
+	e.vars, e.once, e.multi = vars, byOcc[:n:n], byOcc[n:]
 }
 
 // Name returns the experiment name.
@@ -136,26 +160,12 @@ func (e *Experiment) Var(name string) (*Var, bool) {
 }
 
 // OnceVars returns the constant-per-run variables in declaration order.
-func (e *Experiment) OnceVars() []Var {
-	var out []Var
-	for _, v := range e.vars {
-		if v.Once {
-			out = append(out, v)
-		}
-	}
-	return out
-}
+// The slice is the experiment's own: callers must not modify it.
+func (e *Experiment) OnceVars() []Var { return e.once }
 
 // MultiVars returns the per-data-set variables in declaration order.
-func (e *Experiment) MultiVars() []Var {
-	var out []Var
-	for _, v := range e.vars {
-		if !v.Once {
-			out = append(out, v)
-		}
-	}
-	return out
-}
+// The slice is the experiment's own: callers must not modify it.
+func (e *Experiment) MultiVars() []Var { return e.multi }
 
 // OnceTable is the table holding one row per run with all
 // constant-per-run variables.
@@ -369,7 +379,7 @@ func (e *Experiment) Update(def *pbxml.Experiment) error {
 		return fmt.Errorf("core: update: %w", err)
 	}
 	e.def = def
-	e.vars = newVars
+	e.setVars(newVars)
 	return nil
 }
 

@@ -268,7 +268,7 @@ func TestConcurrentImportsDense(t *testing.T) {
 					}
 					for f := 0; f < files; f++ {
 						src := fmt.Sprintf("w%d_f%d.txt", w, f)
-						if _, err := e.CreateRuns(src, []NewRun{{Sets: testSets(1 + (w+f)%3), Source: src, Checksum: src}}); err != nil {
+						if _, err := e.CreateRuns(src, []NewRun{{Rows: setRows(t, e, testSets(1+(w+f)%3)), Source: src, Checksum: src}}); err != nil {
 							t.Errorf("%s: %v", src, err)
 							return
 						}
@@ -319,4 +319,14 @@ func TestConcurrentImportsDense(t *testing.T) {
 			}
 		})
 	}
+}
+
+// setRows lays data sets out as the rows of a NewRun of e.
+func setRows(tb testing.TB, e *Experiment, sets []DataSet) []sqldb.Row {
+	tb.Helper()
+	rows, err := e.Rows(sets)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return rows
 }

@@ -294,7 +294,7 @@ func TestReuseImportReadsRunsOnce(t *testing.T) {
 		h.runsReads()
 
 		e := mustOpen(t, s)
-		ids, err := e.CreateRuns("b.txt", []NewRun{{Sets: testSets(2), Source: "b.txt", Checksum: "b.txt"}})
+		ids, err := e.CreateRuns("b.txt", []NewRun{{Rows: setRows(t, e, testSets(2)), Source: "b.txt", Checksum: "b.txt"}})
 		if err != nil || len(ids) != 1 || ids[0] != 2 {
 			t.Fatalf("import = %v, %v, want run 2", ids, err)
 		}
@@ -304,7 +304,7 @@ func TestReuseImportReadsRunsOnce(t *testing.T) {
 		}
 
 		e = mustOpen(t, s)
-		if ids, err := e.CreateRuns("", []NewRun{{Sets: testSets(1), Source: "b.txt"}}); err != nil || ids[0] != 3 {
+		if ids, err := e.CreateRuns("", []NewRun{{Rows: setRows(t, e, testSets(1)), Source: "b.txt"}}); err != nil || ids[0] != 3 {
 			t.Fatalf("forced import = %v, %v, want run 3", ids, err)
 		}
 		if reads := h.runsReads(); len(reads) != 0 {
@@ -349,7 +349,7 @@ func TestOnceRunIDsMatchCatalog(t *testing.T) {
 		e := mustOpen(t, s)
 		runs := make([]NewRun, 3)
 		for i := range runs {
-			runs[i] = NewRun{Sets: testSets(i + 1)}
+			runs[i] = NewRun{Rows: setRows(t, e, testSets(i+1))}
 		}
 		if _, err := e.CreateRuns("", runs); err != nil {
 			t.Fatal(err)

@@ -25,10 +25,11 @@ type RunInfo struct {
 type DataSet = map[string]value.Value
 
 // NewRun is one run to store: its constant-per-run variable content,
-// its data sets, and where it came from.
+// its data sets, and where it came from. A data set is a complete row in
+// MultiVars order; CreateRuns converts its values in place.
 type NewRun struct {
 	Once     DataSet
-	Sets     []DataSet
+	Rows     []sqldb.Row
 	Source   string // file(s) the run is imported from
 	Checksum string // import fingerprint for duplicate detection
 }
@@ -46,14 +47,38 @@ const maxClaims = 100
 // writes them.
 var runCols = []string{"exp", "run_id", "created", "source", "checksum", "active", "nsets"}
 
-// CreateRun stores one run with its data sets (see CreateRuns) and
-// returns its id.
+// CreateRun stores one run with its data sets keyed by variable name
+// (see CreateRuns) and returns its id.
 func (e *Experiment) CreateRun(once DataSet, sets []DataSet, source, checksum string) (int64, error) {
-	ids, err := e.CreateRuns("", []NewRun{{Once: once, Sets: sets, Source: source, Checksum: checksum}})
+	rows, err := e.Rows(sets)
+	if err != nil {
+		return 0, fmt.Errorf("core: run 1: %w", err)
+	}
+	ids, err := e.CreateRuns("", []NewRun{{Once: once, Rows: rows, Source: source, Checksum: checksum}})
 	if err != nil {
 		return 0, err
 	}
 	return ids[0], nil
+}
+
+// Rows lays data sets keyed by variable name out as the rows of a
+// NewRun, their content as stored (see content): a variable a data set
+// has no content for takes its declared default (or NULL).
+func (e *Experiment) Rows(sets []DataSet) ([]sqldb.Row, error) {
+	multi := e.MultiVars()
+	flat := make([]value.Value, len(sets)*len(multi))
+	rows := make([]sqldb.Row, len(sets))
+	for si, ds := range sets {
+		rows[si] = flat[si*len(multi) : (si+1)*len(multi) : (si+1)*len(multi)]
+		for vi := range multi {
+			c, err := multi[vi].content(ds)
+			if err != nil {
+				return nil, fmt.Errorf("data set %d, %s: %w", si, multi[vi].Name, err)
+			}
+			rows[si][vi] = c
+		}
+	}
+	return rows, nil
 }
 
 // CreateRuns stores the runs of one input file, all of them or none,
@@ -61,7 +86,9 @@ func (e *Experiment) CreateRun(once DataSet, sets []DataSet, source, checksum st
 // anything is written: variables without content take their declared
 // default (or NULL), content violating a valid list is rejected.
 // fingerprint, when not empty, is the file's import fingerprint; a file
-// a stored run carries it for is refused with ErrDuplicateImport.
+// is refused with ErrDuplicateImport when a stored active run carries it
+// or the checksum of one of runs (the runs of a run-separated file carry
+// the fingerprint suffixed with their index).
 //
 // It costs two database calls, each one pipeline. A read: the highest
 // run id, from the experiment's once table, and the duplicate count,
@@ -77,11 +104,11 @@ func (e *Experiment) CreateRun(once DataSet, sets []DataSet, source, checksum st
 // then read again and the pipeline resent (paper §4.2: several input
 // users may import into one experiment).
 func (e *Experiment) CreateRuns(fingerprint string, runs []NewRun) ([]int64, error) {
-	onceRows, dataRows, err := e.convert(runs)
+	onceRows, err := e.convert(runs)
 	if err != nil {
 		return nil, err
 	}
-	next, dup, err := e.nextRunID(fingerprint)
+	next, dup, err := e.nextRunID(fingerprint, runs)
 	if err != nil {
 		return nil, err
 	}
@@ -89,7 +116,7 @@ func (e *Experiment) CreateRuns(fingerprint string, runs []NewRun) ([]int64, err
 		return nil, ErrDuplicateImport
 	}
 	for attempt := 1; ; attempt++ {
-		_, err := e.store.q.ExecPipeline(e.writeRuns(next, runs, onceRows, dataRows))
+		_, err := e.store.q.ExecPipeline(e.writeRuns(next, runs, onceRows))
 		if err == nil {
 			break
 		}
@@ -100,7 +127,7 @@ func (e *Experiment) CreateRuns(fingerprint string, runs []NewRun) ([]int64, err
 			return nil, fmt.Errorf("core: no free run id after %d claims: %w", attempt, err)
 		}
 		last := next
-		if next, _, err = e.nextRunID(""); err != nil {
+		if next, _, err = e.nextRunID("", nil); err != nil {
 			return nil, err
 		}
 		// A data table with no run (left by an older release) keeps the
@@ -114,17 +141,16 @@ func (e *Experiment) CreateRuns(fingerprint string, runs []NewRun) ([]int64, err
 	return ids, nil
 }
 
-// convert validates the runs' content and converts it to the rows
-// CreateRuns writes: per run its once row (run_id first, filled per
-// claim) and its data rows.
-func (e *Experiment) convert(runs []NewRun) ([]sqldb.Row, [][]sqldb.Row, error) {
+// convert validates the runs' content and converts it in place to the
+// rows CreateRuns writes: per run its once row (run_id first, filled per
+// claim), and its data rows.
+func (e *Experiment) convert(runs []NewRun) ([]sqldb.Row, error) {
 	onceVars, multi := e.OnceVars(), e.MultiVars()
 	onceRows := make([]sqldb.Row, len(runs))
-	dataRows := make([][]sqldb.Row, len(runs))
 	for i := range runs {
 		r := &runs[i]
-		fail := func(err error) ([]sqldb.Row, [][]sqldb.Row, error) {
-			return nil, nil, fmt.Errorf("core: run %d: %w", i+1, err)
+		fail := func(err error) ([]sqldb.Row, error) {
+			return nil, fmt.Errorf("core: run %d: %w", i+1, err)
 		}
 		row := make(sqldb.Row, 1+len(onceVars))
 		for vi := range onceVars {
@@ -142,46 +168,42 @@ func (e *Experiment) convert(runs []NewRun) ([]sqldb.Row, [][]sqldb.Row, error) 
 			}
 		}
 		onceRows[i] = row
-		if len(r.Sets) == 0 {
-			continue
-		}
-		if len(multi) == 0 {
+		if len(r.Rows) > 0 && len(multi) == 0 {
 			return fail(fmt.Errorf("experiment %s has no multiple-occurrence variables", e.name))
 		}
-		flat := make([]value.Value, len(r.Sets)*len(multi))
-		rows := make([]sqldb.Row, len(r.Sets))
-		for si, ds := range r.Sets {
-			rows[si] = flat[si*len(multi) : (si+1)*len(multi) : (si+1)*len(multi)]
+		for si, ds := range r.Rows {
+			if len(ds) != len(multi) {
+				return fail(fmt.Errorf("data set %d has %d values, want %d", si, len(ds), len(multi)))
+			}
 			for vi := range multi {
-				c, err := multi[vi].content(ds)
+				c, err := multi[vi].conform(ds[vi])
 				if err != nil {
 					return fail(fmt.Errorf("data set %d, %s: %w", si, multi[vi].Name, err))
 				}
-				rows[si][vi] = c
+				ds[vi] = c
 			}
 		}
-		dataRows[i] = rows
 	}
-	return onceRows, dataRows, nil
+	return onceRows, nil
 }
 
-// content returns v's content in ds as stored: converted to v's type,
-// v's declared default when ds has none, and within v's valid list. An
-// explicitly passed NULL stays NULL (the import layer's missing-content
-// policy decides which to send).
+// content returns v's content in ds as stored: v's declared default when
+// ds has none, else the content conformed to v.
 func (v *Var) content(ds DataSet) (value.Value, error) {
 	c, ok := lookupVar(ds, v.Name)
-	switch {
-	case !ok:
+	if !ok {
 		c = v.Default
-	case c.IsNull():
-		c = value.Null(v.Type)
-	default:
-		cv, err := c.Convert(v.Type)
-		if err != nil {
-			return c, err
-		}
-		c = cv
+	}
+	return v.conform(c)
+}
+
+// conform returns content c as stored for v: converted to v's type and
+// within v's valid list. A NULL stays NULL (the import layer's
+// missing-content policy decides which to send).
+func (v *Var) conform(c value.Value) (value.Value, error) {
+	c, err := c.Convert(v.Type)
+	if err != nil {
+		return c, err
 	}
 	if !v.Accepts(c) {
 		return c, fmt.Errorf("content %s not in valid list", c)
@@ -192,13 +214,20 @@ func (v *Var) content(ds DataSet) (value.Value, error) {
 // nextRunID reads, in one pipeline, the id after the highest stored run
 // — the once table's highest run_id, one integer column of this
 // experiment alone — and, when fingerprint is not empty, whether an
-// active run in pb_runs carries that import fingerprint.
-func (e *Experiment) nextRunID(fingerprint string) (next int64, dup bool, err error) {
+// active run in pb_runs carries that import fingerprint or the checksum
+// of one of runs.
+func (e *Experiment) nextRunID(fingerprint string, runs []NewRun) (next int64, dup bool, err error) {
 	reqs := []sqldb.PipelineRequest{{SQL: "SELECT MAX(run_id) FROM " + e.OnceTable()}}
 	if fingerprint != "" {
+		sums := []string{value.NewString(fingerprint).SQL()}
+		for _, r := range runs {
+			if r.Checksum != "" && r.Checksum != fingerprint {
+				sums = append(sums, value.NewString(r.Checksum).SQL())
+			}
+		}
 		reqs = append(reqs, sqldb.PipelineRequest{SQL: "SELECT COUNT(*) FROM " + tblRuns +
 			" WHERE exp = " + value.NewString(e.name).SQL() +
-			" AND checksum = " + value.NewString(fingerprint).SQL() + " AND active"})
+			" AND checksum IN (" + strings.Join(sums, ", ") + ") AND active"})
 	}
 	res, err := e.store.q.ExecPipeline(reqs)
 	if err != nil {
@@ -215,7 +244,7 @@ func (e *Experiment) nextRunID(fingerprint string) (next int64, dup bool, err er
 // first on, in one transaction: per run its data table and data rows,
 // then every once row, then the pb_runs rows, last, with their final
 // data-set counts.
-func (e *Experiment) writeRuns(first int64, runs []NewRun, onceRows []sqldb.Row, dataRows [][]sqldb.Row) []sqldb.PipelineRequest {
+func (e *Experiment) writeRuns(first int64, runs []NewRun, onceRows []sqldb.Row) []sqldb.PipelineRequest {
 	multi, onceVars := e.MultiVars(), e.OnceVars()
 	dataCols := make([]string, len(multi))
 	defs := make([]string, len(multi))
@@ -240,12 +269,12 @@ func (e *Experiment) writeRuns(first int64, runs []NewRun, onceRows []sqldb.Row,
 		id := value.NewInt(first + int64(i))
 		table := e.DataTable(first + int64(i))
 		reqs = append(reqs, sqldb.PipelineRequest{SQL: "CREATE TABLE " + table + def})
-		if len(dataRows[i]) > 0 {
-			reqs = append(reqs, sqldb.PipelineRequest{Bulk: true, Table: table, Cols: dataCols, Rows: dataRows[i]})
+		if len(runs[i].Rows) > 0 {
+			reqs = append(reqs, sqldb.PipelineRequest{Bulk: true, Table: table, Cols: dataCols, Rows: runs[i].Rows})
 		}
 		onceRows[i][0] = id
 		catalog[i] = sqldb.Row{value.NewString(e.name), id, now, value.NewString(runs[i].Source),
-			value.NewString(runs[i].Checksum), value.NewBool(true), value.NewInt(int64(len(runs[i].Sets)))}
+			value.NewString(runs[i].Checksum), value.NewBool(true), value.NewInt(int64(len(runs[i].Rows)))}
 	}
 	return append(reqs,
 		sqldb.PipelineRequest{Bulk: true, Table: e.OnceTable(), Cols: onceCols, Rows: onceRows},

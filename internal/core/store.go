@@ -203,7 +203,7 @@ func (s *Store) CreateExperiment(def *pbxml.Experiment) (*Experiment, error) {
 				name, value.NewString(u), value.NewString(class))
 		}
 	}
-	e := &Experiment{store: s, name: def.Name, def: def, vars: vars}
+	e := newExperiment(s, def.Name, def, vars)
 	tx.add(e.onceTableDDL())
 	if err := tx.run(s.q); err != nil {
 		return nil, fmt.Errorf("core: create %s: %w", def.Name, err)
@@ -313,7 +313,7 @@ func (s *Store) buildExperiment(name string, res []*sqldb.Result) (*Experiment, 
 			def.Access.Query = append(def.Access.Query, r[0].Str())
 		}
 	}
-	return &Experiment{store: s, name: name, def: def, vars: vars}, nil
+	return newExperiment(s, name, def, vars), nil
 }
 
 // DestroyExperiment removes an experiment with all runs and meta data,

@@ -18,6 +18,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"regexp"
 	"slices"
@@ -103,6 +104,9 @@ type Importer struct {
 	filename []filenameLoc
 	derived  []derivedLoc
 	sepRe    *regexp.Regexp
+	// multi are the experiment's per-data-set variables: a data set is a
+	// row of their slots, in this order.
+	multi []core.Var
 }
 
 type namedLoc struct {
@@ -116,11 +120,14 @@ type tabularLoc struct {
 	startRe *regexp.Regexp
 	cols    []tabCol
 	maxPos  int
+	blank   []value.Value // a data set before its row: every slot its default
+	fills   []bool        // the slots the columns fill
 }
 
 type tabCol struct {
 	spec pbxml.TabColumn
 	v    *core.Var // nil for pure filter columns
+	slot int
 }
 
 type filenameLoc struct {
@@ -130,11 +137,14 @@ type filenameLoc struct {
 }
 
 // derivedLoc is a derived parameter: its expression compiled over a row
-// of the variables it reads.
+// of the variables it reads. slot is v's in a data set, and slots[i]
+// vars[i]'s, for per-data-set variables; -1 for once variables.
 type derivedLoc struct {
-	v    *core.Var
-	vars []*core.Var
-	eval func(sqldb.Row) (value.Value, error)
+	v     *core.Var
+	slot  int
+	vars  []*core.Var
+	slots []int
+	eval  func(sqldb.Row) (value.Value, error)
 }
 
 // NewImporter validates the description against the experiment and
@@ -147,7 +157,7 @@ func NewImporter(exp *core.Experiment, desc *pbxml.Input, opts Options) (*Import
 		return nil, fmt.Errorf("input: description is for experiment %q, not %q",
 			desc.Experiment, exp.Name())
 	}
-	im := &Importer{exp: exp, desc: desc, opts: opts}
+	im := &Importer{exp: exp, desc: desc, opts: opts, multi: exp.MultiVars()}
 
 	mustVar := func(name, where string) (*core.Var, error) {
 		v, ok := exp.Var(name)
@@ -172,7 +182,10 @@ func NewImporter(exp *core.Experiment, desc *pbxml.Input, opts Options) (*Import
 		im.named = append(im.named, nl)
 	}
 	for ti, tl := range desc.Tabular {
-		t := tabularLoc{spec: tl}
+		t := tabularLoc{spec: tl, blank: make([]value.Value, len(im.multi)), fills: make([]bool, len(im.multi))}
+		for i, v := range im.multi {
+			t.blank[i] = v.Default
+		}
 		if tl.Regexp != "" {
 			re, err := regexp.Compile(tl.Regexp)
 			if err != nil {
@@ -194,7 +207,8 @@ func NewImporter(exp *core.Experiment, desc *pbxml.Input, opts Options) (*Import
 					// declared multiple to keep the model simple.
 					return nil, fmt.Errorf("input: tabular column %s: variable is declared occurrence=once", c.Variable)
 				}
-				tc.v = v
+				tc.v, tc.slot = v, im.slot(v)
+				t.fills[tc.slot] = true
 			}
 			if c.Pos > t.maxPos {
 				t.maxPos = c.Pos
@@ -223,7 +237,7 @@ func NewImporter(exp *core.Experiment, desc *pbxml.Input, opts Options) (*Import
 		if err != nil {
 			return nil, err
 		}
-		dl, err := compileDerived(exp, v, d.Expression)
+		dl, err := im.compileDerived(v, d.Expression)
 		if err != nil {
 			return nil, fmt.Errorf("input: derived parameter %s: %w", d.Variable, err)
 		}
@@ -249,20 +263,26 @@ func NewImporter(exp *core.Experiment, desc *pbxml.Input, opts Options) (*Import
 	return im, nil
 }
 
+// slot returns the per-data-set variable v's slot in a data set, -1 for
+// a once variable.
+func (im *Importer) slot(v *core.Var) int {
+	return slices.IndexFunc(im.multi, func(m core.Var) bool { return m.Name == v.Name })
+}
+
 // compileDerived compiles the expression of the derived parameter v over
 // a row of the variables it reads that are in its scope: the once
 // variables, and the per-data-set ones too when v is one of them. A name
 // out of scope fails each evaluation.
-func compileDerived(exp *core.Experiment, v *core.Var, src string) (derivedLoc, error) {
+func (im *Importer) compileDerived(v *core.Var, src string) (derivedLoc, error) {
 	e, err := expr.Compile(src)
 	if err != nil {
 		return derivedLoc{}, err
 	}
-	d := derivedLoc{v: v}
+	d := derivedLoc{v: v, slot: im.slot(v)}
 	var cols sqldb.Schema
 	for _, name := range e.Variables() {
-		if in, ok := exp.Var(name); ok && (in.Once || !v.Once) {
-			d.vars = append(d.vars, in)
+		if in, ok := im.exp.Var(name); ok && (in.Once || !v.Once) {
+			d.vars, d.slots = append(d.vars, in), append(d.slots, im.slot(in))
 			cols = append(cols, sqldb.Column{Name: in.Name, Type: in.Type})
 		}
 	}
@@ -295,7 +315,11 @@ func (im *Importer) ImportBytes(name string, data []byte) ([]int64, error) {
 	segments := im.splitRuns(splitLines(string(data)))
 	runs := make([]core.NewRun, 0, len(segments))
 	for si, seg := range segments {
-		ex, skipped, err := im.extractRun(name, seg)
+		ex, err := im.extract(name, seg)
+		skipped := false
+		if err == nil {
+			skipped, err = im.complete(ex)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("input: %s run %d: %w", name, si+1, err)
 		}
@@ -306,7 +330,7 @@ func (im *Importer) ImportBytes(name string, data []byte) ([]int64, error) {
 		if len(segments) > 1 {
 			checksum = fmt.Sprintf("%s#%d", sum, si)
 		}
-		runs = append(runs, core.NewRun{Once: ex.once, Sets: ex.sets, Source: name, Checksum: checksum})
+		runs = append(runs, core.NewRun{Once: ex.once, Rows: ex.rows(len(im.multi)), Source: name, Checksum: checksum})
 	}
 	if len(runs) == 0 {
 		if len(segments) > 0 && im.opts.Missing != Discard {
@@ -355,54 +379,32 @@ func (im *Importer) splitRuns(lines []string) [][]string {
 	if sep == nil {
 		return [][]string{lines}
 	}
-	matches := func(line string) bool {
-		if im.sepRe != nil {
-			return im.sepRe.MatchString(line)
-		}
-		return strings.Contains(line, sep.Match)
-	}
 	var segs [][]string
 	start := 0
 	for i, line := range lines {
-		if matches(line) {
+		if matches(im.sepRe, sep.Match, line) {
 			segs = append(segs, lines[start:i+1])
 			start = i + 1
 		}
 	}
-	if tail := lines[start:]; !allBlank(tail) {
+	if tail := lines[start:]; slices.ContainsFunc(tail, func(l string) bool { return strings.TrimSpace(l) != "" }) {
 		segs = append(segs, tail)
 	}
 	return segs
 }
 
-func allBlank(lines []string) bool {
-	for _, l := range lines {
-		if strings.TrimSpace(l) != "" {
-			return false
-		}
+// matches reports whether line matches re or, without re, contains the
+// literal lit.
+func matches(re *regexp.Regexp, lit, line string) bool {
+	if re != nil {
+		return re.MatchString(line)
 	}
-	return true
+	return strings.Contains(line, lit)
 }
 
 func splitLines(s string) []string {
 	s = strings.ReplaceAll(s, "\r\n", "\n")
 	return strings.Split(s, "\n")
-}
-
-// extractRun extracts one run from a line range, complete with fixed
-// values, overrides and derived parameters, under the missing-content
-// policy. skipped reports a Discard-policy skip.
-func (im *Importer) extractRun(name string, lines []string) (ex *extraction, skipped bool, err error) {
-	if ex, err = im.extract(name, lines); err != nil {
-		return nil, false, err
-	}
-	if err := im.applyOverridesAndFixed(ex); err != nil {
-		return nil, false, err
-	}
-	if skipped, err := im.complete(ex); skipped || err != nil {
-		return nil, skipped, err
-	}
-	return ex, false, nil
 }
 
 // complete applies the missing-content policy to the variables the
@@ -412,7 +414,15 @@ func (im *Importer) extractRun(name string, lines []string) (ex *extraction, ski
 // variable (suppressing its default), and UseDefault leaves each to its
 // declared default or NULL. A NULL propagates through an expression.
 func (im *Importer) complete(ex *extraction) (skipped bool, err error) {
-	missing := im.missingVars(ex)
+	var missing []core.Var
+	for _, v := range im.exp.OnceVars() {
+		if _, ok := ex.once[v.Name]; !ok && !slices.ContainsFunc(im.derived, func(d derivedLoc) bool { return d.v.Name == v.Name }) {
+			missing = append(missing, v)
+		}
+	}
+	if ex.n == 0 {
+		missing = append(missing, im.multi...)
+	}
 	switch {
 	case len(missing) == 0:
 	case im.opts.Missing == Fail:
@@ -433,14 +443,35 @@ func (im *Importer) complete(ex *extraction) (skipped bool, err error) {
 	return false, im.derive(ex)
 }
 
-// extraction is the raw result of applying all locations to one run's
-// lines.
+// extraction is the raw result of applying all locations, fixed values
+// and overrides to one run's lines: the once content, and the n data
+// sets, each a row of the per-data-set variables' slots, in one flat
+// slice.
 type extraction struct {
-	once core.DataSet
-	sets []core.DataSet
+	once  core.DataSet
+	flat  []value.Value
+	n     int
+	spans []span
 }
 
-// extract applies filename, named, fixed and tabular locations.
+// span is a run of consecutive data sets that one tabular location
+// filled: fills marks the slots it gave content.
+type span struct {
+	n     int
+	fills []bool
+}
+
+// rows cuts the data sets, width slots each, out of the flat slice.
+func (ex *extraction) rows(width int) []sqldb.Row {
+	rows := make([]sqldb.Row, ex.n)
+	for i := range rows {
+		rows[i] = ex.flat[i*width : (i+1)*width : (i+1)*width]
+	}
+	return rows
+}
+
+// extract applies filename, named, fixed and tabular locations, then
+// <value> elements and command-line overrides (which win).
 func (im *Importer) extract(name string, lines []string) (*extraction, error) {
 	ex := &extraction{once: core.DataSet{}}
 
@@ -476,23 +507,16 @@ func (im *Importer) extract(name string, lines []string) (*extraction, error) {
 		}
 	}
 	for i := range im.tabular {
-		sets, err := im.tabular[i].extract(lines)
-		if err != nil {
-			return nil, err
-		}
-		ex.sets = append(ex.sets, sets...)
+		tl := &im.tabular[i]
+		var n int
+		ex.flat, n = tl.extract(lines, ex.flat)
+		ex.n, ex.spans = ex.n+n, append(ex.spans, span{n: n, fills: tl.fills})
 	}
-	return ex, nil
-}
-
-// applyOverridesAndFixed merges <value> elements and command-line
-// overrides into the once map (overrides win).
-func (im *Importer) applyOverridesAndFixed(ex *extraction) error {
 	for _, fv := range im.desc.Values {
 		v, _ := im.exp.Var(fv.Variable)
 		content, err := value.Parse(v.Type, fv.Content)
 		if err != nil {
-			return fmt.Errorf("fixed value %s: %w", fv.Variable, err)
+			return nil, fmt.Errorf("fixed value %s: %w", fv.Variable, err)
 		}
 		if _, have := ex.once[v.Name]; !have {
 			ex.once[v.Name] = content
@@ -502,19 +526,24 @@ func (im *Importer) applyOverridesAndFixed(ex *extraction) error {
 		v, _ := im.exp.Var(name)
 		content, err := value.Parse(v.Type, text)
 		if err != nil {
-			return fmt.Errorf("override %s: %w", name, err)
+			return nil, fmt.Errorf("override %s: %w", name, err)
 		}
 		ex.once[v.Name] = content
 	}
-	return nil
+	return ex, nil
 }
 
 // derive evaluates the derived parameters: those of once variables
 // first, into the once content, then the others into each data set,
 // which sees the once content too. A variable with no content reads as
-// the missing-content policy stores it.
+// the missing-content policy stores it; in a data set, that is a slot
+// neither its location nor an earlier derived parameter filled.
 func (im *Importer) derive(ex *extraction) error {
+	if len(im.derived) == 0 {
+		return nil
+	}
 	var row sqldb.Row
+	done := make([]bool, len(im.multi)) // the slots derived so far
 	for _, once := range [...]bool{true, false} {
 		for _, d := range im.derived {
 			if d.v.Once != once {
@@ -522,32 +551,38 @@ func (im *Importer) derive(ex *extraction) error {
 			}
 			row = slices.Grow(row[:0], len(d.vars))[:len(d.vars)]
 			if once {
-				v, err := im.evalDerived(d, row, ex.once, nil)
+				v, err := im.evalDerived(d, row, ex.once, nil, nil, nil)
 				if err != nil {
 					return fmt.Errorf("derived parameter %s: %w", d.v.Name, err)
 				}
 				ex.once[d.v.Name] = v
 				continue
 			}
-			for si, ds := range ex.sets {
-				v, err := im.evalDerived(d, row, ex.once, ds)
-				if err != nil {
-					return fmt.Errorf("derived parameter %s (data set %d): %w", d.v.Name, si, err)
+			si := 0
+			for _, sp := range ex.spans {
+				for end := si + sp.n; si < end; si++ {
+					ds := ex.flat[si*len(im.multi) : (si+1)*len(im.multi)]
+					v, err := im.evalDerived(d, row, ex.once, ds, sp.fills, done)
+					if err != nil {
+						return fmt.Errorf("derived parameter %s (data set %d): %w", d.v.Name, si, err)
+					}
+					ds[d.slot] = v
 				}
-				ds[d.v.Name] = v
 			}
+			done[d.slot] = true
 		}
 	}
 	return nil
 }
 
-// evalDerived evaluates d into row over the content of the data set ds
-// and the once content, converted to d's type.
-func (im *Importer) evalDerived(d derivedLoc, row sqldb.Row, once, ds core.DataSet) (value.Value, error) {
+// evalDerived evaluates d into row over the data set ds, whose slots
+// its location fills or a derived parameter did, and the once content,
+// converted to d's type.
+func (im *Importer) evalDerived(d derivedLoc, row sqldb.Row, once core.DataSet, ds []value.Value, fills, done []bool) (value.Value, error) {
 	for i, in := range d.vars {
-		c, ok := ds[in.Name]
-		if !ok {
-			c, ok = once[in.Name]
+		c, ok := once[in.Name]
+		if s := d.slots[i]; s >= 0 {
+			c, ok = ds[s], fills[s] || done[s]
 		}
 		switch {
 		case ok:
@@ -563,33 +598,6 @@ func (im *Importer) evalDerived(d derivedLoc, row sqldb.Row, once, ds core.DataS
 		return v, err
 	}
 	return v.Convert(d.v.Type)
-}
-
-// missingVars lists the declared variables that received no content,
-// but for once variables a derived parameter gives content.
-func (im *Importer) missingVars(ex *extraction) []core.Var {
-	var missing []core.Var
-	for _, v := range im.exp.OnceVars() {
-		if _, ok := ex.once[v.Name]; !ok && !im.derives(v.Name) {
-			missing = append(missing, v)
-		}
-	}
-	multi := im.exp.MultiVars()
-	if len(multi) > 0 && len(ex.sets) == 0 {
-		missing = append(missing, multi...)
-	}
-	return missing
-}
-
-// derives reports whether a derived parameter gives the variable name
-// its content.
-func (im *Importer) derives(name string) bool {
-	for _, d := range im.derived {
-		if d.v.Name == name {
-			return true
-		}
-	}
-	return false
 }
 
 // ----------------------------------------------------------- locations
@@ -704,25 +712,13 @@ func (fl *filenameLoc) extract(name string) (value.Value, error) {
 	return value.SmartParse(fl.v.Type, parts[fl.spec.Index])
 }
 
-// extract applies a tabular location, returning one data set per
-// accepted table row.
-func (tl *tabularLoc) extract(lines []string) ([]core.DataSet, error) {
-	start := -1
-	for li, line := range lines {
-		if tl.startRe != nil {
-			if tl.startRe.MatchString(line) {
-				start = li
-				break
-			}
-		} else if strings.Contains(line, tl.spec.Start) {
-			start = li
-			break
-		}
-	}
+// extract applies a tabular location, appending one data set per
+// accepted table row to flat; n is their number.
+func (tl *tabularLoc) extract(lines []string, flat []value.Value) (_ []value.Value, n int) {
+	start := slices.IndexFunc(lines, func(l string) bool { return matches(tl.startRe, tl.spec.Start, l) })
 	if start < 0 {
-		return nil, nil
+		return flat, 0
 	}
-	var sets []core.DataSet
 	for li := start + 1 + tl.spec.Offset; li < len(lines); li++ {
 		line := lines[li]
 		if tl.spec.End != "" && strings.Contains(line, tl.spec.End) {
@@ -742,40 +738,41 @@ func (tl *tabularLoc) extract(lines []string) ([]core.DataSet, error) {
 		} else {
 			fields = strings.Fields(line)
 		}
-		ds, ok := tl.parseRow(fields)
-		if ok {
-			sets = append(sets, ds)
+		at := len(flat)
+		if flat = append(flat, tl.blank...); tl.parseRow(fields, flat[at:]) {
+			n++
+		} else {
+			flat = flat[:at]
 		}
-		if tl.spec.MaxRows > 0 && len(sets) >= tl.spec.MaxRows {
+		if tl.spec.MaxRows > 0 && n >= tl.spec.MaxRows {
 			break
 		}
 	}
-	return sets, nil
+	return flat, n
 }
 
-// parseRow converts one table line into a data set. Rows that miss a
-// field, fail a filter, or fail to parse are skipped (headers and
-// total lines inside the region).
-func (tl *tabularLoc) parseRow(fields []string) (core.DataSet, bool) {
+// parseRow converts one table line into the slots of the data set ds.
+// Rows that miss a field, fail a filter, or fail to parse are skipped
+// (headers and total lines inside the region).
+func (tl *tabularLoc) parseRow(fields []string, ds []value.Value) bool {
 	if len(fields) < tl.maxPos {
-		return nil, false
+		return false
 	}
-	ds := core.DataSet{}
 	for _, c := range tl.cols {
 		text := fields[c.spec.Pos-1]
 		if c.spec.Filter != "" && text != c.spec.Filter {
-			return nil, false
+			return false
 		}
 		if c.v == nil {
 			continue
 		}
 		v, err := owned(value.Parse(c.v.Type, text))
 		if err != nil {
-			return nil, false
+			return false
 		}
-		ds[c.v.Name] = v
+		ds[c.slot] = v
 	}
-	return ds, true
+	return true
 }
 
 // ------------------------------------------------- merged import (d)
@@ -822,13 +819,8 @@ func ImportMerged(exp *core.Experiment, pairs []DescFile, opts Options) (int64, 
 		if err != nil {
 			return 0, fmt.Errorf("input: %s: %w", p.Path, err)
 		}
-		if err := im.applyOverridesAndFixed(ex); err != nil {
-			return 0, fmt.Errorf("input: %s: %w", p.Path, err)
-		}
-		for k, v := range ex.once {
-			merged.once[k] = v
-		}
-		merged.sets = append(merged.sets, ex.sets...)
+		maps.Copy(merged.once, ex.once)
+		merged.flat, merged.n, merged.spans = append(merged.flat, ex.flat...), merged.n+ex.n, append(merged.spans, ex.spans...)
 		names = append(names, p.Path)
 		lastIm = im
 	}
@@ -840,7 +832,7 @@ func ImportMerged(exp *core.Experiment, pairs []DescFile, opts Options) (int64, 
 		return 0, err
 	}
 	ids, err := exp.CreateRuns(dupCheck(sum, opts), []core.NewRun{{
-		Once: merged.once, Sets: merged.sets, Source: strings.Join(names, "+"), Checksum: sum}})
+		Once: merged.once, Rows: merged.rows(len(lastIm.multi)), Source: strings.Join(names, "+"), Checksum: sum}})
 	if errors.Is(err, core.ErrDuplicateImport) {
 		return 0, fmt.Errorf("input: this file combination was already imported (use force to re-import)")
 	}

@@ -275,6 +275,39 @@ func TestDuplicateImportRefused(t *testing.T) {
 	}
 }
 
+// TestImportSeparatedFileOnce: a file of several runs (paper Fig. 1
+// case b) imports only once, as a file of one run does, although its
+// runs carry the file's fingerprint suffixed with their index; a refused
+// import writes nothing, and a forced one imports the file again.
+func TestImportSeparatedFileOnce(t *testing.T) {
+	e, desc := setup(t)
+	sep := *desc
+	sep.Separator = &pbxml.RunSeparator{Match: "=== end of run ==="}
+	two := []byte(sampleOut + "=== end of run ===\n" + strings.ReplaceAll(sampleOut, "-N 4", "-N 8"))
+	im, err := NewImporter(e, &sep, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ids, err := im.ImportBytes("bio_nfs_x.txt", two); err != nil || len(ids) != 2 {
+		t.Fatalf("first import = %v, %v, want two runs", ids, err)
+	}
+	for _, name := range []string{"bio_nfs_x.txt", "bio_nfs_y.txt"} {
+		if ids, err := im.ImportBytes(name, two); err == nil || !strings.Contains(err.Error(), "already imported") {
+			t.Errorf("second import as %s = %v, %v, want refused", name, ids, err)
+		}
+	}
+	if runs, _ := e.Runs(); len(runs) != 2 {
+		t.Errorf("refused imports left %d runs, want 2", len(runs))
+	}
+	imf, err := NewImporter(e, &sep, Options{Force: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ids, err := imf.ImportBytes("bio_nfs_x.txt", two); err != nil || len(ids) != 2 || ids[0] != 3 {
+		t.Errorf("forced re-import = %v, %v, want runs [3 4]", ids, err)
+	}
+}
+
 // missingOut lacks the hostname line, leaving "host" without content.
 var missingOut = strings.ReplaceAll(sampleOut, "hostname : grisu0.ccrl-nece.de\n", "")
 
@@ -425,6 +458,78 @@ func TestDerivedGuardedDivision(t *testing.T) {
 	}
 	if len(data.Rows) != 4 {
 		t.Errorf("rows = %d, want 4", len(data.Rows))
+	}
+}
+
+// TestDerivedReadsSlots: a derived parameter of a data set reads the
+// data set's slots. A slot that neither the data set's location nor an
+// earlier derived parameter filled reads as the policy stores a missing
+// variable, its default or, under AllowEmpty, NULL; it is stored as its
+// default either way.
+func TestDerivedReadsSlots(t *testing.T) {
+	const expXML = `
+<experiment>
+  <name>slots</name>
+  <parameter><name>a</name><datatype>integer</datatype></parameter>
+  <parameter><name>b</name><datatype>integer</datatype><default>7</default></parameter>
+  <result><name>c</name><datatype>integer</datatype><default>5</default></result>
+  <result><name>d</name><datatype>integer</datatype></result>
+  <result><name>early</name><datatype>integer</datatype></result>
+  <result><name>bb</name><datatype>integer</datatype></result>
+</experiment>`
+	const descXML = `
+<input experiment="slots">
+  <derived variable="early" expression="c + 100"/>
+  <derived variable="c" expression="a * 2"/>
+  <derived variable="d" expression="c * 10"/>
+  <derived variable="bb" expression="b + 0"/>
+  <tabular start="a"><column variable="a" pos="1"/></tabular>
+</input>`
+	for _, tc := range []struct {
+		policy Policy
+		want   map[string]string
+	}{
+		{UseDefault, map[string]string{"a": "1", "b": "7", "c": "2", "d": "20", "early": "105", "bb": "7"}},
+		{AllowEmpty, map[string]string{"a": "1", "b": "7", "c": "2", "d": "20", "early": "NULL", "bb": "NULL"}},
+	} {
+		t.Run(tc.policy.String(), func(t *testing.T) {
+			s := core.NewStore(sqldb.NewMemory())
+			if err := s.Init(); err != nil {
+				t.Fatal(err)
+			}
+			def, err := pbxml.ParseExperiment(strings.NewReader(expXML))
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, err := s.CreateExperiment(def)
+			if err != nil {
+				t.Fatal(err)
+			}
+			desc, err := pbxml.ParseInput(strings.NewReader(descXML))
+			if err != nil {
+				t.Fatal(err)
+			}
+			im, err := NewImporter(e, desc, Options{Missing: tc.policy})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids, err := im.ImportBytes("s.txt", []byte("a\n1\n"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			data, err := e.RunData(ids[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(data.Rows) != 1 {
+				t.Fatalf("rows = %d, want 1", len(data.Rows))
+			}
+			for name, want := range tc.want {
+				if got := data.Rows[0][data.Columns.Index(name)].SQL(); got != want {
+					t.Errorf("%s = %s, want %s", name, got, want)
+				}
+			}
+		})
 	}
 }
 

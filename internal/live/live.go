@@ -69,9 +69,10 @@ type Service struct {
 	views *sqldb.ViewRegistry
 	opts  anomaly.Options // Config.Alerts with defaults filled
 
-	jobs chan *job
-	quit chan struct{}
-	wg   sync.WaitGroup
+	jobs    chan *job
+	quit    chan struct{}
+	wg      sync.WaitGroup
+	workers []*worker
 
 	unhook func()
 
@@ -117,6 +118,7 @@ func New(db *sqldb.DB, cfg Config) *Service {
 	s.acond = sync.NewCond(&s.amu)
 	for i := 0; i < cfg.Workers; i++ {
 		w := &worker{svc: s}
+		s.workers = append(s.workers, w)
 		s.wg.Add(1)
 		go w.loop()
 	}
@@ -211,22 +213,29 @@ func (s *Service) IngestFile(req wire.IngestRequest) (wire.IngestResult, error) 
 	return r.res, r.err
 }
 
-// worker is one ingest worker: a dedicated session plus caches of the
-// experiments and compiled input descriptions it has seen.
+// worker is one ingest worker: a dedicated session plus, per experiment
+// it has seen, what it keeps of it.
 type worker struct {
-	svc       *Service
-	sess      *sqldb.Session
-	store     *core.Store
-	exps      map[string]*core.Experiment
-	importers map[string]*input.Importer
+	svc   *Service
+	sess  *sqldb.Session
+	store *core.Store
+	exps  map[string]*ingestExp
+}
+
+// ingestExp is what a worker keeps of one experiment: the experiment,
+// and the importer of the last input description it ingested with, by
+// the description's bytes.
+type ingestExp struct {
+	exp  *core.Experiment
+	desc []byte
+	im   *input.Importer
 }
 
 func (w *worker) loop() {
 	defer w.svc.wg.Done()
 	w.sess = w.svc.db.NewSession()
 	w.store = core.NewStore(w.sess)
-	w.exps = map[string]*core.Experiment{}
-	w.importers = map[string]*input.Importer{}
+	w.exps = map[string]*ingestExp{}
 	for {
 		select {
 		case <-w.svc.quit:
@@ -247,8 +256,7 @@ func (w *worker) run(req wire.IngestRequest) jobResult {
 		// changed under us): drop the caches and run the file once more.
 		// A failed import wrote nothing, so the retry cannot duplicate
 		// rows.
-		w.exps = map[string]*core.Experiment{}
-		w.importers = map[string]*input.Importer{}
+		w.exps = map[string]*ingestExp{}
 		res, err = w.load(req)
 	}
 	return jobResult{res: res, err: err}
@@ -280,32 +288,31 @@ func (w *worker) load(req wire.IngestRequest) (wire.IngestResult, error) {
 	return res, nil
 }
 
-// importer returns the cached Importer for (experiment, description),
-// building and validating it on first use.
+// importer returns the request's experiment and an Importer of its
+// description: the kept one when the description has the bytes of the
+// last one ingested into the experiment, else a new one, kept instead.
 func (w *worker) importer(req wire.IngestRequest) (*input.Importer, *core.Experiment, error) {
-	exp, ok := w.exps[req.Experiment]
+	ie, ok := w.exps[req.Experiment]
 	if !ok {
-		var err error
-		exp, err = w.store.OpenExperiment(req.Experiment)
+		exp, err := w.store.OpenExperiment(req.Experiment)
 		if err != nil {
 			return nil, nil, err
 		}
-		w.exps[req.Experiment] = exp
+		ie = &ingestExp{exp: exp}
+		w.exps[req.Experiment] = ie
 	}
-	key := req.Experiment + "\x00" + input.Fingerprint(req.Desc)
-	im, ok := w.importers[key]
-	if !ok {
+	if ie.im == nil || !bytes.Equal(req.Desc, ie.desc) {
 		desc, err := pbxml.ParseInput(bytes.NewReader(req.Desc))
 		if err != nil {
 			return nil, nil, err
 		}
-		im, err = input.NewImporter(exp, desc, input.Options{})
+		im, err := input.NewImporter(ie.exp, desc, input.Options{})
 		if err != nil {
 			return nil, nil, err
 		}
-		w.importers[key] = im
+		ie.desc, ie.im = bytes.Clone(req.Desc), im
 	}
-	return im, exp, nil
+	return ie.im, ie.exp, nil
 }
 
 // ensureStandardViews registers the standard per-experiment aggregates

@@ -265,6 +265,41 @@ func TestIngestAtomicParallel(t *testing.T) {
 	checkStandardViews(t, db, svc)
 }
 
+// TestIngestDescriptionCache: a worker keeps, per experiment, the last
+// input description it ingested with: 50 ingests with 50 descriptions
+// leave one entry, and each description takes effect on the ingest that
+// brings it.
+func TestIngestDescriptionCache(t *testing.T) {
+	db := sqldb.NewMemory()
+	defer db.Close()
+	newBench(t, db)
+	svc := New(db, Config{Workers: 2})
+	defer svc.Close()
+
+	for i := 0; i < 50; i++ {
+		req := ingestReq(fmt.Sprintf("c%d", i), 100, 200, 10)
+		req.Desc = []byte(strings.Replace(descDoc, `<named variable="host" match="host:"/>`,
+			fmt.Sprintf(`<value variable="host" content="h%d"/>`, i), 1))
+		res, err := svc.IngestFile(req)
+		if err != nil {
+			t.Fatalf("ingest %d: %v", i, err)
+		}
+		got, err := db.Exec(fmt.Sprintf("SELECT host FROM bench_once WHERE run_id = %d", res.RunID))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("h%d", i); len(got.Rows) != 1 || got.Rows[0][0].Str() != want {
+			t.Fatalf("ingest %d: host %v, want %s", i, got.Rows, want)
+		}
+	}
+	svc.Close()
+	for wi, w := range svc.workers {
+		if len(w.exps) > 1 {
+			t.Errorf("worker %d keeps %d entries for one experiment", wi, len(w.exps))
+		}
+	}
+}
+
 // TestRegressionAlertPush is the end-to-end Fig. 8 story: a WATCH
 // subscriber receives a push alert as soon as a regressed run commits
 // — and a subscriber with a loose threshold does not.

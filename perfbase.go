@@ -20,8 +20,10 @@
 package perfbase
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"perfbase/internal/anomaly"
@@ -77,6 +79,13 @@ type Session struct {
 	store  *core.Store
 	ownDB  *sqldb.DB
 	client *wire.Client
+
+	// The last input description an import parsed, by its bytes: the
+	// imports of a campaign share one (paper §3.2), so each but the first
+	// finds it here. desc is read-only once kept.
+	descMu   sync.Mutex
+	descText []byte
+	desc     *pbxml.Input
 }
 
 // OpenMemory creates a session on a fresh in-memory database.
@@ -179,12 +188,9 @@ func (s *Session) Destroy(name string) error {
 // stores the extracted runs (the perfbase "input" command; paper
 // Fig. 1 cases a–c).
 func (s *Session) Import(expName string, descXML io.Reader, opts ImportOptions, files ...string) ([]int64, error) {
-	desc, err := pbxml.ParseInput(descXML)
+	desc, err := s.inputDesc(expName, descXML)
 	if err != nil {
 		return nil, err
-	}
-	if desc.Experiment != expName {
-		return nil, fmt.Errorf("perfbase: input description is for %q, not %q", desc.Experiment, expName)
 	}
 	exp, err := s.store.OpenExperiment(expName)
 	if err != nil {
@@ -195,6 +201,29 @@ func (s *Session) Import(expName string, descXML io.Reader, opts ImportOptions, 
 		return nil, err
 	}
 	return im.ImportFiles(files)
+}
+
+// inputDesc reads an input description for the experiment expName and
+// returns it parsed and validated: the one this session kept when the
+// bytes are the same, else a new parse, which it keeps instead.
+func (s *Session) inputDesc(expName string, descXML io.Reader) (*pbxml.Input, error) {
+	text, err := io.ReadAll(descXML)
+	if err != nil {
+		return nil, err
+	}
+	s.descMu.Lock()
+	defer s.descMu.Unlock()
+	if s.desc == nil || !bytes.Equal(text, s.descText) {
+		desc, err := pbxml.ParseInput(bytes.NewReader(text))
+		if err != nil {
+			return nil, err
+		}
+		s.descText, s.desc = text, desc
+	}
+	if s.desc.Experiment != expName {
+		return nil, fmt.Errorf("perfbase: input description is for %q, not %q", s.desc.Experiment, expName)
+	}
+	return s.desc, nil
 }
 
 // MergedInput pairs one input description with one file for a merged
@@ -213,7 +242,7 @@ func (s *Session) ImportMerged(expName string, pairs []MergedInput, opts ImportO
 	}
 	dfs := make([]input.DescFile, 0, len(pairs))
 	for _, p := range pairs {
-		desc, err := pbxml.ParseInput(p.DescXML)
+		desc, err := s.inputDesc(expName, p.DescXML)
 		if err != nil {
 			return 0, err
 		}
