@@ -4,7 +4,10 @@ package sqldb
 //
 // A groupTable holds the groups of one grouped SELECT in first-seen
 // order — representative row, row count, key — with every group's
-// accumulators in one flat array, and has exactly five operations:
+// accumulators in one flat array. One index finds a group: an
+// open-addressing table of group ids keyed by a 64-bit hash per tuple
+// and compared column by column on typed key columns (lookup). The table
+// has exactly five operations, and each finds its groups through it:
 //
 //	addRow    one source row: filter → group → feed. This is the
 //	          definition of every aggregate's semantics. Driven by
@@ -13,16 +16,17 @@ package sqldb
 //	          matView (registration rebuilds and literal-INSERT deltas
 //	          alike, so a view's digits are the row engine's).
 //	addBatch  one morsel of typed column vectors: the same grouping and
-//	          feeding as addRow, unboxed, with groups found per key run —
-//	          a lookup where a tuple's key datum differs from its
-//	          predecessor's, its predecessor's group where it does not.
-//	          Driven by runVecSelect and the join-fused runVecJoin, each
-//	          into one partial table per morsel — or, when an aggregate's
-//	          state does not merge, runVecSelect into one table, morsel
-//	          after morsel.
-//	merge     fold a later morsel's partial table into this one. The
-//	          drivers merge in morsel-index order (renderParts), so the
-//	          result is independent of worker count and scheduling.
+//	          feeding as addRow, unboxed. Break marks stand in front of
+//	          the index: only a tuple whose key datum differs from its
+//	          predecessor's is looked up, and every other one takes its
+//	          predecessor's group. Driven by runVecSelect and the
+//	          join-fused runVecJoin, each into one partial table per
+//	          morsel — or, when an aggregate's state does not merge,
+//	          runVecSelect into one table, morsel after morsel.
+//	merge     fold a later morsel's partial table into this one, its key
+//	          columns looked up as one batch. The drivers merge in
+//	          morsel-index order (renderParts), so the result is
+//	          independent of worker count and scheduling.
 //	absorb    fold the table a shard built over its share of the rows,
 //	          received as the rows a PARTIAL SELECT answers with: a group
 //	          is found by this plan's key evaluation over its
@@ -48,10 +52,15 @@ package sqldb
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
+	"math/rand/v2"
 	"slices"
 	"sort"
+	"strings"
+	"sync"
 	"unsafe"
 
 	"perfbase/internal/value"
@@ -87,16 +96,6 @@ var aggOps = map[string]aggOp{
 	"variance": opVariance,
 	"stddev":   opStddev,
 }
-
-// keyKind is how a grouped plan identifies a group, chosen at plan time.
-type keyKind uint8
-
-const (
-	keyNone      keyKind = iota // no GROUP BY: one implicit group
-	keyNum                      // one numeric, boolean or timestamp column: the datum, a Float's value.FloatBits
-	keyStr                      // one string column: the string datum
-	keyComposite                // anything else: every key's value.AppendKey part
-)
 
 // typeAny is aggSpec.typ for an argument that is not a plain column:
 // its values' types are known only row by row.
@@ -137,7 +136,7 @@ func newAggSpec(e *aggExpr, ec *evalCtx) aggSpec {
 // columns it would read in need. The vector planners decline a grouped
 // statement otherwise.
 func (p *compiledSelect) batchable(need map[int]bool) bool {
-	if p.keyKind != keyNone && p.keyCols == nil {
+	if slices.Contains(p.keyCols, -1) {
 		return false
 	}
 	for i := range p.aggs {
@@ -672,6 +671,12 @@ type group struct {
 // groupTable is the state of one grouped SELECT; see the file header.
 // It is confined to one goroutine: a morsel worker's partial, or the
 // table its driver merges into and renders.
+//
+// Its index: keys holds the groups' keys as typed columns, one per GROUP
+// BY item, entry g group g's key form; hashes holds group g's hash; and
+// slots, a power of two long and at most half full, holds group ids plus
+// one (0 is empty) from their hashes' top bits on, probed linearly. A
+// plan without GROUP BY has no index: its one group is group 0.
 type groupTable struct {
 	st *SelectStmt
 	p  *compiledSelect
@@ -679,31 +684,59 @@ type groupTable struct {
 	groups []group // first-seen order
 	accs   []acc   // len(p.aggs) per group, group g's at g*len(p.aggs)
 
-	num  map[uint64]int32 // keyNum
-	str  map[string]int32 // keyStr, keyComposite
-	null int32            // the NULL group's index, -1 while there is none
+	keys   []colVec
+	hashes []uint64
+	slots  []int32
 
-	ctx execCtx // addRow's evaluation context
-	// addBatch's scratch: the composite key, the dictionary's code-to-group
-	// table, and the tuples of a padded side that are not pads.
-	kbuf            []byte
-	lut             []int32
-	padPos, padGids []int32
+	ctx             execCtx // addRow's evaluation context
+	row, batch      *probe  // addRow's and addBatch's lookup scratch
+	padPos, padGids []int32 // addBatch's: the tuples of a padded side that are not pads
+}
+
+// keyVec is one key column of a batch: its vector and the tuples'
+// positions in it, where -1 is a pad.
+type keyVec struct {
+	v   *colVec
+	pos []int32
+}
+
+// keyForm is the type a datum of type typ is kept, hashed and compared
+// in: an integer, boolean or timestamp as its word and a float as its
+// value.FloatBits, an Integer; a string as itself; a version as its
+// value.AppendVersionKey bytes, a Version in a probe (scratch bytes) and
+// a String in the table. Two datums have one form exactly when
+// value.Compare calls them equal; a NULL has the zero form and its null
+// bit set.
+func keyForm(typ value.Type) value.Type {
+	if typ == value.String || typ == value.Version {
+		return typ
+	}
+	return value.Integer
+}
+
+// keyType is the type of GROUP BY item k's values: its column's, or for
+// an expression String, its value.AppendKey bytes.
+func (p *compiledSelect) keyType(k int) value.Type {
+	if ci := p.keyCols[k]; ci >= 0 {
+		return p.srcSchema[ci].Type
+	}
+	return value.String
 }
 
 func newGroupTable(st *SelectStmt, p *compiledSelect) *groupTable {
-	t := &groupTable{st: st, p: p, null: -1}
-	switch p.keyKind {
-	case keyNone:
-	case keyNum:
-		t.num = map[uint64]int32{}
-	default:
-		t.str = map[string]int32{}
+	t := &groupTable{st: st, p: p}
+	if len(p.keyCols) > 0 {
+		t.keys, t.slots = make([]colVec, len(p.keyCols)), make([]int32, 8)
+		for k := range t.keys {
+			if t.keys[k].typ = keyForm(p.keyType(k)); t.keys[k].typ == value.Version {
+				t.keys[k].typ = value.String
+			}
+		}
 	}
 	return t
 }
 
-// open appends a group; the caller indexes it and sets its rep.
+// open appends a group; the caller keys it and sets its rep.
 func (t *groupTable) open() int32 {
 	if n := len(t.groups); n == cap(t.groups) {
 		// Doubled by hand: append's own growth tapers to a quarter, under
@@ -712,78 +745,280 @@ func (t *groupTable) open() int32 {
 		c := max(2*n, 4)
 		t.groups = append(make([]group, 0, c), t.groups...)
 		t.accs = append(make([]acc, 0, c*len(t.p.aggs)), t.accs...)
+		// The index grows with them, so that a few groups cost a few
+		// allocations.
+		if t.slots != nil {
+			t.hashes = slices.Grow(t.hashes, c-n)
+		}
+		for k := range t.keys {
+			if kc := &t.keys[k]; kc.typ == value.Integer {
+				kc.ints = slices.Grow(kc.ints, c-n)
+			} else {
+				kc.strs = slices.Grow(kc.strs, c-n)
+			}
+		}
 	}
 	t.groups = append(t.groups, group{})
 	t.accs = append(t.accs, make([]acc, len(t.p.aggs))...)
 	return int32(len(t.groups) - 1)
 }
 
-// The by* lookups return the group of a key, opening it on first sight
-// (fresh: the caller owes it a representative row).
-
-func (t *groupTable) byNone() (gi int32, fresh bool) {
-	if len(t.groups) > 0 {
-		return 0, false
-	}
-	return t.open(), true
+// probe is a lookup's scratch: the tuples it looks up, their key forms
+// (key column k's in q[k], tuple m's at m, backed by nulls[k] and
+// vkeys[k]) and hashes, and the groups found.
+type probe struct {
+	at    []int32
+	q     []colVec
+	nulls [][]uint64
+	vkeys [][]byte
+	hs    []uint64
+	gs    []int32
 }
 
-func (t *groupTable) byNull() (gi int32, fresh bool) {
-	if t.null >= 0 {
-		return t.null, false
+// probePool holds the batch probes of the tables a scan has rendered:
+// a morsel's partial table is new, its batch is not.
+var probePool = sync.Pool{New: func() any { return new(probe) }}
+
+// scratch returns the table's batch probe, which it keeps until
+// renderParts hands it back.
+func (t *groupTable) scratch() *probe {
+	if t.batch == nil {
+		t.batch = probePool.Get().(*probe)
 	}
-	t.null = t.open()
-	return t.null, true
+	return t.batch
 }
 
-func (t *groupTable) byNum(k uint64) (gi int32, fresh bool) {
-	gi, ok := t.num[k]
-	if !ok {
-		gi = t.open()
-		t.num[k] = gi
+// A key's hash folds, column after column, a form's word or strHash x
+// into h as (h^x)·keyMul, and a table reads it from the top bits:
+// Fibonacci hashing. A NULL hashes as its zero form.
+const keyMul = 0x9e3779b97f4a7c15 // 2^64 over the golden ratio
+
+// keySeed varies from process to process which strings collide.
+var keySeed = rand.Uint64()
+
+// strHash folds a string's 8-byte words as a key folds its columns.
+func strHash(s string) uint64 {
+	h := keySeed ^ uint64(len(s))
+	for ; len(s) >= 8; s = s[8:] {
+		h = (h ^ binary.LittleEndian.Uint64(unsafe.Slice(unsafe.StringData(s), 8))) * keyMul
 	}
-	return gi, !ok
+	var w uint64
+	for i := range len(s) {
+		w |= uint64(s[i]) << (8 * i)
+	}
+	return (h ^ w) * keyMul
 }
 
-func (t *groupTable) byStr(k string) (gi int32, fresh bool) {
-	gi, ok := t.str[k]
-	if !ok {
-		gi = t.open()
-		t.str[k] = gi
+// gather puts the key forms of the tuples pr.at of keys in pr.q and
+// their hashes in pr.hs: one typed loop per key column.
+func (pr *probe) gather(keys []keyVec) {
+	n, w := len(pr.at), (len(pr.at)+63)/64
+	if cap(pr.q) < len(keys) {
+		pr.q, pr.nulls, pr.vkeys = make([]colVec, len(keys)), make([][]uint64, len(keys)), make([][]byte, len(keys))
 	}
-	return gi, !ok
+	pr.q, pr.nulls, pr.vkeys = pr.q[:len(keys)], pr.nulls[:len(keys)], pr.vkeys[:len(keys)]
+	pr.hs = slices.Grow(pr.hs[:0], n)[:n]
+	clear(pr.hs)
+	for k, kv := range keys {
+		v, pos, q, hs := kv.v, kv.pos, &pr.q[k], pr.hs
+		q.typ, q.ints, q.strs = keyForm(v.typ), q.ints[:0], q.strs[:0]
+		nulls := slices.Grow(pr.nulls[k][:0], w)[:w]
+		clear(nulls)
+		// datum reports whether position i of v holds a datum, and marks
+		// tuple m NULL if it does not.
+		datum := func(m int, i int32) bool {
+			if i >= 0 && !v.null(int(i)) {
+				return true
+			}
+			nulls[m>>6] |= 1 << (uint(m) & 63)
+			return false
+		}
+		switch v.typ {
+		case value.String:
+			for m, j := range pr.at {
+				var x string
+				if i := pos[j]; datum(m, i) {
+					x = v.strs[i]
+				}
+				q.strs = append(q.strs, x)
+			}
+		case value.Version:
+			b, from := pr.vkeys[k][:0], 0
+			for m, j := range pr.at {
+				if i := pos[j]; datum(m, i) {
+					b = value.AppendVersionKey(b, v.strs[i])
+				}
+				q.ints = append(q.ints, int64(len(b))) // the key's end
+			}
+			for _, end := range q.ints {
+				q.strs, from = append(q.strs, unsafe.String(unsafe.SliceData(b[from:]), int(end)-from)), int(end)
+			}
+			q.ints, pr.vkeys[k] = q.ints[:0], b
+		default:
+			for m, j := range pr.at {
+				var x int64
+				if i := pos[j]; !datum(m, i) {
+				} else if v.typ == value.Float {
+					x = int64(value.FloatBits(v.floats[i]))
+				} else {
+					x = v.ints[i]
+				}
+				q.ints, hs[m] = append(q.ints, x), (hs[m]^uint64(x))*keyMul
+			}
+		}
+		for m, x := range q.strs {
+			hs[m] = (hs[m] ^ strHash(x)) * keyMul
+		}
+		pr.nulls[k], q.nulls = nulls, nil
+		if slices.ContainsFunc(nulls, func(b uint64) bool { return b != 0 }) {
+			q.nulls = nulls
+		}
+	}
 }
 
-// byBytes is byStr for a key built in a scratch buffer: the probe on
-// string(k) does not allocate (the compiler recognizes the
-// conversion-for-lookup pattern), so a string is only materialized per
-// distinct group.
-func (t *groupTable) byBytes(k []byte) (gi int32, fresh bool) {
-	if gi, ok := t.str[string(k)]; ok {
-		return gi, false
+// lookup sets pr.gs[m] to the group of tuple pr.at[m] of keys, opening
+// groups in first-seen order, and returns pr.gs. A tuple's candidate is
+// the first group on its probe sequence with its hash, kept if their
+// key columns agree, compared column by column; find finds or opens the
+// group of a tuple left without one.
+func (t *groupTable) lookup(keys []keyVec, pr *probe) []int32 {
+	pr.gather(keys)
+	gs, mask := slices.Grow(pr.gs[:0], len(pr.hs))[:len(pr.hs)], len(t.slots)-1
+	shift := bits.LeadingZeros64(uint64(mask))
+	for m, h := range pr.hs {
+		gs[m] = -1
+		for s := int(h >> shift); mask > 0 && t.slots[s] != 0; s = (s + 1) & mask {
+			if g := t.slots[s] - 1; t.hashes[g] == h {
+				gs[m] = g
+				break
+			}
+		}
 	}
-	return t.byStr(string(k))
+	for k := range pr.q {
+		c, q := &t.keys[k], &pr.q[k]
+		for m, g := range gs {
+			if g >= 0 && (c.typ == value.Integer && c.ints[g] != q.ints[m] || c.typ != value.Integer && c.strs[g] != q.strs[m] ||
+				(c.nulls != nil || q.nulls != nil) && c.null(int(g)) != q.null(m)) {
+				gs[m] = -1
+			}
+		}
+	}
+	for m, g := range gs {
+		if g < 0 {
+			gs[m] = t.find(pr.q, m, pr.hs[m])
+		}
+	}
+	pr.gs = gs
+	return gs
 }
 
-// appendKey appends the value.AppendKey part of row i of the vector,
-// through the appender of its class, so that an element and its boxed
-// value key alike without boxing; a negative i reads as NULL.
-func (v *colVec) appendKey(dst []byte, i int) []byte {
-	switch {
-	case i < 0 || v.null(i):
-		return value.AppendNullKey(dst)
-	case v.typ == value.Integer:
-		return value.AppendIntKey(dst, v.ints[i])
-	case v.typ == value.Float:
-		return value.AppendFloatKey(dst, v.floats[i])
-	case v.typ == value.Boolean:
-		return value.AppendBoolKey(dst, v.ints[i] != 0)
-	case v.typ == value.Timestamp:
-		return value.AppendTimestampKey(dst, v.ints[i])
-	case v.typ == value.Version:
-		return value.AppendVersionKey(dst, v.strs[i])
+// find returns the group whose key is tuple m of q, whose hash is h,
+// opening it if the table holds none.
+func (t *groupTable) find(q []colVec, m int, h uint64) int32 {
+	if t.slots == nil {
+		if len(t.groups) == 0 {
+			return t.open()
+		}
+		return 0
 	}
-	return value.AppendStringKey(dst, v.strs[i])
+	mask := len(t.slots) - 1
+	s := int(h >> bits.LeadingZeros64(uint64(mask)))
+	for ; t.slots[s] != 0; s = (s + 1) & mask {
+		if g := t.slots[s] - 1; t.hashes[g] == h && t.equal(q, m, g) {
+			return g
+		}
+	}
+	g := t.open()
+	for k := range q {
+		c, x := &t.keys[k], &q[k]
+		switch {
+		case c.typ == value.Integer:
+			c.ints = append(c.ints, x.ints[m])
+		case x.typ == value.Version || t.p.keyCols[k] < 0:
+			c.strs = append(c.strs, strings.Clone(x.strs[m])) // scratch bytes
+		default:
+			c.strs = append(c.strs, x.strs[m])
+		}
+		if x.null(m) {
+			c.markNulls(int(g), 1)
+		} else if c.nulls != nil && len(c.nulls)*64 == int(g) {
+			c.nulls = append(c.nulls, 0)
+		}
+	}
+	t.hashes = append(t.hashes, h)
+	if 2*len(t.hashes) <= len(t.slots) {
+		t.slots[s] = g + 1
+		return g
+	}
+	t.slots = make([]int32, 2*len(t.slots))
+	mask = len(t.slots) - 1
+	for g, h := range t.hashes {
+		s := int(h >> bits.LeadingZeros64(uint64(mask)))
+		for t.slots[s] != 0 {
+			s = (s + 1) & mask
+		}
+		t.slots[s] = int32(g) + 1
+	}
+	return g
+}
+
+// equal reports whether tuple m of q is group g's key: per key column,
+// the same null bit and the same form.
+func (t *groupTable) equal(q []colVec, m int, g int32) bool {
+	for k := range q {
+		c, x := &t.keys[k], &q[k]
+		if c.null(int(g)) != x.null(m) || c.typ == value.Integer && c.ints[g] != x.ints[m] ||
+			c.typ != value.Integer && c.strs[g] != x.strs[m] {
+			return false
+		}
+	}
+	return true
+}
+
+// rowKey puts the key form of the row in ctx in t.row, a one-tuple
+// probe, as gather puts a batch's, and returns its hash. An expression's
+// form is its value.AppendKey bytes, a String.
+func (t *groupTable) rowKey(ctx *execCtx) (uint64, error) {
+	p := t.p
+	if t.row == nil {
+		t.row = &probe{q: make([]colVec, len(p.groupBy)), vkeys: make([][]byte, len(p.groupBy))}
+		for k := range t.row.q {
+			q := &t.row.q[k]
+			q.typ, q.ints, q.strs, q.nulls = keyForm(p.keyType(k)), make([]int64, 1), make([]string, 1), make([]uint64, 1)
+		}
+	}
+	var h uint64
+	for k, g := range p.groupBy {
+		x, err := g(ctx)
+		if err != nil {
+			return 0, err
+		}
+		q, b := &t.row.q[k], t.row.vkeys[k][:0]
+		q.ints[0], q.strs[0], q.nulls[0] = 0, "", 0
+		switch {
+		case p.keyCols[k] < 0:
+			b = value.AppendKey(b, x)
+		case x.IsNull():
+			q.nulls[0] = 1
+		case q.typ == value.Version:
+			b = value.AppendVersionKey(b, x.Str())
+		case q.typ == value.String:
+			q.strs[0] = x.Str()
+		case p.keyType(k) == value.Float:
+			q.ints[0] = int64(value.FloatBits(x.Float()))
+		default:
+			q.ints[0] = x.Int()
+		}
+		if len(b) > 0 {
+			t.row.vkeys[k], q.strs[0] = b, unsafe.String(unsafe.SliceData(b), len(b))
+		}
+		if q.typ == value.Integer {
+			h = (h ^ uint64(q.ints[0])) * keyMul
+		} else {
+			h = (h ^ strHash(q.strs[0])) * keyMul
+		}
+	}
+	return h, nil
 }
 
 // add folds one row into its group, which the plan's key over the row
@@ -802,35 +1037,14 @@ func (t *groupTable) add(row, state Row) error {
 			return err
 		}
 	}
-	var gi int32
-	var fresh bool
-	switch p.keyKind {
-	case keyNone:
-		gi, fresh = t.byNone()
-	case keyNum, keyStr:
-		switch kv := &row[p.keyCols[0]]; {
-		case kv.IsNull():
-			gi, fresh = t.byNull()
-		case p.keyKind == keyNum && kv.Type() == value.Float:
-			gi, fresh = t.byNum(value.FloatBits(kv.Float()))
-		case p.keyKind == keyNum:
-			gi, fresh = t.byNum(uint64(kv.Int()))
-		default:
-			gi, fresh = t.byStr(kv.Str())
-		}
-	default:
-		t.kbuf = t.kbuf[:0]
-		for _, g := range p.groupBy {
-			kv, err := g(ctx)
-			if err != nil {
-				return err
-			}
-			t.kbuf = value.AppendKey(t.kbuf, kv)
-		}
-		gi, fresh = t.byBytes(t.kbuf)
+	h, err := t.rowKey(ctx)
+	if err != nil {
+		return err
 	}
+	fresh := int32(len(t.groups))
+	gi := t.find(t.row.q, 0, h)
 	g := &t.groups[gi]
-	if fresh {
+	if gi == fresh {
 		g.rep = row
 	}
 	accs := t.accs[int(gi)*len(p.aggs):]
@@ -887,11 +1101,10 @@ type aggBatch interface {
 //
 // Groups are found per key run. One pass per key column marks, in gids,
 // every tuple whose key datum differs from its predecessor's; only a
-// marked tuple takes addRow's lookup, through the same key encodings, and
-// every other one takes its predecessor's group. A filtered parameter, a
-// run's once parameters and a swept one repeated per iteration all come
-// in such runs, so a source's reduction looks up a group per run, not per
-// row.
+// marked tuple is looked up, and every tuple up to the next mark takes
+// its group. A filtered parameter, a run's once parameters and a swept
+// one repeated per iteration all come in such runs, so a source's
+// reduction looks up a group per run, not per row.
 func (t *groupTable) addBatch(b aggBatch, gids []int32) {
 	p := t.p
 	n := b.size()
@@ -899,15 +1112,39 @@ func (t *groupTable) addBatch(b aggBatch, gids []int32) {
 		return
 	}
 	gids = gids[:n]
-	if p.keyKind == keyNone {
-		gi, fresh := t.byNone()
-		if fresh {
-			b.setRep(&t.groups[gi], 0)
+	clear(gids)
+	gids[0] = -1      // the first tuple opens a run
+	var few [4]keyVec // on the stack for the usual few keys
+	keys := few[:0]
+	for _, ci := range p.keyCols {
+		v, pos, pads := b.col(ci)
+		keys = append(keys, keyVec{v, pos})
+		v.markRuns(pos, pads, gids)
+	}
+	// Marks are looked up a window at a time, so that the groups one
+	// window opens are the next one's candidates: 16 marks, then twice
+	// as many up to 256, as a fresh table's groups are mostly opened by
+	// its first marks. The groups a batch opens are numbered in the
+	// order of their marks, which hold their rows.
+	pr := t.scratch()
+	fresh, gi := int32(len(t.groups)), int32(0)
+	for lo, hi, win := 0, 0, 16; lo < n; lo, win = hi, min(2*win, 256) {
+		for pr.at = pr.at[:0]; hi < n && len(pr.at) < win; hi++ {
+			if gids[hi] < 0 {
+				pr.at = append(pr.at, int32(hi))
+			}
 		}
-		t.groups[gi].n += int64(n)
-		clear(gids)
-	} else {
-		t.assign(b, gids)
+		gs, m := t.lookup(keys, pr), 0
+		for j := lo; j < hi; j++ {
+			if gids[j] < 0 {
+				if gi, m = gs[m], m+1; gi == fresh {
+					b.setRep(&t.groups[gi], j)
+					fresh++
+				}
+			}
+			gids[j] = gi
+			t.groups[gi].n++
+		}
 	}
 	// A kernel cannot index a pad: drop those tuples once, for every
 	// aggregate that reads the padded side.
@@ -933,118 +1170,6 @@ func (t *groupTable) addBatch(b aggBatch, gids []int32) {
 		}
 		sp.kern(v, pos, g, t.accs, len(p.aggs), k)
 	}
-}
-
-// keyVec is one key column of a batch: its vector and the tuples'
-// positions in it, where -1 is a pad.
-type keyVec struct {
-	v   *colVec
-	pos []int32
-}
-
-// assign sets gids[j] to the group of tuple j, opening groups in
-// first-seen order and counting their rows; see addBatch.
-func (t *groupTable) assign(b aggBatch, gids []int32) {
-	p := t.p
-	clear(gids)
-	gids[0] = -1 // the first tuple opens a run
-	kv, pos, pads := b.col(p.keyCols[0])
-	// With a dictionary the runs are the codes' (a NULL's is -1), and a
-	// run is looked up by its code: lut maps a code to its group's index
-	// plus one, so a hash lookup is paid once per distinct value per batch.
-	var codes []int32
-	var vals []string
-	if p.keyKind == keyStr {
-		codes, vals = kv.dict()
-	}
-	if codes != nil {
-		markRuns(codes, nil, pos, pads, gids)
-		t.lut = slices.Grow(t.lut[:0], len(vals))[:len(vals)]
-		clear(t.lut)
-		lut := t.lut
-		var gi int32
-		for j, mark := range gids {
-			if mark < 0 {
-				c := int32(-1)
-				if i := pos[j]; i >= 0 {
-					c = codes[i]
-				}
-				switch {
-				case c < 0:
-					gi = t.opened(b, j)(t.byNull())
-				case lut[c] > 0:
-					gi = lut[c] - 1
-				default:
-					gi = t.opened(b, j)(t.byStr(vals[c]))
-					lut[c] = gi + 1
-				}
-			}
-			gids[j] = gi
-			t.groups[gi].n++
-		}
-		return
-	}
-	var few [4]keyVec // on the stack for the usual few keys
-	keys := few[:0]
-	for _, ci := range p.keyCols {
-		v, pos, pads := b.col(ci)
-		keys = append(keys, keyVec{v, pos})
-		v.markRuns(pos, pads, gids)
-	}
-	var gi int32
-	if p.keyKind == keyComposite {
-		for j, mark := range gids {
-			if mark < 0 {
-				gi = t.opened(b, j)(t.byKeys(keys, j))
-			}
-			gids[j] = gi
-			t.groups[gi].n++
-		}
-		return
-	}
-	for j, mark := range gids {
-		if mark < 0 {
-			gi = t.opened(b, j)(t.byDatum(kv, pos[j]))
-		}
-		gids[j] = gi
-		t.groups[gi].n++
-	}
-}
-
-// opened returns what takes a lookup's result for tuple j of b — a by*
-// method's — to the group alone, having given the group the tuple's row
-// if the lookup opened it.
-func (t *groupTable) opened(b aggBatch, j int) func(gi int32, fresh bool) int32 {
-	return func(gi int32, fresh bool) int32 {
-		if fresh {
-			b.setRep(&t.groups[gi], j)
-		}
-		return gi
-	}
-}
-
-// byDatum looks up the group of position i of kv under a one-column key,
-// where -1 is a pad and reads as NULL.
-func (t *groupTable) byDatum(kv *colVec, i int32) (int32, bool) {
-	switch {
-	case i < 0 || kv.null(int(i)):
-		return t.byNull()
-	case kv.typ == value.Float:
-		return t.byNum(value.FloatBits(kv.floats[i]))
-	case kv.typ == value.String:
-		return t.byStr(kv.strs[i])
-	}
-	return t.byNum(uint64(kv.ints[i]))
-}
-
-// byKeys looks up the group of tuple j under a composite key: every
-// key's value.AppendKey part, as addRow builds it.
-func (t *groupTable) byKeys(keys []keyVec, j int) (int32, bool) {
-	t.kbuf = t.kbuf[:0]
-	for _, k := range keys {
-		t.kbuf = k.v.appendKey(t.kbuf, int(k.pos[j]))
-	}
-	return t.byBytes(t.kbuf)
 }
 
 // markRuns sets gids[j] to -1 where tuple j's key datum xs[pos[j]] differs
@@ -1111,40 +1236,23 @@ func (v *colVec) markRuns(pos []int32, pads bool, gids []int32) {
 
 // merge folds part, the partial table of a later morsel, into t:
 // groups t has not seen are appended in part's order, so first-seen
-// order across morsels merged in index order is scan order.
+// order across morsels merged in index order is scan order. part's key
+// columns are the batch that finds them, one tuple per group.
 func (t *groupTable) merge(part *groupTable) {
-	// A group does not carry its key, which only this needs: part's keys
-	// are read back out of its index, by group.
-	var nums []uint64
-	var strs []string
-	if part.num != nil {
-		nums = make([]uint64, len(part.groups))
-		for k, pi := range part.num {
-			nums[pi] = k
-		}
-	} else if part.str != nil {
-		strs = make([]string, len(part.groups))
-		for k, pi := range part.str {
-			strs[pi] = k
-		}
-	}
-	stride := len(t.p.aggs)
+	pr := t.scratch()
+	pr.at = pr.at[:0]
 	for pi := range part.groups {
-		var gi int32
-		var fresh bool
-		switch {
-		case int32(pi) == part.null:
-			gi, fresh = t.byNull()
-		case nums != nil:
-			gi, fresh = t.byNum(nums[pi])
-		case strs != nil:
-			gi, fresh = t.byStr(strs[pi])
-		default:
-			gi, fresh = t.byNone()
-		}
+		pr.at = append(pr.at, int32(pi))
+	}
+	keys := make([]keyVec, len(part.keys))
+	for k := range keys {
+		keys[k] = keyVec{&part.keys[k], pr.at}
+	}
+	stride, fresh := len(t.p.aggs), int32(len(t.groups))
+	for pi, gi := range t.lookup(keys, pr) {
 		from, to := part.accs[pi*stride:(pi+1)*stride], t.accs[int(gi)*stride:]
-		if fresh {
-			t.groups[gi] = part.groups[pi]
+		if gi == fresh {
+			t.groups[gi], fresh = part.groups[pi], fresh+1
 			copy(to, from)
 			continue
 		}
@@ -1169,6 +1277,12 @@ func renderParts(st *SelectStmt, p *compiledSelect, parts []*groupTable) (*Resul
 			t.merge(part)
 		}
 	}
+	for _, part := range parts {
+		if part != nil && part.batch != nil {
+			probePool.Put(part.batch)
+			part.batch = nil
+		}
+	}
 	if t == nil {
 		t = newGroupTable(st, p)
 	}
@@ -1191,7 +1305,7 @@ func (t *groupTable) render() (*Result, error) {
 	}
 	stride := len(p.aggs)
 	groups, accs := t.groups, t.accs
-	if len(groups) == 0 && p.keyKind == keyNone {
+	if len(groups) == 0 && len(p.groupBy) == 0 {
 		rep := make(Row, len(p.srcSchema))
 		for i := range rep {
 			rep[i] = value.Null(p.srcSchema[i].Type)

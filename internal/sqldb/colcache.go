@@ -118,7 +118,7 @@ type colVec struct {
 	nulls []uint64
 	bytes int
 
-	// Lazily built dictionary encoding for string vectors used as group
+	// Lazily built dictionary encoding for string vectors used as join
 	// keys: dictCodes[i] indexes dictVals (-1 for NULL). See dict().
 	dictOnce  sync.Once
 	dictCodes []int32
@@ -134,11 +134,10 @@ const colDictMaxCard = 1024
 
 // dict returns the chunk-local dictionary encoding of a string vector,
 // building it on first use (sync.Once makes the build safe between
-// concurrent morsel workers). Group assignment over a dictionary is an
-// array read per row plus one hash lookup per DISTINCT value per
-// morsel, instead of one hash lookup per row. Returns nil codes when
-// the column's cardinality exceeds colDictMaxCard; callers fall back
-// to per-row hashing.
+// concurrent morsel workers). A hash join over a dictionary hashes each
+// distinct value once per chunk instead of once per row. Returns nil
+// codes when the column's cardinality exceeds colDictMaxCard; callers
+// fall back to per-row hashing.
 func (v *colVec) dict() ([]int32, []string) {
 	v.dictOnce.Do(func() {
 		idx := make(map[string]int32, 64)

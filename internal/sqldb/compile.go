@@ -366,12 +366,10 @@ type compiledSelect struct {
 	aggs    []aggSpec
 	groupBy []compiledExpr
 	having  compiledExpr // nil when no HAVING clause
-	// keyKind says how groups are identified. keyCols holds the grouping
-	// columns when every GROUP BY item is a plain column, nil otherwise:
-	// a single such column is keyed on directly (keyNum, keyStr), several
-	// are what addBatch encodes a composite key from, and without them
-	// only addRow, which evaluates groupBy, can group.
-	keyKind keyKind
+	// keyCols holds, per GROUP BY item, the source column it names, or -1
+	// for an expression. A group table keys a column by its datum and an
+	// expression by its value's value.AppendKey bytes; only addRow, which
+	// evaluates groupBy, groups under an expression.
 	keyCols []int
 
 	outSchema Schema
@@ -624,23 +622,11 @@ func compileBranch(st *SelectStmt, ec *evalCtx) (*compiledSelect, *texpr, error)
 	for _, g := range st.GroupBy {
 		n := ec.typed(g)
 		p.groupBy = append(p.groupBy, rowExpr(n))
+		ci := -1
 		if n.kind == tCol {
-			p.keyCols = append(p.keyCols, n.col)
+			ci = n.col
 		}
-	}
-	switch {
-	case len(st.GroupBy) == 0:
-		p.keyKind = keyNone
-	case len(p.keyCols) != len(st.GroupBy):
-		p.keyKind, p.keyCols = keyComposite, nil
-	case len(p.keyCols) > 1:
-		p.keyKind = keyComposite
-	case src[p.keyCols[0]].Type == value.Version:
-		p.keyKind = keyComposite // a version's string is not its key
-	case src[p.keyCols[0]].Type == value.String:
-		p.keyKind = keyStr
-	default:
-		p.keyKind = keyNum
+		p.keyCols = append(p.keyCols, ci)
 	}
 	if st.Having != nil {
 		p.having = ec.compile(st.Having)

@@ -90,7 +90,9 @@ func TestOneEquality(t *testing.T) {
 
 // TestColVecKeyMatchesBoxed: a vector element's key is its boxed
 // value's, for every vector type, NULLs and the float edge values
-// included.
+// included: the group table hashes the element as the row engine's key
+// of the boxed value, and finds both in one group — and a pad in the
+// NULL's.
 func TestColVecKeyMatchesBoxed(t *testing.T) {
 	db := NewMemory()
 	for _, sql := range []string{
@@ -102,20 +104,44 @@ func TestColVecKeyMatchesBoxed(t *testing.T) {
 	} {
 		mustExec(t, db, sql)
 	}
-	tab, _ := db.state.Load().table("t")
-	for _, ch := range tab.builtChunks() {
-		for ci, c := range tab.schema {
+	sn := db.state.Load()
+	tab, _ := sn.table("t")
+	for ci, c := range tab.schema {
+		st := mustParseSelect(t, "SELECT "+c.Name+", COUNT(*) FROM t GROUP BY "+c.Name)
+		p, err := sn.planSelect(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gt := newGroupTable(st, p)
+		// key returns the hash and the group of a one-tuple batch.
+		key := func(keys []keyVec) (uint64, int32) {
+			pr := &probe{at: []int32{0}}
+			gi := gt.lookup(keys, pr)[0]
+			return pr.hs[0], gi
+		}
+		boxed := func(x value.Value) (uint64, int32) {
+			gt.ctx.row = make(Row, len(tab.schema))
+			gt.ctx.row[ci] = x
+			h, err := gt.rowKey(&gt.ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return h, gt.find(gt.row.q, 0, h)
+		}
+		for _, ch := range tab.builtChunks() {
 			v := db.env.cache.colFor(ch, ci, c.Type)
 			if v == nil {
 				t.Fatalf("no vector for column %s", c.Name)
 			}
 			for i, row := range ch.rows() {
-				if got, want := string(v.appendKey(nil, i)), string(value.AppendKey(nil, row[ci])); got != want {
-					t.Errorf("%s row %d (%v): vector key %x, boxed key %x", c.Name, i, row[ci], got, want)
+				vh, vg := key([]keyVec{{v, []int32{int32(i)}}})
+				if bh, bg := boxed(row[ci]); vh != bh || vg != bg {
+					t.Errorf("%s row %d (%v): vector hash %x, group %d; boxed hash %x, group %d", c.Name, i, row[ci], vh, vg, bh, bg)
 				}
 			}
-			if got, want := string(v.appendKey(nil, -1)), string(value.AppendKey(nil, value.Null(c.Type))); got != want {
-				t.Errorf("%s pad: vector key %x, NULL key %x", c.Name, got, want)
+			vh, vg := key([]keyVec{{v, []int32{-1}}})
+			if bh, bg := boxed(value.Null(c.Type)); vh != bh || vg != bg {
+				t.Errorf("%s pad: hash %x, group %d; NULL hash %x, group %d", c.Name, vh, vg, bh, bg)
 			}
 		}
 	}
