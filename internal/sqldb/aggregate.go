@@ -4,10 +4,11 @@ package sqldb
 //
 // A groupTable holds the groups of one grouped SELECT in first-seen
 // order — representative row, row count, key — with every group's
-// accumulators in one flat array. One index finds a group: an
-// open-addressing table of group ids keyed by a 64-bit hash per tuple
-// and compared column by column on typed key columns (lookup). The table
-// has exactly five operations, and each finds its groups through it:
+// accumulators in one flat array. One index finds a group: a keyIndex,
+// an open-addressing table of group ids keyed by a 64-bit hash per tuple
+// and compared column by column on typed key columns (lookup), which is
+// the vectorized join's build side too (vecjoin.go). The table has
+// exactly five operations, and each finds its groups through it:
 //
 //	addRow    one source row: filter → group → feed. This is the
 //	          definition of every aggregate's semantics. Driven by
@@ -670,13 +671,9 @@ type group struct {
 
 // groupTable is the state of one grouped SELECT; see the file header.
 // It is confined to one goroutine: a morsel worker's partial, or the
-// table its driver merges into and renders.
-//
-// Its index: keys holds the groups' keys as typed columns, one per GROUP
-// BY item, entry g group g's key form; hashes holds group g's hash; and
-// slots, a power of two long and at most half full, holds group ids plus
-// one (0 is empty) from their hashes' top bits on, probed linearly. A
-// plan without GROUP BY has no index: its one group is group 0.
+// table its driver merges into and renders. Its index's entries are its
+// groups, entry g group g; a plan without GROUP BY has an index without
+// key columns, whose one entry is group 0.
 type groupTable struct {
 	st *SelectStmt
 	p  *compiledSelect
@@ -684,9 +681,7 @@ type groupTable struct {
 	groups []group // first-seen order
 	accs   []acc   // len(p.aggs) per group, group g's at g*len(p.aggs)
 
-	keys   []colVec
-	hashes []uint64
-	slots  []int32
+	keyIndex
 
 	ctx             execCtx // addRow's evaluation context
 	row, batch      *probe  // addRow's and addBatch's lookup scratch
@@ -703,10 +698,11 @@ type keyVec struct {
 // keyForm is the type a datum of type typ is kept, hashed and compared
 // in: an integer, boolean or timestamp as its word and a float as its
 // value.FloatBits, an Integer; a string as itself; a version as its
-// value.AppendVersionKey bytes, a Version in a probe (scratch bytes) and
-// a String in the table. Two datums have one form exactly when
+// value.AppendVersionKey bytes. Two datums have one form exactly when
 // value.Compare calls them equal; a NULL has the zero form and its null
-// bit set.
+// bit set. In a probe a form whose bytes are scratch — a version's, an
+// expression's value.AppendKey — is a Version, and an index keeps a copy
+// of them as a String.
 func keyForm(typ value.Type) value.Type {
 	if typ == value.String || typ == value.Version {
 		return typ
@@ -726,18 +722,18 @@ func (p *compiledSelect) keyType(k int) value.Type {
 func newGroupTable(st *SelectStmt, p *compiledSelect) *groupTable {
 	t := &groupTable{st: st, p: p}
 	if len(p.keyCols) > 0 {
-		t.keys, t.slots = make([]colVec, len(p.keyCols)), make([]int32, 8)
-		for k := range t.keys {
-			if t.keys[k].typ = keyForm(p.keyType(k)); t.keys[k].typ == value.Version {
-				t.keys[k].typ = value.String
-			}
+		var few [4]value.Type // on the stack for the usual few keys
+		typs := few[:0]
+		for k := range p.keyCols {
+			typs = append(typs, p.keyType(k))
 		}
+		t.keyIndex = newKeyIndex(typs, 0)
 	}
 	return t
 }
 
-// open appends a group; the caller keys it and sets its rep.
-func (t *groupTable) open() int32 {
+// open appends a group; the caller sets its rep.
+func (t *groupTable) open() {
 	if n := len(t.groups); n == cap(t.groups) {
 		// Doubled by hand: append's own growth tapers to a quarter, under
 		// which a table opened group by group allocates five times its
@@ -745,27 +741,37 @@ func (t *groupTable) open() int32 {
 		c := max(2*n, 4)
 		t.groups = append(make([]group, 0, c), t.groups...)
 		t.accs = append(make([]acc, 0, c*len(t.p.aggs)), t.accs...)
-		// The index grows with them, so that a few groups cost a few
-		// allocations.
-		if t.slots != nil {
-			t.hashes = slices.Grow(t.hashes, c-n)
-		}
-		for k := range t.keys {
-			if kc := &t.keys[k]; kc.typ == value.Integer {
-				kc.ints = slices.Grow(kc.ints, c-n)
-			} else {
-				kc.strs = slices.Grow(kc.strs, c-n)
-			}
-		}
 	}
 	t.groups = append(t.groups, group{})
 	t.accs = append(t.accs, make([]acc, len(t.p.aggs))...)
-	return int32(len(t.groups) - 1)
+}
+
+// lookup sets pr.gs[m] to the group of tuple pr.at[m] of keys, opening
+// groups in first-seen order, and returns pr.gs.
+func (t *groupTable) lookup(keys []keyVec, pr *probe) []int32 {
+	gs := t.keyIndex.lookup(keys, pr, true)
+	t.opened()
+	return gs
+}
+
+// find returns the group whose key is tuple m of q, whose hash is h,
+// opening it if the table holds none.
+func (t *groupTable) find(q []colVec, m int, h uint64) int32 {
+	g := t.keyIndex.find(q, m, h, true)
+	t.opened()
+	return g
+}
+
+// opened opens the groups of the entries the index has opened.
+func (t *groupTable) opened() {
+	for len(t.groups) < t.entries() {
+		t.open()
+	}
 }
 
 // probe is a lookup's scratch: the tuples it looks up, their key forms
 // (key column k's in q[k], tuple m's at m, backed by nulls[k] and
-// vkeys[k]) and hashes, and the groups found.
+// vkeys[k]) and hashes, and the entries found.
 type probe struct {
 	at    []int32
 	q     []colVec
@@ -775,8 +781,9 @@ type probe struct {
 	gs    []int32
 }
 
-// probePool holds the batch probes of the tables a scan has rendered:
-// a morsel's partial table is new, its batch is not.
+// probePool holds the probes of the tables a scan has rendered — a
+// morsel's partial table is new, its batch is not — and of the join
+// probes.
 var probePool = sync.Pool{New: func() any { return new(probe) }}
 
 // scratch returns the table's batch probe, which it keeps until
@@ -876,65 +883,123 @@ func (pr *probe) gather(keys []keyVec) {
 	}
 }
 
-// lookup sets pr.gs[m] to the group of tuple pr.at[m] of keys, opening
-// groups in first-seen order, and returns pr.gs. A tuple's candidate is
-// the first group on its probe sequence with its hash, kept if their
-// key columns agree, compared column by column; find finds or opens the
-// group of a tuple left without one.
-func (t *groupTable) lookup(keys []keyVec, pr *probe) []int32 {
+// ------------------------------------------------------ hash index
+
+// keyIndex is the hash index of grouping and joining: it finds the entry
+// of a tuple of typed keys, which is a group of a groupTable or a
+// distinct key of a hash join's build side (vecjoin.go). keys holds the
+// entries' keys as typed columns, one per key column, entry e's key form
+// at e; hashes holds entry e's hash; and slots, a power of two long and
+// at most half full, holds entry ids plus one (0 is empty) from their
+// hashes' top bits on, probed linearly. An index without key columns has
+// no slots and one entry, 0, which every tuple finds.
+type keyIndex struct {
+	keys   []colVec
+	hashes []uint64
+	slots  []int32
+}
+
+// newKeyIndex returns an empty index over key columns of the types typs,
+// with room for n entries.
+func newKeyIndex(typs []value.Type, n int) keyIndex {
+	slots := 8
+	for slots < 2*n {
+		slots *= 2
+	}
+	ix := keyIndex{keys: make([]colVec, len(typs)), hashes: make([]uint64, 0, n), slots: make([]int32, slots)}
+	for k, typ := range typs {
+		if c := &ix.keys[k]; keyForm(typ) == value.Integer {
+			c.typ, c.ints = value.Integer, make([]int64, 0, n)
+		} else {
+			c.typ, c.strs = value.String, make([]string, 0, n)
+		}
+	}
+	return ix
+}
+
+// entries is the number of entries the index holds.
+func (ix *keyIndex) entries() int {
+	if ix.slots == nil {
+		return 1
+	}
+	return len(ix.hashes)
+}
+
+// lookup sets pr.gs[m] to the entry of tuple pr.at[m] of keys and returns
+// pr.gs. A tuple without one opens it, in first-seen order, if open is
+// true, and gets −1 otherwise. A tuple's candidate is the first entry on
+// its probe sequence with its hash, kept if their key columns agree,
+// compared column by column. find finds, or opens, the entry of a tuple
+// whose candidate differs (−2), and opens that of a tuple without a
+// candidate (−1), whose hash no entry has.
+func (ix *keyIndex) lookup(keys []keyVec, pr *probe, open bool) []int32 {
 	pr.gather(keys)
-	gs, mask := slices.Grow(pr.gs[:0], len(pr.hs))[:len(pr.hs)], len(t.slots)-1
+	gs, mask := slices.Grow(pr.gs[:0], len(pr.hs))[:len(pr.hs)], len(ix.slots)-1
 	shift := bits.LeadingZeros64(uint64(mask))
 	for m, h := range pr.hs {
 		gs[m] = -1
-		for s := int(h >> shift); mask > 0 && t.slots[s] != 0; s = (s + 1) & mask {
-			if g := t.slots[s] - 1; t.hashes[g] == h {
+		for s := int(h >> shift); mask > 0 && ix.slots[s] != 0; s = (s + 1) & mask {
+			if g := ix.slots[s] - 1; ix.hashes[g] == h {
 				gs[m] = g
 				break
 			}
 		}
 	}
 	for k := range pr.q {
-		c, q := &t.keys[k], &pr.q[k]
+		c, q := &ix.keys[k], &pr.q[k]
 		for m, g := range gs {
 			if g >= 0 && (c.typ == value.Integer && c.ints[g] != q.ints[m] || c.typ != value.Integer && c.strs[g] != q.strs[m] ||
 				(c.nulls != nil || q.nulls != nil) && c.null(int(g)) != q.null(m)) {
-				gs[m] = -1
+				gs[m] = -2
 			}
 		}
 	}
 	for m, g := range gs {
-		if g < 0 {
-			gs[m] = t.find(pr.q, m, pr.hs[m])
+		if g == -2 || g == -1 && (open || mask < 0) {
+			gs[m] = ix.find(pr.q, m, pr.hs[m], open)
 		}
 	}
 	pr.gs = gs
 	return gs
 }
 
-// find returns the group whose key is tuple m of q, whose hash is h,
-// opening it if the table holds none.
-func (t *groupTable) find(q []colVec, m int, h uint64) int32 {
-	if t.slots == nil {
-		if len(t.groups) == 0 {
-			return t.open()
-		}
+// find returns the entry whose key is tuple m of q, whose hash is h. If
+// the index holds none, it opens one when open is true and returns −1
+// otherwise.
+func (ix *keyIndex) find(q []colVec, m int, h uint64, open bool) int32 {
+	if ix.slots == nil {
 		return 0
 	}
-	mask := len(t.slots) - 1
+	mask := len(ix.slots) - 1
 	s := int(h >> bits.LeadingZeros64(uint64(mask)))
-	for ; t.slots[s] != 0; s = (s + 1) & mask {
-		if g := t.slots[s] - 1; t.hashes[g] == h && t.equal(q, m, g) {
+	for ; ix.slots[s] != 0; s = (s + 1) & mask {
+		if g := ix.slots[s] - 1; ix.hashes[g] == h && ix.equal(q, m, g) {
 			return g
 		}
 	}
-	g := t.open()
+	if !open {
+		return -1
+	}
+	g := int32(len(ix.hashes))
+	if n := len(ix.hashes); n == cap(ix.hashes) {
+		// Doubled by hand, as a groupTable's groups are, so that a few
+		// entries cost a few allocations.
+		c := max(2*n, 4)
+		ix.hashes = slices.Grow(ix.hashes, c-n)
+		for k := range ix.keys {
+			if kc := &ix.keys[k]; kc.typ == value.Integer {
+				kc.ints = slices.Grow(kc.ints, c-n)
+			} else {
+				kc.strs = slices.Grow(kc.strs, c-n)
+			}
+		}
+	}
 	for k := range q {
-		c, x := &t.keys[k], &q[k]
-		switch {
-		case c.typ == value.Integer:
+		c, x := &ix.keys[k], &q[k]
+		switch x.typ {
+		case value.Integer:
 			c.ints = append(c.ints, x.ints[m])
-		case x.typ == value.Version || t.p.keyCols[k] < 0:
+		case value.Version:
 			c.strs = append(c.strs, strings.Clone(x.strs[m])) // scratch bytes
 		default:
 			c.strs = append(c.strs, x.strs[m])
@@ -945,28 +1010,28 @@ func (t *groupTable) find(q []colVec, m int, h uint64) int32 {
 			c.nulls = append(c.nulls, 0)
 		}
 	}
-	t.hashes = append(t.hashes, h)
-	if 2*len(t.hashes) <= len(t.slots) {
-		t.slots[s] = g + 1
+	ix.hashes = append(ix.hashes, h)
+	if 2*len(ix.hashes) <= len(ix.slots) {
+		ix.slots[s] = g + 1
 		return g
 	}
-	t.slots = make([]int32, 2*len(t.slots))
-	mask = len(t.slots) - 1
-	for g, h := range t.hashes {
+	ix.slots = make([]int32, 2*len(ix.slots))
+	mask = len(ix.slots) - 1
+	for g, h := range ix.hashes {
 		s := int(h >> bits.LeadingZeros64(uint64(mask)))
-		for t.slots[s] != 0 {
+		for ix.slots[s] != 0 {
 			s = (s + 1) & mask
 		}
-		t.slots[s] = int32(g) + 1
+		ix.slots[s] = int32(g) + 1
 	}
 	return g
 }
 
-// equal reports whether tuple m of q is group g's key: per key column,
+// equal reports whether tuple m of q is entry g's key: per key column,
 // the same null bit and the same form.
-func (t *groupTable) equal(q []colVec, m int, g int32) bool {
+func (ix *keyIndex) equal(q []colVec, m int, g int32) bool {
 	for k := range q {
-		c, x := &t.keys[k], &q[k]
+		c, x := &ix.keys[k], &q[k]
 		if c.null(int(g)) != x.null(m) || c.typ == value.Integer && c.ints[g] != x.ints[m] ||
 			c.typ != value.Integer && c.strs[g] != x.strs[m] {
 			return false
@@ -977,7 +1042,7 @@ func (t *groupTable) equal(q []colVec, m int, g int32) bool {
 
 // rowKey puts the key form of the row in ctx in t.row, a one-tuple
 // probe, as gather puts a batch's, and returns its hash. An expression's
-// form is its value.AppendKey bytes, a String.
+// form is its value.AppendKey bytes, scratch bytes as a version's are.
 func (t *groupTable) rowKey(ctx *execCtx) (uint64, error) {
 	p := t.p
 	if t.row == nil {
@@ -985,6 +1050,9 @@ func (t *groupTable) rowKey(ctx *execCtx) (uint64, error) {
 		for k := range t.row.q {
 			q := &t.row.q[k]
 			q.typ, q.ints, q.strs, q.nulls = keyForm(p.keyType(k)), make([]int64, 1), make([]string, 1), make([]uint64, 1)
+			if p.keyCols[k] < 0 {
+				q.typ = value.Version // scratch bytes
+			}
 		}
 	}
 	var h uint64

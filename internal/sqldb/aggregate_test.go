@@ -87,12 +87,11 @@ func aggTestRow(k int) (g, w, row string) {
 // aggTestStmt is one statement of the agreement matrix: as the single-
 // table drivers run it, and over the join, where the numeric key and
 // the argument w come from the build side. kernel says whether the
-// vector planners must accept it, inOrder whether an aggregate's state
-// does not merge, and multiKey whether it groups by more than one key:
-// either makes the fused join path decline it.
+// vector planners must accept it, and inOrder whether an aggregate's
+// state does not merge, which makes the fused join path decline it.
 type aggTestStmt struct {
-	sql, joinSQL              string
-	kernel, inOrder, multiKey bool
+	sql, joinSQL    string
+	kernel, inOrder bool
 }
 
 const aggTestJoin = "t JOIN kt ON t.k = kt.k2"
@@ -204,11 +203,10 @@ func aggTestStatements() (stmts []aggTestStmt) {
 					continue
 				}
 				stmts = append(stmts, aggTestStmt{
-					sql:      "SELECT " + key.sel + strings.Join(l.plain, ", ") + " FROM t" + v.where + key.group,
-					joinSQL:  "SELECT " + key.joinSel + strings.Join(l.join, ", ") + " FROM " + aggTestJoin + v.where + key.joinGroup,
-					kernel:   l.kernel,
-					inOrder:  l.inOrder,
-					multiKey: strings.Contains(key.group, ","),
+					sql:     "SELECT " + key.sel + strings.Join(l.plain, ", ") + " FROM t" + v.where + key.group,
+					joinSQL: "SELECT " + key.joinSel + strings.Join(l.join, ", ") + " FROM " + aggTestJoin + v.where + key.joinGroup,
+					kernel:  l.kernel,
+					inOrder: l.inOrder,
 				})
 			}
 		}
@@ -287,7 +285,7 @@ func TestAggDriversAgree(t *testing.T) {
 	for si, st := range stmts {
 		// The planners' decision is part of the contract: a statement of
 		// kernel aggregates over plain-column keys runs vectorized (and,
-		// with at most one key, join-fused), one with any other does not.
+		// when every state merges, join-fused), one with any other does not.
 		plan := func(sql string) *compiledSelect {
 			p, err := v4.state.Load().planSelect(mustParseSelect(t, sql))
 			if err != nil {
@@ -298,7 +296,7 @@ func TestAggDriversAgree(t *testing.T) {
 		if p := plan(st.sql); (p.vec != nil) != st.kernel {
 			t.Errorf("%q: vectorized plan = %v, want %v", st.sql, p.vec != nil, st.kernel)
 		}
-		fused := st.kernel && !st.inOrder && !st.multiKey
+		fused := st.kernel && !st.inOrder
 		if p := plan(st.joinSQL); p.vecJoin == nil || p.vecJoin.fused != fused {
 			t.Errorf("%q: join-fused plan = %v, want %v", st.joinSQL, p.vecJoin != nil && p.vecJoin.fused, fused)
 		}

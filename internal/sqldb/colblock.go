@@ -131,6 +131,10 @@ const (
 	blkEncDict
 )
 
+// blkDictMaxCard caps a dictionary-encoded block's distinct strings:
+// past it a dictionary no longer pays for itself.
+const blkDictMaxCard = 1024
+
 func encName(e uint8) string {
 	switch e {
 	case blkEncRaw:
@@ -337,7 +341,7 @@ func encodeStrs(v *colVec, payload []byte, meta *blockMeta) (uint8, []byte) {
 	ok := true
 	for _, s := range v.strs {
 		if _, seen := idx[s]; !seen {
-			if len(vals) >= colDictMaxCard {
+			if len(vals) >= blkDictMaxCard {
 				ok = false
 				break
 			}

@@ -106,7 +106,8 @@ func (e *execEnv) workerCount() int {
 // Integer, Boolean (as 0/1) and Timestamp (as Unix nanoseconds) use
 // ints, Float uses floats, String and Version use strs (the raw datum,
 // not the display form). A colVec is immutable after build and shared
-// freely between concurrent readers.
+// freely between concurrent readers. A keyIndex (aggregate.go) keeps its
+// entries' key forms in colVecs too, its own and growing with it.
 type colVec struct {
 	typ    value.Type
 	ints   []int64
@@ -117,51 +118,6 @@ type colVec struct {
 	// the branch kernels test first).
 	nulls []uint64
 	bytes int
-
-	// Lazily built dictionary encoding for string vectors used as join
-	// keys: dictCodes[i] indexes dictVals (-1 for NULL). See dict().
-	dictOnce  sync.Once
-	dictCodes []int32
-	dictVals  []string
-}
-
-// colDictMaxCard caps dictionary cardinality: past it a dictionary no
-// longer beats a hash table, and the cap also bounds the encoding at 4
-// bytes/row + 16 KiB of headers — well inside the 16 bytes/row the
-// string vector itself is accounted at, so the LRU byte count stays
-// honest without resizing entries after publication.
-const colDictMaxCard = 1024
-
-// dict returns the chunk-local dictionary encoding of a string vector,
-// building it on first use (sync.Once makes the build safe between
-// concurrent morsel workers). A hash join over a dictionary hashes each
-// distinct value once per chunk instead of once per row. Returns nil
-// codes when the column's cardinality exceeds colDictMaxCard; callers
-// fall back to per-row hashing.
-func (v *colVec) dict() ([]int32, []string) {
-	v.dictOnce.Do(func() {
-		idx := make(map[string]int32, 64)
-		codes := make([]int32, len(v.strs))
-		var vals []string
-		for i, s := range v.strs {
-			if v.null(i) {
-				codes[i] = -1
-				continue
-			}
-			c, ok := idx[s]
-			if !ok {
-				if len(vals) >= colDictMaxCard {
-					return // high cardinality: dictionary not worth it
-				}
-				c = int32(len(vals))
-				vals = append(vals, s)
-				idx[s] = c
-			}
-			codes[i] = c
-		}
-		v.dictCodes, v.dictVals = codes, vals
-	})
-	return v.dictCodes, v.dictVals
 }
 
 // null reports whether row i of the vector is NULL.

@@ -2,39 +2,42 @@ package sqldb
 
 // Vectorized hash-join execution path.
 //
-// When a SELECT is a single equi-join over two base tables — one key
-// of hashJoinCols's and nothing else, both columns of one type — the
+// When a SELECT is a single equi-join over two base tables — keys of
+// hashJoinCols's and nothing else, each pair of columns of one type — the
 // planner attaches a vecJoinPlan and runSelect executes the join
-// columnar instead of row-at-a-time: the build side (the joined table)
-// is ingested from typed column-cache vectors into a compact
-// open-addressing hash table keyed on int64 datums / value.FloatBits /
-// string datums (no per-row key strings, no []Row buckets), and the
-// probe side runs morsel-parallel over the probe table's vectors,
-// producing (probe row, build ordinal) selection-vector pairs. Payload
-// columns are materialized late: only the key and any pushed-filter
-// columns are decoded during the probe, and the pairs either feed
-// aggregate kernels directly (fused mode, no joined rows ever built)
-// or materialize output rows afterwards.
+// columnar instead of row-at-a-time. The build side (the joined table)
+// runs its key columns, typed column-cache vectors, through a keyIndex
+// (aggregate.go), the index a groupTable finds its groups in: each
+// distinct key is an entry, and the build ordinals are counting-sorted by
+// entry (no per-row key strings, no []Row buckets). The probe side runs
+// morsel-parallel over the probe table's vectors, looks its key columns
+// up in the same index without opening entries, and produces (probe row,
+// build ordinal) selection-vector pairs. Payload columns are
+// materialized late: only the key and any pushed-filter columns are
+// decoded during the probe, and the pairs either feed aggregate kernels
+// directly (fused mode, no joined rows ever built) or materialize output
+// rows afterwards.
 //
-// On top of the table the build phase derives a semi-join filter — a
-// two-probe Bloom filter plus the build keys' min/max — and pushes it
-// into the probe scan at two granularities: per probe row (range test
-// + Bloom test before the hash probe) and per compressed block, where
-// it composes with the PR 6 zone maps so a cold block whose key range
-// cannot intersect the build side is skipped before decompression.
+// The build phase also keeps each key column's least and greatest key, a
+// semi-join filter the probe scan asks per compressed block, where it
+// composes with the PR 6 zone maps: a cold block whose key range cannot
+// intersect the build side's in some key column is skipped before
+// decompression, and a narrow integer range of a one-key join is looked
+// up value by value.
 //
-// Semantics are the row engine's exactly: NULL keys never join (on
-// either side), keys match by value.Compare's equality (a NaN joins
-// only the NaNs, −0.0 joins 0.0: value.FloatBits), and output order is
-// probe scan order crossed with ascending build-side ordinals per key
-// (the insertion order the row engine's map buckets preserve). Partials
-// merge in morsel index order, so results are byte-identical at any
-// worker count. The row path remains the fallback and the semantic
-// reference; the differential fuzzer holds the two equal.
+// Semantics are the row engine's exactly: a tuple with a NULL key never
+// joins (on either side), keys match by value.Compare's equality (a NaN
+// joins only the NaNs, −0.0 joins 0.0, '1.2' joins '01.2': keyForm), and
+// output order is probe scan order crossed with ascending build-side
+// ordinals per key (the insertion order the row engine's map buckets
+// preserve). Partials merge in morsel index order, so results are
+// byte-identical at any worker count. The row path remains the fallback —
+// for a residual ON conjunct, an Integer key against a Float one, and
+// anything but one join of two base tables — and the semantic reference;
+// the differential fuzzer holds the two equal.
 
 import (
 	"cmp"
-	"hash/maphash"
 	"math"
 	"slices"
 	"sort"
@@ -43,23 +46,22 @@ import (
 )
 
 // joinBloomRangeProbe caps the width of an integer key block's
-// [min, max] range below which every candidate value is tested against
-// the Bloom filter: a block whose narrow range overlaps the build
-// min/max can still be skipped when none of its possible keys is in
-// the build set.
+// [min, max] range below which every candidate value is looked up in the
+// build side's index: a block whose narrow range overlaps the build
+// min/max can still be skipped when none of its possible keys is a build
+// key.
 const joinBloomRangeProbe = 256
 
 // vecJoinPlan is the vectorized form of a qualifying single equi-join,
 // attached to its compiledSelect and cached/invalidated with it. It
 // holds only shape (table keys, column offsets, compiled predicates);
-// the hash table and Bloom filter are data-dependent and built per
-// execution.
+// the build side's index is data-dependent and built per execution.
 type vecJoinPlan struct {
-	leftKey, rightKey string // lower-cased table names (probe, build)
-	li                int    // key column in the left (probe) scan schema
-	ri                int    // key column in the right (build) table schema
-	nLeft             int    // width of the left scan schema
-	keyType           value.Type
+	leftKey, rightKey string       // lower-cased table names (probe, build)
+	li                []int        // key columns in the left (probe) scan schema
+	ri                []int        // key columns in the right (build) table schema, pairwise
+	keyTypes          []value.Type // the key pairs' types
+	nLeft             int          // width of the left scan schema
 	leftOuter         bool
 
 	// pred is the WHERE clause pushed below the join: compiled against
@@ -75,11 +77,11 @@ type vecJoinPlan struct {
 
 	needL []int // probe-side columns hydrated during the scan
 
-	// Fused aggregation: when the query is grouped with at most one
-	// plain-column group key and batchable aggregates, the probe pairs
-	// feed partial group tables directly (aggregate.go's addBatch) and no
-	// joined row is ever materialized; otherwise the join materializes a
-	// relation and the row loops finish the query.
+	// Fused aggregation: when the query is grouped by plain columns with
+	// batchable aggregates, the probe pairs feed partial group tables
+	// directly (aggregate.go's addBatch) and no joined row is ever
+	// materialized; otherwise the join materializes a relation and the
+	// row loops finish the query.
 	fused bool
 	needR []int // build-side columns needed as table-flat vectors
 	// fusedLeft is true when fused aggregation reads probe-side column
@@ -114,35 +116,35 @@ func (sn *snapshot) planVecJoin(st *SelectStmt, p *compiledSelect, where *texpr)
 		return nil
 	}
 	k, ok := hashJoinCols(jc.On, ls, rs)
-	if !ok || len(k.l) != 1 || k.filtered {
-		return nil
-	}
-	li, ri := k.l[0], k.r[0]
-	// The kernels key typed datums of one type: decline an Integer
-	// against a Float (one key class, two datum types), and a Version,
-	// whose datum is not its key (its components are).
-	kt := ls[li].Type
-	if kt != rs[ri].Type || kt == value.Version {
+	if !ok || k.filtered {
 		return nil
 	}
 	jp := &vecJoinPlan{
 		leftKey:  lower(st.From[0].Table),
 		rightKey: lower(jc.Right.Table),
-		li:       li, ri: ri, nLeft: len(ls),
-		keyType:   kt,
+		li:       k.l, ri: k.r, nLeft: len(ls),
 		leftOuter: jc.Left,
+	}
+	// The index keys the datums of one type: an Integer against a Float
+	// (one key class, two datum types) declines.
+	need := map[int]bool{}
+	for i, li := range k.l {
+		if ls[li].Type != rs[k.r[i]].Type {
+			return nil
+		}
+		jp.keyTypes = append(jp.keyTypes, ls[li].Type)
+		need[li] = true
 	}
 	// The WHERE clause was typed against the JOINED schema, so name
 	// resolution (including ambiguity errors) matches the row engine; it
 	// is pushed only when every column it reads is probe-side.
-	need := map[int]bool{li: true}
 	if where != nil {
 		jp.hasWhere = true
 		if where.total && !slices.ContainsFunc(where.columns(), func(ci int) bool { return ci >= jp.nLeft }) {
 			jp.pred, jp.zone = where.vec(len(p.srcSchema), need)
 		}
 	}
-	jp.planFused(st, p, need)
+	jp.planFused(p, need)
 	for ci := range need {
 		if ci < jp.nLeft {
 			jp.needL = append(jp.needL, ci)
@@ -154,11 +156,11 @@ func (sn *snapshot) planVecJoin(st *SelectStmt, p *compiledSelect, where *texpr)
 }
 
 // planFused qualifies the fused-aggregation mode: grouped query, WHERE
-// absent or pushed, at most one group key, and keys and aggregates that
-// addBatch can run. Declining only costs fusion — the join still runs
-// vectorized and materializes a relation for the row loops.
-func (jp *vecJoinPlan) planFused(st *SelectStmt, p *compiledSelect, need map[int]bool) {
-	if !p.grouped || (jp.hasWhere && jp.pred == nil) || len(st.GroupBy) > 1 {
+// absent or pushed, and keys and aggregates that addBatch can run.
+// Declining only costs fusion — the join still runs vectorized and
+// materializes a relation for the row loops.
+func (jp *vecJoinPlan) planFused(p *compiledSelect, need map[int]bool) {
+	if !p.grouped || (jp.hasWhere && jp.pred == nil) {
 		return
 	}
 	// Fusion merges per-morsel partial tables: an aggregate whose state
@@ -180,311 +182,149 @@ func (jp *vecJoinPlan) planFused(st *SelectStmt, p *compiledSelect, need map[int
 
 // ------------------------------------------------------ build side
 
-// joinHash is the build-side structure: an open-addressing hash table
-// whose buckets are counting-sorted ranges of build-row ordinals, plus
-// the semi-join filter (Bloom bits and key min/max). Slot i is empty
-// when counts[i] == 0; a bucket's ordinals sit at rows[starts[i] :
-// starts[i]+counts[i]] in build scan order, which reproduces the
-// insertion order of the row engine's map buckets.
+// joinHash is the build side: the keyIndex of its distinct keys, entry
+// e's build ordinals at rows[starts[e]:starts[e+1]] in build scan order,
+// which reproduces the insertion order of the row engine's map buckets,
+// and per key column the least and the greatest key, the semi-join
+// filter of the block scan.
 type joinHash struct {
-	mask   uint64
-	keysI  []int64 // Integer/Boolean/Timestamp datums, or value.FloatBits
-	keysS  []string
-	full   []bool // slot occupancy; counts alone can lag a claim
-	counts []int32
-	starts []int32
-	rows   []int32
+	keyIndex
+	starts, rows []int32
+	bounds       []keyBounds
+}
 
-	bloomMask uint64
-	bloom     []uint64
-
-	n          int // non-NULL build keys
-	hasMM      bool
+// keyBounds are one key column's least and greatest build key, in
+// value.Compare's order, in which a NaN is the least float: in ints for
+// an integer, boolean or timestamp key, floats for a float key and strs
+// for a string key. A version key has none.
+type keyBounds struct {
 	minI, maxI int64
 	minF, maxF float64
 	minS, maxS string
-
-	seed maphash.Seed
 }
 
-func mix64(x uint64) uint64 {
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	x *= 0xc4ceb9fe1a85ec53
-	x ^= x >> 33
-	return x
-}
-
-func nextPow2(n int) int {
-	p := 1
-	for p < n {
-		p <<= 1
-	}
-	return p
-}
-
-func (h *joinHash) hashStr(s string) uint64 { return maphash.String(h.seed, s) }
-
-func (h *joinHash) bloomSet(hv uint64) {
-	b1 := hv & h.bloomMask
-	b2 := (hv>>17 | hv<<47) & h.bloomMask
-	h.bloom[b1>>6] |= 1 << (b1 & 63)
-	h.bloom[b2>>6] |= 1 << (b2 & 63)
-}
-
-func (h *joinHash) bloomHas(hv uint64) bool {
-	b1 := hv & h.bloomMask
-	b2 := (hv>>17 | hv<<47) & h.bloomMask
-	return h.bloom[b1>>6]&(1<<(b1&63)) != 0 && h.bloom[b2>>6]&(1<<(b2&63)) != 0
-}
-
-// slotI finds the slot of an int64-classed key, claiming an empty slot
-// when insert is true; fresh reports a new claim. Returns slot -1 for
-// a probe miss.
-func (h *joinHash) slotI(k int64, insert bool) (slot int, fresh bool) {
-	i := mix64(uint64(k)) & h.mask
-	for {
-		if !h.full[i] {
-			if !insert {
-				return -1, false
-			}
-			h.full[i] = true
-			h.keysI[i] = k
-			return int(i), true
-		}
-		if h.keysI[i] == k {
-			return int(i), false
-		}
-		i = (i + 1) & h.mask
-	}
-}
-
-func (h *joinHash) slotS(k string, insert bool) (slot int, fresh bool) {
-	i := h.hashStr(k) & h.mask
-	for {
-		if !h.full[i] {
-			if !insert {
-				return -1, false
-			}
-			h.full[i] = true
-			h.keysS[i] = k
-			return int(i), true
-		}
-		if h.keysS[i] == k {
-			return int(i), false
-		}
-		i = (i + 1) & h.mask
-	}
-}
-
-// intKeyAt converts build key vector row i into its int64-classed
-// datum (Integer/Boolean/Timestamp value, or value.FloatBits).
-func intKeyAt(v *colVec, i int, kt value.Type) int64 {
-	if kt == value.Float {
-		return int64(value.FloatBits(v.floats[i]))
-	}
-	return v.ints[i]
-}
-
-// buildJoinHash ingests the build table's key column — from its typed
-// column-cache vectors, chunk by chunk — into the hash table and
-// semi-join filter. NULL keys are skipped outright (they can never
-// match). The error is the build table's, cold and failing to hydrate.
+// buildJoinHash runs the build table's key columns — its typed
+// column-cache vectors, chunk by chunk — through the index once, in build
+// scan order, and counting-sorts the build ordinals by the entry each
+// found. A row with a NULL key never enters it: it can never match. The
+// error is the build table's, cold and failing to hydrate.
 func buildJoinHash(env *execEnv, jp *vecJoinPlan, rt *table) (*joinHash, error) {
 	if err := rt.hydrate(); err != nil {
 		return nil, err
 	}
-	list := rt.builtChunks()
-	kvs := make([]*colVec, len(list))
-	for i, ch := range list {
-		kvs[i] = env.cache.colFor(ch, jp.ri, jp.keyType)
+	h := &joinHash{keyIndex: newKeyIndex(jp.keyTypes, rt.nrows)}
+	pr := probePool.Get().(*probe)
+	defer probePool.Put(pr)
+	bufs := morselBufPool.Get().(*morselBufs)
+	defer morselBufPool.Put(bufs)
+	var few [4]keyVec
+	keys := few[:0]
+	for range jp.ri {
+		keys = append(keys, keyVec{})
 	}
-	h := &joinHash{seed: maphash.MakeSeed()}
-	slots := nextPow2(max(4, 2*rt.nrows))
-	h.mask = uint64(slots - 1)
-	h.full = make([]bool, slots)
-	h.counts = make([]int32, slots)
-	if jp.keyType == value.String {
-		h.keysS = make([]string, slots)
-	} else {
-		h.keysI = make([]int64, slots)
-	}
-	bloomBits := nextPow2(max(64, 10*rt.nrows))
-	h.bloomMask = uint64(bloomBits - 1)
-	h.bloom = make([]uint64, bloomBits/64)
-
-	// Pass 1: claim slots, count duplicates, set Bloom bits, track the
-	// key min/max. String chunks with a dictionary hash each distinct
-	// value once instead of once per row.
-	for ci, kv := range kvs {
-		n := list[ci].len()
-		if jp.keyType == value.String {
-			if codes, vals := kv.dict(); codes != nil {
-				slotOf := make([]int32, len(vals))
-				for c, s := range vals {
-					slot, fresh := h.slotS(s, true)
-					if fresh {
-						h.bloomSet(h.hashStr(s))
-						widen(h, &h.minS, &h.maxS, s)
-					}
-					slotOf[c] = int32(slot)
-				}
-				for i := range n {
-					c := codes[i]
-					if c < 0 {
-						continue
-					}
-					h.counts[slotOf[c]]++
-					h.n++
-				}
-				continue
-			}
-			for i := range n {
-				if kv.null(i) {
-					continue
-				}
-				s := kv.strs[i]
-				slot, fresh := h.slotS(s, true)
-				if fresh {
-					h.bloomSet(h.hashStr(s))
-					widen(h, &h.minS, &h.maxS, s)
-				}
-				h.counts[slot]++
-				h.n++
-			}
-			continue
+	ent := make([]int32, 0, rt.nrows) // build ordinal → entry, −1 for a NULL key
+	for _, ch := range rt.builtChunks() {
+		for k, ci := range jp.ri {
+			keys[k].v = env.cache.colFor(ch, ci, jp.keyTypes[k])
 		}
-		for i := range n {
-			if kv.null(i) {
-				continue
-			}
-			k := intKeyAt(kv, i, jp.keyType)
-			slot, fresh := h.slotI(k, true)
-			if fresh {
-				h.bloomSet(mix64(uint64(k)))
-				if jp.keyType == value.Float {
-					widen(h, &h.minF, &h.maxF, kv.floats[i])
-				} else {
-					widen(h, &h.minI, &h.maxI, k)
+		// A window of rows at a time: those without a NULL key are looked
+		// up.
+		base := len(ent)
+		for lo := 0; lo < ch.len(); lo += vecMorselRows {
+			sel := bufs.sel[:0]
+			for i := lo; i < min(lo+vecMorselRows, ch.len()); i++ {
+				ent = append(ent, -1)
+				if !slices.ContainsFunc(keys, func(kv keyVec) bool { return kv.v.null(i) }) {
+					sel = append(sel, int32(i))
 				}
 			}
-			h.counts[slot]++
-			h.n++
+			pr.at = pr.at[:0]
+			for j := range sel {
+				pr.at = append(pr.at, int32(j))
+			}
+			for k := range keys {
+				keys[k].pos = sel
+			}
+			for j, e := range h.lookup(keys, pr, true) {
+				ent[base+int(sel[j])] = e
+			}
 		}
 	}
-
-	// Prefix-sum the bucket starts, then fill rows in build scan order:
-	// every bucket's ordinals come out ascending, matching the append
-	// order of the row engine's map buckets.
-	h.starts = make([]int32, slots)
-	run := int32(0)
-	for i, c := range h.counts {
-		h.starts[i] = run
-		run += c
+	// Bucket e runs from starts[e] to starts[e+1]; filled in ordinal
+	// order, every bucket's ordinals come out ascending.
+	n := len(h.hashes)
+	h.starts = make([]int32, n+1)
+	for _, e := range ent {
+		if e >= 0 {
+			h.starts[e+1]++
+		}
 	}
-	h.rows = make([]int32, run)
-	next := append([]int32(nil), h.starts...)
-	g := int32(0)
-	for ci, kv := range kvs {
-		for i := range list[ci].len() {
-			if kv.null(i) {
-				g++
-				continue
+	for e := range n {
+		h.starts[e+1] += h.starts[e]
+	}
+	h.rows = make([]int32, h.starts[n])
+	next := slices.Clone(h.starts[:n])
+	for o, e := range ent {
+		if e >= 0 {
+			h.rows[next[e]] = int32(o)
+			next[e]++
+		}
+	}
+	h.bounds = make([]keyBounds, len(jp.keyTypes))
+	if n == 0 {
+		return h, nil
+	}
+	for k, kt := range jp.keyTypes {
+		c, b := &h.keys[k], &h.bounds[k]
+		switch kt {
+		case value.Integer, value.Boolean, value.Timestamp:
+			b.minI, b.maxI = slices.Min(c.ints), slices.Max(c.ints)
+		case value.Float:
+			fs := make([]float64, n)
+			for e, x := range c.ints {
+				fs[e] = math.Float64frombits(uint64(x))
 			}
-			var slot int
-			if jp.keyType == value.String {
-				slot, _ = h.slotS(kv.strs[i], false)
-			} else {
-				slot, _ = h.slotI(intKeyAt(kv, i, jp.keyType), false)
-			}
-			h.rows[next[slot]] = g
-			next[slot]++
-			g++
+			b.minF, b.maxF = slices.MinFunc(fs, cmp.Compare[float64]), slices.MaxFunc(fs, cmp.Compare[float64])
+		case value.String:
+			b.minS, b.maxS = slices.Min(c.strs), slices.Max(c.strs)
 		}
 	}
 	return h, nil
 }
 
-// widen stretches the build keys' [lo, hi] to x, in value.Compare's
-// order, in which a NaN is the least float; the first key opens it.
-func widen[T cmp.Ordered](h *joinHash, lo, hi *T, x T) {
-	if !h.hasMM || cmp.Less(x, *lo) {
-		*lo = x
-	}
-	if !h.hasMM || cmp.Less(*hi, x) {
-		*hi = x
-	}
-	h.hasMM = true
-}
-
-// lookupI returns the bucket range for an int64-classed probe key,
-// with the min/max and Bloom semi-join tests applied first.
-func (h *joinHash) lookupI(k int64, kt value.Type) (int32, int32) {
-	if kt == value.Float {
-		if f := math.Float64frombits(uint64(k)); !h.hasMM || cmp.Less(f, h.minF) || cmp.Less(h.maxF, f) {
-			return 0, 0
-		}
-	} else if !h.hasMM || k < h.minI || k > h.maxI {
-		return 0, 0
-	}
-	if !h.bloomHas(mix64(uint64(k))) {
-		return 0, 0
-	}
-	slot, _ := h.slotI(k, false)
-	if slot < 0 {
-		return 0, 0
-	}
-	return h.starts[slot], h.starts[slot] + h.counts[slot]
-}
-
-func (h *joinHash) lookupS(k string) (int32, int32) {
-	if !h.hasMM || k < h.minS || k > h.maxS {
-		return 0, 0
-	}
-	if !h.bloomHas(h.hashStr(k)) {
-		return 0, 0
-	}
-	slot, _ := h.slotS(k, false)
-	if slot < 0 {
-		return 0, 0
-	}
-	return h.starts[slot], h.starts[slot] + h.counts[slot]
-}
-
-// keyZoneMiss reports whether a probe block's key zone map proves no
-// row of the block can find a build match: every key NULL, the block
-// range disjoint from the build min/max, or — for a narrow integer
-// range — no candidate value present in the Bloom filter. Exact in one
-// direction only: false never means "will match".
-func (h *joinHash) keyZoneMiss(km *blockMeta, kt value.Type) bool {
+// keyZoneMiss reports whether a probe block's zone map km of key column
+// k proves no row of the block can find a build match: every key NULL,
+// no build key, the block range disjoint from the build keys', or — for
+// a narrow range of a one-key integer join — no candidate value in the
+// index. Exact in one direction only: false never means "will match".
+func (h *joinHash) keyZoneMiss(km *blockMeta, k int, kt value.Type) bool {
 	if km == nil {
 		return false
 	}
-	if !km.HasMM && !km.HasNaN || h.n == 0 {
+	if !km.HasMM && !km.HasNaN || len(h.hashes) == 0 {
 		return true // every key NULL, or no build key
 	}
+	b := &h.bounds[k]
 	switch kt {
 	case value.Integer, value.Boolean, value.Timestamp:
-		if km.MaxI < h.minI || km.MinI > h.maxI {
+		if km.MaxI < b.minI || km.MinI > b.maxI {
 			return true
 		}
-		if kt == value.Integer {
-			if w := km.MaxI - km.MinI; w >= 0 && w < joinBloomRangeProbe {
-				for v := km.MinI; v <= km.MaxI; v++ {
-					if h.bloomHas(mix64(uint64(v))) {
-						return false
-					}
+		if w := km.MaxI - km.MinI; kt == value.Integer && len(h.keys) == 1 && w >= 0 && w < joinBloomRangeProbe {
+			q := []colVec{{typ: value.Integer, ints: []int64{0}}}
+			for x := km.MinI; x <= km.MaxI; x++ {
+				if q[0].ints[0] = x; h.find(q, 0, uint64(x)*keyMul, false) >= 0 {
+					return false
 				}
-				return true
 			}
+			return true
 		}
 	case value.Float:
-		if lo, hi := floatBounds(km); cmp.Less(hi, h.minF) || cmp.Less(h.maxF, lo) {
+		if lo, hi := floatBounds(km); cmp.Less(hi, b.minF) || cmp.Less(b.maxF, lo) {
 			return true
 		}
 	case value.String:
-		if km.MaxS < h.minS || km.MinS > h.maxS {
+		if km.MaxS < b.minS || km.MinS > b.maxS {
 			return true
 		}
 	}
@@ -605,85 +445,43 @@ func (sn *snapshot) runVecJoin(st *SelectStmt, p *compiledSelect) (*Result, *rel
 			}
 			return pl, pr
 		}
+		// The tuples: the positions the pushed filter keeps, all of them
+		// without one. A NULL key finds no entry: the build side has none.
 		var mask []bool
 		if jp.pred != nil {
 			mask = bufs.mask[:n]
 			jp.pred(cv, lo, mask)
 		}
-		pl = make([]int32, 0, n)
-		pr = make([]int32, 0, n)
-		emit := func(i int, blo, bhi int32) {
-			if blo == bhi {
-				if jp.leftOuter {
-					pl = append(pl, int32(i))
-					pr = append(pr, -1)
-				}
-				return
-			}
-			for r := blo; r < bhi; r++ {
-				pl = append(pl, int32(i))
-				pr = append(pr, h.rows[r])
+		sel := bufs.sel[:0]
+		for i := lo; i < hi; i++ {
+			if mask == nil || mask[i-lo] {
+				sel = append(sel, int32(i))
 			}
 		}
-		kv := cv[jp.li]
-		switch jp.keyType {
-		case value.String:
-			if codes, vals := kv.dict(); codes != nil {
-				// Dictionary probe: one hash lookup per distinct value,
-				// then an array read per row.
-				type rng struct{ lo, hi int32 }
-				lut := make([]rng, len(vals))
-				for c, s := range vals {
-					blo, bhi := h.lookupS(s)
-					lut[c] = rng{blo, bhi}
+		var few [4]keyVec
+		keys := few[:0]
+		for _, ci := range jp.li {
+			keys = append(keys, keyVec{cv[ci], sel})
+		}
+		q := probePool.Get().(*probe)
+		defer probePool.Put(q)
+		q.at = q.at[:0]
+		for j := range sel {
+			q.at = append(q.at, int32(j))
+		}
+		pl = make([]int32, 0, n)
+		pr = make([]int32, 0, n)
+		for j, e := range h.lookup(keys, q, false) {
+			if e < 0 {
+				if jp.leftOuter {
+					pl = append(pl, sel[j])
+					pr = append(pr, -1)
 				}
-				for i := lo; i < hi; i++ {
-					if mask != nil && !mask[i-lo] {
-						continue
-					}
-					c := codes[i]
-					if c < 0 {
-						emit(i, 0, 0) // NULL never joins; LEFT pads
-						continue
-					}
-					emit(i, lut[c].lo, lut[c].hi)
-				}
-				return pl, pr
+				continue
 			}
-			for i := lo; i < hi; i++ {
-				if mask != nil && !mask[i-lo] {
-					continue
-				}
-				if kv.null(i) {
-					emit(i, 0, 0)
-					continue
-				}
-				blo, bhi := h.lookupS(kv.strs[i])
-				emit(i, blo, bhi)
-			}
-		case value.Float:
-			for i := lo; i < hi; i++ {
-				if mask != nil && !mask[i-lo] {
-					continue
-				}
-				if kv.null(i) {
-					emit(i, 0, 0)
-					continue
-				}
-				blo, bhi := h.lookupI(int64(value.FloatBits(kv.floats[i])), value.Float)
-				emit(i, blo, bhi)
-			}
-		default: // Integer, Boolean, Timestamp
-			for i := lo; i < hi; i++ {
-				if mask != nil && !mask[i-lo] {
-					continue
-				}
-				if kv.null(i) {
-					emit(i, 0, 0)
-					continue
-				}
-				blo, bhi := h.lookupI(kv.ints[i], jp.keyType)
-				emit(i, blo, bhi)
+			for _, r := range h.rows[h.starts[e]:h.starts[e+1]] {
+				pl = append(pl, sel[j])
+				pr = append(pr, r)
 			}
 		}
 		return pl, pr
@@ -778,7 +576,7 @@ func (sn *snapshot) runVecJoin(st *SelectStmt, p *compiledSelect) (*Result, *rel
 // anything is decoded: skip — no pair can come of it, because the WHERE
 // clause pushed below the join (valid for INNER and LEFT alike) rejects
 // every row, or an inner join's keys all miss the build side's
-// key range and Bloom filter; padAll — a LEFT join's block whose keys all
+// (joinHash.keyZoneMiss); padAll — a LEFT join's block whose keys all
 // miss, with no pushed filter or fused kernel to decode for, emits a pad
 // per row undecoded. Either is a block skipped, at run time and in
 // EXPLAIN; a fresh chunk's window is neither.
@@ -794,13 +592,17 @@ func (jp *vecJoinPlan) prune(h *joinHash, m *morsel) (skip, padAll bool) {
 		}
 		return m.meta(ci)
 	}
-	switch {
-	case jp.zone != nil && jp.zone(meta):
+	if jp.zone != nil && jp.zone(meta) {
 		return true, false
-	case !h.keyZoneMiss(meta(jp.li), jp.keyType):
-		return false, false
 	}
-	return !jp.leftOuter, jp.leftOuter && jp.padAllOK()
+	// A tuple with a NULL in any key column matches nothing: the block
+	// misses when any key column does.
+	for k, ci := range jp.li {
+		if h.keyZoneMiss(meta(ci), k, jp.keyTypes[k]) {
+			return !jp.leftOuter, jp.leftOuter && jp.padAllOK()
+		}
+	}
+	return false, false
 }
 
 // vecJoinBlockSkips counts how many of the probe table's blocks the

@@ -47,10 +47,10 @@ func benchJoinDB(b *testing.B, probeRows, buildRows int) *DB {
 	return db
 }
 
-// BenchmarkVectorHashJoin is the ISSUE 10 acceptance benchmark: a
-// 1M-probe/100k-build equi-join with a grouped aggregate, row engine
-// vs vectorized hash join at GOMAXPROCS=1 (bench.sh pins the proc
-// count and records both in BENCH_PR10.json; the bar is >=2x).
+// BenchmarkVectorHashJoin is a 1M-probe/100k-build equi-join with a
+// grouped aggregate, row engine vs vectorized hash join; the bar is
+// vec >= 2x row at GOMAXPROCS=1, the proc count CI's "Vectorized
+// hash-join benchmarks" step pins.
 func BenchmarkVectorHashJoin(b *testing.B) {
 	const sql = "SELECT probe.g, COUNT(*), SUM(build.w) FROM probe JOIN build ON probe.k = build.k GROUP BY probe.g"
 	for _, mode := range []string{"row", "vec"} {
@@ -178,6 +178,47 @@ func BenchmarkColdJoinProbe(b *testing.B) {
 			s1, k1 := db.BlockStats()
 			b.ReportMetric(float64(s1-s0)/float64(b.N), "scanned/op")
 			b.ReportMetric(float64(k1-k0)/float64(b.N), "skipped/op")
+		})
+	}
+}
+
+// BenchmarkRelateJoin measures the relating operator of the paper's
+// Fig. 8 query as the query engine states it (internal/query, operator
+// percentof): two 24-row vectors, one row per (op, S_chunk), joined on
+// both parameters into a temporary table, ordered by them. Each
+// iteration also drops the table it made.
+func BenchmarkRelateJoin(b *testing.B) {
+	const relate = "CREATE TEMP TABLE rel AS SELECT a.op AS op, a.S_chunk AS S_chunk, a.bw / b.bw * 100 AS bw " +
+		"FROM agg_new a JOIN agg_old b ON a.op = b.op AND a.S_chunk = b.S_chunk ORDER BY a.op, a.S_chunk"
+	for _, mode := range []string{"row", "vec"} {
+		b.Run(mode, func(b *testing.B) {
+			db := NewMemory()
+			defer db.Close()
+			for _, t := range []string{"agg_old", "agg_new"} {
+				if _, err := db.Exec("CREATE TEMP TABLE " + t + " (op string, S_chunk integer, bw float)"); err != nil {
+					b.Fatal(err)
+				}
+				var rows []Row
+				for _, op := range []string{"write", "rewrite", "read", "scatter"} {
+					for c := range 6 {
+						rows = append(rows, Row{value.NewString(op), value.NewInt(int64(1024 << c)), value.NewFloat(float64(len(rows)) + 0.5)})
+					}
+				}
+				if _, err := db.InsertRows(t, []string{"op", "S_chunk", "bw"}, rows); err != nil {
+					b.Fatal(err)
+				}
+			}
+			db.SetVectorized(mode == "vec")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := db.Exec(relate); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := db.Exec("DROP TABLE rel"); err != nil {
+					b.Fatal(err)
+				}
+			}
 		})
 	}
 }

@@ -118,9 +118,10 @@ var joinAgreementQueries = []string{
 	// Self-join: both sides read the same table.
 	"SELECT COUNT(*) FROM exps a JOIN exps b ON a.eid = b.eid",
 	"SELECT a.weight, b.weight FROM exps a LEFT JOIN exps b ON a.weight = b.weight ORDER BY a.weight, b.weight",
-	// Shapes that must decline to the row engine — agreement still
-	// required: cross-type keys, same-side condition (nested loop),
-	// DISTINCT, expression aggregates.
+	// Shapes that decline — agreement still required: an Integer key
+	// against a Float one and a same-side condition (nested loop) take
+	// the row engine's join; DISTINCT and expression aggregates decline
+	// only fusion, and the join materializes for the row loops.
 	"SELECT COUNT(*) FROM runs r JOIN exps e ON r.exp = e.fkey",
 	"SELECT COUNT(*) FROM runs r JOIN exps e ON r.exp = r.rid",
 	"SELECT DISTINCT e.name FROM runs r JOIN exps e ON r.exp = e.eid ORDER BY e.name",
@@ -133,6 +134,85 @@ var joinAgreementQueries = []string{
 func TestVecJoinRowAgreement(t *testing.T) {
 	vdb, rdb := joinTestDBs(t)
 	checkAgree(t, vdb, rdb, joinAgreementQueries)
+}
+
+// compositeJoinTestDBs builds the fixture of the key shapes beyond one
+// Integer, Float or String column, on a vectorized database and a
+// row-engine twin: a probe table pa and a build table pb sharing an op
+// (String), chunk (Integer), flag (Boolean), ts (Timestamp) and ver
+// (Version) column, NULLs in every key column of both sides, duplicate
+// keys, and versions spelled '1.2', '1-2' and '01.2'.
+func compositeJoinTestDBs(t *testing.T) (*DB, *DB) {
+	t.Helper()
+	setup := []string{
+		"CREATE TABLE pa (op string, chunk integer, flag boolean, ts timestamp, ver version, x float)",
+		"CREATE TABLE pb (op string, chunk integer, flag boolean, ts timestamp, ver version, w integer)",
+	}
+	vdb, rdb := vecTestDBs(t, setup)
+	ops := []string{"write", "rewrite", "read"}
+	vers := []string{"1.2", "1-2", "01.2", "1.10", "2"}
+	row := func(k, n int, last value.Value) Row {
+		r := Row{
+			value.NewString(ops[k%len(ops)]),
+			value.NewInt(int64(1024 << (k % 5))),
+			value.NewBool(k%4 == 0),
+			value.NewTimestampNano(int64(k%6) * 1e9),
+			value.NewVersion(vers[k%len(vers)]),
+			last,
+		}
+		if k%n < len(r)-1 { // one key column NULL in every n rows
+			r[k%n] = value.Null(r[k%n].Type())
+		}
+		return r
+	}
+	var as, bs []Row
+	for k := range 300 {
+		as = append(as, row(k*7, 17, value.NewFloat(float64(k)/4)))
+	}
+	for k := range 40 {
+		bs = append(bs, row(k, 13, value.NewInt(int64(k))))
+	}
+	for _, db := range []*DB{vdb, rdb} {
+		if _, err := db.InsertRows("pa", []string{"op", "chunk", "flag", "ts", "ver", "x"}, as); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := db.InsertRows("pb", []string{"op", "chunk", "flag", "ts", "ver", "w"}, bs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return vdb, rdb
+}
+
+// TestVecJoinCompositeKeys runs the shapes the vector join takes through
+// the group index — the Fig. 8 relate's String plus Integer key, three
+// keys, a two-key GROUP BY over a join (fused), a single Version,
+// Boolean and Timestamp key — INNER and LEFT, and requires the planner to
+// take every one and the row engine to answer the same.
+func TestVecJoinCompositeKeys(t *testing.T) {
+	vdb, rdb := compositeJoinTestDBs(t)
+	var queries []string
+	for _, kind := range []string{"JOIN", "LEFT JOIN"} {
+		from := " FROM pa a " + kind + " pb b ON "
+		queries = append(queries,
+			"SELECT a.op, a.chunk, a.x, b.w"+from+"a.op = b.op AND a.chunk = b.chunk ORDER BY a.op, a.chunk, a.x, b.w",
+			"SELECT a.op, a.chunk, a.x, b.w"+from+"a.op = b.op AND a.chunk = b.chunk",
+			"SELECT a.x, b.w"+from+"b.chunk = a.chunk AND a.flag = b.flag AND a.op = b.op",
+			"SELECT a.op, b.flag, COUNT(*), COUNT(b.w), SUM(b.w), MIN(a.x)"+from+"a.chunk = b.chunk GROUP BY a.op, b.flag ORDER BY a.op, b.flag",
+			"SELECT a.x, a.ver, b.ver, b.w"+from+"a.ver = b.ver",
+			"SELECT a.x, b.w"+from+"a.flag = b.flag",
+			"SELECT a.x, a.ts, b.w"+from+"a.ts = b.ts",
+		)
+	}
+	for _, sql := range queries {
+		p, err := vdb.state.Load().planSelect(mustParseSelect(t, sql))
+		if err != nil {
+			t.Fatalf("%q: %v", sql, err)
+		}
+		if p.vecJoin == nil || p.vecJoin.fused != p.grouped {
+			t.Errorf("%q: vector join %v, want it (fused when grouped)", sql, p.vecJoin != nil)
+		}
+	}
+	checkAgree(t, vdb, rdb, queries)
 }
 
 // TestVecJoinEdgeShapes pins the edge fixtures the fuzzer rarely
@@ -214,9 +294,9 @@ func TestVecJoinLeftPadding(t *testing.T) {
 	}
 }
 
-// TestVecJoinDictStringKeys forces the dictionary probe path: a large
-// probe with very low string-key cardinality against a string-keyed
-// build side, vec vs row byte-identical.
+// TestVecJoinDictStringKeys joins a large probe of very low string-key
+// cardinality — few distinct keys, long repeats, NULLs — against a
+// string-keyed build side with duplicate keys, vec vs row byte-identical.
 func TestVecJoinDictStringKeys(t *testing.T) {
 	setup := []string{
 		"CREATE TABLE ev (name string, n integer)",
@@ -627,6 +707,11 @@ func TestExplainVecJoin(t *testing.T) {
 	want := fmt.Sprintf("[vec-join build=3 probe=%d bloom-skip=3]", 4*vecMorselRows)
 	if !containsLine(got, want) {
 		t.Errorf("EXPLAIN missing %q:\n%s", want, got)
+	}
+	// Two keys run on the vector join as one does.
+	got = plan("EXPLAIN SELECT COUNT(*) FROM probe JOIN build ON probe.k = build.k AND probe.v = build.w")
+	if !containsLine(got, "[vec-join") {
+		t.Errorf("two-key EXPLAIN carries no vec-join label:\n%s", got)
 	}
 	// A nested-loop shape must not carry the label.
 	got = plan("EXPLAIN SELECT COUNT(*) FROM probe JOIN build ON probe.k = probe.v")
