@@ -37,6 +37,7 @@ func FuzzReplicaConvergence(f *testing.F) {
 		r := startReplica(t, p.addr())
 		defer r.close()
 
+		s := db.NewSession()
 		for i, b := range ops {
 			switch b % 8 {
 			case 0, 1:
@@ -46,15 +47,15 @@ func FuzzReplicaConvergence(f *testing.F) {
 			case 3:
 				mustExec(t, db, fmt.Sprintf("DELETE FROM runs WHERE id = %d", int(b)%16))
 			case 4:
-				mustExec(t, db, "BEGIN")
-				mustExec(t, db, fmt.Sprintf("INSERT INTO runs VALUES (%d, 'txa')", 100+i))
-				mustExec(t, db, fmt.Sprintf("INSERT INTO runs VALUES (%d, 'txb')", 200+i))
-				mustExec(t, db, "COMMIT")
+				mustExec(t, s, "BEGIN")
+				mustExec(t, s, fmt.Sprintf("INSERT INTO runs VALUES (%d, 'txa')", 100+i))
+				mustExec(t, s, fmt.Sprintf("INSERT INTO runs VALUES (%d, 'txb')", 200+i))
+				mustExec(t, s, "COMMIT")
 			case 5:
 				// Rolled-back work must leave no trace in the stream.
-				mustExec(t, db, "BEGIN")
-				mustExec(t, db, fmt.Sprintf("INSERT INTO runs VALUES (%d, 'gone')", 300+i))
-				mustExec(t, db, "ROLLBACK")
+				mustExec(t, s, "BEGIN")
+				mustExec(t, s, fmt.Sprintf("INSERT INTO runs VALUES (%d, 'gone')", 300+i))
+				mustExec(t, s, "ROLLBACK")
 			case 6:
 				// Bulk load: the binary path shares the frame format with
 				// SQL-text commits.

@@ -3,6 +3,7 @@ package repl
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -108,10 +109,11 @@ func TestReplicaStreamsAndConverges(t *testing.T) {
 	// Mix of pre-subscription (bootstrap) and live-streamed writes.
 	mustExec(t, p.db, "INSERT INTO runs VALUES (2, 'n02', 2.5)")
 	mustExec(t, p.db, "UPDATE runs SET dur = dur * 2 WHERE id = 1")
-	mustExec(t, p.db, "BEGIN")
-	mustExec(t, p.db, "INSERT INTO runs VALUES (3, 'n03', 3.5)")
-	mustExec(t, p.db, "INSERT INTO runs VALUES (4, 'n04', 4.5)")
-	mustExec(t, p.db, "COMMIT")
+	s := p.db.NewSession()
+	mustExec(t, s, "BEGIN")
+	mustExec(t, s, "INSERT INTO runs VALUES (3, 'n03', 3.5)")
+	mustExec(t, s, "INSERT INTO runs VALUES (4, 'n04', 4.5)")
+	mustExec(t, s, "COMMIT")
 
 	waitConverged(t, p, r)
 	assertIdentical(t, p, r)
@@ -296,6 +298,59 @@ func TestStatusLagNeverNegative(t *testing.T) {
 	}
 	if st := r.replica.Status(); st.LagFrames != 0 {
 		t.Fatalf("lag %d after release, want 0: %+v", st.LagFrames, st)
+	}
+}
+
+// TestReplTortureFrameVisibility: a replica applies each streamed
+// multi-statement frame as one transaction of its own, so a reader of
+// its database through DB.Exec sees a frame only once it has committed.
+// Commit validation is armed with a sleep: while the applier sleeps
+// there with the whole frame staged, the reader must see exactly the
+// frames Applied() has reached, none of the one in flight.
+func TestReplTortureFrameVisibility(t *testing.T) {
+	p := startPrimary(t)
+	defer p.close()
+	mustExec(t, p.db, "CREATE TABLE t (k integer, half string)")
+	r := startReplica(t, p.addr())
+	defer r.close()
+	waitConverged(t, p, r)
+
+	site := failpoint.Site("sqldb/txn/validate")
+	if err := failpoint.Enable(site.Name(), "sleep(100ms)"); err != nil {
+		t.Fatal(err)
+	}
+	defer failpoint.DisableAll()
+	s := p.db.NewSession()
+	defer s.Close()
+	for k := 1; k <= 4; k++ {
+		mustExec(t, s, "BEGIN")
+		mustExec(t, s, fmt.Sprintf("INSERT INTO t VALUES (%d, 'a')", k))
+		mustExec(t, s, fmt.Sprintf("INSERT INTO t VALUES (%d, 'b')", k))
+		// The primary's COMMIT is one hit; the replica's commit of the
+		// frame is the next.
+		hit := site.Hits() + 2
+		mustExec(t, s, "COMMIT")
+		deadline := time.Now().Add(10 * time.Second)
+		for site.Hits() < hit {
+			if time.Now().After(deadline) {
+				t.Fatalf("frame %d: the replica never reached its commit (last err: %v)", k, r.replica.LastError())
+			}
+			runtime.Gosched()
+		}
+		// The applier now sleeps in validation for 100ms.
+		res := mustExec(t, r.db, "SELECT COUNT(*) FROM t")
+		applied := r.replica.Applied()
+		if n := res.Rows[0][0].Int(); n != int64(2*(k-1)) {
+			t.Fatalf("frame %d: a replica reader saw %d rows while the frame was still committing, want %d (applied %v)",
+				k, n, 2*(k-1), applied)
+		}
+		if !applied.Before(p.db.Pos()) {
+			t.Fatalf("frame %d: applied %v while its commit was still validating", k, applied)
+		}
+		waitConverged(t, p, r)
+		if n := mustExec(t, r.db, "SELECT COUNT(*) FROM t").Rows[0][0].Int(); n != int64(2*k) {
+			t.Fatalf("frame %d applied: %d rows, want %d", k, n, 2*k)
+		}
 	}
 }
 

@@ -222,24 +222,20 @@ func (r *Replica) handleFrame(fr *wire.Frame) error {
 	return nil
 }
 
-// apply executes a frame's statements, wrapping multi-statement frames
-// (committed transactions on the primary) in a local transaction.
+// apply executes a frame's statements — one committed transaction on
+// the primary — as one BEGIN … COMMIT pipeline on a private session, so
+// replica readers see the whole frame or none of it. The COMMIT fires
+// the commit hooks with the frame's statements.
 func (r *Replica) apply(stmts []string) error {
-	if len(stmts) == 1 {
-		_, err := r.db.Exec(stmts[0])
-		return wrapApply(err, stmts[0])
-	}
-	if _, err := r.db.Exec("BEGIN"); err != nil {
-		return wrapApply(err, "BEGIN")
-	}
+	reqs := make([]sqldb.PipelineRequest, 0, len(stmts)+2)
+	reqs = append(reqs, sqldb.PipelineRequest{SQL: "BEGIN"})
 	for _, s := range stmts {
-		if _, err := r.db.Exec(s); err != nil {
-			r.db.Exec("ROLLBACK") //nolint:errcheck // restoring after failure
-			return wrapApply(err, s)
-		}
+		reqs = append(reqs, sqldb.PipelineRequest{SQL: s})
 	}
-	if _, err := r.db.Exec("COMMIT"); err != nil {
-		return wrapApply(err, "COMMIT")
+	reqs = append(reqs, sqldb.PipelineRequest{SQL: "COMMIT"})
+	out, err := r.db.ExecPipeline(reqs)
+	if err != nil {
+		return wrapApply(err, reqs[len(out)].SQL)
 	}
 	return nil
 }

@@ -72,7 +72,7 @@ func TestAlterRename(t *testing.T) {
 }
 
 func TestAlterInTransaction(t *testing.T) {
-	db := NewMemory()
+	db := NewMemory().NewSession() // a transaction belongs to a session
 	mustExec(t, db, "CREATE TABLE t (a integer)")
 	mustExec(t, db, "INSERT INTO t VALUES (1)")
 	mustExec(t, db, "BEGIN")

@@ -51,13 +51,6 @@ type DB struct {
 	// SQL text. It has its own lock; see plancache.go.
 	plans planCache
 
-	// def is the default session backing the sessionless DB.Exec API:
-	// BEGIN/COMMIT/ROLLBACK through DB.Exec run one transaction on it,
-	// preserving the historical single-transaction-slot behaviour of
-	// the embedded interface. Concurrent transactions use NewSession.
-	// See session.go for the optimistic-concurrency machinery.
-	def *Session
-
 	wal *groupWAL // nil for a memory-only database
 	dir string
 	// policy is the WAL sync policy Open was given. It never changes, so
@@ -99,13 +92,19 @@ type DB struct {
 	env *execEnv
 }
 
-// ErrTxnBusy is returned by BEGIN when the session (or, for the
-// sessionless DB.Exec API, the default session) already has an open
+// ErrTxnBusy is returned by BEGIN when the session already has an open
 // transaction. Like SQLITE_BUSY it is retryable at statement
 // granularity. Contrast ErrTxnConflict (session.go), which reports a
 // commit-time validation failure and requires re-running the whole
 // transaction.
 var ErrTxnBusy = errors.New("sqldb: transaction already open")
+
+// ErrNoSession is returned by DB.Exec for transaction control — BEGIN,
+// COMMIT, ROLLBACK, PREPARE TRANSACTION, COMMIT PREPARED and ROLLBACK
+// PREPARED. A transaction belongs to a Session, never to the database:
+// open one with DB.NewSession, or send BEGIN … COMMIT as one
+// DB.ExecPipeline.
+var ErrNoSession = errors.New("sqldb: transaction control needs a session: use DB.NewSession or DB.ExecPipeline")
 
 // ErrTableExists is returned (wrapped; test with errors.Is) by CREATE
 // TABLE and ALTER TABLE ... RENAME TO when the name is taken.
@@ -126,20 +125,8 @@ func insertArity(t *table, got, want int) error {
 // NewMemory creates an empty in-memory database.
 func NewMemory() *DB {
 	db := &DB{env: newExecEnv()}
-	db.def = &Session{db: db}
 	db.state.Store(&snapshot{env: db.env})
 	return db
-}
-
-// readSnapshot returns the snapshot reads through the sessionless API
-// observe: the default session's private overlay while it has a
-// transaction open (the legacy contract — DB.Exec sees the
-// transaction's own uncommitted writes), else the committed state.
-func (db *DB) readSnapshot() *snapshot {
-	if tx := db.def.tx.Load(); tx != nil {
-		return tx.over.Load()
-	}
-	return db.state.Load()
 }
 
 // sharedPlan returns the shared plan-cache entry for sql, parsing and
@@ -160,8 +147,10 @@ func (db *DB) sharedPlan(sql string) (*cachedPlan, error) {
 // Exec parses and executes one SQL statement. Statements are cached
 // by their text: a repeated Exec of the same SQL skips the lexer and
 // parser, and repeated SELECTs also reuse the compiled plan (see
-// plancache.go for the invalidation rules). Transaction control
-// statements operate on the default session.
+// plancache.go for the invalidation rules). A read runs on the
+// committed state; any other statement is a transaction of its own,
+// exactly as on a Session outside BEGIN. Transaction control fails with
+// ErrNoSession.
 func (db *DB) Exec(sql string) (*Result, error) {
 	if err := db.hookReentry(); err != nil {
 		return nil, err
@@ -172,20 +161,11 @@ func (db *DB) Exec(sql string) (*Result, error) {
 	}
 	switch cp.st.(type) {
 	case *SelectStmt, *ExplainStmt:
-		return db.execCached(cp, sql)
+		return db.execRead(db.state.Load(), cp)
+	case *BeginStmt, *CommitStmt, *RollbackStmt, *PrepareStmt, *CommitPreparedStmt, *RollbackPreparedStmt:
+		return nil, ErrNoSession
 	}
-	return db.def.execStmt(cp, sql)
-}
-
-// ExecArgs executes a statement with '?' placeholders bound to args.
-// Binding is textual: each placeholder is replaced by the SQL literal
-// form of the corresponding value before parsing.
-func (db *DB) ExecArgs(sql string, args ...value.Value) (*Result, error) {
-	bound, err := BindArgs(sql, args...)
-	if err != nil {
-		return nil, err
-	}
-	return db.Exec(bound)
+	return db.execOne(cp.st, sql)
 }
 
 // BindArgs substitutes '?' placeholders in sql with literal values.
@@ -214,20 +194,6 @@ func BindArgs(sql string, args ...value.Value) (string, error) {
 	}
 	sb.WriteString(sql[last:])
 	return sb.String(), nil
-}
-
-// ExecParsed executes an already parsed statement. The raw SQL text is
-// used for durability logging; pass "" to skip logging (used during
-// WAL replay).
-func (db *DB) ExecParsed(st Statement, raw string) (*Result, error) {
-	// Pure reads run lock-free against the current read snapshot.
-	if sel, ok := st.(*SelectStmt); ok {
-		return db.readSnapshot().execSelect(sel)
-	}
-	if ex, ok := st.(*ExplainStmt); ok {
-		return db.execExplain(db.readSnapshot(), ex)
-	}
-	return db.def.execStmt(&cachedPlan{st: st, tables: referencedTables(st)}, raw)
 }
 
 // intentConflictLocked reports a table among a commit's writes that a
@@ -686,11 +652,16 @@ type BulkInserter interface {
 	InsertRows(table string, cols []string, rows []Row) (int, error)
 }
 
-// InsertRows implements BulkInserter on the default session: while it
-// has a transaction open the rows join it, as any DB.Exec mutation
-// would.
+// InsertRows implements BulkInserter: the batch is a transaction of its
+// own.
 func (db *DB) InsertRows(tableName string, cols []string, rows []Row) (int, error) {
-	return db.def.InsertRows(tableName, cols, rows)
+	if err := db.hookReentry(); err != nil {
+		return 0, err
+	}
+	if len(rows) == 0 {
+		return 0, nil
+	}
+	return db.insertOne(tableName, cols, rows)
 }
 
 // insertRowsWS appends a typed row batch to a table inside a working

@@ -80,13 +80,14 @@ type jrow struct {
 // diffState threads the generator through one fuzz input.
 type diffState struct {
 	t     *testing.T
-	db    *sqldb.DB    // oracle 1: in-process engine (vectorized)
-	rdb   *sqldb.DB    // oracle 4: same engine, row path forced
-	bdb   *sqldb.DB    // oracle 5: durable engine, cold block-backed scans
-	bdir  string       // its directory, for the reopens
-	wc    *wire.Client // oracle 3: same statements over TCP
-	model []mrow       // oracle 2: naive reference
-	saved []mrow       // model backup for ROLLBACK
+	db    *sqldb.Session // oracle 1: in-process engine (vectorized)
+	rdb   *sqldb.Session // oracle 4: same engine, row path forced
+	bdb   *sqldb.DB      // oracle 5: durable engine, cold block-backed scans
+	bses  *sqldb.Session // the session statements run on in bdb
+	bdir  string         // its directory, for the reopens
+	wc    *wire.Client   // oracle 3: same statements over TCP
+	model []mrow         // oracle 2: naive reference
+	saved []mrow         // model backup for ROLLBACK
 	// join-table mirror; mutated only outside transactions so ROLLBACK
 	// never needs to restore it.
 	jmodel  []jrow
@@ -117,7 +118,7 @@ func (s *diffState) exec(sql string) {
 	if _, err := s.rdb.Exec(sql); err != nil {
 		s.t.Fatalf("row-path engine rejected generated statement %q: %v", sql, err)
 	}
-	if _, err := s.bdb.Exec(sql); err != nil {
+	if _, err := s.bses.Exec(sql); err != nil {
 		s.t.Fatalf("block-backed engine rejected generated statement %q: %v", sql, err)
 	}
 	// Periodic checkpoints re-encode the table into compressed column
@@ -140,6 +141,7 @@ func (s *diffState) exec(sql string) {
 				s.t.Fatalf("block-backed engine reopen: %v", err)
 			}
 			s.bdb.ColumnCacheLimit(0)
+			s.bses = s.bdb.NewSession()
 		}
 	}
 	s.pending = append(s.pending, sqldb.PipelineRequest{SQL: sql})
@@ -209,7 +211,7 @@ func (s *diffState) query(sql string) *sqldb.Result {
 	if eng, row := resultString(res), resultString(rres); eng != row {
 		s.t.Fatalf("vectorized and row paths disagree on %q:\nvectorized:\n%srow:\n%s", sql, eng, row)
 	}
-	bres, err := s.bdb.Exec(sql)
+	bres, err := s.bses.Exec(sql)
 	if err != nil {
 		s.t.Fatalf("block-backed engine rejected generated query %q: %v", sql, err)
 	}
@@ -609,7 +611,7 @@ func (s *diffState) queryFails(sql string) {
 	if want == nil {
 		s.t.Fatalf("engine answered %q, where the model has a row fail\nmodel: %+v", sql, s.modelRows())
 	}
-	for name, q := range map[string]sqldb.Querier{"row-path engine": s.rdb, "block-backed engine": s.bdb} {
+	for name, q := range map[string]sqldb.Querier{"row-path engine": s.rdb, "block-backed engine": s.bses} {
 		if _, err := q.Exec(sql); err == nil || err.Error() != want.Error() {
 			s.t.Fatalf("%s answered %q with %v, the engine with %v", name, sql, err, want)
 		}
@@ -880,7 +882,7 @@ func (s *diffState) checkUnionRejected(which byte) {
 		"INSERT INTO m SELECT k, grp, v FROM m UNION ALL SELECT k, v, grp FROM m",
 	}[which%4]
 	s.flush()
-	for name, q := range map[string]sqldb.Querier{"engine": s.db, "row-path engine": s.rdb, "block-backed engine": s.bdb} {
+	for name, q := range map[string]sqldb.Querier{"engine": s.db, "row-path engine": s.rdb, "block-backed engine": s.bses} {
 		if _, err := q.Exec(sql); !errors.Is(err, sqldb.ErrCompound) {
 			s.t.Fatalf("%s answered %q with %v, want ErrCompound", name, sql, err)
 		}
@@ -1093,7 +1095,7 @@ func FuzzSQLDifferential(f *testing.F) {
 			t.Fatal(err)
 		}
 		bdb.ColumnCacheLimit(0) // every vector hydration decodes from disk
-		s := &diffState{t: t, db: db, rdb: rdb, bdb: bdb, bdir: bdir, wc: wc, scale: 1}
+		s := &diffState{t: t, db: db.NewSession(), rdb: rdb.NewSession(), bdb: bdb, bses: bdb.NewSession(), bdir: bdir, wc: wc, scale: 1}
 		defer func() { s.bdb.Close() }()
 		s.exec("CREATE TABLE m (k integer, grp string, v integer)")
 		s.exec("CREATE TABLE j (jk integer, tag string, ord integer)")

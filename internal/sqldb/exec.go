@@ -300,17 +300,6 @@ func (sn *snapshot) indexedScan(fi fromItem, where sqlExpr) (*relation, error) {
 	return singleChunk(nil, rows), nil
 }
 
-// execSelect runs a SELECT against this snapshot, compiling a fresh
-// plan. Exec's cached path calls runSelect directly with a reused
-// plan. No locks are held or needed: the snapshot is immutable.
-func (sn *snapshot) execSelect(st *SelectStmt) (*Result, error) {
-	p, err := sn.planSelect(st)
-	if err != nil {
-		return nil, err
-	}
-	return sn.runSelect(st, p)
-}
-
 // sourceRelation builds the input rows of a SELECT: the FROM clause
 // (or a single synthetic row for table-less SELECT), cross joins, and
 // explicit JOINs, with an index probe for the single-table case.

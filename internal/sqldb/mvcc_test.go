@@ -1,10 +1,8 @@
 package sqldb
 
 import (
-	"errors"
 	"fmt"
 	"regexp"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -13,11 +11,12 @@ import (
 )
 
 // TestConcurrentWritersReaders is the MVCC stress test (run it with
-// -race). N writer goroutines commit whole batches — through
-// transactions, including deliberate rollbacks and concurrent ALTERs —
-// while M readers continuously assert that every SELECT observes a
-// consistent snapshot: whole batches only, in committed prefix order,
-// never a torn or partially applied statement.
+// -race). N writer goroutines, each on its own Session, commit whole
+// batches — through transactions, including deliberate rollbacks and
+// concurrent ALTERs — while M readers continuously assert that every
+// SELECT observes a consistent snapshot: whole committed batches only,
+// in committed prefix order, never a torn or partially applied
+// statement and never a batch that was rolled back.
 func TestConcurrentWritersReaders(t *testing.T) {
 	const (
 		writers   = 3
@@ -37,10 +36,11 @@ func TestConcurrentWritersReaders(t *testing.T) {
 	errs := make(chan error, writers+readers+1)
 
 	// Batch writers: batch k fills w<i> with batchSize rows of value k,
-	// committed in order. Odd batch numbers are first inserted and
-	// rolled back, then committed — so readers may observe a batch that
-	// will disappear again, but at any instant the table holds exactly
-	// batches 1..max(v), whole.
+	// committed in order. Odd batch numbers are first inserted as value
+	// -k and rolled back, then committed — a transaction is its
+	// session's alone, so no reader ever observes the rolled-back rows,
+	// and at any instant the table holds exactly batches 1..max(v),
+	// whole.
 	batchSQL := func(k int) string {
 		var sb strings.Builder
 		sb.WriteString("INSERT INTO %s VALUES ")
@@ -52,21 +52,14 @@ func TestConcurrentWritersReaders(t *testing.T) {
 		}
 		return sb.String()
 	}
-	// The engine has a single transaction slot (no session concept), so
-	// every transactional writer claims it with the SQLITE_BUSY pattern:
-	// retry BEGIN until the open transaction commits or rolls back.
-	beginTxn := func(who string) bool {
-		for {
-			_, err := db.Exec("BEGIN")
-			if err == nil {
-				return true
-			}
-			if !errors.Is(err, ErrTxnBusy) {
-				errs <- fmt.Errorf("%s: BEGIN: %w", who, err)
-				return false
-			}
-			runtime.Gosched()
+	// Every transactional writer opens its transactions on its own
+	// session; a second BEGIN there would be ErrTxnBusy.
+	beginTxn := func(who string, s *Session) bool {
+		if _, err := s.Exec("BEGIN"); err != nil {
+			errs <- fmt.Errorf("%s: BEGIN: %w", who, err)
+			return false
 		}
+		return true
 	}
 
 	for w := 0; w < writers; w++ {
@@ -75,8 +68,10 @@ func TestConcurrentWritersReaders(t *testing.T) {
 			defer wwg.Done()
 			who := fmt.Sprintf("writer %d", w)
 			tbl := fmt.Sprintf("w%d", w)
+			s := db.NewSession()
+			defer s.Close()
 			exec := func(sql string) bool {
-				if _, err := db.Exec(sql); err != nil {
+				if _, err := s.Exec(sql); err != nil {
 					errs <- fmt.Errorf("%s: %s: %w", who, sql, err)
 					return false
 				}
@@ -85,11 +80,11 @@ func TestConcurrentWritersReaders(t *testing.T) {
 			for k := 1; k <= batches; k++ {
 				ins := fmt.Sprintf(batchSQL(k), tbl)
 				if k%2 == 1 {
-					if !beginTxn(who) || !exec(ins) || !exec("ROLLBACK") {
+					if !beginTxn(who, s) || !exec(fmt.Sprintf(batchSQL(-k), tbl)) || !exec("ROLLBACK") {
 						return
 					}
 				}
-				if !beginTxn(who) || !exec(ins) || !exec("COMMIT") {
+				if !beginTxn(who, s) || !exec(ins) || !exec("COMMIT") {
 					return
 				}
 			}
@@ -98,14 +93,15 @@ func TestConcurrentWritersReaders(t *testing.T) {
 
 	// Schema churner: ALTER ADD/DROP on its own table while readers
 	// count it, exercising plan invalidation under concurrency. Each
-	// pair runs in its own transaction — a mutation outside one would
-	// join whatever transaction happens to be open (transactions are
-	// global) and could be reverted by that transaction's rollback.
+	// pair runs in its own transaction, so no reader sees the column
+	// added.
 	wwg.Add(1)
 	go func() {
 		defer wwg.Done()
+		s := db.NewSession()
+		defer s.Close()
 		for i := 0; i < 60; i++ {
-			if !beginTxn("churner") {
+			if !beginTxn("churner", s) {
 				return
 			}
 			for _, q := range []string{
@@ -113,7 +109,7 @@ func TestConcurrentWritersReaders(t *testing.T) {
 				"ALTER TABLE alt DROP COLUMN extra",
 				"COMMIT",
 			} {
-				if _, err := db.Exec(q); err != nil {
+				if _, err := s.Exec(q); err != nil {
 					errs <- fmt.Errorf("churner: %s: %w", q, err)
 					return
 				}
@@ -144,6 +140,10 @@ func TestConcurrentWritersReaders(t *testing.T) {
 					continue
 				}
 				mn, mx := row[1].Int(), row[2].Int()
+				if mn < 0 {
+					errs <- fmt.Errorf("reader %d: observed rolled-back batch %d of %s", r, -mn, tbl)
+					return
+				}
 				// A consistent snapshot holds exactly batches 1..mx,
 				// each whole.
 				if mn != 1 || count != mx*batchSize {
@@ -211,17 +211,18 @@ func TestConcurrentWritersReaders(t *testing.T) {
 // match a table created after the rollback.
 func TestRollbackTableCreatedAndDroppedInTxn(t *testing.T) {
 	db := NewMemory()
+	s := db.NewSession()
 	q := "SELECT a FROM x"
 
-	mustExec(t, db, "BEGIN")
-	mustExec(t, db, "CREATE TABLE x (a integer)")
-	mustExec(t, db, "INSERT INTO x VALUES (41)")
-	res := mustExec(t, db, q) // compiles and caches a plan against the txn's x
+	mustExec(t, s, "BEGIN")
+	mustExec(t, s, "CREATE TABLE x (a integer)")
+	mustExec(t, s, "INSERT INTO x VALUES (41)")
+	res := mustExec(t, s, q) // compiles and caches a plan against the txn's x
 	if res.Rows[0][0].Int() != 41 {
 		t.Fatalf("in-txn read = %v", res.Rows)
 	}
-	mustExec(t, db, "DROP TABLE x")
-	mustExec(t, db, "ROLLBACK")
+	mustExec(t, s, "DROP TABLE x")
+	mustExec(t, s, "ROLLBACK")
 
 	if _, err := db.Exec(q); err == nil {
 		t.Fatal("SELECT after rollback should fail: x never existed")
@@ -256,10 +257,11 @@ func TestRollbackIsPointerSwap(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	s := db.NewSession()
 	allocs := testing.AllocsPerRun(20, func() {
-		mustExec(t, db, "BEGIN")
-		mustExec(t, db, "INSERT INTO big VALUES (1)")
-		mustExec(t, db, "ROLLBACK")
+		mustExec(t, s, "BEGIN")
+		mustExec(t, s, "INSERT INTO big VALUES (1)")
+		mustExec(t, s, "ROLLBACK")
 	})
 	// A deep copy of 100k rows would cost >100k allocations; the
 	// overlay path is a small constant (statement parse reuse, snapshot

@@ -633,8 +633,8 @@ func TestPointReadNoFalseConflict(t *testing.T) {
 // TestAbortedTxnPlanNotShared: a plan compiled against DDL that only
 // ever existed inside an aborted transaction must not serve later
 // statements (the shared-LRU promotion happens at commit, never on
-// rollback). Covers both the explicit-session path and the legacy
-// sessionless path.
+// rollback). Covers both the session path and a sessionless DB.Exec
+// after the session's rollback.
 func TestAbortedTxnPlanNotShared(t *testing.T) {
 	run := func(t *testing.T, exec func(string) (*Result, error)) {
 		const q = "SELECT a FROM ghost"
@@ -679,7 +679,15 @@ func TestAbortedTxnPlanNotShared(t *testing.T) {
 		run(t, s.Exec)
 	})
 	t.Run("sessionless", func(t *testing.T) {
-		run(t, NewMemory().Exec)
+		db := NewMemory()
+		s := db.NewSession()
+		defer s.Close()
+		run(t, func(sql string) (*Result, error) {
+			if sql == "BEGIN" || s.InTxn() {
+				return s.Exec(sql)
+			}
+			return db.Exec(sql)
+		})
 	})
 }
 
@@ -722,4 +730,57 @@ func firstLineDiff(want, got string) string {
 		}
 	}
 	return fmt.Sprintf("%d lines, want %d", len(gl), len(wl))
+}
+
+// TestAutocommitRefusesTxnControl: a transaction belongs to a Session,
+// never to the database. Through DB.Exec each transaction-control
+// statement fails with ErrNoSession and opens nothing, so the INSERT
+// after it commits at once, and another goroutine's DB.Exec read sees
+// exactly the committed rows — never a session's uncommitted one.
+func TestAutocommitRefusesTxnControl(t *testing.T) {
+	db := NewMemory()
+	mustExec(t, db, "CREATE TABLE t (a integer)")
+	s := db.NewSession()
+	defer s.Close()
+	mustExec(t, s, "BEGIN")
+	mustExec(t, s, "INSERT INTO t VALUES (100)") // s's, uncommitted
+
+	const q = "SELECT COUNT(*) FROM t"
+	count := func() (int64, error) {
+		ch := make(chan error, 1)
+		var n int64
+		go func() {
+			res, err := db.Exec(q)
+			if err == nil {
+				n = res.Rows[0][0].Int()
+			}
+			ch <- err
+		}()
+		return n, <-ch
+	}
+	for i, sql := range []string{
+		"BEGIN", "COMMIT", "ROLLBACK",
+		"PREPARE TRANSACTION 'g'", "COMMIT PREPARED", "ROLLBACK PREPARED",
+	} {
+		if _, err := db.Exec(sql); !errors.Is(err, ErrNoSession) {
+			t.Errorf("DB.Exec(%q) = %v, want ErrNoSession", sql, err)
+		}
+		mustExec(t, db, fmt.Sprintf("INSERT INTO t VALUES (%d)", i))
+		got, err := count()
+		if err != nil {
+			t.Fatal(err)
+		}
+		committed := mustExec(t, db.Snapshot(), q).Rows[0][0].Int()
+		if got != committed || committed != int64(i+1) {
+			t.Errorf("after DB.Exec(%q) and an INSERT: a DB.Exec read counts %d rows, %d are committed, want %d",
+				sql, got, committed, i+1)
+		}
+	}
+	if _, err := s.Exec("BEGIN"); !errors.Is(err, ErrTxnBusy) {
+		t.Errorf("second BEGIN on one session = %v, want ErrTxnBusy", err)
+	}
+	mustExec(t, s, "COMMIT")
+	if got, err := count(); err != nil || got != 7 {
+		t.Errorf("after the session's COMMIT: count %d, %v; want 7", got, err)
+	}
 }

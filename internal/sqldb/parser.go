@@ -822,7 +822,7 @@ func (p *sqlParser) parseAtom() (sqlExpr, error) {
 		p.advance()
 		return &litExpr{value.NewString(t.text)}, nil
 	case tkParam:
-		return nil, errorf("unbound parameter placeholder: use ExecArgs")
+		return nil, errorf("unbound parameter placeholder: use BindArgs")
 	case tkOp:
 		if t.text == "(" {
 			p.advance()

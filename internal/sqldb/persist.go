@@ -610,15 +610,18 @@ func OpenWithPolicy(dir string, policy SyncPolicy) (_ *DB, err error) {
 	}
 	stale := wc.epoch < snapEpoch
 	if !stale {
+		// A frame is one committed transaction, and replays as one: a
+		// BEGIN … COMMIT pipeline on a private session. No WAL is open and
+		// no hook is registered yet, so nothing is logged again.
 		for _, batch := range wc.batches {
+			reqs := make([]PipelineRequest, 0, len(batch)+2)
+			reqs = append(reqs, PipelineRequest{SQL: "BEGIN"})
 			for _, s := range batch {
-				st, err := Parse(s)
-				if err != nil {
-					return nil, fmt.Errorf("sqldb: corrupt WAL statement %q: %w", s, err)
-				}
-				if _, err := db.ExecParsed(st, ""); err != nil {
-					return nil, fmt.Errorf("sqldb: WAL replay of %q: %w", s, err)
-				}
+				reqs = append(reqs, PipelineRequest{SQL: s})
+			}
+			reqs = append(reqs, PipelineRequest{SQL: "COMMIT"})
+			if out, err := db.ExecPipeline(reqs); err != nil {
+				return nil, fmt.Errorf("sqldb: WAL replay of %q: %w", reqs[len(out)].SQL, err)
 			}
 			db.recovery.Frames++
 			db.recovery.Statements += len(batch)

@@ -98,13 +98,14 @@ func TestTransactionDurability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustExec(t, db, "CREATE TABLE t (a integer)")
-	mustExec(t, db, "BEGIN")
-	mustExec(t, db, "INSERT INTO t VALUES (1)")
-	mustExec(t, db, "ROLLBACK")
-	mustExec(t, db, "BEGIN")
-	mustExec(t, db, "INSERT INTO t VALUES (2)")
-	mustExec(t, db, "COMMIT")
+	s := db.NewSession()
+	mustExec(t, s, "CREATE TABLE t (a integer)")
+	mustExec(t, s, "BEGIN")
+	mustExec(t, s, "INSERT INTO t VALUES (1)")
+	mustExec(t, s, "ROLLBACK")
+	mustExec(t, s, "BEGIN")
+	mustExec(t, s, "INSERT INTO t VALUES (2)")
+	mustExec(t, s, "COMMIT")
 	// Crash-style reopen.
 	db.crashWAL()
 

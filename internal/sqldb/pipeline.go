@@ -129,10 +129,8 @@ func (s *Session) ExecPipeline(reqs []PipelineRequest) ([]*Result, error) {
 	return out, nil
 }
 
-// ExecPipeline implements Pipeliner on a private session, so a
-// pipeline's BEGIN neither contends for the default session's one
-// transaction slot nor shows its writes to DB.Exec readers before its
-// COMMIT.
+// ExecPipeline implements Pipeliner on a private session: the one way
+// a BEGIN … COMMIT reaches a DB without a Session of the caller's.
 func (db *DB) ExecPipeline(reqs []PipelineRequest) ([]*Result, error) {
 	s := db.NewSession()
 	defer s.Close()

@@ -223,20 +223,22 @@ func (db *DB) selectPlanFor(sn *snapshot, cp *cachedPlan, sel *SelectStmt) (*com
 	return p, nil
 }
 
-// execCached executes a statement from a cache entry. SELECTs reuse
-// the entry's compiled plan and run lock-free against the current
-// read snapshot (the default session's overlay while it has an open
-// transaction); everything else goes through the normal
-// parsed-statement path (the parse was still saved).
-func (db *DB) execCached(cp *cachedPlan, raw string) (*Result, error) {
-	sel, ok := cp.st.(*SelectStmt)
-	if !ok {
-		return db.ExecParsed(cp.st, raw)
+// execRead runs a SELECT or EXPLAIN, the one place either is
+// dispatched. sn is what the read sees: the committed state, a pinned
+// Snapshot, or a transaction's overlay carrying its read tracker. cp is
+// the statement's plan-cache entry — inside a transaction its private
+// one (sessionTxn.localPlan) — whose compiled SELECT plan is reused
+// while sn's schema versions match it.
+func (db *DB) execRead(sn *snapshot, cp *cachedPlan) (*Result, error) {
+	switch st := cp.st.(type) {
+	case *SelectStmt:
+		p, err := db.selectPlanFor(sn, cp, st)
+		if err != nil {
+			return nil, err
+		}
+		return sn.runSelect(st, p)
+	case *ExplainStmt:
+		return db.execExplain(sn, st)
 	}
-	sn := db.readSnapshot()
-	p, err := db.selectPlanFor(sn, cp, sel)
-	if err != nil {
-		return nil, err
-	}
-	return sn.runSelect(sel, p)
+	return nil, errorf("unsupported read %T", cp.st)
 }

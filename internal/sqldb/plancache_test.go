@@ -147,17 +147,18 @@ func TestPlanCacheRollbackInvalidation(t *testing.T) {
 	db := seedDB(t)
 	const q = "SELECT * FROM results"
 	before := mustExec(t, db, q)
-	mustExec(t, db, "BEGIN")
-	mustExec(t, db, "ALTER TABLE results ADD COLUMN extra integer")
-	mid := mustExec(t, db, q)
+	s := db.NewSession()
+	mustExec(t, s, "BEGIN")
+	mustExec(t, s, "ALTER TABLE results ADD COLUMN extra integer")
+	mid := mustExec(t, s, q)
 	if len(mid.Columns) != len(before.Columns)+1 {
 		t.Fatalf("in-txn schema: %d columns", len(mid.Columns))
 	}
-	// The sessionless SELECT compiled into the shared entry, against a
-	// table version that is about to vanish.
-	shared := db.plans.get(q)
+	// The in-transaction SELECT compiled into the transaction's entry,
+	// against a table version that is about to vanish.
+	shared := s.tx.Load().plans[q]
 	committed := db.state.Load()
-	mustExec(t, db, "ROLLBACK")
+	mustExec(t, s, "ROLLBACK")
 	if db.state.Load() != committed {
 		t.Error("ROLLBACK published a snapshot; it should be a pointer drop")
 	}

@@ -225,7 +225,7 @@ func (s *Session) pour(r *PipelineRequest) (*Result, error) {
 func (db *DB) pourTxn(tx *sessionTxn, r *PipelineRequest, st *InsertStmt) (*Result, error) {
 	raw := ""
 	if db.replicates() {
-		if t, ok := tx.over.Load().table(r.Table); ok && !t.temp {
+		if t, ok := tx.over.table(r.Table); ok && !t.temp {
 			var err error
 			if raw, _, err = RenderPour(*r); err != nil {
 				return nil, err

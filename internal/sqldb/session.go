@@ -17,19 +17,21 @@ import (
 // optimistic concurrency control on top of the MVCC overlay machinery
 // in snapshot.go.
 //
-// Every mutation runs inside a transaction. BEGIN opens one on the
-// Session (at most one per session); a mutation outside BEGIN — a SQL
-// statement or an InsertRows batch, from a DB, a Session, the wire
-// server or WAL replay — is a transaction of one statement (runOne).
-// Either way the transaction pins the current committed snapshot as its
-// base; each statement builds a private overlay snapshot derived from
-// the previous one, with no lock held, so the transaction reads its own
-// writes while the committed state (and every other session) is
-// completely unaffected. As statements execute, the transaction records
-// its write set (table keys it mutated) and its read set: tables it
-// scanned, refined to index point-probes where the scan was served by a
-// hash index. (The default session's BEGIN ... COMMIT is the one
-// transaction that records no reads; see Session.record.)
+// Every mutation runs inside a transaction, and a transaction belongs
+// to a Session, never to the database. BEGIN opens one on the Session
+// (at most one per session); a mutation outside BEGIN — a SQL statement
+// or an InsertRows batch, from a DB or a Session — is a transaction of
+// one statement (runOne). DB.Exec refuses transaction control
+// (ErrNoSession); WAL replay and a replica apply a committed frame as
+// one BEGIN … COMMIT pipeline on a private session. Either way the
+// transaction pins the current committed snapshot as its base; each
+// statement builds a private overlay snapshot derived from the previous
+// one, with no lock held, so the transaction reads its own writes while
+// the committed state (and every other session) is completely
+// unaffected. As statements execute, the transaction records its write
+// set (table keys it mutated) and its read set: tables it scanned,
+// refined to index point-probes where the scan was served by a hash
+// index.
 //
 // The commit (commitTxn) validates under the commit latch (DB.wmu, held
 // briefly): the transaction may publish iff no transaction committed
@@ -105,19 +107,10 @@ var (
 // mutation as a transaction of its own, exactly like DB.Exec.
 type Session struct {
 	db *DB
-	// record enables read-set tracking for BEGIN ... COMMIT. The DB's
-	// internal default session (the sessionless DB.Exec API) runs with
-	// record=false and validates only its write set: inside its open
-	// transaction, reads can come from arbitrary goroutines sharing the
-	// DB handle, which would inflate the read set with bystander scans.
-	// A one-statement transaction always records: its reads are the
-	// statement's own.
-	record bool
 
 	mu sync.Mutex
-	// tx is the open transaction, nil outside one. Atomic so the
-	// lock-free read path (DB.Exec SELECT routing) can peek at the
-	// default session's overlay without taking mu.
+	// tx is the open transaction, nil outside one. Written under mu;
+	// atomic so InTxn answers without it.
 	tx atomic.Pointer[sessionTxn]
 	// prep is the transaction parked by PREPARE TRANSACTION, nil
 	// outside a two-phase commit. Guarded by mu.
@@ -143,10 +136,9 @@ type tableIntent struct {
 	holders   int
 }
 
-// NewSession creates an independent transactional session with full
-// read-set tracking.
+// NewSession creates an independent transactional session.
 func (db *DB) NewSession() *Session {
-	return &Session{db: db, record: true}
+	return &Session{db: db}
 }
 
 // sessionTxn is the state of one open transaction.
@@ -154,13 +146,10 @@ type sessionTxn struct {
 	// base is the committed snapshot the transaction began from.
 	base *snapshot
 	// over is the current private overlay: base plus every statement
-	// executed so far. Atomic so the default session's overlay is
-	// readable by concurrent DB.Exec SELECTs without the session lock.
-	over atomic.Pointer[snapshot]
-	// reads is the accumulated read set, &tracker; nil when the
-	// transaction does not record reads.
-	reads   *readTracker
-	tracker readTracker
+	// executed so far.
+	over *snapshot
+	// reads is the accumulated read set.
+	reads readTracker
 	// writes is the set of (lower-cased) table keys the transaction
 	// mutated, schema the subset needing plan invalidation. rewrites holds
 	// the tables a rewriting statement (UPDATE, DELETE, DDL) ran over: the
@@ -180,20 +169,17 @@ type sessionTxn struct {
 }
 
 // beginTxn starts a transaction on the current committed state.
-func (db *DB) beginTxn(record bool) *sessionTxn {
-	tx := &sessionTxn{base: db.state.Load()}
-	if record {
-		tx.reads = &tx.tracker
-	}
-	tx.over.Store(tx.base)
-	return tx
+func (db *DB) beginTxn() *sessionTxn {
+	base := db.state.Load()
+	return &sessionTxn{base: base, over: base}
 }
 
 // InTxn reports whether the session has an open transaction.
 func (s *Session) InTxn() bool { return s.tx.Load() != nil }
 
-// Exec parses and executes one SQL statement in this session,
-// honouring the session's open transaction if any.
+// Exec parses and executes one SQL statement in this session: inside
+// its open transaction if it has one, else a read on the committed state
+// and any other statement as a transaction of its own.
 func (s *Session) Exec(sql string) (*Result, error) {
 	if err := s.db.hookReentry(); err != nil {
 		return nil, err
@@ -202,31 +188,33 @@ func (s *Session) Exec(sql string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.tx.Load() == nil {
-		// Reads outside a transaction are lock-free against the
-		// committed snapshot, same as DB.Exec.
-		switch st := cp.st.(type) {
-		case *SelectStmt:
-			sn := s.db.state.Load()
-			p, perr := s.db.selectPlanFor(sn, cp, st)
-			if perr != nil {
-				return nil, perr
-			}
-			return sn.runSelect(st, p)
-		case *ExplainStmt:
-			return s.db.execExplain(s.db.state.Load(), st)
-		}
+	s.mu.Lock()
+	if tx := s.tx.Load(); tx != nil {
+		defer s.mu.Unlock()
+		return s.execTxn(tx, cp, sql)
 	}
-	return s.execStmt(cp, sql)
-}
-
-// ExecArgs executes a statement with '?' placeholders bound to args.
-func (s *Session) ExecArgs(sql string, args ...value.Value) (*Result, error) {
-	bound, err := BindArgs(sql, args...)
-	if err != nil {
-		return nil, err
+	switch cp.st.(type) {
+	case *BeginStmt:
+		s.tx.Store(s.db.beginTxn())
+		s.mu.Unlock()
+		return &Result{}, nil
+	case *CommitStmt, *RollbackStmt, *PrepareStmt:
+		s.mu.Unlock()
+		return nil, errorf("no open transaction")
+	case *CommitPreparedStmt:
+		defer s.mu.Unlock()
+		return s.commitPreparedLocked()
+	case *RollbackPreparedStmt:
+		defer s.mu.Unlock()
+		return s.rollbackPreparedLocked()
+	case *SelectStmt, *ExplainStmt:
+		s.mu.Unlock()
+		return s.db.execRead(s.db.state.Load(), cp)
 	}
-	return s.Exec(bound)
+	// A mutation outside BEGIN runs outside the session lock so
+	// concurrent sessions' durability waits share group fsyncs.
+	s.mu.Unlock()
+	return s.db.execOne(cp.st, sql)
 }
 
 // Close rolls back any open transaction. The wire server closes the
@@ -244,47 +232,6 @@ func (s *Session) Close() {
 	}
 }
 
-// execStmt executes a statement from a (shared) cache entry under the
-// session lock, routing to the transaction machinery as needed.
-func (s *Session) execStmt(cp *cachedPlan, raw string) (*Result, error) {
-	s.mu.Lock()
-	if tx := s.tx.Load(); tx != nil {
-		defer s.mu.Unlock()
-		return s.execTxn(tx, cp, raw)
-	}
-	switch cp.st.(type) {
-	case *BeginStmt:
-		defer s.mu.Unlock()
-		return s.beginLocked()
-	case *CommitStmt, *RollbackStmt, *PrepareStmt:
-		s.mu.Unlock()
-		return nil, errorf("no open transaction")
-	case *CommitPreparedStmt:
-		defer s.mu.Unlock()
-		return s.commitPreparedLocked()
-	case *RollbackPreparedStmt:
-		defer s.mu.Unlock()
-		return s.rollbackPreparedLocked()
-	case *SelectStmt, *ExplainStmt:
-		// Only reachable via ExecParsed-style callers; reads need no
-		// session state outside a transaction.
-		s.mu.Unlock()
-		return s.db.execCached(cp, "")
-	}
-	// A mutation outside BEGIN runs outside the session lock so
-	// concurrent sessions' durability waits share group fsyncs.
-	s.mu.Unlock()
-	var res *Result
-	err := s.db.runOne(func(tx *sessionTxn) (err error) {
-		res, err = s.db.execTxnStmt(tx, cp.st, raw)
-		return err
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
 // runOne runs a mutation outside BEGIN as what it is, a transaction of
 // one statement: begin on the current state, apply with no lock held,
 // commit — and wait for durability outside the latch, so concurrent
@@ -296,7 +243,7 @@ func (s *Session) execStmt(cp *cachedPlan, raw string) (*Result, error) {
 // snapshot, no WAL frame, no replication position.
 func (db *DB) runOne(apply func(tx *sessionTxn) error) error {
 	for {
-		tx := db.beginTxn(true)
+		tx := db.beginTxn()
 		if err := apply(tx); err != nil {
 			return err
 		}
@@ -314,10 +261,31 @@ func (db *DB) runOne(apply func(tx *sessionTxn) error) error {
 	}
 }
 
-// beginLocked opens a transaction. The caller holds s.mu.
-func (s *Session) beginLocked() (*Result, error) {
-	s.tx.Store(s.db.beginTxn(s.record))
-	return &Result{}, nil
+// execOne runs a mutation outside BEGIN as a transaction of its own.
+func (db *DB) execOne(st Statement, raw string) (*Result, error) {
+	var res *Result
+	err := db.runOne(func(tx *sessionTxn) (err error) {
+		res, err = db.execTxnStmt(tx, st, raw)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// insertOne runs a typed row batch outside BEGIN as a transaction of its
+// own.
+func (db *DB) insertOne(tableName string, cols []string, rows []Row) (int, error) {
+	var n int
+	err := db.runOne(func(tx *sessionTxn) (err error) {
+		n, err = db.insertTxnRows(tx, tableName, cols, rows)
+		return err
+	})
+	if err != nil {
+		return 0, err
+	}
+	return n, nil
 }
 
 // execTxn executes one statement inside an open transaction. The
@@ -337,16 +305,8 @@ func (s *Session) execTxn(tx *sessionTxn, cp *cachedPlan, raw string) (*Result, 
 		return s.prepareLocked(tx, st.Gid)
 	case *CommitPreparedStmt, *RollbackPreparedStmt:
 		return nil, errorf("cannot resolve a prepared transaction while a transaction is open")
-	case *SelectStmt:
-		lcp := tx.localPlan(cp, raw)
-		tsn := tx.over.Load().withReads(tx.reads)
-		p, err := s.db.selectPlanFor(tsn, lcp, st)
-		if err != nil {
-			return nil, err
-		}
-		return tsn.runSelect(st, p)
-	case *ExplainStmt:
-		return s.db.execExplain(tx.over.Load().withReads(tx.reads), st)
+	case *SelectStmt, *ExplainStmt:
+		return s.db.execRead(tx.over.withReads(&tx.reads), tx.localPlan(cp, raw))
 	}
 	return s.db.execTxnStmt(tx, cp.st, raw)
 }
@@ -368,9 +328,8 @@ func (db *DB) execTxnStmt(tx *sessionTxn, st Statement, raw string) (*Result, er
 	}
 	tx.install(ws)
 	if ws.changed() && raw != "" && db.replicates() {
-		over := tx.over.Load()
 		isTemp := func(name string) bool {
-			t, ok := over.table(name)
+			t, ok := tx.over.table(name)
 			return ok && t.temp
 		}
 		if !stmtSkipsLog(st, isTemp, ws.dropTemp) {
@@ -408,7 +367,7 @@ func (tx *sessionTxn) install(ws *writeState) {
 	if !ws.changed() {
 		return
 	}
-	tx.over.Store(ws.seal())
+	tx.over = ws.seal()
 	tx.writes = mergeKeys(tx.writes, ws.touched)
 	tx.schema = mergeKeys(tx.schema, ws.schema)
 }
@@ -468,12 +427,8 @@ func (db *DB) commitTxn(tx *sessionTxn) (seq uint64, err error) {
 }
 
 // rollbackLocked discards the transaction. Nothing was ever published,
-// so rollback is a pointer drop — also for the default session, whose
-// overlay is visible to the shared plan cache (DB.Exec SELECTs during
-// the open transaction compile into shared entries): schema versions
-// are never reused, so a plan compiled against a table version that
-// existed only inside the aborted transaction can never match again.
-// The caller holds s.mu.
+// and the plans compiled inside it stayed in its private entries, so
+// rollback is a pointer drop. The caller holds s.mu.
 func (s *Session) rollbackLocked() (*Result, error) {
 	s.tx.Store(nil)
 	return &Result{}, nil
@@ -597,16 +552,14 @@ func txFootprint(tx *sessionTxn) []string {
 	for k := range tx.writes {
 		seen[k] = true
 	}
-	if tx.reads != nil {
-		tx.reads.mu.Lock()
-		for k := range tx.reads.full {
-			seen[k] = true
-		}
-		for k := range tx.reads.points {
-			seen[k] = true
-		}
-		tx.reads.mu.Unlock()
+	tx.reads.mu.Lock()
+	for k := range tx.reads.full {
+		seen[k] = true
 	}
+	for k := range tx.reads.points {
+		seen[k] = true
+	}
+	tx.reads.mu.Unlock()
 	keys := make([]string, 0, len(seen))
 	for k := range seen {
 		keys = append(keys, k)
@@ -639,9 +592,6 @@ func validateTxn(cur *snapshot, tx *sessionTxn) (string, bool) {
 		if ct := cur.cat.get(k); ct == nil || !tx.blindAppend(k) || ct.ver != tx.base.cat.get(k).ver {
 			return k, false
 		}
-	}
-	if tx.reads == nil {
-		return "", true
 	}
 	for k := range tx.reads.full {
 		if tx.writes[k] {
@@ -720,7 +670,7 @@ func survivors(next *snapshot, writes map[string]bool) []*table {
 // transaction's own rows (the overlay's ordinals from the base version's
 // row count up) appended to it.
 func mergeCommit(db *DB, cur *snapshot, tx *sessionTxn) *snapshot {
-	over := tx.over.Load()
+	over := tx.over
 	if cur == tx.base {
 		return over
 	}
@@ -750,10 +700,9 @@ func mergeCommit(db *DB, cur *snapshot, tx *sessionTxn) *snapshot {
 // blindAppend reports whether written table k's whole footprint in the
 // transaction is rows appended to it: never read, and no UPDATE, DELETE
 // or DDL ever ran over it (tx.rewrites, which counts the ones that
-// matched no row). A session that does not record reads cannot know the
-// former.
+// matched no row).
 func (tx *sessionTxn) blindAppend(k string) bool {
-	if tx.reads == nil || tx.rewrites[k] {
+	if tx.rewrites[k] {
 		return false
 	}
 	_, probed := tx.reads.points[k]
@@ -803,14 +752,7 @@ func (s *Session) InsertRows(tableName string, cols []string, rows []Row) (n int
 		return s.db.insertTxnRows(tx, tableName, cols, rows)
 	}
 	s.mu.Unlock()
-	err = s.db.runOne(func(tx *sessionTxn) (err error) {
-		n, err = s.db.insertTxnRows(tx, tableName, cols, rows)
-		return err
-	})
-	if err != nil {
-		return 0, err
-	}
-	return n, nil
+	return s.db.insertOne(tableName, cols, rows)
 }
 
 // ------------------------------------------------------ read tracking
@@ -900,12 +842,9 @@ func fingerprintRows(rows []Row) uint64 {
 }
 
 // withReads returns a shallow copy of the snapshot carrying the read
-// tracker, or the snapshot itself when tracking is off. Scans check
-// sn.reads, so only executions rooted at the tracked copy record.
+// tracker. Scans check sn.reads, so only executions rooted at the
+// tracked copy record.
 func (sn *snapshot) withReads(tr *readTracker) *snapshot {
-	if tr == nil {
-		return sn
-	}
 	c := *sn
 	c.reads = tr
 	return &c

@@ -102,7 +102,7 @@ func (sn *snapshot) versionsMatch(tables []string, vers []int64) bool {
 type writeState struct {
 	db *DB
 	// base is the overlay the statement started from; reads is the
-	// tracker its SELECT half records into (nil: reads are not recorded).
+	// tracker its SELECT half records into.
 	base  *snapshot
 	reads *readTracker
 
@@ -130,8 +130,7 @@ type writeState struct {
 // newWriteState builds a statement's working state over a
 // transaction's current overlay.
 func newWriteState(db *DB, tx *sessionTxn) *writeState {
-	base := tx.over.Load()
-	return &writeState{db: db, base: base, reads: tx.reads, cat: base.cat}
+	return &writeState{db: db, base: tx.over, reads: &tx.reads, cat: tx.over.cat}
 }
 
 // readView is the snapshot the statement's SELECT half (INSERT ...
@@ -276,15 +275,9 @@ func (s *Snapshot) Exec(sql string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch st := cp.st.(type) {
-	case *SelectStmt:
-		p, err := s.db.selectPlanFor(s.sn, cp, st)
-		if err != nil {
-			return nil, err
-		}
-		return s.sn.runSelect(st, p)
-	case *ExplainStmt:
-		return s.db.execExplain(s.sn, st)
+	switch cp.st.(type) {
+	case *SelectStmt, *ExplainStmt:
+		return s.db.execRead(s.sn, cp)
 	}
 	return nil, errorf("snapshot is read-only: cannot execute %q", sql)
 }

@@ -429,7 +429,7 @@ func TestDropTable(t *testing.T) {
 }
 
 func TestTransactions(t *testing.T) {
-	db := NewMemory()
+	db := NewMemory().NewSession() // a transaction belongs to a session
 	mustExec(t, db, "CREATE TABLE t (a integer)")
 	mustExec(t, db, "INSERT INTO t VALUES (1)")
 
@@ -572,9 +572,18 @@ func TestAmbiguousColumn(t *testing.T) {
 	mustExec(t, db, "SELECT a.id FROM a JOIN b ON a.id = b.id")
 }
 
+// execArgs binds args to sql's placeholders and executes the result.
+func execArgs(q Querier, sql string, args ...value.Value) (*Result, error) {
+	bound, err := BindArgs(sql, args...)
+	if err != nil {
+		return nil, err
+	}
+	return q.Exec(bound)
+}
+
 func TestBindArgs(t *testing.T) {
 	db := seedDB(t)
-	res, err := db.ExecArgs("SELECT COUNT(*) FROM results WHERE fs = ? AND bw > ?",
+	res, err := execArgs(db, "SELECT COUNT(*) FROM results WHERE fs = ? AND bw > ?",
 		value.NewString("ufs"), value.NewFloat(100))
 	if err != nil {
 		t.Fatal(err)
@@ -583,15 +592,15 @@ func TestBindArgs(t *testing.T) {
 		t.Errorf("bound query = %v", res.Rows[0][0])
 	}
 	// Strings with quotes are escaped.
-	if _, err := db.ExecArgs("SELECT COUNT(*) FROM results WHERE fs = ?",
+	if _, err := execArgs(db, "SELECT COUNT(*) FROM results WHERE fs = ?",
 		value.NewString("o'; DROP TABLE results --")); err != nil {
 		t.Fatalf("injection-shaped arg: %v", err)
 	}
 	mustExec(t, db, "SELECT COUNT(*) FROM results") // still alive
-	if _, err := db.ExecArgs("SELECT ?"); err == nil {
+	if _, err := execArgs(db, "SELECT ?"); err == nil {
 		t.Error("missing arg accepted")
 	}
-	if _, err := db.ExecArgs("SELECT 1", value.NewInt(1)); err == nil {
+	if _, err := execArgs(db, "SELECT 1", value.NewInt(1)); err == nil {
 		t.Error("surplus arg accepted")
 	}
 	// Placeholders inside string literals are not substituted.
@@ -986,7 +995,7 @@ func TestQuickInsertSelectRoundTrip(t *testing.T) {
 }
 
 func TestTransactionWithTempTables(t *testing.T) {
-	db := NewMemory()
+	db := NewMemory().NewSession() // a transaction belongs to a session
 	mustExec(t, db, "CREATE TABLE base (a integer)")
 	mustExec(t, db, "INSERT INTO base VALUES (1), (2)")
 	mustExec(t, db, "BEGIN")

@@ -101,21 +101,22 @@ func TestTortureChild(t *testing.T) {
 		fmt.Fprintln(os.Stderr, "child ack:", err)
 		os.Exit(9)
 	}
+	s := db.NewSession()
 	for seq := 1; seq <= tortureOps; seq++ {
 		if seq%2 == 1 {
-			if _, err := db.Exec("BEGIN"); err != nil {
+			if _, err := s.Exec("BEGIN"); err != nil {
 				fmt.Fprintf(os.Stderr, "child seq %d BEGIN: %v\n", seq, err)
 				os.Exit(9)
 			}
-			if _, err := db.Exec(fmt.Sprintf("INSERT INTO torture VALUES (%d, 'a')", seq)); err != nil {
+			if _, err := s.Exec(fmt.Sprintf("INSERT INTO torture VALUES (%d, 'a')", seq)); err != nil {
 				fmt.Fprintf(os.Stderr, "child seq %d: %v\n", seq, err)
 				os.Exit(9)
 			}
-			if _, err := db.Exec(fmt.Sprintf("INSERT INTO torture VALUES (%d, 'b')", seq)); err != nil {
+			if _, err := s.Exec(fmt.Sprintf("INSERT INTO torture VALUES (%d, 'b')", seq)); err != nil {
 				fmt.Fprintf(os.Stderr, "child seq %d: %v\n", seq, err)
 				os.Exit(9)
 			}
-			if _, err := db.Exec("COMMIT"); err != nil {
+			if _, err := s.Exec("COMMIT"); err != nil {
 				fmt.Fprintf(os.Stderr, "child seq %d COMMIT: %v\n", seq, err)
 				os.Exit(9)
 			}
@@ -414,12 +415,13 @@ func TestWALTailTruncationSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	mustExec(t, db, "CREATE TABLE torture (seq integer, half string)")
+	s := db.NewSession()
 	for seq := 1; seq <= 40; seq++ {
 		if seq%2 == 1 {
-			mustExec(t, db, "BEGIN")
-			mustExec(t, db, fmt.Sprintf("INSERT INTO torture VALUES (%d, 'a')", seq))
-			mustExec(t, db, fmt.Sprintf("INSERT INTO torture VALUES (%d, 'b')", seq))
-			mustExec(t, db, "COMMIT")
+			mustExec(t, s, "BEGIN")
+			mustExec(t, s, fmt.Sprintf("INSERT INTO torture VALUES (%d, 'a')", seq))
+			mustExec(t, s, fmt.Sprintf("INSERT INTO torture VALUES (%d, 'b')", seq))
+			mustExec(t, s, "COMMIT")
 		} else {
 			mustExec(t, db, fmt.Sprintf("INSERT INTO torture VALUES (%d, 'a'), (%d, 'b')", seq, seq))
 		}
@@ -551,10 +553,11 @@ func TestTransactionFrameAtomicity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mustExec(t, db, "BEGIN")
-	mustExec(t, db, "INSERT INTO t VALUES (1)")
-	mustExec(t, db, "INSERT INTO t VALUES (2)")
-	mustExec(t, db, "COMMIT")
+	s := db.NewSession()
+	mustExec(t, s, "BEGIN")
+	mustExec(t, s, "INSERT INTO t VALUES (1)")
+	mustExec(t, s, "INSERT INTO t VALUES (2)")
+	mustExec(t, s, "COMMIT")
 	db.crashWAL()
 	full, err := os.ReadFile(filepath.Join(dir, walFile))
 	if err != nil {

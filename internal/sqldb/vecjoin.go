@@ -371,14 +371,24 @@ func (b *joinPairs) col(ci int) (*colVec, []int32, bool) {
 
 func (b *joinPairs) setRep(g *group, j int) { g.rep = b.rep(j) }
 
+// width is the number of values in a joined row.
+func (b *joinBuild) width() int { return b.nLeft + len(b.pad) }
+
 // rep materializes tuple j's joined row.
 func (b *joinPairs) rep(j int) Row {
-	row := make(Row, 0, b.nLeft+len(b.pad))
-	row = append(row, b.rows[b.pl[j]]...)
+	row := make(Row, b.width())
+	b.fill(row, j)
+	return row
+}
+
+// fill writes tuple j's joined row into row, which is width long.
+func (b *joinPairs) fill(row Row, j int) {
+	n := copy(row, b.rows[b.pl[j]])
 	if r := b.pr[j]; r >= 0 {
-		return append(row, b.build[r]...)
+		copy(row[n:], b.build[r])
+	} else {
+		copy(row[n:], b.pad)
 	}
-	return append(row, b.pad...)
 }
 
 // runVecJoin executes a planned equi-join through the vectorized path.
@@ -553,20 +563,25 @@ func (sn *snapshot) runVecJoin(st *SelectStmt, p *compiledSelect) (*Result, *rel
 
 	// Materialize mode: build the joined relation in morsel index order —
 	// late materialization touches the payload rows only for surviving
-	// pairs.
+	// pairs, and cuts them all from one slab.
 	npairs := 0
 	for _, part := range parts {
 		if part != nil {
 			npairs += len(part.pl)
 		}
 	}
-	out := make([]Row, 0, npairs)
+	rw := build.width()
+	slab := make([]value.Value, npairs*rw)
+	out := make([]Row, npairs)
+	i := 0
 	for _, part := range parts {
 		if part == nil {
 			continue
 		}
 		for j := range part.pl {
-			out = append(out, part.rep(j))
+			out[i], slab = slab[:rw:rw], slab[rw:]
+			part.fill(out[i], j)
+			i++
 		}
 	}
 	return nil, singleChunk(p.srcSchema, out), true, nil

@@ -1,6 +1,7 @@
 package value
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
@@ -25,6 +26,66 @@ var timestampLayouts = []string{
 	"Jan 2 15:04:05 2006",
 	"02.01.2006 15:04:05",
 	"01/02/2006 15:04:05",
+}
+
+// layoutsByFields holds timestampLayouts by their number of white-space
+// separated fields, each list in timestampLayouts order. A layout only
+// matches text with as many fields as it has: time.Parse matches a run
+// of spaces in the layout to a run of spaces in the text, and no layout
+// element takes white space.
+var layoutsByFields = func() [][]string {
+	var by [][]string
+	for _, l := range timestampLayouts {
+		n := fieldCount(l)
+		for len(by) <= n {
+			by = append(by, nil)
+		}
+		by[n] = append(by[n], l)
+	}
+	return by
+}()
+
+// fieldCount returns the number of fields strings.Fields would split s
+// into, without allocating.
+func fieldCount(s string) int {
+	n, in := 0, false
+	for _, r := range s {
+		if unicode.IsSpace(r) {
+			in = false
+		} else if !in {
+			in, n = true, n+1
+		}
+	}
+	return n
+}
+
+// errNotTimestamp is parseTimestamp's answer for text no layout matches;
+// being a value, it costs a failed attempt no allocation.
+var errNotTimestamp = errors.New("value: not a timestamp")
+
+// parseTimestamp parses s, which has n fields, as a Timestamp: by the
+// layouts of n fields, in order, and, for one field, as Unix seconds.
+// It returns errNotTimestamp when nothing matches, and a range error
+// when the first layout that matches gives a time a Timestamp cannot
+// hold.
+func parseTimestamp(s string, n int) (Value, error) {
+	if n < len(layoutsByFields) {
+		for _, layout := range layoutsByFields[n] {
+			if ts, err := time.Parse(layout, s); err == nil {
+				if ts.Before(minTime) || ts.After(maxTime) {
+					return Value{}, errTimeRange(strconv.Quote(s))
+				}
+				return NewTimestamp(ts), nil
+			}
+		}
+	}
+	// Numeric timestamps are interpreted as Unix seconds.
+	if n == 1 {
+		if secs, err := strconv.ParseInt(s, 10, 64); err == nil {
+			return unixSeconds(secs)
+		}
+	}
+	return Value{}, errNotTimestamp
 }
 
 // The range of a Timestamp: int64 nanoseconds since the Unix epoch.
@@ -86,19 +147,11 @@ func Parse(t Type, s string) (Value, error) {
 		}
 		return Value{}, fmt.Errorf("value: %q is not a boolean", s)
 	case Timestamp:
-		for _, layout := range timestampLayouts {
-			if ts, err := time.Parse(layout, s); err == nil {
-				if ts.Before(minTime) || ts.After(maxTime) {
-					return Value{}, errTimeRange(strconv.Quote(s))
-				}
-				return NewTimestamp(ts), nil
-			}
+		v, err := parseTimestamp(s, fieldCount(s))
+		if err == errNotTimestamp {
+			return Value{}, fmt.Errorf("value: %q is not a timestamp", s)
 		}
-		// Numeric timestamps are interpreted as Unix seconds.
-		if secs, err := strconv.ParseInt(s, 10, 64); err == nil {
-			return unixSeconds(secs)
-		}
-		return Value{}, fmt.Errorf("value: %q is not a timestamp", s)
+		return v, err
 	}
 	return Value{}, fmt.Errorf("value: unknown type %v", t)
 }
@@ -130,11 +183,15 @@ func SmartParse(t Type, s string) (Value, error) {
 		return NewString(firstWord(s)), nil
 	case Timestamp:
 		// Try progressively shorter prefixes (cut at word boundaries)
-		// so that trailing prose after a date does not break parsing.
+		// so that trailing prose after a date does not break parsing. A
+		// prefix of more words than any layout has, or of a number no
+		// layout has, cannot parse and is not tried.
 		words := strings.Fields(s)
-		for n := len(words); n >= 1; n-- {
-			candidate := strings.Join(words[:n], " ")
-			if v, err := Parse(Timestamp, candidate); err == nil {
+		for n := min(len(words), len(layoutsByFields)-1); n >= 1; n-- {
+			if n > 1 && len(layoutsByFields[n]) == 0 {
+				continue
+			}
+			if v, err := parseTimestamp(strings.Join(words[:n], " "), n); err == nil {
 				return v, nil
 			}
 		}
