@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"strings"
 	"time"
 
@@ -42,6 +43,10 @@ var ErrDuplicateImport = errors.New("core: already imported")
 // maxClaims bounds how often CreateRuns resends its runs after losing
 // their ids to concurrent importers.
 const maxClaims = 100
+
+// claimBackoff is the longest wait after the first lost claim; after
+// the n-th it is n times as long.
+const claimBackoff = 50 * time.Microsecond
 
 // runCols are the columns of a pb_runs row, in the order CreateRuns
 // writes them.
@@ -126,6 +131,10 @@ func (e *Experiment) CreateRuns(fingerprint string, runs []NewRun) ([]int64, err
 		if attempt == maxClaims {
 			return nil, fmt.Errorf("core: no free run id after %d claims: %w", attempt, err)
 		}
+		// Importers that lost to each other re-read and resend in
+		// lockstep, and one of them can lose every round: a random wait,
+		// growing with the losses, breaks the step.
+		time.Sleep(rand.N(time.Duration(attempt) * claimBackoff))
 		last := next
 		if next, _, err = e.nextRunID("", nil); err != nil {
 			return nil, err

@@ -3,7 +3,11 @@ package repl
 import (
 	"errors"
 	"fmt"
+	"math"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -223,6 +227,108 @@ func TestReplicaBootstrapsWhenBehindHistory(t *testing.T) {
 	defer r.close()
 	waitConverged(t, p, r)
 	assertIdentical(t, p, r)
+}
+
+// TestReplicaBootstrapKeepsChunkLayout: a bootstrapped replica holds its
+// primary's tables in the primary's chunks, so a float SUM — one partial
+// per chunk's morsels, merged — adds up in the same order and comes out
+// bit for bit as the primary's: from a memory primary pushed past the
+// hub's history, and from a durable one that has just opened, its
+// tables still cold.
+func TestReplicaBootstrapKeepsChunkLayout(t *testing.T) {
+	// Two 600-row INSERTs, two chunks. 1e16 absorbs a lone 1.0, so the
+	// order the ones are added in shows in the sum.
+	fill := func(t *testing.T, db *sqldb.DB) {
+		mustExec(t, db, "CREATE TABLE t (g integer, x float)")
+		for batch := 0; batch < 2; batch++ {
+			var b strings.Builder
+			b.WriteString("INSERT INTO t VALUES ")
+			for i := 0; i < 600; i++ {
+				x := "1.0"
+				if batch == 0 && i < 2 {
+					x = "1e16"
+				}
+				if i > 0 {
+					b.WriteString(", ")
+				}
+				fmt.Fprintf(&b, "(%d, %s)", i%2, x)
+			}
+			mustExec(t, db, b.String())
+		}
+	}
+	const q = "SELECT g, SUM(x), AVG(x) FROM t GROUP BY g ORDER BY g"
+	bits := func(res *sqldb.Result) string {
+		var b strings.Builder
+		for _, row := range res.Rows {
+			fmt.Fprintf(&b, "%d %x %x\n", row[0].Int(), math.Float64bits(row[1].Float()), math.Float64bits(row[2].Float()))
+		}
+		return b.String()
+	}
+	for name, primary := range map[string]func(t *testing.T) *node{
+		"memory": func(t *testing.T) *node {
+			p := startPrimary(t)
+			fill(t, p.db)
+			mustExec(t, p.db, "CREATE TABLE pad (i integer)")
+			for i := 0; i < defaultHistory+16; i++ {
+				mustExec(t, p.db, fmt.Sprintf("INSERT INTO pad VALUES (%d)", i))
+			}
+			return p
+		},
+		"durable-just-opened": func(t *testing.T) *node {
+			dir := t.TempDir()
+			db, err := sqldb.Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fill(t, db)
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if db, err = sqldb.Open(dir); err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { db.Close() })
+			return servePrimary(t, db)
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			p := primary(t)
+			defer p.close()
+			r := startReplica(t, p.addr())
+			defer r.close()
+			waitConverged(t, p, r)
+			if got, want := bits(mustExec(t, r.db, q)), bits(mustExec(t, p.db, q)); got != want {
+				t.Errorf("replica's %s (bits):\n%swant the primary's:\n%s", q, got, want)
+			}
+			pl, rl := chunkLens(t, p.db)["t"], chunkLens(t, r.db)["t"]
+			if fmt.Sprint(pl) != "[600 600]" || fmt.Sprint(rl) != fmt.Sprint(pl) {
+				t.Errorf("chunks of t: replica %v, primary %v, want [600 600] on both", rl, pl)
+			}
+		})
+	}
+}
+
+// chunkLens returns every table's chunk lengths as a checkpoint image of
+// db's state records them.
+func chunkLens(t *testing.T, db *sqldb.DB) map[string][]int {
+	t.Helper()
+	image, _, err := db.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "columns.blk")
+	if err := os.WriteFile(path, image, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	info, err := sqldb.ScanBlockFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lens := map[string][]int{}
+	for _, ti := range info.Dir {
+		lens[ti.Table] = ti.ChunkLens
+	}
+	return lens
 }
 
 func TestStatusReportsRoleAndLag(t *testing.T) {

@@ -150,7 +150,8 @@ func (r *Replica) connectAndTail() error {
 	}
 }
 
-// bootstrap transfers the primary's full state, imports it, adopts its
+// bootstrap transfers a checkpoint image of the primary's state,
+// installs its tables (cold, in the primary's chunks), adopts its
 // position, and subscribes from there. The returned client is in
 // streaming mode. Subscription can race a checkpoint rotation between
 // transfer and subscribe; the caller retries the whole connect path.
@@ -159,17 +160,17 @@ func (r *Replica) bootstrap() (*wire.Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	exp, err := client.FetchState()
+	image, pos, err := client.FetchState()
 	if err != nil {
 		client.Close()
 		return nil, err
 	}
-	if err := r.db.ImportState(exp); err != nil {
+	if err := r.db.ImportState(image, pos); err != nil {
 		client.Close()
 		return nil, fmt.Errorf("repl: import bootstrap state: %w", err)
 	}
-	r.advance(exp.Pos)
-	if err := client.Subscribe(exp.Pos); err != nil {
+	r.advance(pos)
+	if err := client.Subscribe(pos); err != nil {
 		client.Close()
 		return nil, err
 	}

@@ -462,7 +462,7 @@ func TestCheckpointReleasesOldFiles(t *testing.T) {
 	}
 	for tab := range db.state.Load().cat.all() {
 		if f := tab.disk.Load().f; f != db.ckpt {
-			t.Errorf("table %s reads from %s, not the current checkpoint", tab.name, f.Name())
+			t.Errorf("table %s reads from %s, not the current checkpoint", tab.name, sourceName(f))
 		}
 		chunks := tab.builtChunks()
 		if len(chunks) == 0 {
@@ -540,7 +540,7 @@ func TestColdChunksRacingCheckpoints(t *testing.T) {
 		if err := db.Checkpoint(); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := db.ExportState(); err != nil {
+		if _, _, err := db.ExportState(); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -84,7 +84,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"iter"
 	"math"
 	"os"
 
@@ -547,13 +546,6 @@ func decodeStrData(enc uint8, data []byte, out []string) error {
 	return nil
 }
 
-// decodeColValues decodes one block into boxed values of the column
-// type.
-func decodeColValues(enc uint8, payload []byte, typ value.Type, rows int) ([]value.Value, error) {
-	out := make([]value.Value, rows)
-	return out, decodeColInto(out, 1, enc, payload, typ, rows)
-}
-
 // decodeColInto decodes one block into dst[0], dst[stride], ... — with
 // stride the row width, one column of a chunk's backing array.
 func decodeColInto(dst []value.Value, stride int, enc uint8, payload []byte, typ value.Type, rows int) error {
@@ -742,8 +734,9 @@ type dirTable struct {
 	loc     diskLoc
 }
 
-// diskLoc is a table's extent in a checkpoint file: payload bytes of
-// blocks from off on, then seg bytes of block-meta segment. The file
+// diskLoc is a table's extent in a checkpoint: payload bytes of blocks
+// from off on, then seg bytes of block-meta segment. f is the checkpoint
+// file, or the image a replica bootstrapped from (ImportState). A file
 // stays open for as long as a diskLoc or a storeChunk points at it (a
 // rename over it only unlinks the name), and the runtime closes it when
 // none does. Every checkpoint re-points the current tables and every
@@ -752,7 +745,7 @@ type dirTable struct {
 // Snapshot hydrate a table from a checkpoint two generations old, and
 // all that keeps the file.
 type diskLoc struct {
-	f       *os.File
+	f       io.ReaderAt
 	off     int64
 	payload int64
 	seg     int64
@@ -766,9 +759,18 @@ func (loc *diskLoc) read(from, n int64) ([]byte, error) {
 	}
 	buf := make([]byte, n)
 	if _, err := loc.f.ReadAt(buf, loc.off+from); err != nil {
-		return nil, fmt.Errorf("sqldb: reading %s: %w", loc.f.Name(), err)
+		return nil, fmt.Errorf("sqldb: reading %s: %w", sourceName(loc.f), err)
 	}
 	return buf, nil
+}
+
+// sourceName names what a checkpoint is read from, for an error: the
+// file's path, or an image received in memory.
+func sourceName(r io.ReaderAt) string {
+	if f, ok := r.(*os.File); ok {
+		return f.Name()
+	}
+	return "checkpoint image"
 }
 
 func appendDirectory(dst []byte, epoch uint64, schemas []Schema, tables []dirTable) []byte {
@@ -803,7 +805,7 @@ func appendDirectory(dst []byte, epoch uint64, schemas []Schema, tables []dirTab
 // its CRC, so anything it rejects was written wrong, not torn — it is
 // reported as corruption all the same. end is where the extents stop
 // (the footer's own offset).
-func parseDirectory(footer []byte, f *os.File, epoch uint64, end int64) ([]Schema, []dirTable, error) {
+func parseDirectory(footer []byte, f io.ReaderAt, epoch uint64, end int64) ([]Schema, []dirTable, error) {
 	r := newByteReader(footer)
 	if e := r.uvarint(); e != epoch && !r.bad {
 		return nil, nil, corruptf("header says epoch %d, footer epoch %d", epoch, e)
@@ -866,32 +868,19 @@ func parseDirectory(footer []byte, f *os.File, epoch uint64, end int64) ([]Schem
 
 // ------------------------------------------------------- writer
 
-// writtenTable is what writeCheckpoint reports per table: where it went
-// and, for a table it encoded (rather than copied), the blocks of each
-// of its chunks.
+// writtenTable is what writeCheckpointTo reports per table: where it
+// went and, for a table it encoded (rather than copied), the blocks of
+// each of its chunks. Their f is unset until adoptCheckpoint names the
+// file they went to.
 type writtenTable struct {
 	loc    *diskLoc
 	blocks []*storeChunk
 }
 
-// chunkBlocks yields a chunk's rows cut into blocks of vecMorselRows,
-// the cut every encoder of a chunk makes.
-func chunkBlocks(rows []Row) iter.Seq[[]Row] {
-	return func(yield func([]Row) bool) {
-		for lo := 0; lo < len(rows); lo += vecMorselRows {
-			if !yield(rows[lo:min(lo+vecMorselRows, len(rows))]) {
-				return
-			}
-		}
-	}
-}
-
 // writeCheckpoint writes tables — sorted by key — as the checkpoint of
-// epoch: to path.tmp, fsynced, then renamed over path. A table that an
-// earlier checkpoint already holds (table.disk) is carried over by
-// copying its extent, whatever state its rows are in; the others are
-// encoded. On any failure the tmp file is removed, path is untouched
-// and the error returned. The returned file is open for ReadAt.
+// epoch (see writeCheckpointTo): to path.tmp, fsynced, then renamed over
+// path. On any failure the tmp file is removed, path is untouched and
+// the error returned. The returned file is open for ReadAt.
 func writeCheckpoint(path string, epoch uint64, tables []*table) (*os.File, []writtenTable, error) {
 	if err := fpPersistSave.Inject(); err != nil {
 		return nil, nil, err
@@ -919,8 +908,16 @@ func writeCheckpoint(path string, epoch uint64, tables []*table) (*os.File, []wr
 	return f, out, nil
 }
 
-func writeCheckpointTo(f *os.File, epoch uint64, tables []*table) ([]writtenTable, error) {
-	w := bufio.NewWriterSize(f, 1<<16)
+// writeCheckpointTo writes tables — sorted by key — to dst as the
+// checkpoint image of epoch: the bytes of a checkpoint file, or of the
+// image a replica bootstraps from (ExportState). A table that an earlier
+// checkpoint already holds (table.disk) is carried over by copying its
+// extent, whatever state its rows are in; the others are encoded. Only a
+// file is torn or stopped by the crash sites: an image in memory is not
+// on the durability path.
+func writeCheckpointTo(dst io.Writer, epoch uint64, tables []*table) ([]writtenTable, error) {
+	file, _ := dst.(*os.File)
+	w := bufio.NewWriterSize(dst, 1<<16)
 	var hdr [colHeaderSize]byte
 	copy(hdr[:8], colMagic[:])
 	binary.LittleEndian.PutUint64(hdr[8:], epoch)
@@ -954,7 +951,7 @@ func writeCheckpointTo(f *os.File, epoch uint64, tables []*table) ([]writtenTabl
 				d.indexes = append(d.indexes, ci)
 			}
 		}
-		d.loc = diskLoc{f: f, off: off}
+		d.loc = diskLoc{off: off}
 		out[i].loc = &d.loc
 
 		if old := t.disk.Load(); old != nil {
@@ -982,17 +979,19 @@ func writeCheckpointTo(f *os.File, epoch uint64, tables []*table) ([]writtenTabl
 		seg = seg[:0]
 		for _, ch := range t.builtChunks() {
 			rows := ch.rows()
-			sc := &storeChunk{f: f, base: d.loc.off, table: t.key, schema: t.schema, rows: len(rows), cols: make([][]blockMeta, len(t.schema))}
+			sc := &storeChunk{base: d.loc.off, table: t.key, schema: t.schema, rows: len(rows), cols: make([][]blockMeta, len(t.schema))}
 			for ci, c := range t.schema {
-				for blk := range chunkBlocks(rows) {
-					meta, payload := encodeColBlock(blk, ci, c.Type)
+				for lo := 0; lo < len(rows); lo += vecMorselRows {
+					meta, payload := encodeColBlock(rows[lo:min(lo+vecMorselRows, len(rows))], ci, c.Type)
 					meta.Off = off - d.loc.off
 					// Torn-write site: crash(N) lets the first N bytes of this
 					// block reach the tmp file, then kills the process. The
 					// rename never happens, so reopen sees the previous
 					// checkpoint and the WAL that extends it.
-					if err := fpColWrite.InjectWrite(f, payload); err != nil {
-						return nil, err
+					if file != nil {
+						if err := fpColWrite.InjectWrite(file, payload); err != nil {
+							return nil, err
+						}
 					}
 					if _, err := w.Write(payload); err != nil {
 						return nil, err
@@ -1017,8 +1016,10 @@ func writeCheckpointTo(f *os.File, epoch uint64, tables []*table) ([]writtenTabl
 	}
 	// A crash from here on leaves a tmp file with no (or a partial)
 	// footer, which nothing ever opens.
-	if err := fpColFooter.Inject(); err != nil {
-		return nil, err
+	if file != nil {
+		if err := fpColFooter.Inject(); err != nil {
+			return nil, err
+		}
 	}
 	footer := appendDirectory(nil, epoch, schemas, dir)
 	var trailer [colTrailerSize]byte
@@ -1031,10 +1032,10 @@ func writeCheckpointTo(f *os.File, epoch uint64, tables []*table) ([]writtenTabl
 	return out, w.Flush()
 }
 
-// extentRun is a run of bytes in an earlier checkpoint file that the one
+// extentRun is a run of bytes in an earlier checkpoint that the one
 // being written takes over as they are.
 type extentRun struct {
-	f      *os.File
+	f      io.ReaderAt
 	off, n int64
 }
 
@@ -1048,74 +1049,75 @@ func (r extentRun) copyTo(w *bufio.Writer) error {
 	// bufio reads straight into its own buffer; io.Copy would bring one
 	// of its own per call.
 	if _, err := w.ReadFrom(io.NewSectionReader(r.f, r.off, r.n)); err != nil {
-		return fmt.Errorf("carrying tables over from %s: %w", r.f.Name(), err)
+		return fmt.Errorf("carrying tables over from %s: %w", sourceName(r.f), err)
 	}
 	return nil
 }
 
 // ------------------------------------------------------- reader
 
-// checkpoint is an opened checkpoint file's directory.
+// checkpoint is a read checkpoint's directory.
 type checkpoint struct {
-	f       *os.File
 	epoch   uint64
 	schemas []Schema
 	tables  []dirTable
 	read    int64 // bytes read to get this far
 }
 
-// openCheckpoint opens a checkpoint file and reads its directory: the
-// header, the trailer and one read of the footer, whatever the tables
-// hold. A missing file is (nil, nil); a file of the previous format is
-// ErrOldFormat; anything else wrong is ErrCorruptCheckpoint. The caller
-// owns the returned file.
-func openCheckpoint(path string) (*checkpoint, error) {
+// openCheckpoint opens a checkpoint file and reads its directory (see
+// readCheckpoint). A missing file is (nil, nil, nil). The caller owns
+// the returned file, which the directory's extents read from.
+func openCheckpoint(path string) (*checkpoint, *os.File, error) {
 	f, err := os.Open(path)
 	if errors.Is(err, os.ErrNotExist) {
-		return nil, nil
+		return nil, nil, nil
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	ck, err := readCheckpoint(f)
+	err = fpPersistLoad.Inject()
+	var ck *checkpoint
+	if err == nil {
+		var st os.FileInfo
+		if st, err = f.Stat(); err == nil {
+			ck, err = readCheckpoint(f, st.Size())
+		}
+	}
 	if err != nil {
 		f.Close()
-		return nil, fmt.Errorf("%s: %w", path, err)
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
 	}
-	return ck, nil
+	return ck, f, nil
 }
 
-func readCheckpoint(f *os.File) (*checkpoint, error) {
-	if err := fpPersistLoad.Inject(); err != nil {
-		return nil, err
-	}
-	st, err := f.Stat()
-	if err != nil {
-		return nil, err
-	}
+// readCheckpoint reads the directory of the size-byte checkpoint in f —
+// a file, or an image in memory: the header, the trailer and one read of
+// the footer, whatever the tables hold. A checkpoint of the previous
+// format is ErrOldFormat; anything else wrong is ErrCorruptCheckpoint.
+func readCheckpoint(f io.ReaderAt, size int64) (*checkpoint, error) {
 	var hdr [colHeaderSize]byte
 	if n, _ := f.ReadAt(hdr[:], 0); n >= len(colMagicV1) && (string(hdr[:8]) == string(colMagicV1[:]) || string(hdr[:8]) == string(colMagicV2[:])) {
 		return nil, ErrOldFormat
 	}
-	if st.Size() < colHeaderSize+colTrailerSize {
-		return nil, corruptf("%d bytes is too short for a checkpoint", st.Size())
+	if size < colHeaderSize+colTrailerSize {
+		return nil, corruptf("%d bytes is too short for a checkpoint", size)
 	}
 	if string(hdr[:8]) != string(colMagic[:]) {
 		return nil, corruptf("bad file magic")
 	}
-	ck := &checkpoint{f: f, epoch: binary.LittleEndian.Uint64(hdr[8:])}
+	ck := &checkpoint{epoch: binary.LittleEndian.Uint64(hdr[8:])}
 	var trailer [colTrailerSize]byte
-	if _, err := f.ReadAt(trailer[:], st.Size()-colTrailerSize); err != nil {
+	if _, err := f.ReadAt(trailer[:], size-colTrailerSize); err != nil {
 		return nil, err
 	}
 	if string(trailer[12:]) != string(colIdxMagic[:]) {
 		return nil, corruptf("bad trailer magic (truncated file?)")
 	}
 	footerOff := int64(binary.LittleEndian.Uint64(trailer[:8]))
-	if footerOff < colHeaderSize || footerOff > st.Size()-colTrailerSize {
+	if footerOff < colHeaderSize || footerOff > size-colTrailerSize {
 		return nil, corruptf("footer offset %d outside the file", footerOff)
 	}
-	footer := make([]byte, st.Size()-colTrailerSize-footerOff)
+	footer := make([]byte, size-colTrailerSize-footerOff)
 	if _, err := f.ReadAt(footer, footerOff); err != nil {
 		return nil, err
 	}
@@ -1123,6 +1125,7 @@ func readCheckpoint(f *os.File) (*checkpoint, error) {
 		return nil, corruptf("footer CRC mismatch")
 	}
 	ck.read = int64(len(hdr) + len(trailer) + len(footer))
+	var err error
 	ck.schemas, ck.tables, err = parseDirectory(footer, f, ck.epoch, footerOff)
 	return ck, err
 }
@@ -1232,12 +1235,11 @@ func loadColdTable(t *table) ([][]Row, error) {
 
 // ------------------------------------------------------- chunk blocks
 
-// storeChunk is where a checkpoint file holds one chunk: its table's
-// extent starts at base in f, and block offsets count from there. It
-// hangs off the chunk object (chunk.blocks), which every checkpoint
-// re-points.
+// storeChunk is where a checkpoint holds one chunk: its table's extent
+// starts at base in f, and block offsets count from there. It hangs off
+// the chunk object (chunk.blocks), which every checkpoint re-points.
 type storeChunk struct {
-	f      *os.File
+	f      io.ReaderAt
 	base   int64
 	table  string
 	schema Schema
@@ -1287,9 +1289,11 @@ func (sc *storeChunk) readBlock(ci, bi int) (*colVec, error) {
 func adoptCheckpoint(f *os.File, tables []*table, written []writtenTable) {
 	for i, t := range tables {
 		w := &written[i]
+		w.loc.f = f
 		t.disk.Store(w.loc)
 		for k, ch := range t.builtChunks() {
 			if w.blocks != nil {
+				w.blocks[k].f = f
 				ch.blocks.Store(w.blocks[k])
 			} else if sc := ch.blocks.Load(); sc != nil {
 				moved := *sc
@@ -1383,20 +1387,41 @@ func (i *BlockFileInfo) Damaged() int {
 	return n
 }
 
+// damage names the first damage Damaged counts, nil when there is none.
+func (i *BlockFileInfo) damage() error {
+	for _, t := range i.Dir {
+		if t.Err != "" {
+			return corruptf("table %q: %s", t.Table, t.Err)
+		}
+	}
+	for _, b := range i.Blocks {
+		if !b.CRCOK {
+			return corruptf("table %q column %q chunk %d: block at offset %d: CRC mismatch", b.Table, b.Column, b.Chunk, b.Offset)
+		}
+	}
+	return nil
+}
+
 // ScanBlockFile reads a checkpoint file and reports its directory, zone
 // maps, encodings and per-block CRC status. It is the file's fsck:
 // unlike Open it reads every segment and verifies every block's payload
 // checksum. A damaged footer is an error; damage below it is reported in
 // the result (see Damaged).
 func ScanBlockFile(path string) (*BlockFileInfo, error) {
-	ck, err := openCheckpoint(path)
+	ck, f, err := openCheckpoint(path)
 	if err != nil {
 		return nil, err
 	}
 	if ck == nil {
 		return nil, fmt.Errorf("%s: %w", path, os.ErrNotExist)
 	}
-	defer ck.f.Close()
+	defer f.Close()
+	return ck.scan(), nil
+}
+
+// scan is ScanBlockFile's walk over a checkpoint read by readCheckpoint,
+// a file's or an image's.
+func (ck *checkpoint) scan() *BlockFileInfo {
 	info := &BlockFileInfo{Epoch: ck.epoch}
 	for i := range ck.tables {
 		d := &ck.tables[i]
@@ -1435,7 +1460,7 @@ func ScanBlockFile(path string) (*BlockFileInfo, error) {
 			}
 		}
 	}
-	return info, nil
+	return info
 }
 
 func zoneString(b *blockMeta, typ value.Type) string {

@@ -185,13 +185,9 @@ func TestColBlockRoundtrip(t *testing.T) {
 			}
 			vecEqual(t, got, buildColVec(rows, 0, tc.typ), len(rows))
 
-			// The boxed-value decoder (replica import path) must agree too.
-			vals, err := decodeColValues(meta.Enc, payload, tc.typ, len(rows))
-			if err != nil {
-				t.Fatalf("decodeColValues: %v", err)
-			}
+			// The boxed values a hydration lays into rows must agree too.
 			for i, want := range tc.vals {
-				g := vals[i]
+				g := got.box(i)
 				if g.IsNull() != want.IsNull() {
 					t.Fatalf("value %d: null = %v, want %v", i, g.IsNull(), want.IsNull())
 				}
@@ -500,9 +496,10 @@ func TestBlockStoreStaleEpoch(t *testing.T) {
 	}
 }
 
-// TestBlockExportImportRoundtrip: replica bootstrap ships tables as
-// compressed column blocks; import must reconstruct every value
-// exactly, including NULLs, NaN payloads, and timestamps.
+// TestBlockExportImportRoundtrip: replica bootstrap ships the state as
+// a checkpoint image; import must reconstruct every value exactly,
+// including NULLs, NaN payloads, and timestamps, and keep every table
+// cold, with its chunk lengths, until something touches it.
 func TestBlockExportImportRoundtrip(t *testing.T) {
 	src := NewMemory()
 	mustExec(t, src, "CREATE TABLE x (i integer, s string, f float, b boolean, ts timestamp)")
@@ -525,18 +522,25 @@ func TestBlockExportImportRoundtrip(t *testing.T) {
 
 	bootstrap := func(src *DB) *DB {
 		t.Helper()
-		exp, err := src.ExportState()
+		image, pos, err := src.ExportState()
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, te := range exp.Tables {
-			if te.Name == "x" && te.Blocks == nil {
-				t.Fatal("export did not use column blocks")
-			}
-		}
 		dst := NewMemory()
-		if err := dst.ImportState(exp); err != nil {
+		if err := dst.ImportState(image, pos); err != nil {
 			t.Fatal(err)
+		}
+		if dst.Pos() != src.Pos() {
+			t.Errorf("replica position %v, want %v", dst.Pos(), src.Pos())
+		}
+		for tab := range dst.state.Load().cat.all() {
+			if !tab.isCold() {
+				t.Errorf("table %s hydrated by the import", tab.name)
+			}
+			want, _ := src.state.Load().table(tab.name)
+			if got := tab.chunkLens(); fmt.Sprint(got) != fmt.Sprint(want.chunkLens()) {
+				t.Errorf("table %s chunks %v, want the primary's %v", tab.name, got, want.chunkLens())
+			}
 		}
 		return dst
 	}
@@ -571,36 +575,48 @@ func TestBlockExportImportRoundtrip(t *testing.T) {
 	if n := durable.env.hydrated.Load(); n != 0 {
 		t.Errorf("bootstrapping a replica hydrated %d table(s) of the primary", n)
 	}
-	if got := replica.DumpString(); got != durable.DumpString() {
-		t.Fatalf("replica of a cold primary differs:\n%s\nwant:\n%s", got, durable.DumpString())
-	}
 	if res := mustExec(t, replica, "SELECT COUNT(*) FROM x WHERE s = 's3'"); res.Rows[0][0].Int() != 300 {
 		t.Errorf("index probe on the replica = %v, want 300", res.Rows[0][0])
 	}
+	if n := replica.env.hydrated.Load(); n != 1 {
+		t.Errorf("the index probe hydrated %d table(s) of the replica, want 1", n)
+	}
+	if got := replica.DumpString(); got != durable.DumpString() {
+		t.Fatalf("replica of a cold primary differs:\n%s\nwant:\n%s", got, durable.DumpString())
+	}
 }
 
-// TestBlockExportImportRejectsCorruption: a block whose payload does
-// not match its CRC, or a table shipped without its blocks, must fail
-// the import, not silently produce wrong or no rows.
+// TestBlockExportImportRejectsCorruption: an image whose block payload
+// does not match its CRC, or whose footer is cut off, must fail the
+// import before anything is installed, not silently produce wrong or no
+// rows; a damaged block is named by its table.
 func TestBlockExportImportRejectsCorruption(t *testing.T) {
 	src := NewMemory()
 	mustExec(t, src, "CREATE TABLE x (i integer)")
 	mustExec(t, src, "INSERT INTO x VALUES (1), (2), (3)")
-	for name, damage := range map[string]func(te *TableExport){
-		"payload bit flip": func(te *TableExport) { te.Blocks.Cols[0].Data[0][0] ^= 0xff },
-		"no blocks":        func(te *TableExport) { te.Blocks = nil },
+	for name, tc := range map[string]struct {
+		damage func([]byte) []byte
+		table  bool // the error names table "x"
+	}{
+		// x is the image's only table: its first block follows the header.
+		"payload bit flip": {func(b []byte) []byte { b[colHeaderSize] ^= 0xff; return b }, true},
+		"cut footer":       {func(b []byte) []byte { return b[:len(b)-colTrailerSize/2] }, false},
 	} {
-		exp, err := src.ExportState()
+		image, pos, err := src.ExportState()
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := range exp.Tables {
-			if exp.Tables[i].Name == "x" {
-				damage(&exp.Tables[i])
-			}
-		}
-		if err := NewMemory().ImportState(exp); err == nil || !strings.Contains(err.Error(), `"x"`) {
+		dst := NewMemory()
+		mustExec(t, dst, "CREATE TABLE keep (i integer)")
+		before := dst.Pos()
+		err = dst.ImportState(tc.damage(image), pos)
+		if !errors.Is(err, ErrCorruptCheckpoint) {
+			t.Errorf("%s: import error = %v, want ErrCorruptCheckpoint", name, err)
+		} else if tc.table && !strings.Contains(err.Error(), `"x"`) {
 			t.Errorf("%s: import error = %v, want one naming table \"x\"", name, err)
+		}
+		if got := dst.Tables(); fmt.Sprint(got) != "[keep]" || dst.Pos() != before {
+			t.Errorf("%s: a refused import left tables %v at %v, want [keep] at %v", name, got, dst.Pos(), before)
 		}
 	}
 }

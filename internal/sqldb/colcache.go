@@ -20,8 +20,9 @@ package sqldb
 //
 // Lifetime: a vector lives as long as its chunk is in the table's
 // published version. DB.publishTxn, which publishes every new version
-// of a table (and ImportState, which replaces them all), evicts the
-// vectors of the chunks that version no longer holds (dropSuperseded):
+// of a table (and ImportState, which replaces them all with cold
+// versions of a checkpoint image's tables), evicts the vectors of the
+// chunks that version no longer holds (dropSuperseded):
 // the chunks a compaction merged away or a rewrite replaced, every
 // chunk of a dropped table — the chunks of a cold version included. A
 // rewrite's untouched chunks keep theirs, and a plain append evicts

@@ -40,7 +40,8 @@ type DB struct {
 	// wmu is the commit latch: it orders validate → publish → WAL
 	// enqueue → hooks of one commit against every other, and pairs
 	// (state, position) for Checkpoint, Close, ImportState, ExportState
-	// and a view rebuild. No statement executes under it.
+	// and a view rebuild. No statement executes under it, and no
+	// checkpoint image is written or checked under it.
 	wmu sync.Mutex
 	// intents maps table keys pinned by prepared transactions (phase
 	// one of a two-phase commit) to the intent held on them. Guarded by

@@ -575,17 +575,17 @@ func OpenWithPolicy(dir string, policy SyncPolicy) (_ *DB, err error) {
 	db.dir, db.policy = dir, policy
 
 	var snapEpoch uint64
-	ck, err := openCheckpoint(filepath.Join(dir, blockFile))
+	ck, f, err := openCheckpoint(filepath.Join(dir, blockFile))
 	if err != nil {
 		return nil, fmt.Errorf("sqldb: open %w", err)
 	}
 	if ck != nil {
 		defer func() {
 			if err != nil {
-				ck.f.Close()
+				f.Close()
 			}
 		}()
-		snapEpoch, db.ckpt = ck.epoch, ck.f
+		snapEpoch, db.ckpt = ck.epoch, f
 		db.env.ckptRead.Add(ck.read)
 		db.state.Store(&snapshot{cat: catalogOf(ck.coldTables(db)), env: db.env})
 	} else if _, err := os.Stat(filepath.Join(dir, oldSnapshotFile)); err == nil {

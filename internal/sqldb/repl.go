@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -10,8 +11,6 @@ import (
 	"os"
 	"runtime"
 	"strings"
-
-	"perfbase/internal/value"
 )
 
 // This file is the engine side of WAL streaming replication (see
@@ -27,7 +26,8 @@ import (
 //     order, with its position — internal/repl feeds its stream hub
 //     from one;
 //   - whole-state export/import stamped with the position, for replica
-//     bootstrap at an epoch boundary.
+//     bootstrap at an epoch boundary: the state travels as a checkpoint
+//     image, the checkpoint file's own bytes.
 //
 // A replica applies the streamed statements through the normal write
 // path of its own MVCC store, so replica readers stay lock-free, and
@@ -274,198 +274,51 @@ func FrameCRC(payload []byte) uint32 {
 
 // ------------------------------------------------ state export/import
 
-// TableExport is one table's full contents inside a StateExport, its
-// rows as Blocks: the compressed columnar form (per-column blocks of
-// ≤ vecMorselRows rows, CRC-stamped).
-type TableExport struct {
-	Name    string
-	Cols    Schema
-	Indexes []string
-	Blocks  *TableBlocksExport
-}
-
-// ColumnBlockExport is one column's block sequence, positionally
-// aligned across the Cols of its table: block i of every column covers
-// the same rows.
-type ColumnBlockExport struct {
-	Enc  []uint8
-	Rows []int
-	CRC  []uint32
-	Data [][]byte
-}
-
-// TableBlocksExport is a table's contents as compressed column blocks
-// (the colblock.go encodings), typically several times smaller on the
-// wire than the row form gob produces.
-type TableBlocksExport struct {
-	NRows int
-	Cols  []ColumnBlockExport
-}
-
-// StateExport is a whole-database snapshot stamped with the
-// replication position it captures, the bootstrap unit of replica
-// catch-up. Temporary tables are session state and excluded.
-type StateExport struct {
-	Pos    ReplPos
-	Tables []TableExport
-}
-
-// ExportState captures the committed state and its replication
-// position atomically. The writer lock is held only to pair the two;
-// serializing the (immutable) snapshot happens outside it. A table that
-// is still cold ships the blocks the checkpoint holds, as they are — a
-// replica bootstrapping does not make the primary decode anything — and
-// the error is that read failing.
-func (db *DB) ExportState() (*StateExport, error) {
+// ExportState captures the committed state and its replication position
+// atomically, as a checkpoint image: the bytes a checkpoint of the
+// state would put in columns.blk, at the position's epoch — the one
+// serialized form of a whole database. The writer lock is held only to
+// pair the two; the image is written outside it. A table a checkpoint
+// already holds is carried over byte for byte — a replica bootstrapping
+// does not make the primary decode anything — and the error is that
+// read failing.
+func (db *DB) ExportState() ([]byte, ReplPos, error) {
 	db.wmu.Lock()
 	sn := db.state.Load()
 	pos := db.Pos()
 	db.wmu.Unlock()
 
-	exp := &StateExport{Pos: pos}
-	for _, t := range sn.durableTables() {
-		te := TableExport{Name: t.name, Cols: t.schema.clone()}
-		if t.isCold() {
-			var err error
-			if te.Blocks, err = exportStoredBlocks(t); err != nil {
-				return nil, fmt.Errorf("sqldb: export of table %q: %w", t.name, err)
-			}
-		} else {
-			te.Blocks = exportTableBlocks(t)
-		}
-		te.Indexes = t.indexCols()
-		exp.Tables = append(exp.Tables, te)
+	var image bytes.Buffer
+	if _, err := writeCheckpointTo(&image, pos.Epoch, sn.durableTables()); err != nil {
+		return nil, ReplPos{}, fmt.Errorf("sqldb: export: %w", err)
 	}
-	return exp, nil
+	return image.Bytes(), pos, nil
 }
 
-// exportTableBlocks encodes a table's rows into compressed per-column
-// blocks for replica bootstrap, cut where the chunks are cut.
-func exportTableBlocks(t *table) *TableBlocksExport {
-	tb := &TableBlocksExport{NRows: t.nrows, Cols: make([]ColumnBlockExport, len(t.schema))}
-	for _, ch := range t.builtChunks() { // t is resident
-		for ci, c := range t.schema {
-			cb := &tb.Cols[ci]
-			for blk := range chunkBlocks(ch.rows()) {
-				meta, payload := encodeColBlock(blk, ci, c.Type)
-				cb.Enc = append(cb.Enc, meta.Enc)
-				cb.Rows = append(cb.Rows, meta.Rows)
-				cb.CRC = append(cb.CRC, meta.CRC)
-				cb.Data = append(cb.Data, payload)
-			}
-		}
-	}
-	return tb
-}
-
-// exportStoredBlocks fills a cold table's export from the checkpoint
-// file: Enc, Rows, CRC and Data are exactly its per-block fields, and
-// block i of every column already covers the same rows. Nothing is
-// decoded or checked here; the importer verifies every CRC.
-func exportStoredBlocks(t *table) (*TableBlocksExport, error) {
-	// The extent is read and its chunks built under the hydration lock,
-	// so that a checkpoint moving the table cannot slip in between.
-	c := t.cold
-	c.mu.Lock()
-	loc := t.disk.Load()
-	buf, err := loc.read(0, loc.payload+loc.seg)
-	if err == nil {
-		err = t.parseChunks(loc, buf[loc.payload:])
-	}
-	list := t.list
-	c.mu.Unlock()
-	if err != nil {
-		return nil, err
-	}
-	tb := &TableBlocksExport{NRows: t.nrows, Cols: make([]ColumnBlockExport, len(t.schema))}
-	for _, ch := range list {
-		sc := ch.blocks.Load()
-		for ci := range t.schema {
-			cb := &tb.Cols[ci]
-			for _, b := range sc.cols[ci] {
-				cb.Enc = append(cb.Enc, b.Enc)
-				cb.Rows = append(cb.Rows, b.Rows)
-				cb.CRC = append(cb.CRC, b.CRC)
-				cb.Data = append(cb.Data, buf[b.Off:b.Off+int64(b.Len)])
-			}
-		}
-	}
-	return tb, nil
-}
-
-// importTableBlocks verifies and decodes a blocks export back into
-// rows, sharing one backing array across the table like InsertRows.
-func importTableBlocks(name string, tb *TableBlocksExport, schema Schema) ([]Row, error) {
-	if len(tb.Cols) != len(schema) {
-		return nil, errorf("ImportState: table %q: %d block columns for %d schema columns", name, len(tb.Cols), len(schema))
-	}
-	cols := make([][]value.Value, len(schema))
-	for ci := range schema {
-		cb := &tb.Cols[ci]
-		if len(cb.Enc) != len(cb.Rows) || len(cb.Enc) != len(cb.CRC) || len(cb.Enc) != len(cb.Data) {
-			return nil, errorf("ImportState: table %q column %d: ragged block metadata", name, ci)
-		}
-		vals := make([]value.Value, 0, tb.NRows)
-		for bi, payload := range cb.Data {
-			if FrameCRC(payload) != cb.CRC[bi] {
-				return nil, errorf("ImportState: table %q column %d block %d: CRC mismatch", name, ci, bi)
-			}
-			vs, err := decodeColValues(cb.Enc[bi], payload, schema[ci].Type, cb.Rows[bi])
-			if err != nil {
-				return nil, errorf("ImportState: table %q column %d block %d: %v", name, ci, bi, err)
-			}
-			vals = append(vals, vs...)
-		}
-		if len(vals) != tb.NRows {
-			return nil, errorf("ImportState: table %q column %d: %d rows decoded, want %d", name, ci, len(vals), tb.NRows)
-		}
-		cols[ci] = vals
-	}
-	width := len(schema)
-	backing := make([]value.Value, width*tb.NRows)
-	rows := make([]Row, tb.NRows)
-	for i := range rows {
-		row := backing[i*width : (i+1)*width : (i+1)*width]
-		for ci := range cols {
-			row[ci] = cols[ci][i]
-		}
-		rows[i] = row
-	}
-	return rows, nil
-}
-
-// ImportState replaces the database's entire committed state with the
-// export and adopts its position — replica bootstrap. Every imported
-// table gets a fresh schema version so no cached plan survives the
-// swap. Only sensible on a replica's own store; the
-// database must not be durable (the replica's durability is the
-// primary's WAL).
-func (db *DB) ImportState(exp *StateExport) error {
+// ImportState replaces the database's entire committed state with a
+// checkpoint image (ExportState's) and adopts pos — replica bootstrap.
+// Every block is checked before anything is installed; then every
+// table is installed cold, with the primary's chunk lengths, indexes
+// and zone maps, as Open installs a checkpoint's, and hydrates from the
+// image when first touched. Each gets a fresh schema version, so no
+// cached plan survives the swap. Only sensible on a replica's own
+// store; the database must not be durable (the replica's durability is
+// the primary's WAL).
+func (db *DB) ImportState(image []byte, pos ReplPos) error {
 	if db.wal != nil || db.dir != "" {
 		return errorf("ImportState: refusing to overwrite a durable database")
 	}
-	var cat catalog
-	touched := make(map[string]bool, len(exp.Tables))
-	for _, te := range exp.Tables {
-		t := newTable(te.Name, te.Cols, false)
-		if te.Blocks == nil {
-			return errorf("ImportState: table %q arrived without blocks", te.Name)
-		}
-		rows, err := importTableBlocks(te.Name, te.Blocks, t.schema)
-		if err != nil {
-			return err
-		}
-		t.appendChunk(rows)
-		for _, col := range te.Indexes {
-			ci := t.schema.Index(col)
-			if ci < 0 {
-				return errorf("ImportState: index column %q missing from table %q", col, te.Name)
-			}
-			t.addIndex(ci)
-		}
-		t.seal()
-		t.ver = db.schemaVer.Add(1)
-		cat = cat.set(t)
+	src := bytes.NewReader(image)
+	ck, err := readCheckpoint(src, src.Size())
+	if err == nil {
+		err = ck.scan().damage()
+	}
+	if err != nil {
+		return fmt.Errorf("sqldb: ImportState: %w", err)
+	}
+	tables := ck.coldTables(db)
+	touched := make(map[string]bool, len(tables))
+	for _, t := range tables {
 		touched[t.key] = true
 	}
 
@@ -475,8 +328,8 @@ func (db *DB) ImportState(exp *StateExport) error {
 		touched[t.key] = true
 		db.env.cache.dropSuperseded(t, nil)
 	}
-	db.state.Store(&snapshot{id: old.id + 1, cat: cat, env: db.env})
-	db.setPos(exp.Pos)
+	db.state.Store(&snapshot{id: old.id + 1, cat: catalogOf(tables), env: db.env})
+	db.setPos(pos)
 	db.invalidateSchema(touched)
 	db.wmu.Unlock()
 	return nil

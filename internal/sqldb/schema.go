@@ -17,7 +17,6 @@ package sqldb
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -103,7 +102,7 @@ type Result struct {
 // zone maps prune every block). No code outside this file reads a
 // chunk's rows or the indexes map directly: chunks, flat, index and
 // chunk.rows after a hydration hand them out; chunkRefs, builtChunks,
-// chunkLens, hasIndex and indexCols answer without rows, for the code
+// chunkLens and hasIndex answer without rows, for the code
 // that must leave a cold version cold.
 type table struct {
 	name   string
@@ -133,7 +132,7 @@ type table struct {
 	// indexes is keyed by lower-case column name. The key set is fixed
 	// once the version is published; a cold version's indexes are empty
 	// until hydration fills them, which is why nothing outside this file
-	// touches the map: hasIndex and indexCols answer from the keys, index
+	// touches the map: hasIndex answers from the keys, index
 	// hydrates before it hands one out.
 	indexes map[string]*hashIndex
 
@@ -353,16 +352,6 @@ func (t *table) indexed() bool { return len(t.indexes) > 0 }
 func (t *table) hasIndex(col string) bool {
 	_, ok := t.indexes[col]
 	return ok
-}
-
-// indexCols returns the indexed columns' lower-case names, sorted.
-func (t *table) indexCols() []string {
-	cols := make([]string, 0, len(t.indexes))
-	for col := range t.indexes {
-		cols = append(cols, col)
-	}
-	sort.Strings(cols)
-	return cols
 }
 
 // addIndex indexes column ci of a mutable version.

@@ -292,6 +292,43 @@ func buildJoinHash(env *execEnv, jp *vecJoinPlan, rt *table) (*joinHash, error) 
 	return h, nil
 }
 
+// inBounds appends to at the tuples 0..n-1 of keys whose key lies inside
+// every key column's build range, and returns it: the probe's range
+// test, a key column at a time, before gather hashes them — a tuple
+// outside finds no entry. A NULL key's vectors hold the zero value, and
+// lookup finds it none.
+func (h *joinHash) inBounds(keys []keyVec, n int, at []int32) []int32 {
+	for j := range n {
+		at = append(at, int32(j))
+	}
+	for k, kv := range keys {
+		b, v, pos := &h.bounds[k], kv.v, kv.pos
+		switch v.typ {
+		case value.Integer, value.Boolean, value.Timestamp:
+			at = keepIn(at, v.ints, pos, b.minI, b.maxI)
+		case value.Float:
+			if !math.IsNaN(b.minF) { // NaN is the least key: with one, the range holds every float
+				at = keepIn(at, v.floats, pos, b.minF, b.maxF)
+			}
+		case value.String:
+			at = keepIn(at, v.strs, pos, b.minS, b.maxS)
+		}
+	}
+	return at
+}
+
+// keepIn keeps, in place, the tuples j of at whose datum xs[pos[j]] lies
+// in [lo, hi].
+func keepIn[T cmp.Ordered](at []int32, xs []T, pos []int32, lo, hi T) []int32 {
+	kept := at[:0]
+	for _, j := range at {
+		if x := xs[pos[j]]; lo <= x && x <= hi {
+			kept = append(kept, j)
+		}
+	}
+	return kept
+}
+
 // keyZoneMiss reports whether a probe block's zone map km of key column
 // k proves no row of the block can find a build match: every key NULL,
 // no build key, the block range disjoint from the build keys', or — for
@@ -475,13 +512,17 @@ func (sn *snapshot) runVecJoin(st *SelectStmt, p *compiledSelect) (*Result, *rel
 		}
 		q := probePool.Get().(*probe)
 		defer probePool.Put(q)
-		q.at = q.at[:0]
-		for j := range sel {
-			q.at = append(q.at, int32(j))
-		}
+		q.at = h.inBounds(keys, len(sel), q.at[:0])
+		gs := h.lookup(keys, q, false)
 		pl = make([]int32, 0, n)
 		pr = make([]int32, 0, n)
-		for j, e := range h.lookup(keys, q, false) {
+		next := 0 // the next tuple looked up
+		for j := range sel {
+			e := int32(-1)
+			if next < len(q.at) && int(q.at[next]) == j {
+				e = gs[next]
+				next++
+			}
 			if e < 0 {
 				if jp.leftOuter {
 					pl = append(pl, sel[j])

@@ -14,9 +14,10 @@ import (
 
 // Protocol v2: replication verbs. A primary serves SUBSCRIBE (the
 // connection becomes a one-way stream of WAL v2 frames), SNAPSHOT
-// (full-state bootstrap transfer stamped with the primary's
-// epoch/LSN), and STATUS (role, position, lag, recovery info — the
-// observability satellite). A replica's server additionally enforces
+// (full-state bootstrap transfer — since v5 a checkpoint image, the
+// bytes of a columns.blk — stamped with the primary's epoch/LSN), and
+// STATUS (role, position, lag, recovery info — the observability
+// satellite). A replica's server additionally enforces
 // read-only execution and honours wait-for-LSN read bounds.
 //
 // The frame payload on the wire is byte-identical to a WAL v2 record
@@ -27,8 +28,9 @@ import (
 // handshake; v2 adds the Hello exchange and the replication verbs; v3
 // the pour pipeline step, which a v2 peer would run as its bare SELECT;
 // v4 carries a Timestamp as its Unix nanoseconds, in a value and in a
-// bootstrap's column blocks, which a v3 peer would not decode.
-const ProtocolVersion = 4
+// bootstrap's column blocks, which a v3 peer would not decode; v5 answers
+// SNAPSHOT with a checkpoint image in place of v4's per-table blocks.
+const ProtocolVersion = 5
 
 // Hello opens every connection.
 type Hello struct {
@@ -333,16 +335,18 @@ func (c *Client) Status() (*Status, error) {
 	return resp.Status, nil
 }
 
-// FetchState transfers the server's full state for replica bootstrap.
-func (c *Client) FetchState() (*sqldb.StateExport, error) {
+// FetchState transfers the server's full state for replica bootstrap:
+// a checkpoint image (sqldb.DB.ExportState) and the position it
+// captures, for sqldb.DB.ImportState.
+func (c *Client) FetchState() ([]byte, sqldb.ReplPos, error) {
 	resp, err := c.roundTrip(&request{Verb: verbSnapshot})
 	if err != nil {
-		return nil, err
+		return nil, sqldb.ReplPos{}, err
 	}
 	if resp.State == nil {
-		return nil, errors.New("wire: snapshot response without state")
+		return nil, sqldb.ReplPos{}, errors.New("wire: snapshot response without state")
 	}
-	return resp.State, nil
+	return resp.State, sqldb.ReplPos{Epoch: resp.StateEpoch, LSN: resp.StateLSN}, nil
 }
 
 // Subscribe turns the client into a one-way replication stream of

@@ -13,10 +13,11 @@
 // opens with a version handshake ({Hello} → {Hello ack}), then sends
 // {SQL}, and the server answers {Columns, Rows, Affected, Err}.
 // Protocol v2 adds replication verbs — SUBSCRIBE switches a connection
-// to a one-way WAL frame stream, SNAPSHOT transfers a full bootstrap
-// state, STATUS reports role/position/lag — and every response
-// piggybacks the server's replication position so clients can do
-// read-your-writes routing (see repl.go in this package).
+// to a one-way WAL frame stream, SNAPSHOT transfers a checkpoint image
+// of the whole state for a bootstrap, STATUS reports
+// role/position/lag — and every response piggybacks the server's
+// replication position so clients can do read-your-writes routing (see
+// repl.go in this package).
 //
 // Concurrency inherits the engine's MVCC storage: every SELECT a
 // connection serves executes lock-free against an immutable snapshot,
@@ -107,9 +108,15 @@ type response struct {
 	Code   string
 	Hello  *HelloAck
 	Status *Status
-	State  *sqldb.StateExport
 	Epoch  uint64
 	LSN    uint64
+
+	// A SNAPSHOT answer (see repl.go): the checkpoint image of the
+	// primary's state and the position it captures, which Epoch/LSN above
+	// may already have passed.
+	State      []byte
+	StateEpoch uint64
+	StateLSN   uint64
 
 	// Live answers (see live.go): ingest outcome, view listing, and
 	// the position a VIEW result reflects (Epoch/LSN above always hold
@@ -329,12 +336,12 @@ func (s *Server) execOne(sess BackendSession, req *request) (resp response) {
 			fail(&resp, err)
 			return resp
 		}
-		state, err := s.db.ExportState()
+		image, pos, err := s.db.ExportState()
 		if err != nil {
 			fail(&resp, err)
 			return resp
 		}
-		resp.State = state
+		resp.State, resp.StateEpoch, resp.StateLSN = image, pos.Epoch, pos.LSN
 		return resp
 	case verbIngest, verbView, verbViews:
 		return s.execLive(req)
