@@ -9,14 +9,18 @@ package sqldb
 // block of a checkpointed chunk, decoded from the file; either costs a
 // pass, so vectors are cached and shared across queries and snapshots.
 //
-// Key: the chunk object (schema.go), the block index — -1 for a fresh
-// chunk's whole-chunk vector — and the column. A chunk's rows never
-// change once a version holding it is published, and a derived version
-// shares its parent's chunk objects, so a vector can never go stale: an
-// INSERT appends new chunks (new keys), a compaction, UPDATE, DELETE or
-// ALTER builds new ones for the chunks it changes. The key needs no
-// rows, so a cold version's blocks have vectors before — or without —
-// its rows being decoded.
+// Place: the chunk object (schema.go) holds its own vectors, one slot
+// per block and column — block -1 for a fresh chunk's whole-chunk
+// vector. A chunk's rows never change once a version holding it is
+// published, and a derived version shares its parent's chunk objects, so
+// a vector can never go stale: an INSERT appends new chunks (new slots),
+// a compaction, UPDATE, DELETE or ALTER builds new ones for the chunks it
+// changes. A slot needs no rows, so a cold version's blocks have vectors
+// before — or without — its rows being decoded. A hit is two atomic
+// loads and a reference bit: no lock, no map. The cache itself is the
+// one byte budget of the database: a miss builds its vector outside the
+// lock and installs it under it, first put wins, and a CLOCK hand evicts
+// what has not been hit since it last passed until the cap holds.
 //
 // Lifetime: a vector lives as long as its chunk is in the table's
 // published version. DB.publishTxn, which publishes every new version
@@ -30,8 +34,7 @@ package sqldb
 // filling the cache with vectors nobody can ask for again, without a
 // one-row DELETE costing the whole table's. A pinned Snapshot that
 // still scans a superseded chunk rebuilds the vector on miss; such
-// stragglers, and everything else, age out of a bytes-capped LRU (the
-// entry's key would otherwise keep the chunk reachable forever).
+// stragglers, and everything else, age out under the byte cap.
 //
 // A columnar chunk (schema.go: what a pour into a temp table builds) has
 // no entries here: its vectors are its data, not a projection of it.
@@ -39,7 +42,6 @@ package sqldb
 // cap, never evicted, and live exactly as long as the chunk.
 
 import (
-	"container/list"
 	"runtime"
 	"slices"
 	"sync"
@@ -357,72 +359,105 @@ func (v *colVec) box(i int) value.Value {
 	return value.NewString(v.strs[i])
 }
 
-// chunkColKey identifies one cached vector: the chunk, the block of it
-// (wholeChunk for a fresh chunk's vector over all its rows) and the
-// column index.
-type chunkColKey struct {
-	chunk *chunk
-	block int
-	col   int
-}
+const wholeChunk = -1 // the block of a fresh chunk's vector over all its rows
 
-const wholeChunk = -1
+// chunkVecs is the cache's slots on one chunk: slot (bi+1)*width + ci
+// holds the entry of block bi of column ci, block wholeChunk's first.
+// put sizes it once, for the chunk's rows and its table's width, neither
+// of which ever changes.
+type chunkVecs struct {
+	width int
+	slots []atomic.Pointer[colCacheEntry]
+}
 
 type colCacheEntry struct {
-	key chunkColKey
-	vec *colVec
+	vec  *colVec
+	slot *atomic.Pointer[colCacheEntry]
+	pos  int         // in colCache.ring
+	ref  atomic.Bool // hit since the hand last passed
 }
 
-// colCache is a bytes-capped LRU over (chunk, column) vectors, shaped
-// like the plan cache and likeCache. Concurrent readers that miss the
-// same key may race to build the vector; the first put wins and later
-// builders adopt the shared copy.
+// colCache is the database's byte budget over the vectors cached on its
+// chunks. A hit reads the chunk's slot and takes no lock; put, evict and
+// the cap's bookkeeping hold mu, so the first put of a slot wins and
+// later builders adopt the shared copy. Eviction is CLOCK: the hand
+// walks ring, clears the reference bits it passes and evicts the first
+// entry not hit since its last pass.
 type colCache struct {
 	mu    sync.Mutex
-	ll    *list.List // front = most recently used; holds *colCacheEntry
-	m     map[chunkColKey]*list.Element
+	ring  []*colCacheEntry
+	hand  int
 	bytes int
 	limit int
 }
 
-func (c *colCache) get(key chunkColKey) *colVec {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.m[key]
-	if !ok {
+// get returns the cached vector of column ci of block bi of ch, nil when
+// none is.
+func (c *colCache) get(ch *chunk, bi, ci int) *colVec {
+	cv := ch.vecs.Load()
+	if cv == nil {
 		return nil
 	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*colCacheEntry).vec
+	e := cv.slots[(bi+1)*cv.width+ci].Load()
+	if e == nil {
+		return nil
+	}
+	if !e.ref.Load() {
+		e.ref.Store(true)
+	}
+	return e.vec
 }
 
-// put inserts vec and returns the cached vector — vec itself, or the
+// put caches vec as column ci of block bi of ch, a chunk of a table
+// width columns wide, and returns the cached vector — vec itself, or the
 // copy a concurrent builder installed first.
-func (c *colCache) put(key chunkColKey, vec *colVec) *colVec {
+func (c *colCache) put(ch *chunk, bi, ci, width int, vec *colVec) *colVec {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.m == nil {
-		c.m = make(map[chunkColKey]*list.Element)
-		c.ll = list.New()
+	cv := ch.vecs.Load()
+	if cv == nil {
+		blocks := (ch.len() + vecMorselRows - 1) / vecMorselRows
+		cv = &chunkVecs{width: width, slots: make([]atomic.Pointer[colCacheEntry], (blocks+1)*width)}
+		ch.vecs.Store(cv)
 	}
-	if el, ok := c.m[key]; ok {
-		c.ll.MoveToFront(el)
-		return el.Value.(*colCacheEntry).vec
+	slot := &cv.slots[(bi+1)*cv.width+ci]
+	if e := slot.Load(); e != nil {
+		return e.vec
 	}
-	el := c.ll.PushFront(&colCacheEntry{key: key, vec: vec})
-	c.m[key] = el
+	e := &colCacheEntry{vec: vec, slot: slot, pos: len(c.ring)}
+	slot.Store(e)
+	c.ring = append(c.ring, e)
 	c.bytes += vec.bytes
-	for c.bytes > c.limit && c.ll.Len() > 1 {
-		oldest := c.ll.Back()
-		c.evict(oldest)
+	for c.bytes > c.limit && len(c.ring) > 1 {
+		c.evict(c.victim(e))
 	}
 	return vec
 }
 
-func (c *colCache) evict(el *list.Element) {
-	e := c.ll.Remove(el).(*colCacheEntry)
-	delete(c.m, e.key)
+// victim moves the hand to the first entry other than keep that has not
+// been hit since the hand last passed it, clearing the bits it passes.
+// Past two turns, whatever readers keep setting, it takes the next one.
+func (c *colCache) victim(keep *colCacheEntry) *colCacheEntry {
+	for n := 0; ; n++ {
+		if c.hand >= len(c.ring) {
+			c.hand = 0
+		}
+		if e := c.ring[c.hand]; e != keep && (!e.ref.Swap(false) || n > 2*len(c.ring)) {
+			return e
+		}
+		c.hand++
+	}
+}
+
+// evict empties e's slot and moves the ring's last entry into its place.
+// A reader that loaded e before still holds a correct vector.
+func (c *colCache) evict(e *colCacheEntry) {
+	e.slot.Store(nil)
 	c.bytes -= e.vec.bytes
+	last := c.ring[len(c.ring)-1]
+	c.ring[e.pos], last.pos = last, e.pos
+	c.ring[len(c.ring)-1] = nil
+	c.ring = c.ring[:len(c.ring)-1]
 }
 
 // dropSuperseded evicts the vectors of old's chunks that next, the
@@ -459,18 +494,11 @@ func (c *colCache) dropSuperseded(old, next *table, also ...*table) {
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.m) == 0 {
-		return
-	}
 	for _, ch := range was[same:] {
-		if held[ch] {
-			continue
-		}
-		n := ch.len()
-		for ci := range old.schema {
-			for bi := wholeChunk; bi*vecMorselRows < n; bi++ {
-				if el, ok := c.m[chunkColKey{ch, bi, ci}]; ok {
-					c.evict(el)
+		if cv := ch.vecs.Load(); cv != nil && !held[ch] {
+			for i := range cv.slots {
+				if e := cv.slots[i].Load(); e != nil {
+					c.evict(e)
 				}
 			}
 		}
@@ -482,11 +510,8 @@ func (c *colCache) setLimit(limit int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.limit = limit
-	if c.ll == nil {
-		return
-	}
-	for c.bytes > c.limit && c.ll.Len() > 0 {
-		c.evict(c.ll.Back())
+	for c.bytes > c.limit && len(c.ring) > 0 {
+		c.evict(c.victim(nil))
 	}
 }
 
@@ -494,41 +519,39 @@ func (c *colCache) setLimit(limit int) {
 func (c *colCache) stats() (entries, bytes int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.ll == nil {
-		return 0, 0
-	}
-	return c.ll.Len(), c.bytes
+	return len(c.ring), c.bytes
 }
 
 // colFor returns the vector for column ci of a resident or columnar
 // chunk, over all its rows: a columnar chunk's own, a resident chunk's
-// built and cached on miss.
+// built and cached on miss. A row is as wide as its table, so the rows it
+// is built from give the width.
 func (c *colCache) colFor(ch *chunk, ci int, typ value.Type) *colVec {
 	if cc := ch.cols; cc != nil {
 		return &cc.vecs[ci]
 	}
-	key := chunkColKey{ch, wholeChunk, ci}
-	if v := c.get(key); v != nil {
+	if v := c.get(ch, wholeChunk, ci); v != nil {
 		return v
 	}
-	return c.put(key, buildColVec(ch.rows(), ci, typ))
+	rows := ch.rows()
+	return c.put(ch, wholeChunk, ci, len(rows[0]), buildColVec(rows, ci, typ))
 }
 
 // blockVec returns the vector for column ci of block bi of a chunk a
-// checkpoint holds, decoded from the block and cached under the block's
-// own key. A block that cannot be read or fails its CRC fails the scan
-// (DESIGN.md §6): the file is the checkpoint, and one that has changed
-// under a running database is not one to go on answering around.
-func (e *execEnv) blockVec(ch *chunk, bi, ci int) (*colVec, error) {
-	key := chunkColKey{ch, bi, ci}
-	if v := e.cache.get(key); v != nil {
+// checkpoint holds, of a table width columns wide, decoded from the
+// block and cached in the block's own slot. A block that cannot be read
+// or fails its CRC fails the scan (DESIGN.md §6): the file is the
+// checkpoint, and one that has changed under a running database is not
+// one to go on answering around.
+func (e *execEnv) blockVec(ch *chunk, bi, ci, width int) (*colVec, error) {
+	if v := e.cache.get(ch, bi, ci); v != nil {
 		return v, nil
 	}
 	v, err := ch.blocks.Load().readBlock(ci, bi)
 	if err != nil {
 		return nil, err
 	}
-	return e.cache.put(key, v), nil
+	return e.cache.put(ch, bi, ci, width, v), nil
 }
 
 // SetScanWorkers fixes the number of morsel workers a vectorized scan

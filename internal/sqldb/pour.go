@@ -252,12 +252,14 @@ func (db *DB) pourTxn(tx *sessionTxn, r *PipelineRequest, st *InsertStmt) (*Resu
 func (sn *snapshot) pourVec(st *SelectStmt, p *compiledSelect, k *tableSink) (ok bool, err error) {
 	sts, plans := branches(st, p)
 	total, known := 0, true // the rows, known when no branch filters them
+	tabs := make([]*table, len(sts))
 	for bi, b := range sts {
 		bp := plans[bi]
 		if bp.union != nil || len(b.From) != 1 || len(b.Joins) != 0 || !bp.pours(b) {
 			return false, nil
 		}
 		t, _ := sn.table(b.From[0].Table) // the plan found it
+		tabs[bi] = t
 		total += t.nrows
 		known = known && b.Where == nil
 	}
@@ -290,8 +292,7 @@ func (sn *snapshot) pourVec(st *SelectStmt, p *compiledSelect, k *tableSink) (ok
 	row := make(Row, w)
 	zoneOn := !env.zoneOff.Load()
 	for bi, b := range sts {
-		bp := plans[bi]
-		t, _ := sn.table(b.From[0].Table)
+		bp, t := plans[bi], tabs[bi]
 		k.branch, k.out = bp.outSchema, p.outSchema
 		if bp.readsRows(b, k, t.schema) {
 			if err := sn.pourRows(b, bp, t, k, row); err != nil {
@@ -391,7 +392,7 @@ func (sn *snapshot) pourVec(st *SelectStmt, p *compiledSelect, k *tableSink) (ok
 				rows = nil
 				for _, cols := range bp.srcCols {
 					for _, ci := range cols {
-						if cv[ci], err = env.pourVecOf(ch, m.bi, ci); err != nil {
+						if cv[ci], err = env.pourVecOf(ch, m.bi, ci, len(t.schema)); err != nil {
 							return true, err
 						}
 						if cv[ci] == nil && rows == nil {
@@ -401,7 +402,7 @@ func (sn *snapshot) pourVec(st *SelectStmt, p *compiledSelect, k *tableSink) (ok
 				}
 				for _, ci := range wcols {
 					if cv[ci] == nil {
-						if cv[ci], err = env.pourVecOf(ch, m.bi, ci); err != nil {
+						if cv[ci], err = env.pourVecOf(ch, m.bi, ci, len(t.schema)); err != nil {
 							return true, err
 						}
 					}
@@ -530,15 +531,15 @@ func branches(st *SelectStmt, p *compiledSelect) ([]*SelectStmt, []*compiledSele
 }
 
 // pourVecOf returns the vector of column ci of block bi of ch, or of the
-// whole chunk (bi wholeChunk), for a pour to gather: a columnar chunk's
-// own, a block's, or the one the cache holds for a resident chunk — nil
-// when it holds none.
-func (e *execEnv) pourVecOf(ch *chunk, bi, ci int) (*colVec, error) {
+// whole chunk (bi wholeChunk), a chunk of a table width columns wide, for
+// a pour to gather: a columnar chunk's own, a block's, or the one the
+// cache holds for a resident chunk — nil when it holds none.
+func (e *execEnv) pourVecOf(ch *chunk, bi, ci, width int) (*colVec, error) {
 	switch {
 	case bi != wholeChunk:
-		return e.blockVec(ch, bi, ci)
+		return e.blockVec(ch, bi, ci, width)
 	case ch.cols != nil:
 		return &ch.cols.vecs[ci], nil
 	}
-	return e.cache.get(chunkColKey{ch, wholeChunk, ci}), nil
+	return e.cache.get(ch, wholeChunk, ci), nil
 }

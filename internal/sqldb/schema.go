@@ -147,7 +147,7 @@ type table struct {
 
 // chunk is one run of a table's rows, shared by every version that holds
 // it: the object, not the address of its rows, is what the column cache
-// keys the chunk's vectors by and what a checkpoint hangs its blocks on.
+// hangs the chunk's vectors on and what a checkpoint hangs its blocks on.
 // A chunk is never empty, and its rows never change once a version
 // holding it is published.
 //
@@ -169,6 +169,9 @@ type chunk struct {
 	blocks atomic.Pointer[storeChunk]
 	// cols is a columnar chunk's data, nil for every other chunk.
 	cols *colChunk
+	// vecs is the column cache's slots for the chunk's vectors, nil
+	// until it caches one (colcache.go).
+	vecs atomic.Pointer[chunkVecs]
 }
 
 // colChunk is a columnar chunk's data: a vector per column of the table,

@@ -353,6 +353,11 @@ func testKernels[T cmp.Ordered](t *colTest, elems func(*colVec) []T, bounds func
 	for i, l := range t.lits {
 		lits[i] = datum(l)
 	}
+	if kind == tIn {
+		// Searched, not scanned: slices orders and matches as cmp.Compare
+		// does, NaN below every number and equal to itself, −0 equal to 0.
+		slices.Sort(lits)
+	}
 	kern := func(cv []*colVec, lo int, mask []bool) {
 		v := cv[ci]
 		xs := elems(v)[lo : lo+len(mask)]
@@ -369,13 +374,7 @@ func testKernels[T cmp.Ordered](t *colTest, elems func(*colVec) []T, bounds func
 			}
 		default: // IN
 			for i, x := range xs {
-				found := false
-				for _, l := range lits {
-					if cmp.Compare(x, l) == 0 {
-						found = true
-						break
-					}
-				}
+				_, found := slices.BinarySearch(lits, x)
 				mask[i] = found != negate
 			}
 		}
@@ -533,7 +532,7 @@ func (e *execEnv) vecs(m *morsel, schema Schema, cols []int, cv []*colVec) (lo, 
 		return m.lo, m.hi, nil
 	}
 	for _, ci := range cols {
-		if cv[ci], err = e.blockVec(m.ch, m.bi, ci); err != nil {
+		if cv[ci], err = e.blockVec(m.ch, m.bi, ci, len(schema)); err != nil {
 			return 0, 0, err
 		}
 	}

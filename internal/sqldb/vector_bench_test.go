@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"perfbase/internal/failpoint"
@@ -116,6 +117,41 @@ func BenchmarkVectorFilterScan(b *testing.B) {
 				if _, err := db.Exec(sql); err != nil {
 					b.Fatal(err)
 				}
+			}
+		})
+	}
+}
+
+// BenchmarkVecInList is a grouped scan of 5 040 rows, 24 to a run id,
+// with no WHERE, with a BETWEEN and with an IN list of all 210 run ids in
+// shuffled order: the batch path searches the list, so it costs about
+// what the BETWEEN does.
+func BenchmarkVecInList(b *testing.B) {
+	db := NewMemory()
+	mustExecB(b, db, "CREATE TABLE t (run_id integer, op string, bw float)")
+	rows := make([]Row, 5040)
+	for i := range rows {
+		rows[i] = Row{value.NewInt(int64(i/24 + 1)), value.NewString([]string{"read", "write"}[i%2]), value.NewFloat(float64(i) / 3)}
+	}
+	if _, err := db.InsertRows("t", []string{"run_id", "op", "bw"}, rows); err != nil {
+		b.Fatal(err)
+	}
+	ids := make([]string, 210)
+	for i := range ids {
+		ids[i] = fmt.Sprint((i*97)%210 + 1)
+	}
+	for _, c := range []struct{ name, where string }{
+		{"none", ""},
+		{"between", " WHERE run_id BETWEEN 1 AND 210"},
+		{"in210", " WHERE run_id IN (" + strings.Join(ids, ", ") + ")"},
+	} {
+		sql := "SELECT op, COUNT(*), AVG(bw) FROM t" + c.where + " GROUP BY op"
+		b.Run(c.name, func(b *testing.B) {
+			if n := mustExecB(b, db, sql).Rows[0][1].Int(); n != 2520 {
+				b.Fatalf("%s counts %d rows of op read, want 2520", sql, n)
+			}
+			for b.Loop() {
+				mustExecB(b, db, sql)
 			}
 		})
 	}

@@ -703,3 +703,64 @@ func TestSupersededBlockVectorsAreDropped(t *testing.T) {
 		}
 	}
 }
+
+// TestVecInListMatchesLinear: the batch path searches an IN list it has
+// sorted once. Over random lists with duplicates, NaN, −0 and 0, the
+// empty string and NULL items, IN and NOT IN keep the rows the row
+// engine's linear scan keeps, on columns that hold all of those and
+// NULLs.
+func TestVecInListMatchesLinear(t *testing.T) {
+	vdb, rdb := vecTestDBs(t, []string{"CREATE TABLE t (i integer, f float, s string)"})
+	negZero, nan := math.Copysign(0, -1), math.NaN()
+	ints := []int64{-3, 0, 1, 2, 5, 8, 13, 40, 41, 99}
+	floats := []float64{negZero, 0, 0.5, -2.5, 3, 8, nan, 1e300, 41}
+	strs := []string{"", "a", "b", "ab", "ba", "z", "s7"}
+	rng := rand.New(rand.NewSource(7))
+	rows := make([]Row, 3000)
+	for k := range rows {
+		rows[k] = Row{value.NewInt(ints[rng.Intn(len(ints))]), value.NewFloat(floats[rng.Intn(len(floats))]),
+			value.NewString(strs[rng.Intn(len(strs))])}
+		if k%11 == 0 {
+			rows[k][k%3] = value.Null(rows[k][k%3].Type())
+		}
+	}
+	for _, db := range []*DB{vdb, rdb} {
+		if _, err := db.InsertRows("t", []string{"i", "f", "s"}, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	lit := func(col string) string {
+		if rng.Intn(12) == 0 {
+			return "NULL"
+		}
+		switch col {
+		case "i":
+			return fmt.Sprint(ints[rng.Intn(len(ints))] + int64(rng.Intn(3)-1))
+		case "f":
+			switch f := floats[rng.Intn(len(floats))]; {
+			case math.IsNaN(f):
+				return "CAST('NaN' AS float)"
+			case f == 0 && math.Signbit(f):
+				return "-0.0"
+			default:
+				return value.NewFloat(f).SQL()
+			}
+		}
+		return value.NewString(strs[rng.Intn(len(strs))] + []string{"", "", "b"}[rng.Intn(3)]).SQL()
+	}
+	if got := fmtResult(mustExec(t, vdb, "EXPLAIN SELECT COUNT(*) FROM t WHERE f IN (-0.0, 3, CAST('NaN' AS float))")); !strings.Contains(got, "[vectorized]") {
+		t.Fatalf("an IN list does not take the batch path:\n%s", got)
+	}
+	for trial := 0; trial < 300; trial++ {
+		col := []string{"i", "f", "s"}[trial%3]
+		items := make([]string, 1+rng.Intn(40))
+		for k := range items {
+			items[k] = lit(col)
+		}
+		not := []string{"", "NOT "}[rng.Intn(2)]
+		q := fmt.Sprintf("SELECT COUNT(*), SUM(i), COUNT(s) FROM t WHERE %s %sIN (%s)", col, not, strings.Join(items, ", "))
+		if v, r := fmtResult(mustExec(t, vdb, q)), fmtResult(mustExec(t, rdb, q)); v != r {
+			t.Fatalf("%s\nbatch path: %srow engine: %s", q, v, r)
+		}
+	}
+}
