@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"perfbase/internal/shard"
@@ -11,10 +12,35 @@ import (
 // testBackend is one database a test runs against. handle opens a
 // handle on it: a new connection for a wire server, the one handle
 // otherwise. catalogs lists the tables of each database behind it, each
-// shard's for a cluster.
+// shard's for a cluster; commits counts the commits they logged.
 type testBackend struct {
 	handle   func() Handle
 	catalogs func() [][]string
+	commits  func() int64
+}
+
+// counted returns memory databases whose logged commits the returned
+// function counts, through a commit hook on each.
+func counted(t *testing.T, n int) ([]*sqldb.DB, func() int64) {
+	var commits atomic.Int64
+	dbs := make([]*sqldb.DB, n)
+	for i := range dbs {
+		dbs[i] = sqldb.NewMemory()
+		dbs[i].AddCommitHook(func(sqldb.ReplPos, []string) { commits.Add(1) })
+		t.Cleanup(func() { dbs[i].Close() })
+	}
+	return dbs, commits.Load
+}
+
+// catalogsOf lists the tables of each database.
+func catalogsOf(dbs []*sqldb.DB) func() [][]string {
+	return func() [][]string {
+		all := make([][]string, len(dbs))
+		for i, db := range dbs {
+			all[i] = db.Tables()
+		}
+		return all
+	}
 }
 
 // testBackends are the kinds of database a store runs on: embedded,
@@ -25,17 +51,16 @@ var testBackends = []struct {
 	open func(t *testing.T) testBackend
 }{
 	{"local", func(t *testing.T) testBackend {
-		db := sqldb.NewMemory()
-		t.Cleanup(func() { db.Close() })
-		return testBackend{func() Handle { return db }, func() [][]string { return [][]string{db.Tables()} }}
+		dbs, commits := counted(t, 1)
+		return testBackend{func() Handle { return dbs[0] }, catalogsOf(dbs), commits}
 	}},
 	{"wire", func(t *testing.T) testBackend {
-		db := sqldb.NewMemory()
-		srv := wire.NewServer(db)
+		dbs, commits := counted(t, 1)
+		srv := wire.NewServer(dbs[0])
 		if err := srv.Listen("127.0.0.1:0"); err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(func() { srv.Close(); db.Close() })
+		t.Cleanup(func() { srv.Close() })
 		return testBackend{func() Handle {
 			c, err := wire.Dial(srv.Addr())
 			if err != nil {
@@ -43,18 +68,16 @@ var testBackends = []struct {
 			}
 			t.Cleanup(func() { c.Close() })
 			return c
-		}, func() [][]string { return [][]string{db.Tables()} }}
+		}, catalogsOf(dbs), commits}
 	}},
 	{"cluster", func(t *testing.T) testBackend {
-		c := shard.NewLocal(2)
+		dbs, commits := counted(t, 2)
+		c, err := shard.New([]shard.Backend{shard.Local(dbs[0]), shard.Local(dbs[1])})
+		if err != nil {
+			t.Fatal(err)
+		}
 		t.Cleanup(func() { c.Close() })
-		return testBackend{func() Handle { return c }, func() [][]string {
-			var all [][]string
-			for i := 0; i < c.NumShards(); i++ {
-				all = append(all, c.Shard(i).(interface{ Tables() []string }).Tables())
-			}
-			return all
-		}}
+		return testBackend{func() Handle { return c }, catalogsOf(dbs), commits}
 	}},
 }
 

@@ -580,3 +580,83 @@ func TestAccessorsAndVarNames(t *testing.T) {
 		}
 	}
 }
+
+// TestInitIndexesCatalog: a catalog made before pb_runs had its checksum
+// index — the meta tables alone — serves, gains the index on its first
+// writable open, and the index then answers the duplicate check. An open
+// of the indexed catalog commits nothing. Against an embedded database,
+// a wire server and a 2-shard cluster.
+func TestInitIndexesCatalog(t *testing.T) {
+	const probe = "EXPLAIN SELECT COUNT(*) FROM pb_runs WHERE exp = 'iotest' AND checksum IN ('a.txt', 'b.txt') AND active"
+	explain := func(t *testing.T, q Handle) string {
+		t.Helper()
+		res, err := q.Exec(probe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var lines []string
+		for _, r := range res.Rows {
+			lines = append(lines, r[0].Str())
+		}
+		return strings.Join(lines, "\n")
+	}
+	for _, b := range testBackends {
+		t.Run(b.name, func(t *testing.T) {
+			b := b.open(t)
+			q := b.handle()
+			for _, stmt := range []string{
+				`CREATE TABLE pb_experiments (name string, synopsis string, description string,
+					project string, performer string, organization string, created timestamp, definition string)`,
+				`CREATE TABLE pb_variables (exp string, name string, is_result boolean, once boolean,
+					datatype string, synopsis string, description string, unit string, dflt string, valids string)`,
+				`CREATE TABLE pb_access (exp string, usr string, class string)`,
+				`CREATE TABLE pb_runs (exp string, run_id integer, created timestamp,
+					source string, checksum string, active boolean, nsets integer)`,
+			} {
+				if _, err := q.Exec(stmt); err != nil {
+					t.Fatal(err)
+				}
+			}
+			e, err := NewStore(q).CreateExperiment(testDef(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.CreateRuns("a.txt", []NewRun{{Rows: setRows(t, e, testSets(2)), Source: "a.txt", Checksum: "a.txt"}}); err != nil {
+				t.Fatal(err)
+			}
+			if p := explain(t, q); strings.Contains(p, "hash index") {
+				t.Fatalf("the old catalog has an index:\n%s", p)
+			}
+
+			commits := b.commits()
+			s := NewStore(b.handle())
+			if err := s.Init(); err != nil {
+				t.Fatal(err)
+			}
+			if b.commits() == commits {
+				t.Error("the first open of the old catalog committed nothing")
+			}
+			if p := explain(t, q); !strings.Contains(p, "via hash index on checksum (2 keys)") {
+				t.Errorf("the opened catalog's duplicate check does not probe the index:\n%s", p)
+			}
+			e, err = s.OpenExperiment("iotest")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.CreateRuns("a.txt", []NewRun{{Rows: setRows(t, e, testSets(1)), Source: "a.txt", Checksum: "a.txt"}}); !errors.Is(err, ErrDuplicateImport) {
+				t.Errorf("re-import of a.txt: %v, want ErrDuplicateImport", err)
+			}
+			if _, err := e.CreateRuns("b.txt", []NewRun{{Rows: setRows(t, e, testSets(1)), Source: "b.txt", Checksum: "b.txt"}}); err != nil {
+				t.Fatal(err)
+			}
+
+			commits = b.commits()
+			if err := NewStore(b.handle()).Init(); err != nil {
+				t.Fatal(err)
+			}
+			if n := b.commits() - commits; n != 0 {
+				t.Errorf("an open of the indexed catalog logged %d commits", n)
+			}
+		})
+	}
+}

@@ -330,3 +330,80 @@ func setRows(tb testing.TB, e *Experiment, sets []DataSet) []sqldb.Row {
 	}
 	return rows
 }
+
+// gatedHandle holds its first write pipeline (one that BEGINs) until
+// every importer sharing ready has reached its own: importers through
+// gated handles all read the catalog before any of them writes.
+type gatedHandle struct {
+	Handle
+	ready *sync.WaitGroup
+	once  sync.Once
+}
+
+func (h *gatedHandle) pass() { h.ready.Done(); h.ready.Wait() }
+
+func (h *gatedHandle) ExecPipeline(reqs []sqldb.PipelineRequest) ([]*sqldb.Result, error) {
+	if reqs[0].SQL == "BEGIN" {
+		h.once.Do(h.pass)
+	}
+	return h.Handle.ExecPipeline(reqs)
+}
+
+// TestImportDuplicateConcurrent: two input users import one file at
+// once, each reading the run ids and the duplicate count before either
+// writes, against an embedded database, a wire server and a 2-shard
+// cluster. Both claim run 1; the loser reads again, finds the winner's
+// run, and is refused: one active run carries the file's checksum.
+func TestImportDuplicateConcurrent(t *testing.T) {
+	for _, b := range testBackends {
+		t.Run(b.name, func(t *testing.T) {
+			b := b.open(t)
+			s := NewStore(b.handle())
+			if err := s.Init(); err != nil {
+				t.Fatal(err)
+			}
+			e, err := s.CreateExperiment(testDef(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var ready, done sync.WaitGroup
+			errs := make([]error, 2)
+			ready.Add(len(errs))
+			for i := range errs {
+				h := &gatedHandle{Handle: b.handle(), ready: &ready}
+				ie, err := NewStore(h).OpenExperiment("iotest")
+				if err != nil {
+					t.Fatal(err)
+				}
+				run := NewRun{Rows: setRows(t, ie, testSets(2)), Source: "same.txt", Checksum: "same.txt"}
+				done.Add(1)
+				go func() {
+					defer done.Done()
+					defer h.once.Do(h.pass) // an import that failed before its write frees the other
+					_, errs[i] = ie.CreateRuns("same.txt", []NewRun{run})
+				}()
+			}
+			done.Wait()
+			stored, refused := 0, 0
+			for _, err := range errs {
+				switch {
+				case err == nil:
+					stored++
+				case errors.Is(err, ErrDuplicateImport):
+					refused++
+				default:
+					t.Errorf("import: %v", err)
+				}
+			}
+			if stored != 1 || refused != 1 {
+				t.Errorf("%d imports stored the file and %d were refused, want 1 and 1", stored, refused)
+			}
+			if n := count(t, s.Querier(), "SELECT COUNT(*) FROM pb_runs WHERE checksum = 'same.txt' AND active"); n != 1 {
+				t.Errorf("%d active runs carry the file's checksum, want 1", n)
+			}
+			if runs, err := e.Runs(); err != nil || len(runs) != 1 {
+				t.Errorf("runs = %v, %v; want one", runs, err)
+			}
+		})
+	}
+}

@@ -97,17 +97,21 @@ func (e *Experiment) Rows(sets []DataSet) ([]sqldb.Row, error) {
 //
 // It costs two database calls, each one pipeline. A read: the highest
 // run id, from the experiment's once table, and the duplicate count,
-// from pb_runs. A write, one transaction: per run its data table (paper
-// §4.2: one table per run) and its data sets as typed rows, then the
-// once rows, then the pb_runs rows carrying their data-set counts. A
-// run's once row and its pb_runs row are written and deleted together,
-// so the once table holds exactly the catalog's run ids of the
-// experiment, and its MAX is theirs without a scan of the whole
-// catalog. The CREATE TABLEs claim the run ids: an id a concurrent
-// importer took fails its CREATE with sqldb.ErrTableExists, or the
-// COMMIT with sqldb.ErrTxnConflict, and nothing is written; the ids are
-// then read again and the pipeline resent (paper §4.2: several input
-// users may import into one experiment).
+// from pb_runs through its checksum index (Store.Init). A write, one
+// transaction: per run its data table (paper §4.2: one table per run)
+// and its data sets as typed rows, then the once rows, then the pb_runs
+// rows carrying their data-set counts. A run's once row and its pb_runs
+// row are written and deleted together, so the once table holds exactly
+// the catalog's run ids of the experiment, and its MAX is theirs without
+// a scan of the whole catalog. The CREATE TABLEs claim the run ids: an
+// id a concurrent importer took fails its CREATE with
+// sqldb.ErrTableExists, or the COMMIT with sqldb.ErrTxnConflict, and
+// nothing is written; the ids and the duplicate count are then read
+// again and the pipeline resent (paper §4.2: several input users may
+// import into one experiment). So no run commits between a claim's read
+// and its commit — the first to commit after the read takes the ids it
+// read — and of two importers of one file the later to commit read the
+// earlier one's run, and is refused (DESIGN.md, "The duplicate check").
 func (e *Experiment) CreateRuns(fingerprint string, runs []NewRun) ([]int64, error) {
 	onceRows, err := e.convert(runs)
 	if err != nil {
@@ -136,8 +140,11 @@ func (e *Experiment) CreateRuns(fingerprint string, runs []NewRun) ([]int64, err
 		// growing with the losses, breaks the step.
 		time.Sleep(rand.N(time.Duration(attempt) * claimBackoff))
 		last := next
-		if next, _, err = e.nextRunID("", nil); err != nil {
+		if next, dup, err = e.nextRunID(fingerprint, runs); err != nil {
 			return nil, err
+		}
+		if dup {
+			return nil, ErrDuplicateImport
 		}
 		// A data table with no run (left by an older release) keeps the
 		// highest run id below it: step past the ids just tried.

@@ -122,34 +122,35 @@ func NewStore(q Handle) *Store {
 // Querier exposes the underlying database handle.
 func (s *Store) Querier() Handle { return s.q }
 
-// Init creates the perfbase meta tables if they do not exist yet.
-// It is idempotent. Against a read-only replica the creation attempt
-// is refused — the meta tables arrive there through replication — so a
-// read-only refusal is not an error and the session proceeds
-// query-only.
+// initCatalog creates the perfbase meta tables and the index on
+// pb_runs' checksums, which answers an import's duplicate check, where
+// they do not exist yet.
+var initCatalog = []sqldb.PipelineRequest{
+	{SQL: `CREATE TABLE IF NOT EXISTS ` + tblExperiments + ` (
+		name string, synopsis string, description string,
+		project string, performer string, organization string,
+		created timestamp, definition string)`},
+	{SQL: `CREATE TABLE IF NOT EXISTS ` + tblVariables + ` (
+		exp string, name string, is_result boolean, once boolean,
+		datatype string, synopsis string, description string,
+		unit string, dflt string, valids string)`},
+	{SQL: `CREATE TABLE IF NOT EXISTS ` + tblAccess + ` (
+		exp string, usr string, class string)`},
+	{SQL: `CREATE TABLE IF NOT EXISTS ` + tblRuns + ` (
+		exp string, run_id integer, created timestamp,
+		source string, checksum string, active boolean, nsets integer)`},
+	{SQL: `CREATE INDEX IF NOT EXISTS ON ` + tblRuns + ` (checksum)`},
+}
+
+// Init creates the perfbase meta tables and pb_runs' checksum index if
+// they do not exist yet, in one pipeline. It is idempotent: against a
+// database that has them it changes nothing, and writes nothing. Against
+// a read-only replica the creation attempt is refused — the meta tables
+// arrive there through replication — so a read-only refusal is not an
+// error and the session proceeds query-only.
 func (s *Store) Init() error {
-	stmts := []string{
-		`CREATE TABLE IF NOT EXISTS ` + tblExperiments + ` (
-			name string, synopsis string, description string,
-			project string, performer string, organization string,
-			created timestamp, definition string)`,
-		`CREATE TABLE IF NOT EXISTS ` + tblVariables + ` (
-			exp string, name string, is_result boolean, once boolean,
-			datatype string, synopsis string, description string,
-			unit string, dflt string, valids string)`,
-		`CREATE TABLE IF NOT EXISTS ` + tblAccess + ` (
-			exp string, usr string, class string)`,
-		`CREATE TABLE IF NOT EXISTS ` + tblRuns + ` (
-			exp string, run_id integer, created timestamp,
-			source string, checksum string, active boolean, nsets integer)`,
-	}
-	for _, stmt := range stmts {
-		if _, err := s.q.Exec(stmt); err != nil {
-			if errors.Is(err, sqldb.ErrReadOnly) {
-				return nil
-			}
-			return fmt.Errorf("core: init meta tables: %w", err)
-		}
+	if _, err := s.q.ExecPipeline(initCatalog); err != nil && !errors.Is(err, sqldb.ErrReadOnly) {
+		return fmt.Errorf("core: init meta tables: %w", err)
 	}
 	return nil
 }

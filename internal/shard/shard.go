@@ -523,7 +523,7 @@ func (s *ClusterSession) route(st sqldb.Statement, raw string) (map[int][]string
 	switch q := st.(type) {
 	case *sqldb.CreateTableStmt:
 		if _, existed := c.schema(q.Name, s); existed && q.IfNotExists {
-			return c.broadcast(raw), nil, nil // every shard has it: nothing changes
+			return nil, nil, nil // every shard has it: nothing to run
 		}
 		if q.As != nil {
 			return s.routeCreateTableAs(q, raw)

@@ -148,6 +148,20 @@ func (s *ClusterSession) exec(st sqldb.Statement, sql string) (*sqldb.Result, er
 	if s.InTxn() {
 		return s.write(routes, change)
 	}
+	if ci, ok := st.(*sqldb.CreateIndexStmt); ok && ci.IfNotExists {
+		// It changes no row, and running it again mends a shard it
+		// failed on: each shard runs it as a transaction of its own, and
+		// one that has the index commits nothing.
+		for idx := range s.c.shards {
+			if _, err := s.c.shards[idx].Exec(sql); err != nil {
+				return nil, fmt.Errorf("shard %d: %w", idx, err)
+			}
+		}
+		return &sqldb.Result{}, nil
+	}
+	if len(routes) == 0 {
+		return &sqldb.Result{}, nil
+	}
 	for idx, stmts := range routes {
 		if len(routes) == 1 && len(stmts) == 1 {
 			// One statement on one shard: that shard's own one-statement

@@ -23,10 +23,11 @@ type DropTableStmt struct {
 	IfExists bool
 }
 
-// CreateIndexStmt is CREATE INDEX ON table (column).
+// CreateIndexStmt is CREATE INDEX [IF NOT EXISTS] ON table (column).
 type CreateIndexStmt struct {
-	Table  string
-	Column string
+	Table       string
+	Column      string
+	IfNotExists bool
 }
 
 // InsertStmt is INSERT INTO table [(cols)] VALUES (...), ... or

@@ -66,18 +66,24 @@ func rowExpr(n *texpr) compiledExpr {
 			if v.IsNull() {
 				return nullBoolV, nil
 			}
-			found := false
+			// No match beside a NULL item is NULL: the item might have
+			// matched.
+			sawNull := false
 			for _, item := range list {
 				iv, err := item(ctx)
 				if err != nil {
 					return value.Value{}, err
 				}
-				if !iv.IsNull() && value.Equal(v, iv) {
-					found = true
-					break
+				if iv.IsNull() {
+					sawNull = true
+				} else if value.Equal(v, iv) {
+					return value.NewBool(!negate), nil
 				}
 			}
-			return value.NewBool(found != negate), nil
+			if sawNull {
+				return nullBoolV, nil
+			}
+			return value.NewBool(negate), nil
 		}
 	case tBetween:
 		sub, lo, hi := rowExpr(n.l), rowExpr(n.r), rowExpr(n.x)

@@ -265,6 +265,9 @@ func (db *DB) execMutation(ws *writeState, st Statement) (*Result, error) {
 		if ci < 0 {
 			return nil, errorf("no column %q in table %q", s.Column, s.Table)
 		}
+		if s.IfNotExists && t.hasIndex(lower(s.Column)) {
+			return &Result{}, nil
+		}
 		nt, err := ws.modify(key)
 		if err != nil {
 			return nil, err

@@ -524,18 +524,22 @@ func (g predGen) pred(depth int) (string, mpred) {
 			if fail || v.null {
 				return unk, fail
 			}
-			found := false
+			sawNull := false
 			for _, e := range list {
 				iv, fail := e(row)
 				if fail {
 					return fls, true
 				}
-				if !iv.null && mcmp(v, iv) == 0 {
-					found = true
-					break
+				if iv.null {
+					sawNull = true
+				} else if mcmp(v, iv) == 0 {
+					return triOf(!not), false
 				}
 			}
-			return triOf(found != not), false
+			if sawNull {
+				return unk, false // a NULL item might have matched
+			}
+			return triOf(not), false
 		}
 	case 5:
 		xs, x := g.val(1)

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -223,61 +224,108 @@ func join(a, b *relation, on sqlExpr, left bool) (*relation, error) {
 	return singleChunk(schema, rows), nil
 }
 
-// equalityCandidates extracts top-level `col = literal` predicates
-// from a conjunctive WHERE clause; the scan uses them to probe hash
-// indexes.
-func equalityCandidates(e sqlExpr, out map[string]value.Value) {
-	be, ok := e.(*binExpr)
-	if !ok {
-		return
-	}
-	switch be.Op {
-	case "and":
-		equalityCandidates(be.L, out)
-		equalityCandidates(be.R, out)
-	case "=":
-		if c, ok := be.L.(*colExpr); ok {
-			if l, ok := be.R.(*litExpr); ok {
-				out[lower(c.Name)] = l.v
-			}
-			return
-		}
-		if c, ok := be.R.(*colExpr); ok {
-			if l, ok := be.L.(*litExpr); ok {
-				out[lower(c.Name)] = l.v
-			}
-		}
-	}
+// probeCand is a conjunct of a WHERE clause that pins a column to
+// literals: `col = lit`, or `col IN (lit, …)`, whose items in holds.
+type probeCand struct {
+	col string // lower-cased
+	lit value.Value
+	in  []sqlExpr
 }
 
-// indexProbe finds a conjunct of where that pins an indexed column of t
-// to a literal of the column's key class, which the column's hash index
-// answers; a literal of another class compares by display form
-// (value.Compare), which no key encodes, and leaves the scan full.
-func indexProbe(t *table, where sqlExpr) (col string, key value.Value, ok bool) {
-	if where == nil || !t.indexed() {
-		return "", key, false
+// equalityCandidates appends to out the top-level conjuncts of e that
+// pin a column to literals, in the clause's order; the scan uses them to
+// probe hash indexes.
+func equalityCandidates(e sqlExpr, out []probeCand) []probeCand {
+	switch x := e.(type) {
+	case *binExpr:
+		switch x.Op {
+		case "and":
+			return equalityCandidates(x.R, equalityCandidates(x.L, out))
+		case "=":
+			c, ok := x.L.(*colExpr)
+			l, lok := x.R.(*litExpr)
+			if !ok || !lok {
+				c, ok = x.R.(*colExpr)
+				l, lok = x.L.(*litExpr)
+			}
+			if ok && lok {
+				return append(out, probeCand{col: lower(c.Name), lit: l.v})
+			}
+		}
+	case *inExpr:
+		c, ok := x.E.(*colExpr)
+		if !ok || x.Negate {
+			return out
+		}
+		for _, item := range x.List {
+			if _, ok := item.(*litExpr); !ok {
+				return out
+			}
+		}
+		return append(out, probeCand{col: lower(c.Name), in: x.List})
 	}
-	cands := map[string]value.Value{}
-	equalityCandidates(where, cands)
-	for col, v := range cands {
-		if ci := t.schema.Index(col); ci >= 0 && t.hasIndex(col) && sameKeyClass(v.Type(), t.schema[ci].Type) {
-			return col, v, true
+	return out
+}
+
+// indexProbe finds the first conjunct of where that pins an indexed
+// column of t to literals of the column's key class, which the column's
+// hash index answers, and returns the column and the keys to look up.
+// A literal of another class compares by display form (value.Compare),
+// which no key encodes, and leaves the conjunct unprobed.
+func indexProbe(t *table, where sqlExpr) (col string, keys []value.Value, ok bool) {
+	if where == nil || !t.indexed() {
+		return "", nil, false
+	}
+	var buf [4]probeCand
+	for _, c := range equalityCandidates(where, buf[:0]) {
+		ci := t.schema.Index(c.col)
+		if ci < 0 || !t.hasIndex(c.col) {
+			continue
+		}
+		if keys, ok = c.keys(t.schema[ci].Type); ok && len(keys) > 0 {
+			return c.col, keys, true
 		}
 	}
-	return "", key, false
+	return "", nil, false
+}
+
+// keys returns the literals to look up in the index of a column of type
+// typ: all but the NULLs, which match no row. ok is false when one is of
+// another key class.
+func (c probeCand) keys(typ value.Type) (keys []value.Value, ok bool) {
+	if c.in == nil {
+		switch {
+		case c.lit.IsNull():
+			return nil, true
+		case !sameKeyClass(c.lit.Type(), typ):
+			return nil, false
+		}
+		return []value.Value{c.lit}, true
+	}
+	keys = make([]value.Value, 0, len(c.in))
+	for _, item := range c.in {
+		switch v := item.(*litExpr).v; {
+		case v.IsNull():
+		case !sameKeyClass(v.Type(), typ):
+			return nil, false
+		default:
+			keys = append(keys, v)
+		}
+	}
+	return keys, true
 }
 
 // indexedScan serves a single-table FROM through a hash index when the
-// WHERE clause pins an indexed column to a literal (indexProbe). The
-// full WHERE still runs afterwards, so this is purely a row pre-filter.
-// A nil relation means no index serves the query.
+// WHERE clause pins an indexed column to literals (indexProbe): the rows
+// of every key, in position order. The full WHERE still runs
+// afterwards, so this is purely a row pre-filter. A nil relation means no
+// index serves the query.
 func (sn *snapshot) indexedScan(fi fromItem, where sqlExpr) (*relation, error) {
 	t, ok := sn.table(fi.Table)
 	if !ok {
 		return nil, nil
 	}
-	col, cv, ok := indexProbe(t, where)
+	col, keys, ok := indexProbe(t, where)
 	if !ok {
 		return nil, nil
 	}
@@ -285,17 +333,30 @@ func (sn *snapshot) indexedScan(fi fromItem, where sqlExpr) (*relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	positions := idx.lookup(cv)
-	rows := make([]Row, len(positions))
-	for i, pos := range positions {
-		rows[i] = t.rowAt(pos)
+	positions := idx.lookup(keys[0])
+	if len(keys) > 1 {
+		// The union of the keys' rows: a key listed twice finds its rows
+		// twice.
+		positions = slices.Clone(positions)
+		for _, k := range keys[1:] {
+			positions = append(positions, idx.lookup(k)...)
+		}
+		slices.Sort(positions)
+		positions = slices.Compact(positions)
 	}
+	rows := t.rowsAt(positions)
 	if sn.reads != nil {
-		// A point read joins the read set as a probe, not a full
-		// scan: commit validation re-probes the key and passes if
-		// the matched rows are unchanged, so transactions touching
-		// different keys of the same table don't conflict.
-		sn.reads.addPoint(lower(fi.Table), pointRead{col: col, key: cv, fp: fingerprintRows(rows)})
+		// A point read joins the read set as a probe per key, not a full
+		// scan: commit validation re-probes the key and passes if the
+		// matched rows are unchanged, so transactions touching different
+		// keys of the same table don't conflict.
+		for _, k := range keys {
+			kr := rows
+			if len(keys) > 1 {
+				kr = t.rowsAt(idx.lookup(k))
+			}
+			sn.reads.addPoint(lower(fi.Table), pointRead{col: col, key: k, fp: fingerprintRows(kr)})
+		}
 	}
 	return singleChunk(nil, rows), nil
 }

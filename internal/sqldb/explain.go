@@ -94,7 +94,9 @@ func (db *DB) explainBranch(sn *snapshot, q *SelectStmt, p *compiledSelect, gene
 		if !ok {
 			return nil, false, errorf("no such table %q", fi.Table)
 		}
-		if col, ok := sn.explainIndexProbe(fi, q.Where); ok {
+		if col, keys, ok := indexProbe(t, q.Where); ok && len(keys) > 1 {
+			add("scan %s via hash index on %s (%d keys)", name(fi), col, len(keys))
+		} else if ok {
 			add("scan %s via hash index on %s", name(fi), col)
 		} else {
 			add("scan %s", full(fi, t))
@@ -318,15 +320,4 @@ func (db *DB) explainBlocks(t *table, vp *vecPlan, ms []morsel) string {
 		fmt.Fprintf(&b, " %s=%s", t.schema[ci].Name, dominantEnc(chunks, ci))
 	}
 	return b.String()
-}
-
-// explainIndexProbe mirrors indexedScan's decision without touching
-// rows, returning the probed column.
-func (sn *snapshot) explainIndexProbe(fi fromItem, where sqlExpr) (string, bool) {
-	t, ok := sn.table(fi.Table)
-	if !ok {
-		return "", false
-	}
-	col, _, ok := indexProbe(t, where)
-	return col, ok
 }

@@ -630,6 +630,51 @@ func TestPointReadNoFalseConflict(t *testing.T) {
 	}
 }
 
+// TestPointReadInListNoFalseConflict: a transaction whose IN list
+// probed the keys 'a' and 'c' of an indexed table records a point read
+// per key. It commits past another session's insert of 'b', and
+// conflicts with one of 'a'.
+func TestPointReadInListNoFalseConflict(t *testing.T) {
+	db := NewMemory()
+	mustExec(t, db, "CREATE TABLE kv (k string, v integer)")
+	mustExec(t, db, "CREATE INDEX ON kv (k)")
+	mustExec(t, db, "INSERT INTO kv VALUES ('a', 1), ('b', 2), ('c', 3)")
+	mustExec(t, db, "CREATE TABLE out (n integer)")
+
+	a, b := db.NewSession(), db.NewSession()
+	defer a.Close()
+	defer b.Close()
+	probe := func() {
+		t.Helper()
+		if _, err := a.Exec("BEGIN"); err != nil {
+			t.Fatal(err)
+		}
+		res, err := a.Exec("SELECT COUNT(*) FROM kv WHERE k IN ('a', 'c')")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := a.Exec(fmt.Sprintf("INSERT INTO out VALUES (%d)", res.Rows[0][0].Int())); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	probe()
+	if _, err := b.Exec("INSERT INTO kv VALUES ('b', 20)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Exec("COMMIT"); err != nil {
+		t.Fatalf("a probe of 'a' and 'c' conflicted with an insert of 'b': %v", err)
+	}
+
+	probe()
+	if _, err := b.Exec("INSERT INTO kv VALUES ('a', 10)"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Exec("COMMIT"); !errors.Is(err, ErrTxnConflict) {
+		t.Fatalf("a probe of 'a' committed past an insert of 'a': %v, want ErrTxnConflict", err)
+	}
+}
+
 // TestAbortedTxnPlanNotShared: a plan compiled against DDL that only
 // ever existed inside an aborted transaction must not serve later
 // statements (the shared-LRU promotion happens at commit, never on

@@ -166,9 +166,24 @@ func (p *sqlParser) parseStatement() (Statement, error) {
 	return nil, errorf("unsupported statement starting with %q in %q", p.cur().text, p.src)
 }
 
+// ifNotExists accepts an optional IF NOT EXISTS.
+func (p *sqlParser) ifNotExists() (bool, error) {
+	if !p.acceptKw("if") {
+		return false, nil
+	}
+	if err := p.expectKw("not"); err != nil {
+		return false, err
+	}
+	return true, p.expectKw("exists")
+}
+
 func (p *sqlParser) parseCreate() (Statement, error) {
 	temp := p.acceptKw("temp") || p.acceptKw("temporary")
 	if !temp && p.acceptKw("index") {
+		ifNotExists, err := p.ifNotExists()
+		if err != nil {
+			return nil, err
+		}
 		if err := p.expectKw("on"); err != nil {
 			return nil, err
 		}
@@ -186,20 +201,15 @@ func (p *sqlParser) parseCreate() (Statement, error) {
 		if err := p.expectOp(")"); err != nil {
 			return nil, err
 		}
-		return &CreateIndexStmt{Table: table, Column: col}, nil
+		return &CreateIndexStmt{Table: table, Column: col, IfNotExists: ifNotExists}, nil
 	}
 	if err := p.expectKw("table"); err != nil {
 		return nil, err
 	}
 	st := &CreateTableStmt{Temp: temp}
-	if p.acceptKw("if") {
-		if err := p.expectKw("not"); err != nil {
-			return nil, err
-		}
-		if err := p.expectKw("exists"); err != nil {
-			return nil, err
-		}
-		st.IfNotExists = true
+	var err error
+	if st.IfNotExists, err = p.ifNotExists(); err != nil {
+		return nil, err
 	}
 	name, err := p.ident()
 	if err != nil {

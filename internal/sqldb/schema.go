@@ -17,6 +17,7 @@ package sqldb
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -418,10 +419,14 @@ func (t *table) derive() (*table, error) {
 }
 
 // seal publishes the version: trailing chunks are merged into
-// geometrically growing runs (keeping scans O(log n) chunks) and the
-// version becomes immutable.
+// geometrically growing runs (keeping scans O(log n) chunks), so are
+// its index layers (hashIndex.settle), and the version becomes
+// immutable.
 func (t *table) seal() {
 	t.compact()
+	for col, ix := range t.indexes {
+		t.indexes[col] = ix.settle()
+	}
 	t.mutable = false
 }
 
@@ -547,6 +552,15 @@ func (t *table) rewrite(f func(Row) (Row, bool, error)) (int, error) {
 	return changed, nil
 }
 
+// rowsAt returns the rows at positions, in their order.
+func (t *table) rowsAt(positions []int) []Row {
+	rows := make([]Row, len(positions))
+	for i, pos := range positions {
+		rows[i] = t.rowAt(pos)
+	}
+	return rows
+}
+
 // rowAt returns the row at global ordinal pos (0 ≤ pos < nrows) of a
 // resident version; ordinals come out of an index, and index hydrates.
 func (t *table) rowAt(pos int) Row {
@@ -609,42 +623,62 @@ func (t *table) reindex() {
 // hashIndex maps a column value (by its value.AppendKey key, equal for
 // values equal under value.Compare within one key class) to the row
 // positions holding it. Like table row storage it is versioned: a
-// derived table version gets an overlay child that records only its own
-// additions and chains to the parent for older positions. Chains are
-// flattened when they grow deep so lookups stay O(1)-ish.
+// derived table version gets an overlay layer that records only its own
+// additions and chains to its parent layer for older positions, every
+// layer's positions above its parent's.
+//
+// The chain merges geometrically. When a version is sealed, its layer
+// folds into its parent once it holds at least half as many positions,
+// and the fold goes on down the chain as long as the merged layer is at
+// least half its next parent (settle). Layer sizes thus at least double
+// towards the root, a lookup walks O(log n) layers, and a position is
+// copied O(log n) times in its life: a commit costs amortized O(log n)
+// per row it adds, never a copy of the whole index.
 type hashIndex struct {
 	parent  *hashIndex
-	depth   int
+	n       int // positions in this layer
 	buckets map[string][]int
 }
 
-// maxIndexDepth bounds overlay chains; a derive beyond this depth
-// flattens the chain into a fresh root.
-const maxIndexDepth = 16
-
 // child derives an overlay for the next table version. The parent is
 // shared and never written again through the child.
-func (ix *hashIndex) child() *hashIndex {
-	if ix.depth >= maxIndexDepth {
-		return ix.flatten()
-	}
-	return &hashIndex{parent: ix, depth: ix.depth + 1}
-}
+func (ix *hashIndex) child() *hashIndex { return &hashIndex{parent: ix} }
 
-// flatten merges an overlay chain into a single fresh root.
-func (ix *hashIndex) flatten() *hashIndex {
-	var chain []*hashIndex
-	for p := ix; p != nil; p = p.parent {
-		chain = append(chain, p)
+// settle returns the layer a version being sealed keeps for the index
+// whose top layer, its own, is ix: its parent when it added nothing, ix
+// when it is less than half its parent, else one fresh layer holding ix
+// and every parent it folds into. The layers it replaces stay with the
+// versions holding them.
+func (ix *hashIndex) settle() *hashIndex {
+	if ix.n == 0 && ix.parent != nil {
+		return ix.parent
 	}
-	root := &hashIndex{buckets: make(map[string][]int)}
-	// Oldest layer first so positions stay in ascending order.
+	n, base := ix.n, ix
+	for p := ix.parent; p != nil && 2*n >= p.n; p = p.parent {
+		n, base = n+p.n, p
+	}
+	if base == ix {
+		return ix
+	}
+	var chain []*hashIndex
+	keys := 0 // at least the keys the merged layer holds
+	for p := ix; p != base.parent; p = p.parent {
+		chain = append(chain, p)
+		keys += len(p.buckets)
+	}
+	merged := &hashIndex{parent: base.parent, n: n, buckets: make(map[string][]int, keys)}
+	// Oldest layer first, so positions stay ascending. A bucket found in
+	// one layer only is shared, clipped so that an append copies it.
 	for i := len(chain) - 1; i >= 0; i-- {
 		for k, ps := range chain[i].buckets {
-			root.buckets[k] = append(root.buckets[k], ps...)
+			if have, ok := merged.buckets[k]; ok {
+				merged.buckets[k] = append(have, ps...)
+			} else {
+				merged.buckets[k] = slices.Clip(ps)
+			}
 		}
 	}
-	return root
+	return merged
 }
 
 func (ix *hashIndex) add(v value.Value, pos int) {
@@ -653,6 +687,7 @@ func (ix *hashIndex) add(v value.Value, pos int) {
 	}
 	k := string(value.AppendKey(nil, v))
 	ix.buckets[k] = append(ix.buckets[k], pos)
+	ix.n++
 }
 
 // lookup returns the positions of the values equal to v, which must be
@@ -680,7 +715,7 @@ func (ix *hashIndex) lookupKey(k string) []int {
 // rebuildFrom recreates the index as a fresh root over t's rows.
 func (ix *hashIndex) rebuildFrom(t *table, ci int) {
 	ix.parent = nil
-	ix.depth = 0
+	ix.n = 0
 	ix.buckets = make(map[string][]int)
 	pos := 0
 	for _, ch := range t.list {

@@ -817,12 +817,7 @@ func (p pointRead) verify(t *table) bool {
 	if ci := t.schema.Index(p.col); ci < 0 || !sameKeyClass(p.key.Type(), t.schema[ci].Type) {
 		return false
 	}
-	positions := idx.lookup(p.key)
-	rows := make([]Row, len(positions))
-	for i, pos := range positions {
-		rows[i] = t.rowAt(pos)
-	}
-	return fingerprintRows(rows) == p.fp
+	return fingerprintRows(t.rowsAt(idx.lookup(p.key))) == p.fp
 }
 
 // fingerprintRows hashes a row set's contents (order-sensitively: an

@@ -97,13 +97,14 @@ func (sn *snapshot) planVec(st *SelectStmt, p *compiledSelect, where *texpr) *ve
 	if len(st.From) != 1 || len(st.Joins) != 0 {
 		return nil
 	}
-	if _, ok := sn.table(st.From[0].Table); !ok {
+	t, ok := sn.table(st.From[0].Table)
+	if !ok {
 		return nil
 	}
 	// An available index probe beats a full vectorized scan; mirror the
 	// scan's decision (CREATE INDEX bumps the table version, so cached
 	// plans re-qualify).
-	if _, ok := sn.explainIndexProbe(st.From[0], st.Where); ok {
+	if _, _, ok := indexProbe(t, st.Where); ok {
 		return nil
 	}
 	vp := &vecPlan{}
@@ -265,8 +266,10 @@ func rowKernel(n *texpr, width int, need map[int]bool) vecPredFn {
 
 // colTest is a node that tests one column against literals: a
 // comparison (kind tBin; ok holds the outcomes of Compare(column,
-// literal) that pass), BETWEEN or IN (whose NULL items, which never
-// match, are left out).
+// literal) that pass), BETWEEN or IN. An IN's NULL item never matches,
+// and a value that matches no item beside one is NULL, which a filter
+// drops as it drops false: IN leaves its NULL items out, NOT IN keeps
+// them, and its kernel is vecFalse.
 type colTest struct {
 	kind   tkind
 	col    int
@@ -293,7 +296,7 @@ func (n *texpr) colTest() (t colTest, is bool) {
 			if k.kind != tLit {
 				return t, false
 			}
-			if !k.v.IsNull() {
+			if !k.v.IsNull() || n.negate {
 				t.lits = append(t.lits, k.v)
 			}
 		}
@@ -314,8 +317,8 @@ func (n *texpr) colTest() (t colTest, is bool) {
 // exactly only as one, and the other pairs compare by display form, on
 // the row back end's kernel.
 func (t *colTest) kernels() (vecPredFn, zoneFn) {
-	if t.kind != tIn && slices.ContainsFunc(t.lits, value.Value.IsNull) {
-		return vecFalse, zoneAlways // a NULL operand: NULL on every row
+	if slices.ContainsFunc(t.lits, value.Value.IsNull) {
+		return vecFalse, zoneAlways // a NULL operand: false or NULL on every row
 	}
 	switch {
 	case t.typ == value.Integer && t.of(value.Integer), t.typ == value.Boolean && t.of(value.Boolean),

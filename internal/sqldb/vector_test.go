@@ -764,3 +764,43 @@ func TestVecInListMatchesLinear(t *testing.T) {
 		}
 	}
 }
+
+// TestInListNullItem: an IN list's NULL item never matches, and a value
+// that matches no item beside it is NULL, not false — so a WHERE keeps
+// no row that `i NOT IN (1, NULL)` or `NOT (i IN (1, NULL))` tests, and
+// a projection reads NULL — on the batch path and the row engine alike.
+func TestInListNullItem(t *testing.T) {
+	vdb, rdb := vecTestDBs(t, []string{
+		"CREATE TABLE t (i integer)",
+		"INSERT INTO t VALUES (1), (2), (3), (NULL)",
+	})
+	if p := fmtResult(mustExec(t, vdb, "EXPLAIN SELECT COUNT(*) FROM t WHERE i NOT IN (1, NULL)")); !strings.Contains(p, "[vectorized]") {
+		t.Fatalf("NOT IN with a NULL item does not take the batch path:\n%s", p)
+	}
+	counts := map[string]int64{
+		"i NOT IN (1, NULL)":       0,
+		"NOT (i NOT IN (1, NULL))": 1,
+		"i IN (1, NULL)":           1,
+		"NOT (i IN (1, NULL))":     0,
+		"i NOT IN (NULL)":          0,
+		"i NOT IN (1, 5)":          2,
+		"i IN (1, NULL) OR i = 3":  2,
+	}
+	for _, db := range []*DB{vdb, rdb} {
+		for where, want := range counts {
+			if got := mustExec(t, db, "SELECT COUNT(*) FROM t WHERE "+where).Rows[0][0].Int(); got != want {
+				t.Errorf("vectorized %v: WHERE %s counts %d, want %d", db == vdb, where, got, want)
+			}
+		}
+		res := mustExec(t, db, "SELECT i, i IN (1, NULL), i NOT IN (1, NULL) FROM t")
+		for _, row := range res.Rows {
+			matched := !row[0].IsNull() && row[0].Int() == 1
+			switch {
+			case matched && (row[1].IsNull() || !row[1].Bool() || row[2].IsNull() || row[2].Bool()):
+				t.Errorf("vectorized %v: 1 IN, NOT IN (1, NULL) = %v, %v, want true, false", db == vdb, row[1], row[2])
+			case !matched && (!row[1].IsNull() || !row[2].IsNull()):
+				t.Errorf("vectorized %v: %v IN, NOT IN (1, NULL) = %v, %v, want NULL, NULL", db == vdb, row[0], row[1], row[2])
+			}
+		}
+	}
+}
